@@ -33,8 +33,8 @@ Packages
     lines), and a trace summariser (``python -m repro.obs summarize``).
 ``repro.spec``
     The layered request vocabulary: ``WorkloadSpec`` / ``ExecutionPolicy``
-    / ``FaultPolicy`` / ``ObsConfig``, the ``PlanRequest`` aggregate,
-    canonical workload cache keys, and the flat-kwarg deprecation shim.
+    / ``FaultPolicy`` / ``ObsConfig``, the ``PlanRequest`` aggregate and
+    canonical workload cache keys.
 ``repro.api``
     The ``plan(WorkloadSpec(...)) -> PlanReport`` facade over the whole
     pipeline.
@@ -69,7 +69,7 @@ from .obs import (
 from .runtime import Fault, FaultInjector, TaskFailedError
 from .service import PlanService, RoadmapCache, ServiceConfig
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",

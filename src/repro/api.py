@@ -24,10 +24,8 @@ accepted directly::
 
     >>> plan(WorkloadSpec(num_regions=64), execution=ExecutionPolicy(num_pes=8))
 
-The legacy flat-kwarg construction (``PlanRequest(num_regions=512,
-num_pes=96, ...)``) keeps working through a deprecation shim, and the
-legacy entry points (``build_prm_workload`` / ``simulate_prm`` and the
-RRT pair) remain the underlying building blocks.
+The pre-facade entry points (``build_prm_workload`` / ``simulate_prm``
+and the RRT pair) remain the underlying building blocks.
 
 ``ExecutionPolicy.mode == "simulate"`` (default) replays the measured
 workload on a virtual machine of ``num_pes`` PEs.  ``mode == "local"``
@@ -154,7 +152,7 @@ class PlanReport:
     @property
     def metrics(self) -> "dict[str, object] | None":
         """Snapshot of the tracer's metric registry, if one was attached."""
-        tr = active(self.request.tracer)
+        tr = active(self.request.obs.tracer)
         return tr.metrics.as_dict() if tr is not None else None
 
     def query_engine(
@@ -217,14 +215,14 @@ class PlanReport:
         :func:`plan` surfaces it on the report (``retries``,
         ``abandoned``, ``attempts``, ``worker_deaths``).
         """
-        kwargs.setdefault("tracer", self.request.tracer)
+        kwargs.setdefault("tracer", self.request.obs.tracer)
         return self.query_engine().solve_many(
             requests, execution=execution, faults=faults, **kwargs
         )
 
     def trace_summary(self) -> "TraceSummary | None":
         """Aggregate the attached tracer's in-memory trace, if any."""
-        tr = active(self.request.tracer)
+        tr = active(self.request.obs.tracer)
         if tr is None or tr.memory is None:
             return None
         return summarize_events(tr.memory.events)
@@ -250,9 +248,9 @@ class PlanReport:
 
     def summary(self) -> str:
         """Human-readable report of the run."""
+        wl, ex = self.request.workload, self.request.execution
         lines = [
-            f"{self.request.planner.upper()} / {self.request.strategy} "
-            f"on {self.request.num_pes} PEs ({self.request.execution.mode})",
+            f"{wl.planner.upper()} / {ex.strategy} on {ex.num_pes} PEs ({ex.mode})",
             f"roadmap: {self.roadmap.num_vertices} vertices, "
             f"{self.roadmap.num_edges} edges",
             f"total time: {self.total_time:.2f}",
@@ -388,9 +386,10 @@ def _default_root(cspace: ConfigurationSpace, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Module-level tasks bound with functools.partial so the "process" backend
 # can pickle them; the default "thread" backend works either way.  Each task
-# returns ``(roadmap, stats, (point_checks, segment_checks))`` so operation
-# counts survive the hop back from worker processes, where the parent's
-# environment counters never tick.
+# returns ``(roadmap, stats, (point_checks, segment_checks))`` — its own
+# exact share of the collision work (``CollisionCounters`` windows are
+# per-thread), which also survives the hop back from worker processes,
+# where the parent's environment counters never tick.
 
 def _counters_of(cspace: ConfigurationSpace):
     env = getattr(cspace, "env", None)
@@ -637,10 +636,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
 
     plane = _resolve_data_plane(ex, cspace)
     manifest = None
-    parent_counters = _counters_of(cspace)
-    counters_before = (
-        parent_counters.snapshot() if parent_counters is not None else None
-    )
     try:
         if plane == "shm":
             env = cspace.env
@@ -680,7 +675,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
             chunksize=ex.chunksize,
             tracer=ob.tracer,
             task_weights=task_weights,
-            measure_serde=(ex.backend == "process"),
             **fa.pool_kwargs(retry_seed=wl.seed),
         )
     finally:
@@ -701,12 +695,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
         stats += task_stats
         point_checks += pc
         segment_checks += sc
-    if ex.backend == "thread" and plane == "inline" and parent_counters is not None:
-        # Thread workers share the parent environment's counters, so the
-        # per-task window deltas double-count concurrent increments; the
-        # parent-side delta over the whole pool run is the exact total.
-        delta = parent_counters.delta(counters_before)
-        point_checks, segment_checks = delta.point_checks, delta.segment_checks
     return PlanReport(
         request=request,
         workload=None,

@@ -8,8 +8,7 @@ serving (single and batched, plus k-NN backend scaling), pool scaling,
 BVH-vs-brute-force collision scaling on procedural warehouse scenes
 (bit-exact verdict parity at 10^3-10^5 obstacles), and the incremental
 kd-ladder NN backend (growing query-then-insert streams across tree
-sizes, plus a full RRT build against the brute-force oracle with
-bit-exact edge/parent parity) —
+sizes) —
 on fixed seeds, and writes the measurements to a JSON file
 (``BENCH_perf.json`` by default) so regressions show up as diffs.
 
@@ -67,7 +66,7 @@ SCALES = {
         "kernel_knn_stored": 1000, "kernel_knn_queries": 64,
         "kernel_lp_pairs": 300, "kernel_prm_samples": 250, "kernel_prm_queries": 20,
         "bvh_sizes": [300, 2000], "bvh_prm_obstacles": 500, "bvh_prm_samples": 150,
-        "incnn_sizes": [500, 2000], "incnn_rrt_nodes": 300, "incnn_stream_points": 2000,
+        "incnn_sizes": [500, 2000],
         "dispatch_tiny": 48, "dispatch_big": 2, "dispatch_big_s": 0.005,
         "shm_obstacles": 2000, "shm_regions": 8, "shm_samples": 3,
     },
@@ -80,8 +79,7 @@ SCALES = {
         "kernel_knn_stored": 4000, "kernel_knn_queries": 512,
         "kernel_lp_pairs": 3000, "kernel_prm_samples": 1200, "kernel_prm_queries": 60,
         "bvh_sizes": [1000, 10000, 100000], "bvh_prm_obstacles": 3000, "bvh_prm_samples": 500,
-        "incnn_sizes": [2000, 8000, 20000], "incnn_rrt_nodes": 20000,
-        "incnn_stream_points": 20000,
+        "incnn_sizes": [2000, 8000, 20000],
         "dispatch_tiny": 256, "dispatch_big": 4, "dispatch_big_s": 0.02,
         "shm_obstacles": 20000, "shm_regions": 16, "shm_samples": 3,
     },
@@ -653,46 +651,7 @@ def bench_prm_build_process_shm(params: dict) -> dict:
         "shm_context_bytes": d.context_bytes,
         "shm_segment_bytes": d.shm_bytes,
         "shm_attaches": d.shm_attaches,
-        "_meta_extra": {
-            "chunk_policy": d.chunk_policy,
-            "chunks_issued": d.chunks_issued,
-            "bytes_shipped": d.context_bytes + d.task_bytes,
-        },
-    }
-
-
-def bench_query_batch_process_shm(params: dict) -> dict:
-    """Process-worker query serving through the shared-memory frozen
-    roadmap vs the pickled closure; answers asserted path-exact.  No
-    speedup floor — the interesting gate is parity plus the per-chunk
-    traffic collapse recorded in the meta."""
-    from ..spec import ExecutionPolicy
-
-    cs, rmap, queries = _query_setup(params)
-    eng = QueryEngine(cs, rmap, k=8)
-
-    def run(plane: str):
-        ex = ExecutionPolicy(
-            mode="local", backend="process", workers=2, data_plane=plane
-        )
-        return eng.solve_many(queries, execution=ex)
-
-    repeats = min(params["repeats"], 3)
-    before_s, ref = _best_of(repeats, lambda: run("pickle"))
-    after_s, fast = _best_of(repeats, lambda: run("shm"))
-    paths_equal = _query_results_equal(ref.results, fast.results)
-    if not paths_equal:
-        raise AssertionError("shm-plane query serving diverged from pickle plane")
-    d = fast.dispatch
-    return {
-        "n_vertices": params["query_vertices"],
-        "n_queries": len(queries),
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "paths_equal": paths_equal,
-        "shm_segment_bytes": d.shm_bytes,
-        "shm_attaches": d.shm_attaches,
+        "_kernel_backend": "bvh",
         "_meta_extra": {
             "chunk_policy": d.chunk_policy,
             "chunks_issued": d.chunks_issued,
@@ -1096,88 +1055,6 @@ def bench_rrt_nn_scaling(params: dict) -> dict:
     }
 
 
-#: PlannerStats fields that legitimately differ between NN backends: the
-#: eval count is what the incremental ladder exists to shrink, and the
-#: maintenance counters are zero everywhere but the ladder.
-_NN_BACKEND_STATS = ("nn_distance_evals", "nn_rebuilds", "nn_buffer_hits", "nn_evals_saved")
-
-
-def bench_rrt_build_incnn(params: dict) -> dict:
-    """Batched RRT growth with the brute-force NN oracle vs the
-    ``incremental`` kd-ladder backend, plus the NN phase in isolation at
-    floor scale.
-
-    The build gate is the strongest parity surface in the suite: edges
-    (with exact float64 weights), parent pointers, collision counters,
-    and every ``PlannerStats`` field outside the NN-backend group must
-    be *identical* — the ladder answers every query bit-exactly, so
-    swapping it in may not move a single sample.  Full-build wall time
-    is recorded but roughly backend-neutral at this scale in pure
-    python; the win the work model sees is the eval reduction
-    (``nn_distance_evals`` before/after, recorded in the row meta).  The
-    ``nn_phase_*`` fields time the growing query-then-insert stream
-    alone at n>=20k, where the medium-scale ``--check`` floor applies."""
-    n = params["incnn_rrt_nodes"]
-    stream_n = params["incnn_stream_points"]
-
-    def build(factory):
-        """One timed batched RRT growth under the given NN factory."""
-        cs = _cspace()
-        rrt = RRT(cs, step_size=0.6, goal_bias=0.05, batched=True, nn_factory=factory)
-        res = rrt.grow(np.full(cs.dim, -9.0), n, np.random.default_rng(_SEED))
-        counters = (cs.env.counters.point_checks, cs.env.counters.segment_checks)
-        edges = sorted((min(u, v), max(u, v), w) for u, v, w in res.tree.edges())
-        return asdict(res.stats), counters, edges, dict(res.parents)
-
-    def core(stats_dict):
-        """Stats without the backend-dependent NN fields."""
-        return {k: v for k, v in stats_dict.items() if k not in _NN_BACKEND_STATS}
-
-    repeats = min(params["repeats"], 2)
-    before_s, ref = _best_of(repeats, lambda: build(BruteForceNN))
-    after_s, fast = _best_of(repeats, lambda: build(IncrementalNN))
-    edges_equal = ref[2] == fast[2]
-    parents_equal = ref[3] == fast[3]
-    counters_equal = ref[1] == fast[1]
-    stats_equal_core = core(ref[0]) == core(fast[0])
-    if not (edges_equal and parents_equal and counters_equal and stats_equal_core):
-        raise AssertionError(
-            "incremental-NN RRT build diverged from the brute-force oracle: "
-            f"edges_equal={edges_equal} parents_equal={parents_equal} "
-            f"counters_equal={counters_equal} stats_equal_core={stats_equal_core}"
-        )
-
-    rng = np.random.default_rng(_SEED)
-    pts = rng.uniform(-10.0, 10.0, size=(stream_n, 3))
-    nn_before_s, (sref, _) = _best_of(repeats, lambda: _nn_stream(BruteForceNN, pts))
-    nn_after_s, (sfast, _) = _best_of(repeats, lambda: _nn_stream(IncrementalNN, pts))
-    if sref != sfast:
-        raise AssertionError("incremental NN phase diverged from brute force")
-
-    return {
-        "n_nodes": n,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "edges_equal": edges_equal,
-        "parents_equal": parents_equal,
-        "counters_equal": counters_equal,
-        "stats_equal_core": stats_equal_core,
-        "nn_phase_points": stream_n,
-        "nn_phase_before_s": nn_before_s,
-        "nn_phase_after_s": nn_after_s,
-        "nn_phase_speedup": nn_before_s / nn_after_s,
-        "_meta_extra": {
-            "nn_backend": "incremental",
-            "nn_distance_evals_before": ref[0]["nn_distance_evals"],
-            "nn_distance_evals_after": fast[0]["nn_distance_evals"],
-            "nn_evals_saved": fast[0]["nn_evals_saved"],
-            "nn_rebuilds": fast[0]["nn_rebuilds"],
-            "nn_buffer_hits": fast[0]["nn_buffer_hits"],
-        },
-    }
-
-
 _BENCHMARKS = {
     "prm_build_default_path": bench_prm_build,
     "rrt_build_default_path": bench_rrt_build,
@@ -1195,10 +1072,8 @@ _BENCHMARKS = {
     "bvh_collision_scaling": bench_bvh_collision_scaling,
     "prm_build_bvh": bench_prm_build_bvh,
     "rrt_nn_scaling": bench_rrt_nn_scaling,
-    "rrt_build_incnn": bench_rrt_build_incnn,
     "pool_dispatch_overhead": bench_pool_dispatch_overhead,
     "prm_build_process_shm": bench_prm_build_process_shm,
-    "query_batch_process_shm": bench_query_batch_process_shm,
 }
 
 #: Keys every benchmark entry must carry for the file to be well-formed.
@@ -1219,10 +1094,6 @@ _REQUIRED_FIELDS = {
     "bvh_collision_scaling": ("sizes", "rows", "verdicts_equal"),
     "prm_build_bvh": ("before_s", "after_s", "speedup", "stats_equal", "counters_equal", "edges_equal"),
     "rrt_nn_scaling": ("sizes", "rows", "neighbors_equal"),
-    "rrt_build_incnn": (
-        "before_s", "after_s", "speedup", "edges_equal", "parents_equal",
-        "counters_equal", "stats_equal_core", "nn_phase_speedup",
-    ),
     "pool_dispatch_overhead": (
         "wall_s_by_policy", "best_fixed_s", "guided_s", "guided_vs_best_fixed",
         "results_equal",
@@ -1231,7 +1102,6 @@ _REQUIRED_FIELDS = {
         "before_s", "after_s", "speedup", "edges_equal", "stats_equal",
         "counters_equal", "n_obstacles",
     ),
-    "query_batch_process_shm": ("before_s", "after_s", "speedup", "paths_equal"),
 }
 
 #: Parity flags that must not be false in a well-formed kernel row.
@@ -1243,10 +1113,8 @@ _KERNEL_PARITY_FLAGS = {
     "bvh_collision_scaling": ("verdicts_equal",),
     "prm_build_bvh": ("stats_equal", "counters_equal", "edges_equal"),
     "rrt_nn_scaling": ("neighbors_equal",),
-    "rrt_build_incnn": ("edges_equal", "parents_equal", "counters_equal", "stats_equal_core"),
     "pool_dispatch_overhead": ("results_equal",),
     "prm_build_process_shm": ("edges_equal", "stats_equal", "counters_equal"),
-    "query_batch_process_shm": ("paths_equal",),
 }
 
 #: Medium-scale speedup floor for the fast32 microbenches: below this the
@@ -1411,20 +1279,6 @@ def validate(payload: object) -> "list[str]":
                 f"rrt_nn_scaling speedup {sp:.2f}x at 20k points is below "
                 f"the {_INCNN_SPEEDUP_FLOOR}x incremental-NN floor"
             )
-        incnn = benches.get("rrt_build_incnn", {})
-        sp = incnn.get("nn_phase_speedup")
-        npts = incnn.get("nn_phase_points")
-        if not isinstance(sp, (int, float)):
-            problems.append("rrt_build_incnn is missing nn_phase_speedup")
-        elif not (isinstance(npts, int) and npts >= 20000):
-            problems.append(
-                "rrt_build_incnn nn_phase_points is below the 20k floor scale"
-            )
-        elif sp < _INCNN_SPEEDUP_FLOOR:
-            problems.append(
-                f"rrt_build_incnn NN-phase speedup {sp:.2f}x at n={npts} is "
-                f"below the {_INCNN_SPEEDUP_FLOOR}x incremental-NN floor"
-            )
         shm_row = benches.get("prm_build_process_shm", {})
         sp = shm_row.get("speedup")
         n_obs = shm_row.get("n_obstacles")
@@ -1496,7 +1350,8 @@ def main(argv: "list[str]") -> int:
     qb = payload["benchmarks"]["query_batch"]
     kc = payload["benchmarks"]["kernel_collision"]
     kn = payload["benchmarks"]["kernel_knn"]
-    incnn = payload["benchmarks"]["rrt_build_incnn"]
+    nn_rows = payload["benchmarks"]["rrt_nn_scaling"]["rows"]
+    nn_top = max(nn_rows, key=int)
     bvh_rows = payload["benchmarks"]["bvh_collision_scaling"]["rows"]
     bvh_scaling = ", ".join(
         f"{int(s)//1000}k: {bvh_rows[s]['speedup']:.1f}x"
@@ -1514,8 +1369,8 @@ def main(argv: "list[str]") -> int:
         f"({qb['n_queries']} queries on {qb['n_vertices']} vertices), "
         f"fast32 kernels {kc['speedup']:.2f}x collision / "
         f"{kn['speedup']:.2f}x knn, bvh collision ({bvh_scaling}), "
-        f"incremental nn phase {incnn['nn_phase_speedup']:.2f}x at "
-        f"n={incnn['nn_phase_points']}, counts identical"
+        f"incremental nn stream {nn_rows[nn_top]['speedup']:.2f}x at "
+        f"n={nn_top}, counts identical"
     )
     return 0
 

@@ -23,7 +23,7 @@ mutating the environment's default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
 
 import numpy as np
 
@@ -33,25 +33,64 @@ from .primitives import AABB
 __all__ = ["Environment", "CollisionCounters"]
 
 
-@dataclass
 class CollisionCounters:
-    """Tally of collision-detection work performed against an environment."""
+    """Tally of collision-detection work performed against an environment.
 
-    point_checks: int = 0
-    segment_checks: int = 0
+    Every thread charges its own cell, so concurrent region tasks on one
+    shared environment never race: ``point_checks`` / ``segment_checks``
+    read the total over all threads, while ``snapshot`` / ``delta`` /
+    ``rescale_since`` window the *calling* thread's work only — the exact
+    per-task delta, whichever pool backend ran the task.
+    """
+
+    def __init__(self, point_checks: int = 0, segment_checks: int = 0):
+        self._cells = {threading.get_ident(): [point_checks, segment_checks]}
+
+    def _cell(self) -> "list[int]":
+        ident = threading.get_ident()
+        cell = self._cells.get(ident)
+        if cell is None:
+            cell = self._cells[ident] = [0, 0]
+        return cell
+
+    def charge(self, points: int = 0, segments: int = 0) -> None:
+        """Add work done by the calling thread."""
+        cell = self._cell()
+        cell[0] += points
+        cell[1] += segments
+
+    # Totals copy the cell list first: another thread may add its cell
+    # while this one sums.
+    @property
+    def point_checks(self) -> int:
+        return sum(c[0] for c in list(self._cells.values()))
+
+    @property
+    def segment_checks(self) -> int:
+        return sum(c[1] for c in list(self._cells.values()))
 
     def reset(self) -> None:
-        self.point_checks = 0
-        self.segment_checks = 0
+        self._cells = {}
 
     def snapshot(self) -> "CollisionCounters":
-        return CollisionCounters(self.point_checks, self.segment_checks)
+        return CollisionCounters(*self._cell())
 
     def delta(self, earlier: "CollisionCounters") -> "CollisionCounters":
+        points, segments = self._cell()
         return CollisionCounters(
-            self.point_checks - earlier.point_checks,
-            self.segment_checks - earlier.segment_checks,
+            points - earlier.point_checks, segments - earlier.segment_checks
         )
+
+    def rescale_since(self, earlier: "CollisionCounters", num: int, den: int) -> None:
+        """Scale the calling thread's charge since ``earlier`` by ``num/den``.
+
+        The batched planners evaluate more points speculatively than the
+        sequential oracle would; every evaluated point charges the same
+        constant, so the integer proportion is exact.
+        """
+        cell = self._cell()
+        for i, base in enumerate((earlier.point_checks, earlier.segment_checks)):
+            cell[i] = base + (cell[i] - base) * num // den
 
     @property
     def total(self) -> int:
@@ -267,7 +306,7 @@ class Environment:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        self.counters.point_checks += pts.shape[0] * max(1, self._obs_lo.shape[0])
+        self.counters.charge(points=pts.shape[0] * max(1, self._obs_lo.shape[0]))
         hit = ~self._resolve_kernels(kernels).points_free(self.kernel_data(), pts)
         return bool(hit[0]) if single else hit
 
@@ -286,7 +325,7 @@ class Environment:
         del resolution
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        self.counters.segment_checks += max(1, self._obs_lo.shape[0])
+        self.counters.charge(segments=max(1, self._obs_lo.shape[0]))
         backend = self._resolve_kernels(kernels)
         return not bool(backend.segments_free(self.kernel_data(), p[None, :], q[None, :])[0])
 
@@ -294,7 +333,7 @@ class Environment:
         """Vectorised swept test for segments ``p[i]->q[i]``."""
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        self.counters.segment_checks += p.shape[0] * max(1, self._obs_lo.shape[0])
+        self.counters.charge(segments=p.shape[0] * max(1, self._obs_lo.shape[0]))
         return ~self._resolve_kernels(kernels).segments_free(self.kernel_data(), p, q)
 
     # -- ray probes (used by the k-rays RRT weight estimator) ----------------
@@ -308,7 +347,7 @@ class Environment:
         if norm == 0.0:
             raise ValueError("ray direction must be non-zero")
         u = direction / norm
-        self.counters.segment_checks += max(1, self._obs_lo.shape[0])
+        self.counters.charge(segments=max(1, self._obs_lo.shape[0]))
 
         # Exit parameter through the workspace bounds.
         t_exit = _ray_box_exit(origin, u, self.bounds.lo, self.bounds.hi)

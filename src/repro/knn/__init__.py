@@ -15,16 +15,12 @@ serving layer:
 * ``"incremental"`` — logarithmic-rebuild kd-tree forest
   (:class:`IncrementalNN`), built for interleaved insert/query streams
   (growing RRT trees).
-
-:class:`GridNN` is not registered: its ``cell_size`` is geometry-
-dependent, so it has no parameter-free ``dim -> finder`` form.
 """
 
 from typing import Callable
 
 from .base import KnnStats, NeighborFinder
 from .brute import BruteForceNN
-from .grid import GridNN
 from .incremental import IncrementalNN
 from .kdtree import KDTreeNN
 
@@ -32,7 +28,6 @@ __all__ = [
     "KnnStats",
     "NeighborFinder",
     "BruteForceNN",
-    "GridNN",
     "KDTreeNN",
     "IncrementalNN",
     "register_nn_factory",

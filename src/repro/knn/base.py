@@ -4,7 +4,7 @@ Nearest-neighbour search is a well-known bottleneck of parallelising
 sampling-based motion planning (Sec. I of the paper); restricting
 connection attempts to within a region plus its neighbours is exactly what
 makes the uniform-subdivision approach scale.  The planners only need this
-small interface, so backends (brute force, kd-tree, grid) are
+small interface, so backends (brute force, kd-tree, incremental) are
 interchangeable and are cross-checked against each other in the tests.
 """
 

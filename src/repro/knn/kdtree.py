@@ -10,8 +10,8 @@ Two properties make it a drop-in replacement for the brute-force backend
 on the query-serving hot path:
 
 * **Canonical tie-breaking** — neighbours are ordered by
-  ``(distance, insertion order)``, the same rule BruteForceNN and GridNN
-  follow, so swapping backends never changes a planner's output.
+  ``(distance, insertion order)``, the same rule every other backend
+  follows, so swapping backends never changes a planner's output.
 * **Bit-identical distances** — per-node distances accumulate squared
   per-axis differences left to right in Python floats, the same order
   NumPy's row-wise ``linalg.norm`` reduces small-``dim`` rows, so the

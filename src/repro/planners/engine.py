@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import inspect
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -48,7 +47,6 @@ from ..knn.brute import BruteForceNN
 from ..knn.kdtree import KDTreeNN
 from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
 from ..obs.tracer import active
-from ..runtime import shm as _shm
 from ..runtime.local_pool import DispatchStats, resolve_workers, run_tasks_parallel
 from .frozen import FrozenRoadmap
 from .query import QueryResult
@@ -96,8 +94,8 @@ class BatchQueryResult:
     #: abandoned queries appear here with their full failed-attempt count
     #: instead of silently vanishing.
     attempts: "dict[int, int]" = field(default_factory=dict)
-    #: pool dispatch accounting (chunk policy, bytes shipped, shm
-    #: attaches) for pool-dispatched batches; ``None`` for inline runs.
+    #: pool dispatch accounting (chunk policy, bytes shipped) for
+    #: pool-dispatched batches; ``None`` for inline runs.
     dispatch: "DispatchStats | None" = None
 
     @property
@@ -139,37 +137,6 @@ def _solve_prepared(frozen: FrozenRoadmap, jobs, sid: int, gid: int, i: int):
     path, length = found
     configs = np.vstack([start[None, :], frozen.configs_of(path[1:-1]), goal[None, :]])
     return QueryResult(path, configs, length)
-
-
-# Worker-side fingerprint -> rebuilt FrozenRoadmap: the CSR arrays are
-# mapped from shared memory once per worker process and reused across
-# tasks and batches (the snapshot is immutable, so the cache never stales;
-# a different roadmap has a different fingerprint).
-_SHM_FROZEN_CACHE: "dict[str, FrozenRoadmap]" = {}
-
-
-def _frozen_from_manifest(manifest) -> FrozenRoadmap:
-    """Attach a published CSR snapshot and rebuild the FrozenRoadmap.
-
-    Reconstruction is deterministic from the six source arrays (the
-    derived mirrors — row maps, adjacency, component labels — are pure
-    functions of them), so answers are bit-identical to the publisher's.
-    """
-    fr = _SHM_FROZEN_CACHE.get(manifest.fingerprint)
-    if fr is None:
-        a = _shm.attach_arrays(manifest)
-        fr = FrozenRoadmap(
-            int(a["dim"][0]), a["ids"], a["configs"],
-            a["indptr"], a["indices"], a["weights"],
-        )
-        _SHM_FROZEN_CACHE[manifest.fingerprint] = fr
-    return fr
-
-
-def _solve_prepared_shm(manifest, jobs, sid: int, gid: int, i: int):
-    """``_solve_prepared`` over a shared-memory frozen snapshot: the
-    partial ships a tiny manifest instead of the whole CSR pickle."""
-    return _solve_prepared(_frozen_from_manifest(manifest), jobs, sid, gid, i)
 
 
 class QueryEngine:
@@ -243,35 +210,6 @@ class QueryEngine:
             self._nn.add_batch(np.arange(n, dtype=np.int64), self.frozen.configs)
         self._sid = self.frozen.max_id + 1
         self._gid = self.frozen.max_id + 2
-        # Lazily published shm manifest of the frozen CSR snapshot; lives
-        # as long as the engine does (PlanService caches engines, so the
-        # segment is reused across requests).
-        self._shm_manifest = None
-
-    def _publish_frozen(self, tracer=None):
-        """Publish the frozen CSR blocks to shared memory, once.
-
-        Returns the cached :class:`~repro.runtime.shm.SharedArrayManifest`;
-        the publication is released when the engine is garbage-collected
-        (or at interpreter exit, whichever comes first).
-        """
-        if self._shm_manifest is None:
-            fr = self.frozen
-            manifest = _shm.publish_arrays(
-                {
-                    "dim": np.array([fr.dim], dtype=np.int64),
-                    "ids": np.asarray(fr.ids),
-                    "configs": np.asarray(fr.configs),
-                    "indptr": np.asarray(fr.indptr),
-                    "indices": np.asarray(fr.indices),
-                    "weights": np.asarray(fr.weights),
-                },
-                label="frozen_roadmap",
-                tracer=tracer,
-            )
-            self._shm_manifest = manifest
-            weakref.finalize(self, _shm.release, manifest)
-        return self._shm_manifest
 
     def _make_nn(self, dim: int):
         """Build the NN index, forwarding ``kernels`` to factories that
@@ -442,12 +380,10 @@ class QueryEngine:
         the per-query events after the pool drains, so their timestamps
         are post-hoc while latencies stay measured.
         """
-        data_plane = "auto"
         chunksize: "int | str" = 1
         if execution is not None:
             workers = execution.workers
             backend = execution.backend
-            data_plane = execution.data_plane
             chunksize = execution.chunksize
         workers = resolve_workers(workers)
         if faults is not None:
@@ -488,25 +424,10 @@ class QueryEngine:
             setup_time = time.perf_counter() - t0
             share = setup_time / q
             if workers > 1 and q > 1:
-                # Data plane: on the process backend the frozen CSR
-                # snapshot crosses once via shared memory (a manifest in
-                # the partial instead of the arrays); "pickle" keeps the
-                # legacy ship-with-the-callable plane.  Either way the
-                # worker rebuilds an identical FrozenRoadmap, so answers
-                # are bit-identical across planes.
-                use_shm = (
-                    backend == "process"
-                    and data_plane in ("auto", "shm")
-                    and _shm.shm_available()
-                )
-                if use_shm:
-                    manifest = self._publish_frozen(tracer)
-                    fn = partial(_solve_prepared_shm, manifest, jobs, self._sid, self._gid)
-                else:
-                    manifest = None
-                    fn = partial(_solve_prepared, self.frozen, jobs, self._sid, self._gid)
+                # On the process backend the frozen snapshot ships with
+                # the callable, once per worker (the pool initializer).
                 pool = run_tasks_parallel(
-                    fn,
+                    partial(_solve_prepared, self.frozen, jobs, self._sid, self._gid),
                     list(range(q)),
                     workers=workers,
                     backend=backend,
@@ -517,12 +438,8 @@ class QueryEngine:
                     task_timeout=task_timeout,
                     fault_injector=fault_injector,
                     retry_seed=retry_seed,
-                    measure_serde=(backend == "process"),
                 )
                 dispatch = pool.dispatch
-                if manifest is not None:
-                    dispatch.shm_segments += 1 if manifest.segment else 0
-                    dispatch.shm_bytes += manifest.total_bytes
                 for i in range(q):
                     results[i] = pool.results.get(i)
                     latencies[i] = share + pool.per_task_time.get(i, 0.0)

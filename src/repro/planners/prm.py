@@ -287,14 +287,7 @@ class PRM:
                         still_open.append(i)
                 active = still_open
             if counters is not None and spec_checks:
-                dp = counters.point_checks - before.point_checks
-                ds = counters.segment_checks - before.segment_checks
-                counters.point_checks = (
-                    before.point_checks + dp * seq_checks // spec_checks
-                )
-                counters.segment_checks = (
-                    before.segment_checks + ds * seq_checks // spec_checks
-                )
+                counters.rescale_since(before, seq_checks, spec_checks)
 
     def build(
         self,

@@ -8,7 +8,9 @@ region candidate defined by the random ray".
 
 Growth — the RRT hot path — has two implementations.  The one-extension-
 at-a-time loop in :meth:`RRT._grow_sequential` is the semantic oracle.
-The default batched path (:meth:`RRT._grow_batched`) replays that oracle
+The default batched path (:meth:`RRT._grow_batched`, taken when the NN
+factory is :class:`~repro.knn.brute.BruteForceNN`, whose scan it
+inlines; any other finder runs the sequential loop) replays that oracle
 exactly while vectorising the per-iteration array work in blocks,
 mirroring the predict-validate-replay strategy of
 :class:`repro.planners.prm.PRM`:
@@ -57,7 +59,6 @@ import numpy as np
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
 from ..knn.brute import BruteForceNN
-from ..knn.incremental import IncrementalNN
 from .roadmap import Roadmap
 from .stats import PlannerStats
 
@@ -162,10 +163,8 @@ class RRT:
         evaluates the scalar predicate per candidate, which is still
         correct, just slower.
 
-        The batched path consumes the RNG in blocks, so after an early
-        exit (goal reached, node budget met) the generator state may be
-        ahead of where the sequential loop would have left it; every
-        *returned* quantity is identical.
+        Either path leaves ``rng`` in the same state, so consecutive
+        ``grow`` calls on one generator stay identical too.
         """
         stats = PlannerStats()
         root = np.asarray(root, dtype=float)
@@ -182,13 +181,12 @@ class RRT:
 
         max_iterations = max_iterations if max_iterations is not None else 20 * n_nodes
         # The batched path replays BruteForceNN's distance arithmetic and
-        # canonical tie-break inline, or drives a live IncrementalNN as
-        # the frozen-structure predictor; any other custom nn_factory
-        # must go through the sequential loop so its finder is actually
-        # consulted.
+        # canonical tie-break inline; any other nn_factory goes through
+        # the sequential loop, where its finder is queried (and charged)
+        # exactly once per sample.
         if (
             self.batched
-            and (self.nn_factory is BruteForceNN or self.nn_factory is IncrementalNN)
+            and self.nn_factory is BruteForceNN
             and hasattr(self.local_planner, "batch_pairs_exact")
         ):
             return self._grow_batched(
@@ -323,28 +321,6 @@ class RRT:
         store_ids = np.empty(cap, dtype=np.int64)
         store_ids[:n_store] = ids0
 
-        # Live-finder mode (IncrementalNN): the finder holds the frozen
-        # structure and answers one uncharged canonical query per sample
-        # per block (within-block acceptances are combined through the
-        # incremental blk minima below, so the finder is *not* re-probed
-        # every re-predict round); replay then issues one *charged* query
-        # per iteration at exactly the oracle's structure state, so every
-        # KnnStats-derived counter matches the sequential loop exactly.
-        live_nn = None
-        row_of: "dict[int, int]" = {}
-        if self.nn_factory is not BruteForceNN:
-            live_nn = self.nn_factory(dim)
-            live_nn.add_batch(ids0, cfgs0)
-            row_of = {int(v): r for r, v in enumerate(ids0.tolist())}
-
-        def nn_snap():
-            s = live_nn.stats
-            return (s.queries, s.distance_evals, s.rebuilds, s.buffer_hits, s.evals_saved)
-
-        def nn_restore(snap):
-            s = live_nn.stats
-            (s.queries, s.distance_evals, s.rebuilds, s.buffer_hits, s.evals_saved) = snap
-
         next_local = tree.num_vertices
         added = 0
         goal_reached: int | None = None
@@ -357,49 +333,41 @@ class RRT:
         it = 0
         alive = True
 
-        while alive and it < max_iterations and added < n_nodes and goal_reached is None:
-            B = min(_BLOCK, max_iterations - it)
-            it += B
-            # -- 1. replay the sampling RNG exactly -----------------------
-            skey: "list[object]" = [None] * B
+        def draw(m: int, first: int) -> "tuple[np.ndarray, list[object]]":
+            """The oracle's next ``m`` ``q_rand`` draws, RNG call for call,
+            with a cache key per draw (uniform draws are globally unique:
+            ``first`` is the iteration index of the first one)."""
             if bias_cfg is None and goal_cfg is None:
-                # No bias gates: the oracle consumes exactly B uniform
+                # No bias gates: the oracle consumes exactly m uniform
                 # draws, which one bulk call replays bit-for-bit (the
                 # generator fills row-major with the same per-element
-                # arithmetic as B scalar draws).
-                samples = np.atleast_2d(np.asarray(cspace.sample(rng, B), dtype=float))
-                for b in range(B):
-                    skey[b] = it - B + b
-            else:
-                samples = np.empty((B, dim))
-                for b in range(B):
-                    if bias_cfg is not None and rng.random() < self.goal_bias:
-                        samples[b] = bias_cfg
-                        skey[b] = "bias"
-                    elif goal_cfg is not None and rng.random() < self.goal_bias:
-                        samples[b] = goal_cfg
-                        skey[b] = "goal"
-                    else:
-                        samples[b] = cspace.sample(rng)
-                        skey[b] = it - B + b  # globally unique per uniform draw
-            # -- 2. frozen-tree distances -------------------------------
-            # Brute mode: one broadcast.  Live mode: one uncharged
-            # canonical finder query per sample (the finder resolves its
-            # own ties; charges are rolled back because the oracle only
-            # pays at replay time).
+                # arithmetic as m scalar draws).
+                drawn = np.atleast_2d(np.asarray(cspace.sample(rng, m), dtype=float))
+                return drawn, list(range(first, first + m))
+            drawn = np.empty((m, dim))
+            keys: "list[object]" = [None] * m
+            for b in range(m):
+                if bias_cfg is not None and rng.random() < self.goal_bias:
+                    drawn[b] = bias_cfg
+                    keys[b] = "bias"
+                elif goal_cfg is not None and rng.random() < self.goal_bias:
+                    drawn[b] = goal_cfg
+                    keys[b] = "goal"
+                else:
+                    drawn[b] = cspace.sample(rng)
+                    keys[b] = first + b
+            return drawn, keys
+
+        while alive and it < max_iterations and added < n_nodes and goal_reached is None:
+            B = min(_BLOCK, max_iterations - it)
+            # -- 1. replay the sampling RNG exactly -----------------------
+            rng_state = rng.bit_generator.state
+            samples, skey = draw(B, it)
+            it += B
+            consumed = B  # draws the oracle makes before it stops
+            # -- 2. frozen-tree distances: one broadcast ----------------
             n0 = n_store
-            if live_nn is not None:
-                frozen_vid = np.full(B, -1, dtype=np.int64)
-                frozen_min = np.full(B, np.inf)
-                snap0 = nn_snap()
-                for b in range(B):
-                    res = live_nn.knn(samples[b], 1)
-                    if res:
-                        frozen_vid[b] = res[0][0]
-                        frozen_min[b] = res[0][1]
-                nn_restore(snap0)
-                D = frozen_arg = frozen_tie = None
-            elif n0:
+            if n0:
                 D = np.empty((B, n0))
                 BruteForceNN._dist_block(store[:n0], samples, D)
                 frozen_min = D.min(axis=1)
@@ -428,16 +396,6 @@ class RRT:
                     return None
                 fmin = frozen_min[i]
                 bmin = blk_min[i]
-                if live_nn is not None:
-                    if bmin < fmin:
-                        # blk_arg holds the EARLIEST block column at
-                        # blk_min, so within-block ties are already
-                        # canonical; frozen-vs-block ties fall through
-                        # to the frozen side (strictly older slots).
-                        row = n0 + int(blk_arg[i])
-                        return (int(store_ids[row]), float(bmin), row)
-                    vid = int(frozen_vid[i])
-                    return (vid, float(fmin), row_of[vid])
                 if bmin < fmin:
                     if not blk_tie[i]:
                         row = n0 + int(blk_arg[i])
@@ -509,27 +467,15 @@ class RRT:
                 for i in pending:
                     if added >= n_nodes or goal_reached is not None:
                         alive = False
+                        consumed = i
                         break
                     stats.nn_queries += 1
-                    if live_nn is not None:
-                        # The *charged* query, at exactly the structure
-                        # state the oracle would hold here.  Its answer
-                        # always equals the prediction combine: both are
-                        # the canonical minimum over the same point set
-                        # with bit-identical distances.
-                        snap = nn_snap()
-                        res = live_nn.knn(samples[i], 1)
-                        nr = (
-                            (int(res[0][0]), float(res[0][1]), -1)
-                            if res else None
-                        )
-                    else:
-                        nr = nearest(i)
+                    nr = nearest(i)
                     if nr is None:
                         alive = False
+                        consumed = i + 1
                         break
-                    if live_nn is None:
-                        nn_evals += n0 + n_blk
+                    nn_evals += n0 + n_blk
                     vid_near, dist, _row = nr
                     if dist == 0.0:
                         done += 1
@@ -539,10 +485,7 @@ class RRT:
                         # An acceptance moved this sample's nearest node;
                         # pause and re-predict from the updated state.
                         stats.nn_queries -= 1
-                        if live_nn is None:
-                            nn_evals -= n0 + n_blk
-                        else:
-                            nn_restore(snap)
+                        nn_evals -= n0 + n_blk
                         break
                     done += 1
                     pt_ok, reg_ok, l_ok, l_checks, l_len, q_new = verdict
@@ -567,9 +510,6 @@ class RRT:
                         store_ids = np.concatenate((store_ids, np.empty_like(store_ids)))
                     store[n_store] = q_new
                     store_ids[n_store] = vid
-                    if live_nn is not None:
-                        live_nn.add(vid, q_new)
-                        row_of[vid] = n_store
                     # Incremental distance column: the new node vs every
                     # block sample — the same row-wise norm the reference
                     # finder computes (bit-identical to the frozen
@@ -590,22 +530,15 @@ class RRT:
                     ):
                         goal_reached = vid
                 pending = pending[done:]
+            if consumed < B:
+                # Early exit inside the block: rewind and re-draw only
+                # what the oracle consumed before it stopped.
+                rng.bit_generator.state = rng_state
+                draw(consumed, it - B)
 
         if counters is not None and spec_points:
-            # Exact rescale of the speculative charge to the replayed one:
-            # every evaluated point charges the same constant, so integer
-            # proportionality is exact (see the PRM build).
-            dp = counters.point_checks - before.point_checks
-            ds = counters.segment_checks - before.segment_checks
-            counters.point_checks = before.point_checks + dp * seq_points // spec_points
-            counters.segment_checks = before.segment_checks + ds * seq_points // spec_points
-        if live_nn is not None:
-            s = live_nn.stats
-            stats.nn_distance_evals += s.distance_evals
-            stats.nn_rebuilds += s.rebuilds
-            stats.nn_buffer_hits += s.buffer_hits
-            stats.nn_evals_saved += s.evals_saved
-        else:
-            stats.nn_distance_evals += nn_evals
+            # Exact rescale of the speculative charge to the replayed one.
+            counters.rescale_since(before, seq_points, spec_points)
+        stats.nn_distance_evals += nn_evals
         stats.samples_accepted += added
         return RRTResult(tree, parents, root_id, stats)

@@ -51,9 +51,9 @@ detected (a broken process pool, or a :class:`WorkerCrash` on the thread
 backend); the pool is rebuilt and the in-flight regions re-dispatched to
 surviving workers.  A deterministic
 :class:`~repro.runtime.faults.FaultInjector` can inject failures for
-testing; with no injector, no timeout and ``fail_fast`` the original
-zero-bookkeeping dispatch loop runs — fault hooks cost nothing on the
-default path.
+testing.  Every run goes through the one dispatch loop; with no injector,
+no timeout and ``fail_fast`` a failing task's own exception propagates
+unwrapped.
 """
 
 from __future__ import annotations
@@ -130,11 +130,9 @@ def resolve_workers(workers: "int | None") -> int:
 class DispatchStats:
     """What one pool run shipped to its workers, and how.
 
-    ``context_bytes`` / ``task_bytes`` / ``serde_s`` are measured only
-    when the run opts in (``measure_serde=True``) on the process
-    backend — pickling purely to weigh it is not free, so the default
-    path stays zero-overhead.  The shm fields aggregate the worker-side
-    attach records piggybacked on chunk results.
+    ``context_bytes`` / ``task_bytes`` / ``serde_s`` are measured on the
+    process backend (threads ship nothing).  The shm fields aggregate the
+    worker-side attach records piggybacked on chunk results.
     """
 
     #: effective policy label: ``fixed-N``, ``guided`` or ``weighted``.
@@ -204,45 +202,23 @@ def _pool_init(fn: Callable[[int], object], injector: "FaultInjector | None" = N
     _WORKER_INJECTOR = injector
 
 
-def _run_chunk(
-    fn: Callable[[int], object], task_ids: "tuple[int, ...]"
-) -> "tuple[list[tuple[int, object, float, float]], dict | None]":
-    """Run one chunk; rows are ``(task, value, duration, start_stamp)``.
-
-    ``start_stamp`` is the worker's own ``perf_counter`` at task start —
-    a true measurement (the clock is system-wide monotonic, shared with
-    the dispatcher), not a reconstruction.  The second element is the
-    worker's drained shm attach log, piggybacked for dispatch accounting.
-    """
-    rows = [(tid, *_one(fn, tid)) for tid in task_ids]
-    return rows, _shm.drain_attach_records()
-
-
-def _one(fn: Callable[[int], object], tid: int) -> "tuple[object, float, float]":
-    t0 = time.perf_counter()
-    out = fn(tid)
-    return out, time.perf_counter() - t0, t0
-
-
-def _run_chunk_shipped(
-    task_ids: "tuple[int, ...]",
-) -> "tuple[list[tuple[int, object, float, float]], dict | None]":
-    assert _WORKER_FN is not None, "worker initializer did not run"
-    return _run_chunk(_WORKER_FN, task_ids)
-
-
 def _run_attempts(
     fn: Callable[[int], object],
     entries: "tuple[tuple[int, int], ...]",
     injector: "FaultInjector | None",
     process_worker: bool,
+    propagate: bool,
 ) -> "tuple[list[tuple[int, int, bool, object, float, float]], dict | None]":
     """Run ``(task, attempt)`` entries, reporting per-task outcomes.
 
     Returns ``(task, attempt, ok, payload, duration, start_stamp)`` rows
     (plus the worker's drained shm attach log) where ``payload`` is the
     result on success or a ``repr`` of the failure and ``start_stamp``
-    is the worker-side ``perf_counter`` at attempt start.  A crash fault
+    is the worker-side ``perf_counter`` at attempt start — a true
+    measurement (the clock is system-wide monotonic, shared with the
+    dispatcher), not a reconstruction.  With ``propagate`` a task's
+    exception is raised out of the chunk instead of reported, so the
+    dispatcher re-raises it as is (plain ``fail_fast``).  A crash fault
     kills the worker process outright (process backend) or raises
     :class:`WorkerCrash` out of the chunk (thread backend) — in both
     cases the dispatcher loses the whole chunk, exactly as it would to
@@ -271,6 +247,8 @@ def _run_attempts(
         except WorkerCrash:
             raise
         except Exception as exc:  # transient task failure: report, move on
+            if propagate:
+                raise
             out.append((tid, attempt, False, repr(exc), time.perf_counter() - t0, t0))
             continue
         out.append((tid, attempt, True, value, time.perf_counter() - t0, t0))
@@ -278,10 +256,12 @@ def _run_attempts(
 
 
 def _run_attempts_shipped(
-    entries: "tuple[tuple[int, int], ...]",
+    entries: "tuple[tuple[int, int], ...]", propagate: bool
 ) -> "tuple[list[tuple[int, int, bool, object, float, float]], dict | None]":
     assert _WORKER_FN is not None, "worker initializer did not run"
-    return _run_attempts(_WORKER_FN, entries, _WORKER_INJECTOR, process_worker=True)
+    return _run_attempts(
+        _WORKER_FN, entries, _WORKER_INJECTOR, process_worker=True, propagate=propagate
+    )
 
 
 def run_tasks_parallel(
@@ -300,9 +280,11 @@ def run_tasks_parallel(
     fault_injector: "FaultInjector | None" = None,
     retry_seed: int = 0,
     task_weights: "dict[int, float] | None" = None,
-    measure_serde: bool = False,
 ) -> PoolResult:
     """Execute ``fn(task_id)`` for every task with dynamic dispatch.
+
+    On the process backend the pickled context and task submissions are
+    weighed and the pickling timed, reported on ``PoolResult.dispatch``.
 
     Parameters
     ----------
@@ -337,9 +319,8 @@ def run_tasks_parallel(
     failure_policy:
         ``"fail_fast"`` (default), ``"retry"`` or ``"degrade"`` — see the
         module docstring.  With the default policy, no timeout and no
-        injector, failures propagate as the task's original exception (the
-        zero-overhead fast path); otherwise exhausted tasks raise
-        :class:`TaskFailedError`.
+        injector, failures propagate as the task's original exception;
+        otherwise exhausted tasks raise :class:`TaskFailedError`.
     max_retries:
         Retry budget per task for ``"retry"`` / ``"degrade"``.
     task_timeout:
@@ -357,11 +338,6 @@ def run_tasks_parallel(
     task_weights:
         Optional per-task relative cost estimates (the partitioner's
         region weights) consumed by the ``"weighted"`` chunk policy.
-    measure_serde:
-        When true (process backend), weigh the pickled context and task
-        submissions and time the pickling, reported on
-        ``PoolResult.dispatch``.  Off by default — measuring costs a
-        duplicate serialization pass.
     """
     workers = resolve_workers(workers)
     validate_chunksize(chunksize)
@@ -378,209 +354,13 @@ def run_tasks_parallel(
     window = window if window is not None else 2 * workers
     if window < 1:
         raise ValueError("window must be >= 1")
-    resilient = (
-        fault_injector is not None
-        or failure_policy != "fail_fast"
-        or task_timeout is not None
-    )
-    if resilient:
-        return _run_resilient(
-            fn,
-            list(task_ids),
-            workers=workers,
-            backend=backend,
-            window=window,
-            chunksize=chunksize,
-            tracer=tracer,
-            failure_policy=failure_policy,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            backoff_base=backoff_base,
-            backoff_jitter=backoff_jitter,
-            fault_injector=fault_injector,
-            retry_seed=retry_seed,
-            task_weights=task_weights,
-            measure_serde=measure_serde,
-        )
-    return _run_simple(
-        fn,
-        list(task_ids),
-        workers=workers,
-        backend=backend,
-        window=window,
-        chunksize=chunksize,
-        tracer=tracer,
-        task_weights=task_weights,
-        measure_serde=measure_serde,
-    )
-
-
-def _weigh(obj: object, dispatch: DispatchStats) -> int:
-    """Pickle ``obj`` purely to weigh it, charging the time to ser-de."""
-    t0 = time.perf_counter()
-    n = len(pickle.dumps(obj))
-    dispatch.serde_s += time.perf_counter() - t0
-    return n
-
-
-def _absorb_shm(info: "dict | None", dispatch: DispatchStats, tr, ts: float) -> None:
-    """Fold one worker's piggybacked attach log into the run's accounting."""
-    if not info:
-        return
-    dispatch.shm_attach_cached += info.get("cached", 0)
-    for rec in info.get("attaches", ()):
-        dispatch.shm_attaches += 1
-        dispatch.shm_attach_s += rec.get("seconds", 0.0)
-        if tr is not None:
-            tr.point(
-                EV_SHM_ATTACH,
-                ts=ts,
-                label=rec.get("label"),
-                segment=rec.get("segment"),
-                bytes=rec.get("bytes", 0),
-                seconds=rec.get("seconds", 0.0),
-                pid=rec.get("pid"),
-            )
-
-
-def _finish_dispatch(dispatch: DispatchStats, tr, n_tasks: int, ts: float) -> None:
-    """Emit the run's one ``pool_dispatch`` summary point."""
-    if tr is not None:
-        tr.point(
-            EV_POOL_DISPATCH,
-            ts=ts,
-            policy=dispatch.chunk_policy,
-            chunks=dispatch.chunks_issued,
-            tasks=n_tasks,
-            context_bytes=dispatch.context_bytes,
-            task_bytes=dispatch.task_bytes,
-            shm_attaches=dispatch.shm_attaches,
-        )
-
-
-def _run_simple(
-    fn: Callable[[int], object],
-    tasks: "list[int]",
-    workers: int,
-    backend: str,
-    window: int,
-    chunksize: "int | str",
-    tracer: "Tracer | None",
-    task_weights: "dict[int, float] | None" = None,
-    measure_serde: bool = False,
-) -> PoolResult:
-    """The original fast path: no retry bookkeeping, no timeout checks."""
+    tasks = list(task_ids)
     tr = active(tracer)
-    results: "dict[int, object]" = {}
-    per_task: "dict[int, float]" = {}
-    pending = set()
-
-    chunks = resolve_chunks(tasks, chunksize, workers, task_weights)
-    dispatch = DispatchStats(chunk_policy=policy_label(chunksize), chunks_issued=len(chunks))
-    it = iter(chunks)
-
-    measure = measure_serde and backend == "process"
-    if measure:
-        dispatch.context_bytes = _weigh(fn, dispatch)
-
-    if backend == "process":
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(fn,))
-
-        def submit(chunk):
-            """Ship the chunk to a process worker (fn sent at pool init)."""
-            if measure:
-                dispatch.task_bytes += _weigh(chunk, dispatch)
-            return pool.submit(_run_chunk_shipped, chunk)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-
-        def submit(chunk):
-            """Run the chunk on a thread worker with fn passed directly."""
-            return pool.submit(_run_chunk, fn, chunk)
-
-    t0 = time.perf_counter()
-    with pool:
-        # Prime the window, then keep it full as chunks complete.
-        for _ in range(window):
-            chunk = next(it, None)
-            if chunk is None:
-                break
-            pending.add(submit(chunk))
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                chunk_out, shm_info = fut.result()
-                end_ts = time.perf_counter() - t0
-                _record_chunk(chunk_out, t0, results, per_task, tr)
-                _absorb_shm(shm_info, dispatch, tr, end_ts)
-                nxt = next(it, None)
-                if nxt is not None:
-                    pending.add(submit(nxt))
-    wall = time.perf_counter() - t0
-    _finish_dispatch(dispatch, tr, len(results), wall)
-    if tr is not None:
-        tr.metrics.gauge("pool_wall_time").set(wall)
-        tr.metrics.counter("pool_tasks").inc(len(results))
-    return PoolResult(
-        results, wall, per_task, workers,
-        attempts=dict.fromkeys(results, 1), dispatch=dispatch,
+    # Plain fail_fast: nothing can retry, time out or be injected, so a
+    # task's own exception travels back through its future unwrapped.
+    propagate = (
+        fault_injector is None and failure_policy == "fail_fast" and task_timeout is None
     )
-
-
-def _record_chunk(chunk_out, t0, results, per_task, tr) -> None:
-    """Store a completed chunk's ``(task, value, duration, start_stamp)``
-    rows and emit task events from the worker-measured start stamps —
-    ``perf_counter`` is a shared monotonic clock across dispatcher and
-    workers, so stamps translate to run-relative time by subtracting the
-    dispatcher's ``t0``."""
-    for task_id, out, dt, _start in chunk_out:
-        results[task_id] = out
-        per_task[task_id] = dt
-    if tr is not None:
-        for task_id, _out, dt, start in chunk_out:
-            start_ts = max(start - t0, 0.0)
-            tr.point(EV_TASK_START, ts=start_ts, task=task_id, cost=dt)
-            tr.point(EV_TASK_END, ts=start_ts + dt, task=task_id, cost=dt)
-            tr.metrics.histogram("task_time").observe(dt)
-
-
-@dataclass
-class _Submission:
-    """One in-flight future's bookkeeping."""
-
-    entries: "tuple[tuple[int, int], ...]"  # (task, attempt) pairs
-    deadline: "float | None"  # dispatcher-clock expiry, None = never
-
-
-def _retry_jitter(task: int, attempt: int, seed: int) -> float:
-    """Deterministic uniform draw in [0, 1) — a pure function of its args."""
-    return float(
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(task, attempt))
-        ).random()
-    )
-
-
-def _run_resilient(
-    fn: Callable[[int], object],
-    tasks: "list[int]",
-    workers: int,
-    backend: str,
-    window: int,
-    chunksize: int,
-    tracer: "Tracer | None",
-    failure_policy: str,
-    max_retries: int,
-    task_timeout: "float | None",
-    backoff_base: float,
-    backoff_jitter: float,
-    fault_injector: "FaultInjector | None",
-    retry_seed: int,
-    task_weights: "dict[int, float] | None" = None,
-    measure_serde: bool = False,
-) -> PoolResult:
-    """The fault-tolerant dispatcher: timeouts, retries, re-dispatch."""
-    tr = active(tracer)
     allowed_retries = max_retries if failure_policy in ("retry", "degrade") else 0
     results: "dict[int, object]" = {}
     per_task: "dict[int, float]" = {}
@@ -600,7 +380,6 @@ def _run_resilient(
     dispatch = DispatchStats(chunk_policy=policy_label(chunksize))
 
     process = backend == "process"
-    measure = measure_serde and process
     pool: "ProcessPoolExecutor | ThreadPoolExecutor"
 
     def make_pool():
@@ -614,7 +393,7 @@ def _run_resilient(
         return ThreadPoolExecutor(max_workers=workers)
 
     pool = make_pool()
-    if measure:
+    if process:
         dispatch.context_bytes = _weigh((fn, fault_injector), dispatch)
     t0 = time.perf_counter()
 
@@ -627,11 +406,10 @@ def _run_resilient(
         deadline = None if task_timeout is None else now() + task_timeout * len(entries)
         dispatch.chunks_issued += 1
         if process:
-            if measure:
-                dispatch.task_bytes += _weigh(entries, dispatch)
-            fut = pool.submit(_run_attempts_shipped, entries)
+            dispatch.task_bytes += _weigh(entries, dispatch)
+            fut = pool.submit(_run_attempts_shipped, entries, propagate)
         else:
-            fut = pool.submit(_run_attempts, fn, entries, fault_injector, False)
+            fut = pool.submit(_run_attempts, fn, entries, fault_injector, False, propagate)
         in_flight[fut] = _Submission(entries, deadline)
 
     def fail_attempt(tid: int, attempt: int, reason: object) -> None:
@@ -814,3 +592,80 @@ def _run_resilient(
         worker_deaths=deaths,
         dispatch=dispatch,
     )
+def _weigh(obj: object, dispatch: DispatchStats) -> int:
+    """Pickle ``obj`` purely to weigh it, charging the time to ser-de."""
+    t0 = time.perf_counter()
+    n = len(pickle.dumps(obj))
+    dispatch.serde_s += time.perf_counter() - t0
+    return n
+
+
+def _absorb_shm(info: "dict | None", dispatch: DispatchStats, tr, ts: float) -> None:
+    """Fold one worker's piggybacked attach log into the run's accounting."""
+    if not info:
+        return
+    dispatch.shm_attach_cached += info.get("cached", 0)
+    for rec in info.get("attaches", ()):
+        dispatch.shm_attaches += 1
+        dispatch.shm_attach_s += rec.get("seconds", 0.0)
+        if tr is not None:
+            tr.point(
+                EV_SHM_ATTACH,
+                ts=ts,
+                label=rec.get("label"),
+                segment=rec.get("segment"),
+                bytes=rec.get("bytes", 0),
+                seconds=rec.get("seconds", 0.0),
+                pid=rec.get("pid"),
+            )
+
+
+def _finish_dispatch(dispatch: DispatchStats, tr, n_tasks: int, ts: float) -> None:
+    """Emit the run's one ``pool_dispatch`` summary point."""
+    if tr is not None:
+        tr.point(
+            EV_POOL_DISPATCH,
+            ts=ts,
+            policy=dispatch.chunk_policy,
+            chunks=dispatch.chunks_issued,
+            tasks=n_tasks,
+            context_bytes=dispatch.context_bytes,
+            task_bytes=dispatch.task_bytes,
+            shm_attaches=dispatch.shm_attaches,
+        )
+
+
+def _record_chunk(chunk_out, t0, results, per_task, tr) -> None:
+    """Store a completed chunk's ``(task, value, duration, start_stamp)``
+    rows and emit task events from the worker-measured start stamps —
+    ``perf_counter`` is a shared monotonic clock across dispatcher and
+    workers, so stamps translate to run-relative time by subtracting the
+    dispatcher's ``t0``."""
+    for task_id, out, dt, _start in chunk_out:
+        results[task_id] = out
+        per_task[task_id] = dt
+    if tr is not None:
+        for task_id, _out, dt, start in chunk_out:
+            start_ts = max(start - t0, 0.0)
+            tr.point(EV_TASK_START, ts=start_ts, task=task_id, cost=dt)
+            tr.point(EV_TASK_END, ts=start_ts + dt, task=task_id, cost=dt)
+            tr.metrics.histogram("task_time").observe(dt)
+
+
+@dataclass
+class _Submission:
+    """One in-flight future's bookkeeping."""
+
+    entries: "tuple[tuple[int, int], ...]"  # (task, attempt) pairs
+    deadline: "float | None"  # dispatcher-clock expiry, None = never
+
+
+def _retry_jitter(task: int, attempt: int, seed: int) -> float:
+    """Deterministic uniform draw in [0, 1) — a pure function of its args."""
+    return float(
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(task, attempt))
+        ).random()
+    )
+
+

@@ -1,26 +1,22 @@
 """repro.spec — the layered request vocabulary shared by every entry point.
 
-Historically :class:`~repro.api.PlanRequest` was one flat record of 20+
-fields mixing four unrelated concerns.  This module splits it into
-composable specs with **one canonical name per knob**:
+A request is four composable specs with **one canonical name per knob**:
 
 * :class:`WorkloadSpec` — *what to plan*: environment, planner, region
   and sample budgets, seed, extra workload options.  Also the unit of
   identity for the serving layer: :meth:`WorkloadSpec.cache_key` is the
   canonical content hash the :class:`~repro.service.RoadmapCache` keys
   snapshots by.
-* :class:`ExecutionPolicy` — *where/how to run it*: execution ``mode``
-  (canonical name for the old flat ``execution`` string), load-balancing
-  strategy, partitioner, PE count, topology and steal granularity for the
-  simulated machine; worker count, backend and chunk size for the local
-  pool.
-* :class:`FaultPolicy` — *what to do when it breaks*: failure ``policy``
-  (canonical name for the old ``failure_policy``), retry budget, task
-  timeout, and the deterministic ``injector`` (old ``fault_injector``).
+* :class:`ExecutionPolicy` — *where/how to run it*: execution ``mode``,
+  load-balancing strategy, partitioner, PE count, topology and steal
+  granularity for the simulated machine; worker count, backend and chunk
+  size for the local pool.
+* :class:`FaultPolicy` — *what to do when it breaks*: failure ``policy``,
+  retry budget, task timeout, and the deterministic ``injector``.
 * :class:`ObsConfig` — *what to record*: the tracer.
 
 :class:`PlanRequest` remains the aggregate the :func:`repro.api.plan`
-facade consumes, but is now a thin **frozen** wrapper over the four specs:
+facade consumes, a thin **frozen** wrapper over the four specs:
 
     >>> from repro import PlanRequest, WorkloadSpec, ExecutionPolicy, plan
     >>> report = plan(PlanRequest(
@@ -28,22 +24,17 @@ facade consumes, but is now a thin **frozen** wrapper over the four specs:
     ...     execution=ExecutionPolicy(strategy="hybrid", num_pes=96),
     ... ))
 
-The old flat-kwarg construction keeps working through a compatibility
-shim that routes every legacy spelling to its canonical field and emits a
-single :class:`DeprecationWarning` per call:
-
-    >>> PlanRequest(num_regions=512, strategy="hybrid", num_pes=96)  # doctest: +SKIP
-
-Legacy flat *reads* (``request.num_pes`` …) remain available as plain
-properties so existing callers and reports keep working unchanged.
+Spec objects are the only way to build a request: flat keyword
+arguments (``PlanRequest(num_regions=512)``) and the ``execution="local"``
+string spelling raise ``TypeError``, and every knob is read from its
+spec (``request.execution.num_pes``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
@@ -162,10 +153,8 @@ class WorkloadSpec:
 class ExecutionPolicy:
     """Where and how to run: simulated machine or local pool, one record.
 
-    ``mode`` is the canonical name for what the flat API called
-    ``execution``; ``workers`` is the one spelling for pool size (the
-    ``n_workers`` / ``n_pes`` variants are gone — ``num_pes`` survives
-    only as the *simulated* PE count, a genuinely different quantity).
+    ``workers`` is the one spelling for pool size; ``num_pes`` is the
+    *simulated* PE count, a genuinely different quantity.
     """
 
     #: "simulate" replays on the virtual machine; "local" runs the
@@ -267,11 +256,7 @@ class ExecutionPolicy:
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """What to do when tasks fail: policy, budget, timeout, chaos plan.
-
-    ``policy`` is the canonical name for the flat ``failure_policy``;
-    ``injector`` for ``fault_injector``.
-    """
+    """What to do when tasks fail: policy, budget, timeout, chaos plan."""
 
     #: "fail_fast" (default), "retry" (bounded retries with backoff), or
     #: "degrade" (abandon exhausted tasks and return a partial result).
@@ -319,32 +304,6 @@ class ObsConfig:
 
 # -- the aggregate -----------------------------------------------------------
 
-#: legacy flat kwarg -> (aggregate field, spec field).  ``execution`` is
-#: special-cased in ``__init__`` (a string is the legacy mode spelling).
-_FLAT_MAP = {
-    "environment": ("workload", "environment"),
-    "planner": ("workload", "planner"),
-    "num_regions": ("workload", "num_regions"),
-    "samples_per_region": ("workload", "samples_per_region"),
-    "nodes_per_region": ("workload", "nodes_per_region"),
-    "seed": ("workload", "seed"),
-    "workload_options": ("workload", "options"),
-    "execution": ("execution", "mode"),
-    "strategy": ("execution", "strategy"),
-    "partitioner": ("execution", "partitioner"),
-    "num_pes": ("execution", "num_pes"),
-    "topology": ("execution", "topology"),
-    "steal_chunk": ("execution", "steal_chunk"),
-    "workers": ("execution", "workers"),
-    "backend": ("execution", "backend"),
-    "chunksize": ("execution", "chunksize"),
-    "failure_policy": ("faults", "policy"),
-    "max_retries": ("faults", "max_retries"),
-    "task_timeout": ("faults", "task_timeout"),
-    "fault_injector": ("faults", "injector"),
-    "tracer": ("obs", "tracer"),
-}
-
 _SPEC_TYPES = {
     "workload": WorkloadSpec,
     "execution": ExecutionPolicy,
@@ -358,11 +317,8 @@ class PlanRequest:
     :class:`WorkloadSpec`, :class:`ExecutionPolicy`, :class:`FaultPolicy`
     and :class:`ObsConfig`.
 
-    Construct it from spec objects (canonical), or from the legacy flat
-    kwargs (deprecated — a :class:`DeprecationWarning` is emitted and the
-    values are routed into the spec fields).  Mixing a spec object with
-    flat kwargs that belong to the same spec is an error: there must be
-    exactly one place each knob comes from.
+    Spec objects are the only spelling: anything else (a flat knob such
+    as ``num_regions=8``, or ``execution="local"``) raises ``TypeError``.
     """
 
     __slots__ = ("workload", "execution", "faults", "obs")
@@ -370,50 +326,19 @@ class PlanRequest:
     def __init__(
         self,
         workload: "WorkloadSpec | None" = None,
-        execution: "ExecutionPolicy | str | None" = None,
+        execution: "ExecutionPolicy | None" = None,
         faults: "FaultPolicy | None" = None,
         obs: "ObsConfig | None" = None,
-        **flat,
     ):
-        if isinstance(execution, str):  # legacy: execution="local"
-            flat["execution"] = execution
-            execution = None
-        specs: "dict[str, Any]" = {
-            "workload": workload, "execution": execution, "faults": faults, "obs": obs,
-        }
+        specs = {"workload": workload, "execution": execution, "faults": faults, "obs": obs}
         for name, value in specs.items():
-            if value is not None and not isinstance(value, _SPEC_TYPES[name]):
+            if value is None:
+                value = _SPEC_TYPES[name]()
+            elif not isinstance(value, _SPEC_TYPES[name]):
                 raise TypeError(
                     f"{name} must be a {_SPEC_TYPES[name].__name__}, "
                     f"got {type(value).__name__}"
                 )
-        if flat:
-            unknown = set(flat) - set(_FLAT_MAP)
-            if unknown:
-                raise TypeError(
-                    f"unknown PlanRequest field(s): {sorted(unknown)}"
-                )
-            warnings.warn(
-                "flat PlanRequest kwargs are deprecated; pass WorkloadSpec / "
-                "ExecutionPolicy / FaultPolicy / ObsConfig spec objects "
-                f"(got flat: {sorted(flat)})",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides: "dict[str, dict[str, Any]]" = {}
-            for key, value in flat.items():
-                spec_name, spec_field = _FLAT_MAP[key]
-                if specs[spec_name] is not None:
-                    raise TypeError(
-                        f"cannot mix flat kwarg {key!r} with an explicit "
-                        f"{spec_name} spec"
-                    )
-                overrides.setdefault(spec_name, {})[spec_field] = value
-            for spec_name, kwargs in overrides.items():
-                specs[spec_name] = _SPEC_TYPES[spec_name](**kwargs)
-        for name, value in specs.items():
-            if value is None:
-                value = _SPEC_TYPES[name]()
             object.__setattr__(self, name, value)
 
     # -- immutability --------------------------------------------------------
@@ -453,117 +378,3 @@ class PlanRequest:
     def resolve_cspace(self) -> ConfigurationSpace:
         """Materialise the workload's configuration space."""
         return self.workload.resolve_cspace()
-
-    # -- legacy flat reads ---------------------------------------------------
-    # One property per pre-redesign field so existing callers (and the
-    # report accessors) keep reading the names they always did.  The one
-    # intentional change: ``request.execution`` is now the ExecutionPolicy
-    # spec — read ``request.execution.mode`` for the old string.
-
-    @property
-    def environment(self):
-        """Legacy read of ``workload.environment``."""
-        return self.workload.environment
-
-    @property
-    def planner(self) -> str:
-        """Legacy read of ``workload.planner``."""
-        return self.workload.planner
-
-    @property
-    def num_regions(self) -> int:
-        """Legacy read of ``workload.num_regions``."""
-        return self.workload.num_regions
-
-    @property
-    def samples_per_region(self) -> int:
-        """Legacy read of ``workload.samples_per_region``."""
-        return self.workload.samples_per_region
-
-    @property
-    def nodes_per_region(self) -> int:
-        """Legacy read of ``workload.nodes_per_region``."""
-        return self.workload.nodes_per_region
-
-    @property
-    def seed(self) -> int:
-        """Legacy read of ``workload.seed``."""
-        return self.workload.seed
-
-    @property
-    def workload_options(self) -> "Mapping[str, Any]":
-        """Legacy read of ``workload.options``."""
-        return self.workload.options
-
-    @property
-    def strategy(self) -> str:
-        """Legacy read of ``execution.strategy``."""
-        return self.execution.strategy
-
-    @property
-    def partitioner(self) -> str:
-        """Legacy read of ``execution.partitioner``."""
-        return self.execution.partitioner
-
-    @property
-    def num_pes(self) -> int:
-        """Legacy read of ``execution.num_pes``."""
-        return self.execution.num_pes
-
-    @property
-    def topology(self):
-        """Legacy read of ``execution.topology``."""
-        return self.execution.topology
-
-    @property
-    def steal_chunk(self):
-        """Legacy read of ``execution.steal_chunk``."""
-        return self.execution.steal_chunk
-
-    @property
-    def workers(self) -> int:
-        """Legacy read of ``execution.workers``."""
-        return self.execution.workers
-
-    @property
-    def backend(self) -> str:
-        """Legacy read of ``execution.backend``."""
-        return self.execution.backend
-
-    @property
-    def chunksize(self) -> int:
-        """Legacy read of ``execution.chunksize``."""
-        return self.execution.chunksize
-
-    @property
-    def failure_policy(self) -> str:
-        """Legacy read of ``faults.policy``."""
-        return self.faults.policy
-
-    @property
-    def max_retries(self) -> int:
-        """Legacy read of ``faults.max_retries``."""
-        return self.faults.max_retries
-
-    @property
-    def task_timeout(self) -> "float | None":
-        """Legacy read of ``faults.task_timeout``."""
-        return self.faults.task_timeout
-
-    @property
-    def fault_injector(self):
-        """Legacy read of ``faults.injector``."""
-        return self.faults.injector
-
-    @property
-    def tracer(self):
-        """Legacy read of ``obs.tracer``."""
-        return self.obs.tracer
-
-
-def _spec_field_names() -> "set[str]":
-    """Every canonical field name across the four specs (for docs/tests)."""
-    names: "set[str]" = set()
-    for spec in _SPEC_TYPES.values():
-        names.update(f.name for f in fields(spec))
-    return names

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro import JsonlSink, MemorySink, PlanRequest, Tracer, plan, read_jsonl
+from repro import (
+    ExecutionPolicy,
+    JsonlSink,
+    MemorySink,
+    ObsConfig,
+    PlanRequest,
+    Tracer,
+    WorkloadSpec,
+    plan,
+    read_jsonl,
+)
 from repro.core import (
     PhaseBreakdown,
     PlannerRunResult,
@@ -22,11 +32,11 @@ class TestPlanRequestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"planner": "astar"},
-            {"execution": "cloud"},
-            {"strategy": "telepathy"},
-            {"num_regions": 0},
-            {"num_pes": 0},
+            {"workload": WorkloadSpec(planner="astar")},
+            {"execution": ExecutionPolicy(mode="cloud")},
+            {"execution": ExecutionPolicy(strategy="telepathy")},
+            {"workload": WorkloadSpec(num_regions=0)},
+            {"execution": ExecutionPolicy(num_pes=0)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -34,7 +44,10 @@ class TestPlanRequestValidation:
             PlanRequest(**kwargs).validate()
 
     def test_unknown_partitioner_fails_at_plan_time(self):
-        req = PlanRequest(num_regions=32, num_pes=4, partitioner="magic")
+        req = PlanRequest(
+            workload=WorkloadSpec(num_regions=32),
+            execution=ExecutionPolicy(num_pes=4, partitioner="magic"),
+        )
         with pytest.raises(ValueError, match="partitioner"):
             plan(req)
 
@@ -45,13 +58,11 @@ class TestPlanParity:
 
     def test_prm_matches_legacy_chain(self):
         req = PlanRequest(
-            environment="med-cube",
-            planner="prm",
-            num_regions=64,
-            samples_per_region=4,
-            strategy="hybrid",
-            num_pes=8,
-            seed=3,
+            workload=WorkloadSpec(
+                environment="med-cube", planner="prm", num_regions=64,
+                samples_per_region=4, seed=3,
+            ),
+            execution=ExecutionPolicy(strategy="hybrid", num_pes=8),
         )
         report = plan(req)
 
@@ -70,13 +81,11 @@ class TestPlanParity:
 
     def test_rrt_matches_legacy_chain(self):
         req = PlanRequest(
-            environment="med-cube",
-            planner="rrt",
-            num_regions=24,
-            nodes_per_region=6,
-            strategy="rand-8",
-            num_pes=8,
-            seed=5,
+            workload=WorkloadSpec(
+                environment="med-cube", planner="rrt", num_regions=24,
+                nodes_per_region=6, seed=5,
+            ),
+            execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
         )
         report = plan(req)
 
@@ -93,10 +102,11 @@ class TestPlanParity:
         assert phases_dict(report.phases) == pytest.approx(phases_dict(legacy.phases))
 
     def test_partitioner_changes_distribution(self):
-        base = dict(num_regions=64, samples_per_region=4, strategy="none",
-                    num_pes=8, seed=3)
-        block = plan(PlanRequest(partitioner="block", **base))
-        greedy = plan(PlanRequest(partitioner="greedy", **base))
+        wl = WorkloadSpec(num_regions=64, samples_per_region=4, seed=3)
+        block, greedy = (
+            plan(wl, execution=ExecutionPolicy(strategy="none", num_pes=8, partitioner=p))
+            for p in ("block", "greedy")
+        )
         # Same measured workload either way...
         assert block.roadmap.num_vertices == greedy.roadmap.num_vertices
         # ...but a different region->PE distribution actually took effect.
@@ -111,12 +121,9 @@ class TestPlanTracing:
         tracer = Tracer(sinks=[MemorySink(), JsonlSink(path)])
         report = plan(
             PlanRequest(
-                num_regions=64,
-                samples_per_region=4,
-                strategy="rand-8",
-                num_pes=8,
-                seed=3,
-                tracer=tracer,
+                workload=WorkloadSpec(num_regions=64, samples_per_region=4, seed=3),
+                execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
+                obs=ObsConfig(tracer=tracer),
             )
         )
         tracer.close()
@@ -134,30 +141,39 @@ class TestPlanTracing:
         assert summary == report.trace_summary()
 
     def test_traced_and_untraced_agree(self):
-        base = dict(num_regions=64, samples_per_region=4, strategy="hybrid",
-                    num_pes=8, seed=3)
-        plain = plan(PlanRequest(**base))
-        traced = plan(PlanRequest(tracer=Tracer(), **base))
+        wl = WorkloadSpec(num_regions=64, samples_per_region=4, seed=3)
+        ex = ExecutionPolicy(strategy="hybrid", num_pes=8)
+        plain = plan(wl, execution=ex)
+        traced = plan(wl, execution=ex, obs=ObsConfig(tracer=Tracer()))
         assert plain.total_time == pytest.approx(traced.total_time)
 
     def test_metrics_property(self):
         tracer = Tracer()
         report = plan(
-            PlanRequest(num_regions=32, samples_per_region=4, strategy="rand-8",
-                        num_pes=8, seed=1, tracer=tracer)
+            PlanRequest(
+                workload=WorkloadSpec(num_regions=32, samples_per_region=4, seed=1),
+                execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
+                obs=ObsConfig(tracer=tracer),
+            )
         )
         metrics = report.metrics
         assert metrics is not None
         assert metrics["steals_attempted"] == sum(
             p.steal_requests_sent for p in report.sim.pe_stats
         )
-        assert plan(PlanRequest(num_regions=8, num_pes=2)).metrics is None
+        assert plan(PlanRequest(
+            workload=WorkloadSpec(num_regions=8),
+            execution=ExecutionPolicy(num_pes=2),
+        )).metrics is None
 
     def test_summary_renders(self):
         tracer = Tracer()
         report = plan(
-            PlanRequest(num_regions=32, samples_per_region=4, strategy="rand-8",
-                        num_pes=8, seed=1, tracer=tracer)
+            PlanRequest(
+                workload=WorkloadSpec(num_regions=32, samples_per_region=4, seed=1),
+                execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
+                obs=ObsConfig(tracer=tracer),
+            )
         )
         text = report.summary()
         assert "PRM / rand-8 on 8 PEs" in text
@@ -167,8 +183,12 @@ class TestPlanTracing:
 class TestLocalExecution:
     def test_prm_local(self):
         report = plan(
-            PlanRequest(planner="prm", num_regions=8, samples_per_region=4,
-                        execution="local", workers=2, seed=2)
+            PlanRequest(
+                workload=WorkloadSpec(
+                    planner="prm", num_regions=8, samples_per_region=4, seed=2,
+                ),
+                execution=ExecutionPolicy(mode="local", workers=2),
+            )
         )
         assert report.pool is not None and report.result is None
         assert len(report.pool.results) == 8
@@ -178,8 +198,12 @@ class TestLocalExecution:
 
     def test_rrt_local(self):
         report = plan(
-            PlanRequest(planner="rrt", num_regions=6, nodes_per_region=4,
-                        execution="local", workers=2, seed=2)
+            PlanRequest(
+                workload=WorkloadSpec(
+                    planner="rrt", num_regions=6, nodes_per_region=4, seed=2,
+                ),
+                execution=ExecutionPolicy(mode="local", workers=2),
+            )
         )
         assert report.pool is not None
         assert report.roadmap.num_vertices > 0
@@ -188,8 +212,11 @@ class TestLocalExecution:
     def test_local_with_tracer(self):
         tracer = Tracer()
         report = plan(
-            PlanRequest(num_regions=6, samples_per_region=4, execution="local",
-                        workers=2, seed=2, tracer=tracer)
+            PlanRequest(
+                workload=WorkloadSpec(num_regions=6, samples_per_region=4, seed=2),
+                execution=ExecutionPolicy(mode="local", workers=2),
+                obs=ObsConfig(tracer=tracer),
+            )
         )
         summary = report.trace_summary()
         assert summary.tasks_executed == len(report.pool.results)
@@ -197,10 +224,16 @@ class TestLocalExecution:
 
 class TestResultProtocols:
     def test_run_results_satisfy_protocols(self):
-        prm = plan(PlanRequest(num_regions=32, samples_per_region=4,
-                               strategy="hybrid", num_pes=4, seed=1))
-        rrt = plan(PlanRequest(planner="rrt", num_regions=12, nodes_per_region=4,
-                               strategy="none", num_pes=4, seed=1))
+        prm = plan(PlanRequest(
+            workload=WorkloadSpec(num_regions=32, samples_per_region=4, seed=1),
+            execution=ExecutionPolicy(strategy="hybrid", num_pes=4),
+        ))
+        rrt = plan(PlanRequest(
+            workload=WorkloadSpec(
+                planner="rrt", num_regions=12, nodes_per_region=4, seed=1,
+            ),
+            execution=ExecutionPolicy(strategy="none", num_pes=4),
+        ))
         for report in (prm, rrt):
             assert isinstance(report.result, PlannerRunResult)
             assert isinstance(report.phases, PhaseBreakdown)
@@ -211,9 +244,14 @@ class TestResultProtocols:
             assert report.result.total_time == report.total_time
 
     def test_phase_vocabulary_is_shared(self):
-        prm = plan(PlanRequest(num_regions=32, samples_per_region=4, num_pes=4))
-        rrt = plan(PlanRequest(planner="rrt", num_regions=12, nodes_per_region=4,
-                               num_pes=4))
+        prm = plan(PlanRequest(
+            workload=WorkloadSpec(num_regions=32, samples_per_region=4),
+            execution=ExecutionPolicy(num_pes=4),
+        ))
+        rrt = plan(PlanRequest(
+            workload=WorkloadSpec(planner="rrt", num_regions=12, nodes_per_region=4),
+            execution=ExecutionPolicy(num_pes=4),
+        ))
         prm_names = [name for name, _ in prm.phases.phase_items()]
         rrt_names = [name for name, _ in rrt.phases.phase_items()]
         # RRT has no generate phase; otherwise the vocabulary is identical.
@@ -227,8 +265,12 @@ class TestDeterminismAndChunking:
         suite and the paper's figures both rely on."""
         def run():
             report = plan(
-                PlanRequest(planner="prm", num_regions=8, samples_per_region=5,
-                            execution="local", workers=2, seed=7)
+                PlanRequest(
+                    workload=WorkloadSpec(
+                        planner="prm", num_regions=8, samples_per_region=5, seed=7,
+                    ),
+                    execution=ExecutionPolicy(mode="local", workers=2),
+                )
             )
             rm = report.roadmap
             ids, cfgs = rm.configs_array()
@@ -237,18 +279,42 @@ class TestDeterminismAndChunking:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("planner", ["prm", "rrt"])
+    def test_thread_local_counters_exact_at_any_worker_count(self, planner):
+        """Region tasks sharing one environment on pool threads each
+        tally their own collision work: the summed per-task deltas equal
+        the serial run's, however the threads interleave."""
+        import sys
+
+        wl = WorkloadSpec(planner=planner, num_regions=8, samples_per_region=6,
+                          nodes_per_region=6, seed=11)
+        serial = plan(wl, execution=ExecutionPolicy(mode="local", workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                threaded = plan(wl, execution=ExecutionPolicy(mode="local", workers=4))
+                assert threaded.local_counters == serial.local_counters
+                assert threaded.local_stats == serial.local_stats
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_chunksize_wired_through(self):
         base = plan(
-            PlanRequest(num_regions=8, samples_per_region=4, execution="local",
-                        workers=2, seed=3)
+            PlanRequest(
+                workload=WorkloadSpec(num_regions=8, samples_per_region=4, seed=3),
+                execution=ExecutionPolicy(mode="local", workers=2),
+            )
         )
         chunked = plan(
-            PlanRequest(num_regions=8, samples_per_region=4, execution="local",
-                        workers=2, seed=3, chunksize=3)
+            PlanRequest(
+                workload=WorkloadSpec(num_regions=8, samples_per_region=4, seed=3),
+                execution=ExecutionPolicy(mode="local", workers=2, chunksize=3),
+            )
         )
         assert len(chunked.pool.results) == len(base.pool.results) == 8
         assert chunked.roadmap.num_vertices == base.roadmap.num_vertices
 
     def test_chunksize_validated(self):
         with pytest.raises(ValueError):
-            PlanRequest(chunksize=0).validate()
+            PlanRequest(execution=ExecutionPolicy(chunksize=0)).validate()

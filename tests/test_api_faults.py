@@ -14,11 +14,15 @@ import sys
 import pytest
 
 from repro import (
+    ExecutionPolicy,
     Fault,
     FaultInjector,
+    FaultPolicy,
     JsonlSink,
+    ObsConfig,
     PlanRequest,
     Tracer,
+    WorkloadSpec,
     plan,
 )
 from repro.runtime import TaskFailedError
@@ -33,17 +37,15 @@ def _roadmap_signature(report):
     return list(ids), cfgs.tolist(), edges
 
 
-def _local_request(**kw):
-    defaults = dict(
-        planner="prm",
-        num_regions=12,
-        samples_per_region=4,
-        execution="local",
-        workers=3,
-        seed=7,
+def _local_request(faults=None, tracer=None, **workload):
+    defaults = dict(planner="prm", num_regions=12, samples_per_region=4, seed=7)
+    defaults.update(workload)
+    return PlanRequest(
+        workload=WorkloadSpec(**defaults),
+        execution=ExecutionPolicy(mode="local", workers=3),
+        faults=faults,
+        obs=ObsConfig(tracer=tracer),
     )
-    defaults.update(kw)
-    return PlanRequest(**defaults)
 
 
 class TestPlanRetryParity:
@@ -62,7 +64,7 @@ class TestPlanRetryParity:
         tracer = Tracer(sinks=[JsonlSink(trace)])
         chaotic = plan(
             _local_request(
-                failure_policy="retry", fault_injector=injector, tracer=tracer
+                faults=FaultPolicy(policy="retry", injector=injector), tracer=tracer
             )
         )
         tracer.close()
@@ -104,8 +106,10 @@ class TestPlanRetryParity:
             _local_request(
                 planner="rrt",
                 nodes_per_region=5,
-                failure_policy="retry",
-                fault_injector=FaultInjector([Fault("raise", task=rid, attempt=0)]),
+                faults=FaultPolicy(
+                    policy="retry",
+                    injector=FaultInjector([Fault("raise", task=rid, attempt=0)]),
+                ),
             )
         )
         assert _roadmap_signature(chaotic) == _roadmap_signature(clean)
@@ -118,11 +122,13 @@ class TestPlanDegrade:
         doomed = sorted(clean.pool.results)[3]
         report = plan(
             _local_request(
-                failure_policy="degrade",
-                max_retries=1,
-                fault_injector=FaultInjector(
-                    [Fault("raise", task=doomed, attempt=a) for a in range(4)]
-                ),
+                faults=FaultPolicy(
+                    policy="degrade",
+                    max_retries=1,
+                    injector=FaultInjector(
+                        [Fault("raise", task=doomed, attempt=a) for a in range(4)]
+                    ),
+                )
             )
         )
         assert report.abandoned_regions == [doomed]
@@ -136,7 +142,7 @@ class TestPlanDegrade:
         with pytest.raises(TaskFailedError):
             plan(
                 _local_request(
-                    fault_injector=FaultInjector([Fault("raise", attempt=0)])
+                    faults=FaultPolicy(injector=FaultInjector([Fault("raise", attempt=0)]))
                 )
             )
 
@@ -145,12 +151,9 @@ class TestSimulateModeFaults:
     def test_simulate_mode_accepts_injector(self):
         report = plan(
             PlanRequest(
-                num_regions=64,
-                samples_per_region=4,
-                strategy="rand-8",
-                num_pes=8,
-                seed=3,
-                fault_injector=FaultInjector(rate=0.1, seed=5),
+                workload=WorkloadSpec(num_regions=64, samples_per_region=4, seed=3),
+                execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
+                faults=FaultPolicy(injector=FaultInjector(rate=0.1, seed=5)),
             )
         )
         assert report.sim is not None
@@ -160,12 +163,11 @@ class TestSimulateModeFaults:
     def test_simulate_mode_crash_accounted(self):
         report = plan(
             PlanRequest(
-                num_regions=32,
-                samples_per_region=4,
-                strategy="rand-8",
-                num_pes=4,
-                seed=3,
-                fault_injector=FaultInjector([Fault("crash", worker=1, attempt=0)]),
+                workload=WorkloadSpec(num_regions=32, samples_per_region=4, seed=3),
+                execution=ExecutionPolicy(strategy="rand-8", num_pes=4),
+                faults=FaultPolicy(
+                    injector=FaultInjector([Fault("crash", worker=1, attempt=0)]),
+                ),
             )
         )
         assert report.worker_deaths == 1
@@ -176,11 +178,11 @@ class TestRequestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"failure_policy": "panic"},
+            {"policy": "panic"},
             {"max_retries": -1},
             {"task_timeout": 0.0},
         ],
     )
     def test_rejects_bad_fault_fields(self, kwargs):
         with pytest.raises(ValueError):
-            PlanRequest(**kwargs).validate()
+            PlanRequest(faults=FaultPolicy(**kwargs)).validate()

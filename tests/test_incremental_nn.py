@@ -15,7 +15,6 @@ import pytest
 
 from repro.knn import (
     BruteForceNN,
-    GridNN,
     IncrementalNN,
     KDTreeNN,
     available_nn_factories,
@@ -169,9 +168,9 @@ class TestLadderStructure:
 
 class TestRRTParity:
     """Swapping the NN backend may not move a single RRT sample: growth
-    under IncrementalNN must be bit-identical to the brute-force oracle,
-    sequential and batched alike, with full stats parity between the two
-    incremental modes."""
+    under IncrementalNN (always the sequential loop — only the brute
+    finder is replayed inline by the batched path) must be bit-identical
+    to the brute-force oracle."""
 
     _NN_FIELDS = ("nn_distance_evals", "nn_rebuilds", "nn_buffer_hits", "nn_evals_saved")
 
@@ -206,6 +205,16 @@ class TestRRTParity:
         assert strip(b_stats) == strip(i_stats)
         assert i_stats["nn_distance_evals"] < b_stats["nn_distance_evals"]
         assert i_stats["nn_evals_saved"] > 0
+
+    def test_incremental_runs_the_sequential_loop(self, monkeypatch):
+        b_stats, b_edges, b_parents, _ = self._grow(BruteForceNN, True)
+        monkeypatch.setattr(
+            RRT, "_grow_batched", lambda *a, **k: pytest.fail("batched path taken")
+        )
+        i_stats, i_edges, i_parents, _ = self._grow(IncrementalNN, True)
+        assert (i_edges, i_parents) == (b_edges, b_parents)
+        strip = lambda d: {k: v for k, v in d.items() if k not in self._NN_FIELDS}
+        assert strip(i_stats) == strip(b_stats)
 
     def test_grow_accepts_factory_string_via_policy(self):
         """End-to-end: selecting the backend through ExecutionPolicy's
@@ -249,10 +258,11 @@ class TestRegistry:
             register_nn_factory("", BruteForceNN)
 
     def test_grid_not_registered(self):
-        """GridNN needs a geometry-dependent cell_size, so it has no
-        parameter-free registry entry."""
+        """The hash-grid backend is gone from the registry and the package."""
+        import repro.knn
+
         assert "grid" not in available_nn_factories()
-        assert GridNN(2, cell_size=0.5) is not None  # still importable
+        assert not hasattr(repro.knn, "GridNN")
 
 
 class TestPolicyAndEngineErrors:

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.knn import BruteForceNN, GridNN, KDTreeNN
+from repro.knn import BruteForceNN, IncrementalNN, KDTreeNN
 
 
 def _backends(dim):
-    return [BruteForceNN(dim), KDTreeNN(dim), GridNN(dim, cell_size=0.5)]
+    return [BruteForceNN(dim), KDTreeNN(dim), IncrementalNN(dim)]
 
 
 class TestBasics:
@@ -17,10 +17,6 @@ class TestBasics:
     def test_invalid_dim(self, cls):
         with pytest.raises(ValueError):
             cls(0)
-
-    def test_grid_invalid_cell(self):
-        with pytest.raises(ValueError):
-            GridNN(2, cell_size=0.0)
 
     def test_len_tracks_insertions(self, rng):
         for nn in _backends(3):
@@ -70,18 +66,18 @@ class TestKnnCorrectness:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 12))
     def test_backends_agree_with_brute_force(self, seed, k):
-        """Property: kd-tree and grid return exactly the brute-force ids."""
+        """Property: kd-tree and the kd-ladder return exactly the brute-force ids."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-3, 3, size=(60, 2))
         query = rng.uniform(-3, 3, 2)
         brute = BruteForceNN(2)
         kd = KDTreeNN(2)
-        grid = GridNN(2, cell_size=0.75)
-        for nn in (brute, kd, grid):
+        inc = IncrementalNN(2)
+        for nn in (brute, kd, inc):
             nn.add_batch(np.arange(60), pts)
         expected = {i for i, _d in brute.knn(query, k)}
         assert {i for i, _d in kd.knn(query, k)} == expected
-        assert {i for i, _d in grid.knn(query, k)} == expected
+        assert {i for i, _d in inc.knn(query, k)} == expected
 
 
 class TestCanonicalTieBreak:
@@ -100,15 +96,15 @@ class TestCanonicalTieBreak:
         n = len(pts)
         brute = BruteForceNN(2)
         kd = KDTreeNN(2)
-        grid = GridNN(2, cell_size=1.0)
-        for nn in (brute, kd, grid):
+        inc = IncrementalNN(2)
+        for nn in (brute, kd, inc):
             nn.add_batch(np.arange(n), pts)
         queries = [np.array([2.0, 2.0]), np.array([0.5, 0.5]), np.array([2.5, 1.5])]
         for q in queries:
             for k in (1, 4, 9, 30):
                 ref = brute.knn(q, k)
                 assert kd.knn(q, k) == ref
-                assert grid.knn(q, k) == ref
+                assert inc.knn(q, k) == ref
 
     def test_duplicates_break_by_insertion_order(self):
         """Duplicate points tie on distance; insertion order decides."""
@@ -135,12 +131,12 @@ class TestCanonicalTieBreak:
         q = rng.uniform(-3, 3, 3)
         brute = BruteForceNN(3)
         kd = KDTreeNN(3)
-        grid = GridNN(3, cell_size=0.9)
-        for nn in (brute, kd, grid):
+        inc = IncrementalNN(3)
+        for nn in (brute, kd, inc):
             nn.add_batch(np.arange(50), pts)
         ref = brute.knn(q, k)
         assert kd.knn(q, k) == ref
-        assert grid.knn(q, k) == ref
+        assert inc.knn(q, k) == ref
 
     def test_knn_batch_matches_loop(self, rng):
         """The vectorised batch path must equal per-query knn calls
@@ -169,12 +165,12 @@ class TestRadiusCorrectness:
         query = rng.uniform(-3, 3, 3)
         brute = BruteForceNN(3)
         kd = KDTreeNN(3)
-        grid = GridNN(3, cell_size=1.0)
-        for nn in (brute, kd, grid):
+        inc = IncrementalNN(3)
+        for nn in (brute, kd, inc):
             nn.add_batch(np.arange(40), pts)
         expected = {i for i, _d in brute.radius(query, r)}
         assert {i for i, _d in kd.radius(query, r)} == expected
-        assert {i for i, _d in grid.radius(query, r)} == expected
+        assert {i for i, _d in inc.radius(query, r)} == expected
 
     def test_radius_inclusive(self):
         for nn in _backends(2):

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from repro import JsonlSink, PlanRequest, Tracer, plan
+from repro import (
+    ExecutionPolicy,
+    JsonlSink,
+    ObsConfig,
+    PlanRequest,
+    Tracer,
+    WorkloadSpec,
+    plan,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,8 +36,11 @@ def trace_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "trace.jsonl"
     tracer = Tracer(sinks=[JsonlSink(path)])
     plan(
-        PlanRequest(num_regions=64, samples_per_region=4, strategy="rand-8",
-                    num_pes=8, seed=3, tracer=tracer)
+        PlanRequest(
+            workload=WorkloadSpec(num_regions=64, samples_per_region=4, seed=3),
+            execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
+            obs=ObsConfig(tracer=tracer),
+        )
     )
     tracer.close()
     return path

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.api import PlanRequest, plan
-from repro.knn import BruteForceNN, GridNN, KDTreeNN
+from repro.api import ExecutionPolicy, PlanRequest, WorkloadSpec, plan
+from repro.knn import BruteForceNN, IncrementalNN, KDTreeNN
 from repro.obs import EV_QUERY_END, EV_QUERY_START, Tracer, summarize_events
 from repro.obs.summary import format_summary
 from repro.planners import PRM, FrozenRoadmap, QueryEngine, QueryRequest, RoadmapQuery
@@ -60,8 +60,8 @@ class TestSolveParity:
 
     @pytest.mark.parametrize(
         "factory",
-        [KDTreeNN, lambda dim: GridNN(dim, cell_size=1.0)],
-        ids=["kdtree", "grid"],
+        [KDTreeNN, IncrementalNN],
+        ids=["kdtree", "incremental"],
     )
     def test_nn_backend_is_drop_in(self, built, factory):
         cs, rmap = built
@@ -200,8 +200,10 @@ class TestPlanReportIntegration:
     @pytest.fixture(scope="class")
     def report(self):
         return plan(PlanRequest(
-            planner="prm", num_regions=8, samples_per_region=6,
-            num_pes=2, seed=0,
+            workload=WorkloadSpec(
+                planner="prm", num_regions=8, samples_per_region=6, seed=0,
+            ),
+            execution=ExecutionPolicy(num_pes=2),
         ))
 
     def test_query_engine_is_cached(self, report):

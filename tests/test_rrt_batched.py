@@ -162,6 +162,40 @@ class TestGrowParity:
         _assert_same(*outs)
 
 
+class TestConsecutiveCalls:
+    """Both paths leave the caller's Generator in the same state, so a
+    second ``grow`` on it (which starts from whatever the first left
+    behind) stays identical too — early exits included."""
+
+    @pytest.mark.parametrize(
+        "grow_kwargs",
+        [
+            {},  # unbiased: one bulk draw per block, node budget met mid-block
+            {"bias_target": np.array([4.0, 4.0])},
+            {"goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
+            {"max_iterations": 100},  # cap, not an early exit
+        ],
+        ids=["plain", "bias", "goal", "cap"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_grows_on_one_generator(self, seed, grow_kwargs):
+        outs, states = [], []
+        for batched in (False, True):
+            cspace = _fresh_cspace()
+            rrt = RRT(cspace, step_size=0.5, goal_bias=0.2, batched=batched)
+            rng = np.random.default_rng(seed)
+            first = rrt.grow(np.array([-4.0, -4.0]), 20, rng, **grow_kwargs)
+            second = rrt.grow(
+                np.array([-4.0, -4.0]), 20, rng,
+                tree=first.tree, parents=first.parents, root_id=first.root_id,
+                id_base=1 << 20, **grow_kwargs,
+            )
+            outs.append(_observe(second, cspace.env))
+            states.append(rng.bit_generator.state)
+        _assert_same(*outs)
+        assert states[0] == states[1]
+
+
 class TestEdgeCases:
     def test_region_never_extends(self):
         """A cone no extension can enter: the branch stays root-only."""

@@ -4,7 +4,7 @@ Covers the repro.runtime.shm segment lifecycle (publish/attach/release,
 refcounts, dedup, inline fallback, stale-segment sweeping), the chunk
 policies in repro.runtime.chunking (including bit-identity against the
 chunksize=1 oracle), dispatch accounting on PoolResult, true worker-side
-task start stamps, and the end-to-end planes on plan() / QueryEngine.
+task start stamps, and the end-to-end planes on plan().
 """
 
 import os
@@ -214,7 +214,6 @@ class TestDispatchAccounting:
     def test_measure_serde_on_process_backend(self):
         pool = run_tasks_parallel(
             _task, list(range(6)), workers=2, backend="process", chunksize=2,
-            measure_serde=True,
         )
         assert pool.results == {t: t * 7 + 1 for t in range(6)}
         assert pool.dispatch.context_bytes > 0
@@ -406,36 +405,6 @@ class TestPlanes:
         )
         rep = plan(wl, execution=ex, faults=fa)
         assert rep.pool.abandoned == [1]
-        assert shm_mod.leaked_segments() == []
-
-    def test_engine_process_shm_paths_equal(self):
-        from repro.cspace.space import EuclideanCSpace
-        from repro.geometry import environments
-        from repro.planners.engine import QueryEngine
-        from repro.planners.prm import PRM
-
-        cs = EuclideanCSpace(environments.by_name("med-cube"))
-        rmap = PRM(cs, k=6).build(150, np.random.default_rng(5)).roadmap
-        eng = QueryEngine(cs, rmap, k=8)
-        rng = np.random.default_rng(6)
-        lo, hi = cs.bounds.lo, cs.bounds.hi
-        queries = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(6)]
-        base = eng.solve_many(queries)
-        shm_res = eng.solve_many(
-            queries,
-            execution=ExecutionPolicy(mode="local", workers=2, backend="process",
-                                      data_plane="shm"),
-        )
-        for a, b in zip(base.results, shm_res.results):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.path_vertices == b.path_vertices
-                assert a.length == b.length
-        assert shm_res.dispatch.shm_attaches >= 1
-        del eng
-        import gc
-
-        gc.collect()
         assert shm_mod.leaked_segments() == []
 
     def test_pickle_plane_decode_cached_per_digest(self):

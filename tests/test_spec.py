@@ -1,4 +1,4 @@
-"""Tests for the layered request API (repro.spec) and the flat-kwarg shim."""
+"""Tests for the layered request API (repro.spec)."""
 
 import warnings
 from dataclasses import FrozenInstanceError
@@ -15,7 +15,7 @@ from repro import (
     plan,
 )
 from repro.geometry import environments
-from repro.spec import _FLAT_MAP, _environment_fingerprint
+from repro.spec import _environment_fingerprint
 
 
 class TestSpecObjects:
@@ -117,20 +117,12 @@ class TestPlanRequestAggregate:
             PlanRequest(faults={"policy": "retry"})
 
     def test_unknown_flat_kwarg_raises(self):
-        with pytest.raises(TypeError, match="unknown PlanRequest field"):
+        with pytest.raises(TypeError):
             PlanRequest(n_workers=4)
 
     def test_mixing_flat_with_same_spec_raises(self):
-        with pytest.raises(TypeError, match="cannot mix"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                PlanRequest(workload=WorkloadSpec(), num_regions=32)
-
-    def test_flat_kwarg_with_other_spec_is_fine(self):
-        with pytest.warns(DeprecationWarning):
-            req = PlanRequest(workload=WorkloadSpec(num_regions=8), num_pes=4)
-        assert req.workload.num_regions == 8
-        assert req.execution.num_pes == 4
+        with pytest.raises(TypeError):
+            PlanRequest(workload=WorkloadSpec(), num_regions=32)
 
     def test_replace_derives_a_new_request(self):
         req = PlanRequest()
@@ -147,107 +139,23 @@ class TestPlanRequestAggregate:
 
 
 class TestFlatShim:
-    def test_flat_kwargs_warn_once(self):
-        with pytest.warns(DeprecationWarning, match="flat PlanRequest kwargs"):
-            PlanRequest(num_regions=32, strategy="hybrid", num_pes=4)
+    """The flat-kwarg shim is gone: spec objects are the only spelling."""
+
+    def test_flat_kwargs_and_execution_string_raise_type_error(self):
+        with pytest.raises(TypeError):
+            PlanRequest(num_regions=8)
+        with pytest.raises(TypeError, match="ExecutionPolicy"):
+            PlanRequest(execution="local")
+
+    def test_no_legacy_flat_reads(self):
+        req = PlanRequest(workload=WorkloadSpec(num_regions=8))
+        with pytest.raises(AttributeError):
+            req.num_regions
 
     def test_spec_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             PlanRequest(workload=WorkloadSpec(num_regions=32))
-
-    def test_every_flat_kwarg_routes_to_its_canonical_field(self):
-        flat = {
-            "environment": "maze-2d",
-            "planner": "rrt",
-            "num_regions": 7,
-            "samples_per_region": 3,
-            "nodes_per_region": 5,
-            "seed": 11,
-            "workload_options": {"k_closest": 2},
-            "execution": "local",
-            "strategy": "hybrid",
-            "partitioner": "greedy",
-            "num_pes": 3,
-            "steal_chunk": 2,
-            "workers": 2,
-            "backend": "thread",
-            "chunksize": 4,
-            "failure_policy": "degrade",
-            "max_retries": 9,
-            "task_timeout": 2.0,
-        }
-        with pytest.warns(DeprecationWarning):
-            req = PlanRequest(**flat)
-        # Legacy property reads give back exactly what went in...
-        for key, value in flat.items():
-            if key == "execution":
-                assert req.execution.mode == "local"
-            elif key == "workload_options":
-                assert req.workload_options == value
-            else:
-                assert getattr(req, key) == value
-        # ...and the canonical homes hold the same values.
-        assert req.workload.planner == "rrt"
-        assert req.execution.strategy == "hybrid"
-        assert req.faults.policy == "degrade"
-
-    def test_legacy_execution_string_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            req = PlanRequest(execution="cloud")
-        with pytest.raises(ValueError):
-            req.validate()
-
-    def test_flat_map_covers_only_real_spec_fields(self):
-        from dataclasses import fields
-        from repro.spec import _SPEC_TYPES
-
-        for spec_name, spec_field in _FLAT_MAP.values():
-            assert spec_field in {f.name for f in fields(_SPEC_TYPES[spec_name])}
-
-
-class TestShimParity:
-    """Old flat construction and new spec construction must produce
-    bit-identical plans."""
-
-    FLAT = dict(
-        environment="med-cube",
-        planner="prm",
-        num_regions=32,
-        samples_per_region=4,
-        strategy="hybrid",
-        num_pes=4,
-        seed=3,
-    )
-
-    def spec_request(self):
-        return PlanRequest(
-            workload=WorkloadSpec(
-                environment="med-cube",
-                planner="prm",
-                num_regions=32,
-                samples_per_region=4,
-                seed=3,
-            ),
-            execution=ExecutionPolicy(strategy="hybrid", num_pes=4),
-        )
-
-    def test_requests_compare_equal(self):
-        with pytest.warns(DeprecationWarning):
-            flat = PlanRequest(**self.FLAT)
-        assert flat == self.spec_request()
-
-    def test_reports_bit_identical(self):
-        with pytest.warns(DeprecationWarning):
-            old = plan(PlanRequest(**self.FLAT))
-        new = plan(self.spec_request())
-        assert old.total_time == new.total_time
-        assert sorted(old.roadmap.edges()) == sorted(new.roadmap.edges())
-        old_ids, old_cfg = old.roadmap.configs_array()
-        new_ids, new_cfg = new.roadmap.configs_array()
-        assert np.array_equal(old_ids, new_ids)
-        assert np.array_equal(old_cfg, new_cfg)
-        assert old.summary() == new.summary()
 
 
 class TestUnifiedEntryPoints:
