@@ -46,15 +46,13 @@ from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
 from ..runtime.pgraph import PGraphView
-from ..runtime.simulator import WorkStealingSimulator, run_static_phase
 from ..runtime.stats import SimResult
-from ..runtime.termination import detection_delay_tree
 from ..runtime.topology import ClusterTopology
 from ..subdivision.uniform import UniformSubdivision
 from .metrics import emit_phase_spans
-from .repartition import RepartitionResult, repartition
+from .repartition import RepartitionResult, initial_assignment, repartition
 from .weights import prm_sample_count_weights
-from .work_stealing import policy_by_name
+from .work_stealing import run_balanced_phase
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -375,15 +373,6 @@ def build_prm_workload(
 REGION_CREATE_COST = 0.05
 
 
-def _naive_assignment(workload: PRMWorkload, num_pes: int) -> "dict[int, int]":
-    """Balanced contiguous blocks of the row-major region mesh — the
-    paper's naive 1-D mapping ("a balanced number of region columns"),
-    generalised to PE counts exceeding the column count."""
-    from ..partition.naive import partition_block
-
-    return partition_block(workload.subdivision.graph, num_pes)
-
-
 def simulate_prm(
     workload: PRMWorkload,
     num_pes: int,
@@ -419,25 +408,20 @@ def simulate_prm(
         raise ValueError("topology PE count mismatch")
     tr = active(tracer)
     phases = PhaseTimes()
-    if initial_partitioner in (None, "block"):
-        naive = _naive_assignment(workload, num_pes)
-    else:
-        from ..partition import partition_by_name
-
-        naive = partition_by_name(workload.subdivision.graph, num_pes, initial_partitioner)
+    naive = initial_assignment(workload.subdivision.graph, num_pes, initial_partitioner)
     region_ids = workload.subdivision.graph.region_ids()
+    work = [workload.region_work[rid] for rid in region_ids]
+    naive_of = np.array([naive[rid] for rid in region_ids], dtype=int)
 
+    # Per-PE sums below go through ``np.bincount``: it accumulates in
+    # appearance order, exactly like a ``loads[owner] += x`` loop, so every
+    # phase time keeps its bits.
     # Phase 1: region construction (embarrassingly parallel, tiny).
-    per_pe_regions = np.zeros(num_pes)
-    for rid in region_ids:
-        per_pe_regions[naive[rid]] += 1
+    per_pe_regions = np.bincount(naive_of, minlength=num_pes)
     phases.region_construction = float(per_pe_regions.max()) * REGION_CREATE_COST
 
     # Phase 2: node generation under the naive distribution.
-    gen_costs = {rid: workload.region_work[rid].gen_cost for rid in region_ids}
-    gen_loads = np.zeros(num_pes)
-    for rid in region_ids:
-        gen_loads[naive[rid]] += gen_costs[rid]
+    gen_loads = np.bincount(naive_of, weights=[w.gen_cost for w in work], minlength=num_pes)
     phases.node_generation = float(gen_loads.max())
 
     # Load balancing decision.  The repartition decision event lands at
@@ -445,7 +429,6 @@ def simulate_prm(
     t_lb = phases.region_construction + phases.node_generation + phases.weigh
     repart_info: RepartitionResult | None = None
     connect_assignment = naive
-    steal_policy = None
     if strategy == "repartition":
         weights = workload.sample_count_weights()
         repart_info = repartition(
@@ -457,47 +440,23 @@ def simulate_prm(
         )
         connect_assignment = repart_info.assignment
         phases.lb_overhead = repart_info.overhead
-    elif strategy != "none":
-        steal_policy = policy_by_name(strategy)
 
     # Phase 3: node connection (the load-balanced phase).  The simulator
     # runs on a phase-local clock; offsetting its tracer embeds the task
     # and steal events inside the ``construct`` span.
     t_construct = t_lb + phases.lb_overhead
-    sim_tracer = tr.offset(t_construct) if tr is not None else None
-    connect_costs = {rid: workload.region_work[rid].connect_cost for rid in region_ids}
-
-    def executor(task: int, pe: int) -> float:
-        return connect_costs[task]
-
-    if steal_policy is None:
-        sim = run_static_phase(
-            topology,
-            executor,
-            connect_assignment,
-            tracer=sim_tracer,
-            fault_injector=fault_injector,
-            max_retries=max_retries,
-        )
-    else:
-        simulator = WorkStealingSimulator(
-            topology,
-            executor,
-            steal_policy=steal_policy,
-            steal_chunk=steal_chunk,
-            rng=np.random.default_rng(rng_seed),
-            tracer=sim_tracer,
-            fault_injector=fault_injector,
-            max_retries=max_retries,
-        )
-        sim = simulator.run(connect_assignment)
-        phases.termination = detection_delay_tree(topology)
+    sim, phases.termination, final_owner = run_balanced_phase(
+        topology,
+        {w.rid: w.connect_cost for w in work},
+        connect_assignment,
+        strategy,
+        steal_chunk,
+        rng_seed,
+        tracer=tr.offset(t_construct) if tr is not None else None,
+        fault_injector=fault_injector,
+        max_retries=max_retries,
+    )
     phases.node_connection = sim.makespan
-
-    # Final region ownership after the connection phase (stealing is an
-    # ownership transfer, so stolen regions now live on the thief).
-    # Abandoned regions (fault injection) keep their pre-phase owner.
-    final_owner = {**connect_assignment, **sim.executed_by}
 
     # Phase 4: region connection with remote-access accounting.
     region_view = PGraphView("region graph", topology)
@@ -505,24 +464,27 @@ def simulate_prm(
     region_view.set_owners(final_owner)
     roadmap_view.set_owners(final_owner)
 
-    conn_loads = np.zeros(num_pes)
-    for adj in workload.adjacency_work:
-        owner_a = final_owner[adj.a]
-        # Region-graph adjacency metadata is replicated at construction
-        # time, so its remote accesses are counted (Fig. 7b) but free;
-        # roadmap vertex reads ship as one aggregated message.
-        region_view.access(owner_a, adj.b)
-        latency = roadmap_view.access_bulk(owner_a, adj.b, count=adj.vertex_reads)
-        conn_loads[owner_a] += adj.cost + latency
-    phases.region_connection = float(conn_loads.max()) if conn_loads.size else 0.0
+    adjacency = workload.adjacency_work
+    owner_a = np.array([final_owner[adj.a] for adj in adjacency], dtype=int)
+    neighbours = [adj.b for adj in adjacency]
+    # Region-graph adjacency metadata is replicated at construction time,
+    # so its remote accesses are counted (Fig. 7b) but free; roadmap
+    # vertex reads ship as one aggregated message per adjacency.
+    region_view.access_many(owner_a, neighbours)
+    latency = roadmap_view.access_many(
+        owner_a, neighbours, [adj.vertex_reads for adj in adjacency], aggregated=True
+    )
+    conn_loads = np.bincount(
+        owner_a, weights=np.array([adj.cost for adj in adjacency]) + latency, minlength=num_pes
+    )
+    phases.region_connection = float(conn_loads.max())
 
     # Node ownership histograms (Fig. 5b/5c).
-    nodes_before = np.zeros(num_pes)
-    nodes_after = np.zeros(num_pes)
-    for rid in region_ids:
-        n = workload.region_work[rid].num_samples
-        nodes_before[naive[rid]] += n
-        nodes_after[final_owner[rid]] += n
+    samples = [w.num_samples for w in work]
+    nodes_before = np.bincount(naive_of, weights=samples, minlength=num_pes)
+    nodes_after = np.bincount(
+        [final_owner[rid] for rid in region_ids], weights=samples, minlength=num_pes
+    )
 
     if tr is not None:
         emit_phase_spans(tr, phases)

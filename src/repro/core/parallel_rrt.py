@@ -42,15 +42,14 @@ from ..planners.roadmap import Roadmap
 from ..planners.rrt import RRT
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
-from ..runtime.simulator import WorkStealingSimulator, run_static_phase
+from ..runtime.pgraph import PGraphView
 from ..runtime.stats import SimResult
-from ..runtime.termination import detection_delay_tree
 from ..runtime.topology import ClusterTopology
 from ..subdivision.radial import RadialSubdivision
 from .metrics import emit_phase_spans
-from .repartition import RepartitionResult, repartition
+from .repartition import RepartitionResult, initial_assignment, repartition
 from .weights import rrt_k_rays_weights
-from .work_stealing import policy_by_name
+from .work_stealing import run_balanced_phase
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -390,8 +389,6 @@ def simulate_rrt(
     ``tracer`` and ``initial_partitioner`` behave as in
     :func:`repro.core.parallel_prm.simulate_prm`.
     """
-    from ..partition.naive import partition_block
-
     topology = topology if topology is not None else ClusterTopology(num_pes)
     if topology.num_pes != num_pes:
         raise ValueError("topology PE count mismatch")
@@ -399,21 +396,17 @@ def simulate_rrt(
     phases = RRTPhaseTimes()
     graph = workload.radial.graph
     region_ids = graph.region_ids()
-    if initial_partitioner in (None, "block"):
-        naive = partition_block(graph, num_pes)
-    else:
-        from ..partition import partition_by_name
+    naive = initial_assignment(graph, num_pes, initial_partitioner)
 
-        naive = partition_by_name(graph, num_pes, initial_partitioner)
-
-    per_pe_regions = np.zeros(num_pes)
-    for rid in region_ids:
-        per_pe_regions[naive[rid]] += 1
+    # Per-PE sums go through ``np.bincount``, which accumulates in
+    # appearance order like the ``loads[owner] += x`` loop it stands for.
+    work = [workload.branch_work[rid] for rid in region_ids]
+    naive_of = np.array([naive[rid] for rid in region_ids], dtype=int)
+    per_pe_regions = np.bincount(naive_of, minlength=num_pes)
     phases.region_construction = float(per_pe_regions.max()) * REGION_CREATE_COST
 
     repart_info: RepartitionResult | None = None
     grow_assignment = naive
-    steal_policy = None
     if strategy == "repartition":
         # Probe cost: each PE casts rays for its regions; makespan term is
         # the per-PE maximum.  This is the "weigh" phase — the part of RRT
@@ -424,10 +417,10 @@ def simulate_rrt(
             k_rays=k_rays,
             rng=np.random.default_rng(rng_seed),
         )
-        probe_loads = np.zeros(num_pes)
         cost_per_cast = workload.work_model.cost_lp_check * k_rays
-        for rid in region_ids:
-            probe_loads[naive[rid]] += cost_per_cast
+        probe_loads = np.bincount(
+            naive_of, weights=np.full(naive_of.size, cost_per_cast), minlength=num_pes
+        )
         phases.weigh = float(probe_loads.max())
         t_lb = phases.region_construction + phases.weigh
         repart_info = repartition(
@@ -439,57 +432,38 @@ def simulate_rrt(
         )
         grow_assignment = repart_info.assignment
         phases.lb_overhead = repart_info.overhead
-    elif strategy != "none":
-        steal_policy = policy_by_name(strategy)
 
     t_construct = phases.region_construction + phases.weigh + phases.lb_overhead
-    sim_tracer = tr.offset(t_construct) if tr is not None else None
-    grow_costs = {rid: workload.branch_work[rid].grow_cost for rid in region_ids}
-
-    def executor(task: int, pe: int) -> float:
-        return grow_costs[task]
-
-    if steal_policy is None:
-        sim = run_static_phase(
-            topology,
-            executor,
-            grow_assignment,
-            tracer=sim_tracer,
-            fault_injector=fault_injector,
-            max_retries=max_retries,
-        )
-    else:
-        simulator = WorkStealingSimulator(
-            topology,
-            executor,
-            steal_policy=steal_policy,
-            steal_chunk=steal_chunk,
-            rng=np.random.default_rng(rng_seed),
-            tracer=sim_tracer,
-            fault_injector=fault_injector,
-            max_retries=max_retries,
-        )
-        sim = simulator.run(grow_assignment)
-        phases.termination = detection_delay_tree(topology)
+    sim, phases.termination, final_owner = run_balanced_phase(
+        topology,
+        {w.rid: w.grow_cost for w in work},
+        grow_assignment,
+        strategy,
+        steal_chunk,
+        rng_seed,
+        tracer=tr.offset(t_construct) if tr is not None else None,
+        fault_injector=fault_injector,
+        max_retries=max_retries,
+    )
     phases.branch_growth = sim.makespan
 
-    # Abandoned branches (fault injection) keep their pre-phase owner.
-    final_owner = {**grow_assignment, **sim.executed_by}
-    conn_loads = np.zeros(num_pes)
-    remote_reads = 0
-    for adj in workload.adjacency_work:
-        owner_a = final_owner[adj.a]
-        latency = 0.0
-        if final_owner[adj.b] != owner_a and adj.vertex_reads:
-            # Branch vertex reads ship as one aggregated message.
-            latency = topology.latency(owner_a, final_owner[adj.b], payload=adj.vertex_reads)
-            remote_reads += adj.vertex_reads
-        conn_loads[owner_a] += adj.cost + latency
-    phases.branch_connection = float(conn_loads.max()) if conn_loads.size else 0.0
+    # Branch vertex reads ship as one aggregated message per adjacency.
+    branch_view = PGraphView("branch tree", topology)
+    branch_view.set_owners(final_owner)
+    adjacency = workload.adjacency_work
+    owner_a = np.array([final_owner[adj.a] for adj in adjacency], dtype=int)
+    reads = [adj.vertex_reads for adj in adjacency]
+    latency = branch_view.access_many(
+        owner_a, [adj.b for adj in adjacency], reads, aggregated=True
+    )
+    remote_reads = branch_view.stats.remote
+    conn_loads = np.bincount(
+        owner_a, weights=np.array([adj.cost for adj in adjacency]) + latency, minlength=num_pes
+    )
+    phases.branch_connection = float(conn_loads.max())
 
-    nodes_per_pe = np.zeros(num_pes)
-    for rid in region_ids:
-        nodes_per_pe[final_owner[rid]] += workload.branch_work[rid].num_nodes
+    final_of = [final_owner[rid] for rid in region_ids]
+    nodes_per_pe = np.bincount(final_of, weights=[w.num_nodes for w in work], minlength=num_pes)
 
     if tr is not None:
         emit_phase_spans(tr, phases)

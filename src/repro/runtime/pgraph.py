@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from .topology import ClusterTopology
 
@@ -68,8 +69,11 @@ class PGraphView:
 
     def set_owners(self, owners: "dict[int, int]") -> None:
         """Bulk :meth:`set_owner` from an element -> PE mapping."""
-        for element, pe in owners.items():
-            self.set_owner(element, pe)
+        num_pes = self.topology.num_pes
+        for pe in owners.values():
+            if not 0 <= pe < num_pes:
+                raise ValueError(f"invalid owner PE {pe}")
+        self._owner.update(owners)
 
     def owner(self, element: int) -> int:
         """Current owner PE of ``element`` (KeyError if unknown)."""
@@ -96,19 +100,7 @@ class PGraphView:
 
         Returns the virtual latency charged (0 for local accesses).
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        owner = self._owner[element]
-        if owner == accessor_pe:
-            self.stats.local += count
-            return 0.0
-        self.stats.remote += count
-        self.stats.remote_by_pe[accessor_pe] = (
-            self.stats.remote_by_pe.get(accessor_pe, 0) + count
-        )
-        charged = count * self.topology.latency(accessor_pe, owner)
-        self.stats.latency_charged += charged
-        return charged
+        return float(self.access_many([accessor_pe], [element], count)[0])
 
     def access_bulk(self, accessor_pe: int, element: int, count: int = 1) -> float:
         """Record ``count`` accesses shipped as one aggregated message.
@@ -117,20 +109,33 @@ class PGraphView:
         ``count`` elements pays one base latency plus bandwidth — not
         ``count`` round trips.  Counts still tally per element accessed.
         """
-        if count < 0:
+        return float(self.access_many([accessor_pe], [element], count, aggregated=True)[0])
+
+    def access_many(self, accessor_pes, elements, counts=1, aggregated=False) -> np.ndarray:
+        """A whole walk in one call: entry ``i`` records ``counts[i]``
+        accesses to ``elements[i]`` from ``accessor_pes[i]`` — each a round
+        trip, or one message per entry when ``aggregated``.  Returns the
+        latency charged per entry; only remote entries reach the topology.
+        """
+        accessor = np.asarray(accessor_pes, dtype=int)
+        count = np.broadcast_to(np.asarray(counts, dtype=int), accessor.shape)
+        if (count < 0).any():
             raise ValueError("count must be non-negative")
-        if count == 0:
-            return 0.0
-        owner = self._owner[element]
-        if owner == accessor_pe:
-            self.stats.local += count
-            return 0.0
-        self.stats.remote += count
-        self.stats.remote_by_pe[accessor_pe] = (
-            self.stats.remote_by_pe.get(accessor_pe, 0) + count
-        )
-        charged = self.topology.latency(accessor_pe, owner, payload=count)
-        self.stats.latency_charged += charged
+        owner = np.array([self._owner[e] for e in elements], dtype=int)
+        remote = (owner != accessor) & (count > 0)
+        st = self.stats
+        st.local += int(count[owner == accessor].sum())
+        st.remote += int(count[remote].sum())
+        per_pe = np.bincount(accessor[remote], weights=count[remote])
+        for pe in np.flatnonzero(per_pe).tolist():
+            st.remote_by_pe[pe] = st.remote_by_pe.get(pe, 0) + int(per_pe[pe])
+        latency = self.topology.latency
+        far = zip(accessor[remote].tolist(), owner[remote].tolist(), count[remote].tolist())
+        charged = np.zeros(accessor.shape)
+        charged[remote] = [
+            latency(a, o, payload=c) if aggregated else c * latency(a, o) for a, o, c in far
+        ]
+        st.latency_charged += float(charged.sum())
         return charged
 
     def reset_stats(self) -> None:

@@ -8,9 +8,18 @@ PE's clock.  When a PE's deque runs dry it issues steal requests according
 to a pluggable victim-selection policy; requests, replies and task
 transfers pay topology-dependent latency (ownership transfer, Sec. II-A).
 
-The simulation is deterministic: events are ordered by ``(time, seq)``
-where ``seq`` is a monotone tie-breaker, and all randomness flows from an
-explicit generator.
+The simulation is deterministic: all randomness flows from an explicit
+generator, and events are plain ``(time, seq, kind, pe, payload)`` tuples
+on a binary heap.  ``seq`` is a per-run monotone counter, so ``(time,
+seq)`` alone decides the order — ``heapq`` compares the tuples in C and
+never looks past ``seq`` — and simultaneous events fire in the order they
+were scheduled.  ``kind`` indexes the table of bound handlers
+:meth:`WorkStealingSimulator.run` builds once per run; ``payload`` is the
+task, the thief or the stolen task list.  At scale ~99 % of steal requests
+fail, so a run is mostly message traffic and the loop is kept flat:
+per-PE state lives in Python lists (scalar reads are NumPy's slow path),
+``ClusterTopology.latency`` is O(1) arithmetic, and an event costs one
+tuple.
 
 Protocol summary
 ----------------
@@ -26,10 +35,11 @@ Protocol summary
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -72,16 +82,8 @@ class StealPolicy(Protocol):
         ...
 
 
-@dataclass
-class _Event:
-    time: float
-    seq: int
-    kind: str
-    pe: int
-    payload: object = None
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+# Event kinds: positions in the handler table ``run`` dispatches through.
+_TASK_DONE, _TASK_FAILED, _REDISPATCH, _STEAL_REQUEST, _STEAL_REPLY, _RETRY = range(6)
 
 
 class WorkStealingSimulator:
@@ -178,32 +180,32 @@ class WorkStealingSimulator:
     def run(self, assignment: "dict[int, int]") -> SimResult:
         """Execute all tasks given the initial ``task -> PE`` assignment."""
         P = self.topology.num_pes
-        for task, pe in assignment.items():
-            if not 0 <= pe < P:
-                raise ValueError(f"task {task} assigned to invalid PE {pe}")
-
         self._deques: "list[deque[int]]" = [deque() for _ in range(P)]
         # Stable initial order: sorted task ids per PE.
         for task in sorted(assignment):
-            self._deques[assignment[task]].append(task)
+            pe = assignment[task]
+            if not 0 <= pe < P:
+                raise ValueError(f"task {task} assigned to invalid PE {pe}")
+            self._deques[pe].append(task)
 
         self._stats = [PEStats(pe=p) for p in range(P)]
-        self._clock = np.zeros(P)
-        self._busy = np.zeros(P, dtype=bool)
+        self._busy = [False] * P
+        self._dead = [False] * P
         self._stolen_marks: "set[int]" = set()
         self._executed_by: "dict[int, int]" = {}
         self._task_costs: "dict[int, float]" = {}
         self._remaining = len(assignment)
         self._queued_requests: "list[list[int]]" = [[] for _ in range(P)]
-        self._pending_replies = np.zeros(P, dtype=int)
-        self._round_found = np.zeros(P, dtype=bool)
-        self._idle_rounds = np.zeros(P, dtype=int)
-        self._events: "list[_Event]" = []
-        self._seq = 0
+        self._pending_replies = [0] * P
+        self._round_found = [False] * P
+        self._idle_rounds = [0] * P
+        #: the heap of ``(time, seq, kind, pe, payload)`` events; ``_push``
+        #: takes one such tuple, ``_seq()`` hands out the next tie-breaker.
+        self._events: "list[tuple[float, int, int, int, object]]" = []
+        self._push = functools.partial(heapq.heappush, self._events)
+        self._seq = itertools.count(1).__next__
         self._makespan = 0.0
-        self._end_time = 0.0
         self._messages = 0
-        self._dead = np.zeros(P, dtype=bool)
         self._deaths = 0
         self._attempts: "dict[int, int]" = {}
         self._abandoned: "list[int]" = []
@@ -211,10 +213,22 @@ class WorkStealingSimulator:
         for p in range(P):
             self._activate(p, 0.0)
 
-        while self._events:
-            ev = heapq.heappop(self._events)
-            self._end_time = max(self._end_time, ev.time)
-            getattr(self, f"_on_{ev.kind}")(ev)
+        # Indexed by event kind (the ``_TASK_DONE`` ... ``_RETRY`` constants).
+        handlers = (
+            self._on_task_done,
+            self._on_task_failed,
+            self._on_redispatch,
+            self._on_steal_request,
+            self._on_steal_reply,
+            self._on_retry,
+        )
+        events, pop = self._events, heapq.heappop
+        end_time = 0.0
+        while events:
+            now, _seq, kind, pe, payload = pop(events)
+            if now > end_time:
+                end_time = now
+            handlers[kind](pe, now, payload)
 
         if self._tr is not None:
             self._record_metrics()
@@ -223,7 +237,7 @@ class WorkStealingSimulator:
             executed_by=self._executed_by,
             task_costs=self._task_costs,
             makespan=self._makespan,
-            end_time=self._end_time,
+            end_time=end_time,
             total_messages=self._messages,
             task_attempts=self._attempts,
             abandoned=sorted(self._abandoned),
@@ -253,10 +267,6 @@ class WorkStealingSimulator:
             if self._deaths:
                 m.counter("worker_deaths").inc(self._deaths)
 
-    def _push_event(self, time: float, kind: str, pe: int, payload: object = None) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, _Event(time, self._seq, kind, pe, payload))
-
     def _activate(self, pe: int, now: float) -> None:
         """Give PE its next unit of work, or start stealing, or go idle."""
         if self._busy[pe] or self._dead[pe]:
@@ -275,51 +285,45 @@ class WorkStealingSimulator:
             cost = float(self.executor(task, pe))
             if cost < 0:
                 raise ValueError(f"executor returned negative cost for task {task}")
+            st = self._stats[pe]
+            self._busy[pe] = True
             if fault is not None and fault.kind == FAULT_HANG:
                 cost += fault.hang
             elif fault is not None:  # "raise": burn the cost, then fail
-                st = self._stats[pe]
                 st.wasted_time += cost
                 st.attempts_failed += 1
-                self._busy[pe] = True
-                self._clock[pe] = now + cost
-                self._push_event(now + cost, "task_failed", pe, payload=task)
+                self._push((now + cost, self._seq(), _TASK_FAILED, pe, task))
                 return
-            self._busy[pe] = True
             self._executed_by[task] = pe
             self._task_costs[task] = cost
-            st = self._stats[pe]
             st.tasks_executed += 1
             st.work_time += cost
-            if task in self._stolen_marks:
+            stolen = task in self._stolen_marks
+            if stolen:
                 st.tasks_stolen_executed += 1
-            self._clock[pe] = now + cost
             if self._tr is not None:
                 self._tr.point(
-                    EV_TASK_START,
-                    ts=now,
-                    pe=pe,
-                    task=task,
-                    cost=cost,
-                    stolen=task in self._stolen_marks,
+                    EV_TASK_START, ts=now, pe=pe, task=task, cost=cost, stolen=stolen
                 )
-            self._push_event(now + cost, "task_done", pe, payload=task)
-            return
-        if self.steal_policy is not None and self._remaining > 0 and self._pending_replies[pe] == 0:
+            self._push((now + cost, self._seq(), _TASK_DONE, pe, task))
+        elif (
+            self.steal_policy is not None
+            and self._remaining > 0
+            and self._pending_replies[pe] == 0
+        ):
             self._start_steal_round(pe, now)
         # Otherwise: idle; will be woken by a steal reply or stay idle at end.
 
-    def _on_task_done(self, ev: _Event) -> None:
-        pe = ev.pe
+    def _on_task_done(self, pe: int, now: float, task: int) -> None:
         self._busy[pe] = False
         self._remaining -= 1
-        self._makespan = max(self._makespan, ev.time)
-        self._stats[pe].finish_time = ev.time
+        if now > self._makespan:
+            self._makespan = now
+        self._stats[pe].finish_time = now
         if self._tr is not None:
-            task = ev.payload
             self._tr.point(
                 EV_TASK_END,
-                ts=ev.time,
+                ts=now,
                 pe=pe,
                 task=task,
                 cost=self._task_costs[task],
@@ -327,35 +331,28 @@ class WorkStealingSimulator:
             )
         # Non-preemptive service: reply to thieves that knocked while we
         # were executing, before picking up the next task.
-        while self._queued_requests[pe]:
-            thief = self._queued_requests[pe].pop(0)
-            self._service_steal(pe, thief, ev.time)
-        self._activate(pe, ev.time)
+        self._drain_requests(pe, now, self._service_steal)
+        self._activate(pe, now)
+
+    def _drain_requests(self, pe: int, now: float, answer) -> None:
+        """Answer, in arrival order, every thief queued at ``pe``.  Answers
+        only schedule events, so nothing joins the queue while it drains."""
+        queued = self._queued_requests[pe]
+        if queued:
+            self._queued_requests[pe] = []
+            for thief in queued:
+                answer(pe, thief, now)
 
     # -- fault handling -----------------------------------------------------
-    def _on_task_failed(self, ev: _Event) -> None:
+    def _on_task_failed(self, pe: int, now: float, task: int) -> None:
         """A ``"raise"`` fault fired: the attempt burned its cost for
         nothing.  Retry goes to the *back* of the PE's own deque — natural
         backoff behind its queued work, and still stealable by others."""
-        pe, task = ev.pe, ev.payload
         self._busy[pe] = False
-        if self._attempts[task] <= self.max_retries:
-            if self._tr is not None:
-                self._tr.point(
-                    EV_TASK_RETRY,
-                    ts=ev.time,
-                    pe=pe,
-                    task=task,
-                    attempt=self._attempts[task],
-                    reason="fault",
-                )
+        if self._may_retry(pe, task, now, "fault", "retries_exhausted"):
             self._deques[pe].append(task)
-        else:
-            self._abandon(task, ev.time, "retries_exhausted")
-        while self._queued_requests[pe]:
-            thief = self._queued_requests[pe].pop(0)
-            self._service_steal(pe, thief, ev.time)
-        self._activate(pe, ev.time)
+        self._drain_requests(pe, now, self._service_steal)
+        self._activate(pe, now)
 
     def _kill_pe(self, pe: int, now: float, pending_task: int) -> None:
         """Crash fault: the PE dies as it picks up ``pending_task``.
@@ -372,31 +369,18 @@ class WorkStealingSimulator:
             self._tr.point(EV_WORKER_DEATH, ts=now, pe=pe, task=pending_task)
         lost = list(self._deques[pe])
         self._deques[pe].clear()
-        if self._attempts[pending_task] <= self.max_retries:
-            if self._tr is not None:
-                self._tr.point(
-                    EV_TASK_RETRY,
-                    ts=now,
-                    pe=pe,
-                    task=pending_task,
-                    attempt=self._attempts[pending_task],
-                    reason="worker_death",
-                )
+        if self._may_retry(pe, pending_task, now, "worker_death", "worker_death"):
             lost.append(pending_task)
-        else:
-            self._abandon(pending_task, now, "worker_death")
         # Thieves queued at the dead PE get an immediate failure reply
         # (death detection), so their rounds complete instead of hanging.
-        while self._queued_requests[pe]:
-            thief = self._queued_requests[pe].pop(0)
-            self._reply_fail(pe, thief, now)
+        self._drain_requests(pe, now, self._reply_fail)
         st.tasks_lost += len(lost)
         st.messages_sent += len(lost)
         self._redispatch_tasks(lost, pe, now)
 
     def _redispatch_tasks(self, tasks: "list[int]", from_pe: int, now: float) -> None:
         """Round-robin tasks over surviving PEs, paying transfer latency."""
-        survivors = [p for p in range(self.topology.num_pes) if not self._dead[p]]
+        survivors = [p for p, dead in enumerate(self._dead) if not dead]
         if not survivors:
             for t in tasks:
                 self._abandon(t, now, "no_survivors")
@@ -405,17 +389,28 @@ class WorkStealingSimulator:
             target = survivors[i % len(survivors)]
             self._messages += 1
             delay = self.topology.latency(from_pe, target, payload=1) + self.transfer_cost
-            self._push_event(now + delay, "redispatch", target, payload=t)
+            self._push((now + delay, self._seq(), _REDISPATCH, target, t))
 
-    def _on_redispatch(self, ev: _Event) -> None:
-        pe, task = ev.pe, ev.payload
+    def _on_redispatch(self, pe: int, now: float, task: int) -> None:
         if self._dead[pe]:
             # The chosen survivor died in transit; bounce onward.
-            self._redispatch_tasks([task], pe, ev.time)
+            self._redispatch_tasks([task], pe, now)
             return
         self._stolen_marks.add(task)
         self._deques[pe].append(task)
-        self._activate(pe, ev.time)
+        self._activate(pe, now)
+
+    def _may_retry(self, pe: int, task: int, now: float, reason: str, if_spent: str) -> bool:
+        """True (and a retry event) while ``task`` has retry budget left;
+        otherwise abandon it for the reason ``if_spent``."""
+        if self._attempts[task] > self.max_retries:
+            self._abandon(task, now, if_spent)
+            return False
+        if self._tr is not None:
+            self._tr.point(
+                EV_TASK_RETRY, ts=now, pe=pe, task=task, attempt=self._attempts[task], reason=reason
+            )
+        return True
 
     def _abandon(self, task: int, now: float, reason: str) -> None:
         self._abandoned.append(task)
@@ -431,7 +426,7 @@ class WorkStealingSimulator:
 
     def _start_steal_round(self, pe: int, now: float) -> None:
         victims = self.steal_policy.select_victims(
-            pe, int(self._idle_rounds[pe]), self.topology, self.rng
+            pe, self._idle_rounds[pe], self.topology, self.rng
         )
         victims = [v for v in victims if v != pe]
         if not victims:
@@ -440,49 +435,46 @@ class WorkStealingSimulator:
         self._round_found[pe] = False
         self._pending_replies[pe] = len(victims)
         st = self._stats[pe]
+        # ``latency`` range-checks each victim, so a policy that names a PE
+        # outside the machine fails here with IndexError.
+        latency, push, seq, tr = self.topology.latency, self._push, self._seq, self._tr
         for v in victims:
             st.steal_requests_sent += 1
             st.messages_sent += 1
             self._messages += 1
-            if self._tr is not None:
-                self._tr.point(EV_STEAL_REQUEST, ts=now, pe=pe, victim=v)
-            self._push_event(
-                now + self.topology.latency(pe, v), "steal_request", v, payload=pe
-            )
+            if tr is not None:
+                tr.point(EV_STEAL_REQUEST, ts=now, pe=pe, victim=v)
+            push((now + latency(pe, v), seq(), _STEAL_REQUEST, v, pe))
 
-    def _on_steal_request(self, ev: _Event) -> None:
-        victim, thief = ev.pe, ev.payload
+    def _on_steal_request(self, victim: int, now: float, thief: int) -> None:
         self._stats[victim].steal_requests_received += 1
         if self._dead[victim]:
-            self._reply_fail(victim, thief, ev.time)
-            return
-        if self._busy[victim] and not self.offload_service:
+            self._reply_fail(victim, thief, now)
+        elif self._busy[victim] and not self.offload_service:
             self._queued_requests[victim].append(thief)
-            return
-        self._service_steal(victim, thief, ev.time)
+        else:
+            self._service_steal(victim, thief, now)
 
     def _service_steal(self, victim: int, thief: int, now: float) -> None:
-        vst = self._stats[victim]
         dq = self._deques[victim]
         stealable = len(dq) - self.min_keep
-        if stealable > 0:
-            if self.steal_chunk == "half":
-                n = max(stealable // 2, 1)
-            else:
-                n = min(int(self.steal_chunk), stealable)
-            tasks = [dq.pop() for _ in range(n)]  # steal from the back
-            vst.steals_serviced += 1
-            vst.tasks_lost += n
-            vst.messages_sent += 1
-            self._messages += 1
-            if self._tr is not None:
-                self._tr.point(
-                    EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n
-                )
-            delay = self.topology.latency(victim, thief, payload=n) + self.transfer_cost * n
-            self._push_event(now + delay, "steal_reply", thief, payload=tasks)
-        else:
+        if stealable <= 0:
             self._reply_fail(victim, thief, now)
+            return
+        if self.steal_chunk == "half":
+            n = max(stealable // 2, 1)
+        else:
+            n = min(int(self.steal_chunk), stealable)
+        tasks = [dq.pop() for _ in range(n)]  # steal from the back
+        vst = self._stats[victim]
+        vst.steals_serviced += 1
+        vst.tasks_lost += n
+        vst.messages_sent += 1
+        self._messages += 1
+        if self._tr is not None:
+            self._tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
+        delay = self.topology.latency(victim, thief, payload=n) + self.transfer_cost * n
+        self._push((now + delay, self._seq(), _STEAL_REPLY, thief, tasks))
 
     def _reply_fail(self, victim: int, thief: int, now: float) -> None:
         vst = self._stats[victim]
@@ -491,14 +483,10 @@ class WorkStealingSimulator:
         self._messages += 1
         if self._tr is not None:
             self._tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=thief)
-        self._push_event(
-            now + self.topology.latency(victim, thief), "steal_reply", thief, payload=[]
-        )
+        delay = self.topology.latency(victim, thief)
+        self._push((now + delay, self._seq(), _STEAL_REPLY, thief, ()))
 
-    def _on_steal_reply(self, ev: _Event) -> None:
-        thief = ev.pe
-        tasks: "list[int]" = ev.payload
-        now = ev.time
+    def _on_steal_reply(self, thief: int, now: float, tasks: "Sequence[int]") -> None:
         self._pending_replies[thief] -= 1
         if self._tr is not None:
             self._tr.point(EV_STEAL_REPLY, ts=now, pe=thief, tasks=len(tasks))
@@ -507,13 +495,11 @@ class WorkStealingSimulator:
             # reclaims the transfer instead of stranding the tasks.
             if tasks:
                 self._redispatch_tasks(tasks, thief, now)
-            return
-        if tasks:
+        elif tasks:
             self._round_found[thief] = True
             self._idle_rounds[thief] = 0
-            for t in tasks:
-                self._stolen_marks.add(t)
-                self._deques[thief].append(t)
+            self._stolen_marks.update(tasks)
+            self._deques[thief].extend(tasks)
             self._activate(thief, now)
         elif self._pending_replies[thief] == 0 and not self._round_found[thief]:
             # Whole round failed: back off and retry while work remains.
@@ -523,16 +509,14 @@ class WorkStealingSimulator:
     def _schedule_retry(self, pe: int, now: float) -> None:
         if self._remaining <= 0:
             return
-        wait = self.backoff_base * (2.0 ** min(int(self._idle_rounds[pe]), self.max_idle_rounds))
-        self._push_event(now + wait, "retry", pe)
+        wait = self.backoff_base * (2.0 ** min(self._idle_rounds[pe], self.max_idle_rounds))
+        self._push((now + wait, self._seq(), _RETRY, pe, None))
 
-    def _on_retry(self, ev: _Event) -> None:
-        pe = ev.pe
+    def _on_retry(self, pe: int, now: float, _payload: None) -> None:
         if self._busy[pe] or self._deques[pe]:
-            self._activate(pe, ev.time)
-            return
-        if self._remaining > 0 and self._pending_replies[pe] == 0:
-            self._start_steal_round(pe, ev.time)
+            self._activate(pe, now)
+        elif self._remaining > 0 and self._pending_replies[pe] == 0:
+            self._start_steal_round(pe, now)
 
 
 def run_static_phase(
@@ -544,12 +528,6 @@ def run_static_phase(
     max_retries: int = 2,
 ) -> SimResult:
     """Execute a phase with no load balancing (the paper's baseline)."""
-    sim = WorkStealingSimulator(
-        topology,
-        executor,
-        steal_policy=None,
-        tracer=tracer,
-        fault_injector=fault_injector,
-        max_retries=max_retries,
-    )
-    return sim.run(assignment)
+    return WorkStealingSimulator(
+        topology, executor, tracer=tracer, fault_injector=fault_injector, max_retries=max_retries
+    ).run(assignment)

@@ -9,9 +9,10 @@ import numpy as np
 __all__ = ["PEStats", "SimResult"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PEStats:
-    """One processing element's ledger for a simulated phase."""
+    """One processing element's ledger for a simulated phase (slotted:
+    the simulator bumps these fields once or twice per message)."""
 
     pe: int
     work_time: float = 0.0

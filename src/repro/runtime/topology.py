@@ -67,6 +67,9 @@ class ClusterTopology:
         self.latency_remote = latency_remote
         self.bandwidth_cost = bandwidth_cost
         self.mesh_shape = mesh_shape_for(num_pes)
+        #: per-PE 4-neighbourhoods, built on first use: an O(P) table (at
+        #: most four entries a PE), never a P x P one.
+        self._mesh_neighbors: "list[tuple[int, ...]] | None" = None
 
     # -- node structure ------------------------------------------------------
     def node_of(self, pe: int) -> int:
@@ -85,12 +88,15 @@ class ClusterTopology:
 
     # -- latency ---------------------------------------------------------------
     def latency(self, src: int, dst: int, payload: float = 0.0) -> float:
-        """One-way latency of a message from ``src`` to ``dst``."""
-        self._check(src)
-        self._check(dst)
+        """One-way latency of a message from ``src`` to ``dst``: one range
+        test, then node-id arithmetic (the simulator asks once per message)."""
+        if not (0 <= src < self.num_pes and 0 <= dst < self.num_pes):
+            self._check(src)
+            self._check(dst)
         if src == dst:
             return 0.0
-        base = self.latency_local if self.same_node(src, dst) else self.latency_remote
+        cpn = self.cores_per_node
+        base = self.latency_local if src // cpn == dst // cpn else self.latency_remote
         return base + self.bandwidth_cost * payload
 
     # -- 2D mesh -----------------------------------------------------------------
@@ -108,15 +114,21 @@ class ClusterTopology:
         return row * cols + col
 
     def mesh_neighbors(self, pe: int) -> "list[int]":
-        """4-neighbourhood of ``pe`` in the logical 2D mesh."""
-        row, col = self.mesh_coords(pe)
-        rows, cols = self.mesh_shape
-        out = []
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            r, c = row + dr, col + dc
-            if 0 <= r < rows and 0 <= c < cols:
-                out.append(self.mesh_pe(r, c))
-        return out
+        """4-neighbourhood of ``pe`` in the logical 2D mesh (up, down,
+        left, right; a fresh list the caller may keep)."""
+        self._check(pe)
+        if self._mesh_neighbors is None:
+            rows, cols = self.mesh_shape
+            self._mesh_neighbors = [
+                tuple(
+                    r * cols + c
+                    for r, c in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1))
+                    if 0 <= r < rows and 0 <= c < cols
+                )
+                for row in range(rows)
+                for col in range(cols)
+            ]
+        return list(self._mesh_neighbors[pe])
 
     def _check(self, pe: int) -> None:
         if not 0 <= pe < self.num_pes:

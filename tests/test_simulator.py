@@ -46,6 +46,13 @@ class TestStaticExecution:
         with pytest.raises(ValueError):
             run_static_phase(topo, _uniform_executor(), {0: 5})
 
+    @pytest.mark.parametrize("pe", [2, -1])
+    def test_invalid_pe_rejected_at_either_edge(self, pe):
+        # The check rides the loop that fills the deques; it must catch the
+        # first PE past the machine and a negative one (which would wrap).
+        with pytest.raises(ValueError):
+            run_static_phase(ClusterTopology(2), _uniform_executor(), {0: 0, 1: pe})
+
     def test_negative_cost_rejected(self):
         topo = ClusterTopology(1)
         sim = WorkStealingSimulator(topo, lambda t, p: -1.0)
@@ -127,6 +134,64 @@ class TestWorkStealing:
             WorkStealingSimulator(topo, _uniform_executor(), steal_chunk=0)
         with pytest.raises(ValueError):
             WorkStealingSimulator(topo, _uniform_executor(), min_keep=-1)
+
+
+class _FixedVictims:
+    """A custom policy: every thief asks the same PEs, minus itself."""
+
+    name = "fixed"
+
+    def __init__(self, *victims):
+        self.victims = victims
+
+    def select_victims(self, thief, round_index, topology, rng):
+        return [v for v in self.victims if v != thief]
+
+
+class TestCustomPolicies:
+    @pytest.mark.parametrize("victim", [4, 99, -1])
+    def test_out_of_range_victim_raises(self, victim):
+        # The simulator does not re-validate victims per message; the
+        # topology's range check on the request's latency must catch it.
+        sim = WorkStealingSimulator(
+            ClusterTopology(4), _uniform_executor(), steal_policy=_FixedVictims(0, victim)
+        )
+        with pytest.raises(IndexError):
+            sim.run({t: 0 for t in range(8)})
+
+    def test_self_and_empty_selections_are_tolerated(self):
+        sim = WorkStealingSimulator(
+            ClusterTopology(3), _uniform_executor(), steal_policy=_FixedVictims()
+        )
+        res = sim.run({t: 0 for t in range(4)})
+        assert res.total_messages == 0 and res.makespan == pytest.approx(40.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="protocol wart (ROADMAP item 4): a thief whose round partly "
+        "succeeded and that drains the loot before the round's last, failed "
+        "reply arrives is never re-armed",
+    )
+    def test_thief_rearms_after_a_partly_successful_round(self):
+        # PE 0 holds the queue, PE 1 is stuck in one long task and PE 2
+        # starts empty.  PE 2 asks both: PE 0 hands over one task at t=10,
+        # PE 1 (non-preemptive) says "nothing" only after t=50.  PE 2 is
+        # done with the stolen task by t~25 — one reply still pending, so
+        # it may not start a round — and when the failure lands the round
+        # already "found work", so no retry is scheduled either.
+        costs = {t: 10.0 for t in range(40)}
+        costs[100] = 50.0
+        sim = WorkStealingSimulator(
+            ClusterTopology(3),
+            lambda task, pe: costs[task],
+            steal_policy=_FixedVictims(0, 1),
+            steal_chunk=1,
+        )
+        res = sim.run({**{t: 0 for t in range(40)}, 100: 1})
+        thief = res.pe_stats[2]
+        assert thief.tasks_executed == 1 and thief.finish_time < 50.0  # the set-up holds
+        assert res.pe_stats[0].finish_time > 100.0  # work was queued elsewhere all along
+        assert thief.steal_requests_sent > 2  # ...so the thief should have asked again
 
 
 class TestHeterogeneousCosts:

@@ -52,6 +52,26 @@ class TestClusterTopology:
         with pytest.raises(IndexError):
             topo.node_of(-1)
 
+    @pytest.mark.parametrize("bad", [-1, 48])
+    def test_range_checks_survive_the_fast_path(self, topo, bad):
+        # latency() is the simulator's per-message call and mesh_neighbors()
+        # answers from a table: neither may let a negative index wrap.
+        with pytest.raises(IndexError):
+            topo.latency(bad, 0)
+        with pytest.raises(IndexError):
+            topo.latency(0, bad)
+        with pytest.raises(IndexError):
+            topo.mesh_neighbors(bad)
+
+    def test_latency_is_node_arithmetic(self, topo):
+        for src in range(48):
+            for dst in range(48):
+                expect = 0.0 if src == dst else (1.0 if topo.same_node(src, dst) else 10.0)
+                assert topo.latency(src, dst) == expect
+                assert topo.latency(src, dst, payload=3) == (
+                    0.0 if src == dst else expect + topo.bandwidth_cost * 3
+                )
+
     def test_mesh_round_trip(self, topo):
         for pe in range(48):
             r, c = topo.mesh_coords(pe)
@@ -67,6 +87,20 @@ class TestClusterTopology:
     def test_mesh_neighbors_corner(self, topo):
         nbrs = topo.mesh_neighbors(0)
         assert len(nbrs) == 2
+
+    def test_mesh_neighbors_order_and_ownership(self, topo):
+        rows, cols = topo.mesh_shape
+        for pe in range(48):
+            r, c = topo.mesh_coords(pe)
+            expect = [
+                topo.mesh_pe(rr, cc)
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < rows and 0 <= cc < cols
+            ]
+            assert topo.mesh_neighbors(pe) == expect
+        # The caller owns what it gets: mutating it must not reach the table.
+        topo.mesh_neighbors(5).clear()
+        assert len(topo.mesh_neighbors(5)) == 3
 
     def test_mesh_neighbors_symmetric(self, topo):
         for pe in range(48):

@@ -39,6 +39,24 @@ class TestRandK:
         with pytest.raises(ValueError):
             RandKPolicy(0)
 
+    @pytest.mark.parametrize("P", [2, 3, 9, 96])
+    def test_same_generator_stream_as_explicit_candidate_array(self, P):
+        """The index-shift draw is, victim for victim and bit for bit of
+        generator state, the draw from the explicit array of other PEs."""
+        topo = ClusterTopology(P)
+        for k in (1, 8, P + 3):
+            policy = RandKPolicy(k)
+            for thief in range(P):
+                new_rng = np.random.default_rng([P, k, thief])
+                ref_rng = np.random.default_rng([P, k, thief])
+                for round_index in range(3):
+                    got = policy.select_victims(thief, round_index, topo, new_rng)
+                    others = np.delete(np.arange(P), thief)
+                    ref = ref_rng.choice(others, size=min(k, P - 1), replace=False)
+                    assert got == ref.tolist()
+                    assert all(type(v) is int for v in got)
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestDiffusive:
     def test_selects_mesh_neighbors(self, topo, rng):
