@@ -8,7 +8,7 @@ Packages
 --------
 ``repro.kernels``
     Pluggable compute-kernel backends (bit-exact ``reference``, float32
-    blocked ``fast32``, optional numba) behind a registry; selected via
+    blocked ``fast32``, tree-culled ``bvh``) behind a registry; selected via
     ``ExecutionPolicy(kernel_backend=...)``.
 ``repro.geometry``
     Workspace primitives, benchmark environments, vectorised collision.
@@ -43,8 +43,7 @@ Packages
     request coalescing, and the thread-pooled multi-tenant
     ``PlanService``.
 ``repro.bench``
-    Drivers that regenerate every figure in the paper's evaluation, the
-    perf suite, and the serving load generator.
+    Drivers that regenerate every figure in the paper's evaluation.
 
 Quick start
 -----------
@@ -69,7 +68,7 @@ from .obs import (
 from .runtime import Fault, FaultInjector, TaskFailedError
 from .service import PlanService, RoadmapCache, ServiceConfig
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

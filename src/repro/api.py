@@ -36,8 +36,6 @@ wall-clock numbers.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -483,14 +481,13 @@ def _rrt_decomposition(
 
 
 # --- data planes -----------------------------------------------------------
-# Three ways to get the heavy planning context (environment + subdivision)
+# Two ways to get the heavy planning context (environment + subdivision)
 # to pool workers.  "inline" ships the closure with every chunk (the
 # historical behaviour — cheap under fork's copy-on-write, expensive under
-# spawn).  "pickle" serialises the closure once and caches the decode per
-# worker.  "shm" publishes the environment's obstacle arrays as a shared
+# spawn).  "shm" publishes the environment's obstacle arrays as a shared
 # memory segment; workers map it zero-copy and rebuild the (deterministic)
 # subdivision locally, so per-chunk traffic is a few hundred bytes however
-# large the scene is.  Results are bit-identical across all three.
+# large the scene is.  Results are bit-identical across both.
 
 @dataclass(frozen=True)
 class _ShmPlanContext:
@@ -509,8 +506,6 @@ class _ShmPlanContext:
 
 #: one rebuilt closure per worker process, keyed by the full context.
 _SHM_TASK_CACHE: "dict[_ShmPlanContext, object]" = {}
-#: one decoded closure per worker process, keyed by blob digest.
-_PICKLE_TASK_CACHE: "dict[str, object]" = {}
 
 
 def _rebind_task(cspace: ConfigurationSpace, ctx: _ShmPlanContext):
@@ -544,15 +539,6 @@ def _shm_region_task(ctx: _ShmPlanContext, rid: int):
         task = _rebind_task(cs, ctx)
         _SHM_TASK_CACHE.clear()
         _SHM_TASK_CACHE[ctx] = task
-    return task(rid)
-
-
-def _pickled_region_task(digest: str, blob: bytes, rid: int):
-    task = _PICKLE_TASK_CACHE.get(digest)
-    if task is None:
-        task = pickle.loads(blob)
-        _PICKLE_TASK_CACHE.clear()
-        _PICKLE_TASK_CACHE[digest] = task
     return task(rid)
 
 
@@ -661,11 +647,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
                 nn_backend=ex.nn_backend,
             )
             task = partial(_shm_region_task, ctx)
-        elif plane == "pickle":
-            blob = pickle.dumps(task)
-            task = partial(
-                _pickled_region_task, hashlib.sha256(blob).hexdigest(), blob
-            )
 
         pool = run_tasks_parallel(
             task,

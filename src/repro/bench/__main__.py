@@ -5,8 +5,6 @@ Usage::
     python -m repro.bench                 # list available figures
     python -m repro.bench fig5a           # regenerate one figure
     python -m repro.bench all             # regenerate everything
-    python -m repro.bench perf [...]      # hot-path perf regression suite
-    python -m repro.bench serve [...]     # PlanService load-generator bench
 """
 
 from __future__ import annotations
@@ -32,24 +30,14 @@ _FIGURES = {
 
 
 def main(argv: "list[str]") -> int:
-    """Dispatch to a figure benchmark or the perf suite; 0 on success."""
+    """Dispatch to a figure benchmark; 0 on success."""
     if not argv:
         print(__doc__)
         print("Available figures:")
         for name, fn in _FIGURES.items():
             summary = (fn.__doc__ or "").strip().splitlines()[0]
             print(f"  {name:8s} {summary}")
-        print("  perf     hot-path perf regression suite (see 'perf --help')")
-        print("  serve    PlanService load-generator bench (see 'serve --help')")
         return 0
-    if argv[0] == "perf":
-        from . import perf
-
-        return perf.main(argv[1:])
-    if argv[0] == "serve":
-        from . import serve
-
-        return serve.main(argv[1:])
     targets = list(_FIGURES) if argv == ["all"] else argv
     unknown = [t for t in targets if t not in _FIGURES]
     if unknown:

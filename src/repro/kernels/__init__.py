@@ -11,13 +11,11 @@ registry:
   historical inline code.  The default everywhere.
 * ``fast32`` — float32 blocked/tiled kernels over the structure-of-arrays
   snapshot (:class:`~repro.kernels.data.EnvKernelData`); statistically
-  equivalent, ~2x on medium scenes (see BENCH_perf.json).
+  equivalent.
 * ``bvh`` — BVH-culled collision kernels for obstacle-heavy scenes
   (10³–10⁵ primitives, see ``repro.geometry.scenarios``); *bit-exact*
   with the reference (the tree culls, leaf tests are the reference
   expressions), distance primitives delegate to ``reference``.
-* ``numba`` — compiled scalar loops with early exit; registered only when
-  numba imports, silently absent otherwise.
 
 Select a backend per plan request with
 ``ExecutionPolicy(kernel_backend="fast32")``, per environment with
@@ -47,7 +45,6 @@ __all__ = [
     "register",
     "get_backend",
     "available_backends",
-    "numba_available",
     "select_canonical",
     "select_canonical_rows",
 ]
@@ -71,8 +68,7 @@ def register(name: str, factory) -> None:
 
 
 def available_backends() -> "list[str]":
-    """Registered backend names, sorted (``numba`` appears only when the
-    import succeeded)."""
+    """Registered backend names, sorted."""
     return sorted(_FACTORIES)
 
 
@@ -99,18 +95,6 @@ def get_backend(name: "str | KernelBackend | None" = None) -> KernelBackend:
         ) from None
 
 
-def numba_available() -> bool:
-    """True when the numba backend registered at import time."""
-    return "numba" in _FACTORIES
-
-
 register("reference", ReferenceKernels)
 register("fast32", Fast32Kernels)
 register("bvh", BVHKernels)
-
-try:  # numba is optional: absent => the backend simply isn't listed.
-    from .numba_backend import NumbaKernels
-except ImportError:  # pragma: no cover - exercised on the no-numba CI leg
-    pass
-else:  # pragma: no cover - exercised on the numba CI leg
-    register("numba", NumbaKernels)

@@ -22,11 +22,10 @@ touches planner logic.  Contracts:
 * The ``reference`` backend is bit-exact with the historical inline NumPy
   expressions; fast backends guarantee *statistical* equivalence only —
   identical verdicts away from decision boundaries, distances within
-  float32 rounding (see the equivalence gates in ``tests/test_kernels.py``
-  and ``repro.bench.perf``).  The ``bvh`` backend is the exception among
-  the accelerated backends: it culls with a conservative tree but decides
-  with the reference expressions, so it is held to *bit-exact* gates
-  (``tests/test_bvh.py``).
+  float32 rounding (see the equivalence gates in ``tests/test_kernels.py``).
+  The ``bvh`` backend is the exception among the accelerated backends: it
+  culls with a conservative tree but decides with the reference
+  expressions, so it is held to *bit-exact* gates (``tests/test_bvh.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ __all__ = ["KernelBackend"]
 class KernelBackend(ABC):
     """Interchangeable implementation of the planner's hot primitives."""
 
-    #: Registry name (``"reference"``, ``"fast32"``, ``"numba"``, ...).
+    #: Registry name (``"reference"``, ``"fast32"``, ``"bvh"``, ...).
     name: str = "abstract"
     #: Internal compute dtype (outputs are always float64/bool/int64).
     dtype = np.float64

@@ -13,9 +13,10 @@ array-level expressions (:func:`repro.kernels.reference.points_hit_boxes`
 and friends) applied to the gathered primitive subset.  Elementwise
 NumPy expressions over a subset produce the same bits as over the full
 array, so a verdict can never differ from ``reference`` — which is why
-the differential battery in ``tests/test_bvh.py`` and the
-``bvh_collision_scaling`` bench row assert exact equality where the
-fast32 gates settle for stability-guarded agreement.
+the differential battery in ``tests/test_bvh.py`` (up to the 20k-obstacle
+warehouse the ``prm_warehouse_process`` benchmark workload plans in)
+asserts exact equality where the fast32 gates settle for
+stability-guarded agreement.
 
 ``pairwise_accumulate`` and ``knn_block_min`` have no obstacle structure
 to accelerate; they delegate to the reference backend unchanged.

@@ -5,8 +5,7 @@ arrays — into contiguous NumPy buffers so kernels loop over flat arrays
 instead of Python primitive objects.  It is built once per environment
 mutation (see :meth:`repro.geometry.environment.Environment.kernel_data`)
 and shared by every backend: the reference backend reads the float64
-arrays, the fast32 backend the float32 mirrors, and a numba backend the
-float64 arrays through nopython loops.
+arrays, the fast32 backend the float32 mirrors.
 
 Two obstacle types are carried: axis-aligned boxes (lo/hi plus the
 center/half-extent form blocked kernels prefer) and spheres

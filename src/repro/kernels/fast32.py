@@ -17,10 +17,10 @@ reference kernels:
 Numerically this backend is *statistically* equivalent to the reference:
 verdicts may flip for queries within float32 rounding of a decision
 boundary (an obstacle face, the workspace wall, a k-NN distance tie).
-The equivalence gates in ``tests/test_kernels.py`` and the perf suite
-quantify exactly that: agreement is asserted on every query whose
-reference verdict is stable under ``±eps`` obstacle inflation, and k-NN
-distances must match to 1e-4 relative.
+The equivalence gates in ``tests/test_kernels.py`` quantify exactly
+that: agreement is asserted on every query whose reference verdict is
+stable under ``±eps`` obstacle inflation, and k-NN distances must match
+to 1e-4 relative.
 """
 
 from __future__ import annotations

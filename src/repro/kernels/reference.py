@@ -87,9 +87,10 @@ def segments_hit_boxes(
     m = obs_lo.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(d != 0.0, 1.0 / d, np.inf)  # (n, dim)
-    # (n, m, dim)
-    t_lo = (obs_lo[None, :, :] - p[:, None, :]) * inv[:, None, :]
-    t_hi = (obs_hi[None, :, :] - p[:, None, :]) * inv[:, None, :]
+        # (n, m, dim); 0 * inf = nan on a parallel axis whose slab face passes
+        # through p — those entries are overwritten by the ``parallel`` mask.
+        t_lo = (obs_lo[None, :, :] - p[:, None, :]) * inv[:, None, :]
+        t_hi = (obs_hi[None, :, :] - p[:, None, :]) * inv[:, None, :]
     t_near = np.minimum(t_lo, t_hi)
     t_far = np.maximum(t_lo, t_hi)
     parallel = (d == 0.0)[:, None, :] & np.ones((1, m, 1), dtype=bool)

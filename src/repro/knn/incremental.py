@@ -2,11 +2,11 @@
 
 RRT grows its tree one vertex at a time and queries the structure between
 every insertion, which rules out both a static kd-tree (stale after one
-insert) and a brute-force scan (O(n) per query makes the build O(n²) —
-the ``nn_distance_evals`` wall in BENCH_perf.json).  This module is the
-classic logarithmic-rebuild answer (Bentley & Saxe's static-to-dynamic
-transformation): a *ladder* of frozen kd-trees of geometrically growing
-sizes plus a small brute-force buffer.
+insert) and a brute-force scan (O(n) per query makes the build O(n²) in
+distance evaluations).  This module is the classic logarithmic-rebuild
+answer (Bentley & Saxe's static-to-dynamic transformation): a *ladder* of
+frozen kd-trees of geometrically growing sizes plus a small brute-force
+buffer.
 
 * **Inserts** append to the buffer (O(1)).  When the buffer reaches
   capacity ``B``, its points merge with every occupied rung below the
@@ -41,7 +41,7 @@ The structure's :class:`~repro.knn.base.KnnStats` additionally count
 ``rebuilds`` (rung merges), ``buffer_hits`` (returned neighbours that
 were still sitting in the brute buffer) and ``evals_saved`` (distance
 evaluations a brute-force scan would have spent minus what the ladder
-actually spent) — surfaced as planner counters and in the bench rows.
+actually spent) — surfaced as planner counters.
 """
 
 from __future__ import annotations

@@ -55,8 +55,7 @@ from .roadmap import Roadmap
 __all__ = ["QueryRequest", "BatchQueryResult", "QueryEngine"]
 
 #: Auto backend crossover: below this vertex count the brute-force index's
-#: one-matrix batch scan is faster than per-query kd-tree descents (the
-#: ``knn_scaling`` benchmark tracks the large-n side of the trade).
+#: one-matrix batch scan is faster than per-query kd-tree descents.
 _AUTO_KDTREE_MIN = 8192
 
 

@@ -45,8 +45,7 @@ speculative charge to the replayed one at the end of the call — the
 charge per evaluated point is a constant factor, so the correction is
 exact integer arithmetic (same argument as the PRM build).  Tree
 topology, ``PlannerStats``, and counters are asserted field-for-field
-identical to the sequential oracle in ``tests/test_rrt_batched.py`` and
-re-verified by every ``python -m repro.bench perf`` run.
+identical to the sequential oracle in ``tests/test_rrt_batched.py``.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ class RRT:
         local planner offers ``batch_pairs_exact`` (default True).
         Results — tree, parents, ``PlannerStats``, collision counters —
         are identical either way; False forces the one-extension-at-a-
-        time reference path (used by the perf suite to measure the
-        speedup and by tests to assert parity).
+        time reference path (the oracle tests assert parity against).
     """
 
     def __init__(

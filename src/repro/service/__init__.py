@@ -17,9 +17,9 @@ call; this package keeps the expensive artefacts alive between requests:
     the runtime's retry / degrade fault policies.
 
 Served answers are bit-identical to direct ``RoadmapQuery.solve`` /
-``QueryEngine.solve`` calls on the same workload; the
-``python -m repro.bench serve`` load generator measures what the
-amortisation buys (throughput, p50/p99/p999 latency, hit rate).
+``QueryEngine.solve`` calls on the same workload; the ``serve_mixed``
+workload of ``benchmarks/e2e`` measures what the amortisation buys
+(burst throughput, open-loop latency percentiles, hit rate).
 """
 
 from .cache import CacheStats, RoadmapCache, build_engine, snapshot_nbytes

@@ -178,7 +178,7 @@ class RoadmapCache:
         (ignored when an explicit ``builder`` is given).
     enabled:
         ``False`` turns storage off: every lookup is a miss that builds
-        fresh (the bit-parity control for benchmarks and tests —
+        fresh (the bit-parity control for tests —
         identical answers, none of the amortisation).
     tracer:
         Optional :class:`~repro.obs.Tracer` for cache events/metrics.

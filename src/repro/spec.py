@@ -58,7 +58,7 @@ _PLANNERS = ("prm", "rrt")
 _MODES = ("simulate", "local")
 _STRATEGIES = ("none", "repartition", "rand-8", "rand-k", "diffusive", "hybrid")
 _BACKENDS = ("thread", "process")
-_DATA_PLANES = ("auto", "shm", "pickle")
+_DATA_PLANES = ("auto", "shm")
 
 
 def _environment_fingerprint(env: "str | object") -> bytes:
@@ -180,8 +180,8 @@ class ExecutionPolicy:
     chunksize: "int | str" = 1
     #: how the planning context crosses the process boundary:
     #: ``"auto"`` (shared memory when the backend is ``"process"`` and
-    #: the platform supports it, else pickle), ``"shm"``, or
-    #: ``"pickle"`` (explicitly serialize the context once per worker).
+    #: the platform supports it, else the closure ships inline with each
+    #: chunk) or ``"shm"`` (require shared memory, raise if ineligible).
     #: Results are bit-identical across planes; only transport differs.
     data_plane: str = "auto"
     #: compute-kernel backend for the collision/distance hot paths (a

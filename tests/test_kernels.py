@@ -1,14 +1,14 @@
 """Kernel-backend suite: registry behaviour, the SoA snapshot and its
 caching on ``Environment``, and the reference-vs-fast equivalence battery.
 
-The equivalence contract is two-tier (mirroring the bench gates):
+The equivalence contract is two-tier:
 
 * ``reference`` is bit-exact with the historical inline expressions —
   covered implicitly by the rest of the test suite running on the
   default backend, and explicitly by the ``_dist_block`` parity test.
-* fast backends (``fast32``, and ``numba`` when installed) must agree
-  with the reference on every *stable* query: one whose reference
-  verdict survives inflating/shrinking all obstacle faces by eps
+* fast backends (``fast32``) must agree with the reference on every
+  *stable* query: one whose reference verdict survives
+  inflating/shrinking all obstacle faces by eps
   (:meth:`EnvKernelData.inflated`).  Queries inside the eps boundary
   band may flip under float32 rounding; nothing else may.
 
@@ -29,7 +29,6 @@ from repro.kernels import (
     EnvKernelData,
     available_backends,
     get_backend,
-    numba_available,
     register,
 )
 from repro.kernels.base import KernelBackend
@@ -48,8 +47,8 @@ FALLBACK_EXAMPLES = 25
 #: Decision-boundary guard width for the stable-query contract.
 EPS = 1e-6
 
-#: Every fast backend present in this environment.
-FAST_BACKENDS = ["fast32"] + (["numba"] if numba_available() else [])
+#: Every statistical-tier backend.
+FAST_BACKENDS = ["fast32"]
 
 
 def property_test(strategy_builder, fallback_gen, examples=50):
@@ -92,8 +91,6 @@ def test_default_backend_is_reference():
 def test_available_backends_lists_builtins():
     names = available_backends()
     assert "reference" in names and "fast32" in names
-    # numba appears iff its import succeeded — no silent half-registration.
-    assert ("numba" in names) == numba_available()
 
 
 def test_unknown_backend_raises_with_listing():
@@ -136,17 +133,6 @@ def test_register_replaces_and_drops_cached_instance():
 
         _k._FACTORIES.pop("dummy-test", None)
         _k._INSTANCES.pop("dummy-test", None)
-
-
-def test_numba_absence_degrades_cleanly():
-    """Without numba the name is simply unregistered: selection raises the
-    ordinary unknown-backend error and nothing else changes."""
-    if numba_available():
-        assert get_backend("numba").name == "numba"
-    else:
-        assert "numba" not in available_backends()
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("numba")
 
 
 # -- EnvKernelData -----------------------------------------------------------
@@ -277,7 +263,7 @@ def test_pairwise_accumulate_close_across_backends(seed):
     for name in ["reference"] + FAST_BACKENDS:
         out = np.empty((queries.shape[0], stored.shape[0]))
         get_backend(name).pairwise_accumulate(stored, queries, out)
-        rtol = 1e-12 if name in ("reference", "numba") else 1e-4
+        rtol = 1e-12 if name == "reference" else 1e-4
         np.testing.assert_allclose(out, expected, rtol=rtol, atol=1e-9)
 
 
@@ -310,10 +296,7 @@ def test_knn_block_min_matches_reference(seed):
             tiefree = gap > 1e-4 * np.maximum(rd1[:, kk], 1.0)
         else:
             tiefree = np.ones(m, dtype=bool)  # all points returned: same set
-        if name == "numba":  # float64 scalar loops: ids exact everywhere
-            assert np.array_equal(fi, ri)
-        else:
-            assert np.array_equal(np.sort(fi[tiefree]), np.sort(ri[tiefree]))
+        assert np.array_equal(np.sort(fi[tiefree]), np.sort(ri[tiefree]))
 
 
 def test_knn_block_min_pads_when_k_exceeds_store():

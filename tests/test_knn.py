@@ -138,6 +138,19 @@ class TestCanonicalTieBreak:
         assert kd.knn(q, k) == ref
         assert inc.knn(q, k) == ref
 
+    def test_exact_order_at_20k_points(self, rng):
+        """Above the size where ``QueryEngine`` switches from the brute
+        scan to the kd-tree: same ordered lists there too."""
+        n = 20_000
+        pts = rng.uniform(0.0, 10.0, size=(n, 3))
+        queries = rng.uniform(0.0, 10.0, size=(64, 3))
+        brute, kd, inc = _backends(3)
+        for nn in (brute, kd, inc):
+            nn.add_batch(np.arange(n), pts)
+        ref = brute.knn_batch(queries, 8)
+        assert kd.knn_batch(queries, 8) == ref
+        assert inc.knn_batch(queries, 8) == ref
+
     def test_knn_batch_matches_loop(self, rng):
         """The vectorised batch path must equal per-query knn calls
         exactly, for every backend (brute overrides it, others inherit)."""

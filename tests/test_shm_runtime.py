@@ -8,7 +8,6 @@ task start stamps, and the end-to-end planes on plan().
 """
 
 import os
-import pickle
 import time
 
 import numpy as np
@@ -252,7 +251,7 @@ class TestDispatchAccounting:
 
 class TestSpecSurface:
     def test_data_plane_validation(self):
-        for plane in ("auto", "shm", "pickle"):
+        for plane in ("auto", "shm"):
             ExecutionPolicy(mode="local", data_plane=plane).validate()
         with pytest.raises(ValueError):
             ExecutionPolicy(mode="local", data_plane="carrier-pigeon").validate()
@@ -347,13 +346,12 @@ def _roadmap_sig(report):
 
 
 class TestPlanes:
-    def test_shm_and_pickle_planes_bit_identical(self):
+    def test_shm_plane_bit_identical_to_inline(self):
         base = _small_plan(backend="thread")
         shm = _small_plan(backend="process", data_plane="shm")
-        pkl = _small_plan(backend="process", data_plane="pickle")
-        assert _roadmap_sig(base) == _roadmap_sig(shm) == _roadmap_sig(pkl)
-        assert base.planner_stats == shm.planner_stats == pkl.planner_stats
-        assert shm.local_counters == pkl.local_counters
+        assert _roadmap_sig(base) == _roadmap_sig(shm)
+        assert base.planner_stats == shm.planner_stats
+        assert base.local_counters == shm.local_counters
         assert shm.dispatch.shm_segments == 1
         assert shm.dispatch.shm_bytes > 0
         assert shm.dispatch.shm_attaches >= 1
@@ -406,15 +404,3 @@ class TestPlanes:
         rep = plan(wl, execution=ex, faults=fa)
         assert rep.pool.abandoned == [1]
         assert shm_mod.leaked_segments() == []
-
-    def test_pickle_plane_decode_cached_per_digest(self):
-        from repro.api import _PICKLE_TASK_CACHE, _pickled_region_task
-
-        blob = pickle.dumps(_task)
-        _PICKLE_TASK_CACHE.clear()
-        assert _pickled_region_task("d1", blob, 3) == 22
-        assert "d1" in _PICKLE_TASK_CACHE
-        # Second call hits the cache (same digest) — no re-decode.
-        cached = _PICKLE_TASK_CACHE["d1"]
-        _pickled_region_task("d1", blob, 4)
-        assert _PICKLE_TASK_CACHE["d1"] is cached
