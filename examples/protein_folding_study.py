@@ -45,7 +45,10 @@ def main() -> None:
     print("Protein-folding-style study: load balancing vs clutter level\n")
     header = ["clutter", "P", "no-LB", "repartition", "hybrid WS", "best speedup"]
     rows = []
-    for blocked in (0.05, 0.15, 0.30):
+    # Clashes are drawn without overlap inside the central 60 % of the
+    # workspace, which packs to about 12 % of its volume: a higher target
+    # never terminates.
+    for blocked in (0.03, 0.06, 0.10):
         env = make_conformation_space(blocked)
         cspace = EuclideanCSpace(env)
         workload = build_prm_workload(
@@ -68,9 +71,9 @@ def main() -> None:
             )
     print(format_table(header, rows))
     print(
-        "\nTakeaway: the more heterogeneous the conformation space, the more "
-        "load balancing pays — matching the paper's motivation for studying "
-        "larger proteins on more cores."
+        "\nTakeaway: clutter raises the total work, and the better of the two "
+        "load balancers beats no-LB by 1.3-1.6x at every level — the paper's "
+        "motivation for studying larger proteins on more cores."
     )
 
 

@@ -25,37 +25,32 @@ accepted directly::
     >>> plan(WorkloadSpec(num_regions=64), execution=ExecutionPolicy(num_pes=8))
 
 The pre-facade entry points (``build_prm_workload`` / ``simulate_prm``
-and the RRT pair) remain the underlying building blocks.
+and the RRT pair) remain the underlying building blocks, and one region
+planner (:class:`repro.core.PRMRegionPlanner` /
+:class:`repro.core.RRTRegionPlanner`, ``rid -> regional result``) is the
+single regional entry point under both execution modes.
 
-``ExecutionPolicy.mode == "simulate"`` (default) replays the measured
-workload on a virtual machine of ``num_pes`` PEs.  ``mode == "local"``
-instead runs the regional planners truly in parallel on this machine's
-cores via :func:`repro.runtime.run_tasks_parallel` and reports
-wall-clock numbers.
+``ExecutionPolicy.mode == "simulate"`` (default) builds the workload
+(:meth:`WorkloadSpec.build_workload`) and replays it on a virtual machine
+of ``num_pes`` PEs.  ``mode == "local"`` instead hands the region planner
+to :func:`repro.runtime.run_tasks_parallel`, which runs the regions truly
+in parallel on this machine's cores, and reports wall-clock numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core.parallel_prm import (
-    ID_SHIFT,
-    PRMRunResult,
-    PRMWorkload,
-    _positional_bounds,
-    _region_sample_box,
-    build_prm_workload,
-    simulate_prm,
-)
+from .core.parallel_prm import PRMRegionPlanner, PRMRunResult, PRMWorkload, simulate_prm
 from .core.parallel_rrt import (
+    RRTRegionPlanner,
     RRTRunResult,
     RRTWorkload,
-    _lift_position,
-    build_rrt_workload,
+    default_root,
     simulate_rrt,
 )
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
@@ -65,15 +60,11 @@ from .knn import get_nn_factory
 from .obs.summary import TraceSummary, format_summary, summarize_events
 from .obs.tracer import active
 from .planners.engine import BatchQueryResult, QueryEngine
-from .planners.prm import PRM
 from .planners.roadmap import Roadmap
-from .planners.rrt import RRT
 from .planners.stats import PlannerStats
 from .runtime import shm as _shm
 from .runtime.local_pool import PoolResult, run_tasks_parallel
 from .spec import ExecutionPolicy, FaultPolicy, ObsConfig, PlanRequest, WorkloadSpec
-from .subdivision.radial import RadialSubdivision
-from .subdivision.uniform import UniformSubdivision
 
 if TYPE_CHECKING:
     from .runtime.stats import SimResult
@@ -196,26 +187,23 @@ class PlanReport:
         requests,
         execution: "ExecutionPolicy | None" = None,
         faults: "FaultPolicy | None" = None,
-        **kwargs,
     ) -> BatchQueryResult:
         """Solve a batch of ``(start, goal)`` queries against the built
         roadmap via the cached :meth:`query_engine`.
 
         ``execution`` / ``faults`` specs (the same objects :func:`plan`
         and :class:`repro.service.PlanService` take) configure the pool
-        dispatch and retry/degrade policy; loose keyword arguments still
-        pass through to
-        :meth:`repro.planners.engine.QueryEngine.solve_many` (``workers``,
-        ``backend``, ``failure_policy``, ...).  The request's tracer is
-        attached by default so query events land in the same trace as the
-        build, and retry/abandonment accounting surfaces on the returned
+        dispatch and retry/degrade policy of
+        :meth:`repro.planners.engine.QueryEngine.solve_many`; without an
+        ``execution`` the batch runs inline.  The request's tracer is
+        attached so query events land in the same trace as the build, and
+        retry/abandonment accounting surfaces on the returned
         :class:`~repro.planners.engine.BatchQueryResult` exactly as
         :func:`plan` surfaces it on the report (``retries``,
         ``abandoned``, ``attempts``, ``worker_deaths``).
         """
-        kwargs.setdefault("tracer", self.request.obs.tracer)
         return self.query_engine().solve_many(
-            requests, execution=execution, faults=faults, **kwargs
+            requests, tracer=self.request.obs.tracer, execution=execution, faults=faults
         )
 
     def trace_summary(self) -> "TraceSummary | None":
@@ -307,51 +295,19 @@ def plan(
         cspace.set_kernel_backend(ex.kernel_backend)
     if ex.mode == "local":
         return _plan_local(request, cspace)
-    # Workload options may already carry an explicit nn_factory; the
-    # policy's nn_backend fills it in only when they don't.
-    wl_options = dict(wl.options)
-    if ex.nn_backend is not None:
-        wl_options.setdefault("nn_factory", get_nn_factory(ex.nn_backend))
-    if wl.planner == "prm":
-        workload = build_prm_workload(
-            cspace,
-            num_regions=wl.num_regions,
-            samples_per_region=wl.samples_per_region,
-            seed=wl.seed,
-            **wl_options,
-        )
-        result = simulate_prm(
-            workload,
-            ex.num_pes,
-            ex.strategy,
-            topology=ex.topology,
-            steal_chunk=ex.steal_chunk,
-            tracer=ob.tracer,
-            initial_partitioner=ex.partitioner,
-            fault_injector=fa.injector,
-            max_retries=fa.max_retries,
-        )
-    else:
-        root = _default_root(cspace, wl.seed)
-        workload = build_rrt_workload(
-            cspace,
-            root,
-            num_regions=wl.num_regions,
-            nodes_per_region=wl.nodes_per_region,
-            seed=wl.seed,
-            **wl_options,
-        )
-        result = simulate_rrt(
-            workload,
-            ex.num_pes,
-            ex.strategy,
-            topology=ex.topology,
-            steal_chunk=ex.steal_chunk,
-            tracer=ob.tracer,
-            initial_partitioner=ex.partitioner,
-            fault_injector=fa.injector,
-            max_retries=fa.max_retries,
-        )
+    workload = wl.build_workload(cspace, nn_factory=get_nn_factory(ex.nn_backend))
+    simulate = simulate_prm if wl.planner == "prm" else simulate_rrt
+    result = simulate(
+        workload,
+        ex.num_pes,
+        ex.strategy,
+        topology=ex.topology,
+        steal_chunk=ex.steal_chunk,
+        tracer=ob.tracer,
+        initial_partitioner=ex.partitioner,
+        fault_injector=fa.injector,
+        max_retries=fa.max_retries,
+    )
     return PlanReport(
         request=request,
         workload=workload,
@@ -361,123 +317,58 @@ def plan(
     )
 
 
-def _default_root(cspace: ConfigurationSpace, seed: int) -> np.ndarray:
-    """A valid RRT root: the bounds centre if free, else a valid sample.
-
-    Sampling starts near the centre and widens to the full bounds — some
-    environments (e.g. med-cube) block the entire central region.
-    """
-    lo, hi = cspace.bounds.lo, cspace.bounds.hi
-    mid = (lo + hi) / 2.0
-    root = mid.copy()
-    rng = np.random.default_rng(seed)
-    for attempt in range(10_000):
-        if cspace.valid_single(root):
-            return root
-        scale = 0.3 if attempt < 64 else 1.0
-        root = rng.uniform(mid + scale * (lo - mid), mid + scale * (hi - mid))
-    raise ValueError("no valid RRT root found; environment looks fully blocked")
-
-
 # ---------------------------------------------------------------------------
 # Local (true-parallel) execution
 # ---------------------------------------------------------------------------
-# Module-level tasks bound with functools.partial so the "process" backend
-# can pickle them; the default "thread" backend works either way.  Each task
-# returns ``(roadmap, stats, (point_checks, segment_checks))`` — its own
-# exact share of the collision work (``CollisionCounters`` windows are
-# per-thread), which also survives the hop back from worker processes,
-# where the parent's environment counters never tick.
-
-def _counters_of(cspace: ConfigurationSpace):
-    env = getattr(cspace, "env", None)
-    return getattr(env, "counters", None)
-
-
-def _prm_region_task(
-    cspace: ConfigurationSpace,
-    subdivision: UniformSubdivision,
-    samples_per_region: int,
-    seed: int,
-    nn_backend: "str | None",
-    rid: int,
-) -> "tuple[Roadmap, PlannerStats, tuple[int, int]]":
-    region = subdivision.region_of(rid)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rid,)))
-    planner = PRM(
-        cspace,
-        connect_same_component=False,
-        nn_factory=get_nn_factory(nn_backend),
-    )
-    within = _region_sample_box(cspace, region.sample_bounds)
-    counters = _counters_of(cspace)
-    before = counters.snapshot() if counters is not None else None
-    result = planner.build(
-        samples_per_region, rng, within=within, id_base=rid << ID_SHIFT
-    )
-    delta = counters.delta(before) if counters is not None else None
-    checks = (delta.point_checks, delta.segment_checks) if delta is not None else (0, 0)
-    return result.roadmap, result.stats, checks
+# Local mode's regional tasks were written against the constructor defaults
+# of PRM / RRT / RadialSubdivision and the workload builders against their
+# own keyword defaults, so the two plan different problems from one spec
+# (table in docs/runtime.md).  These records hold local mode's eight values
+# exactly.  Constants, not options: making them equal to the builders'
+# moves both local benchmark workloads, so ROADMAP item 4's benchmark PR
+# reconciles them.
+LOCAL_PRM = {"k": 6, "lp_resolution": 0.25, "narrow_passage_boost": 0.0}
+LOCAL_RRT = {
+    "step_size": 0.5,
+    "goal_bias": 0.05,
+    "lp_resolution": 0.25,
+    "k_adjacent": 4,
+    "overlap_angle": 0.0,
+}
 
 
-def _rrt_region_task(
-    cspace: ConfigurationSpace,
-    radial: RadialSubdivision,
-    root: np.ndarray,
-    nodes_per_region: int,
-    seed: int,
-    nn_backend: "str | None",
-    rid: int,
-) -> "tuple[Roadmap, PlannerStats, tuple[int, int]]":
-    region = radial.region_of(rid)
-    pos_dims = list(cspace.positional_dims)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rid,)))
-    planner = RRT(cspace, nn_factory=get_nn_factory(nn_backend))
-    counters = _counters_of(cspace)
-    before = counters.snapshot() if counters is not None else None
-    result = planner.grow(
-        root,
-        nodes_per_region,
-        rng,
-        bias_target=_lift_position(cspace, region.target, root),
-        region_predicate=lambda q, region=region, dims=pos_dims: region.contains(
-            np.asarray(q)[dims]
-        ),
-        max_iterations=40 * nodes_per_region,
-        id_base=rid << ID_SHIFT,
-        region_predicate_batch=lambda qs, region=region, dims=pos_dims: region.contains_many(
-            np.atleast_2d(np.asarray(qs))[:, dims]
-        ),
-    )
-    delta = counters.delta(before) if counters is not None else None
-    checks = (delta.point_checks, delta.segment_checks) if delta is not None else (0, 0)
-    return result.tree, result.stats, checks
-
-
-def _rrt_decomposition(
-    cspace: ConfigurationSpace, seed: int, num_regions: int
-) -> "tuple[np.ndarray, RadialSubdivision]":
-    """The deterministic (root, radial subdivision) pair for an RRT plan.
-
-    Shared between the dispatching parent and shm-plane workers, which
-    rebuild the decomposition locally instead of shipping it.
-    """
-    root = _default_root(cspace, seed)
-    pos_dims = list(cspace.positional_dims)
-    root_pos = root[pos_dims]
-    radius = float(
-        min(
-            np.min(root_pos - cspace.bounds.lo[pos_dims]),
-            np.min(cspace.bounds.hi[pos_dims] - root_pos),
+def _region_planner(
+    cspace: ConfigurationSpace, wl: WorkloadSpec, nn_backend: "str | None"
+) -> "PRMRegionPlanner | RRTRegionPlanner":
+    """Local mode's region planner; the dispatching parent and every shm
+    worker build an equal one from the same three arguments."""
+    nn_factory = get_nn_factory(nn_backend)
+    if wl.planner == "prm":
+        return PRMRegionPlanner(
+            cspace, wl.num_regions, wl.samples_per_region, seed=wl.seed,
+            nn_factory=nn_factory, **LOCAL_PRM,
         )
+    return RRTRegionPlanner(
+        cspace, default_root(cspace, wl.seed), wl.num_regions, wl.nodes_per_region,
+        seed=wl.seed, nn_factory=nn_factory, **LOCAL_RRT,
     )
-    radial = RadialSubdivision(
-        root_pos,
-        radius,
-        num_regions,
-        rng=np.random.default_rng(seed),
-    )
-    return root, radial
+
+
+def _region_task(
+    regions: "PRMRegionPlanner | RRTRegionPlanner", rid: int
+) -> "tuple[Roadmap, PlannerStats, tuple[int, int]]":
+    """One region, plus the task's own exact share of the collision work
+    (``CollisionCounters`` windows are per-thread), which also survives
+    the hop back from worker processes, where the parent's environment
+    counters never tick."""
+    counters = getattr(getattr(regions.cspace, "env", None), "counters", None)
+    before = counters.snapshot() if counters is not None else None
+    result = regions(rid)
+    checks = (0, 0)
+    if counters is not None:
+        delta = counters.delta(before)
+        checks = (delta.point_checks, delta.segment_checks)
+    return result.roadmap, result.stats, checks
 
 
 # --- data planes -----------------------------------------------------------
@@ -486,60 +377,41 @@ def _rrt_decomposition(
 # historical behaviour — cheap under fork's copy-on-write, expensive under
 # spawn).  "shm" publishes the environment's obstacle arrays as a shared
 # memory segment; workers map it zero-copy and rebuild the (deterministic)
-# subdivision locally, so per-chunk traffic is a few hundred bytes however
+# region planner locally, so per-chunk traffic is a few hundred bytes however
 # large the scene is.  Results are bit-identical across both.
 
 @dataclass(frozen=True)
 class _ShmPlanContext:
-    """Everything a worker needs to rebuild the planning closure from shm."""
+    """Everything a worker needs to rebuild the region planner from shm."""
 
     manifest: _shm.SharedArrayManifest
-    env_name: str
+    #: the plan's workload, its environment replaced by the scene's name.
+    workload: WorkloadSpec
     kernel_backend: str
     robot_radius: float
-    planner: str
-    num_regions: int
-    per_region: int
-    seed: int
     nn_backend: "str | None"
 
 
-#: one rebuilt closure per worker process, keyed by the full context.
+#: one rebuilt region planner per worker process, keyed by the full context.
 _SHM_TASK_CACHE: "dict[_ShmPlanContext, object]" = {}
 
 
-def _rebind_task(cspace: ConfigurationSpace, ctx: _ShmPlanContext):
-    if ctx.planner == "prm":
-        subdivision = UniformSubdivision(
-            _positional_bounds(cspace), ctx.num_regions, overlap=0.2
-        )
-        return partial(
-            _prm_region_task, cspace, subdivision, ctx.per_region, ctx.seed,
-            ctx.nn_backend,
-        )
-    root, radial = _rrt_decomposition(cspace, ctx.seed, ctx.num_regions)
-    return partial(
-        _rrt_region_task, cspace, radial, root, ctx.per_region, ctx.seed,
-        ctx.nn_backend,
-    )
-
-
 def _shm_region_task(ctx: _ShmPlanContext, rid: int):
-    task = _SHM_TASK_CACHE.get(ctx)
-    if task is None:
+    regions = _SHM_TASK_CACHE.get(ctx)
+    if regions is None:
         arrays = _shm.attach_arrays(ctx.manifest)
         env = Environment.from_arrays(
             AABB(arrays["bounds_lo"], arrays["bounds_hi"]),
             arrays["obs_lo"],
             arrays["obs_hi"],
-            name=ctx.env_name,
+            name=ctx.workload.environment,
             kernel_backend=ctx.kernel_backend,
         )
         cs = EuclideanCSpace(env, robot_radius=ctx.robot_radius)
-        task = _rebind_task(cs, ctx)
+        regions = _region_planner(cs, ctx.workload, ctx.nn_backend)
         _SHM_TASK_CACHE.clear()
-        _SHM_TASK_CACHE[ctx] = task
-    return task(rid)
+        _SHM_TASK_CACHE[ctx] = regions
+    return _region_task(regions, rid)
 
 
 def _shm_plan_eligible(cspace: ConfigurationSpace) -> bool:
@@ -565,21 +437,17 @@ def _resolve_data_plane(ex: ExecutionPolicy, cspace: ConfigurationSpace) -> str:
     return plane
 
 
-def _region_weights(
-    cspace: ConfigurationSpace,
-    subdivision: "UniformSubdivision | None",
-    region_ids,
-) -> "dict[int, float] | None":
+def _region_weights(regions) -> "dict[int, float] | None":
     """Predicted relative cost per region for the "weighted" chunk policy:
     1 + the number of obstacles overlapping the region's sample box."""
-    env = getattr(cspace, "env", None)
+    env = getattr(regions.cspace, "env", None)
     lo = getattr(env, "_obs_lo", None)
-    if subdivision is None or lo is None or lo.shape[0] == 0:
+    if not isinstance(regions, PRMRegionPlanner) or lo is None or lo.shape[0] == 0:
         return None
     hi = env._obs_hi
     weights = {}
-    for rid in region_ids:
-        box = subdivision.region_of(rid).sample_bounds
+    for rid in regions.region_ids:
+        box = regions.decomposition.region_of(rid).sample_bounds
         blo, bhi = np.asarray(box.lo), np.asarray(box.hi)
         if blo.shape[0] != lo.shape[1]:
             return None
@@ -596,29 +464,9 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     are the unit of work exactly as on the simulated machine.
     """
     wl, ex, fa, ob = request.workload, request.execution, request.faults, request.obs
-    subdivision = None
-    if wl.planner == "prm":
-        subdivision = UniformSubdivision(
-            _positional_bounds(cspace), wl.num_regions, overlap=0.2
-        )
-        task = partial(
-            _prm_region_task, cspace, subdivision, wl.samples_per_region, wl.seed,
-            ex.nn_backend,
-        )
-        region_ids = subdivision.graph.region_ids()
-        per_region = wl.samples_per_region
-    else:
-        root, radial = _rrt_decomposition(cspace, wl.seed, wl.num_regions)
-        task = partial(
-            _rrt_region_task, cspace, radial, root, wl.nodes_per_region, wl.seed,
-            ex.nn_backend,
-        )
-        region_ids = radial.graph.region_ids()
-        per_region = wl.nodes_per_region
-
-    task_weights = None
-    if ex.chunksize == "weighted":
-        task_weights = _region_weights(cspace, subdivision, region_ids)
+    regions = _region_planner(cspace, wl, ex.nn_backend)
+    task = partial(_region_task, regions)
+    task_weights = _region_weights(regions) if ex.chunksize == "weighted" else None
 
     plane = _resolve_data_plane(ex, cspace)
     manifest = None
@@ -637,20 +485,16 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
             )
             ctx = _ShmPlanContext(
                 manifest=manifest,
-                env_name=env.name,
+                workload=replace(wl, environment=env.name),
                 kernel_backend=env._kernel_backend_name,
                 robot_radius=float(cspace.robot_radius),
-                planner=wl.planner,
-                num_regions=wl.num_regions,
-                per_region=per_region,
-                seed=wl.seed,
                 nn_backend=ex.nn_backend,
             )
             task = partial(_shm_region_task, ctx)
 
         pool = run_tasks_parallel(
             task,
-            region_ids,
+            regions.region_ids,
             workers=ex.workers,
             backend=ex.backend,
             chunksize=ex.chunksize,

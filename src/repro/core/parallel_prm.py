@@ -41,7 +41,7 @@ from ..obs.events import (
     PHASE_WEIGH,
 )
 from ..obs.tracer import active
-from ..planners.prm import PRM
+from ..planners.prm import PRM, PRMResult
 from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
@@ -63,6 +63,7 @@ __all__ = [
     "PRMWorkload",
     "PhaseTimes",
     "PRMRunResult",
+    "PRMRegionPlanner",
     "build_prm_workload",
     "simulate_prm",
 ]
@@ -205,20 +206,68 @@ class PRMRunResult:
 # Workload construction (real planning, done once)
 # ---------------------------------------------------------------------------
 
-def _positional_bounds(cspace: ConfigurationSpace) -> AABB:
-    dims = list(cspace.positional_dims)
-    return AABB(cspace.bounds.lo[dims], cspace.bounds.hi[dims])
+def region_rng(seed: int, rid: int) -> np.random.Generator:
+    """The ``(seed, region id)``-keyed generator of one regional invocation."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rid,)))
 
 
-def _region_sample_box(cspace: ConfigurationSpace, region_box: AABB) -> AABB:
-    """Lift a positional region box to full C-space bounds (non-positional
-    dimensions keep their full range)."""
-    lo = cspace.bounds.lo.copy()
-    hi = cspace.bounds.hi.copy()
-    dims = list(cspace.positional_dims)
-    lo[dims] = region_box.lo
-    hi[dims] = region_box.hi
-    return AABB(lo, hi)
+class PRMRegionPlanner:
+    """Alg. 1 line 8 as one picklable callable: ``rid -> PRMResult``.
+
+    The single regional entry point: :func:`build_prm_workload` calls it
+    per region and ``plan(mode="local")`` hands it to the pool (shm workers
+    rebuild an equal one), so every execution mode runs the same regions.
+    It owns the uniform decomposition over the positional bounds, the
+    ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id block, the
+    region-box lift and the narrow-passage boost; the keyword parameters
+    are :func:`build_prm_workload`'s, defaults included.
+    """
+
+    def __init__(
+        self, cspace: ConfigurationSpace, num_regions: int, samples_per_region: int,
+        seed: int = 0, k: int = 4, overlap: float = 0.2, lp_resolution: float = 0.1,
+        sampler=None, narrow_passage_boost: float = 3.0, nn_factory=None,
+    ):
+        if narrow_passage_boost < 0:
+            raise ValueError("narrow_passage_boost must be non-negative")
+        self.cspace = cspace
+        self.samples_per_region = samples_per_region
+        self.seed = seed
+        self.pos_dims = list(cspace.positional_dims)
+        self.decomposition = UniformSubdivision(
+            AABB(cspace.bounds.lo[self.pos_dims], cspace.bounds.hi[self.pos_dims]),
+            num_regions, overlap=overlap,
+        )
+        self.planner = PRM(
+            cspace, sampler=sampler, local_planner=StraightLinePlanner(resolution=lp_resolution),
+            k=k, connect_same_component=False, nn_factory=nn_factory,
+        )
+        self.boost_samples = int(round(narrow_passage_boost * samples_per_region))
+
+    @property
+    def region_ids(self) -> "list[int]":
+        return self.decomposition.graph.region_ids()
+
+    def __call__(self, rid: int) -> PRMResult:
+        region = self.decomposition.region_of(rid)
+        rng = region_rng(self.seed, rid)
+        # Lift the positional sample box to full C-space bounds
+        # (non-positional dimensions keep their full range).
+        lo, hi = self.cspace.bounds.lo.copy(), self.cspace.bounds.hi.copy()
+        lo[self.pos_dims], hi[self.pos_dims] = region.sample_bounds.lo, region.sample_bounds.hi
+        within, id_base = AABB(lo, hi), rid << ID_SHIFT
+        # Each regional roadmap is built independently (the whole point of
+        # uniform subdivision) and merged afterwards.
+        result = self.planner.build(self.samples_per_region, rng, within=within, id_base=id_base)
+        if (
+            self.boost_samples
+            and self.cspace.env.box_obstacle_relation(region.bounds) == "boundary"
+        ):
+            refined = self.planner.build(
+                self.boost_samples, rng, within=within, roadmap=result.roadmap, id_base=id_base
+            )
+            result = PRMResult(refined.roadmap, result.stats.merge(refined.stats))
+        return result
 
 
 def build_prm_workload(
@@ -255,44 +304,22 @@ def build_prm_workload(
     connection; every finder shares the canonical (distance, insertion
     order) tie-break, so the workload is backend-independent.
     """
-    if narrow_passage_boost < 0:
-        raise ValueError("narrow_passage_boost must be non-negative")
     work_model = work_model if work_model is not None else WorkModel()
-    pos_bounds = _positional_bounds(cspace)
-    subdivision = UniformSubdivision(pos_bounds, num_regions, overlap=overlap)
-    planner = PRM(
-        cspace,
-        sampler=sampler,
-        local_planner=StraightLinePlanner(resolution=lp_resolution),
-        k=k,
-        connect_same_component=False,
-        nn_factory=nn_factory,
+    regions = PRMRegionPlanner(
+        cspace, num_regions, samples_per_region, seed=seed, k=k, overlap=overlap,
+        lp_resolution=lp_resolution, sampler=sampler,
+        narrow_passage_boost=narrow_passage_boost, nn_factory=nn_factory,
     )
-    env = cspace.env
-    boost_samples = int(round(narrow_passage_boost * samples_per_region))
+    subdivision, planner = regions.decomposition, regions.planner
 
     region_work: "dict[int, RegionWork]" = {}
     roadmap = Roadmap(cspace.dim)
     vertex_ids_of: "dict[int, np.ndarray]" = {}
     position_chunks: "list[np.ndarray]" = []
 
-    for rid in subdivision.graph.region_ids():
-        region = subdivision.region_of(rid)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rid,)))
-        within = _region_sample_box(cspace, region.sample_bounds)
-        # Each regional roadmap is built independently (the whole point of
-        # uniform subdivision) and merged afterwards.
-        result = planner.build(samples_per_region, rng, within=within, id_base=rid << ID_SHIFT)
+    for rid in regions.region_ids:
+        result = regions(rid)
         st = result.stats
-        if boost_samples and env.box_obstacle_relation(region.bounds) == "boundary":
-            refined = planner.build(
-                boost_samples,
-                rng,
-                within=within,
-                roadmap=result.roadmap,
-                id_base=rid << ID_SHIFT,
-            )
-            st = st.merge(refined.stats)
         gen_cost = work_model.cost_sample_attempt * st.sample_attempts
         connect_cost = (
             work_model.cost_lp_check * st.lp_checks
@@ -307,7 +334,7 @@ def build_prm_workload(
         roadmap.merge(result.roadmap)
 
     positions_arr = (
-        np.vstack(position_chunks) if position_chunks else np.empty((0, pos_bounds.dim))
+        np.vstack(position_chunks) if position_chunks else np.empty((0, len(regions.pos_dims)))
     )
 
     # Inter-region connections only involve vertices near the shared

@@ -39,7 +39,7 @@ from ..obs.events import (
 )
 from ..obs.tracer import active
 from ..planners.roadmap import Roadmap
-from ..planners.rrt import RRT
+from ..planners.rrt import RRT, RRTResult
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
 from ..runtime.pgraph import PGraphView
@@ -47,6 +47,7 @@ from ..runtime.stats import SimResult
 from ..runtime.topology import ClusterTopology
 from ..subdivision.radial import RadialSubdivision
 from .metrics import emit_phase_spans
+from .parallel_prm import ID_SHIFT, REGION_CREATE_COST, region_rng
 from .repartition import RepartitionResult, initial_assignment, repartition
 from .weights import rrt_k_rays_weights
 from .work_stealing import run_balanced_phase
@@ -60,11 +61,11 @@ __all__ = [
     "RRTWorkload",
     "RRTPhaseTimes",
     "RRTRunResult",
+    "RRTRegionPlanner",
+    "default_root",
     "build_rrt_workload",
     "simulate_rrt",
 ]
-
-ID_SHIFT = 20
 
 
 @dataclass
@@ -183,12 +184,86 @@ class RRTRunResult:
 # Workload construction
 # ---------------------------------------------------------------------------
 
-def _lift_position(cspace: ConfigurationSpace, position: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Embed a positional point into a full configuration, copying the
-    non-positional coordinates from ``template``."""
-    cfg = np.asarray(template, dtype=float).copy()
-    cfg[list(cspace.positional_dims)] = position
-    return cfg
+def default_root(cspace: ConfigurationSpace, seed: int) -> np.ndarray:
+    """A valid RRT root: the bounds centre if free, else a valid sample.
+
+    Sampling starts near the centre and widens to the full bounds — some
+    environments (e.g. med-cube) block the entire central region.
+    """
+    lo, hi = cspace.bounds.lo, cspace.bounds.hi
+    mid = (lo + hi) / 2.0
+    root = mid.copy()
+    rng = np.random.default_rng(seed)
+    for attempt in range(10_000):
+        if cspace.valid_single(root):
+            return root
+        scale = 0.3 if attempt < 64 else 1.0
+        root = rng.uniform(mid + scale * (lo - mid), mid + scale * (hi - mid))
+    raise ValueError("no valid RRT root found; environment looks fully blocked")
+
+
+class RRTRegionPlanner:
+    """Alg. 2 line 11 as one picklable callable: ``rid -> RRTResult``.
+
+    The RRT twin of :class:`repro.core.parallel_prm.PRMRegionPlanner` and
+    likewise the single regional entry point of every execution mode.  It
+    owns root -> radius -> radial decomposition, the ``(seed, rid)`` RNG
+    keying, the ``rid << ID_SHIFT`` id block, the bias-target lift and the
+    cone predicates; the keyword parameters are
+    :func:`build_rrt_workload`'s, defaults included.
+    """
+
+    def __init__(
+        self, cspace: ConfigurationSpace, root: np.ndarray, num_regions: int,
+        nodes_per_region: int, seed: int = 0, radius: float | None = None, k_adjacent: int = 3,
+        overlap_angle: float = 0.1, step_size: float = 0.6, goal_bias: float = 0.3,
+        iteration_factor: int = 40, lp_resolution: float = 0.5, batched: bool = True,
+        nn_factory=None,
+    ):
+        root = np.asarray(root, dtype=float)
+        if not cspace.valid_single(root):
+            raise ValueError("RRT root configuration is invalid")
+        self.cspace = cspace
+        self.root = root
+        self.nodes_per_region = nodes_per_region
+        self.seed = seed
+        self.max_iterations = iteration_factor * nodes_per_region
+        self.pos_dims = dims = list(cspace.positional_dims)
+        root_pos = root[dims]
+        if radius is None:
+            lo, hi = cspace.bounds.lo[dims], cspace.bounds.hi[dims]
+            radius = float(min(np.min(root_pos - lo), np.min(hi - root_pos)))
+        self.decomposition = RadialSubdivision(
+            root_pos, radius, num_regions, k=k_adjacent, overlap=overlap_angle,
+            rng=np.random.default_rng(seed),
+        )
+        self.planner = RRT(
+            cspace, step_size=step_size, goal_bias=goal_bias, nn_factory=nn_factory,
+            local_planner=StraightLinePlanner(resolution=lp_resolution), batched=batched,
+        )
+
+    @property
+    def region_ids(self) -> "list[int]":
+        return self.decomposition.graph.region_ids()
+
+    def __call__(self, rid: int) -> RRTResult:
+        region = self.decomposition.region_of(rid)
+        dims = self.pos_dims
+        # Bias target: the cone's target point, the root's values elsewhere.
+        bias_cfg = self.root.copy()
+        bias_cfg[dims] = region.target
+        return self.planner.grow(
+            self.root,
+            self.nodes_per_region,
+            region_rng(self.seed, rid),
+            bias_target=bias_cfg,
+            region_predicate=lambda q: region.contains(np.asarray(q)[dims]),
+            max_iterations=self.max_iterations,
+            id_base=rid << ID_SHIFT,
+            region_predicate_batch=lambda qs: region.contains_many(
+                np.atleast_2d(np.asarray(qs))[:, dims]
+            ),
+        )
 
 
 def build_rrt_workload(
@@ -223,58 +298,21 @@ def build_rrt_workload(
     identical whichever backend is chosen.
     """
     work_model = work_model if work_model is not None else WorkModel()
-    root = np.asarray(root, dtype=float)
-    if not cspace.valid_single(root):
-        raise ValueError("RRT root configuration is invalid")
-    pos_dims = list(cspace.positional_dims)
-    root_pos = root[pos_dims]
-    if radius is None:
-        radius = float(
-            min(
-                np.min(root_pos - cspace.bounds.lo[pos_dims]),
-                np.min(cspace.bounds.hi[pos_dims] - root_pos),
-            )
-        )
-    radial = RadialSubdivision(
-        root_pos,
-        radius,
-        num_regions,
-        k=k_adjacent,
-        overlap=overlap_angle,
-        rng=np.random.default_rng(seed),
+    regions = RRTRegionPlanner(
+        cspace, root, num_regions, nodes_per_region, seed=seed, radius=radius,
+        k_adjacent=k_adjacent, overlap_angle=overlap_angle, step_size=step_size,
+        goal_bias=goal_bias, iteration_factor=iteration_factor,
+        lp_resolution=lp_resolution, batched=batched, nn_factory=nn_factory,
     )
-    planner = RRT(
-        cspace,
-        step_size=step_size,
-        local_planner=StraightLinePlanner(resolution=lp_resolution),
-        goal_bias=goal_bias,
-        nn_factory=nn_factory,
-        batched=batched,
-    )
+    radial, planner, root = regions.decomposition, regions.planner, regions.root
 
     tree = Roadmap(cspace.dim)
     parents: "dict[int, int]" = {}
     branch_work: "dict[int, BranchWork]" = {}
     branch_nodes: "dict[int, np.ndarray]" = {}
 
-    for rid in radial.graph.region_ids():
-        region = radial.region_of(rid)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rid,)))
-        bias_cfg = _lift_position(cspace, region.target, root)
-        result = planner.grow(
-            root,
-            nodes_per_region,
-            rng,
-            bias_target=bias_cfg,
-            region_predicate=lambda q, region=region, dims=pos_dims: region.contains(
-                np.asarray(q)[dims]
-            ),
-            max_iterations=iteration_factor * nodes_per_region,
-            id_base=rid << ID_SHIFT,
-            region_predicate_batch=lambda qs, region=region, dims=pos_dims: region.contains_many(
-                np.atleast_2d(np.asarray(qs))[:, dims]
-            ),
-        )
+    for rid in regions.region_ids:
+        result = regions(rid)
         st = result.stats
         cost = work_model.time_of(st)
         branch_work[rid] = BranchWork(rid, cost, result.tree.num_vertices, st)
@@ -363,9 +401,6 @@ def build_rrt_workload(
 # ---------------------------------------------------------------------------
 # Machine simulation
 # ---------------------------------------------------------------------------
-
-REGION_CREATE_COST = 0.05
-
 
 def simulate_rrt(
     workload: RRTWorkload,

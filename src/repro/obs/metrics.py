@@ -18,7 +18,16 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry", "nearest_rank"]
+
+
+def nearest_rank(values, q: float) -> float:
+    """Exact nearest-rank ``q``-th percentile (``q`` in [0, 100]) of
+    ``values``; 0.0 when there are none."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    return ordered[min(int(q / 100 * (len(ordered) - 1) + 0.5), len(ordered) - 1)]
 
 
 @dataclass
@@ -104,11 +113,7 @@ class Histogram:
         """Exact q-th percentile (nearest-rank, ``0 <= q <= 100``)."""
         if not 0.0 <= q <= 100.0:
             raise ValueError("q must be in [0, 100]")
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        idx = min(int(q / 100.0 * (len(ordered) - 1) + 0.5), len(ordered) - 1)
-        return ordered[idx]
+        return nearest_rank(self.values, q)
 
 
 class MetricRegistry:

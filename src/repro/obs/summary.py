@@ -40,6 +40,7 @@ from .events import (
     SPAN_END,
     Event,
 )
+from .metrics import nearest_rank
 
 __all__ = ["TraceSummary", "summarize_events", "format_summary"]
 
@@ -122,11 +123,7 @@ class TraceSummary:
 
     def query_latency_percentile(self, q: float) -> float:
         """Nearest-rank latency percentile (``q`` in [0, 100])."""
-        lats = sorted(self.query_latencies)
-        if not lats:
-            return 0.0
-        i = min(int(q / 100 * (len(lats) - 1) + 0.5), len(lats) - 1)
-        return lats[i]
+        return nearest_rank(self.query_latencies, q)
 
     def cache_hit_rate(self) -> float:
         """Snapshot-cache hits over all lookups (0.0 with no traffic)."""

@@ -46,6 +46,7 @@ from ..knn import get_nn_factory
 from ..knn.brute import BruteForceNN
 from ..knn.kdtree import KDTreeNN
 from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
+from ..obs.metrics import nearest_rank
 from ..obs.tracer import active
 from ..runtime.local_pool import DispatchStats, resolve_workers, run_tasks_parallel
 from .frozen import FrozenRoadmap
@@ -114,13 +115,9 @@ class BatchQueryResult:
         artificially low tail latencies for work it gave up on.
         """
         lost = set(self.abandoned)
-        lats = sorted(
-            lat for i, lat in enumerate(self.latencies) if i not in lost
+        return nearest_rank(
+            (lat for i, lat in enumerate(self.latencies) if i not in lost), q
         )
-        if not lats:
-            return 0.0
-        i = min(int(q / 100 * (len(lats) - 1) + 0.5), len(lats) - 1)
-        return lats[i]
 
 
 def _solve_prepared(frozen: FrozenRoadmap, jobs, sid: int, gid: int, i: int):
@@ -345,13 +342,7 @@ class QueryEngine:
         self,
         requests,
         *,
-        workers: "int | None" = 1,
-        backend: str = "thread",
         tracer=None,
-        failure_policy: str = "fail_fast",
-        max_retries: int = 2,
-        task_timeout: "float | None" = None,
-        fault_injector=None,
         retry_seed: int = 0,
         execution=None,
         faults=None,
@@ -359,19 +350,16 @@ class QueryEngine:
         """Solve a batch of queries with amortised setup.
 
         ``requests`` is a sequence of :class:`QueryRequest` or
-        ``(start, goal)`` pairs.  With ``workers > 1`` the independent
-        per-query searches are dispatched across a
-        :func:`~repro.runtime.local_pool.run_tasks_parallel` pool
-        (``backend``, ``failure_policy``, ``task_timeout``,
-        ``fault_injector`` pass straight through, so retry/degrade
-        semantics match regional planning; abandoned queries surface as
-        ``None`` results listed in ``abandoned``, with their consumed
-        attempts in ``attempts`` — the same accounting ``plan()``
-        surfaces).  An :class:`~repro.spec.ExecutionPolicy` /
-        :class:`~repro.spec.FaultPolicy` pair may be passed instead of
-        the loose kwargs (``execution`` supplies ``workers``/``backend``,
-        ``faults`` supplies the failure knobs); specs win over the flat
-        spellings.
+        ``(start, goal)`` pairs.  Without an ``execution`` the searches
+        run inline.  Given an :class:`~repro.spec.ExecutionPolicy` with
+        ``workers > 1`` the independent per-query searches are dispatched
+        across a :func:`~repro.runtime.local_pool.run_tasks_parallel`
+        pool (its ``workers`` / ``backend`` / ``chunksize``), under the
+        :class:`~repro.spec.FaultPolicy` ``faults`` (default fail-fast),
+        so retry/degrade semantics match regional planning; abandoned
+        queries surface as ``None`` results listed in ``abandoned``, with
+        their consumed attempts in ``attempts`` — the same accounting
+        ``plan()`` surfaces.
 
         With a tracer, the batch runs inside a ``serve`` span and each
         query emits ``EV_QUERY_START`` / ``EV_QUERY_END`` (attrs:
@@ -379,17 +367,11 @@ class QueryEngine:
         the per-query events after the pool drains, so their timestamps
         are post-hoc while latencies stay measured.
         """
-        chunksize: "int | str" = 1
-        if execution is not None:
-            workers = execution.workers
-            backend = execution.backend
-            chunksize = execution.chunksize
-        workers = resolve_workers(workers)
+        workers = resolve_workers(execution.workers) if execution is not None else 1
+        # No FaultPolicy means the pool's own defaults, which are FaultPolicy()'s.
+        fault_kwargs = {"retry_seed": retry_seed}
         if faults is not None:
-            failure_policy = faults.policy
-            max_retries = faults.max_retries
-            task_timeout = faults.task_timeout
-            fault_injector = faults.injector
+            fault_kwargs = faults.pool_kwargs(retry_seed)
         t0 = time.perf_counter()
         starts_l: "list[np.ndarray]" = []
         goals_l: "list[np.ndarray]" = []
@@ -429,14 +411,10 @@ class QueryEngine:
                     partial(_solve_prepared, self.frozen, jobs, self._sid, self._gid),
                     list(range(q)),
                     workers=workers,
-                    backend=backend,
-                    chunksize=chunksize,
+                    backend=execution.backend,
+                    chunksize=execution.chunksize,
                     tracer=tracer,
-                    failure_policy=failure_policy,
-                    max_retries=max_retries,
-                    task_timeout=task_timeout,
-                    fault_injector=fault_injector,
-                    retry_seed=retry_seed,
+                    **fault_kwargs,
                 )
                 dispatch = pool.dispatch
                 for i in range(q):

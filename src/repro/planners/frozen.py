@@ -14,12 +14,12 @@ and thousands of shortest-path searches walk it — so
   removals) so disconnected queries fail in O(1) instead of exhausting
   a search.
 
-The searches are **path-exact** versus the dict implementations in
-:mod:`repro.planners.query`: heap keys carry the original vertex id (the
-dict tie-break), neighbours relax in adjacency insertion order, and
-arithmetic matches operation for operation, so the returned path and
-length are bit-identical — swapping a query to the frozen path can never
-change a result.
+The one search, :meth:`FrozenRoadmap.astar_virtual`, is **path-exact**
+versus the dict A* of :mod:`repro.planners.query` (the oracle): heap keys
+carry the original vertex id (the dict tie-break), neighbours relax in
+adjacency insertion order, and arithmetic matches operation for
+operation, so the returned path and length are bit-identical — swapping
+a query to the frozen path can never change a result.
 
 The snapshot is immutable by contract: mutating the source roadmap after
 freezing (adding/removing vertices or edges) silently invalidates it, so
@@ -39,7 +39,7 @@ __all__ = ["FrozenRoadmap"]
 
 
 class FrozenRoadmap:
-    """Immutable CSR view of a roadmap with array-based shortest paths.
+    """Immutable CSR view of a roadmap with an array-based shortest path.
 
     Attributes
     ----------
@@ -177,102 +177,6 @@ class FrozenRoadmap:
         return self._comp_list[self._row[u]] == self._comp_list[self._row[v]]
 
     # -- searches -----------------------------------------------------------
-    def dijkstra(self, source: int, target: int) -> "tuple[list[int], float] | None":
-        """Shortest path by edge weight; None when disconnected.
-
-        Path-exact versus :func:`repro.planners.query.dijkstra` on the
-        source roadmap (same relax order, same heap tie-breaking by
-        vertex id, same float operations).
-        """
-        src = self._row.get(source)
-        dst = self._row.get(target)
-        if src is None or dst is None:
-            raise KeyError("source or target vertex missing from roadmap")
-        comp = self._comp_list
-        if comp[src] != comp[dst]:
-            return None
-        n = len(comp)
-        inf = math.inf
-        dist = [inf] * n
-        prev = [-1] * n
-        done = bytearray(n)
-        ids = self._ids_list
-        adj = self._adj
-        dist[src] = 0.0
-        heap: "list[tuple[float, int, int]]" = [(0.0, source, src)]
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            d, _uvid, u = pop(heap)
-            if done[u]:
-                continue
-            if u == dst:
-                break
-            done[u] = 1
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = u
-                    push(heap, (nd, ids[v], v))
-        if dist[dst] == inf:
-            return None
-        path_rows = [dst]
-        while path_rows[-1] != src:
-            path_rows.append(prev[path_rows[-1]])
-        path_rows.reverse()
-        return [ids[r] for r in path_rows], dist[dst]
-
-    def astar(
-        self, source: int, target: int, heuristic=None
-    ) -> "tuple[list[int], float] | None":
-        """A* with an admissible heuristic (default: Euclidean distance of
-        configurations) — path-exact versus
-        :func:`repro.planners.query.astar`."""
-        src = self._row.get(source)
-        dst = self._row.get(target)
-        if src is None or dst is None:
-            raise KeyError("source or target vertex missing from roadmap")
-        comp = self._comp_list
-        if comp[src] != comp[dst]:
-            return None
-        n = len(comp)
-        ids = self._ids_list
-        if heuristic is None:
-            # One vectorised broadcast; row-wise reduction is bit-identical
-            # to the per-vertex scalar the dict implementation computes.
-            h: "list[float]" = np.linalg.norm(
-                self.configs - self.configs[dst][None, :], axis=1
-            ).tolist()
-        else:
-            h = [heuristic(vid) for vid in ids]
-        inf = math.inf
-        g = [inf] * n
-        prev = [-1] * n
-        done = bytearray(n)
-        adj = self._adj
-        g[src] = 0.0
-        heap: "list[tuple[float, int, int]]" = [(h[src], source, src)]
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            _f, _uvid, u = pop(heap)
-            if u == dst:
-                path_rows = [dst]
-                while path_rows[-1] != src:
-                    path_rows.append(prev[path_rows[-1]])
-                path_rows.reverse()
-                return [ids[r] for r in path_rows], g[dst]
-            if done[u]:
-                continue
-            done[u] = 1
-            gu = g[u]
-            for v, w in adj[u]:
-                ng = gu + w
-                if ng < g[v]:
-                    g[v] = ng
-                    prev[v] = u
-                    push(heap, (ng + h[v], ids[v], v))
-        return None
-
     def astar_virtual(
         self,
         start_cfg: np.ndarray,

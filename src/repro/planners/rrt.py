@@ -78,6 +78,11 @@ class RRTResult:
     root_id: int
     stats: PlannerStats
 
+    @property
+    def roadmap(self) -> Roadmap:
+        """Uniform alias: the tree, named as ``PRMResult`` names its roadmap."""
+        return self.tree
+
     def path_to_root(self, vid: int) -> "list[int]":
         """Vertex ids from ``vid`` up the parent chain to the root."""
         path = [vid]

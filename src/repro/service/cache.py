@@ -82,32 +82,11 @@ def build_engine(
     both the build and the engine's serving paths through that backend —
     the service-level hookup for ``ExecutionPolicy.kernel_backend``.
     """
-    from ..api import _default_root  # local import: api imports spec
-    from ..core.parallel_prm import build_prm_workload
-    from ..core.parallel_rrt import build_rrt_workload
-
     spec.validate()
     cspace = spec.resolve_cspace()
     if kernels is not None:
         cspace.set_kernel_backend(kernels)
-    if spec.planner == "prm":
-        workload = build_prm_workload(
-            cspace,
-            num_regions=spec.num_regions,
-            samples_per_region=spec.samples_per_region,
-            seed=spec.seed,
-            **spec.options,
-        )
-    else:
-        root = _default_root(cspace, spec.seed)
-        workload = build_rrt_workload(
-            cspace,
-            root,
-            num_regions=spec.num_regions,
-            nodes_per_region=spec.nodes_per_region,
-            seed=spec.seed,
-            **spec.options,
-        )
+    workload = spec.build_workload(cspace)
     return QueryEngine(
         cspace,
         workload.roadmap,

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..obs.events import EV_BATCH_FLUSH, EV_REQUEST_REJECTED
+from ..obs.metrics import nearest_rank
 from ..obs.tracer import active
 from ..planners.engine import QueryRequest
 from ..spec import ExecutionPolicy, FaultPolicy, WorkloadSpec
@@ -126,11 +127,7 @@ class ServiceStats:
 
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank request-sojourn percentile (``q`` in [0, 100])."""
-        lats = sorted(self.latencies)
-        if not lats:
-            return 0.0
-        i = min(int(q / 100 * (len(lats) - 1) + 0.5), len(lats) - 1)
-        return lats[i]
+        return nearest_rank(self.latencies, q)
 
 
 class _Item:

@@ -3,7 +3,7 @@
 A request is four composable specs with **one canonical name per knob**:
 
 * :class:`WorkloadSpec` — *what to plan*: environment, planner, region
-  and sample budgets, seed, extra workload options.  Also the unit of
+  and sample budgets, seed.  Also the unit of
   identity for the serving layer: :meth:`WorkloadSpec.cache_key` is the
   canonical content hash the :class:`~repro.service.RoadmapCache` keys
   snapshots by.
@@ -34,9 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
+from .core.parallel_prm import PRMWorkload, build_prm_workload
+from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry import environments
 from .runtime.local_pool import FAILURE_POLICIES
@@ -105,8 +107,6 @@ class WorkloadSpec:
     #: RRT per-branch node budget.
     nodes_per_region: int = 12
     seed: int = 0
-    #: extra keyword arguments forwarded to ``build_*_workload``.
-    options: "Mapping[str, Any]" = field(default_factory=dict)
 
     def validate(self) -> None:
         """Raise ``ValueError`` on any out-of-range or unknown field."""
@@ -127,13 +127,30 @@ class WorkloadSpec:
             env = environments.by_name(env)
         return EuclideanCSpace(env)
 
+    def build_workload(
+        self, cspace: ConfigurationSpace, nn_factory=None
+    ) -> "PRMWorkload | RRTWorkload":
+        """Run this spec's regional planners once over ``cspace`` — the
+        one ``planner`` -> ``build_*_workload`` dispatch, shared by
+        :func:`repro.api.plan` and the service's cache builder.  Anything
+        but the defaults of a builder parameter means calling the builder
+        directly, as :mod:`repro.bench.figures` does."""
+        if self.planner == "prm":
+            return build_prm_workload(
+                cspace, self.num_regions, self.samples_per_region,
+                seed=self.seed, nn_factory=nn_factory,
+            )
+        return build_rrt_workload(
+            cspace, default_root(cspace, self.seed), self.num_regions, self.nodes_per_region,
+            seed=self.seed, nn_factory=nn_factory,
+        )
+
     def cache_key(self) -> str:
         """Canonical content hash of (environment, planner params, seed).
 
         Every field that can change the built roadmap participates; two
-        workloads differing only in a single option — the seed included —
-        never collide.  ``options`` values without a JSON form hash by
-        ``repr`` (stable within one process, which is the cache's scope).
+        workloads differing in a single one — the seed included — never
+        collide.
         """
         h = hashlib.sha256()
         h.update(_environment_fingerprint(self.environment))
@@ -143,9 +160,8 @@ class WorkloadSpec:
             "samples_per_region": self.samples_per_region,
             "nodes_per_region": self.nodes_per_region,
             "seed": self.seed,
-            "options": dict(self.options),
         }
-        h.update(json.dumps(payload, sort_keys=True, default=repr).encode())
+        h.update(json.dumps(payload, sort_keys=True).encode())
         return h.hexdigest()
 
 

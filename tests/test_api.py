@@ -1,5 +1,9 @@
 """Tests for the plan() facade (repro.api) and the unified result protocol."""
 
+import hashlib
+import inspect
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -13,16 +17,50 @@ from repro import (
     plan,
     read_jsonl,
 )
+from repro.api import LOCAL_PRM, LOCAL_RRT
 from repro.core import (
     PhaseBreakdown,
     PlannerRunResult,
+    PRMRegionPlanner,
+    RRTRegionPlanner,
     build_prm_workload,
     build_rrt_workload,
+    default_root,
     phases_dict,
     simulate_prm,
     simulate_rrt,
 )
+from repro.core.parallel_prm import ID_SHIFT
 from repro.obs import summarize_events
+from repro.planners.stats import PlannerStats
+
+
+def _roadmap_fingerprint(rmap) -> str:
+    """sha256 over vertex ids + configurations (id order) and the sorted
+    ``(u, v, weight)`` edge list: equal iff the roadmaps are bit-identical."""
+    ids, cfgs = rmap.configs_array()
+    order = np.argsort(ids, kind="stable")
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(ids[order]).tobytes())
+    h.update(np.ascontiguousarray(cfgs[order]).tobytes())
+    edges = sorted((min(u, v), max(u, v), w) for u, v, w in rmap.edges())
+    h.update(np.array([(u, v) for u, v, _w in edges], dtype=np.int64).tobytes())
+    h.update(np.array([w for _u, _v, w in edges], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _vertices(rmap):
+    ids, cfgs = rmap.configs_array()
+    order = np.argsort(ids, kind="stable")
+    return ids[order].tolist(), cfgs[order].tolist()
+
+
+def _intra_region_edges(rmap):
+    return sorted(
+        (min(u, v), max(u, v), w)
+        for u, v, w in rmap.edges()
+        if u >> ID_SHIFT == v >> ID_SHIFT
+    )
 
 
 class TestPlanRequestValidation:
@@ -89,11 +127,9 @@ class TestPlanParity:
         )
         report = plan(req)
 
-        from repro.api import _default_root
-
         cspace = req.resolve_cspace()
         workload = build_rrt_workload(
-            cspace, _default_root(cspace, 5), num_regions=24, nodes_per_region=6, seed=5
+            cspace, default_root(cspace, 5), num_regions=24, nodes_per_region=6, seed=5
         )
         legacy = simulate_rrt(workload, 8, "rand-8")
 
@@ -220,6 +256,94 @@ class TestLocalExecution:
         )
         summary = report.trace_summary()
         assert summary.tasks_executed == len(report.pool.results)
+
+
+    @pytest.mark.parametrize("planner", ["prm", "rrt"])
+    def test_local_regions_equal_builder_regions(self, planner):
+        """Local mode and the workload builders run the same regional
+        planner: given local mode's eight parameter values, a builder's
+        regions equal the pool's bit for bit — on the thread backend and
+        through the shm worker's rebuild on the process backend."""
+        if planner == "prm":
+            wl = WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3)
+            cspace = wl.resolve_cspace()
+            built = build_prm_workload(
+                cspace, wl.num_regions, wl.samples_per_region, seed=wl.seed,
+                k=6, lp_resolution=0.25, narrow_passage_boost=0.0,
+            )
+            work = built.region_work
+        else:
+            wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3)
+            cspace = wl.resolve_cspace()
+            built = build_rrt_workload(
+                cspace, default_root(cspace, wl.seed), wl.num_regions,
+                wl.nodes_per_region, seed=wl.seed,
+                step_size=0.5, goal_bias=0.05, lp_resolution=0.25,
+                k_adjacent=4, overlap_angle=0.0,
+            )
+            work = built.branch_work
+        stats = PlannerStats()
+        for w in work.values():
+            stats += w.stats
+        for backend in ("thread", "process"):
+            local = plan(wl, ExecutionPolicy(mode="local", workers=2, backend=backend))
+            assert _vertices(local.roadmap) == _vertices(built.roadmap)
+            assert local.local_stats == stats
+            if planner == "prm":
+                # RRT's branch connection rewires edges inside a branch;
+                # PRM's region connection only adds edges between regions.
+                edges = _intra_region_edges(built.roadmap)
+                assert local.roadmap.num_edges == len(edges) > 1000
+                assert _intra_region_edges(local.roadmap) == edges
+
+    @pytest.mark.parametrize("planner", ["prm", "rrt"])
+    def test_region_planner_ships_inline_to_process_workers(self, planner, monkeypatch):
+        """Without shared memory the region planner itself is pickled to
+        the process workers; regions must not notice."""
+        from repro.runtime import shm
+
+        wl = WorkloadSpec(planner=planner, num_regions=6, samples_per_region=4,
+                          nodes_per_region=6, seed=4)
+        threaded = plan(wl, ExecutionPolicy(mode="local", workers=1))
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        shipped = plan(wl, ExecutionPolicy(mode="local", workers=2, backend="process"))
+        assert shipped.dispatch.shm_bytes == 0 and shipped.dispatch.context_bytes > 0
+        assert _roadmap_fingerprint(shipped.roadmap) == _roadmap_fingerprint(threaded.roadmap)
+        assert shipped.local_stats == threaded.local_stats
+        assert shipped.local_counters == threaded.local_counters
+
+    @pytest.mark.parametrize(
+        "planner_cls, builder, local",
+        [(PRMRegionPlanner, build_prm_workload, LOCAL_PRM),
+         (RRTRegionPlanner, build_rrt_workload, LOCAL_RRT)],
+        ids=["prm", "rrt"],
+    )
+    def test_region_planner_defaults_are_the_builders(self, planner_cls, builder, local):
+        """The region planner repeats its builder's keyword parameters:
+        the shared ones carry equal defaults, so emptying ``LOCAL_*`` is
+        all it takes to make local mode plan the builders' problem."""
+        of_builder = inspect.signature(builder).parameters
+        of_planner = inspect.signature(planner_cls).parameters
+        shared = [n for n, p in of_planner.items() if p.default is not p.empty]
+        assert set(local) <= set(shared) <= set(of_builder)
+        for name in shared:
+            assert of_planner[name].default == of_builder[name].default, name
+
+    @pytest.mark.parametrize(
+        "wl, digest",
+        [
+            (WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3),
+             "afad69b7fe1a314a3c1de7ef0056b6f0c9ad5eb9da1de77c874954ad103229de"),
+            (WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3),
+             "098c2ef508fcc46f1053fa53bddbb03384223388c800a78a91462ccabe8efff7"),
+        ],
+        ids=["prm", "rrt"],
+    )
+    def test_local_roadmap_fingerprint_is_pinned(self, wl, digest):
+        """Literal digests recorded before the region planner moved into
+        ``repro.core``: local mode's roadmap bits must not move with it."""
+        report = plan(wl, ExecutionPolicy(mode="local", workers=1))
+        assert _roadmap_fingerprint(report.roadmap) == digest
 
 
 class TestResultProtocols:

@@ -4,7 +4,7 @@ pool-dispatched queries must surface attempts the same way plan() does)."""
 import numpy as np
 import pytest
 
-from repro import WorkloadSpec
+from repro import ExecutionPolicy, FaultPolicy, WorkloadSpec
 from repro.planners.engine import BatchQueryResult
 from repro.runtime import Fault, FaultInjector
 from repro.service.cache import build_engine
@@ -29,12 +29,14 @@ def _engine_and_queries(n=6):
 class TestAttemptsAccounting:
     def test_inline_path_counts_one_attempt_each(self):
         engine, queries = _engine_and_queries()
-        res = engine.solve_many(queries, workers=1)
+        res = engine.solve_many(queries, execution=ExecutionPolicy(workers=1))
         assert res.attempts == {i: 1 for i in range(len(queries))}
 
     def test_pool_path_surfaces_attempts(self):
         engine, queries = _engine_and_queries()
-        res = engine.solve_many(queries, workers=2, failure_policy="retry")
+        res = engine.solve_many(
+            queries, execution=ExecutionPolicy(workers=2), faults=FaultPolicy(policy="retry")
+        )
         assert set(res.attempts) == set(range(len(queries)))
         assert all(v >= 1 for v in res.attempts.values())
 
@@ -42,10 +44,12 @@ class TestAttemptsAccounting:
         engine, queries = _engine_and_queries()
         res = engine.solve_many(
             queries,
-            workers=2,
-            failure_policy="retry",
-            max_retries=2,
-            fault_injector=FaultInjector([Fault("raise", task=1, attempt=0)]),
+            execution=ExecutionPolicy(workers=2),
+            faults=FaultPolicy(
+                policy="retry",
+                max_retries=2,
+                injector=FaultInjector([Fault("raise", task=1, attempt=0)]),
+            ),
         )
         assert res.attempts[1] == 2  # first attempt failed, second served
         assert res.retries == 1
@@ -55,11 +59,13 @@ class TestAttemptsAccounting:
         engine, queries = _engine_and_queries()
         res = engine.solve_many(
             queries,
-            workers=2,
-            failure_policy="degrade",
-            max_retries=1,
-            fault_injector=FaultInjector(
-                [Fault("raise", task=2, attempt=0), Fault("raise", task=2, attempt=1)]
+            execution=ExecutionPolicy(workers=2),
+            faults=FaultPolicy(
+                policy="degrade",
+                max_retries=1,
+                injector=FaultInjector(
+                    [Fault("raise", task=2, attempt=0), Fault("raise", task=2, attempt=1)]
+                ),
             ),
         )
         assert res.abandoned == [2]
@@ -98,13 +104,15 @@ class TestPercentilesExcludeAbandoned:
 
     def test_end_to_end_degrade_excludes_abandoned(self):
         engine, queries = _engine_and_queries()
-        clean = engine.solve_many(queries, workers=2)
+        clean = engine.solve_many(queries, execution=ExecutionPolicy(workers=2))
         degraded = engine.solve_many(
             queries,
-            workers=2,
-            failure_policy="degrade",
-            max_retries=0,
-            fault_injector=FaultInjector([Fault("raise", task=0, attempt=0)]),
+            execution=ExecutionPolicy(workers=2),
+            faults=FaultPolicy(
+                policy="degrade",
+                max_retries=0,
+                injector=FaultInjector([Fault("raise", task=0, attempt=0)]),
+            ),
         )
         assert degraded.abandoned == [0]
         # p100 over the surviving queries only (no artificially low or

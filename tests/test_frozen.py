@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.planners import PRM, FrozenRoadmap, Roadmap, astar, dijkstra
+from repro.planners import FrozenRoadmap, Roadmap, dijkstra
 
 
 def _line_graph():
@@ -74,11 +74,11 @@ class TestStructure:
     def test_missing_vertex_raises(self):
         fr = FrozenRoadmap.from_roadmap(_line_graph())
         with pytest.raises(KeyError):
-            fr.dijkstra(0, 1234)
-        with pytest.raises(KeyError):
-            fr.astar(1234, 0)
-        with pytest.raises(KeyError):
             fr.row_of(1234)
+        with pytest.raises(KeyError):
+            fr.same_component(0, 1234)
+        with pytest.raises(KeyError):
+            fr.config(1234)
 
 
 class TestComponents:
@@ -99,7 +99,7 @@ class TestComponents:
         fr = FrozenRoadmap.from_roadmap(rm)
         assert not fr.same_component(0, 4)
         assert fr.same_component(0, 2)
-        assert fr.dijkstra(0, 4) is None
+        assert dijkstra(rm, 0, 4) is None
 
     def test_same_component_matches_search(self, rng):
         rm = _random_roadmap(rng)
@@ -107,51 +107,13 @@ class TestComponents:
         ids = [int(v) for v in fr.ids]
         for _ in range(50):
             s, g = (ids[int(i)] for i in rng.integers(0, len(ids), 2))
-            assert fr.same_component(s, g) == (fr.dijkstra(s, g) is not None)
+            assert fr.same_component(s, g) == (dijkstra(rm, s, g) is not None)
 
 
 class TestSearchParity:
-    """The acceptance property: CSR searches are path-exact vs the dict
-    implementations — same vertices, same length, bit for bit."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_graph_parity(self, seed):
-        rng = np.random.default_rng(seed)
-        rm = _random_roadmap(rng)
-        fr = FrozenRoadmap.from_roadmap(rm)
-        ids = [int(v) for v in fr.ids]
-        for _ in range(80):
-            s, g = (ids[int(i)] for i in rng.integers(0, len(ids), 2))
-            ref_d = dijkstra(rm, s, g)
-            got_d = fr.dijkstra(s, g)
-            ref_a = astar(rm, s, g)
-            got_a = fr.astar(s, g)
-            if ref_d is None:
-                assert got_d is None and got_a is None and ref_a is None
-            else:
-                assert got_d[0] == ref_d[0] and got_d[1] == ref_d[1]
-                assert got_a[0] == ref_a[0] and got_a[1] == ref_a[1]
-
-    def test_prm_roadmap_parity(self, box_cspace, rng):
-        res = PRM(box_cspace, k=6, connect_same_component=False).build(150, rng)
-        rm = res.roadmap
-        fr = FrozenRoadmap.from_roadmap(rm)
-        ids = [int(v) for v in fr.ids]
-        for _ in range(60):
-            s, g = (ids[int(i)] for i in rng.integers(0, len(ids), 2))
-            assert fr.dijkstra(s, g) == dijkstra(rm, s, g)
-            assert fr.astar(s, g) == astar(rm, s, g)
-
-    def test_source_equals_target(self):
-        fr = FrozenRoadmap.from_roadmap(_line_graph())
-        assert fr.dijkstra(2, 2) == ([2], 0.0)
-        assert fr.astar(2, 2) == ([2], 0.0)
-
-    def test_custom_heuristic(self):
-        fr = FrozenRoadmap.from_roadmap(_line_graph())
-        path, dist = fr.astar(0, 4, heuristic=lambda vid: 0.0)
-        assert path == [0, 1, 2, 3, 4]
-        assert dist == pytest.approx(4.0)
+    """Path-exactness of the served search is pinned where it is served:
+    ``TestAstarVirtual`` below and the ``QueryEngine == RoadmapQuery.solve``
+    batteries of ``test_query_engine``."""
 
     def test_snapshot_is_decoupled_from_source(self):
         """Mutating the source roadmap after freezing must not leak into

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import ExecutionPolicy, PlanRequest, WorkloadSpec, plan
+from repro.api import ExecutionPolicy, FaultPolicy, PlanRequest, WorkloadSpec, plan
 from repro.knn import BruteForceNN, IncrementalNN, KDTreeNN
 from repro.obs import EV_QUERY_END, EV_QUERY_START, Tracer, summarize_events
 from repro.obs.summary import format_summary
@@ -149,7 +149,9 @@ class TestSolveMany:
         eng = QueryEngine(cs, rmap, k=8)
         queries = _queries(cs, 12, seed=7)
         inline = eng.solve_many(queries)
-        pooled = eng.solve_many(queries, workers=2, backend=backend)
+        pooled = eng.solve_many(
+            queries, execution=ExecutionPolicy(workers=2, backend=backend)
+        )
         for a, b in zip(inline.results, pooled.results):
             assert _same_result(a, b)
         assert pooled.abandoned == [] and pooled.retries == 0
@@ -160,8 +162,9 @@ class TestSolveMany:
         queries = _queries(cs, 8, seed=8)
         inj = FaultInjector([Fault("raise", task=3, attempt=a) for a in range(5)])
         batch = eng.solve_many(
-            queries, workers=2, failure_policy="degrade",
-            max_retries=1, fault_injector=inj,
+            queries,
+            execution=ExecutionPolicy(workers=2),
+            faults=FaultPolicy(policy="degrade", max_retries=1, injector=inj),
         )
         assert batch.abandoned == [3]
         assert batch.results[3] is None

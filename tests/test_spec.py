@@ -70,7 +70,6 @@ class TestCacheKey:
             {"samples_per_region": 9},
             {"nodes_per_region": 13},
             {"environment": "maze-2d"},
-            {"options": {"k_closest": 4}},
         ],
     )
     def test_every_roadmap_shaping_field_participates(self, changes):
@@ -182,14 +181,15 @@ class TestUnifiedEntryPoints:
         rng = np.random.default_rng(0)
         lo, hi = cs.bounds.lo, cs.bounds.hi
         queries = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(4)]
-        flat = report.solve_queries(queries, workers=2, failure_policy="retry")
+        inline = report.solve_queries(queries)
         spec = report.solve_queries(
             queries,
             execution=ExecutionPolicy(workers=2),
             faults=FaultPolicy(policy="retry"),
         )
-        assert flat.solved == spec.solved
-        for a, b in zip(flat.results, spec.results):
+        assert inline.dispatch is None and spec.dispatch is not None
+        assert inline.solved == spec.solved
+        for a, b in zip(inline.results, spec.results):
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.path_vertices == b.path_vertices
