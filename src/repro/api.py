@@ -56,7 +56,6 @@ from .core.parallel_rrt import (
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry.environment import Environment
 from .geometry.primitives import AABB
-from .knn import get_nn_factory
 from .obs.summary import TraceSummary, format_summary, summarize_events
 from .obs.tracer import active
 from .planners.engine import BatchQueryResult, QueryEngine
@@ -144,42 +143,24 @@ class PlanReport:
         tr = active(self.request.obs.tracer)
         return tr.metrics.as_dict() if tr is not None else None
 
-    def query_engine(
-        self, k: int = 8, nn_factory=None, local_planner=None, kernels=None
-    ) -> QueryEngine:
-        """A query-serving engine over this report's roadmap.
+    def query_engine(self) -> QueryEngine:
+        """The query-serving engine over this report's roadmap.
 
         The engine freezes the roadmap into a CSR snapshot and builds one
         reusable NN index, amortising all per-query setup; see
-        :class:`repro.planners.engine.QueryEngine`.  The engine built for
-        one argument combination is cached, so repeated calls (and
-        :meth:`solve_queries`) reuse the same snapshot and index.
-        ``kernels`` defaults to the plan's own
-        ``ExecutionPolicy.kernel_backend``, so a fast32 plan serves its
-        queries through fast32 kernels too; ``nn_factory`` likewise
-        defaults to the plan's ``ExecutionPolicy.nn_backend`` (a
-        :mod:`repro.knn` registry name is accepted directly).
+        :class:`repro.planners.engine.QueryEngine`.  It is built once and
+        cached, so repeated calls (and :meth:`solve_queries`) reuse the
+        same snapshot and index, over a configuration space resolved the
+        way :func:`plan` resolved its own — a fast32 plan serves its
+        queries through fast32 collision kernels too.  For another
+        attachment degree or finder construct
+        ``QueryEngine(report.request.resolve_cspace(), report.roadmap, k=...)``.
         """
-        if kernels is None:
-            kernels = self.request.execution.kernel_backend
-        if nn_factory is None:
-            nn_factory = self.request.execution.nn_backend
-        key = (k, nn_factory, local_planner, kernels)
-        cached = getattr(self, "_engine_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        cspace = self.request.resolve_cspace()
-        if kernels is not None:
-            cspace.set_kernel_backend(kernels)
-        engine = QueryEngine(
-            cspace,
-            self.roadmap,
-            local_planner=local_planner,
-            k=k,
-            nn_factory=nn_factory,
-            kernels=kernels,
-        )
-        self._engine_cache = (key, engine)
+        engine = getattr(self, "_engine", None)
+        if engine is None:
+            engine = self._engine = QueryEngine(
+                self.request.resolve_cspace(), self.roadmap
+            )
         return engine
 
     def solve_queries(
@@ -286,16 +267,9 @@ def plan(
     request.validate()
     wl, ex, fa, ob = request.workload, request.execution, request.faults, request.obs
     cspace = request.resolve_cspace()
-    if ex.kernel_backend is not None:
-        # Route every collision/distance hot path of this plan through the
-        # requested repro.kernels backend.  Environments resolved by
-        # catalog name are fresh objects, so this configures only the
-        # plan's own workspace (a caller-supplied Environment instance is
-        # configured in place — the caller asked for the backend).
-        cspace.set_kernel_backend(ex.kernel_backend)
     if ex.mode == "local":
         return _plan_local(request, cspace)
-    workload = wl.build_workload(cspace, nn_factory=get_nn_factory(ex.nn_backend))
+    workload = wl.build_workload(cspace)
     simulate = simulate_prm if wl.planner == "prm" else simulate_rrt
     result = simulate(
         workload,
@@ -338,19 +312,17 @@ LOCAL_RRT = {
 
 
 def _region_planner(
-    cspace: ConfigurationSpace, wl: WorkloadSpec, nn_backend: "str | None"
+    cspace: ConfigurationSpace, wl: WorkloadSpec
 ) -> "PRMRegionPlanner | RRTRegionPlanner":
     """Local mode's region planner; the dispatching parent and every shm
-    worker build an equal one from the same three arguments."""
-    nn_factory = get_nn_factory(nn_backend)
+    worker build an equal one from the same two arguments."""
     if wl.planner == "prm":
         return PRMRegionPlanner(
-            cspace, wl.num_regions, wl.samples_per_region, seed=wl.seed,
-            nn_factory=nn_factory, **LOCAL_PRM,
+            cspace, wl.num_regions, wl.samples_per_region, seed=wl.seed, **LOCAL_PRM
         )
     return RRTRegionPlanner(
         cspace, default_root(cspace, wl.seed), wl.num_regions, wl.nodes_per_region,
-        seed=wl.seed, nn_factory=nn_factory, **LOCAL_RRT,
+        seed=wl.seed, **LOCAL_RRT,
     )
 
 
@@ -388,8 +360,6 @@ class _ShmPlanContext:
     #: the plan's workload, its environment replaced by the scene's name.
     workload: WorkloadSpec
     kernel_backend: str
-    robot_radius: float
-    nn_backend: "str | None"
 
 
 #: one rebuilt region planner per worker process, keyed by the full context.
@@ -407,8 +377,7 @@ def _shm_region_task(ctx: _ShmPlanContext, rid: int):
             name=ctx.workload.environment,
             kernel_backend=ctx.kernel_backend,
         )
-        cs = EuclideanCSpace(env, robot_radius=ctx.robot_radius)
-        regions = _region_planner(cs, ctx.workload, ctx.nn_backend)
+        regions = _region_planner(EuclideanCSpace(env), ctx.workload)
         _SHM_TASK_CACHE.clear()
         _SHM_TASK_CACHE[ctx] = regions
     return _region_task(regions, rid)
@@ -464,7 +433,7 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     are the unit of work exactly as on the simulated machine.
     """
     wl, ex, fa, ob = request.workload, request.execution, request.faults, request.obs
-    regions = _region_planner(cspace, wl, ex.nn_backend)
+    regions = _region_planner(cspace, wl)
     task = partial(_region_task, regions)
     task_weights = _region_weights(regions) if ex.chunksize == "weighted" else None
 
@@ -487,8 +456,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
                 manifest=manifest,
                 workload=replace(wl, environment=env.name),
                 kernel_backend=env._kernel_backend_name,
-                robot_radius=float(cspace.robot_radius),
-                nn_backend=ex.nn_backend,
             )
             task = partial(_shm_region_task, ctx)
 

@@ -34,26 +34,19 @@ class StraightLinePlanner:
     """Check the straight segment between configurations at a fixed
     resolution (C-space step length).
 
-    ``kernels`` optionally names a :mod:`repro.kernels` backend; validity
-    checks are routed through it on spaces advertising
-    ``supports_kernels`` (without mutating the — possibly shared —
-    space's own default backend).  Step counts and interpolation stay
-    float64 regardless, so a fast backend changes verdicts only within
-    its documented statistical tolerance, never the check budget.
+    Validity is whatever ``cspace.valid`` answers, on whichever
+    :mod:`repro.kernels` backend the space's environment is configured
+    with.  Step counts and interpolation are float64 regardless, so a
+    fast backend changes verdicts only within its documented statistical
+    tolerance, never the check budget.
     """
 
     name = "straight-line"
 
-    def __init__(self, resolution: float = 0.1, kernels=None):
+    def __init__(self, resolution: float = 0.1):
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         self.resolution = resolution
-        self.kernels = kernels
-
-    def _valid(self, cspace: ConfigurationSpace, pts: np.ndarray) -> np.ndarray:
-        if self.kernels is not None and getattr(cspace, "supports_kernels", False):
-            return cspace.valid(pts, kernels=self.kernels)
-        return cspace.valid(pts)
 
     def steps_for(self, cspace: ConfigurationSpace, a: np.ndarray, b: np.ndarray) -> int:
         dist = float(cspace.distance(a, b))
@@ -66,7 +59,7 @@ class StraightLinePlanner:
             return LocalPlanResult(True, 0, dist)
         ts = np.linspace(0.0, 1.0, n_steps + 2)[1:-1]
         pts = cspace.interpolate(a, b, ts)
-        ok = self._valid(cspace, pts)
+        ok = cspace.valid(pts)
         return LocalPlanResult(bool(np.all(ok)), n_steps, dist)
 
     def batch_pairs(
@@ -108,7 +101,7 @@ class StraightLinePlanner:
         j = np.arange(total) - offsets[seg] + 1
         t = j / (steps[seg] + 1)
         pts = cspace.interpolate_pairs(starts[seg], ends[seg], t)
-        ok = self._valid(cspace, pts)
+        ok = cspace.valid(pts)
         bad_counts = np.bincount(seg[~ok], minlength=m)
         return bad_counts == 0, steps, lengths
 
@@ -148,7 +141,7 @@ class StraightLinePlanner:
         j = np.arange(total) - offsets[seg] + 1
         t = j * (1.0 / (steps[seg] + 1))
         pts = cspace.interpolate_pairs(starts[seg], ends[seg], t)
-        ok = self._valid(cspace, pts)
+        ok = cspace.valid(pts)
         bad_counts = np.bincount(seg[~ok], minlength=m)
         return bad_counts == 0, steps, lengths
 
@@ -193,7 +186,7 @@ class StraightLinePlanner:
             j = j + wave_start + 1
             t = j / (steps[seg_local] + 1)
             pts = cspace.interpolate_pairs(starts[seg_local], ends[seg_local], t)
-            ok = self._valid(cspace, pts)
+            ok = cspace.valid(pts)
             checks += int(seg_local.size)
             if not ok.all():
                 valid[np.unique(seg_local[~ok])] = False

@@ -36,9 +36,6 @@ class ConfigurationSpace(ABC):
     env: Environment
     #: Bounds of the configuration vector (an AABB in C-space coordinates).
     bounds: AABB
-    #: True when :meth:`valid` accepts a per-call ``kernels=`` override
-    #: (the hot paths check this before threading a backend through).
-    supports_kernels: bool = False
 
     def set_kernel_backend(self, backend) -> None:
         """Route this space's collision checks through a
@@ -135,6 +132,7 @@ class EuclideanCSpace(ConfigurationSpace):
                 env.bounds.expanded(-robot_radius),
                 [o.expanded(robot_radius) for o in env.obstacles],
                 name=env.name + f"+r{robot_radius:g}",
+                kernel_backend=env.kernel_backend,
             )
             # Share the counter object so planner work is visible on the
             # original environment too.
@@ -143,8 +141,6 @@ class EuclideanCSpace(ConfigurationSpace):
         else:
             self._check_env = env
         self.bounds = self._check_env.bounds
-
-    supports_kernels = True
 
     @property
     def positional_dims(self) -> "tuple[int, ...]":
@@ -157,12 +153,12 @@ class EuclideanCSpace(ConfigurationSpace):
         if self._check_env is not self.env:
             self._check_env.set_kernel_backend(backend)
 
-    def valid(self, configs: np.ndarray, kernels=None) -> np.ndarray:
-        return ~self._check_env.points_in_collision(configs, kernels=kernels)
+    def valid(self, configs: np.ndarray) -> np.ndarray:
+        return ~self._check_env.points_in_collision(configs)
 
     def segment_valid(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Exact continuous validity of the straight segment (point robot)."""
         return not self._check_env.segment_in_collision(a, b)
 
-    def segments_valid(self, a: np.ndarray, b: np.ndarray, kernels=None) -> np.ndarray:
-        return ~self._check_env.segments_in_collision(a, b, kernels=kernels)
+    def segments_valid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return ~self._check_env.segments_in_collision(a, b)

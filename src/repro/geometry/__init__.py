@@ -18,7 +18,6 @@ from .primitives import AABB, Sphere, aabb_from_points, aabb_union
 from .scenarios import (
     available_scenarios,
     city_grid,
-    cluttered_spheres,
     fingerprint,
     scenario_by_name,
     shelf_warehouse,
@@ -42,7 +41,6 @@ __all__ = [
     "Environment",
     "available_scenarios",
     "city_grid",
-    "cluttered_spheres",
     "fingerprint",
     "scenario_by_name",
     "shelf_warehouse",

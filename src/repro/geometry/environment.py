@@ -16,9 +16,10 @@ Since the kernels refactor the actual collision arithmetic lives in
 structure-of-arrays :class:`~repro.kernels.data.EnvKernelData` (cached,
 invalidated on mutation) and dispatch to the environment's configured
 :class:`~repro.kernels.base.KernelBackend` — ``reference`` by default,
-which is bit-exact with the historical inline expressions.  Callers on
-shared environments can override per call with ``kernels=`` instead of
-mutating the environment's default.
+which is bit-exact with the historical inline expressions.  The
+environment is the only owner of that choice; the per-call ``kernels=``
+on its query methods is for differential checks of one backend against
+another without mutating the default.
 """
 
 from __future__ import annotations

@@ -3,19 +3,15 @@
 The paper's environments top out at ~125 obstacles — enough to show load
 imbalance, not enough to exercise hierarchical collision acceleration.
 These generators produce 10³–10⁵-obstacle worlds with the *structured*
-clutter real workloads have (aisles, streets, protein-like sphere
-packings), giving the ``bvh`` kernel backend something to climb and the
-load-balancing story richer imbalance profiles:
+clutter real workloads have (aisles, streets), giving the ``bvh`` kernel
+backend something to climb and the load-balancing story richer imbalance
+profiles:
 
 * :func:`shelf_warehouse` — rows of shelving racks with stacked bays and
   cross aisles; collision density is strongly anisotropic (along-aisle
   segments are nearly free, cross-rack segments hit constantly).
 * :func:`city_grid` — a Manhattan grid of buildings with jittered
   footprints and heights over street canyons.
-* :func:`cluttered_spheres` — a protein-like random sphere packing,
-  returned as an :class:`~repro.kernels.data.EnvKernelData` snapshot
-  (``Environment`` stores box obstacles only; the sphere kernels are
-  exercised at the snapshot level).
 
 Every generator is **deterministic for a fixed seed** and produces
 **exactly** ``n_obstacles`` primitives, so benchmark rows are
@@ -29,14 +25,12 @@ import hashlib
 
 import numpy as np
 
-from ..kernels import EnvKernelData
 from .environment import Environment
 from .primitives import AABB
 
 __all__ = [
     "shelf_warehouse",
     "city_grid",
-    "cluttered_spheres",
     "scenario_by_name",
     "available_scenarios",
     "fingerprint",
@@ -144,41 +138,9 @@ def city_grid(n_obstacles: int = 1000, seed: int = 0, half: float = HALF_EXTENT)
     return _boxes_to_env(lo, hi, f"city-{n_obstacles}", half)
 
 
-def cluttered_spheres(n_obstacles: int = 1000, seed: int = 0, half: float = HALF_EXTENT) -> EnvKernelData:
-    """A protein-like packing of ``n_obstacles`` spheres, as a kernel
-    snapshot.
-
-    Radii scale as ``n**(-1/3)`` so total blocked volume stays roughly
-    constant as the count grows; centers cluster around a random-walk
-    backbone (each sphere placed near the previous one), producing the
-    chain-like density of molecular scenes rather than uniform dust.
-    """
-    if n_obstacles < 1:
-        raise ValueError("n_obstacles must be >= 1")
-    rng = np.random.default_rng(seed)
-    scale = float((1000.0 / n_obstacles) ** (1.0 / 3.0))
-    radii = rng.uniform(0.25, 0.6, size=n_obstacles) * scale
-    centers = np.empty((n_obstacles, 3))
-    pos = rng.uniform(-0.5 * half, 0.5 * half, size=3)
-    for i in range(n_obstacles):
-        step = rng.normal(0.0, 0.8 * scale, size=3)
-        pos = np.clip(pos + step, -0.95 * half, 0.95 * half)
-        # Occasional jump: start a new chain elsewhere.
-        if rng.uniform() < 0.01:
-            pos = rng.uniform(-0.9 * half, 0.9 * half, size=3)
-        centers[i] = pos
-    return EnvKernelData(
-        bounds_lo=-half * np.ones(3),
-        bounds_hi=half * np.ones(3),
-        sph_center=centers,
-        sph_radius=radii,
-    )
-
-
 _SCENARIOS = {
     "warehouse": shelf_warehouse,
     "city": city_grid,
-    "spheres": cluttered_spheres,
 }
 
 
@@ -187,12 +149,8 @@ def available_scenarios() -> "list[str]":
     return sorted(_SCENARIOS)
 
 
-def scenario_by_name(name: str, n_obstacles: int = 1000, seed: int = 0):
-    """Build a scenario by name (``warehouse`` / ``city`` / ``spheres``).
-
-    Returns an :class:`Environment` for the box scenarios and an
-    :class:`~repro.kernels.data.EnvKernelData` for ``spheres``.
-    """
+def scenario_by_name(name: str, n_obstacles: int = 1000, seed: int = 0) -> Environment:
+    """Build a scenario by name (``warehouse`` / ``city``)."""
     try:
         builder = _SCENARIOS[name]
     except KeyError:
@@ -207,16 +165,12 @@ def fingerprint(obj) -> str:
 
     Accepts an :class:`Environment` (hashed via its cached
     ``EnvKernelData`` snapshot) or an ``EnvKernelData`` directly.  The
-    digest covers bounds, box and sphere arrays byte-for-byte, so the
+    digest covers bounds and box arrays byte-for-byte, so the
     golden-seed tests pin exact cross-machine reproducibility, not just
     obstacle counts.
     """
     data = obj.kernel_data() if isinstance(obj, Environment) else obj
     h = hashlib.sha256()
-    for arr in (
-        data.bounds_lo, data.bounds_hi,
-        data.box_lo, data.box_hi,
-        data.sph_center, data.sph_radius,
-    ):
+    for arr in (data.bounds_lo, data.bounds_hi, data.box_lo, data.box_hi):
         h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return h.hexdigest()

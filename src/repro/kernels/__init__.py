@@ -1,9 +1,7 @@
 """repro.kernels — pluggable compute-kernel backends for the hot primitives.
 
-The ROADMAP's "pluggable compute-kernel backend" item: every layer of the
-planner stack (``Environment`` collision queries, ``BruteForceNN``
-distance blocks, ``StraightLinePlanner`` batch validation, ``QueryEngine``
-and ``PlanService``) bottoms out in the four primitives of
+Collision checks (``Environment`` point / segment queries) and batched
+distance blocks (``BruteForceNN``) bottom out in the four primitives of
 :class:`~repro.kernels.base.KernelBackend`, dispatched through this
 registry:
 
@@ -13,14 +11,19 @@ registry:
   snapshot (:class:`~repro.kernels.data.EnvKernelData`); statistically
   equivalent.
 * ``bvh`` — BVH-culled collision kernels for obstacle-heavy scenes
-  (10³–10⁵ primitives, see ``repro.geometry.scenarios``); *bit-exact*
+  (10³–10⁵ boxes, see ``repro.geometry.scenarios``); *bit-exact*
   with the reference (the tree culls, leaf tests are the reference
   expressions), distance primitives delegate to ``reference``.
 
-Select a backend per plan request with
-``ExecutionPolicy(kernel_backend="fast32")``, per environment with
-``Environment.set_kernel_backend``, or per call via the ``kernels=``
-parameter the hot-path entry points accept.
+The choice has one owner per primitive family.  The collision backend
+belongs to the :class:`~repro.geometry.environment.Environment`
+(constructor, ``from_arrays``, ``set_kernel_backend``); a request names
+it once, ``ExecutionPolicy(kernel_backend="bvh")``, and
+:meth:`repro.spec.WorkloadSpec.resolve_cspace` hands it to the
+environment — no layer in between takes or forwards a backend.  The
+distance backend belongs to ``BruteForceNN(dim, kernels=...)``.  A
+per-call ``kernels=`` exists on the ``Environment`` query methods only,
+for differential checks of one backend against another.
 
 Adding a backend is ``register(name, factory)`` plus the four methods —
 see the recipe in DESIGN.md.

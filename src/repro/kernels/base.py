@@ -10,10 +10,9 @@ layer of the planner stack bottoms out in:
 * :meth:`KernelBackend.knn_block_min` — top-k selection over a stored
   point block.
 
-Everything above (``Environment``, ``BruteForceNN``,
-``StraightLinePlanner``, ``QueryEngine``, ``PlanService``) is written
-against this interface, so adding a backend (CuPy, multi-node, ...) never
-touches planner logic.  Contracts:
+Its two callers (``Environment`` for the collision pair, ``BruteForceNN``
+for the distance pair) are written against this interface, so adding a
+backend (CuPy, multi-node, ...) never touches planner logic.  Contracts:
 
 * Inputs are float64 arrays; obstacle data arrives as an
   :class:`~repro.kernels.data.EnvKernelData` snapshot.

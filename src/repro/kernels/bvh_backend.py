@@ -10,7 +10,7 @@ scanning every obstacle, turning the per-query cost from ``O(m)`` to
 only *culls*: node tests are conservative (inflated float64 boxes), and
 every surviving candidate is decided by the reference backend's own
 array-level expressions (:func:`repro.kernels.reference.points_hit_boxes`
-and friends) applied to the gathered primitive subset.  Elementwise
+/ ``segments_hit_boxes``) applied to the gathered primitive subset.  Elementwise
 NumPy expressions over a subset produce the same bits as over the full
 array, so a verdict can never differ from ``reference`` — which is why
 the differential battery in ``tests/test_bvh.py`` (up to the 20k-obstacle
@@ -21,7 +21,7 @@ stability-guarded agreement.
 ``pairwise_accumulate`` and ``knn_block_min`` have no obstacle structure
 to accelerate; they delegate to the reference backend unchanged.
 
-Trees are built lazily per :class:`~repro.kernels.data.EnvKernelData`
+The tree is built lazily per :class:`~repro.kernels.data.EnvKernelData`
 snapshot and cached *on the snapshot* — snapshots are immutable and are
 themselves cached on ``Environment`` (invalidated on mutation), so a
 mutated environment transparently gets a fresh tree with no extra
@@ -34,48 +34,22 @@ import numpy as np
 
 from .base import KernelBackend
 from .data import EnvKernelData
-from .reference import (
-    ReferenceKernels,
-    points_hit_boxes,
-    points_hit_spheres,
-    segments_hit_boxes,
-    segments_hit_spheres,
-)
+from .reference import ReferenceKernels, points_hit_boxes, segments_hit_boxes
 
 __all__ = ["BVHKernels"]
 
-#: Attribute name under which trees are cached on an EnvKernelData
-#: snapshot (maps "box"/"sph" -> BVH).
-_CACHE_ATTR = "_bvh_trees"
-
-
-def _trees(data: EnvKernelData) -> dict:
-    """The snapshot's lazily-built {"box": BVH, "sph": BVH} cache."""
-    cache = getattr(data, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(data, _CACHE_ATTR, cache)
-    return cache
+#: Attribute name under which the tree is cached on an EnvKernelData snapshot.
+_CACHE_ATTR = "_bvh_tree"
 
 
 def _box_tree(data: EnvKernelData):
+    """The snapshot's lazily-built box BVH."""
     from ..geometry.bvh import BVH  # deferred: geometry imports kernels
 
-    cache = _trees(data)
-    tree = cache.get("box")
+    tree = getattr(data, _CACHE_ATTR, None)
     if tree is None:
-        tree = cache["box"] = BVH(data.box_lo, data.box_hi)
-    return tree
-
-
-def _sphere_tree(data: EnvKernelData):
-    from ..geometry.bvh import BVH  # deferred: geometry imports kernels
-
-    cache = _trees(data)
-    tree = cache.get("sph")
-    if tree is None:
-        r = data.sph_radius[:, None]
-        tree = cache["sph"] = BVH(data.sph_center - r, data.sph_center + r)
+        tree = BVH(data.box_lo, data.box_hi)
+        setattr(data, _CACHE_ATTR, tree)
     return tree
 
 
@@ -97,14 +71,6 @@ class BVHKernels(KernelBackend):
                 lambda sub, prims: points_hit_boxes(data.box_lo[prims], data.box_hi[prims], sub),
             )
             free = free & ~hit
-        if data.num_spheres:
-            hit = _sphere_tree(data).points_hit(
-                pts,
-                lambda sub, prims: points_hit_spheres(
-                    data.sph_center[prims], data.sph_radius[prims], sub
-                ),
-            )
-            free = free & ~hit
         return free
 
     def segments_free(self, data: EnvKernelData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -119,15 +85,6 @@ class BVHKernels(KernelBackend):
                 q,
                 lambda sp, sq, prims: segments_hit_boxes(
                     data.box_lo[prims], data.box_hi[prims], sp, sq
-                ),
-            )
-            free = free & ~hit
-        if data.num_spheres:
-            hit = _sphere_tree(data).segments_hit(
-                p,
-                q,
-                lambda sp, sq, prims: segments_hit_spheres(
-                    data.sph_center[prims], data.sph_radius[prims], sp, sq
                 ),
             )
             free = free & ~hit

@@ -1,18 +1,15 @@
 """Structure-of-arrays obstacle snapshot consumed by compute kernels.
 
-``EnvKernelData`` flattens a workspace — bounds plus per-type obstacle
+``EnvKernelData`` flattens a workspace — bounds plus the obstacle
 arrays — into contiguous NumPy buffers so kernels loop over flat arrays
 instead of Python primitive objects.  It is built once per environment
 mutation (see :meth:`repro.geometry.environment.Environment.kernel_data`)
 and shared by every backend: the reference backend reads the float64
 arrays, the fast32 backend the float32 mirrors.
 
-Two obstacle types are carried: axis-aligned boxes (lo/hi plus the
-center/half-extent form blocked kernels prefer) and spheres
-(center/radius).  ``Environment`` today stores boxes only, so snapshots
-built from it have an empty sphere section; the sphere arrays exist so
-kernels — and their equivalence tests — cover both primitive types and so
-future environments can feed spheres through without a kernel change.
+One obstacle type is carried, the one an ``Environment`` can hold:
+axis-aligned boxes (lo/hi plus the center/half-extent form blocked
+kernels prefer).
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ class EnvKernelData:
         Workspace bounding box, shape ``(d,)``.
     box_lo, box_hi:
         Axis-aligned box obstacles, shape ``(nb, d)`` (may be empty).
-    sph_center, sph_radius:
-        Sphere obstacles, shapes ``(ns, d)`` and ``(ns,)`` (may be empty).
 
     Derived center/half-extent arrays and float32 mirrors (``*32``
     attributes) are precomputed so per-query kernel calls do no layout
@@ -56,8 +51,6 @@ class EnvKernelData:
         bounds_hi: np.ndarray,
         box_lo: "np.ndarray | None" = None,
         box_hi: "np.ndarray | None" = None,
-        sph_center: "np.ndarray | None" = None,
-        sph_radius: "np.ndarray | None" = None,
     ):
         self.bounds_lo = np.ascontiguousarray(np.asarray(bounds_lo, dtype=np.float64))
         self.bounds_hi = np.ascontiguousarray(np.asarray(bounds_hi, dtype=np.float64))
@@ -73,13 +66,6 @@ class EnvKernelData:
         self.box_center = 0.5 * (self.box_lo + self.box_hi)
         self.box_half = 0.5 * (self.box_hi - self.box_lo)
 
-        self.sph_center = _as2d(sph_center if sph_center is not None else (), d, "sph_center")
-        self.sph_radius = np.ascontiguousarray(
-            np.asarray(sph_radius if sph_radius is not None else (), dtype=np.float64).reshape(-1)
-        )
-        if self.sph_radius.shape[0] != self.sph_center.shape[0]:
-            raise ValueError("sph_center/sph_radius length mismatch")
-
         # float32 mirrors for the fast32 backend (cast once, not per query).
         self.bounds_lo32 = self.bounds_lo.astype(np.float32)
         self.bounds_hi32 = self.bounds_hi.astype(np.float32)
@@ -87,8 +73,6 @@ class EnvKernelData:
         self.box_hi32 = self.box_hi.astype(np.float32)
         self.box_center32 = self.box_center.astype(np.float32)
         self.box_half32 = self.box_half.astype(np.float32)
-        self.sph_center32 = self.sph_center.astype(np.float32)
-        self.sph_radius32 = self.sph_radius.astype(np.float32)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -106,37 +90,10 @@ class EnvKernelData:
             box_hi=env._obs_hi,
         )
 
-    @classmethod
-    def from_primitives(cls, bounds, obstacles) -> "EnvKernelData":
-        """Build from an AABB bounds plus a mixed list of AABB/Sphere
-        obstacles (duck-typed on ``lo``/``hi`` vs ``center``/``radius``)."""
-        box_lo, box_hi, sc, sr = [], [], [], []
-        for obs in obstacles:
-            if hasattr(obs, "lo"):
-                box_lo.append(np.asarray(obs.lo, dtype=float))
-                box_hi.append(np.asarray(obs.hi, dtype=float))
-            elif hasattr(obs, "center"):
-                sc.append(np.asarray(obs.center, dtype=float))
-                sr.append(float(obs.radius))
-            else:
-                raise TypeError(f"unsupported obstacle type: {type(obs).__name__}")
-        return cls(
-            bounds_lo=bounds.lo,
-            bounds_hi=bounds.hi,
-            box_lo=np.stack(box_lo) if box_lo else None,
-            box_hi=np.stack(box_hi) if box_hi else None,
-            sph_center=np.stack(sc) if sc else None,
-            sph_radius=np.asarray(sr) if sr else None,
-        )
-
     # -- properties --------------------------------------------------------
     @property
     def num_boxes(self) -> int:
         return self.box_lo.shape[0]
-
-    @property
-    def num_spheres(self) -> int:
-        return self.sph_center.shape[0]
 
     @property
     def nbytes(self) -> int:
@@ -145,9 +102,8 @@ class EnvKernelData:
             getattr(self, a).nbytes
             for a in (
                 "bounds_lo", "bounds_hi", "box_lo", "box_hi", "box_center",
-                "box_half", "sph_center", "sph_radius", "bounds_lo32",
-                "bounds_hi32", "box_lo32", "box_hi32", "box_center32",
-                "box_half32", "sph_center32", "sph_radius32",
+                "box_half", "bounds_lo32", "bounds_hi32", "box_lo32",
+                "box_hi32", "box_center32", "box_half32",
             )
         )
 
@@ -171,17 +127,7 @@ class EnvKernelData:
         mid = 0.5 * (blo + bhi)
         blo = np.minimum(blo, mid)
         bhi = np.maximum(bhi, mid)
-        return EnvKernelData(
-            bounds_lo=blo,
-            bounds_hi=bhi,
-            box_lo=lo,
-            box_hi=hi,
-            sph_center=self.sph_center,
-            sph_radius=np.maximum(self.sph_radius + m, 0.0),
-        )
+        return EnvKernelData(bounds_lo=blo, bounds_hi=bhi, box_lo=lo, box_hi=hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EnvKernelData(dim={self.dim}, boxes={self.num_boxes}, "
-            f"spheres={self.num_spheres})"
-        )
+        return f"EnvKernelData(dim={self.dim}, boxes={self.num_boxes})"

@@ -62,7 +62,7 @@ class Fast32Kernels(KernelBackend):
         if not free.any():
             return free
         hit = np.zeros(n, dtype=bool)
-        # Boxes: |p - center| <= half per dimension, accumulated in 2-D
+        # |p - center| <= half per dimension, accumulated in 2-D
         # (n, tile) planes (no (n, m, d) temporary).
         c, h = data.box_center32, data.box_half32
         for lo in range(0, data.num_boxes, _TILE):
@@ -74,20 +74,6 @@ class Fast32Kernels(KernelBackend):
             hit |= inside.any(axis=1)
             if hit.all():
                 break
-        # Spheres: squared distance accumulated per dimension.
-        if data.num_spheres and not hit.all():
-            sc, sr = data.sph_center32, data.sph_radius32
-            for lo in range(0, data.num_spheres, _TILE):
-                cc = sc[lo : lo + _TILE]
-                r2 = sr[lo : lo + _TILE] ** 2
-                diff = pts[:, 0, None] - cc[None, :, 0]
-                d2 = diff * diff
-                for j in range(1, dim):
-                    diff = pts[:, j, None] - cc[None, :, j]
-                    d2 += diff * diff
-                hit |= (d2 <= r2[None, :]).any(axis=1)
-                if hit.all():
-                    break
         return free & ~hit
 
     def segments_free(self, data: EnvKernelData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -97,63 +83,42 @@ class Fast32Kernels(KernelBackend):
         free = np.all((p32 >= data.bounds_lo32) & (p32 <= data.bounds_hi32), axis=1) & np.all(
             (q32 >= data.bounds_lo32) & (q32 <= data.bounds_hi32), axis=1
         )
-        if not free.any() or (data.num_boxes == 0 and data.num_spheres == 0):
+        if not free.any() or data.num_boxes == 0:
             return free
         d = q32 - p32  # (n, dim)
         hit = np.zeros(n, dtype=bool)
-        if data.num_boxes:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = np.where(d != 0.0, _F32(1.0) / d, _INF32)  # (n, dim)
-            par = d == 0.0  # (n, dim) parallel-axis mask
-            any_par = par.any()
-            blo, bhi = data.box_lo32, data.box_hi32
-            for lo in range(0, data.num_boxes, _TILE):
-                olo = blo[lo : lo + _TILE]
-                ohi = bhi[lo : lo + _TILE]
-                t = olo.shape[0]
-                t0 = np.zeros((n, t), dtype=_F32)
-                t1 = np.ones((n, t), dtype=_F32)
-                miss = np.zeros((n, t), dtype=bool)
-                for j in range(dim):
-                    pj = p32[:, j, None]  # (n, 1)
-                    a = (olo[None, :, j] - pj) * inv[:, j, None]
-                    b = (ohi[None, :, j] - pj) * inv[:, j, None]
-                    tn = np.minimum(a, b)
-                    tf = np.maximum(a, b)
-                    if any_par:
-                        # Parallel axes produce 0*inf = NaN above; replace
-                        # with the pass-through slab and record misses for
-                        # segments outside it.
-                        pm = par[:, j, None]
-                        inside = (pj >= olo[None, :, j]) & (pj <= ohi[None, :, j])
-                        miss |= pm & ~inside
-                        tn = np.where(pm, -_INF32, tn)
-                        tf = np.where(pm, _INF32, tf)
-                    np.maximum(t0, tn, out=t0)
-                    np.minimum(t1, tf, out=t1)
-                hit |= ((t0 <= t1) & ~miss).any(axis=1)
-                if hit.all():
-                    return free & ~hit
-        if data.num_spheres:
-            dd = np.einsum("ij,ij->i", d, d)  # (n,)
-            safe_dd = np.where(dd > 0.0, dd, _F32(1.0))
-            sc, sr = data.sph_center32, data.sph_radius32
-            for lo in range(0, data.num_spheres, _TILE):
-                cc = sc[lo : lo + _TILE]
-                r2 = sr[lo : lo + _TILE] ** 2
-                # t = clamp(-(p-c)·d / d·d, 0, 1) accumulated per dim.
-                num = (cc[None, :, 0] - p32[:, 0, None]) * d[:, 0, None]
-                for j in range(1, dim):
-                    num += (cc[None, :, j] - p32[:, j, None]) * d[:, j, None]
-                t = np.clip(num / safe_dd[:, None], _F32(0.0), _F32(1.0))
-                diff = p32[:, 0, None] + t * d[:, 0, None] - cc[None, :, 0]
-                d2 = diff * diff
-                for j in range(1, dim):
-                    diff = p32[:, j, None] + t * d[:, j, None] - cc[None, :, j]
-                    d2 += diff * diff
-                hit |= (d2 <= r2[None, :]).any(axis=1)
-                if hit.all():
-                    break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(d != 0.0, _F32(1.0) / d, _INF32)  # (n, dim)
+        par = d == 0.0  # (n, dim) parallel-axis mask
+        any_par = par.any()
+        blo, bhi = data.box_lo32, data.box_hi32
+        for lo in range(0, data.num_boxes, _TILE):
+            olo = blo[lo : lo + _TILE]
+            ohi = bhi[lo : lo + _TILE]
+            t = olo.shape[0]
+            t0 = np.zeros((n, t), dtype=_F32)
+            t1 = np.ones((n, t), dtype=_F32)
+            miss = np.zeros((n, t), dtype=bool)
+            for j in range(dim):
+                pj = p32[:, j, None]  # (n, 1)
+                a = (olo[None, :, j] - pj) * inv[:, j, None]
+                b = (ohi[None, :, j] - pj) * inv[:, j, None]
+                tn = np.minimum(a, b)
+                tf = np.maximum(a, b)
+                if any_par:
+                    # Parallel axes produce 0*inf = NaN above; replace
+                    # with the pass-through slab and record misses for
+                    # segments outside it.
+                    pm = par[:, j, None]
+                    inside = (pj >= olo[None, :, j]) & (pj <= ohi[None, :, j])
+                    miss |= pm & ~inside
+                    tn = np.where(pm, -_INF32, tn)
+                    tf = np.where(pm, _INF32, tf)
+                np.maximum(t0, tn, out=t0)
+                np.minimum(t1, tf, out=t1)
+            hit |= ((t0 <= t1) & ~miss).any(axis=1)
+            if hit.all():
+                break
         return free & ~hit
 
     # -- distances ---------------------------------------------------------

@@ -9,8 +9,8 @@ cross-checks) runs through this backend and must stay green with zero
 tolerance changes; fast backends are instead held to the statistical
 gates described in :mod:`repro.kernels.base`.
 
-The per-primitive tests are exposed as array-level functions
-(``points_hit_boxes`` and friends) so the ``bvh`` backend can run the
+The box tests are exposed as array-level functions
+(``points_hit_boxes`` / ``segments_hit_boxes``) so the ``bvh`` backend can run the
 *identical* expressions over the primitive subsets its tree narrows each
 query to — that sharing is what makes the BVH backend bit-exact rather
 than merely statistically equivalent (see ``repro.kernels.bvh_backend``).
@@ -28,9 +28,7 @@ __all__ = [
     "ReferenceKernels",
     "pairwise_accumulate_exact",
     "points_hit_boxes",
-    "points_hit_spheres",
     "segments_hit_boxes",
-    "segments_hit_spheres",
 ]
 
 
@@ -69,13 +67,6 @@ def points_hit_boxes(box_lo: np.ndarray, box_hi: np.ndarray, pts: np.ndarray) ->
     ).any(axis=1)
 
 
-def points_hit_spheres(sph_center: np.ndarray, sph_radius: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``(n,)`` bool: point is inside (inclusively) some sphere."""
-    diff = pts[:, None, :] - sph_center[None, :, :]
-    dist2 = np.einsum("imj,imj->im", diff, diff)
-    return (dist2 <= sph_radius[None, :] ** 2).any(axis=1)
-
-
 def segments_hit_boxes(
     obs_lo: np.ndarray, obs_hi: np.ndarray, p: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
@@ -104,24 +95,6 @@ def segments_hit_boxes(
     return hit.any(axis=1)
 
 
-def segments_hit_spheres(
-    sph_center: np.ndarray, sph_radius: np.ndarray, p: np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    """Exact segment-vs-sphere test: closest point on the segment to each
-    center, clamped to the parameter range, against the radius."""
-    c, r = sph_center, sph_radius
-    d = q - p  # (n, dim)
-    dd = np.einsum("ij,ij->i", d, d)  # (n,)
-    f = p[:, None, :] - c[None, :, :]  # (n, m, dim)
-    num = -np.einsum("imj,ij->im", f, d)  # (n, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dd[:, None] > 0.0, num / dd[:, None], 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = f + t[:, :, None] * d[:, None, :]
-    dist2 = np.einsum("imj,imj->im", closest, closest)
-    return (dist2 <= r[None, :] ** 2).any(axis=1)
-
-
 class ReferenceKernels(KernelBackend):
     """Bit-exact float64 backend — the default everywhere."""
 
@@ -133,8 +106,6 @@ class ReferenceKernels(KernelBackend):
         free = np.all((pts >= data.bounds_lo) & (pts <= data.bounds_hi), axis=-1)
         if data.num_boxes:
             free = free & ~points_hit_boxes(data.box_lo, data.box_hi, pts)
-        if data.num_spheres:
-            free = free & ~points_hit_spheres(data.sph_center, data.sph_radius, pts)
         return free
 
     def segments_free(self, data: EnvKernelData, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -145,8 +116,6 @@ class ReferenceKernels(KernelBackend):
         )
         if data.num_boxes:
             free = free & ~segments_hit_boxes(data.box_lo, data.box_hi, p, q)
-        if data.num_spheres:
-            free = free & ~segments_hit_spheres(data.sph_center, data.sph_radius, p, q)
         return free
 
     def pairwise_accumulate(self, stored: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:

@@ -65,20 +65,17 @@ _INITIAL_CAPACITY = 64
 class IncrementalNN(NeighborFinder):
     """Logarithmic-rebuild kd-tree forest over ``dim``-dimensional points.
 
-    ``kernels`` is accepted for factory-signature uniformity with the
-    other backends; every distance here is exact float64 regardless.
-    ``buffer_capacity`` is the brute-buffer size ``B`` (rung ``j`` holds
-    ``B·2^j`` points).
+    Every distance here is exact float64.  ``buffer_capacity`` is the
+    brute-buffer size ``B`` (rung ``j`` holds ``B·2^j`` points).
     """
 
-    def __init__(self, dim: int, kernels=None, buffer_capacity: int = _DEFAULT_BUFFER):
+    def __init__(self, dim: int, buffer_capacity: int = _DEFAULT_BUFFER):
         super().__init__()
         if dim <= 0:
             raise ValueError("dim must be positive")
         if buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         self.dim = dim
-        self.kernels = kernels
         self.buffer_capacity = buffer_capacity
         # Global insertion-order store (amortised growth, like BruteForceNN):
         # slot index == insertion sequence number, the canonical tie-break.

@@ -36,19 +36,14 @@ __all__ = ["KDTreeNN"]
 
 
 class KDTreeNN(NeighborFinder):
-    """Incremental kd-tree over ``dim``-dimensional points.
+    """Incremental kd-tree over ``dim``-dimensional points; the scalar
+    tree descent is always exact float64."""
 
-    ``kernels`` is accepted for factory-signature uniformity with
-    :class:`~repro.knn.brute.BruteForceNN`; the scalar tree descent is
-    always exact float64, so the backend is stored but unused.
-    """
-
-    def __init__(self, dim: int, kernels=None):
+    def __init__(self, dim: int):
         super().__init__()
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.kernels = kernels
         # Parallel arrays: point tuple, external id, split axis, child slots
         # (-1 = absent).  Slot index doubles as insertion sequence number.
         self._pts: "list[tuple[float, ...]]" = []

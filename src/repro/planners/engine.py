@@ -33,7 +33,6 @@ build a new engine after changing the roadmap.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -42,7 +41,6 @@ import numpy as np
 
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
-from ..knn import get_nn_factory
 from ..knn.brute import BruteForceNN
 from ..knn.kdtree import KDTreeNN
 from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
@@ -158,13 +156,10 @@ class QueryEngine:
         :class:`~repro.knn.kdtree.KDTreeNN` above it.  Every backend
         shares the canonical (distance, insertion order) tie-break, so
         the choice never changes an answer, only its latency.
-    kernels:
-        Optional :mod:`repro.kernels` backend (name or instance) threaded
-        through endpoint validity checks, the NN index's distance blocks,
-        and the default local planner — without mutating the (possibly
-        shared) ``cspace``.  ``None`` keeps the space's own configured
-        backend (``reference`` unless changed), preserving the bit-exact
-        ``RoadmapQuery`` parity contract.
+
+    Collision checks run on whichever :mod:`repro.kernels` backend
+    ``cspace``'s environment is configured with; the NN index always
+    computes float64 distances.
     """
 
     def __init__(
@@ -174,17 +169,15 @@ class QueryEngine:
         local_planner=None,
         k: int = 8,
         nn_factory=None,
-        kernels=None,
     ):
         self.cspace = cspace
-        self.kernels = kernels
         if isinstance(roadmap, FrozenRoadmap):
             self.frozen = roadmap
         else:
             self.frozen = FrozenRoadmap.from_roadmap(roadmap)
         self.local_planner = (
             local_planner if local_planner is not None
-            else StraightLinePlanner(resolution=0.25, kernels=kernels)
+            else StraightLinePlanner(resolution=0.25)
         )
         self.k = k
         n = self.frozen.num_vertices
@@ -192,13 +185,8 @@ class QueryEngine:
             # One flat distance matrix beats per-query tree descents until
             # the O(n) scan rows dominate; results are identical either way.
             nn_factory = BruteForceNN if n < _AUTO_KDTREE_MIN else KDTreeNN
-        elif isinstance(nn_factory, str):
-            # A repro.knn registry name ("brute" / "kdtree" /
-            # "incremental") — unknown names raise ValueError here, at
-            # construction, not on the first query.
-            nn_factory = get_nn_factory(nn_factory)
         self.nn_factory = nn_factory
-        self._nn = self._make_nn(cspace.dim)
+        self._nn = nn_factory(cspace.dim)
         if n:
             # Point ids are dense rows: insertion order matches the frozen
             # row order, so canonical tie-breaking equals what a fresh
@@ -206,25 +194,6 @@ class QueryEngine:
             self._nn.add_batch(np.arange(n, dtype=np.int64), self.frozen.configs)
         self._sid = self.frozen.max_id + 1
         self._gid = self.frozen.max_id + 2
-
-    def _make_nn(self, dim: int):
-        """Build the NN index, forwarding ``kernels`` to factories that
-        accept it (custom ``dim -> NeighborFinder`` lambdas need not)."""
-        if self.kernels is not None:
-            try:
-                params = inspect.signature(self.nn_factory).parameters
-            except (TypeError, ValueError):
-                params = {}
-            if "kernels" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-            ):
-                return self.nn_factory(dim, kernels=self.kernels)
-        return self.nn_factory(dim)
-
-    def _cspace_valid(self, configs: np.ndarray) -> np.ndarray:
-        if self.kernels is not None and getattr(self.cspace, "supports_kernels", False):
-            return self.cspace.valid(configs, kernels=self.kernels)
-        return self.cspace.valid(configs)
 
     @property
     def nn_stats(self):
@@ -260,7 +229,7 @@ class QueryEngine:
         jobs: "list[tuple | None]" = [None] * q
         if q == 0:
             return jobs
-        vmask = np.asarray(self._cspace_valid(np.vstack([starts, goals])), dtype=bool)
+        vmask = np.asarray(self.cspace.valid(np.vstack([starts, goals])), dtype=bool)
         ok = vmask[:q] & vmask[q:]
         valid_idx = np.nonzero(ok)[0].tolist()
         if not valid_idx:

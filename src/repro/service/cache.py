@@ -69,32 +69,21 @@ def snapshot_nbytes(engine: QueryEngine) -> int:
     )
 
 
-def build_engine(
-    spec: WorkloadSpec, k: int = 8, nn_factory=None, local_planner=None, kernels=None
-) -> QueryEngine:
+def build_engine(spec: WorkloadSpec, kernel_backend: "str | None" = None) -> QueryEngine:
     """Default cache builder: construct the workload's roadmap exactly the
     way :func:`repro.api.plan` does, then freeze it into an engine.
 
     Bit-parity anchor: a direct ``RoadmapQuery.solve`` against
     ``plan(spec).roadmap`` and a served query through this engine return
     identical paths, because both start from the same roadmap bytes.
-    ``kernels`` (a :mod:`repro.kernels` backend name or instance) routes
-    both the build and the engine's serving paths through that backend —
-    the service-level hookup for ``ExecutionPolicy.kernel_backend``.
+    ``kernel_backend`` (a :mod:`repro.kernels` registry name — the
+    service's ``ExecutionPolicy.kernel_backend``) configures the
+    environment both the build and the engine's serving paths check
+    collisions against.
     """
     spec.validate()
-    cspace = spec.resolve_cspace()
-    if kernels is not None:
-        cspace.set_kernel_backend(kernels)
-    workload = spec.build_workload(cspace)
-    return QueryEngine(
-        cspace,
-        workload.roadmap,
-        k=k,
-        nn_factory=nn_factory,
-        local_planner=local_planner,
-        kernels=kernels,
-    )
+    cspace = spec.resolve_cspace(kernel_backend)
+    return QueryEngine(cspace, spec.build_workload(cspace).roadmap)
 
 
 @dataclass
@@ -150,47 +139,28 @@ class RoadmapCache:
         Memory budget over snapshot CSR bytes (see
         :func:`snapshot_nbytes`).  ``None`` means unbounded.
     builder:
-        ``WorkloadSpec -> QueryEngine``; defaults to
-        :func:`build_engine` with ``k`` / ``nn_factory`` applied.
-    k, nn_factory, local_planner:
-        Engine construction knobs forwarded to the default builder
-        (ignored when an explicit ``builder`` is given).
-    enabled:
-        ``False`` turns storage off: every lookup is a miss that builds
-        fresh (the bit-parity control for tests —
-        identical answers, none of the amortisation).
+        ``WorkloadSpec -> QueryEngine``; defaults to :func:`build_engine`.
+        One cache has one builder for life, so the workload hash alone
+        keys its entries.
     tracer:
         Optional :class:`~repro.obs.Tracer` for cache events/metrics.
-    kernels:
-        Optional :mod:`repro.kernels` backend (name or instance) the
-        default builder threads through build and serving.  Roadmaps
-        built under different backends can differ, so a non-reference
-        backend participates in the cache key — entries never alias
-        across backends.
     """
 
     def __init__(
         self,
         max_bytes: "int | None" = 256 << 20,
         builder: "Callable[[WorkloadSpec], QueryEngine] | None" = None,
-        k: int = 8,
-        nn_factory=None,
-        local_planner=None,
-        enabled: bool = True,
         tracer: "Tracer | None" = None,
-        kernels=None,
     ):
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0 (or None for unbounded)")
         self.max_bytes = max_bytes
-        self.kernels = kernels
         if builder is None:
-            builder = lambda spec: build_engine(  # noqa: E731
-                spec, k=k, nn_factory=nn_factory, local_planner=local_planner,
-                kernels=kernels,
-            )
+            # Resolved by module-level name on every call, so whatever
+            # wraps ``build_engine`` after this cache exists still sees
+            # its builds.
+            builder = lambda spec: build_engine(spec)  # noqa: E731
         self._builder = builder
-        self.enabled = enabled
         self._tracer = active(tracer)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
@@ -217,21 +187,8 @@ class RoadmapCache:
         with self._lock:
             return len(self._entries)
 
-    def _key_for(self, spec: WorkloadSpec) -> str:
-        """Cache key of ``spec`` under this cache's kernel backend.
-
-        The workload hash alone would alias roadmaps built by different
-        backends (fast32 verdicts can diverge near obstacle faces), so a
-        non-default backend is appended to the key.
-        """
-        key = spec.cache_key()
-        if self.kernels is None:
-            return key
-        name = self.kernels if isinstance(self.kernels, str) else self.kernels.name
-        return f"{key}|kernels={name}"
-
     def __contains__(self, spec: "WorkloadSpec | str") -> bool:
-        key = spec if isinstance(spec, str) else self._key_for(spec)
+        key = spec if isinstance(spec, str) else spec.cache_key()
         with self._lock:
             return key in self._entries
 
@@ -242,20 +199,7 @@ class RoadmapCache:
         Raises whatever the builder raised (after recording the miss);
         concurrent callers of a failed build all see the same exception.
         """
-        key = self._key_for(spec)
-        if not self.enabled:
-            with self._lock:
-                self._stats.misses += 1
-                self._stats.builds += 1
-            if self._tracer:
-                self._tracer.point(EV_CACHE_MISS, key=key, coalesced=False)
-                self._tracer.metrics.counter("cache_misses").inc()
-            t0 = time.perf_counter()
-            engine = self._builder(spec)
-            with self._lock:
-                self._stats.build_time += time.perf_counter() - t0
-            return engine
-
+        key = spec.cache_key()
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -314,7 +258,7 @@ class RoadmapCache:
 
     def put(self, spec: WorkloadSpec, engine: QueryEngine) -> None:
         """Pre-warm: install an already-built engine under ``spec``'s key."""
-        key = self._key_for(spec)
+        key = spec.cache_key()
         nbytes = snapshot_nbytes(engine)
         with self._lock:
             old = self._entries.pop(key, None)

@@ -35,7 +35,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..obs.metrics import nearest_rank
 from ..obs.tracer import active
 from ..planners.engine import QueryRequest
 from ..spec import ExecutionPolicy, FaultPolicy, WorkloadSpec
+from . import cache as _cache
 from .cache import CacheStats, RoadmapCache
 from .coalescer import BatchQueue, Flush
 
@@ -65,8 +66,7 @@ class ServiceConfig:
     The coalescer trades batch amortisation against added latency via
     ``max_batch`` / ``max_linger``; ``max_queue`` bounds memory and gives
     back-pressure a place to push; ``cache_bytes`` bounds the snapshot
-    cache (``cache_enabled=False`` is the parity control: identical
-    answers, a fresh build per batch).
+    cache.
     """
 
     #: flush a workload's batch at this many queued requests.
@@ -77,15 +77,10 @@ class ServiceConfig:
     max_queue: int = 1024
     #: LRU budget for cached roadmap snapshots (None = unbounded).
     cache_bytes: "int | None" = 256 << 20
-    #: False disables snapshot reuse (every batch rebuilds — parity mode).
-    cache_enabled: bool = True
-    #: start/goal attachment degree (matches ``RoadmapQuery`` default).
-    k: int = 8
-    #: optional ``dim -> NeighborFinder`` override for cached engines.
-    nn_factory: Any = None
     #: batches that may execute concurrently (distinct workload keys).
     serve_workers: int = 2
-    #: per-batch execution policy (workers/backend for ``solve_many``).
+    #: per-batch execution policy (workers/backend for ``solve_many``);
+    #: its ``kernel_backend`` is the one cached engines are built on.
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     #: per-batch fault policy (retry / degrade, forwarded to the pool).
     faults: FaultPolicy = field(default_factory=FaultPolicy)
@@ -158,7 +153,8 @@ class PlanService:
         each batch's full ``serve`` span + per-query events through it.
     cache:
         Optional pre-built (possibly shared) :class:`RoadmapCache`;
-        by default one is built from the config's budget/knobs.
+        by default one is built from the config's budget, its engines on
+        the execution policy's kernel backend.
     """
 
     def __init__(
@@ -172,16 +168,13 @@ class PlanService:
         self._tracer = active(tracer)
         self._raw_tracer = tracer
         if cache is None:
+            kernel_backend = self.config.execution.kernel_backend
             cache = RoadmapCache(
                 max_bytes=self.config.cache_bytes,
-                k=self.config.k,
-                nn_factory=self.config.nn_factory,
-                enabled=self.config.cache_enabled,
+                # Looked up on the module at every build, so whatever wraps
+                # ``build_engine`` after this service exists still sees it.
+                builder=lambda spec: _cache.build_engine(spec, kernel_backend),
                 tracer=tracer,
-                # End of the ExecutionPolicy.kernel_backend chain: builds
-                # and serving both run on the configured backend (None =
-                # inherit, i.e. reference).
-                kernels=self.config.execution.kernel_backend,
             )
         self.cache = cache
         self._cond = threading.Condition()

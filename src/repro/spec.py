@@ -10,7 +10,9 @@ A request is four composable specs with **one canonical name per knob**:
 * :class:`ExecutionPolicy` — *where/how to run it*: execution ``mode``,
   load-balancing strategy, partitioner, PE count, topology and steal
   granularity for the simulated machine; worker count, backend and chunk
-  size for the local pool.
+  size for the local pool; and the collision-kernel backend, which
+  :meth:`WorkloadSpec.resolve_cspace` hands to the environment — the
+  one place a request's backend name is acted on.
 * :class:`FaultPolicy` — *what to do when it breaks*: failure ``policy``,
   retry budget, task timeout, and the deterministic ``injector``.
 * :class:`ObsConfig` — *what to record*: the tracer.
@@ -119,17 +121,27 @@ class WorkloadSpec:
         if self.nodes_per_region < 1:
             raise ValueError("nodes_per_region must be >= 1")
 
-    def resolve_cspace(self) -> ConfigurationSpace:
+    def resolve_cspace(self, kernel_backend: "str | None" = None) -> ConfigurationSpace:
         """Materialise the configuration space (looking the environment up
-        by catalog name when given as a string)."""
+        by catalog name when given as a string).
+
+        ``kernel_backend`` is the request side's one hand-off of
+        ``ExecutionPolicy.kernel_backend`` to the environment, which owns
+        the choice from here on.  Catalog names resolve to fresh objects,
+        so this configures only the caller's own workspace; a
+        caller-supplied ``Environment`` instance is configured in place
+        (the caller asked for the backend).  ``None`` leaves the
+        environment as it is configured.
+        """
         env = self.environment
         if isinstance(env, str):
             env = environments.by_name(env)
-        return EuclideanCSpace(env)
+        cspace = EuclideanCSpace(env)
+        if kernel_backend is not None:
+            cspace.set_kernel_backend(kernel_backend)
+        return cspace
 
-    def build_workload(
-        self, cspace: ConfigurationSpace, nn_factory=None
-    ) -> "PRMWorkload | RRTWorkload":
+    def build_workload(self, cspace: ConfigurationSpace) -> "PRMWorkload | RRTWorkload":
         """Run this spec's regional planners once over ``cspace`` — the
         one ``planner`` -> ``build_*_workload`` dispatch, shared by
         :func:`repro.api.plan` and the service's cache builder.  Anything
@@ -137,12 +149,11 @@ class WorkloadSpec:
         directly, as :mod:`repro.bench.figures` does."""
         if self.planner == "prm":
             return build_prm_workload(
-                cspace, self.num_regions, self.samples_per_region,
-                seed=self.seed, nn_factory=nn_factory,
+                cspace, self.num_regions, self.samples_per_region, seed=self.seed
             )
         return build_rrt_workload(
             cspace, default_root(cspace, self.seed), self.num_regions, self.nodes_per_region,
-            seed=self.seed, nn_factory=nn_factory,
+            seed=self.seed,
         )
 
     def cache_key(self) -> str:
@@ -200,22 +211,15 @@ class ExecutionPolicy:
     #: chunk) or ``"shm"`` (require shared memory, raise if ineligible).
     #: Results are bit-identical across planes; only transport differs.
     data_plane: str = "auto"
-    #: compute-kernel backend for the collision/distance hot paths (a
+    #: compute-kernel backend for the collision hot paths (a
     #: :mod:`repro.kernels` registry name — ``"fast32"`` for float32
     #: blocked compute, ``"bvh"`` for tree-culled queries on
-    #: obstacle-heavy scenes, bit-exact with reference).  ``None`` keeps
+    #: obstacle-heavy scenes, bit-exact with reference), handed to the
+    #: environment by :meth:`WorkloadSpec.resolve_cspace`.  ``None`` keeps
     #: whatever the environment is configured with — ``"reference"``
     #: (bit-exact) unless explicitly changed, so the default is
     #: reference everywhere.
     kernel_backend: "str | None" = None
-    #: nearest-neighbour backend for the planners' growing structures (a
-    #: :mod:`repro.knn` registry name — ``"incremental"`` for the
-    #: logarithmic-rebuild kd-tree forest that makes large RRT builds
-    #: sublinear per query, ``"brute"`` / ``"kdtree"`` for the flat
-    #: backends).  All backends share the canonical (distance, insertion
-    #: order) tie-break, so the choice never changes planner output.
-    #: ``None`` keeps each planner's default (brute force).
-    nn_backend: "str | None" = None
 
     def validate(self) -> None:
         """Raise ``ValueError`` on any out-of-range or unknown field."""
@@ -240,33 +244,11 @@ class ExecutionPolicy:
             )
         if self.kernel_backend is not None:
             from .kernels import available_backends
-            from .knn import available_nn_factories
 
             if self.kernel_backend not in available_backends():
-                hint = (
-                    " (this is an NN backend — did you mean nn_backend"
-                    f"={self.kernel_backend!r}?)"
-                    if self.kernel_backend in available_nn_factories()
-                    else ""
-                )
                 raise ValueError(
                     f"kernel_backend must be one of {available_backends()} "
-                    f"(or None), got {self.kernel_backend!r}{hint}"
-                )
-        if self.nn_backend is not None:
-            from .kernels import available_backends
-            from .knn import available_nn_factories
-
-            if self.nn_backend not in available_nn_factories():
-                hint = (
-                    " (this is a compute-kernel backend — did you mean "
-                    f"kernel_backend={self.nn_backend!r}?)"
-                    if self.nn_backend in available_backends()
-                    else ""
-                )
-                raise ValueError(
-                    f"nn_backend must be one of {available_nn_factories()} "
-                    f"(or None), got {self.nn_backend!r}{hint}"
+                    f"(or None), got {self.kernel_backend!r}"
                 )
 
 
@@ -392,5 +374,6 @@ class PlanRequest:
         self.obs.validate()
 
     def resolve_cspace(self) -> ConfigurationSpace:
-        """Materialise the workload's configuration space."""
-        return self.workload.resolve_cspace()
+        """Materialise the workload's configuration space, on the
+        execution policy's kernel backend."""
+        return self.workload.resolve_cspace(self.execution.kernel_backend)

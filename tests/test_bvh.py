@@ -18,7 +18,7 @@ import pytest
 
 from repro.geometry import AABB, Environment
 from repro.geometry.bvh import BVH
-from repro.geometry.scenarios import cluttered_spheres, shelf_warehouse
+from repro.geometry.scenarios import shelf_warehouse
 from repro.kernels import EnvKernelData, available_backends, get_backend
 from repro.kernels.bvh_backend import _CACHE_ATTR, BVHKernels
 from repro.spec import ExecutionPolicy, WorkloadSpec
@@ -63,26 +63,22 @@ def property_test(strategy_builder, fallback_gen, examples=50):
 def _world_from_script(script):
     """Build (EnvKernelData, points, segment endpoints) from a seed script.
 
-    ``script`` is ``(seed, n_boxes, n_spheres, dim)``; all geometry is
+    ``script`` is ``(seed, n_boxes, dim)``; all geometry is
     derived from one ``default_rng(seed)`` stream so hypothesis shrinks
     over a tiny tuple instead of raw float arrays.
     """
-    seed, n_boxes, n_spheres, dim = script
+    seed, n_boxes, dim = script
     rng = np.random.default_rng(seed)
     half = 10.0
     center = rng.uniform(-half, half, size=(n_boxes, dim))
     ext = rng.uniform(0.0, 2.5, size=(n_boxes, dim))  # may be zero-volume
     box_lo = center - 0.5 * ext
     box_hi = center + 0.5 * ext
-    sph_center = rng.uniform(-half, half, size=(n_spheres, dim))
-    sph_radius = rng.uniform(0.05, 2.0, size=n_spheres)
     data = EnvKernelData(
         bounds_lo=-half * np.ones(dim),
         bounds_hi=half * np.ones(dim),
         box_lo=box_lo,
         box_hi=box_hi,
-        sph_center=sph_center,
-        sph_radius=sph_radius,
     )
     pts = rng.uniform(-half * 1.05, half * 1.05, size=(64, dim))
     p = rng.uniform(-half, half, size=(48, dim))
@@ -97,13 +93,12 @@ def _script_strategy():
     return st.tuples(
         st.integers(min_value=0, max_value=2**31 - 1),
         st.integers(min_value=0, max_value=60),
-        st.integers(min_value=0, max_value=20),
         st.sampled_from([2, 3, 4]),
     )
 
 
 def _script_fallback(r: random.Random):
-    return (r.randrange(2**31), r.randint(0, 60), r.randint(0, 20), r.choice([2, 3, 4]))
+    return (r.randrange(2**31), r.randint(0, 60), r.choice([2, 3, 4]))
 
 
 def _assert_world_parity(script):
@@ -143,19 +138,6 @@ class TestDifferentialParity:
             [REF.segments_free(data, p[i:i + 25], q[i:i + 25]) for i in range(0, len(p), 25)]
         )
         np.testing.assert_array_equal(BVH_K.segments_free(data, p, q), ref_segments)
-
-    def test_sphere_scenario_bit_exact(self):
-        data = cluttered_spheres(2000, seed=1)
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-10, 10, size=(300, 3))
-        p = rng.uniform(-10, 10, size=(150, 3))
-        q = rng.uniform(-10, 10, size=(150, 3))
-        np.testing.assert_array_equal(
-            BVH_K.points_free(data, pts), REF.points_free(data, pts)
-        )
-        np.testing.assert_array_equal(
-            BVH_K.segments_free(data, p, q), REF.segments_free(data, p, q)
-        )
 
     def test_distance_primitives_delegate_to_reference(self):
         rng = np.random.default_rng(4)
@@ -356,10 +338,9 @@ class TestInvalidation:
         pts = np.array([[1.5, 1.5, 1.5]])
         env.points_in_collision(pts)
         data = env.kernel_data()
-        trees = getattr(data, _CACHE_ATTR)
-        first = trees["box"]
+        first = getattr(data, _CACHE_ATTR)
         env.points_in_collision(pts)
-        assert getattr(env.kernel_data(), _CACHE_ATTR)["box"] is first
+        assert getattr(env.kernel_data(), _CACHE_ATTR) is first
 
     def test_mutation_invalidates_tree(self):
         """add_obstacle after the BVH is cached: verdicts must track the
@@ -373,7 +354,7 @@ class TestInvalidation:
         before = env.points_in_collision(probe)
         np.testing.assert_array_equal(before, [False, True])
         old_data = env.kernel_data()
-        assert getattr(old_data, _CACHE_ATTR)["box"] is not None
+        assert getattr(old_data, _CACHE_ATTR) is not None
 
         env.add_obstacle(AABB(4 * np.ones(3), 6 * np.ones(3)))
         after = env.points_in_collision(probe)
@@ -381,7 +362,7 @@ class TestInvalidation:
         # Fresh snapshot, fresh tree — the stale one is unreachable.
         new_data = env.kernel_data()
         assert new_data is not old_data
-        assert getattr(new_data, _CACHE_ATTR)["box"] is not getattr(old_data, _CACHE_ATTR)["box"]
+        assert getattr(new_data, _CACHE_ATTR) is not getattr(old_data, _CACHE_ATTR)
 
     def test_post_mutation_parity_random_worlds(self):
         rng = np.random.default_rng(9)
@@ -437,21 +418,12 @@ class TestEndToEnd:
 
         spec = WorkloadSpec(num_regions=8, samples_per_region=6, environment="mixed")
         ref = build_engine(spec).frozen
-        bvh = build_engine(spec, kernels="bvh").frozen
+        bvh = build_engine(spec, kernel_backend="bvh").frozen
         np.testing.assert_array_equal(bvh.configs, ref.configs)
         np.testing.assert_array_equal(bvh.ids, ref.ids)
         np.testing.assert_array_equal(bvh.indptr, ref.indptr)
         np.testing.assert_array_equal(bvh.indices, ref.indices)
         np.testing.assert_array_equal(bvh.weights, ref.weights)
-
-    def test_cache_key_isolates_bvh(self):
-        from repro.service.cache import RoadmapCache
-
-        spec = WorkloadSpec(num_regions=6, samples_per_region=4)
-        plain = RoadmapCache()
-        bvh = RoadmapCache(kernels="bvh")
-        assert plain._key_for(spec) != bvh._key_for(spec)
-        assert bvh._key_for(spec).endswith("|kernels=bvh")
 
     def test_environment_backend_roundtrip(self):
         env = Environment(AABB(np.zeros(2), np.ones(2)))

@@ -30,6 +30,15 @@ class TestEuclideanCSpace:
         # Bounds shrink by the radius.
         assert np.allclose(cs.bounds.lo, [-4.5, -4.5])
 
+    def test_inflated_environment_inherits_kernel_backend(self, box_env):
+        """The obstacle-inflated check environment runs on the backend the
+        caller's environment was configured with, not the default."""
+        env = Environment(box_env.bounds, box_env.obstacles, kernel_backend="bvh")
+        assert EuclideanCSpace(env)._check_env.kernel_backend.name == "bvh"
+        cs = EuclideanCSpace(env, robot_radius=0.5)
+        assert cs._check_env is not env
+        assert cs._check_env.kernel_backend.name == "bvh"
+
     def test_distance_scalar_and_batch(self, box_cspace):
         a = np.zeros(2)
         assert box_cspace.distance(a, np.array([3.0, 4.0])) == pytest.approx(5.0)

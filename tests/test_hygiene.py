@@ -1,6 +1,6 @@
 """Source-hygiene gates: keep known footgun patterns out of src/repro.
 
-Two patterns have bitten this codebase before and are cheap to ban
+Three patterns have bitten this codebase before and are cheap to ban
 mechanically:
 
 * **Falsy-default assignment** — ``x = x or default()``.  Replaces every
@@ -11,6 +11,10 @@ mechanically:
 * **Mutable default argument** — ``def f(x=[])``.  The default is
   evaluated once at definition time and shared across calls (ruff's
   B006; also enforced here so the gate holds even without ruff).
+* **Forwarded backend choice** — a ``kernels=`` parameter outside the
+  two leaf owners, or an ``nn_backend`` anywhere.  Nine modules once
+  forwarded the same name to each other; with one owner a measured
+  ``auto`` selection is a one-place change.
 
 The checks are AST-based, not grep-based, so comments/strings can't
 false-positive and formatting can't false-negative.
@@ -100,6 +104,42 @@ def test_no_mutable_default_arguments(path):
     )
 
 
+def _parameter_names(tree: ast.AST):
+    """Yield (lineno, owner name, name) for every parameter of every
+    function or method and every annotated field of every class (a
+    dataclass field is a constructor parameter)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                yield node.lineno, node.name, arg.arg
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.lineno, node.name, stmt.target.id
+
+
+#: The two leaf owners of a per-call / per-instance kernel backend: the
+#: environment's query methods and the brute-force finder's distance blocks.
+_KERNELS_OWNERS = {"geometry/environment.py", "knn/brute.py"}
+
+
+@pytest.mark.parametrize("path", _python_sources(), ids=lambda p: str(p.relative_to(SRC)))
+def test_backend_choice_is_not_forwarded(path):
+    """One owner per backend choice: nothing between a request and the
+    leaf owners takes a ``kernels`` parameter, and no ``nn_backend`` name
+    travels anywhere (the finder is chosen where it is constructed)."""
+    banned = {"nn_backend"}
+    if str(path.relative_to(SRC)) not in _KERNELS_OWNERS:
+        banned.add("kernels")
+    offenders = [
+        f"  line {ln}: {fn}({name}=...)"
+        for ln, fn, name in _parameter_names(ast.parse(path.read_text()))
+        if name in banned
+    ]
+    assert not offenders, f"{path}: backend choice forwarded:\n" + "\n".join(offenders)
+
+
 def test_detector_catches_known_bad_code():
     """The gates themselves must flag the patterns they exist to ban."""
     bad = ast.parse(
@@ -117,3 +157,10 @@ def test_detector_catches_known_bad_code():
     )
     assert not list(_mutable_defaults(good))
     assert not list(_falsy_default_assignments(good))
+
+    forwarding = ast.parse(
+        "def f(x, *, kernels=None):\n    pass\n"
+        "class Policy:\n    nn_backend: str = None\n"
+    )
+    names = [name for _ln, _owner, name in _parameter_names(forwarding)]
+    assert names == ["x", "kernels", "nn_backend"]

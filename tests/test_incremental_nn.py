@@ -13,16 +13,8 @@ seeded sweep covers the same shapes (same pattern as ``tests/test_bvh.py``).
 import numpy as np
 import pytest
 
-from repro.knn import (
-    BruteForceNN,
-    IncrementalNN,
-    KDTreeNN,
-    available_nn_factories,
-    get_nn_factory,
-    register_nn_factory,
-)
+from repro.knn import BruteForceNN, IncrementalNN
 from repro.planners.rrt import RRT
-from repro.spec import ExecutionPolicy
 
 try:
     from hypothesis import given, settings
@@ -216,113 +208,28 @@ class TestRRTParity:
         strip = lambda d: {k: v for k, v in d.items() if k not in self._NN_FIELDS}
         assert strip(i_stats) == strip(b_stats)
 
-    def test_grow_accepts_factory_string_via_policy(self):
-        """End-to-end: selecting the backend through ExecutionPolicy's
-        registry name produces the same tree as passing the class."""
-        _, ref_edges, ref_parents, _ = self._grow(IncrementalNN, True)
-        _, got_edges, got_parents, _ = self._grow(get_nn_factory("incremental"), True)
-        assert got_edges == ref_edges
-        assert got_parents == ref_parents
-
 
 class TestRegistry:
-    def test_builtin_factories_registered(self):
-        names = available_nn_factories()
-        assert {"brute", "kdtree", "incremental"} <= set(names)
-        assert list(names) == sorted(names)
-
-    def test_get_factory_resolution(self):
-        assert get_nn_factory(None) is None
-        assert get_nn_factory(BruteForceNN) is BruteForceNN  # callable passthrough
-        assert get_nn_factory("brute") is BruteForceNN
-        assert get_nn_factory("kdtree") is KDTreeNN
-        assert get_nn_factory("incremental") is IncrementalNN
-
-    def test_unknown_name_raises_with_choices(self):
-        with pytest.raises(ValueError, match="incremental"):
-            get_nn_factory("octree")
-
-    def test_reregistration_replaces(self):
-        """Same contract as the kernel registry: re-registering a name
-        replaces the factory (user override), it doesn't raise."""
-        orig = get_nn_factory("brute")
-        try:
-            register_nn_factory("brute", KDTreeNN)
-            assert get_nn_factory("brute") is KDTreeNN
-        finally:
-            register_nn_factory("brute", orig)
-        assert get_nn_factory("brute") is orig
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_nn_factory("", BruteForceNN)
-
     def test_grid_not_registered(self):
-        """The hash-grid backend is gone from the registry and the package."""
+        """The hash-grid finder is gone from the package."""
         import repro.knn
 
-        assert "grid" not in available_nn_factories()
         assert not hasattr(repro.knn, "GridNN")
-
-
-class TestPolicyAndEngineErrors:
-    def test_policy_accepts_registered_backends(self):
-        for name in available_nn_factories():
-            ExecutionPolicy(nn_backend=name).validate()
-        ExecutionPolicy().validate()  # None stays valid
-
-    def test_policy_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="nn_backend"):
-            ExecutionPolicy(nn_backend="octree").validate()
-
-    def test_kernel_name_in_nn_slot_gets_crossover_hint(self):
-        with pytest.raises(ValueError, match="kernel_backend='fast32'"):
-            ExecutionPolicy(nn_backend="fast32").validate()
-
-    def test_nn_name_in_kernel_slot_gets_crossover_hint(self):
-        with pytest.raises(ValueError, match="nn_backend='incremental'"):
-            ExecutionPolicy(kernel_backend="incremental").validate()
-
-    def test_query_engine_accepts_factory_name(self):
-        from repro.cspace import EuclideanCSpace
-        from repro.geometry import AABB, Environment
-        from repro.planners import PRM, QueryEngine
-
-        cs = EuclideanCSpace(Environment(AABB([-5.0, -5.0], [5.0, 5.0])))
-        rmap = PRM(cs, k=4).build(60, np.random.default_rng(0)).roadmap
-        ref = QueryEngine(cs, rmap, k=6, nn_factory=KDTreeNN)
-        named = QueryEngine(cs, rmap, k=6, nn_factory="kdtree")
-        s, g = np.array([-4.0, -4.0]), np.array([4.0, 4.0])
-        a, b = ref.solve(s, g), named.solve(s, g)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.path_vertices == b.path_vertices
-
-    def test_query_engine_unknown_name_raises_at_construction(self):
-        from repro.cspace import EuclideanCSpace
-        from repro.geometry import AABB, Environment
-        from repro.planners import PRM, QueryEngine
-
-        cs = EuclideanCSpace(Environment(AABB([-5.0, -5.0], [5.0, 5.0])))
-        rmap = PRM(cs, k=4).build(30, np.random.default_rng(0)).roadmap
-        with pytest.raises(ValueError, match="nn"):
-            QueryEngine(cs, rmap, nn_factory="octree")
 
 
 class TestEndToEndPlan:
     def test_plan_simulate_identical_to_default(self):
-        """The incremental backend threaded through plan() may not change
-        a single vertex or edge of the simulated build."""
-        from repro import PlanRequest, plan
+        """The incremental finder handed to the workload builder may not
+        change a single vertex or edge of the build."""
+        from repro.core import build_prm_workload
         from repro.spec import WorkloadSpec
 
         wl = WorkloadSpec(num_regions=6, samples_per_region=6, environment="mixed")
-        ref = plan(PlanRequest(workload=wl, execution=ExecutionPolicy(num_pes=2)))
-        inc = plan(
-            PlanRequest(
-                workload=wl,
-                execution=ExecutionPolicy(num_pes=2, nn_backend="incremental"),
-            )
+        cs = wl.resolve_cspace()
+        ref = build_prm_workload(cs, wl.num_regions, wl.samples_per_region, seed=wl.seed)
+        inc = build_prm_workload(
+            cs, wl.num_regions, wl.samples_per_region, seed=wl.seed,
+            nn_factory=IncrementalNN,
         )
         assert inc.roadmap.num_vertices == ref.roadmap.num_vertices
         assert sorted(inc.roadmap.edges()) == sorted(ref.roadmap.edges())

@@ -148,7 +148,7 @@ def _small_env():
 def test_kernel_data_snapshot_shapes_and_mirrors():
     env = _small_env()
     data = env.kernel_data()
-    assert data.dim == 3 and data.num_boxes == 1 and data.num_spheres == 0
+    assert data.dim == 3 and data.num_boxes == 1
     assert data.box_lo.dtype == np.float64 and data.box_lo32.dtype == np.float32
     np.testing.assert_allclose(data.box_center, [[5.0, 5.0, 5.0]])
     np.testing.assert_allclose(data.box_half, [[1.0, 1.0, 1.0]])
@@ -178,27 +178,11 @@ def test_inflated_grows_obstacles_and_shrinks_bounds():
     np.testing.assert_allclose(down.box_lo, data.box_center)
 
 
-def test_from_primitives_accepts_spheres():
-    class Ball:
-        def __init__(self, center, radius):
-            self.center = center
-            self.radius = radius
-
-    bounds = AABB(np.zeros(2), np.ones(2) * 10.0)
-    data = EnvKernelData.from_primitives(
-        bounds, [AABB(np.zeros(2), np.ones(2)), Ball(np.array([5.0, 5.0]), 1.0)]
-    )
-    assert data.num_boxes == 1 and data.num_spheres == 1
-    ref = get_backend("reference")
-    free = ref.points_free(data, np.array([[5.0, 5.0], [8.0, 8.0]]))
-    assert not free[0] and free[1]  # inside the ball vs open space
-
-
 # -- property battery: reference vs fast backends ----------------------------
 
 
 def _make_world(seed: int):
-    """A fuzzed mixed box/sphere world plus query points and segments.
+    """A fuzzed box world plus query points and segments.
 
     Points and segment endpoints are drawn slightly *outside* the bounds
     too, so the bounds test is part of the contract under fuzz.
@@ -206,7 +190,6 @@ def _make_world(seed: int):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 4))
     nb = int(rng.integers(0, 6))
-    ns = int(rng.integers(0, 4))
     box_lo = rng.uniform(-8.0, 6.0, size=(nb, d))
     box_hi = box_lo + rng.uniform(0.5, 4.0, size=(nb, d))
     data = EnvKernelData(
@@ -214,8 +197,6 @@ def _make_world(seed: int):
         bounds_hi=10.0 * np.ones(d),
         box_lo=box_lo,
         box_hi=box_hi,
-        sph_center=rng.uniform(-8.0, 8.0, size=(ns, d)),
-        sph_radius=rng.uniform(0.3, 2.5, size=ns),
     )
     pts = rng.uniform(-11.0, 11.0, size=(64, d))
     p = rng.uniform(-11.0, 11.0, size=(32, d))
@@ -226,7 +207,7 @@ def _make_world(seed: int):
 @property_test(_seed_strategy, _seed_fallback)
 def test_points_free_matches_reference_on_stable_queries(seed):
     """Fast backends agree with the reference on every point at least eps
-    from all decision boundaries (box faces, sphere surfaces, bounds)."""
+    from all decision boundaries (box faces, bounds)."""
     data, pts, _p, _q = _make_world(seed)
     ref = get_backend("reference")
     stable = ref.points_free(data.inflated(EPS), pts) == ref.points_free(
@@ -356,7 +337,6 @@ def test_cspace_kernel_dispatch_and_counters_unchanged():
     env_f32.set_kernel_backend("fast32")
     cs_ref = EuclideanCSpace(env_ref)
     cs_f32 = EuclideanCSpace(env_f32)
-    assert cs_ref.supports_kernels
     pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(40, 3))
     v_ref = cs_ref.valid(pts)
     v_f32 = cs_f32.valid(pts)

@@ -212,7 +212,6 @@ class TestPlanReportIntegration:
     def test_query_engine_is_cached(self, report):
         eng = report.query_engine()
         assert report.query_engine() is eng
-        assert report.query_engine(k=4) is not eng
 
     def test_solve_queries(self, report):
         cs = report.request.resolve_cspace()

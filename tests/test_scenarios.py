@@ -15,7 +15,6 @@ from repro.geometry import Environment
 from repro.geometry.scenarios import (
     available_scenarios,
     city_grid,
-    cluttered_spheres,
     fingerprint,
     scenario_by_name,
     shelf_warehouse,
@@ -29,31 +28,25 @@ from repro.kernels import EnvKernelData
 GOLDEN = {
     ("warehouse", 1000, 42): "acf53e585e5d0ac99050468d7e5eddc46c50b270264a01f34af44efa962e6b5f",
     ("city", 1000, 42): "aaa9aca623680bd33bbdb28a96bd647855beafafb21c442cb309933731c0098e",
-    ("spheres", 1000, 42): "445276236ec141fd29c081e11c0c85f2792b0253cf4a2944721554a18f64a8d3",
     ("warehouse", 100, 7): "bebbb895cc86c78464e30f88975940b415862b7faa9fb183edbb1d314f7e1c9c",
     ("city", 100, 7): "9db6f29da58b9861b1ac5edaa91a007f4ff7d00f97f465ab3137db9554e31685",
-    ("spheres", 100, 7): "89513c13129c627ca464560e44c848c5a15871604c397dd9e74571f3168ae8b5",
 }
-
-
-def _count(obj):
-    return obj.num_obstacles if isinstance(obj, Environment) else obj.sph_center.shape[0]
 
 
 class TestGoldenSeeds:
     @pytest.mark.parametrize("name,n,seed", sorted(GOLDEN))
     def test_fingerprint_matches_golden(self, name, n, seed):
         obj = scenario_by_name(name, n_obstacles=n, seed=seed)
-        assert _count(obj) == n
+        assert obj.num_obstacles == n
         assert fingerprint(obj) == GOLDEN[(name, n, seed)]
 
-    @pytest.mark.parametrize("name", ["warehouse", "city", "spheres"])
+    @pytest.mark.parametrize("name", ["warehouse", "city"])
     def test_same_seed_same_world(self, name):
         a = scenario_by_name(name, n_obstacles=250, seed=3)
         b = scenario_by_name(name, n_obstacles=250, seed=3)
         assert fingerprint(a) == fingerprint(b)
 
-    @pytest.mark.parametrize("name", ["warehouse", "city", "spheres"])
+    @pytest.mark.parametrize("name", ["warehouse", "city"])
     def test_different_seed_different_world(self, name):
         a = scenario_by_name(name, n_obstacles=250, seed=3)
         b = scenario_by_name(name, n_obstacles=250, seed=4)
@@ -65,11 +58,11 @@ class TestExactCounts:
     that don't divide evenly into racks/blocks."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 101, 1000, 1001])
-    @pytest.mark.parametrize("name", ["warehouse", "city", "spheres"])
+    @pytest.mark.parametrize("name", ["warehouse", "city"])
     def test_exact_count(self, name, n):
-        assert _count(scenario_by_name(name, n_obstacles=n, seed=0)) == n
+        assert scenario_by_name(name, n_obstacles=n, seed=0).num_obstacles == n
 
-    @pytest.mark.parametrize("name", ["warehouse", "city", "spheres"])
+    @pytest.mark.parametrize("name", ["warehouse", "city"])
     def test_zero_rejected(self, name):
         with pytest.raises(ValueError):
             scenario_by_name(name, n_obstacles=0, seed=0)
@@ -87,13 +80,6 @@ class TestGeometry:
         assert isinstance(env, Environment)
         assert env.name == "city-200"
 
-    def test_spheres_is_kernel_snapshot(self):
-        data = cluttered_spheres(200, seed=0)
-        assert isinstance(data, EnvKernelData)
-        assert data.sph_center.shape == (200, 3)
-        assert data.sph_radius.shape == (200,)
-        assert np.all(data.sph_radius > 0)
-
     @pytest.mark.parametrize("name", ["warehouse", "city"])
     def test_boxes_inside_workspace(self, name):
         env = scenario_by_name(name, n_obstacles=300, seed=5)
@@ -101,10 +87,6 @@ class TestGeometry:
         assert np.all(data.box_lo <= data.box_hi)
         assert np.all(data.box_lo >= data.bounds_lo - 1e-12)
         assert np.all(data.box_hi <= data.bounds_hi + 1e-12)
-
-    def test_spheres_inside_workspace(self):
-        data = cluttered_spheres(300, seed=5)
-        assert np.all(np.abs(data.sph_center) <= data.bounds_hi)
 
     def test_city_buildings_rise_from_floor(self):
         env = city_grid(64, seed=0)
@@ -120,7 +102,7 @@ class TestGeometry:
 
 class TestRegistry:
     def test_available_scenarios(self):
-        assert available_scenarios() == ["city", "spheres", "warehouse"]
+        assert available_scenarios() == ["city", "warehouse"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
@@ -135,14 +117,14 @@ class TestFingerprint:
         assert fp_env == fp_data
 
     def test_sensitive_to_single_element(self):
-        data = cluttered_spheres(50, seed=0)
+        data = shelf_warehouse(50, seed=0).kernel_data()
         before = fingerprint(data)
-        centers = data.sph_center.copy()
-        centers[0, 0] += 1e-12
+        box_lo = data.box_lo.copy()
+        box_lo[0, 0] += 1e-12
         perturbed = EnvKernelData(
             bounds_lo=data.bounds_lo,
             bounds_hi=data.bounds_hi,
-            sph_center=centers,
-            sph_radius=data.sph_radius,
+            box_lo=box_lo,
+            box_hi=data.box_hi,
         )
         assert fingerprint(perturbed) != before

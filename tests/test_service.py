@@ -116,20 +116,34 @@ class TestBatchQueue:
 
 class TestServedParity:
     """Served answers must be bit-identical to direct QueryEngine /
-    RoadmapQuery solves, cache enabled and disabled."""
+    RoadmapQuery solves on a fresh, unshared build."""
 
-    @pytest.mark.parametrize("cache_enabled", [True, False])
-    def test_bit_identical_to_direct_solve(self, cache_enabled):
+    def test_bit_identical_to_direct_solve(self):
         spec = _spec()
         queries = _queries(spec, 10)
         engine = build_engine(spec)
         direct = [engine.solve(s, g) for s, g in queries]
+        with PlanService(ServiceConfig(max_batch=4, max_linger=0.005)) as svc:
+            served = svc.solve_many(spec, queries)
+        assert all(_same(a, b) for a, b in zip(direct, served))
+
+    def test_policy_kernel_backend_reaches_the_cached_engine(self):
+        """The service's ``ExecutionPolicy.kernel_backend`` lands on the
+        environment of every engine it builds, and a bit-exact backend
+        never changes an answer."""
+        spec = _spec()
+        queries = _queries(spec, 8)
+        with PlanService(ServiceConfig(max_batch=4, max_linger=0.005)) as svc:
+            default = svc.solve_many(spec, queries)
         cfg = ServiceConfig(
-            max_batch=4, max_linger=0.005, cache_enabled=cache_enabled
+            max_batch=4, max_linger=0.005,
+            execution=ExecutionPolicy(kernel_backend="bvh"),
         )
         with PlanService(cfg) as svc:
             served = svc.solve_many(spec, queries)
-        assert all(_same(a, b) for a, b in zip(direct, served))
+            engine = svc.cache.get(spec)
+        assert all(_same(a, b) for a, b in zip(default, served))
+        assert engine.cspace.env.kernel_backend.name == "bvh"
 
     def test_repeat_submissions_stay_identical_warm(self):
         spec = _spec()

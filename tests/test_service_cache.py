@@ -146,20 +146,6 @@ class TestSingleflight:
         assert builder.calls == 2
 
 
-class TestDisabledCache:
-    def test_disabled_builds_every_time(self):
-        builder = CountingBuilder()
-        cache = RoadmapCache(builder=builder, enabled=False)
-        a = cache.get(_spec())
-        b = cache.get(_spec())
-        assert a is not b
-        assert builder.calls == 2
-        st = cache.stats
-        assert st.hits == 0
-        assert st.misses == 2
-        assert len(cache) == 0
-
-
 class TestObservability:
     def test_events_and_counters(self):
         tracer = Tracer()
