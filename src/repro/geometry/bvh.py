@@ -7,8 +7,8 @@ acceleration structure behind the ``bvh`` kernel backend
 (:mod:`repro.kernels.bvh_backend`): a binary tree of axis-aligned
 bounding boxes over primitive AABBs, stored as contiguous NumPy arrays in
 the same structure-of-arrays style as
-:class:`~repro.kernels.data.EnvKernelData` so traversal loops touch flat
-buffers, never Python node objects.
+:class:`~repro.kernels.data.EnvKernelData` so build and traversal touch
+flat buffers, never Python node objects.
 
 Design points:
 
@@ -17,19 +17,25 @@ Design points:
   position, so fully-overlapping primitive sets (every centroid
   identical) still produce a balanced, ``O(log n)``-depth tree instead of
   degenerating.
-* **Batched node-stack traversal.**  Queries are answered for a whole
-  batch at once: an explicit stack of ``(node, active-query-indices)``
-  pairs is processed with one vectorised AABB test per node, shrinking
-  the active set on the way down and early-outing queries already known
-  to hit.  This keeps the per-node Python overhead amortised over many
-  queries — the same trick the batched planners use.
+* **Level-synchronous build.**  The tree is built top-down one *level*
+  at a time: segmented min/max (``reduceat``) give every node's box and
+  widest centroid axis at once, one ``lexsort((key, node))`` does every
+  median split of the level, and breadth-first ids keep
+  ``right == left + 1`` — ``O(depth)`` NumPy passes, no per-node Python.
+* **Frontier traversal.**  A batch of queries is answered by carrying
+  one frontier of ``(query, node)`` index pairs down the tree: each
+  level is one vectorised box test over all pairs, survivors of internal
+  nodes expand to both children, survivors of leaves expand to
+  ``(query, primitive)`` pairs, and queries already known to hit leave
+  the frontier.  Points and segments share the loop — ``O(depth)`` NumPy
+  calls per batch however many nodes it visits.
 * **Conservative culling, exact leaves.**  Node boxes are inflated by a
   relative margin (~1e-9) at build time so float64 rounding in the
-  traversal tests can never cull a primitive the exact leaf test would
-  report as hit.  Leaf tests are supplied by the caller (the ``bvh``
-  backend passes the *reference kernels'* own expressions), so verdicts
-  are bit-identical to the brute-force scan — the BVH culls, it never
-  approximates.
+  node tests can never cull a primitive the exact leaf test would
+  report as hit.  The box test is supplied by the caller (the ``bvh``
+  backend passes the *reference kernels'* own expressions) and decides
+  node and primitive boxes alike, so verdicts are bit-identical to the
+  brute-force scan — the BVH culls, it never approximates.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ import numpy as np
 
 __all__ = ["BVH", "DEFAULT_LEAF_SIZE"]
 
-#: Primitives per leaf.  Small enough that leaf brute-force stays cheap,
-#: large enough that the tree (and the Python traversal stack) stays
-#: shallow: ~2n/8 nodes at 100k primitives.
+#: Primitives per leaf.  A leaf costs the frontier one more box row per
+#: primitive and a level costs it one more pass, so the two trade off
+#: almost evenly: the 648-task warehouse loop reads flat over 4 / 8 / 16 /
+#: 32 (table in docs/kernels.md).  One constant, not a caller's choice.
 DEFAULT_LEAF_SIZE = 8
 
 #: Relative inflation applied to every node box at build time.  Traversal
@@ -49,6 +56,21 @@ DEFAULT_LEAF_SIZE = 8
 #: invisible, so culling is strictly conservative w.r.t. the exact leaf
 #: tests (see the grazing-segment cases in ``tests/test_bvh.py``).
 _NODE_MARGIN = 1e-9
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(start[i], start[i] + count[i])`` for every ``i``, concatenated."""
+    ends = np.cumsum(count)
+    return np.repeat(start - (ends - count), count) + np.arange(ends[-1])
+
+
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]`` of an axis-major (Fortran-ordered) ``(n, d)`` array,
+    axis-major again: one contiguous gather per axis, and a reduce over the
+    result's last axis combines ``d`` whole columns instead of walking
+    ``len(idx)`` rows of ``d`` elements — which is what the per-level box
+    tests spend their time on."""
+    return a.T.take(idx, axis=1).T
 
 
 class BVH:
@@ -67,7 +89,8 @@ class BVH:
     Attributes (all contiguous, read-only by convention)
     ----------------------------------------------------
     node_lo, node_hi:
-        ``(num_nodes, d)`` float64 — inflated node boxes.
+        ``(num_nodes, d)`` float64, axis-major — inflated node boxes.
+        Nodes are numbered breadth-first: parents precede children.
     node_left:
         ``(num_nodes,)`` int64 — index of the left child for internal
         nodes (the right child is always ``left + 1``), ``-1`` for
@@ -78,6 +101,10 @@ class BVH:
     prim_index:
         ``(n,)`` int64 — permutation of primitive ids; a leaf owns
         ``prim_index[start:start+count]``.
+    leaf_lo, leaf_hi:
+        ``(n, d)`` float64, axis-major — the primitive boxes in
+        ``prim_index`` order, so a leaf's boxes are the contiguous rows
+        ``start:start+count``.
     """
 
     def __init__(self, prim_lo: np.ndarray, prim_hi: np.ndarray, leaf_size: int = DEFAULT_LEAF_SIZE):
@@ -93,65 +120,56 @@ class BVH:
         self.leaf_size = int(leaf_size)
 
         if n == 0:
-            self.node_lo = np.empty((0, d))
-            self.node_hi = np.empty((0, d))
-            self.node_left = np.empty(0, dtype=np.int64)
-            self.node_start = np.empty(0, dtype=np.int64)
-            self.node_count = np.empty(0, dtype=np.int64)
+            self.node_lo = self.node_hi = self.leaf_lo = self.leaf_hi = np.empty((0, d))
+            self.node_left = self.node_start = self.node_count = np.empty(0, dtype=np.int64)
             self.prim_index = np.empty(0, dtype=np.int64)
             return
 
         order = np.arange(n, dtype=np.int64)
         centers = 0.5 * (prim_lo + prim_hi)
-
-        node_lo: "list[np.ndarray]" = []
-        node_hi: "list[np.ndarray]" = []
-        node_left: "list[int]" = []
-        node_start: "list[int]" = []
-        node_count: "list[int]" = []
-
-        def new_node() -> int:
-            node_lo.append(np.empty(d))
-            node_hi.append(np.empty(d))
-            node_left.append(-1)
-            node_start.append(0)
-            node_count.append(0)
-            return len(node_left) - 1
-
-        stack: "list[tuple[int, int, int]]" = [(new_node(), 0, n)]
-        while stack:
-            ni, a, b = stack.pop()
-            ids = order[a:b]
-            lo = prim_lo[ids].min(axis=0)
-            hi = prim_hi[ids].max(axis=0)
-            # Inflate so traversal rounding can never out-cull the exact
-            # leaf tests (conservative culling only costs a false visit).
-            pad_lo = _NODE_MARGIN * (np.abs(lo) + 1.0)
-            pad_hi = _NODE_MARGIN * (np.abs(hi) + 1.0)
-            node_lo[ni] = lo - pad_lo
-            node_hi[ni] = hi + pad_hi
-            if b - a <= leaf_size:
-                node_start[ni] = a
-                node_count[ni] = b - a
-                continue
-            spread = centers[ids].max(axis=0) - centers[ids].min(axis=0)
-            axis = int(np.argmax(spread))
+        # One pass per level.  ``a`` / ``b`` bound each node's slice of
+        # ``order``; ``first`` is the id of the level's first node.
+        levels = []
+        a = np.zeros(1, dtype=np.int64)
+        b = np.full(1, n, dtype=np.int64)
+        first = 0
+        while True:
+            k = a.size
+            count = b - a
+            # The level's primitives, gathered: its slices skip the leaves
+            # a shallower level closed, ``seg`` offsets them back to back.
+            pos = _ranges(a, count)
+            seg = np.cumsum(count) - count
+            ids = order[pos]
+            lo = np.minimum.reduceat(prim_lo[ids], seg, axis=0)
+            hi = np.maximum.reduceat(prim_hi[ids], seg, axis=0)
+            split = count > leaf_size
+            left = np.full(k, -1, dtype=np.int64)
+            left[split] = first + k + 2 * np.arange(np.count_nonzero(split))
+            levels.append((lo, hi, left, np.where(split, 0, a), np.where(split, 0, count)))
+            if not split.any():
+                break
+            # Every median split of the level in one sort: by node, then by
+            # centroid along that node's widest centroid axis.
+            c = centers[ids]
+            spread = np.maximum.reduceat(c, seg, axis=0) - np.minimum.reduceat(c, seg, axis=0)
+            node = np.repeat(np.arange(k), count)
+            key = c[np.arange(ids.size), spread.argmax(axis=1)[node]]
+            order[pos] = ids[np.lexsort((key, node))]
             mid = (a + b) // 2
-            part = np.argpartition(centers[ids, axis], mid - a)
-            order[a:b] = ids[part]
-            li = new_node()
-            ri = new_node()
-            assert ri == li + 1  # children are allocated contiguously
-            node_left[ni] = li
-            stack.append((li, a, mid))
-            stack.append((ri, mid, b))
+            a, b = (np.column_stack(x)[split].ravel() for x in ((a, mid), (mid, b)))
+            first += k
 
-        self.node_lo = np.ascontiguousarray(np.stack(node_lo))
-        self.node_hi = np.ascontiguousarray(np.stack(node_hi))
-        self.node_left = np.asarray(node_left, dtype=np.int64)
-        self.node_start = np.asarray(node_start, dtype=np.int64)
-        self.node_count = np.asarray(node_count, dtype=np.int64)
+        lo, hi, self.node_left, self.node_start, self.node_count = (
+            np.concatenate(x) for x in zip(*levels)
+        )
+        # Inflate so traversal rounding can never out-cull the exact
+        # leaf tests (conservative culling only costs a false visit).
+        self.node_lo = np.asfortranarray(lo - _NODE_MARGIN * (np.abs(lo) + 1.0))
+        self.node_hi = np.asfortranarray(hi + _NODE_MARGIN * (np.abs(hi) + 1.0))
         self.prim_index = order
+        self.leaf_lo = np.asfortranarray(prim_lo[order])
+        self.leaf_hi = np.asfortranarray(prim_hi[order])
 
     @property
     def num_nodes(self) -> int:
@@ -159,105 +177,71 @@ class BVH:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes held by the packed node and index arrays."""
+        """Total bytes held by the packed node, index and leaf-box arrays."""
         return sum(
             getattr(self, a).nbytes
-            for a in ("node_lo", "node_hi", "node_left", "node_start", "node_count", "prim_index")
+            for a in (
+                "node_lo", "node_hi", "node_left", "node_start", "node_count",
+                "prim_index", "leaf_lo", "leaf_hi",
+            )
         )
 
     # -- batched traversal -------------------------------------------------
-    def points_hit(self, pts: np.ndarray, leaf_test) -> np.ndarray:
-        """``(n,)`` bool: point ``i`` hits some primitive per ``leaf_test``.
+    def points_hit(self, pts: np.ndarray, box_test) -> np.ndarray:
+        """``(n,)`` bool: point ``i`` hits some primitive per ``box_test``.
 
-        ``leaf_test(sub_pts, prim_ids) -> (len(sub_pts),) bool`` decides
-        hits exactly for the candidate primitives a leaf holds; the tree
-        only narrows which primitives each point can possibly touch.
+        ``box_test(lo, hi, pts) -> (k,) bool`` decides ``k`` aligned
+        ``(k, d)`` rows: inclusive containment of ``pts[j]`` in the box
+        ``lo[j]..hi[j]``.  It culls on the node boxes and decides exactly
+        on the primitive boxes; the tree only narrows which primitives
+        each point can possibly touch.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        n = pts.shape[0]
-        hit = np.zeros(n, dtype=bool)
-        if self.num_prims == 0 or n == 0:
-            return hit
-        stack: "list[tuple[int, np.ndarray]]" = [(0, np.arange(n, dtype=np.intp))]
-        while stack:
-            node, active = stack.pop()
-            active = active[~hit[active]]  # early-out: already-hit queries drop out
-            if active.size == 0:
-                continue
-            sub = pts[active]
-            inside = np.all(
-                (sub >= self.node_lo[node]) & (sub <= self.node_hi[node]), axis=1
-            )
-            active = active[inside]
-            if active.size == 0:
-                continue
-            left = int(self.node_left[node])
-            if left < 0:
-                s = int(self.node_start[node])
-                c = int(self.node_count[node])
-                prims = self.prim_index[s : s + c]
-                leaf_hit = leaf_test(pts[active], prims)
-                hit[active[leaf_hit]] = True
-            else:
-                stack.append((left, active))
-                stack.append((left + 1, active))
-        return hit
+        return self._frontier_hit(box_test, pts)
 
-    def segments_hit(self, p: np.ndarray, q: np.ndarray, leaf_test) -> np.ndarray:
+    def segments_hit(self, p: np.ndarray, q: np.ndarray, box_test) -> np.ndarray:
         """``(n,)`` bool: segment ``p[i] -> q[i]`` hits some primitive.
 
-        Node culling is a conservative slab test (inflated node boxes,
-        parallel axes handled exactly like the reference kernel);
-        ``leaf_test(sub_p, sub_q, prim_ids)`` decides exactly at leaves.
+        ``box_test(lo, hi, p, q) -> (k,) bool`` is the slab test over
+        aligned rows; on the inflated node boxes it culls conservatively,
+        on the primitive boxes it decides exactly.
         """
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        n = p.shape[0]
+        return self._frontier_hit(box_test, p, q)
+
+    def _frontier_hit(self, box_test, *queries: np.ndarray) -> np.ndarray:
+        """Walk the tree one level per pass with a frontier of
+        ``(query, node)`` pairs; ``queries`` are the per-query row arrays
+        ``box_test`` takes after the boxes."""
+        queries = [
+            np.asfortranarray(np.atleast_2d(np.asarray(a, dtype=np.float64))) for a in queries
+        ]
+        n = queries[0].shape[0]
         hit = np.zeros(n, dtype=bool)
         if self.num_prims == 0 or n == 0:
             return hit
-        d = q - p  # (n, dim), shared by every node test
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(d != 0.0, 1.0 / d, np.inf)
-        par = d == 0.0
-        any_par = bool(par.any())
-        stack: "list[tuple[int, np.ndarray]]" = [(0, np.arange(n, dtype=np.intp))]
-        while stack:
-            node, active = stack.pop()
-            active = active[~hit[active]]
-            if active.size == 0:
-                continue
-            lo = self.node_lo[node]
-            hi = self.node_hi[node]
-            sp = p[active]
-            a = (lo - sp) * inv[active]
-            b = (hi - sp) * inv[active]
-            t_near = np.minimum(a, b)
-            t_far = np.maximum(a, b)
-            if any_par:
-                pm = par[active]
-                inside = (sp >= lo) & (sp <= hi)
-                miss = (pm & ~inside).any(axis=1)
-                t_near = np.where(pm, -np.inf, t_near)
-                t_far = np.where(pm, np.inf, t_far)
-            else:
-                miss = np.zeros(active.size, dtype=bool)
-            t0 = np.maximum(t_near.max(axis=1), 0.0)
-            t1 = np.minimum(t_far.min(axis=1), 1.0)
-            overlap = (t0 <= t1) & ~miss
-            active = active[overlap]
-            if active.size == 0:
-                continue
-            left = int(self.node_left[node])
-            if left < 0:
-                s = int(self.node_start[node])
-                c = int(self.node_count[node])
-                prims = self.prim_index[s : s + c]
-                leaf_hit = leaf_test(p[active], q[active], prims)
-                hit[active[leaf_hit]] = True
-            else:
-                stack.append((left, active))
-                stack.append((left + 1, active))
+        qi = np.arange(n)
+        ni = np.zeros(n, dtype=np.int64)
+        while qi.size:
+            keep = box_test(
+                _rows(self.node_lo, ni), _rows(self.node_hi, ni), *(_rows(a, qi) for a in queries)
+            )
+            qi, ni = qi[keep], ni[keep]
+            left = self.node_left[ni]
+            leaf = left < 0
+            if leaf.any():
+                ln = ni[leaf]
+                count = self.node_count[ln]
+                prim = _ranges(self.node_start[ln], count)
+                pq = np.repeat(qi[leaf], count)
+                ok = box_test(
+                    _rows(self.leaf_lo, prim), _rows(self.leaf_hi, prim),
+                    *(_rows(a, pq) for a in queries),
+                )
+                hit[pq[ok]] = True
+                # Leaves end here; so does every query now known to hit.
+                descend = ~(leaf | hit[qi])
+                qi, left = qi[descend], left[descend]
+            qi = np.concatenate((qi, qi))
+            ni = np.concatenate((left, left + 1))
         return hit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

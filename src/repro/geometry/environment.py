@@ -33,6 +33,10 @@ from .primitives import AABB
 
 __all__ = ["Environment", "CollisionCounters"]
 
+#: Serialises first snapshots (module-level: an Environment is pickled to
+#: inline-plane workers, a lock attribute would not survive that).
+_SNAPSHOT_LOCK = threading.Lock()
+
 
 class CollisionCounters:
     """Tally of collision-detection work performed against an environment.
@@ -221,16 +225,22 @@ class Environment:
         """The cached SoA obstacle snapshot, rebuilt lazily after mutation.
 
         Repeated collision calls in batched PRM/RRT replay share this one
-        snapshot instead of re-walking the Python obstacle list.
+        snapshot instead of re-walking the Python obstacle list — also
+        across threads that find it cold together (checked again under the
+        lock), so whatever a backend caches on the snapshot exists once.
         """
-        if self._kernel_data is None:
-            self._kernel_data = EnvKernelData(
-                bounds_lo=self.bounds.lo,
-                bounds_hi=self.bounds.hi,
-                box_lo=self._obs_lo,
-                box_hi=self._obs_hi,
-            )
-        return self._kernel_data
+        data = self._kernel_data
+        if data is None:
+            with _SNAPSHOT_LOCK:
+                data = self._kernel_data
+                if data is None:
+                    data = self._kernel_data = EnvKernelData(
+                        bounds_lo=self.bounds.lo,
+                        bounds_hi=self.bounds.hi,
+                        box_lo=self._obs_lo,
+                        box_hi=self._obs_hi,
+                    )
+        return data
 
     def _resolve_kernels(self, kernels):
         return self._kernels if kernels is None else get_backend(kernels)

@@ -9,11 +9,13 @@ cross-checks) runs through this backend and must stay green with zero
 tolerance changes; fast backends are instead held to the statistical
 gates described in :mod:`repro.kernels.base`.
 
-The box tests are exposed as array-level functions
-(``points_hit_boxes`` / ``segments_hit_boxes``) so the ``bvh`` backend can run the
-*identical* expressions over the primitive subsets its tree narrows each
-query to — that sharing is what makes the BVH backend bit-exact rather
-than merely statistically equivalent (see ``repro.kernels.bvh_backend``).
+The box tests are written once, over the last axis (``point_in_box`` /
+``segment_hits_box``): broadcast to ``(n, m, d)`` they are this backend's
+all-pairs scan (``points_hit_boxes`` / ``segments_hit_boxes``), over aligned
+``(k, d)`` rows they are what the ``bvh`` backend's tree evaluates on the
+candidate pairs it narrows each query to.  One function, elementwise in
+both shapes — that is what makes the BVH backend bit-exact rather than
+merely statistically equivalent (see ``repro.kernels.bvh_backend``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .select import select_canonical_rows
 __all__ = [
     "ReferenceKernels",
     "pairwise_accumulate_exact",
+    "point_in_box",
     "points_hit_boxes",
+    "segment_hits_box",
     "segments_hit_boxes",
 ]
 
@@ -58,41 +62,50 @@ def pairwise_accumulate_exact(stored: np.ndarray, queries: np.ndarray, out: np.n
     np.sqrt(s, out=out)
 
 
+def point_in_box(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Point is inside (inclusively) the box — the exact containment
+    expression of the historical ``points_in_collision``, reduced over the
+    last axis with the leading axes broadcast."""
+    return ((pts >= lo) & (pts <= hi)).all(axis=-1)
+
+
 def points_hit_boxes(box_lo: np.ndarray, box_hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``(n,)`` bool: point is inside (inclusively) some box — the exact
-    containment expression of the historical ``points_in_collision``."""
-    return np.all(
-        (pts[:, None, :] >= box_lo[None, :, :]) & (pts[:, None, :] <= box_hi[None, :, :]),
-        axis=2,
-    ).any(axis=1)
+    """``(n,)`` bool: point ``i`` is inside some of the ``m`` boxes."""
+    return point_in_box(box_lo[None, :, :], box_hi[None, :, :], pts[:, None, :]).any(axis=1)
+
+
+def segment_hits_box(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Slab test of the segment ``p -> q`` against the box, reduced over
+    the last axis with the leading axes broadcast.
+
+    The historical ``Environment._segments_hit`` body.
+    """
+    d = q - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(d != 0.0, 1.0 / d, np.inf)
+        # 0 * inf = nan on a parallel axis whose slab face passes through
+        # p — those entries are overwritten by the ``parallel`` mask.
+        t_lo = (lo - p) * inv
+        t_hi = (hi - p) * inv
+    t_near = np.minimum(t_lo, t_hi)
+    t_far = np.maximum(t_lo, t_hi)
+    parallel = d == 0.0
+    inside_slab = (p >= lo) & (p <= hi)
+    miss_parallel = parallel & ~inside_slab
+    t_near = np.where(parallel, -np.inf, t_near)
+    t_far = np.where(parallel, np.inf, t_far)
+    t0 = np.maximum(t_near.max(axis=-1), 0.0)
+    t1 = np.minimum(t_far.min(axis=-1), 1.0)
+    return (t0 <= t1) & ~miss_parallel.any(axis=-1)
 
 
 def segments_hit_boxes(
     obs_lo: np.ndarray, obs_hi: np.ndarray, p: np.ndarray, q: np.ndarray
 ) -> np.ndarray:
-    """Slab test of n segments against m box obstacles -> (n,) bool.
-
-    Verbatim the historical ``Environment._segments_hit`` body.
-    """
-    d = q - p  # (n, dim)
-    m = obs_lo.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(d != 0.0, 1.0 / d, np.inf)  # (n, dim)
-        # (n, m, dim); 0 * inf = nan on a parallel axis whose slab face passes
-        # through p — those entries are overwritten by the ``parallel`` mask.
-        t_lo = (obs_lo[None, :, :] - p[:, None, :]) * inv[:, None, :]
-        t_hi = (obs_hi[None, :, :] - p[:, None, :]) * inv[:, None, :]
-    t_near = np.minimum(t_lo, t_hi)
-    t_far = np.maximum(t_lo, t_hi)
-    parallel = (d == 0.0)[:, None, :] & np.ones((1, m, 1), dtype=bool)
-    inside_slab = (p[:, None, :] >= obs_lo[None, :, :]) & (p[:, None, :] <= obs_hi[None, :, :])
-    miss_parallel = parallel & ~inside_slab
-    t_near = np.where(parallel, -np.inf, t_near)
-    t_far = np.where(parallel, np.inf, t_far)
-    t0 = np.maximum(t_near.max(axis=2), 0.0)  # (n, m)
-    t1 = np.minimum(t_far.min(axis=2), 1.0)
-    hit = (t0 <= t1) & ~miss_parallel.any(axis=2)
-    return hit.any(axis=1)
+    """``(n,)`` bool: segment ``i`` hits some of the ``m`` box obstacles."""
+    return segment_hits_box(
+        obs_lo[None, :, :], obs_hi[None, :, :], p[:, None, :], q[:, None, :]
+    ).any(axis=1)
 
 
 class ReferenceKernels(KernelBackend):

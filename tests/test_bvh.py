@@ -11,7 +11,11 @@ seeded stdlib-``random`` sweep covers the same shapes (same pattern as
 ``tests/test_properties.py``).
 """
 
+import math
 import random
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +25,12 @@ from repro.geometry.bvh import BVH
 from repro.geometry.scenarios import shelf_warehouse
 from repro.kernels import EnvKernelData, available_backends, get_backend
 from repro.kernels.bvh_backend import _CACHE_ATTR, BVHKernels
+from repro.kernels.reference import (
+    point_in_box,
+    points_hit_boxes,
+    segment_hits_box,
+    segments_hit_boxes,
+)
 from repro.spec import ExecutionPolicy, WorkloadSpec
 
 try:
@@ -261,6 +271,122 @@ class TestDegenerateCases:
         np.testing.assert_array_equal(BVH_K.points_free(data, pts), [False, True])
 
 
+# -- frontier traversal: parity at the shapes a level-synchronous walk can get wrong --
+
+
+def _assert_tree_parity(tree, lo, hi, pts, p, q):
+    """The tree's verdicts equal the all-pairs reference scan, exactly."""
+    np.testing.assert_array_equal(
+        tree.points_hit(pts, point_in_box), points_hit_boxes(lo, hi, pts)
+    )
+    np.testing.assert_array_equal(
+        tree.segments_hit(p, q, segment_hits_box), segments_hit_boxes(lo, hi, p, q)
+    )
+
+
+@pytest.fixture(scope="module")
+def warehouse_20k():
+    """The scene the ``prm_warehouse_process`` workload plans in, and its tree."""
+    env = shelf_warehouse(20000, seed=1)
+    return env, BVH(env._obs_lo, env._obs_hi)
+
+
+class TestFrontierParity:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])  # 64 >= n: the root is the one leaf
+    def test_leaf_sizes_and_dims(self, leaf_size, dim):
+        for seed in range(6):
+            data, pts, p, q = _world_from_script((seed, 50, dim))
+            tree = BVH(data.box_lo, data.box_hi, leaf_size=leaf_size)
+            assert (tree.num_nodes == 1) == (leaf_size == 64)
+            _assert_tree_parity(tree, data.box_lo, data.box_hi, pts, p, q)
+
+    def test_one_query_and_duplicated_queries(self):
+        data, pts, p, q = _world_from_script((11, 60, 3))
+        tree = BVH(data.box_lo, data.box_hi, leaf_size=2)
+        lo, hi = data.box_lo, data.box_hi
+        inside = 0.5 * (lo[17] + hi[17])  # a certain hit
+        for one in (inside, pts[0]):
+            _assert_tree_parity(tree, lo, hi, one[None, :], one[None, :], q[:1])
+        # The same query many times over, hits and misses interleaved: a hit
+        # must retire only its own frontier rows.
+        dup = np.tile(np.stack([inside, pts[0], pts[1]]), (40, 1))
+        _assert_tree_parity(tree, lo, hi, dup, dup, np.tile(q[:3], (40, 1)))
+        assert tree.points_hit(dup, point_in_box)[::3].all()
+
+    def test_points_on_faces_and_outside_root(self):
+        rng = np.random.default_rng(12)
+        lo = rng.uniform(-5, 5, size=(40, 3))
+        hi = lo + rng.uniform(0.5, 2, size=(40, 3))
+        tree = BVH(lo, hi, leaf_size=2)
+        center = 0.5 * (lo + hi)
+        on_lo_face, on_hi_face, corner = center.copy(), center.copy(), hi.copy()
+        on_lo_face[:, 0] = lo[:, 0]
+        on_hi_face[:, 1] = hi[:, 1]
+        root_lo, root_hi = lo.min(axis=0), hi.max(axis=0)
+        outside = np.array([root_lo - 1.0, root_hi + 1.0, [root_hi[0] + 1e-3, 0.0, 0.0]])
+        just_off = np.nextafter(corner, np.inf)  # one ulp past the corner, on every axis
+        pts = np.concatenate([on_lo_face, on_hi_face, corner, outside, just_off])
+        got = tree.points_hit(pts, point_in_box)
+        np.testing.assert_array_equal(got, points_hit_boxes(lo, hi, pts))
+        assert got[:120].all()  # faces and corners are inclusive
+        assert not got[120:123].any()
+
+    def test_large_batch_keeps_frontier_linear(self, warehouse_20k):
+        """50k points: the frontier holds a few index pairs and gathered
+        rows per query, never a (queries x nodes) or (queries x boxes) table."""
+        env, tree = warehouse_20k
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(env.bounds.lo, env.bounds.hi, size=(50_000, 3))
+        tracemalloc.start()
+        try:
+            got = tree.points_hit(pts, point_in_box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A third of a KiB per query measured; a dense table is 8 KiB (nodes) or
+        # 20 KiB (boxes) per query even as single bytes.
+        assert peak < 1024 * pts.shape[0]
+        sample = slice(0, 50_000, 97)
+        np.testing.assert_array_equal(
+            got[sample], points_hit_boxes(env._obs_lo, env._obs_hi, pts[sample])
+        )
+
+    def test_segment_over_many_leaves_hits_only_the_last(self):
+        """A long segment overlaps every leaf's node box but touches only
+        the far box: it must stay on the frontier through every miss."""
+        n = 64
+        x = np.arange(n, dtype=float)
+        lo = np.stack([x, np.zeros(n), np.zeros(n)], axis=1)
+        hi = np.stack([x + 0.5, np.ones(n), np.ones(n)], axis=1)
+        hi[-1, 2] = 3.0  # only the last box is tall enough
+        tree = BVH(lo, hi, leaf_size=1)
+        p = np.array([[-1.0, 0.5, 2.0], [-1.0, 0.5, 3.5], [n + 1.0, 0.5, 2.0]])
+        q = np.array([[n + 1.0, 0.5, 2.0], [n + 1.0, 0.5, 3.5], [-1.0, 0.5, 2.0]])
+        got = tree.segments_hit(p, q, segment_hits_box)
+        np.testing.assert_array_equal(got, segments_hit_boxes(lo, hi, p, q))
+        np.testing.assert_array_equal(got, [True, False, True])
+
+    def test_degenerate_segments_through_internal_nodes(self):
+        """Zero-length and axis-parallel segments (a zero direction
+        component on one or two axes) against a deep tree."""
+        rng = np.random.default_rng(14)
+        lo = rng.uniform(-8, 8, size=(300, 3))
+        hi = lo + rng.uniform(0.0, 1.5, size=(300, 3))
+        tree = BVH(lo, hi, leaf_size=1)
+        assert _depth(tree) >= 9
+        p = rng.uniform(-9, 9, size=(240, 3))
+        q = rng.uniform(-9, 9, size=(240, 3))
+        q[:60] = p[:60]  # zero-length, some of them inside boxes
+        p[:20] = q[:20] = 0.5 * (lo[:20] + hi[:20])
+        q[60:120, 0] = p[60:120, 0]  # parallel to the yz-plane
+        q[120:180, :2] = p[120:180, :2]  # parallel to the z-axis
+        p[180:200, 1] = q[180:200, 1] = hi[:20, 1]  # sliding along a face plane
+        np.testing.assert_array_equal(
+            tree.segments_hit(p, q, segment_hits_box), segments_hit_boxes(lo, hi, p, q)
+        )
+
+
 # -- tree structure ---------------------------------------------------------
 
 
@@ -325,6 +451,106 @@ class TestTreeStructure:
             BVH(np.zeros((3, 2)), np.ones((3, 2)), leaf_size=0)
 
 
+def _assert_build_invariants(tree: BVH, lo: np.ndarray, hi: np.ndarray):
+    n, ids = tree.num_prims, np.arange(tree.num_nodes)
+    internal = tree.node_left >= 0
+    left = tree.node_left[internal]
+    # Breadth-first: parents precede children, children sit side by side,
+    # and every node but the root is somebody's child exactly once.
+    assert np.all(left > ids[internal])
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([left, left + 1])), np.arange(1, tree.num_nodes)
+    )
+    # Leaves partition ``prim_index`` into contiguous, disjoint slices.
+    start, count = tree.node_start[~internal], tree.node_count[~internal]
+    by_start = np.argsort(start)
+    np.testing.assert_array_equal(start[by_start], np.cumsum(count[by_start]) - count[by_start])
+    assert count.sum() == n and np.all(count >= 1) and np.all(count <= tree.leaf_size)
+    assert np.all(tree.node_count[internal] == 0)
+    np.testing.assert_array_equal(np.sort(tree.prim_index), np.arange(n))
+    # The leaf-ordered copies are the primitives, in ``prim_index`` order.
+    np.testing.assert_array_equal(tree.leaf_lo, lo[tree.prim_index])
+    np.testing.assert_array_equal(tree.leaf_hi, hi[tree.prim_index])
+    # Every leaf box contains its primitives.
+    leaf_of = np.repeat(ids[~internal][by_start], count[by_start])
+    assert np.all(tree.node_lo[leaf_of] <= tree.leaf_lo)
+    assert np.all(tree.node_hi[leaf_of] >= tree.leaf_hi)
+    assert _depth(tree) <= max(math.ceil(math.log2(n / tree.leaf_size)), 0) + 1
+
+
+class TestBuildInvariants:
+    @pytest.mark.parametrize("leaf_size", [1, 3, 8, 500])
+    @pytest.mark.parametrize("n, dim", [(1, 3), (2, 2), (137, 3), (200, 4), (333, 2)])
+    def test_random_boxes(self, n, dim, leaf_size):
+        rng = np.random.default_rng(n + dim)
+        lo = rng.uniform(-5, 5, size=(n, dim))
+        hi = lo + rng.uniform(0, 1, size=(n, dim))
+        _assert_build_invariants(BVH(lo, hi, leaf_size=leaf_size), lo, hi)
+
+    def test_coincident_boxes(self):
+        """1,024 identical boxes: every sort key ties, the split is still by count."""
+        lo, hi = np.zeros((1024, 3)), np.ones((1024, 3))
+        tree = BVH(lo, hi, leaf_size=8)
+        _assert_build_invariants(tree, lo, hi)
+        assert _depth(tree) == 8
+
+    def test_warehouse(self, warehouse_20k):
+        env, tree = warehouse_20k
+        _assert_build_invariants(tree, env._obs_lo, env._obs_hi)
+        assert (tree.num_nodes, _depth(tree)) == (8191, 13)
+        assert tree.nbytes == sum(
+            a.nbytes
+            for a in (tree.node_lo, tree.node_hi, tree.node_left, tree.node_start,
+                      tree.node_count, tree.prim_index, tree.leaf_lo, tree.leaf_hi)
+        )
+
+
+class TestLevelSynchronous:
+    """A deterministic perf guard: counts, not times.  Build and traversal
+    make O(depth) array passes whatever the batch visits; a per-node loop
+    (one evaluation per leaf reached — hundreds) fails these."""
+
+    @staticmethod
+    def _counting(fn):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+
+        return wrapped, calls
+
+    def test_points_hit_evaluates_once_per_level(self, warehouse_20k):
+        env, tree = warehouse_20k
+        pts = np.random.default_rng(15).uniform(env.bounds.lo, env.bounds.hi, size=(157, 3))
+        test, calls = self._counting(point_in_box)
+        got = tree.points_hit(pts, test)
+        np.testing.assert_array_equal(got, tree.points_hit(pts, point_in_box))
+        # One evaluation per level for the node boxes, one more on each
+        # level that holds leaves — median-by-count leaves at most two.
+        assert _depth(tree) <= len(calls) <= _depth(tree) + 2
+        assert got.any() and not got.all()
+
+    def test_segments_hit_evaluates_once_per_level(self, warehouse_20k):
+        env, tree = warehouse_20k
+        rng = np.random.default_rng(16)
+        p = rng.uniform(env.bounds.lo, env.bounds.hi, size=(157, 3))
+        q = p + rng.uniform(-1.0, 1.0, size=(157, 3))
+        test, calls = self._counting(segment_hits_box)
+        got = tree.segments_hit(p, q, test)
+        np.testing.assert_array_equal(got, tree.segments_hit(p, q, segment_hits_box))
+        assert _depth(tree) <= len(calls) <= _depth(tree) + 2
+        assert got.any() and not got.all()
+
+    def test_build_sorts_once_per_level(self, warehouse_20k, monkeypatch):
+        env, tree = warehouse_20k
+        lexsort, calls = self._counting(np.lexsort)
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        again = BVH(env._obs_lo, env._obs_hi)
+        assert len(calls) == _depth(tree) - 1  # every level but the all-leaf last
+        np.testing.assert_array_equal(again.prim_index, tree.prim_index)
+
+
 # -- snapshot caching & invalidation ---------------------------------------
 
 
@@ -363,6 +589,50 @@ class TestInvalidation:
         new_data = env.kernel_data()
         assert new_data is not old_data
         assert getattr(new_data, _CACHE_ATTR) is not getattr(old_data, _CACHE_ATTR)
+
+    def test_cold_environment_builds_one_tree_under_threads(self, warehouse_20k, monkeypatch):
+        """Four threads released together onto a cold environment share
+        one snapshot and one tree (check-then-set without a lock built one
+        of each per thread)."""
+        warm, _ = warehouse_20k
+        env = Environment.from_arrays(
+            warm.bounds, warm._obs_lo, warm._obs_hi, kernel_backend="bvh"
+        )
+        built = {"tree": 0, "snapshot": 0}
+
+        def counted(cls, key):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built[key] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        counted(BVH, "tree")
+        counted(EnvKernelData, "snapshot")
+        pts = np.random.default_rng(17).uniform(env.bounds.lo, env.bounds.hi, size=(64, 3))
+        gate = threading.Barrier(4)
+        verdicts = []
+
+        def query():
+            gate.wait(timeout=30)
+            verdicts.append(env.points_in_collision(pts))
+
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over inside every build
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(verdicts) == 4
+        assert built == {"tree": 1, "snapshot": 1}
+        for v in verdicts:
+            np.testing.assert_array_equal(v, warm.points_in_collision(pts, kernels="reference"))
 
     def test_post_mutation_parity_random_worlds(self):
         rng = np.random.default_rng(9)
