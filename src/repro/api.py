@@ -298,9 +298,9 @@ def plan(
 # of PRM / RRT / RadialSubdivision and the workload builders against their
 # own keyword defaults, so the two plan different problems from one spec
 # (table in docs/runtime.md).  These records hold local mode's eight values
-# exactly.  Constants, not options: making them equal to the builders'
-# moves both local benchmark workloads, so ROADMAP item 4's benchmark PR
-# reconciles them.
+# exactly.  Constants, not options: reconciling them with the builders'
+# defaults moves both local benchmark workloads' oracles, so that is a
+# change made together with the benchmark, not here.
 LOCAL_PRM = {"k": 6, "lp_resolution": 0.25, "narrow_passage_boost": 0.0}
 LOCAL_RRT = {
     "step_size": 0.5,

@@ -18,6 +18,29 @@ virtual-time simulator (:func:`simulate_prm`), so a whole strong-scaling
 sweep reuses one workload.  Regional randomness is keyed on
 ``(seed, region id)``, making workloads reproducible and strategy
 comparisons exact.
+
+**Regions are segments.**  The paper over-decomposes (250,000 regions)
+precisely because regions are independent subproblems, and independent
+subproblems can be laid side by side in one array.  The unit the build
+executes is therefore a *block* of consecutive regions (then a block of
+adjacencies), sized by the ``_BLOCK_POINTS`` budget: regional sampling,
+in-region growing k-NN, local planning, roadmap assembly and region
+connection each run as one segmented NumPy pass per block instead of once
+per region, entered through the same methods a single region uses
+(``UniformSampler.__call__``, ``PRM.build``, ``BruteForceNN.
+knn_block_growing`` / ``knn_batch_arrays``, ``PRM.connect_roadmaps``,
+whose one-region call is the one-segment case).  It is exact, not
+approximately equal, because :class:`PRMRegionPlanner` always plans with
+``connect_same_component=False``: no connection decision depends on an
+earlier outcome, every verdict is a function of geometry alone, every
+distance, interpolation and box test is elementwise, and each region keeps
+its own ``region_rng(seed, rid)`` stream — so batch composition cannot
+change a bit of the roadmap, the ledgers or the collision counters.  The
+block passes replay exactly the defaults (``PRM.runs_blocks``: uniform
+sampler, brute-force neighbours, a local planner with per-segment check
+counts); any other sampler or ``nn_factory`` takes the one-region,
+one-adjacency loop, which thereby stays the oracle
+(``tests/test_parallel_prm.py`` compares the two field for field).
 """
 
 from __future__ import annotations
@@ -41,7 +64,7 @@ from ..obs.events import (
     PHASE_WEIGH,
 )
 from ..obs.tracer import active
-from ..planners.prm import PRM, PRMResult
+from ..planners.prm import PRM, PRMBlock, PRMResult
 from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
@@ -70,6 +93,14 @@ __all__ = [
 
 #: Vertex-id stride: region ``r`` owns ids ``[r << ID_SHIFT, (r+1) << ID_SHIFT)``.
 ID_SHIFT = 20
+
+#: Local-plan points one block is expected to hand a single validity call;
+#: blocks hold ``_BLOCK_POINTS / (samples x k x steps per pair)`` regions.
+#: Measured on two scenes, not tuned per scene (CHANGES.md, PR 21): build
+#: time is flat from half to four times this value on med-cube (1 box) and
+#: from half of it upward on mixed-30 (125 boxes), and this is the largest
+#: value at which a build's peak memory stays at the per-region loop's.
+_BLOCK_POINTS = 1 << 16
 
 
 @dataclass
@@ -214,13 +245,14 @@ def region_rng(seed: int, rid: int) -> np.random.Generator:
 class PRMRegionPlanner:
     """Alg. 1 line 8 as one picklable callable: ``rid -> PRMResult``.
 
-    The single regional entry point: :func:`build_prm_workload` calls it
-    per region and ``plan(mode="local")`` hands it to the pool (shm workers
-    rebuild an equal one), so every execution mode runs the same regions.
-    It owns the uniform decomposition over the positional bounds, the
-    ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id block, the
-    region-box lift and the narrow-passage boost; the keyword parameters
-    are :func:`build_prm_workload`'s, defaults included.
+    The single regional entry point: ``plan(mode="local")`` hands it to
+    the pool one region at a time (shm workers rebuild an equal one) and
+    :func:`build_prm_workload` runs the same regions a block at a time
+    through :meth:`plan_block`, so every execution mode runs the same
+    regions.  It owns the uniform decomposition over the positional
+    bounds, the ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id
+    block, the region-box lift and the narrow-passage boost; the keyword
+    parameters are :func:`build_prm_workload`'s, defaults included.
     """
 
     def __init__(
@@ -248,26 +280,160 @@ class PRMRegionPlanner:
     def region_ids(self) -> "list[int]":
         return self.decomposition.graph.region_ids()
 
+    def _sample_box(self, region) -> AABB:
+        """The positional sample box lifted to full C-space bounds
+        (non-positional dimensions keep their full range)."""
+        lo, hi = self.cspace.bounds.lo.copy(), self.cspace.bounds.hi.copy()
+        lo[self.pos_dims], hi[self.pos_dims] = region.sample_bounds.lo, region.sample_bounds.hi
+        return AABB(lo, hi)
+
+    def _boosted(self, region) -> bool:
+        return bool(
+            self.boost_samples
+            and self.cspace.env.box_obstacle_relation(region.bounds) == "boundary"
+        )
+
     def __call__(self, rid: int) -> PRMResult:
         region = self.decomposition.region_of(rid)
         rng = region_rng(self.seed, rid)
-        # Lift the positional sample box to full C-space bounds
-        # (non-positional dimensions keep their full range).
-        lo, hi = self.cspace.bounds.lo.copy(), self.cspace.bounds.hi.copy()
-        lo[self.pos_dims], hi[self.pos_dims] = region.sample_bounds.lo, region.sample_bounds.hi
-        within, id_base = AABB(lo, hi), rid << ID_SHIFT
+        within, id_base = self._sample_box(region), rid << ID_SHIFT
         # Each regional roadmap is built independently (the whole point of
         # uniform subdivision) and merged afterwards.
         result = self.planner.build(self.samples_per_region, rng, within=within, id_base=id_base)
-        if (
-            self.boost_samples
-            and self.cspace.env.box_obstacle_relation(region.bounds) == "boundary"
-        ):
+        if self._boosted(region):
             refined = self.planner.build(
                 self.boost_samples, rng, within=within, roadmap=result.roadmap, id_base=id_base
             )
             result = PRMResult(refined.roadmap, result.stats.merge(refined.stats))
         return result
+
+    def plan_block(self, rids: "list[int]") -> PRMBlock:
+        """The regions ``rids`` as one :class:`PRMBlock` (segment ``i`` is
+        region ``rids[i]``): what :meth:`__call__` builds for each of them,
+        vertex for vertex and count for count, with the regions laid side
+        by side so each pass runs once per block.  The boost pass continues
+        the same per-region generators; an unboosted region asks it for
+        zero samples, which draws nothing.  Needs ``planner.runs_blocks``.
+        """
+        regions = [self.decomposition.region_of(rid) for rid in rids]
+        rngs = [region_rng(self.seed, rid) for rid in rids]
+        within = [self._sample_box(region) for region in regions]
+        id_base = [rid << ID_SHIFT for rid in rids]
+        block = self.planner.build(self.samples_per_region, rngs, within=within, id_base=id_base)
+        boost = [self.boost_samples if self._boosted(region) else 0 for region in regions]
+        if any(boost):
+            first = block.stats
+            block = self.planner.build(boost, rngs, within=within, roadmap=block, id_base=id_base)
+            block.stats = [a.merge(b) for a, b in zip(first, block.stats)]
+        return block
+
+
+def _block_size(points_per_item: float) -> int:
+    """Regions (or adjacencies) per block under the ``_BLOCK_POINTS`` budget."""
+    return max(1, int(_BLOCK_POINTS / max(points_per_item, 1.0)))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Segment boundaries ``[0, c0, c0 + c1, ...]`` of ragged runs."""
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c - 1`` for every run of ``counts``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+@dataclass
+class _RegionRows:
+    """Where each region's vertices sit in the merged roadmap: rows are
+    region-major, region ``rids[i]`` owns ``[start[i], start[i] + count[i])``."""
+
+    rids: "list[int]"
+    ids: np.ndarray
+    positions: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+
+def _boundary_sets(
+    rows: _RegionRows, own: np.ndarray, other: np.ndarray,
+    box_lo: np.ndarray, box_hi: np.ndarray, reach: float, cap: int,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """For every adjacency ``i``: the vertices of region ``own[i]`` within
+    ``reach`` of region ``other[i]``'s box, capped at the nearest ``cap``.
+
+    Returns their ids flat, plus per-adjacency counts.  A set under the
+    cap keeps slot order, a capped one (distance, slot) order — the
+    one-adjacency code's stable argsort — via one ``lexsort`` whose
+    distance key is zeroed for uncapped sets.  The box distance is
+    :meth:`AABB.distance`'s expression with one box per row.
+    """
+    n = rows.count[own]
+    seg = np.repeat(np.arange(own.size), n)
+    row = _ranks(n) + rows.start[own][seg]
+    pts = rows.positions[row]
+    delta = np.maximum(np.maximum(box_lo[other][seg] - pts, pts - box_hi[other][seg]), 0.0)
+    dist = np.linalg.norm(delta, axis=1)
+    near = dist <= reach
+    seg, row, dist = seg[near], row[near], dist[near]
+    found = np.bincount(seg, minlength=own.size)
+    order = np.lexsort((np.where((found > cap)[seg], dist, 0.0), seg))
+    return rows.ids[row[order[_ranks(found) < cap]]], np.minimum(found, cap)
+
+
+def _connect_in_blocks(
+    regions: PRMRegionPlanner, roadmap: Roadmap, rows: _RegionRows,
+    adjacencies: "list[tuple[int, int]]", k_inter: int, reach: float, cap: int, step: int,
+) -> "list[tuple[PlannerStats | None, int]]":
+    """Region connection, ``step`` adjacencies per pass: per adjacency its
+    ledger (``None`` when a boundary set is empty) and ``b``-side set size."""
+    boxes = [regions.decomposition.region_of(rid).bounds for rid in rows.rids]
+    box_lo, box_hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+    # ``rows.rids`` is sorted, so a region's row index is its rank.
+    index = np.searchsorted(rows.rids, np.asarray(adjacencies, dtype=np.int64).reshape(-1, 2))
+    out: "list[tuple[PlannerStats | None, int]]" = []
+    for lo in range(0, len(adjacencies), step):
+        a, b = index[lo : lo + step].T
+        near_b, nb = _boundary_sets(rows, a, b, box_lo, box_hi, reach, cap)
+        near_a, na = _boundary_sets(rows, b, a, box_lo, box_hi, reach, cap)
+        live = (nb > 0) & (na > 0)
+        near_b, near_a = near_b[np.repeat(live, nb)], near_a[np.repeat(live, na)]
+        nb, na = nb * live, na * live
+        ledgers = regions.planner.connect_roadmaps(
+            roadmap, near_b, near_a, k=k_inter, segments=(_offsets(nb), _offsets(na))
+        )
+        out.extend(
+            (st if alive else None, reads)
+            for st, alive, reads in zip(ledgers, live.tolist(), na.tolist())
+        )
+    return out
+
+
+def _connect_one_by_one(
+    regions: PRMRegionPlanner, roadmap: Roadmap, rows: _RegionRows,
+    adjacencies: "list[tuple[int, int]]", k_inter: int, reach: float, cap: int,
+) -> "list[tuple[PlannerStats | None, int]]":
+    """Region connection one adjacency at a time — the oracle
+    :func:`_connect_in_blocks` replays."""
+    index_of = {rid: i for i, rid in enumerate(rows.rids)}
+    out: "list[tuple[PlannerStats | None, int]]" = []
+    for a, b in adjacencies:
+        near = []
+        for own, other in ((a, b), (b, a)):
+            i = index_of[own]
+            mine = slice(rows.start[i], rows.start[i] + rows.count[i])
+            dist = regions.decomposition.region_of(other).bounds.distance(rows.positions[mine])
+            ids = rows.ids[mine][dist <= reach]
+            if ids.size > cap:
+                ids = ids[np.argsort(dist[dist <= reach], kind="stable")[:cap]]
+            near.append(ids)
+        near_b, near_a = near
+        if near_b.size == 0 or near_a.size == 0:
+            out.append((None, 0))
+            continue
+        st = regions.planner.connect_roadmaps(roadmap, near_b, near_a, k=k_inter)
+        out.append((st, int(near_a.size)))
+    return out
 
 
 def build_prm_workload(
@@ -303,6 +469,13 @@ def build_prm_workload(
     nearest-neighbour backend for regional construction and inter-region
     connection; every finder shares the canonical (distance, insertion
     order) tie-break, so the workload is backend-independent.
+
+    Regions are independent subproblems, so with the defaults (uniform
+    sampler, brute-force neighbours: ``PRM.runs_blocks``) the build
+    executes *blocks* of regions and of adjacencies as array passes — see
+    the module docstring.  Any other sampler or ``nn_factory`` runs one
+    region and one adjacency at a time; that loop is the oracle the block
+    passes replay, and both produce the same workload bit for bit.
     """
     work_model = work_model if work_model is not None else WorkModel()
     regions = PRMRegionPlanner(
@@ -310,74 +483,74 @@ def build_prm_workload(
         lp_resolution=lp_resolution, sampler=sampler,
         narrow_passage_boost=narrow_passage_boost, nn_factory=nn_factory,
     )
-    subdivision, planner = regions.decomposition, regions.planner
+    subdivision, rids = regions.decomposition, regions.region_ids
+    cell = subdivision.bounds.extents / np.asarray(subdivision.shape, dtype=float)
+    # Local-plan points one candidate pair is expected to need.
+    steps = float(np.linalg.norm(cell)) / lp_resolution
 
-    region_work: "dict[int, RegionWork]" = {}
     roadmap = Roadmap(cspace.dim)
-    vertex_ids_of: "dict[int, np.ndarray]" = {}
-    position_chunks: "list[np.ndarray]" = []
+    region_stats: "dict[int, PlannerStats]" = {}
+    if regions.planner.runs_blocks:
+        step = _block_size(samples_per_region * k * steps)
+        for lo in range(0, len(rids), step):
+            block = regions.plan_block(rids[lo : lo + step])
+            region_stats.update(zip(rids[lo : lo + step], block.stats))
+            roadmap.add_vertices(block.ids, block.configs)
+            # Roadmap.merge replays a regional roadmap's edges as (min id,
+            # max id) in that order; ``u`` is always the newer, larger id.
+            u, v, w = block.edges
+            order = np.lexsort((u, v))
+            roadmap.add_edges(v[order], u[order], w[order])
+    else:
+        for rid in rids:
+            # Each regional roadmap is built independently (the whole point
+            # of uniform subdivision) and merged afterwards.
+            result = regions(rid)
+            region_stats[rid] = result.stats
+            roadmap.merge(result.roadmap)
 
-    for rid in regions.region_ids:
-        result = regions(rid)
-        st = result.stats
-        gen_cost = work_model.cost_sample_attempt * st.sample_attempts
-        connect_cost = (
+    def connect_cost(st: PlannerStats) -> float:
+        return (
             work_model.cost_lp_check * st.lp_checks
             + work_model.cost_nn_eval * st.nn_distance_evals
             + work_model.cost_fixed_per_call * st.lp_calls
         )
-        region_work[rid] = RegionWork(rid, gen_cost, connect_cost, st.samples_accepted, st)
-        ids, cfgs = result.roadmap.configs_array()
-        vertex_ids_of[rid] = ids
-        if cfgs.size:
-            position_chunks.append(cfgs[:, list(cspace.positional_dims)])
-        roadmap.merge(result.roadmap)
 
-    positions_arr = (
-        np.vstack(position_chunks) if position_chunks else np.empty((0, len(regions.pos_dims)))
-    )
+    region_work = {
+        rid: RegionWork(
+            rid, work_model.cost_sample_attempt * st.sample_attempts, connect_cost(st),
+            st.samples_accepted, st,
+        )
+        for rid, st in region_stats.items()
+    }
+    ids, cfgs = roadmap.configs_array()
+    count = np.array([region_stats[rid].samples_accepted for rid in rids], dtype=np.int64)
+    rows = _RegionRows(rids, ids, cfgs[:, regions.pos_dims], np.cumsum(count) - count, count)
 
     # Inter-region connections only involve vertices near the shared
     # boundary (that is what the sampling overlap exists for); attempting
     # all pairs would let region connection dwarf node connection,
     # inverting the paper's Fig. 7a profile.
-    cell = subdivision.bounds.extents / np.asarray(subdivision.shape, dtype=float)
     boundary_reach = 0.5 * float(cell.max())
-    pos_dims = list(cspace.positional_dims)
-    positions_of = {
-        rid: roadmap.configs_of(int(i) for i in vertex_ids_of[rid])[:, pos_dims]
-        for rid in subdivision.graph.region_ids()
-    }
-
+    # Cap boundary sets at the nearest few vertices so inter-region
+    # connection stays the minor phase it is in the paper (Fig. 7a).
     max_boundary_vertices = 2 * samples_per_region
-    adjacency_work: "list[AdjacencyWork]" = []
-    for a, b in sorted(subdivision.graph.edges()):
-        box_a = subdivision.region_of(a).bounds
-        box_b = subdivision.region_of(b).bounds
-        dist_to_b = box_b.distance(positions_of[a])
-        dist_to_a = box_a.distance(positions_of[b])
-        near_b = vertex_ids_of[a][dist_to_b <= boundary_reach]
-        near_a = vertex_ids_of[b][dist_to_a <= boundary_reach]
-        # Cap boundary sets at the nearest few vertices so inter-region
-        # connection stays the minor phase it is in the paper (Fig. 7a).
-        if near_b.size > max_boundary_vertices:
-            order = np.argsort(dist_to_b[dist_to_b <= boundary_reach], kind="stable")
-            near_b = near_b[order[:max_boundary_vertices]]
-        if near_a.size > max_boundary_vertices:
-            order = np.argsort(dist_to_a[dist_to_a <= boundary_reach], kind="stable")
-            near_a = near_a[order[:max_boundary_vertices]]
-        if near_b.size == 0 or near_a.size == 0:
-            adjacency_work.append(AdjacencyWork(a, b, 0.0, 0, 0))
-            continue
-        st = planner.connect_roadmaps(roadmap, near_b, near_a, k=k_inter)
-        cost = (
-            work_model.cost_lp_check * st.lp_checks
-            + work_model.cost_nn_eval * st.nn_distance_evals
-            + work_model.cost_fixed_per_call * st.lp_calls
+    adjacencies = sorted(subdivision.graph.edges())
+    if regions.planner.runs_blocks:
+        links = _connect_in_blocks(
+            regions, roadmap, rows, adjacencies, k_inter, boundary_reach,
+            max_boundary_vertices, _block_size(max_boundary_vertices * k_inter * steps),
         )
-        # Each NN structure build + LP endpoint read touches b's vertices.
-        vertex_reads = int(near_a.size + st.lp_calls)
-        adjacency_work.append(AdjacencyWork(a, b, cost, vertex_reads, st.edges_added))
+    else:
+        links = _connect_one_by_one(
+            regions, roadmap, rows, adjacencies, k_inter, boundary_reach, max_boundary_vertices
+        )
+    # Each NN structure build + LP endpoint read touches b's vertices.
+    adjacency_work = [
+        AdjacencyWork(a, b, 0.0, 0, 0) if st is None
+        else AdjacencyWork(a, b, connect_cost(st), reads_b + st.lp_calls, st.edges_added)
+        for (a, b), (st, reads_b) in zip(adjacencies, links)
+    ]
 
     return PRMWorkload(
         cspace=cspace,
@@ -385,7 +558,7 @@ def build_prm_workload(
         region_work=region_work,
         adjacency_work=adjacency_work,
         roadmap=roadmap,
-        sample_positions=positions_arr,
+        sample_positions=rows.positions,
         work_model=work_model,
         seed=seed,
     )

@@ -14,6 +14,7 @@ collision-detection time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,30 +61,57 @@ class UniformSampler:
     def __call__(
         self,
         cspace: ConfigurationSpace,
-        rng: np.random.Generator,
-        n: int,
-        within: AABB | None = None,
-    ) -> SampleBatch:
-        accepted: list[np.ndarray] = []
-        attempts = 0
-        need = n
-        empty_rounds = 0
+        rng: "np.random.Generator | Sequence[np.random.Generator]",
+        n: "int | Sequence[int]",
+        within: "AABB | Sequence[AABB] | None" = None,
+    ) -> "SampleBatch | list[SampleBatch]":
+        """``n`` valid samples from ``rng``, or — given a sequence of
+        generators — one :class:`SampleBatch` per segment (``n`` and
+        ``within`` a scalar for all, or one per segment).
+
+        Segments advance in lock-step rounds: every segment still short
+        of its budget draws its round from its own generator, the
+        candidates are validated in **one** ``cspace.valid`` call and
+        split back.  A segment's draws depend only on its own generator
+        and its own verdicts, so each batch is bit-identical to a
+        one-segment call — which is the one-segment case of this loop.
+        """
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
+        g = len(rngs)
+        need = [n] * g if isinstance(n, (int, np.integer)) else [int(x) for x in n]
+        boxes = list(within) if isinstance(within, (list, tuple)) else [within] * g
+        if not len(need) == len(boxes) == g:
+            raise ValueError("one sample budget and one box per generator")
+        accepted: "list[list[np.ndarray]]" = [[] for _ in range(g)]
+        attempts = [0] * g
+        empty_rounds = [0] * g
         for _ in range(self.max_rounds):
-            if need <= 0 or empty_rounds >= self.empty_round_limit:
+            live = [
+                s for s in range(g)
+                if need[s] > 0 and empty_rounds[s] < self.empty_round_limit
+            ]
+            if not live:
                 break
-            batch = max(need, 4)
-            cand = cspace.sample(rng, batch, within=within)
-            attempts += batch
-            ok = cspace.valid(cand)
-            got = cand[ok][:need]
-            if got.size:
-                accepted.append(got)
-                need -= got.shape[0]
-                empty_rounds = 0
-            else:
-                empty_rounds += 1
-        configs = np.vstack(accepted) if accepted else np.empty((0, cspace.dim))
-        return SampleBatch(configs, attempts)
+            sizes = [max(need[s], 4) for s in live]
+            cand = [cspace.sample(rngs[s], b, within=boxes[s]) for s, b in zip(live, sizes)]
+            ok = cspace.valid(cand[0] if len(cand) == 1 else np.concatenate(cand))
+            lo = 0
+            for s, b, c in zip(live, sizes, cand):
+                attempts[s] += b
+                got = c[ok[lo : lo + b]][: need[s]]
+                lo += b
+                if got.size:
+                    accepted[s].append(got)
+                    need[s] -= got.shape[0]
+                    empty_rounds[s] = 0
+                else:
+                    empty_rounds[s] += 1
+        batches = [
+            SampleBatch(np.vstack(acc) if acc else np.empty((0, cspace.dim)), att)
+            for acc, att in zip(accepted, attempts)
+        ]
+        return batches[0] if single else batches
 
 
 class GaussianSampler:

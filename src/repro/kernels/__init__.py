@@ -36,7 +36,7 @@ from .bvh_backend import BVHKernels
 from .data import EnvKernelData
 from .fast32 import Fast32Kernels
 from .reference import ReferenceKernels
-from .select import select_canonical, select_canonical_rows
+from .select import select_canonical, select_canonical_block, select_canonical_rows
 
 __all__ = [
     "KernelBackend",
@@ -49,6 +49,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "select_canonical",
+    "select_canonical_block",
     "select_canonical_rows",
 ]
 

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+#: ``points x boxes x d`` elements one all-pairs point scan may broadcast.
+_SCAN_ELEMENTS = 1 << 16
+
+
 def pairwise_accumulate_exact(stored: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
     """Write ``||stored[j] - queries[i]||`` into ``out[i, j]`` using
     per-dimension 2-D accumulation.
@@ -45,15 +49,21 @@ def pairwise_accumulate_exact(stored: np.ndarray, queries: np.ndarray, out: np.n
     ``np.linalg.norm(diff, axis=2)`` (and to the per-query scalar path)
     while never materialising the ``(m, n, d)`` temporary — about a third
     of the memory traffic on the O(n²) floor of roadmap construction.
+
+    Leading axes stack independent problems: ``stored`` ``(..., n, d)``
+    against ``queries`` ``(..., m, d)`` fills ``out`` ``(..., m, n)`` —
+    how a block of regions' distance work runs as one pass.  Every entry
+    is computed by the same elementwise sequence, so stacking changes no
+    bit.
     """
-    n = stored.shape[0]
+    n = stored.shape[-2]
     if n == 0:
         return
-    m, dim = queries.shape
-    tmp = np.empty((m, n))
-    s = np.empty((m, n))
+    dim = queries.shape[-1]
+    tmp = np.empty(out.shape)
+    s = np.empty(out.shape)
     for j in range(dim):
-        np.subtract(stored[None, :, j], queries[:, j, None], out=tmp)
+        np.subtract(stored[..., None, :, j], queries[..., :, None, j], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         if j == 0:
             s, tmp = tmp, s
@@ -118,7 +128,15 @@ class ReferenceKernels(KernelBackend):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         free = np.all((pts >= data.bounds_lo) & (pts <= data.bounds_hi), axis=-1)
         if data.num_boxes:
-            free = free & ~points_hit_boxes(data.box_lo, data.box_hi, pts)
+            # The all-pairs scan broadcasts (points, boxes, d); a caller that
+            # batches many regions' points would otherwise push that
+            # temporary out of cache (and memory).  Verdicts are elementwise,
+            # so slicing the points changes none.
+            step = max(1, _SCAN_ELEMENTS // (data.num_boxes * pts.shape[1]))
+            for lo in range(0, pts.shape[0], step):
+                free[lo : lo + step] &= ~points_hit_boxes(
+                    data.box_lo, data.box_hi, pts[lo : lo + step]
+                )
         return free
 
     def segments_free(self, data: EnvKernelData, p: np.ndarray, q: np.ndarray) -> np.ndarray:

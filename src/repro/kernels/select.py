@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["select_canonical", "select_canonical_rows"]
+__all__ = ["select_canonical", "select_canonical_block", "select_canonical_rows"]
 
 
 def select_canonical(d: np.ndarray, k_eff: int) -> np.ndarray:
@@ -26,31 +26,36 @@ def select_canonical(d: np.ndarray, k_eff: int) -> np.ndarray:
     return cand[np.argsort(d[cand], kind="stable")][:k_eff]
 
 
+def select_canonical_block(block: np.ndarray, k_eff: int) -> np.ndarray:
+    """:func:`select_canonical` along the last axis of an N-d ``block``:
+    ``(..., k_eff)`` column indices.
+
+    A stable ``argsort`` *is* the canonical order; wide rows are first
+    narrowed to their ``4 * k_eff`` smallest entries (columns kept
+    ascending, so the stable sort still breaks ties by column).  Only a
+    finite k-th distance that ties the narrowed set's largest can have an
+    equal outside it; those rare rows are re-selected individually.
+    ``+inf`` entries (masked columns) may come back in any order —
+    callers drop them.
+    """
+    narrow = 4 * k_eff
+    if block.shape[-1] <= 2 * narrow:
+        return np.argsort(block, axis=-1, kind="stable")[..., :k_eff]
+    part = np.sort(np.argpartition(block, narrow - 1, axis=-1)[..., :narrow], axis=-1)
+    dpart = np.take_along_axis(block, part, axis=-1)
+    order = np.take_along_axis(
+        part, np.argsort(dpart, axis=-1, kind="stable")[..., :k_eff], axis=-1
+    )
+    kth = np.take_along_axis(block, order[..., -1:], axis=-1)[..., 0]
+    for row in zip(*np.nonzero(np.isfinite(kth) & (kth == dpart.max(axis=-1)))):
+        order[row] = select_canonical(block[row], k_eff)
+    return order
+
+
 def select_canonical_rows(
     block: np.ndarray, k_eff: int
 ) -> "tuple[list[list[int]], list[list[float]]]":
-    """Row-wise :func:`select_canonical`: (index rows, distance rows).
-
-    The vectorised argpartition+argsort fast path is canonical whenever a
-    row's k selected distances are distinct and nothing outside the
-    selection ties the k-th distance; the rare ambiguous rows are
-    re-selected individually.
-    """
-    if k_eff >= block.shape[1]:
-        order = np.argsort(block, axis=1, kind="stable")[:, :k_eff]
-        return order.tolist(), np.take_along_axis(block, order, axis=1).tolist()
-    idx = np.argpartition(block, k_eff - 1, axis=1)[:, :k_eff]
-    dk = np.take_along_axis(block, idx, axis=1)
-    dk_sorted = np.sort(dk, axis=1)
-    kthv = dk_sorted[:, -1]
-    amb = (block <= kthv[:, None]).sum(axis=1) > k_eff
-    if k_eff > 1:
-        amb |= (dk_sorted[:, 1:] == dk_sorted[:, :-1]).any(axis=1)
-    order = np.argsort(dk, axis=1, kind="stable")
-    sel = np.take_along_axis(idx, order, axis=1).tolist()
-    dists = np.take_along_axis(dk, order, axis=1).tolist()
-    for r in np.nonzero(amb)[0].tolist():
-        can = select_canonical(block[r], k_eff)
-        sel[r] = can.tolist()
-        dists[r] = block[r][can].tolist()
-    return sel, dists
+    """Row-wise :func:`select_canonical` of a 2-D ``block`` as lists:
+    (index rows, distance rows)."""
+    order = select_canonical_block(block, k_eff)
+    return order.tolist(), np.take_along_axis(block, order, axis=1).tolist()

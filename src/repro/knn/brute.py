@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import get_backend, select_canonical, select_canonical_rows
+from ..kernels import (
+    get_backend,
+    select_canonical,
+    select_canonical_block,
+    select_canonical_rows,
+)
 from ..kernels.reference import pairwise_accumulate_exact
 from .base import NeighborFinder
 
 __all__ = ["BruteForceNN"]
 
 _INITIAL_CAPACITY = 64
+#: distance entries one slice of a segmented query may hold.
+_SEGMENT_ELEMENTS = 1 << 20
 
 
 class BruteForceNN(NeighborFinder):
@@ -103,12 +110,92 @@ class BruteForceNN(NeighborFinder):
         order = self._select_canonical(d, min(k, d.size))
         return [(int(ids[i]), float(d[i])) for i in order]
 
-    def knn_batch_arrays(self, queries: np.ndarray, k: int) -> "tuple[np.ndarray, np.ndarray]":
+    def _knn_segments(
+        self, points: np.ndarray, k: int, segments, block_ids: "np.ndarray | None" = None
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Canonical k-NN of many independent segments as one padded pass.
+
+        ``segments = (stored_offsets, point_offsets)``: rows
+        ``[po[s], po[s+1])`` of ``points`` search stored rows
+        ``[so[s], so[s+1])`` only — and, when ``block_ids`` is given, the
+        earlier rows of their own segment (growing visibility).  The
+        ragged segments are padded to one ``(segments, rows, columns)``
+        distance block, accumulated per dimension exactly like the
+        one-segment paths; padding, later rows and self are masked to
+        ``+inf``, so a stable sort along the columns *is* the canonical
+        (distance, insertion order) selection.  Returns padded
+        ``(ids, dists)`` like :meth:`knn_batch_arrays` and charges what
+        one finder per segment would have been charged in total.
+        """
+        so, po = (np.asarray(o, dtype=np.int64) for o in segments)
+        growing = block_ids is not None
+        n0, m = np.diff(so), np.diff(po)
+        total = points.shape[0]
+        if so.shape != po.shape or po[-1] != total or so[-1] != self._n:
+            raise ValueError("segment offsets must partition the stored and the query rows")
+        kk = max(k, 0)
+        ids = np.full((total, kk), -1, dtype=np.int64)
+        dists = np.full((total, kk), np.inf)
+        width0, rows = int(n0.max(initial=0)), np.arange(int(m.max(initial=0)))
+        if total == 0 or kk == 0 or (width0 == 0 and not growing):
+            return ids, dists
+        cols = np.arange(width0)
+        flat = po[:-1, None] + rows
+        padded = np.minimum(flat, total - 1)
+        block = points[padded]
+        col_ids = np.empty((m.size, width0 + (rows.size if growing else 0)), dtype=np.int64)
+        if width0:
+            gather = np.minimum(so[:-1, None] + cols, self._n - 1)
+            stored, hidden = self._points[gather], (cols >= n0[:, None])[:, None, :]
+            col_ids[:, :width0] = self._ids[gather]
+        if growing:
+            col_ids[:, width0:] = block_ids[padded]
+        # Rows are taken a slice at a time so the distance block stays
+        # bounded however many points one segment holds.
+        step = max(1, _SEGMENT_ELEMENTS // (m.size * col_ids.shape[1]))
+        for r0 in range(0, rows.size, step):
+            r1 = min(r0 + step, rows.size)
+            # Growing rows below r1 see no block column at or past r1.
+            D = np.empty((m.size, r1 - r0, width0 + (r1 if growing else 0)))
+            if width0:
+                self._kernels.pairwise_accumulate(stored, block[:, r0:r1], D[:, :, :width0])
+                np.copyto(D[:, :, :width0], np.inf, where=hidden)
+            if growing:
+                self._kernels.pairwise_accumulate(block[:, :r1], block[:, r0:r1], D[:, :, width0:])
+                np.copyto(D[:, :, width0:], np.inf, where=rows[:r1] >= rows[r0:r1, None])
+            k_eff = min(kk, D.shape[2])
+            order = select_canonical_block(D, k_eff)
+            real = rows[r0:r1] < m[:, None]
+            dsel = np.take_along_axis(D, order, axis=2)[real]
+            isel = col_ids[np.arange(m.size)[:, None, None], order][real]
+            isel[np.isinf(dsel)] = -1
+            dest = flat[:, r0:r1][real]
+            ids[dest, :k_eff], dists[dest, :k_eff] = isel, dsel
+        # A query against an empty structure returns early, uncharged.
+        self.stats.distance_evals += int((m * n0).sum())
+        if growing:
+            self.stats.queries += int(np.where(n0 > 0, m, np.maximum(m - 1, 0)).sum())
+            self.stats.distance_evals += int((m * (m - 1) // 2).sum())
+        else:
+            self.stats.queries += int(m[n0 > 0].sum())
+        return ids, dists
+
+    def knn_batch_arrays(
+        self, queries: np.ndarray, k: int, segments=None
+    ) -> "tuple[np.ndarray, np.ndarray]":
         """Canonical k-NN for every row of ``queries`` in one distance
         broadcast, returned as padded ``(ids, dists)`` arrays — same
         results, ordering, and stats charges as a :meth:`knn` loop without
-        the per-query tuple lists."""
+        the per-query tuple lists.
+
+        ``segments = (stored_offsets, query_offsets)`` restricts query rows
+        ``[qo[s], qo[s+1])`` to stored rows ``[so[s], so[s+1])``: many
+        small independent searches (one per region adjacency) as one pass
+        over one finder, equal to one finder per segment.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        if segments is not None:
+            return self._knn_segments(queries, k, segments)
         m = queries.shape[0]
         kk = max(k, 0)
         ids = np.full((m, kk), -1, dtype=np.int64)
@@ -142,8 +229,8 @@ class BruteForceNN(NeighborFinder):
         ]
 
     def knn_block_growing(
-        self, ids: np.ndarray, points: np.ndarray, k: int
-    ) -> "list[list[tuple[int, float]]]":
+        self, ids: np.ndarray, points: np.ndarray, k: int, segments=None
+    ) -> "list[list[tuple[int, float]]] | tuple[np.ndarray, np.ndarray]":
         """k-NN for a block of points as if queried/inserted one at a time.
 
         Query ``i`` searches the stored points plus ``points[:i]``, and all
@@ -152,12 +239,24 @@ class BruteForceNN(NeighborFinder):
         ``knn(points[i], k); add(ids[i], points[i])`` sequence the PRM
         build loop performs, but with all distance work done in two
         broadcasts instead of one per query.
+
+        ``segments = (stored_offsets, block_offsets)`` grows many
+        independent blocks at once — block rows ``[bo[s], bo[s+1])`` on
+        stored rows ``[so[s], so[s+1])`` and on their own earlier rows —
+        which is how a block of regional roadmaps is built in one pass.
+        Neighbours then come back as the padded ``(ids, dists)`` arrays
+        of :meth:`knn_batch_arrays` (``-1`` / ``inf`` past a row's visible
+        points) instead of tuple lists.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         ids = np.asarray(ids, dtype=np.int64)
         m = points.shape[0]
         if ids.shape[0] != m:
             raise ValueError("ids and points length mismatch")
+        if segments is not None:
+            found = self._knn_segments(points, k, segments, block_ids=ids)
+            self.add_batch(ids, points)
+            return found
         n0 = self._n
         out: "list[list[tuple[int, float]]]" = []
         if m == 0:

@@ -2,7 +2,7 @@
 
 from .engine import BatchQueryResult, QueryEngine, QueryRequest
 from .frozen import FrozenRoadmap
-from .prm import PRM, PRMResult
+from .prm import PRM, PRMBlock, PRMResult
 from .query import QueryResult, RoadmapQuery, astar, dijkstra
 from .roadmap import Roadmap, UnionFind
 from .rrt import RRT, RRTResult
@@ -11,6 +11,7 @@ from .stats import PlannerStats, WorkModel
 
 __all__ = [
     "PRM",
+    "PRMBlock",
     "PRMResult",
     "QueryResult",
     "QueryEngine",

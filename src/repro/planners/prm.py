@@ -15,11 +15,20 @@ order that reproduces the sequential planner's operation counts exactly
 environment's ``CollisionCounters`` are therefore field-for-field
 identical to the one-edge-at-a-time implementation; the virtual-time
 model depends on that.
+
+Without the component filter (``connect_same_component=False``, how the
+regional planner of the parallel build runs it) no decision depends on an
+earlier outcome, so :meth:`PRM.build` and :meth:`PRM.connect_roadmaps` also
+take a *block* of independent segments — many regions, many adjacencies —
+and run sampling, k-NN and local planning once over the block
+(:attr:`PRM.runs_blocks`, :class:`PRMBlock`); their one-region call stays
+the oracle for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +40,26 @@ from ..knn.brute import BruteForceNN
 from .roadmap import Roadmap
 from .stats import PlannerStats
 
-__all__ = ["PRM", "PRMResult"]
+__all__ = ["PRM", "PRMBlock", "PRMResult"]
 
 _BLOCK = 64
+
+
+def _rows_of(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Row in ``ids`` of every id in ``wanted`` (all present)."""
+    sorter = np.argsort(ids, kind="stable")
+    return sorter[np.searchsorted(ids, wanted, sorter=sorter)]
+
+
+def _segment_ledgers(
+    seg: np.ndarray, g: int, ok: np.ndarray, checks: np.ndarray
+) -> "tuple[list[int], list[int], list[int]]":
+    """Per-segment ``(lp_calls, lp_checks, lp_successes)`` of validated
+    pairs whose segment indices are ``seg``."""
+    calls = np.bincount(seg, minlength=g)
+    per_checks = np.bincount(seg, weights=checks, minlength=g).astype(np.int64)
+    wins = np.bincount(seg[ok], minlength=g)
+    return calls.tolist(), per_checks.tolist(), wins.tolist()
 
 
 @dataclass
@@ -42,6 +68,24 @@ class PRMResult:
 
     roadmap: Roadmap
     stats: PlannerStats
+
+
+@dataclass
+class PRMBlock:
+    """A block of independent regional roadmaps, side by side in flat arrays.
+
+    What a block-mode :meth:`PRM.build` returns (and extends): segment
+    ``s`` owns vertex rows ``[offsets[s], offsets[s + 1])`` in insertion
+    order; ``edges`` are ``(u, v, length)`` columns in the order the
+    one-region build would have inserted them, ``u`` the newer endpoint;
+    ``stats[s]`` is segment ``s``'s ledger for the invocation.
+    """
+
+    ids: np.ndarray
+    configs: np.ndarray
+    offsets: np.ndarray
+    edges: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+    stats: "list[PlannerStats]"
 
 
 class PRM:
@@ -112,6 +156,24 @@ class PRM:
         if self.fail_fast and hasattr(self.local_planner, "batch_pairs_chunked"):
             return self.local_planner.batch_pairs_chunked(self.cspace, starts, ends)
         return self.local_planner.batch_pairs(self.cspace, starts, ends)
+
+    @property
+    def runs_blocks(self) -> bool:
+        """Whether :meth:`build` / :meth:`connect_roadmaps` accept a block
+        of segments.  The block passes replay exactly this configuration:
+        uniform rejection sampling, brute-force neighbours, a local
+        planner with per-segment check counts, and
+        ``connect_same_component=False`` — without the component filter no
+        connection decision depends on an earlier outcome, so every
+        candidate pair of a block can be validated in one call."""
+        return (
+            type(self.sampler) is UniformSampler
+            and self.nn_factory is BruteForceNN
+            and self._use_batch()
+            and not self.fail_fast
+            and not self.connect_same_component
+            and hasattr(self.local_planner, "batch_pairs_counted")
+        )
 
     def _connect_batched(
         self,
@@ -291,18 +353,28 @@ class PRM:
 
     def build(
         self,
-        n_samples: int,
-        rng: np.random.Generator,
-        within: AABB | None = None,
-        roadmap: Roadmap | None = None,
-        id_base: int = 0,
-    ) -> PRMResult:
+        n_samples: "int | Sequence[int]",
+        rng: "np.random.Generator | Sequence[np.random.Generator]",
+        within: "AABB | Sequence[AABB] | None" = None,
+        roadmap: "Roadmap | PRMBlock | None" = None,
+        id_base: "int | Sequence[int]" = 0,
+    ) -> "PRMResult | PRMBlock":
         """Construct (or extend) a roadmap with ``n_samples`` new samples.
 
         ``within`` restricts sampling to a sub-box of C-space — this is how
         regional roadmaps are built.  ``id_base`` offsets vertex ids so that
         regional roadmaps have globally unique ids.
+
+        Given a *sequence* of generators this builds a block of
+        independent roadmaps, one segment per generator (``n_samples``,
+        ``within`` and ``id_base`` a scalar for all or one per segment),
+        and returns a :class:`PRMBlock`; ``roadmap`` is then an earlier
+        block over the same segments to extend.  Sampling, growing k-NN
+        and local planning each run once over the whole block — see
+        :meth:`_build_segments`.  Needs :attr:`runs_blocks`.
         """
+        if not isinstance(rng, np.random.Generator):
+            return self._build_segments(n_samples, list(rng), within, roadmap, id_base)
         stats = PlannerStats()
         rmap = roadmap if roadmap is not None else Roadmap(self.cspace.dim)
 
@@ -355,6 +427,77 @@ class PRM:
         stats.nn_distance_evals += nn.stats.distance_evals
         return PRMResult(rmap, stats)
 
+    def _build_segments(
+        self, n_samples, rngs: list, within, block: "PRMBlock | None", id_base
+    ) -> PRMBlock:
+        """Block-mode :meth:`build`: every segment's one-region build, as
+        three array passes over the block.
+
+        With ``connect_same_component=False`` the one-region loop
+        validates *every* k-NN candidate of every new vertex (its
+        predict-validate-replay degenerates to one round), so the block's
+        work is fixed by geometry alone: (1) the sampler's lock-step
+        rounds, one generator per segment; (2) one segmented growing k-NN
+        (row ``i`` of a segment sees its stored vertices and rows ``< i``);
+        (3) one ``batch_pairs_counted`` over all candidate pairs in
+        (segment, row, candidate) order — the order the one-region build
+        inserts edges in.  Verdicts, distances and interpolation are
+        elementwise, so batch composition changes no bit; ledgers are
+        per-segment ``bincount`` s and the k-NN charge in closed form.
+        """
+        if not self.runs_blocks:
+            raise ValueError("this PRM configuration builds one region at a time")
+        g, dim = len(rngs), self.cspace.dim
+        if block is None:
+            none = np.empty(0, dtype=np.int64)
+            block = PRMBlock(
+                none, np.empty((0, dim)), np.zeros(g + 1, dtype=np.int64),
+                (none, none, np.empty(0)), [],
+            )
+        elif not isinstance(block, PRMBlock) or block.offsets.size != g + 1:
+            raise ValueError("a block build extends a PRMBlock over the same segments")
+        batches = self.sampler(self.cspace, rngs, n_samples, within=within)
+        n0 = np.diff(block.offsets)
+        m = np.array([len(b) for b in batches], dtype=np.int64)
+        new_offsets = np.concatenate(([0], np.cumsum(m)))
+        segments = np.arange(g)
+        seg_new = np.repeat(segments, m)
+        new_cfgs = np.concatenate([b.configs for b in batches]) if g else np.empty((0, dim))
+        bases = np.broadcast_to(np.asarray(id_base, dtype=np.int64), (g,))
+        new_ids = (bases + n0 - new_offsets[:-1])[seg_new] + np.arange(seg_new.size)
+
+        nn = self.nn_factory(dim)
+        if block.ids.size:
+            nn.add_batch(block.ids, block.configs)
+        nbrs, _dists = nn.knn_block_growing(
+            new_ids, new_cfgs, self.k, segments=(block.offsets, new_offsets)
+        )
+        # Segment-major vertex arrays: a segment's earlier rows, then its new ones.
+        order = np.argsort(np.concatenate((np.repeat(segments, n0), seg_new)), kind="stable")
+        ids = np.concatenate((block.ids, new_ids))[order]
+        configs = np.concatenate((block.configs, new_cfgs))[order]
+
+        row, pos = np.nonzero(nbrs >= 0)
+        cand = nbrs[row, pos]
+        ok, checks, lengths = self.local_planner.batch_pairs_counted(
+            self.cspace, new_cfgs[row], configs[_rows_of(ids, cand)]
+        )
+        calls, per_checks, wins = _segment_ledgers(seg_new[row], g, ok, checks)
+        stats = [
+            PlannerStats(
+                sample_attempts=batches[s].attempts, samples_accepted=ms, nn_queries=ms,
+                nn_distance_evals=ms * n0s + ms * (ms - 1) // 2,
+                lp_calls=calls[s], lp_checks=per_checks[s],
+                lp_successes=wins[s], edges_added=wins[s],
+            )
+            for s, (ms, n0s) in enumerate(zip(m.tolist(), n0.tolist()))
+        ]
+        edges = tuple(
+            np.concatenate(pair)
+            for pair in zip(block.edges, (new_ids[row][ok], cand[ok], lengths[ok]))
+        )
+        return PRMBlock(ids, configs, block.offsets + new_offsets, edges, stats)
+
     def connect_roadmaps(
         self,
         rmap: Roadmap,
@@ -362,7 +505,8 @@ class PRM:
         ids_b: np.ndarray,
         k: int | None = None,
         max_attempts: int | None = None,
-    ) -> PlannerStats:
+        segments=None,
+    ) -> "PlannerStats | list[PlannerStats]":
         """Attempt connections between two vertex sets of one merged roadmap.
 
         Used for the inter-region connection phase (lines 10-12 of
@@ -374,7 +518,20 @@ class PRM:
         same-component decision could depend on a pending outcome (either
         of its components is already touched by an unvalidated pair).
         Operation counts match the sequential reference path exactly.
+
+        ``segments = (offsets_a, offsets_b)`` connects a block of
+        adjacencies in one pass: adjacency ``i`` is
+        ``ids_a[oa[i]:oa[i+1]]`` against ``ids_b[ob[i]:ob[i+1]]``, and the
+        result is one ledger per adjacency.  Without the component filter
+        the one-adjacency loop never flushes early, so the block is one
+        segmented k-NN, one ``batch_pairs_counted`` and one bulk edge
+        insertion in (adjacency, vertex, candidate) order — the order the
+        loop inserts in.  Needs :attr:`runs_blocks`.
         """
+        if segments is not None:
+            if max_attempts is not None:
+                raise ValueError("a block of adjacencies takes no max_attempts")
+            return self._connect_segments(rmap, ids_a, ids_b, k, segments)
         stats = PlannerStats()
         k = k if k is not None else self.k
         ids_b = np.asarray(ids_b, dtype=np.int64)
@@ -407,6 +564,39 @@ class PRM:
                         stats.edges_added += 1
         stats.nn_distance_evals += nn.stats.distance_evals
         return stats
+
+    def _connect_segments(
+        self, rmap: Roadmap, ids_a, ids_b, k: "int | None", segments
+    ) -> "list[PlannerStats]":
+        if not self.runs_blocks:
+            raise ValueError("this PRM configuration connects one adjacency at a time")
+        ids_a = np.asarray(ids_a, dtype=np.int64)
+        ids_b = np.asarray(ids_b, dtype=np.int64)
+        oa, ob = (np.asarray(o, dtype=np.int64) for o in segments)
+        na, nb = np.diff(oa), np.diff(ob)
+        cfg_a, cfg_b = rmap.configs_of(ids_a.tolist()), rmap.configs_of(ids_b.tolist())
+        nn = self.nn_factory(self.cspace.dim)
+        nn.add_batch(ids_b, cfg_b)
+        nbrs, _dists = nn.knn_batch_arrays(
+            cfg_a, k if k is not None else self.k, segments=(ob, oa)
+        )
+        row, pos = np.nonzero(nbrs >= 0)
+        v = nbrs[row, pos]
+        ok, checks, lengths = self.local_planner.batch_pairs_counted(
+            self.cspace, cfg_a[row], cfg_b[_rows_of(ids_b, v)]
+        )
+        seg = np.repeat(np.arange(na.size), na)[row]
+        added = rmap.add_edges(ids_a[row][ok], v[ok], lengths[ok])
+        calls, per_checks, wins = _segment_ledgers(seg, na.size, ok, checks)
+        edges = np.bincount(seg[ok][added], minlength=na.size).tolist()
+        return [
+            PlannerStats(
+                nn_queries=qa if qb else 0, nn_distance_evals=qa * qb,
+                lp_calls=calls[i], lp_checks=per_checks[i],
+                lp_successes=wins[i], edges_added=edges[i],
+            )
+            for i, (qa, qb) in enumerate(zip(na.tolist(), nb.tolist()))
+        ]
 
     def _connect_pairs_batched(
         self,

@@ -155,6 +155,33 @@ class Roadmap:
         self._uf.make_set(vid)
         return vid
 
+    def add_vertices(self, ids: np.ndarray, configs: np.ndarray) -> None:
+        """Insert many vertices with explicit ids; leaves the roadmap in
+        the state an :meth:`add_vertex` loop over the rows would.  A
+        duplicate id raises ``KeyError`` before anything is inserted."""
+        cfgs = np.asarray(configs, dtype=float)
+        vids = np.asarray(ids, dtype=np.int64).tolist()
+        if cfgs.shape != (len(vids), self.dim):
+            raise ValueError(
+                f"configs must have shape ({len(vids)}, {self.dim}), got {cfgs.shape}"
+            )
+        if not vids:
+            return
+        index = self._index
+        if len(set(vids)) != len(vids) or not index.keys().isdisjoint(vids):
+            raise KeyError("vertex ids must be new and distinct")
+        lo = self._n
+        self._ensure_capacity(len(vids))
+        self._cfgs[lo : lo + len(vids)] = cfgs
+        self._ids[lo : lo + len(vids)] = vids
+        index.update(zip(vids, range(lo, lo + len(vids))))
+        self._adj.update((vid, {}) for vid in vids)
+        make_set = self._uf.make_set
+        for vid in vids:
+            make_set(vid)
+        self._next_id = max(self._next_id, max(vids) + 1)
+        self._n = lo + len(vids)
+
     def config(self, vid: int) -> np.ndarray:
         """The configuration of ``vid`` (a read-view into shared storage)."""
         return self._cfgs[self._index[vid]]
@@ -234,6 +261,41 @@ class Roadmap:
         self._uf.union(u, v)
         self.num_edges += 1
         return True
+
+    def add_edges(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Insert many weighted undirected edges in order; leaves the
+        roadmap in the state an :meth:`add_edge` loop would (adjacency
+        insertion order and union order included).  Returns the boolean
+        mask of edges actually inserted — one that already exists is
+        skipped, as :meth:`add_edge` returning False.  Self-loops and
+        missing endpoints raise before anything is inserted."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        ws = np.asarray(weights, dtype=float).tolist()
+        if not u.shape == v.shape == (len(ws),):
+            raise ValueError("u, v and weights must be 1-D and of equal length")
+        if np.any(u == v):
+            raise ValueError("self-loops are not allowed in a roadmap")
+        # Endpoints become the vertices' own id objects (interned by the
+        # union-find), so an edge keeps no integer of its own alive.
+        slot, key = self._uf._slot, self._uf._key
+        try:
+            us = [key[slot[a]] for a in u.tolist()]
+            vs = [key[slot[b]] for b in v.tolist()]
+        except KeyError as exc:
+            raise KeyError(f"an edge references missing vertex {exc.args[0]}") from None
+        adj, union = self._adj, self._uf.union
+        added = np.ones(len(us), dtype=bool)
+        for i, (a, b, w) in enumerate(zip(us, vs, ws)):
+            row = adj[a]
+            if b in row:
+                added[i] = False
+                continue
+            row[b] = w
+            adj[b][a] = w
+            union(a, b)
+        self.num_edges += int(np.count_nonzero(added))
+        return added
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]

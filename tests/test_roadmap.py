@@ -258,3 +258,88 @@ class TestMetricAndComponents:
                 same_by_slot = rm.component_slot(a) == rm.component_slot(b)
                 same_by_id = rm.component_id(a) == rm.component_id(b)
                 assert same_by_slot == same_by_id
+
+
+def _random_graph(seed, n=40, m=90):
+    """Random ids/configs plus an edge list with repeats (both
+    orientations) — the loops skip those, and so must the bulk calls."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(10_000, size=n, replace=False).astype(np.int64)
+    cfgs = rng.normal(size=(n, 3))
+    u, v = rng.integers(0, n, size=(2, m))
+    keep = u != v
+    u, v = u[keep], v[keep]
+    u, v = np.concatenate((u, v[:5])), np.concatenate((v, u[:5]))
+    return ids, cfgs, ids[u], ids[v], rng.uniform(0.1, 2.0, size=u.size)
+
+
+def _state(rm):
+    ids, cfgs = rm.configs_array()
+    return {
+        "index": list(rm._index.items()),
+        "ids": ids.tolist(),
+        "cfgs": cfgs.tobytes(),
+        "adj": [(u, list(nbrs.items())) for u, nbrs in rm._adj.items()],
+        "num_edges": rm.num_edges,
+        "next_id": rm._next_id,
+        "components": sorted(sorted(c) for c in rm.connected_components()),
+        "num_components_fast": rm.num_components_fast,
+        "forest": (rm._uf._key, rm._uf._parent, rm._uf._rank),
+    }
+
+
+class TestBulkInsertion:
+    """``add_vertices`` / ``add_edges`` leave the roadmap exactly as the
+    ``add_vertex`` / ``add_edge`` loops would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), split=st.integers(0, 40))
+    def test_bulk_equals_loops(self, seed, split):
+        ids, cfgs, u, v, w = _random_graph(seed)
+        loop, bulk = Roadmap(3), Roadmap(3)
+        inserted = []
+        for part in (slice(0, split), slice(split, None)):
+            for vid, cfg in zip(ids[part].tolist(), cfgs[part]):
+                loop.add_vertex(cfg, vid)
+            bulk.add_vertices(ids[part], cfgs[part])
+        for a, b, weight in zip(u.tolist(), v.tolist(), w.tolist()):
+            inserted.append(loop.add_edge(a, b, weight))
+        half = len(u) // 2
+        added = np.concatenate(
+            [bulk.add_edges(u[:half], v[:half], w[:half]), bulk.add_edges(u[half:], v[half:], w[half:])]
+        )
+        assert added.tolist() == inserted
+        assert not all(inserted)  # the draw repeats edges: skipping is exercised
+        assert _state(bulk) == _state(loop)
+        frozen_bulk, frozen_loop = bulk.freeze(), loop.freeze()
+        for name in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(
+                getattr(frozen_bulk, name), getattr(frozen_loop, name), err_msg=name
+            )
+
+    def test_auto_ids_continue_after_bulk(self):
+        rm = Roadmap(2)
+        rm.add_vertices([5, 3], np.zeros((2, 2)))
+        assert rm.add_vertex(np.ones(2)) == 6
+
+    def test_duplicate_ids_rejected_before_insertion(self):
+        rm = Roadmap(2)
+        rm.add_vertex(np.zeros(2), 7)
+        for ids in ([1, 7], [2, 2]):
+            with pytest.raises(KeyError):
+                rm.add_vertices(ids, np.zeros((2, 2)))
+        assert rm.num_vertices == 1 and not rm.has_vertex(1) and not rm.has_vertex(2)
+        with pytest.raises(ValueError):
+            rm.add_vertices([1, 2], np.zeros((2, 3)))
+
+    def test_bad_edges_rejected_before_insertion(self):
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            rm.add_edges([0, 1], [1, 1], [1.0, 1.0])
+        with pytest.raises(KeyError):
+            rm.add_edges([0, 1], [1, 9], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            rm.add_edges([0, 1], [1, 2], [1.0])
+        assert rm.num_edges == 0 and rm.num_components_fast == 3
+        assert rm.add_edges([], [], []).shape == (0,)

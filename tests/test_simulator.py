@@ -168,9 +168,9 @@ class TestCustomPolicies:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="protocol wart (ROADMAP item 4): a thief whose round partly "
-        "succeeded and that drains the loot before the round's last, failed "
-        "reply arrives is never re-armed",
+        reason="protocol wart — thief re-arm after a partly successful round: "
+        "a thief whose round partly succeeded and that drains the loot before "
+        "the round's last, failed reply arrives is never re-armed",
     )
     def test_thief_rearms_after_a_partly_successful_round(self):
         # PE 0 holds the queue, PE 1 is stuck in one long task and PE 2
