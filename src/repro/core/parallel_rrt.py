@@ -5,12 +5,13 @@ Phases mirror the parallel PRM driver:
 1. **Region construction** — sample ``Nr`` points on the hypersphere,
    build the conical region graph (Alg. 2 lines 1-9).
 2. **Branch growth** — grow a biased, cone-constrained sequential RRT per
-   region (line 11).  This is the imbalanced phase: cones blocked by
-   obstacles burn iterations on failed extensions while open cones grow
-   smoothly.  Work stealing applies here; repartitioning may too, but its
-   only available weight — the k-random-rays free-space probe — is both
-   costly and inaccurate (Sec. III-B), which Fig. 10b shows can make it a
-   net loss.
+   region (line 11); each branch draws its samples from its own cone
+   (:class:`RRTRegionPlanner`).  This is the imbalanced phase: cones
+   blocked by obstacles burn iterations on failed extensions while open
+   cones grow smoothly.  Work stealing applies here; repartitioning may
+   too, but its only available weight — the k-random-rays free-space
+   probe — is both costly and inaccurate (Sec. III-B), which Fig. 10b
+   shows can make it a net loss.
 3. **Branch connection** — connect branches of adjacent regions; an edge
    that would create a cycle triggers a prune (we rewire the child to the
    shorter parent, preserving the tree property).
@@ -28,6 +29,7 @@ import numpy as np
 
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
+from ..geometry.primitives import AABB
 from ..obs.events import (
     EV_REMOTE_ACCESS,
     PHASE_CONNECT,
@@ -45,7 +47,7 @@ from ..runtime.faults import FaultInjector
 from ..runtime.pgraph import PGraphView
 from ..runtime.stats import SimResult
 from ..runtime.topology import ClusterTopology
-from ..subdivision.radial import RadialSubdivision
+from ..subdivision.radial import ConeRegion, RadialSubdivision
 from .metrics import emit_phase_spans
 from .parallel_prm import ID_SHIFT, REGION_CREATE_COST, region_rng
 from .repartition import RepartitionResult, initial_assignment, repartition
@@ -202,15 +204,39 @@ def default_root(cspace: ConfigurationSpace, seed: int) -> np.ndarray:
     raise ValueError("no valid RRT root found; environment looks fully blocked")
 
 
+class _LiftedCone:
+    """A cone as a sampling domain of configuration space: positional
+    dims from the cone, any other dim uniform from the bounds (the lift
+    the bias target gets).  One uniform per configuration dim, so a block
+    draw consumes the generator exactly as that many single draws do."""
+
+    def __init__(self, region: ConeRegion, bounds: AABB, dims: "list[int]"):
+        self.region, self.dims = region, dims
+        self.lo, self.span = bounds.lo, bounds.hi - bounds.lo
+
+    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+        dim = self.lo.shape[0]
+        u = rng.random(dim) if n is None else rng.random((n, dim))
+        out = self.lo + self.span * u
+        out[..., self.dims] = self.region.from_unit_cube(u[..., self.dims])
+        return out
+
+
 class RRTRegionPlanner:
     """Alg. 2 line 11 as one picklable callable: ``rid -> RRTResult``.
 
     The RRT twin of :class:`repro.core.parallel_prm.PRMRegionPlanner` and
     likewise the single regional entry point of every execution mode.  It
     owns root -> radius -> radial decomposition, the ``(seed, rid)`` RNG
-    keying, the ``rid << ID_SHIFT`` id block, the bias-target lift and the
-    cone predicates; the keyword parameters are
-    :func:`build_rrt_workload`'s, defaults included.
+    keying, the ``rid << ID_SHIFT`` id block and what "grow the branch
+    biased toward its region" means: ``q_rand`` is drawn *from the cone*
+    (uniform over cone ∩ ball, lifted like the bias target), ``goal_bias``
+    of the draws go to the cone's target, and every valid extension still
+    passes the cone's membership test — which convex cones now almost
+    never fail, but cones wider than pi/2 (``num_regions <= 3``) can.
+    The region travels as arguments of each ``grow`` call: the one
+    :class:`RRT` below is shared by every pool thread.  The keyword
+    parameters are :func:`build_rrt_workload`'s, defaults included.
     """
 
     def __init__(
@@ -263,6 +289,7 @@ class RRTRegionPlanner:
             region_predicate_batch=lambda qs: region.contains_many(
                 np.atleast_2d(np.asarray(qs))[:, dims]
             ),
+            within=_LiftedCone(region, self.cspace.bounds, dims),
         )
 
 
@@ -285,7 +312,8 @@ def build_rrt_workload(
     batched: bool = True,
     nn_factory=None,
 ) -> RRTWorkload:
-    """Grow every conical branch once against the real geometry.
+    """Grow every conical branch once against the real geometry, each
+    drawing its samples from its own cone (:class:`RRTRegionPlanner`).
 
     ``radius`` defaults to the largest sphere around the root's position
     that fits the workspace bounds.  ``batched`` selects the vectorised

@@ -57,8 +57,13 @@ class ConfigurationSpace(ABC):
         """
 
     # -- sampling -----------------------------------------------------------
-    def sample(self, rng: np.random.Generator, n: int | None = None, within: AABB | None = None) -> np.ndarray:
-        """Uniform samples from the (sub-)space ``within`` (default: bounds)."""
+    def sample(self, rng: np.random.Generator, n: int | None = None, within=None) -> np.ndarray:
+        """Uniform samples from the (sub-)space ``within`` (default: bounds).
+
+        ``within`` is any domain with :meth:`AABB.sample`'s signature —
+        ``sample(rng, n)`` returning ``(dim,)`` or ``(n, dim)``
+        configurations — such as a box region or a lifted cone.
+        """
         region = within if within is not None else self.bounds
         return region.sample(rng, n)
 

@@ -1,10 +1,15 @@
 """Sequential Rapidly-exploring Random Tree (LaValle & Kuffner, 2001).
 
 Also the regional planner of the uniform *radial* subdivision parallel
-RRT (line 11 of Algorithm 2): the tree can be constrained to a region
-(a predicate over configurations) and biased toward a target direction,
-matching the paper's conical regions whose growth is "biased toward the
-region candidate defined by the random ray".
+RRT (line 11 of Algorithm 2).  "Biased toward its region" is three
+per-call arguments of :meth:`RRT.grow`: ``within`` — the domain ``q_rand``
+is drawn from (the region itself, so no collision check or neighbour scan
+is spent on a sample that cannot extend this branch); ``bias_target`` —
+the point ``goal_bias`` of the draws go to (the paper's "region candidate
+defined by the random ray"); and ``region_predicate`` — the membership
+guard every valid ``q_new`` still has to pass.  All three travel with the
+call, never on the planner: one ``RRT`` serves every region of a
+decomposition, from several threads at once.
 
 Growth — the RRT hot path — has two implementations.  The one-extension-
 at-a-time loop in :meth:`RRT._grow_sequential` is the semantic oracle.
@@ -17,7 +22,7 @@ mirroring the predict-validate-replay strategy of
 
 1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
    oracle's RNG call sequence call-for-call (one ``random()`` per bias
-   gate, one ``cspace.sample`` otherwise), so every sample is
+   gate, one ``cspace.sample(within=...)`` otherwise), so every sample is
    bit-identical to what the sequential loop would draw.
 2. **Batch the nearest-neighbour work**: distances from all block samples
    to the frozen tree are one broadcast; nodes accepted *inside* the
@@ -63,10 +68,18 @@ from .stats import PlannerStats
 
 __all__ = ["RRT", "RRTResult"]
 
-#: Iterations speculated per batch (wider than the PRM build's 64: RRT
-#: blocks re-predict on acceptance cache misses, so bigger blocks amortise
-#: the frozen-tree distance broadcast better).
+#: Iterations speculated per batch: from ``_BLOCK_MIN`` up to ``_BLOCK``.
+#: The size doubles after a block whose predictions all held and halves
+#: after one that had to re-predict (an acceptance moved a later sample's
+#: nearest node).  Where most extensions are rejected, blocks grow and
+#: amortise the frozen-tree distance broadcast; where most are accepted —
+#: a branch sampling inside its own cone — a wide block would validate
+#: candidates against neighbours they no longer have by the time the
+#: replay reaches them, or that it never reaches (a 6-node branch needs
+#: ~8 draws, not 128).  Results do not depend on the size: the replay is
+#: the oracle's loop either way.
 _BLOCK = 128
+_BLOCK_MIN = 8
 
 
 @dataclass
@@ -152,9 +165,17 @@ class RRT:
         goal: np.ndarray | None = None,
         goal_tolerance: float = 0.0,
         region_predicate_batch: "Callable[[np.ndarray], np.ndarray] | None" = None,
+        within=None,
     ) -> RRTResult:
         """Grow a tree of up to ``n_nodes`` nodes rooted at ``root``.
 
+        ``within`` is the domain the unbiased ``q_rand`` draws come from:
+        anything ``cspace.sample(rng, n, within=...)`` accepts, i.e. an
+        object whose ``sample(rng, n)`` returns configurations and whose
+        block draw consumes ``rng`` exactly as ``n`` single draws do (an
+        ``AABB``, a lifted ``ConeRegion``); None draws from the whole
+        space.  It narrows the *proposal* only — ``region_predicate``
+        still decides what may join the tree.
         ``region_predicate`` restricts accepted nodes to a region (the
         radial subdivision cones); ``bias_target`` is the configuration
         toward which ``goal_bias`` of the samples are drawn.  When ``goal``
@@ -195,11 +216,11 @@ class RRT:
             return self._grow_batched(
                 tree, parents, root_id, n_nodes, rng, bias_target, region_predicate,
                 region_predicate_batch, max_iterations, id_base, goal, goal_tolerance,
-                stats,
+                stats, within,
             )
         return self._grow_sequential(
             tree, parents, root_id, n_nodes, rng, bias_target, region_predicate,
-            max_iterations, id_base, goal, goal_tolerance, stats,
+            max_iterations, id_base, goal, goal_tolerance, stats, within,
         )
 
     # -- reference implementation -----------------------------------------
@@ -217,6 +238,7 @@ class RRT:
         goal: np.ndarray | None,
         goal_tolerance: float,
         stats: PlannerStats,
+        within,
     ) -> RRTResult:
         """One-extension-at-a-time growth loop: the semantic oracle."""
         nn = self.nn_factory(self.cspace.dim)
@@ -235,7 +257,7 @@ class RRT:
             elif goal is not None and rng.random() < self.goal_bias:
                 q_rand = np.asarray(goal, dtype=float)
             else:
-                q_rand = self.cspace.sample(rng)
+                q_rand = self.cspace.sample(rng, within=within)
             # -- find q_near ---------------------------------------------------
             stats.nn_queries += 1
             near = nn.knn(q_rand, 1)
@@ -292,6 +314,7 @@ class RRT:
         goal: np.ndarray | None,
         goal_tolerance: float,
         stats: PlannerStats,
+        within,
     ) -> RRTResult:
         """Predict-validate-replay growth: identical results, vectorised.
 
@@ -335,6 +358,7 @@ class RRT:
         cache: "dict[tuple[int, object], tuple]" = {}
         it = 0
         alive = True
+        block = _BLOCK_MIN
 
         def draw(m: int, first: int) -> "tuple[np.ndarray, list[object]]":
             """The oracle's next ``m`` ``q_rand`` draws, RNG call for call,
@@ -345,7 +369,7 @@ class RRT:
                 # draws, which one bulk call replays bit-for-bit (the
                 # generator fills row-major with the same per-element
                 # arithmetic as m scalar draws).
-                drawn = np.atleast_2d(np.asarray(cspace.sample(rng, m), dtype=float))
+                drawn = np.atleast_2d(np.asarray(cspace.sample(rng, m, within=within), dtype=float))
                 return drawn, list(range(first, first + m))
             drawn = np.empty((m, dim))
             keys: "list[object]" = [None] * m
@@ -357,12 +381,13 @@ class RRT:
                     drawn[b] = goal_cfg
                     keys[b] = "goal"
                 else:
-                    drawn[b] = cspace.sample(rng)
+                    drawn[b] = cspace.sample(rng, within=within)
                     keys[b] = first + b
             return drawn, keys
 
         while alive and it < max_iterations and added < n_nodes and goal_reached is None:
-            B = min(_BLOCK, max_iterations - it)
+            B = min(block, max_iterations - it)
+            missed = False
             # -- 1. replay the sampling RNG exactly -----------------------
             rng_state = rng.bit_generator.state
             samples, skey = draw(B, it)
@@ -489,6 +514,7 @@ class RRT:
                         # pause and re-predict from the updated state.
                         stats.nn_queries -= 1
                         nn_evals -= n0 + n_blk
+                        missed = True
                         break
                     done += 1
                     pt_ok, reg_ok, l_ok, l_checks, l_len, q_new = verdict
@@ -533,6 +559,7 @@ class RRT:
                     ):
                         goal_reached = vid
                 pending = pending[done:]
+            block = max(_BLOCK_MIN, block // 2) if missed else min(_BLOCK, 2 * block)
             if consumed < B:
                 # Early exit inside the block: rewind and re-draw only
                 # what the oracle consumed before it stopped.

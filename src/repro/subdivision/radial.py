@@ -12,6 +12,7 @@ explore slightly into neighbouring cones, as the paper allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,61 @@ class ConeRegion(Region):
     overlap: float = 0.0
     radius: float = 0.0
 
-    @property
-    def direction(self) -> np.ndarray:
+    def __post_init__(self) -> None:
         d = self.target - self.root
-        return d / np.linalg.norm(d)
+        #: Unit vector of the region ray.
+        self.direction = d / np.linalg.norm(d)
+
+    @cached_property
+    def _frame(self) -> "tuple[np.ndarray, ...]":
+        """Orthonormal frame whose first axis is the region ray."""
+        e0 = self.direction
+        if e0.shape[0] == 2:
+            return e0, np.array([-e0[1], e0[0]])
+        # Cross with the coordinate axis least aligned with the ray.
+        e1 = np.cross(e0, np.eye(3)[np.argmin(np.abs(e0))])
+        e1 /= np.linalg.norm(e1)
+        return e0, e1, np.cross(e0, e1)
+
+    def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
+        """Map points of the unit ``d``-cube onto the cone ∩ ball, volume
+        for volume: uniform ``u`` gives uniform positions in the region.
+
+        The direction is uniform in the spherical cap of half-angle
+        ``min(half_angle + overlap, pi)`` — the polar angle itself in 2-D,
+        its cosine and the azimuth in 3-D — and the radius is
+        ``radius * u**(1/d)``.  ``u`` is ``(d,)`` or ``(n, d)``; every step
+        is elementwise, so row ``i`` of a block equals the single point
+        mapped alone, bit for bit.  Only positional dimensions 2 and 3
+        have a closed form here; any other raises.
+        """
+        u = np.asarray(u, dtype=float)
+        d = self.root.shape[0]
+        cap = min(self.half_angle + self.overlap, np.pi)
+        if d == 2:
+            theta = cap * (2.0 * u[..., 0] - 1.0)
+            coords = (np.cos(theta), np.sin(theta))
+            r = self.radius * np.sqrt(u[..., 1])
+        elif d == 3:
+            cos_t = 1.0 - u[..., 0] * (1.0 - np.cos(cap))
+            sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
+            phi = (2.0 * np.pi) * u[..., 1]
+            coords = (cos_t, sin_t * np.cos(phi), sin_t * np.sin(phi))
+            r = self.radius * np.cbrt(u[..., 2])
+        else:
+            raise ValueError(
+                f"ConeRegion can only be sampled in 2 or 3 positional dimensions, not {d}"
+            )
+        unit = sum(c[..., None] * e for c, e in zip(coords, self._frame))
+        return self.root + r[..., None] * unit
+
+    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+        """Draw uniform positions from the cone ∩ ball — the ``within=``
+        protocol of :meth:`repro.geometry.primitives.AABB.sample`: ``(d,)``
+        for ``n=None``, else ``(n, d)``, and ``sample(rng, n)`` consumes
+        the generator exactly as ``n`` single draws do."""
+        d = self.root.shape[0]
+        return self.from_unit_cube(rng.random(d) if n is None else rng.random((n, d)))
 
     def angle_to(self, config: np.ndarray) -> float:
         """Angle between the region ray and the root->config direction."""
@@ -165,13 +217,3 @@ class RadialSubdivision:
 
     def region_of(self, rid: int) -> ConeRegion:
         return self.graph.region(rid)  # type: ignore[return-value]
-
-    def predicate_for(self, rid: int):
-        """Membership predicate for the regional RRT (captures overlap)."""
-        region = self.region_of(rid)
-        return region.contains
-
-    def predicate_batch_for(self, rid: int):
-        """Vectorised twin of :meth:`predicate_for` (``(m, dim) -> (m,)``)."""
-        region = self.region_of(rid)
-        return region.contains_many

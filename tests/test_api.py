@@ -335,15 +335,58 @@ class TestLocalExecution:
             (WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3),
              "afad69b7fe1a314a3c1de7ef0056b6f0c9ad5eb9da1de77c874954ad103229de"),
             (WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3),
-             "098c2ef508fcc46f1053fa53bddbb03384223388c800a78a91462ccabe8efff7"),
+             "ab8b74a6c2a19501769bbae296d1a7008045a66f442f2384a5bdbab528e55e07"),
         ],
         ids=["prm", "rrt"],
     )
     def test_local_roadmap_fingerprint_is_pinned(self, wl, digest):
-        """Literal digests recorded before the region planner moved into
-        ``repro.core``: local mode's roadmap bits must not move with it."""
+        """Literal digests: local mode's roadmap bits move only with the
+        planning problem.  ``prm`` was recorded before the region planner
+        moved into ``repro.core``; ``rrt`` when regional branches began
+        drawing ``q_rand`` from their own cone (a different RNG stream,
+        hence different trees)."""
         report = plan(wl, ExecutionPolicy(mode="local", workers=1))
         assert _roadmap_fingerprint(report.roadmap) == digest
+
+    def test_pool_threads_do_not_share_a_sample_domain(self):
+        """One ``RRT`` inside the region planner serves every pool thread,
+        so the cone a branch samples from has to travel with its ``grow``
+        call: kept as planner state, two threads plan some cones with
+        each other's proposal and the merged tree differs from the
+        one-worker run's."""
+        wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3)
+        serial = plan(wl, ExecutionPolicy(mode="local", workers=1))
+        expected = _roadmap_fingerprint(serial.roadmap)
+        for _ in range(5):
+            threaded = plan(wl, ExecutionPolicy(mode="local", workers=2, backend="thread"))
+            assert _roadmap_fingerprint(threaded.roadmap) == expected
+            assert threaded.local_stats == serial.local_stats
+
+    def test_regional_rrt_samples_in_its_cone(self, monkeypatch):
+        """Counts, not seconds, on the benchmark's pinned mixed-30 8 x 400
+        problem: a branch that draws ``q_rand`` from its own cone turns
+        most samples into nodes, and the membership guard — still run on
+        every valid candidate — rejects almost none of them.  Drawing from
+        the whole workspace read 0.079 and 75 %."""
+        from repro.subdivision.radial import ConeRegion
+
+        seen = rejected = 0
+        contains_many = ConeRegion.contains_many
+
+        def counting(self, configs):
+            nonlocal seen, rejected
+            mask = contains_many(self, configs)
+            seen += mask.size
+            rejected += int(mask.size - mask.sum())
+            return mask
+
+        monkeypatch.setattr(ConeRegion, "contains_many", counting)
+        wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=400, seed=20140519)
+        stats = plan(wl, ExecutionPolicy(mode="local", workers=1)).local_stats
+        assert stats.samples_accepted == 8 * 400
+        assert stats.samples_accepted / stats.sample_attempts >= 0.6
+        assert seen >= stats.lp_calls  # nothing reaches the local planner unguarded
+        assert rejected < 0.01 * seen
 
 
 class TestResultProtocols:

@@ -2,8 +2,11 @@
 
 The batched path must be *field-for-field identical* to the sequential
 oracle: same PlannerStats, same CollisionCounters, same tree topology
-(edges with exact float weights), same parent pointers.  Every test here
-runs both paths and diffs the complete observable surface.
+(edges with exact float weights), same parent pointers, same generator
+end state.  Every test here runs both paths and diffs the complete
+observable surface; the ``...InCone`` classes re-run a battery with
+``q_rand`` drawn from a cone (``grow(within=...)``), the way a regional
+branch grows.
 """
 
 import numpy as np
@@ -33,7 +36,16 @@ def _fresh_cspace():
     return EuclideanCSpace(env)
 
 
-def _observe(result, env):
+def _corner_cone(dim, lo=-4.0, hi=4.0):
+    """The cone from the corner root the battery grows from toward the
+    opposite corner — the region the predicate tests guard with."""
+    return ConeRegion(
+        id=0, root=np.full(dim, lo), target=np.full(dim, hi),
+        half_angle=0.8, overlap=0.1, radius=float(np.sqrt(dim)) * (hi - lo),
+    )
+
+
+def _observe(result, env, rng=None):
     """The full parity surface of one grow() call."""
     edges = sorted((min(u, v), max(u, v), w) for u, v, w in result.tree.edges())
     return (
@@ -42,10 +54,12 @@ def _observe(result, env):
         edges,
         result.root_id,
         (env.counters.point_checks, env.counters.segment_checks),
+        rng.bit_generator.state if rng is not None else None,
     )
 
 
-def _grow_both(seed, n_nodes=60, step=0.5, goal_bias=0.2, grow_kwargs=None, rrt_kwargs=None):
+def _grow_both(seed, n_nodes=60, step=0.5, goal_bias=0.2, grow_kwargs=None, rrt_kwargs=None,
+               within=None):
     """Run sequential and batched growth from identical fresh state."""
     out = []
     for batched in (False, True):
@@ -53,33 +67,42 @@ def _grow_both(seed, n_nodes=60, step=0.5, goal_bias=0.2, grow_kwargs=None, rrt_
         rrt = RRT(cspace, step_size=step, goal_bias=goal_bias, batched=batched,
                   **(rrt_kwargs or {}))
         rng = np.random.default_rng(seed)
-        result = rrt.grow(np.array([-4.0, -4.0]), n_nodes, rng, **(grow_kwargs or {}))
-        out.append(_observe(result, cspace.env))
+        result = rrt.grow(np.array([-4.0, -4.0]), n_nodes, rng, within=within,
+                          **(grow_kwargs or {}))
+        out.append(_observe(result, cspace.env, rng))
     return out
 
 
 def _assert_same(seq, bat):
-    for name, a, b in zip(("stats", "parents", "edges", "root_id", "counters"), seq, bat):
+    names = ("stats", "parents", "edges", "root_id", "counters", "generator state")
+    for name, a, b in zip(names, seq, bat):
         assert a == b, f"batched RRT diverged from oracle in {name}"
 
 
 class TestGrowParity:
+    #: ``dim -> sampling domain`` handed to every ``grow`` of the battery
+    #: (None: whole-space draws); the ``InCone`` subclass swaps it.
+    domain = staticmethod(lambda dim: None)
+
+    def _both(self, seed, **kwargs):
+        return _grow_both(seed, within=self.domain(2), **kwargs)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_plain_growth(self, seed):
-        _assert_same(*_grow_both(seed))
+        _assert_same(*self._both(seed))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bias_target(self, seed):
         # Bias draws repeat the same q_rand, exercising verdict sharing
         # and dist == 0 skips once the tree reaches the bias point.
-        _assert_same(*_grow_both(seed, grow_kwargs={"bias_target": np.array([4.0, 4.0])}))
+        _assert_same(*self._both(seed, grow_kwargs={"bias_target": np.array([4.0, 4.0])}))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_goal_early_exit(self, seed):
         # The goal draw lands mid-block: growth must stop on the exact
         # iteration the oracle stops on, not at the block boundary.
         _assert_same(
-            *_grow_both(
+            *self._both(
                 seed,
                 grow_kwargs={"goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
             )
@@ -88,7 +111,7 @@ class TestGrowParity:
     @pytest.mark.parametrize("seed", range(4))
     def test_bias_and_goal(self, seed):
         _assert_same(
-            *_grow_both(
+            *self._both(
                 seed,
                 grow_kwargs={
                     "bias_target": np.array([4.0, 4.0]),
@@ -102,28 +125,22 @@ class TestGrowParity:
     def test_iteration_cap_mid_block(self, seed):
         # 100 is not a multiple of the block size; the final short block
         # must stop exactly at the cap.
-        _assert_same(*_grow_both(seed, n_nodes=1000, grow_kwargs={"max_iterations": 100}))
+        _assert_same(*self._both(seed, n_nodes=1000, grow_kwargs={"max_iterations": 100}))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_region_predicate_scalar_only(self, seed):
         # Without a batch predicate the batched path falls back to the
         # scalar one per candidate — still exact.
-        region = ConeRegion(
-            id=0, root=np.array([-4.0, -4.0]), target=np.array([4.0, 4.0]),
-            half_angle=0.8, overlap=0.1, radius=8.0,
-        )
+        region = _corner_cone(2)
         _assert_same(
-            *_grow_both(seed, grow_kwargs={"region_predicate": region.contains})
+            *self._both(seed, grow_kwargs={"region_predicate": region.contains})
         )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_region_predicate_batch(self, seed):
-        region = ConeRegion(
-            id=0, root=np.array([-4.0, -4.0]), target=np.array([4.0, 4.0]),
-            half_angle=0.8, overlap=0.1, radius=8.0,
-        )
+        region = _corner_cone(2)
         _assert_same(
-            *_grow_both(
+            *self._both(
                 seed,
                 grow_kwargs={
                     "region_predicate": region.contains,
@@ -138,8 +155,9 @@ class TestGrowParity:
             env = med_cube()
             cspace = EuclideanCSpace(env)
             rrt = RRT(cspace, step_size=0.6, batched=batched)
-            result = rrt.grow(np.full(3, -9.0), 300, np.random.default_rng(42))
-            outs.append(_observe(result, env))
+            rng = np.random.default_rng(42)
+            result = rrt.grow(np.full(3, -9.0), 300, rng, within=self.domain(3))
+            outs.append(_observe(result, env, rng))
         _assert_same(*outs)
 
     def test_id_base_extension_mode(self):
@@ -148,7 +166,8 @@ class TestGrowParity:
         for batched in (False, True):
             cspace = _fresh_cspace()
             rrt = RRT(cspace, step_size=0.5, batched=batched)
-            first = rrt.grow(np.array([-4.0, -4.0]), 20, np.random.default_rng(3), id_base=1 << 20)
+            first = rrt.grow(np.array([-4.0, -4.0]), 20, np.random.default_rng(3),
+                             id_base=1 << 20, within=self.domain(2))
             second = rrt.grow(
                 np.array([-4.0, -4.0]),
                 20,
@@ -157,15 +176,47 @@ class TestGrowParity:
                 parents=first.parents,
                 root_id=first.root_id,
                 id_base=2 << 20,
+                within=self.domain(2),
             )
             outs.append(_observe(second, cspace.env))
         _assert_same(*outs)
+
+
+class TestGrowParityInCone(TestGrowParity):
+    """The same battery with ``q_rand`` drawn from the corner cone: bulk
+    draws (no bias gate), single draws between gates, early exits and the
+    iteration cap all replay the cone sampler's generator use exactly."""
+
+    domain = staticmethod(
+        lambda dim: _corner_cone(dim) if dim == 2 else _corner_cone(dim, -9.0, 9.0)
+    )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_proposals_come_from_the_domain(self, batched):
+        """Every accepted node extends toward a draw from the cone, so a
+        tree grown from the cone's apex never leaves the (convex) cone —
+        with no region predicate to keep it there."""
+        region = self.domain(2)
+        cspace = _fresh_cspace()
+        result = RRT(cspace, step_size=0.5, batched=batched).grow(
+            region.root, 60, np.random.default_rng(0), within=region
+        )
+        _ids, cfgs = result.tree.configs_array()
+        assert len(cfgs) == 61
+        # Rounding in the steer can leave a node a few ulps outside.
+        widened = ConeRegion(
+            id=0, root=region.root, target=region.target, half_angle=region.half_angle,
+            overlap=region.overlap + 1e-9, radius=region.radius,
+        )
+        assert widened.contains_many(cfgs).all()
 
 
 class TestConsecutiveCalls:
     """Both paths leave the caller's Generator in the same state, so a
     second ``grow`` on it (which starts from whatever the first left
     behind) stays identical too — early exits included."""
+
+    domain = staticmethod(lambda dim: None)
 
     @pytest.mark.parametrize(
         "grow_kwargs",
@@ -179,21 +230,24 @@ class TestConsecutiveCalls:
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_two_grows_on_one_generator(self, seed, grow_kwargs):
-        outs, states = [], []
+        outs = []
         for batched in (False, True):
             cspace = _fresh_cspace()
             rrt = RRT(cspace, step_size=0.5, goal_bias=0.2, batched=batched)
             rng = np.random.default_rng(seed)
-            first = rrt.grow(np.array([-4.0, -4.0]), 20, rng, **grow_kwargs)
+            within = self.domain(2)
+            first = rrt.grow(np.array([-4.0, -4.0]), 20, rng, within=within, **grow_kwargs)
             second = rrt.grow(
                 np.array([-4.0, -4.0]), 20, rng,
                 tree=first.tree, parents=first.parents, root_id=first.root_id,
-                id_base=1 << 20, **grow_kwargs,
+                id_base=1 << 20, within=within, **grow_kwargs,
             )
-            outs.append(_observe(second, cspace.env))
-            states.append(rng.bit_generator.state)
+            outs.append(_observe(second, cspace.env, rng))
         _assert_same(*outs)
-        assert states[0] == states[1]
+
+
+class TestConsecutiveCallsInCone(TestConsecutiveCalls):
+    domain = staticmethod(_corner_cone)
 
 
 class TestEdgeCases:
@@ -215,6 +269,32 @@ class TestEdgeCases:
             assert result.stats.samples_accepted == 0
             assert result.stats.edges_added == 0
             outs.append(_observe(result, cspace.env))
+        _assert_same(*outs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocked_cone_exhausts_iterations(self, seed):
+        """A cone walled off a step from its apex: draws from inside it
+        keep proposing extensions into the wall until ``max_iterations``
+        runs out mid-block, identically on both paths."""
+        region = ConeRegion(
+            id=0, root=np.array([-4.0, 0.0]), target=np.array([4.0, 0.0]),
+            half_angle=0.5, overlap=0.1, radius=8.0,
+        )
+        outs = []
+        for batched in (False, True):
+            cspace = EuclideanCSpace(Environment(
+                AABB(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
+                [AABB(np.array([-3.0, -5.0]), np.array([-2.0, 5.0]))],
+            ))
+            rng = np.random.default_rng(seed)
+            result = RRT(cspace, step_size=0.5, goal_bias=0.3, batched=batched).grow(
+                region.root, 50, rng, bias_target=region.target, max_iterations=300,
+                region_predicate=region.contains, region_predicate_batch=region.contains_many,
+                within=region,
+            )
+            assert result.stats.nn_queries == 300
+            assert 0 < result.stats.samples_accepted < 50
+            outs.append(_observe(result, cspace.env, rng))
         _assert_same(*outs)
 
     def test_empty_tree_breaks(self):
@@ -299,10 +379,9 @@ class TestConeRegionVectorised:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-5, 5, size=(200, 2))
         for rid in sub.graph.region_ids():
-            scalar = sub.predicate_for(rid)
-            batch = sub.predicate_batch_for(rid)
+            region = sub.region_of(rid)
             np.testing.assert_array_equal(
-                batch(pts), np.array([scalar(p) for p in pts])
+                region.contains_many(pts), np.array([region.contains(p) for p in pts])
             )
 
 

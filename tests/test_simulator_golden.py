@@ -2,7 +2,8 @@
 
 Every digest below was computed on the commit *before* the simulator's
 event core was flattened (tuple events, list-held PE state, O(1)
-latency, index-shift RAND-K) and must never move: virtual time is the
+latency, index-shift RAND-K) — ``GOLDEN_RRT`` excepted, see there — and
+must never move: virtual time is the
 quantity every figure in EXPERIMENTS.md reports, so a change to the
 event loop, the topology or a steal policy has to reproduce it bit for
 bit.  Floats enter the digest through ``float.hex`` and integers through
@@ -123,15 +124,18 @@ GOLDEN_PRM = {
     (48, "hybrid"): "92afe9a1bc025a24afa474d098f31d6cf876f126b3ae3ca44f604fcece51d4b7",
 }
 
+# Regenerated once since (ROADMAP item 3a): regional branches draw
+# ``q_rand`` from their own cone, so the RRT *workload* these runs replay —
+# not the machine replaying it — has other trees and other branch costs.
 GOLDEN_RRT = {
-    (16, "none"): "12d4845617f0e5e290a912fb62922f5f99343a04c32364a852c57808b9d196b2",
-    (16, "repartition"): "03a87dfdfbd6d08a6b224a34febe0d85adb521cc5a2dc3cb30c19d41ef9098b7",
-    (16, "rand-8"): "f5ca82159c85bf57e8aaa4ef51d394b95b04673d53d47f12e1adea18bcfc7ee9",
-    (16, "hybrid"): "205aa92334294955c25b08bc84b7bada6cc452679ae46581aebec590ebdfa087",
-    (48, "none"): "031e950fe43d59ac3d543af61e4355d111887cfee5339da810218589a5608953",
-    (48, "repartition"): "b00410993ccbc17b1ff67269deb242c86911eba9f7c8de3d938a1fbb20e857cd",
-    (48, "rand-8"): "1fc96f4abdf94859cb6e3266832e4b897dc16b7ffb7a181dbc78c4af15641e65",
-    (48, "hybrid"): "66982a8dc236ee7475ba87d972792d7da56cdcaf7bb48deb3fa9faca1ee8a911",
+    (16, "none"): "d43c52abcea730e9908c7b6b7b1874036730081357a5a4738c4cfd8eb171087a",
+    (16, "repartition"): "8505b7b04e6e5b9a501aa4f69446d1e5835da8ffbe412c3cb5575310aed9ac58",
+    (16, "rand-8"): "4993ec61dd1f16b98291dafdc052bf2a9e569ab071fbd847f263134776dbd830",
+    (16, "hybrid"): "39e3c8a33c5bfea631a9bffb8bccae93d393d51e51086f7b8fb7edbb0626471d",
+    (48, "none"): "56c6dc5ecfebb250d743fb94ef9a21732b9846329bbde2ee6b6decdfa75c4003",
+    (48, "repartition"): "60ad36116c90cf5507dc71697b8a5ce63bdd41d11647eb895fddb6f9a0e59c49",
+    (48, "rand-8"): "59628cff39e1949bd10f81b12dd9d3f67cffed0cfc4726be14f5b990b33815fd",
+    (48, "hybrid"): "7f9783880cc82dd3749729c3ed85ce5d6b7b3156331a56ab40ae488dadc0c003",
 }
 
 GOLDEN_FAULTS = "f42b4e9571d3c2551bbde36b6f6d4e55346fda53f2a504d75b2631e476eb6edd"
