@@ -40,7 +40,7 @@ in parallel on this machine's cores, and reports wall-clock numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,6 +59,7 @@ from .geometry.primitives import AABB
 from .obs.summary import TraceSummary, format_summary, summarize_events
 from .obs.tracer import active
 from .planners.engine import BatchQueryResult, QueryEngine
+from .planners.prm import PRMSegment
 from .planners.roadmap import Roadmap
 from .planners.stats import PlannerStats
 from .runtime import shm as _shm
@@ -326,21 +327,68 @@ def _region_planner(
     )
 
 
-def _region_task(
-    regions: "PRMRegionPlanner | RRTRegionPlanner", rid: int
-) -> "tuple[Roadmap, PlannerStats, tuple[int, int]]":
-    """One region, plus the task's own exact share of the collision work
-    (``CollisionCounters`` windows are per-thread), which also survives
-    the hop back from worker processes, where the parent's environment
-    counters never tick."""
+def _counted(regions, run):
+    """``run()`` plus the calling thread's own exact share of the collision
+    work as ``(point_checks, segment_checks)`` (``CollisionCounters``
+    windows are per-thread), which also survives the hop back from worker
+    processes, where the parent's environment counters never tick."""
     counters = getattr(getattr(regions.cspace, "env", None), "counters", None)
-    before = counters.snapshot() if counters is not None else None
-    result = regions(rid)
-    checks = (0, 0)
-    if counters is not None:
-        delta = counters.delta(before)
-        checks = (delta.point_checks, delta.segment_checks)
-    return result.roadmap, result.stats, checks
+    if counters is None:
+        return run(), (0, 0)
+    before = counters.snapshot()
+    out = run()
+    delta = counters.delta(before)
+    return out, (delta.point_checks, delta.segment_checks)
+
+
+def _shares(amount: int, upto: "list[int]") -> "list[int]":
+    """``amount`` split in proportion to the steps of the running total
+    ``upto``: exact when it is a multiple of ``upto[-1]`` (every checked
+    point charges the counters the same constant), and summing to
+    ``amount`` whatever it is."""
+    total = max(upto[-1], 1)
+    marks = [0] + [amount * u // total for u in upto]
+    return [b - a for a, b in zip(marks, marks[1:])]
+
+
+class _RegionTask:
+    """What the pool runs: ``rid -> (roadmap, stats, collision checks)``.
+
+    The chunk a worker receives is the block it plans: ``run_block`` is the
+    pool's offer of a whole chunk of fresh regions (see
+    :func:`repro.runtime.run_tasks_parallel`), taken when the planner
+    ``runs_blocks`` and answered with one :class:`PRMSegment` per region in
+    place of its ``Roadmap``.
+    """
+
+    def __init__(self, regions: "PRMRegionPlanner | RRTRegionPlanner"):
+        self.regions = regions
+
+    def __call__(self, rid: int) -> "tuple[Roadmap, PlannerStats, tuple[int, int]]":
+        regions = self.regions
+        result, checks = _counted(regions, lambda: regions(rid))
+        return result.roadmap, result.stats, checks
+
+    def run_block(self, rids: "list[int]"):
+        """``(values, work)`` for ``rids`` planned as blocks, or ``None``
+        when this planner plans one region at a time.  ``work[i]`` is region
+        ``i``'s collision-checked points — the share of the measured time
+        the pool charges it, and exactly its share of a block's counters."""
+        regions = self.regions
+        if not getattr(regions.planner, "runs_blocks", False):
+            return None
+        values, work = [], []
+        for block_rids in regions.blocks(rids):
+            block, checks = _counted(regions, lambda: regions.plan_block(block_rids))
+            points = [st.sample_attempts + st.lp_checks for st in block.stats]
+            upto = list(accumulate(points))
+            per_region = zip(*(_shares(c, upto) for c in checks))
+            values += [
+                (PRMSegment(block, i), st, counts)
+                for i, (st, counts) in enumerate(zip(block.stats, per_region))
+            ]
+            work += points
+        return values, work
 
 
 # --- data planes -----------------------------------------------------------
@@ -366,21 +414,29 @@ class _ShmPlanContext:
 _SHM_TASK_CACHE: "dict[_ShmPlanContext, object]" = {}
 
 
-def _shm_region_task(ctx: _ShmPlanContext, rid: int):
-    regions = _SHM_TASK_CACHE.get(ctx)
-    if regions is None:
-        arrays = _shm.attach_arrays(ctx.manifest)
-        env = Environment.from_arrays(
-            AABB(arrays["bounds_lo"], arrays["bounds_hi"]),
-            arrays["obs_lo"],
-            arrays["obs_hi"],
-            name=ctx.workload.environment,
-            kernel_backend=ctx.kernel_backend,
-        )
-        regions = _region_planner(EuclideanCSpace(env), ctx.workload)
-        _SHM_TASK_CACHE.clear()
-        _SHM_TASK_CACHE[ctx] = regions
-    return _region_task(regions, rid)
+class _ShmRegionTask(_RegionTask):
+    """:class:`_RegionTask` over the planner a worker rebuilds from shm."""
+
+    def __init__(self, ctx: _ShmPlanContext):
+        self.ctx = ctx
+
+    @property
+    def regions(self) -> "PRMRegionPlanner | RRTRegionPlanner":
+        ctx = self.ctx
+        regions = _SHM_TASK_CACHE.get(ctx)
+        if regions is None:
+            arrays = _shm.attach_arrays(ctx.manifest)
+            env = Environment.from_arrays(
+                AABB(arrays["bounds_lo"], arrays["bounds_hi"]),
+                arrays["obs_lo"],
+                arrays["obs_hi"],
+                name=ctx.workload.environment,
+                kernel_backend=ctx.kernel_backend,
+            )
+            regions = _region_planner(EuclideanCSpace(env), ctx.workload)
+            _SHM_TASK_CACHE.clear()
+            _SHM_TASK_CACHE[ctx] = regions
+        return regions
 
 
 def _shm_plan_eligible(cspace: ConfigurationSpace) -> bool:
@@ -434,7 +490,7 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     """
     wl, ex, fa, ob = request.workload, request.execution, request.faults, request.obs
     regions = _region_planner(cspace, wl)
-    task = partial(_region_task, regions)
+    task = _RegionTask(regions)
     task_weights = _region_weights(regions) if ex.chunksize == "weighted" else None
 
     plane = _resolve_data_plane(ex, cspace)
@@ -457,7 +513,7 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
                 workload=replace(wl, environment=env.name),
                 kernel_backend=env._kernel_backend_name,
             )
-            task = partial(_shm_region_task, ctx)
+            task = _ShmRegionTask(ctx)
 
         pool = run_tasks_parallel(
             task,
@@ -482,8 +538,14 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     stats = PlannerStats()
     point_checks = segment_checks = 0
     for rid in sorted(pool.results):
-        roadmap, task_stats, (pc, sc) = pool.results[rid]
-        merged.merge(roadmap)
+        part, task_stats, (pc, sc) = pool.results[rid]
+        # A block's segments arrive together or not at all (one that raised
+        # was re-run region by region) and stand side by side in region
+        # order, so the block goes in whole where its first segment stands.
+        if isinstance(part, Roadmap):
+            merged.merge(part)
+        elif part.index == 0:
+            merged.merge(part.block)
         stats += task_stats
         point_checks += pc
         segment_checks += sc

@@ -245,10 +245,10 @@ def region_rng(seed: int, rid: int) -> np.random.Generator:
 class PRMRegionPlanner:
     """Alg. 1 line 8 as one picklable callable: ``rid -> PRMResult``.
 
-    The single regional entry point: ``plan(mode="local")`` hands it to
-    the pool one region at a time (shm workers rebuild an equal one) and
-    :func:`build_prm_workload` runs the same regions a block at a time
-    through :meth:`plan_block`, so every execution mode runs the same
+    The single regional entry point: :func:`build_prm_workload` and the
+    workers of ``plan(mode="local")`` (shm workers rebuild an equal one)
+    run regions a block at a time through :meth:`plan_block`, a lone
+    region through the call, so every execution mode runs the same
     regions.  It owns the uniform decomposition over the positional
     bounds, the ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id
     block, the region-box lift and the narrow-passage boost; the keyword
@@ -279,6 +279,17 @@ class PRMRegionPlanner:
     @property
     def region_ids(self) -> "list[int]":
         return self.decomposition.graph.region_ids()
+
+    @property
+    def cell(self) -> np.ndarray:
+        """Extents of one grid cell of the decomposition."""
+        grid = self.decomposition
+        return grid.bounds.extents / np.asarray(grid.shape, dtype=float)
+
+    @property
+    def pair_points(self) -> float:
+        """Local-plan points one candidate pair is expected to need."""
+        return float(np.linalg.norm(self.cell)) / self.planner.local_planner.resolution
 
     def _sample_box(self, region) -> AABB:
         """The positional sample box lifted to full C-space bounds
@@ -326,6 +337,12 @@ class PRMRegionPlanner:
             block = self.planner.build(boost, rngs, within=within, roadmap=block, id_base=id_base)
             block.stats = [a.merge(b) for a, b in zip(first, block.stats)]
         return block
+
+    def blocks(self, rids: "list[int]") -> "list[list[int]]":
+        """``rids`` cut into the consecutive runs :meth:`plan_block` takes
+        one at a time under the ``_BLOCK_POINTS`` budget."""
+        step = _block_size(self.samples_per_region * self.planner.k * self.pair_points)
+        return [rids[lo : lo + step] for lo in range(0, len(rids), step)]
 
 
 def _block_size(points_per_item: float) -> int:
@@ -484,23 +501,14 @@ def build_prm_workload(
         narrow_passage_boost=narrow_passage_boost, nn_factory=nn_factory,
     )
     subdivision, rids = regions.decomposition, regions.region_ids
-    cell = subdivision.bounds.extents / np.asarray(subdivision.shape, dtype=float)
-    # Local-plan points one candidate pair is expected to need.
-    steps = float(np.linalg.norm(cell)) / lp_resolution
 
     roadmap = Roadmap(cspace.dim)
     region_stats: "dict[int, PlannerStats]" = {}
     if regions.planner.runs_blocks:
-        step = _block_size(samples_per_region * k * steps)
-        for lo in range(0, len(rids), step):
-            block = regions.plan_block(rids[lo : lo + step])
-            region_stats.update(zip(rids[lo : lo + step], block.stats))
-            roadmap.add_vertices(block.ids, block.configs)
-            # Roadmap.merge replays a regional roadmap's edges as (min id,
-            # max id) in that order; ``u`` is always the newer, larger id.
-            u, v, w = block.edges
-            order = np.lexsort((u, v))
-            roadmap.add_edges(v[order], u[order], w[order])
+        for block_rids in regions.blocks(rids):
+            block = regions.plan_block(block_rids)
+            region_stats.update(zip(block_rids, block.stats))
+            roadmap.merge(block)
     else:
         for rid in rids:
             # Each regional roadmap is built independently (the whole point
@@ -531,7 +539,7 @@ def build_prm_workload(
     # boundary (that is what the sampling overlap exists for); attempting
     # all pairs would let region connection dwarf node connection,
     # inverting the paper's Fig. 7a profile.
-    boundary_reach = 0.5 * float(cell.max())
+    boundary_reach = 0.5 * float(regions.cell.max())
     # Cap boundary sets at the nearest few vertices so inter-region
     # connection stays the minor phase it is in the paper (Fig. 7a).
     max_boundary_vertices = 2 * samples_per_region
@@ -539,7 +547,8 @@ def build_prm_workload(
     if regions.planner.runs_blocks:
         links = _connect_in_blocks(
             regions, roadmap, rows, adjacencies, k_inter, boundary_reach,
-            max_boundary_vertices, _block_size(max_boundary_vertices * k_inter * steps),
+            max_boundary_vertices,
+            _block_size(max_boundary_vertices * k_inter * regions.pair_points),
         )
     else:
         links = _connect_one_by_one(

@@ -2,7 +2,7 @@
 
 from .engine import BatchQueryResult, QueryEngine, QueryRequest
 from .frozen import FrozenRoadmap
-from .prm import PRM, PRMBlock, PRMResult
+from .prm import PRM, PRMBlock, PRMResult, PRMSegment
 from .query import QueryResult, RoadmapQuery, astar, dijkstra
 from .roadmap import Roadmap, UnionFind
 from .rrt import RRT, RRTResult
@@ -13,6 +13,7 @@ __all__ = [
     "PRM",
     "PRMBlock",
     "PRMResult",
+    "PRMSegment",
     "QueryResult",
     "QueryEngine",
     "QueryRequest",

@@ -40,7 +40,7 @@ from ..knn.brute import BruteForceNN
 from .roadmap import Roadmap
 from .stats import PlannerStats
 
-__all__ = ["PRM", "PRMBlock", "PRMResult"]
+__all__ = ["PRM", "PRMBlock", "PRMResult", "PRMSegment"]
 
 _BLOCK = 64
 
@@ -86,6 +86,17 @@ class PRMBlock:
     offsets: np.ndarray
     edges: "tuple[np.ndarray, np.ndarray, np.ndarray]"
     stats: "list[PlannerStats]"
+
+
+@dataclass(frozen=True)
+class PRMSegment:
+    """Segment ``index`` of ``block``: one region's result when the region
+    was planned inside a block.  The segments of a block all hold the same
+    :class:`PRMBlock`, so a pickled chunk of them carries its arrays once,
+    flat, and :meth:`Roadmap.merge` takes the block whole."""
+
+    block: PRMBlock
+    index: int
 
 
 class PRM:

@@ -16,9 +16,12 @@ roadmap construction is the hot path of the whole computation
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .prm import PRMBlock
 
 __all__ = ["Roadmap", "UnionFind"]
 
@@ -366,9 +369,26 @@ class Roadmap:
         return comps
 
     # -- merging (used to stitch regional roadmaps into one) -------------------
-    def merge(self, other: "Roadmap") -> None:
+    def merge(self, other: "Roadmap | PRMBlock") -> None:
         """Graph union of ``other`` into self; vertex ids must be disjoint
-        or refer to identical configurations."""
+        or refer to identical configurations.
+
+        A :class:`~repro.planners.prm.PRMBlock` (regional roadmaps side by
+        side in flat arrays, new to this roadmap, segment id ranges
+        ascending) merges as the roadmaps it holds would one after the
+        other — same rows, same adjacency insertion order, same union-find
+        forest — through one :meth:`add_vertices` and one :meth:`add_edges`.
+        """
+        if not isinstance(other, Roadmap):
+            if other.configs.shape[1] != self.dim:
+                raise ValueError("cannot merge roadmaps of different dimension")
+            self.add_vertices(other.ids, other.configs)
+            # A regional roadmap's edges replay as (min id, max id) in that
+            # order; a block's ``u`` is always the newer, larger id.
+            u, v, w = other.edges
+            order = np.lexsort((u, v))
+            self.add_edges(v[order], u[order], w[order])
+            return
         if other.dim != self.dim:
             raise ValueError("cannot merge roadmaps of different dimension")
         o_ids = other._ids[: other._n]

@@ -22,10 +22,17 @@ the GIL.
 Dispatch granularity is a pluggable policy (:mod:`repro.runtime.chunking`):
 ``chunksize`` accepts the historical fixed int, ``"guided"``
 self-scheduling (chunks decay as ``remaining / (2 * workers)``), or
-``"weighted"`` (equal-*weight* chunks from ``task_weights``).  Workers
-stamp true per-task start times (``time.perf_counter`` is a shared
+``"weighted"`` (equal-*weight* chunks from ``task_weights``).  A chunk is
+also the block its worker may run in one call: a chunk of two or more
+fresh tasks is offered to ``fn.run_block`` when the task callable has one
+and no fault injector is installed (:func:`_run_block`); everything else
+— one-task chunks, retries, injected runs, callables without the entry
+point, a block that declines or raises — goes through the per-task loop.
+Workers stamp true start times (``time.perf_counter`` is a shared
 monotonic clock across fork on Linux), so traced ``task_start`` events are
-measured, not reconstructed.  Every run returns a :class:`DispatchStats`
+measured, not reconstructed: per task in the loop, per chunk for a block,
+whose tasks share its measured time in proportion to their work.  Every
+run returns a :class:`DispatchStats`
 on ``PoolResult.dispatch`` accounting chunks issued, bytes shipped,
 ser-de time and shared-memory attaches — the observable cost of the data
 plane that :mod:`repro.runtime.shm` exists to shrink.
@@ -163,7 +170,9 @@ class PoolResult:
     results: "dict[int, object]"
     wall_time: float
     #: duration of the *successful* attempt only — failed attempts never
-    #: pollute bench numbers (they are visible via ``attempts``).
+    #: pollute bench numbers (they are visible via ``attempts``).  Measured
+    #: per task, except inside a chunk run as a block, whose measured time
+    #: is apportioned by each task's share of the block's work.
     per_task_time: "dict[int, float]"
     workers: int
     #: task id -> number of attempts consumed (1 = first try succeeded).
@@ -222,8 +231,13 @@ def _run_attempts(
     kills the worker process outright (process backend) or raises
     :class:`WorkerCrash` out of the chunk (thread backend) — in both
     cases the dispatcher loses the whole chunk, exactly as it would to
-    a real worker death.
+    a real worker death.  A chunk of fresh tasks with no injector to poll
+    is first offered to :func:`_run_block`.
     """
+    if injector is None and len(entries) > 1 and not any(a for _tid, a in entries):
+        rows = _run_block(fn, [tid for tid, _a in entries])
+        if rows is not None:
+            return rows, _shm.drain_attach_records()
     out: "list[tuple[int, int, bool, object, float, float]]" = []
     for tid, attempt in entries:
         t0 = time.perf_counter()
@@ -253,6 +267,40 @@ def _run_attempts(
             continue
         out.append((tid, attempt, True, value, time.perf_counter() - t0, t0))
     return out, _shm.drain_attach_records()
+
+
+def _run_block(
+    fn: Callable[[int], object], tids: "list[int]"
+) -> "list[tuple[int, int, bool, object, float, float]] | None":
+    """A chunk of fresh tasks as one ``fn.run_block(tids)`` call, when
+    ``fn`` offers one: it returns ``(values, work)``, one of each per task,
+    or ``None`` to decline.  The rows are :func:`_run_attempts`'s; the one
+    measured duration is apportioned by ``work`` (equal shares when it is
+    all zero) and the start stamps are the cumulative offsets inside it,
+    so per-task times still sum to measured time and keep the tasks' skew.
+    ``None`` — no block entry point, declined, or the block raised — sends
+    the chunk through the per-task loop, which alone decides what failed.
+    """
+    run_block = getattr(fn, "run_block", None)
+    if run_block is None:
+        return None
+    t0 = time.perf_counter()
+    try:
+        planned = run_block(tids)
+    except Exception:  # whichever task it was fails again, alone, in the loop
+        return None
+    dt = time.perf_counter() - t0
+    if planned is None:
+        return None
+    values, work = planned
+    upto = np.cumsum(work, dtype=float)
+    if upto[-1] <= 0.0:
+        upto = np.arange(1.0, len(tids) + 1.0)
+    ends = (dt * (upto / upto[-1])).tolist()
+    return [
+        (tid, 0, True, value, end - start, t0 + start)
+        for tid, value, start, end in zip(tids, values, [0.0] + ends, ends)
+    ]
 
 
 def _run_attempts_shipped(
@@ -290,7 +338,11 @@ def run_tasks_parallel(
     ----------
     fn:
         The regional work; must be picklable for the ``"process"`` backend
-        (it is shipped once per worker via the pool initializer).
+        (it is shipped once per worker via the pool initializer).  It may
+        also offer ``run_block(task_ids) -> (values, work) | None``: a
+        chunk of two or more fresh tasks is then run through that one call
+        (``work`` is each task's share of the call, used to apportion its
+        measured time), unless a ``fault_injector`` is installed.
     workers:
         Pool size; ``None`` (default) resolves to ``os.cpu_count()``.
         The resolved value is surfaced on ``PoolResult.workers``.

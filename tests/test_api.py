@@ -17,7 +17,7 @@ from repro import (
     plan,
     read_jsonl,
 )
-from repro.api import LOCAL_PRM, LOCAL_RRT
+from repro.api import LOCAL_PRM, LOCAL_RRT, _region_planner, _RegionTask
 from repro.core import (
     PhaseBreakdown,
     PlannerRunResult,
@@ -387,6 +387,69 @@ class TestLocalExecution:
         assert stats.samples_accepted / stats.sample_attempts >= 0.6
         assert seen >= stats.lp_calls  # nothing reaches the local planner unguarded
         assert rejected < 0.01 * seen
+
+
+class TestChunksAreBlocks:
+    """A pool worker plans its chunk as blocks: guarded by call counts and
+    by traced bytes, not by a stopwatch."""
+
+    def test_one_build_and_a_few_tree_walks_per_sub_block(self, monkeypatch):
+        """125 regions in chunks of 24, each cut into two 12-region
+        sub-blocks by the ``_BLOCK_POINTS`` budget: ``PRM.build`` runs once
+        per sub-block (local mode has no boost pass), and every validity
+        pass of a build — a sampling round, the local plans — walks the
+        tree once for the whole sub-block."""
+        from repro.cspace.space import EuclideanCSpace
+        from repro.geometry.bvh import BVH
+        from repro.geometry.scenarios import shelf_warehouse
+        from repro.planners.prm import PRM
+
+        calls = {"build": 0, "points_hit": 0, "valid": 0}
+        for cls, name in ((PRM, "build"), (BVH, "points_hit"), (EuclideanCSpace, "valid")):
+            def counted(self, *args, _name=name, _method=getattr(cls, name), **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        wl = WorkloadSpec(shelf_warehouse(500, seed=1), "prm", num_regions=96,
+                          samples_per_region=32, seed=1)
+        report = plan(wl, ExecutionPolicy(mode="local", workers=1, chunksize=24,
+                                          kernel_backend="bvh"))
+        regions = _region_planner(wl.resolve_cspace(), wl)
+        rids = regions.region_ids
+        sub_blocks = [b for lo in range(0, len(rids), 24) for b in regions.blocks(rids[lo:lo + 24])]
+        assert len(rids) == 125 and [len(b) for b in sub_blocks] == [12, 12] * 5 + [5]
+        assert report.dispatch.chunks_issued == 6
+        assert calls["build"] == len(sub_blocks)
+        assert calls["points_hit"] == calls["valid"] <= 6 * len(sub_blocks) < len(rids)
+
+    def test_a_162_region_chunk_stays_within_reach_of_the_loops_memory(self):
+        """The first guided chunk of the 648-region warehouse plan at two
+        workers is 162 regions.  Cut into sub-blocks it peaks ~6 MiB above
+        the one-region loop (traced: 8.5 against 2.4 MiB); planned as one
+        block it would peak at 27.8 MiB, enough to breach the benchmark's
+        10 % ``peak_rss_mb`` bound on its own."""
+        import tracemalloc
+
+        from repro.geometry.scenarios import shelf_warehouse
+
+        wl = WorkloadSpec(shelf_warehouse(20000, seed=1), "prm", num_regions=600,
+                          samples_per_region=16, seed=1)
+        task = _RegionTask(_region_planner(wl.resolve_cspace(kernel_backend="bvh"), wl))
+        rids = task.regions.region_ids[:162]
+        task(rids[0])  # the tree is built outside both windows
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loop = peak(lambda: [task(rid) for rid in rids])
+        blocks = peak(lambda: task.run_block(rids))
+        assert blocks < loop + 8 * 2**20
 
 
 class TestResultProtocols:

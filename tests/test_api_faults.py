@@ -25,6 +25,8 @@ from repro import (
     WorkloadSpec,
     plan,
 )
+from repro.core import PRMRegionPlanner
+from repro.planners import PRMSegment, Roadmap
 from repro.runtime import TaskFailedError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,15 +39,21 @@ def _roadmap_signature(report):
     return list(ids), cfgs.tolist(), edges
 
 
-def _local_request(faults=None, tracer=None, **workload):
+def _local_request(faults=None, tracer=None, execution=None, **workload):
     defaults = dict(planner="prm", num_regions=12, samples_per_region=4, seed=7)
     defaults.update(workload)
     return PlanRequest(
         workload=WorkloadSpec(**defaults),
-        execution=ExecutionPolicy(mode="local", workers=3),
+        execution=execution or ExecutionPolicy(mode="local", workers=3),
         faults=faults,
         obs=ObsConfig(tracer=tracer),
     )
+
+
+def _parts(report):
+    """How each region's result came back: as its ``Roadmap`` (per-task
+    loop) or as a segment of the block its chunk was planned as."""
+    return {rid: type(value[0]) for rid, value in report.pool.results.items()}
 
 
 class TestPlanRetryParity:
@@ -114,6 +122,91 @@ class TestPlanRetryParity:
         )
         assert _roadmap_signature(chaotic) == _roadmap_signature(clean)
         assert chaotic.retries == 1
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestChunksPlannedAsBlocks:
+    """``chunksize=4``: every chunk of the 12 regions is a block, unless an
+    injector is installed; failures read exactly as at ``chunksize=1``."""
+
+    DOOMED = 5
+
+    def _policies(self, backend):
+        return [
+            ExecutionPolicy(mode="local", workers=2, backend=backend, chunksize=c)
+            for c in (1, 4)
+        ]
+
+    @pytest.fixture
+    def doomed_region(self, monkeypatch):
+        """One region raises wherever it is planned, in a block or alone
+        (forked workers inherit the patch)."""
+        sample_box = PRMRegionPlanner._sample_box
+
+        def exploding(planner, region):
+            if region.id == self.DOOMED:
+                raise RuntimeError(f"region {region.id} exploded")
+            return sample_box(planner, region)
+
+        monkeypatch.setattr(PRMRegionPlanner, "_sample_box", exploding)
+
+    def test_an_injector_plan_keeps_the_per_task_loop(self, backend):
+        loop, blocks = self._policies(backend)
+        clean = plan(_local_request(execution=blocks))
+        assert set(_parts(clean).values()) == {PRMSegment}
+        ids = sorted(clean.pool.results)
+        faults = FaultPolicy(
+            policy="retry",
+            task_timeout=5.0,
+            injector=FaultInjector(
+                [
+                    Fault("crash", task=ids[1], attempt=0),
+                    Fault("raise", task=ids[4], attempt=0),
+                    Fault("hang", task=ids[8], attempt=0, hang=0.05),
+                ]
+            ),
+        )
+        for execution in (loop, blocks):
+            chaotic = plan(_local_request(faults=faults, execution=execution))
+            assert set(_parts(chaotic).values()) == {Roadmap}
+            assert _roadmap_signature(chaotic) == _roadmap_signature(clean)
+            assert (chaotic.retries, chaotic.worker_deaths) == (2, 1)
+            assert chaotic.pool.attempts[ids[4]] == 2 and chaotic.pool.attempts[ids[8]] == 1
+
+    def test_degrade_abandons_the_region_not_its_block(self, backend, doomed_region):
+        faults = FaultPolicy(policy="degrade", max_retries=1)
+        loop, blocks = (
+            plan(_local_request(faults=faults, execution=ex)) for ex in self._policies(backend)
+        )
+        for report in (loop, blocks):
+            assert report.abandoned_regions == [self.DOOMED]
+            assert report.retries == 1
+            assert report.pool.attempts == {
+                **{rid: 1 for rid in loop.pool.results}, self.DOOMED: 2
+            }
+        assert _roadmap_signature(blocks) == _roadmap_signature(loop)
+        assert blocks.local_stats == loop.local_stats
+        assert blocks.local_counters == loop.local_counters
+        # The doomed region's chunk went through the loop, the others stayed blocks.
+        assert _parts(blocks) == {
+            rid: Roadmap if rid // 4 == self.DOOMED // 4 else PRMSegment
+            for rid in blocks.pool.results
+        }
+
+    def test_retry_exhaustion_names_the_region(self, backend, doomed_region):
+        for execution in self._policies(backend):
+            with pytest.raises(TaskFailedError) as err:
+                plan(
+                    _local_request(
+                        faults=FaultPolicy(policy="retry", max_retries=1), execution=execution
+                    )
+                )
+            assert (err.value.task, err.value.attempts) == (self.DOOMED, 2)
+
+    def test_fail_fast_raises_the_regions_own_exception(self, backend, doomed_region):
+        for execution in self._policies(backend):
+            with pytest.raises(RuntimeError, match="region 5 exploded"):
+                plan(_local_request(execution=execution))
 
 
 class TestPlanDegrade:

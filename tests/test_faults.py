@@ -18,6 +18,8 @@ from repro.runtime import (
     run_tasks_parallel,
 )
 
+from .test_local_pool import _BlockTask
+
 
 def _square(task_id):
     return task_id * task_id
@@ -424,3 +426,44 @@ class TestFaultObservability:
         with pytest.raises(TaskFailedError) as err:
             run_tasks_parallel(_square, [0], workers=1, fault_injector=inj)
         assert "InjectedFault" in str(err.value.cause)
+
+
+class TestBlockChunks:
+    """Chunks offered to ``fn.run_block`` (see ``tests/test_local_pool.py``)
+    fail, retry and abandon per task, as the per-task loop does."""
+
+    def test_a_declined_block_and_an_installed_injector_take_the_loop(self):
+        tasks = list(range(6))
+        declined = run_tasks_parallel(_BlockTask(decline=True), tasks, workers=2, chunksize=3)
+        assert declined.results == {tid: ("task", tid) for tid in tasks}
+        idle = FaultInjector([Fault("raise", task=99, attempt=0)])
+        injected = run_tasks_parallel(
+            _BlockTask(), tasks, workers=2, chunksize=3, fault_injector=idle
+        )
+        assert injected.results == {tid: ("task", tid) for tid in tasks}
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_block_that_raises_is_rerun_task_by_task(self, backend):
+        """Failure accounting stays per task: exactly what ``chunksize=1``
+        reports for the same poisoned task."""
+        tasks, kwargs = list(range(8)), dict(workers=2, backend=backend, backoff_base=0.01)
+        fn = _BlockTask(poison=5)
+        for chunksize in (1, 4):
+            res = run_tasks_parallel(
+                fn, tasks, chunksize=chunksize, failure_policy="degrade", max_retries=2, **kwargs
+            )
+            assert res.abandoned == [5] and res.retries == 2
+            assert res.attempts == {**{tid: 1 for tid in tasks}, 5: 3}
+            # The poisoned chunk came back from the loop, its neighbour as a block.
+            path = "task" if chunksize == 1 else "block"
+            assert res.results == {
+                **{tid: (path, tid) for tid in (0, 1, 2, 3)},
+                **{tid: ("task", tid) for tid in (4, 6, 7)},
+            }
+            with pytest.raises(TaskFailedError) as err:
+                run_tasks_parallel(
+                    fn, tasks, chunksize=chunksize, failure_policy="retry", max_retries=1, **kwargs
+                )
+            assert (err.value.task, err.value.attempts) == (5, 2)
+            with pytest.raises(RuntimeError, match="task 5 exploded"):
+                run_tasks_parallel(fn, tasks, chunksize=chunksize, **kwargs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.planners import Roadmap, UnionFind
+from repro.planners import PRMBlock, Roadmap, UnionFind
 
 
 class TestUnionFind:
@@ -343,3 +343,70 @@ class TestBulkInsertion:
             rm.add_edges([0, 1], [1, 2], [1.0])
         assert rm.num_edges == 0 and rm.num_components_fast == 3
         assert rm.add_edges([], [], []).shape == (0,)
+
+
+class TestMergeBlock:
+    """``merge(PRMBlock)`` leaves the roadmap exactly as merging the
+    regional roadmaps it lays side by side, one after the other, would."""
+
+    @staticmethod
+    def _regional(rng, base, sizes):
+        """A regional roadmap grown the way ``PRM.build`` grows one, in
+        ``len(sizes)`` passes: ascending ids from ``base``, each new vertex
+        joined to a few earlier ones.  Returns it plus per pass its
+        ``(u newer, v older, weight)`` edges in insertion order."""
+        rm, passes = Roadmap(3), []
+        for size in sizes:
+            edges = []
+            for _ in range(size):
+                vid = rm.add_vertex(rng.normal(size=3), base + rm.num_vertices)
+                earlier = rm.vertices()[:-1]
+                for old in rng.permutation(earlier)[: rng.integers(0, 4)].tolist():
+                    weight = float(rng.uniform(0.1, 2.0))
+                    rm.add_edge(vid, old, weight)
+                    edges.append((vid, old, weight))
+            passes.append(edges)
+        return rm, passes
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), segments=st.integers(1, 6))
+    def test_block_equals_the_per_region_merges(self, seed, segments):
+        rng = np.random.default_rng(seed)
+        # Two passes per region, the second sometimes empty: a boosted
+        # block appends the second pass's edges after all of the first's.
+        regional = [
+            self._regional(rng, s << 8, (int(rng.integers(0, 9)), int(rng.integers(0, 5))))
+            for s in range(segments)
+        ]
+        counts = [rm.num_vertices for rm, _passes in regional]
+        edges = [e for p in (0, 1) for _rm, passes in regional for e in passes[p]]
+        block = PRMBlock(
+            ids=np.concatenate([rm.vertices() for rm, _ in regional]),
+            configs=np.concatenate([rm.configs_array()[1] for rm, _ in regional]),
+            offsets=np.concatenate(([0], np.cumsum(counts))),
+            edges=(
+                np.array([u for u, _v, _w in edges], dtype=np.int64),
+                np.array([v for _u, v, _w in edges], dtype=np.int64),
+                np.array([w for _u, _v, w in edges], dtype=float),
+            ),
+            stats=[],
+        )
+        loop, bulk = Roadmap(3), Roadmap(3)
+        for rm in (loop, bulk):  # merged into a roadmap that already holds something
+            rm.add_vertex(np.zeros(3), 1 << 20)
+        for rm, _passes in regional:
+            loop.merge(rm)
+        bulk.merge(block)
+        assert _state(bulk) == _state(loop)
+        frozen_bulk, frozen_loop = bulk.freeze(), loop.freeze()
+        for name in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(
+                getattr(frozen_bulk, name), getattr(frozen_loop, name), err_msg=name
+            )
+
+    def test_a_block_of_another_dimension_is_refused(self):
+        none = np.empty(0, dtype=np.int64)
+        block = PRMBlock(none, np.empty((0, 2)), np.zeros(1, dtype=np.int64),
+                         (none, none, np.empty(0)), [])
+        with pytest.raises(ValueError):
+            Roadmap(3).merge(block)

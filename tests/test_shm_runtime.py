@@ -8,15 +8,20 @@ task start stamps, and the end-to-end planes on plan().
 """
 
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import plan
+from repro.api import _RegionTask, plan
+from repro.core import PRMRegionPlanner
+from repro.cspace.sampling import GaussianSampler
 from repro.geometry.environment import Environment
 from repro.geometry.primitives import AABB
+from repro.knn.brute import BruteForceNN
 from repro.obs.tracer import Tracer
+from repro.planners import PRMSegment, Roadmap
 from repro.runtime import shm as shm_mod
 from repro.runtime.chunking import (
     CHUNK_POLICIES,
@@ -343,6 +348,89 @@ def _roadmap_sig(report):
         sorted(rm.edges()),
         np.asarray([rm.config(v) for v in vs]).tobytes(),
     )
+
+
+def _digest(report):
+    """Everything a local plan must repeat bit for bit, vertex order included."""
+    rm = report.roadmap
+    ids, cfgs = rm.configs_array()
+    adjacency = [(u, list(nbrs.items())) for u, nbrs in rm._adj.items()]
+    return ids.tolist(), cfgs.tobytes(), adjacency, report.local_stats, report.local_counters
+
+
+def _parts(report):
+    """The types region results came back as: ``Roadmap`` from the
+    per-task loop, ``PRMSegment`` from a chunk planned as a block."""
+    return {type(value[0]) for value in report.pool.results.values()}
+
+
+class TestLocalParityMatrix:
+    """Backend, chunk policy, data plane, kernel backend and worker count
+    change how regions reach the planner, never what it plans: every cell
+    equals the serial one-region-at-a-time run."""
+
+    WL = WorkloadSpec("mixed-30", "prm", num_regions=27, samples_per_region=6, seed=5)
+    CHUNKSIZES = (1, 7, "guided", "weighted")
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        report = plan(self.WL, execution=ExecutionPolicy(mode="local", workers=1))
+        assert _parts(report) == {Roadmap} and report.roadmap.num_edges > 200
+        return _digest(report)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kernel_backend", [None, "bvh"])
+    @pytest.mark.parametrize("plane", ["inline", "shm"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_every_cell_equals_the_serial_loop(
+        self, oracle, backend, plane, kernel_backend, workers, monkeypatch
+    ):
+        if plane == "inline":
+            monkeypatch.setattr(shm_mod, "shm_available", lambda: False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # thread workers share one planner
+        try:
+            for chunksize in self.CHUNKSIZES:
+                report = plan(self.WL, execution=ExecutionPolicy(
+                    mode="local", workers=workers, backend=backend, chunksize=chunksize,
+                    kernel_backend=kernel_backend, data_plane="auto" if plane == "inline" else "shm",
+                ))
+                assert _digest(report) == oracle, chunksize
+                assert report.dispatch.shm_segments == (plane == "shm")
+                # Chunks of two or more regions were planned as blocks
+                # (27 = 7 + 7 + 7 + 6; the policies end in one-region chunks).
+                if chunksize in (1, 7):
+                    assert _parts(report) == {Roadmap if chunksize == 1 else PRMSegment}
+                else:
+                    assert _parts(report) == {Roadmap, PRMSegment}, chunksize
+        finally:
+            sys.setswitchinterval(interval)
+        assert shm_mod.leaked_segments() == []
+
+    def test_a_planner_that_cannot_run_blocks_takes_the_loop(self):
+        cspace = self.WL.resolve_cspace()
+        kwargs = dict(seed=5, k=6, lp_resolution=0.25, narrow_passage_boost=0.0)
+        default = PRMRegionPlanner(cspace, 27, 6, **kwargs)
+        rids = default.region_ids
+        for other in (
+            PRMRegionPlanner(cspace, 27, 6, nn_factory=lambda dim: BruteForceNN(dim), **kwargs),
+            PRMRegionPlanner(cspace, 27, 6, sampler=GaussianSampler(sigma=0.5), **kwargs),
+        ):
+            assert not other.planner.runs_blocks
+            assert _RegionTask(other).run_block(rids) is None
+            pool = run_tasks_parallel(_RegionTask(other), rids, workers=2, chunksize=7)
+            assert {type(value[0]) for value in pool.results.values()} == {Roadmap}
+        blocks = run_tasks_parallel(_RegionTask(default), rids, workers=2, chunksize=7)
+        assert {type(value[0]) for value in blocks.results.values()} == {PRMSegment}
+
+    def test_rrt_regions_take_the_loop(self):
+        wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=20, seed=3)
+        loop, chunked = (
+            plan(wl, execution=ExecutionPolicy(mode="local", workers=2, chunksize=c))
+            for c in (1, 4)
+        )
+        assert _parts(chunked) == {Roadmap}
+        assert _digest(chunked)[:4] == _digest(loop)[:4]
 
 
 class TestPlanes:
