@@ -4,13 +4,19 @@ case: sampling-based planners scale to many degrees of freedom, and
 parallel decomposition makes the heavy runs tractable.
 
 We model a simplified "folding" problem as a point robot in a
-6-dimensional configuration space (three positional DOFs subdivided
-spatially, three abstract internal DOFs), cluttered with forbidden zones
-(steric clashes).  The study measures how load balancing behaves as the
-clutter — and hence the workload heterogeneity — grows.
+3-dimensional configuration space — the positional slice of a
+conformation space, subdivided spatially; no internal DOFs are modelled —
+cluttered with forbidden zones (steric clashes).  The study measures how
+load balancing behaves as the clutter — and hence the workload
+heterogeneity — grows.
 
-Run:  python examples/protein_folding_study.py
+Run:  python examples/protein_folding_study.py [--quick]
+
+``--quick`` shrinks the study to CI-smoke scale (one clutter level, 125
+regions; seconds, same code paths).
 """
+
+import sys
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from repro.geometry import AABB, Environment
 
 def make_conformation_space(blocked_fraction: float, seed: int = 0) -> Environment:
     """A 3-D workspace standing in for the positional slice of a
-    conformation space; internal DOFs are handled by the C-space below."""
+    conformation space."""
     rng = np.random.default_rng(seed)
     bounds = AABB(-10.0 * np.ones(3), 10.0 * np.ones(3))
     obstacles = []
@@ -41,20 +47,23 @@ def make_conformation_space(blocked_fraction: float, seed: int = 0) -> Environme
     return Environment(bounds, obstacles, name=f"conformation({blocked_fraction:.0%})")
 
 
-def main() -> None:
+def main(quick: bool = False) -> None:
+    levels = (0.06,) if quick else (0.03, 0.06, 0.10)
+    num_regions = 125 if quick else 1000
+    pe_counts = (8, 32) if quick else (64, 256)
     print("Protein-folding-style study: load balancing vs clutter level\n")
     header = ["clutter", "P", "no-LB", "repartition", "hybrid WS", "best speedup"]
     rows = []
     # Clashes are drawn without overlap inside the central 60 % of the
     # workspace, which packs to about 12 % of its volume: a higher target
     # never terminates.
-    for blocked in (0.03, 0.06, 0.10):
+    for blocked in levels:
         env = make_conformation_space(blocked)
         cspace = EuclideanCSpace(env)
         workload = build_prm_workload(
-            cspace, num_regions=1000, samples_per_region=6, seed=3
+            cspace, num_regions=num_regions, samples_per_region=6, seed=3
         )
-        for P in (64, 256):
+        for P in pe_counts:
             times = {}
             for strategy in ("none", "repartition", "hybrid"):
                 times[strategy] = simulate_prm(workload, P, strategy).total_time
@@ -70,12 +79,13 @@ def main() -> None:
                 ]
             )
     print(format_table(header, rows))
-    print(
-        "\nTakeaway: clutter raises the total work, and the better of the two "
-        "load balancers beats no-LB by 1.3-1.6x at every level — the paper's "
-        "motivation for studying larger proteins on more cores."
-    )
+    if not quick:  # the figures are the full study's
+        print(
+            "\nTakeaway: clutter raises the total work, and the better of the two "
+            "load balancers beats no-LB by 1.3-1.6x at every level — the paper's "
+            "motivation for studying larger proteins on more cores."
+        )
 
 
 if __name__ == "__main__":
-    main()
+    main(quick="--quick" in sys.argv[1:])

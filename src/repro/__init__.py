@@ -7,8 +7,8 @@ Planning Algorithms" (IPDPS 2014).
 Packages
 --------
 ``repro.kernels``
-    Pluggable compute-kernel backends (bit-exact ``reference``, float32
-    blocked ``fast32``, tree-culled ``bvh``) behind a registry; selected via
+    The collision kernels: one exact leaf (``reference``) under an
+    optional tree cull (``bvh``), bit-identical; selected via
     ``ExecutionPolicy(kernel_backend=...)``.
 ``repro.geometry``
     Workspace primitives, benchmark environments, vectorised collision.
@@ -68,7 +68,7 @@ from .obs import (
 from .runtime import Fault, FaultInjector, TaskFailedError
 from .service import PlanService, RoadmapCache, ServiceConfig
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "__version__",

@@ -152,8 +152,8 @@ class PlanReport:
         :class:`repro.planners.engine.QueryEngine`.  It is built once and
         cached, so repeated calls (and :meth:`solve_queries`) reuse the
         same snapshot and index, over a configuration space resolved the
-        way :func:`plan` resolved its own — a fast32 plan serves its
-        queries through fast32 collision kernels too.  For another
+        way :func:`plan` resolved its own — a ``bvh`` plan serves its
+        queries through the ``bvh`` collision kernels too.  For another
         attachment degree or finder construct
         ``QueryEngine(report.request.resolve_cspace(), report.roadmap, k=...)``.
         """
@@ -441,11 +441,7 @@ class _ShmRegionTask(_RegionTask):
 
 def _shm_plan_eligible(cspace: ConfigurationSpace) -> bool:
     """Whether this plan's context can round-trip through the shm plane."""
-    return (
-        type(cspace) is EuclideanCSpace
-        and getattr(cspace.env, "_kernel_backend_name", None) is not None
-        and _shm.shm_available()
-    )
+    return type(cspace) is EuclideanCSpace and _shm.shm_available()
 
 
 def _resolve_data_plane(ex: ExecutionPolicy, cspace: ConfigurationSpace) -> str:
@@ -456,8 +452,8 @@ def _resolve_data_plane(ex: ExecutionPolicy, cspace: ConfigurationSpace) -> str:
         return "inline"
     if plane == "shm" and not _shm_plan_eligible(cspace):
         raise ValueError(
-            "data_plane='shm' needs a EuclideanCSpace over a registry-named "
-            "kernel backend, with POSIX shared memory available"
+            "data_plane='shm' needs a EuclideanCSpace, with POSIX shared "
+            "memory available"
         )
     return plane
 
@@ -511,7 +507,7 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
             ctx = _ShmPlanContext(
                 manifest=manifest,
                 workload=replace(wl, environment=env.name),
-                kernel_backend=env._kernel_backend_name,
+                kernel_backend=env.kernel_backend.name,
             )
             task = _ShmRegionTask(ctx)
 

@@ -116,9 +116,6 @@ class RRTWorkload:
         its merged roadmap (lets ``plan()`` report either planner)."""
         return self.tree
 
-    def total_grow_work(self) -> float:
-        return sum(w.grow_cost for w in self.branch_work.values())
-
 
 @dataclass
 class RRTPhaseTimes:

@@ -48,10 +48,6 @@ class StraightLinePlanner:
             raise ValueError("resolution must be positive")
         self.resolution = resolution
 
-    def steps_for(self, cspace: ConfigurationSpace, a: np.ndarray, b: np.ndarray) -> int:
-        dist = float(cspace.distance(a, b))
-        return max(int(np.ceil(dist / self.resolution)) - 1, 0)
-
     def __call__(self, cspace: ConfigurationSpace, a: np.ndarray, b: np.ndarray) -> LocalPlanResult:
         dist = float(cspace.distance(a, b))
         n_steps = max(int(np.ceil(dist / self.resolution)) - 1, 0)

@@ -37,9 +37,9 @@ class ConfigurationSpace(ABC):
     #: Bounds of the configuration vector (an AABB in C-space coordinates).
     bounds: AABB
 
-    def set_kernel_backend(self, backend) -> None:
-        """Route this space's collision checks through a
-        :mod:`repro.kernels` backend (registry name or instance)."""
+    def set_kernel_backend(self, backend: str) -> None:
+        """Route this space's collision checks through the
+        :mod:`repro.kernels` backend of that name."""
         self.env.set_kernel_backend(backend)
 
     @property
@@ -112,12 +112,6 @@ class ConfigurationSpace(ABC):
     def valid_single(self, config: np.ndarray) -> bool:
         return bool(np.atleast_1d(self.valid(np.atleast_2d(config)))[0])
 
-    def position_of(self, configs: np.ndarray) -> np.ndarray:
-        """Extract the workspace-position slice of configurations."""
-        cfgs = np.atleast_2d(np.asarray(configs, dtype=float))
-        pos = cfgs[:, list(self.positional_dims)]
-        return pos[0] if np.asarray(configs).ndim == 1 else pos
-
 
 class EuclideanCSpace(ConfigurationSpace):
     """Point-robot configuration space: C-space coincides with the workspace.
@@ -137,7 +131,7 @@ class EuclideanCSpace(ConfigurationSpace):
                 env.bounds.expanded(-robot_radius),
                 [o.expanded(robot_radius) for o in env.obstacles],
                 name=env.name + f"+r{robot_radius:g}",
-                kernel_backend=env.kernel_backend,
+                kernel_backend=env.kernel_backend.name,
             )
             # Share the counter object so planner work is visible on the
             # original environment too.
@@ -151,7 +145,7 @@ class EuclideanCSpace(ConfigurationSpace):
     def positional_dims(self) -> "tuple[int, ...]":
         return tuple(range(self.bounds.dim))
 
-    def set_kernel_backend(self, backend) -> None:
+    def set_kernel_backend(self, backend: str) -> None:
         # The inflated check environment is a distinct object sharing only
         # the counters; both must dispatch to the same backend.
         self.env.set_kernel_backend(backend)

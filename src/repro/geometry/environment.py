@@ -17,9 +17,10 @@ structure-of-arrays :class:`~repro.kernels.data.EnvKernelData` (cached,
 invalidated on mutation) and dispatch to the environment's configured
 :class:`~repro.kernels.base.KernelBackend` — ``reference`` by default,
 which is bit-exact with the historical inline expressions.  The
-environment is the only owner of that choice; the per-call ``kernels=``
-on its query methods is for differential checks of one backend against
-another without mutating the default.
+environment is the only owner of that choice, always a
+:data:`repro.kernels.BACKENDS` name; the per-call ``kernels=`` on its
+query methods is for differential checks of one backend against the
+other without mutating the default.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ class Environment:
     name:
         Human-readable identifier used in benchmark output.
     kernel_backend:
-        Name (or instance) of the :mod:`repro.kernels` backend collision
-        queries dispatch to by default.  ``"reference"`` is bit-exact with
-        the pre-kernels inline expressions.
+        Name of the :mod:`repro.kernels` backend collision queries
+        dispatch to by default.  ``"reference"`` is bit-exact with the
+        pre-kernels inline expressions.
     """
 
     def __init__(
@@ -133,7 +134,6 @@ class Environment:
         self.name = name
         self.counters = CollisionCounters()
         self._kernels = get_backend(kernel_backend)
-        self._kernel_backend_name = kernel_backend if isinstance(kernel_backend, str) else None
         self._kernel_data: "EnvKernelData | None" = None
         self._rebuild_arrays()
 
@@ -174,9 +174,6 @@ class Environment:
         env.name = name
         env.counters = CollisionCounters()
         env._kernels = get_backend(kernel_backend)
-        env._kernel_backend_name = (
-            kernel_backend if isinstance(kernel_backend, str) else None
-        )
         env._kernel_data = None
         env._obs_lo = obs_lo
         env._obs_hi = obs_hi
@@ -216,10 +213,9 @@ class Environment:
         """The backend collision queries use when no override is given."""
         return self._kernels
 
-    def set_kernel_backend(self, backend) -> None:
-        """Set the default backend (a registry name or an instance)."""
+    def set_kernel_backend(self, backend: str) -> None:
+        """Set the default backend, by name."""
         self._kernels = get_backend(backend)
-        self._kernel_backend_name = backend if isinstance(backend, str) else None
 
     def kernel_data(self) -> EnvKernelData:
         """The cached SoA obstacle snapshot, rebuilt lazily after mutation.
@@ -311,8 +307,8 @@ class Environment:
         """Boolean mask: True where the point hits an obstacle or exits bounds.
 
         ``points`` has shape ``(n, d)`` or ``(d,)``.  ``kernels`` (a
-        registry name or backend instance) overrides the environment's
-        default backend for this call.
+        backend name) overrides the environment's default backend for
+        this call.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1

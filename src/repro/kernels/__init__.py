@@ -1,32 +1,26 @@
-"""repro.kernels — pluggable compute-kernel backends for the hot primitives.
+"""repro.kernels — one exact leaf under an optional cull.
 
-Collision checks (``Environment`` point / segment queries) and batched
-distance blocks (``BruteForceNN``) bottom out in the four primitives of
-:class:`~repro.kernels.base.KernelBackend`, dispatched through this
-registry:
+Collision checks (``Environment`` point / segment queries) bottom out in
+the reference expressions of :mod:`repro.kernels.reference`; what a
+backend name chooses is whether every obstacle is scanned or a tree
+narrows each query to a few candidates first:
 
-* ``reference`` — today's float64 NumPy expressions, bit-exact with the
+* ``reference`` — the float64 all-pairs NumPy scan, bit-exact with the
   historical inline code.  The default everywhere.
-* ``fast32`` — float32 blocked/tiled kernels over the structure-of-arrays
-  snapshot (:class:`~repro.kernels.data.EnvKernelData`); statistically
-  equivalent.
-* ``bvh`` — BVH-culled collision kernels for obstacle-heavy scenes
-  (10³–10⁵ boxes, see ``repro.geometry.scenarios``); *bit-exact*
-  with the reference (the tree culls, leaf tests are the reference
-  expressions), distance primitives delegate to ``reference``.
+* ``bvh`` — the same leaf tests behind a BVH cull, for obstacle-heavy
+  scenes (10³–10⁵ boxes, see ``repro.geometry.scenarios``).  The tree
+  only culls, so every verdict is *bit-exact* with ``reference``.
 
-The choice has one owner per primitive family.  The collision backend
-belongs to the :class:`~repro.geometry.environment.Environment`
-(constructor, ``from_arrays``, ``set_kernel_backend``); a request names
-it once, ``ExecutionPolicy(kernel_backend="bvh")``, and
+Both names are held to one parity tier: bit-exact.  The choice has one
+owner, the :class:`~repro.geometry.environment.Environment` (constructor,
+``from_arrays``, ``set_kernel_backend``); a request names it once,
+``ExecutionPolicy(kernel_backend="bvh")``, and
 :meth:`repro.spec.WorkloadSpec.resolve_cspace` hands it to the
-environment — no layer in between takes or forwards a backend.  The
-distance backend belongs to ``BruteForceNN(dim, kernels=...)``.  A
+environment — no layer in between takes or forwards a backend.  A
 per-call ``kernels=`` exists on the ``Environment`` query methods only,
-for differential checks of one backend against another.
-
-Adding a backend is ``register(name, factory)`` plus the four methods —
-see the recipe in DESIGN.md.
+for differential checks of one backend against the other.  A backend is
+always a name: :data:`BACKENDS` lists them, :func:`get_backend` resolves
+one.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from __future__ import annotations
 from .base import KernelBackend
 from .bvh_backend import BVHKernels
 from .data import EnvKernelData
-from .fast32 import Fast32Kernels
 from .reference import ReferenceKernels
 from .select import select_canonical, select_canonical_block, select_canonical_rows
 
@@ -42,12 +35,10 @@ __all__ = [
     "KernelBackend",
     "EnvKernelData",
     "ReferenceKernels",
-    "Fast32Kernels",
     "BVHKernels",
+    "BACKENDS",
     "DEFAULT_BACKEND",
-    "register",
     "get_backend",
-    "available_backends",
     "select_canonical",
     "select_canonical_block",
     "select_canonical_rows",
@@ -55,50 +46,24 @@ __all__ = [
 
 DEFAULT_BACKEND = "reference"
 
-#: name -> zero-arg factory.  Instantiation is deferred (and cached) so
-#: registering an expensive backend costs nothing until first use.
-_FACTORIES: "dict[str, type[KernelBackend] | object]" = {}
-_INSTANCES: "dict[str, KernelBackend]" = {}
+_INSTANCES: "dict[str, KernelBackend]" = {
+    "reference": ReferenceKernels(),
+    "bvh": BVHKernels(),
+}
+
+#: Every backend name, in the order error messages list them.
+BACKENDS = tuple(_INSTANCES)
 
 
-def register(name: str, factory) -> None:
-    """Register a backend factory (a ``KernelBackend`` subclass or any
-    zero-arg callable returning one) under ``name``.  Re-registering a
-    name replaces the factory and drops the cached instance."""
-    if not name or not isinstance(name, str):
-        raise ValueError("backend name must be a non-empty string")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
+def get_backend(name: "str | None" = None) -> KernelBackend:
+    """The backend called ``name`` (one shared instance per name).
 
-
-def available_backends() -> "list[str]":
-    """Registered backend names, sorted."""
-    return sorted(_FACTORIES)
-
-
-def get_backend(name: "str | KernelBackend | None" = None) -> KernelBackend:
-    """Resolve a backend by name (cached singleton per name).
-
-    ``None`` resolves to :data:`DEFAULT_BACKEND`; an already-constructed
-    :class:`KernelBackend` passes through unchanged, so call sites accept
-    either form.  Unknown names raise ``ValueError`` listing what is
-    registered.
+    ``None`` resolves to :data:`DEFAULT_BACKEND`; anything that is not
+    one of :data:`BACKENDS` — a backend instance included — raises
+    ``ValueError`` listing them.
     """
     if name is None:
         name = DEFAULT_BACKEND
-    if isinstance(name, KernelBackend):
-        return name
-    try:
-        inst = _INSTANCES.get(name)
-        if inst is None:
-            inst = _INSTANCES[name] = _FACTORIES[name]()
-        return inst
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: {available_backends()}"
-        ) from None
-
-
-register("reference", ReferenceKernels)
-register("fast32", Fast32Kernels)
-register("bvh", BVHKernels)
+    if not isinstance(name, str) or name not in _INSTANCES:
+        raise ValueError(f"unknown kernel backend {name!r}; available: {BACKENDS}")
+    return _INSTANCES[name]

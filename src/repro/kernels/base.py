@@ -1,7 +1,6 @@
-"""The narrow kernel interface every compute backend implements.
+"""The narrow kernel interface both collision backends implement.
 
-A backend supplies exactly four primitives — the hot inner loops every
-layer of the planner stack bottoms out in:
+A backend supplies four primitives:
 
 * :meth:`KernelBackend.points_free` — point-set collision masks,
 * :meth:`KernelBackend.segments_free` — batched exact segment tests,
@@ -10,21 +9,19 @@ layer of the planner stack bottoms out in:
 * :meth:`KernelBackend.knn_block_min` — top-k selection over a stored
   point block.
 
-Its two callers (``Environment`` for the collision pair, ``BruteForceNN``
-for the distance pair) are written against this interface, so adding a
-backend (CuPy, multi-node, ...) never touches planner logic.  Contracts:
+``Environment`` is written against the collision pair.  The distance
+pair has no caller in ``src/`` (``BruteForceNN`` and the batched RRT call
+:func:`repro.kernels.reference.pairwise_accumulate_exact` directly); it
+stays on both classes because the e2e harness wraps it by name, and goes
+with ROADMAP item 2(b).  Contracts:
 
 * Inputs are float64 arrays; obstacle data arrives as an
   :class:`~repro.kernels.data.EnvKernelData` snapshot.
-* Outputs are float64 / bool / int64 regardless of the backend's internal
-  compute dtype (``dtype`` advertises the latter).
-* The ``reference`` backend is bit-exact with the historical inline NumPy
-  expressions; fast backends guarantee *statistical* equivalence only —
-  identical verdicts away from decision boundaries, distances within
-  float32 rounding (see the equivalence gates in ``tests/test_kernels.py``).
-  The ``bvh`` backend is the exception among the accelerated backends: it
-  culls with a conservative tree but decides with the reference
-  expressions, so it is held to *bit-exact* gates (``tests/test_bvh.py``).
+* Outputs are float64 / bool / int64.
+* One parity tier: ``reference`` is bit-exact with the historical inline
+  NumPy expressions, and ``bvh`` culls with a conservative tree but
+  decides with the reference expressions, so it is bit-exact with
+  ``reference`` (``tests/test_bvh.py``).
 """
 
 from __future__ import annotations
@@ -41,10 +38,8 @@ __all__ = ["KernelBackend"]
 class KernelBackend(ABC):
     """Interchangeable implementation of the planner's hot primitives."""
 
-    #: Registry name (``"reference"``, ``"fast32"``, ``"bvh"``, ...).
+    #: One of :data:`repro.kernels.BACKENDS`.
     name: str = "abstract"
-    #: Internal compute dtype (outputs are always float64/bool/int64).
-    dtype = np.float64
 
     # -- collision ---------------------------------------------------------
     @abstractmethod

@@ -17,8 +17,7 @@ of pairs produce the same bits as over all of them, so a verdict can
 never differ from ``reference`` — which is why
 the differential battery in ``tests/test_bvh.py`` (up to the 20k-obstacle
 warehouse the ``prm_warehouse_process`` benchmark workload plans in)
-asserts exact equality where the fast32 gates settle for
-stability-guarded agreement.
+asserts exact equality.
 
 ``pairwise_accumulate`` and ``knn_block_min`` have no obstacle structure
 to accelerate; they delegate to the reference backend unchanged.
@@ -69,7 +68,6 @@ class BVHKernels(KernelBackend):
     """BVH-culled collision kernels; distance primitives are reference."""
 
     name = "bvh"
-    dtype = np.float64
 
     def __init__(self):
         self._ref = ReferenceKernels()

@@ -6,16 +6,15 @@ These are the *exact* expressions that previously lived inline in
 boundary introduces zero numerical drift.  Every bit-exact parity test in
 the suite (sequential-vs-batched PRM/RRT replay, canonical k-NN
 cross-checks) runs through this backend and must stay green with zero
-tolerance changes; fast backends are instead held to the statistical
-gates described in :mod:`repro.kernels.base`.
+tolerance changes.
 
 The box tests are written once, over the last axis (``point_in_box`` /
 ``segment_hits_box``): broadcast to ``(n, m, d)`` they are this backend's
 all-pairs scan (``points_hit_boxes`` / ``segments_hit_boxes``), over aligned
 ``(k, d)`` rows they are what the ``bvh`` backend's tree evaluates on the
 candidate pairs it narrows each query to.  One function, elementwise in
-both shapes — that is what makes the BVH backend bit-exact rather than
-merely statistically equivalent (see ``repro.kernels.bvh_backend``).
+both shapes — that is what makes the BVH backend bit-exact (see
+``repro.kernels.bvh_backend``).
 """
 
 from __future__ import annotations
@@ -122,7 +121,6 @@ class ReferenceKernels(KernelBackend):
     """Bit-exact float64 backend — the default everywhere."""
 
     name = "reference"
-    dtype = np.float64
 
     def points_free(self, data: EnvKernelData, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

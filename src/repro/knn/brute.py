@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import (
-    get_backend,
-    select_canonical,
-    select_canonical_block,
-    select_canonical_rows,
-)
+from ..kernels import select_canonical, select_canonical_block, select_canonical_rows
 from ..kernels.reference import pairwise_accumulate_exact
 from .base import NeighborFinder
 
@@ -28,18 +23,16 @@ _SEGMENT_ELEMENTS = 1 << 20
 class BruteForceNN(NeighborFinder):
     """Amortised-growth array of points; queries are one broadcast each.
 
-    ``kernels`` optionally selects the :mod:`repro.kernels` backend used
-    for the batched distance blocks; the default (``reference``) is
-    bit-exact with the historical inline accumulation.  The per-query
-    scalar paths stay float64 regardless of backend.
+    The batched distance blocks are
+    :func:`repro.kernels.reference.pairwise_accumulate_exact`, bit-exact
+    with the per-query scalar paths.
     """
 
-    def __init__(self, dim: int, kernels=None):
+    def __init__(self, dim: int):
         super().__init__()
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self._kernels = get_backend(kernels)
         self._points = np.empty((_INITIAL_CAPACITY, dim))
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._n = 0
@@ -79,9 +72,8 @@ class BruteForceNN(NeighborFinder):
         """Write ``||stored[j] - queries[i]||`` into ``out[i, j]`` using
         per-dimension 2-D accumulation (see :meth:`knn_block_growing`).
 
-        Static and always bit-exact float64 — the batched RRT calls it
-        directly for its frozen-tree distances.  Instance query paths go
-        through the configured kernel backend instead.
+        Static — the batched RRT calls it directly for its frozen-tree
+        distances.
         """
         pairwise_accumulate_exact(stored, queries, out)
 
@@ -158,10 +150,10 @@ class BruteForceNN(NeighborFinder):
             # Growing rows below r1 see no block column at or past r1.
             D = np.empty((m.size, r1 - r0, width0 + (r1 if growing else 0)))
             if width0:
-                self._kernels.pairwise_accumulate(stored, block[:, r0:r1], D[:, :, :width0])
+                pairwise_accumulate_exact(stored, block[:, r0:r1], D[:, :, :width0])
                 np.copyto(D[:, :, :width0], np.inf, where=hidden)
             if growing:
-                self._kernels.pairwise_accumulate(block[:, :r1], block[:, r0:r1], D[:, :, width0:])
+                pairwise_accumulate_exact(block[:, :r1], block[:, r0:r1], D[:, :, width0:])
                 np.copyto(D[:, :, width0:], np.inf, where=rows[:r1] >= rows[r0:r1, None])
             k_eff = min(kk, D.shape[2])
             order = select_canonical_block(D, k_eff)
@@ -203,7 +195,7 @@ class BruteForceNN(NeighborFinder):
         if m == 0 or self._n == 0 or kk == 0:
             return ids, dists
         D = np.empty((m, self._n))
-        self._kernels.pairwise_accumulate(self._points[: self._n], queries, D)
+        pairwise_accumulate_exact(self._points[: self._n], queries, D)
         self.stats.queries += m
         self.stats.distance_evals += m * self._n
         k_eff = min(kk, self._n)
@@ -273,9 +265,9 @@ class BruteForceNN(NeighborFinder):
         # (and to the per-query `knn` path) while never materialising the
         # 3-D temporary — about a third of the memory traffic on the
         # O(n²) floor of roadmap construction.
-        self._kernels.pairwise_accumulate(self._points[:n0], points, D[:, :n0])
+        pairwise_accumulate_exact(self._points[:n0], points, D[:, :n0])
         if m > 1:
-            self._kernels.pairwise_accumulate(points, points, D[:, n0:])
+            pairwise_accumulate_exact(points, points, D[:, n0:])
             # Mask self-distances and not-yet-visible later block points.
             D[:, n0:][np.arange(m)[None, :] >= np.arange(m)[:, None]] = np.inf
         else:

@@ -136,11 +136,6 @@ class TraceSummary:
             sum(self.batch_sizes) / len(self.batch_sizes) if self.batch_sizes else 0.0
         )
 
-    @property
-    def total_busy(self) -> float:
-        """Total busy time across all PEs."""
-        return sum(self.per_pe_busy.values())
-
     def stolen_fraction(self) -> float:
         """Fraction of executed tasks that were stolen (Fig. 9 headline)."""
         stolen = sum(self.per_pe_stolen_tasks.values())

@@ -44,10 +44,6 @@ class PartitionQuality:
         mu = self.loads.mean()
         return float(self.loads.std() / mu) if mu > 0 else 0.0
 
-    @property
-    def cut_fraction(self) -> float:
-        return self.edge_cut / self.total_edges if self.total_edges else 0.0
-
 
 def loads_of(graph: RegionGraph, assignment: "dict[int, int]", num_pes: int) -> np.ndarray:
     loads = np.zeros(num_pes)

@@ -195,11 +195,6 @@ class QueryEngine:
         self._sid = self.frozen.max_id + 1
         self._gid = self.frozen.max_id + 2
 
-    @property
-    def nn_stats(self):
-        """Accumulated :class:`~repro.knn.base.KnnStats` of the index."""
-        return self._nn.stats
-
     # -- batched preparation -------------------------------------------------
     def _validate_pairs(self, starts: np.ndarray, ends: np.ndarray):
         """(valid_mask, lengths) for candidate segments, bit-identical to

@@ -30,11 +30,6 @@ class PEStats:
     #: task attempts that ended in an injected failure on this PE.
     attempts_failed: int = 0
 
-    @property
-    def tasks_local_executed(self) -> int:
-        """Tasks this PE executed from its own queue (not stolen)."""
-        return self.tasks_executed - self.tasks_stolen_executed
-
 
 @dataclass
 class SimResult:
@@ -72,10 +67,6 @@ class SimResult:
         """Per-PE useful-work time, indexed by PE."""
         return np.array([s.work_time for s in self.pe_stats])
 
-    def finish_times(self) -> np.ndarray:
-        """Per-PE virtual finish time, indexed by PE."""
-        return np.array([s.finish_time for s in self.pe_stats])
-
     def tasks_per_pe(self) -> np.ndarray:
         """Per-PE executed-task counts, indexed by PE."""
         return np.array([s.tasks_executed for s in self.pe_stats])
@@ -87,10 +78,6 @@ class SimResult:
     def total_work(self) -> float:
         """Machine-wide useful work (sum of per-PE work times)."""
         return float(self.work_times().sum())
-
-    def ideal_makespan(self) -> float:
-        """Perfect balance bound: total work / P (ignores quantisation)."""
-        return self.total_work() / self.num_pes
 
     def efficiency(self) -> float:
         """Fraction of the machine's time spent doing useful work."""

@@ -76,7 +76,7 @@ def build_engine(spec: WorkloadSpec, kernel_backend: "str | None" = None) -> Que
     Bit-parity anchor: a direct ``RoadmapQuery.solve`` against
     ``plan(spec).roadmap`` and a served query through this engine return
     identical paths, because both start from the same roadmap bytes.
-    ``kernel_backend`` (a :mod:`repro.kernels` registry name — the
+    ``kernel_backend`` (a :mod:`repro.kernels` backend name — the
     service's ``ExecutionPolicy.kernel_backend``) configures the
     environment both the build and the engine's serving paths check
     collisions against.

@@ -211,14 +211,12 @@ class ExecutionPolicy:
     #: chunk) or ``"shm"`` (require shared memory, raise if ineligible).
     #: Results are bit-identical across planes; only transport differs.
     data_plane: str = "auto"
-    #: compute-kernel backend for the collision hot paths (a
-    #: :mod:`repro.kernels` registry name — ``"fast32"`` for float32
-    #: blocked compute, ``"bvh"`` for tree-culled queries on
-    #: obstacle-heavy scenes, bit-exact with reference), handed to the
-    #: environment by :meth:`WorkloadSpec.resolve_cspace`.  ``None`` keeps
-    #: whatever the environment is configured with — ``"reference"``
-    #: (bit-exact) unless explicitly changed, so the default is
-    #: reference everywhere.
+    #: collision backend, one of :data:`repro.kernels.BACKENDS` —
+    #: ``"bvh"`` culls with a tree on obstacle-heavy scenes, bit-exact
+    #: with ``"reference"`` — handed to the environment by
+    #: :meth:`WorkloadSpec.resolve_cspace`.  ``None`` keeps whatever the
+    #: environment is configured with: ``"reference"`` unless explicitly
+    #: changed, so the default is reference everywhere.
     kernel_backend: "str | None" = None
 
     def validate(self) -> None:
@@ -243,11 +241,11 @@ class ExecutionPolicy:
                 f"data_plane must be one of {_DATA_PLANES}, got {self.data_plane!r}"
             )
         if self.kernel_backend is not None:
-            from .kernels import available_backends
+            from .kernels import BACKENDS
 
-            if self.kernel_backend not in available_backends():
+            if self.kernel_backend not in BACKENDS:
                 raise ValueError(
-                    f"kernel_backend must be one of {available_backends()} "
+                    f"kernel_backend must be one of {BACKENDS} "
                     f"(or None), got {self.kernel_backend!r}"
                 )
 

@@ -97,9 +97,6 @@ class RegionGraph:
             raise ValueError("region weight must be non-negative")
         self.weights[rid] = float(weight)
 
-    def total_weight(self) -> float:
-        return float(sum(self.weights.values()))
-
     # -- assignment --------------------------------------------------------------
     def assign(self, rid: int, pe: int) -> None:
         if rid not in self._regions:
@@ -111,9 +108,6 @@ class RegionGraph:
         if missing:
             raise ValueError(f"assignment misses regions {sorted(missing)[:5]}...")
         self.assignment = dict(assignment)
-
-    def regions_of_pe(self, pe: int) -> "list[int]":
-        return sorted(r for r, p in self.assignment.items() if p == pe)
 
     def pe_loads(self, num_pes: int) -> np.ndarray:
         """Per-PE total region weight under the current assignment."""
@@ -127,11 +121,3 @@ class RegionGraph:
         if not self.assignment:
             return 0
         return sum(1 for a, b in self.edges() if self.assignment[a] != self.assignment[b])
-
-    def find_region_of(self, config: np.ndarray) -> int | None:
-        """Linear scan for the region containing ``config`` (test helper;
-        the subdividers provide O(1) locators)."""
-        for rid, region in self._regions.items():
-            if region.contains(config):
-                return rid
-        return None

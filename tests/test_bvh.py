@@ -1,8 +1,7 @@
 """Differential property battery for the BVH and the ``bvh`` backend.
 
 The ``bvh`` backend's contract is **bit-exact** equality with
-``reference`` — stronger than the stability-guarded statistical gates
-fast32 gets — because the tree only culls and the leaves run the
+``reference``, because the tree only culls and the leaves run the
 reference expressions verbatim.  Every test here asserts
 ``np.testing.assert_array_equal`` on verdicts, never a tolerance.
 
@@ -23,7 +22,7 @@ import pytest
 from repro.geometry import AABB, Environment
 from repro.geometry.bvh import BVH
 from repro.geometry.scenarios import shelf_warehouse
-from repro.kernels import EnvKernelData, available_backends, get_backend
+from repro.kernels import BACKENDS, EnvKernelData, get_backend
 from repro.kernels.bvh_backend import _CACHE_ATTR, BVHKernels
 from repro.kernels.reference import (
     point_in_box,
@@ -659,7 +658,7 @@ class TestInvalidation:
 
 class TestEndToEnd:
     def test_registered(self):
-        assert "bvh" in available_backends()
+        assert "bvh" in BACKENDS
         assert isinstance(get_backend("bvh"), BVHKernels)
 
     def test_execution_policy_accepts_bvh(self):

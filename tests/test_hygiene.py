@@ -1,7 +1,8 @@
 """Source-hygiene gates: keep known footgun patterns out of src/repro.
 
 Three patterns have bitten this codebase before and are cheap to ban
-mechanically:
+mechanically (a fourth gate, at the bottom, keeps the names the e2e
+harness wraps resolvable):
 
 * **Falsy-default assignment** — ``x = x or default()``.  Replaces every
   falsy-but-valid argument (``0``, ``""``, empty containers, and any
@@ -11,8 +12,8 @@ mechanically:
 * **Mutable default argument** — ``def f(x=[])``.  The default is
   evaluated once at definition time and shared across calls (ruff's
   B006; also enforced here so the gate holds even without ruff).
-* **Forwarded backend choice** — a ``kernels=`` parameter outside the
-  two leaf owners, or an ``nn_backend`` anywhere.  Nine modules once
+* **Forwarded backend choice** — a ``kernels=`` parameter outside its
+  one leaf owner, or an ``nn_backend`` anywhere.  Nine modules once
   forwarded the same name to each other; with one owner a measured
   ``auto`` selection is a one-place change.
 
@@ -21,11 +22,13 @@ false-positive and formatting can't false-negative.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 #: Call names that are safe as defaults (immutable / sentinel factories).
 _SAFE_DEFAULT_CALLS = {"frozenset", "tuple"}
@@ -119,18 +122,18 @@ def _parameter_names(tree: ast.AST):
                     yield stmt.lineno, node.name, stmt.target.id
 
 
-#: The two leaf owners of a per-call / per-instance kernel backend: the
-#: environment's query methods and the brute-force finder's distance blocks.
-_KERNELS_OWNERS = {"geometry/environment.py", "knn/brute.py"}
+#: The one leaf owner of a per-call kernel backend: the environment's
+#: query methods.
+_KERNELS_OWNER = "geometry/environment.py"
 
 
 @pytest.mark.parametrize("path", _python_sources(), ids=lambda p: str(p.relative_to(SRC)))
 def test_backend_choice_is_not_forwarded(path):
     """One owner per backend choice: nothing between a request and the
-    leaf owners takes a ``kernels`` parameter, and no ``nn_backend`` name
+    leaf owner takes a ``kernels`` parameter, and no ``nn_backend`` name
     travels anywhere (the finder is chosen where it is constructed)."""
     banned = {"nn_backend"}
-    if str(path.relative_to(SRC)) not in _KERNELS_OWNERS:
+    if str(path.relative_to(SRC)) != _KERNELS_OWNER:
         banned.add("kernels")
     offenders = [
         f"  line {ln}: {fn}({name}=...)"
@@ -164,3 +167,24 @@ def test_detector_catches_known_bad_code():
     )
     names = [name for _ln, _owner, name in _parameter_names(forwarding)]
     assert names == ["x", "kernels", "nn_backend"]
+
+
+def test_every_name_the_e2e_harness_wraps_still_resolves(monkeypatch):
+    """``benchmarks/e2e/layers.py`` pins public callables by name and its
+    own tests are not collected here, so ``Recorder.install``'s rule is
+    applied to every ``TARGETS`` entry: a module attribute resolves, a
+    class attribute sits in the class's own ``__dict__`` (an inherited
+    method cannot be wrapped per class)."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks" / "e2e"))
+    layers = importlib.import_module("layers")
+    resolve = importlib.import_module("spans").resolve
+    missing = []
+    for target in layers.TARGETS:
+        owner = resolve(target.owner)
+        if isinstance(owner, type):
+            found = target.attr in vars(owner)
+        else:
+            found = hasattr(owner, target.attr)
+        if not found:
+            missing.append(f"{target.owner}.{target.attr} ({target.span})")
+    assert not missing, "names pinned by benchmarks/e2e/layers.py are gone:\n" + "\n".join(missing)

@@ -321,10 +321,10 @@ class TestEnvironmentFromArrays:
 
     def test_set_kernel_backend_records_name(self):
         _, adopted = self._pair()
-        adopted.set_kernel_backend("fast32")
-        assert adopted._kernel_backend_name == "fast32"
-        adopted.set_kernel_backend(adopted.kernel_backend)  # instance: no name
-        assert adopted._kernel_backend_name is None
+        adopted.set_kernel_backend("bvh")
+        assert adopted.kernel_backend.name == "bvh"
+        with pytest.raises(ValueError):  # a backend is a name
+            adopted.set_kernel_backend(adopted.kernel_backend)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +365,26 @@ def _parts(report):
 
 
 class TestLocalParityMatrix:
-    """Backend, chunk policy, data plane, kernel backend and worker count
-    change how regions reach the planner, never what it plans: every cell
-    equals the serial one-region-at-a-time run."""
+    """Planner, backend, chunk policy, data plane, kernel backend and
+    worker count change how regions reach the planner, never what it
+    plans: every cell equals the serial one-region-at-a-time run."""
 
     WL = WorkloadSpec("mixed-30", "prm", num_regions=27, samples_per_region=6, seed=5)
-    CHUNKSIZES = (1, 7, "guided", "weighted")
+    RRT = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=20, seed=3)
+    #: the (workload, chunksize) rows every cell runs.
+    ROWS = ((WL, 1), (WL, 7), (WL, "guided"), (WL, "weighted"), (RRT, 1), (RRT, 4))
 
     @pytest.fixture(scope="class")
     def oracle(self):
-        report = plan(self.WL, execution=ExecutionPolicy(mode="local", workers=1))
-        assert _parts(report) == {Roadmap} and report.roadmap.num_edges > 200
-        return _digest(report)
+        """Per planner: vertices, configurations, ordered adjacency (in a
+        tree a vertex's first neighbour is its parent), ``PlannerStats``
+        and ``local_counters`` of the serial run."""
+        digests = {}
+        for wl in (self.WL, self.RRT):
+            report = plan(wl, execution=ExecutionPolicy(mode="local", workers=1))
+            assert _parts(report) == {Roadmap} and report.roadmap.num_edges > 150
+            digests[wl.planner] = _digest(report)
+        return digests
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kernel_backend", [None, "bvh"])
@@ -389,18 +397,28 @@ class TestLocalParityMatrix:
             monkeypatch.setattr(shm_mod, "shm_available", lambda: False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # thread workers share one planner
+        # "auto" must pick shm by itself on the process backend.
+        data_plane = "shm" if (plane, backend) == ("shm", "thread") else "auto"
         try:
-            for chunksize in self.CHUNKSIZES:
-                report = plan(self.WL, execution=ExecutionPolicy(
+            for wl, chunksize in self.ROWS:
+                report = plan(wl, execution=ExecutionPolicy(
                     mode="local", workers=workers, backend=backend, chunksize=chunksize,
-                    kernel_backend=kernel_backend, data_plane="auto" if plane == "inline" else "shm",
+                    kernel_backend=kernel_backend, data_plane=data_plane,
                 ))
-                assert _digest(report) == oracle, chunksize
-                assert report.dispatch.shm_segments == (plane == "shm")
-                # Chunks of two or more regions were planned as blocks
-                # (27 = 7 + 7 + 7 + 6; the policies end in one-region chunks).
-                if chunksize in (1, 7):
-                    assert _parts(report) == {Roadmap if chunksize == 1 else PRMSegment}
+                assert _digest(report) == oracle[wl.planner], (wl.planner, chunksize)
+                dispatch = report.dispatch
+                if plane == "shm":
+                    assert dispatch.shm_segments == 1 and dispatch.shm_bytes > 0
+                    assert dispatch.shm_attaches >= 1
+                else:
+                    assert (dispatch.shm_segments, dispatch.shm_attaches) == (0, 0)
+                # PRM chunks of two or more regions were planned as blocks
+                # (27 = 7 + 7 + 7 + 6; the policies end in one-region
+                # chunks); every RRT region takes the loop.
+                if chunksize == 1 or wl.planner == "rrt":
+                    assert _parts(report) == {Roadmap}
+                elif chunksize == 7:
+                    assert _parts(report) == {PRMSegment}
                 else:
                     assert _parts(report) == {Roadmap, PRMSegment}, chunksize
         finally:
@@ -423,33 +441,7 @@ class TestLocalParityMatrix:
         blocks = run_tasks_parallel(_RegionTask(default), rids, workers=2, chunksize=7)
         assert {type(value[0]) for value in blocks.results.values()} == {PRMSegment}
 
-    def test_rrt_regions_take_the_loop(self):
-        wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=20, seed=3)
-        loop, chunked = (
-            plan(wl, execution=ExecutionPolicy(mode="local", workers=2, chunksize=c))
-            for c in (1, 4)
-        )
-        assert _parts(chunked) == {Roadmap}
-        assert _digest(chunked)[:4] == _digest(loop)[:4]
-
-
 class TestPlanes:
-    def test_shm_plane_bit_identical_to_inline(self):
-        base = _small_plan(backend="thread")
-        shm = _small_plan(backend="process", data_plane="shm")
-        assert _roadmap_sig(base) == _roadmap_sig(shm)
-        assert base.planner_stats == shm.planner_stats
-        assert base.local_counters == shm.local_counters
-        assert shm.dispatch.shm_segments == 1
-        assert shm.dispatch.shm_bytes > 0
-        assert shm.dispatch.shm_attaches >= 1
-        assert shm_mod.leaked_segments() == []
-
-    def test_auto_plane_uses_shm_on_process_backend(self):
-        rep = _small_plan(backend="process")
-        assert rep.dispatch.shm_segments == 1
-        assert shm_mod.leaked_segments() == []
-
     def test_explicit_shm_on_ineligible_cspace_raises(self, monkeypatch):
         monkeypatch.setattr(shm_mod, "shm_available", lambda: False)
         with pytest.raises(ValueError):

@@ -203,11 +203,15 @@ class TestKernelBackendPolicy:
         ex.validate()  # None is always valid
 
     def test_known_backends_validate(self):
-        from repro.kernels import available_backends
+        from repro.kernels import BACKENDS
 
-        for name in available_backends():
+        for name in BACKENDS:
             ExecutionPolicy(kernel_backend=name).validate()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
-            ExecutionPolicy(kernel_backend="fortran77").validate()
+        from repro.kernels import get_backend
+
+        # An unknown name and a backend instance alike: a backend is one of two names.
+        for bad in ("fortran77", get_backend("bvh")):
+            with pytest.raises(ValueError, match=r"kernel_backend .*\('reference', 'bvh'\)"):
+                ExecutionPolicy(kernel_backend=bad).validate()
