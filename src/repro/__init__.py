@@ -68,7 +68,7 @@ from .obs import (
 from .runtime import Fault, FaultInjector, TaskFailedError
 from .service import PlanService, RoadmapCache, ServiceConfig
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "__version__",

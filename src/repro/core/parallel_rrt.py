@@ -204,19 +204,22 @@ def default_root(cspace: ConfigurationSpace, seed: int) -> np.ndarray:
 class _LiftedCone:
     """A cone as a sampling domain of configuration space: positional
     dims from the cone, any other dim uniform from the bounds (the lift
-    the bias target gets).  One uniform per configuration dim, so a block
-    draw consumes the generator exactly as that many single draws do."""
+    the bias target gets).  An elementwise map of the unit cube, one
+    uniform per configuration dim, so a block draw consumes the generator
+    exactly as that many single draws do."""
 
     def __init__(self, region: ConeRegion, bounds: AABB, dims: "list[int]"):
-        self.region, self.dims = region, dims
-        self.lo, self.span = bounds.lo, bounds.hi - bounds.lo
+        self.region, self.bounds, self.dims = region, bounds, dims
 
-    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        dim = self.lo.shape[0]
-        u = rng.random(dim) if n is None else rng.random((n, dim))
-        out = self.lo + self.span * u
+    def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        out = self.bounds.from_unit_cube(u)
         out[..., self.dims] = self.region.from_unit_cube(u[..., self.dims])
         return out
+
+    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+        dim = self.bounds.dim
+        return self.from_unit_cube(rng.random(dim if n is None else (n, dim)))
 
 
 class RRTRegionPlanner:

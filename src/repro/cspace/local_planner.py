@@ -36,9 +36,9 @@ class StraightLinePlanner:
 
     Validity is whatever ``cspace.valid`` answers, on whichever
     :mod:`repro.kernels` backend the space's environment is configured
-    with.  Step counts and interpolation are float64 regardless, so a
-    fast backend changes verdicts only within its documented statistical
-    tolerance, never the check budget.
+    with.  Both backends are bit-exact, and step counts and interpolation
+    are float64 either way, so the backend changes neither a verdict nor
+    the check budget.
     """
 
     name = "straight-line"

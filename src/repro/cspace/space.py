@@ -57,14 +57,26 @@ class ConfigurationSpace(ABC):
         """
 
     # -- sampling -----------------------------------------------------------
-    def sample(self, rng: np.random.Generator, n: int | None = None, within=None) -> np.ndarray:
+    def sample(
+        self, rng: np.random.Generator, n: int | None = None, within=None, *, unit=None
+    ) -> np.ndarray:
         """Uniform samples from the (sub-)space ``within`` (default: bounds).
 
-        ``within`` is any domain with :meth:`AABB.sample`'s signature —
-        ``sample(rng, n)`` returning ``(dim,)`` or ``(n, dim)``
-        configurations — such as a box region or a lifted cone.
+        ``within`` is a domain that is an elementwise map of the unit cube,
+        like :class:`AABB` or a lifted cone: ``from_unit_cube(u)`` maps
+        ``(dim,)`` or ``(n, dim)`` uniforms to configurations row by row,
+        and ``sample(rng, n)`` is ``from_unit_cube`` of ``dim`` (or
+        ``(n, dim)``) ``rng.random`` doubles — so a block of ``n`` draws
+        consumes the generator exactly as ``n`` single draws do.
+
+        ``unit``, if given, is rows of uniforms the caller already drew
+        from ``rng``: they are mapped through the domain and ``rng`` and
+        ``n`` are not touched — how a caller that interleaves other draws
+        with its samples maps a whole block in one call.
         """
         region = within if within is not None else self.bounds
+        if unit is not None:
+            return region.from_unit_cube(unit)
         return region.sample(rng, n)
 
     # -- metric ---------------------------------------------------------------

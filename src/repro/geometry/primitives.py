@@ -108,11 +108,17 @@ class AABB:
             hi = np.where(bad, mid, hi)
         return AABB(lo, hi)
 
+    def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
+        """Map points of the unit ``d``-cube onto the box, elementwise:
+        ``lo + (hi - lo) * u`` — the arithmetic of ``rng.uniform(lo, hi)``,
+        so a mapped ``rng.random`` row equals a ``uniform`` draw bit for
+        bit.  ``u`` is ``(d,)`` or ``(n, d)``."""
+        return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)
+
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        """Draw uniform samples from the box interior."""
-        if n is None:
-            return rng.uniform(self.lo, self.hi)
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+        """Draw uniform samples from the box interior: ``(d,)`` for
+        ``n=None``, else ``(n, d)``, one uniform per coordinate."""
+        return self.from_unit_cube(rng.random(self.dim if n is None else (n, self.dim)))
 
     # -- segment queries --------------------------------------------------
     def segment_intersects(self, p: np.ndarray, q: np.ndarray) -> bool:

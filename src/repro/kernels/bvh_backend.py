@@ -11,10 +11,11 @@ whole batch goes down the tree together, one level per NumPy pass.
 only *culls*: node tests are conservative (inflated float64 boxes), and
 every surviving ``(query, primitive)`` pair is decided by the reference
 backend's own expressions (:func:`repro.kernels.reference.point_in_box` /
-``segment_hits_box`` — the very functions its all-pairs scan broadcasts)
-applied to the aligned rows.  Elementwise NumPy expressions over a subset
-of pairs produce the same bits as over all of them, so a verdict can
-never differ from ``reference`` — which is why
+``segment_hits_box`` — the same comparisons and slab arithmetic its
+all-pairs scans evaluate) applied to the aligned rows.  Elementwise NumPy
+expressions over a subset of pairs, in any layout, produce the same bits
+as over all of them, so a verdict can never differ from ``reference`` —
+which is why
 the differential battery in ``tests/test_bvh.py`` (up to the 20k-obstacle
 warehouse the ``prm_warehouse_process`` benchmark workload plans in)
 asserts exact equality.

@@ -8,13 +8,16 @@ the suite (sequential-vs-batched PRM/RRT replay, canonical k-NN
 cross-checks) runs through this backend and must stay green with zero
 tolerance changes.
 
-The box tests are written once, over the last axis (``point_in_box`` /
-``segment_hits_box``): broadcast to ``(n, m, d)`` they are this backend's
-all-pairs scan (``points_hit_boxes`` / ``segments_hit_boxes``), over aligned
-``(k, d)`` rows they are what the ``bvh`` backend's tree evaluates on the
-candidate pairs it narrows each query to.  One function, elementwise in
-both shapes — that is what makes the BVH backend bit-exact (see
-``repro.kernels.bvh_backend``).
+The box tests are written over the last axis (``point_in_box`` /
+``segment_hits_box``): over aligned ``(k, d)`` rows they are what the
+``bvh`` backend's tree evaluates on the candidate pairs it narrows each
+query to; broadcast to ``(n, m, d)`` the slab test is this backend's
+all-pairs segment scan (``segments_hit_boxes``).  The all-pairs point scan
+(``points_hit_boxes``) applies ``point_in_box``'s two comparisons one axis
+at a time as ``(n, m)`` planes instead.  Scan and tree share operators,
+not a function, and stay bit-exact because a float comparison has no
+layout: each ``(point, box, axis)`` entry is the same ``>=`` / ``<=``
+whichever array holds it (see ``repro.kernels.bvh_backend``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
 ]
 
 
-#: ``points x boxes x d`` elements one all-pairs point scan may broadcast.
+#: ``points x boxes`` plane elements one all-pairs point scan may hold.
 _SCAN_ELEMENTS = 1 << 16
 
 
@@ -79,8 +82,23 @@ def point_in_box(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def points_hit_boxes(box_lo: np.ndarray, box_hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``(n,)`` bool: point ``i`` is inside some of the ``m`` boxes."""
-    return point_in_box(box_lo[None, :, :], box_hi[None, :, :], pts[:, None, :]).any(axis=1)
+    """``(n,)`` bool: point ``i`` is inside some of the ``m`` boxes.
+
+    :func:`point_in_box`'s two comparisons, evaluated one axis at a time as
+    ``(n, m)`` planes and AND-ed together — never the ``(n, m, d)``
+    temporary.  Each plane entry is the same float comparison, so the
+    verdict is the same whatever the layout.
+    """
+    inside = np.empty((pts.shape[0], box_lo.shape[0]), dtype=bool)
+    plane = np.empty_like(inside)
+    for j in range(pts.shape[1]):
+        col = pts[:, j, None]
+        np.greater_equal(col, box_lo[:, j], out=plane if j else inside)
+        if j:
+            inside &= plane
+        np.less_equal(col, box_hi[:, j], out=plane)
+        inside &= plane
+    return inside.any(axis=1)
 
 
 def segment_hits_box(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -126,11 +144,11 @@ class ReferenceKernels(KernelBackend):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         free = np.all((pts >= data.bounds_lo) & (pts <= data.bounds_hi), axis=-1)
         if data.num_boxes:
-            # The all-pairs scan broadcasts (points, boxes, d); a caller that
-            # batches many regions' points would otherwise push that
-            # temporary out of cache (and memory).  Verdicts are elementwise,
-            # so slicing the points changes none.
-            step = max(1, _SCAN_ELEMENTS // (data.num_boxes * pts.shape[1]))
+            # The all-pairs scan holds (points, boxes) planes; a caller that
+            # batches many regions' points would otherwise push them out of
+            # cache (and memory).  Verdicts are elementwise, so slicing the
+            # points changes none.
+            step = max(1, _SCAN_ELEMENTS // data.num_boxes)
             for lo in range(0, pts.shape[0], step):
                 free[lo : lo + step] &= ~points_hit_boxes(
                     data.box_lo, data.box_hi, pts[lo : lo + step]

@@ -21,9 +21,14 @@ mirroring the predict-validate-replay strategy of
 :class:`repro.planners.prm.PRM`:
 
 1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
-   oracle's RNG call sequence call-for-call (one ``random()`` per bias
-   gate, one ``cspace.sample(within=...)`` otherwise), so every sample is
-   bit-identical to what the sequential loop would draw.
+   oracle's stream double for double: the oracle takes one ``random()``
+   per bias gate it reaches and ``dim`` uniforms per ``cspace.sample``
+   draw, so one ``rng.random`` call covers the block, the gates are
+   walked over its values, and every uniform row is mapped through the
+   domain in one ``cspace.sample(within=..., unit=...)`` call.  The
+   generator is then rewound and advanced by exactly the doubles the
+   oracle would have consumed, so every sample — and the generator's end
+   state — is bit-identical to the sequential loop's.
 2. **Batch the nearest-neighbour work**: distances from all block samples
    to the frozen tree are one broadcast; nodes accepted *inside* the
    block contribute one incremental distance column each, so the nearest
@@ -171,11 +176,11 @@ class RRT:
 
         ``within`` is the domain the unbiased ``q_rand`` draws come from:
         anything ``cspace.sample(rng, n, within=...)`` accepts, i.e. an
-        object whose ``sample(rng, n)`` returns configurations and whose
-        block draw consumes ``rng`` exactly as ``n`` single draws do (an
-        ``AABB``, a lifted ``ConeRegion``); None draws from the whole
-        space.  It narrows the *proposal* only — ``region_predicate``
-        still decides what may join the tree.
+        elementwise map of the unit cube (``from_unit_cube``) whose
+        ``sample`` maps ``dim`` uniforms per draw (an ``AABB``, a lifted
+        ``ConeRegion``); None draws from the whole space.  It narrows the
+        *proposal* only — ``region_predicate`` still decides what may
+        join the tree.
         ``region_predicate`` restricts accepted nodes to a region (the
         radial subdivision cones); ``bias_target`` is the configuration
         toward which ``goal_bias`` of the samples are drawn.  When ``goal``
@@ -360,37 +365,57 @@ class RRT:
         alive = True
         block = _BLOCK_MIN
 
-        def draw(m: int, first: int) -> "tuple[np.ndarray, list[object]]":
-            """The oracle's next ``m`` ``q_rand`` draws, RNG call for call,
-            with a cache key per draw (uniform draws are globally unique:
-            ``first`` is the iteration index of the first one)."""
-            if bias_cfg is None and goal_cfg is None:
-                # No bias gates: the oracle consumes exactly m uniform
-                # draws, which one bulk call replays bit-for-bit (the
-                # generator fills row-major with the same per-element
-                # arithmetic as m scalar draws).
-                drawn = np.atleast_2d(np.asarray(cspace.sample(rng, m, within=within), dtype=float))
-                return drawn, list(range(first, first + m))
+        # The oracle's gates in the order it tests them, with the cache key
+        # of the draw each one sends to its target.
+        gates = [(cfg, key) for cfg, key in ((bias_cfg, "bias"), (goal_cfg, "goal"))
+                 if cfg is not None]
+        width = dim + len(gates)  # doubles one oracle iteration may consume
+
+        def draw(m: int, first: int) -> "tuple[np.ndarray, list[object], list[int]]":
+            """The oracle's next ``m`` ``q_rand`` draws, with a cache key
+            per draw (uniform draws are globally unique: ``first`` is the
+            iteration index of the first one) and the generator position
+            (doubles drawn since the call) after each draw.
+
+            The oracle draws one double per bias gate it reaches and ``dim``
+            for a uniform sample, all from one stream: one ``rng.random``
+            call covers the block's worst case, the gates are walked over
+            its values as Python floats, and every uniform row is mapped in
+            one ``cspace.sample(unit=...)`` call.  The caller rewinds the
+            generator to the position the oracle would stop at."""
+            raw = rng.random(m * width)
+            vals = raw.tolist()
+            gb = self.goal_bias
             drawn = np.empty((m, dim))
             keys: "list[object]" = [None] * m
+            ends = [0] * m
+            uniform: "list[int]" = []  # block rows that draw a uniform sample
+            starts: "list[int]" = []  # where each one's doubles start in raw
+            pos = 0
             for b in range(m):
-                if bias_cfg is not None and rng.random() < self.goal_bias:
-                    drawn[b] = bias_cfg
-                    keys[b] = "bias"
-                elif goal_cfg is not None and rng.random() < self.goal_bias:
-                    drawn[b] = goal_cfg
-                    keys[b] = "goal"
+                for cfg, key in gates:
+                    pos += 1
+                    if vals[pos - 1] < gb:
+                        drawn[b] = cfg
+                        keys[b] = key
+                        break
                 else:
-                    drawn[b] = cspace.sample(rng, within=within)
+                    uniform.append(b)
+                    starts.append(pos)
                     keys[b] = first + b
-            return drawn, keys
+                    pos += dim
+                ends[b] = pos
+            if uniform:
+                rows = np.array(starts)[:, None] + np.arange(dim)
+                drawn[uniform] = cspace.sample(rng, within=within, unit=raw[rows])
+            return drawn, keys, ends
 
         while alive and it < max_iterations and added < n_nodes and goal_reached is None:
             B = min(block, max_iterations - it)
             missed = False
             # -- 1. replay the sampling RNG exactly -----------------------
             rng_state = rng.bit_generator.state
-            samples, skey = draw(B, it)
+            samples, skey, ends = draw(B, it)
             it += B
             consumed = B  # draws the oracle makes before it stops
             # -- 2. frozen-tree distances: one broadcast ----------------
@@ -560,11 +585,13 @@ class RRT:
                         goal_reached = vid
                 pending = pending[done:]
             block = max(_BLOCK_MIN, block // 2) if missed else min(_BLOCK, 2 * block)
-            if consumed < B:
-                # Early exit inside the block: rewind and re-draw only
-                # what the oracle consumed before it stopped.
+            used = ends[consumed - 1] if consumed else 0
+            if used < B * width:
+                # The block's draw took doubles the oracle never reaches —
+                # gates that fired, or iterations after an early exit:
+                # rewind and advance by exactly the ones it consumed.
                 rng.bit_generator.state = rng_state
-                draw(consumed, it - B)
+                rng.random(used)
 
         if counters is not None and spec_points:
             # Exact rescale of the speculative charge to the replayed one.

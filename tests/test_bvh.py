@@ -657,7 +657,7 @@ class TestInvalidation:
 
 
 class TestEndToEnd:
-    def test_registered(self):
+    def test_bvh_is_a_named_backend(self):
         assert "bvh" in BACKENDS
         assert isinstance(get_backend("bvh"), BVHKernels)
 

@@ -188,6 +188,77 @@ def test_dist_block_static_delegate_is_exact():
     np.testing.assert_array_equal(out, np.sqrt(acc))
 
 
+# -- the plane scan vs the historical broadcast --------------------------------
+
+
+def _historical_points_hit(lo, hi, pts, chunk=256):
+    """The all-pairs point scan as it was written before it went to
+    per-axis planes: one ``(points, boxes, d)`` broadcast."""
+    return np.concatenate([
+        ((p[:, None, :] >= lo) & (p[:, None, :] <= hi)).all(-1).any(1)
+        for p in (pts[i:i + chunk] for i in range(0, max(len(pts), 1), chunk))
+    ])
+
+
+def _adversarial_world(seed, n, m, d):
+    """Boxes with zero-volume axes, ±0.0 faces and infinite slabs; points
+    on faces, edges and corners of those boxes, with ±0.0, ±inf and NaN
+    coordinates mixed in."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-5.0, 5.0, (m, d))
+    hi = lo + rng.uniform(0.0, 3.0, (m, d))
+    flat = rng.random((m, d)) < 0.15
+    hi[flat] = lo[flat]
+    zero = rng.random((m, d)) < 0.05
+    lo[zero], hi[zero] = -0.0, 0.0
+    lo[rng.random((m, d)) < 0.03] = -np.inf
+    hi[rng.random((m, d)) < 0.03] = np.inf
+    owner = rng.integers(0, m, n)
+    olo, ohi = lo[owner], hi[owner]
+    finite_lo = np.where(np.isfinite(olo), olo, -7.0)
+    finite_hi = np.where(np.isfinite(ohi), ohi, 7.0)
+    pick = rng.integers(0, 5, (n, d))
+    special = rng.choice(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), (n, d))
+    pts = np.select(
+        [pick == 0, pick == 1, pick == 2, pick == 3],
+        [olo, ohi, finite_lo + rng.random((n, d)) * (finite_hi - finite_lo),
+         rng.uniform(-9.0, 9.0, (n, d))],
+        special,
+    )
+    return lo, hi, pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 125, 1024])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 4096])
+def test_plane_scan_equals_historical_broadcast(n, m, d):
+    from repro.kernels.reference import points_hit_boxes
+
+    lo, hi, pts = _adversarial_world(n * 7919 + m * 31 + d, n, m, d)
+    got = points_hit_boxes(lo, hi, pts)
+    expected = _historical_points_hit(lo, hi, pts)
+    assert got.dtype == bool and got.shape == (n,)
+    np.testing.assert_array_equal(got, expected)
+    if n >= 64:
+        assert expected.any() and not expected.all()
+
+
+@pytest.mark.parametrize("m", [1, 125])
+def test_points_free_straddling_the_scan_step(m):
+    """A batch one slice and a bit long: the sliced plane scan answers
+    every point as the historical unsliced expression does."""
+    from repro.kernels.data import EnvKernelData
+    from repro.kernels.reference import _SCAN_ELEMENTS, ReferenceKernels
+
+    step = _SCAN_ELEMENTS // m
+    lo, hi, pts = _adversarial_world(m, 2 * step + 3, m, 3)
+    data = EnvKernelData(np.full(3, -6.0), np.full(3, 6.0), lo, hi)
+    in_bounds = ((pts >= data.bounds_lo) & (pts <= data.bounds_hi)).all(-1)
+    expected = in_bounds & ~_historical_points_hit(lo, hi, pts)
+    np.testing.assert_array_equal(ReferenceKernels().points_free(data, pts), expected)
+    assert expected.any() and not expected.all()
+
+
 # -- Environment / cspace dispatch ------------------------------------------
 
 

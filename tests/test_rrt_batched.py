@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 from repro.core.parallel_rrt import build_rrt_workload, simulate_rrt
 from repro.cspace.local_planner import StraightLinePlanner
-from repro.cspace.space import EuclideanCSpace
+from repro.cspace.space import ConfigurationSpace, EuclideanCSpace
 from repro.geometry.environment import Environment
 from repro.geometry.environments import med_cube, mixed_30_env
 from repro.geometry.primitives import AABB
@@ -248,6 +248,97 @@ class TestConsecutiveCalls:
 
 class TestConsecutiveCallsInCone(TestConsecutiveCalls):
     domain = staticmethod(_corner_cone)
+
+
+class TestBlockDraw:
+    """The batched path draws a block's doubles in one ``rng.random`` call,
+    walks the bias gates over them and maps every uniform row in one
+    ``cspace.sample(unit=...)`` call; the generator is then rewound to
+    where the oracle stops.  Every gate combination, both extremes of
+    ``goal_bias``, the iteration cap and the goal exit mid-block."""
+
+    GATES = {
+        "bias": {"bias_target": np.array([4.0, 4.0])},
+        "goal": {"goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
+        "bias+goal": {"bias_target": np.array([4.0, 4.0]),
+                      "goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
+    }
+
+    @staticmethod
+    def _counted_grow(monkeypatch, batched, goal_bias, within, grow_kwargs, seed=3):
+        calls = []
+        sample = ConfigurationSpace.sample
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("unit") is not None)
+            return sample(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConfigurationSpace, "sample", counting)
+        cspace = _fresh_cspace()
+        rng = np.random.default_rng(seed)
+        result = RRT(cspace, step_size=0.5, goal_bias=goal_bias, batched=batched).grow(
+            np.array([-4.0, -4.0]), 60, rng, within=within, **grow_kwargs
+        )
+        monkeypatch.setattr(ConfigurationSpace, "sample", sample)
+        return _observe(result, cspace.env, rng), calls
+
+    @pytest.mark.parametrize("within", [None, _corner_cone(2)], ids=["space", "cone"])
+    @pytest.mark.parametrize("cap", [None, 37], ids=["budget", "cap37"])
+    @pytest.mark.parametrize("gates", list(GATES))
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.2, 1.0])
+    def test_gates_replay_the_oracle(self, monkeypatch, goal_bias, gates, cap, within):
+        kwargs = dict(self.GATES[gates], max_iterations=cap)
+        seq, seq_calls = self._counted_grow(monkeypatch, False, goal_bias, within, kwargs)
+        bat, bat_calls = self._counted_grow(monkeypatch, True, goal_bias, within, kwargs)
+        _assert_same(seq, bat)
+        assert all(bat_calls) and not any(seq_calls)  # every batched call maps rows
+        if goal_bias == 1.0:
+            # The first gate always fires: no block has a uniform row, so
+            # none makes a mapping call.
+            assert bat_calls == [] and seq_calls == []
+        elif goal_bias == 0.0:
+            assert len(seq_calls) == seq[0]["nn_queries"]  # every draw uniform
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_goal_exit_mid_block_in_the_cone(self, monkeypatch, seed):
+        """A goal exit inside a block rewinds to the exact double the
+        oracle stopped at, with the gates in play."""
+        kwargs = dict(self.GATES["bias+goal"], goal=np.array([-2.0, -3.0]), goal_tolerance=0.7)
+        seq, _ = self._counted_grow(monkeypatch, False, 0.2, _corner_cone(2), kwargs, seed)
+        bat, _ = self._counted_grow(monkeypatch, True, 0.2, _corner_cone(2), kwargs, seed)
+        _assert_same(seq, bat)
+        assert seq[0]["samples_accepted"] < 60  # it did stop on the goal
+
+
+class TestOneProposalCallPerBlock:
+    """Perf guard, counts not seconds: on the benchmark's pinned mixed-30
+    8 x 400 problem the batched ``grow`` maps each block's uniform rows in
+    one ``cspace.sample`` call — not one call per draw."""
+
+    def test_one_sample_call_per_block(self, monkeypatch):
+        from repro import ExecutionPolicy, WorkloadSpec, plan
+        from repro.knn.brute import BruteForceNN
+
+        calls = {"sample": 0, "blocks": 0}
+        sample, dist_block = ConfigurationSpace.sample, BruteForceNN._dist_block
+
+        def counting_sample(self, *args, **kwargs):
+            calls["sample"] += 1
+            return sample(self, *args, **kwargs)
+
+        def counting_blocks(*args):
+            calls["blocks"] += 1  # one frozen-tree broadcast per block
+            return dist_block(*args)
+
+        monkeypatch.setattr(ConfigurationSpace, "sample", counting_sample)
+        monkeypatch.setattr(BruteForceNN, "_dist_block", staticmethod(counting_blocks))
+        wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=400, seed=1)
+        stats = plan(wl, ExecutionPolicy(mode="local", workers=1)).local_stats
+        assert stats.samples_accepted == 8 * 400
+        # At most one per block (a block whose gates all fired makes none);
+        # one call per draw would be more than ten times this.
+        assert 0 < calls["sample"] <= calls["blocks"]
+        assert 10 * calls["sample"] < stats.nn_queries
 
 
 class TestEdgeCases:
