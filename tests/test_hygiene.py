@@ -1,8 +1,8 @@
 """Source-hygiene gates: keep known footgun patterns out of src/repro.
 
 Three patterns have bitten this codebase before and are cheap to ban
-mechanically (a fourth gate, at the bottom, keeps the names the e2e
-harness wraps resolvable):
+mechanically (two more gates, at the bottom, keep the tests off the
+roadmap's storage and the names the e2e harness wraps resolvable):
 
 * **Falsy-default assignment** — ``x = x or default()``.  Replaces every
   falsy-but-valid argument (``0``, ``""``, empty containers, and any
@@ -167,6 +167,33 @@ def test_detector_catches_known_bad_code():
     )
     names = [name for _ln, _owner, name in _parameter_names(forwarding)]
     assert names == ["x", "kernels", "nn_backend"]
+
+    peeking = ast.parse("rm._adj.items(); rm._uf._key; n = rm.num_edges\n")
+    assert sorted(attr for _ln, attr in _storage_reads(peeking)) == ["_adj", "_uf"]
+
+
+#: How a ``Roadmap`` stores its graph; only ``tests/oracle.py`` may know.
+_ROADMAP_STORAGE = {"_adj", "_index", "_next_id", "_uf"}
+
+
+def _storage_reads(tree: ast.AST):
+    """Yield (lineno, attribute) for every read of a roadmap storage field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ROADMAP_STORAGE:
+            yield node.lineno, node.attr
+
+
+def test_only_the_oracle_reads_roadmap_storage():
+    """The representation boundary: one digest (``tests/oracle.py``) knows
+    how a ``Roadmap`` stores its graph, so changing the storage edits that
+    digest, not every battery."""
+    offenders = [
+        f"  tests/{path.name}:{ln}: .{attr}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if path.name != "oracle.py"
+        for ln, attr in _storage_reads(ast.parse(path.read_text()))
+    ]
+    assert not offenders, "Roadmap storage read outside tests/oracle.py:\n" + "\n".join(offenders)
 
 
 def test_every_name_the_e2e_harness_wraps_still_resolves(monkeypatch):

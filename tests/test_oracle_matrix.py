@@ -1,0 +1,193 @@
+"""The oracle matrix: every fast path against the loop it replaces.
+
+A row is one {planner} x {path} x {domain} fast path; a column is the
+collision cull, ``reference`` or ``bvh``.  Each cell runs the row's fast
+path (``True``) under its cull and the row's oracle (``False``) on the
+reference scan, from identical fresh state, and compares
+:func:`tests.oracle.digest` field by field.  The rows that go
+through ``plan()`` also run in every execution cell — {thread, process} x
+{inline, shm} x {None, "bvh"} x {1, 2} workers — in
+``tests/test_shm_runtime.py::TestLocalParityMatrix``.
+
+A new fast path adds a row here and a mutant to ``tools/mutants.py``.
+"""
+
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from repro.api import _region_planner, _RegionTask
+from repro.core import build_prm_workload, build_rrt_workload
+from repro.cspace import EuclideanCSpace
+from repro.geometry import AABB, Environment
+from repro.geometry.environments import by_name
+from repro.knn import BruteForceNN
+from repro.planners import PRM, RRT, Roadmap
+from repro.runtime import run_tasks_parallel
+from repro.spec import WorkloadSpec
+from repro.subdivision.radial import ConeRegion
+
+from .oracle import assert_same, digest
+
+
+def _space(env, cull):
+    """A fresh configuration space over ``env`` (a catalog name, or None
+    for the two-box plane) on the ``cull`` collision backend."""
+    if env is None:
+        env = Environment(AABB([-5.0, -5.0], [5.0, 5.0]),
+                          [AABB([-1.0, -1.0], [1.0, 1.0]), AABB([2.0, 2.0], [4.0, 4.0])])
+    else:
+        env = by_name(env)
+    env.set_kernel_backend(cull)
+    return EuclideanCSpace(env)
+
+
+def _prefixed(**digests):
+    """Several digests as one, each field named after its run."""
+    return {f"{run}.{field}": value for run, d in digests.items() for field, value in d.items()}
+
+
+class _LastPlace(list):
+    """An ordered adjacency whose edge weights compare to the last place.
+
+    The batched ``PRM`` weighs an edge with ``batch_pairs_counted``'s
+    vectorised norm, its oracle with the scalar ``cspace.distance``; the
+    two may differ by one ulp (``StraightLinePlanner.batch_pairs_exact``
+    says so).  Everything else about the adjacency compares exactly."""
+
+    def __eq__(self, other):
+        def split(adjacency):
+            return ([(u, [v for v, _w in nbrs]) for u, nbrs in adjacency],
+                    np.array([w for _u, nbrs in adjacency for _v, w in nbrs]))
+
+        (mine, w), (theirs, w_other) = split(self), split(other)
+        return mine == theirs and np.allclose(w, w_other, rtol=np.finfo(float).eps, atol=0.0)
+
+
+def _prm_digest(run, env, rng):
+    out = digest(run, env, rng)
+    out["adjacency"] = _LastPlace(out["adjacency"])
+    return out
+
+
+def _prm_batched_space(cull, fast):
+    """``PRM.build`` with and without the component filter: the replay of
+    the connection loop against the one-candidate-at-a-time loop."""
+    runs = {}
+    for csc in (True, False):
+        cs, rng = _space(None, cull), np.random.default_rng(7)
+        result = PRM(cs, k=5, connect_same_component=csc, batched=fast).build(120, rng)
+        runs[f"csc={csc}"] = _prm_digest(result, cs.env, rng)
+    return _prefixed(**runs)
+
+
+def _prm_batched_box(cull, fast):
+    """Two regional roadmaps sampled in boxes, merged, then
+    ``connect_roadmaps`` between them: the inter-region connection phase."""
+    runs = {}
+    for csc in (True, False):
+        cs, rng = _space("med-cube", cull), np.random.default_rng(3)
+        planner = PRM(cs, k=5, connect_same_component=csc, batched=fast)
+        left = planner.build(40, rng, within=AABB([-10, -10, -10], [-2, 10, 10])).roadmap
+        right = planner.build(40, rng, within=AABB([2, -10, -10], [10, 10, 10]), id_base=1 << 20)
+        left.merge(right.roadmap)
+        ids = left.vertices()
+        stats = planner.connect_roadmaps(left, ids[ids < 1 << 20], ids[ids >= 1 << 20], k=3)
+        runs[f"csc={csc}"] = {**_prm_digest(left, cs.env, rng), "connect": asdict(stats)}
+    return _prefixed(**runs)
+
+
+def _prm_block_box(cull, fast):
+    """A workload's regions and adjacencies as segmented block passes, or
+    one at a time (any finder but ``BruteForceNN`` itself takes the loop)."""
+    nn = {} if fast else {"nn_factory": lambda dim: BruteForceNN(dim)}
+    return digest(build_prm_workload(_space("mixed-30", cull), 27, samples_per_region=6,
+                                     seed=2, **nn))
+
+
+def _regions(planner, cull):
+    """Local mode's region planner and the per-region task the pool runs."""
+    wl = WorkloadSpec("mixed-30", planner, num_regions=27 if planner == "prm" else 8,
+                      samples_per_region=6, nodes_per_region=20, seed=5)
+    task = _RegionTask(_region_planner(_space("mixed-30", cull), wl))
+    return task, task.regions.region_ids
+
+
+def _per_region(values, dim):
+    """A chunk's per-region results: the roadmap they merge into, and
+    each region's ``PlannerStats`` and collision counts."""
+    merged = Roadmap(dim)
+    for part, _stats, _checks in values:
+        if isinstance(part, Roadmap):
+            merged.merge(part)
+        elif part.index == 0:
+            merged.merge(part.block)
+    return {**digest(merged), "stats": [asdict(st) for _p, st, _c in values],
+            "counters": [checks for _p, _s, checks in values]}
+
+
+def _prm_chunk_box(cull, fast):
+    """A pool chunk planned as one block (``run_block``) or region by region."""
+    task, rids = _regions("prm", cull)
+    values = task.run_block(rids)[0] if fast else [task(rid) for rid in rids]
+    assert {type(v[0]).__name__ for v in values} == {"PRMSegment" if fast else "Roadmap"}
+    return _per_region(values, task.regions.cspace.dim)
+
+
+def _grow_twice(within, cull, fast):
+    """Two ``grow`` calls on one generator, the second extending the first
+    tree under another id base, with bias and goal gates in play."""
+    cs, rng = _space(None, cull), np.random.default_rng(4)
+    rrt = RRT(cs, step_size=0.5, goal_bias=0.2, batched=fast)
+    gates = {"bias_target": np.array([4.0, 4.0]), "goal": np.array([4.5, -4.5]),
+             "goal_tolerance": 0.5, "within": within}
+    first = rrt.grow(np.array([-4.0, -4.0]), 60, rng, **gates)
+    second = rrt.grow(np.array([-4.0, -4.0]), 60, rng, tree=first.tree, parents=first.parents,
+                      root_id=first.root_id, id_base=1 << 20, **gates)
+    return digest(second, cs.env, rng)
+
+
+def _rrt_batched_cone(cull, fast):
+    cone = ConeRegion(id=0, root=np.full(2, -4.0), target=np.full(2, 4.0), half_angle=0.8,
+                      overlap=0.1, radius=8.0 * np.sqrt(2.0))
+    return _grow_twice(cone, cull, fast)
+
+
+def _rrt_block_cone(cull, fast):
+    """A radial workload's branches grown batched or by the oracle loop."""
+    return digest(build_rrt_workload(_space("mixed-30", cull), np.full(3, -9.0), 8,
+                                     nodes_per_region=12, seed=7, batched=fast))
+
+
+def _rrt_chunk_cone(cull, fast):
+    """Branches in pool chunks of four on two threads, or one by one: a
+    regional RRT declines ``run_block``, so its chunks take the loop."""
+    task, rids = _regions("rrt", cull)
+    assert task.run_block(rids) is None
+    if fast:
+        results = run_tasks_parallel(task, rids, workers=2, chunksize=4).results
+        values = [results[rid] for rid in rids]
+    else:
+        values = [task(rid) for rid in rids]
+    return _per_region(values, task.regions.cspace.dim)
+
+
+ROWS = {
+    "prm-batched-space": _prm_batched_space,
+    "prm-batched-box": _prm_batched_box,
+    "prm-block-box": _prm_block_box,
+    "prm-chunk-box": _prm_chunk_box,
+    "rrt-batched-space": lambda cull, fast: _grow_twice(None, cull, fast),
+    "rrt-batched-cone": _rrt_batched_cone,
+    "rrt-block-cone": _rrt_block_cone,
+    "rrt-chunk-cone": _rrt_chunk_cone,
+}
+
+
+@pytest.mark.parametrize("cull", ["reference", "bvh"])
+@pytest.mark.parametrize("row", list(ROWS))
+def test_fast_path_equals_its_oracle(row, cull):
+    """The row's fast path, culled by ``cull``, leaves what its oracle
+    leaves on the reference scan."""
+    assert_same(ROWS[row](cull, True), ROWS[row]("reference", False))

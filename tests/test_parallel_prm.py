@@ -1,6 +1,5 @@
 """Integration tests for the load-balanced parallel PRM driver."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,6 +19,8 @@ from repro.geometry import free_env, med_cube
 from repro.geometry.environments import by_name
 from repro.knn import BruteForceNN, KDTreeNN
 from repro.planners import RoadmapQuery
+
+from .oracle import assert_same, digest
 
 
 @pytest.fixture(scope="module")
@@ -166,40 +167,12 @@ def _loop_nn(dim):
     return BruteForceNN(dim)
 
 
-def _everything(wl):
-    """Every observable of a built workload, down to dict insertion order
-    and the union-find forest."""
-    rm = wl.roadmap
-    ids, cfgs = rm.configs_array()
-    counters = wl.cspace.env.counters
-    return {
-        "ids": ids.tolist(),
-        "configs": cfgs.tobytes(),
-        "index": list(rm._index.items()),
-        "adjacency": [(u, list(nbrs.items())) for u, nbrs in rm._adj.items()],
-        "num_edges": rm.num_edges,
-        "next_id": rm._next_id,
-        "components": sorted(sorted(c) for c in rm.connected_components()),
-        "num_components_fast": rm.num_components_fast,
-        "forest": (rm._uf._key, rm._uf._parent, rm._uf._rank),
-        "adjacency_work": [dataclasses.astuple(a) for a in wl.adjacency_work],
-        "sample_positions": (wl.sample_positions.shape, wl.sample_positions.tobytes()),
-        "counters": (counters.point_checks, counters.segment_checks),
-        "sim_total_time": simulate_prm(wl, 96, "hybrid").total_time,
-    }
-
-
 def _assert_block_equals_loop(env, num_regions, **kwargs):
-    block = build_prm_workload(EuclideanCSpace(by_name(env)), num_regions, **kwargs)
-    loop = build_prm_workload(
-        EuclideanCSpace(by_name(env)), num_regions, nn_factory=_loop_nn, **kwargs
+    block, loop = (
+        build_prm_workload(EuclideanCSpace(by_name(env)), num_regions, **nn, **kwargs)
+        for nn in ({}, {"nn_factory": _loop_nn})
     )
-    assert list(block.region_work) == list(loop.region_work)
-    for rid, work in loop.region_work.items():
-        assert dataclasses.astuple(block.region_work[rid]) == dataclasses.astuple(work), rid
-    got, want = _everything(block), _everything(loop)
-    for field, value in want.items():
-        assert got[field] == value, field
+    assert_same(digest(block), digest(loop))
     return block
 
 
@@ -317,65 +290,55 @@ class TestSegmentedNeighbours:
     ties included (lattice points: many equal distances)."""
 
     @staticmethod
-    def _points(rng, n, dim=2):
-        return rng.integers(0, 4, size=(n, dim)).astype(float)
+    def _segments(seed, wide):
+        """A finder over up to five stored segments, the query rows of each
+        segment, and one fresh finder per segment holding only its rows."""
+        rng = np.random.default_rng(seed)
+        g, top = int(rng.integers(1, 6)), 60 if wide else 7
+        so, qo = (np.concatenate(([0], np.cumsum(c))) for c in rng.integers(0, top, size=(2, g)))
+        stored = rng.integers(0, 4, size=(so[-1], 2)).astype(float)
+        queries = rng.integers(0, 4, size=(qo[-1], 2)).astype(float)
+        stored_ids = np.arange(so[-1]) + 1000
+        nn = BruteForceNN(2)
+        nn.add_batch(stored_ids, stored)
+        ones = [BruteForceNN(2) for _ in range(g)]
+        for s, one in enumerate(ones):
+            one.add_batch(stored_ids[so[s]:so[s + 1]], stored[so[s]:so[s + 1]])
+        return nn, (so, qo), queries, ones
+
+    @staticmethod
+    def _same_charges(nn, ones):
+        assert (nn.stats.queries, nn.stats.distance_evals) == (
+            sum(o.stats.queries for o in ones), sum(o.stats.distance_evals for o in ones))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 6), wide=st.booleans())
     def test_growing_segments_equal_one_finder_each(self, seed, k, wide):
-        rng = np.random.default_rng(seed)
-        g = int(rng.integers(1, 6))
-        top = 60 if wide else 7
-        n0 = rng.integers(0, top, size=g)
-        m = rng.integers(0, top, size=g)
-        so, bo = np.concatenate(([0], np.cumsum(n0))), np.concatenate(([0], np.cumsum(m)))
-        stored, block = self._points(rng, so[-1]), self._points(rng, bo[-1])
-        stored_ids = np.arange(so[-1]) + 1000
+        nn, (so, bo), block, ones = self._segments(seed, wide)
         block_ids = np.arange(bo[-1]) + 5000
-        nn = BruteForceNN(2)
-        nn.add_batch(stored_ids, stored)
         ids, dists = nn.knn_block_growing(block_ids, block, k, segments=(so, bo))
         assert len(nn) == so[-1] + bo[-1]
-        queries = evals = 0
-        for s in range(g):
-            one = BruteForceNN(2)
-            one.add_batch(stored_ids[so[s]:so[s + 1]], stored[so[s]:so[s + 1]])
+        for s, one in enumerate(ones):
             rows = slice(bo[s], bo[s + 1])
             expected = one.knn_block_growing(block_ids[rows], block[rows], k)
             for got_ids, got_d, want in zip(ids[rows], dists[rows], expected):
                 assert got_ids[: len(want)].tolist() == [i for i, _d in want]
                 assert got_d[: len(want)].tolist() == [d for _i, d in want]
                 assert (got_ids[len(want):] == -1).all() and np.isinf(got_d[len(want):]).all()
-            queries += one.stats.queries
-            evals += one.stats.distance_evals
-        assert (nn.stats.queries, nn.stats.distance_evals) == (queries, evals)
+        self._same_charges(nn, ones)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 6), wide=st.booleans())
     def test_static_segments_equal_one_finder_each(self, seed, k, wide):
-        rng = np.random.default_rng(seed)
-        g = int(rng.integers(1, 6))
-        top = 60 if wide else 7
-        n0 = rng.integers(0, top, size=g)
-        m = rng.integers(0, top, size=g)
-        so, qo = np.concatenate(([0], np.cumsum(n0))), np.concatenate(([0], np.cumsum(m)))
-        stored, queries = self._points(rng, so[-1]), self._points(rng, qo[-1])
-        stored_ids = np.arange(so[-1]) + 1000
-        nn = BruteForceNN(2)
-        nn.add_batch(stored_ids, stored)
+        nn, (so, qo), queries, ones = self._segments(seed, wide)
         ids, dists = nn.knn_batch_arrays(queries, k, segments=(so, qo))
-        charged = evals = 0
-        for s in range(g):
-            one = BruteForceNN(2)
-            one.add_batch(stored_ids[so[s]:so[s + 1]], stored[so[s]:so[s + 1]])
+        for s, one in enumerate(ones):
             for row in range(qo[s], qo[s + 1]):
                 want = one.knn(queries[row], k)
                 assert ids[row, : len(want)].tolist() == [i for i, _d in want]
                 assert dists[row, : len(want)].tolist() == [d for _i, d in want]
                 assert (ids[row, len(want):] == -1).all()
-            charged += one.stats.queries
-            evals += one.stats.distance_evals
-        assert (nn.stats.queries, nn.stats.distance_evals) == (charged, evals)
+        self._same_charges(nn, ones)
 
     def test_offsets_must_partition_the_rows(self):
         nn = BruteForceNN(2)
@@ -386,10 +349,10 @@ class TestSegmentedNeighbours:
 
 def test_mixed30_build_memory_is_bounded():
     """A 256-region mixed-30 build (125 boxes) hands whole blocks of points
-    to the reference kernels, whose all-pairs scan broadcasts
-    ``(points, boxes, d)``.  Sliced inside ``points_free`` the build peaks
-    at 11.0 MiB traced (8.6 MiB of it the finished workload); unsliced, the
-    largest call alone (45,663 points) takes the peak to 38.7 MiB."""
+    to the reference kernels, whose all-pairs scan holds two ``(points,
+    boxes)`` bool planes per call.  Sliced inside ``points_free`` the build
+    peaks at 10.9 MiB traced (8.6 MiB of it the finished workload);
+    unsliced, the largest call (45,663 points) takes the peak to 17.9 MiB."""
     cs = EuclideanCSpace(by_name("mixed-30"))
     tracemalloc.start()
     try:

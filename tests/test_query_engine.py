@@ -11,6 +11,8 @@ from repro.planners import PRM, FrozenRoadmap, QueryEngine, QueryRequest, Roadma
 from repro.planners.engine import _AUTO_KDTREE_MIN
 from repro.runtime import Fault, FaultInjector
 
+from .oracle import same_answer
+
 
 @pytest.fixture(scope="module")
 def built():
@@ -32,16 +34,6 @@ def _queries(cs, n, seed=1):
     return [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
 
 
-def _same_result(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return (
-        a.path_vertices == b.path_vertices
-        and a.length == b.length
-        and np.array_equal(a.path_configs, b.path_configs)
-    )
-
-
 class TestSolveParity:
     """The acceptance property: every engine answer is bit-identical to
     RoadmapQuery.solve on the source roadmap."""
@@ -54,7 +46,7 @@ class TestSolveParity:
         for s, g in _queries(cs, 40):
             ref = rq.solve(rmap, s, g)
             got = eng.solve(s, g)
-            assert _same_result(ref, got)
+            assert same_answer(ref, got)
             solved += ref is not None
         assert solved > 0  # the battery must exercise real paths
 
@@ -68,7 +60,7 @@ class TestSolveParity:
         ref_eng = QueryEngine(cs, rmap, k=8, nn_factory=BruteForceNN)
         alt_eng = QueryEngine(cs, rmap, k=8, nn_factory=factory)
         for s, g in _queries(cs, 25, seed=2):
-            assert _same_result(ref_eng.solve(s, g), alt_eng.solve(s, g))
+            assert same_answer(ref_eng.solve(s, g), alt_eng.solve(s, g))
 
     def test_invalid_endpoints_return_none(self, built):
         cs, rmap = built
@@ -91,7 +83,7 @@ class TestSolveParity:
         eng = QueryEngine(cs, frozen)
         assert eng.frozen is frozen
         s, g = np.array([-4.5, -4.5]), np.array([4.5, -4.5])
-        assert _same_result(eng.solve(s, g), RoadmapQuery(cs, k=8).solve(rmap, s, g))
+        assert same_answer(eng.solve(s, g), RoadmapQuery(cs, k=8).solve(rmap, s, g))
 
 
 class TestAutoBackend:
@@ -118,7 +110,7 @@ class TestSolveMany:
         assert batch.setup_time > 0 and batch.wall_time >= batch.setup_time
         assert batch.solved == sum(r is not None for r in batch.results)
         for (s, g), got in zip(queries, batch.results):
-            assert _same_result(eng.solve(s, g), got)
+            assert same_answer(eng.solve(s, g), got)
 
     def test_accepts_query_requests(self, built):
         cs, rmap = built
@@ -127,7 +119,7 @@ class TestSolveMany:
         as_requests = eng.solve_many([QueryRequest(s, g) for s, g in pairs])
         as_tuples = eng.solve_many(pairs)
         for a, b in zip(as_requests.results, as_tuples.results):
-            assert _same_result(a, b)
+            assert same_answer(a, b)
 
     def test_empty_batch(self, built):
         cs, rmap = built
@@ -153,7 +145,7 @@ class TestSolveMany:
             queries, execution=ExecutionPolicy(workers=2, backend=backend)
         )
         for a, b in zip(inline.results, pooled.results):
-            assert _same_result(a, b)
+            assert same_answer(a, b)
         assert pooled.abandoned == [] and pooled.retries == 0
 
     def test_degrade_abandons_faulty_query(self, built):
@@ -172,7 +164,7 @@ class TestSolveMany:
         inline = eng.solve_many(queries)
         for i, (a, b) in enumerate(zip(inline.results, batch.results)):
             if i != 3:
-                assert _same_result(a, b)
+                assert same_answer(a, b)
 
 
 class TestObservability:
@@ -220,4 +212,4 @@ class TestPlanReportIntegration:
         assert batch.num_queries == 6
         eng = report.query_engine()
         for (s, g), got in zip(queries, batch.results):
-            assert _same_result(eng.solve(s, g), got)
+            assert same_answer(eng.solve(s, g), got)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.planners import PRMBlock, Roadmap, UnionFind
 
+from .oracle import assert_same, digest
+
 
 class TestUnionFind:
     def test_union_and_find(self):
@@ -273,21 +275,6 @@ def _random_graph(seed, n=40, m=90):
     return ids, cfgs, ids[u], ids[v], rng.uniform(0.1, 2.0, size=u.size)
 
 
-def _state(rm):
-    ids, cfgs = rm.configs_array()
-    return {
-        "index": list(rm._index.items()),
-        "ids": ids.tolist(),
-        "cfgs": cfgs.tobytes(),
-        "adj": [(u, list(nbrs.items())) for u, nbrs in rm._adj.items()],
-        "num_edges": rm.num_edges,
-        "next_id": rm._next_id,
-        "components": sorted(sorted(c) for c in rm.connected_components()),
-        "num_components_fast": rm.num_components_fast,
-        "forest": (rm._uf._key, rm._uf._parent, rm._uf._rank),
-    }
-
-
 class TestBulkInsertion:
     """``add_vertices`` / ``add_edges`` leave the roadmap exactly as the
     ``add_vertex`` / ``add_edge`` loops would."""
@@ -310,12 +297,7 @@ class TestBulkInsertion:
         )
         assert added.tolist() == inserted
         assert not all(inserted)  # the draw repeats edges: skipping is exercised
-        assert _state(bulk) == _state(loop)
-        frozen_bulk, frozen_loop = bulk.freeze(), loop.freeze()
-        for name in ("indptr", "indices", "weights"):
-            np.testing.assert_array_equal(
-                getattr(frozen_bulk, name), getattr(frozen_loop, name), err_msg=name
-            )
+        assert_same(digest(bulk), digest(loop))
 
     def test_auto_ids_continue_after_bulk(self):
         rm = Roadmap(2)
@@ -397,12 +379,7 @@ class TestMergeBlock:
         for rm, _passes in regional:
             loop.merge(rm)
         bulk.merge(block)
-        assert _state(bulk) == _state(loop)
-        frozen_bulk, frozen_loop = bulk.freeze(), loop.freeze()
-        for name in ("indptr", "indices", "weights"):
-            np.testing.assert_array_equal(
-                getattr(frozen_bulk, name), getattr(frozen_loop, name), err_msg=name
-            )
+        assert_same(digest(bulk), digest(loop))
 
     def test_a_block_of_another_dimension_is_refused(self):
         none = np.empty(0, dtype=np.int64)

@@ -1,17 +1,14 @@
 """Parity battery for the batched (predict-validate-replay) RRT growth path.
 
-The batched path must be *field-for-field identical* to the sequential
-oracle: same PlannerStats, same CollisionCounters, same tree topology
-(edges with exact float weights), same parent pointers, same generator
-end state.  Every test here runs both paths and diffs the complete
-observable surface; the ``...InCone`` classes re-run a battery with
-``q_rand`` drawn from a cone (``grow(within=...)``), the way a regional
-branch grows.
+The batched path must leave exactly what the sequential oracle leaves:
+every field of :func:`tests.oracle.digest` — tree, ordered adjacency,
+parents, PlannerStats, CollisionCounters and the generator end state.
+The ``...InCone`` classes re-run a battery with ``q_rand`` drawn from a
+cone (``grow(within=...)``), the way a regional branch grows.
 """
 
 import numpy as np
 import pytest
-from dataclasses import asdict
 
 from repro.core.parallel_rrt import build_rrt_workload, simulate_rrt
 from repro.cspace.local_planner import StraightLinePlanner
@@ -23,6 +20,8 @@ from repro.planners.roadmap import Roadmap
 from repro.planners.rrt import RRT
 from repro.runtime.faults import Fault, FaultInjector
 from repro.subdivision.radial import ConeRegion, RadialSubdivision
+
+from .oracle import assert_agree, assert_same, digest
 
 
 def _fresh_cspace():
@@ -45,38 +44,14 @@ def _corner_cone(dim, lo=-4.0, hi=4.0):
     )
 
 
-def _observe(result, env, rng=None):
-    """The full parity surface of one grow() call."""
-    edges = sorted((min(u, v), max(u, v), w) for u, v, w in result.tree.edges())
-    return (
-        asdict(result.stats),
-        dict(result.parents),
-        edges,
-        result.root_id,
-        (env.counters.point_checks, env.counters.segment_checks),
-        rng.bit_generator.state if rng is not None else None,
-    )
-
-
-def _grow_both(seed, n_nodes=60, step=0.5, goal_bias=0.2, grow_kwargs=None, rrt_kwargs=None,
-               within=None):
-    """Run sequential and batched growth from identical fresh state."""
-    out = []
-    for batched in (False, True):
-        cspace = _fresh_cspace()
-        rrt = RRT(cspace, step_size=step, goal_bias=goal_bias, batched=batched,
-                  **(rrt_kwargs or {}))
-        rng = np.random.default_rng(seed)
-        result = rrt.grow(np.array([-4.0, -4.0]), n_nodes, rng, within=within,
-                          **(grow_kwargs or {}))
-        out.append(_observe(result, cspace.env, rng))
-    return out
-
-
-def _assert_same(seq, bat):
-    names = ("stats", "parents", "edges", "root_id", "counters", "generator state")
-    for name, a, b in zip(names, seq, bat):
-        assert a == b, f"batched RRT diverged from oracle in {name}"
+def _grow(batched, seed, n_nodes=60, cspace=None, root=(-4.0, -4.0), rrt=None, **grow_kwargs):
+    """One ``grow`` from fresh state, digested with its generator's end state."""
+    cspace = cspace if cspace is not None else _fresh_cspace()
+    rng = np.random.default_rng(seed)
+    rrt = rrt if rrt is not None else {"step_size": 0.5, "goal_bias": 0.2}
+    planner = RRT(cspace, batched=batched, **rrt)
+    result = planner.grow(np.asarray(root, dtype=float), n_nodes, rng, **grow_kwargs)
+    return digest(result, cspace.env, rng)
 
 
 class TestGrowParity:
@@ -84,102 +59,67 @@ class TestGrowParity:
     #: (None: whole-space draws); the ``InCone`` subclass swaps it.
     domain = staticmethod(lambda dim: None)
 
-    def _both(self, seed, **kwargs):
-        return _grow_both(seed, within=self.domain(2), **kwargs)
+    def _agree(self, seed, n_nodes=60, **grow_kwargs):
+        assert_agree(lambda b: _grow(b, seed, n_nodes, within=self.domain(2), **grow_kwargs))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_plain_growth(self, seed):
-        _assert_same(*self._both(seed))
+        self._agree(seed)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bias_target(self, seed):
         # Bias draws repeat the same q_rand, exercising verdict sharing
         # and dist == 0 skips once the tree reaches the bias point.
-        _assert_same(*self._both(seed, grow_kwargs={"bias_target": np.array([4.0, 4.0])}))
+        self._agree(seed, bias_target=np.array([4.0, 4.0]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_goal_early_exit(self, seed):
         # The goal draw lands mid-block: growth must stop on the exact
         # iteration the oracle stops on, not at the block boundary.
-        _assert_same(
-            *self._both(
-                seed,
-                grow_kwargs={"goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
-            )
-        )
+        self._agree(seed, goal=np.array([4.5, -4.5]), goal_tolerance=0.6)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bias_and_goal(self, seed):
-        _assert_same(
-            *self._both(
-                seed,
-                grow_kwargs={
-                    "bias_target": np.array([4.0, 4.0]),
-                    "goal": np.array([4.5, -4.5]),
-                    "goal_tolerance": 0.5,
-                },
-            )
-        )
+        self._agree(seed, bias_target=np.array([4.0, 4.0]), goal=np.array([4.5, -4.5]),
+                    goal_tolerance=0.5)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_iteration_cap_mid_block(self, seed):
         # 100 is not a multiple of the block size; the final short block
         # must stop exactly at the cap.
-        _assert_same(*self._both(seed, n_nodes=1000, grow_kwargs={"max_iterations": 100}))
+        self._agree(seed, n_nodes=1000, max_iterations=100)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_region_predicate_scalar_only(self, seed):
         # Without a batch predicate the batched path falls back to the
         # scalar one per candidate — still exact.
-        region = _corner_cone(2)
-        _assert_same(
-            *self._both(seed, grow_kwargs={"region_predicate": region.contains})
-        )
+        self._agree(seed, region_predicate=_corner_cone(2).contains)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_region_predicate_batch(self, seed):
         region = _corner_cone(2)
-        _assert_same(
-            *self._both(
-                seed,
-                grow_kwargs={
-                    "region_predicate": region.contains,
-                    "region_predicate_batch": region.contains_many,
-                },
-            )
-        )
+        self._agree(seed, region_predicate=region.contains,
+                    region_predicate_batch=region.contains_many)
 
     def test_medcube_3d(self):
-        outs = []
-        for batched in (False, True):
-            env = med_cube()
-            cspace = EuclideanCSpace(env)
-            rrt = RRT(cspace, step_size=0.6, batched=batched)
-            rng = np.random.default_rng(42)
-            result = rrt.grow(np.full(3, -9.0), 300, rng, within=self.domain(3))
-            outs.append(_observe(result, env, rng))
-        _assert_same(*outs)
+        assert_agree(lambda b: _grow(b, 42, 300, cspace=EuclideanCSpace(med_cube()),
+                                     root=np.full(3, -9.0), rrt={"step_size": 0.6},
+                                     within=self.domain(3)))
 
     def test_id_base_extension_mode(self):
         # Grow, then extend the returned tree under a different id_base.
-        outs = []
-        for batched in (False, True):
+        def run(batched):
             cspace = _fresh_cspace()
             rrt = RRT(cspace, step_size=0.5, batched=batched)
-            first = rrt.grow(np.array([-4.0, -4.0]), 20, np.random.default_rng(3),
-                             id_base=1 << 20, within=self.domain(2))
-            second = rrt.grow(
-                np.array([-4.0, -4.0]),
-                20,
-                np.random.default_rng(4),
-                tree=first.tree,
-                parents=first.parents,
-                root_id=first.root_id,
-                id_base=2 << 20,
-                within=self.domain(2),
-            )
-            outs.append(_observe(second, cspace.env))
-        _assert_same(*outs)
+            root = np.array([-4.0, -4.0])
+            first = rrt.grow(root, 20, np.random.default_rng(3), id_base=1 << 20,
+                             within=self.domain(2))
+            second = rrt.grow(root, 20, np.random.default_rng(4), tree=first.tree,
+                              parents=first.parents, root_id=first.root_id, id_base=2 << 20,
+                              within=self.domain(2))
+            return digest(second, cspace.env)
+
+        assert_agree(run)
 
 
 class TestGrowParityInCone(TestGrowParity):
@@ -230,20 +170,19 @@ class TestConsecutiveCalls:
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_two_grows_on_one_generator(self, seed, grow_kwargs):
-        outs = []
-        for batched in (False, True):
+        def run(batched):
             cspace = _fresh_cspace()
             rrt = RRT(cspace, step_size=0.5, goal_bias=0.2, batched=batched)
             rng = np.random.default_rng(seed)
-            within = self.domain(2)
-            first = rrt.grow(np.array([-4.0, -4.0]), 20, rng, within=within, **grow_kwargs)
+            root, within = np.array([-4.0, -4.0]), self.domain(2)
+            first = rrt.grow(root, 20, rng, within=within, **grow_kwargs)
             second = rrt.grow(
-                np.array([-4.0, -4.0]), 20, rng,
-                tree=first.tree, parents=first.parents, root_id=first.root_id,
+                root, 20, rng, tree=first.tree, parents=first.parents, root_id=first.root_id,
                 id_base=1 << 20, within=within, **grow_kwargs,
             )
-            outs.append(_observe(second, cspace.env, rng))
-        _assert_same(*outs)
+            return digest(second, cspace.env, rng)
+
+        assert_agree(run)
 
 
 class TestConsecutiveCallsInCone(TestConsecutiveCalls):
@@ -274,13 +213,10 @@ class TestBlockDraw:
             return sample(self, *args, **kwargs)
 
         monkeypatch.setattr(ConfigurationSpace, "sample", counting)
-        cspace = _fresh_cspace()
-        rng = np.random.default_rng(seed)
-        result = RRT(cspace, step_size=0.5, goal_bias=goal_bias, batched=batched).grow(
-            np.array([-4.0, -4.0]), 60, rng, within=within, **grow_kwargs
-        )
+        out = _grow(batched, seed, rrt={"step_size": 0.5, "goal_bias": goal_bias},
+                    within=within, **grow_kwargs)
         monkeypatch.setattr(ConfigurationSpace, "sample", sample)
-        return _observe(result, cspace.env, rng), calls
+        return out, calls
 
     @pytest.mark.parametrize("within", [None, _corner_cone(2)], ids=["space", "cone"])
     @pytest.mark.parametrize("cap", [None, 37], ids=["budget", "cap37"])
@@ -290,14 +226,14 @@ class TestBlockDraw:
         kwargs = dict(self.GATES[gates], max_iterations=cap)
         seq, seq_calls = self._counted_grow(monkeypatch, False, goal_bias, within, kwargs)
         bat, bat_calls = self._counted_grow(monkeypatch, True, goal_bias, within, kwargs)
-        _assert_same(seq, bat)
+        assert_same(bat, seq)
         assert all(bat_calls) and not any(seq_calls)  # every batched call maps rows
         if goal_bias == 1.0:
             # The first gate always fires: no block has a uniform row, so
             # none makes a mapping call.
             assert bat_calls == [] and seq_calls == []
         elif goal_bias == 0.0:
-            assert len(seq_calls) == seq[0]["nn_queries"]  # every draw uniform
+            assert len(seq_calls) == seq["stats"]["nn_queries"]  # every draw uniform
 
     @pytest.mark.parametrize("seed", range(4))
     def test_goal_exit_mid_block_in_the_cone(self, monkeypatch, seed):
@@ -306,8 +242,8 @@ class TestBlockDraw:
         kwargs = dict(self.GATES["bias+goal"], goal=np.array([-2.0, -3.0]), goal_tolerance=0.7)
         seq, _ = self._counted_grow(monkeypatch, False, 0.2, _corner_cone(2), kwargs, seed)
         bat, _ = self._counted_grow(monkeypatch, True, 0.2, _corner_cone(2), kwargs, seed)
-        _assert_same(seq, bat)
-        assert seq[0]["samples_accepted"] < 60  # it did stop on the goal
+        assert_same(bat, seq)
+        assert seq["stats"]["samples_accepted"] < 60  # it did stop on the goal
 
 
 class TestOneProposalCallPerBlock:
@@ -344,23 +280,13 @@ class TestOneProposalCallPerBlock:
 class TestEdgeCases:
     def test_region_never_extends(self):
         """A cone no extension can enter: the branch stays root-only."""
-        outs = []
-        for batched in (False, True):
-            cspace = _fresh_cspace()
-            rrt = RRT(cspace, step_size=0.5, batched=batched)
-            result = rrt.grow(
-                np.array([-4.0, -4.0]),
-                30,
-                np.random.default_rng(11),
-                region_predicate=lambda q: False,
-                region_predicate_batch=lambda qs: np.zeros(len(np.atleast_2d(qs)), dtype=bool),
-                max_iterations=200,
-            )
-            assert result.tree.num_vertices == 1
-            assert result.stats.samples_accepted == 0
-            assert result.stats.edges_added == 0
-            outs.append(_observe(result, cspace.env))
-        _assert_same(*outs)
+        out = assert_agree(lambda b: _grow(
+            b, 11, 30, rrt={"step_size": 0.5}, region_predicate=lambda q: False,
+            region_predicate_batch=lambda qs: np.zeros(len(np.atleast_2d(qs)), dtype=bool),
+            max_iterations=200,
+        ))
+        assert out["ids"] == [0]
+        assert out["stats"]["samples_accepted"] == out["stats"]["edges_added"] == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_blocked_cone_exhausts_iterations(self, seed):
@@ -371,63 +297,35 @@ class TestEdgeCases:
             id=0, root=np.array([-4.0, 0.0]), target=np.array([4.0, 0.0]),
             half_angle=0.5, overlap=0.1, radius=8.0,
         )
-        outs = []
-        for batched in (False, True):
-            cspace = EuclideanCSpace(Environment(
+        out = assert_agree(lambda b: _grow(
+            b, seed, 50, root=region.root, rrt={"step_size": 0.5, "goal_bias": 0.3},
+            cspace=EuclideanCSpace(Environment(
                 AABB(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
                 [AABB(np.array([-3.0, -5.0]), np.array([-2.0, 5.0]))],
-            ))
-            rng = np.random.default_rng(seed)
-            result = RRT(cspace, step_size=0.5, goal_bias=0.3, batched=batched).grow(
-                region.root, 50, rng, bias_target=region.target, max_iterations=300,
-                region_predicate=region.contains, region_predicate_batch=region.contains_many,
-                within=region,
-            )
-            assert result.stats.nn_queries == 300
-            assert 0 < result.stats.samples_accepted < 50
-            outs.append(_observe(result, cspace.env, rng))
-        _assert_same(*outs)
+            )),
+            bias_target=region.target, max_iterations=300, region_predicate=region.contains,
+            region_predicate_batch=region.contains_many, within=region,
+        ))
+        assert out["stats"]["nn_queries"] == 300
+        assert 0 < out["stats"]["samples_accepted"] < 50
 
     def test_empty_tree_breaks(self):
         """Extension mode with an empty tree: one charged NN query, then
         the loop breaks — identically on both paths."""
-        outs = []
-        for batched in (False, True):
-            cspace = _fresh_cspace()
-            rrt = RRT(cspace, batched=batched)
-            result = rrt.grow(
-                np.array([-4.0, -4.0]),
-                10,
-                np.random.default_rng(5),
-                tree=Roadmap(cspace.dim),
-                parents={},
-                root_id=0,
-            )
-            assert result.tree.num_vertices == 0
-            assert result.stats.nn_queries == 1
-            assert result.stats.nn_distance_evals == 0
-            outs.append(_observe(result, cspace.env))
-        _assert_same(*outs)
+        out = assert_agree(lambda b: _grow(
+            b, 5, 10, rrt={}, tree=Roadmap(2), parents={}, root_id=0,
+        ))
+        assert out["ids"] == []
+        assert (out["stats"]["nn_queries"], out["stats"]["nn_distance_evals"]) == (1, 0)
 
     def test_zero_node_request(self):
-        outs = []
-        for batched in (False, True):
-            cspace = _fresh_cspace()
-            rrt = RRT(cspace, batched=batched)
-            result = rrt.grow(np.array([-4.0, -4.0]), 0, np.random.default_rng(1))
-            assert result.tree.num_vertices == 1
-            outs.append(_observe(result, cspace.env))
-        _assert_same(*outs)
+        out = assert_agree(lambda b: _grow(b, 1, 0, rrt={}))
+        assert len(out["ids"]) == 1
 
     def test_goal_bias_chain_dense(self):
         """High goal bias: long chains of repeated bias draws mid-block."""
-        _assert_same(
-            *_grow_both(
-                9,
-                goal_bias=0.8,
-                grow_kwargs={"bias_target": np.array([4.5, -4.5])},
-            )
-        )
+        assert_agree(lambda b: _grow(b, 9, rrt={"step_size": 0.5, "goal_bias": 0.8},
+                                     bias_target=np.array([4.5, -4.5])))
 
     def test_batched_flag_off_uses_oracle_path(self):
         cspace = _fresh_cspace()
@@ -479,24 +377,10 @@ class TestConeRegionVectorised:
 class TestWorkloadParity:
     @pytest.mark.parametrize("env_fn", [med_cube, mixed_30_env])
     def test_build_rrt_workload(self, env_fn):
-        obs = []
-        for batched in (False, True):
-            env = env_fn()
-            cspace = EuclideanCSpace(env)
-            wl = build_rrt_workload(
-                cspace, np.full(3, -9.0), 8, nodes_per_region=12, seed=7, batched=batched
-            )
-            edges = sorted((min(u, v), max(u, v), w) for u, v, w in wl.tree.edges())
-            obs.append(
-                (
-                    edges,
-                    {rid: asdict(b.stats) for rid, b in wl.branch_work.items()},
-                    {rid: b.grow_cost for rid, b in wl.branch_work.items()},
-                    dict(wl.parents),
-                    (env.counters.point_checks, env.counters.segment_checks),
-                )
-            )
-        assert obs[0] == obs[1]
+        assert_agree(lambda b: digest(build_rrt_workload(
+            EuclideanCSpace(env_fn()), np.full(3, -9.0), 8, nodes_per_region=12, seed=7,
+            batched=b,
+        )))
 
     def test_simulate_parity_under_worker_crash(self):
         """A crashing worker during branch growth: the simulated run over a

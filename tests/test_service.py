@@ -14,6 +14,8 @@ from repro.service import BatchQueue, ServiceOverloadError
 from repro.service.cache import RoadmapCache, build_engine
 from repro.spec import FaultPolicy
 
+from .oracle import same_answer
+
 
 def _spec(seed=3):
     return WorkloadSpec(
@@ -30,16 +32,6 @@ def _queries(spec, n, rng_seed=0):
     lo, hi = cs.bounds.lo, cs.bounds.hi
     rng = np.random.default_rng(rng_seed)
     return [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
-
-
-def _same(a, b):
-    if a is None or b is None:
-        return a is b
-    return (
-        a.path_vertices == b.path_vertices
-        and np.array_equal(a.path_configs, b.path_configs)
-        and a.length == b.length
-    )
 
 
 class TestBatchQueue:
@@ -125,7 +117,7 @@ class TestServedParity:
         direct = [engine.solve(s, g) for s, g in queries]
         with PlanService(ServiceConfig(max_batch=4, max_linger=0.005)) as svc:
             served = svc.solve_many(spec, queries)
-        assert all(_same(a, b) for a, b in zip(direct, served))
+        assert all(same_answer(a, b) for a, b in zip(direct, served))
 
     def test_policy_kernel_backend_reaches_the_cached_engine(self):
         """The service's ``ExecutionPolicy.kernel_backend`` lands on the
@@ -142,7 +134,7 @@ class TestServedParity:
         with PlanService(cfg) as svc:
             served = svc.solve_many(spec, queries)
             engine = svc.cache.get(spec)
-        assert all(_same(a, b) for a, b in zip(default, served))
+        assert all(same_answer(a, b) for a, b in zip(default, served))
         assert engine.cspace.env.kernel_backend.name == "bvh"
 
     def test_repeat_submissions_stay_identical_warm(self):
@@ -152,7 +144,7 @@ class TestServedParity:
             first = svc.solve_many(spec, queries)
             second = svc.solve_many(spec, queries)
             st = svc.stats()
-        assert all(_same(a, b) for a, b in zip(first, second))
+        assert all(same_answer(a, b) for a, b in zip(first, second))
         assert st.cache.hits >= 1  # second pass came from the snapshot
 
     def test_multi_tenant_isolation(self):
@@ -166,8 +158,8 @@ class TestServedParity:
             r0 = [f.result() for f in f0]
             r1 = [f.result() for f in f1]
             st = svc.stats()
-        assert all(_same(a, b) for a, b in zip(d0, r0))
-        assert all(_same(a, b) for a, b in zip(d1, r1))
+        assert all(same_answer(a, b) for a, b in zip(d0, r0))
+        assert all(same_answer(a, b) for a, b in zip(d1, r1))
         assert st.cache.builds == 2  # one snapshot per tenant
 
 
@@ -269,7 +261,7 @@ class TestAsync:
 
         with PlanService(ServiceConfig(max_batch=4, max_linger=0.005)) as svc:
             served = asyncio.run(run(svc))
-        assert all(_same(a, b) for a, b in zip(direct, served))
+        assert all(same_answer(a, b) for a, b in zip(direct, served))
 
 
 class TestFaultsThroughService:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Keep the docs subsystem in sync with the code.
 
-Three checks, all cheap enough for every push (CI ``docs-check`` job):
+Four checks, all cheap enough for every push (CI ``docs-check`` job):
 
 1. **Module-map coverage** — every top-level module or package under
    ``src/repro/`` must appear as ``repro.<name>`` in the module map of
@@ -20,10 +20,16 @@ Three checks, all cheap enough for every push (CI ``docs-check`` job):
    ``benchmarks/e2e/extra_metrics.json`` generate.  A stale block fails
    with the text it should hold, ready to paste.
 
+4. **Test citations** — every ``tests/<file>.py`` and
+   ``tests/<file>.py::<Name>`` cited in ``docs/*.md``, ``README.md``,
+   ``DESIGN.md``, ``EXPERIMENTS.md`` and the verify skill must name an
+   existing file, and each ``::<Name>`` a ``def`` or ``class`` in it.
+
 Exits non-zero with one entry per problem.
 """
 from __future__ import annotations
 
+import ast
 import json
 import re
 import sys
@@ -36,9 +42,12 @@ INDEX = DOCS / "index.md"
 BENCH_PAGE = DOCS / "benchmarks.md"
 BENCHMARK = REPO / "BENCHMARK.json"
 EXTRA_METRICS = REPO / "benchmarks" / "e2e" / "extra_metrics.json"
+CITING = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+          REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
 
 _FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.M | re.S)
 _MODULE_REF = re.compile(r"`repro\.([A-Za-z_][A-Za-z0-9_]*)`")
+_TEST_REF = re.compile(r"tests/(\w+\.py)((?:::\w+)*)")
 _GENERATED = re.compile(
     r"^<!-- generated:(\w+) -->\n(.*?)\n<!-- /generated:\1 -->$", re.M | re.S)
 
@@ -149,11 +158,38 @@ def check_benchmark_page(problems: list[str]) -> None:
                 f"should read:\n{table}")
 
 
+def _defined_names(path: Path) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def check_test_citations(problems: list[str]) -> int:
+    """Dangling ``tests/...`` citations; returns how many were checked."""
+    names: dict[str, set[str]] = {}
+    cited = 0
+    for page in sorted(DOCS.glob("*.md")) + [p for p in CITING if p.exists()]:
+        text = page.read_text()
+        for match in _TEST_REF.finditer(text):
+            cited += 1
+            where = f"{page.relative_to(REPO)}:{text[:match.start()].count(chr(10)) + 1}"
+            file, path = match.group(1), REPO / "tests" / match.group(1)
+            if not path.exists():
+                problems.append(f"{where}: cites tests/{file}, which does not exist")
+                continue
+            if file not in names:
+                names[file] = _defined_names(path)
+            for name in match.group(2).split("::")[1:]:
+                if name not in names[file]:
+                    problems.append(f"{where}: tests/{file} defines no `{name}`")
+    return cited
+
+
 def main() -> int:
     problems: list[str] = []
     check_module_map(problems)
     check_snippets(problems)
     check_benchmark_page(problems)
+    cited = check_test_citations(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -162,7 +198,8 @@ def main() -> int:
     n_pages = len(list(DOCS.glob("*.md"))) + 1
     print(f"check_docs: module map covers all {len(repo_modules())} "
           f"modules; snippets across {n_pages} pages compile; "
-          f"docs/benchmarks.md matches BENCHMARK.json")
+          f"docs/benchmarks.md matches BENCHMARK.json; {cited} test "
+          f"citations resolve")
     return 0
 
 

@@ -1,0 +1,221 @@
+#!/usr/bin/env python
+"""Mutation evidence for the oracle harness: the bugs each parity test
+exists to catch, and proof that it still catches them.
+
+Every entry of :data:`MUTANTS` is ``(name, file, old, new, tests)``: a
+source edit under ``src/`` and the tests that must fail on it.  For each
+one this script copies ``src/``, checks that ``old`` occurs exactly once
+in ``file``, replaces it with ``new`` and runs ``tests`` against the copy
+(the repository's own ``tests/``, with the copy first on ``PYTHONPATH``).
+
+* **killed** — pytest exited 1: tests ran and failed.
+* **survived** — the tests passed on the mutant.
+* **broken** — the mutant does not compile, import or collect (any other
+  exit status); it proves nothing.
+
+Before any mutant, every listed test must pass on the unmutated copy.
+``old`` / ``new`` may be tuples of strings for an edit in several places.
+
+    python tools/mutants.py
+
+Exits 0 when the baseline passes and every entry is killed.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+MATRIX = "tests/test_oracle_matrix.py::test_fast_path_equals_its_oracle"
+CELL = "tests/test_shm_runtime.py::TestLocalParityMatrix::test_every_cell_equals_the_serial_loop"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: "str | tuple[str, ...]"
+    new: "str | tuple[str, ...]"
+    tests: "tuple[str, ...]"
+
+
+MUTANTS = [
+    Mutant(
+        "the sample domain is RRT state, read at every draw",
+        "repro/planners/rrt.py",
+        ("        stats = PlannerStats()\n        root = np.asarray(root, dtype=float)\n",
+         "cspace.sample(rng, within=within, unit=raw[rows])"),
+        ("        self._within = within\n        stats = PlannerStats()\n"
+         "        root = np.asarray(root, dtype=float)\n",
+         "cspace.sample(rng, within=self._within, unit=raw[rows])"),
+        ("tests/test_api.py::TestLocalExecution::test_pool_threads_do_not_share_a_sample_domain",),
+    ),
+    Mutant(
+        "the plane scan's lower face is exclusive",
+        "repro/kernels/reference.py",
+        "np.greater_equal(col, box_lo[:, j], out=plane if j else inside)",
+        "np.greater(col, box_lo[:, j], out=plane if j else inside)",
+        ("tests/test_kernels.py::test_plane_scan_equals_historical_broadcast",),
+    ),
+    Mutant(
+        "the box maps the unit cube from its upper corner",
+        "repro/geometry/primitives.py",
+        "return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)",
+        "return self.hi - (self.hi - self.lo) * (1.0 - np.asarray(u, dtype=float))",
+        ("tests/test_unit_cube.py::TestAABB",),
+    ),
+    Mutant(
+        "a block's draw is not rewound to where the oracle stops",
+        "repro/planners/rrt.py",
+        "                rng.bit_generator.state = rng_state\n                rng.random(used)\n",
+        "                pass\n",
+        ("tests/test_rrt_batched.py::TestBlockDraw", f"{MATRIX}[rrt-batched-cone-reference]"),
+    ),
+    Mutant(
+        "a block's uniform rows are mapped one call per row",
+        "repro/planners/rrt.py",
+        "                drawn[uniform] = cspace.sample(rng, within=within, unit=raw[rows])\n",
+        "                for b, row in zip(uniform, rows):\n"
+        "                    drawn[b] = cspace.sample(rng, within=within, unit=raw[row])\n",
+        ("tests/test_rrt_batched.py::TestOneProposalCallPerBlock",),
+    ),
+    Mutant(
+        "merge(block) sorts a block's edges by the wrong key first",
+        "repro/planners/roadmap.py",
+        "order = np.lexsort((u, v))",
+        "order = np.lexsort((v, u))",
+        ("tests/test_roadmap.py::TestMergeBlock", f"{MATRIX}[prm-chunk-box-reference]",
+         f"{CELL}[thread-inline-None-1]"),
+    ),
+    Mutant(
+        "a block's measured time is shared equally, ignoring work",
+        "repro/runtime/local_pool.py",
+        "    upto = np.cumsum(work, dtype=float)\n",
+        "    upto = np.arange(1.0, len(tids) + 1.0)\n",
+        ("tests/test_local_pool.py::TestBlockChunks",),
+    ),
+    Mutant(
+        "a segment's stored rows start one row late",
+        "repro/knn/brute.py",
+        "gather = np.minimum(so[:-1, None] + cols, self._n - 1)",
+        "gather = np.minimum(so[:-1, None] + cols + 1, self._n - 1)",
+        ("tests/test_parallel_prm.py::TestSegmentedNeighbours",
+         f"{MATRIX}[prm-block-box-reference]"),
+    ),
+    Mutant(
+        "the batched PRM replay keeps a stale component after an edge",
+        "repro/planners/prm.py",
+        "                            rs = cslot(vid)\n                        pos += 1\n",
+        "                        pos += 1\n",
+        (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[prm-batched-space-bvh]"),
+    ),
+    Mutant(
+        "batched connect_roadmaps ignores components with pending pairs",
+        "repro/planners/prm.py",
+        "if ru == rv or ru in pending_roots or rv in pending_roots:",
+        "if ru == rv:",
+        (f"{MATRIX}[prm-batched-box-reference]", f"{MATRIX}[prm-batched-box-bvh]"),
+    ),
+    Mutant(
+        "every task of a chunk runs the chunk's first task",
+        "repro/runtime/local_pool.py",
+        "            value = fn(tid)\n",
+        "            value = fn(entries[0][0])\n",
+        (f"{MATRIX}[rrt-chunk-cone-reference]", f"{CELL}[thread-inline-None-1]",
+         f"{CELL}[process-inline-None-2]"),
+    ),
+    Mutant(
+        "pool threads share one collision-counter cell",
+        "repro/geometry/environment.py",
+        "        ident = threading.get_ident()\n        cell = self._cells.get(ident)\n",
+        "        ident = 0\n        cell = self._cells.get(ident)\n",
+        (f"{CELL}[thread-inline-None-2]", f"{CELL}[thread-shm-bvh-2]"),
+    ),
+    Mutant(
+        "the BVH walk descends only left children",
+        "repro/geometry/bvh.py",
+        "ni = np.concatenate((left, left + 1))",
+        "ni = np.concatenate((left, left))",
+        ("tests/test_bvh.py::test_random_worlds_bit_exact", f"{MATRIX}[prm-block-box-bvh]",
+         f"{CELL}[thread-inline-bvh-1]"),
+    ),
+    Mutant(
+        "shm workers rebuild the region planner from another seed",
+        "repro/api.py",
+        "workload=replace(wl, environment=env.name),",
+        "workload=replace(wl, environment=env.name, seed=wl.seed + 1),",
+        (f"{CELL}[process-shm-None-1]", f"{CELL}[thread-shm-None-2]"),
+    ),
+]
+
+
+def _pytest(src: Path, tests) -> "tuple[int, str]":
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _copy_src(root: Path) -> Path:
+    shutil.rmtree(root / "src", ignore_errors=True)
+    shutil.copytree(REPO / "src", root / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return root / "src"
+
+
+def _apply(src: Path, mutant: Mutant) -> "str | None":
+    """Edit the copy; the reason it cannot be applied, or None."""
+    path = src / mutant.file
+    text = path.read_text()
+    olds, news = ((x,) if isinstance(x, str) else x for x in (mutant.old, mutant.new))
+    for old, new in zip(olds, news, strict=True):
+        if text.count(old) != 1:
+            return f"old text occurs {text.count(old)} times in {mutant.file}"
+        text = text.replace(old, new)
+    try:
+        compile(text, str(path), "exec")
+    except SyntaxError as exc:
+        return f"does not compile: {exc}"
+    path.write_text(text)
+    return None
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp)
+        listed = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code, out = _pytest(_copy_src(root), listed)
+        if code != 0:
+            print(out[-3000:])
+            print(f"mutants: the listed tests fail on unmutated src/ (pytest exit {code})")
+            return 1
+        print(f"baseline: {len(listed)} listed tests pass on unmutated src/")
+        verdicts = []
+        for mutant in MUTANTS:
+            src = _copy_src(root)
+            reason = _apply(src, mutant)
+            if reason is None:
+                code, out = _pytest(src, mutant.tests)
+                verdict = {0: "survived", 1: "killed"}.get(code, "broken")
+                reason = "" if code in (0, 1) else f"pytest exit {code}: {out[-500:]}"
+            else:
+                verdict = "broken"
+            verdicts.append(verdict)
+            print(f"{verdict:8}  {mutant.name}  [{mutant.file}]")
+            for test in mutant.tests:
+                print(f"          {test}")
+            if reason:
+                print(f"          {reason}")
+    killed = verdicts.count("killed")
+    print(f"mutants: {killed}/{len(MUTANTS)} killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
