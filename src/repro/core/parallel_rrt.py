@@ -361,7 +361,7 @@ def build_rrt_workload(
             v = parents[v]
         base = cost_to_root.get(v, 0.0)
         for u in reversed(chain):
-            base += tree.neighbors(u)[parents[u]]
+            base += tree.weight(u, parents[u])
             cost_to_root[u] = base
         if parents[vid] == vid:
             cost_to_root[vid] = 0.0

@@ -1,9 +1,9 @@
 """Amortised query-serving engine over a frozen roadmap.
 
 :class:`~repro.planners.query.RoadmapQuery` pays the full setup cost on
-every query: it rebuilds a brute-force NN index from scratch, mutates the
-roadmap with temporary start/goal vertices, and walks dict-of-dict
-adjacency.  :class:`QueryEngine` amortises all of it across the lifetime
+every query: it rebuilds a brute-force NN index from scratch, adds
+temporary start/goal vertices to the roadmap, and re-derives its CSR to
+search it.  :class:`QueryEngine` amortises all of it across the lifetime
 of a built roadmap:
 
 * the roadmap is compiled once into a

@@ -1,18 +1,14 @@
 """Frozen CSR snapshot of a built roadmap, for amortised query serving.
 
-A :class:`~repro.planners.roadmap.Roadmap` is optimised for construction:
-dict-of-dict adjacency, incremental union-find, amortised vertex storage.
-Query serving has the opposite access pattern — the graph never changes
-and thousands of shortest-path searches walk it — so
-:class:`FrozenRoadmap` compiles the graph once into compressed sparse row
-(CSR) arrays:
-
-* ``indptr`` / ``indices`` / ``weights`` — adjacency in insertion order,
-  vertex ids interned to dense rows;
-* ``configs`` — one contiguous ``(n, dim)`` float array;
-* exact component labels (BFS at freeze time, robust to prior edge
-  removals) so disconnected queries fail in O(1) instead of exhausting
-  a search.
+A :class:`~repro.planners.roadmap.Roadmap` is built for growth.  Query
+serving has the opposite access pattern — the graph never changes and
+thousands of shortest-path searches walk it — so :class:`FrozenRoadmap`
+holds the roadmap's compressed sparse row arrays (``indptr`` /
+``indices`` / ``weights``: adjacency over dense rows in insertion order,
+:meth:`Roadmap.csr <repro.planners.roadmap.Roadmap.csr>`), a copy of its
+configurations, the per-row lists its search loop indexes, and exact
+component labels (BFS at freeze time, robust to prior edge removals) so
+disconnected queries fail in O(1) instead of exhausting a search.
 
 The one search, :meth:`FrozenRoadmap.astar_virtual`, is **path-exact**
 versus the dict A* of :mod:`repro.planners.query` (the oracle): heap keys
@@ -21,9 +17,9 @@ adjacency insertion order, and arithmetic matches operation for
 operation, so the returned path and length are bit-identical — swapping
 a query to the frozen path can never change a result.
 
-The snapshot is immutable by contract: mutating the source roadmap after
-freezing (adding/removing vertices or edges) silently invalidates it, so
-freeze once per built roadmap and re-freeze after any mutation.
+The snapshot is immutable and does not track its source: a roadmap that
+changes after freezing builds a new CSR and leaves the snapshot's arrays
+alone, so freeze once per built roadmap and re-freeze after any mutation.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import math
 
 import numpy as np
 
-from .roadmap import Roadmap
+from .roadmap import Roadmap, _component_labels
 
 __all__ = ["FrozenRoadmap"]
 
@@ -74,77 +70,30 @@ class FrozenRoadmap:
         self.indices = indices
         self.weights = weights
         n = ids.shape[0]
-        self._row: "dict[int, int]" = {int(v): i for i, v in enumerate(ids.tolist())}
         self.max_id = int(ids.max()) if n else -1
         # Python-list mirrors: the search inner loops index these with
         # plain ints, which is several times faster than NumPy scalar
         # extraction for graphs of a few thousand vertices.
         self._ids_list: "list[int]" = ids.tolist()
-        self._indptr_list: "list[int]" = indptr.tolist()
-        self._indices_list: "list[int]" = indices.tolist()
-        self._weights_list: "list[float]" = weights.tolist()
+        self._row: "dict[int, int]" = dict(zip(self._ids_list, range(n)))
         # Per-row (neighbour, weight) tuples, prebuilt once so the search
         # inner loop is a single list index plus direct tuple unpacking —
         # no per-pop slicing.  Order is CSR order, i.e. relax order.
-        ind, nb, wt = self._indptr_list, self._indices_list, self._weights_list
+        ind, nb, wt = indptr.tolist(), indices.tolist(), weights.tolist()
         self._adj: "list[list[tuple[int, float]]]" = [
             list(zip(nb[ind[i] : ind[i + 1]], wt[ind[i] : ind[i + 1]]))
             for i in range(n)
         ]
-        self.comp = self._label_components()
-        self._comp_list: "list[int]" = self.comp.tolist()
+        self._comp_list = _component_labels(ind, nb)
+        self.comp = np.array(self._comp_list, dtype=np.int64)
         self.num_components = int(self.comp.max()) + 1 if n else 0
 
     # -- construction -------------------------------------------------------
     @classmethod
     def from_roadmap(cls, rmap: Roadmap) -> "FrozenRoadmap":
-        """Compile a built roadmap into a frozen snapshot."""
-        ids_view, cfgs_view = rmap.configs_array()
-        ids = ids_view.copy()
-        configs = cfgs_view.copy()
-        n = ids.shape[0]
-        ids_list = ids.tolist()
-        row = {v: i for i, v in enumerate(ids_list)}
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, vid in enumerate(ids_list):
-            indptr[i + 1] = rmap.degree(vid)
-        np.cumsum(indptr, out=indptr)
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        weights = np.empty(nnz, dtype=np.float64)
-        pos = 0
-        # Rows are visited in row order, so filling is contiguous; within a
-        # row, neighbours keep their adjacency-dict insertion order — the
-        # order the dict searches relax in.
-        for vid in ids_list:
-            for v, w in rmap.neighbors(vid).items():
-                indices[pos] = row[v]
-                weights[pos] = w
-                pos += 1
-        return cls(rmap.dim, ids, configs, indptr, indices, weights)
-
-    def _label_components(self) -> np.ndarray:
-        """Exact dense component labels by BFS over the CSR arrays."""
-        n = len(self._ids_list)
-        comp = np.full(n, -1, dtype=np.int64)
-        labels = comp.tolist()
-        indptr, nbrs = self._indptr_list, self._indices_list
-        c = 0
-        for s in range(n):
-            if labels[s] >= 0:
-                continue
-            labels[s] = c
-            frontier = [s]
-            while frontier:
-                u = frontier.pop()
-                for p in range(indptr[u], indptr[u + 1]):
-                    v = nbrs[p]
-                    if labels[v] < 0:
-                        labels[v] = c
-                        frontier.append(v)
-            c += 1
-        comp[:] = labels
-        return comp
+        """A snapshot of ``rmap``: copies of its vertex arrays, its shared CSR."""
+        ids, configs = rmap.configs_array()
+        return cls(rmap.dim, ids.copy(), configs.copy(), *rmap.csr())
 
     # -- introspection ------------------------------------------------------
     @property
@@ -153,7 +102,7 @@ class FrozenRoadmap:
 
     @property
     def num_edges(self) -> int:
-        return len(self._indices_list) // 2
+        return self.indices.size // 2
 
     def has_vertex(self, vid: int) -> bool:
         return vid in self._row

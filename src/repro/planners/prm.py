@@ -46,7 +46,7 @@ _BLOCK = 64
 
 
 def _rows_of(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Row in ``ids`` of every id in ``wanted`` (all present)."""
+    """Row in ``ids`` of every id in ``wanted`` (all present), in ``wanted``'s shape."""
     sorter = np.argsort(ids, kind="stable")
     return sorter[np.searchsorted(ids, wanted, sorter=sorter)]
 
@@ -86,6 +86,15 @@ class PRMBlock:
     offsets: np.ndarray
     edges: "tuple[np.ndarray, np.ndarray, np.ndarray]"
     stats: "list[PlannerStats]"
+
+    def configs_array(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Vertex ids and configurations, as :meth:`Roadmap.configs_array`."""
+        return self.ids, self.configs
+
+    def edge_rows(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Edges as vertex rows and weights, as :meth:`Roadmap.edge_rows`."""
+        u, v, w = self.edges
+        return _rows_of(self.ids, np.stack((u, v), axis=1)), w
 
 
 @dataclass(frozen=True)

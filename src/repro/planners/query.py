@@ -142,8 +142,8 @@ class RoadmapQuery:
     def solve(self, rmap: Roadmap, start: np.ndarray, goal: np.ndarray) -> QueryResult | None:
         """Solve the (start, goal) query; None when no path exists.
 
-        The temporary start/goal vertices are removed from the roadmap
-        before returning, leaving it unchanged.
+        The start and goal join the roadmap as temporary vertices inside
+        :meth:`Roadmap.transient`, which leaves it exactly as it was.
         """
         start = np.asarray(start, dtype=float)
         goal = np.asarray(goal, dtype=float)
@@ -152,18 +152,11 @@ class RoadmapQuery:
         ids, _ = rmap.configs_array()
         max_id = int(ids.max()) if ids.size else -1
         sid, gid = max_id + 1, max_id + 2
-        try:
+        with rmap.transient():
             ok_s = self._attach(rmap, start, sid)
             ok_g = self._attach(rmap, goal, gid)
-            if not (ok_s and ok_g):
-                return None
-            found = astar(rmap, sid, gid)
+            found = astar(rmap, sid, gid) if ok_s and ok_g else None
             if found is None:
                 return None
             path, length = found
-            configs = rmap.configs_of(path)
-            return QueryResult(path, configs, length)
-        finally:
-            for vid in (gid, sid):
-                if rmap.has_vertex(vid):
-                    rmap.remove_vertex(vid)
+            return QueryResult(path, rmap.configs_of(path), length)

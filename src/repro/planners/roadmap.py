@@ -1,21 +1,19 @@
 """Roadmap graph: the data structure PRM and RRT build.
 
-A small, dependency-free adjacency-list graph specialised for motion
-planning: vertices carry configurations, edges carry C-space lengths, and
-connected components are tracked incrementally with a union-find so that
-"would this edge merge two components?" — the question PRM connection
-strategies ask constantly — is O(α(n)).
-
-Configurations live in one contiguous, amortised-growth NumPy array (the
-same layout as :class:`repro.knn.brute.BruteForceNN`), so
-:meth:`Roadmap.configs_array` is O(1) and batched accessors like
-:meth:`Roadmap.configs_of` feed the vectorised local planner directly —
-roadmap construction is the hot path of the whole computation
-(paper Sec. III-B).
+Flat arrays over vertex rows (insertion order): ids, configurations
+(the layout of :class:`repro.knn.brute.BruteForceNN`) and degrees; an
+append-only edge log of ``(u_row, v_row)`` pairs, weights and a live
+mask; a union-find over rows for "would this edge merge two components?";
+and a duplicate index of sorted ``min_row << 32 | max_row`` keys that may
+lag the log.  :meth:`Roadmap.csr` stable-sorts the live log by row, which
+keeps each row's neighbours in insertion order (the order searches relax
+them in); a frozen snapshot serves from those very arrays.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -28,57 +26,75 @@ __all__ = ["Roadmap", "UnionFind"]
 _INITIAL_CAPACITY = 64
 
 
+def _keys_of(uv: np.ndarray) -> np.ndarray:
+    """Packed undirected keys ``min_row << 32 | max_row`` of ``(k, 2)`` row pairs."""
+    return (uv.min(axis=1) << 32) | uv.max(axis=1)
+
+
+def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
+    """A copy of ``arr``'s first ``used`` rows with room for ``need``."""
+    out = np.empty((max(need, 2 * arr.shape[0]),) + arr.shape[1:], dtype=arr.dtype)
+    out[:used] = arr[:used]
+    return out
+
+
+def _component_labels(indptr: "list[int]", indices: "list[int]") -> "list[int]":
+    """Component label of every row of a CSR graph, by BFS in row order."""
+    labels, c = [-1] * (len(indptr) - 1), 0
+    for s in range(len(labels)):
+        if labels[s] >= 0:
+            continue
+        labels[s] = c
+        frontier = [s]
+        while frontier:
+            u = frontier.pop()
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if labels[v] < 0:
+                    labels[v] = c
+                    frontier.append(v)
+        c += 1
+    return labels
+
+
 class UnionFind:
-    """Array-based union-find with path compression and union by rank.
+    """Union-find over dense elements ``0, 1, ...`` with path compression
+    and union by rank, in flat lists: plain ints beat NumPy scalars for
+    the many tiny find/union steps roadmap construction performs."""
 
-    Arbitrary hashable keys are interned once into dense slots; parent and
-    rank live in flat lists indexed by slot, which beats per-element dict
-    storage for the millions of tiny find/union operations roadmap
-    construction performs.
-    """
-
-    __slots__ = ("_slot", "_key", "_parent", "_rank", "num_sets")
+    __slots__ = ("_parent", "_rank", "num_sets")
 
     def __init__(self) -> None:
-        self._slot: dict[int, int] = {}
-        self._key: list[int] = []
-        self._parent: list[int] = []
-        self._rank: list[int] = []
+        self._parent: "list[int]" = []
+        self._rank: "list[int]" = []
         self.num_sets = 0
 
-    def make_set(self, x: int) -> None:
-        if x in self._slot:
-            return
-        s = len(self._parent)
-        self._slot[x] = s
-        self._key.append(x)
-        self._parent.append(s)
-        self._rank.append(0)
-        self.num_sets += 1
+    def extend(self, count: int) -> None:
+        """Append ``count`` singleton sets."""
+        n = len(self._parent)
+        self._parent.extend(range(n, n + count))
+        self._rank.extend(repeat(0, count))
+        self.num_sets += count
 
-    def _find_slot(self, s: int) -> int:
+    def root(self, x: int) -> int:
+        """Representative of ``x``'s set; leaves the forest untouched."""
         parent = self._parent
-        root = s
-        while parent[root] != root:
-            root = parent[root]
-        while parent[s] != root:
-            parent[s], s = root, parent[s]
-        return root
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
     def find(self, x: int) -> int:
-        """Representative key of the set containing ``x``."""
-        return self._key[self._find_slot(self._slot[x])]
-
-    def root_slot(self, x: int) -> int:
-        """Dense slot index of ``x``'s representative — one find instead of
-        the two a ``same_set`` costs, for callers comparing many elements
-        against a fixed set.  Stable only until the next union."""
-        return self._find_slot(self._slot[x])
+        """Representative of ``x``'s set, compressing the path to it."""
+        parent = self._parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of ``a`` and ``b``; returns True if they were distinct."""
-        ra = self._find_slot(self._slot[a])
-        rb = self._find_slot(self._slot[b])
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
         rank = self._rank
@@ -91,10 +107,7 @@ class UnionFind:
         return True
 
     def same_set(self, a: int, b: int) -> bool:
-        return self._find_slot(self._slot[a]) == self._find_slot(self._slot[b])
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._slot
+        return self.find(a) == self.find(b)
 
 
 class Roadmap:
@@ -119,24 +132,15 @@ class Roadmap:
         self.metric = metric
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._cfgs = np.empty((_INITIAL_CAPACITY, dim))
-        self._n = 0
+        self._deg = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._index: dict[int, int] = {}
-        self._adj: dict[int, dict[int, float]] = {}
-        self._next_id = 0
         self._uf = UnionFind()
-        self.num_edges = 0
-
-    def _ensure_capacity(self, extra: int) -> None:
-        need = self._n + extra
-        cap = self._cfgs.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        cfgs = np.empty((new_cap, self.dim))
-        cfgs[: self._n] = self._cfgs[: self._n]
-        ids = np.empty(new_cap, dtype=np.int64)
-        ids[: self._n] = self._ids[: self._n]
-        self._cfgs, self._ids = cfgs, ids
+        self._uv = np.empty((_INITIAL_CAPACITY, 2), dtype=np.int64)
+        self._w = np.empty(_INITIAL_CAPACITY)
+        self._live = np.empty(_INITIAL_CAPACITY, dtype=bool)
+        self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []  # sorted keys, log positions
+        self._n = self._next_id = self._m = self.num_edges = self._indexed = 0
+        self._csr: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
 
     # -- vertices ---------------------------------------------------------
     def add_vertex(self, config: np.ndarray, vid: int | None = None) -> int:
@@ -147,15 +151,13 @@ class Roadmap:
             vid = self._next_id
         if vid in self._index:
             raise KeyError(f"vertex {vid} already exists")
-        self._next_id = max(self._next_id, vid + 1)
-        self._ensure_capacity(1)
         row = self._n
-        self._cfgs[row] = cfg
-        self._ids[row] = vid
+        self._reserve(1, 0)
+        self._ids[row], self._cfgs[row], self._deg[row] = vid, cfg, 0
         self._index[vid] = row
-        self._n = row + 1
-        self._adj[vid] = {}
-        self._uf.make_set(vid)
+        self._uf.extend(1)
+        self._next_id = max(self._next_id, vid + 1)
+        self._n, self._csr = row + 1, None
         return vid
 
     def add_vertices(self, ids: np.ndarray, configs: np.ndarray) -> None:
@@ -168,22 +170,22 @@ class Roadmap:
             raise ValueError(
                 f"configs must have shape ({len(vids)}, {self.dim}), got {cfgs.shape}"
             )
-        if not vids:
-            return
-        index = self._index
-        if len(set(vids)) != len(vids) or not index.keys().isdisjoint(vids):
+        if len(set(vids)) != len(vids) or not self._index.keys().isdisjoint(vids):
             raise KeyError("vertex ids must be new and distinct")
-        lo = self._n
-        self._ensure_capacity(len(vids))
-        self._cfgs[lo : lo + len(vids)] = cfgs
-        self._ids[lo : lo + len(vids)] = vids
-        index.update(zip(vids, range(lo, lo + len(vids))))
-        self._adj.update((vid, {}) for vid in vids)
-        make_set = self._uf.make_set
-        for vid in vids:
-            make_set(vid)
-        self._next_id = max(self._next_id, max(vids) + 1)
-        self._n = lo + len(vids)
+        self._append(vids, cfgs)
+
+    def _append(self, vids: "list[int]", cfgs: np.ndarray) -> int:
+        """Rows for the new, distinct ids ``vids``; returns the first."""
+        lo, k = self._n, len(vids)
+        self._reserve(k, 0)
+        self._ids[lo : lo + k] = vids
+        self._cfgs[lo : lo + k] = cfgs
+        self._deg[lo : lo + k] = 0
+        self._index.update(zip(vids, range(lo, lo + k)))
+        self._uf.extend(k)
+        self._next_id = max(self._next_id, max(vids, default=-1) + 1)
+        self._n, self._csr = lo + k, None
+        return lo
 
     def config(self, vid: int) -> np.ndarray:
         """The configuration of ``vid`` (a read-view into shared storage)."""
@@ -196,29 +198,6 @@ class Roadmap:
         if not rows:
             return np.empty((0, self.dim))
         return self._cfgs[rows]
-
-    def remove_vertex(self, vid: int) -> None:
-        """Delete a vertex and its incident edges.
-
-        O(degree) via swap-with-last storage removal (insertion order of
-        the *last-added* vertex changes).  Like :meth:`remove_edge`,
-        union-find component tracking is not rewound — callers needing
-        exact components afterwards should use
-        :meth:`connected_components`.
-        """
-        row = self._index.pop(vid, None)
-        if row is None:
-            raise KeyError(f"vertex {vid} does not exist")
-        for nbr in self._adj.pop(vid):
-            del self._adj[nbr][vid]
-            self.num_edges -= 1
-        last = self._n - 1
-        if row != last:
-            self._cfgs[row] = self._cfgs[last]
-            moved = int(self._ids[last])
-            self._ids[row] = moved
-            self._index[moved] = row
-        self._n = last
 
     def has_vertex(self, vid: int) -> bool:
         return vid in self._index
@@ -250,19 +229,25 @@ class Roadmap:
         """
         if u == v:
             raise ValueError("self-loops are not allowed in a roadmap")
-        if u not in self._index or v not in self._index:
+        a, b = self._index.get(u), self._index.get(v)
+        if a is None or b is None:
             raise KeyError(f"edge ({u},{v}) references missing vertex")
-        if v in self._adj[u]:
+        if self._find(a, b) >= 0:
             return False
         if weight is None:
-            cu, cv = self._cfgs[self._index[u]], self._cfgs[self._index[v]]
+            cu, cv = self._cfgs[a], self._cfgs[b]
             w = float(self.metric(cu, cv)) if self.metric is not None else float(np.linalg.norm(cu - cv))
         else:
             w = float(weight)
-        self._adj[u][v] = w
-        self._adj[v][u] = w
-        self._uf.union(u, v)
+        m = self._m
+        self._reserve(0, 1)
+        self._uv[m], self._w[m], self._live[m] = (a, b), w, True
+        self._m = m + 1
+        self._deg[a] += 1
+        self._deg[b] += 1
+        self._uf.union(a, b)
         self.num_edges += 1
+        self._csr = None
         return True
 
     def add_edges(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -274,76 +259,166 @@ class Roadmap:
         missing endpoints raise before anything is inserted."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        ws = np.asarray(weights, dtype=float).tolist()
-        if not u.shape == v.shape == (len(ws),):
+        w = np.asarray(weights, dtype=float)
+        if u.ndim != 1 or not u.shape == v.shape == w.shape:
             raise ValueError("u, v and weights must be 1-D and of equal length")
         if np.any(u == v):
             raise ValueError("self-loops are not allowed in a roadmap")
-        # Endpoints become the vertices' own id objects (interned by the
-        # union-find), so an edge keeps no integer of its own alive.
-        slot, key = self._uf._slot, self._uf._key
         try:
-            us = [key[slot[a]] for a in u.tolist()]
-            vs = [key[slot[b]] for b in v.tolist()]
+            rows = np.fromiter(map(self._index.__getitem__, np.concatenate((u, v)).tolist()),
+                               dtype=np.int64, count=2 * u.size)
         except KeyError as exc:
             raise KeyError(f"an edge references missing vertex {exc.args[0]}") from None
-        adj, union = self._adj, self._uf.union
-        added = np.ones(len(us), dtype=bool)
-        for i, (a, b, w) in enumerate(zip(us, vs, ws)):
-            row = adj[a]
-            if b in row:
-                added[i] = False
-                continue
-            row[b] = w
-            adj[b][a] = w
+        return self._insert(rows.reshape(2, -1).T, w)
+
+    def _reserve(self, vertices: int, edges: int) -> None:
+        """Room for that many more rows and log entries (amortised doubling)."""
+        n, m = self._n, self._m
+        if n + vertices > self._ids.shape[0]:
+            self._ids, self._cfgs, self._deg = (
+                _grown(a, n, n + vertices) for a in (self._ids, self._cfgs, self._deg))
+        if m + edges > self._w.shape[0]:
+            self._uv, self._w, self._live = (
+                _grown(a, m, m + edges) for a in (self._uv, self._w, self._live))
+
+    def _insert(self, uv: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Append the row pairs ``uv`` (weights ``w``) to the log in order
+        but for those already edges or repeated in the batch — one
+        membership test — then union them in order; returns the mask."""
+        keys = _keys_of(uv)
+        self._fold()
+        fresh = np.zeros(keys.size, dtype=bool)
+        fresh[np.unique(keys, return_index=True)[1]] = True
+        for run, _pos in self._runs:
+            if run.size:
+                fresh &= run[np.minimum(run.searchsorted(keys), run.size - 1)] != keys
+        uv, w = uv[fresh], w[fresh]
+        m, k = self._m, w.size
+        self._reserve(0, k)
+        self._uv[m : m + k] = uv
+        self._w[m : m + k] = w
+        self._live[m : m + k] = True
+        self._m = m + k
+        np.add.at(self._deg, uv.ravel(), 1)
+        union = self._uf.union
+        for a, b in zip(uv[:, 0].tolist(), uv[:, 1].tolist()):
             union(a, b)
-        self.num_edges += int(np.count_nonzero(added))
-        return added
+        self.num_edges += k
+        self._csr = None
+        return fresh
+
+    def _fold(self) -> None:
+        """Bring the duplicate index up to the end of the log: the new live
+        entries become a sorted run, merged with each last run up to twice its size."""
+        lo, m = self._indexed, self._m
+        if lo == m:
+            return
+        pos = lo + np.flatnonzero(self._live[lo:m])
+        keys = _keys_of(self._uv[pos])
+        while self._runs and self._runs[-1][0].size <= 2 * keys.size:
+            run, at = self._runs.pop()
+            keys, pos = np.concatenate((run, keys)), np.concatenate((at, pos))
+        order = np.argsort(keys)
+        self._runs.append((keys[order], pos[order]))
+        self._indexed = m
+
+    def _find(self, a: int, b: int) -> int:
+        """Log position of the edge between rows ``a`` and ``b``, or -1; two
+        union-find sets or a degree of 0 settle a miss first."""
+        uf = self._uf
+        if uf.root(a) != uf.root(b) or self._deg[a] == 0 or self._deg[b] == 0:
+            return -1
+        self._fold()
+        key = a << 32 | b if a < b else b << 32 | a
+        for run, pos in self._runs:
+            i = int(run.searchsorted(key))
+            if i < run.size and run[i] == key:
+                return int(pos[i])
+        return -1
+
+    def _edge(self, u: int, v: int) -> int:
+        """Log position of edge ``(u, v)``; KeyError when there is none."""
+        a, b = self._index.get(u), self._index.get(v)
+        e = -1 if a is None or b is None or a == b else self._find(a, b)
+        if e < 0:
+            raise KeyError(f"edge ({u},{v}) does not exist")
+        return e
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
+        a, b = self._index.get(u), self._index.get(v)
+        return a is not None and b is not None and a != b and self._find(a, b) >= 0
+
+    def weight(self, u: int, v: int) -> float:
+        """Weight of edge ``(u, v)``; KeyError when there is none."""
+        return float(self._w[self._edge(u, v)])
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete an undirected edge (component tracking is rebuilt lazily:
-        union-find does not support splits, so callers needing exact
-        components after removal should use :meth:`connected_components`)."""
-        if not self.has_edge(u, v):
-            raise KeyError(f"edge ({u},{v}) does not exist")
-        del self._adj[u][v]
-        del self._adj[v][u]
+        """Delete an undirected edge (its log entry goes dead).  Component
+        tracking is not rewound — union-find does not split — so callers
+        needing exact components after removal should use
+        :meth:`connected_components`."""
+        e = self._edge(u, v)
+        self._runs = [(run[pos != e], pos[pos != e]) for run, pos in self._runs]
+        self._live[e] = False
+        self._deg[self._uv[e]] -= 1
         self.num_edges -= 1
+        self._csr = None
+
+    def edge_rows(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The live edges as ``(uv, w)``: ``(k, 2)`` rows and weights, in insertion order."""
+        live = self._live[: self._m]
+        return self._uv[: self._m][live], self._w[: self._m][live]
+
+    def csr(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Adjacency as compressed sparse rows ``(indptr, indices, weights)``:
+        row ``i``'s neighbour rows and weights at ``indptr[i]:indptr[i + 1]``
+        in insertion order.  One stable sort of the live log by row, cached
+        until the next change; read-only, shared with every caller."""
+        if self._csr is None:
+            uv, w = self.edge_rows()
+            order = np.argsort(uv.ravel(), kind="stable")
+            indptr = np.zeros(self._n + 1, dtype=np.int64)
+            np.cumsum(self._deg[: self._n], out=indptr[1:])
+            self._csr = (indptr, uv[:, ::-1].ravel()[order], np.repeat(w, 2)[order])
+            for arr in self._csr:
+                arr.flags.writeable = False
+        return self._csr
 
     def neighbors(self, vid: int) -> "dict[int, float]":
-        return self._adj[vid]
+        """``vid``'s neighbours and edge weights in insertion order (a fresh dict)."""
+        indptr, indices, weights = self.csr()
+        row = self._index[vid]
+        lo, hi = indptr[row], indptr[row + 1]
+        return dict(zip(self._ids[indices[lo:hi]].tolist(), weights[lo:hi].tolist()))
 
     def degree(self, vid: int) -> int:
-        return len(self._adj[vid])
+        return int(self._deg[self._index[vid]])
 
     def edges(self):
-        """Iterate undirected edges once, as (u, v, weight) with u < v."""
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    yield u, v, w
+        """Iterate undirected edges once, as ``(u, v, weight)`` with
+        ``u < v``: by the row of ``u``, then in insertion order."""
+        indptr, indices, weights = self.csr()
+        ids = self._ids[: self._n]
+        u, v = np.repeat(ids, np.diff(indptr)), ids[indices]
+        once = np.flatnonzero(u < v)
+        for lo in range(0, once.size, 4096):  # a few Python objects at a time
+            part = once[lo : lo + 4096]
+            yield from zip(u[part].tolist(), v[part].tolist(), weights[part].tolist())
 
     # -- components ------------------------------------------------------------
     def same_component(self, u: int, v: int) -> bool:
         """Fast, union-find-based check (exact as long as no edges were removed)."""
-        return self._uf.same_set(u, v)
+        return self._uf.same_set(self._index[u], self._index[v])
 
     def component_id(self, vid: int) -> int:
         """Representative vertex id of ``vid``'s component (union-find root).
-
-        Stable only until the next union; use for transient grouping, not
-        as a persistent label.
-        """
-        return self._uf.find(vid)
+        Stable only until the next union: for transient grouping only."""
+        return int(self._ids[self._uf.find(self._index[vid])])
 
     def component_slot(self, vid: int) -> int:
-        """Opaque dense label of ``vid``'s component — equality-comparable
-        like :meth:`component_id` but cheaper on the hot path.  Stable
-        only until the next edge insertion."""
-        return self._uf.root_slot(vid)
+        """Opaque dense label of ``vid``'s component, equality-comparable like
+        :meth:`component_id` but cheaper; stable only until the next edge."""
+        return self._uf.find(self._index[vid])
 
     @property
     def num_components_fast(self) -> int:
@@ -351,72 +426,58 @@ class Roadmap:
 
     def connected_components(self) -> "list[set[int]]":
         """Exact connected components by BFS (robust to edge removals)."""
-        seen: set[int] = set()
-        comps: list[set[int]] = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                u = frontier.pop()
-                for v in self._adj[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        frontier.append(v)
-            seen |= comp
-            comps.append(comp)
+        indptr, indices, _w = self.csr()
+        labels = _component_labels(indptr.tolist(), indices.tolist())
+        comps: "list[set[int]]" = [set() for _ in range(max(labels, default=-1) + 1)]
+        for vid, c in zip(self._ids[: self._n].tolist(), labels):
+            comps[c].add(vid)
         return comps
 
     # -- merging (used to stitch regional roadmaps into one) -------------------
     def merge(self, other: "Roadmap | PRMBlock") -> None:
-        """Graph union of ``other`` into self; vertex ids must be disjoint
-        or refer to identical configurations.
-
-        A :class:`~repro.planners.prm.PRMBlock` (regional roadmaps side by
-        side in flat arrays, new to this roadmap, segment id ranges
-        ascending) merges as the roadmaps it holds would one after the
-        other — same rows, same adjacency insertion order, same union-find
-        forest — through one :meth:`add_vertices` and one :meth:`add_edges`.
-        """
-        if not isinstance(other, Roadmap):
-            if other.configs.shape[1] != self.dim:
-                raise ValueError("cannot merge roadmaps of different dimension")
-            self.add_vertices(other.ids, other.configs)
-            # A regional roadmap's edges replay as (min id, max id) in that
-            # order; a block's ``u`` is always the newer, larger id.
-            u, v, w = other.edges
-            order = np.lexsort((u, v))
-            self.add_edges(v[order], u[order], w[order])
-            return
-        if other.dim != self.dim:
+        """Graph union of ``other`` (a roadmap, or a
+        :class:`~repro.planners.prm.PRMBlock` of regional roadmaps side by
+        side, id ranges ascending) into self; vertex ids must be disjoint or
+        refer to identical configurations.  Leaves the state of appending
+        the missing vertices in ``other``'s row order, then an
+        :meth:`add_edge` loop over ``other``'s edges in :meth:`edges` order
+        (lower id first) — in one membership test and one union pass."""
+        ids, cfgs = other.configs_array()
+        if cfgs.shape[1] != self.dim:
             raise ValueError("cannot merge roadmaps of different dimension")
-        o_ids = other._ids[: other._n]
-        o_cfgs = other._cfgs[: other._n]
-        fresh_rows: "list[int]" = []
-        for i in range(other._n):
-            vid = int(o_ids[i])
-            row = self._index.get(vid)
-            if row is not None:
-                if not np.allclose(self._cfgs[row], o_cfgs[i]):
-                    raise ValueError(f"vertex id clash with different configs: {vid}")
-            else:
-                fresh_rows.append(i)
-        if fresh_rows:
-            self._ensure_capacity(len(fresh_rows))
-            dst = self._n
-            self._cfgs[dst : dst + len(fresh_rows)] = o_cfgs[fresh_rows]
-            self._ids[dst : dst + len(fresh_rows)] = o_ids[fresh_rows]
-            for i in fresh_rows:
-                vid = int(o_ids[i])
-                self._index[vid] = dst
-                dst += 1
-                self._adj[vid] = {}
-                self._uf.make_set(vid)
-                self._next_id = max(self._next_id, vid + 1)
-            self._n = dst
-        for u, v, w in other.edges():
-            self.add_edge(u, v, w)
+        vids = ids.tolist()
+        rows = np.fromiter(map(self._index.get, vids, repeat(-1)), dtype=np.int64, count=len(vids))
+        shared = np.flatnonzero(rows >= 0)
+        clash = ~np.isclose(self._cfgs[rows[shared]], cfgs[shared]).all(axis=1)
+        if clash.any():
+            raise ValueError(f"vertex id clash with different configs: {vids[shared[clash.argmax()]]}")
+        fresh = np.flatnonzero(rows < 0)
+        rows[fresh] = self._append(ids[fresh].tolist(), cfgs[fresh]) + np.arange(fresh.size)
+        uv, w = other.edge_rows()
+        flip = ids[uv[:, 0]] > ids[uv[:, 1]]
+        uv[flip] = uv[flip, ::-1]
+        order = np.argsort(uv[:, 0], kind="stable")
+        self._insert(rows[uv[order]], w[order])
+
+    # -- temporary vertices ----------------------------------------------------
+    @contextmanager
+    def transient(self):
+        """A block whose changes are undone on exit — rows, edge log, next
+        id and union-find forest rewind to a mark taken on entry — for
+        temporary vertices such as a query's start and goal."""
+        uf = self._uf
+        self._fold()  # the mark keeps a caught-up index, so later blocks start from it
+        mark = (self._n, self._m, self._next_id, self.num_edges, self._runs[:],
+                self._indexed, self._csr, uf._parent[:], uf._rank[:], uf.num_sets)
+        deg, live = self._deg[: self._n].copy(), self._live[: self._m].copy()
+        try:
+            yield self
+        finally:
+            for vid in self._ids[mark[0] : self._n].tolist():
+                del self._index[vid]
+            (self._n, self._m, self._next_id, self.num_edges, self._runs,
+             self._indexed, self._csr, uf._parent, uf._rank, uf.num_sets) = mark
+            self._deg[: self._n], self._live[: self._m] = deg, live
 
     # -- freezing -----------------------------------------------------------
     def freeze(self):
@@ -429,12 +490,7 @@ class Roadmap:
 
     # -- paths --------------------------------------------------------------
     def path_length(self, path: "list[int]") -> float:
-        total = 0.0
-        for u, v in zip(path, path[1:]):
-            if not self.has_edge(u, v):
-                raise KeyError(f"path uses missing edge ({u},{v})")
-            total += self._adj[u][v]
-        return total
+        return sum((self.weight(u, v) for u, v in zip(path, path[1:])), 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Roadmap(|V|={self.num_vertices}, |E|={self.num_edges})"

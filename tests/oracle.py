@@ -7,9 +7,10 @@ sequential loop leaves.  :func:`digest` names every field of that, and
 :func:`assert_same` names the first field two runs differ in.
 
 This is the only test module that knows how a ``Roadmap`` stores its
-graph (``_index``, ``_adj``, ``_next_id``, ``_uf``);
-``tests/test_hygiene.py`` keeps it that way, so a change of
-representation edits :func:`digest` and nothing else.
+graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
+``_next_id``, the union-find ``_uf``); ``tests/test_hygiene.py`` keeps it
+that way, so a change of representation edits :func:`digest` and nothing
+else.
 """
 
 import hashlib
@@ -25,32 +26,40 @@ def digest(run, env=None, rng=None) -> dict:
 
     ``run`` is a ``Roadmap``, a planner result (``PRMResult`` /
     ``RRTResult``), a workload, or a ``PlanReport``.  The roadmap's
-    vertex ids in row order, configuration bytes, adjacency in insertion
-    order (frozen A* breaks ties on it; a tree's first neighbour is the
-    parent), id -> row index, next id, exact components, the union-find
-    count and forest; then whatever ``run`` carries of parents, the root,
-    ``PlannerStats``, per-region ledgers and ``CollisionCounters``.
-    ``env`` names the environment whose counters a bare result charged,
-    ``rng`` the generator whose end state counts.
+    vertex ids in row order, configuration bytes, CSR adjacency in
+    insertion order (frozen A* breaks ties on it; a tree's first
+    neighbour is the parent) and its weights, the edge log's row pairs
+    and live mask, id -> row
+    index, next id, exact components, the union-find count and forest;
+    then whatever ``run`` carries of parents, the root, ``PlannerStats``,
+    per-region ledgers and ``CollisionCounters``.  ``env`` names the
+    environment whose counters a bare result charged, ``rng`` the
+    generator whose end state counts.  Every value is a copy — immutable
+    but for the fresh ``stats`` dict — so a digest does not follow later
+    mutations.  The duplicate index lags the log by design and stays out.
     """
     rm = run if isinstance(run, Roadmap) else run.roadmap
     ids, cfgs = rm.configs_array()
-    uf = rm._uf
+    m, uf = rm._m, rm._uf
+    indptr, indices, weights = rm.csr()
     out = {
-        "ids": ids.tolist(),
+        "ids": tuple(ids.tolist()),
         "configs": cfgs.tobytes(),
-        "adjacency": [(u, list(nbrs.items())) for u, nbrs in rm._adj.items()],
-        "index": list(rm._index.items()),
+        "adjacency": (indptr.tobytes(), indices.tobytes()),
+        "weights": tuple(weights.tolist()),
+        "edge_log": (rm._uv[:m].tobytes(), rm._live[:m].tobytes()),
+        "index": tuple(rm._index.items()),
         "next_id": rm._next_id,
         "num_edges": rm.num_edges,
-        "components": sorted(sorted(c) for c in rm.connected_components()),
+        "components": tuple(tuple(sorted(c)) for c in
+                            sorted(rm.connected_components(), key=min)),
         "num_components_fast": rm.num_components_fast,
-        "forest": (uf._key, uf._parent, uf._rank),
+        "forest": (tuple(uf._parent), tuple(uf._rank)),
     }
     # A simulate-mode report carries its measured workload.
     source = getattr(run, "workload", None) or run
     if hasattr(source, "parents"):
-        out["parents"] = dict(source.parents)
+        out["parents"] = frozenset(source.parents.items())
     if hasattr(source, "root_id"):
         out["root_id"] = source.root_id
     if hasattr(source, "stats"):
@@ -60,8 +69,8 @@ def digest(run, env=None, rng=None) -> dict:
         out["counters"] = run.local_counters
     for ledger in ("region_work", "branch_work"):
         if hasattr(source, ledger):
-            out[ledger] = [astuple(w) for w in getattr(source, ledger).values()]
-            out["adjacency_work"] = [astuple(a) for a in source.adjacency_work]
+            out[ledger] = tuple(astuple(w) for w in getattr(source, ledger).values())
+            out["adjacency_work"] = tuple(astuple(a) for a in source.adjacency_work)
     if hasattr(source, "sample_positions"):
         out["sample_positions"] = (source.sample_positions.shape,
                                    source.sample_positions.tobytes())
@@ -70,7 +79,7 @@ def digest(run, env=None, rng=None) -> dict:
     if env is not None:
         out["counters"] = (env.counters.point_checks, env.counters.segment_checks)
     if rng is not None:
-        out["rng"] = rng.bit_generator.state
+        out["rng"] = repr(rng.bit_generator.state)
     return out
 
 
@@ -103,6 +112,17 @@ def roadmap_fingerprint(rmap) -> str:
     edges = sorted((min(u, v), max(u, v), w) for u, v, w in rmap.edges())
     h.update(np.array([(u, v) for u, v, _w in edges], dtype=np.int64).tobytes())
     h.update(np.array([w for _u, _v, w in edges], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def adjacency_fingerprint(rmap) -> str:
+    """sha256 over the frozen ``ids`` / ``indptr`` / ``indices`` /
+    ``weights``: unlike :func:`roadmap_fingerprint` it sees the order of
+    every row's neighbours, which frozen A* breaks ties on."""
+    frozen = rmap.freeze()
+    h = hashlib.sha256()
+    for arr in (frozen.ids, frozen.indptr, frozen.indices, frozen.weights):
+        h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 

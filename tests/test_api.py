@@ -33,7 +33,7 @@ from repro.core.parallel_prm import ID_SHIFT
 from repro.obs import summarize_events
 from repro.planners.stats import PlannerStats
 
-from .oracle import assert_same, digest, roadmap_fingerprint
+from .oracle import adjacency_fingerprint, assert_same, digest, roadmap_fingerprint
 
 
 def _vertices(rmap):
@@ -332,6 +332,29 @@ class TestLocalExecution:
         hence different trees)."""
         report = plan(wl, ExecutionPolicy(mode="local", workers=1))
         assert roadmap_fingerprint(report.roadmap) == digest
+
+    @pytest.mark.parametrize(
+        "wl, policy, digest",
+        [
+            (WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3),
+             ExecutionPolicy(strategy="rand-8", num_pes=8),
+             "fd9f66676486504458ae5a181ee04917f6637b269b742e7471b6a12dad9d76b4"),
+            (WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3),
+             ExecutionPolicy(mode="local", workers=1, chunksize=16),
+             "328f6c72eafdeee9eef33aeb52c2c32f485911ea180bfe87407d579fe844e93c"),
+            (WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3),
+             ExecutionPolicy(mode="local", workers=1),
+             "f014d622b4e5a3a44f02aa1203c0bb204bec866dc597c8b22e3bf9f48d3b44fd"),
+        ],
+        ids=["prm-simulate", "prm-local-blocks", "rrt-local"],
+    )
+    def test_frozen_adjacency_is_pinned(self, wl, policy, digest):
+        """Literal digests of the *ordered* adjacency a served roadmap
+        carries (frozen A* breaks ties on each row's neighbour order, which
+        ``roadmap_fingerprint`` sorts away).  Recorded while the roadmap
+        still kept a dict of dicts per vertex, so they pin that insertion
+        order across any change of storage."""
+        assert adjacency_fingerprint(plan(wl, policy).roadmap) == digest
 
     def test_pool_threads_do_not_share_a_sample_domain(self):
         """One ``RRT`` inside the region planner serves every pool thread,

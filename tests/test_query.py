@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import WorkloadSpec, plan
+from repro.cspace import EuclideanCSpace
+from repro.geometry import AABB, Environment
 from repro.planners import PRM, Roadmap, RoadmapQuery, astar, dijkstra
+
+from .oracle import assert_same, digest
 
 
 def _line_graph():
@@ -82,6 +87,27 @@ class TestRoadmapQuery:
         )
         assert res.roadmap.num_vertices == v_before
         assert res.roadmap.num_edges == e_before
+
+    def test_solve_leaves_components_alone(self):
+        """Two disconnected vertices and a start between them: the start's
+        links unite them only while the query is solved."""
+        cs = EuclideanCSpace(Environment(AABB([-5.0, -5.0], [5.0, 5.0]), []))
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1], [[1.0, 1.0], [3.0, 1.0]])
+        before = digest(rm)
+        assert RoadmapQuery(cs).solve(rm, np.array([2.0, 1.0]), np.array([3.0, 2.0]))
+        assert not rm.same_component(0, 1) and rm.num_components_fast == 2
+        assert_same(digest(rm), before)
+
+    def test_twenty_solves_leave_a_planned_roadmap_as_it_was(self):
+        spec = WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3)
+        rm, cs = plan(spec).roadmap, spec.resolve_cspace()
+        before = digest(rm)
+        rng = np.random.default_rng(5)
+        solved = [RoadmapQuery(cs).solve(rm, *rng.uniform(cs.bounds.lo, cs.bounds.hi, (2, 3)))
+                  for _ in range(20)]
+        assert any(solved)
+        assert_same(digest(rm), before)
 
     def test_invalid_start_returns_none(self, box_cspace, rng):
         res = PRM(box_cspace, k=4).build(50, rng)

@@ -1,5 +1,7 @@
 """Tests for the roadmap graph and union-find."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,7 @@ from .oracle import assert_same, digest
 class TestUnionFind:
     def test_union_and_find(self):
         uf = UnionFind()
-        for x in range(5):
-            uf.make_set(x)
+        uf.extend(5)
         assert uf.num_sets == 5
         assert uf.union(0, 1)
         assert not uf.union(0, 1)
@@ -24,19 +25,21 @@ class TestUnionFind:
 
     def test_transitive_union(self):
         uf = UnionFind()
-        for x in range(4):
-            uf.make_set(x)
+        uf.extend(4)
         uf.union(0, 1)
         uf.union(2, 3)
         uf.union(1, 2)
         assert uf.same_set(0, 3)
         assert uf.num_sets == 1
 
-    def test_make_set_idempotent(self):
+    def test_extend_appends_singletons(self):
         uf = UnionFind()
-        uf.make_set(1)
-        uf.make_set(1)
-        assert uf.num_sets == 1
+        uf.extend(2)
+        uf.union(0, 1)
+        uf.extend(0)
+        uf.extend(1)
+        assert uf.num_sets == 2 and uf.find(2) == uf.root(2) == 2
+        assert uf.same_set(0, 1) and not uf.union(1, 0) and uf.union(2, 0)
 
 
 class TestRoadmap:
@@ -216,22 +219,112 @@ class TestArrayBackedStorage:
         np.testing.assert_array_equal(ids, np.arange(200))
         np.testing.assert_array_equal(stored, cfgs)
 
-    def test_remove_vertex_swaps_last(self):
+    def test_adjacency_keeps_insertion_order(self):
+        """A row's neighbours come in insertion order, whatever their rows;
+        a removed edge disappears and one added again goes last."""
         rm = Roadmap(2)
-        for i in range(4):
-            rm.add_vertex([float(i), 0.0], vid=i)
+        rm.add_vertices([0, 1, 2, 3], np.zeros((4, 2)))
+        for v, w in ((3, 0.5), (1, 1.5), (2, 2.5)):
+            rm.add_edge(0, v, w)
+        assert list(rm.neighbors(0).items()) == [(3, 0.5), (1, 1.5), (2, 2.5)]
+        rm.remove_edge(3, 0)
+        assert list(rm.neighbors(0)) == [1, 2] and rm.degree(3) == 0
+        assert not rm.has_edge(0, 3) and rm.num_edges == 2
+        rm.add_edge(3, 0, 4.0)
+        assert list(rm.neighbors(0).items()) == [(1, 1.5), (2, 2.5), (3, 4.0)]
+        assert rm.weight(3, 0) == rm.weight(0, 3) == 4.0
+        assert list(rm.edges()) == [(0, 1, 1.5), (0, 2, 2.5), (0, 3, 4.0)]
+
+    def test_csr_is_cached_read_only_and_shared_by_freeze(self):
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1], np.zeros((2, 2)))
         rm.add_edge(0, 1, 1.0)
-        rm.add_edge(1, 2, 1.0)
-        rm.remove_vertex(1)
-        assert not rm.has_vertex(1)
-        assert rm.num_vertices == 3
-        assert rm.num_edges == 0
-        assert not rm.has_edge(0, 1)
-        # Remaining vertices keep their configurations.
-        np.testing.assert_array_equal(rm.config(3), [3.0, 0.0])
-        np.testing.assert_array_equal(rm.config(0), [0.0, 0.0])
-        with pytest.raises(KeyError):
-            rm.remove_vertex(99)
+        csr = rm.csr()
+        assert rm.csr() is csr and not any(a.flags.writeable for a in csr)
+        frozen = rm.freeze()
+        assert frozen.indices is csr[1]
+        rm.add_vertex(np.ones(2), 2)
+        assert rm.csr() is not csr and frozen.num_vertices == 2
+
+
+class TestDuplicateIndex:
+    """``add_edge`` settles a duplicate by union-find sets, then degrees,
+    then the sorted key index, which lags the log; any interleaving of
+    scalar and bulk inserts, removals and lookups agrees with a plain set
+    of edges."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_lookups_agree_with_a_set_of_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        rm, truth = Roadmap(2), {}
+        rm.add_vertices(np.arange(12) * 3, rng.normal(size=(12, 2)))
+        for _ in range(60):
+            a, b = (3 * int(x) for x in rng.choice(12, size=2, replace=False))
+            key = (min(a, b), max(a, b))
+            op = rng.integers(0, 4)
+            if op == 0:
+                assert rm.add_edge(a, b, float(key[0] + key[1])) == (key not in truth)
+                truth.setdefault(key, float(key[0] + key[1]))
+            elif op == 1:
+                added = rm.add_edges([a, b], [b, a], [1.0, 2.0])
+                assert added.tolist() == [key not in truth, False]
+                truth.setdefault(key, 1.0)
+            elif op == 2 and key in truth:
+                rm.remove_edge(b, a)
+                del truth[key]
+            assert rm.has_edge(a, b) == (key in truth)
+            if key in truth:
+                assert rm.weight(b, a) == truth[key]
+        assert rm.num_edges == len(truth)
+        assert sorted((u, v) for u, v, _w in rm.edges()) == sorted(truth)
+
+    def test_a_duplicate_leaves_the_forest_alone(self):
+        """Deciding that an edge exists must not compress union-find paths,
+        or a scalar loop and a bulk insert would leave different forests."""
+        loop, bulk = Roadmap(2), Roadmap(2)
+        for rm in (loop, bulk):
+            rm.add_vertices(range(4), np.zeros((4, 2)))
+        u, v = [0, 2, 1, 3], [1, 3, 3, 2]  # the last repeats (2, 3) while 3 -> 2 -> 0
+        for a, b in zip(u, v):
+            loop.add_edge(a, b, 1.0)
+        bulk.add_edges(u[:3], v[:3], np.ones(3))
+        bulk.add_edges(u[3:], v[3:], np.ones(1))
+        assert_same(digest(bulk), digest(loop))
+
+
+class TestTransient:
+    def test_everything_rewinds(self):
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1, 2], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        rm.add_edge(0, 1)
+        assert rm.has_edge(1, 0)  # the index has caught up before the mark
+        before = digest(rm)
+        with rm.transient():
+            rm.add_vertex(np.ones(2), 10)
+            rm.add_edges([10, 10], [1, 2], [1.0, 1.0])
+            rm.remove_edge(0, 1)
+            assert rm.same_component(0, 2) and rm.num_vertices == 4
+        assert_same(digest(rm), before)
+        assert not rm.has_vertex(10) and rm.has_edge(0, 1) and not rm.has_edge(1, 2)
+        assert rm.add_vertex(np.ones(2)) == 3
+
+
+class TestDigest:
+    def test_a_digest_does_not_follow_its_roadmap(self):
+        """Every digest field is a copy: mutating the roadmap afterwards,
+        path compression included, leaves an earlier digest as it was."""
+        rm = Roadmap(2)
+        rm.add_vertices(range(4), np.zeros((4, 2)))
+        for a, b in ((0, 1), (2, 3), (1, 3)):
+            rm.add_edge(a, b, 1.0)
+        d = digest(rm)
+        kept = copy.deepcopy(d)
+        rm.same_component(2, 3)  # compresses 3 -> 2 -> 0
+        rm.add_vertex(np.ones(2), 9)
+        rm.add_edge(9, 0, 2.0)
+        rm.remove_edge(0, 1)
+        assert d == kept
 
 
 class TestMetricAndComponents:
@@ -327,8 +420,42 @@ class TestBulkInsertion:
         assert rm.add_edges([], [], []).shape == (0,)
 
 
+def _replay(into, other):
+    """What ``into.merge(other)`` means, spelled as the loop it replaces:
+    ``other``'s new vertices in row order, then ``add_edge`` over
+    ``other.edges()``."""
+    for vid, cfg in zip(*other.configs_array()):
+        if not into.has_vertex(int(vid)):
+            into.add_vertex(cfg, int(vid))
+    for u, v, w in other.edges():
+        into.add_edge(u, v, w)
+
+
+class TestMergeRoadmap:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_merge_replays_edges_in_their_order(self, seed):
+        """Shared vertices, removed edges and edges ``into`` already holds
+        included: one bulk merge leaves the replay loop's state."""
+        ids, cfgs, u, v, w = _random_graph(seed, n=30, m=60)
+        other = Roadmap(3)
+        other.add_vertices(ids, cfgs)
+        other.add_edges(u, v, w)
+        for a, b in zip(u[:4].tolist(), v[:4].tolist()):
+            if other.has_edge(a, b):
+                other.remove_edge(b, a)
+        held = ids[::3]
+        loop, bulk = Roadmap(3), Roadmap(3)
+        for rm in (loop, bulk):
+            rm.add_vertices(held, cfgs[::3])
+            rm.add_edges(held[1:], held[:-1], np.ones(held.size - 1))
+        _replay(loop, other)
+        bulk.merge(other)
+        assert_same(digest(bulk), digest(loop))
+
+
 class TestMergeBlock:
-    """``merge(PRMBlock)`` leaves the roadmap exactly as merging the
+    """``merge(PRMBlock)`` leaves the roadmap exactly as replaying the
     regional roadmaps it lays side by side, one after the other, would."""
 
     @staticmethod
@@ -377,7 +504,7 @@ class TestMergeBlock:
         for rm in (loop, bulk):  # merged into a roadmap that already holds something
             rm.add_vertex(np.zeros(3), 1 << 20)
         for rm, _passes in regional:
-            loop.merge(rm)
+            _replay(loop, rm)
         bulk.merge(block)
         assert_same(digest(bulk), digest(loop))
 

@@ -285,7 +285,7 @@ class TestEdgeCases:
             region_predicate_batch=lambda qs: np.zeros(len(np.atleast_2d(qs)), dtype=bool),
             max_iterations=200,
         ))
-        assert out["ids"] == [0]
+        assert out["ids"] == (0,)
         assert out["stats"]["samples_accepted"] == out["stats"]["edges_added"] == 0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -315,7 +315,7 @@ class TestEdgeCases:
         out = assert_agree(lambda b: _grow(
             b, 5, 10, rrt={}, tree=Roadmap(2), parents={}, root_id=0,
         ))
-        assert out["ids"] == []
+        assert out["ids"] == ()
         assert (out["stats"]["nn_queries"], out["stats"]["nn_distance_evals"]) == (1, 0)
 
     def test_zero_node_request(self):

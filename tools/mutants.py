@@ -33,6 +33,7 @@ from typing import NamedTuple
 REPO = Path(__file__).resolve().parent.parent
 MATRIX = "tests/test_oracle_matrix.py::test_fast_path_equals_its_oracle"
 CELL = "tests/test_shm_runtime.py::TestLocalParityMatrix::test_every_cell_equals_the_serial_loop"
+PINNED = "tests/test_api.py::TestLocalExecution::test_frozen_adjacency_is_pinned"
 
 
 class Mutant(NamedTuple):
@@ -84,12 +85,65 @@ MUTANTS = [
         ("tests/test_rrt_batched.py::TestOneProposalCallPerBlock",),
     ),
     Mutant(
-        "merge(block) sorts a block's edges by the wrong key first",
+        "merge replays edges by the row of their higher-id endpoint",
         "repro/planners/roadmap.py",
-        "order = np.lexsort((u, v))",
-        "order = np.lexsort((v, u))",
-        ("tests/test_roadmap.py::TestMergeBlock", f"{MATRIX}[prm-chunk-box-reference]",
-         f"{CELL}[thread-inline-None-1]"),
+        'order = np.argsort(uv[:, 0], kind="stable")',
+        'order = np.argsort(uv[:, 1], kind="stable")',
+        ("tests/test_roadmap.py::TestMergeBlock", f"{PINNED}[prm-local-blocks]"),
+    ),
+    Mutant(
+        "merge(Roadmap) appends in log order, not in edges() order",
+        "repro/planners/roadmap.py",
+        'order = np.argsort(uv[:, 0], kind="stable")',
+        "order = np.arange(len(w))",
+        ("tests/test_roadmap.py::TestMergeRoadmap", f"{PINNED}[prm-simulate]"),
+    ),
+    Mutant(
+        "the CSR orders a row's neighbours by row, not by insertion",
+        "repro/planners/roadmap.py",
+        'order = np.argsort(uv.ravel(), kind="stable")',
+        "order = np.lexsort((uv[:, ::-1].ravel(), uv.ravel()))",
+        ("tests/test_roadmap.py::TestArrayBackedStorage::test_adjacency_keeps_insertion_order",
+         f"{PINNED}[prm-simulate]"),
+    ),
+    Mutant(
+        "a dead edge stays visible to neighbors and freeze",
+        "repro/planners/roadmap.py",
+        "live = self._live[: self._m]",
+        "live = np.ones(self._m, dtype=bool)",
+        ("tests/test_roadmap.py::TestArrayBackedStorage::test_adjacency_keeps_insertion_order",
+         "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
+    ),
+    Mutant(
+        "add_edge takes an edge inside one component for new",
+        "repro/planners/roadmap.py",
+        "or self._deg[a] == 0 or self._deg[b] == 0",
+        "or True",
+        ("tests/test_roadmap.py::TestRoadmap::test_duplicate_edge_returns_false",
+         "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
+    ),
+    Mutant(
+        "the duplicate test compresses union-find paths",
+        "repro/planners/roadmap.py",
+        "uf.root(a) != uf.root(b)",
+        "uf.find(a) != uf.find(b)",
+        ("tests/test_roadmap.py::TestDuplicateIndex::test_a_duplicate_leaves_the_forest_alone",),
+    ),
+    Mutant(
+        "a bulk insert tests membership against a stale index",
+        "repro/planners/roadmap.py",
+        "keys = _keys_of(uv)\n        self._fold()\n",
+        "keys = _keys_of(uv)\n",
+        ("tests/test_roadmap.py::TestBulkInsertion::test_bulk_equals_loops",
+         "tests/test_roadmap.py::TestMergeRoadmap"),
+    ),
+    Mutant(
+        "a solve keeps the unions its temporary vertices made",
+        "repro/planners/roadmap.py",
+        "uf._parent[:], uf._rank[:]",
+        "uf._parent, uf._rank",
+        ("tests/test_query.py::TestRoadmapQuery::test_solve_leaves_components_alone",
+         "tests/test_roadmap.py::TestTransient"),
     ),
     Mutant(
         "a block's measured time is shared equally, ignoring work",
