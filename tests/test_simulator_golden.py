@@ -2,7 +2,8 @@
 
 Every digest below was computed on the commit *before* the simulator's
 event core was flattened (tuple events, list-held PE state, O(1)
-latency, index-shift RAND-K) — ``GOLDEN_RRT`` excepted, see there — and
+latency, index-shift RAND-K) — ``GOLDEN_RRT`` and the later ``GOLDEN_WIDE``
+/ ``GOLDEN_VARIANTS`` sets excepted, see there — and
 must never move: virtual time is the
 quantity every figure in EXPERIMENTS.md reports, so a change to the
 event loop, the topology or a steal policy has to reproduce it bit for
@@ -11,7 +12,8 @@ bit.  Floats enter the digest through ``float.hex`` and integers through
 happens to hold them.
 
 Regenerate (only when a change is *meant* to move virtual time) with
-``PYTHONPATH=src python tests/test_simulator_golden.py``.
+``PYTHONPATH=src python tests/test_simulator_golden.py``, which prints
+every set below.
 """
 
 import hashlib
@@ -20,16 +22,38 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import build_prm_workload, build_rrt_workload, simulate_prm, simulate_rrt
+from repro.core import (
+    build_prm_workload,
+    build_rrt_workload,
+    policy_by_name,
+    simulate_prm,
+    simulate_rrt,
+)
+from repro.core.repartition import initial_assignment
 from repro.cspace import EuclideanCSpace
 from repro.geometry import med_cube, mixed_30_env
 from repro.obs import MemorySink, Tracer
-from repro.runtime import Fault, FaultInjector
+from repro.runtime import ClusterTopology, Fault, FaultInjector, WorkStealingSimulator
 
 PES = (16, 48)
 PRM_STRATEGIES = ("none", "repartition", "rand-8", "diffusive", "hybrid")
 RRT_STRATEGIES = ("none", "repartition", "rand-8", "hybrid")
+STEALING = ("rand-8", "diffusive", "hybrid")
+#: Four and eight 24-core nodes: a round's victims arrive at two times.
+WIDE_PES = (96, 192)
+VARIANT_PES = 96
+#: Protocol corners the tables miss, as (topology latencies, simulator
+#: options): every arrival of a round tied, free intra-node messages,
+#: requests served at arrival, and victims that may hand over everything.
+VARIANTS = {
+    "tied-latency": ({"latency_local": 10.0, "latency_remote": 10.0}, {}),
+    "free-local": ({"latency_local": 0.0}, {}),
+    "offload": ({}, {"offload_service": True}),
+    "keep-none": ({}, {"min_keep": 0, "steal_chunk": 3}),
+}
 
 
 def _canon(value):
@@ -53,11 +77,9 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(_canon(obj)).encode()).hexdigest()
 
 
-def result_digest(run) -> str:
-    """sha256 over everything a ``simulate_*`` run reports."""
-    sim = run.sim
-    return _sha((
-        run.total_time,
+def _sim_fields(sim) -> tuple:
+    """Everything one simulated phase (a ``SimResult``) reports."""
+    return (
         sim.makespan,
         sim.end_time,
         sim.total_messages,
@@ -67,6 +89,19 @@ def result_digest(run) -> str:
         sim.task_attempts,
         sim.abandoned,
         sim.worker_deaths,
+    )
+
+
+def sim_digest(sim) -> str:
+    """sha256 over one simulated phase."""
+    return _sha(_sim_fields(sim))
+
+
+def result_digest(run) -> str:
+    """sha256 over everything a ``simulate_*`` run reports."""
+    return _sha((
+        run.total_time,
+        *_sim_fields(run.sim),
         run.phases.phase_items(),
         run.loads,
         run.nodes_per_pe,
@@ -98,6 +133,19 @@ def _build_rrt_workload():
 
 prm_workload = pytest.fixture(scope="module")(_build_prm_workload)
 rrt_workload = pytest.fixture(scope="module")(_build_rrt_workload)
+
+
+def _variant_run(workload, variant, strategy):
+    """The PRM connection phase on ``VARIANT_PES`` PEs under one variant."""
+    latencies, options = VARIANTS[variant]
+    costs = {rid: w.connect_cost for rid, w in workload.region_work.items()}
+    return WorkStealingSimulator(
+        ClusterTopology(VARIANT_PES, **latencies),
+        lambda task, pe: costs[task],
+        steal_policy=policy_by_name(strategy),
+        rng=np.random.default_rng(12345),
+        **options,
+    ).run(initial_assignment(workload.subdivision.graph, VARIANT_PES, None))
 
 
 def _fault_plan() -> FaultInjector:
@@ -142,6 +190,32 @@ GOLDEN_FAULTS = "f42b4e9571d3c2551bbde36b6f6d4e55346fda53f2a504d75b2631e476eb6ed
 GOLDEN_FAULT_EVENTS = "7127ccc8b9db51635053592872e045a31dbd9fbc06281cdf1a8a76d0af3349d6"
 GOLDEN_TRACE_RESULT = GOLDEN_PRM[16, "hybrid"]
 GOLDEN_TRACE_EVENTS = "55bf098b17a9b94aade3935f37f1b8c1c7e738dea9b32becb7b8ba3dc78acb3a"
+
+# Recorded before steal requests travelled as one event per arrival time:
+# rounds that span nodes, and the protocol corners of ``VARIANTS``.
+GOLDEN_WIDE = {
+    (96, "rand-8"): "6791d63f2a01e5c12b6acc88e46be5b751637feead045f7a2a7e9021c258fca8",
+    (96, "diffusive"): "3c8f5f3ddfe91e1e11c3e913cd1740bd79bef704646a7b69ed332f4271aaf9dd",
+    (96, "hybrid"): "916c3d341adaa1b63060e9c5c9d7dce0aeada99d612c88901717ff6fcd5f07dd",
+    (192, "rand-8"): "45eaa0df7ad7327c1e3b1e40bd22b1dfa013d366e9e57c6233bafde1e4f7aee9",
+    (192, "diffusive"): "8daa7294a673bd81b18dda771943fabf07ccb7f676f3efe4848b05bb406690cf",
+    (192, "hybrid"): "a7af15351e91ad18f2e4fa7e7121bd4cf80efd5a47548be5fd25643741f905fa",
+}
+GOLDEN_VARIANTS = {
+    ("tied-latency", "rand-8"): "1717ff4bb2062430092c8d0c59771d1221ddeb97843a655d1b71e57ada3be990",
+    ("tied-latency", "diffusive"): "9264b18455ebf9bcf604197d0babb0add69064982ac897f019b4570f43abe674",
+    ("tied-latency", "hybrid"): "bb6a126a51624caa85d9fc4de82d2f19b22e51e025afd57491bf8a3aa371c120",
+    ("free-local", "rand-8"): "ce069a6f7a27169e3a0322b0e636c10639f9991da98f55e6d6bb0a94434ac910",
+    ("free-local", "diffusive"): "173b07ae4f9a6f8dfac4a5e80ef527a499aacf4a2443049100ad0a19f5051429",
+    ("free-local", "hybrid"): "dff734d3d87238647010b83a0981124e09b3a69834c1ef6d6579bb5a67ec7d78",
+    ("offload", "rand-8"): "c5b7fadcef3794604869ccaf4ef901faa3175be8f52a9d6b08fd245f2abaa10f",
+    ("offload", "diffusive"): "b9cddd292dcdcfe43a390b7c71268e42ace3cd92dc8c6cd32d8b224efd578137",
+    ("offload", "hybrid"): "9d810a10e48f9ede44fac1ff911d11c5401e96fa33613a5e2b01c1a2281af157",
+    ("keep-none", "rand-8"): "5af9794e1012c7e197c7a030cd09f742becf22d75fff9a65ec15aba023dc043c",
+    ("keep-none", "diffusive"): "53827ead77d481ff03af6a20191007b8d3607201d5fe432352a712fa33102e03",
+    ("keep-none", "hybrid"): "436a496900261e68764bc971a3ea408fa6e7744052437dfcedd721a70411da93",
+}
+GOLDEN_WIDE_TRACE_EVENTS = "0925cbb8cba8b6db68f30e7a966c671bfe838efcff048bd6261f9d06eb281db2"
 
 
 @pytest.mark.parametrize("strategy", PRM_STRATEGIES)
@@ -191,6 +265,74 @@ def test_rrt_traced_equals_untraced(rrt_workload, strategy):
     assert result_digest(traced) == GOLDEN_RRT[48, strategy]
 
 
+@pytest.mark.parametrize("strategy", STEALING)
+@pytest.mark.parametrize("num_pes", WIDE_PES)
+def test_multi_node_rounds_golden(prm_workload, num_pes, strategy):
+    run = simulate_prm(prm_workload, num_pes, strategy)
+    assert result_digest(run) == GOLDEN_WIDE[num_pes, strategy]
+
+
+@pytest.mark.parametrize("strategy", STEALING)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_protocol_variant_golden(prm_workload, variant, strategy):
+    assert sim_digest(_variant_run(prm_workload, variant, strategy)) == GOLDEN_VARIANTS[
+        variant, strategy
+    ]
+
+
+def _wide_traced_run(workload):
+    sink = MemorySink()
+    run = simulate_prm(workload, WIDE_PES[0], "hybrid", tracer=Tracer(sinks=[sink]))
+    return run, sink.events
+
+
+def test_multi_node_traced_run_golden(prm_workload):
+    run, events = _wide_traced_run(prm_workload)
+    assert result_digest(run) == GOLDEN_WIDE[WIDE_PES[0], "hybrid"]
+    assert trace_digest(events) == GOLDEN_WIDE_TRACE_EVENTS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_pes=st.integers(2, 12),
+    cores_per_node=st.integers(1, 4),
+    latency_local=st.sampled_from([0.0, 1.0]),
+    latency_remote=st.sampled_from([1.0, 10.0]),
+    policy=st.sampled_from(["rand-k", "diffusive", "hybrid"]),
+    k=st.integers(1, 8),
+    offload_service=st.booleans(),
+    n_tasks=st.integers(1, 60),
+)
+def test_traced_equals_untraced_property(
+    seed, num_pes, cores_per_node, latency_local, latency_remote, policy, k, offload_service,
+    n_tasks,
+):
+    """One protocol serves traced and untraced runs: a tracer never moves
+    a result, and every task runs exactly once either way."""
+    rng = np.random.default_rng(seed)
+    costs = rng.uniform(1, 20, n_tasks)
+    assignment = {t: int(rng.integers(0, num_pes)) for t in range(n_tasks)}
+    topology = ClusterTopology(
+        num_pes, cores_per_node, latency_local=latency_local, latency_remote=latency_remote
+    )
+
+    def run(tracer):
+        return WorkStealingSimulator(
+            topology,
+            lambda task, pe: float(costs[task]),
+            steal_policy=policy_by_name(policy, k),
+            offload_service=offload_service,
+            rng=np.random.default_rng(seed + 1),
+            tracer=tracer,
+        ).run(assignment)
+
+    plain, traced = run(None), run(Tracer(sinks=[MemorySink()]))
+    assert sim_digest(traced) == sim_digest(plain)
+    assert sorted(plain.executed_by) == list(range(n_tasks))
+    assert sum(s.tasks_executed for s in plain.pe_stats) == n_tasks
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration aid
     prm, rrt = _build_prm_workload(), _build_rrt_workload()
     print("GOLDEN_PRM = {")
@@ -208,3 +350,13 @@ if __name__ == "__main__":  # pragma: no cover - regeneration aid
     sink = MemorySink()
     simulate_prm(prm, 16, "hybrid", tracer=Tracer(sinks=[sink]))
     print(f'GOLDEN_TRACE_EVENTS = "{trace_digest(sink.events)}"')
+    print("\nGOLDEN_WIDE = {")
+    for p in WIDE_PES:
+        for s in STEALING:
+            print(f'    ({p}, "{s}"): "{result_digest(simulate_prm(prm, p, s))}",')
+    print("}\nGOLDEN_VARIANTS = {")
+    for v in VARIANTS:
+        for s in STEALING:
+            print(f'    ("{v}", "{s}"): "{sim_digest(_variant_run(prm, v, s))}",')
+    print("}")
+    print(f'GOLDEN_WIDE_TRACE_EVENTS = "{trace_digest(_wide_traced_run(prm)[1])}"')
