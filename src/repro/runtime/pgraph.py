@@ -129,12 +129,15 @@ class PGraphView:
         per_pe = np.bincount(accessor[remote], weights=count[remote])
         for pe in np.flatnonzero(per_pe).tolist():
             st.remote_by_pe[pe] = st.remote_by_pe.get(pe, 0) + int(per_pe[pe])
-        latency = self.topology.latency
-        far = zip(accessor[remote].tolist(), owner[remote].tolist(), count[remote].tolist())
+        # ``ClusterTopology.latency`` for every remote entry at once: the
+        # same IEEE operations, so the same bits.
+        topo, far = self.topology, count[remote]
+        node = np.asarray(topo.pe_node)
+        base = np.where(
+            node[accessor[remote]] == node[owner[remote]], topo.latency_local, topo.latency_remote
+        )
         charged = np.zeros(accessor.shape)
-        charged[remote] = [
-            latency(a, o, payload=c) if aggregated else c * latency(a, o) for a, o, c in far
-        ]
+        charged[remote] = base + topo.bandwidth_cost * far if aggregated else far * base
         st.latency_charged += float(charged.sum())
         return charged
 

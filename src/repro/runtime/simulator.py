@@ -13,13 +13,32 @@ generator, and events are plain ``(time, seq, kind, pe, payload)`` tuples
 on a binary heap.  ``seq`` is a per-run monotone counter, so ``(time,
 seq)`` alone decides the order — ``heapq`` compares the tuples in C and
 never looks past ``seq`` — and simultaneous events fire in the order they
-were scheduled.  ``kind`` indexes the table of bound handlers
-:meth:`WorkStealingSimulator.run` builds once per run; ``payload`` is the
-task, the thief or the stolen task list.  At scale ~99 % of steal requests
-fail, so a run is mostly message traffic and the loop is kept flat:
-per-PE state lives in Python lists (scalar reads are NumPy's slow path),
-``ClusterTopology.latency`` is O(1) arithmetic, and an event costs one
-tuple.
+were scheduled.  ``payload`` is the task, the stolen task list or — for a
+steal request, whose ``pe`` is the thief — the victims.
+
+**One event per arrival, not per message.**  At scale ~99 % of steal
+requests fail, so a run is mostly message traffic.  A round's requests
+therefore travel as one ``_STEAL_REQUEST`` event per distinct arrival
+time ``now + latency(thief, victim)`` (at most two: intra- and
+inter-node); it lists those victims in the order the policy named them,
+and the loop serves them in that order.  That is exactly the order one
+event per victim fires in:
+
+* one event per victim takes consecutive ``seq`` values, so no other
+  event sorts between two victims that arrive at the same time;
+* whatever serving a victim schedules gets a larger ``seq`` and a time
+  ``>= now`` (every delay is non-negative), so it sorts after the
+  remaining victims — where it sorted when each was its own event.
+
+Neither step depends on the latencies' values: the rule holds when
+``latency_local == 0`` (replies land at ``now``) and when
+``latency_local == latency_remote`` (the whole round is one event).
+Every per-message path — a request queued or served (transfer or
+failure), an empty reply, a retry — runs inline in
+:meth:`WorkStealingSimulator.run`'s loop on per-PE state held in Python
+lists (scalar reads are NumPy's slow path), and a zero-payload message
+reads its latency from the topology's node table; only the fault paths
+are methods.
 
 Protocol summary
 ----------------
@@ -39,7 +58,7 @@ import functools
 import heapq
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
@@ -159,6 +178,8 @@ class WorkStealingSimulator:
             raise ValueError("integer steal_chunk must be >= 1")
         if min_keep < 0:
             raise ValueError("min_keep must be >= 0")
+        if transfer_cost < 0 or backoff_base < 0:
+            raise ValueError("transfer_cost and backoff_base must be >= 0")
         self.topology = topology
         self.executor = executor
         self.steal_policy = steal_policy
@@ -205,6 +226,8 @@ class WorkStealingSimulator:
         self._push = functools.partial(heapq.heappush, self._events)
         self._seq = itertools.count(1).__next__
         self._makespan = 0.0
+        #: redispatch messages; steal traffic is tallied from the per-PE
+        #: request / transfer / failure counters once the run is over.
         self._messages = 0
         self._deaths = 0
         self._attempts: "dict[int, int]" = {}
@@ -213,27 +236,95 @@ class WorkStealingSimulator:
         for p in range(P):
             self._activate(p, 0.0)
 
-        # Indexed by event kind (the ``_TASK_DONE`` ... ``_RETRY`` constants).
-        handlers = (
-            self._on_task_done,
-            self._on_task_failed,
-            self._on_redispatch,
-            self._on_steal_request,
-            self._on_steal_reply,
-            self._on_retry,
-        )
-        events, pop = self._events, heapq.heappop
+        events, pop, push, seq = self._events, heapq.heappop, self._push, self._seq
+        stats, deques, busy, dead = self._stats, self._deques, self._busy, self._dead
+        queues, pending, found = self._queued_requests, self._pending_replies, self._round_found
+        idle_rounds = self._idle_rounds
+        topo, tr, activate = self.topology, self._tr, self._activate
+        node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
+        min_keep, offload, chunk = self.min_keep, self.offload_service, self.steal_chunk
+        ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
         end_time = 0.0
         while events:
             now, _seq, kind, pe, payload = pop(events)
             if now > end_time:
                 end_time = now
-            handlers[kind](pe, now, payload)
+            if kind == _STEAL_REPLY:
+                pending[pe] -= 1
+                if tr is not None:
+                    tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=len(payload))
+                if dead[pe]:
+                    # The thief died while its request was in flight; the
+                    # runtime reclaims the transfer instead of stranding it.
+                    if payload:
+                        self._redispatch_tasks(payload, pe, now)
+                elif payload:
+                    found[pe] = True
+                    idle_rounds[pe] = 0
+                    self._stolen_marks.update(payload)
+                    deques[pe].extend(payload)
+                    activate(pe, now)
+                elif pending[pe] == 0 and not found[pe]:
+                    # Whole round failed: back off and retry while work remains.
+                    idle_rounds[pe] += 1
+                    self._schedule_retry(pe, now)
+                continue
+            if kind == _RETRY:
+                if busy[pe] or deques[pe]:
+                    activate(pe, now)
+                elif self._remaining > 0 and pending[pe] == 0:
+                    self._start_steal_round(pe, now)
+                continue
+            if kind == _REDISPATCH:
+                self._on_redispatch(pe, now, payload)
+                continue
+            arriving = kind == _STEAL_REQUEST
+            if arriving:
+                # Thief ``pe``'s requests to every victim in ``payload``.
+                victims, thieves = payload, itertools.repeat(pe)
+            else:
+                # A task ended: ``pe`` is free, and answers the thieves that
+                # knocked while it worked, in arrival order.
+                ends[kind](pe, now, payload)
+                busy[pe] = False
+                victims, thieves = itertools.repeat(pe), queues[pe]
+                if thieves:
+                    queues[pe] = []
+            for victim, thief in zip(victims, thieves):
+                if arriving:
+                    stats[victim].steal_requests_received += 1
+                    if busy[victim] and not offload:
+                        queues[victim].append(thief)  # non-preemptive service
+                        continue
+                dq = deques[victim]
+                stealable = len(dq) - min_keep
+                if stealable <= 0 or dead[victim]:  # dead PEs answer at once
+                    stats[victim].steals_failed += 1
+                    if tr is not None:
+                        tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=thief)
+                    delay = local if node[victim] == node[thief] else remote
+                    push((now + delay, seq(), _STEAL_REPLY, thief, ()))
+                    continue
+                n = max(stealable // 2, 1) if chunk == "half" else min(int(chunk), stealable)
+                tasks = [dq.pop() for _ in range(n)]  # steal from the back
+                vst = stats[victim]
+                vst.steals_serviced += 1
+                vst.tasks_lost += n
+                if tr is not None:
+                    tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
+                delay = topo.latency(victim, thief, payload=n) + self.transfer_cost * n
+                push((now + delay, seq(), _STEAL_REPLY, thief, tasks))
+            if not arriving:
+                activate(pe, now)
 
-        if self._tr is not None:
+        for st in stats:
+            sent = st.steal_requests_sent + st.steals_serviced + st.steals_failed
+            st.messages_sent += sent
+            self._messages += sent
+        if tr is not None:
             self._record_metrics()
         return SimResult(
-            pe_stats=self._stats,
+            pe_stats=stats,
             executed_by=self._executed_by,
             task_costs=self._task_costs,
             makespan=self._makespan,
@@ -315,7 +406,8 @@ class WorkStealingSimulator:
         # Otherwise: idle; will be woken by a steal reply or stay idle at end.
 
     def _on_task_done(self, pe: int, now: float, task: int) -> None:
-        self._busy[pe] = False
+        """Bookkeeping of a finished task; ``run`` then frees the PE,
+        answers the thieves queued at it and activates it."""
         self._remaining -= 1
         if now > self._makespan:
             self._makespan = now
@@ -329,30 +421,14 @@ class WorkStealingSimulator:
                 cost=self._task_costs[task],
                 stolen=task in self._stolen_marks,
             )
-        # Non-preemptive service: reply to thieves that knocked while we
-        # were executing, before picking up the next task.
-        self._drain_requests(pe, now, self._service_steal)
-        self._activate(pe, now)
-
-    def _drain_requests(self, pe: int, now: float, answer) -> None:
-        """Answer, in arrival order, every thief queued at ``pe``.  Answers
-        only schedule events, so nothing joins the queue while it drains."""
-        queued = self._queued_requests[pe]
-        if queued:
-            self._queued_requests[pe] = []
-            for thief in queued:
-                answer(pe, thief, now)
 
     # -- fault handling -----------------------------------------------------
     def _on_task_failed(self, pe: int, now: float, task: int) -> None:
         """A ``"raise"`` fault fired: the attempt burned its cost for
         nothing.  Retry goes to the *back* of the PE's own deque — natural
         backoff behind its queued work, and still stealable by others."""
-        self._busy[pe] = False
         if self._may_retry(pe, task, now, "fault", "retries_exhausted"):
             self._deques[pe].append(task)
-        self._drain_requests(pe, now, self._service_steal)
-        self._activate(pe, now)
 
     def _kill_pe(self, pe: int, now: float, pending_task: int) -> None:
         """Crash fault: the PE dies as it picks up ``pending_task``.
@@ -360,7 +436,9 @@ class WorkStealingSimulator:
         Its queued regions move to the surviving PEs round-robin, paying
         per-task transfer latency — involuntary ownership transfer, the
         failure analogue of a steal.  The in-flight task consumed its
-        attempt; queued tasks migrate attempt-intact.
+        attempt; queued tasks migrate attempt-intact.  No thief is queued
+        here: a PE queues requests only while busy, answers them as its
+        task ends, and dies only when idle.
         """
         self._dead[pe] = True
         self._deaths += 1
@@ -371,9 +449,6 @@ class WorkStealingSimulator:
         self._deques[pe].clear()
         if self._may_retry(pe, pending_task, now, "worker_death", "worker_death"):
             lost.append(pending_task)
-        # Thieves queued at the dead PE get an immediate failure reply
-        # (death detection), so their rounds complete instead of hanging.
-        self._drain_requests(pe, now, self._reply_fail)
         st.tasks_lost += len(lost)
         st.messages_sent += len(lost)
         self._redispatch_tasks(lost, pe, now)
@@ -432,91 +507,31 @@ class WorkStealingSimulator:
         if not victims:
             self._schedule_retry(pe, now)
             return
+        # The node table below refuses a PE past the machine; a negative
+        # one would wrap, so it is refused here.
+        if min(victims) < 0:
+            raise IndexError(f"PE {min(victims)} out of range [0, {self.topology.num_pes})")
         self._round_found[pe] = False
         self._pending_replies[pe] = len(victims)
-        st = self._stats[pe]
-        # ``latency`` range-checks each victim, so a policy that names a PE
-        # outside the machine fails here with IndexError.
-        latency, push, seq, tr = self.topology.latency, self._push, self._seq, self._tr
+        self._stats[pe].steal_requests_sent += len(victims)
+        if self._tr is not None:
+            for v in victims:
+                self._tr.point(EV_STEAL_REQUEST, ts=now, pe=pe, victim=v)
+        # One event per arrival time, members in policy order (module docstring).
+        topo = self.topology
+        node, here = topo.pe_node, topo.pe_node[pe]
+        near, far = now + topo.latency_local, now + topo.latency_remote
+        bundles: "dict[float, list[int]]" = {}
         for v in victims:
-            st.steal_requests_sent += 1
-            st.messages_sent += 1
-            self._messages += 1
-            if tr is not None:
-                tr.point(EV_STEAL_REQUEST, ts=now, pe=pe, victim=v)
-            push((now + latency(pe, v), seq(), _STEAL_REQUEST, v, pe))
-
-    def _on_steal_request(self, victim: int, now: float, thief: int) -> None:
-        self._stats[victim].steal_requests_received += 1
-        if self._dead[victim]:
-            self._reply_fail(victim, thief, now)
-        elif self._busy[victim] and not self.offload_service:
-            self._queued_requests[victim].append(thief)
-        else:
-            self._service_steal(victim, thief, now)
-
-    def _service_steal(self, victim: int, thief: int, now: float) -> None:
-        dq = self._deques[victim]
-        stealable = len(dq) - self.min_keep
-        if stealable <= 0:
-            self._reply_fail(victim, thief, now)
-            return
-        if self.steal_chunk == "half":
-            n = max(stealable // 2, 1)
-        else:
-            n = min(int(self.steal_chunk), stealable)
-        tasks = [dq.pop() for _ in range(n)]  # steal from the back
-        vst = self._stats[victim]
-        vst.steals_serviced += 1
-        vst.tasks_lost += n
-        vst.messages_sent += 1
-        self._messages += 1
-        if self._tr is not None:
-            self._tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
-        delay = self.topology.latency(victim, thief, payload=n) + self.transfer_cost * n
-        self._push((now + delay, self._seq(), _STEAL_REPLY, thief, tasks))
-
-    def _reply_fail(self, victim: int, thief: int, now: float) -> None:
-        vst = self._stats[victim]
-        vst.steals_failed += 1
-        vst.messages_sent += 1
-        self._messages += 1
-        if self._tr is not None:
-            self._tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=thief)
-        delay = self.topology.latency(victim, thief)
-        self._push((now + delay, self._seq(), _STEAL_REPLY, thief, ()))
-
-    def _on_steal_reply(self, thief: int, now: float, tasks: "Sequence[int]") -> None:
-        self._pending_replies[thief] -= 1
-        if self._tr is not None:
-            self._tr.point(EV_STEAL_REPLY, ts=now, pe=thief, tasks=len(tasks))
-        if self._dead[thief]:
-            # The thief died while its request was in flight; the runtime
-            # reclaims the transfer instead of stranding the tasks.
-            if tasks:
-                self._redispatch_tasks(tasks, thief, now)
-        elif tasks:
-            self._round_found[thief] = True
-            self._idle_rounds[thief] = 0
-            self._stolen_marks.update(tasks)
-            self._deques[thief].extend(tasks)
-            self._activate(thief, now)
-        elif self._pending_replies[thief] == 0 and not self._round_found[thief]:
-            # Whole round failed: back off and retry while work remains.
-            self._idle_rounds[thief] += 1
-            self._schedule_retry(thief, now)
+            bundles.setdefault(near if node[v] == here else far, []).append(v)
+        for t, bundle in bundles.items():
+            self._push((t, self._seq(), _STEAL_REQUEST, pe, bundle))
 
     def _schedule_retry(self, pe: int, now: float) -> None:
         if self._remaining <= 0:
             return
         wait = self.backoff_base * (2.0 ** min(self._idle_rounds[pe], self.max_idle_rounds))
         self._push((now + wait, self._seq(), _RETRY, pe, None))
-
-    def _on_retry(self, pe: int, now: float, _payload: None) -> None:
-        if self._busy[pe] or self._deques[pe]:
-            self._activate(pe, now)
-        elif self._remaining > 0 and self._pending_replies[pe] == 0:
-            self._start_steal_round(pe, now)
 
 
 def run_static_phase(

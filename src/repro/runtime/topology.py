@@ -67,6 +67,11 @@ class ClusterTopology:
         self.latency_remote = latency_remote
         self.bandwidth_cost = bandwidth_cost
         self.mesh_shape = mesh_shape_for(num_pes)
+        #: node hosting each PE (an O(P) table): a zero-payload message
+        #: between two PEs costs ``latency_local`` when their entries match
+        #: and ``latency_remote`` otherwise — read by :meth:`latency`, and
+        #: directly by the simulator's loop and ``PGraphView.access_many``.
+        self.pe_node = tuple(p // cores_per_node for p in range(num_pes))
         #: per-PE 4-neighbourhoods, built on first use: an O(P) table (at
         #: most four entries a PE), never a P x P one.
         self._mesh_neighbors: "list[tuple[int, ...]] | None" = None
@@ -75,7 +80,7 @@ class ClusterTopology:
     def node_of(self, pe: int) -> int:
         """Node index hosting ``pe``."""
         self._check(pe)
-        return pe // self.cores_per_node
+        return self.pe_node[pe]
 
     def same_node(self, a: int, b: int) -> bool:
         """True when both PEs share a node (cheap intra-node latency)."""
@@ -89,14 +94,14 @@ class ClusterTopology:
     # -- latency ---------------------------------------------------------------
     def latency(self, src: int, dst: int, payload: float = 0.0) -> float:
         """One-way latency of a message from ``src`` to ``dst``: one range
-        test, then node-id arithmetic (the simulator asks once per message)."""
+        test, then a node-table lookup."""
         if not (0 <= src < self.num_pes and 0 <= dst < self.num_pes):
             self._check(src)
             self._check(dst)
         if src == dst:
             return 0.0
-        cpn = self.cores_per_node
-        base = self.latency_local if src // cpn == dst // cpn else self.latency_remote
+        node = self.pe_node
+        base = self.latency_local if node[src] == node[dst] else self.latency_remote
         return base + self.bandwidth_cost * payload
 
     # -- 2D mesh -----------------------------------------------------------------

@@ -134,6 +134,12 @@ class TestWorkStealing:
             WorkStealingSimulator(topo, _uniform_executor(), steal_chunk=0)
         with pytest.raises(ValueError):
             WorkStealingSimulator(topo, _uniform_executor(), min_keep=-1)
+        # A negative delay would schedule into the past, ahead of the rest
+        # of the request bundle being served.
+        with pytest.raises(ValueError):
+            WorkStealingSimulator(topo, _uniform_executor(), transfer_cost=-1.0)
+        with pytest.raises(ValueError):
+            WorkStealingSimulator(topo, _uniform_executor(), backoff_base=-1.0)
 
 
 class _FixedVictims:

@@ -34,6 +34,7 @@ REPO = Path(__file__).resolve().parent.parent
 MATRIX = "tests/test_oracle_matrix.py::test_fast_path_equals_its_oracle"
 CELL = "tests/test_shm_runtime.py::TestLocalParityMatrix::test_every_cell_equals_the_serial_loop"
 PINNED = "tests/test_api.py::TestLocalExecution::test_frozen_adjacency_is_pinned"
+GOLDEN = "tests/test_simulator_golden.py"
 
 
 class Mutant(NamedTuple):
@@ -203,6 +204,29 @@ MUTANTS = [
         "workload=replace(wl, environment=env.name),",
         "workload=replace(wl, environment=env.name, seed=wl.seed + 1),",
         (f"{CELL}[process-shm-None-1]", f"{CELL}[thread-shm-None-2]"),
+    ),
+    Mutant(
+        "a steal round travels as one bundle at its first victim's arrival time",
+        "repro/runtime/simulator.py",
+        "bundles.setdefault(near if node[v] == here else far, []).append(v)",
+        "bundles.setdefault(near if node[victims[0]] == here else far, []).append(v)",
+        (f"{GOLDEN}::test_simulate_prm_golden[48-rand-8]",
+         f"{GOLDEN}::test_multi_node_rounds_golden[96-hybrid]"),
+    ),
+    Mutant(
+        "a bundle's victims are served in reverse order",
+        "repro/runtime/simulator.py",
+        "victims, thieves = payload, itertools.repeat(pe)",
+        "victims, thieves = payload[::-1], itertools.repeat(pe)",
+        (f"{GOLDEN}::test_traced_run_golden", f"{GOLDEN}::test_multi_node_traced_run_golden"),
+    ),
+    Mutant(
+        "an aggregated remote access pays no bandwidth for its payload",
+        "repro/runtime/pgraph.py",
+        "base + topo.bandwidth_cost * far if aggregated else far * base",
+        "base if aggregated else far * base",
+        ("tests/test_pgraph.py::TestAccessMany::test_matches_the_scalar_walk",
+         f"{GOLDEN}::test_simulate_prm_golden[48-none]"),
     ),
 ]
 
