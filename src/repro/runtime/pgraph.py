@@ -123,21 +123,20 @@ class PGraphView:
             raise ValueError("count must be non-negative")
         owner = np.array([self._owner[e] for e in elements], dtype=int)
         remote = (owner != accessor) & (count > 0)
+        src, dst, n = accessor[remote], owner[remote], count[remote]
         st = self.stats
         st.local += int(count[owner == accessor].sum())
-        st.remote += int(count[remote].sum())
-        per_pe = np.bincount(accessor[remote], weights=count[remote])
+        st.remote += int(n.sum())
+        per_pe = np.bincount(src, weights=n)
         for pe in np.flatnonzero(per_pe).tolist():
             st.remote_by_pe[pe] = st.remote_by_pe.get(pe, 0) + int(per_pe[pe])
         # ``ClusterTopology.latency`` for every remote entry at once: the
         # same IEEE operations, so the same bits.
-        topo, far = self.topology, count[remote]
+        topo = self.topology
         node = np.asarray(topo.pe_node)
-        base = np.where(
-            node[accessor[remote]] == node[owner[remote]], topo.latency_local, topo.latency_remote
-        )
+        base = np.where(node[src] == node[dst], topo.latency_local, topo.latency_remote)
         charged = np.zeros(accessor.shape)
-        charged[remote] = base + topo.bandwidth_cost * far if aggregated else far * base
+        charged[remote] = base + topo.bandwidth_cost * n if aggregated else n * base
         st.latency_charged += float(charged.sum())
         return charged
 

@@ -157,8 +157,8 @@ class _FixedVictims:
 class TestCustomPolicies:
     @pytest.mark.parametrize("victim", [4, 99, -1])
     def test_out_of_range_victim_raises(self, victim):
-        # The simulator does not re-validate victims per message; the
-        # topology's range check on the request's latency must catch it.
+        # A round reads each victim's node from the topology's table: a PE
+        # past the machine must raise, and a negative one must not wrap.
         sim = WorkStealingSimulator(
             ClusterTopology(4), _uniform_executor(), steal_policy=_FixedVictims(0, victim)
         )

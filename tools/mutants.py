@@ -223,8 +223,8 @@ MUTANTS = [
     Mutant(
         "an aggregated remote access pays no bandwidth for its payload",
         "repro/runtime/pgraph.py",
-        "base + topo.bandwidth_cost * far if aggregated else far * base",
-        "base if aggregated else far * base",
+        "base + topo.bandwidth_cost * n if aggregated else n * base",
+        "base if aggregated else n * base",
         ("tests/test_pgraph.py::TestAccessMany::test_matches_the_scalar_walk",
          f"{GOLDEN}::test_simulate_prm_golden[48-none]"),
     ),
