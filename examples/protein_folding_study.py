@@ -20,9 +20,8 @@ import sys
 
 import numpy as np
 
+from repro import ExecutionPolicy, WorkloadSpec, plan
 from repro.bench import format_table
-from repro.core import build_prm_workload, simulate_prm
-from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
 
 
@@ -58,15 +57,15 @@ def main(quick: bool = False) -> None:
     # workspace, which packs to about 12 % of its volume: a higher target
     # never terminates.
     for blocked in levels:
-        env = make_conformation_space(blocked)
-        cspace = EuclideanCSpace(env)
-        workload = build_prm_workload(
-            cspace, num_regions=num_regions, samples_per_region=6, seed=3
+        spec = WorkloadSpec(
+            environment=make_conformation_space(blocked), planner="prm",
+            num_regions=num_regions, samples_per_region=6, seed=3,
         )
         for P in pe_counts:
             times = {}
             for strategy in ("none", "repartition", "hybrid"):
-                times[strategy] = simulate_prm(workload, P, strategy).total_time
+                run = plan(spec, execution=ExecutionPolicy(strategy=strategy, num_pes=P))
+                times[strategy] = run.total_time
             best = min(times["repartition"], times["hybrid"])
             rows.append(
                 [

@@ -150,13 +150,22 @@ class MetricRegistry:
             return h
 
     def as_dict(self) -> "dict[str, object]":
-        """Snapshot: counters/gauges as numbers, histograms as summaries."""
+        """Snapshot: counters/gauges as numbers, histograms as summaries.
+
+        The instrument dicts are copied under the registry lock, so a
+        thread creating an instrument mid-snapshot cannot resize them
+        under the loops below.
+        """
+        with self._lock:
+            counters = list(self._counters.items())
+            gauges = list(self._gauges.items())
+            histograms = list(self._histograms.items())
         out: "dict[str, object]" = {}
-        for name, c in self._counters.items():
+        for name, c in counters:
             out[name] = c.value
-        for name, g in self._gauges.items():
+        for name, g in gauges:
             out[name] = g.value
-        for name, h in self._histograms.items():
+        for name, h in histograms:
             out[name] = {
                 "count": h.count,
                 "sum": h.sum,

@@ -16,7 +16,11 @@ of a built roadmap:
   k-NN attachment, and local-planner validation across a whole request
   batch, then dispatches the per-query searches inline or across the
   :mod:`repro.runtime.local_pool` backends (inheriting its retry /
-  degrade fault policies), emitting per-query ``EV_QUERY_*`` events.
+  degrade fault policies), emitting per-query ``EV_QUERY_*`` events;
+* once the searches have settled as many vertices as it costs, the
+  snapshot's landmark table is built on a background thread (ski
+  rental), and later searches run in ALT order under a tie certificate
+  (:mod:`repro.planners.frozen`).
 
 Every query returns **exactly** what ``RoadmapQuery.solve`` returns on
 the same roadmap — same ``path_vertices`` (including the temporary
@@ -33,6 +37,7 @@ build a new engine after changing the roadmap.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,7 +52,7 @@ from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
 from ..obs.metrics import nearest_rank
 from ..obs.tracer import active
 from ..runtime.local_pool import DispatchStats, resolve_workers, run_tasks_parallel
-from .frozen import FrozenRoadmap
+from .frozen import LANDMARKS, FrozenRoadmap
 from .query import QueryResult
 from .roadmap import Roadmap
 
@@ -194,6 +199,8 @@ class QueryEngine:
             self._nn.add_batch(np.arange(n, dtype=np.int64), self.frozen.configs)
         self._sid = self.frozen.max_id + 1
         self._gid = self.frozen.max_id + 2
+        self._landmark_lock = threading.Lock()
+        self._landmark_build: "threading.Thread | None" = None
 
     # -- batched preparation -------------------------------------------------
     def _validate_pairs(self, starts: np.ndarray, ends: np.ndarray):
@@ -300,7 +307,32 @@ class QueryEngine:
         start = np.asarray(start, dtype=float)
         goal = np.asarray(goal, dtype=float)
         jobs = self._prepare(start[None, :], goal[None, :])
-        return _solve_prepared(self.frozen, jobs, self._sid, self._gid, 0)
+        result = _solve_prepared(self.frozen, jobs, self._sid, self._gid, 0)
+        self._amortise_landmarks()
+        return result
+
+    def _amortise_landmarks(self) -> None:
+        """Start the snapshot's landmark table once it has paid for itself.
+
+        Ski rental: the table costs ``K`` full sweeps of ``n`` vertices, so
+        it is built once this snapshot's searches have settled ``K * n``
+        vertices; a tenant that answers a handful of queries never pays
+        for one.  The build runs on its own thread, started at most once,
+        so no batch waits for it, and publishes the table with one
+        assignment, so concurrent batches search either order safely.
+        Searches run on the process backend settle vertices in the
+        workers' copies, which this count never sees.
+        """
+        fz = self.frozen
+        n = fz.num_vertices
+        if self._landmark_build is not None or fz.settled < min(LANDMARKS, n) * n:
+            return
+        with self._landmark_lock:
+            if self._landmark_build is None:
+                self._landmark_build = threading.Thread(
+                    target=fz.build_landmarks, name="repro-landmarks", daemon=True
+                )
+                self._landmark_build.start()
 
     def solve_many(
         self,
@@ -417,6 +449,7 @@ class QueryEngine:
         finally:
             if tr:
                 tr.end(PHASE_SERVE)
+        self._amortise_landmarks()
         return BatchQueryResult(
             results=results,
             wall_time=time.perf_counter() - t0,

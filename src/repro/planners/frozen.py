@@ -17,6 +17,16 @@ adjacency insertion order, and arithmetic matches operation for
 operation, so the returned path and length are bit-identical — swapping
 a query to the frozen path can never change a result.
 
+The snapshot also caches one derived table, built on request
+(:meth:`FrozenRoadmap.build_landmarks`; :class:`~repro.planners.engine
+.QueryEngine` starts it once its searches have settled as many vertices
+as the table costs): exact graph distances from :data:`LANDMARKS` rows.
+With it the search runs in ALT order (Goldberg & Harrelson's bound)
+and keeps that answer only when a tie certificate proves it equal to the
+Euclidean order's; otherwise it re-runs the Euclidean order, so the
+table changes how fast a query is answered, never the answer.
+``docs/serving.md`` states the bound and the certificate.
+
 The snapshot is immutable and does not track its source: a roadmap that
 changes after freezing builds a new CSR and leaves the snapshot's arrays
 alone, so freeze once per built roadmap and re-freeze after any mutation.
@@ -31,7 +41,16 @@ import numpy as np
 
 from .roadmap import Roadmap, _component_labels
 
-__all__ = ["FrozenRoadmap"]
+__all__ = ["FrozenRoadmap", "LANDMARKS", "ACTIVE_LANDMARKS"]
+
+#: Rows of the landmark table (farthest-point picks in configuration space).
+LANDMARKS = 16
+#: Landmarks bounding one query: those whose bound is largest at its start.
+ACTIVE_LANDMARKS = 4
+#: Relative slack: the landmark bound is scaled by ``1 - _TOL`` so table
+#: rounding cannot make it overestimate, and the tie certificate counts two
+#: lengths within ``_TOL`` of the answer's length as tied.
+_TOL = 1e-9
 
 
 class FrozenRoadmap:
@@ -52,6 +71,13 @@ class FrozenRoadmap:
         Largest vertex id (``-1`` when empty) — what
         :class:`~repro.planners.query.RoadmapQuery` derives temporary
         start/goal ids from.
+    landmark_table : np.ndarray or None
+        ``(K, n)`` graph distances from each landmark row (NaN in other
+        components), or None until :meth:`build_landmarks` publishes it.
+    searches, settled, fallbacks : int
+        Searches run by :meth:`astar_virtual`, roadmap rows they settled
+        (both orders, when a certificate fails), and failed certificates.
+        Plain tallies: concurrent searches may drop an update.
     """
 
     def __init__(
@@ -87,6 +113,10 @@ class FrozenRoadmap:
         self._comp_list = _component_labels(ind, nb)
         self.comp = np.array(self._comp_list, dtype=np.int64)
         self.num_components = int(self.comp.max()) + 1 if n else 0
+        self.landmark_table: "np.ndarray | None" = None
+        self.searches = 0
+        self.settled = 0
+        self.fallbacks = 0
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -94,6 +124,25 @@ class FrozenRoadmap:
         """A snapshot of ``rmap``: copies of its vertex arrays, its shared CSR."""
         ids, configs = rmap.configs_array()
         return cls(rmap.dim, ids.copy(), configs.copy(), *rmap.csr())
+
+    def build_landmarks(self) -> None:
+        """Compute the landmark table and publish it with one assignment.
+
+        ``min(LANDMARKS, n)`` rows are picked by farthest-point selection
+        in configuration space (deterministic per snapshot); each table row
+        is one full sweep of the search loop from its landmark, with a zero
+        heuristic and no goal.  A no-op once the table exists.
+        """
+        n = len(self._ids_list)
+        if self.landmark_table is not None or n == 0:
+            return
+        rows = _farthest_points(self.configs, min(LANDMARKS, n))
+        zero = [0.0] * (n + 2)
+        table = np.empty((len(rows), n))
+        for i, r in enumerate(rows):
+            table[i] = self._search(zero, [(r, 0.0)], None, {}, -1, -1)[0][:n]
+        table[np.isinf(table)] = np.nan
+        self.landmark_table = table
 
     # -- introspection ------------------------------------------------------
     @property
@@ -134,6 +183,8 @@ class FrozenRoadmap:
         goal_links: "list[tuple[int, float]]",
         sid: int,
         gid: int,
+        *,
+        landmarks: bool = True,
     ) -> "tuple[list[int], float] | None":
         """A* between two virtual endpoints attached by explicit links.
 
@@ -145,33 +196,55 @@ class FrozenRoadmap:
         roadmap and runs the dict A*: identical relax order (CSR row,
         then the start link, then the goal link — adjacency append
         order), identical heap tie-breaking, identical floats.
+
+        With a landmark table the search first runs in ALT order and
+        returns that answer only when :meth:`_certified` proves it equal
+        to the Euclidean order's; otherwise, and always with
+        ``landmarks=False`` (the oracle), it runs in Euclidean order.
         """
         if not start_links or not goal_links:
             return None
         n = len(self._ids_list)
-        srow, grow = n, n + 1
-        s_back: "dict[int, float]" = {}
         g_back: "dict[int, float]" = {}
         sg_w: "float | None" = None
-        for r, w in start_links:
-            s_back[r] = w
         for r, w in goal_links:
-            if r == srow:
+            if r == n:
                 sg_w = w
             else:
                 g_back[r] = w
         comp = self._comp_list
         if sg_w is None and not (
-            {comp[r] for r in s_back} & {comp[r] for r in g_back}
+            {comp[r] for r, _w in start_links} & {comp[r] for r in g_back}
         ):
             return None
         start_cfg = np.asarray(start_cfg, dtype=float)
         goal_cfg = np.asarray(goal_cfg, dtype=float)
-        h: "list[float]" = (
-            np.linalg.norm(self.configs - goal_cfg[None, :], axis=1).tolist() if n else []
-        )
-        h.append(float(np.linalg.norm((start_cfg - goal_cfg)[None, :], axis=1)[0]))
-        h.append(0.0)
+        h = np.linalg.norm(self.configs - goal_cfg[None, :], axis=1)
+        ends = [float(np.linalg.norm((start_cfg - goal_cfg)[None, :], axis=1)[0]), 0.0]
+        self.searches += 1
+        table = self.landmark_table if landmarks else None
+        alt = None
+        if table is not None and g_back:
+            alt = _landmark_bound(table, h, start_links, g_back)
+        if alt is not None:
+            state = self._search(alt.tolist() + ends, start_links, sg_w, g_back, sid, gid)
+            self.settled += state[2].count(1, 0, n)
+            if self._certified(state, start_links, sg_w, g_back):
+                return self._answer(state, sid, gid)
+            self.fallbacks += 1
+        state = self._search(h.tolist() + ends, start_links, sg_w, g_back, sid, gid)
+        self.settled += state[2].count(1, 0, n)
+        return self._answer(state, sid, gid)
+
+    def _search(self, h, start_links, sg_w, g_back, sid, gid):
+        """The relaxation loop every search here runs, A* and landmark sweep.
+
+        Rows ``n`` / ``n + 1`` are the virtual start / goal; ``h`` is the
+        heap heuristic per row.  Stops when the goal pops, or when the heap
+        empties (a sweep: no goal links).  Returns ``(g, prev, done, heap)``.
+        """
+        n = len(self._ids_list)
+        srow, grow = n, n + 1
         ids = self._ids_list
         adj = self._adj
         inf = math.inf
@@ -185,17 +258,11 @@ class FrozenRoadmap:
         h_g = h[grow]
         while heap:
             _f, _uvid, u = pop(heap)
-            if u == grow:
-                path = [gid]
-                node = grow
-                while node != srow:
-                    node = prev[node]
-                    path.append(sid if node == srow else ids[node])
-                path.reverse()
-                return path, g[grow]
             if done[u]:
                 continue
             done[u] = 1
+            if u == grow:
+                break
             gu = g[u]
             if u == srow:
                 for v, w in start_links:
@@ -227,10 +294,123 @@ class FrozenRoadmap:
                     g[grow] = ng
                     prev[grow] = u
                     push(heap, (ng + h_g, gid, grow))
-        return None
+        return g, prev, done, heap
+
+    def _answer(self, state, sid: int, gid: int) -> "tuple[list[int], float] | None":
+        """The path and length a finished search found, or None."""
+        g, prev, done, _heap = state
+        n = len(self._ids_list)
+        srow, grow = n, n + 1
+        if not done[grow]:
+            return None
+        ids = self._ids_list
+        path = [gid]
+        node = grow
+        while node != srow:
+            node = prev[node]
+            path.append(sid if node == srow else ids[node])
+        path.reverse()
+        return path, g[grow]
+
+    def _certified(self, state, start_links, sg_w, g_back) -> bool:
+        """Tie certificate: True when an ALT-order answer is the
+        Euclidean order's.
+
+        Both heuristics are consistent, so if the shortest path is unique
+        by a margin, both searches settle each of its vertices with the
+        same ``g`` and the same predecessor, and the path and its float
+        length agree to the bit.  Two checks prove the margin:
+
+        (a) after stale entries, the next heap key exceeds ``C (1 + tol)``
+            — every vertex that could tie the answer of length ``C`` is
+            settled;
+        (b) no settled in-neighbour of a path vertex other than its
+            predecessor (start and goal links included) reaches it within
+            ``tol C`` of its ``g``.
+        """
+        g, prev, done, heap = state
+        n = len(self._ids_list)
+        srow, grow = n, n + 1
+        if not done[grow]:
+            return False
+        cost = g[grow]
+        slack = _TOL * cost
+        while heap and done[heap[0][2]]:
+            heapq.heappop(heap)
+        if heap and heap[0][0] <= cost + slack:
+            return False
+        start_w = dict(start_links)
+        adj = self._adj
+        v = grow
+        while v != srow:
+            p = prev[v]
+            if v == grow:
+                ways = list(g_back.items())
+                if sg_w is not None:
+                    ways.append((srow, sg_w))
+            else:
+                ways = adj[v]
+                if v in start_w:
+                    ways = [*ways, (srow, start_w[v])]
+            reach = g[v] + slack
+            for u, w in ways:
+                if u != p and done[u] and g[u] + w <= reach:
+                    return False
+            v = p
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FrozenRoadmap(|V|={self.num_vertices}, |E|={self.num_edges}, "
             f"components={self.num_components})"
         )
+
+
+def _farthest_points(configs: np.ndarray, k: int) -> "list[int]":
+    """Up to ``k`` distinct rows by farthest-point selection, seeded with
+    the row farthest from row 0 (ties to the lowest row)."""
+    r = int(np.argmax(np.linalg.norm(configs - configs[0], axis=1)))
+    rows = [r]
+    near = np.linalg.norm(configs - configs[r], axis=1)
+    while len(rows) < k:
+        r = int(np.argmax(near))
+        if near[r] == 0.0:
+            break
+        rows.append(r)
+        near = np.minimum(near, np.linalg.norm(configs - configs[r], axis=1))
+    return rows
+
+
+def _landmark_bound(table, h, start_links, g_back) -> "np.ndarray | None":
+    """The ALT-order heap heuristic over roadmap rows:
+    ``max(h, (1 - tol) h_L)``, ``h_L`` the largest landmark bound among the
+    :data:`ACTIVE_LANDMARKS` rows of ``table`` whose bound is largest at
+    the start's links; None when no landmark reaches a goal link.
+
+    Landmark ``L`` sees the goal through its links ``r`` (weight ``w_r``)
+    in its own component: ``dG = min (D[L, r] + w_r)`` and
+    ``dGmax = max (D[L, r] - w_r)``; then
+    ``h_L(v) = max(dG - D[L, v], D[L, v] - dGmax)`` for ``v`` it reaches.
+    ``h_L(r) <= w_r`` on every goal link, so the bound is admissible and
+    consistent in the graph the search walks (the virtual start is settled
+    first and never re-entered).  The table's NaNs (unreachable) drop out
+    of every ``fmin`` / ``fmax``, so a vertex no active landmark reaches
+    keeps ``h``.
+    """
+    rows = list(g_back)
+    w = np.fromiter(g_back.values(), dtype=float, count=len(rows))
+    at_goal = table[:, rows]
+    d_goal = np.fmin.reduce(at_goal + w, axis=1)[:, None]
+    d_far = np.fmax.reduce(at_goal - w, axis=1)[:, None]
+    s_rows = [r for r, _w in start_links]
+    s_w = np.fromiter((w for _r, w in start_links), dtype=float, count=len(s_rows))
+    at_start = table[:, s_rows]
+    score = np.fmin.reduce(np.fmax(d_goal - at_start, at_start - d_far) + s_w, axis=1)
+    pick = np.argsort(-score, kind="stable")[:ACTIVE_LANDMARKS]
+    pick = pick[~np.isnan(d_goal[pick, 0])]
+    if not pick.size:
+        return None
+    dist = table[pick]
+    alt = np.fmax.reduce(np.fmax(d_goal[pick] - dist, dist - d_far[pick]), axis=0)
+    alt *= 1.0 - _TOL
+    return np.fmax(h, alt)

@@ -16,8 +16,9 @@ Three properties matter under concurrent load:
   the same flight and share the result (counted as ``coalesced``
   misses).  A failed build propagates its exception to every waiter and
   clears the flight so the next request retries.
-* **LRU memory budget** — snapshots are charged their CSR array bytes;
-  inserting past ``max_bytes`` evicts least-recently-used entries (the
+* **LRU memory budget** — snapshots are charged their CSR array bytes
+  and landmark table; inserting past ``max_bytes`` evicts
+  least-recently-used entries (the
   newest entry is never evicted, so one oversized workload degrades to
   rebuild-per-miss instead of failing).
 * **Observability** — every lookup emits ``EV_CACHE_HIT`` /
@@ -44,6 +45,7 @@ from typing import TYPE_CHECKING, Callable
 from ..obs.events import EV_CACHE_EVICT, EV_CACHE_HIT, EV_CACHE_MISS
 from ..obs.tracer import active
 from ..planners.engine import QueryEngine
+from ..planners.frozen import LANDMARKS
 from ..spec import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -53,19 +55,23 @@ __all__ = ["CacheStats", "RoadmapCache", "snapshot_nbytes", "build_engine"]
 
 
 def snapshot_nbytes(engine: QueryEngine) -> int:
-    """Memory charge of a cached engine: its frozen snapshot's CSR arrays.
+    """Memory charge of a cached engine: its frozen snapshot's CSR arrays
+    plus the landmark table a hot snapshot builds later (``K x n``
+    float64), charged up front so the budget holds once it exists.
 
     The Python-list mirrors and the NN index are proportional to the same
     arrays, so array bytes are the right relative measure for an LRU
     budget even though the absolute resident size is a small multiple.
     """
     fz = engine.frozen
+    n = fz.num_vertices
     return int(
         fz.configs.nbytes
         + fz.ids.nbytes
         + fz.indptr.nbytes
         + fz.indices.nbytes
         + fz.weights.nbytes
+        + 8 * min(LANDMARKS, n) * n
     )
 
 

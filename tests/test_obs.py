@@ -68,6 +68,51 @@ class TestMetricRegistry:
             t.join()
         assert reg.counter("served").value == n_threads * per_thread
 
+    def test_snapshot_while_instruments_are_created(self):
+        """``as_dict`` on one thread while others create instruments on
+        first use: no "dictionary changed size during iteration"."""
+        import sys
+        import threading
+
+        reg = MetricRegistry()
+        for i in range(2000):
+            reg.counter(f"seed{i}")
+            reg.histogram(f"seed{i}").observe(1.0)
+        n_threads, per_thread = 4, 3000
+        barrier = threading.Barrier(n_threads + 1)
+        errors = []
+
+        def create(tid):
+            barrier.wait()
+            for i in range(per_thread):
+                reg.counter(f"c{tid}-{i}").inc()
+                reg.gauge(f"g{tid}-{i}").set(i)
+                reg.histogram(f"h{tid}-{i}").observe(i)
+
+        def snapshot():
+            barrier.wait()
+            try:
+                while any(t.is_alive() for t in creators):
+                    reg.as_dict()
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        creators = [threading.Thread(target=create, args=(t,)) for t in range(n_threads)]
+        reader = threading.Thread(target=snapshot)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in [*creators, reader]:
+                t.start()
+            for t in [*creators, reader]:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        snap = reg.as_dict()
+        assert len(snap) == 2000 + 3 * n_threads * per_thread
+        assert snap["c0-0"] == 1.0
+
     def test_gauge(self):
         reg = MetricRegistry()
         reg.gauge("load").set(2.5)

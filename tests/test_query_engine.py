@@ -9,6 +9,7 @@ from repro.obs import EV_QUERY_END, EV_QUERY_START, Tracer, summarize_events
 from repro.obs.summary import format_summary
 from repro.planners import PRM, FrozenRoadmap, QueryEngine, QueryRequest, RoadmapQuery
 from repro.planners.engine import _AUTO_KDTREE_MIN
+from repro.planners.frozen import LANDMARKS
 from repro.runtime import Fault, FaultInjector
 
 from .oracle import same_answer
@@ -165,6 +166,82 @@ class TestSolveMany:
         for i, (a, b) in enumerate(zip(inline.results, batch.results)):
             if i != 3:
                 assert same_answer(a, b)
+
+
+class TestLandmarkAmortisation:
+    """The engine builds its snapshot's landmark table once the searches
+    have settled what the table costs; answers never change."""
+
+    def test_cold_engine_builds_no_table(self, built):
+        cs, rmap = built
+        eng = QueryEngine(cs, rmap)
+        eng.solve_many(_queries(cs, 3, seed=11))
+        assert eng._landmark_build is None
+        assert eng.frozen.landmark_table is None
+
+    def test_table_is_built_once_searches_paid_for_it(self, built):
+        """The build starts with the call whose searches bring the settled
+        count to ``K n`` — not one call earlier — and publishes the table."""
+        cs, rmap = built
+        eng = QueryEngine(cs, rmap, k=8)
+        fz = eng.frozen
+        cost = min(LANDMARKS, fz.num_vertices) * fz.num_vertices
+        for s, g in _queries(cs, 1000, seed=12):
+            before = fz.settled
+            eng.solve(s, g)
+            if eng._landmark_build is not None:
+                assert before < cost <= fz.settled
+                break
+            assert fz.settled < cost
+        else:
+            pytest.fail("the table build never started")
+        eng._landmark_build.join()
+        assert fz.landmark_table.shape == (LANDMARKS, fz.num_vertices)
+
+    def test_answers_with_the_table_match_roadmap_query(self, built):
+        cs, rmap = built
+        rq = RoadmapQuery(cs, k=8)
+        eng = QueryEngine(cs, rmap, k=8)
+        eng.frozen.build_landmarks()
+        queries = _queries(cs, 40)
+        inline = eng.solve_many(queries)
+        pooled = eng.solve_many(queries, execution=ExecutionPolicy(workers=2))
+        for (s, g), a, b in zip(queries, inline.results, pooled.results):
+            ref = rq.solve(rmap, s, g)
+            assert same_answer(ref, a) and same_answer(ref, b)
+        assert inline.solved > 0
+        assert eng.frozen.searches > eng.frozen.fallbacks
+
+    def test_concurrent_batches_build_the_table_once(self, built):
+        import threading
+
+        cs, rmap = built
+        eng = QueryEngine(cs, rmap, k=8)
+        fz = eng.frozen
+        fz.settled = fz.num_vertices ** 2
+        builds = []
+        build = fz.build_landmarks
+
+        def counted():
+            builds.append(threading.get_ident())
+            build()
+
+        fz.build_landmarks = counted
+        barrier = threading.Barrier(4)
+
+        def serve(seed):
+            barrier.wait()
+            for i in range(3):
+                eng.solve_many(_queries(cs, 2, seed=seed + i))
+
+        threads = [threading.Thread(target=serve, args=(20 + 10 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        eng._landmark_build.join()
+        assert len(builds) == 1
+        assert fz.landmark_table is not None
 
 
 class TestObservability:

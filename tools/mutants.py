@@ -35,6 +35,7 @@ MATRIX = "tests/test_oracle_matrix.py::test_fast_path_equals_its_oracle"
 CELL = "tests/test_shm_runtime.py::TestLocalParityMatrix::test_every_cell_equals_the_serial_loop"
 PINNED = "tests/test_api.py::TestLocalExecution::test_frozen_adjacency_is_pinned"
 GOLDEN = "tests/test_simulator_golden.py"
+TIES = "tests/test_frozen.py::TestTieCertificate"
 
 
 class Mutant(NamedTuple):
@@ -227,6 +228,29 @@ MUTANTS = [
         "base if aggregated else n * base",
         ("tests/test_pgraph.py::TestAccessMany::test_matches_the_scalar_walk",
          f"{GOLDEN}::test_simulate_prm_golden[48-none]"),
+    ),
+    Mutant(
+        "the tie certificate ignores a tie still in the heap (check a)",
+        "repro/planners/frozen.py",
+        "        if heap and heap[0][0] <= cost + slack:\n            return False\n",
+        "",
+        (f"{TIES}::test_a_tie_still_in_the_heap_fails_check_a",),
+    ),
+    Mutant(
+        "the tie certificate ignores a settled tie (check b)",
+        "repro/planners/frozen.py",
+        "if u != p and done[u] and g[u] + w <= reach:",
+        "if False:",
+        (f"{TIES}::test_a_settled_tie_fails_check_b",
+         f"{TIES}::test_equal_weight_lattice_falls_back"),
+    ),
+    Mutant(
+        "a landmark sees the goal through its nearest link only (inadmissible)",
+        "repro/planners/frozen.py",
+        "d_goal = np.fmin.reduce(at_goal + w, axis=1)[:, None]",
+        "d_goal = at_goal[:, :1] + w[0]",
+        (f"{TIES}::test_equal_weight_lattice_falls_back",
+         f"{TIES}::test_medcube_pool_needs_no_fallback"),
     ),
 ]
 
