@@ -13,7 +13,8 @@ Packages
 ``repro.geometry``
     Workspace primitives, benchmark environments, vectorised collision.
 ``repro.cspace``
-    Configuration spaces, samplers, local planners.
+    Configuration spaces, the uniform sampler, the straight-line local
+    planner.
 ``repro.knn``
     Interchangeable nearest-neighbour backends.
 ``repro.planners``

@@ -217,8 +217,15 @@ class PlanReport:
     def summary(self) -> str:
         """Human-readable report of the run."""
         wl, ex = self.request.workload, self.request.execution
+        if self.pool is not None:
+            # Strategy and PE count are simulate-only; a local run reports
+            # the pool it actually ran on.
+            n = self.pool.workers
+            header = f"{wl.planner.upper()} on {n} {ex.backend} worker{'s' * (n != 1)}"
+        else:
+            header = f"{wl.planner.upper()} / {ex.strategy} on {ex.num_pes} PEs"
         lines = [
-            f"{wl.planner.upper()} / {ex.strategy} on {ex.num_pes} PEs ({ex.mode})",
+            f"{header} ({ex.mode})",
             f"roadmap: {self.roadmap.num_vertices} vertices, "
             f"{self.roadmap.num_edges} edges",
             f"total time: {self.total_time:.2f}",

@@ -36,10 +36,8 @@ earlier outcome, every verdict is a function of geometry alone, every
 distance, interpolation and box test is elementwise, and each region keeps
 its own ``region_rng(seed, rid)`` stream — so batch composition cannot
 change a bit of the roadmap, the ledgers or the collision counters.  The
-block passes replay exactly the defaults (``PRM.runs_blocks``: uniform
-sampler, brute-force neighbours, a local planner with per-segment check
-counts); any other sampler or ``nn_factory`` takes the one-region,
-one-adjacency loop, which thereby stays the oracle
+one-region, one-adjacency loop, taken when the planner does not
+``PRM.runs_blocks``, is the oracle the block passes replay
 (``tests/test_parallel_prm.py`` compares the two field for field).
 """
 
@@ -258,7 +256,7 @@ class PRMRegionPlanner:
     def __init__(
         self, cspace: ConfigurationSpace, num_regions: int, samples_per_region: int,
         seed: int = 0, k: int = 4, overlap: float = 0.2, lp_resolution: float = 0.1,
-        sampler=None, narrow_passage_boost: float = 3.0, nn_factory=None,
+        narrow_passage_boost: float = 3.0,
     ):
         if narrow_passage_boost < 0:
             raise ValueError("narrow_passage_boost must be non-negative")
@@ -271,8 +269,8 @@ class PRMRegionPlanner:
             num_regions, overlap=overlap,
         )
         self.planner = PRM(
-            cspace, sampler=sampler, local_planner=StraightLinePlanner(resolution=lp_resolution),
-            k=k, connect_same_component=False, nn_factory=nn_factory,
+            cspace, local_planner=StraightLinePlanner(resolution=lp_resolution),
+            k=k, connect_same_component=False,
         )
         self.boost_samples = int(round(narrow_passage_boost * samples_per_region))
 
@@ -463,9 +461,7 @@ def build_prm_workload(
     seed: int = 0,
     work_model: WorkModel | None = None,
     lp_resolution: float = 0.1,
-    sampler=None,
     narrow_passage_boost: float = 3.0,
-    nn_factory=None,
 ) -> PRMWorkload:
     """Run the real regional planners once and record their work.
 
@@ -482,23 +478,16 @@ def build_prm_workload(
     precisely the load imbalance the paper's techniques attack.  Set it
     to 0 for uniform effort.
 
-    ``nn_factory`` (``dim -> NeighborFinder``, default brute force) is the
-    nearest-neighbour backend for regional construction and inter-region
-    connection; every finder shares the canonical (distance, insertion
-    order) tie-break, so the workload is backend-independent.
-
-    Regions are independent subproblems, so with the defaults (uniform
-    sampler, brute-force neighbours: ``PRM.runs_blocks``) the build
-    executes *blocks* of regions and of adjacencies as array passes — see
-    the module docstring.  Any other sampler or ``nn_factory`` runs one
+    Regions are independent subproblems, so the build executes *blocks*
+    of regions and of adjacencies as array passes — see the module
+    docstring.  When the planner does not ``PRM.runs_blocks`` it runs one
     region and one adjacency at a time; that loop is the oracle the block
     passes replay, and both produce the same workload bit for bit.
     """
     work_model = work_model if work_model is not None else WorkModel()
     regions = PRMRegionPlanner(
         cspace, num_regions, samples_per_region, seed=seed, k=k, overlap=overlap,
-        lp_resolution=lp_resolution, sampler=sampler,
-        narrow_passage_boost=narrow_passage_boost, nn_factory=nn_factory,
+        lp_resolution=lp_resolution, narrow_passage_boost=narrow_passage_boost,
     )
     subdivision, rids = regions.decomposition, regions.region_ids
 

@@ -30,6 +30,7 @@ import numpy as np
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
 from ..geometry.primitives import AABB
+from ..knn.brute import BruteForceNN
 from ..obs.events import (
     EV_REMOTE_ACCESS,
     PHASE_CONNECT,
@@ -244,7 +245,6 @@ class RRTRegionPlanner:
         nodes_per_region: int, seed: int = 0, radius: float | None = None, k_adjacent: int = 3,
         overlap_angle: float = 0.1, step_size: float = 0.6, goal_bias: float = 0.3,
         iteration_factor: int = 40, lp_resolution: float = 0.5, batched: bool = True,
-        nn_factory=None,
     ):
         root = np.asarray(root, dtype=float)
         if not cspace.valid_single(root):
@@ -264,7 +264,7 @@ class RRTRegionPlanner:
             rng=np.random.default_rng(seed),
         )
         self.planner = RRT(
-            cspace, step_size=step_size, goal_bias=goal_bias, nn_factory=nn_factory,
+            cspace, step_size=step_size, goal_bias=goal_bias,
             local_planner=StraightLinePlanner(resolution=lp_resolution), batched=batched,
         )
 
@@ -310,7 +310,6 @@ def build_rrt_workload(
     work_model: WorkModel | None = None,
     lp_resolution: float = 0.5,
     batched: bool = True,
-    nn_factory=None,
 ) -> RRTWorkload:
     """Grow every conical branch once against the real geometry, each
     drawing its samples from its own cone (:class:`RRTRegionPlanner`).
@@ -319,18 +318,14 @@ def build_rrt_workload(
     that fits the workspace bounds.  ``batched`` selects the vectorised
     predict-validate-replay growth path (identical trees and stats; see
     :class:`repro.planners.rrt.RRT`); False forces the one-extension-at-a-
-    time reference loop.  ``nn_factory`` (``dim -> NeighborFinder``,
-    default brute force) is used both for branch growth and for the
-    branch-connection nearest-neighbour lookups; all finders share the
-    canonical (distance, insertion order) tie-break, so the workload is
-    identical whichever backend is chosen.
+    time reference loop.
     """
     work_model = work_model if work_model is not None else WorkModel()
     regions = RRTRegionPlanner(
         cspace, root, num_regions, nodes_per_region, seed=seed, radius=radius,
         k_adjacent=k_adjacent, overlap_angle=overlap_angle, step_size=step_size,
         goal_bias=goal_bias, iteration_factor=iteration_factor,
-        lp_resolution=lp_resolution, batched=batched, nn_factory=nn_factory,
+        lp_resolution=lp_resolution, batched=batched,
     )
     radial, planner, root = regions.decomposition, regions.planner, regions.root
 
@@ -379,7 +374,7 @@ def build_rrt_workload(
         cycles = 0
         reads = 0
         if ids_a.size and ids_b.size:
-            nn = planner.nn_factory(cspace.dim)
+            nn = BruteForceNN(cspace.dim)
             nn.add_batch(ids_b, tree.configs_of(int(i) for i in ids_b))
             reads += int(ids_b.size)
             # Use the outermost nodes of a (deepest in the branch) as

@@ -1,27 +1,15 @@
-"""Configuration spaces, samplers, and local planners."""
+"""Configuration spaces, the uniform sampler and the straight-line local planner."""
 
-from .local_planner import BinaryLocalPlanner, LocalPlanResult, StraightLinePlanner
+from .local_planner import LocalPlanResult, StraightLinePlanner
 from .rigid_body import RigidBodyCSpace, box_body_points
-from .sampling import (
-    BridgeTestSampler,
-    GaussianSampler,
-    MixtureSampler,
-    ObstacleBasedSampler,
-    SampleBatch,
-    UniformSampler,
-)
+from .sampling import SampleBatch, UniformSampler
 from .space import ConfigurationSpace, EuclideanCSpace
 
 __all__ = [
-    "BinaryLocalPlanner",
     "LocalPlanResult",
     "StraightLinePlanner",
     "RigidBodyCSpace",
     "box_body_points",
-    "BridgeTestSampler",
-    "GaussianSampler",
-    "MixtureSampler",
-    "ObstacleBasedSampler",
     "SampleBatch",
     "UniformSampler",
     "ConfigurationSpace",

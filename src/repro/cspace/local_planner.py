@@ -1,4 +1,4 @@
-"""Local planners: validity checking of the path between two configurations.
+"""The local planner: validity checking of the path between two configurations.
 
 Local planning is the dominant cost of roadmap construction ("the most time
 consuming phase of the entire computation", Sec. III-B), so the planner
@@ -14,7 +14,7 @@ import numpy as np
 
 from .space import ConfigurationSpace
 
-__all__ = ["LocalPlanResult", "StraightLinePlanner", "BinaryLocalPlanner"]
+__all__ = ["LocalPlanResult", "StraightLinePlanner"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ class StraightLinePlanner:
     are float64 either way, so the backend changes neither a verdict nor
     the check budget.
     """
-
-    name = "straight-line"
 
     def __init__(self, resolution: float = 0.1):
         if resolution <= 0:
@@ -152,12 +150,11 @@ class StraightLinePlanner:
 
         Checks proceed in waves of up to ``chunk`` intermediate points per
         segment; a segment that collides in one wave drops out of the
-        later ones, so long invalid segments stop early (the spirit of
-        :class:`BinaryLocalPlanner`, kept batched).  ``checks`` therefore
-        counts only the points actually evaluated — typically far fewer
-        than :meth:`batch_pairs` on failures, identical on success — so
-        this trades exact check-count parity with the sequential planner
-        for speed.
+        later ones, so long invalid segments stop early.  ``checks``
+        therefore counts only the points actually evaluated — typically
+        far fewer than :meth:`batch_pairs` on failures, identical on
+        success — so this trades exact check-count parity with the
+        sequential planner for speed.
         """
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
@@ -187,36 +184,3 @@ class StraightLinePlanner:
             if not ok.all():
                 valid[np.unique(seg_local[~ok])] = False
         return valid, checks, lengths
-
-
-class BinaryLocalPlanner:
-    """Binary-subdivision local planner: checks the midpoint first and
-    recurses, failing fast on blocked segments.  Performs the same number
-    of checks as :class:`StraightLinePlanner` on success but typically far
-    fewer on failure."""
-
-    name = "binary"
-
-    def __init__(self, resolution: float = 0.1):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        self.resolution = resolution
-
-    def __call__(self, cspace: ConfigurationSpace, a: np.ndarray, b: np.ndarray) -> LocalPlanResult:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        dist = float(cspace.distance(a, b))
-        checks = 0
-        stack = [(a, b, dist)]
-        while stack:
-            lo_cfg, hi_cfg, seg_len = stack.pop()
-            if seg_len <= self.resolution:
-                continue
-            mid = cspace.interpolate(lo_cfg, hi_cfg, 0.5)
-            checks += 1
-            if not cspace.valid_single(mid):
-                return LocalPlanResult(False, checks, dist)
-            half = 0.5 * seg_len
-            stack.append((lo_cfg, mid, half))
-            stack.append((mid, hi_cfg, half))
-        return LocalPlanResult(True, checks, dist)

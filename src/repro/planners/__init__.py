@@ -1,4 +1,4 @@
-"""Sequential sampling-based planners: PRM, RRT, queries, smoothing."""
+"""Sequential sampling-based planners: PRM, RRT and roadmap queries."""
 
 from .engine import BatchQueryResult, QueryEngine, QueryRequest
 from .frozen import FrozenRoadmap
@@ -6,7 +6,6 @@ from .prm import PRM, PRMBlock, PRMResult, PRMSegment
 from .query import QueryResult, RoadmapQuery, astar, dijkstra
 from .roadmap import Roadmap, UnionFind
 from .rrt import RRT, RRTResult
-from .smoothing import path_length, shortcut_smooth
 from .stats import PlannerStats, WorkModel
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "UnionFind",
     "RRT",
     "RRTResult",
-    "path_length",
-    "shortcut_smooth",
     "PlannerStats",
     "WorkModel",
 ]

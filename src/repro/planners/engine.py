@@ -148,9 +148,6 @@ class QueryEngine:
     roadmap:
         A built :class:`~repro.planners.roadmap.Roadmap` (frozen here) or
         an existing :class:`~repro.planners.frozen.FrozenRoadmap`.
-    local_planner:
-        Edge validator; defaults to the same straight-line planner
-        ``RoadmapQuery`` uses.
     k:
         Attachment degree for start/goal connection (default 8, matching
         ``RoadmapQuery``).
@@ -162,16 +159,16 @@ class QueryEngine:
         shares the canonical (distance, insertion order) tie-break, so
         the choice never changes an answer, only its latency.
 
-    Collision checks run on whichever :mod:`repro.kernels` backend
-    ``cspace``'s environment is configured with; the NN index always
-    computes float64 distances.
+    Attachment edges are validated by the same straight-line planner
+    ``RoadmapQuery`` uses.  Collision checks run on whichever
+    :mod:`repro.kernels` backend ``cspace``'s environment is configured
+    with; the NN index always computes float64 distances.
     """
 
     def __init__(
         self,
         cspace: ConfigurationSpace,
         roadmap: "Roadmap | FrozenRoadmap",
-        local_planner=None,
         k: int = 8,
         nn_factory=None,
     ):
@@ -180,10 +177,7 @@ class QueryEngine:
             self.frozen = roadmap
         else:
             self.frozen = FrozenRoadmap.from_roadmap(roadmap)
-        self.local_planner = (
-            local_planner if local_planner is not None
-            else StraightLinePlanner(resolution=0.25)
-        )
+        self.local_planner = StraightLinePlanner(resolution=0.25)
         self.k = k
         n = self.frozen.num_vertices
         if nn_factory is None:
@@ -203,22 +197,6 @@ class QueryEngine:
         self._landmark_build: "threading.Thread | None" = None
 
     # -- batched preparation -------------------------------------------------
-    def _validate_pairs(self, starts: np.ndarray, ends: np.ndarray):
-        """(valid_mask, lengths) for candidate segments, bit-identical to
-        scalar local-planner calls."""
-        lp = self.local_planner
-        if hasattr(lp, "batch_pairs_exact"):
-            valid, _checks, lengths = lp.batch_pairs_exact(self.cspace, starts, ends)
-            return valid, lengths
-        m = starts.shape[0]
-        valid = np.zeros(m, dtype=bool)
-        lengths = np.zeros(m)
-        for i in range(m):
-            res = lp(self.cspace, starts[i], ends[i])
-            valid[i] = res.valid
-            lengths[i] = res.length
-        return valid, lengths
-
     def _prepare(self, starts: np.ndarray, goals: np.ndarray):
         """Vectorised per-batch setup: endpoint validity, k-NN attachment
         candidates, and one local-planner batch over every candidate edge.
@@ -284,7 +262,10 @@ class QueryEngine:
             for qi, _s, _g in slices:
                 jobs[qi] = (starts[qi], goals[qi], [], [])
             return jobs
-        valid, lengths = self._validate_pairs(np.array(pair_starts), np.array(pair_ends))
+        # batch_pairs_exact: bit-identical to scalar local-planner calls.
+        valid, _checks, lengths = self.local_planner.batch_pairs_exact(
+            self.cspace, np.array(pair_starts), np.array(pair_ends)
+        )
         pos = 0
         for qi, scand, gcand in slices:
             s_links = []

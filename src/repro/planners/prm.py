@@ -6,11 +6,15 @@ configurations, connects each to its k nearest neighbours with a local
 planner, and returns the regional roadmap together with the operation
 counts the virtual-time model charges for.
 
+The planner is one configuration: uniform rejection sampling
+(:class:`~repro.cspace.sampling.UniformSampler`), brute-force k-NN
+(:class:`~repro.knn.brute.BruteForceNN`) and a straight-line local planner.
 Neighbour connection — the hot path — is batched through the local
-planner's ``batch_pairs`` whenever it offers one, *including* on the
-default ``connect_same_component=True`` path: candidates are filtered by
-connected component first and only the survivors are validated, in an
-order that reproduces the sequential planner's operation counts exactly
+planner's ``batch_pairs`` unless ``batched=False`` asks for the oracle,
+*including* on the default ``connect_same_component=True`` path:
+candidates are filtered by connected component first and only the
+survivors are validated, in an order that reproduces the sequential
+planner's operation counts exactly
 (see :meth:`PRM._connect_batched`).  ``PlannerStats`` and the
 environment's ``CollisionCounters`` are therefore field-for-field
 identical to the one-edge-at-a-time implementation; the virtual-time
@@ -115,22 +119,18 @@ class PRM:
     ----------
     cspace:
         The configuration space to plan in.
-    sampler:
-        A sampler from :mod:`repro.cspace.sampling` (default uniform).
     local_planner:
-        Edge validator (default straight-line at resolution 0.25).
+        The edge validator, a :class:`StraightLinePlanner` (default
+        resolution 0.25).
     k:
         Number of nearest-neighbour connection attempts per node.
     connect_same_component:
         If False (default), skip connection attempts between vertices
         already in the same connected component — the standard PRM
         optimisation.
-    nn_factory:
-        Callable ``dim -> NeighborFinder`` (default brute force, the right
-        choice at regional roadmap sizes).
     batched:
-        Use the local planner's vectorised ``batch_pairs`` when available
-        (default True).  Operation counts are identical either way; False
+        Use the local planner's vectorised ``batch_pairs`` (default
+        True).  Operation counts are identical either way; False
         forces the one-edge-at-a-time reference path (used by the perf
         suite to measure the speedup and by tests to assert parity).
     fail_fast:
@@ -144,16 +144,14 @@ class PRM:
     def __init__(
         self,
         cspace: ConfigurationSpace,
-        sampler=None,
         local_planner=None,
         k: int = 6,
         connect_same_component: bool = True,
-        nn_factory=None,
         batched: bool = True,
         fail_fast: bool = False,
     ):
         self.cspace = cspace
-        self.sampler = sampler if sampler is not None else UniformSampler()
+        self.sampler = UniformSampler()
         self.local_planner = (
             local_planner if local_planner is not None
             else StraightLinePlanner(resolution=0.25)
@@ -162,38 +160,25 @@ class PRM:
             raise ValueError("k must be >= 1")
         self.k = k
         self.connect_same_component = connect_same_component
-        self.nn_factory = nn_factory if nn_factory is not None else BruteForceNN
         self.batched = batched
         self.fail_fast = fail_fast
 
     # -- batched validation ------------------------------------------------
-    def _use_batch(self) -> bool:
-        return self.batched and hasattr(self.local_planner, "batch_pairs")
-
     def _validate_pairs(
         self, starts: np.ndarray, ends: np.ndarray
     ) -> "tuple[np.ndarray, int, np.ndarray]":
-        if self.fail_fast and hasattr(self.local_planner, "batch_pairs_chunked"):
+        if self.fail_fast:
             return self.local_planner.batch_pairs_chunked(self.cspace, starts, ends)
         return self.local_planner.batch_pairs(self.cspace, starts, ends)
 
     @property
     def runs_blocks(self) -> bool:
         """Whether :meth:`build` / :meth:`connect_roadmaps` accept a block
-        of segments.  The block passes replay exactly this configuration:
-        uniform rejection sampling, brute-force neighbours, a local
-        planner with per-segment check counts, and
+        of segments: batched, with exact check counts, and
         ``connect_same_component=False`` — without the component filter no
         connection decision depends on an earlier outcome, so every
         candidate pair of a block can be validated in one call."""
-        return (
-            type(self.sampler) is UniformSampler
-            and self.nn_factory is BruteForceNN
-            and self._use_batch()
-            and not self.fail_fast
-            and not self.connect_same_component
-            and hasattr(self.local_planner, "batch_pairs_counted")
-        )
+        return self.batched and not self.fail_fast and not self.connect_same_component
 
     def _connect_batched(
         self,
@@ -402,18 +387,13 @@ class PRM:
         stats.sample_attempts += batch.attempts
         stats.samples_accepted += len(batch)
 
-        nn = self.nn_factory(self.cspace.dim)
+        nn = BruteForceNN(self.cspace.dim)
         # Seed NN structure with pre-existing vertices (extension mode).
         ids, cfgs = rmap.configs_array()
         if ids.size:
             nn.add_batch(ids, cfgs)
 
-        if (
-            self._use_batch()
-            and not self.fail_fast
-            and hasattr(self.local_planner, "batch_pairs_counted")
-            and hasattr(nn, "knn_block_growing")
-        ):
+        if self.batched and not self.fail_fast:
             self._build_block(
                 rmap, np.asarray(batch.configs, dtype=float), id_base,
                 rmap.num_vertices, nn, stats,
@@ -421,7 +401,6 @@ class PRM:
             stats.nn_distance_evals += nn.stats.distance_evals
             return PRMResult(rmap, stats)
 
-        batched = self._use_batch()
         next_local = rmap.num_vertices
         for cfg in batch.configs:
             vid = id_base + next_local
@@ -430,7 +409,7 @@ class PRM:
 
             neighbors = nn.knn(cfg, self.k)
             stats.nn_queries += 1
-            if batched and len(neighbors) > 1:
+            if self.batched and len(neighbors) > 1:
                 self._connect_batched(rmap, vid, cfg, neighbors, stats)
             else:
                 for nbr_id, _dist in neighbors:
@@ -486,7 +465,7 @@ class PRM:
         bases = np.broadcast_to(np.asarray(id_base, dtype=np.int64), (g,))
         new_ids = (bases + n0 - new_offsets[:-1])[seg_new] + np.arange(seg_new.size)
 
-        nn = self.nn_factory(dim)
+        nn = BruteForceNN(dim)
         if block.ids.size:
             nn.add_batch(block.ids, block.configs)
         nbrs, _dists = nn.knn_block_growing(
@@ -557,9 +536,9 @@ class PRM:
         ids_b = np.asarray(ids_b, dtype=np.int64)
         if ids_b.size == 0 or len(ids_a) == 0:
             return stats
-        nn = self.nn_factory(self.cspace.dim)
+        nn = BruteForceNN(self.cspace.dim)
         nn.add_batch(ids_b, rmap.configs_of(int(i) for i in ids_b))
-        if self._use_batch():
+        if self.batched:
             self._connect_pairs_batched(rmap, ids_a, nn, k, max_attempts, stats)
             stats.nn_distance_evals += nn.stats.distance_evals
             return stats
@@ -595,7 +574,7 @@ class PRM:
         oa, ob = (np.asarray(o, dtype=np.int64) for o in segments)
         na, nb = np.diff(oa), np.diff(ob)
         cfg_a, cfg_b = rmap.configs_of(ids_a.tolist()), rmap.configs_of(ids_b.tolist())
-        nn = self.nn_factory(self.cspace.dim)
+        nn = BruteForceNN(self.cspace.dim)
         nn.add_batch(ids_b, cfg_b)
         nbrs, _dists = nn.knn_batch_arrays(
             cfg_a, k if k is not None else self.k, segments=(ob, oa)

@@ -103,32 +103,21 @@ class QueryResult:
 class RoadmapQuery:
     """Connects a start and goal configuration to a roadmap and solves.
 
-    ``nn_factory`` picks the nearest-neighbour backend used for attachment
-    (any :class:`~repro.knn.base.NearestNeighbors` subclass); all backends
-    share the canonical (distance, insertion order) tie-break, so swapping
-    factories does not change the answer.
+    Each endpoint is linked to up to ``k`` of its nearest roadmap vertices
+    (a fresh :class:`~repro.knn.brute.BruteForceNN` per attachment)
+    through a straight-line local planner at resolution 0.25.
     """
 
-    def __init__(
-        self,
-        cspace: ConfigurationSpace,
-        local_planner=None,
-        k: int = 8,
-        nn_factory=None,
-    ):
+    def __init__(self, cspace: ConfigurationSpace, k: int = 8):
         self.cspace = cspace
-        self.local_planner = (
-            local_planner if local_planner is not None
-            else StraightLinePlanner(resolution=0.25)
-        )
+        self.local_planner = StraightLinePlanner(resolution=0.25)
         self.k = k
-        self.nn_factory = nn_factory if nn_factory is not None else BruteForceNN
 
     def _attach(self, rmap: Roadmap, config: np.ndarray, vid: int) -> bool:
         """Add ``config`` as vertex ``vid`` and link it to up to k nearest
         reachable roadmap vertices; True if at least one link succeeded."""
         ids, cfgs = rmap.configs_array()
-        nn = self.nn_factory(self.cspace.dim)
+        nn = BruteForceNN(self.cspace.dim)
         nn.add_batch(ids, cfgs)
         rmap.add_vertex(config, vid)
         attached = False

@@ -12,13 +12,12 @@ call, never on the planner: one ``RRT`` serves every region of a
 decomposition, from several threads at once.
 
 Growth — the RRT hot path — has two implementations.  The one-extension-
-at-a-time loop in :meth:`RRT._grow_sequential` is the semantic oracle.
-The default batched path (:meth:`RRT._grow_batched`, taken when the NN
-factory is :class:`~repro.knn.brute.BruteForceNN`, whose scan it
-inlines; any other finder runs the sequential loop) replays that oracle
-exactly while vectorising the per-iteration array work in blocks,
-mirroring the predict-validate-replay strategy of
-:class:`repro.planners.prm.PRM`:
+at-a-time loop in :meth:`RRT._grow_sequential`, over a
+:class:`~repro.knn.brute.BruteForceNN`, is the semantic oracle.  The
+default batched path (:meth:`RRT._grow_batched`, which inlines that
+finder's scan) replays the oracle exactly while vectorising the
+per-iteration array work in blocks, mirroring the predict-validate-replay
+strategy of :class:`repro.planners.prm.PRM`:
 
 1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
    oracle's stream double for double: the oracle takes one ``random()``
@@ -119,14 +118,14 @@ class RRT:
     step_size:
         Maximum extension length ``Δq``.
     local_planner:
-        Validator for each extension segment.
+        Validator for each extension segment, a
+        :class:`~repro.cspace.local_planner.StraightLinePlanner` (default
+        resolution 0.25).
     goal_bias:
         Probability of sampling the bias target instead of uniformly.
-    nn_factory:
-        ``dim -> NeighborFinder``.
     batched:
-        Use the vectorised predict-validate-replay growth loop when the
-        local planner offers ``batch_pairs_exact`` (default True).
+        Use the vectorised predict-validate-replay growth loop (default
+        True).
         Results — tree, parents, ``PlannerStats``, collision counters —
         are identical either way; False forces the one-extension-at-a-
         time reference path (the oracle tests assert parity against).
@@ -138,7 +137,6 @@ class RRT:
         step_size: float = 0.5,
         local_planner=None,
         goal_bias: float = 0.05,
-        nn_factory=None,
         batched: bool = True,
     ):
         if step_size <= 0:
@@ -152,7 +150,6 @@ class RRT:
             else StraightLinePlanner(resolution=0.25)
         )
         self.goal_bias = goal_bias
-        self.nn_factory = nn_factory if nn_factory is not None else BruteForceNN
         self.batched = batched
 
     def grow(
@@ -209,15 +206,7 @@ class RRT:
                 raise ValueError("extending an existing tree requires parents and root_id")
 
         max_iterations = max_iterations if max_iterations is not None else 20 * n_nodes
-        # The batched path replays BruteForceNN's distance arithmetic and
-        # canonical tie-break inline; any other nn_factory goes through
-        # the sequential loop, where its finder is queried (and charged)
-        # exactly once per sample.
-        if (
-            self.batched
-            and self.nn_factory is BruteForceNN
-            and hasattr(self.local_planner, "batch_pairs_exact")
-        ):
+        if self.batched:
             return self._grow_batched(
                 tree, parents, root_id, n_nodes, rng, bias_target, region_predicate,
                 region_predicate_batch, max_iterations, id_base, goal, goal_tolerance,
@@ -246,7 +235,7 @@ class RRT:
         within,
     ) -> RRTResult:
         """One-extension-at-a-time growth loop: the semantic oracle."""
-        nn = self.nn_factory(self.cspace.dim)
+        nn = BruteForceNN(self.cspace.dim)
         ids, cfgs = tree.configs_array()
         nn.add_batch(ids, cfgs)
         next_local = tree.num_vertices
@@ -297,9 +286,6 @@ class RRT:
             if goal is not None and float(self.cspace.distance(q_new, goal)) <= goal_tolerance:
                 goal_reached = vid
         stats.nn_distance_evals += nn.stats.distance_evals
-        stats.nn_rebuilds += nn.stats.rebuilds
-        stats.nn_buffer_hits += nn.stats.buffer_hits
-        stats.nn_evals_saved += nn.stats.evals_saved
         stats.samples_accepted += added
         return RRTResult(tree, parents, root_id, stats)
 

@@ -43,7 +43,7 @@ from .core.parallel_prm import PRMWorkload, build_prm_workload
 from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry import environments
-from .runtime.local_pool import FAILURE_POLICIES
+from .runtime.local_pool import FAILURE_POLICIES, resolve_workers
 
 if TYPE_CHECKING:
     from .obs.tracer import Tracer
@@ -227,10 +227,12 @@ class ExecutionPolicy:
             raise ValueError(
                 f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}"
             )
-        if self.num_pes < 1:
-            raise ValueError("num_pes must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for os.cpu_count())")
+        # The pool's rule for ``workers`` (an int >= 1, or None), and the
+        # same rule for ``num_pes`` without the None.
+        pes = self.num_pes
+        if isinstance(pes, bool) or not isinstance(pes, int) or pes < 1:
+            raise ValueError(f"num_pes must be an int >= 1, got {pes!r}")
+        resolve_workers(self.workers)
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         from .runtime.chunking import validate_chunksize

@@ -5,6 +5,8 @@ and block ``PRM`` builds, pool chunks planned as blocks, the shm plane,
 the ``bvh`` cull — is trusted because it leaves exactly what its
 sequential loop leaves.  :func:`digest` names every field of that, and
 :func:`assert_same` names the first field two runs differ in.
+:func:`region_loop` is the one switch from the block passes to the
+per-region loop they replay.
 
 This is the only test module that knows how a ``Roadmap`` stores its
 graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
@@ -15,10 +17,11 @@ else.
 
 import hashlib
 from dataclasses import asdict, astuple
+from unittest import mock
 
 import numpy as np
 
-from repro.planners import Roadmap
+from repro.planners import PRM, Roadmap
 
 
 def digest(run, env=None, rng=None) -> dict:
@@ -99,6 +102,16 @@ def assert_agree(run) -> dict:
     want = run(False)
     assert_same(run(True), want)
     return want
+
+
+def region_loop():
+    """The switch to the block passes' oracle: inside ``with
+    region_loop():`` no ``PRM`` ``runs_blocks``, so ``build_prm_workload``
+    plans one region and connects one adjacency at a time and local-mode
+    chunks take the per-task loop.  Each region still runs the batched
+    one-region build, whose edge weights the block passes share to the last
+    place; ``batched=False`` would not (they may differ by one ulp)."""
+    return mock.patch.object(PRM, "runs_blocks", property(lambda _self: False))
 
 
 def roadmap_fingerprint(rmap) -> str:

@@ -202,6 +202,11 @@ class TestPlanTracing:
         assert "PRM / rand-8 on 8 PEs" in text
         assert "construct" in text
 
+    def test_summary_header_names_the_simulated_machine(self):
+        report = plan(WorkloadSpec(num_regions=8, samples_per_region=2, seed=1),
+                      execution=ExecutionPolicy(strategy="hybrid", num_pes=4))
+        assert report.summary().splitlines()[0] == "PRM / hybrid on 4 PEs (simulate)"
+
 
 class TestLocalExecution:
     def test_prm_local(self):
@@ -231,6 +236,20 @@ class TestLocalExecution:
         assert report.pool is not None
         assert report.roadmap.num_vertices > 0
         assert "slowest region" in report.summary()
+
+    @pytest.mark.parametrize("workers, backend, header", [
+        (1, "thread", "RRT on 1 thread worker (local)"),
+        (2, "process", "RRT on 2 process workers (local)"),
+    ], ids=["thread-1", "process-2"])
+    def test_summary_header_names_the_pool(self, workers, backend, header):
+        """A local run reports the pool it ran on, not the simulate-only
+        strategy and PE count its policy still carries."""
+        report = plan(
+            WorkloadSpec(planner="rrt", num_regions=4, nodes_per_region=3, seed=2),
+            execution=ExecutionPolicy(mode="local", workers=workers, backend=backend,
+                                      strategy="hybrid", num_pes=16),
+        )
+        assert report.summary().splitlines()[0] == header
 
     def test_local_with_tracer(self):
         tracer = Tracer()

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.knn import BruteForceNN, IncrementalNN
-from repro.planners.rrt import RRT
 
 try:
     from hypothesis import given, settings
@@ -158,82 +157,9 @@ class TestLadderStructure:
         assert inc.stats.evals_saved > 0
 
 
-class TestRRTParity:
-    """Swapping the NN backend may not move a single RRT sample: growth
-    under IncrementalNN (always the sequential loop — only the brute
-    finder is replayed inline by the batched path) must be bit-identical
-    to the brute-force oracle."""
-
-    _NN_FIELDS = ("nn_distance_evals", "nn_rebuilds", "nn_buffer_hits", "nn_evals_saved")
-
-    def _grow(self, nn_factory, batched, goal=None):
-        from repro.cspace import EuclideanCSpace
-        from repro.geometry import environments
-
-        cs = EuclideanCSpace(environments.by_name("med-cube"))
-        rrt = RRT(
-            cs, step_size=0.6, goal_bias=0.05, batched=batched, nn_factory=nn_factory
-        )
-        res = rrt.grow(
-            np.full(cs.dim, -9.0), 250, np.random.default_rng(7), goal=goal
-        )
-        from dataclasses import asdict
-
-        edges = sorted((min(u, v), max(u, v), w) for u, v, w in res.tree.edges())
-        return asdict(res.stats), edges, dict(res.parents), res
-
-    @pytest.mark.parametrize("goal", [None, np.array([8.0, 8.0, 8.0])])
-    def test_three_way_parity(self, goal):
-        b_stats, b_edges, b_parents, _ = self._grow(BruteForceNN, True, goal)
-        s_stats, s_edges, s_parents, _ = self._grow(IncrementalNN, False, goal)
-        i_stats, i_edges, i_parents, _ = self._grow(IncrementalNN, True, goal)
-        assert b_edges == s_edges == i_edges
-        assert b_parents == s_parents == i_parents
-        # incremental sequential and batched agree on every stat field,
-        # ladder maintenance counters included
-        assert s_stats == i_stats
-        # and match the brute oracle outside the backend-dependent group
-        strip = lambda d: {k: v for k, v in d.items() if k not in self._NN_FIELDS}
-        assert strip(b_stats) == strip(i_stats)
-        assert i_stats["nn_distance_evals"] < b_stats["nn_distance_evals"]
-        assert i_stats["nn_evals_saved"] > 0
-
-    def test_incremental_runs_the_sequential_loop(self, monkeypatch):
-        b_stats, b_edges, b_parents, _ = self._grow(BruteForceNN, True)
-        monkeypatch.setattr(
-            RRT, "_grow_batched", lambda *a, **k: pytest.fail("batched path taken")
-        )
-        i_stats, i_edges, i_parents, _ = self._grow(IncrementalNN, True)
-        assert (i_edges, i_parents) == (b_edges, b_parents)
-        strip = lambda d: {k: v for k, v in d.items() if k not in self._NN_FIELDS}
-        assert strip(i_stats) == strip(b_stats)
-
-
 class TestRegistry:
     def test_grid_not_registered(self):
         """The hash-grid finder is gone from the package."""
         import repro.knn
 
         assert not hasattr(repro.knn, "GridNN")
-
-
-class TestEndToEndPlan:
-    def test_plan_simulate_identical_to_default(self):
-        """The incremental finder handed to the workload builder may not
-        change a single vertex or edge of the build."""
-        from repro.core import build_prm_workload
-        from repro.spec import WorkloadSpec
-
-        wl = WorkloadSpec(num_regions=6, samples_per_region=6, environment="mixed")
-        cs = wl.resolve_cspace()
-        ref = build_prm_workload(cs, wl.num_regions, wl.samples_per_region, seed=wl.seed)
-        inc = build_prm_workload(
-            cs, wl.num_regions, wl.samples_per_region, seed=wl.seed,
-            nn_factory=IncrementalNN,
-        )
-        assert inc.roadmap.num_vertices == ref.roadmap.num_vertices
-        assert sorted(inc.roadmap.edges()) == sorted(ref.roadmap.edges())
-        ids_i, cfg_i = inc.roadmap.configs_array()
-        ids_r, cfg_r = ref.roadmap.configs_array()
-        np.testing.assert_array_equal(ids_i, ids_r)
-        np.testing.assert_array_equal(cfg_i, cfg_r)

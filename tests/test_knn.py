@@ -82,8 +82,8 @@ class TestKnnCorrectness:
 
 class TestCanonicalTieBreak:
     """All backends must agree on the exact ordered (id, distance) lists,
-    including ties — the contract that makes ``nn_factory`` a drop-in swap
-    everywhere in the planners."""
+    including ties — the contract that makes ``QueryEngine``'s
+    ``nn_factory`` a drop-in swap."""
 
     def _tie_heavy_points(self):
         """A 5x5 integer lattice, duplicated: every query sees massive

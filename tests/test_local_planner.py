@@ -1,11 +1,11 @@
-"""Tests for local planners (single and batched)."""
+"""Tests for the straight-line local planner (single and batched)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cspace import BinaryLocalPlanner, StraightLinePlanner
+from repro.cspace import StraightLinePlanner
 
 
 class TestStraightLinePlanner:
@@ -54,30 +54,6 @@ class TestStraightLinePlanner:
         assert ok.all() and checks == 0
 
 
-class TestBinaryLocalPlanner:
-    def test_agrees_with_straight_line_on_validity(self, box_cspace, rng):
-        blp = BinaryLocalPlanner(resolution=0.05)
-        slp = StraightLinePlanner(resolution=0.05)
-        for _ in range(64):
-            a = rng.uniform(-4.5, 4.5, 2)
-            b = rng.uniform(-4.5, 4.5, 2)
-            vb = blp(box_cspace, a, b).valid
-            vs = slp(box_cspace, a, b).valid
-            # Binary subdivision checks a slightly different point set; on
-            # clearly-blocked segments they must agree.
-            if box_cspace.env.segments_in_collision(a[None], b[None])[0]:
-                assert not vb or not vs
-
-    def test_fails_fast_on_blocked(self, box_cspace):
-        blp = BinaryLocalPlanner(resolution=0.01)
-        slp = StraightLinePlanner(resolution=0.01)
-        a, b = np.array([-3.0, 0.0]), np.array([3.0, 0.0])
-        rb = blp(box_cspace, a, b)
-        rs = slp(box_cspace, a, b)
-        assert not rb.valid
-        assert rb.checks < rs.checks  # midpoint-first fails immediately
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_exact_segment_check_implies_lp_verdict(seed):
@@ -123,25 +99,3 @@ class TestBatchPairsChunked:
         ok_ff, checks_ff, _ = lp.batch_pairs_chunked(box_cspace, starts, ends)
         assert ok_full.all() and ok_ff.all()
         assert checks_full == checks_ff
-
-
-class TestBinaryVsStraightLine:
-    def test_exactly_free_segments_accepted_by_both(self, box_cspace, rng):
-        """Bisection and the uniform sweep probe different point sets, so
-        their verdicts may differ near obstacle boundaries — but both only
-        probe points *on* the segment, so an exactly collision-free
-        segment must be accepted by both, at matching length and with the
-        sweep's check count as one per interior step."""
-        sl = StraightLinePlanner(resolution=0.25)
-        bi = BinaryLocalPlanner(resolution=0.25)
-        free = 0
-        for _ in range(120):
-            a = rng.uniform(-5, 5, size=2)
-            b = rng.uniform(-5, 5, size=2)
-            if box_cspace.env.segments_in_collision(a[None], b[None])[0]:
-                continue
-            free += 1
-            rs, rb = sl(box_cspace, a, b), bi(box_cspace, a, b)
-            assert rs.valid and rb.valid
-            assert rs.length == pytest.approx(rb.length)
-        assert free > 10

@@ -12,6 +12,7 @@ through ``plan()`` also run in every execution cell — {thread, process} x
 A new fast path adds a row here and a mutant to ``tools/mutants.py``.
 """
 
+import contextlib
 from dataclasses import asdict
 
 import numpy as np
@@ -22,13 +23,12 @@ from repro.core import build_prm_workload, build_rrt_workload
 from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
 from repro.geometry.environments import by_name
-from repro.knn import BruteForceNN
 from repro.planners import PRM, RRT, Roadmap
 from repro.runtime import run_tasks_parallel
 from repro.spec import WorkloadSpec
 from repro.subdivision.radial import ConeRegion
 
-from .oracle import assert_same, digest
+from .oracle import assert_same, digest, region_loop
 
 
 def _space(env, cull):
@@ -98,10 +98,10 @@ def _prm_batched_box(cull, fast):
 
 def _prm_block_box(cull, fast):
     """A workload's regions and adjacencies as segmented block passes, or
-    one at a time (any finder but ``BruteForceNN`` itself takes the loop)."""
-    nn = {} if fast else {"nn_factory": lambda dim: BruteForceNN(dim)}
-    return digest(build_prm_workload(_space("mixed-30", cull), 27, samples_per_region=6,
-                                     seed=2, **nn))
+    one at a time (:func:`tests.oracle.region_loop`)."""
+    with contextlib.nullcontext() if fast else region_loop():
+        return digest(build_prm_workload(_space("mixed-30", cull), 27, samples_per_region=6,
+                                         seed=2))
 
 
 def _regions(planner, cull):

@@ -7,20 +7,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import _RegionTask
 from repro.core import PRMRegionPlanner, build_prm_workload, parallel_prm, simulate_prm
 from repro.core.metrics import coefficient_of_variation
-from repro.cspace import (
-    EuclideanCSpace,
-    GaussianSampler,
-    StraightLinePlanner,
-    UniformSampler,
-)
+from repro.cspace import EuclideanCSpace, StraightLinePlanner, UniformSampler
 from repro.geometry import free_env, med_cube
 from repro.geometry.environments import by_name
-from repro.knn import BruteForceNN, KDTreeNN
-from repro.planners import RoadmapQuery
+from repro.knn import BruteForceNN
+from repro.planners import Roadmap, RoadmapQuery
+from repro.runtime import run_tasks_parallel
 
-from .oracle import assert_same, digest
+from .oracle import assert_same, digest, region_loop
 
 
 @pytest.fixture(scope="module")
@@ -160,18 +157,13 @@ class TestSimulation:
 # Regions as segments: the block passes replay the per-region loop exactly
 # ---------------------------------------------------------------------------
 
-def _loop_nn(dim):
-    """A brute-force finder that is not ``BruteForceNN`` itself, so
-    ``PRM.runs_blocks`` is false and the build takes the per-region loop —
-    the oracle, reached the way any non-default ``nn_factory`` reaches it."""
-    return BruteForceNN(dim)
-
-
 def _assert_block_equals_loop(env, num_regions, **kwargs):
-    block, loop = (
-        build_prm_workload(EuclideanCSpace(by_name(env)), num_regions, **nn, **kwargs)
-        for nn in ({}, {"nn_factory": _loop_nn})
-    )
+    def build():
+        return build_prm_workload(EuclideanCSpace(by_name(env)), num_regions, **kwargs)
+
+    block = build()
+    with region_loop():
+        loop = build()
     assert_same(digest(block), digest(loop))
     return block
 
@@ -237,8 +229,10 @@ class TestBlocksEqualLoop:
         assert (stats.sample_attempts, stats.samples_accepted) == (12, 0)
         assert stats.nn_queries == stats.lp_calls == 0
 
-    def test_other_samplers_take_the_loop(self, monkeypatch):
-        """Only the configuration the block passes replay runs as blocks."""
+    def test_the_loop_switch_plans_no_block(self, monkeypatch):
+        """Under :func:`region_loop` nothing is planned as a block — not by
+        the build, not by a pool chunk — so the battery above compares
+        blocks with the loop, never blocks with blocks."""
         calls = []
         original = PRMRegionPlanner.plan_block
         monkeypatch.setattr(
@@ -246,12 +240,19 @@ class TestBlocksEqualLoop:
             lambda self, rids: calls.append(len(rids)) or original(self, rids),
         )
         cs = EuclideanCSpace(by_name("med-cube"))
+        regions = PRMRegionPlanner(cs, 27, 4, seed=1)
         build_prm_workload(cs, 27, samples_per_region=4, seed=1)
         assert calls
+        assert _RegionTask(regions).run_block(regions.region_ids) is not None
         del calls[:]
-        build_prm_workload(cs, 27, samples_per_region=4, seed=1, sampler=GaussianSampler())
-        build_prm_workload(cs, 27, samples_per_region=4, seed=1, nn_factory=KDTreeNN)
+        with region_loop():
+            build_prm_workload(cs, 27, samples_per_region=4, seed=1)
+            assert _RegionTask(regions).run_block(regions.region_ids) is None
+            pool = run_tasks_parallel(
+                _RegionTask(regions), regions.region_ids, workers=2, chunksize=7
+            )
         assert not calls
+        assert {type(value[0]) for value in pool.results.values()} == {Roadmap}
 
     def test_collision_calls_scale_with_blocks_not_regions(self, monkeypatch):
         """The perf guard: a per-region loop coming back shows up as calls

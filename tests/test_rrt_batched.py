@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.parallel_rrt import build_rrt_workload, simulate_rrt
-from repro.cspace.local_planner import StraightLinePlanner
 from repro.cspace.space import ConfigurationSpace, EuclideanCSpace
 from repro.geometry.environment import Environment
 from repro.geometry.environments import med_cube, mixed_30_env
@@ -333,18 +332,6 @@ class TestEdgeCases:
         assert rrt.batched is False
         # And on by default:
         assert RRT(_fresh_cspace()).batched is True
-
-    def test_batched_requires_capable_local_planner(self):
-        """A planner without batch_pairs_exact falls back to the oracle."""
-
-        class MinimalLP:
-            def __call__(self, cspace, a, b):
-                return StraightLinePlanner(resolution=0.25)(cspace, a, b)
-
-        cspace = _fresh_cspace()
-        rrt = RRT(cspace, local_planner=MinimalLP(), batched=True)
-        result = rrt.grow(np.array([-4.0, -4.0]), 15, np.random.default_rng(2))
-        assert result.stats.samples_accepted == 15
 
 
 class TestConeRegionVectorised:

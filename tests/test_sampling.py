@@ -1,15 +1,8 @@
-"""Tests for the configuration samplers."""
+"""Tests for the uniform rejection sampler."""
 
-import numpy as np
 import pytest
 
-from repro.cspace import (
-    BridgeTestSampler,
-    GaussianSampler,
-    MixtureSampler,
-    ObstacleBasedSampler,
-    UniformSampler,
-)
+from repro.cspace import UniformSampler
 from repro.geometry import AABB
 
 
@@ -35,78 +28,3 @@ class TestUniformSampler:
     def test_invalid_empty_round_limit(self):
         with pytest.raises(ValueError):
             UniformSampler(empty_round_limit=0)
-
-
-class TestGaussianSampler:
-    def test_samples_near_obstacles(self, box_cspace, rng):
-        batch = GaussianSampler(sigma=0.8)(box_cspace, rng, 48)
-        assert len(batch) > 0
-        assert box_cspace.valid(batch.configs).all()
-        # Samples concentrate near obstacle boundaries: distance to the
-        # nearest obstacle should be small for most.
-        env = box_cspace.env
-        dists = np.minimum.reduce([o.distance(batch.configs) for o in env.obstacles])
-        assert np.median(dists) < 1.5
-
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            GaussianSampler(sigma=0.0)
-
-    def test_open_region_gives_up_quickly(self, box_cspace, rng):
-        open_box = AABB([-5, -5], [-3, -3])
-        sampler = GaussianSampler(sigma=0.2, empty_round_limit=2)
-        batch = sampler(box_cspace, rng, 8, within=open_box)
-        assert len(batch) == 0 or batch.attempts < 1000
-
-
-class TestObstacleBasedSampler:
-    def test_samples_valid_and_near_boundary(self, box_cspace, rng):
-        batch = ObstacleBasedSampler()(box_cspace, rng, 16)
-        if len(batch):
-            assert box_cspace.valid(batch.configs).all()
-            env = box_cspace.env
-            dists = np.minimum.reduce([o.distance(batch.configs) for o in env.obstacles])
-            assert np.median(dists) < 1.0
-
-
-class TestBridgeSampler:
-    def test_finds_narrow_passage(self, rng):
-        # Two obstacles with a thin gap; bridge samples should land in it.
-        from repro.geometry import Environment
-        env = Environment(
-            AABB([-5, -5], [5, 5]),
-            [AABB([-5, -1], [-0.25, 1]), AABB([0.25, -1], [5, 1])],
-        )
-        from repro.cspace import EuclideanCSpace
-        cs = EuclideanCSpace(env)
-        batch = BridgeTestSampler(sigma=2.0)(cs, rng, 24)
-        assert len(batch) > 0
-        assert cs.valid(batch.configs).all()
-        in_gap = np.abs(batch.configs[:, 0]) < 1.0
-        assert in_gap.mean() > 0.5
-
-
-class TestMixtureSampler:
-    def test_budget_split(self, box_cspace, rng):
-        mix = MixtureSampler([UniformSampler(), GaussianSampler(sigma=0.8)], [0.5, 0.5])
-        batch = mix(box_cspace, rng, 40)
-        assert 0 < len(batch) <= 40
-        assert box_cspace.valid(batch.configs).all()
-
-    def test_open_space_degrades_to_uniform_part(self, rng):
-        from repro.geometry import Environment
-        from repro.cspace import EuclideanCSpace
-        env = Environment(AABB([-5, -5], [5, 5]), [])
-        cs = EuclideanCSpace(env)
-        mix = MixtureSampler([UniformSampler(), GaussianSampler(sigma=0.5)], [0.5, 0.5])
-        batch = mix(cs, rng, 40)
-        # Gaussian half accepts nothing without obstacles.
-        assert 15 <= len(batch) <= 25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MixtureSampler([])
-        with pytest.raises(ValueError):
-            MixtureSampler([UniformSampler()], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            MixtureSampler([UniformSampler()], [-1.0])

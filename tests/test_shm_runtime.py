@@ -15,12 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import _RegionTask, plan
-from repro.core import PRMRegionPlanner
-from repro.cspace.sampling import GaussianSampler
+from repro.api import plan
 from repro.geometry.environment import Environment
 from repro.geometry.primitives import AABB
-from repro.knn.brute import BruteForceNN
 from repro.obs.tracer import Tracer
 from repro.planners import PRMSegment, Roadmap
 from repro.runtime import shm as shm_mod
@@ -398,21 +395,6 @@ class TestLocalParityMatrix:
             sys.setswitchinterval(interval)
         assert shm_mod.leaked_segments() == []
 
-    def test_a_planner_that_cannot_run_blocks_takes_the_loop(self):
-        cspace = self.WL.resolve_cspace()
-        kwargs = dict(seed=5, k=6, lp_resolution=0.25, narrow_passage_boost=0.0)
-        default = PRMRegionPlanner(cspace, 27, 6, **kwargs)
-        rids = default.region_ids
-        for other in (
-            PRMRegionPlanner(cspace, 27, 6, nn_factory=lambda dim: BruteForceNN(dim), **kwargs),
-            PRMRegionPlanner(cspace, 27, 6, sampler=GaussianSampler(sigma=0.5), **kwargs),
-        ):
-            assert not other.planner.runs_blocks
-            assert _RegionTask(other).run_block(rids) is None
-            pool = run_tasks_parallel(_RegionTask(other), rids, workers=2, chunksize=7)
-            assert {type(value[0]) for value in pool.results.values()} == {Roadmap}
-        blocks = run_tasks_parallel(_RegionTask(default), rids, workers=2, chunksize=7)
-        assert {type(value[0]) for value in blocks.results.values()} == {PRMSegment}
 
 class TestPlanes:
     def test_explicit_shm_on_ineligible_cspace_raises(self, monkeypatch):

@@ -39,6 +39,18 @@ class TestSpecObjects:
         with pytest.raises(ValueError):
             ExecutionPolicy(backend="gpu").validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_pes", 2.5), ("num_pes", True), ("workers", 2.5), ("workers", True),
+    ])
+    def test_execution_counts_are_ints(self, field, value, monkeypatch):
+        """A count that is not an int >= 1 fails ``validate()``, so
+        ``plan()`` rejects it before it builds anything."""
+        with pytest.raises(ValueError, match=field):
+            ExecutionPolicy(**{field: value}).validate()
+        monkeypatch.setattr(WorkloadSpec, "build_workload", lambda *a: pytest.fail("built"))
+        with pytest.raises(ValueError, match=field):
+            plan(WorkloadSpec(num_regions=8), execution=ExecutionPolicy(**{field: value}))
+
     def test_fault_policy_pool_kwargs_round_trip(self):
         fp = FaultPolicy(policy="retry", max_retries=5, task_timeout=1.5)
         kw = fp.pool_kwargs(retry_seed=7)

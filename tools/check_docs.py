@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Keep the docs subsystem in sync with the code.
 
-Four checks, all cheap enough for every push (CI ``docs-check`` job):
+Five checks, all cheap enough for every push (CI ``docs-check`` job):
 
 1. **Module-map coverage** — every top-level module or package under
    ``src/repro/`` must appear as ``repro.<name>`` in the module map of
@@ -24,6 +24,11 @@ Four checks, all cheap enough for every push (CI ``docs-check`` job):
    ``tests/<file>.py::<Name>`` cited in ``docs/*.md``, ``README.md``,
    ``DESIGN.md``, ``EXPERIMENTS.md`` and the verify skill must name an
    existing file, and each ``::<Name>`` a ``def`` or ``class`` in it.
+
+5. **Code citations** — every backticked dotted name ``repro.<...>`` in
+   the same pages must resolve, read from the source with ``ast``: a
+   module or package under ``src/repro/``, then a name it defines or
+   re-exports, then members of a class.
 
 Exits non-zero with one entry per problem.
 """
@@ -48,6 +53,7 @@ CITING = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
 _FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.M | re.S)
 _MODULE_REF = re.compile(r"`repro\.([A-Za-z_][A-Za-z0-9_]*)`")
 _TEST_REF = re.compile(r"tests/(\w+\.py)((?:::\w+)*)")
+_CODE_REF = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 _GENERATED = re.compile(
     r"^<!-- generated:(\w+) -->\n(.*?)\n<!-- /generated:\1 -->$", re.M | re.S)
 
@@ -184,12 +190,78 @@ def check_test_citations(problems: list[str]) -> int:
     return cited
 
 
+def _module_file(parts: "tuple[str, ...]") -> "Path | None":
+    """The source file of module ``repro.<parts>``, or None."""
+    base = SRC.joinpath(*parts)
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.exists():
+            return path
+    return None
+
+
+def _members(body) -> "dict[str, ast.AST]":
+    """Names a module or class body binds, each to its defining node
+    (an ``ImportFrom`` for a re-exported name, keyed by the alias)."""
+    names: "dict[str, ast.AST]" = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((a.asname or a.name, node) for a in node.names)
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.<...>`` names a module, a name it binds (following
+    relative re-exports) or a member of a class it defines."""
+    parts = tuple(dotted.split(".")[1:])
+    cut = len(parts)
+    while _module_file(parts[:cut]) is None:
+        cut -= 1
+    path, rest = _module_file(parts[:cut]), list(parts[cut:])
+    while rest:
+        node = _members(ast.parse(path.read_text()).body).get(rest[0])
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package = path.parent.relative_to(SRC).parts
+            source = package[: len(package) - node.level + 1]
+            source += tuple(node.module.split(".")) if node.module else ()
+            name = next(a.name for a in node.names if (a.asname or a.name) == rest[0])
+            path, rest[0] = _module_file(source), name
+            if path is None:
+                return False
+            continue
+        for member in rest[1:]:
+            if not isinstance(node, ast.ClassDef):
+                return False
+            node = _members(node.body).get(member)
+        return node is not None
+    return True
+
+
+def check_code_citations(problems: list[str]) -> int:
+    """Dangling ``repro.<...>`` citations; returns how many were checked."""
+    cited = 0
+    for page in sorted(DOCS.glob("*.md")) + [p for p in CITING if p.exists()]:
+        text = page.read_text()
+        for match in _CODE_REF.finditer(text):
+            cited += 1
+            if not resolves(match.group(1)):
+                line = text[: match.start()].count("\n") + 1
+                problems.append(f"{page.relative_to(REPO)}:{line}: cites "
+                                f"`{match.group(1)}`, which does not exist")
+    return cited
+
+
 def main() -> int:
     problems: list[str] = []
     check_module_map(problems)
     check_snippets(problems)
     check_benchmark_page(problems)
     cited = check_test_citations(problems)
+    code_cited = check_code_citations(problems)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -199,7 +271,7 @@ def main() -> int:
     print(f"check_docs: module map covers all {len(repo_modules())} "
           f"modules; snippets across {n_pages} pages compile; "
           f"docs/benchmarks.md matches BENCHMARK.json; {cited} test "
-          f"citations resolve")
+          f"citations and {code_cited} code citations resolve")
     return 0
 
 

@@ -163,6 +163,13 @@ MUTANTS = [
          f"{MATRIX}[prm-block-box-reference]"),
     ),
     Mutant(
+        "build_prm_workload plans blocks whatever runs_blocks says",
+        "repro/core/parallel_prm.py",
+        "    if regions.planner.runs_blocks:\n        for block_rids in regions.blocks(rids):\n",
+        "    if True:\n        for block_rids in regions.blocks(rids):\n",
+        ("tests/test_parallel_prm.py::TestBlocksEqualLoop::test_the_loop_switch_plans_no_block",),
+    ),
+    Mutant(
         "the batched PRM replay keeps a stale component after an edge",
         "repro/planners/prm.py",
         "                            rs = cslot(vid)\n                        pos += 1\n",
