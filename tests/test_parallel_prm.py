@@ -229,6 +229,32 @@ class TestBlocksEqualLoop:
         assert (stats.sample_attempts, stats.samples_accepted) == (12, 0)
         assert stats.nn_queries == stats.lp_calls == 0
 
+    def test_other_samplers_take_the_loop(self, monkeypatch):
+        """Only the configuration the block passes replay runs as blocks:
+        uniform sampling into a batched PRM with exact check counts and no
+        component filter.  A region planner whose PRM departs from it in any
+        one flag plans each region alone."""
+        calls = []
+        original = PRMRegionPlanner.plan_block
+        monkeypatch.setattr(
+            PRMRegionPlanner, "plan_block",
+            lambda self, rids: calls.append(len(rids)) or original(self, rids),
+        )
+        cs = EuclideanCSpace(by_name("med-cube"))
+        assert type(PRMRegionPlanner(cs, 27, 4, seed=1).planner.sampler) is UniformSampler
+        init = PRMRegionPlanner.__init__
+        for flag, value in (
+            ("batched", False), ("fail_fast", True), ("connect_same_component", True),
+        ):
+            def flipped(self, *args, flag=flag, value=value, **kwargs):
+                init(self, *args, **kwargs)
+                setattr(self.planner, flag, value)
+
+            monkeypatch.setattr(PRMRegionPlanner, "__init__", flipped)
+            wl = build_prm_workload(cs, 27, samples_per_region=4, seed=1)
+            assert sum(w.stats.samples_accepted for w in wl.region_work.values()) > 0
+        assert not calls
+
     def test_the_loop_switch_plans_no_block(self, monkeypatch):
         """Under :func:`region_loop` nothing is planned as a block — not by
         the build, not by a pool chunk — so the battery above compares

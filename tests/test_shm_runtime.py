@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import plan
+from repro.api import _RegionTask, plan
+from repro.core import PRMRegionPlanner
 from repro.geometry.environment import Environment
 from repro.geometry.primitives import AABB
 from repro.obs.tracer import Tracer
@@ -394,6 +395,21 @@ class TestLocalParityMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert shm_mod.leaked_segments() == []
+
+    def test_a_planner_that_cannot_run_blocks_takes_the_loop(self):
+        cspace = self.WL.resolve_cspace()
+        kwargs = dict(seed=5, k=6, lp_resolution=0.25, narrow_passage_boost=0.0)
+        default = PRMRegionPlanner(cspace, 27, 6, **kwargs)
+        rids = default.region_ids
+        for flag, value in (("batched", False), ("fail_fast", True)):
+            other = PRMRegionPlanner(cspace, 27, 6, **kwargs)
+            setattr(other.planner, flag, value)
+            assert not other.planner.runs_blocks
+            assert _RegionTask(other).run_block(rids) is None
+            pool = run_tasks_parallel(_RegionTask(other), rids, workers=2, chunksize=7)
+            assert {type(part[0]) for part in pool.results.values()} == {Roadmap}
+        blocks = run_tasks_parallel(_RegionTask(default), rids, workers=2, chunksize=7)
+        assert {type(part[0]) for part in blocks.results.values()} == {PRMSegment}
 
 
 class TestPlanes:
