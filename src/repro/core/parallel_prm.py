@@ -50,7 +50,6 @@ import numpy as np
 
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
-from ..geometry.primitives import AABB
 from ..obs.events import (
     EV_REMOTE_ACCESS,
     PHASE_CONNECT,
@@ -247,10 +246,10 @@ class PRMRegionPlanner:
     workers of ``plan(mode="local")`` (shm workers rebuild an equal one)
     run regions a block at a time through :meth:`plan_block`, a lone
     region through the call, so every execution mode runs the same
-    regions.  It owns the uniform decomposition over the positional
-    bounds, the ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id
-    block, the region-box lift and the narrow-passage boost; the keyword
-    parameters are :func:`build_prm_workload`'s, defaults included.
+    regions.  It owns the uniform decomposition of the C-space bounds,
+    the ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id block and
+    the narrow-passage boost; the keyword parameters are
+    :func:`build_prm_workload`'s, defaults included.
     """
 
     def __init__(
@@ -263,11 +262,7 @@ class PRMRegionPlanner:
         self.cspace = cspace
         self.samples_per_region = samples_per_region
         self.seed = seed
-        self.pos_dims = list(cspace.positional_dims)
-        self.decomposition = UniformSubdivision(
-            AABB(cspace.bounds.lo[self.pos_dims], cspace.bounds.hi[self.pos_dims]),
-            num_regions, overlap=overlap,
-        )
+        self.decomposition = UniformSubdivision(cspace.bounds, num_regions, overlap=overlap)
         self.planner = PRM(
             cspace, local_planner=StraightLinePlanner(resolution=lp_resolution),
             k=k, connect_same_component=False,
@@ -289,13 +284,6 @@ class PRMRegionPlanner:
         """Local-plan points one candidate pair is expected to need."""
         return float(np.linalg.norm(self.cell)) / self.planner.local_planner.resolution
 
-    def _sample_box(self, region) -> AABB:
-        """The positional sample box lifted to full C-space bounds
-        (non-positional dimensions keep their full range)."""
-        lo, hi = self.cspace.bounds.lo.copy(), self.cspace.bounds.hi.copy()
-        lo[self.pos_dims], hi[self.pos_dims] = region.sample_bounds.lo, region.sample_bounds.hi
-        return AABB(lo, hi)
-
     def _boosted(self, region) -> bool:
         return bool(
             self.boost_samples
@@ -305,7 +293,7 @@ class PRMRegionPlanner:
     def __call__(self, rid: int) -> PRMResult:
         region = self.decomposition.region_of(rid)
         rng = region_rng(self.seed, rid)
-        within, id_base = self._sample_box(region), rid << ID_SHIFT
+        within, id_base = region.sample_bounds, rid << ID_SHIFT
         # Each regional roadmap is built independently (the whole point of
         # uniform subdivision) and merged afterwards.
         result = self.planner.build(self.samples_per_region, rng, within=within, id_base=id_base)
@@ -326,7 +314,7 @@ class PRMRegionPlanner:
         """
         regions = [self.decomposition.region_of(rid) for rid in rids]
         rngs = [region_rng(self.seed, rid) for rid in rids]
-        within = [self._sample_box(region) for region in regions]
+        within = [region.sample_bounds for region in regions]
         id_base = [rid << ID_SHIFT for rid in rids]
         block = self.planner.build(self.samples_per_region, rngs, within=within, id_base=id_base)
         boost = [self.boost_samples if self._boosted(region) else 0 for region in regions]
@@ -522,7 +510,7 @@ def build_prm_workload(
     }
     ids, cfgs = roadmap.configs_array()
     count = np.array([region_stats[rid].samples_accepted for rid in rids], dtype=np.int64)
-    rows = _RegionRows(rids, ids, cfgs[:, regions.pos_dims], np.cumsum(count) - count, count)
+    rows = _RegionRows(rids, ids, cfgs, np.cumsum(count) - count, count)
 
     # Inter-region connections only involve vertices near the shared
     # boundary (that is what the sampling overlap exists for); attempting

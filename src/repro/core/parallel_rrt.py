@@ -29,7 +29,6 @@ import numpy as np
 
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
-from ..geometry.primitives import AABB
 from ..knn.brute import BruteForceNN
 from ..obs.events import (
     EV_REMOTE_ACCESS,
@@ -48,7 +47,7 @@ from ..runtime.faults import FaultInjector
 from ..runtime.pgraph import PGraphView
 from ..runtime.stats import SimResult
 from ..runtime.topology import ClusterTopology
-from ..subdivision.radial import ConeRegion, RadialSubdivision
+from ..subdivision.radial import RadialSubdivision
 from .metrics import emit_phase_spans
 from .parallel_prm import ID_SHIFT, REGION_CREATE_COST, region_rng
 from .repartition import RepartitionResult, initial_assignment, repartition
@@ -202,27 +201,6 @@ def default_root(cspace: ConfigurationSpace, seed: int) -> np.ndarray:
     raise ValueError("no valid RRT root found; environment looks fully blocked")
 
 
-class _LiftedCone:
-    """A cone as a sampling domain of configuration space: positional
-    dims from the cone, any other dim uniform from the bounds (the lift
-    the bias target gets).  An elementwise map of the unit cube, one
-    uniform per configuration dim, so a block draw consumes the generator
-    exactly as that many single draws do."""
-
-    def __init__(self, region: ConeRegion, bounds: AABB, dims: "list[int]"):
-        self.region, self.bounds, self.dims = region, bounds, dims
-
-    def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = self.bounds.from_unit_cube(u)
-        out[..., self.dims] = self.region.from_unit_cube(u[..., self.dims])
-        return out
-
-    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        dim = self.bounds.dim
-        return self.from_unit_cube(rng.random(dim if n is None else (n, dim)))
-
-
 class RRTRegionPlanner:
     """Alg. 2 line 11 as one picklable callable: ``rid -> RRTResult``.
 
@@ -231,10 +209,10 @@ class RRTRegionPlanner:
     owns root -> radius -> radial decomposition, the ``(seed, rid)`` RNG
     keying, the ``rid << ID_SHIFT`` id block and what "grow the branch
     biased toward its region" means: ``q_rand`` is drawn *from the cone*
-    (uniform over cone ∩ ball, lifted like the bias target), ``goal_bias``
-    of the draws go to the cone's target, and every valid extension still
-    passes the cone's membership test — which convex cones now almost
-    never fail, but cones wider than pi/2 (``num_regions <= 3``) can.
+    (uniform over cone ∩ ball), ``goal_bias`` of the draws go to the
+    cone's target, and every valid extension still passes the cone's
+    membership test — which convex cones now almost never fail, but
+    cones wider than pi/2 (``num_regions <= 3``) can.
     The region travels as arguments of each ``grow`` call: the one
     :class:`RRT` below is shared by every pool thread.  The keyword
     parameters are :func:`build_rrt_workload`'s, defaults included.
@@ -254,13 +232,11 @@ class RRTRegionPlanner:
         self.nodes_per_region = nodes_per_region
         self.seed = seed
         self.max_iterations = iteration_factor * nodes_per_region
-        self.pos_dims = dims = list(cspace.positional_dims)
-        root_pos = root[dims]
         if radius is None:
-            lo, hi = cspace.bounds.lo[dims], cspace.bounds.hi[dims]
-            radius = float(min(np.min(root_pos - lo), np.min(hi - root_pos)))
+            lo, hi = cspace.bounds.lo, cspace.bounds.hi
+            radius = float(min(np.min(root - lo), np.min(hi - root)))
         self.decomposition = RadialSubdivision(
-            root_pos, radius, num_regions, k=k_adjacent, overlap=overlap_angle,
+            root, radius, num_regions, k=k_adjacent, overlap=overlap_angle,
             rng=np.random.default_rng(seed),
         )
         self.planner = RRT(
@@ -274,22 +250,16 @@ class RRTRegionPlanner:
 
     def __call__(self, rid: int) -> RRTResult:
         region = self.decomposition.region_of(rid)
-        dims = self.pos_dims
-        # Bias target: the cone's target point, the root's values elsewhere.
-        bias_cfg = self.root.copy()
-        bias_cfg[dims] = region.target
         return self.planner.grow(
             self.root,
             self.nodes_per_region,
             region_rng(self.seed, rid),
-            bias_target=bias_cfg,
-            region_predicate=lambda q: region.contains(np.asarray(q)[dims]),
+            bias_target=region.target,
+            region_predicate=region.contains,
             max_iterations=self.max_iterations,
             id_base=rid << ID_SHIFT,
-            region_predicate_batch=lambda qs: region.contains_many(
-                np.atleast_2d(np.asarray(qs))[:, dims]
-            ),
-            within=_LiftedCone(region, self.cspace.bounds, dims),
+            region_predicate_batch=region.contains_many,
+            within=region,
         )
 
 

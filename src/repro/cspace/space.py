@@ -10,11 +10,10 @@ needs to know about the planning problem:
 * validity (collision) checking, delegated to a workspace
   :class:`~repro.geometry.environment.Environment`.
 
-Two concrete spaces are provided: :class:`EuclideanCSpace` for point
-robots (C-space == workspace, the setting of the paper's PRM evaluation
-with a small rigid body, which we model conservatively by inflating
-obstacles) and :class:`repro.cspace.rigid_body.RigidBodyCSpace` for
-SE(2)/SE(3) rigid bodies.
+One concrete space is provided, :class:`EuclideanCSpace`: a point robot
+whose C-space is the workspace.  The paper plans its PRM cubes with a
+small rigid body; the reproduction models that robot's narrow-passage
+cost with the region planner's boost instead (DESIGN.md).
 """
 
 from __future__ import annotations
@@ -47,15 +46,6 @@ class ConfigurationSpace(ABC):
         """Number of degrees of freedom."""
         return self.bounds.dim
 
-    @property
-    @abstractmethod
-    def positional_dims(self) -> "tuple[int, ...]":
-        """Indices of the configuration that are workspace positions.
-
-        Uniform spatial subdivision partitions along these dimensions only
-        (the paper subdivides using the positional DOFs, Sec. II-B1).
-        """
-
     # -- sampling -----------------------------------------------------------
     def sample(
         self, rng: np.random.Generator, n: int | None = None, within=None, *, unit=None
@@ -63,7 +53,7 @@ class ConfigurationSpace(ABC):
         """Uniform samples from the (sub-)space ``within`` (default: bounds).
 
         ``within`` is a domain that is an elementwise map of the unit cube,
-        like :class:`AABB` or a lifted cone: ``from_unit_cube(u)`` maps
+        like :class:`AABB` or a radial region's cone: ``from_unit_cube(u)`` maps
         ``(dim,)`` or ``(n, dim)`` uniforms to configurations row by row,
         and ``sample(rng, n)`` is ``from_unit_cube`` of ``dim`` (or
         ``(n, dim)``) ``rng.random`` doubles — so a block of ``n`` draws
@@ -81,11 +71,8 @@ class ConfigurationSpace(ABC):
 
     # -- metric ---------------------------------------------------------------
     def distance(self, a: np.ndarray, b: np.ndarray) -> "float | np.ndarray":
-        """Distance between configuration ``a`` (1-D) and ``b`` (1-D or 2-D).
-
-        The default metric is Euclidean; subclasses override for angular
-        components.
-        """
+        """Euclidean distance between configuration ``a`` (1-D) and ``b``
+        (1-D or 2-D)."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         diff = b - a
@@ -126,50 +113,18 @@ class ConfigurationSpace(ABC):
 
 
 class EuclideanCSpace(ConfigurationSpace):
-    """Point-robot configuration space: C-space coincides with the workspace.
+    """Point-robot configuration space: C-space coincides with the workspace."""
 
-    A ``robot_radius`` may be given; obstacles are inflated by it so that a
-    point check is a conservative rigid-body check (the standard
-    Minkowski-sum reduction for disc/sphere robots).
-    """
-
-    def __init__(self, env: Environment, robot_radius: float = 0.0):
-        if robot_radius < 0:
-            raise ValueError("robot_radius must be non-negative")
+    def __init__(self, env: Environment):
         self.env = env
-        self.robot_radius = robot_radius
-        if robot_radius > 0.0:
-            inflated = Environment(
-                env.bounds.expanded(-robot_radius),
-                [o.expanded(robot_radius) for o in env.obstacles],
-                name=env.name + f"+r{robot_radius:g}",
-                kernel_backend=env.kernel_backend.name,
-            )
-            # Share the counter object so planner work is visible on the
-            # original environment too.
-            inflated.counters = env.counters
-            self._check_env = inflated
-        else:
-            self._check_env = env
-        self.bounds = self._check_env.bounds
-
-    @property
-    def positional_dims(self) -> "tuple[int, ...]":
-        return tuple(range(self.bounds.dim))
-
-    def set_kernel_backend(self, backend: str) -> None:
-        # The inflated check environment is a distinct object sharing only
-        # the counters; both must dispatch to the same backend.
-        self.env.set_kernel_backend(backend)
-        if self._check_env is not self.env:
-            self._check_env.set_kernel_backend(backend)
+        self.bounds = env.bounds
 
     def valid(self, configs: np.ndarray) -> np.ndarray:
-        return ~self._check_env.points_in_collision(configs)
+        return ~self.env.points_in_collision(configs)
 
     def segment_valid(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Exact continuous validity of the straight segment (point robot)."""
-        return not self._check_env.segment_in_collision(a, b)
+        return not bool(self.env.segments_in_collision(a, b)[0])
 
     def segments_valid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ~self._check_env.segments_in_collision(a, b)
+        return ~self.env.segments_in_collision(a, b)

@@ -13,9 +13,9 @@ the bridge between "real planner work" and "virtual machine time".
 
 Since the kernels refactor the actual collision arithmetic lives in
 :mod:`repro.kernels`: queries snapshot the obstacle set into a
-structure-of-arrays :class:`~repro.kernels.data.EnvKernelData` (cached,
-invalidated on mutation) and dispatch to the environment's configured
-:class:`~repro.kernels.base.KernelBackend` — ``reference`` by default,
+structure-of-arrays :class:`~repro.kernels.data.EnvKernelData` (built
+once: the obstacle set is fixed at construction) and dispatch to the
+environment's configured :class:`~repro.kernels.base.KernelBackend` — ``reference`` by default,
 which is bit-exact with the historical inline expressions.  The
 environment is the only owner of that choice, always a
 :data:`repro.kernels.BACKENDS` name; the per-call ``kernels=`` on its
@@ -135,7 +135,16 @@ class Environment:
         self.counters = CollisionCounters()
         self._kernels = get_backend(kernel_backend)
         self._kernel_data: "EnvKernelData | None" = None
-        self._rebuild_arrays()
+        d = bounds.dim
+        for obs in self._obstacles:
+            if obs.dim != d:
+                raise ValueError(f"obstacle dim {obs.dim} != workspace dim {d}")
+        if self._obstacles:
+            self._obs_lo = np.stack([o.lo for o in self._obstacles])
+            self._obs_hi = np.stack([o.hi for o in self._obstacles])
+        else:
+            self._obs_lo = np.empty((0, d))
+            self._obs_hi = np.empty((0, d))
 
     @classmethod
     def from_arrays(
@@ -189,24 +198,6 @@ class Environment:
             ]
         return self._obstacles
 
-    def _rebuild_arrays(self) -> None:
-        d = self.bounds.dim
-        for obs in self.obstacles:
-            if obs.dim != d:
-                raise ValueError(f"obstacle dim {obs.dim} != workspace dim {d}")
-        if self.obstacles:
-            self._obs_lo = np.stack([o.lo for o in self.obstacles])
-            self._obs_hi = np.stack([o.hi for o in self.obstacles])
-        else:
-            self._obs_lo = np.empty((0, d))
-            self._obs_hi = np.empty((0, d))
-        self._kernel_data = None  # SoA snapshot is stale after any mutation
-
-    # -- mutation ---------------------------------------------------------
-    def add_obstacle(self, obstacle: AABB) -> None:
-        self.obstacles.append(obstacle)
-        self._rebuild_arrays()
-
     # -- kernel dispatch ---------------------------------------------------
     @property
     def kernel_backend(self):
@@ -218,7 +209,7 @@ class Environment:
         self._kernels = get_backend(backend)
 
     def kernel_data(self) -> EnvKernelData:
-        """The cached SoA obstacle snapshot, rebuilt lazily after mutation.
+        """The SoA obstacle snapshot, built on first use and cached.
 
         Repeated collision calls in batched PRM/RRT replay share this one
         snapshot instead of re-walking the Python obstacle list — also
@@ -317,25 +308,6 @@ class Environment:
         hit = ~self._resolve_kernels(kernels).points_free(self.kernel_data(), pts)
         return bool(hit[0]) if single else hit
 
-    def point_free(self, point: np.ndarray) -> bool:
-        return not bool(self.points_in_collision(point))
-
-    def segment_in_collision(
-        self, p: np.ndarray, q: np.ndarray, resolution: float = 0.0, kernels=None
-    ) -> bool:
-        """Exact swept test of the segment ``p->q`` against all obstacles.
-
-        ``resolution`` is accepted for interface parity with sampled local
-        planners but the slab test here is exact for point robots, so it is
-        unused.
-        """
-        del resolution
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        self.counters.charge(segments=max(1, self._obs_lo.shape[0]))
-        backend = self._resolve_kernels(kernels)
-        return not bool(backend.segments_free(self.kernel_data(), p[None, :], q[None, :])[0])
-
     def segments_in_collision(self, p: np.ndarray, q: np.ndarray, kernels=None) -> np.ndarray:
         """Vectorised swept test for segments ``p[i]->q[i]``."""
         p = np.atleast_2d(np.asarray(p, dtype=float))
@@ -364,26 +336,6 @@ class Environment:
             if t_enter is not None and 0.0 <= t_enter < best:
                 best = t_enter
         return max(best, 0.0)
-
-    # -- sampling helpers -----------------------------------------------------
-    def sample_free(self, rng: np.random.Generator, n: int, within: AABB | None = None, max_tries: int = 64) -> np.ndarray:
-        """Rejection-sample ``n`` collision-free points (may return fewer if
-        the region is heavily blocked after ``max_tries`` rounds)."""
-        region = within if within is not None else self.bounds
-        out: list[np.ndarray] = []
-        need = n
-        for _ in range(max_tries):
-            if need <= 0:
-                break
-            cand = region.sample(rng, max(need * 2, 8))
-            free = ~self.points_in_collision(cand)
-            got = cand[free][:need]
-            if got.size:
-                out.append(got)
-                need -= got.shape[0]
-        if not out:
-            return np.empty((0, self.dim))
-        return np.vstack(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # blocked_fraction's pairwise overlap correction is O(n^2); on the

@@ -25,10 +25,10 @@ to accelerate; they delegate to the reference backend unchanged.
 
 The tree is built lazily per :class:`~repro.kernels.data.EnvKernelData`
 snapshot and cached *on the snapshot* — snapshots are immutable and are
-themselves cached on ``Environment`` (invalidated on mutation), so a
-mutated environment transparently gets a fresh tree with no extra
-invalidation protocol.  Whoever queries a cold snapshot first builds the
-tree, under a lock: threads sharing the snapshot share one tree.
+themselves cached on ``Environment``, whose obstacle set is fixed at
+construction, so a tree never needs invalidating.  Whoever queries a
+cold snapshot first builds the tree, under a lock: threads sharing the
+snapshot share one tree.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 ``EnvKernelData`` flattens a workspace — bounds plus the obstacle
 arrays — into contiguous float64 NumPy buffers so kernels loop over flat
 arrays instead of Python primitive objects.  It is built once per
-environment mutation (see
+environment (see
 :meth:`repro.geometry.environment.Environment.kernel_data`) and shared by
 both backends; nothing in it is derived.
 

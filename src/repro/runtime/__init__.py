@@ -31,7 +31,7 @@ from .shm import (
 )
 from .simulator import StealPolicy, WorkStealingSimulator, run_static_phase
 from .stats import PEStats, SimResult
-from .termination import TokenRingDetector, detection_delay, detection_delay_tree
+from .termination import detection_delay_tree
 from .topology import ClusterTopology, mesh_shape_for
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "run_static_phase",
     "PEStats",
     "SimResult",
-    "TokenRingDetector",
-    "detection_delay",
     "detection_delay_tree",
     "ClusterTopology",
     "mesh_shape_for",

@@ -61,14 +61,8 @@ class PGraphView:
         self.stats = AccessStats()
 
     # -- ownership -----------------------------------------------------------
-    def set_owner(self, element: int, pe: int) -> None:
-        """Assign (or reassign) ``element`` to ``pe``."""
-        if not 0 <= pe < self.topology.num_pes:
-            raise ValueError(f"invalid owner PE {pe}")
-        self._owner[element] = pe
-
     def set_owners(self, owners: "dict[int, int]") -> None:
-        """Bulk :meth:`set_owner` from an element -> PE mapping."""
+        """Assign (or reassign) elements to PEs from an element -> PE mapping."""
         num_pes = self.topology.num_pes
         for pe in owners.values():
             if not 0 <= pe < num_pes:
@@ -78,12 +72,6 @@ class PGraphView:
     def owner(self, element: int) -> int:
         """Current owner PE of ``element`` (KeyError if unknown)."""
         return self._owner[element]
-
-    def migrate(self, element: int, new_pe: int) -> None:
-        """Transfer ownership (used by repartitioning and steal transfers)."""
-        if element not in self._owner:
-            raise KeyError(f"element {element} has no owner")
-        self.set_owner(element, new_pe)
 
     @property
     def num_elements(self) -> int:
@@ -95,27 +83,14 @@ class PGraphView:
         return sorted(e for e, p in self._owner.items() if p == pe)
 
     # -- access accounting ------------------------------------------------------
-    def access(self, accessor_pe: int, element: int, count: int = 1) -> float:
-        """Record ``count`` accesses to ``element`` from ``accessor_pe``.
-
-        Returns the virtual latency charged (0 for local accesses).
-        """
-        return float(self.access_many([accessor_pe], [element], count)[0])
-
-    def access_bulk(self, accessor_pe: int, element: int, count: int = 1) -> float:
-        """Record ``count`` accesses shipped as one aggregated message.
-
-        STAPL aggregates asynchronous remote accesses, so a bulk read of
-        ``count`` elements pays one base latency plus bandwidth — not
-        ``count`` round trips.  Counts still tally per element accessed.
-        """
-        return float(self.access_many([accessor_pe], [element], count, aggregated=True)[0])
-
     def access_many(self, accessor_pes, elements, counts=1, aggregated=False) -> np.ndarray:
         """A whole walk in one call: entry ``i`` records ``counts[i]``
         accesses to ``elements[i]`` from ``accessor_pes[i]`` — each a round
-        trip, or one message per entry when ``aggregated``.  Returns the
-        latency charged per entry; only remote entries reach the topology.
+        trip, or one message per entry when ``aggregated`` (STAPL
+        aggregates asynchronous remote accesses, so such an entry pays one
+        base latency plus bandwidth; counts still tally per element).
+        Returns the latency charged per entry; only remote entries reach
+        the topology.
         """
         accessor = np.asarray(accessor_pes, dtype=int)
         count = np.broadcast_to(np.asarray(counts, dtype=int), accessor.shape)

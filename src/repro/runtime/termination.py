@@ -1,154 +1,32 @@
-"""Global termination detection.
+"""Global termination detection: its virtual-time cost.
 
 Work stealing needs to decide when *no* PE has work left and none is in
 flight (Algorithm 3's outer ``while Global termination not detected``).
-We implement the classic Dijkstra–Safra token-ring algorithm: a token
-circulates carrying a message-count accumulator and a colour; a PE that
-sends work after passing the token taints itself black, forcing another
-round.  Termination is declared when a white token with balanced counts
-returns to PE 0.
-
 The simulator itself knows when work is exhausted (it is omniscient), so
-this module serves two purposes: (1) realism — the *detection delay* it
-computes is charged to reported execution times; (2) a correctness
-reference, property-tested against the omniscient answer.
+detection is modelled by its cost only, which is charged to reported
+execution times.  Production runtimes (STAPL included) detect
+termination with a *hierarchical* reduction rather than a serial ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-__all__ = ["TokenRingDetector", "detection_delay"]
-
-WHITE, BLACK = 0, 1
-
-
-@dataclass
-class _PEState:
-    color: int = WHITE
-    #: messages sent minus messages received (Safra's counter).
-    count: int = 0
-    active: bool = False
-
-
-class TokenRingDetector:
-    """Dijkstra–Safra termination detection over ``num_pes`` PEs.
-
-    Drive it with :meth:`on_send`, :meth:`on_receive`, :meth:`set_active`;
-    call :meth:`try_circulate` to let PE 0 launch / forward the token when
-    the local PE is passive.  Returns True once termination is detected.
-    """
-
-    def __init__(self, num_pes: int):
-        if num_pes < 1:
-            raise ValueError("num_pes must be >= 1")
-        self.num_pes = num_pes
-        self._pe = [_PEState() for _ in range(num_pes)]
-        self._token_pos: int | None = None
-        self._token_color = WHITE
-        self._token_count = 0
-        self.rounds = 0
-        self.detected = False
-
-    # -- events ----------------------------------------------------------------
-    def set_active(self, pe: int, active: bool) -> None:
-        """Record a PE becoming busy (True) or idle (False)."""
-        self._pe[pe].active = active
-
-    def on_send(self, pe: int) -> None:
-        """Count a message leaving ``pe``."""
-        self._pe[pe].count += 1
-
-    def on_receive(self, pe: int) -> None:
-        """Count a message arriving at ``pe``; reactivates and taints it."""
-        self._pe[pe].count -= 1
-        # Receiving work makes a PE active and taints it: a white token that
-        # already passed it must not report termination.
-        self._pe[pe].color = BLACK
-        self._pe[pe].active = True
-
-    # -- token protocol ----------------------------------------------------------
-    def try_circulate(self) -> bool:
-        """Advance the token as far as passive PEs allow; True on detection."""
-        if self.detected:
-            return True
-        if self._token_pos is None:
-            # PE 0 initiates when passive.
-            if self._pe[0].active:
-                return False
-            self._token_pos = self.num_pes - 1 if self.num_pes > 1 else 0
-            self._token_color = WHITE
-            self._token_count = 0
-            self.rounds += 1
-            if self.num_pes == 1:
-                self._token_count += self._pe[0].count
-                return self._evaluate_at_origin()
-        while self._token_pos is not None:
-            pos = self._token_pos
-            state = self._pe[pos]
-            if state.active:
-                return False  # token waits at an active PE
-            # Forward: accumulate and maybe taint.
-            self._token_count += state.count
-            if state.color == BLACK:
-                self._token_color = BLACK
-            state.color = WHITE
-            if pos == 0:
-                return self._evaluate_at_origin()
-            self._token_pos = pos - 1
-        return self.detected
-
-    def _evaluate_at_origin(self) -> bool:
-        # The sweep has already accumulated every PE's counter (including
-        # PE 0's), so the balance test is on the token alone.
-        origin = self._pe[0]
-        if (
-            not origin.active
-            and self._token_color == WHITE
-            and origin.color == WHITE
-            and self._token_count == 0
-        ):
-            self.detected = True
-            self._token_pos = None
-            return True
-        # Failed round: restart.
-        self._token_pos = None
-        self._token_color = WHITE
-        self._token_count = 0
-        origin.color = WHITE
-        return False
-
-
-def detection_delay(num_pes: int, latency: float, rounds: int = 1) -> float:
-    """Virtual-time cost of termination detection.
-
-    Production runtimes (STAPL included) detect termination with a
-    *hierarchical* reduction rather than a serial ring, so a round costs
-    an up-and-down tree sweep: ``2 * ceil(log2 P)`` hops.  After real
-    quiescence one clean sweep suffices (``rounds = 1``; tainted rounds
-    overlap the steal traffic that caused them).  The serial
-    :class:`TokenRingDetector` above is the correctness reference; this
-    is the cost model.
-    """
-    if num_pes < 1:
-        raise ValueError("num_pes must be >= 1")
-    import numpy as np
-
-    return rounds * 2.0 * float(np.ceil(np.log2(max(num_pes, 2)))) * latency
+__all__ = ["detection_delay_tree"]
 
 
 def detection_delay_tree(topology, rounds: int = 1) -> float:
-    """Topology-aware variant of :func:`detection_delay`.
+    """Virtual-time cost of ``rounds`` sweeps of termination detection.
 
-    The reduction tree's lower levels stay inside shared-memory nodes and
-    pay intra-node latency; only the upper ``log2(num_nodes)`` levels pay
-    inter-node latency.
+    A round is an up-and-down sweep of a reduction tree over the PEs,
+    ``2 * ceil(log2 P)`` hops.  After real quiescence one clean sweep
+    suffices (``rounds = 1``; tainted rounds overlap the steal traffic
+    that caused them).  The tree's lower ``ceil(log2 cores_per_node)``
+    levels stay inside shared-memory nodes and pay intra-node latency;
+    the levels above pay inter-node latency.
     """
-    import numpy as np
-
-    P = topology.num_pes
-    levels = int(np.ceil(np.log2(max(P, 2))))
-    local_levels = min(levels, int(np.ceil(np.log2(max(topology.cores_per_node, 2)))))
+    levels = int(np.ceil(np.log2(max(topology.num_pes, 2))))
+    local_levels = min(levels, int(np.ceil(np.log2(topology.cores_per_node))))
     remote_levels = levels - local_levels
     per_round = 2.0 * (
         local_levels * topology.latency_local + remote_levels * topology.latency_remote

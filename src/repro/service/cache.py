@@ -262,28 +262,6 @@ class RoadmapCache:
         flight.done.set()
         return engine
 
-    def put(self, spec: WorkloadSpec, engine: QueryEngine) -> None:
-        """Pre-warm: install an already-built engine under ``spec``'s key."""
-        key = spec.cache_key()
-        nbytes = snapshot_nbytes(engine)
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._stats.current_bytes -= old.nbytes
-            self._entries[key] = _Entry(engine, nbytes)
-            self._stats.current_bytes += nbytes
-            evicted = self._evict_over_budget(protect=key)
-        if self._tracer:
-            for ekey, ebytes in evicted:
-                self._tracer.point(EV_CACHE_EVICT, key=ekey, bytes=ebytes)
-                self._tracer.metrics.counter("cache_evictions").inc()
-
-    def clear(self) -> None:
-        """Drop every entry (stats other than ``current_bytes`` persist)."""
-        with self._lock:
-            self._entries.clear()
-            self._stats.current_bytes = 0
-
     def _evict_over_budget(self, protect: str) -> "list[tuple[str, int]]":
         """Evict LRU entries while over budget (called under the lock).
 

@@ -7,8 +7,7 @@ into a server loop:
 
 1. ``submit(workload, query)`` hands one ``(start, goal)`` request to
    the service and immediately returns a
-   :class:`concurrent.futures.Future` (await-able from asyncio via
-   :meth:`submit_async`).
+   :class:`concurrent.futures.Future`.
 2. Admission control bounds the in-service queue: past ``max_queue``
    requests, ``submit`` blocks for back-pressure (or rejects with
    :class:`ServiceOverloadError` when ``block=False`` / the timeout
@@ -273,18 +272,6 @@ class PlanService:
         raise ServiceOverloadError(
             f"service queue full ({self._queue.queued}/{self.config.max_queue})"
         )
-
-    def submit_async(self, workload: WorkloadSpec, query: "QueryRequest | tuple"):
-        """Asyncio-compatible :meth:`submit`: returns an awaitable future.
-
-        Admission back-pressure would block the event loop, so this
-        variant never waits — a full queue raises
-        :class:`ServiceOverloadError` immediately (callers retry with
-        their own async pacing).
-        """
-        import asyncio
-
-        return asyncio.wrap_future(self.submit(workload, query, block=False))
 
     # -- sync conveniences ---------------------------------------------------
     def solve(

@@ -58,7 +58,7 @@ class UniformSubdivision:
     Parameters
     ----------
     bounds:
-        Box to subdivide (typically the positional slice of C-space).
+        Box to subdivide (the C-space bounds).
     num_regions:
         Target region count; the actual grid has the nearest achievable
         cell count (``shape`` exposes it).

@@ -142,14 +142,14 @@ class TestChunksPlannedAsBlocks:
     def doomed_region(self, monkeypatch):
         """One region raises wherever it is planned, in a block or alone
         (forked workers inherit the patch)."""
-        sample_box = PRMRegionPlanner._sample_box
+        boosted = PRMRegionPlanner._boosted
 
         def exploding(planner, region):
             if region.id == self.DOOMED:
                 raise RuntimeError(f"region {region.id} exploded")
-            return sample_box(planner, region)
+            return boosted(planner, region)
 
-        monkeypatch.setattr(PRMRegionPlanner, "_sample_box", exploding)
+        monkeypatch.setattr(PRMRegionPlanner, "_boosted", exploding)
 
     def test_an_injector_plan_keeps_the_per_task_loop(self, backend):
         loop, blocks = self._policies(backend)

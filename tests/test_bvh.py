@@ -547,28 +547,6 @@ class TestInvalidation:
         env.points_in_collision(pts)
         assert getattr(env.kernel_data(), _CACHE_ATTR) is first
 
-    def test_mutation_invalidates_tree(self):
-        """add_obstacle after the BVH is cached: verdicts must track the
-        mutated obstacle set, and parity with reference must re-hold."""
-        env = Environment(
-            AABB(np.zeros(3), 10 * np.ones(3)),
-            [AABB(np.ones(3), 2 * np.ones(3))],
-            kernel_backend="bvh",
-        )
-        probe = np.array([[5.0, 5.0, 5.0], [1.5, 1.5, 1.5]])
-        before = env.points_in_collision(probe)
-        np.testing.assert_array_equal(before, [False, True])
-        old_data = env.kernel_data()
-        assert getattr(old_data, _CACHE_ATTR) is not None
-
-        env.add_obstacle(AABB(4 * np.ones(3), 6 * np.ones(3)))
-        after = env.points_in_collision(probe)
-        np.testing.assert_array_equal(after, [True, True])
-        # Fresh snapshot, fresh tree — the stale one is unreachable.
-        new_data = env.kernel_data()
-        assert new_data is not old_data
-        assert getattr(new_data, _CACHE_ATTR) is not getattr(old_data, _CACHE_ATTR)
-
     def test_cold_environment_builds_one_tree_under_threads(self, warehouse_20k, monkeypatch):
         """Four threads released together onto a cold environment share
         one snapshot and one tree (check-then-set without a lock built one
@@ -612,26 +590,6 @@ class TestInvalidation:
         assert built == {"tree": 1, "snapshot": 1}
         for v in verdicts:
             np.testing.assert_array_equal(v, warm.points_in_collision(pts, kernels="reference"))
-
-    def test_post_mutation_parity_random_worlds(self):
-        rng = np.random.default_rng(9)
-        env_b = Environment(AABB(np.zeros(3), 10 * np.ones(3)), kernel_backend="bvh")
-        env_r = Environment(AABB(np.zeros(3), 10 * np.ones(3)))
-        for round_ in range(4):
-            lo = rng.uniform(0, 9, size=3)
-            box = AABB(lo, lo + rng.uniform(0.1, 2, size=3))
-            env_b.add_obstacle(box)
-            env_r.add_obstacle(box)
-            pts = rng.uniform(-1, 11, size=(80, 3))
-            p = rng.uniform(0, 10, size=(40, 3))
-            q = rng.uniform(0, 10, size=(40, 3))
-            np.testing.assert_array_equal(
-                env_b.points_in_collision(pts), env_r.points_in_collision(pts)
-            )
-            np.testing.assert_array_equal(
-                env_b.segments_in_collision(p, q), env_r.segments_in_collision(p, q)
-            )
-
 
 # -- end-to-end wiring ------------------------------------------------------
 

@@ -36,19 +36,13 @@ class TestEnvironmentBasics:
         # 16 + 16 - 4 overlap = 28.
         assert env.obstacle_volume() == pytest.approx(28.0)
 
-    def test_add_obstacle_updates_arrays(self, box_env):
-        n = box_env.num_obstacles
-        box_env.add_obstacle(AABB([-4.0, 3.0], [-3.0, 4.0]))
-        assert box_env.num_obstacles == n + 1
-        assert bool(box_env.points_in_collision(np.array([-3.5, 3.5])))
-
 
 class TestPointCollision:
     def test_inside_obstacle(self, box_env):
         assert bool(box_env.points_in_collision(np.array([0.0, 0.0])))
 
     def test_free_point(self, box_env):
-        assert box_env.point_free(np.array([-3.0, -3.0]))
+        assert not box_env.points_in_collision(np.array([-3.0, -3.0]))
 
     def test_out_of_bounds_is_collision(self, box_env):
         assert bool(box_env.points_in_collision(np.array([10.0, 0.0])))
@@ -66,20 +60,26 @@ class TestPointCollision:
 
 
 class TestSegmentCollision:
+    @staticmethod
+    def _hit(env, p, q) -> bool:
+        """One segment through the batched query."""
+        (hit,) = env.segments_in_collision(np.array(p, dtype=float), np.array(q, dtype=float))
+        return bool(hit)
+
     def test_segment_through_obstacle(self, box_env):
-        assert box_env.segment_in_collision(np.array([-3.0, 0.0]), np.array([3.0, 0.0]))
+        assert self._hit(box_env, [-3.0, 0.0], [3.0, 0.0])
 
     def test_segment_in_free_space(self, box_env):
-        assert not box_env.segment_in_collision(np.array([-4.0, -4.0]), np.array([4.0, -4.0]))
+        assert not self._hit(box_env, [-4.0, -4.0], [4.0, -4.0])
 
     def test_segment_leaving_bounds(self, box_env):
-        assert box_env.segment_in_collision(np.array([-4.0, -4.0]), np.array([-7.0, -4.0]))
+        assert self._hit(box_env, [-4.0, -4.0], [-7.0, -4.0])
 
     def test_batch_matches_scalar(self, box_env, rng):
         p = rng.uniform(-5, 5, size=(128, 2))
         q = rng.uniform(-5, 5, size=(128, 2))
         batch = box_env.segments_in_collision(p, q)
-        scalar = np.array([box_env.segment_in_collision(a, b) for a, b in zip(p, q)])
+        scalar = np.array([self._hit(box_env, a, b) for a, b in zip(p, q)])
         assert np.array_equal(batch, scalar)
 
     @settings(max_examples=50, deadline=None)
@@ -92,7 +92,7 @@ class TestSegmentCollision:
         rng = np.random.default_rng(seed)
         p = np.array([0.0, 0.0])  # inside the first obstacle
         q = rng.uniform(-5, 5, 2)
-        assert env.segment_in_collision(p, q)
+        assert self._hit(env, p, q)
 
 
 class TestRays:
@@ -122,18 +122,6 @@ class TestBoxObstacleRelation:
 
     def test_boundary(self, box_env):
         assert box_env.box_obstacle_relation(AABB([0.5, 0.5], [1.5, 1.5])) == "boundary"
-
-
-class TestSampling:
-    def test_sample_free_avoids_obstacles(self, box_env, rng):
-        pts = box_env.sample_free(rng, 100)
-        assert pts.shape[0] == 100
-        assert not box_env.points_in_collision(pts).any()
-
-    def test_sample_free_in_blocked_region_returns_empty(self, box_env, rng):
-        blocked = AABB([-0.9, -0.9], [0.9, 0.9])
-        pts = box_env.sample_free(rng, 10, within=blocked, max_tries=4)
-        assert pts.shape[0] == 0
 
 
 class TestBenchmarkEnvironments:

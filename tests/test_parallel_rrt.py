@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import RRTRegionPlanner, build_rrt_workload, simulate_rrt
-from repro.cspace import EuclideanCSpace, RigidBodyCSpace, box_body_points
+from repro.cspace import EuclideanCSpace
 from repro.geometry import free_env, mixed_30_env
 from repro.subdivision.radial import ConeRegion
 
@@ -124,30 +124,6 @@ class TestRegionalGrowth:
             region = regions.decomposition.region_of(rid)
             _ids, cfgs = result.tree.configs_array()
             assert region.contains_many(cfgs).all()
-
-    def test_cone_is_lifted_like_the_bias_target(self, box_env):
-        """SE(2): position from the cone, the angle uniform over its
-        bounds; batched and sequential growth agree on the lifted domain."""
-        from repro.core.parallel_rrt import _LiftedCone
-
-        cs = RigidBodyCSpace(box_env, box_body_points(np.array([0.2, 0.1])))
-        root = np.array([-3.0, -3.0, 0.0])
-        trees = []
-        for batched in (False, True):
-            regions = RRTRegionPlanner(cs, root, 6, 15, seed=2, batched=batched)
-            result = regions(1)
-            assert result.stats.samples_accepted > 0
-            trees.append((sorted(result.tree.edges()), result.stats))
-        assert trees[0] == trees[1]
-
-        region = regions.decomposition.region_of(1)
-        domain = _LiftedCone(region, cs.bounds, list(cs.positional_dims))
-        a, b = np.random.default_rng(4), np.random.default_rng(4)
-        block = domain.sample(a, 2000)
-        assert np.array_equal(block, np.array([domain.sample(b) for _ in range(2000)]))
-        assert region.contains_many(block[:, :2]).all()
-        angle = block[:, 2]
-        assert -np.pi <= angle.min() < -3.0 and 3.0 < angle.max() <= np.pi
 
 
 class TestSimulation:

@@ -22,56 +22,52 @@ class TestOwnership:
 
     def test_invalid_owner_rejected(self, view):
         with pytest.raises(ValueError):
-            view.set_owner(9, 7)
+            view.set_owners({9: 7})
 
     def test_migrate(self, view):
-        view.migrate(0, 3)
+        view.set_owners({0: 3})
         assert view.owner(0) == 3
-        with pytest.raises(KeyError):
-            view.migrate(77, 0)
+        assert view.elements_of(3) == [0, 3] and view.elements_of(0) == []
+        assert view.num_elements == 4
 
 
 class TestAccessAccounting:
     def test_local_access_free(self, view):
-        charged = view.access(0, 0)
-        assert charged == 0.0
+        assert view.access_many([0], [0]).tolist() == [0.0]
         assert view.stats.local == 1
         assert view.stats.remote == 0
 
     def test_remote_access_charged(self, view):
-        charged = view.access(0, 1)  # same node (cores_per_node=2)
-        assert charged == pytest.approx(1.0)
-        charged = view.access(0, 2)  # cross node
-        assert charged == pytest.approx(10.0)
+        # Same node (cores_per_node=2), then cross node.
+        assert view.access_many([0, 0], [1, 2]).tolist() == pytest.approx([1.0, 10.0])
         assert view.stats.remote == 2
         assert view.stats.remote_by_pe[0] == 2
 
     def test_counted_per_element(self, view):
-        view.access(0, 2, count=5)
+        view.access_many([0], [2], 5)
         assert view.stats.remote == 5
         assert view.stats.latency_charged == pytest.approx(50.0)
 
     def test_bulk_access_single_latency(self, view):
-        charged = view.access_bulk(0, 2, count=100)
+        (charged,) = view.access_many([0], [2], 100, aggregated=True)
         # One message: base remote latency + bandwidth * payload.
         assert charged == pytest.approx(10.0 + 100 * view.topology.bandwidth_cost)
         assert view.stats.remote == 100
 
     def test_bulk_zero_count_free(self, view):
-        assert view.access_bulk(0, 2, count=0) == 0.0
+        assert view.access_many([0], [2], 0, aggregated=True).tolist() == [0.0]
         assert view.stats.total == 0
 
     def test_negative_count_rejected(self, view):
         with pytest.raises(ValueError):
-            view.access(0, 1, count=-1)
+            view.access_many([0], [1], -1)
 
     def test_remote_fraction(self, view):
-        view.access(0, 0)
-        view.access(0, 1)
+        view.access_many([0, 0], [0, 1])
         assert view.stats.remote_fraction() == pytest.approx(0.5)
 
     def test_reset(self, view):
-        view.access(0, 1)
+        view.access_many([0], [1])
         view.reset_stats()
         assert view.stats.total == 0
 

@@ -1,11 +1,9 @@
-"""Unit and property tests for geometric primitives."""
+"""Unit tests for geometric primitives."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.geometry import AABB, Sphere, aabb_from_points, aabb_union
+from repro.geometry import AABB, Sphere
 
 
 class TestAABB:
@@ -39,10 +37,6 @@ class TestAABB:
         box = AABB([0, 0], [1, 1])
         assert box.contains(np.array([0.0, 1.0]))
 
-    def test_clamp(self):
-        box = AABB([0, 0], [1, 1])
-        assert np.allclose(box.clamp(np.array([2.0, -1.0])), [1.0, 0.0])
-
     def test_distance_inside_is_zero(self):
         box = AABB([0, 0], [2, 2])
         assert box.distance(np.array([1.0, 1.0])) == 0.0
@@ -72,62 +66,17 @@ class TestAABB:
         assert a.intersects(b)
         assert a.intersection_volume(b) == 0.0
 
-    def test_expanded(self):
-        box = AABB([0, 0], [1, 1]).expanded(0.5)
-        assert np.allclose(box.lo, [-0.5, -0.5]) and np.allclose(box.hi, [1.5, 1.5])
-
-    def test_expanded_negative_collapses_to_center(self):
-        box = AABB([0, 0], [1, 1]).expanded(-2.0)
-        assert np.allclose(box.lo, box.hi)
-        assert np.allclose(box.lo, [0.5, 0.5])
-
     def test_sample_inside(self, rng):
         box = AABB([-1, 2], [0, 5])
         pts = box.sample(rng, 200)
         assert pts.shape == (200, 2)
         assert box.contains(pts).all()
 
-    def test_segment_intersects_hit_and_miss(self):
-        box = AABB([0, 0], [1, 1])
-        assert box.segment_intersects(np.array([-1.0, 0.5]), np.array([2.0, 0.5]))
-        assert not box.segment_intersects(np.array([-1.0, 2.0]), np.array([2.0, 2.0]))
-
-    def test_segment_fully_inside_hits(self):
-        box = AABB([0, 0], [1, 1])
-        assert box.segment_intersects(np.array([0.2, 0.2]), np.array([0.8, 0.8]))
-
-    def test_segments_intersect_batch_matches_scalar(self, rng):
-        box = AABB([0, 0], [1, 1])
-        p = rng.uniform(-2, 3, size=(64, 2))
-        q = rng.uniform(-2, 3, size=(64, 2))
-        batch = box.segments_intersect(p, q)
-        scalar = np.array([box.segment_intersects(a, b) for a, b in zip(p, q)])
-        assert np.array_equal(batch, scalar)
-
-    def test_axis_parallel_segment_outside_slab(self):
-        box = AABB([0, 0], [1, 1])
-        # Vertical segment left of the box: parallel to y-axis slab.
-        assert not box.segment_intersects(np.array([-0.5, -1.0]), np.array([-0.5, 2.0]))
-
 
 class TestSphere:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             Sphere(np.zeros(2), -1.0)
-
-    def test_contains(self):
-        s = Sphere(np.zeros(2), 1.0)
-        assert s.contains(np.array([0.5, 0.5]))
-        assert not s.contains(np.array([1.0, 1.0]))
-
-    def test_volume_matches_known_formulas(self):
-        assert Sphere(np.zeros(2), 2.0).volume() == pytest.approx(np.pi * 4)
-        assert Sphere(np.zeros(3), 1.0).volume() == pytest.approx(4.0 / 3.0 * np.pi)
-
-    def test_bounding_box(self):
-        s = Sphere(np.array([1.0, 1.0]), 0.5)
-        box = s.bounding_box()
-        assert np.allclose(box.lo, [0.5, 0.5]) and np.allclose(box.hi, [1.5, 1.5])
 
     def test_surface_sample_on_surface(self, rng):
         s = Sphere(np.array([1.0, -2.0, 3.0]), 2.5)
@@ -140,44 +89,3 @@ class TestSphere:
         p = s.surface_sample(rng)
         assert p.shape == (3,)
         assert np.isclose(np.linalg.norm(p), 1.0)
-
-
-class TestHelpers:
-    def test_aabb_union(self):
-        u = aabb_union([AABB([0, 0], [1, 1]), AABB([-1, 2], [0.5, 3])])
-        assert np.allclose(u.lo, [-1, 0]) and np.allclose(u.hi, [1, 3])
-
-    def test_aabb_union_empty_raises(self):
-        with pytest.raises(ValueError):
-            aabb_union([])
-
-    def test_aabb_from_points(self):
-        box = aabb_from_points(np.array([[0, 1], [2, -1], [1, 0]]))
-        assert np.allclose(box.lo, [0, -1]) and np.allclose(box.hi, [2, 1])
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    lo=st.lists(st.floats(-100, 100), min_size=2, max_size=2),
-    extent=st.lists(st.floats(0.01, 50), min_size=2, max_size=2),
-    margin=st.floats(0, 10),
-)
-def test_expanded_always_contains_original_samples(lo, extent, margin):
-    """Property: an expanded box contains everything the original does."""
-    lo = np.array(lo)
-    box = AABB(lo, lo + np.array(extent))
-    grown = box.expanded(margin)
-    rng = np.random.default_rng(0)
-    pts = box.sample(rng, 32)
-    assert grown.contains(pts).all()
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_segment_endpoints_inside_implies_hit(seed):
-    """Property: a segment with an endpoint in the box intersects it."""
-    rng = np.random.default_rng(seed)
-    box = AABB([-1, -1, -1], [1, 1, 1])
-    p = box.sample(rng)
-    q = rng.uniform(-3, 3, 3)
-    assert box.segment_intersects(p, q)

@@ -1,6 +1,5 @@
 """Tests for the PlanService front end and the request coalescer."""
 
-import asyncio
 import threading
 import time
 
@@ -246,22 +245,6 @@ class TestAdmissionControl:
         finally:
             release.set()
             svc.close()
-
-
-class TestAsync:
-    def test_submit_async_resolves(self):
-        spec = _spec()
-        queries = _queries(spec, 4)
-        engine = build_engine(spec)
-        direct = [engine.solve(s, g) for s, g in queries]
-
-        async def run(svc):
-            futs = [svc.submit_async(spec, q) for q in queries]
-            return await asyncio.gather(*futs)
-
-        with PlanService(ServiceConfig(max_batch=4, max_linger=0.005)) as svc:
-            served = asyncio.run(run(svc))
-        assert all(same_answer(a, b) for a, b in zip(direct, served))
 
 
 class TestFaultsThroughService:

@@ -101,16 +101,6 @@ class TestLRUEviction:
         assert len(cache) == 4
         assert cache.stats.evictions == 0
 
-    def test_put_and_clear(self):
-        cache = RoadmapCache()
-        engine = build_engine(_spec(seed=9))
-        cache.put(_spec(seed=9), engine)
-        assert cache.get(_spec(seed=9)) is engine
-        assert cache.stats.hits == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.current_bytes == 0
-
 
 class TestSingleflight:
     def test_concurrent_misses_build_once(self):

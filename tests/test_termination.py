@@ -1,71 +1,48 @@
-"""Tests for termination detection."""
+"""Tests for the termination-detection cost model."""
 
 import numpy as np
 import pytest
 
-from repro.runtime import ClusterTopology, TokenRingDetector, detection_delay, detection_delay_tree
+from repro.runtime import ClusterTopology, detection_delay_tree
 
 
-class TestTokenRing:
-    def test_all_passive_detects(self):
-        det = TokenRingDetector(4)
-        assert det.try_circulate()
-        assert det.detected
-
-    def test_active_pe_blocks_detection(self):
-        det = TokenRingDetector(4)
-        det.set_active(2, True)
-        assert not det.try_circulate()
-        det.set_active(2, False)
-        assert det.try_circulate()
-
-    def test_message_in_flight_blocks(self):
-        det = TokenRingDetector(4)
-        det.on_send(1)  # message sent but never received
-        assert not det.try_circulate()
-        det.on_receive(3)  # now received; PE 3 became active
-        assert not det.try_circulate()
-        det.set_active(3, False)
-        # Receive tainted PE 3; first round fails, a later round succeeds.
-        det.try_circulate()
-        assert det.try_circulate()
-
-    def test_single_pe(self):
-        det = TokenRingDetector(1)
-        assert det.try_circulate()
-
-    def test_no_false_detection_with_ping_pong(self):
-        det = TokenRingDetector(3)
-        # 0 sends to 1; 1 receives, works, sends to 2, goes passive.
-        det.on_send(0)
-        det.on_receive(1)
-        det.set_active(1, False)
-        det.on_send(1)
-        assert not det.try_circulate()  # message to 2 still in flight
-        det.on_receive(2)
-        det.set_active(2, False)
-        while not det.try_circulate():
-            pass
-        assert det.detected
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            TokenRingDetector(0)
+def _topo(num_pes, cores_per_node=4):
+    return ClusterTopology(
+        num_pes, cores_per_node=cores_per_node, latency_local=1.0, latency_remote=10.0
+    )
 
 
 class TestDetectionDelay:
     def test_grows_logarithmically(self):
-        d64 = detection_delay(64, 10.0)
-        d1024 = detection_delay(1024, 10.0)
-        assert d1024 == pytest.approx(d64 * (10 / 6))
+        """Every level above the node pays remote latency both ways:
+        64 -> 1024 PEs (6 -> 10 levels, 2 of them local) adds 4 remote
+        levels, no matter how many PEs that is."""
+        d64, d1024 = detection_delay_tree(_topo(64)), detection_delay_tree(_topo(1024))
+        assert d64 == 2.0 * (2 * 1.0 + 4 * 10.0)
+        assert d1024 - d64 == 2.0 * 4 * 10.0
+        assert detection_delay_tree(_topo(65)) == detection_delay_tree(_topo(128))
 
     def test_rounds_scale(self):
-        assert detection_delay(16, 1.0, rounds=2) == 2 * detection_delay(16, 1.0, rounds=1)
+        topo = _topo(16)
+        for rounds in (0, 1, 2, 5):
+            assert detection_delay_tree(topo, rounds=rounds) == rounds * detection_delay_tree(topo)
+
+    def test_one_core_per_node_is_all_remote(self):
+        """No two PEs share a node, so no level is local."""
+        for num_pes in (2, 16, 100):
+            levels = int(np.ceil(np.log2(num_pes)))
+            assert detection_delay_tree(_topo(num_pes, cores_per_node=1)) == 2.0 * levels * 10.0
+
+    def test_one_node_is_all_local(self):
+        for num_pes, cores in ((2, 2), (16, 16), (16, 64), (100, 128)):
+            levels = int(np.ceil(np.log2(num_pes)))
+            assert detection_delay_tree(_topo(num_pes, cores)) == 2.0 * levels * 1.0
 
     def test_tree_variant_cheaper_than_all_remote(self):
         topo = ClusterTopology(256, cores_per_node=16, latency_local=1.0, latency_remote=10.0)
-        assert detection_delay_tree(topo) < detection_delay(256, 10.0)
+        assert detection_delay_tree(topo) < 2.0 * 8 * 10.0
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            detection_delay(0, 1.0)
+    @pytest.mark.parametrize("num_pes,expected", [(16, 8.0), (96, 50.0), (3072, 150.0)])
+    def test_default_topology_is_pinned(self, num_pes, expected):
+        """The cost every simulated run charges (24 cores per node)."""
+        assert detection_delay_tree(ClusterTopology(num_pes)) == expected

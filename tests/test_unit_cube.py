@@ -1,10 +1,10 @@
 """The unit-cube contract of every sampling domain.
 
-A domain ``ConfigurationSpace.sample(within=...)`` accepts — an ``AABB``, a
-``ConeRegion``, the lifted cone a regional RRT branch draws from — is an
-elementwise map of the unit cube: ``from_unit_cube(u)`` maps rows of
-``rng.random`` doubles to configurations, and ``sample(rng, n)`` is that
-map of ``n`` rows.  The batched RRT draws a block's uniforms in one call
+A domain ``ConfigurationSpace.sample(within=...)`` accepts — an ``AABB``, or
+the ``ConeRegion`` a regional RRT branch draws from — is an elementwise
+map of the unit cube: ``from_unit_cube(u)`` maps rows of ``rng.random``
+doubles to configurations, and ``sample(rng, n)`` is that map of ``n``
+rows.  The batched RRT draws a block's uniforms in one call
 and maps them in another (``cspace.sample(unit=...)``), so a mapped block
 must be bit for bit what the per-draw calls return.
 """
@@ -12,8 +12,7 @@ must be bit for bit what the per-draw calls return.
 import numpy as np
 import pytest
 
-from repro.core.parallel_rrt import _LiftedCone
-from repro.cspace import EuclideanCSpace, RigidBodyCSpace, box_body_points
+from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
 from repro.subdivision.radial import RadialSubdivision
 
@@ -76,34 +75,11 @@ class TestCones:
     def test_cone_block_equals_single_draws(self, d, rid):
         _block_equals_singles(_cone(d, rid), d, seed=d * 10 + rid)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_lifted_cone_block_equals_single_draws(self, d):
-        env = Environment(AABB(np.full(d, -4.0), np.full(d, 6.0)))
-        cs = EuclideanCSpace(env)
-        region = _cone(d)
-        _block_equals_singles(_LiftedCone(region, cs.bounds, list(range(d))), d, seed=d)
-
-    def test_lifted_cone_over_a_rigid_body(self, box_env):
-        """Non-positional dims map through the bounds, positional ones
-        through the cone, in the same row of uniforms."""
-        cs = RigidBodyCSpace(box_env, box_body_points(np.array([0.2, 0.1])))
-        region = RadialSubdivision(
-            np.zeros(2), 3.0, 6, rng=np.random.default_rng(1)
-        ).region_of(1)
-        domain = _LiftedCone(region, cs.bounds, list(cs.positional_dims))
-        _block_equals_singles(domain, cs.dim, seed=11)
-        u = np.random.default_rng(12).random((50, cs.dim))
-        out = domain.from_unit_cube(u)
-        np.testing.assert_array_equal(out[:, :2], region.from_unit_cube(u[:, :2]))
-        np.testing.assert_array_equal(out[:, 2], cs.bounds.from_unit_cube(u)[:, 2])
-
-
 class TestConfigurationSpaceUnit:
     @staticmethod
     def _domains(cs):
         d = cs.dim
-        return [None, AABB(np.full(d, -1.0), np.full(d, 2.0)),
-                _LiftedCone(_cone(d), cs.bounds, list(range(d)))]
+        return [None, AABB(np.full(d, -1.0), np.full(d, 2.0)), _cone(d)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_unit_rows_equal_a_draw_from_the_same_state(self, d):

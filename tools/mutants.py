@@ -259,6 +259,13 @@ MUTANTS = [
         (f"{TIES}::test_equal_weight_lattice_falls_back",
          f"{TIES}::test_medcube_pool_needs_no_fallback"),
     ),
+    Mutant(
+        "every termination level pays remote latency",
+        "repro/runtime/termination.py",
+        "local_levels = min(levels, int(np.ceil(np.log2(topology.cores_per_node))))",
+        "local_levels = 0",
+        ("tests/test_termination.py",),
+    ),
 ]
 
 
