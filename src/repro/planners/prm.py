@@ -9,24 +9,23 @@ counts the virtual-time model charges for.
 The planner is one configuration: uniform rejection sampling
 (:class:`~repro.cspace.sampling.UniformSampler`), brute-force k-NN
 (:class:`~repro.knn.brute.BruteForceNN`) and a straight-line local planner.
-Neighbour connection — the hot path — is batched through the local
-planner's ``batch_pairs`` unless ``batched=False`` asks for the oracle,
-*including* on the default ``connect_same_component=True`` path:
-candidates are filtered by connected component first and only the
-survivors are validated, in an order that reproduces the sequential
-planner's operation counts exactly
-(see :meth:`PRM._connect_batched`).  ``PlannerStats`` and the
+Its one-vertex-at-a-time loop (``batched=False``) is the oracle.  The
+default batched build predicts, validates and replays that loop in blocks
+of samples (:meth:`PRM._build_block`), *including* on the default
+``connect_same_component=True`` path: candidates are filtered by connected
+component first and only the survivors are validated, in an order that
+reproduces the loop's operation counts exactly.  ``PlannerStats`` and the
 environment's ``CollisionCounters`` are therefore field-for-field
-identical to the one-edge-at-a-time implementation; the virtual-time
-model depends on that.
+identical to the loop's; the virtual-time model depends on that.
 
 Without the component filter (``connect_same_component=False``, how the
 regional planner of the parallel build runs it) no decision depends on an
 earlier outcome, so :meth:`PRM.build` and :meth:`PRM.connect_roadmaps` also
 take a *block* of independent segments — many regions, many adjacencies —
 and run sampling, k-NN and local planning once over the block
-(:attr:`PRM.runs_blocks`, :class:`PRMBlock`); their one-region call stays
-the oracle for it.
+(:attr:`PRM.runs_blocks`, :class:`PRMBlock`).  A one-adjacency batched
+``connect_roadmaps`` is the block of one; with the component filter on,
+it takes the loop.
 """
 
 from __future__ import annotations
@@ -125,20 +124,14 @@ class PRM:
     k:
         Number of nearest-neighbour connection attempts per node.
     connect_same_component:
-        If False (default), skip connection attempts between vertices
+        If True (default), skip connection attempts between vertices
         already in the same connected component — the standard PRM
         optimisation.
     batched:
-        Use the local planner's vectorised ``batch_pairs`` (default
-        True).  Operation counts are identical either way; False
-        forces the one-edge-at-a-time reference path (used by the perf
-        suite to measure the speedup and by tests to assert parity).
-    fail_fast:
-        Opt into the chunked fail-fast batch validator
-        (``batch_pairs_chunked``) so long invalid segments stop early.
-        Faster in cluttered spaces but *changes* ``lp_checks`` (fewer
-        checks on failures), so it is off by default — the virtual-time
-        model wants the exact counts.
+        Validate candidate pairs in vectorised batches (default True).
+        Operation counts are identical either way; False forces the
+        one-edge-at-a-time reference loop (the oracle tests assert parity
+        against).
     """
 
     def __init__(
@@ -148,7 +141,6 @@ class PRM:
         k: int = 6,
         connect_same_component: bool = True,
         batched: bool = True,
-        fail_fast: bool = False,
     ):
         self.cspace = cspace
         self.sampler = UniformSampler()
@@ -161,73 +153,15 @@ class PRM:
         self.k = k
         self.connect_same_component = connect_same_component
         self.batched = batched
-        self.fail_fast = fail_fast
-
-    # -- batched validation ------------------------------------------------
-    def _validate_pairs(
-        self, starts: np.ndarray, ends: np.ndarray
-    ) -> "tuple[np.ndarray, int, np.ndarray]":
-        if self.fail_fast:
-            return self.local_planner.batch_pairs_chunked(self.cspace, starts, ends)
-        return self.local_planner.batch_pairs(self.cspace, starts, ends)
 
     @property
     def runs_blocks(self) -> bool:
         """Whether :meth:`build` / :meth:`connect_roadmaps` accept a block
-        of segments: batched, with exact check counts, and
-        ``connect_same_component=False`` — without the component filter no
-        connection decision depends on an earlier outcome, so every
-        candidate pair of a block can be validated in one call."""
-        return self.batched and not self.fail_fast and not self.connect_same_component
-
-    def _connect_batched(
-        self,
-        rmap: Roadmap,
-        vid: int,
-        cfg: np.ndarray,
-        neighbors: "list[tuple[int, float]]",
-        stats: PlannerStats,
-    ) -> None:
-        """Connect a *new* vertex to its candidate neighbours, batched.
-
-        Reproduces the sequential semantics exactly.  With
-        ``connect_same_component=True`` the sequential loop validates, per
-        connected component, that component's candidates in order until
-        the first success (a success merges the component into ``vid``'s,
-        so its remaining candidates are skipped); components are mutually
-        independent because ``vid`` starts in a singleton component.  So:
-        group candidates by current component and validate one wave per
-        round — the first still-open candidate of every still-open group —
-        through one ``batch_pairs`` call.  Round 1 covers everything when
-        components are distinct, which is the common case.
-        """
-        if self.connect_same_component:
-            groups: "dict[int, list[int]]" = {}
-            for nbr_id, _d in neighbors:
-                groups.setdefault(rmap.component_id(nbr_id), []).append(nbr_id)
-            queues = list(groups.values())
-        else:
-            queues = [[nbr_id] for nbr_id, _d in neighbors]
-        pos = [0] * len(queues)
-        active = list(range(len(queues)))
-        while active:
-            wave_ids = [queues[g][pos[g]] for g in active]
-            ends = rmap.configs_of(wave_ids)
-            starts = np.broadcast_to(cfg, ends.shape)
-            ok, checks, lengths = self._validate_pairs(starts, ends)
-            stats.lp_calls += len(wave_ids)
-            stats.lp_checks += checks
-            still_open = []
-            for j, g in enumerate(active):
-                if ok[j]:
-                    stats.lp_successes += 1
-                    if rmap.add_edge(vid, wave_ids[j], float(lengths[j])):
-                        stats.edges_added += 1
-                else:
-                    pos[g] += 1
-                    if pos[g] < len(queues[g]):
-                        still_open.append(g)
-            active = still_open
+        of segments: batched, and ``connect_same_component=False`` —
+        without the component filter no connection decision depends on an
+        earlier outcome, so every candidate pair of a block can be
+        validated in one call."""
+        return self.batched and not self.connect_same_component
 
     def _build_block(
         self,
@@ -393,7 +327,7 @@ class PRM:
         if ids.size:
             nn.add_batch(ids, cfgs)
 
-        if self.batched and not self.fail_fast:
+        if self.batched:
             self._build_block(
                 rmap, np.asarray(batch.configs, dtype=float), id_base,
                 rmap.num_vertices, nn, stats,
@@ -401,27 +335,23 @@ class PRM:
             stats.nn_distance_evals += nn.stats.distance_evals
             return PRMResult(rmap, stats)
 
+        # The one-vertex-at-a-time loop: the oracle _build_block replays.
         next_local = rmap.num_vertices
         for cfg in batch.configs:
             vid = id_base + next_local
             next_local += 1
             rmap.add_vertex(cfg, vid)
-
-            neighbors = nn.knn(cfg, self.k)
             stats.nn_queries += 1
-            if self.batched and len(neighbors) > 1:
-                self._connect_batched(rmap, vid, cfg, neighbors, stats)
-            else:
-                for nbr_id, _dist in neighbors:
-                    if self.connect_same_component and rmap.same_component(vid, nbr_id):
-                        continue
-                    result = self.local_planner(self.cspace, cfg, rmap.config(nbr_id))
-                    stats.lp_calls += 1
-                    stats.lp_checks += result.checks
-                    if result.valid:
-                        stats.lp_successes += 1
-                        if rmap.add_edge(vid, nbr_id, result.length):
-                            stats.edges_added += 1
+            for nbr_id, _dist in nn.knn(cfg, self.k):
+                if self.connect_same_component and rmap.same_component(vid, nbr_id):
+                    continue
+                result = self.local_planner(self.cspace, cfg, rmap.config(nbr_id))
+                stats.lp_calls += 1
+                stats.lp_checks += result.checks
+                if result.valid:
+                    stats.lp_successes += 1
+                    if rmap.add_edge(vid, nbr_id, result.length):
+                        stats.edges_added += 1
             nn.add(vid, cfg)
         stats.nn_distance_evals += nn.stats.distance_evals
         return PRMResult(rmap, stats)
@@ -503,7 +433,6 @@ class PRM:
         ids_a: np.ndarray,
         ids_b: np.ndarray,
         k: int | None = None,
-        max_attempts: int | None = None,
         segments=None,
     ) -> "PlannerStats | list[PlannerStats]":
         """Attempt connections between two vertex sets of one merged roadmap.
@@ -512,25 +441,22 @@ class PRM:
         Algorithm 1): for each vertex in ``ids_a``, try its ``k`` nearest
         vertices in ``ids_b``.
 
-        Batched exactly like :meth:`build`: candidate pairs accumulate
-        into one validation batch, flushed early only when a pair's
-        same-component decision could depend on a pending outcome (either
-        of its components is already touched by an unvalidated pair).
-        Operation counts match the sequential reference path exactly.
-
         ``segments = (offsets_a, offsets_b)`` connects a block of
         adjacencies in one pass: adjacency ``i`` is
         ``ids_a[oa[i]:oa[i+1]]`` against ``ids_b[ob[i]:ob[i+1]]``, and the
         result is one ledger per adjacency.  Without the component filter
-        the one-adjacency loop never flushes early, so the block is one
+        no decision depends on an earlier outcome, so the block is one
         segmented k-NN, one ``batch_pairs_counted`` and one bulk edge
         insertion in (adjacency, vertex, candidate) order — the order the
-        loop inserts in.  Needs :attr:`runs_blocks`.
+        loop inserts in.  Without ``segments`` a batched planner with no
+        component filter connects the block of one; otherwise the call
+        runs the one-pair-at-a-time loop, the oracle.
         """
         if segments is not None:
-            if max_attempts is not None:
-                raise ValueError("a block of adjacencies takes no max_attempts")
             return self._connect_segments(rmap, ids_a, ids_b, k, segments)
+        if self.batched and not self.connect_same_component:
+            whole = ([0, len(ids_a)], [0, len(ids_b)])
+            return self._connect_segments(rmap, ids_a, ids_b, k, whole)[0]
         stats = PlannerStats()
         k = k if k is not None else self.k
         ids_b = np.asarray(ids_b, dtype=np.int64)
@@ -538,22 +464,13 @@ class PRM:
             return stats
         nn = BruteForceNN(self.cspace.dim)
         nn.add_batch(ids_b, rmap.configs_of(int(i) for i in ids_b))
-        if self.batched:
-            self._connect_pairs_batched(rmap, ids_a, nn, k, max_attempts, stats)
-            stats.nn_distance_evals += nn.stats.distance_evals
-            return stats
-        attempts = 0
         for u in np.asarray(ids_a, dtype=np.int64):
             u = int(u)
             cfg = rmap.config(u)
             stats.nn_queries += 1
             for v, _dist in nn.knn(cfg, k):
-                if max_attempts is not None and attempts >= max_attempts:
-                    stats.nn_distance_evals += nn.stats.distance_evals
-                    return stats
                 if self.connect_same_component and rmap.same_component(u, v):
                     continue
-                attempts += 1
                 result = self.local_planner(self.cspace, cfg, rmap.config(v))
                 stats.lp_calls += 1
                 stats.lp_checks += result.checks
@@ -567,7 +484,9 @@ class PRM:
     def _connect_segments(
         self, rmap: Roadmap, ids_a, ids_b, k: "int | None", segments
     ) -> "list[PlannerStats]":
-        if not self.runs_blocks:
+        # Not ``runs_blocks``: the region-loop oracle switches that off and
+        # still connects each adjacency as a block of one.
+        if not self.batched or self.connect_same_component:
             raise ValueError("this PRM configuration connects one adjacency at a time")
         ids_a = np.asarray(ids_a, dtype=np.int64)
         ids_b = np.asarray(ids_b, dtype=np.int64)
@@ -596,57 +515,3 @@ class PRM:
             )
             for i, (qa, qb) in enumerate(zip(na.tolist(), nb.tolist()))
         ]
-
-    def _connect_pairs_batched(
-        self,
-        rmap: Roadmap,
-        ids_a: np.ndarray,
-        nn,
-        k: int,
-        max_attempts: int | None,
-        stats: PlannerStats,
-    ) -> None:
-        pending: "list[tuple[int, int]]" = []
-        pending_roots: "set[int]" = set()
-
-        def flush() -> None:
-            if not pending:
-                return
-            starts = rmap.configs_of(u for u, _v in pending)
-            ends = rmap.configs_of(v for _u, v in pending)
-            ok, checks, lengths = self._validate_pairs(starts, ends)
-            stats.lp_calls += len(pending)
-            stats.lp_checks += checks
-            for i, (u, v) in enumerate(pending):
-                if ok[i]:
-                    stats.lp_successes += 1
-                    if rmap.add_edge(u, v, float(lengths[i])):
-                        stats.edges_added += 1
-            pending.clear()
-            pending_roots.clear()
-
-        attempts = 0
-        exhausted = False
-        for u in np.asarray(ids_a, dtype=np.int64):
-            u = int(u)
-            stats.nn_queries += 1
-            for v, _dist in nn.knn(rmap.config(u), k):
-                if max_attempts is not None and attempts >= max_attempts:
-                    exhausted = True
-                    break
-                if self.connect_same_component:
-                    ru, rv = rmap.component_id(u), rmap.component_id(v)
-                    if ru == rv or ru in pending_roots or rv in pending_roots:
-                        # Decision may depend on a pending outcome: settle
-                        # the batch, then re-evaluate against fresh state.
-                        flush()
-                        ru, rv = rmap.component_id(u), rmap.component_id(v)
-                        if ru == rv:
-                            continue
-                    pending_roots.add(ru)
-                    pending_roots.add(rv)
-                attempts += 1
-                pending.append((u, v))
-            if exhausted:
-                break
-        flush()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -116,20 +116,12 @@ class Roadmap:
     Vertex ids are non-negative integers.  By default they are assigned
     sequentially, but callers may supply explicit ids (the distributed
     planners use globally unique ids of the form ``region_id << 32 | local``).
-
-    ``metric`` (optional) supplies the edge weight when :meth:`add_edge` is
-    called without one.  The default is the raw Euclidean norm, which is
-    **wrong for C-spaces with topology** (e.g. SO(2) wraparound); planners
-    in this repo therefore always pass explicit weights computed by their
-    configuration space, and callers on non-Euclidean spaces should either
-    do the same or pass ``metric=cspace.distance`` here.
     """
 
-    def __init__(self, dim: int, metric: "Callable[[np.ndarray, np.ndarray], float] | None" = None):
+    def __init__(self, dim: int):
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.metric = metric
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._cfgs = np.empty((_INITIAL_CAPACITY, dim))
         self._deg = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
@@ -223,9 +215,8 @@ class Roadmap:
     def add_edge(self, u: int, v: int, weight: float | None = None) -> bool:
         """Insert undirected edge; returns False if it already existed.
 
-        When ``weight`` is omitted it comes from the roadmap's ``metric``
-        (default: Euclidean norm — see the class docstring for the
-        topology caveat).
+        When ``weight`` is omitted it is the Euclidean distance between
+        the endpoints; the planners pass their own.
         """
         if u == v:
             raise ValueError("self-loops are not allowed in a roadmap")
@@ -235,8 +226,7 @@ class Roadmap:
         if self._find(a, b) >= 0:
             return False
         if weight is None:
-            cu, cv = self._cfgs[a], self._cfgs[b]
-            w = float(self.metric(cu, cv)) if self.metric is not None else float(np.linalg.norm(cu - cv))
+            w = float(np.linalg.norm(self._cfgs[a] - self._cfgs[b]))
         else:
             w = float(weight)
         m = self._m
@@ -410,14 +400,9 @@ class Roadmap:
         """Fast, union-find-based check (exact as long as no edges were removed)."""
         return self._uf.same_set(self._index[u], self._index[v])
 
-    def component_id(self, vid: int) -> int:
-        """Representative vertex id of ``vid``'s component (union-find root).
-        Stable only until the next union: for transient grouping only."""
-        return int(self._ids[self._uf.find(self._index[vid])])
-
     def component_slot(self, vid: int) -> int:
-        """Opaque dense label of ``vid``'s component, equality-comparable like
-        :meth:`component_id` but cheaper; stable only until the next edge."""
+        """Opaque dense label of ``vid``'s component, equality-comparable;
+        stable only until the next edge."""
         return self._uf.find(self._index[vid])
 
     @property

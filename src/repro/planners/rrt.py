@@ -21,13 +21,13 @@ strategy of :class:`repro.planners.prm.PRM`:
 
 1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
    oracle's stream double for double: the oracle takes one ``random()``
-   per bias gate it reaches and ``dim`` uniforms per ``cspace.sample``
-   draw, so one ``rng.random`` call covers the block, the gates are
-   walked over its values, and every uniform row is mapped through the
-   domain in one ``cspace.sample(within=..., unit=...)`` call.  The
-   generator is then rewound and advanced by exactly the doubles the
-   oracle would have consumed, so every sample — and the generator's end
-   state — is bit-identical to the sequential loop's.
+   for the bias gate (when there is a bias target) and ``dim`` uniforms
+   per ``cspace.sample`` draw, so one ``rng.random`` call covers the
+   block, the gate is walked over its values, and every uniform row is
+   mapped through the domain in one ``cspace.sample(within=..., unit=...)``
+   call.  The generator is then rewound and advanced by exactly the
+   doubles the oracle would have consumed, so every sample — and the
+   generator's end state — is bit-identical to the sequential loop's.
 2. **Batch the nearest-neighbour work**: distances from all block samples
    to the frozen tree are one broadcast; nodes accepted *inside* the
    block contribute one incremental distance column each, so the nearest
@@ -35,7 +35,8 @@ strategy of :class:`repro.planners.prm.PRM`:
    and the running block minimum — never a rebuild.  Ties (including
    frozen-vs-block ties) fall back to replaying the reference selection
    on the composed distance vector, so the chosen neighbour is identical
-   even in degenerate geometry.
+   even in degenerate geometry.  The tree always holds at least its
+   root, so every draw has a nearest node.
 3. **Speculatively validate** the extensions the replay will need —
    steer arithmetic, the ``q_new`` validity point check, the region
    predicate, and the local-plan segment — in batches.  Verdicts are
@@ -100,13 +101,6 @@ class RRTResult:
         """Uniform alias: the tree, named as ``PRMResult`` names its roadmap."""
         return self.tree
 
-    def path_to_root(self, vid: int) -> "list[int]":
-        """Vertex ids from ``vid`` up the parent chain to the root."""
-        path = [vid]
-        while path[-1] != self.root_id:
-            path.append(self.parents[path[-1]])
-        return path
-
 
 class RRT:
     """Sequential RRT with optional region constraint and growth bias.
@@ -160,104 +154,86 @@ class RRT:
         bias_target: np.ndarray | None = None,
         region_predicate: "Callable[[np.ndarray], bool] | None" = None,
         max_iterations: int | None = None,
-        tree: Roadmap | None = None,
-        parents: "dict[int, int] | None" = None,
-        root_id: int | None = None,
         id_base: int = 0,
-        goal: np.ndarray | None = None,
-        goal_tolerance: float = 0.0,
         region_predicate_batch: "Callable[[np.ndarray], np.ndarray] | None" = None,
         within=None,
     ) -> RRTResult:
-        """Grow a tree of up to ``n_nodes`` nodes rooted at ``root``.
+        """Grow a fresh tree of up to ``n_nodes`` nodes rooted at ``root``
+        (vertex id ``id_base``), in at most ``max_iterations`` draws
+        (default ``20 * n_nodes``): one regional branch of Alg. 2.
 
         ``within`` is the domain the unbiased ``q_rand`` draws come from:
         anything ``cspace.sample(rng, n, within=...)`` accepts, i.e. an
         elementwise map of the unit cube (``from_unit_cube``) whose
-        ``sample`` maps ``dim`` uniforms per draw (an ``AABB``, a lifted
+        ``sample`` maps ``dim`` uniforms per draw (an ``AABB``, a
         ``ConeRegion``); None draws from the whole space.  It narrows the
         *proposal* only — ``region_predicate`` still decides what may
         join the tree.
         ``region_predicate`` restricts accepted nodes to a region (the
         radial subdivision cones); ``bias_target`` is the configuration
-        toward which ``goal_bias`` of the samples are drawn.  When ``goal``
-        is given, growth stops as soon as a node lands within
-        ``goal_tolerance`` of it.  ``region_predicate_batch``, if given,
-        is a vectorised ``(m, dim) -> (m,) bool`` twin of
-        ``region_predicate`` used by the batched path (it must agree with
-        the scalar predicate point-for-point); without it the batched path
-        evaluates the scalar predicate per candidate, which is still
-        correct, just slower.
+        toward which ``goal_bias`` of the samples are drawn.
+        ``region_predicate_batch``, if given, is a vectorised
+        ``(m, dim) -> (m,) bool`` twin of ``region_predicate`` used by the
+        batched path (it must agree with the scalar predicate
+        point-for-point); without it the batched path evaluates the scalar
+        predicate per candidate, which is still correct, just slower.
 
         Either path leaves ``rng`` in the same state, so consecutive
         ``grow`` calls on one generator stay identical too.
         """
         stats = PlannerStats()
         root = np.asarray(root, dtype=float)
-        if tree is None:
-            tree = Roadmap(self.cspace.dim)
-            if not self.cspace.valid_single(root):
-                raise ValueError("RRT root configuration is invalid")
-            stats.sample_attempts += 1
-            root_id = tree.add_vertex(root, id_base)
-            parents = {root_id: root_id}
-        else:
-            if parents is None or root_id is None:
-                raise ValueError("extending an existing tree requires parents and root_id")
+        if not self.cspace.valid_single(root):
+            raise ValueError("RRT root configuration is invalid")
+        stats.sample_attempts += 1
+        tree = Roadmap(self.cspace.dim)
+        tree.add_vertex(root, id_base)
+        parents = {id_base: id_base}
 
         max_iterations = max_iterations if max_iterations is not None else 20 * n_nodes
         if self.batched:
-            return self._grow_batched(
-                tree, parents, root_id, n_nodes, rng, bias_target, region_predicate,
-                region_predicate_batch, max_iterations, id_base, goal, goal_tolerance,
-                stats, within,
+            self._grow_batched(
+                tree, parents, n_nodes, rng, bias_target, region_predicate,
+                region_predicate_batch, max_iterations, id_base, stats, within,
             )
-        return self._grow_sequential(
-            tree, parents, root_id, n_nodes, rng, bias_target, region_predicate,
-            max_iterations, id_base, goal, goal_tolerance, stats, within,
-        )
+        else:
+            self._grow_sequential(
+                tree, parents, n_nodes, rng, bias_target, region_predicate,
+                max_iterations, id_base, stats, within,
+            )
+        return RRTResult(tree, parents, id_base, stats)
 
     # -- reference implementation -----------------------------------------
     def _grow_sequential(
         self,
         tree: Roadmap,
         parents: "dict[int, int]",
-        root_id: int,
         n_nodes: int,
         rng: np.random.Generator,
         bias_target: np.ndarray | None,
         region_predicate,
         max_iterations: int,
         id_base: int,
-        goal: np.ndarray | None,
-        goal_tolerance: float,
         stats: PlannerStats,
         within,
-    ) -> RRTResult:
+    ) -> None:
         """One-extension-at-a-time growth loop: the semantic oracle."""
         nn = BruteForceNN(self.cspace.dim)
-        ids, cfgs = tree.configs_array()
-        nn.add_batch(ids, cfgs)
-        next_local = tree.num_vertices
+        nn.add(id_base, tree.config(id_base))
+        next_local = 1
 
         added = 0
-        goal_reached: int | None = None
         for _ in range(max_iterations):
-            if added >= n_nodes or goal_reached is not None:
+            if added >= n_nodes:
                 break
             # -- sample q_rand ------------------------------------------------
             if bias_target is not None and rng.random() < self.goal_bias:
                 q_rand = np.asarray(bias_target, dtype=float)
-            elif goal is not None and rng.random() < self.goal_bias:
-                q_rand = np.asarray(goal, dtype=float)
             else:
                 q_rand = self.cspace.sample(rng, within=within)
             # -- find q_near ---------------------------------------------------
             stats.nn_queries += 1
-            near = nn.knn(q_rand, 1)
-            if not near:
-                break
-            near_id, dist = near[0]
+            near_id, dist = nn.knn(q_rand, 1)[0]
             q_near = tree.config(near_id)
             if dist == 0.0:
                 continue
@@ -283,18 +259,14 @@ class RRT:
             parents[vid] = near_id
             nn.add(vid, q_new)
             added += 1
-            if goal is not None and float(self.cspace.distance(q_new, goal)) <= goal_tolerance:
-                goal_reached = vid
         stats.nn_distance_evals += nn.stats.distance_evals
         stats.samples_accepted += added
-        return RRTResult(tree, parents, root_id, stats)
 
     # -- batched implementation --------------------------------------------
     def _grow_batched(
         self,
         tree: Roadmap,
         parents: "dict[int, int]",
-        root_id: int,
         n_nodes: int,
         rng: np.random.Generator,
         bias_target: np.ndarray | None,
@@ -302,11 +274,9 @@ class RRT:
         region_predicate_batch,
         max_iterations: int,
         id_base: int,
-        goal: np.ndarray | None,
-        goal_tolerance: float,
         stats: PlannerStats,
         within,
-    ) -> RRTResult:
+    ) -> None:
         """Predict-validate-replay growth: identical results, vectorised.
 
         See the module docstring for the strategy.  Distances are
@@ -324,23 +294,20 @@ class RRT:
         before = counters.snapshot() if counters is not None else None
 
         bias_cfg = np.asarray(bias_target, dtype=float) if bias_target is not None else None
-        goal_cfg = np.asarray(goal, dtype=float) if goal is not None else None
 
         # Insertion-order store of every tree configuration — the same
         # layout the oracle's NeighborFinder holds, so the tie-break
         # fallback can replay the reference selection on an identical
-        # array.  Amortised growth like the roadmap's own storage.
-        ids0, cfgs0 = tree.configs_array()
-        n_store = int(ids0.size)
-        cap = max(_BLOCK, n_store + n_nodes)
+        # array.  The root plus the node budget always fit.
+        cap = 1 + n_nodes
         store = np.empty((cap, dim))
-        store[:n_store] = cfgs0
+        store[0] = tree.config(id_base)
         store_ids = np.empty(cap, dtype=np.int64)
-        store_ids[:n_store] = ids0
+        store_ids[0] = id_base
+        n_store = 1
 
-        next_local = tree.num_vertices
+        next_local = 1
         added = 0
-        goal_reached: int | None = None
         nn_evals = 0
         spec_points = 0  # points speculatively evaluated against the env
         seq_points = 0  # points the sequential oracle would evaluate
@@ -348,26 +315,23 @@ class RRT:
         # lp_length, q_new); kept across blocks — geometry never changes.
         cache: "dict[tuple[int, object], tuple]" = {}
         it = 0
-        alive = True
         block = _BLOCK_MIN
 
-        # The oracle's gates in the order it tests them, with the cache key
-        # of the draw each one sends to its target.
-        gates = [(cfg, key) for cfg, key in ((bias_cfg, "bias"), (goal_cfg, "goal"))
-                 if cfg is not None]
-        width = dim + len(gates)  # doubles one oracle iteration may consume
+        gated = bias_cfg is not None  # the oracle tests the bias gate
+        width = dim + gated  # doubles one oracle iteration may consume
 
         def draw(m: int, first: int) -> "tuple[np.ndarray, list[object], list[int]]":
             """The oracle's next ``m`` ``q_rand`` draws, with a cache key
-            per draw (uniform draws are globally unique: ``first`` is the
-            iteration index of the first one) and the generator position
-            (doubles drawn since the call) after each draw.
+            per draw (a bias draw's is ``"bias"``; uniform draws are
+            globally unique: ``first`` is the iteration index of the first
+            one) and the generator position (doubles drawn since the call)
+            after each draw.
 
-            The oracle draws one double per bias gate it reaches and ``dim``
-            for a uniform sample, all from one stream: one ``rng.random``
-            call covers the block's worst case, the gates are walked over
-            its values as Python floats, and every uniform row is mapped in
-            one ``cspace.sample(unit=...)`` call.  The caller rewinds the
+            The oracle draws one double for the bias gate and ``dim`` for a
+            uniform sample, all from one stream: one ``rng.random`` call
+            covers the block's worst case, the gate is walked over its
+            values as Python floats, and every uniform row is mapped in one
+            ``cspace.sample(unit=...)`` call.  The caller rewinds the
             generator to the position the oracle would stop at."""
             raw = rng.random(m * width)
             vals = raw.tolist()
@@ -379,12 +343,10 @@ class RRT:
             starts: "list[int]" = []  # where each one's doubles start in raw
             pos = 0
             for b in range(m):
-                for cfg, key in gates:
-                    pos += 1
-                    if vals[pos - 1] < gb:
-                        drawn[b] = cfg
-                        keys[b] = key
-                        break
+                pos += gated
+                if gated and vals[pos - 1] < gb:
+                    drawn[b] = bias_cfg
+                    keys[b] = "bias"
                 else:
                     uniform.append(b)
                     starts.append(pos)
@@ -396,7 +358,7 @@ class RRT:
                 drawn[uniform] = cspace.sample(rng, within=within, unit=raw[rows])
             return drawn, keys, ends
 
-        while alive and it < max_iterations and added < n_nodes and goal_reached is None:
+        while it < max_iterations and added < n_nodes:
             B = min(block, max_iterations - it)
             missed = False
             # -- 1. replay the sampling RNG exactly -----------------------
@@ -406,17 +368,11 @@ class RRT:
             consumed = B  # draws the oracle makes before it stops
             # -- 2. frozen-tree distances: one broadcast ----------------
             n0 = n_store
-            if n0:
-                D = np.empty((B, n0))
-                BruteForceNN._dist_block(store[:n0], samples, D)
-                frozen_min = D.min(axis=1)
-                frozen_arg = D.argmin(axis=1)
-                frozen_tie = (D == frozen_min[:, None]).sum(axis=1) > 1
-            else:
-                D = np.empty((B, 0))
-                frozen_min = np.full(B, np.inf)
-                frozen_arg = np.zeros(B, dtype=np.int64)
-                frozen_tie = np.zeros(B, dtype=bool)
+            D = np.empty((B, n0))
+            BruteForceNN._dist_block(store[:n0], samples, D)
+            frozen_min = D.min(axis=1)
+            frozen_arg = D.argmin(axis=1)
+            frozen_tie = (D == frozen_min[:, None]).sum(axis=1) > 1
             # Running minima over nodes accepted inside this block; one
             # incremental distance column per acceptance.
             blk_D = np.empty((B, B))
@@ -425,14 +381,12 @@ class RRT:
             blk_tie = np.zeros(B, dtype=bool)
             n_blk = 0
 
-            def nearest(i: int) -> "tuple[int, float, int] | None":
+            def nearest(i: int) -> "tuple[int, float, int]":
                 """``(vid, distance, store row)`` of sample ``i``'s nearest
-                tree node under the current block state; None on an empty
-                tree.  Exact reference semantics: a unique strict minimum
-                is resolved directly, anything tied replays the oracle's
-                selection on the composed distance vector."""
-                if n0 + n_blk == 0:
-                    return None
+                tree node under the current block state.  Exact reference
+                semantics: a unique strict minimum is resolved directly,
+                anything tied replays the oracle's selection on the
+                composed distance vector."""
                 fmin = frozen_min[i]
                 bmin = blk_min[i]
                 if bmin < fmin:
@@ -451,15 +405,12 @@ class RRT:
                 return (int(store_ids[row]), float(d[row]), row)
 
             pending = list(range(B))
-            while pending and alive:
+            while pending and added < n_nodes:
                 # -- predict & batch-validate the verdicts replay needs --
                 need: "list[tuple[tuple[int, object], int, float, int]]" = []
                 seen: "set[tuple[int, object]]" = set()
                 for i in pending:
-                    nr = nearest(i)
-                    if nr is None:
-                        break
-                    vid_near, dist, row = nr
+                    vid_near, dist, row = nearest(i)
                     if dist == 0.0:
                         continue
                     key = (vid_near, skey[i])
@@ -504,18 +455,12 @@ class RRT:
                 # -- strict in-order replay ------------------------------
                 done = 0
                 for i in pending:
-                    if added >= n_nodes or goal_reached is not None:
-                        alive = False
+                    if added >= n_nodes:
                         consumed = i
                         break
                     stats.nn_queries += 1
-                    nr = nearest(i)
-                    if nr is None:
-                        alive = False
-                        consumed = i + 1
-                        break
                     nn_evals += n0 + n_blk
-                    vid_near, dist, _row = nr
+                    vid_near, dist, _row = nearest(i)
                     if dist == 0.0:
                         done += 1
                         continue
@@ -545,9 +490,6 @@ class RRT:
                     tree.add_edge(vid_near, vid, l_len)
                     stats.edges_added += 1
                     parents[vid] = vid_near
-                    if n_store == store.shape[0]:
-                        store = np.concatenate((store, np.empty_like(store)))
-                        store_ids = np.concatenate((store_ids, np.empty_like(store_ids)))
                     store[n_store] = q_new
                     store_ids[n_store] = vid
                     # Incremental distance column: the new node vs every
@@ -564,17 +506,12 @@ class RRT:
                     n_store += 1
                     n_blk += 1
                     added += 1
-                    if (
-                        goal_cfg is not None
-                        and float(cspace.distance(q_new, goal_cfg)) <= goal_tolerance
-                    ):
-                        goal_reached = vid
                 pending = pending[done:]
             block = max(_BLOCK_MIN, block // 2) if missed else min(_BLOCK, 2 * block)
             used = ends[consumed - 1] if consumed else 0
             if used < B * width:
                 # The block's draw took doubles the oracle never reaches —
-                # gates that fired, or iterations after an early exit:
+                # bias draws, or iterations after the node budget is met:
                 # rewind and advance by exactly the ones it consumed.
                 rng.bit_generator.state = rng_state
                 rng.random(used)
@@ -584,4 +521,3 @@ class RRT:
             counters.rescale_since(before, seq_points, spec_points)
         stats.nn_distance_evals += nn_evals
         stats.samples_accepted += added
-        return RRTResult(tree, parents, root_id, stats)

@@ -317,7 +317,6 @@ def run_tasks_parallel(
     task_ids: "list[int]",
     workers: "int | None" = None,
     backend: str = "thread",
-    window: int | None = None,
     chunksize: "int | str" = 1,
     tracer: "Tracer | None" = None,
     failure_policy: str = "fail_fast",
@@ -348,9 +347,8 @@ def run_tasks_parallel(
         The resolved value is surfaced on ``PoolResult.workers``.
     backend:
         ``"thread"`` (default; fine for NumPy-heavy work) or ``"process"``.
-    window:
-        Max in-flight submissions (default ``2 * workers``); bounds memory
-        for huge task lists.
+        Either way at most ``2 * workers`` submissions are in flight, which
+        bounds memory for huge task lists.
     chunksize:
         Tasks per submission: a fixed int (default 1), or a policy name —
         ``"guided"`` (self-scheduling decay: big chunks early to amortise
@@ -403,9 +401,7 @@ def run_tasks_parallel(
         raise ValueError("max_retries must be >= 0")
     if task_timeout is not None and task_timeout <= 0:
         raise ValueError("task_timeout must be positive")
-    window = window if window is not None else 2 * workers
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = 2 * workers
     tasks = list(task_ids)
     tr = active(tracer)
     # Plain fail_fast: nothing can retry, time out or be injected, so a

@@ -49,10 +49,6 @@ class TestRunTasksParallel:
         assert res.results == {}
         assert res.slowest_task() is None
 
-    def test_window_bounds_inflight(self):
-        res = run_tasks_parallel(_square, list(range(50)), workers=2, window=3)
-        assert len(res.results) == 50
-
     def test_validation(self):
         with pytest.raises(ValueError):
             run_tasks_parallel(_square, [1], workers=0)

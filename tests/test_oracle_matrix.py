@@ -134,16 +134,14 @@ def _prm_chunk_box(cull, fast):
 
 
 def _grow_twice(within, cull, fast):
-    """Two ``grow`` calls on one generator, the second extending the first
-    tree under another id base, with bias and goal gates in play."""
+    """Two ``grow`` calls on one generator, the second under another id
+    base, with the bias gate in play."""
     cs, rng = _space(None, cull), np.random.default_rng(4)
     rrt = RRT(cs, step_size=0.5, goal_bias=0.2, batched=fast)
-    gates = {"bias_target": np.array([4.0, 4.0]), "goal": np.array([4.5, -4.5]),
-             "goal_tolerance": 0.5, "within": within}
-    first = rrt.grow(np.array([-4.0, -4.0]), 60, rng, **gates)
-    second = rrt.grow(np.array([-4.0, -4.0]), 60, rng, tree=first.tree, parents=first.parents,
-                      root_id=first.root_id, id_base=1 << 20, **gates)
-    return digest(second, cs.env, rng)
+    gate = {"bias_target": np.array([4.0, 4.0]), "within": within}
+    first = rrt.grow(np.array([-4.0, -4.0]), 60, rng, **gate)
+    second = rrt.grow(np.array([-4.0, -4.0]), 60, rng, id_base=1 << 20, **gate)
+    return _prefixed(first=digest(first), second=digest(second, cs.env, rng))
 
 
 def _rrt_batched_cone(cull, fast):

@@ -243,9 +243,7 @@ class TestBlocksEqualLoop:
         cs = EuclideanCSpace(by_name("med-cube"))
         assert type(PRMRegionPlanner(cs, 27, 4, seed=1).planner.sampler) is UniformSampler
         init = PRMRegionPlanner.__init__
-        for flag, value in (
-            ("batched", False), ("fail_fast", True), ("connect_same_component", True),
-        ):
+        for flag, value in (("batched", False), ("connect_same_component", True)):
             def flipped(self, *args, flag=flag, value=value, **kwargs):
                 init(self, *args, **kwargs)
                 setattr(self.planner, flag, value)

@@ -6,8 +6,6 @@ import pytest
 from repro.geometry import AABB
 from repro.planners import PRM
 
-from .oracle import assert_same, digest
-
 
 class TestPRMBuild:
     def test_builds_requested_samples(self, box_cspace, rng):
@@ -117,21 +115,3 @@ class TestConnectRoadmaps:
         stats = planner.connect_roadmaps(rmap, ids_a, np.empty(0, dtype=np.int64))
         assert stats.lp_calls == 0
 
-
-class TestBatchedParity:
-    """``fail_fast`` stops validating a segment at its first colliding
-    point: the same verdicts as the full batch, for fewer checks.  (The
-    batched paths' parity with the sequential loop is the oracle matrix's
-    ``prm-batched`` rows.)"""
-
-    def test_fail_fast_same_verdicts_fewer_checks(self, box_cspace):
-        ref, ff = (
-            PRM(box_cspace, k=5, batched=True, fail_fast=f).build(100, np.random.default_rng(11))
-            for f in (False, True)
-        )
-        want, got = digest(ref), digest(ff)
-        assert_same(got, want, ignore=("stats",))
-        r, f = want["stats"], got["stats"]
-        assert f["lp_checks"] <= r["lp_checks"]
-        for field in ("lp_calls", "lp_successes", "edges_added", "nn_queries"):
-            assert r[field] == f[field]

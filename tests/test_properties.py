@@ -96,10 +96,10 @@ def test_union_find_matches_bfs_components(script):
     for u in range(n):
         for v in range(u + 1, n):
             assert rmap.same_component(u, v) == (label[u] == label[v])
-    # component_id is a consistent labelling: equal iff same BFS component.
-    for comp in comps:
-        ids = {rmap.component_id(v) for v in comp}
-        assert len(ids) == 1
+    # component_slot is a consistent labelling: equal iff same BFS component.
+    slots = [{rmap.component_slot(v) for v in comp} for comp in comps]
+    assert all(len(s) == 1 for s in slots)
+    assert len(set().union(*slots)) == len(comps)
 
 
 @property_test(_edge_script_strategy, _edge_script_fallback)

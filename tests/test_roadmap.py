@@ -328,13 +328,6 @@ class TestDigest:
 
 
 class TestMetricAndComponents:
-    def test_metric_supplies_default_weight(self):
-        rm = Roadmap(2, metric=lambda a, b: 42.0)
-        rm.add_vertex([0.0, 0.0], vid=0)
-        rm.add_vertex([3.0, 4.0], vid=1)
-        rm.add_edge(0, 1)
-        assert rm.neighbors(0)[1] == 42.0
-
     def test_default_weight_is_euclidean(self):
         rm = Roadmap(2)
         rm.add_vertex([0.0, 0.0], vid=0)
@@ -348,11 +341,11 @@ class TestMetricAndComponents:
             rm.add_vertex(rng.uniform(-1, 1, size=2), vid=i)
         for u, v in [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8)]:
             rm.add_edge(u, v, 1.0)
+        label = {v: i for i, comp in enumerate(rm.connected_components()) for v in comp}
         for a in range(12):
             for b in range(12):
                 same_by_slot = rm.component_slot(a) == rm.component_slot(b)
-                same_by_id = rm.component_id(a) == rm.component_id(b)
-                assert same_by_slot == same_by_id
+                assert same_by_slot == (label[a] == label[b])
 
 
 def _random_graph(seed, n=40, m=90):

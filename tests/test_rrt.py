@@ -20,9 +20,10 @@ class TestRRTGrow:
     def test_parents_form_tree_to_root(self, box_cspace, rng):
         res = RRT(box_cspace, step_size=0.5).grow(np.array([-4.0, -4.0]), 60, rng)
         for vid in res.tree.vertices():
-            path = res.path_to_root(vid)
-            assert path[-1] == res.root_id
-            assert len(path) <= res.tree.num_vertices
+            path = [vid]
+            while path[-1] != res.root_id:
+                path.append(res.parents[path[-1]])
+                assert len(path) <= res.tree.num_vertices
 
     def test_step_size_respected(self, box_cspace, rng):
         step = 0.4
@@ -44,16 +45,6 @@ class TestRRTGrow:
         _ids, cfgs = res.tree.configs_array()
         assert (cfgs[:, 0] <= -2.0 + 1e-9).all()
 
-    def test_goal_early_exit(self, box_cspace, rng):
-        root = np.array([-4.0, -4.0])
-        goal = np.array([-3.0, -3.0])
-        res = RRT(box_cspace, step_size=0.5, goal_bias=0.3).grow(
-            root, 500, rng, goal=goal, goal_tolerance=0.5
-        )
-        _ids, cfgs = res.tree.configs_array()
-        dists = np.linalg.norm(cfgs - goal, axis=1)
-        assert dists.min() <= 0.5
-
     def test_bias_target_pulls_growth(self, box_cspace):
         root = np.array([-4.0, -4.0])
         target = np.array([4.0, -4.0])
@@ -63,16 +54,11 @@ class TestRRTGrow:
         _ids, cfgs = biased.tree.configs_array()
         assert cfgs[:, 0].max() > 0.0  # reached the right half
 
-    def test_extension_validation(self, box_cspace, rng):
+    def test_extension_validation(self, box_cspace):
         with pytest.raises(ValueError):
             RRT(box_cspace, step_size=0.0)
         with pytest.raises(ValueError):
             RRT(box_cspace, goal_bias=1.5)
-        tree_res = RRT(box_cspace).grow(np.array([-4.0, -4.0]), 10, rng)
-        with pytest.raises(ValueError):
-            RRT(box_cspace).grow(
-                np.array([-4.0, -4.0]), 10, rng, tree=tree_res.tree
-            )
 
     def test_deterministic_given_seed(self, box_cspace):
         r1 = RRT(box_cspace, step_size=0.5).grow(

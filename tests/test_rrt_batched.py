@@ -15,7 +15,6 @@ from repro.cspace.space import ConfigurationSpace, EuclideanCSpace
 from repro.geometry.environment import Environment
 from repro.geometry.environments import med_cube, mixed_30_env
 from repro.geometry.primitives import AABB
-from repro.planners.roadmap import Roadmap
 from repro.planners.rrt import RRT
 from repro.runtime.faults import Fault, FaultInjector
 from repro.subdivision.radial import ConeRegion, RadialSubdivision
@@ -72,15 +71,10 @@ class TestGrowParity:
         self._agree(seed, bias_target=np.array([4.0, 4.0]))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_goal_early_exit(self, seed):
-        # The goal draw lands mid-block: growth must stop on the exact
+    def test_budget_exit_mid_block(self, seed):
+        # The last node lands mid-block: growth must stop on the exact
         # iteration the oracle stops on, not at the block boundary.
-        self._agree(seed, goal=np.array([4.5, -4.5]), goal_tolerance=0.6)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bias_and_goal(self, seed):
-        self._agree(seed, bias_target=np.array([4.0, 4.0]), goal=np.array([4.5, -4.5]),
-                    goal_tolerance=0.5)
+        self._agree(seed, n_nodes=37, bias_target=np.array([4.0, 4.0]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_iteration_cap_mid_block(self, seed):
@@ -104,21 +98,6 @@ class TestGrowParity:
         assert_agree(lambda b: _grow(b, 42, 300, cspace=EuclideanCSpace(med_cube()),
                                      root=np.full(3, -9.0), rrt={"step_size": 0.6},
                                      within=self.domain(3)))
-
-    def test_id_base_extension_mode(self):
-        # Grow, then extend the returned tree under a different id_base.
-        def run(batched):
-            cspace = _fresh_cspace()
-            rrt = RRT(cspace, step_size=0.5, batched=batched)
-            root = np.array([-4.0, -4.0])
-            first = rrt.grow(root, 20, np.random.default_rng(3), id_base=1 << 20,
-                             within=self.domain(2))
-            second = rrt.grow(root, 20, np.random.default_rng(4), tree=first.tree,
-                              parents=first.parents, root_id=first.root_id, id_base=2 << 20,
-                              within=self.domain(2))
-            return digest(second, cspace.env)
-
-        assert_agree(run)
 
 
 class TestGrowParityInCone(TestGrowParity):
@@ -153,7 +132,7 @@ class TestGrowParityInCone(TestGrowParity):
 class TestConsecutiveCalls:
     """Both paths leave the caller's Generator in the same state, so a
     second ``grow`` on it (which starts from whatever the first left
-    behind) stays identical too — early exits included."""
+    behind) stays identical too — budget exits mid-block included."""
 
     domain = staticmethod(lambda dim: None)
 
@@ -162,10 +141,9 @@ class TestConsecutiveCalls:
         [
             {},  # unbiased: one bulk draw per block, node budget met mid-block
             {"bias_target": np.array([4.0, 4.0])},
-            {"goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
-            {"max_iterations": 100},  # cap, not an early exit
+            {"max_iterations": 100},  # cap, not a budget exit
         ],
-        ids=["plain", "bias", "goal", "cap"],
+        ids=["plain", "bias", "cap"],
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_two_grows_on_one_generator(self, seed, grow_kwargs):
@@ -175,11 +153,8 @@ class TestConsecutiveCalls:
             rng = np.random.default_rng(seed)
             root, within = np.array([-4.0, -4.0]), self.domain(2)
             first = rrt.grow(root, 20, rng, within=within, **grow_kwargs)
-            second = rrt.grow(
-                root, 20, rng, tree=first.tree, parents=first.parents, root_id=first.root_id,
-                id_base=1 << 20, within=within, **grow_kwargs,
-            )
-            return digest(second, cspace.env, rng)
+            second = rrt.grow(root, 20, rng, id_base=1 << 20, within=within, **grow_kwargs)
+            return {"first": digest(first), "second": digest(second, cspace.env, rng)}
 
         assert_agree(run)
 
@@ -190,16 +165,14 @@ class TestConsecutiveCallsInCone(TestConsecutiveCalls):
 
 class TestBlockDraw:
     """The batched path draws a block's doubles in one ``rng.random`` call,
-    walks the bias gates over them and maps every uniform row in one
+    walks the bias gate over them and maps every uniform row in one
     ``cspace.sample(unit=...)`` call; the generator is then rewound to
-    where the oracle stops.  Every gate combination, both extremes of
-    ``goal_bias``, the iteration cap and the goal exit mid-block."""
+    where the oracle stops.  With and without the gate, both extremes of
+    ``goal_bias``, the iteration cap and the budget exit mid-block."""
 
     GATES = {
+        "none": {},
         "bias": {"bias_target": np.array([4.0, 4.0])},
-        "goal": {"goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
-        "bias+goal": {"bias_target": np.array([4.0, 4.0]),
-                      "goal": np.array([4.5, -4.5]), "goal_tolerance": 0.6},
     }
 
     @staticmethod
@@ -227,22 +200,23 @@ class TestBlockDraw:
         bat, bat_calls = self._counted_grow(monkeypatch, True, goal_bias, within, kwargs)
         assert_same(bat, seq)
         assert all(bat_calls) and not any(seq_calls)  # every batched call maps rows
-        if goal_bias == 1.0:
-            # The first gate always fires: no block has a uniform row, so
-            # none makes a mapping call.
+        if goal_bias == 1.0 and gates == "bias":
+            # The gate always fires: no block has a uniform row, so none
+            # makes a mapping call.
             assert bat_calls == [] and seq_calls == []
-        elif goal_bias == 0.0:
+        elif goal_bias == 0.0 or gates == "none":
             assert len(seq_calls) == seq["stats"]["nn_queries"]  # every draw uniform
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_goal_exit_mid_block_in_the_cone(self, monkeypatch, seed):
-        """A goal exit inside a block rewinds to the exact double the
-        oracle stopped at, with the gates in play."""
-        kwargs = dict(self.GATES["bias+goal"], goal=np.array([-2.0, -3.0]), goal_tolerance=0.7)
+    def test_budget_exit_mid_block_in_the_cone(self, monkeypatch, seed):
+        """A node-budget exit inside a block rewinds to the exact double
+        the oracle stopped at, with the bias gate in play."""
+        kwargs = dict(self.GATES["bias"], max_iterations=400)
         seq, _ = self._counted_grow(monkeypatch, False, 0.2, _corner_cone(2), kwargs, seed)
         bat, _ = self._counted_grow(monkeypatch, True, 0.2, _corner_cone(2), kwargs, seed)
         assert_same(bat, seq)
-        assert seq["stats"]["samples_accepted"] < 60  # it did stop on the goal
+        assert seq["stats"]["samples_accepted"] == 60  # it stopped on the budget
+        assert seq["stats"]["nn_queries"] < 400  # not on the cap
 
 
 class TestOneProposalCallPerBlock:
@@ -307,15 +281,6 @@ class TestEdgeCases:
         ))
         assert out["stats"]["nn_queries"] == 300
         assert 0 < out["stats"]["samples_accepted"] < 50
-
-    def test_empty_tree_breaks(self):
-        """Extension mode with an empty tree: one charged NN query, then
-        the loop breaks — identically on both paths."""
-        out = assert_agree(lambda b: _grow(
-            b, 5, 10, rrt={}, tree=Roadmap(2), parents={}, root_id=0,
-        ))
-        assert out["ids"] == ()
-        assert (out["stats"]["nn_queries"], out["stats"]["nn_distance_evals"]) == (1, 0)
 
     def test_zero_node_request(self):
         out = assert_agree(lambda b: _grow(b, 1, 0, rrt={}))

@@ -401,7 +401,7 @@ class TestLocalParityMatrix:
         kwargs = dict(seed=5, k=6, lp_resolution=0.25, narrow_passage_boost=0.0)
         default = PRMRegionPlanner(cspace, 27, 6, **kwargs)
         rids = default.region_ids
-        for flag, value in (("batched", False), ("fail_fast", True)):
+        for flag, value in (("batched", False), ("connect_same_component", True)):
             other = PRMRegionPlanner(cspace, 27, 6, **kwargs)
             setattr(other.planner, flag, value)
             assert not other.planner.runs_blocks

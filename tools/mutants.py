@@ -177,11 +177,18 @@ MUTANTS = [
         (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[prm-batched-space-bvh]"),
     ),
     Mutant(
-        "batched connect_roadmaps ignores components with pending pairs",
+        "a one-adjacency batched connect takes the sequential loop",
         "repro/planners/prm.py",
-        "if ru == rv or ru in pending_roots or rv in pending_roots:",
-        "if ru == rv:",
-        (f"{MATRIX}[prm-batched-box-reference]", f"{MATRIX}[prm-batched-box-bvh]"),
+        "        if self.batched and not self.connect_same_component:\n            whole = ",
+        "        if False:\n            whole = ",
+        ("tests/test_parallel_prm.py::TestBlocksEqualLoop",),
+    ),
+    Mutant(
+        "a bias draw does not consume its double",
+        "repro/planners/rrt.py",
+        '                    keys[b] = "bias"\n',
+        '                    keys[b] = "bias"\n                    pos -= 1\n',
+        (f"{MATRIX}[rrt-batched-space-reference]", f"{MATRIX}[rrt-batched-cone-reference]"),
     ),
     Mutant(
         "every task of a chunk runs the chunk's first task",
