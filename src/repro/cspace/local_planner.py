@@ -4,6 +4,15 @@ Local planning is the dominant cost of roadmap construction ("the most time
 consuming phase of the entire computation", Sec. III-B), so the planner
 reports how many intermediate validity checks it performed; the simulated
 runtime charges virtual time per check.
+
+The batched twins (``batch_pairs_counted`` / ``batch_pairs_exact``) test a
+box certificate before any point: a segment whose endpoint box, padded
+well past rounding, ``ConfigurationSpace.boxes_valid`` certifies free is
+valid without interpolating a point, and its checks are charged all the
+same, so verdicts, check counts and every virtual time are what checking
+each point gives (docs/kernels.md, "Segment certificate").  The scalar
+``__call__`` checks every point: it is the oracle the batched twins are
+compared against.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ import numpy as np
 from .space import ConfigurationSpace
 
 __all__ = ["LocalPlanResult", "StraightLinePlanner"]
+
+#: Relative pad of a segment's endpoint box before it is certified: far
+#: wider than the few ulps rounding can move an interpolated point.
+_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,6 +41,52 @@ class LocalPlanResult:
     valid: bool
     checks: int
     length: float
+
+
+def _certified(
+    cspace: ConfigurationSpace, starts: np.ndarray, ends: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """``(m,)`` bool: the space certifies segment ``i``'s endpoint box,
+    padded by ``_PAD * (1 + max |coord|)`` per axis, free; its
+    ``points[i]`` checks are charged, not run."""
+    lo = np.minimum(starts, ends)
+    hi = np.maximum(starts, ends)
+    pad = _PAD * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    return cspace.boxes_valid(lo - pad, hi + pad, points)
+
+
+def _check_segments(
+    cspace: ConfigurationSpace, starts: np.ndarray, ends: np.ndarray, steps: np.ndarray,
+    exact: bool,
+) -> np.ndarray:
+    """The two batched twins' shared tail: ``(m,)`` validity of the
+    segments, ``steps[i]`` interior points each, in one validity call.
+
+    A segment whose padded endpoint box ``cspace.boxes_valid``
+    certifies builds no points (the space charges them).  Every check
+    point is ``s + t*(e - s)`` with ``t`` in ``[0, 1]``; rounding puts
+    it at most a few ulps of its coordinate outside
+    ``[min(s, e), max(s, e)]`` (at ``t = 1``, ``s + (e - s)`` need not
+    round to ``e``), far inside the pad.  The argument needs a finite
+    ``e - s``, which a segment with checks has: its length is finite.
+    """
+    m = steps.shape[0]
+    n = np.where(_certified(cspace, starts, ends, steps), 0, steps)
+    total = int(n.sum())
+    if total == 0:
+        return np.ones(m, dtype=bool)
+    # Segment i's check parameters are j/(n_i+1), j = 1..n_i, built all
+    # at once with repeat/cumsum indexing.  The scalar path takes them
+    # from ``linspace(0, 1, n+2)[1:-1]``, which numpy evaluates as
+    # ``j * step`` with ``step = 1/(n+1)``: ``exact`` reproduces that
+    # (asserted by the parity tests).
+    seg = np.repeat(np.arange(m), n)
+    offsets = np.concatenate(([0], np.cumsum(n)))
+    j = np.arange(total) - offsets[seg] + 1
+    t = j * (1.0 / (steps[seg] + 1)) if exact else j / (steps[seg] + 1)
+    pts = cspace.interpolate_pairs(starts[seg], ends[seg], t)
+    ok = cspace.valid(pts)
+    return np.bincount(seg[~ok], minlength=m) == 0
 
 
 class StraightLinePlanner:
@@ -62,10 +121,13 @@ class StraightLinePlanner:
         """Validate many segments in one vectorised validity call.
 
         ``starts``/``ends`` are ``(m, dof)``.  Returns
-        ``(valid_mask, total_checks, lengths)``, with identical semantics
-        to calling the planner ``m`` times (same check counts), but with
-        per-point collision work batched into a single NumPy broadcast —
-        the hot-path optimisation the HPC guides call for.
+        ``(valid_mask, total_checks, lengths)``, what calling the planner
+        ``m`` times returns except where the vectorised norm of
+        :meth:`batch_pairs_counted` is one ulp off the scalar distance and
+        flips ``ceil(dist / resolution)``: there the step count, and so the
+        check count, differs by one (:meth:`batch_pairs_exact` is the
+        bit-exact twin).  Per-point collision work is batched into a single
+        validity call.
         """
         ok, steps, lengths = self.batch_pairs_counted(cspace, starts, ends)
         return ok, int(steps.sum()), lengths
@@ -82,22 +144,9 @@ class StraightLinePlanner:
         """
         starts = np.atleast_2d(np.asarray(starts, dtype=float))
         ends = np.atleast_2d(np.asarray(ends, dtype=float))
-        m = starts.shape[0]
         lengths = cspace.distance_pairs(starts, ends)
         steps = np.maximum(np.ceil(lengths / self.resolution).astype(int) - 1, 0)
-        total = int(steps.sum())
-        if total == 0:
-            return np.ones(m, dtype=bool), steps, lengths
-        # For segment i the check parameters are j/(n_i+1), j = 1..n_i;
-        # build them all at once with repeat/cumsum indexing.
-        seg = np.repeat(np.arange(m), steps)
-        offsets = np.concatenate(([0], np.cumsum(steps)))
-        j = np.arange(total) - offsets[seg] + 1
-        t = j / (steps[seg] + 1)
-        pts = cspace.interpolate_pairs(starts[seg], ends[seg], t)
-        ok = cspace.valid(pts)
-        bad_counts = np.bincount(seg[~ok], minlength=m)
-        return bad_counts == 0, steps, lengths
+        return _check_segments(cspace, starts, ends, steps, exact=False), steps, lengths
 
     def batch_pairs_exact(
         self, cspace: ConfigurationSpace, starts: np.ndarray, ends: np.ndarray
@@ -123,21 +172,7 @@ class StraightLinePlanner:
         for i in range(m):
             lengths[i] = float(cspace.distance(starts[i], ends[i]))
         steps = np.maximum(np.ceil(lengths / self.resolution).astype(np.int64) - 1, 0)
-        total = int(steps.sum())
-        if total == 0:
-            return np.ones(m, dtype=bool), steps, lengths
-        # The scalar path takes its check parameters from
-        # ``linspace(0, 1, n+2)[1:-1]``, which numpy evaluates as
-        # ``i * step`` with ``step = 1/(n+1)`` — reproduced here exactly
-        # for all segments at once (asserted by the parity tests).
-        seg = np.repeat(np.arange(m), steps)
-        offsets = np.concatenate(([0], np.cumsum(steps)))
-        j = np.arange(total) - offsets[seg] + 1
-        t = j * (1.0 / (steps[seg] + 1))
-        pts = cspace.interpolate_pairs(starts[seg], ends[seg], t)
-        ok = cspace.valid(pts)
-        bad_counts = np.bincount(seg[~ok], minlength=m)
-        return bad_counts == 0, steps, lengths
+        return _check_segments(cspace, starts, ends, steps, exact=True), steps, lengths
 
     def batch_pairs_chunked(
         self,

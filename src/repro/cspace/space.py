@@ -111,6 +111,13 @@ class ConfigurationSpace(ABC):
     def valid_single(self, config: np.ndarray) -> bool:
         return bool(np.atleast_1d(self.valid(np.atleast_2d(config)))[0])
 
+    def boxes_valid(self, lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Certificate mask: True only where every configuration in the box
+        ``lo[i]..hi[i]`` is valid.  A caller skips the ``points[i]``
+        validity checks a certified box settles; the space charges them as
+        :meth:`valid` would.  This default certifies nothing."""
+        return np.zeros(len(points), dtype=bool)
+
 
 class EuclideanCSpace(ConfigurationSpace):
     """Point-robot configuration space: C-space coincides with the workspace."""
@@ -121,6 +128,9 @@ class EuclideanCSpace(ConfigurationSpace):
 
     def valid(self, configs: np.ndarray) -> np.ndarray:
         return ~self.env.points_in_collision(configs)
+
+    def boxes_valid(self, lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return self.env.boxes_free(lo, hi, points)
 
     def segment_valid(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Exact continuous validity of the straight segment (point robot)."""

@@ -315,6 +315,20 @@ class Environment:
         self.counters.charge(segments=p.shape[0] * max(1, self._obs_lo.shape[0]))
         return ~self._resolve_kernels(kernels).segments_free(self.kernel_data(), p, q)
 
+    def boxes_free(self, lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Certificate mask: True where every point of the box
+        ``lo[i]..hi[i]`` is free (False: not certified, check the points).
+
+        ``points[i]`` is how many points of box ``i`` the caller would
+        check.  A certified box's points are charged as
+        :meth:`points_in_collision` would charge them, so the counters —
+        and the virtual time they drive — do not depend on the certificate.
+        """
+        free = self._kernels.boxes_free(self.kernel_data(), lo, hi)
+        skipped = int(points[free].sum())
+        self.counters.charge(points=skipped * max(1, self._obs_lo.shape[0]))
+        return free
+
     # -- ray probes (used by the k-rays RRT weight estimator) ----------------
     def ray_free_distance(self, origin: np.ndarray, direction: np.ndarray, max_dist: float) -> float:
         """Distance travelled from ``origin`` along ``direction`` before

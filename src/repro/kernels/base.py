@@ -1,9 +1,10 @@
 """The narrow kernel interface both collision backends implement.
 
-A backend supplies four primitives:
+A backend supplies five primitives:
 
 * :meth:`KernelBackend.points_free` — point-set collision masks,
 * :meth:`KernelBackend.segments_free` — batched exact segment tests,
+* :meth:`KernelBackend.boxes_free` — a free-box certificate,
 * :meth:`KernelBackend.pairwise_accumulate` — blocked k-NN distance
   accumulation, and
 * :meth:`KernelBackend.knn_block_min` — top-k selection over a stored
@@ -22,6 +23,11 @@ with ROADMAP item 2(b).  Contracts:
   NumPy expressions, and ``bvh`` culls with a conservative tree but
   decides with the reference expressions, so it is bit-exact with
   ``reference`` (``tests/test_bvh.py``).
+* ``boxes_free`` is the one primitive whose answers may differ between
+  backends: it is a certificate, not a test.  True promises that every
+  point of the closed box is free; False promises nothing, so a backend
+  may answer False for any box (``bvh`` does, for all of them).  Callers
+  use it only to skip ``points_free`` work whose verdict it settles.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ class KernelBackend(ABC):
         """``(n,)`` bool: both endpoints are in bounds and the swept
         segment ``p[i] -> q[i]`` intersects no obstacle (exact test, not
         sampled).  ``p``/``q`` have shape ``(n, d)``."""
+
+    @abstractmethod
+    def boxes_free(self, data: EnvKernelData, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``(n,)`` bool certificate: True only if every point of the
+        closed box ``lo[i]..hi[i]`` is free, so ``points_free`` would
+        answer True for any point in it.  False means "not certified", not
+        "blocked".  ``lo``/``hi`` have shape ``(n, d)``; a box with a NaN
+        or infinite corner is never certified."""
 
     # -- distances ---------------------------------------------------------
     @abstractmethod

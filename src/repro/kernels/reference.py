@@ -18,6 +18,10 @@ at a time as ``(n, m)`` planes instead.  Scan and tree share operators,
 not a function, and stay bit-exact because a float comparison has no
 layout: each ``(point, box, axis)`` entry is the same ``>=`` / ``<=``
 whichever array holds it (see ``repro.kernels.bvh_backend``).
+
+``boxes_apart`` is the box certificate's scan, laid out like the point
+scan: one strict separating-axis comparison per axis as ``(n, m)`` planes,
+OR-ed together.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .select import select_canonical_rows
 
 __all__ = [
     "ReferenceKernels",
+    "boxes_apart",
     "pairwise_accumulate_exact",
     "point_in_box",
     "points_hit_boxes",
@@ -101,6 +106,26 @@ def points_hit_boxes(box_lo: np.ndarray, box_hi: np.ndarray, pts: np.ndarray) ->
     return inside.any(axis=1)
 
 
+def boxes_apart(
+    box_lo: np.ndarray, box_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """``(n,)`` bool: query box ``i`` is strictly apart from each of the
+    ``m`` boxes on some axis, so no point of it is in any of them.
+
+    Strict comparisons, because :func:`point_in_box` is inclusive: a point
+    on a face is inside.
+    """
+    apart = np.empty((lo.shape[0], box_lo.shape[0]), dtype=bool)
+    plane = np.empty_like(apart)
+    for j in range(lo.shape[1]):
+        np.less(hi[:, j, None], box_lo[:, j], out=plane if j else apart)
+        if j:
+            apart |= plane
+        np.greater(lo[:, j, None], box_hi[:, j], out=plane)
+        apart |= plane
+    return apart.all(axis=1)
+
+
 def segment_hits_box(lo: np.ndarray, hi: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Slab test of the segment ``p -> q`` against the box, reduced over
     the last axis with the leading axes broadcast.
@@ -163,6 +188,19 @@ class ReferenceKernels(KernelBackend):
         )
         if data.num_boxes:
             free = free & ~segments_hit_boxes(data.box_lo, data.box_hi, p, q)
+        return free
+
+    def boxes_free(self, data: EnvKernelData, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        lo = np.atleast_2d(np.asarray(lo, dtype=float))
+        hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        # Strictly inside the bounds: an infinite or NaN corner fails here.
+        free = np.all((lo > data.bounds_lo) & (hi < data.bounds_hi), axis=-1)
+        if data.num_boxes:
+            step = max(1, _SCAN_ELEMENTS // data.num_boxes)
+            for s in range(0, lo.shape[0], step):
+                free[s : s + step] &= boxes_apart(
+                    data.box_lo, data.box_hi, lo[s : s + step], hi[s : s + step]
+                )
         return free
 
     def pairwise_accumulate(self, stored: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:

@@ -36,6 +36,7 @@ CELL = "tests/test_shm_runtime.py::TestLocalParityMatrix::test_every_cell_equals
 PINNED = "tests/test_api.py::TestLocalExecution::test_frozen_adjacency_is_pinned"
 GOLDEN = "tests/test_simulator_golden.py"
 TIES = "tests/test_frozen.py::TestTieCertificate"
+CERT = "tests/test_segment_certificate.py"
 
 
 class Mutant(NamedTuple):
@@ -265,6 +266,21 @@ MUTANTS = [
         "d_goal = at_goal[:, :1] + w[0]",
         (f"{TIES}::test_equal_weight_lattice_falls_back",
          f"{TIES}::test_medcube_pool_needs_no_fallback"),
+    ),
+    Mutant(
+        "the segment certificate has no pad",
+        "repro/cspace/local_planner.py",
+        "return cspace.boxes_valid(lo - pad, hi + pad, points)",
+        "return cspace.boxes_valid(lo, hi, points)",
+        (f"{CERT}::test_certified_segments_have_every_point_free",),
+    ),
+    Mutant(
+        "the points of a certified segment are not charged",
+        "repro/geometry/environment.py",
+        "        self.counters.charge(points=skipped * max(1, self._obs_lo.shape[0]))\n",
+        "",
+        (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[rrt-batched-space-reference]",
+         f"{CERT}::test_twins_equal_a_run_without_the_certificate"),
     ),
     Mutant(
         "every termination level pays remote latency",
