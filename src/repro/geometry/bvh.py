@@ -57,6 +57,12 @@ DEFAULT_LEAF_SIZE = 8
 #: tests (see the grazing-segment cases in ``tests/test_bvh.py``).
 _NODE_MARGIN = 1e-9
 
+#: Stand-in centroid coordinate of a box infinite on that axis.  Any
+#: finite value is sound (node bounds reduce the exact primitive boxes);
+#: ``±1e300`` keeps a half-infinite box at its end of the axis and leaves
+#: every spread between stand-ins finite.
+_FAR = 1e300
+
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``arange(start[i], start[i] + count[i])`` for every ``i``, concatenated."""
@@ -126,7 +132,10 @@ class BVH:
             return
 
         order = np.arange(n, dtype=np.int64)
-        centers = 0.5 * (prim_lo + prim_hi)
+        # ``-inf + inf`` is NaN and two ``-inf`` centroids spread NaN: an
+        # infinite box's centroid is made finite, a finite one is untouched.
+        with np.errstate(invalid="ignore"):
+            centers = np.nan_to_num(0.5 * (prim_lo + prim_hi), nan=0.0, posinf=_FAR, neginf=-_FAR)
         # One pass per level.  ``a`` / ``b`` bound each node's slice of
         # ``order``; ``first`` is the id of the level's first node.
         levels = []

@@ -3,11 +3,13 @@
 Flat arrays over vertex rows (insertion order): ids, configurations
 (the layout of :class:`repro.knn.brute.BruteForceNN`) and degrees; an
 append-only edge log of ``(u_row, v_row)`` pairs, weights and a live
-mask; a union-find over rows for "would this edge merge two components?";
-and a duplicate index of sorted ``min_row << 32 | max_row`` keys that may
-lag the log.  :meth:`Roadmap.csr` stable-sorts the live log by row, which
-keeps each row's neighbours in insertion order (the order searches relax
-them in); a frozen snapshot serves from those very arrays.
+mask.  Everything else is derived from those and caught up only when
+asked: a union-find forest over rows for component questions (it unions
+the log in order from a cursor, so it equals the forest eager unions
+would have left), a duplicate index of sorted ``min_row << 32 | max_row``
+keys, and the CSR.  :meth:`Roadmap.csr` stable-sorts the live log by row,
+which keeps each row's neighbours in insertion order (the order searches
+relax them in); a frozen snapshot serves from those very arrays.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _component_labels(indptr: "list[int]", indices: "list[int]") -> "list[int]":
 class UnionFind:
     """Union-find over dense elements ``0, 1, ...`` with path compression
     and union by rank, in flat lists: plain ints beat NumPy scalars for
-    the many tiny find/union steps roadmap construction performs."""
+    the many tiny find/union steps a catch-up over an edge log performs."""
 
     __slots__ = ("_parent", "_rank", "num_sets")
 
@@ -131,7 +133,7 @@ class Roadmap:
         self._w = np.empty(_INITIAL_CAPACITY)
         self._live = np.empty(_INITIAL_CAPACITY, dtype=bool)
         self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []  # sorted keys, log positions
-        self._n = self._next_id = self._m = self.num_edges = self._indexed = 0
+        self._n = self._next_id = self._m = self.num_edges = self._indexed = self._unioned = 0
         self._csr: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
 
     # -- vertices ---------------------------------------------------------
@@ -147,7 +149,6 @@ class Roadmap:
         self._reserve(1, 0)
         self._ids[row], self._cfgs[row], self._deg[row] = vid, cfg, 0
         self._index[vid] = row
-        self._uf.extend(1)
         self._next_id = max(self._next_id, vid + 1)
         self._n, self._csr = row + 1, None
         return vid
@@ -174,7 +175,6 @@ class Roadmap:
         self._cfgs[lo : lo + k] = cfgs
         self._deg[lo : lo + k] = 0
         self._index.update(zip(vids, range(lo, lo + k)))
-        self._uf.extend(k)
         self._next_id = max(self._next_id, max(vids, default=-1) + 1)
         self._n, self._csr = lo + k, None
         return lo
@@ -235,7 +235,6 @@ class Roadmap:
         self._m = m + 1
         self._deg[a] += 1
         self._deg[b] += 1
-        self._uf.union(a, b)
         self.num_edges += 1
         self._csr = None
         return True
@@ -243,10 +242,10 @@ class Roadmap:
     def add_edges(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Insert many weighted undirected edges in order; leaves the
         roadmap in the state an :meth:`add_edge` loop would (adjacency
-        insertion order and union order included).  Returns the boolean
-        mask of edges actually inserted — one that already exists is
-        skipped, as :meth:`add_edge` returning False.  Self-loops and
-        missing endpoints raise before anything is inserted."""
+        and log order included).  Returns the boolean mask of edges
+        actually inserted — one that already exists is skipped, as
+        :meth:`add_edge` returning False.  Self-loops and missing
+        endpoints raise before anything is inserted."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         w = np.asarray(weights, dtype=float)
@@ -274,7 +273,7 @@ class Roadmap:
     def _insert(self, uv: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Append the row pairs ``uv`` (weights ``w``) to the log in order
         but for those already edges or repeated in the batch — one
-        membership test — then union them in order; returns the mask."""
+        membership test; returns the mask."""
         keys = _keys_of(uv)
         self._fold()
         fresh = np.zeros(keys.size, dtype=bool)
@@ -290,9 +289,6 @@ class Roadmap:
         self._live[m : m + k] = True
         self._m = m + k
         np.add.at(self._deg, uv.ravel(), 1)
-        union = self._uf.union
-        for a, b in zip(uv[:, 0].tolist(), uv[:, 1].tolist()):
-            union(a, b)
         self.num_edges += k
         self._csr = None
         return fresh
@@ -312,12 +308,33 @@ class Roadmap:
         self._runs.append((keys[order], pos[order]))
         self._indexed = m
 
+    def _forest(self) -> UnionFind:
+        """The union-find forest brought up to the end of the log: a
+        singleton per new row, then every entry past the union cursor
+        unioned in log order, dead ones too (each was an edge once, and
+        union-find does not split)."""
+        uf, lo, m = self._uf, self._unioned, self._m
+        uf.extend(self._n - len(uf._parent))
+        if lo < m:
+            union = uf.union
+            for a, b in self._uv[lo:m].tolist():
+                union(a, b)
+            self._unioned = m
+        return uf
+
     def _find(self, a: int, b: int) -> int:
-        """Log position of the edge between rows ``a`` and ``b``, or -1; two
-        union-find sets or a degree of 0 settle a miss first."""
-        uf = self._uf
-        if uf.root(a) != uf.root(b) or self._deg[a] == 0 or self._deg[b] == 0:
+        """Log position of the edge between rows ``a`` and ``b``, or -1; a
+        degree of 0, then two union-find sets settle a miss first."""
+        if self._deg[a] == 0 or self._deg[b] == 0:
             return -1
+        uf = self._forest()
+        if uf.root(a) != uf.root(b):
+            return -1
+        return self._lookup(a, b)
+
+    def _lookup(self, a: int, b: int) -> int:
+        """Log position of the edge between rows ``a`` and ``b`` by the
+        duplicate index alone, or -1."""
         self._fold()
         key = a << 32 | b if a < b else b << 32 | a
         for run, pos in self._runs:
@@ -327,9 +344,11 @@ class Roadmap:
         return -1
 
     def _edge(self, u: int, v: int) -> int:
-        """Log position of edge ``(u, v)``; KeyError when there is none."""
+        """Log position of edge ``(u, v)``; KeyError when there is none.
+        The edge is expected to exist, so no early miss is worth a
+        catch-up of the forest: the index is asked directly."""
         a, b = self._index.get(u), self._index.get(v)
-        e = -1 if a is None or b is None or a == b else self._find(a, b)
+        e = -1 if a is None or b is None or a == b else self._lookup(a, b)
         if e < 0:
             raise KeyError(f"edge ({u},{v}) does not exist")
         return e
@@ -343,10 +362,10 @@ class Roadmap:
         return float(self._w[self._edge(u, v)])
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete an undirected edge (its log entry goes dead).  Component
-        tracking is not rewound — union-find does not split — so callers
-        needing exact components after removal should use
-        :meth:`connected_components`."""
+        """Delete an undirected edge (its log entry goes dead).  The
+        union-find forest still unions the dead entry — union-find does not
+        split — so callers needing exact components after removal should
+        use :meth:`connected_components`."""
         e = self._edge(u, v)
         self._runs = [(run[pos != e], pos[pos != e]) for run, pos in self._runs]
         self._live[e] = False
@@ -398,16 +417,16 @@ class Roadmap:
     # -- components ------------------------------------------------------------
     def same_component(self, u: int, v: int) -> bool:
         """Fast, union-find-based check (exact as long as no edges were removed)."""
-        return self._uf.same_set(self._index[u], self._index[v])
+        return self._forest().same_set(self._index[u], self._index[v])
 
     def component_slot(self, vid: int) -> int:
         """Opaque dense label of ``vid``'s component, equality-comparable;
         stable only until the next edge."""
-        return self._uf.find(self._index[vid])
+        return self._forest().find(self._index[vid])
 
     @property
     def num_components_fast(self) -> int:
-        return self._uf.num_sets
+        return self._forest().num_sets
 
     def connected_components(self) -> "list[set[int]]":
         """Exact connected components by BFS (robust to edge removals)."""
@@ -426,7 +445,7 @@ class Roadmap:
         refer to identical configurations.  Leaves the state of appending
         the missing vertices in ``other``'s row order, then an
         :meth:`add_edge` loop over ``other``'s edges in :meth:`edges` order
-        (lower id first) — in one membership test and one union pass."""
+        (lower id first) — in one membership test."""
         ids, cfgs = other.configs_array()
         if cfgs.shape[1] != self.dim:
             raise ValueError("cannot merge roadmaps of different dimension")
@@ -448,12 +467,14 @@ class Roadmap:
     @contextmanager
     def transient(self):
         """A block whose changes are undone on exit — rows, edge log, next
-        id and union-find forest rewind to a mark taken on entry — for
-        temporary vertices such as a query's start and goal."""
-        uf = self._uf
-        self._fold()  # the mark keeps a caught-up index, so later blocks start from it
+        id, union-find forest and both cursors rewind to a mark taken on
+        entry — for temporary vertices such as a query's start and goal."""
+        # The mark keeps a caught-up index and forest, so later blocks start from them.
+        self._fold()
+        uf = self._forest()
         mark = (self._n, self._m, self._next_id, self.num_edges, self._runs[:],
-                self._indexed, self._csr, uf._parent[:], uf._rank[:], uf.num_sets)
+                self._indexed, self._unioned, self._csr,
+                uf._parent[:], uf._rank[:], uf.num_sets)
         deg, live = self._deg[: self._n].copy(), self._live[: self._m].copy()
         try:
             yield self
@@ -461,7 +482,8 @@ class Roadmap:
             for vid in self._ids[mark[0] : self._n].tolist():
                 del self._index[vid]
             (self._n, self._m, self._next_id, self.num_edges, self._runs,
-             self._indexed, self._csr, uf._parent, uf._rank, uf.num_sets) = mark
+             self._indexed, self._unioned, self._csr,
+             uf._parent, uf._rank, uf.num_sets) = mark
             self._deg[: self._n], self._live[: self._m] = deg, live
 
     # -- freezing -----------------------------------------------------------

@@ -15,6 +15,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +473,25 @@ class TestBuildInvariants:
         tree = BVH(lo, hi, leaf_size=8)
         _assert_build_invariants(tree, lo, hi)
         assert _depth(tree) == 8
+
+    @pytest.mark.parametrize("case", ["both ways", "same way"])
+    def test_infinite_boxes_build_without_warnings(self, case):
+        """A box infinite both ways on an axis has a NaN centroid, and two
+        half-infinite slabs opening the same way in one node spread
+        ``-inf - -inf``: the build warns on neither and stays exact."""
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-5, 5, size=(24, 2))
+        hi = lo + rng.uniform(0, 2, size=(24, 2))
+        if case == "both ways":
+            lo[:4, 0], hi[:4, 0] = -np.inf, np.inf
+        else:
+            lo[:6, 1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = BVH(lo, hi, leaf_size=1)
+        _assert_build_invariants(tree, lo, hi)
+        pts = rng.uniform(-8, 8, size=(200, 2))
+        _assert_tree_parity(tree, lo, hi, pts, pts, rng.uniform(-8, 8, size=(200, 2)))
 
     def test_warehouse(self, warehouse_20k):
         env, tree = warehouse_20k

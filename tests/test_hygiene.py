@@ -176,8 +176,9 @@ def test_detector_catches_known_bad_code():
 #: How a ``Roadmap`` stores its graph: only ``planners/roadmap.py`` and
 #: ``tests/oracle.py`` may know.
 _ROADMAP_STORAGE = {
-    "_ids", "_cfgs", "_deg", "_n", "_index", "_next_id", "_uf",  # vertices
+    "_ids", "_cfgs", "_deg", "_n", "_index", "_next_id",  # vertices
     "_uv", "_w", "_live", "_m",  # the edge log
+    "_uf", "_unioned",  # the union-find forest, the log position it has caught up to
     "_runs", "_indexed", "_csr",  # the duplicate index, the derived CSR
 }
 

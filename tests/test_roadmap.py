@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.planners import PRMBlock, Roadmap, UnionFind
+from repro.cspace import EuclideanCSpace
+from repro.geometry import AABB, Environment
+from repro.planners import PRMBlock, Roadmap, RoadmapQuery, UnionFind
 
 from .oracle import assert_same, digest
 
@@ -248,7 +250,7 @@ class TestArrayBackedStorage:
 
 
 class TestDuplicateIndex:
-    """``add_edge`` settles a duplicate by union-find sets, then degrees,
+    """``add_edge`` settles a duplicate by degrees, then union-find sets,
     then the sorted key index, which lags the log; any interleaving of
     scalar and bulk inserts, removals and lookups agrees with a plain set
     of edges."""
@@ -308,6 +310,130 @@ class TestTransient:
         assert_same(digest(rm), before)
         assert not rm.has_vertex(10) and rm.has_edge(0, 1) and not rm.has_edge(1, 2)
         assert rm.add_vertex(np.ones(2)) == 3
+
+
+def _pairs(rng, vids, k):
+    """``k`` random pairs of distinct vertex ids out of ``vids``."""
+    picks = [rng.choice(vids, size=2, replace=False).tolist() for _ in range(k)]
+    return [a for a, _b in picks], [b for _a, b in picks]
+
+
+_OPS = ("vertex", "vertices", "edge", "edges", "merge", "merge_block", "remove",
+        "transient", "read")
+
+
+def _play(rm, script, eager, inside=False):
+    """Run ``script`` — ``(op, seed)`` steps — on ``rm``, every argument
+    drawn from the seed and the roadmap's public state; returns what each
+    step answered.  ``eager`` asks a component question after every
+    mutation, so the forest unions each edge as it goes in."""
+    answers = []
+    for op, seed in script:
+        rng = np.random.default_rng(seed)
+        vids = rm.vertices().tolist()
+        edges = [(u, v) for u, v, _w in rm.edges()]
+        absent = np.setdiff1d(np.arange(96), vids)
+        if op == "vertex":
+            vid = int(rng.choice(absent)) if rng.random() < 0.5 and absent.size else None
+            answers.append(rm.add_vertex(rng.normal(size=2), vid))
+        elif op == "vertices" and absent.size:
+            new = rng.choice(absent, size=min(absent.size, int(rng.integers(1, 5))), replace=False)
+            rm.add_vertices(new, rng.normal(size=(new.size, 2)))
+        elif op == "edge" and len(vids) > 1:
+            (a,), (b,) = _pairs(rng, vids, 1)
+            answers.append(rm.add_edge(a, b, float(rng.uniform(0.1, 2.0))))
+        elif op == "edges" and len(vids) > 1:
+            u, v = _pairs(rng, vids, int(rng.integers(1, 6)))
+            u, v = u + v[:1], v + u[:1]  # an in-batch duplicate, reversed
+            for a, b in edges[:1]:  # and an existing edge
+                u, v = u + [b], v + [a]
+            answers.append(rm.add_edges(u, v, rng.uniform(0.1, 2.0, len(u))).tolist())
+        elif op in ("merge", "merge_block") and vids and absent.size > 2:
+            held = edges[:2]  # edges both hold, with their endpoints
+            shared = sorted(set(rng.choice(vids, size=min(len(vids), 3)).tolist())
+                            | {x for e in held for x in e})
+            ids = shared + rng.choice(absent, size=3, replace=False).tolist()
+            cfgs = np.concatenate((rm.configs_of(shared), rng.normal(size=(3, 2))))
+            u, v = _pairs(rng, ids, 5)
+            u, v = u + [a for a, _b in held], v + [b for _a, b in held]
+            if op == "merge":
+                other = Roadmap(2)
+                other.add_vertices(ids, cfgs)
+                other.add_edges(u, v, rng.uniform(0.1, 2.0, len(u)))
+            else:
+                other = PRMBlock(np.array(ids), cfgs, np.array([0, len(ids)]),
+                                 (np.array(u), np.array(v), rng.uniform(0.1, 2.0, len(u))), [])
+            rm.merge(other)
+        elif op == "remove" and edges:
+            a, b = edges[int(rng.integers(len(edges)))]
+            rm.remove_edge(b, a)
+        elif op == "transient" and not inside:
+            inner = list(zip(rng.choice(_OPS, size=6).tolist(), rng.integers(0, 2**32, 6).tolist()))
+            with rm.transient():
+                answers.append(_play(rm, inner, eager, inside=True))
+        elif op == "read" and vids:
+            a, b = rng.choice(vids, size=2).tolist()
+            answers.append((rm.component_slot(a), rm.same_component(a, b), rm.num_components_fast))
+        if eager:
+            _ = rm.num_components_fast
+    return answers
+
+
+class TestLazyForest:
+    """The union-find forest is caught up from the edge log only when a
+    component question is asked; whatever the interleaving, it equals the
+    forest of unioning every edge as it goes in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 2**32 - 1)),
+                           max_size=30))
+    def test_lazy_equals_eager(self, script):
+        lazy, eager = Roadmap(2), Roadmap(2)
+        assert _play(lazy, script, False) == _play(eager, script, True)
+        assert_same(digest(lazy), digest(eager))
+
+    def test_a_removed_edge_stays_unioned(self):
+        """An edge removed before any component question was still an
+        edge once, and union-find does not split."""
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
+        rm.add_edges([0, 1], [1, 2], np.ones(2))
+        rm.remove_edge(1, 0)
+        assert rm.same_component(0, 2) and rm.num_components_fast == 1
+
+    def test_a_duplicate_is_found_in_a_forest_that_lags(self):
+        """``add_edge`` asks whether two rows share a component before it
+        looks an edge up, so it catches the forest up first."""
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
+        assert rm.num_components_fast == 3  # every row has a forest entry
+        rm.add_edges([0, 1], [1, 2], np.ones(2))
+        assert not rm.add_edge(1, 0) and not rm.add_edge(2, 1) and rm.num_edges == 2
+
+    def test_edges_after_a_block_that_asked_are_unioned(self):
+        """A block that asks a component question moves the union cursor;
+        the exit rewinds it with the log, so later edges are unioned."""
+        rm = Roadmap(2)
+        rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
+        with rm.transient():
+            rm.add_vertex(np.ones(2), 9)
+            rm.add_edges([9, 9], [1, 2], np.ones(2))
+            assert rm.same_component(1, 2)
+        assert not rm.same_component(1, 2)
+        rm.add_edges([0, 1], [1, 2], np.ones(2))
+        assert rm.same_component(0, 2) and rm.num_components_fast == 1
+
+    def test_two_solves_leave_the_roadmap_as_it_was(self):
+        """Each solve catches the forest up on entering its block and
+        rewinds to that on exit: a twin never solved digests the same."""
+        cs = EuclideanCSpace(Environment(AABB([-5.0, -5.0], [5.0, 5.0]), []))
+        solved, twin = Roadmap(2), Roadmap(2)
+        for rm in (solved, twin):
+            rm.add_vertices(range(4), [[1.0, 1.0], [3.0, 1.0], [1.0, 3.0], [-3.0, -3.0]])
+            rm.add_edges([0, 1], [1, 2], np.ones(2))
+        for goal in ([1.0, 2.0], [-2.0, -3.0]):
+            assert RoadmapQuery(cs).solve(solved, np.array([2.0, 1.0]), np.array(goal))
+        assert_same(digest(solved), digest(twin))
 
 
 class TestDigest:

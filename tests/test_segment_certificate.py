@@ -67,11 +67,9 @@ def _world(seed: int, dim: int, m: int, n: int, center: float, special: bool):
     if center == 0.0:
         zero = rng.random((m, dim)) < 0.05
         lo[zero], hi[zero] = -0.0, 0.0
-    # Half-infinite slabs: a box infinite both ways on one axis gives the
-    # bvh build a NaN centre.
     slab = rng.integers(0, 40, (m, dim))
-    lo[slab == 0] = -np.inf
-    hi[slab == 1] = np.inf
+    lo[(slab == 0) | (slab == 2)] = -np.inf
+    hi[(slab == 1) | (slab == 2)] = np.inf
 
     def endpoints():
         shape = (n, dim)

@@ -37,6 +37,7 @@ PINNED = "tests/test_api.py::TestLocalExecution::test_frozen_adjacency_is_pinned
 GOLDEN = "tests/test_simulator_golden.py"
 TIES = "tests/test_frozen.py::TestTieCertificate"
 CERT = "tests/test_segment_certificate.py"
+LAZY = "tests/test_roadmap.py::TestLazyForest"
 
 
 class Mutant(NamedTuple):
@@ -120,8 +121,8 @@ MUTANTS = [
     Mutant(
         "add_edge takes an edge inside one component for new",
         "repro/planners/roadmap.py",
-        "or self._deg[a] == 0 or self._deg[b] == 0",
-        "or True",
+        "if uf.root(a) != uf.root(b):",
+        "if True:",
         ("tests/test_roadmap.py::TestRoadmap::test_duplicate_edge_returns_false",
          "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
     ),
@@ -147,6 +148,29 @@ MUTANTS = [
         "uf._parent, uf._rank",
         ("tests/test_query.py::TestRoadmapQuery::test_solve_leaves_components_alone",
          "tests/test_roadmap.py::TestTransient"),
+    ),
+    Mutant(
+        "the catch-up skips dead log entries",
+        "repro/planners/roadmap.py",
+        "for a, b in self._uv[lo:m].tolist():",
+        "for a, b in self._uv[lo:m][self._live[lo:m]].tolist():",
+        (f"{LAZY}::test_a_removed_edge_stays_unioned", f"{LAZY}::test_lazy_equals_eager"),
+    ),
+    Mutant(
+        "a transient block forgets the union cursor",
+        "repro/planners/roadmap.py",
+        "self._indexed, self._unioned, self._csr,\n             uf._parent",
+        "self._indexed, _unioned, self._csr,\n             uf._parent",
+        (f"{LAZY}::test_edges_after_a_block_that_asked_are_unioned",
+         f"{LAZY}::test_lazy_equals_eager"),
+    ),
+    Mutant(
+        "_find compares roots in a forest that has not caught up",
+        "repro/planners/roadmap.py",
+        "        uf = self._forest()\n        if uf.root(a) != uf.root(b):",
+        "        uf = self._uf\n        if uf.root(a) != uf.root(b):",
+        (f"{LAZY}::test_a_duplicate_is_found_in_a_forest_that_lags",
+         "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
     ),
     Mutant(
         "a block's measured time is shared equally, ignoring work",
