@@ -30,12 +30,12 @@ per region, entered through the same methods a single region uses
 (``UniformSampler.__call__``, ``PRM.build``, ``BruteForceNN.
 knn_block_growing`` / ``knn_batch_arrays``, ``PRM.connect_roadmaps``,
 whose one-region call is the one-segment case).  It is exact, not
-approximately equal, because :class:`PRMRegionPlanner` always plans with
-``connect_same_component=False``: no connection decision depends on an
-earlier outcome, every verdict is a function of geometry alone, every
-distance, interpolation and box test is elementwise, and each region keeps
-its own ``region_rng(seed, rid)`` stream — so batch composition cannot
-change a bit of the roadmap, the ledgers or the collision counters.  The
+approximately equal, because the PRM attempts every k-NN candidate: no
+connection decision depends on an earlier outcome, every verdict is a
+function of geometry alone, every distance, interpolation and box test is
+elementwise, and each region keeps its own ``region_rng(seed, rid)``
+stream — so batch composition cannot change a bit of the roadmap, the
+ledgers or the collision counters.  The
 one-region, one-adjacency loop, taken when the planner does not
 ``PRM.runs_blocks``, is the oracle the block passes replay
 (``tests/test_parallel_prm.py`` compares the two field for field).
@@ -264,8 +264,7 @@ class PRMRegionPlanner:
         self.seed = seed
         self.decomposition = UniformSubdivision(cspace.bounds, num_regions, overlap=overlap)
         self.planner = PRM(
-            cspace, local_planner=StraightLinePlanner(resolution=lp_resolution),
-            k=k, connect_same_component=False,
+            cspace, local_planner=StraightLinePlanner(resolution=lp_resolution), k=k
         )
         self.boost_samples = int(round(narrow_passage_boost * samples_per_region))
 

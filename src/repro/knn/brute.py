@@ -2,7 +2,10 @@
 
 O(n) per query but with NumPy constants small enough that it beats the
 tree structures below a few thousand points — the regime of regional
-roadmaps under heavy over-decomposition.
+roadmaps under heavy over-decomposition.  The PRM's construction asks it
+for whole blocks at once: :meth:`BruteForceNN.knn_block_growing` and
+``knn_batch_arrays(..., segments=)`` answer many independent segments
+in one padded distance pass, exactly as one finder per segment would.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class BruteForceNN(NeighborFinder):
     @staticmethod
     def _dist_block(stored: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
         """Write ``||stored[j] - queries[i]||`` into ``out[i, j]`` using
-        per-dimension 2-D accumulation (see :meth:`knn_block_growing`).
+        per-dimension 2-D accumulation (bit-identical to the per-query
+        ``np.linalg.norm`` of :meth:`knn`).
 
         Static — the batched RRT calls it directly for its frozen-tree
         distances.
@@ -222,82 +226,33 @@ class BruteForceNN(NeighborFinder):
 
     def knn_block_growing(
         self, ids: np.ndarray, points: np.ndarray, k: int, segments=None
-    ) -> "list[list[tuple[int, float]]] | tuple[np.ndarray, np.ndarray]":
+    ) -> "tuple[np.ndarray, np.ndarray]":
         """k-NN for a block of points as if queried/inserted one at a time.
 
         Query ``i`` searches the stored points plus ``points[:i]``, and all
         block points are inserted afterwards — exactly equivalent (same
         results, same :class:`KnnStats` charges) to the interleaved
         ``knn(points[i], k); add(ids[i], points[i])`` sequence the PRM
-        build loop performs, but with all distance work done in two
-        broadcasts instead of one per query.
+        build loop performs, but as one padded distance pass.  Neighbours
+        come back as the padded ``(ids, dists)`` arrays of
+        :meth:`knn_batch_arrays` (``-1`` / ``inf`` past a row's visible
+        points).
 
         ``segments = (stored_offsets, block_offsets)`` grows many
         independent blocks at once — block rows ``[bo[s], bo[s+1])`` on
         stored rows ``[so[s], so[s+1])`` and on their own earlier rows —
-        which is how a block of regional roadmaps is built in one pass.
-        Neighbours then come back as the padded ``(ids, dists)`` arrays
-        of :meth:`knn_batch_arrays` (``-1`` / ``inf`` past a row's visible
-        points) instead of tuple lists.
+        which is how a block of regional roadmaps is built in one pass;
+        without it the block is one segment over every stored point.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         ids = np.asarray(ids, dtype=np.int64)
-        m = points.shape[0]
-        if ids.shape[0] != m:
+        if ids.shape[0] != points.shape[0]:
             raise ValueError("ids and points length mismatch")
-        if segments is not None:
-            found = self._knn_segments(points, k, segments, block_ids=ids)
-            self.add_batch(ids, points)
-            return found
-        n0 = self._n
-        out: "list[list[tuple[int, float]]]" = []
-        if m == 0:
-            return out
-        # Row i of D holds query i's distances: stored points in columns
-        # [0, n0), earlier block points in columns [n0, n0+i); later block
-        # points (and self) are masked to +inf so one row-wise selection
-        # covers the whole block.
-        D = np.empty((m, n0 + m))
-        # Distances are accumulated per dimension in 2-D planes instead of
-        # reducing a (m, n, dim) broadcast: np.add.reduce over the last
-        # axis sums left to right, so `s = dx0²; s += dx1²; ...; sqrt(s)`
-        # produces bit-identical values to np.linalg.norm(diff, axis=2)
-        # (and to the per-query `knn` path) while never materialising the
-        # 3-D temporary — about a third of the memory traffic on the
-        # O(n²) floor of roadmap construction.
-        pairwise_accumulate_exact(self._points[:n0], points, D[:, :n0])
-        if m > 1:
-            pairwise_accumulate_exact(points, points, D[:, n0:])
-            # Mask self-distances and not-yet-visible later block points.
-            D[:, n0:][np.arange(m)[None, :] >= np.arange(m)[:, None]] = np.inf
-        else:
-            D[:, n0:] = np.inf
-        # Charge exactly what the interleaved loop would: a query against
-        # an empty structure (or with k<=0) returns early uncharged.
-        if k > 0:
-            charged = m if n0 else m - 1
-            self.stats.queries += max(charged, 0)
-            self.stats.distance_evals += m * n0 + m * (m - 1) // 2
-        all_ids = np.concatenate((self._ids[:n0], ids))
-        # Rows with fewer than k visible points (only the first k-n0 rows
-        # of a fresh structure) take per-row selection; the rest batch.
-        i0 = min(max(k - n0, 0), m) if k > 0 else m
-        for i in range(i0):
-            n = n0 + i
-            if n == 0 or k <= 0:
-                out.append([])
-                continue
-            d = D[i, :n]
-            order = self._select_canonical(d, min(k, n))
-            out.append([(int(all_ids[j]), float(d[j])) for j in order])
-        if i0 < m:
-            # Every row past i0 sees at least k finite (visible) distances,
-            # so the +inf mask never leaks into a selection.
-            sel, dists = self._select_canonical_rows(D[i0:], k)
-            for srow, drow in zip(sel, dists):
-                out.append([(int(all_ids[j]), float(dj)) for j, dj in zip(srow, drow)])
+        if segments is None:
+            segments = ([0, self._n], [0, points.shape[0]])
+        found = self._knn_segments(points, k, segments, block_ids=ids)
         self.add_batch(ids, points)
-        return out
+        return found
 
     def radius(self, query: np.ndarray, r: float, exclude: int | None = None) -> "list[tuple[int, float]]":
         if self._n == 0:

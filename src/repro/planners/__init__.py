@@ -4,7 +4,7 @@ from .engine import BatchQueryResult, QueryEngine, QueryRequest
 from .frozen import FrozenRoadmap
 from .prm import PRM, PRMBlock, PRMResult, PRMSegment
 from .query import QueryResult, RoadmapQuery, astar, dijkstra
-from .roadmap import Roadmap, UnionFind
+from .roadmap import Roadmap
 from .rrt import RRT, RRTResult
 from .stats import PlannerStats, WorkModel
 
@@ -22,7 +22,6 @@ __all__ = [
     "astar",
     "dijkstra",
     "Roadmap",
-    "UnionFind",
     "RRT",
     "RRTResult",
     "PlannerStats",

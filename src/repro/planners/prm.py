@@ -8,24 +8,17 @@ counts the virtual-time model charges for.
 
 The planner is one configuration: uniform rejection sampling
 (:class:`~repro.cspace.sampling.UniformSampler`), brute-force k-NN
-(:class:`~repro.knn.brute.BruteForceNN`) and a straight-line local planner.
-Its one-vertex-at-a-time loop (``batched=False``) is the oracle.  The
-default batched build predicts, validates and replays that loop in blocks
-of samples (:meth:`PRM._build_block`), *including* on the default
-``connect_same_component=True`` path: candidates are filtered by connected
-component first and only the survivors are validated, in an order that
-reproduces the loop's operation counts exactly.  ``PlannerStats`` and the
-environment's ``CollisionCounters`` are therefore field-for-field
-identical to the loop's; the virtual-time model depends on that.
-
-Without the component filter (``connect_same_component=False``, how the
-regional planner of the parallel build runs it) no decision depends on an
-earlier outcome, so :meth:`PRM.build` and :meth:`PRM.connect_roadmaps` also
-take a *block* of independent segments — many regions, many adjacencies —
-and run sampling, k-NN and local planning once over the block
-(:attr:`PRM.runs_blocks`, :class:`PRMBlock`).  A one-adjacency batched
-``connect_roadmaps`` is the block of one; with the component filter on,
-it takes the loop.
+(:class:`~repro.knn.brute.BruteForceNN`) and a straight-line local planner,
+with every k-NN candidate of a new vertex attempted.  No connection
+decision therefore depends on an earlier outcome, so the batched planner
+(the default) runs :meth:`PRM.build` and :meth:`PRM.connect_roadmaps` as
+array passes over a *block* of independent segments — many regions, many
+adjacencies — with sampling, k-NN and local planning each run once over
+the block (:class:`PRMBlock`).  One region or one adjacency is the block
+of one.  The one-vertex-at-a-time loop (``batched=False``) is the oracle:
+``PlannerStats`` and the environment's ``CollisionCounters`` are field for
+field the loop's, and the roadmap is the loop's to the last place of its
+edge weights.
 """
 
 from __future__ import annotations
@@ -44,8 +37,6 @@ from .roadmap import Roadmap
 from .stats import PlannerStats
 
 __all__ = ["PRM", "PRMBlock", "PRMResult", "PRMSegment"]
-
-_BLOCK = 64
 
 
 def _rows_of(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -123,10 +114,6 @@ class PRM:
         resolution 0.25).
     k:
         Number of nearest-neighbour connection attempts per node.
-    connect_same_component:
-        If True (default), skip connection attempts between vertices
-        already in the same connected component — the standard PRM
-        optimisation.
     batched:
         Validate candidate pairs in vectorised batches (default True).
         Operation counts are identical either way; False forces the
@@ -139,7 +126,6 @@ class PRM:
         cspace: ConfigurationSpace,
         local_planner=None,
         k: int = 6,
-        connect_same_component: bool = True,
         batched: bool = True,
     ):
         self.cspace = cspace
@@ -151,144 +137,15 @@ class PRM:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.connect_same_component = connect_same_component
         self.batched = batched
 
     @property
     def runs_blocks(self) -> bool:
         """Whether :meth:`build` / :meth:`connect_roadmaps` accept a block
-        of segments: batched, and ``connect_same_component=False`` —
-        without the component filter no connection decision depends on an
-        earlier outcome, so every candidate pair of a block can be
-        validated in one call."""
-        return self.batched and not self.connect_same_component
-
-    def _build_block(
-        self,
-        rmap: Roadmap,
-        configs: np.ndarray,
-        id_base: int,
-        next_local: int,
-        nn,
-        stats: PlannerStats,
-    ) -> None:
-        """Add ``configs`` to the roadmap in predict-validate-replay blocks.
-
-        Per block of up to ``_BLOCK`` samples: (1) batch the k-NN queries
-        with growing visibility (query *i* sees the block's earlier
-        samples, exactly as the interleaved query/insert loop would);
-        (2) predict which candidate pairs the sequential connection loop
-        will actually validate — the first unconsumed candidate of each
-        distinct connected component, per vertex — and validate the whole
-        prediction in one vectorised ``batch_pairs_counted`` call (pair
-        verdicts depend only on geometry, never on roadmap state, so
-        validating ahead of time is safe); then (3) replay the sequential
-        decision loop in strict order against the verdict cache, applying
-        edges as it goes so component checks see exactly the state the
-        reference implementation would.  A replay that needs a verdict
-        the prediction missed (e.g. the candidate *after* a failed
-        attempt in the same component) pauses, and the loop predicts
-        again from the paused state — a handful of small follow-up
-        batches in practice.
-
-        ``PlannerStats`` are charged from the replay, so they match the
-        sequential path field for field.  The environment's
-        ``CollisionCounters`` are rescaled from the speculative charge to
-        the replayed one (the charge per intermediate point is a constant
-        factor, so the correction is exact integer arithmetic).
-        """
-        env = getattr(self.cspace, "env", None)
-        counters = getattr(env, "counters", None)
-        cslot = rmap.component_slot
-        for lo in range(0, configs.shape[0], _BLOCK):
-            chunk = configs[lo : lo + _BLOCK]
-            m = chunk.shape[0]
-            vids = [id_base + next_local + i for i in range(m)]
-            next_local += m
-            nbr_lists = nn.knn_block_growing(
-                np.asarray(vids, dtype=np.int64), chunk, self.k
-            )
-            stats.nn_queries += m
-            for i in range(m):
-                rmap.add_vertex(chunk[i], vids[i])
-            before = counters.snapshot() if counters is not None else None
-            spec_checks = 0
-            seq_checks = 0
-            cache: "dict[tuple[int, int], tuple[bool, int, float]]" = {}
-            ptr = [0] * m
-            active = [i for i in range(m) if nbr_lists[i]]
-            while active:
-                # Predict the verdicts the replay will need from here.
-                # Component slots are stable within a round (no edges are
-                # applied while predicting), so roots memoise per id.
-                need: "list[tuple[int, int]]" = []
-                root_cache: "dict[int, int]" = {}
-                for i in active:
-                    lst = nbr_lists[i]
-                    if self.connect_same_component:
-                        rv = cslot(vids[i])
-                        seen: "set[int]" = set()
-                        for pos in range(ptr[i], len(lst)):
-                            c = lst[pos][0]
-                            rc = root_cache.get(c)
-                            if rc is None:
-                                rc = root_cache[c] = cslot(c)
-                            if rc == rv or rc in seen:
-                                continue
-                            seen.add(rc)
-                            if (i, pos) not in cache:
-                                need.append((i, pos))
-                    else:
-                        for pos in range(ptr[i], len(lst)):
-                            if (i, pos) not in cache:
-                                need.append((i, pos))
-                if need:
-                    starts = chunk[[i for i, _pos in need]]
-                    ends = rmap.configs_of(nbr_lists[i][pos][0] for i, pos in need)
-                    ok, per_checks, lengths = self.local_planner.batch_pairs_counted(
-                        self.cspace, starts, ends
-                    )
-                    spec_checks += int(per_checks.sum())
-                    for j, key in enumerate(need):
-                        cache[key] = (bool(ok[j]), int(per_checks[j]), float(lengths[j]))
-                # Strict in-order replay; a missing verdict pauses the
-                # replay (later vertices' decisions depend on the
-                # outcome) until the next prediction round fills it.
-                paused = False
-                still_open: "list[int]" = []
-                for i in active:
-                    if paused:
-                        still_open.append(i)
-                        continue
-                    vid = vids[i]
-                    lst = nbr_lists[i]
-                    pos = ptr[i]
-                    rs = cslot(vid)
-                    while pos < len(lst):
-                        v = lst[pos][0]
-                        if self.connect_same_component and cslot(v) == rs:
-                            pos += 1
-                            continue
-                        verdict = cache.get((i, pos))
-                        if verdict is None:
-                            paused = True
-                            break
-                        okp, c, length = verdict
-                        stats.lp_calls += 1
-                        stats.lp_checks += c
-                        seq_checks += c
-                        if okp:
-                            stats.lp_successes += 1
-                            if rmap.add_edge(vid, v, length):
-                                stats.edges_added += 1
-                            rs = cslot(vid)
-                        pos += 1
-                    ptr[i] = pos
-                    if pos < len(lst):
-                        still_open.append(i)
-                active = still_open
-            if counters is not None and spec_checks:
-                counters.rescale_since(before, seq_checks, spec_checks)
+        of segments: when batched.  The switch the region loop's oracle
+        turns off (``tests/oracle.py::region_loop``); a one-region build
+        or one-adjacency connect still runs as the block of one."""
+        return self.batched
 
     def build(
         self,
@@ -310,32 +167,30 @@ class PRM:
         and returns a :class:`PRMBlock`; ``roadmap`` is then an earlier
         block over the same segments to extend.  Sampling, growing k-NN
         and local planning each run once over the whole block — see
-        :meth:`_build_segments`.  Needs :attr:`runs_blocks`.
+        :meth:`_build_segments`, which a batched one-generator build runs
+        as the block of one.  Needs :attr:`batched`.
         """
         if not isinstance(rng, np.random.Generator):
             return self._build_segments(n_samples, list(rng), within, roadmap, id_base)
-        stats = PlannerStats()
         rmap = roadmap if roadmap is not None else Roadmap(self.cspace.dim)
+        ids, cfgs = rmap.configs_array()
+        if self.batched:
+            # The block of one, seeded with the roadmap's vertices.
+            none = np.empty(0, dtype=np.int64)
+            seed = PRMBlock(ids, cfgs, np.array([0, ids.size]), (none, none, np.empty(0)), [])
+            block = self._build_segments(n_samples, [rng], within, seed, id_base)
+            rmap.add_vertices(block.ids[ids.size:], block.configs[ids.size:])
+            rmap.add_edges(*block.edges)
+            return PRMResult(rmap, block.stats[0])
 
+        # The one-vertex-at-a-time loop: the oracle of the block passes.
+        stats = PlannerStats()
         batch = self.sampler(self.cspace, rng, n_samples, within=within)
         stats.sample_attempts += batch.attempts
         stats.samples_accepted += len(batch)
-
         nn = BruteForceNN(self.cspace.dim)
-        # Seed NN structure with pre-existing vertices (extension mode).
-        ids, cfgs = rmap.configs_array()
         if ids.size:
             nn.add_batch(ids, cfgs)
-
-        if self.batched:
-            self._build_block(
-                rmap, np.asarray(batch.configs, dtype=float), id_base,
-                rmap.num_vertices, nn, stats,
-            )
-            stats.nn_distance_evals += nn.stats.distance_evals
-            return PRMResult(rmap, stats)
-
-        # The one-vertex-at-a-time loop: the oracle _build_block replays.
         next_local = rmap.num_vertices
         for cfg in batch.configs:
             vid = id_base + next_local
@@ -343,8 +198,6 @@ class PRM:
             rmap.add_vertex(cfg, vid)
             stats.nn_queries += 1
             for nbr_id, _dist in nn.knn(cfg, self.k):
-                if self.connect_same_component and rmap.same_component(vid, nbr_id):
-                    continue
                 result = self.local_planner(self.cspace, cfg, rmap.config(nbr_id))
                 stats.lp_calls += 1
                 stats.lp_checks += result.checks
@@ -362,20 +215,20 @@ class PRM:
         """Block-mode :meth:`build`: every segment's one-region build, as
         three array passes over the block.
 
-        With ``connect_same_component=False`` the one-region loop
-        validates *every* k-NN candidate of every new vertex (its
-        predict-validate-replay degenerates to one round), so the block's
-        work is fixed by geometry alone: (1) the sampler's lock-step
-        rounds, one generator per segment; (2) one segmented growing k-NN
-        (row ``i`` of a segment sees its stored vertices and rows ``< i``);
-        (3) one ``batch_pairs_counted`` over all candidate pairs in
+        The one-region loop validates *every* k-NN candidate of every new
+        vertex, so the block's work is fixed by geometry alone: (1) the
+        sampler's lock-step rounds, one generator per segment; (2) one
+        segmented growing k-NN (row ``i`` of a segment sees its stored
+        vertices and rows ``< i``); (3) one ``batch_pairs_counted`` over all candidate pairs in
         (segment, row, candidate) order — the order the one-region build
         inserts edges in.  Verdicts, distances and interpolation are
         elementwise, so batch composition changes no bit; ledgers are
         per-segment ``bincount`` s and the k-NN charge in closed form.
         """
-        if not self.runs_blocks:
-            raise ValueError("this PRM configuration builds one region at a time")
+        # Not ``runs_blocks``: the region-loop oracle switches that off and
+        # still builds each region as a block of one.
+        if not self.batched:
+            raise ValueError("an unbatched PRM builds one region at a time")
         g, dim = len(rngs), self.cspace.dim
         if block is None:
             none = np.empty(0, dtype=np.int64)
@@ -448,13 +301,13 @@ class PRM:
         no decision depends on an earlier outcome, so the block is one
         segmented k-NN, one ``batch_pairs_counted`` and one bulk edge
         insertion in (adjacency, vertex, candidate) order — the order the
-        loop inserts in.  Without ``segments`` a batched planner with no
-        component filter connects the block of one; otherwise the call
-        runs the one-pair-at-a-time loop, the oracle.
+        loop inserts in.  Without ``segments`` a batched planner connects
+        the block of one; ``batched=False`` runs the one-pair-at-a-time
+        loop, the oracle.
         """
         if segments is not None:
             return self._connect_segments(rmap, ids_a, ids_b, k, segments)
-        if self.batched and not self.connect_same_component:
+        if self.batched:
             whole = ([0, len(ids_a)], [0, len(ids_b)])
             return self._connect_segments(rmap, ids_a, ids_b, k, whole)[0]
         stats = PlannerStats()
@@ -469,8 +322,6 @@ class PRM:
             cfg = rmap.config(u)
             stats.nn_queries += 1
             for v, _dist in nn.knn(cfg, k):
-                if self.connect_same_component and rmap.same_component(u, v):
-                    continue
                 result = self.local_planner(self.cspace, cfg, rmap.config(v))
                 stats.lp_calls += 1
                 stats.lp_checks += result.checks
@@ -486,8 +337,8 @@ class PRM:
     ) -> "list[PlannerStats]":
         # Not ``runs_blocks``: the region-loop oracle switches that off and
         # still connects each adjacency as a block of one.
-        if not self.batched or self.connect_same_component:
-            raise ValueError("this PRM configuration connects one adjacency at a time")
+        if not self.batched:
+            raise ValueError("an unbatched PRM connects one adjacency at a time")
         ids_a = np.asarray(ids_a, dtype=np.int64)
         ids_b = np.asarray(ids_b, dtype=np.int64)
         oa, ob = (np.asarray(o, dtype=np.int64) for o in segments)

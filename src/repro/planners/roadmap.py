@@ -4,12 +4,11 @@ Flat arrays over vertex rows (insertion order): ids, configurations
 (the layout of :class:`repro.knn.brute.BruteForceNN`) and degrees; an
 append-only edge log of ``(u_row, v_row)`` pairs, weights and a live
 mask.  Everything else is derived from those and caught up only when
-asked: a union-find forest over rows for component questions (it unions
-the log in order from a cursor, so it equals the forest eager unions
-would have left), a duplicate index of sorted ``min_row << 32 | max_row``
-keys, and the CSR.  :meth:`Roadmap.csr` stable-sorts the live log by row,
-which keeps each row's neighbours in insertion order (the order searches
-relax them in); a frozen snapshot serves from those very arrays.
+asked: a duplicate index of sorted ``min_row << 32 | max_row`` keys, and
+the CSR.  :meth:`Roadmap.csr` stable-sorts the live log by row, which
+keeps each row's neighbours in insertion order (the order searches relax
+them in); a frozen snapshot serves from those very arrays, and
+:meth:`Roadmap.connected_components` labels rows by BFS over them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .prm import PRMBlock
 
-__all__ = ["Roadmap", "UnionFind"]
+__all__ = ["Roadmap"]
 
 _INITIAL_CAPACITY = 64
 
@@ -58,60 +57,6 @@ def _component_labels(indptr: "list[int]", indices: "list[int]") -> "list[int]":
     return labels
 
 
-class UnionFind:
-    """Union-find over dense elements ``0, 1, ...`` with path compression
-    and union by rank, in flat lists: plain ints beat NumPy scalars for
-    the many tiny find/union steps a catch-up over an edge log performs."""
-
-    __slots__ = ("_parent", "_rank", "num_sets")
-
-    def __init__(self) -> None:
-        self._parent: "list[int]" = []
-        self._rank: "list[int]" = []
-        self.num_sets = 0
-
-    def extend(self, count: int) -> None:
-        """Append ``count`` singleton sets."""
-        n = len(self._parent)
-        self._parent.extend(range(n, n + count))
-        self._rank.extend(repeat(0, count))
-        self.num_sets += count
-
-    def root(self, x: int) -> int:
-        """Representative of ``x``'s set; leaves the forest untouched."""
-        parent = self._parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s set, compressing the path to it."""
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; returns True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        rank = self._rank
-        if rank[ra] < rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if rank[ra] == rank[rb]:
-            rank[ra] += 1
-        self.num_sets -= 1
-        return True
-
-    def same_set(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-
 class Roadmap:
     """Undirected graph of configurations.
 
@@ -128,12 +73,11 @@ class Roadmap:
         self._cfgs = np.empty((_INITIAL_CAPACITY, dim))
         self._deg = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._index: dict[int, int] = {}
-        self._uf = UnionFind()
         self._uv = np.empty((_INITIAL_CAPACITY, 2), dtype=np.int64)
         self._w = np.empty(_INITIAL_CAPACITY)
         self._live = np.empty(_INITIAL_CAPACITY, dtype=bool)
         self._runs: "list[tuple[np.ndarray, np.ndarray]]" = []  # sorted keys, log positions
-        self._n = self._next_id = self._m = self.num_edges = self._indexed = self._unioned = 0
+        self._n = self._next_id = self._m = self.num_edges = self._indexed = 0
         self._csr: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
 
     # -- vertices ---------------------------------------------------------
@@ -308,33 +252,11 @@ class Roadmap:
         self._runs.append((keys[order], pos[order]))
         self._indexed = m
 
-    def _forest(self) -> UnionFind:
-        """The union-find forest brought up to the end of the log: a
-        singleton per new row, then every entry past the union cursor
-        unioned in log order, dead ones too (each was an edge once, and
-        union-find does not split)."""
-        uf, lo, m = self._uf, self._unioned, self._m
-        uf.extend(self._n - len(uf._parent))
-        if lo < m:
-            union = uf.union
-            for a, b in self._uv[lo:m].tolist():
-                union(a, b)
-            self._unioned = m
-        return uf
-
     def _find(self, a: int, b: int) -> int:
         """Log position of the edge between rows ``a`` and ``b``, or -1; a
-        degree of 0, then two union-find sets settle a miss first."""
+        degree of 0 settles a miss before the duplicate index is asked."""
         if self._deg[a] == 0 or self._deg[b] == 0:
             return -1
-        uf = self._forest()
-        if uf.root(a) != uf.root(b):
-            return -1
-        return self._lookup(a, b)
-
-    def _lookup(self, a: int, b: int) -> int:
-        """Log position of the edge between rows ``a`` and ``b`` by the
-        duplicate index alone, or -1."""
         self._fold()
         key = a << 32 | b if a < b else b << 32 | a
         for run, pos in self._runs:
@@ -344,11 +266,9 @@ class Roadmap:
         return -1
 
     def _edge(self, u: int, v: int) -> int:
-        """Log position of edge ``(u, v)``; KeyError when there is none.
-        The edge is expected to exist, so no early miss is worth a
-        catch-up of the forest: the index is asked directly."""
+        """Log position of edge ``(u, v)``; KeyError when there is none."""
         a, b = self._index.get(u), self._index.get(v)
-        e = -1 if a is None or b is None or a == b else self._lookup(a, b)
+        e = -1 if a is None or b is None or a == b else self._find(a, b)
         if e < 0:
             raise KeyError(f"edge ({u},{v}) does not exist")
         return e
@@ -362,10 +282,7 @@ class Roadmap:
         return float(self._w[self._edge(u, v)])
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete an undirected edge (its log entry goes dead).  The
-        union-find forest still unions the dead entry — union-find does not
-        split — so callers needing exact components after removal should
-        use :meth:`connected_components`."""
+        """Delete an undirected edge (its log entry goes dead)."""
         e = self._edge(u, v)
         self._runs = [(run[pos != e], pos[pos != e]) for run, pos in self._runs]
         self._live[e] = False
@@ -415,21 +332,8 @@ class Roadmap:
             yield from zip(u[part].tolist(), v[part].tolist(), weights[part].tolist())
 
     # -- components ------------------------------------------------------------
-    def same_component(self, u: int, v: int) -> bool:
-        """Fast, union-find-based check (exact as long as no edges were removed)."""
-        return self._forest().same_set(self._index[u], self._index[v])
-
-    def component_slot(self, vid: int) -> int:
-        """Opaque dense label of ``vid``'s component, equality-comparable;
-        stable only until the next edge."""
-        return self._forest().find(self._index[vid])
-
-    @property
-    def num_components_fast(self) -> int:
-        return self._forest().num_sets
-
     def connected_components(self) -> "list[set[int]]":
-        """Exact connected components by BFS (robust to edge removals)."""
+        """Exact connected components, by BFS over the CSR."""
         indptr, indices, _w = self.csr()
         labels = _component_labels(indptr.tolist(), indices.tolist())
         comps: "list[set[int]]" = [set() for _ in range(max(labels, default=-1) + 1)]
@@ -452,7 +356,8 @@ class Roadmap:
         vids = ids.tolist()
         rows = np.fromiter(map(self._index.get, vids, repeat(-1)), dtype=np.int64, count=len(vids))
         shared = np.flatnonzero(rows >= 0)
-        clash = ~np.isclose(self._cfgs[rows[shared]], cfgs[shared]).all(axis=1)
+        held = self._cfgs[rows[shared]].view(np.int64)
+        clash = (held != np.asarray(cfgs[shared], dtype=float).view(np.int64)).any(axis=1)
         if clash.any():
             raise ValueError(f"vertex id clash with different configs: {vids[shared[clash.argmax()]]}")
         fresh = np.flatnonzero(rows < 0)
@@ -467,14 +372,12 @@ class Roadmap:
     @contextmanager
     def transient(self):
         """A block whose changes are undone on exit — rows, edge log, next
-        id, union-find forest and both cursors rewind to a mark taken on
-        entry — for temporary vertices such as a query's start and goal."""
-        # The mark keeps a caught-up index and forest, so later blocks start from them.
+        id and the index cursor rewind to a mark taken on entry — for
+        temporary vertices such as a query's start and goal."""
+        # The mark keeps a caught-up index, so later blocks start from it.
         self._fold()
-        uf = self._forest()
         mark = (self._n, self._m, self._next_id, self.num_edges, self._runs[:],
-                self._indexed, self._unioned, self._csr,
-                uf._parent[:], uf._rank[:], uf.num_sets)
+                self._indexed, self._csr)
         deg, live = self._deg[: self._n].copy(), self._live[: self._m].copy()
         try:
             yield self
@@ -482,8 +385,7 @@ class Roadmap:
             for vid in self._ids[mark[0] : self._n].tolist():
                 del self._index[vid]
             (self._n, self._m, self._next_id, self.num_edges, self._runs,
-             self._indexed, self._unioned, self._csr,
-             uf._parent, uf._rank, uf.num_sets) = mark
+             self._indexed, self._csr) = mark
             self._deg[: self._n], self._live[: self._m] = deg, live
 
     # -- freezing -----------------------------------------------------------

@@ -10,9 +10,8 @@ per-region loop they replay.
 
 This is the only test module that knows how a ``Roadmap`` stores its
 graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
-``_next_id``, the union-find ``_uf``, caught up from the log on demand);
-``tests/test_hygiene.py`` keeps it that way, so a change of
-representation edits :func:`digest` and nothing else.
+``_next_id``); ``tests/test_hygiene.py`` keeps it that way, so a change
+of representation edits :func:`digest` and nothing else.
 """
 
 import hashlib
@@ -33,20 +32,16 @@ def digest(run, env=None, rng=None) -> dict:
     insertion order (frozen A* breaks ties on it; a tree's first
     neighbour is the parent) and its weights, the edge log's row pairs
     and live mask, id -> row
-    index, next id, exact components, the union-find count and forest;
-    then whatever ``run`` carries of parents, the root, ``PlannerStats``,
+    index, next id and exact components; then whatever ``run`` carries of parents, the root, ``PlannerStats``,
     per-region ledgers and ``CollisionCounters``.  ``env`` names the
     environment whose counters a bare result charged, ``rng`` the
     generator whose end state counts.  Every value is a copy — immutable
     but for the fresh ``stats`` dict — so a digest does not follow later
-    mutations.  The duplicate index lags the log by design and stays out;
-    the forest is read after the roadmap catches it up with the log, which
-    is the forest eager unions would have left.
+    mutations.  The duplicate index lags the log by design and stays out.
     """
     rm = run if isinstance(run, Roadmap) else run.roadmap
     ids, cfgs = rm.configs_array()
-    num_sets = rm.num_components_fast  # catches the forest up with the log
-    m, uf = rm._m, rm._uf
+    m = rm._m
     indptr, indices, weights = rm.csr()
     out = {
         "ids": tuple(ids.tolist()),
@@ -59,8 +54,6 @@ def digest(run, env=None, rng=None) -> dict:
         "num_edges": rm.num_edges,
         "components": tuple(tuple(sorted(c)) for c in
                             sorted(rm.connected_components(), key=min)),
-        "num_components_fast": num_sets,
-        "forest": (tuple(uf._parent), tuple(uf._rank)),
     }
     # A simulate-mode report carries its measured workload.
     source = getattr(run, "workload", None) or run

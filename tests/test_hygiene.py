@@ -169,8 +169,8 @@ def test_detector_catches_known_bad_code():
     names = [name for _ln, _owner, name in _parameter_names(forwarding)]
     assert names == ["x", "kernels", "nn_backend"]
 
-    peeking = ast.parse("rm._uv.sum(); rm._uf._parent; self._n += 1; n = rm.num_edges\n")
-    assert sorted(attr for _ln, attr in _storage_reads(peeking)) == ["_uf", "_uv"]
+    peeking = ast.parse("rm._uv.sum(); rm._runs[0]; self._n += 1; n = rm.num_edges\n")
+    assert sorted(attr for _ln, attr in _storage_reads(peeking)) == ["_runs", "_uv"]
 
 
 #: How a ``Roadmap`` stores its graph: only ``planners/roadmap.py`` and
@@ -178,7 +178,6 @@ def test_detector_catches_known_bad_code():
 _ROADMAP_STORAGE = {
     "_ids", "_cfgs", "_deg", "_n", "_index", "_next_id",  # vertices
     "_uv", "_w", "_live", "_m",  # the edge log
-    "_uf", "_unioned",  # the union-find forest, the log position it has caught up to
     "_runs", "_indexed", "_csr",  # the duplicate index, the derived CSR
 }
 

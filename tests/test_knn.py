@@ -249,16 +249,21 @@ class TestBlockGrowing:
         blk_nn = BruteForceNN(3)
         if n0:
             blk_nn.add_batch(ids[:n0], stored)
-        got = blk_nn.knn_block_growing(ids[n0:], block, k)
+        got_ids, got_d = blk_nn.knn_block_growing(ids[n0:], block, k)
 
-        assert got == ref
+        assert got_ids.shape == got_d.shape == (m, k)
+        for row, want in enumerate(ref):
+            assert got_ids[row, : len(want)].tolist() == [i for i, _d in want]
+            assert got_d[row, : len(want)].tolist() == [d for _i, d in want]
+            assert (got_ids[row, len(want):] == -1).all() and np.isinf(got_d[row, len(want):]).all()
         assert blk_nn.stats.queries == ref_nn.stats.queries
         assert blk_nn.stats.distance_evals == ref_nn.stats.distance_evals
         assert len(blk_nn) == len(ref_nn) == n0 + m
 
     def test_empty_block(self):
         nn = BruteForceNN(3)
-        assert nn.knn_block_growing(np.empty(0, dtype=np.int64), np.empty((0, 3)), 4) == []
+        ids, dists = nn.knn_block_growing(np.empty(0, dtype=np.int64), np.empty((0, 3)), 4)
+        assert ids.shape == dists.shape == (0, 4) and len(nn) == 0
 
     def test_mismatched_lengths_raise(self, rng):
         nn = BruteForceNN(2)

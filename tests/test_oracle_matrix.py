@@ -70,30 +70,28 @@ def _prm_digest(run, env, rng):
 
 
 def _prm_batched_space(cull, fast):
-    """``PRM.build`` with and without the component filter: the replay of
-    the connection loop against the one-candidate-at-a-time loop."""
-    runs = {}
-    for csc in (True, False):
-        cs, rng = _space(None, cull), np.random.default_rng(7)
-        result = PRM(cs, k=5, connect_same_component=csc, batched=fast).build(120, rng)
-        runs[f"csc={csc}"] = _prm_digest(result, cs.env, rng)
-    return _prefixed(**runs)
+    """``PRM.build`` as the block of one against the one-vertex-at-a-time
+    loop: a fresh build, then an extension build of that roadmap under
+    another id base."""
+    cs, rng = _space(None, cull), np.random.default_rng(7)
+    planner = PRM(cs, k=5, batched=fast)
+    first = planner.build(120, rng)
+    fresh = _prm_digest(first, cs.env, rng)
+    extended = planner.build(60, rng, roadmap=first.roadmap, id_base=1 << 20)
+    return _prefixed(fresh=fresh, extended=_prm_digest(extended, cs.env, rng))
 
 
 def _prm_batched_box(cull, fast):
     """Two regional roadmaps sampled in boxes, merged, then
     ``connect_roadmaps`` between them: the inter-region connection phase."""
-    runs = {}
-    for csc in (True, False):
-        cs, rng = _space("med-cube", cull), np.random.default_rng(3)
-        planner = PRM(cs, k=5, connect_same_component=csc, batched=fast)
-        left = planner.build(40, rng, within=AABB([-10, -10, -10], [-2, 10, 10])).roadmap
-        right = planner.build(40, rng, within=AABB([2, -10, -10], [10, 10, 10]), id_base=1 << 20)
-        left.merge(right.roadmap)
-        ids = left.vertices()
-        stats = planner.connect_roadmaps(left, ids[ids < 1 << 20], ids[ids >= 1 << 20], k=3)
-        runs[f"csc={csc}"] = {**_prm_digest(left, cs.env, rng), "connect": asdict(stats)}
-    return _prefixed(**runs)
+    cs, rng = _space("med-cube", cull), np.random.default_rng(3)
+    planner = PRM(cs, k=5, batched=fast)
+    left = planner.build(40, rng, within=AABB([-10, -10, -10], [-2, 10, 10])).roadmap
+    right = planner.build(40, rng, within=AABB([2, -10, -10], [10, 10, 10]), id_base=1 << 20)
+    left.merge(right.roadmap)
+    ids = left.vertices()
+    stats = planner.connect_roadmaps(left, ids[ids < 1 << 20], ids[ids >= 1 << 20], k=3)
+    return {**_prm_digest(left, cs.env, rng), "connect": asdict(stats)}
 
 
 def _prm_block_box(cull, fast):

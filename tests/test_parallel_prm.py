@@ -231,9 +231,8 @@ class TestBlocksEqualLoop:
 
     def test_other_samplers_take_the_loop(self, monkeypatch):
         """Only the configuration the block passes replay runs as blocks:
-        uniform sampling into a batched PRM with exact check counts and no
-        component filter.  A region planner whose PRM departs from it in any
-        one flag plans each region alone."""
+        uniform sampling into a batched PRM.  A region planner whose PRM is
+        unbatched plans each region alone."""
         calls = []
         original = PRMRegionPlanner.plan_block
         monkeypatch.setattr(
@@ -243,14 +242,14 @@ class TestBlocksEqualLoop:
         cs = EuclideanCSpace(by_name("med-cube"))
         assert type(PRMRegionPlanner(cs, 27, 4, seed=1).planner.sampler) is UniformSampler
         init = PRMRegionPlanner.__init__
-        for flag, value in (("batched", False), ("connect_same_component", True)):
-            def flipped(self, *args, flag=flag, value=value, **kwargs):
-                init(self, *args, **kwargs)
-                setattr(self.planner, flag, value)
 
-            monkeypatch.setattr(PRMRegionPlanner, "__init__", flipped)
-            wl = build_prm_workload(cs, 27, samples_per_region=4, seed=1)
-            assert sum(w.stats.samples_accepted for w in wl.region_work.values()) > 0
+        def unbatched(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.planner.batched = False
+
+        monkeypatch.setattr(PRMRegionPlanner, "__init__", unbatched)
+        wl = build_prm_workload(cs, 27, samples_per_region=4, seed=1)
+        assert sum(w.stats.samples_accepted for w in wl.region_work.values()) > 0
         assert not calls
 
     def test_the_loop_switch_plans_no_block(self, monkeypatch):
@@ -344,12 +343,12 @@ class TestSegmentedNeighbours:
         ids, dists = nn.knn_block_growing(block_ids, block, k, segments=(so, bo))
         assert len(nn) == so[-1] + bo[-1]
         for s, one in enumerate(ones):
-            rows = slice(bo[s], bo[s + 1])
-            expected = one.knn_block_growing(block_ids[rows], block[rows], k)
-            for got_ids, got_d, want in zip(ids[rows], dists[rows], expected):
-                assert got_ids[: len(want)].tolist() == [i for i, _d in want]
-                assert got_d[: len(want)].tolist() == [d for _i, d in want]
-                assert (got_ids[len(want):] == -1).all() and np.isinf(got_d[len(want):]).all()
+            for row in range(bo[s], bo[s + 1]):  # the interleaved query-then-insert loop
+                want = one.knn(block[row], k)
+                one.add(int(block_ids[row]), block[row])
+                assert ids[row, : len(want)].tolist() == [i for i, _d in want]
+                assert dists[row, : len(want)].tolist() == [d for _i, d in want]
+                assert (ids[row, len(want):] == -1).all() and np.isinf(dists[row, len(want):]).all()
         self._same_charges(nn, ones)
 
     @settings(max_examples=40, deadline=None)

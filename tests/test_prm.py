@@ -22,7 +22,7 @@ class TestPRMBuild:
         """Edges are valid at the planner's resolution; the exact swept
         test may reject a few corner-sliver edges (resolution
         completeness, not exactness), so allow a small fraction."""
-        res = PRM(box_cspace, k=4, connect_same_component=False).build(60, rng)
+        res = PRM(box_cspace, k=4).build(60, rng)
         exact_bad = 0
         for u, v, _w in res.roadmap.edges():
             a, b = res.roadmap.config(u), res.roadmap.config(v)
@@ -55,15 +55,6 @@ class TestPRMBuild:
         second = planner.build(20, rng, roadmap=first.roadmap)
         assert second.roadmap.num_vertices == 40
 
-    def test_same_component_skip_reduces_lp_calls(self, box_cspace):
-        r1 = PRM(box_cspace, k=4, connect_same_component=False).build(
-            60, np.random.default_rng(5)
-        )
-        r2 = PRM(box_cspace, k=4, connect_same_component=True).build(
-            60, np.random.default_rng(5)
-        )
-        assert r2.stats.lp_calls <= r1.stats.lp_calls
-
     def test_deterministic_given_seed(self, box_cspace):
         r1 = PRM(box_cspace, k=4).build(50, np.random.default_rng(9))
         r2 = PRM(box_cspace, k=4).build(50, np.random.default_rng(9))
@@ -78,7 +69,7 @@ class TestPRMBuild:
             PRM(box_cspace, k=0)
 
     def test_stats_account_lp_work(self, box_cspace, rng):
-        res = PRM(box_cspace, k=4, connect_same_component=False).build(50, rng)
+        res = PRM(box_cspace, k=4).build(50, rng)
         st = res.stats
         assert st.lp_calls > 0
         assert st.lp_successes <= st.lp_calls
@@ -88,7 +79,7 @@ class TestPRMBuild:
 
 class TestConnectRoadmaps:
     def _two_regions(self, box_cspace, rng):
-        planner = PRM(box_cspace, k=3, connect_same_component=False)
+        planner = PRM(box_cspace, k=3)
         left = planner.build(25, rng, within=AABB([-5, -5], [-2, 5]), id_base=0)
         right = planner.build(25, rng, within=AABB([2, -5], [5, 5]), id_base=1 << 20)
         left.roadmap.merge(right.roadmap)

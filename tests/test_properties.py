@@ -52,7 +52,7 @@ def property_test(strategy_builder, fallback_gen, examples=50):
     return deco
 
 
-# -- union-find vs BFS ------------------------------------------------------
+# -- roadmap components -----------------------------------------------------
 
 
 def _edge_script_strategy():
@@ -74,34 +74,6 @@ def _edge_script_fallback(r: random.Random):
     return k, [(r.randrange(k), r.randrange(k)) for _ in range(m)]
 
 
-def _build_from_script(script):
-    n, pairs = script
-    rmap = Roadmap(dim=2)
-    for i in range(n):
-        rmap.add_vertex(np.array([float(i), 0.0]), vid=i)
-    for u, v in pairs:
-        if u != v and not rmap.has_edge(u, v):
-            rmap.add_edge(u, v)
-    return rmap
-
-
-@property_test(_edge_script_strategy, _edge_script_fallback)
-def test_union_find_matches_bfs_components(script):
-    """After any add_edge sequence the union-find answers agree with BFS."""
-    rmap = _build_from_script(script)
-    comps = rmap.connected_components()
-    assert rmap.num_components_fast == len(comps)
-    label = {v: i for i, comp in enumerate(comps) for v in comp}
-    n = script[0]
-    for u in range(n):
-        for v in range(u + 1, n):
-            assert rmap.same_component(u, v) == (label[u] == label[v])
-    # component_slot is a consistent labelling: equal iff same BFS component.
-    slots = [{rmap.component_slot(v) for v in comp} for comp in comps]
-    assert all(len(s) == 1 for s in slots)
-    assert len(set().union(*slots)) == len(comps)
-
-
 @property_test(_edge_script_strategy, _edge_script_fallback)
 def test_component_count_decreases_only_on_cross_component_edges(script):
     n, pairs = script
@@ -112,11 +84,11 @@ def test_component_count_decreases_only_on_cross_component_edges(script):
     for u, v in pairs:
         if u == v or rmap.has_edge(u, v):
             continue
-        crossing = not rmap.same_component(u, v)
+        crossing = not any(u in c and v in c for c in rmap.connected_components())
         rmap.add_edge(u, v)
         if crossing:
             count -= 1
-        assert rmap.num_components_fast == count
+        assert len(rmap.connected_components()) == count
 
 
 # -- batched vs sequential PRM ----------------------------------------------
@@ -127,7 +99,6 @@ def _prm_case_strategy():
         st.integers(min_value=0, max_value=10_000),  # rng seed
         st.integers(min_value=10, max_value=40),  # samples
         st.integers(min_value=1, max_value=6),  # k
-        st.booleans(),  # connect_same_component
         st.integers(min_value=0, max_value=2),  # obstacle count
     )
 
@@ -137,7 +108,6 @@ def _prm_case_fallback(r: random.Random):
         r.randint(0, 10_000),
         r.randint(10, 40),
         r.randint(1, 6),
-        r.random() < 0.5,
         r.randint(0, 2),
     )
 
@@ -156,14 +126,11 @@ def _case_env(seed: int, n_obstacles: int) -> Environment:
 def test_batched_prm_matches_sequential(case):
     """The vectorised connection path is an optimisation, not a semantic
     change: identical roadmap and identical operation counts."""
-    seed, n, k, same_comp, n_obs = case
+    seed, n, k, n_obs = case
     cspace = EuclideanCSpace(_case_env(seed, n_obs))
 
     def run(batched):
-        planner = PRM(
-            cspace, k=k, connect_same_component=same_comp, batched=batched
-        )
-        return planner.build(n, np.random.default_rng(seed))
+        return PRM(cspace, k=k, batched=batched).build(n, np.random.default_rng(seed))
 
     a, b = run(True), run(False)
     assert set(a.roadmap.vertices()) == set(b.roadmap.vertices())
@@ -176,7 +143,7 @@ def test_batched_prm_matches_sequential(case):
     assert a.stats.lp_checks == b.stats.lp_checks
     assert a.stats.lp_successes == b.stats.lp_successes
     assert a.stats.edges_added == b.stats.edges_added
-    assert a.roadmap.num_components_fast == b.roadmap.num_components_fast
+    assert a.roadmap.connected_components() == b.roadmap.connected_components()
 
 
 # -- pool determinism under faults ------------------------------------------
@@ -259,6 +226,6 @@ def test_fallback_generators_mirror_strategies():
     assert 2 <= n <= 12
     assert all(0 <= u < n and 0 <= v < n for u, v in pairs)
     case = _prm_case_fallback(r)
-    assert len(case) == 5 and 10 <= case[1] <= 40
+    assert len(case) == 4 and 10 <= case[1] <= 40
     pool_case = _pool_case_fallback(r)
     assert len(pool_case) == 5 and 0.0 <= pool_case[1] <= 0.6

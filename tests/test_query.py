@@ -70,7 +70,7 @@ class TestShortestPaths:
 
 class TestRoadmapQuery:
     def test_solves_across_free_space(self, box_cspace, rng):
-        res = PRM(box_cspace, k=6, connect_same_component=False).build(250, rng)
+        res = PRM(box_cspace, k=6).build(250, rng)
         q = RoadmapQuery(box_cspace)
         out = q.solve(res.roadmap, np.array([-4.5, -4.5]), np.array([4.5, -4.5]))
         assert out is not None
@@ -80,7 +80,7 @@ class TestRoadmapQuery:
         assert np.allclose(out.path_configs[-1], [4.5, -4.5])
 
     def test_roadmap_unchanged_after_query(self, box_cspace, rng):
-        res = PRM(box_cspace, k=6, connect_same_component=False).build(200, rng)
+        res = PRM(box_cspace, k=6).build(200, rng)
         v_before, e_before = res.roadmap.num_vertices, res.roadmap.num_edges
         RoadmapQuery(box_cspace).solve(
             res.roadmap, np.array([-4.5, -4.5]), np.array([4.5, -4.5])
@@ -96,7 +96,7 @@ class TestRoadmapQuery:
         rm.add_vertices([0, 1], [[1.0, 1.0], [3.0, 1.0]])
         before = digest(rm)
         assert RoadmapQuery(cs).solve(rm, np.array([2.0, 1.0]), np.array([3.0, 2.0]))
-        assert not rm.same_component(0, 1) and rm.num_components_fast == 2
+        assert rm.connected_components() == [{0}, {1}]
         assert_same(digest(rm), before)
 
     def test_twenty_solves_leave_a_planned_roadmap_as_it_was(self):
@@ -115,7 +115,7 @@ class TestRoadmapQuery:
         assert q.solve(res.roadmap, np.array([0.0, 0.0]), np.array([4.5, -4.5])) is None
 
     def test_path_edges_are_valid(self, box_cspace, rng):
-        res = PRM(box_cspace, k=6, connect_same_component=False).build(250, rng)
+        res = PRM(box_cspace, k=6).build(250, rng)
         out = RoadmapQuery(box_cspace).solve(
             res.roadmap, np.array([-4.5, -4.5]), np.array([4.5, 4.5])
         )

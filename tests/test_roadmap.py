@@ -1,4 +1,4 @@
-"""Tests for the roadmap graph and union-find."""
+"""Tests for the roadmap graph."""
 
 import copy
 
@@ -9,39 +9,9 @@ from hypothesis import strategies as st
 
 from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
-from repro.planners import PRMBlock, Roadmap, RoadmapQuery, UnionFind
+from repro.planners import PRMBlock, Roadmap, RoadmapQuery
 
 from .oracle import assert_same, digest
-
-
-class TestUnionFind:
-    def test_union_and_find(self):
-        uf = UnionFind()
-        uf.extend(5)
-        assert uf.num_sets == 5
-        assert uf.union(0, 1)
-        assert not uf.union(0, 1)
-        assert uf.same_set(0, 1)
-        assert not uf.same_set(0, 2)
-        assert uf.num_sets == 4
-
-    def test_transitive_union(self):
-        uf = UnionFind()
-        uf.extend(4)
-        uf.union(0, 1)
-        uf.union(2, 3)
-        uf.union(1, 2)
-        assert uf.same_set(0, 3)
-        assert uf.num_sets == 1
-
-    def test_extend_appends_singletons(self):
-        uf = UnionFind()
-        uf.extend(2)
-        uf.union(0, 1)
-        uf.extend(0)
-        uf.extend(1)
-        assert uf.num_sets == 2 and uf.find(2) == uf.root(2) == 2
-        assert uf.same_set(0, 1) and not uf.union(1, 0) and uf.union(2, 0)
 
 
 class TestRoadmap:
@@ -99,11 +69,9 @@ class TestRoadmap:
             rm.add_vertex(np.array([float(i), 0.0]), i)
         rm.add_edge(0, 1)
         rm.add_edge(2, 3)
-        assert rm.num_components_fast == 2
-        assert rm.same_component(0, 1)
-        assert not rm.same_component(1, 2)
+        assert sorted(map(sorted, rm.connected_components())) == [[0, 1], [2, 3]]
         rm.add_edge(1, 2)
-        assert rm.num_components_fast == 1
+        assert rm.connected_components() == [{0, 1, 2, 3}]
 
     def test_connected_components_exact(self):
         rm = Roadmap(2)
@@ -182,22 +150,6 @@ class TestRoadmap:
             assert np.allclose(arr[i], rm.config(int(vid)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_union_find_matches_bfs_components(seed):
-    """Property: union-find component count equals exact BFS count."""
-    rng = np.random.default_rng(seed)
-    rm = Roadmap(2)
-    n = 30
-    for i in range(n):
-        rm.add_vertex(rng.normal(size=2), i)
-    for _ in range(25):
-        u, v = rng.integers(0, n, 2)
-        if u != v and not rm.has_edge(int(u), int(v)):
-            rm.add_edge(int(u), int(v))
-    assert rm.num_components_fast == len(rm.connected_components())
-
-
 class TestArrayBackedStorage:
     def test_configs_of_matches_config(self, rng):
         rm = Roadmap(3)
@@ -250,10 +202,9 @@ class TestArrayBackedStorage:
 
 
 class TestDuplicateIndex:
-    """``add_edge`` settles a duplicate by degrees, then union-find sets,
-    then the sorted key index, which lags the log; any interleaving of
-    scalar and bulk inserts, removals and lookups agrees with a plain set
-    of edges."""
+    """``add_edge`` settles a duplicate by degrees, then the sorted key
+    index, which lags the log; any interleaving of scalar and bulk
+    inserts, removals and lookups agrees with a plain set of edges."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -282,12 +233,12 @@ class TestDuplicateIndex:
         assert sorted((u, v) for u, v, _w in rm.edges()) == sorted(truth)
 
     def test_a_duplicate_leaves_the_forest_alone(self):
-        """Deciding that an edge exists must not compress union-find paths,
-        or a scalar loop and a bulk insert would leave different forests."""
+        """A repeated edge, refused by the scalar loop or skipped by a later
+        bulk insert, leaves the two roadmaps alike."""
         loop, bulk = Roadmap(2), Roadmap(2)
         for rm in (loop, bulk):
             rm.add_vertices(range(4), np.zeros((4, 2)))
-        u, v = [0, 2, 1, 3], [1, 3, 3, 2]  # the last repeats (2, 3) while 3 -> 2 -> 0
+        u, v = [0, 2, 1, 3], [1, 3, 3, 2]  # the last repeats (2, 3)
         for a, b in zip(u, v):
             loop.add_edge(a, b, 1.0)
         bulk.add_edges(u[:3], v[:3], np.ones(3))
@@ -306,7 +257,7 @@ class TestTransient:
             rm.add_vertex(np.ones(2), 10)
             rm.add_edges([10, 10], [1, 2], [1.0, 1.0])
             rm.remove_edge(0, 1)
-            assert rm.same_component(0, 2) and rm.num_vertices == 4
+            assert rm.has_edge(2, 10) and rm.num_vertices == 4
         assert_same(digest(rm), before)
         assert not rm.has_vertex(10) and rm.has_edge(0, 1) and not rm.has_edge(1, 2)
         assert rm.add_vertex(np.ones(2)) == 3
@@ -325,8 +276,8 @@ _OPS = ("vertex", "vertices", "edge", "edges", "merge", "merge_block", "remove",
 def _play(rm, script, eager, inside=False):
     """Run ``script`` — ``(op, seed)`` steps — on ``rm``, every argument
     drawn from the seed and the roadmap's public state; returns what each
-    step answered.  ``eager`` asks a component question after every
-    mutation, so the forest unions each edge as it goes in."""
+    step answered.  ``eager`` looks an edge up after every step, so the
+    CSR and the duplicate index catch up with each edge as it goes in."""
     answers = []
     for op, seed in script:
         rng = np.random.default_rng(seed)
@@ -373,16 +324,17 @@ def _play(rm, script, eager, inside=False):
                 answers.append(_play(rm, inner, eager, inside=True))
         elif op == "read" and vids:
             a, b = rng.choice(vids, size=2).tolist()
-            answers.append((rm.component_slot(a), rm.same_component(a, b), rm.num_components_fast))
+            answers.append((rm.has_edge(a, b), sorted(map(sorted, rm.connected_components()))))
         if eager:
-            _ = rm.num_components_fast
+            for a, b, _w in list(rm.edges())[:1]:
+                rm.has_edge(b, a)
     return answers
 
 
 class TestLazyForest:
-    """The union-find forest is caught up from the edge log only when a
-    component question is asked; whatever the interleaving, it equals the
-    forest of unioning every edge as it goes in."""
+    """The derived state — the CSR and the duplicate index — is caught up
+    from the edge log only when asked; whatever the interleaving, the
+    answers and the roadmap equal those of catching up after every step."""
 
     @settings(max_examples=60, deadline=None)
     @given(script=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 2**32 - 1)),
@@ -392,39 +344,18 @@ class TestLazyForest:
         assert _play(lazy, script, False) == _play(eager, script, True)
         assert_same(digest(lazy), digest(eager))
 
-    def test_a_removed_edge_stays_unioned(self):
-        """An edge removed before any component question was still an
-        edge once, and union-find does not split."""
-        rm = Roadmap(2)
-        rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
-        rm.add_edges([0, 1], [1, 2], np.ones(2))
-        rm.remove_edge(1, 0)
-        assert rm.same_component(0, 2) and rm.num_components_fast == 1
-
     def test_a_duplicate_is_found_in_a_forest_that_lags(self):
-        """``add_edge`` asks whether two rows share a component before it
-        looks an edge up, so it catches the forest up first."""
+        """``add_edge`` catches the duplicate index up with the log before
+        it looks an edge up."""
         rm = Roadmap(2)
         rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
-        assert rm.num_components_fast == 3  # every row has a forest entry
+        rm.add_edges([0], [2], np.ones(1))
+        assert rm.has_edge(2, 0)  # the index holds (0, 2) and nothing after it
         rm.add_edges([0, 1], [1, 2], np.ones(2))
-        assert not rm.add_edge(1, 0) and not rm.add_edge(2, 1) and rm.num_edges == 2
-
-    def test_edges_after_a_block_that_asked_are_unioned(self):
-        """A block that asks a component question moves the union cursor;
-        the exit rewinds it with the log, so later edges are unioned."""
-        rm = Roadmap(2)
-        rm.add_vertices([0, 1, 2], np.zeros((3, 2)))
-        with rm.transient():
-            rm.add_vertex(np.ones(2), 9)
-            rm.add_edges([9, 9], [1, 2], np.ones(2))
-            assert rm.same_component(1, 2)
-        assert not rm.same_component(1, 2)
-        rm.add_edges([0, 1], [1, 2], np.ones(2))
-        assert rm.same_component(0, 2) and rm.num_components_fast == 1
+        assert not rm.add_edge(1, 0) and not rm.add_edge(2, 1) and rm.num_edges == 3
 
     def test_two_solves_leave_the_roadmap_as_it_was(self):
-        """Each solve catches the forest up on entering its block and
+        """Each solve catches the index up on entering its block and
         rewinds to that on exit: a twin never solved digests the same."""
         cs = EuclideanCSpace(Environment(AABB([-5.0, -5.0], [5.0, 5.0]), []))
         solved, twin = Roadmap(2), Roadmap(2)
@@ -439,14 +370,14 @@ class TestLazyForest:
 class TestDigest:
     def test_a_digest_does_not_follow_its_roadmap(self):
         """Every digest field is a copy: mutating the roadmap afterwards,
-        path compression included, leaves an earlier digest as it was."""
+        catching its index up included, leaves an earlier digest as it was."""
         rm = Roadmap(2)
         rm.add_vertices(range(4), np.zeros((4, 2)))
         for a, b in ((0, 1), (2, 3), (1, 3)):
             rm.add_edge(a, b, 1.0)
         d = digest(rm)
         kept = copy.deepcopy(d)
-        rm.same_component(2, 3)  # compresses 3 -> 2 -> 0
+        rm.has_edge(2, 3)  # catches the duplicate index up
         rm.add_vertex(np.ones(2), 9)
         rm.add_edge(9, 0, 2.0)
         rm.remove_edge(0, 1)
@@ -460,18 +391,6 @@ class TestMetricAndComponents:
         rm.add_vertex([3.0, 4.0], vid=1)
         rm.add_edge(0, 1)
         assert rm.neighbors(0)[1] == pytest.approx(5.0)
-
-    def test_component_slot_tracks_component_id(self, rng):
-        rm = Roadmap(2)
-        for i in range(12):
-            rm.add_vertex(rng.uniform(-1, 1, size=2), vid=i)
-        for u, v in [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8)]:
-            rm.add_edge(u, v, 1.0)
-        label = {v: i for i, comp in enumerate(rm.connected_components()) for v in comp}
-        for a in range(12):
-            for b in range(12):
-                same_by_slot = rm.component_slot(a) == rm.component_slot(b)
-                assert same_by_slot == (label[a] == label[b])
 
 
 def _random_graph(seed, n=40, m=90):
@@ -535,7 +454,7 @@ class TestBulkInsertion:
             rm.add_edges([0, 1], [1, 9], [1.0, 1.0])
         with pytest.raises(ValueError):
             rm.add_edges([0, 1], [1, 2], [1.0])
-        assert rm.num_edges == 0 and rm.num_components_fast == 3
+        assert rm.num_edges == 0 and len(rm.connected_components()) == 3
         assert rm.add_edges([], [], []).shape == (0,)
 
 
@@ -571,6 +490,19 @@ class TestMergeRoadmap:
         _replay(loop, other)
         bulk.merge(other)
         assert_same(digest(bulk), digest(loop))
+
+    def test_a_shared_id_must_hold_the_same_bits(self):
+        """An id both roadmaps hold must name the same configuration to the
+        last bit; one 1e-9 off is refused before anything moves."""
+        a = Roadmap(2)
+        a.add_vertices([5, 6], [[0.0, 0.0], [1.0, 0.0]])
+        a.add_edge(5, 6, 1.0)
+        b = Roadmap(2)
+        b.add_vertices([5, 6], [[1e-9, 0.0], [1.0, 0.0]])
+        b.add_edge(5, 6, 2.0)
+        with pytest.raises(ValueError):
+            a.merge(b)
+        assert a.config(5).tolist() == [0.0, 0.0] and a.weight(5, 6) == 1.0
 
 
 class TestMergeBlock:

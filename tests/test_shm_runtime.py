@@ -348,8 +348,8 @@ class TestLocalParityMatrix:
     @pytest.fixture(scope="class")
     def oracle(self):
         """Per planner: the serial run's digest — roadmap, ordered adjacency
-        (in a tree a vertex's first neighbour is its parent), union-find
-        forest, ``PlannerStats`` and ``local_counters``."""
+        (in a tree a vertex's first neighbour is its parent), exact
+        components, ``PlannerStats`` and ``local_counters``."""
         digests = {}
         for wl in (self.WL, self.RRT):
             report = plan(wl, execution=ExecutionPolicy(mode="local", workers=1))
@@ -401,13 +401,12 @@ class TestLocalParityMatrix:
         kwargs = dict(seed=5, k=6, lp_resolution=0.25, narrow_passage_boost=0.0)
         default = PRMRegionPlanner(cspace, 27, 6, **kwargs)
         rids = default.region_ids
-        for flag, value in (("batched", False), ("connect_same_component", True)):
-            other = PRMRegionPlanner(cspace, 27, 6, **kwargs)
-            setattr(other.planner, flag, value)
-            assert not other.planner.runs_blocks
-            assert _RegionTask(other).run_block(rids) is None
-            pool = run_tasks_parallel(_RegionTask(other), rids, workers=2, chunksize=7)
-            assert {type(part[0]) for part in pool.results.values()} == {Roadmap}
+        other = PRMRegionPlanner(cspace, 27, 6, **kwargs)
+        other.planner.batched = False
+        assert not other.planner.runs_blocks
+        assert _RegionTask(other).run_block(rids) is None
+        pool = run_tasks_parallel(_RegionTask(other), rids, workers=2, chunksize=7)
+        assert {type(part[0]) for part in pool.results.values()} == {Roadmap}
         blocks = run_tasks_parallel(_RegionTask(default), rids, workers=2, chunksize=7)
         assert {type(part[0]) for part in blocks.results.values()} == {PRMSegment}
 

@@ -119,21 +119,6 @@ MUTANTS = [
          "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
     ),
     Mutant(
-        "add_edge takes an edge inside one component for new",
-        "repro/planners/roadmap.py",
-        "if uf.root(a) != uf.root(b):",
-        "if True:",
-        ("tests/test_roadmap.py::TestRoadmap::test_duplicate_edge_returns_false",
-         "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
-    ),
-    Mutant(
-        "the duplicate test compresses union-find paths",
-        "repro/planners/roadmap.py",
-        "uf.root(a) != uf.root(b)",
-        "uf.find(a) != uf.find(b)",
-        ("tests/test_roadmap.py::TestDuplicateIndex::test_a_duplicate_leaves_the_forest_alone",),
-    ),
-    Mutant(
         "a bulk insert tests membership against a stale index",
         "repro/planners/roadmap.py",
         "keys = _keys_of(uv)\n        self._fold()\n",
@@ -142,35 +127,28 @@ MUTANTS = [
          "tests/test_roadmap.py::TestMergeRoadmap"),
     ),
     Mutant(
-        "a solve keeps the unions its temporary vertices made",
+        "_find asks a duplicate index that has not caught up",
         "repro/planners/roadmap.py",
-        "uf._parent[:], uf._rank[:]",
-        "uf._parent, uf._rank",
-        ("tests/test_query.py::TestRoadmapQuery::test_solve_leaves_components_alone",
-         "tests/test_roadmap.py::TestTransient"),
-    ),
-    Mutant(
-        "the catch-up skips dead log entries",
-        "repro/planners/roadmap.py",
-        "for a, b in self._uv[lo:m].tolist():",
-        "for a, b in self._uv[lo:m][self._live[lo:m]].tolist():",
-        (f"{LAZY}::test_a_removed_edge_stays_unioned", f"{LAZY}::test_lazy_equals_eager"),
-    ),
-    Mutant(
-        "a transient block forgets the union cursor",
-        "repro/planners/roadmap.py",
-        "self._indexed, self._unioned, self._csr,\n             uf._parent",
-        "self._indexed, _unioned, self._csr,\n             uf._parent",
-        (f"{LAZY}::test_edges_after_a_block_that_asked_are_unioned",
-         f"{LAZY}::test_lazy_equals_eager"),
-    ),
-    Mutant(
-        "_find compares roots in a forest that has not caught up",
-        "repro/planners/roadmap.py",
-        "        uf = self._forest()\n        if uf.root(a) != uf.root(b):",
-        "        uf = self._uf\n        if uf.root(a) != uf.root(b):",
+        "            return -1\n        self._fold()\n        key",
+        "            return -1\n        key",
         (f"{LAZY}::test_a_duplicate_is_found_in_a_forest_that_lags",
          "tests/test_roadmap.py::TestDuplicateIndex::test_lookups_agree_with_a_set_of_edges"),
+    ),
+    Mutant(
+        "a single-generator build appends edges older endpoint first",
+        "repro/planners/prm.py",
+        "            rmap.add_edges(*block.edges)\n",
+        "            rmap.add_edges(block.edges[1], block.edges[0], block.edges[2])\n",
+        (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[prm-batched-space-bvh]"),
+    ),
+    Mutant(
+        "an extension build does not see the roadmap's earlier vertices",
+        "repro/planners/prm.py",
+        ("[rng], within, seed, id_base)",
+         "rmap.add_vertices(block.ids[ids.size:], block.configs[ids.size:])"),
+        ("[rng], within, None, id_base + ids.size)",
+         "rmap.add_vertices(block.ids, block.configs)"),
+        (f"{MATRIX}[prm-chunk-box-reference]", "tests/test_parallel_prm.py::TestBlocksEqualLoop"),
     ),
     Mutant(
         "a block's measured time is shared equally, ignoring work",
@@ -195,16 +173,9 @@ MUTANTS = [
         ("tests/test_parallel_prm.py::TestBlocksEqualLoop::test_the_loop_switch_plans_no_block",),
     ),
     Mutant(
-        "the batched PRM replay keeps a stale component after an edge",
-        "repro/planners/prm.py",
-        "                            rs = cslot(vid)\n                        pos += 1\n",
-        "                        pos += 1\n",
-        (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[prm-batched-space-bvh]"),
-    ),
-    Mutant(
         "a one-adjacency batched connect takes the sequential loop",
         "repro/planners/prm.py",
-        "        if self.batched and not self.connect_same_component:\n            whole = ",
+        "        if self.batched:\n            whole = ",
         "        if False:\n            whole = ",
         ("tests/test_parallel_prm.py::TestBlocksEqualLoop",),
     ),
