@@ -30,8 +30,9 @@ Packages
     The paper's contribution: load-balanced parallel PRM / RRT, work
     stealing policies, repartitioning, and the theoretical model.
 ``repro.obs``
-    Structured tracing + metrics: typed events, sinks (memory / JSON
-    lines), and a trace summariser (``python -m repro.obs summarize``).
+    Structured tracing: typed events, sinks (memory / JSON lines), and
+    the trace summariser every run tally is read from
+    (``python -m repro.obs summarize``).
 ``repro.spec``
     The layered request vocabulary: ``WorkloadSpec`` / ``ExecutionPolicy``
     / ``FaultPolicy`` / ``ObsConfig``, the ``PlanRequest`` aggregate and
@@ -59,8 +60,6 @@ from .spec import ExecutionPolicy, FaultPolicy, ObsConfig, WorkloadSpec
 from .obs import (
     JsonlSink,
     MemorySink,
-    MetricRegistry,
-    NullTracer,
     Tracer,
     format_summary,
     read_jsonl,
@@ -87,10 +86,8 @@ __all__ = [
     "FaultInjector",
     "TaskFailedError",
     "Tracer",
-    "NullTracer",
     "MemorySink",
     "JsonlSink",
-    "MetricRegistry",
     "read_jsonl",
     "summarize_events",
     "format_summary",

@@ -57,7 +57,6 @@ from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry.environment import Environment
 from .geometry.primitives import AABB
 from .obs.summary import TraceSummary, format_summary, summarize_events
-from .obs.tracer import active
 from .planners.engine import BatchQueryResult, QueryEngine
 from .planners.prm import PRMSegment
 from .planners.roadmap import Roadmap
@@ -138,12 +137,6 @@ class PlanReport:
             return self.pool.worker_deaths
         return self.sim.worker_deaths if self.sim is not None else 0
 
-    @property
-    def metrics(self) -> "dict[str, object] | None":
-        """Snapshot of the tracer's metric registry, if one was attached."""
-        tr = active(self.request.obs.tracer)
-        return tr.metrics.as_dict() if tr is not None else None
-
     def query_engine(self) -> QueryEngine:
         """The query-serving engine over this report's roadmap.
 
@@ -190,7 +183,7 @@ class PlanReport:
 
     def trace_summary(self) -> "TraceSummary | None":
         """Aggregate the attached tracer's in-memory trace, if any."""
-        tr = active(self.request.obs.tracer)
+        tr = self.request.obs.tracer
         if tr is None or tr.memory is None:
             return None
         return summarize_events(tr.memory.events)

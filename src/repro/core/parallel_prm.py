@@ -60,7 +60,6 @@ from ..obs.events import (
     PHASE_TERMINATE,
     PHASE_WEIGH,
 )
-from ..obs.tracer import active
 from ..planners.prm import PRM, PRMBlock, PRMResult
 from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
@@ -591,7 +590,6 @@ def simulate_prm(
     topology = topology if topology is not None else ClusterTopology(num_pes)
     if topology.num_pes != num_pes:
         raise ValueError("topology PE count mismatch")
-    tr = active(tracer)
     phases = PhaseTimes()
     naive = initial_assignment(workload.subdivision.graph, num_pes, initial_partitioner)
     region_ids = workload.subdivision.graph.region_ids()
@@ -621,7 +619,7 @@ def simulate_prm(
             weights,
             naive,
             topology,
-            tracer=tr.offset(t_lb) if tr is not None else None,
+            tracer=tracer.offset(t_lb) if tracer is not None else None,
         )
         connect_assignment = repart_info.assignment
         phases.lb_overhead = repart_info.overhead
@@ -637,7 +635,7 @@ def simulate_prm(
         strategy,
         steal_chunk,
         rng_seed,
-        tracer=tr.offset(t_construct) if tr is not None else None,
+        tracer=tracer.offset(t_construct) if tracer is not None else None,
         fault_injector=fault_injector,
         max_retries=max_retries,
     )
@@ -671,13 +669,11 @@ def simulate_prm(
         [final_owner[rid] for rid in region_ids], weights=samples, minlength=num_pes
     )
 
-    if tr is not None:
-        emit_phase_spans(tr, phases)
+    if tracer is not None:
+        emit_phase_spans(tracer, phases)
         t_connect = t_construct + phases.node_connection + phases.termination
         remote = region_view.stats.remote + roadmap_view.stats.remote
-        tr.point(EV_REMOTE_ACCESS, ts=t_connect, count=remote)
-        tr.metrics.counter("remote_accesses").inc(remote)
-        tr.metrics.counter("regions").inc(len(region_ids))
+        tracer.point(EV_REMOTE_ACCESS, ts=t_connect, count=remote)
 
     return PRMRunResult(
         strategy=strategy,

@@ -39,7 +39,6 @@ from ..obs.events import (
     PHASE_TERMINATE,
     PHASE_WEIGH,
 )
-from ..obs.tracer import active
 from ..planners.roadmap import Roadmap
 from ..planners.rrt import RRT, RRTResult
 from ..planners.stats import PlannerStats, WorkModel
@@ -420,7 +419,6 @@ def simulate_rrt(
     topology = topology if topology is not None else ClusterTopology(num_pes)
     if topology.num_pes != num_pes:
         raise ValueError("topology PE count mismatch")
-    tr = active(tracer)
     phases = RRTPhaseTimes()
     graph = workload.radial.graph
     region_ids = graph.region_ids()
@@ -456,7 +454,7 @@ def simulate_rrt(
             weights,
             naive,
             topology,
-            tracer=tr.offset(t_lb) if tr is not None else None,
+            tracer=tracer.offset(t_lb) if tracer is not None else None,
         )
         grow_assignment = repart_info.assignment
         phases.lb_overhead = repart_info.overhead
@@ -469,7 +467,7 @@ def simulate_rrt(
         strategy,
         steal_chunk,
         rng_seed,
-        tracer=tr.offset(t_construct) if tr is not None else None,
+        tracer=tracer.offset(t_construct) if tracer is not None else None,
         fault_injector=fault_injector,
         max_retries=max_retries,
     )
@@ -493,12 +491,10 @@ def simulate_rrt(
     final_of = [final_owner[rid] for rid in region_ids]
     nodes_per_pe = np.bincount(final_of, weights=[w.num_nodes for w in work], minlength=num_pes)
 
-    if tr is not None:
-        emit_phase_spans(tr, phases)
+    if tracer is not None:
+        emit_phase_spans(tracer, phases)
         t_connect = t_construct + phases.branch_growth + phases.termination
-        tr.point(EV_REMOTE_ACCESS, ts=t_connect, count=remote_reads)
-        tr.metrics.counter("remote_accesses").inc(remote_reads)
-        tr.metrics.counter("regions").inc(len(region_ids))
+        tracer.point(EV_REMOTE_ACCESS, ts=t_connect, count=remote_reads)
 
     return RRTRunResult(
         strategy=strategy,

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs.events import EV_REPARTITION_DECISION
-from ..obs.tracer import active
 from ..partition import partition_by_name
 from ..partition.greedy import partition_greedy_lpt
 from ..partition.naive import partition_block
@@ -103,10 +102,9 @@ def repartition(
         old_loads[old_assignment[rid]] += w
         new_loads[new_assignment[rid]] += w
     old_max, new_max = float(old_loads.max()), float(new_loads.max())
-    tr = active(tracer)
     if old_max > 0 and new_max >= (1.0 - min_gain) * old_max:
-        if tr is not None:
-            tr.point(
+        if tracer is not None:
+            tracer.point(
                 EV_REPARTITION_DECISION,
                 ts=0.0,
                 accepted=False,
@@ -115,7 +113,6 @@ def repartition(
                 old_max_load=old_max,
                 new_max_load=new_max,
             )
-            tr.metrics.counter("repartitions_declined").inc()
         return RepartitionResult(
             assignment=dict(old_assignment),
             moved_regions=0,
@@ -141,8 +138,8 @@ def repartition(
     migration = max_payload * topology.bandwidth_cost + (
         topology.latency_remote if moved else 0.0
     )
-    if tr is not None:
-        tr.point(
+    if tracer is not None:
+        tracer.point(
             EV_REPARTITION_DECISION,
             ts=0.0,
             accepted=True,
@@ -151,8 +148,6 @@ def repartition(
             old_max_load=old_max,
             new_max_load=new_max,
         )
-        tr.metrics.counter("repartitions_accepted").inc()
-        tr.metrics.counter("regions_migrated").inc(moved)
     return RepartitionResult(
         assignment=new_assignment,
         moved_regions=moved,

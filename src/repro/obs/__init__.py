@@ -1,21 +1,22 @@
-"""repro.obs — structured tracing and metrics for the runtime.
+"""repro.obs — structured tracing for the runtime.
 
-The observability substrate every figure and perf report builds on:
+The observability substrate every figure and perf report builds on.  A
+run keeps one record, its event trace:
 
 * :class:`Tracer` emits typed :class:`Event` records — spans for the
-  planner phases, points for steal protocol traffic, task execution and
-  repartition decisions — stamped by the simulator's virtual clock or the
-  wall clock.
-* :class:`MetricRegistry` tallies counters/gauges/histograms alongside
-  the event stream (steals attempted/succeeded, tasks migrated, remote
-  accesses, per-PE busy/idle time).
+  planner phases, points for steal protocol traffic, task execution,
+  retries, worker deaths, cache and service traffic, repartition
+  decisions and remote accesses — stamped by the simulator's virtual
+  clock or the wall clock.
 * Sinks route events to memory (:class:`MemorySink`) or JSON-lines files
-  (:class:`JsonlSink`); :func:`summarize_events` reconstructs the paper's
-  Fig. 7a phase breakdown and Fig. 9 steal distribution from a trace, and
-  ``python -m repro.obs summarize trace.jsonl`` does so from the shell.
+  (:class:`JsonlSink`); :func:`summarize_events` reconstructs every tally
+  of a run from its trace — the paper's Fig. 7a phase breakdown, the
+  Fig. 9 steal distribution, retries, deaths, cache and batch counts —
+  and ``python -m repro.obs summarize trace.jsonl`` does so from the
+  shell.
 
-Instrumented code treats ``tracer=None`` (or :data:`NULL_TRACER`) as
-"emit nothing", keeping the default path at zero overhead.
+Instrumented code treats ``tracer=None`` as "emit nothing", keeping the
+default path at zero overhead.
 """
 
 from .events import (
@@ -46,10 +47,9 @@ from .events import (
     SPAN_END,
     Event,
 )
-from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .sinks import JsonlSink, MemorySink, Sink, parse_jsonl, read_jsonl
 from .summary import TraceSummary, format_summary, summarize_events
-from .tracer import NULL_TRACER, NullTracer, Tracer, active
+from .tracer import Tracer
 
 __all__ = [
     "Event",
@@ -78,10 +78,6 @@ __all__ = [
     "EV_STEAL_FAIL",
     "EV_REPARTITION_DECISION",
     "EV_REMOTE_ACCESS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
     "Sink",
     "MemorySink",
     "JsonlSink",
@@ -91,7 +87,4 @@ __all__ = [
     "summarize_events",
     "format_summary",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "active",
 ]

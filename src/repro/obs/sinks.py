@@ -77,6 +77,7 @@ class JsonlSink:
             self._fh = open(path_or_file, "w", encoding="utf-8")
             self._owns = True
         self._lock = threading.Lock()
+        self._closed = False
 
     def emit(self, event: Event) -> None:
         """Write the event as one compact JSON line."""
@@ -85,8 +86,12 @@ class JsonlSink:
             self._fh.write(line)
 
     def close(self) -> None:
-        """Flush, and close the handle if this sink opened it."""
+        """Flush, and close the handle if this sink opened it.  Idempotent:
+        a second call (``with tracer:`` then ``tracer.close()``) is a no-op."""
         with self._lock:
+            if self._closed:
+                return
+            self._closed = True
             self._fh.flush()
             if self._owns:
                 self._fh.close()

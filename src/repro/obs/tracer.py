@@ -1,4 +1,4 @@
-"""The Tracer: structured event emission plus a metric registry.
+"""The Tracer: structured event emission, the one record of a run.
 
 One tracer serves both execution worlds:
 
@@ -11,11 +11,10 @@ One tracer serves both execution worlds:
   ``with tracer.span("connect"):`` times real code.
 
 Instrumented code takes ``tracer: Tracer | None = None`` and guards every
-emission with ``if tracer is not None`` (after normalising through
-:func:`active`), so the default path adds a single predictable branch —
-that is the "null tracer keeps zero overhead" contract.  The explicit
-:data:`NULL_TRACER` exists for APIs that want a non-None default; it
-normalises to ``None`` at instrumentation boundaries.
+emission with ``if tracer is not None``, so the default path adds a
+single predictable branch — that is the zero-overhead contract.  ``None``
+is the only way to say "no tracer".  A run keeps no tallies beside its
+events: :func:`repro.obs.summarize_events` counts them from the trace.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from .events import POINT, SPAN_BEGIN, SPAN_END, Event
-from .metrics import MetricRegistry
 from .sinks import MemorySink, Sink
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "active"]
+__all__ = ["Tracer"]
 
 
 class Tracer:
-    """Emit typed events to one or more sinks and tally metrics.
+    """Emit typed events to one or more sinks.
 
     Parameters
     ----------
@@ -42,17 +40,12 @@ class Tracer:
     clock:
         Zero-argument callable giving the default timestamp; defaults to
         seconds since tracer creation (``perf_counter`` based).
-    metrics:
-        Registry to tally into; a fresh one is created if omitted.
     """
-
-    enabled = True
 
     def __init__(
         self,
         sinks: "Iterable[Sink] | None" = None,
         clock: "Callable[[], float] | None" = None,
-        metrics: "MetricRegistry | None" = None,
     ):
         if sinks is None:
             self.memory: "MemorySink | None" = MemorySink()
@@ -66,7 +59,6 @@ class Tracer:
             t0 = time.perf_counter()
             clock = lambda: time.perf_counter() - t0  # noqa: E731
         self.clock = clock
-        self.metrics = metrics if metrics is not None else MetricRegistry()
 
     # -- emission -----------------------------------------------------------
     def emit(
@@ -129,7 +121,7 @@ class Tracer:
     def offset(self, dt: float) -> "Tracer":
         """A view of this tracer shifting every timestamp by ``dt``.
 
-        Sinks and metrics are shared; only the clock domain changes.  Used
+        Sinks are shared; only the clock domain changes.  Used
         to embed a component running on a phase-local clock (the simulator
         starts every phase at t=0) into the run's global timeline.
         """
@@ -150,14 +142,13 @@ class Tracer:
 
 
 class _OffsetTracer(Tracer):
-    """Shares a parent tracer's sinks/metrics, shifting timestamps."""
+    """Shares a parent tracer's sinks, shifting timestamps."""
 
     def __init__(self, parent: Tracer, dt: float):
         self._parent = parent
         self._dt = float(dt)
         self.sinks = parent.sinks
         self.memory = parent.memory
-        self.metrics = parent.metrics
         self.clock = lambda: parent.clock() + self._dt
 
     def emit(self, kind, name, ts=None, pe=None, **attrs) -> Event:
@@ -171,36 +162,3 @@ class _OffsetTracer(Tracer):
 
     def close(self) -> None:  # the parent owns the sinks
         """No-op: closing is the parent tracer's responsibility."""
-
-
-class NullTracer(Tracer):
-    """Accepts the full Tracer API and does nothing.
-
-    Instrumented code normalises it to ``None`` via :func:`active`, so no
-    per-event work happens at all on the default path.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__(sinks=[], clock=lambda: 0.0)
-        self.memory = None
-
-    def emit(self, kind, name, ts=None, pe=None, **attrs) -> Event:
-        """Build the event without recording it anywhere."""
-        return Event(ts=0.0, kind=kind, name=name, pe=pe, attrs=attrs)
-
-    def offset(self, dt: float) -> "NullTracer":
-        """Offsetting a null tracer is still a null tracer."""
-        return self
-
-
-#: Shared do-nothing tracer for APIs wanting a non-None default.
-NULL_TRACER = NullTracer()
-
-
-def active(tracer: "Tracer | None") -> "Tracer | None":
-    """Normalise a tracer argument: disabled/null tracers become ``None``."""
-    if tracer is None or not tracer.enabled:
-        return None
-    return tracer

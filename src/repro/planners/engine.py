@@ -50,7 +50,6 @@ from ..knn.brute import BruteForceNN
 from ..knn.kdtree import KDTreeNN
 from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
 from ..obs.metrics import nearest_rank
-from ..obs.tracer import active
 from ..runtime.local_pool import DispatchStats, resolve_workers, run_tasks_parallel
 from .frozen import LANDMARKS, FrozenRoadmap
 from .query import QueryResult
@@ -367,7 +366,6 @@ class QueryEngine:
             )
         starts = np.vstack(starts_l)
         goals = np.vstack(goals_l)
-        tr = active(tracer)
         results: "list[QueryResult | None]" = [None] * q
         latencies = [0.0] * q
         abandoned: "list[int]" = []
@@ -375,8 +373,8 @@ class QueryEngine:
         retries = 0
         deaths = 0
         dispatch: "DispatchStats | None" = None
-        if tr:
-            tr.begin(PHASE_SERVE, queries=q)
+        if tracer is not None:
+            tracer.begin(PHASE_SERVE, queries=q)
         try:
             jobs = self._prepare(starts, goals)
             setup_time = time.perf_counter() - t0
@@ -401,11 +399,11 @@ class QueryEngine:
                 attempts = dict(pool.attempts)
                 retries = pool.retries
                 deaths = pool.worker_deaths
-                if tr:
+                if tracer is not None:
                     lost = set(abandoned)
                     for i in range(q):
-                        tr.point(EV_QUERY_START, query=i)
-                        tr.point(
+                        tracer.point(EV_QUERY_START, query=i)
+                        tracer.point(
                             EV_QUERY_END,
                             query=i,
                             latency=latencies[i],
@@ -414,22 +412,22 @@ class QueryEngine:
                         )
             else:
                 for i in range(q):
-                    if tr:
-                        tr.point(EV_QUERY_START, query=i)
+                    if tracer is not None:
+                        tracer.point(EV_QUERY_START, query=i)
                     ts = time.perf_counter()
                     results[i] = _solve_prepared(self.frozen, jobs, self._sid, self._gid, i)
                     latencies[i] = share + (time.perf_counter() - ts)
                     attempts[i] = 1
-                    if tr:
-                        tr.point(
+                    if tracer is not None:
+                        tracer.point(
                             EV_QUERY_END,
                             query=i,
                             latency=latencies[i],
                             solved=results[i] is not None,
                         )
         finally:
-            if tr:
-                tr.end(PHASE_SERVE)
+            if tracer is not None:
+                tracer.end(PHASE_SERVE)
         self._amortise_landmarks()
         return BatchQueryResult(
             results=results,

@@ -91,7 +91,6 @@ from ..obs.events import (
     EV_TASK_START,
     EV_WORKER_DEATH,
 )
-from ..obs.tracer import active
 from . import shm as _shm
 from .chunking import policy_label, resolve_chunks, validate_chunksize
 from .faults import (
@@ -361,9 +360,9 @@ def run_tasks_parallel(
     tracer:
         Optional :class:`repro.obs.Tracer`; emits wall-clock ``task_start``
         / ``task_end`` point events (timestamps relative to pool start,
-        measured from worker-side start stamps) and a ``task_time``
-        histogram, plus ``shm_attach`` points for worker segment mappings
-        and one ``pool_dispatch`` summary point.  Under fault tolerance it
+        measured from worker-side start stamps, each with its measured
+        ``cost``), ``shm_attach`` points for worker segment mappings and
+        one ``pool_dispatch`` summary point.  Under fault tolerance it
         additionally emits ``task_retry`` / ``task_abandoned`` /
         ``worker_death`` points.  ``None`` (default) emits nothing.
     failure_policy:
@@ -403,7 +402,6 @@ def run_tasks_parallel(
         raise ValueError("task_timeout must be positive")
     window = 2 * workers
     tasks = list(task_ids)
-    tr = active(tracer)
     # Plain fail_fast: nothing can retry, time out or be injected, so a
     # task's own exception travels back through its future unwrapped.
     propagate = (
@@ -473,15 +471,15 @@ def run_tasks_parallel(
                 1.0 + backoff_jitter * _retry_jitter(tid, nxt, retry_seed)
             )
             heapq.heappush(retry_heap, (now() + delay, next(seq), tid, nxt))
-            if tr is not None:
-                tr.point(
+            if tracer is not None:
+                tracer.point(
                     EV_TASK_RETRY, ts=now(), task=tid, attempt=nxt, reason=str(reason)[:120]
                 )
         elif failure_policy == "degrade":
             unresolved.discard(tid)
             abandoned.append(tid)
-            if tr is not None:
-                tr.point(
+            if tracer is not None:
+                tracer.point(
                     EV_TASK_ABANDONED,
                     ts=now(),
                     task=tid,
@@ -502,8 +500,8 @@ def run_tasks_parallel(
         """
         nonlocal pool, deaths
         deaths += 1
-        if tr is not None:
-            tr.point(
+        if tracer is not None:
+            tracer.point(
                 EV_WORKER_DEATH,
                 ts=now(),
                 backend=backend,
@@ -574,8 +572,8 @@ def run_tasks_parallel(
             else:
                 fail_attempt(tid, attempt, payload)
         if ok_rows:
-            _record_chunk(ok_rows, t0, results, per_task, tr)
-        _absorb_shm(shm_info, dispatch, tr, end_ts)
+            _record_chunk(ok_rows, t0, results, per_task, tracer)
+        _absorb_shm(shm_info, dispatch, tracer, end_ts)
 
     try:
         while unresolved:
@@ -619,16 +617,7 @@ def run_tasks_parallel(
         pool.shutdown(wait=False, cancel_futures=True)
 
     wall = now()
-    _finish_dispatch(dispatch, tr, len(results), wall)
-    if tr is not None:
-        tr.metrics.gauge("pool_wall_time").set(wall)
-        tr.metrics.counter("pool_tasks").inc(len(results))
-        if retries:
-            tr.metrics.counter("pool_retries").inc(retries)
-        if abandoned:
-            tr.metrics.counter("pool_abandoned").inc(len(abandoned))
-        if deaths:
-            tr.metrics.counter("pool_worker_deaths").inc(deaths)
+    _finish_dispatch(dispatch, tracer, len(results), wall)
     return PoolResult(
         results,
         wall,
@@ -697,7 +686,6 @@ def _record_chunk(chunk_out, t0, results, per_task, tr) -> None:
             start_ts = max(start - t0, 0.0)
             tr.point(EV_TASK_START, ts=start_ts, task=task_id, cost=dt)
             tr.point(EV_TASK_END, ts=start_ts + dt, task=task_id, cost=dt)
-            tr.metrics.histogram("task_time").observe(dt)
 
 
 @dataclass

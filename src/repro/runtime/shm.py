@@ -50,7 +50,6 @@ from pathlib import Path
 import numpy as np
 
 from ..obs.events import EV_SHM_PUBLISH
-from ..obs.tracer import active
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -194,13 +193,12 @@ def publish_arrays(
     """
     items = _canonical(arrays)
     specs, total, fingerprint = _layout(items)
-    tr = active(tracer)
 
     live = _PUBLISHED.get(fingerprint)
     if live is not None:
         live.refs += 1
-        if tr is not None:
-            tr.point(
+        if tracer is not None:
+            tracer.point(
                 EV_SHM_PUBLISH,
                 label=label,
                 segment=live.manifest.segment,
@@ -226,8 +224,8 @@ def publish_arrays(
         manifest = SharedArrayManifest(
             fingerprint, None, total, specs, label=label, inline=bytes(packed)
         )
-        if tr is not None:
-            tr.point(
+        if tracer is not None:
+            tracer.point(
                 EV_SHM_PUBLISH, label=label, segment=None, bytes=total,
                 arrays=len(specs), reused=False,
             )
@@ -237,8 +235,8 @@ def publish_arrays(
     manifest = SharedArrayManifest(fingerprint, shm.name, total, specs, label=label)
     _PUBLISHED[fingerprint] = _Published(shm, manifest, refs=1)
     _ensure_atexit()
-    if tr is not None:
-        tr.point(
+    if tracer is not None:
+        tracer.point(
             EV_SHM_PUBLISH, label=label, segment=shm.name, bytes=total,
             arrays=len(specs), reused=False,
         )

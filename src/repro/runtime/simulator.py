@@ -73,7 +73,6 @@ from ..obs.events import (
     EV_TASK_START,
     EV_WORKER_DEATH,
 )
-from ..obs.tracer import active
 from .faults import FAULT_CRASH, FAULT_HANG, FaultInjector
 from .stats import PEStats, SimResult
 from .topology import ClusterTopology
@@ -137,9 +136,9 @@ class WorkStealingSimulator:
         Optional :class:`repro.obs.Tracer`.  Emits ``task_start`` /
         ``task_end`` and the steal protocol (``steal_request`` /
         ``steal_transfer`` / ``steal_fail`` / ``steal_reply``) as point
-        events stamped with the simulator's virtual clock, and tallies
-        steal/migration counters plus per-PE busy/idle histograms.  The
-        default ``None`` emits nothing (zero overhead).
+        events stamped with the simulator's virtual clock; the trace
+        summariser recounts every steal, migration and per-PE busy time
+        from them.  The default ``None`` emits nothing (zero overhead).
     fault_injector:
         Optional :class:`~repro.runtime.faults.FaultInjector`, polled
         with ``(task, attempt, worker=pe)`` each time a PE starts a task.
@@ -194,8 +193,8 @@ class WorkStealingSimulator:
             raise ValueError("max_retries must be >= 0")
         self.fault_injector = fault_injector
         self.max_retries = max_retries
-        #: normalised once: ``None`` means every emission site is one branch.
-        self._tr = active(tracer)
+        #: ``None`` means every emission site is one branch.
+        self._tr = tracer
 
     # -- public API ---------------------------------------------------------
     def run(self, assignment: "dict[int, int]") -> SimResult:
@@ -321,8 +320,6 @@ class WorkStealingSimulator:
             sent = st.steal_requests_sent + st.steals_serviced + st.steals_failed
             st.messages_sent += sent
             self._messages += sent
-        if tr is not None:
-            self._record_metrics()
         return SimResult(
             pe_stats=stats,
             executed_by=self._executed_by,
@@ -336,28 +333,6 @@ class WorkStealingSimulator:
         )
 
     # -- internals ---------------------------------------------------------
-    def _record_metrics(self) -> None:
-        m = self._tr.metrics
-        m.counter("steals_attempted").inc(
-            sum(s.steal_requests_sent for s in self._stats)
-        )
-        m.counter("steals_succeeded").inc(sum(s.steals_serviced for s in self._stats))
-        m.counter("steals_failed").inc(sum(s.steals_failed for s in self._stats))
-        m.counter("tasks_migrated").inc(sum(s.tasks_lost for s in self._stats))
-        busy = m.histogram("pe_busy_time")
-        idle = m.histogram("pe_idle_time")
-        for s in self._stats:
-            busy.observe(s.work_time)
-            idle.observe(max(self._makespan - s.work_time, 0.0))
-        if self.fault_injector is not None:
-            failed = sum(s.attempts_failed for s in self._stats)
-            if failed:
-                m.counter("task_attempts_failed").inc(failed)
-            if self._abandoned:
-                m.counter("tasks_abandoned").inc(len(self._abandoned))
-            if self._deaths:
-                m.counter("worker_deaths").inc(self._deaths)
-
     def _activate(self, pe: int, now: float) -> None:
         """Give PE its next unit of work, or start stealing, or go idle."""
         if self._busy[pe] or self._dead[pe]:

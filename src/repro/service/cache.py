@@ -23,9 +23,8 @@ Three properties matter under concurrent load:
   rebuild-per-miss instead of failing).
 * **Observability** — every lookup emits ``EV_CACHE_HIT`` /
   ``EV_CACHE_MISS`` / ``EV_CACHE_EVICT`` through the attached
-  :class:`~repro.obs.Tracer` and tallies ``cache_hits`` /
-  ``cache_misses`` / ``cache_evictions`` metric counters, so the trace
-  summariser's Service table reconstructs hit rates offline.
+  :class:`~repro.obs.Tracer`, so the trace summariser's Service table
+  reconstructs the hit, miss and eviction counts offline.
 
 Cached answers are bit-identical to uncached ones by construction: the
 cache stores the *engine*, and :class:`~repro.planners.engine.QueryEngine`
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..obs.events import EV_CACHE_EVICT, EV_CACHE_HIT, EV_CACHE_MISS
-from ..obs.tracer import active
 from ..planners.engine import QueryEngine
 from ..planners.frozen import LANDMARKS
 from ..spec import WorkloadSpec
@@ -149,7 +147,7 @@ class RoadmapCache:
         One cache has one builder for life, so the workload hash alone
         keys its entries.
     tracer:
-        Optional :class:`~repro.obs.Tracer` for cache events/metrics.
+        Optional :class:`~repro.obs.Tracer` for cache events.
     """
 
     def __init__(
@@ -167,7 +165,7 @@ class RoadmapCache:
             # its builds.
             builder = lambda spec: build_engine(spec)  # noqa: E731
         self._builder = builder
-        self._tracer = active(tracer)
+        self._tracer = tracer
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._flights: "dict[str, _Flight]" = {}
@@ -211,9 +209,8 @@ class RoadmapCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._stats.hits += 1
-                if self._tracer:
+                if self._tracer is not None:
                     self._tracer.point(EV_CACHE_HIT, key=key)
-                    self._tracer.metrics.counter("cache_hits").inc()
                 return entry.engine
             self._stats.misses += 1
             flight = self._flights.get(key)
@@ -224,9 +221,8 @@ class RoadmapCache:
                 self._stats.builds += 1
             else:
                 self._stats.coalesced += 1
-        if self._tracer:
+        if self._tracer is not None:
             self._tracer.point(EV_CACHE_MISS, key=key, coalesced=not leader)
-            self._tracer.metrics.counter("cache_misses").inc()
 
         if not leader:
             flight.done.wait()
@@ -254,10 +250,9 @@ class RoadmapCache:
             self._stats.current_bytes += nbytes
             evicted = self._evict_over_budget(protect=key)
             self._flights.pop(key, None)
-        if self._tracer:
+        if self._tracer is not None:
             for ekey, ebytes in evicted:
                 self._tracer.point(EV_CACHE_EVICT, key=ekey, bytes=ebytes)
-                self._tracer.metrics.counter("cache_evictions").inc()
         flight.value = engine
         flight.done.set()
         return engine

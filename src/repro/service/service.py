@@ -40,7 +40,6 @@ import numpy as np
 
 from ..obs.events import EV_BATCH_FLUSH, EV_REQUEST_REJECTED
 from ..obs.metrics import nearest_rank
-from ..obs.tracer import active
 from ..planners.engine import QueryRequest
 from ..spec import ExecutionPolicy, FaultPolicy, WorkloadSpec
 from . import cache as _cache
@@ -164,8 +163,7 @@ class PlanService:
     ):
         self.config = config if config is not None else ServiceConfig()
         self.config.validate()
-        self._tracer = active(tracer)
-        self._raw_tracer = tracer
+        self._tracer = tracer
         if cache is None:
             kernel_backend = self.config.execution.kernel_backend
             cache = RoadmapCache(
@@ -266,9 +264,8 @@ class PlanService:
     def _reject(self) -> None:
         """Record and raise an admission-control rejection (lock held)."""
         self._stats.rejected += 1
-        if self._tracer:
+        if self._tracer is not None:
             self._tracer.point(EV_REQUEST_REJECTED, queued=self._queue.queued)
-            self._tracer.metrics.counter("requests_rejected").inc()
         raise ServiceOverloadError(
             f"service queue full ({self._queue.queued}/{self.config.max_queue})"
         )
@@ -347,7 +344,7 @@ class PlanService:
             engine = self.cache.get(flush.spec)
             batch = engine.solve_many(
                 [it.request for it in items],
-                tracer=self._raw_tracer,
+                tracer=self._tracer,
                 execution=self.config.execution,
                 faults=self.config.faults,
                 retry_seed=flush.spec.seed,
@@ -361,7 +358,7 @@ class PlanService:
                 self._inflight -= 1
                 self._cond.notify_all()
             return
-        if self._tracer:
+        if self._tracer is not None:
             self._tracer.point(
                 EV_BATCH_FLUSH,
                 key=flush.key,
@@ -369,7 +366,6 @@ class PlanService:
                 reason=flush.reason,
                 waited=flush.waited,
             )
-            self._tracer.metrics.counter("batches_flushed").inc()
         done = time.perf_counter()
         with self._cond:
             self._stats.served += len(items)

@@ -6,7 +6,9 @@ the ``bvh`` cull — is trusted because it leaves exactly what its
 sequential loop leaves.  :func:`digest` names every field of that, and
 :func:`assert_same` names the first field two runs differ in.
 :func:`region_loop` is the one switch from the block passes to the
-per-region loop they replay.
+per-region loop they replay.  :func:`assert_trace_matches_pool` is the
+completeness invariant on a local pool run: its trace alone recounts the
+``PoolResult``.
 
 This is the only test module that knows how a ``Roadmap`` stores its
 graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
@@ -20,6 +22,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.obs import EV_TASK_END, summarize_events
 from repro.planners import PRM, Roadmap
 
 
@@ -144,3 +147,16 @@ def same_answer(a, b) -> bool:
         and a.length == b.length
         and np.array_equal(a.path_configs, b.path_configs)
     )
+
+
+def assert_trace_matches_pool(events, pool) -> None:
+    """The trace of one ``run_tasks_parallel`` call recounts its
+    ``PoolResult``: every finished task and its measured time, each retry,
+    worker death and abandoned task."""
+    s = summarize_events(events)
+    costs = sorted(e.attrs["cost"] for e in events if e.name == EV_TASK_END)
+    assert costs == sorted(pool.per_task_time.values())
+    assert s.dispatch_tasks == s.tasks_executed == len(pool.results)
+    assert s.task_retries == pool.retries
+    assert s.worker_deaths == pool.worker_deaths
+    assert sorted(s.abandoned_tasks) == pool.abandoned

@@ -170,25 +170,6 @@ class TestPlanTracing:
         traced = plan(wl, execution=ex, obs=ObsConfig(tracer=Tracer()))
         assert plain.total_time == pytest.approx(traced.total_time)
 
-    def test_metrics_property(self):
-        tracer = Tracer()
-        report = plan(
-            PlanRequest(
-                workload=WorkloadSpec(num_regions=32, samples_per_region=4, seed=1),
-                execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
-                obs=ObsConfig(tracer=tracer),
-            )
-        )
-        metrics = report.metrics
-        assert metrics is not None
-        assert metrics["steals_attempted"] == sum(
-            p.steal_requests_sent for p in report.sim.pe_stats
-        )
-        assert plan(PlanRequest(
-            workload=WorkloadSpec(num_regions=8),
-            execution=ExecutionPolicy(num_pes=2),
-        )).metrics is None
-
     def test_summary_renders(self):
         tracer = Tracer()
         report = plan(

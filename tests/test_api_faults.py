@@ -24,6 +24,7 @@ from repro import (
     Tracer,
     WorkloadSpec,
     plan,
+    summarize_events,
 )
 from repro.core import PRMRegionPlanner
 from repro.planners import PRMSegment, Roadmap
@@ -206,6 +207,31 @@ class TestChunksPlannedAsBlocks:
         for execution in self._policies(backend):
             with pytest.raises(RuntimeError, match="region 5 exploded"):
                 plan(_local_request(execution=execution))
+
+
+@pytest.mark.parametrize("policy", ["retry", "degrade"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_trace_recounts_the_reports_failures(backend, policy):
+    """The completeness invariant on a chaotic local run: the trace alone
+    gives the report's retries, worker deaths and abandoned regions."""
+    doomed = [Fault("raise", task=8, attempt=a) for a in range(2 if policy == "degrade" else 1)]
+    injector = FaultInjector(
+        [Fault("crash", task=1, attempt=0), Fault("raise", task=4, attempt=0), *doomed]
+    )
+    tracer = Tracer()
+    report = plan(
+        _local_request(
+            faults=FaultPolicy(policy=policy, max_retries=1, injector=injector),
+            tracer=tracer,
+            execution=ExecutionPolicy(mode="local", workers=2, backend=backend),
+        )
+    )
+    s = summarize_events(tracer.memory.events)
+    assert (s.task_retries, s.worker_deaths, sorted(s.abandoned_tasks)) == (
+        report.retries, report.worker_deaths, report.abandoned_regions
+    )
+    assert (report.retries, report.worker_deaths) == (3, 1)
+    assert report.abandoned_regions == ([8] if policy == "degrade" else [])
 
 
 class TestPlanDegrade:

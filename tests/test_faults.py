@@ -18,6 +18,7 @@ from repro.runtime import (
     run_tasks_parallel,
 )
 
+from .oracle import assert_trace_matches_pool
 from .test_local_pool import _BlockTask
 
 
@@ -382,7 +383,7 @@ class TestFaultObservability:
                 Fault("crash", task=4, attempt=0),
             ]
         )
-        run_tasks_parallel(
+        res = run_tasks_parallel(
             _square,
             list(range(8)),
             workers=2,
@@ -398,8 +399,7 @@ class TestFaultObservability:
         assert s.tasks_executed == 8
         assert s.task_retries >= 2
         assert s.worker_deaths == 1
-        assert tr.metrics.counter("pool_retries").value >= 2
-        assert tr.metrics.counter("pool_worker_deaths").value == 1
+        assert_trace_matches_pool(tr.memory.events, res)
 
     def test_abandonment_is_traced(self):
         tr = Tracer()

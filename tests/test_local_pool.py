@@ -7,6 +7,8 @@ import pytest
 from repro.runtime import run_tasks_parallel
 from repro.runtime.local_pool import _run_attempts
 
+from .oracle import assert_trace_matches_pool
+
 
 def _square(task_id):
     return task_id * task_id
@@ -81,8 +83,7 @@ class TestRunTasksParallel:
         res = run_tasks_parallel(_square, list(range(12)), workers=3, tracer=tr)
         summary = summarize_events(tr.memory.events)
         assert summary.tasks_executed == len(res.results) == 12
-        assert tr.metrics.histogram("task_time").count == 12
-        assert tr.metrics.counter("pool_tasks").value == 12
+        assert_trace_matches_pool(tr.memory.events, res)
 
 
 class TestBackendsAndChunking:
@@ -115,8 +116,7 @@ class TestBackendsAndChunking:
         )
         summary = summarize_events(tr.memory.events)
         assert summary.tasks_executed == len(res.results) == 9
-        assert tr.metrics.histogram("task_time").count == 9
-        assert tr.metrics.counter("pool_tasks").value == 9
+        assert_trace_matches_pool(tr.memory.events, res)
 
 
 class TestBlockChunks:

@@ -11,19 +11,18 @@ from repro.obs import (
     EV_STEAL_TRANSFER,
     EV_TASK_END,
     EV_TASK_START,
-    NULL_TRACER,
     Event,
     JsonlSink,
     MemorySink,
-    MetricRegistry,
-    NullTracer,
     Tracer,
-    active,
+    TraceSummary,
     parse_jsonl,
     read_jsonl,
     summarize_events,
 )
 from repro.obs.summary import format_summary
+from repro.planners import BatchQueryResult
+from repro.service import ServiceStats
 from repro.runtime import ClusterTopology, WorkStealingSimulator
 from repro.core.work_stealing import policy_by_name
 
@@ -40,111 +39,23 @@ class TestEvent:
         assert Event.from_json(d) == ev
 
 
-class TestMetricRegistry:
-    def test_counter(self):
-        reg = MetricRegistry()
-        reg.counter("steals").inc()
-        reg.counter("steals").inc(4)
-        assert reg.counter("steals").value == 5
-        with pytest.raises(ValueError):
-            reg.counter("steals").inc(-1)
+class TestPercentileRange:
+    """Every public percentile reader shares ``nearest_rank``'s range
+    check: a ``q`` outside [0, 100] is an error, never the max or min."""
 
-    def test_counter_concurrent_increments_all_land(self):
-        import threading
-
-        reg = MetricRegistry()
-        n_threads, per_thread = 8, 500
-        barrier = threading.Barrier(n_threads)
-
-        def hammer():
-            barrier.wait()
-            for _ in range(per_thread):
-                reg.counter("served").inc()
-
-        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert reg.counter("served").value == n_threads * per_thread
-
-    def test_snapshot_while_instruments_are_created(self):
-        """``as_dict`` on one thread while others create instruments on
-        first use: no "dictionary changed size during iteration"."""
-        import sys
-        import threading
-
-        reg = MetricRegistry()
-        for i in range(2000):
-            reg.counter(f"seed{i}")
-            reg.histogram(f"seed{i}").observe(1.0)
-        n_threads, per_thread = 4, 3000
-        barrier = threading.Barrier(n_threads + 1)
-        errors = []
-
-        def create(tid):
-            barrier.wait()
-            for i in range(per_thread):
-                reg.counter(f"c{tid}-{i}").inc()
-                reg.gauge(f"g{tid}-{i}").set(i)
-                reg.histogram(f"h{tid}-{i}").observe(i)
-
-        def snapshot():
-            barrier.wait()
-            try:
-                while any(t.is_alive() for t in creators):
-                    reg.as_dict()
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        creators = [threading.Thread(target=create, args=(t,)) for t in range(n_threads)]
-        reader = threading.Thread(target=snapshot)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in [*creators, reader]:
-                t.start()
-            for t in [*creators, reader]:
-                t.join()
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == []
-        snap = reg.as_dict()
-        assert len(snap) == 2000 + 3 * n_threads * per_thread
-        assert snap["c0-0"] == 1.0
-
-    def test_gauge(self):
-        reg = MetricRegistry()
-        reg.gauge("load").set(2.5)
-        reg.gauge("load").add(0.5)
-        assert reg.gauge("load").value == 3.0
-
-    def test_histogram(self):
-        reg = MetricRegistry()
-        h = reg.histogram("busy")
-        for v in (1.0, 3.0, 2.0, 4.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == 10.0
-        assert h.mean == 2.5
-        assert h.min == 1.0 and h.max == 4.0
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 4.0
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_empty_histogram(self):
-        h = MetricRegistry().histogram("empty")
-        assert h.mean == 0.0 and h.percentile(50) == 0.0
-
-    def test_as_dict(self):
-        reg = MetricRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1.0)
-        reg.histogram("h").observe(3.0)
-        snap = reg.as_dict()
-        assert snap["c"] == 2 and snap["g"] == 1.0
-        assert snap["h"]["count"] == 1 and snap["h"]["sum"] == 3.0
+    @pytest.mark.parametrize("read", [
+        lambda q: ServiceStats(latencies=[0.1, 0.2, 0.9]).latency_percentile(q),
+        lambda q: BatchQueryResult(results=[None] * 3, wall_time=1.0, setup_time=0.0,
+                                   latencies=[0.1, 0.2, 0.9],
+                                   solved=0).latency_percentile(q),
+        lambda q: TraceSummary(
+            query_latencies=[0.1, 0.2, 0.9]).query_latency_percentile(q),
+    ], ids=["service", "batch", "trace"])
+    def test_q_outside_0_100_raises(self, read):
+        assert read(0) == 0.1 and read(50) == 0.2 and read(100) == 0.9
+        for q in (-100, -0.5, 100.5, 200, float("nan")):
+            with pytest.raises(ValueError, match="q must be in"):
+                read(q)
 
 
 class TestSinks:
@@ -207,6 +118,15 @@ class TestSinks:
         events = read_jsonl(path)  # raises on any corrupted line
         assert len(events) == n_threads * per_thread
 
+    def test_close_is_idempotent(self, tmp_path):
+        # ``with tracer:`` closes the sinks on exit; an explicit close
+        # after it must be a no-op, not "I/O operation on closed file".
+        path = tmp_path / "trace.jsonl"
+        with Tracer(sinks=[JsonlSink(path)]) as tracer:
+            tracer.point("x", ts=1.0)
+        tracer.close()
+        assert read_jsonl(path) == [Event(ts=1.0, kind="point", name="x")]
+
     def test_parse_jsonl_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_jsonl(['{"ts": 0, "kind": "point", "name": "x"}', "not json"])
@@ -244,32 +164,15 @@ class TestTracer:
         off.point("x", ts=1.5)
         assert tr.memory.events[0].ts == 11.5
 
-    def test_offset_composes_and_shares_metrics(self):
+    def test_offset_composes(self):
         tr = Tracer()
         off = tr.offset(10.0).offset(5.0)
         off.point("x", ts=0.0)
-        off.metrics.counter("c").inc()
         assert tr.memory.events[0].ts == 15.0
-        assert tr.metrics.counter("c").value == 1
 
     def test_zero_offset_is_identity(self):
         tr = Tracer()
         assert tr.offset(0.0) is tr
-
-    def test_null_tracer_normalises_to_none(self):
-        assert active(None) is None
-        assert active(NULL_TRACER) is None
-        assert active(NullTracer()) is None
-        tr = Tracer()
-        assert active(tr) is tr
-
-    def test_null_tracer_accepts_api(self):
-        nt = NullTracer()
-        with nt.span("x"):
-            nt.point("y", pe=1)
-        nt.span_at("z", 0.0, 1.0)
-        assert nt.offset(5.0) is nt
-        assert nt.memory is None
 
 
 def _run_simulated(tracer=None, num_pes=8, seed=7):
@@ -312,20 +215,6 @@ class TestSimulatorTracing:
             assert s.per_pe_tasks.get(pe, 0) == st.tasks_executed
             assert s.per_pe_stolen_tasks.get(pe, 0) == st.tasks_stolen_executed
             assert s.per_pe_busy.get(pe, 0.0) == pytest.approx(st.work_time)
-
-    def test_metrics_registry_populated(self):
-        tr = Tracer()
-        result = _run_simulated(tr)
-        m = tr.metrics
-        assert m.counter("steals_attempted").value == sum(
-            p.steal_requests_sent for p in result.pe_stats
-        )
-        assert m.counter("tasks_migrated").value == sum(
-            p.tasks_lost for p in result.pe_stats
-        )
-        busy = m.histogram("pe_busy_time")
-        assert busy.count == result.num_pes
-        assert busy.sum == pytest.approx(result.total_work())
 
     def test_untraced_run_identical_to_traced(self):
         plain = _run_simulated(None)

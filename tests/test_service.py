@@ -10,7 +10,7 @@ from repro import ExecutionPolicy, PlanService, ServiceConfig, Tracer, WorkloadS
 from repro.obs import format_summary, summarize_events
 from repro.runtime import Fault, FaultInjector
 from repro.service import BatchQueue, ServiceOverloadError
-from repro.service.cache import RoadmapCache, build_engine
+from repro.service.cache import RoadmapCache, build_engine, snapshot_nbytes
 from repro.spec import FaultPolicy
 
 from .oracle import same_answer
@@ -293,6 +293,43 @@ class TestObservabilityIntegration:
         text = format_summary(summary)
         assert "Service (snapshot cache + coalescer)" in text
         assert "flush reasons" in text
+
+    def test_trace_recounts_cache_and_service_stats(self):
+        """The completeness invariant on a served run with a rejection
+        and an eviction: the trace alone gives ``CacheStats`` and the
+        ``ServiceStats`` batch and rejection counts."""
+        a, b = _spec(seed=3), _spec(seed=4)
+        release = threading.Event()
+
+        def gated(spec):
+            release.wait(5.0)
+            return build_engine(spec)
+
+        tracer = Tracer()
+        budget = snapshot_nbytes(build_engine(a)) * 3 // 2
+        cache = RoadmapCache(max_bytes=budget, builder=gated, tracer=tracer)
+        cfg = ServiceConfig(max_batch=1, max_linger=0.0, max_queue=2)
+        with PlanService(cfg, tracer=tracer, cache=cache) as svc:
+            queries = _queries(a, 4)
+            futs = [svc.submit(a, q) for q in queries[:3]]
+            deadline = time.perf_counter() + 2.0
+            while svc.stats().queued < 2 and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            with pytest.raises(ServiceOverloadError):
+                svc.submit(a, queries[3], block=False)
+            release.set()
+            for f in futs:
+                f.result(10.0)
+            svc.solve_many(b, _queries(b, 2))
+            st = svc.stats()
+        s = summarize_events(tracer.memory.events)
+        assert (s.cache_hits, s.cache_misses, s.cache_evictions) == (
+            st.cache.hits, st.cache.misses, st.cache.evictions
+        )
+        assert (s.batches_flushed, sum(s.batch_sizes), s.requests_rejected) == (
+            st.batches, st.served, st.rejected
+        )
+        assert (st.rejected, st.cache.evictions, st.served) == (1, 1, 5)
 
     def test_stats_latencies_cover_all_requests(self):
         spec = _spec()

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import WorkloadSpec
-from repro.obs import Tracer
+from repro.obs import Tracer, summarize_events
 from repro.service import RoadmapCache, snapshot_nbytes
 from repro.service.cache import build_engine
 
@@ -145,8 +145,11 @@ class TestObservability:
         names = [e.name for e in tracer.memory.events]
         assert names.count("cache_miss") == 1
         assert names.count("cache_hit") == 1
-        assert tracer.metrics.counter("cache_hits").value == 1
-        assert tracer.metrics.counter("cache_misses").value == 1
+        s = summarize_events(tracer.memory.events)
+        st = cache.stats
+        assert (s.cache_hits, s.cache_misses, s.cache_evictions) == (
+            st.hits, st.misses, st.evictions
+        ) == (1, 1, 0)
 
     def test_eviction_event_carries_bytes(self):
         tracer = Tracer()

@@ -9,6 +9,7 @@ from repro.obs import (
     EV_TASK_RETRY,
     EV_WORKER_DEATH,
     Tracer,
+    summarize_events,
 )
 from repro.runtime import (
     ClusterTopology,
@@ -182,8 +183,11 @@ class TestFaultObservability:
         assert EV_TASK_RETRY in names
         assert EV_WORKER_DEATH in names
         assert res.worker_deaths == 1
-        assert tr.metrics.counter("worker_deaths").value == 1
-        assert tr.metrics.counter("task_attempts_failed").value >= 1
+        s = summarize_events(tr.memory.events)
+        assert s.worker_deaths == res.worker_deaths
+        assert s.task_retries == res.retries
+        assert s.abandoned_tasks == res.abandoned == []
+        assert s.retry_reasons["fault"] == sum(p.attempts_failed for p in res.pe_stats) == 1
 
     def test_abandonment_event(self):
         tr = Tracer()
@@ -195,7 +199,12 @@ class TestFaultObservability:
         )
         assert res.abandoned == [0]
         assert EV_TASK_ABANDONED in [e.name for e in tr.memory.events]
-        assert tr.metrics.counter("tasks_abandoned").value == 1
+        s = summarize_events(tr.memory.events)
+        assert s.abandoned_tasks == res.abandoned
+        assert s.task_retries == res.retries == 1
+        assert s.task_retries + s.tasks_abandoned == sum(
+            p.attempts_failed for p in res.pe_stats
+        )
 
 
 class TestNoInjectorUnchanged:

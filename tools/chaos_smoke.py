@@ -5,7 +5,9 @@ Runs the acceptance scenario end to end — one worker crash plus two
 transient region failures under ``failure_policy="retry"`` — on the real
 ``ProcessPoolExecutor`` backend, verifies parity with the fault-free
 run, and writes the JSON-lines trace to the given path so CI can keep
-it as the failure-story artifact.
+it as the failure-story artifact.  It then re-reads that trace and fails
+unless the trace alone tells the report's story: the same retries,
+worker deaths and abandoned regions.
 
 Run:  python tools/chaos_smoke.py chaos-trace.jsonl
 """
@@ -22,6 +24,8 @@ from repro import (
     Tracer,
     WorkloadSpec,
     plan,
+    read_jsonl,
+    summarize_events,
 )
 
 _WORKLOAD = WorkloadSpec(planner="prm", num_regions=12, samples_per_region=4, seed=7)
@@ -65,6 +69,13 @@ def main(trace_path: str) -> int:
         problems.append(f"expected >=2 retries, saw {chaotic.retries}")
     if chaotic.worker_deaths < 1:
         problems.append("expected at least one worker death")
+    told = summarize_events(read_jsonl(trace_path))
+    traced = (told.task_retries, told.worker_deaths, sorted(told.abandoned_tasks))
+    reported = (chaotic.retries, chaotic.worker_deaths, chaotic.abandoned_regions)
+    if traced != reported:
+        problems.append(
+            f"trace tells (retries, deaths, abandoned) {traced}, the report {reported}"
+        )
 
     print(chaotic.summary())
     if problems:

@@ -38,6 +38,9 @@ GOLDEN = "tests/test_simulator_golden.py"
 TIES = "tests/test_frozen.py::TestTieCertificate"
 CERT = "tests/test_segment_certificate.py"
 LAZY = "tests/test_roadmap.py::TestLazyForest"
+RECOUNT = "tests/test_api_faults.py::test_trace_recounts_the_reports_failures"
+SERVED = ("tests/test_service.py::TestObservabilityIntegration"
+          "::test_trace_recounts_cache_and_service_stats")
 
 
 class Mutant(NamedTuple):
@@ -283,6 +286,34 @@ MUTANTS = [
         "local_levels = min(levels, int(np.ceil(np.log2(topology.cores_per_node))))",
         "local_levels = 0",
         ("tests/test_termination.py",),
+    ),
+    Mutant(
+        "a worker death in the pool emits no worker_death event",
+        "repro/runtime/local_pool.py",
+        "        if tracer is not None:\n            tracer.point(\n                EV_WORKER_DEATH,",
+        "        if False:\n            tracer.point(\n                EV_WORKER_DEATH,",
+        (RECOUNT,),
+    ),
+    Mutant(
+        "a pool task's trace cost is not its measured time",
+        "repro/runtime/local_pool.py",
+        "tr.point(EV_TASK_END, ts=start_ts + dt, task=task_id, cost=dt)",
+        "tr.point(EV_TASK_END, ts=start_ts + dt, task=task_id, cost=0.0)",
+        ("tests/test_local_pool.py::TestRunTasksParallel::test_tracer_sees_every_task",),
+    ),
+    Mutant(
+        "a cache eviction emits no cache_evict event",
+        "repro/service/cache.py",
+        "                self._tracer.point(EV_CACHE_EVICT, key=ekey, bytes=ebytes)\n",
+        "                pass\n",
+        (SERVED,),
+    ),
+    Mutant(
+        "a rejected request emits no request_rejected event",
+        "repro/service/service.py",
+        "            self._tracer.point(EV_REQUEST_REJECTED, queued=self._queue.queued)\n",
+        "            pass\n",
+        (SERVED,),
     ),
 ]
 
