@@ -29,7 +29,13 @@ connection each run as one segmented NumPy pass per block instead of once
 per region, entered through the same methods a single region uses
 (``UniformSampler.__call__``, ``PRM.build``, ``BruteForceNN.
 knn_block_growing`` / ``knn_batch_arrays``, ``PRM.connect_roadmaps``,
-whose one-region call is the one-segment case).  It is exact, not
+whose one-region call is the one-segment case).  A block reads its
+regions' boxes from the decomposition's ``(Nr, d)`` arrays
+(``UniformSubdivision.lo`` / ``hi`` / ``sample_lo`` / ``sample_hi``, built
+in one pass) and classifies them for the narrow-passage boost in one
+``Environment.boxes_on_boundary`` call, so the only per-region Python
+calls left are ``region_rng`` and each sampler round's ``rng.random``.
+It is exact, not
 approximately equal, because the PRM attempts every k-NN candidate: no
 connection decision depends on an earlier outcome, every verdict is a
 function of geometry alone, every distance, interpolation and box test is
@@ -282,22 +288,26 @@ class PRMRegionPlanner:
         """Local-plan points one candidate pair is expected to need."""
         return float(np.linalg.norm(self.cell)) / self.planner.local_planner.resolution
 
-    def _boosted(self, region) -> bool:
-        return bool(
-            self.boost_samples
-            and self.cspace.env.box_obstacle_relation(region.bounds) == "boundary"
-        )
+    def _boost(self, rids) -> np.ndarray:
+        """Extra samples per region of ``rids``: ``boost_samples`` where the
+        region's core box straddles an obstacle surface, else 0 — one
+        classification of the block's boxes against every obstacle."""
+        rows = np.asarray(rids, dtype=np.int64)
+        if not self.boost_samples:
+            return np.zeros(rows.size, dtype=np.int64)
+        grid = self.decomposition
+        return self.boost_samples * self.cspace.env.boxes_on_boundary(grid.lo[rows], grid.hi[rows])
 
     def __call__(self, rid: int) -> PRMResult:
-        region = self.decomposition.region_of(rid)
         rng = region_rng(self.seed, rid)
-        within, id_base = region.sample_bounds, rid << ID_SHIFT
+        within, id_base = self.decomposition.region_of(rid).sample_bounds, rid << ID_SHIFT
         # Each regional roadmap is built independently (the whole point of
         # uniform subdivision) and merged afterwards.
         result = self.planner.build(self.samples_per_region, rng, within=within, id_base=id_base)
-        if self._boosted(region):
+        boost = int(self._boost([rid])[0])
+        if boost:
             refined = self.planner.build(
-                self.boost_samples, rng, within=within, roadmap=result.roadmap, id_base=id_base
+                boost, rng, within=within, roadmap=result.roadmap, id_base=id_base
             )
             result = PRMResult(refined.roadmap, result.stats.merge(refined.stats))
         return result
@@ -306,17 +316,19 @@ class PRMRegionPlanner:
         """The regions ``rids`` as one :class:`PRMBlock` (segment ``i`` is
         region ``rids[i]``): what :meth:`__call__` builds for each of them,
         vertex for vertex and count for count, with the regions laid side
-        by side so each pass runs once per block.  The boost pass continues
-        the same per-region generators; an unboosted region asks it for
-        zero samples, which draws nothing.  Needs ``planner.runs_blocks``.
+        by side so each pass runs once per block.  Boxes, ids and the boost
+        test come from the decomposition's arrays, not per-region objects.
+        The boost pass continues the same per-region generators; an
+        unboosted region asks it for zero samples, which draws nothing.
+        Needs ``planner.runs_blocks``.
         """
-        regions = [self.decomposition.region_of(rid) for rid in rids]
+        grid, rows = self.decomposition, np.asarray(rids, dtype=np.int64)
         rngs = [region_rng(self.seed, rid) for rid in rids]
-        within = [region.sample_bounds for region in regions]
-        id_base = [rid << ID_SHIFT for rid in rids]
+        within = np.stack((grid.sample_lo[rows], grid.sample_hi[rows]), axis=1)
+        id_base = rows << ID_SHIFT
         block = self.planner.build(self.samples_per_region, rngs, within=within, id_base=id_base)
-        boost = [self.boost_samples if self._boosted(region) else 0 for region in regions]
-        if any(boost):
+        boost = self._boost(rows)
+        if boost.any():
             first = block.stats
             block = self.planner.build(boost, rngs, within=within, roadmap=block, id_base=id_base)
             block.stats = [a.merge(b) for a, b in zip(first, block.stats)]
@@ -388,8 +400,8 @@ def _connect_in_blocks(
 ) -> "list[tuple[PlannerStats | None, int]]":
     """Region connection, ``step`` adjacencies per pass: per adjacency its
     ledger (``None`` when a boundary set is empty) and ``b``-side set size."""
-    boxes = [regions.decomposition.region_of(rid).bounds for rid in rows.rids]
-    box_lo, box_hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+    grid = regions.decomposition
+    box_lo, box_hi = grid.lo[rows.rids], grid.hi[rows.rids]
     # ``rows.rids`` is sorted, so a region's row index is its rank.
     index = np.searchsorted(rows.rids, np.asarray(adjacencies, dtype=np.int64).reshape(-1, 2))
     out: "list[tuple[PlannerStats | None, int]]" = []

@@ -34,6 +34,9 @@ from .primitives import AABB
 
 __all__ = ["Environment", "CollisionCounters"]
 
+#: Box-obstacle pairs one slice of :meth:`Environment.boxes_on_boundary` tests.
+_BOX_PAIRS = 1 << 16
+
 #: Serialises first snapshots (module-level: an Environment is pickled to
 #: inline-plane workers, a lock attribute would not survive that).
 _SNAPSHOT_LOCK = threading.Lock()
@@ -281,6 +284,22 @@ class Environment:
         if inside_any:
             return "blocked"
         return "boundary" if touches_any else "free"
+
+    def boxes_on_boundary(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`box_obstacle_relation` ``== "boundary"`` for every box
+        ``lo[i]..hi[i]`` at once: True where the box touches an obstacle
+        and lies inside none.  Obstacles are scanned in slices of at most
+        ``_BOX_PAIRS`` box-obstacle pairs, so the temporaries grow with the
+        number of boxes, never with boxes x obstacles."""
+        lo, hi = np.atleast_2d(lo)[:, None], np.atleast_2d(hi)[:, None]
+        touches = np.zeros(lo.shape[0], dtype=bool)
+        inside = np.zeros(lo.shape[0], dtype=bool)
+        step = max(1, _BOX_PAIRS // max(lo.shape[0], 1))
+        for s in range(0, self.num_obstacles, step):
+            obs_lo, obs_hi = self._obs_lo[s : s + step], self._obs_hi[s : s + step]
+            touches |= np.all((obs_lo <= hi) & (lo <= obs_hi), axis=2).any(axis=1)
+            inside |= np.all((obs_lo <= lo) & (hi <= obs_hi), axis=2).any(axis=1)
+        return touches & ~inside
 
     def free_volume(self, within: AABB | None = None) -> float:
         region = within if within is not None else self.bounds

@@ -151,7 +151,7 @@ class PRM:
         self,
         n_samples: "int | Sequence[int]",
         rng: "np.random.Generator | Sequence[np.random.Generator]",
-        within: "AABB | Sequence[AABB] | None" = None,
+        within: "AABB | np.ndarray | None" = None,
         roadmap: "Roadmap | PRMBlock | None" = None,
         id_base: "int | Sequence[int]" = 0,
     ) -> "PRMResult | PRMBlock":
@@ -162,9 +162,10 @@ class PRM:
         regional roadmaps have globally unique ids.
 
         Given a *sequence* of generators this builds a block of
-        independent roadmaps, one segment per generator (``n_samples``,
-        ``within`` and ``id_base`` a scalar for all or one per segment),
-        and returns a :class:`PRMBlock`; ``roadmap`` is then an earlier
+        independent roadmaps, one segment per generator (``n_samples``
+        and ``id_base`` a scalar for all or one per segment, ``within`` one
+        box for all or the sampler's ``(g, 2, d)`` box array), and returns
+        a :class:`PRMBlock`; ``roadmap`` is then an earlier
         block over the same segments to extend.  Sampling, growing k-NN
         and local planning each run once over the whole block — see
         :meth:`_build_segments`, which a batched one-generator build runs

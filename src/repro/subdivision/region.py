@@ -10,6 +10,7 @@ distribution that the load balancing techniques manipulate.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,17 @@ class RegionGraph:
         #: region id -> processor id; filled by a partitioner.
         self.assignment: dict[int, int] = {}
 
+    @classmethod
+    def from_regions(cls, regions: "Mapping[int, Region]") -> "RegionGraph":
+        """A graph over a fixed region table, every weight 1 and no
+        adjacencies yet.  ``regions`` maps id -> region and may build its
+        regions on demand (a grid does); it is kept, not copied."""
+        graph = cls()
+        graph._regions = regions  # type: ignore[assignment]
+        graph._adj = {rid: set() for rid in regions}
+        graph.weights = dict.fromkeys(regions, 1.0)
+        return graph
+
     # -- construction ------------------------------------------------------
     def add_region(self, region: Region, weight: float = 1.0) -> None:
         if region.id in self._regions:
@@ -56,7 +68,7 @@ class RegionGraph:
     def add_adjacency(self, a: int, b: int) -> None:
         if a == b:
             raise ValueError("a region is not adjacent to itself")
-        if a not in self._regions or b not in self._regions:
+        if a not in self._adj or b not in self._adj:
             raise KeyError(f"adjacency ({a},{b}) references missing region")
         self._adj[a].add(b)
         self._adj[b].add(a)

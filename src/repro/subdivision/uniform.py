@@ -1,14 +1,15 @@
 """Uniform grid subdivision of C-space (Algorithm 1, lines 1-6).
 
 The positional dimensions of C-space are cut into an axis-aligned grid of
-``Nr`` box regions.  Adjacency connects regions sharing a face (or,
-optionally, an edge/corner).  A configurable fractional *overlap* grows
+``Nr`` box regions, computed as one array pass over all cells.  Adjacency
+connects regions sharing a face.  A configurable fractional *overlap* grows
 each region's sampling box so that samples near boundaries can seed the
 inter-region connection phase, exactly as the paper describes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,49 @@ def grid_shape_for(num_regions: int, dim: int, extents: np.ndarray) -> "tuple[in
     return tuple(int(s) for s in shape)
 
 
+class _GridCells(Mapping):
+    """``rid -> BoxRegion`` over a grid's arrays: a region and its two
+    :class:`AABB` s are built the first time they are asked for, then cached.
+    It holds the arrays, not the grid, so the grid -> graph -> cells chain
+    is no reference cycle and is freed as soon as the grid is."""
+
+    def __init__(self, index, lo, hi, sample_lo, sample_hi):
+        self._rows = (index, lo, hi, sample_lo, sample_hi)
+        self._built: "dict[int, BoxRegion]" = {}
+
+    def __getitem__(self, rid: int) -> BoxRegion:
+        region = self._built.get(rid)
+        if region is None:
+            if rid not in self:
+                raise KeyError(rid)
+            index, lo, hi, sample_lo, sample_hi = (a[rid] for a in self._rows)
+            region = self._built[rid] = BoxRegion(
+                id=int(rid),
+                bounds=AABB(lo.copy(), hi.copy()),
+                sample_bounds=AABB(sample_lo.copy(), sample_hi.copy()),
+                grid_index=tuple(index.tolist()),
+            )
+        return region
+
+    def __contains__(self, rid) -> bool:
+        return isinstance(rid, (int, np.integer)) and 0 <= rid < len(self)
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return self._rows[0].shape[0]
+
+
 class UniformSubdivision:
     """Axis-aligned grid subdivision of the positional C-space box.
+
+    The geometry of all ``Nr`` cells is held as ``(Nr, d)`` arrays, row
+    ``r`` being region ``r`` (row-major over the grid): ``index`` (grid
+    index), ``lo`` / ``hi`` (exclusive core box) and ``sample_lo`` /
+    ``sample_hi`` (overlapped sampling box).  Block passes read these;
+    :meth:`region_of` builds a region's :class:`BoxRegion` from them on
+    first use.  Adjacency connects regions sharing a face.
 
     Parameters
     ----------
@@ -65,8 +107,6 @@ class UniformSubdivision:
     overlap:
         Fraction of a cell's half-extent by which sampling boxes extend
         beyond the exclusive core (paper: "some user-defined overlap").
-    include_diagonal:
-        When True, regions sharing only an edge/corner are also adjacent.
     """
 
     def __init__(
@@ -74,14 +114,12 @@ class UniformSubdivision:
         bounds: AABB,
         num_regions: int,
         overlap: float = 0.1,
-        include_diagonal: bool = False,
         shape: "tuple[int, ...] | None" = None,
     ):
         if overlap < 0:
             raise ValueError("overlap must be non-negative")
         self.bounds = bounds
         self.overlap = overlap
-        self.include_diagonal = include_diagonal
         self.shape = (
             shape if shape is not None
             else grid_shape_for(num_regions, bounds.dim, bounds.extents)
@@ -89,6 +127,13 @@ class UniformSubdivision:
         if len(self.shape) != bounds.dim:
             raise ValueError("shape dimensionality mismatch")
         self._cell = bounds.extents / np.asarray(self.shape, dtype=float)
+        # Row r is cell r: the grid index is the flat id in mixed radix.
+        self.index = np.indices(self.shape).reshape(bounds.dim, -1).T
+        self.lo = bounds.lo + self.index * self._cell
+        self.hi = self.lo + self._cell
+        margin = 0.5 * self.overlap * self._cell
+        self.sample_lo = np.maximum(self.lo - margin, bounds.lo)
+        self.sample_hi = np.minimum(self.hi + margin, bounds.hi)
         self.graph = self._build()
 
     # -- construction ----------------------------------------------------------
@@ -98,45 +143,19 @@ class UniformSubdivision:
             rid = rid * n + i
         return rid
 
-    def _id_to_index(self, rid: int) -> "tuple[int, ...]":
-        idx = []
-        for n in reversed(self.shape):
-            idx.append(rid % n)
-            rid //= n
-        return tuple(reversed(idx))
-
     def _build(self) -> RegionGraph:
-        graph = RegionGraph()
-        dim = self.bounds.dim
-        margin = 0.5 * self.overlap * self._cell
-        for flat in range(int(np.prod(self.shape))):
-            idx = self._id_to_index(flat)
-            lo = self.bounds.lo + np.asarray(idx) * self._cell
-            hi = lo + self._cell
-            core = AABB(lo, hi)
-            sample = AABB(
-                np.maximum(lo - margin, self.bounds.lo),
-                np.minimum(hi + margin, self.bounds.hi),
-            )
-            graph.add_region(BoxRegion(id=flat, bounds=core, sample_bounds=sample, grid_index=idx))
-        # Face adjacencies.
-        for flat in range(int(np.prod(self.shape))):
-            idx = self._id_to_index(flat)
-            for d in range(dim):
-                if idx[d] + 1 < self.shape[d]:
-                    nbr = list(idx)
-                    nbr[d] += 1
-                    graph.add_adjacency(flat, self._index_to_id(tuple(nbr)))
-            if self.include_diagonal:
-                for offset in np.ndindex(*(3,) * dim):
-                    delta = np.asarray(offset) - 1
-                    if np.all(delta == 0) or np.sum(np.abs(delta)) < 2:
-                        continue
-                    nbr = np.asarray(idx) + delta
-                    if np.all(nbr >= 0) and np.all(nbr < self.shape):
-                        nbr_id = self._index_to_id(tuple(int(x) for x in nbr))
-                        if nbr_id > flat:
-                            graph.add_adjacency(flat, nbr_id)
+        graph = RegionGraph.from_regions(
+            _GridCells(self.index, self.lo, self.hi, self.sample_lo, self.sample_hi)
+        )
+        # Face adjacencies (r, r + stride[axis]) in (region, axis) order:
+        # a neighbour set iterates in the order its ids were inserted.
+        shape = np.asarray(self.shape)
+        stride = np.cumprod(np.concatenate(([1], shape[:0:-1])))[::-1]
+        flat = np.arange(self.index.shape[0])[:, None]
+        ahead = np.broadcast_arrays(flat, flat + stride)
+        ok = self.index + 1 < shape
+        for a, b in zip(ahead[0][ok].tolist(), ahead[1][ok].tolist()):
+            graph.add_adjacency(a, b)
         return graph
 
     # -- queries ------------------------------------------------------------

@@ -160,3 +160,47 @@ def assert_trace_matches_pool(events, pool) -> None:
     assert s.task_retries == pool.retries
     assert s.worker_deaths == pool.worker_deaths
     assert sorted(s.abandoned_tasks) == pool.abandoned
+
+
+def grid_loop(bounds, num_regions, overlap=0.1, shape=None):
+    """``UniformSubdivision``'s regions and region graph built one cell at
+    a time — the oracle its array pass replays: per cell its core and
+    sampling ``AABB`` and grid index, then face adjacencies in (region,
+    axis) order.  Returns the ``RegionGraph`` of ``BoxRegion`` s."""
+    from repro.geometry import AABB
+    from repro.subdivision import RegionGraph, grid_shape_for
+    from repro.subdivision.uniform import BoxRegion
+
+    shape = shape if shape is not None else grid_shape_for(num_regions, bounds.dim, bounds.extents)
+    cell = bounds.extents / np.asarray(shape, dtype=float)
+
+    def id_to_index(rid):
+        idx = []
+        for n in reversed(shape):
+            idx.append(rid % n)
+            rid //= n
+        return tuple(reversed(idx))
+
+    def index_to_id(idx):
+        rid = 0
+        for i, n in zip(idx, shape):
+            rid = rid * n + i
+        return rid
+
+    graph = RegionGraph()
+    margin = 0.5 * overlap * cell
+    for flat in range(int(np.prod(shape))):
+        idx = id_to_index(flat)
+        lo = bounds.lo + np.asarray(idx) * cell
+        hi = lo + cell
+        sample = AABB(np.maximum(lo - margin, bounds.lo), np.minimum(hi + margin, bounds.hi))
+        graph.add_region(BoxRegion(id=flat, bounds=AABB(lo, hi), sample_bounds=sample,
+                                   grid_index=idx))
+    for flat in range(int(np.prod(shape))):
+        idx = id_to_index(flat)
+        for d in range(bounds.dim):
+            if idx[d] + 1 < shape[d]:
+                nbr = list(idx)
+                nbr[d] += 1
+                graph.add_adjacency(flat, index_to_id(tuple(nbr)))
+    return graph

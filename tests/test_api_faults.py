@@ -26,7 +26,7 @@ from repro import (
     plan,
     summarize_events,
 )
-from repro.core import PRMRegionPlanner
+from repro.core import parallel_prm
 from repro.planners import PRMSegment, Roadmap
 from repro.runtime import TaskFailedError
 
@@ -143,14 +143,14 @@ class TestChunksPlannedAsBlocks:
     def doomed_region(self, monkeypatch):
         """One region raises wherever it is planned, in a block or alone
         (forked workers inherit the patch)."""
-        boosted = PRMRegionPlanner._boosted
+        keyed = parallel_prm.region_rng
 
-        def exploding(planner, region):
-            if region.id == self.DOOMED:
-                raise RuntimeError(f"region {region.id} exploded")
-            return boosted(planner, region)
+        def exploding(seed, rid):
+            if rid == self.DOOMED:
+                raise RuntimeError(f"region {rid} exploded")
+            return keyed(seed, rid)
 
-        monkeypatch.setattr(PRMRegionPlanner, "_boosted", exploding)
+        monkeypatch.setattr(parallel_prm, "region_rng", exploding)
 
     def test_an_injector_plan_keeps_the_per_task_loop(self, backend):
         loop, blocks = self._policies(backend)

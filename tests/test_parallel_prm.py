@@ -11,8 +11,9 @@ from repro.api import _RegionTask
 from repro.core import PRMRegionPlanner, build_prm_workload, parallel_prm, simulate_prm
 from repro.core.metrics import coefficient_of_variation
 from repro.cspace import EuclideanCSpace, StraightLinePlanner, UniformSampler
-from repro.geometry import free_env, med_cube
+from repro.geometry import AABB, Environment, free_env, med_cube
 from repro.geometry.environments import by_name
+from repro.geometry.scenarios import shelf_warehouse
 from repro.knn import BruteForceNN
 from repro.planners import Roadmap, RoadmapQuery
 from repro.runtime import run_tasks_parallel
@@ -30,6 +31,61 @@ def medcube_workload():
 def free_workload():
     cs = EuclideanCSpace(free_env())
     return build_prm_workload(cs, num_regions=500, samples_per_region=6, seed=3)
+
+
+def _probe_boxes(env, rng, n=20):
+    """Boxes that land in every class of ``box_obstacle_relation``: inside
+    an obstacle, straddling one, anywhere, an obstacle itself and boxes
+    sharing exactly one face (or corner) with one."""
+    olo, ohi = env._obs_lo, env._obs_hi
+    pick = rng.integers(0, olo.shape[0], size=3 * n)
+    t = np.sort(rng.uniform(-0.5, 1.5, size=(3 * n, 2, env.dim)), axis=1)
+    t[:n] = np.sort(rng.uniform(0.0, 1.0, size=(n, 2, env.dim)), axis=1)
+    lo = olo[pick] + t[:, 0] * (ohi - olo)[pick]
+    hi = olo[pick] + t[:, 1] * (ohi - olo)[pick]
+    spot = rng.uniform(env.bounds.lo, env.bounds.hi, size=(n, env.dim))
+    lo[2 * n:], hi[2 * n:] = spot, spot + rng.uniform(0.0, 0.3, size=(n, env.dim))
+    face_lo, face_hi = ohi[pick[:n]].copy(), ohi[pick[:n]] + 0.25
+    face_lo[:, 1:] = olo[pick[:n], 1:]
+    return (np.concatenate((lo, olo[pick[:n]], face_lo, ohi[pick[:n]])),
+            np.concatenate((hi, ohi[pick[:n]], face_hi, ohi[pick[:n]] + 0.1)))
+
+
+class TestBoostMask:
+    """The narrow-passage test is one ``Environment.boxes_on_boundary``
+    classification per block; ``box_obstacle_relation(box) == "boundary"``
+    per region is its oracle."""
+
+    @pytest.mark.parametrize("scene, num_regions", [
+        ("med-cube", 1000), ("mixed-30", 343), ("warehouse-2000", 64),
+    ])
+    def test_mask_equals_the_relation(self, scene, num_regions):
+        env = shelf_warehouse(2000, seed=3) if scene == "warehouse-2000" else by_name(scene)
+        regions = PRMRegionPlanner(EuclideanCSpace(env), num_regions, 4, seed=0)
+        rids = regions.region_ids
+        cores = [regions.decomposition.region_of(rid).bounds for rid in rids]
+        lo, hi = _probe_boxes(env, np.random.default_rng(num_regions))
+        boxes = cores + [AABB(a, b) for a, b in zip(lo, hi)]
+        want = [env.box_obstacle_relation(box) for box in boxes]
+        assert {"free", "blocked", "boundary"} <= set(want)
+        boundary = [rel == "boundary" for rel in want]
+        got = env.boxes_on_boundary(np.array([b.lo for b in boxes]),
+                                    np.array([b.hi for b in boxes]))
+        assert got.tolist() == boundary
+        boost = regions._boost(rids)
+        assert boost.tolist() == [regions.boost_samples * b for b in boundary[: len(rids)]]
+
+    def test_memory_grows_with_the_boxes_not_with_boxes_times_obstacles(self):
+        rng = np.random.default_rng(0)
+        corner = rng.uniform(-10.0, 9.0, size=(20000, 3))
+        env = Environment.from_arrays(AABB([-10.0] * 3, [10.0] * 3), corner, corner + 0.5)
+        grid = PRMRegionPlanner(EuclideanCSpace(env), 600, 4).decomposition
+        tracemalloc.start()
+        env.boxes_on_boundary(grid.lo, grid.hi)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # One (boxes, obstacles, d) temporary would be 36 MB.
+        assert peak < 4 * 2**20
 
 
 class TestWorkloadConstruction:

@@ -9,6 +9,8 @@ from repro.geometry import AABB
 from repro.subdivision import RegionGraph, UniformSubdivision, grid_shape_for
 from repro.subdivision.uniform import BoxRegion
 
+from .oracle import grid_loop
+
 
 class TestGridShape:
     def test_reaches_target(self):
@@ -65,10 +67,6 @@ class TestUniformSubdivision:
         # 4x4 grid: 2*4*3 = 24 face adjacencies.
         assert sub.graph.num_adjacencies == 24
 
-    def test_diagonal_adjacency(self):
-        sub = UniformSubdivision(AABB([0, 0], [2, 2]), 4, include_diagonal=True)
-        assert sub.graph.num_adjacencies == 6  # 4 faces + 2 diagonals
-
     def test_locate_matches_contains(self, sub, rng):
         pts = rng.uniform(-2, 2, size=(200, 2))
         for p in pts:
@@ -93,6 +91,70 @@ class TestUniformSubdivision:
     def test_overlap_validation(self):
         with pytest.raises(ValueError):
             UniformSubdivision(AABB([0, 0], [1, 1]), 4, overlap=-0.1)
+
+
+class TestArraysEqualTheCellLoop:
+    """The grid's array pass equals the one-cell-at-a-time loop
+    (``tests/oracle.py::grid_loop``) bit for bit: every array row, every
+    lazily built region and the iteration order of every neighbour set,
+    which the simulator goldens depend on."""
+
+    @staticmethod
+    def _assert_equal(sub, oracle):
+        rids = oracle.region_ids()
+        assert sub.graph.region_ids() == rids == list(range(sub.num_regions))
+        want = {
+            name: np.array([getattr(getattr(oracle.region(r), box), end) for r in rids])
+            for name, box, end in (("lo", "bounds", "lo"), ("hi", "bounds", "hi"),
+                                   ("sample_lo", "sample_bounds", "lo"),
+                                   ("sample_hi", "sample_bounds", "hi"))
+        }
+        for name, arr in want.items():
+            assert getattr(sub, name).tobytes() == arr.tobytes(), name
+        assert sub.index.tolist() == [list(oracle.region(r).grid_index) for r in rids]
+        for rid in rids:
+            got, ref = sub.region_of(rid), oracle.region(rid)
+            assert sub.region_of(rid) is got  # built once, then cached
+            for box in ("bounds", "sample_bounds"):
+                for end in ("lo", "hi"):
+                    a, b = getattr(getattr(got, box), end), getattr(getattr(ref, box), end)
+                    assert a.tobytes() == b.tobytes()
+            assert got.grid_index == ref.grid_index
+            assert all(type(i) is int for i in got.grid_index)
+            assert list(sub.graph.neighbors(rid)) == list(oracle.neighbors(rid))
+        assert list(sub.graph.edges()) == list(oracle.edges())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**31 - 1),
+        target=st.integers(1, 400),
+        overlap=st.floats(0.0, 2.0),
+    )
+    def test_random_grids(self, dim, seed, target, overlap):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-10.0, 10.0, dim)
+        bounds = AABB(lo, lo + rng.uniform(0.05, 20.0, dim))
+        self._assert_equal(
+            UniformSubdivision(bounds, target, overlap=overlap), grid_loop(bounds, target, overlap)
+        )
+
+    def test_the_flagship_grid(self):
+        bounds = AABB([-10.0] * 3, [10.0] * 3)
+        self._assert_equal(
+            UniformSubdivision(bounds, 1024, overlap=0.2), grid_loop(bounds, 1024, 0.2)
+        )
+
+    def test_explicit_shape(self):
+        bounds = AABB([0.0, 0.0], [3.0, 1.0])
+        sub = UniformSubdivision(bounds, 1, overlap=0.3, shape=(7, 2))
+        self._assert_equal(sub, grid_loop(bounds, 1, 0.3, shape=(7, 2)))
+
+    def test_ids_outside_the_grid_raise(self):
+        sub = UniformSubdivision(AABB([0, 0], [1, 1]), 4)
+        for rid in (-1, 4):
+            with pytest.raises(KeyError):
+                sub.region_of(rid)
 
 
 class TestRegionGraph:

@@ -63,6 +63,27 @@ MUTANTS = [
         ("tests/test_api.py::TestLocalExecution::test_pool_threads_do_not_share_a_sample_domain",),
     ),
     Mutant(
+        "a round keeps the first `need` valid rows of the whole round, not of each segment",
+        "repro/cspace/sampling.py",
+        "rank = before - np.repeat(before[np.cumsum(sizes) - sizes], sizes)",
+        "rank = before",
+        ("tests/test_sampling.py::test_a_block_equals_one_call_per_segment",),
+    ),
+    Mutant(
+        "adjacencies are inserted axis-major",
+        "repro/subdivision/uniform.py",
+        "zip(ahead[0][ok].tolist(), ahead[1][ok].tolist())",
+        "zip(ahead[0].T[ok.T].tolist(), ahead[1].T[ok.T].tolist())",
+        ("tests/test_subdivision_uniform.py::TestArraysEqualTheCellLoop", GOLDEN),
+    ),
+    Mutant(
+        "a box inside an obstacle counts as boundary",
+        "repro/geometry/environment.py",
+        "return touches & ~inside",
+        "return touches",
+        ("tests/test_parallel_prm.py::TestBoostMask",),
+    ),
+    Mutant(
         "the plane scan's lower face is exclusive",
         "repro/kernels/reference.py",
         "np.greater_equal(col, box_lo[:, j], out=plane if j else inside)",
