@@ -39,6 +39,7 @@ in parallel on this machine's cores, and reports wall-clock numbers.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -54,8 +55,11 @@ from .core.parallel_rrt import (
     simulate_rrt,
 )
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
-from .geometry.environment import Environment
+from .geometry.bvh import BVH
+from .geometry.environment import _BOX_PAIRS, Environment
 from .geometry.primitives import AABB
+from .kernels.bvh_backend import _CACHE_ATTR
+from .kernels.data import EnvKernelData
 from .obs.summary import TraceSummary, format_summary, summarize_events
 from .planners.engine import BatchQueryResult, QueryEngine
 from .planners.prm import PRMSegment
@@ -396,9 +400,12 @@ class _RegionTask:
 # to pool workers.  "inline" ships the closure with every chunk (the
 # historical behaviour — cheap under fork's copy-on-write, expensive under
 # spawn).  "shm" publishes the environment's obstacle arrays as a shared
-# memory segment; workers map it zero-copy and rebuild the (deterministic)
-# region planner locally, so per-chunk traffic is a few hundred bytes however
-# large the scene is.  Results are bit-identical across both.
+# memory segment — on the ``bvh`` backend with the collision tree's packed
+# arrays beside them — and workers map it zero-copy and rebuild the
+# (deterministic) region planner locally, adopting the tree instead of
+# building one: per-chunk traffic is a few hundred bytes however large
+# the scene is, and the tree is built once, in the parent.  Results are
+# bit-identical across both.
 
 @dataclass(frozen=True)
 class _ShmPlanContext:
@@ -413,9 +420,38 @@ class _ShmPlanContext:
 #: one rebuilt region planner per worker process, keyed by the full context.
 _SHM_TASK_CACHE: "dict[_ShmPlanContext, object]" = {}
 
+#: The tree the parent ships with a ``bvh`` plan: one entry, keyed by the
+#: obstacle arrays' content, so successive plans on one scene build it
+#: once.  Deliberately not the caller's snapshot's tree: that one is built
+#: lazily by whatever queries the snapshot first, so an in-process plan on
+#: the same environment still builds (and traces) its own.
+_SHM_TREE_CACHE: "dict[bytes, BVH]" = {}
+
+#: Prefix of the tree's arrays in the published segment.
+_TREE_PREFIX = "bvh."
+
+
+def _shipped_tree(data: EnvKernelData) -> BVH:
+    """The box tree over ``data``'s obstacles, from the one-entry cache."""
+    h = hashlib.sha256(repr(data.box_lo.shape).encode())
+    h.update(data.box_lo)
+    h.update(data.box_hi)
+    key = h.digest()
+    tree = _SHM_TREE_CACHE.get(key)
+    if tree is None:
+        tree = BVH(data.box_lo, data.box_hi)
+        _SHM_TREE_CACHE.clear()
+        _SHM_TREE_CACHE[key] = tree
+    return tree
+
 
 class _ShmRegionTask(_RegionTask):
-    """:class:`_RegionTask` over the planner a worker rebuilds from shm."""
+    """:class:`_RegionTask` over the planner a worker rebuilds from shm.
+
+    A segment that carries a tree gets it installed on the rebuilt
+    environment's snapshot, as read-only views of the segment: the
+    worker never builds one.
+    """
 
     def __init__(self, ctx: _ShmPlanContext):
         self.ctx = ctx
@@ -433,10 +469,41 @@ class _ShmRegionTask(_RegionTask):
                 name=ctx.workload.environment,
                 kernel_backend=ctx.kernel_backend,
             )
+            tree = {
+                name[len(_TREE_PREFIX):]: a
+                for name, a in arrays.items() if name.startswith(_TREE_PREFIX)
+            }
+            if tree:
+                setattr(env.kernel_data(), _CACHE_ATTR, BVH.from_packed(tree))
             regions = _region_planner(EuclideanCSpace(env), ctx.workload)
             _SHM_TASK_CACHE.clear()
             _SHM_TASK_CACHE[ctx] = regions
         return regions
+
+
+def _publish_plan(
+    env: Environment, wl: WorkloadSpec, tracer
+) -> "tuple[_shm.SharedArrayManifest, _ShmRegionTask]":
+    """Publish ``env``'s bounds and obstacles — and on the ``bvh`` backend
+    its tree's packed arrays — as one segment, and the task that rebuilds
+    ``wl``'s region planner from it."""
+    data = env.kernel_data()
+    arrays = {
+        "bounds_lo": data.bounds_lo,
+        "bounds_hi": data.bounds_hi,
+        "obs_lo": data.box_lo,
+        "obs_hi": data.box_hi,
+    }
+    if env.kernel_backend.name == "bvh":
+        tree = _shipped_tree(data).packed()
+        arrays.update((_TREE_PREFIX + name, a) for name, a in tree.items())
+    manifest = _shm.publish_arrays(arrays, label="environment", tracer=tracer)
+    ctx = _ShmPlanContext(
+        manifest=manifest,
+        workload=replace(wl, environment=env.name),
+        kernel_backend=env.kernel_backend.name,
+    )
+    return manifest, _ShmRegionTask(ctx)
 
 
 def _shm_plan_eligible(cspace: ConfigurationSpace) -> bool:
@@ -460,21 +527,23 @@ def _resolve_data_plane(ex: ExecutionPolicy, cspace: ConfigurationSpace) -> str:
 
 def _region_weights(regions) -> "dict[int, float] | None":
     """Predicted relative cost per region for the "weighted" chunk policy:
-    1 + the number of obstacles overlapping the region's sample box."""
+    1 + the number of obstacles overlapping the region's sample box.  One
+    pass over every region's sample box, obstacles in slices of at most
+    ``_BOX_PAIRS`` region-obstacle pairs."""
     env = getattr(regions.cspace, "env", None)
-    lo = getattr(env, "_obs_lo", None)
-    if not isinstance(regions, PRMRegionPlanner) or lo is None or lo.shape[0] == 0:
+    if not isinstance(regions, PRMRegionPlanner) or env is None or env.num_obstacles == 0:
         return None
-    hi = env._obs_hi
-    weights = {}
-    for rid in regions.region_ids:
-        box = regions.decomposition.region_of(rid).sample_bounds
-        blo, bhi = np.asarray(box.lo), np.asarray(box.hi)
-        if blo.shape[0] != lo.shape[1]:
-            return None
-        overlap = np.all((lo <= bhi) & (hi >= blo), axis=1)
-        weights[rid] = 1.0 + float(np.count_nonzero(overlap))
-    return weights
+    data = env.kernel_data()
+    grid = regions.decomposition
+    lo, hi = grid.sample_lo[:, None], grid.sample_hi[:, None]
+    if lo.shape[2] != data.dim:
+        return None
+    counts = np.zeros(lo.shape[0], dtype=np.int64)
+    step = max(1, _BOX_PAIRS // lo.shape[0])
+    for s in range(0, data.num_boxes, step):
+        obs_lo, obs_hi = data.box_lo[s : s + step], data.box_hi[s : s + step]
+        counts += np.all((obs_lo <= hi) & (obs_hi >= lo), axis=2).sum(axis=1)
+    return {rid: 1.0 + float(counts[rid]) for rid in regions.region_ids}
 
 
 def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
@@ -493,24 +562,7 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     manifest = None
     try:
         if plane == "shm":
-            env = cspace.env
-            manifest = _shm.publish_arrays(
-                {
-                    "bounds_lo": env.bounds.lo,
-                    "bounds_hi": env.bounds.hi,
-                    "obs_lo": env._obs_lo,
-                    "obs_hi": env._obs_hi,
-                },
-                label="environment",
-                tracer=ob.tracer,
-            )
-            ctx = _ShmPlanContext(
-                manifest=manifest,
-                workload=replace(wl, environment=env.name),
-                kernel_backend=env.kernel_backend.name,
-            )
-            task = _ShmRegionTask(ctx)
-
+            manifest, task = _publish_plan(cspace.env, wl, ob.tracer)
         pool = run_tasks_parallel(
             task,
             regions.region_ids,

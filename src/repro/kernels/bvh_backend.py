@@ -1,11 +1,13 @@
 """bvh kernel backend: BVH-culled collision queries, bit-exact leaves.
 
 The scaling backend for obstacle-heavy scenes (10³–10⁵ primitives, see
-``repro.geometry.scenarios``): ``points_free`` / ``segments_free`` walk a
-packed-array AABB tree (:class:`repro.geometry.bvh.BVH`) instead of
-scanning every obstacle, turning the per-query cost from ``O(m)`` to
-``O(log m)`` node visits plus a handful of candidate primitives — and the
-whole batch goes down the tree together, one level per NumPy pass.
+``repro.geometry.scenarios``): instead of scanning every obstacle,
+``points_free`` tests each point against the few primitives binned into
+its cell of the tree's uniform grid (about one on the 20k-box warehouse,
+the whole batch in one pass), and ``segments_free`` walks a packed-array
+AABB tree (:class:`repro.geometry.bvh.BVH`) — ``O(log m)`` node visits
+plus a handful of candidate primitives per query, the whole batch going
+down the tree together, one level per NumPy pass.
 
 **The equivalence contract is bit-exact, not statistical.**  The tree
 only *culls*: node tests are conservative (inflated float64 boxes), and
@@ -31,7 +33,9 @@ snapshot and cached *on the snapshot* — snapshots are immutable and are
 themselves cached on ``Environment``, whose obstacle set is fixed at
 construction, so a tree never needs invalidating.  Whoever queries a
 cold snapshot first builds the tree, under a lock: threads sharing the
-snapshot share one tree.
+snapshot share one tree.  A snapshot can also arrive with its tree: a
+shm-plane pool worker's gets the parent's, adopted from the published
+segment (:mod:`repro.api`), and never builds one.
 """
 
 from __future__ import annotations

@@ -367,6 +367,156 @@ class TestFrontierParity:
         )
 
 
+# -- the cell table: exact at the shapes a cell map can get wrong -----------
+
+
+def _cells_strategy():
+    return st.tuples(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1, 2, 3, 4]),
+    )
+
+
+def _cells_fallback(r: random.Random):
+    return (r.randrange(2**31), r.randint(1, 40), r.choice([1, 2, 3, 4]))
+
+
+def _random_boxes(rng, n, dim):
+    lo = rng.uniform(-5, 5, size=(n, dim))
+    ext = rng.uniform(0.0, 2.0, size=(n, dim))
+    ext[rng.random((n, dim)) < 0.2] = 0.0  # zero-volume boxes
+    return lo, lo + ext
+
+
+def _off_by_ulp(pts):
+    return np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf)])
+
+
+def _grid_lines(tree, rng, pts):
+    """``pts`` with one axis at a time moved onto a line of ``tree``'s
+    cell grid, and one ulp either side of it."""
+    out = []
+    for k in range(tree.dim):
+        if tree.cell_scale[k] == 0:
+            continue
+        j = rng.integers(0, tree.cell_shape[k] + 1, size=len(pts))
+        moved = pts.copy()
+        moved[:, k] = tree.cell_lo[k] + j / tree.cell_scale[k]
+        out.append(_off_by_ulp(moved))
+    return np.concatenate([pts, *out])
+
+
+def _assert_cells_exact(lo, hi, pts):
+    """The point query equals the all-pairs scan bit for bit, and the
+    table holds at most four entries per box."""
+    tree = BVH(lo, hi)
+    np.testing.assert_array_equal(tree.points_hit(pts, point_in_box), points_hit_boxes(lo, hi, pts))
+    assert tree.cell_rows.size <= 4 * len(lo)
+    assert tree.cell_start[-1] == tree.cell_rows.size
+    return tree
+
+
+@property_test(_cells_strategy, _cells_fallback)
+def test_cells_points_on_cell_boundaries(script):
+    seed, n, dim = script
+    rng = np.random.default_rng(seed)
+    lo, hi = _random_boxes(rng, n, dim)
+    pts = rng.uniform(-6, 6, size=(32, dim))
+    _assert_cells_exact(lo, hi, _grid_lines(BVH(lo, hi), rng, pts))
+
+
+@property_test(_cells_strategy, _cells_fallback)
+def test_cells_box_faces_on_cell_boundaries(script):
+    """Unit boxes on an integer lattice over ``[0, w]^2`` make a unit grid:
+    every face lies on a cell boundary, and so does every point here."""
+    seed, n, _ = script
+    rng = np.random.default_rng(seed)
+    w = int(rng.integers(1, 9))
+    lo = rng.integers(0, w, size=(n + 2, 2)).astype(float)
+    lo[0] = 0.0
+    lo[1] = w - 1.0
+    hi = lo + 1.0
+    pts = rng.integers(0, w + 1, size=(48, 2)).astype(float)
+    pts[:16, 0] += rng.uniform(0, 1, size=16)
+    tree = _assert_cells_exact(lo, hi, _off_by_ulp(np.concatenate([pts, lo, hi])))
+    if (n + 2) * 4 >= w * w:
+        np.testing.assert_array_equal(tree.cell_shape, [w, w])
+        np.testing.assert_array_equal(tree.cell_scale, [1.0, 1.0])
+
+
+@property_test(_cells_strategy, _cells_fallback)
+def test_cells_a_zero_extent_axis(script):
+    """Every box flat on axis 0: at one coordinate (no extent at all) or
+    at several (a zero median width)."""
+    seed, n, dim = script
+    rng = np.random.default_rng(seed)
+    lo, hi = _random_boxes(rng, n, dim)
+    for plane in (np.full(n, 1.5), rng.choice([-2.0, 0.0, 3.0], size=n)):
+        lo[:, 0] = hi[:, 0] = plane
+        pts = rng.uniform(-6, 6, size=(32, dim))
+        pts[:16, 0] = rng.choice(plane, size=16)
+        _assert_cells_exact(lo, hi, _grid_lines(BVH(lo, hi), rng, _off_by_ulp(pts)))
+
+
+@property_test(_cells_strategy, _cells_fallback)
+def test_cells_half_and_fully_infinite_boxes(script):
+    seed, n, dim = script
+    rng = np.random.default_rng(seed)
+    lo, hi = _random_boxes(rng, n, dim)
+    lo[rng.random((n, dim)) < 0.2] = -np.inf
+    hi[rng.random((n, dim)) < 0.2] = np.inf
+    if n > 1:
+        lo[1], hi[1] = -np.inf, np.inf  # the whole space
+    pts = _off_by_ulp(rng.uniform(-7, 7, size=(32, dim)))
+    _assert_cells_exact(lo, hi, pts)
+
+
+@property_test(_cells_strategy, _cells_fallback)
+def test_cells_infinite_and_nan_coordinates(script):
+    seed, n, dim = script
+    rng = np.random.default_rng(seed)
+    lo, hi = _random_boxes(rng, n, dim)
+    lo[0, rng.integers(0, dim)] = -np.inf
+    pts = rng.uniform(-6, 6, size=(60, dim))
+    mask = rng.random(pts.shape) < 0.3
+    pts[mask] = rng.choice([np.inf, -np.inf, np.nan], size=mask.sum())
+    _assert_cells_exact(lo, hi, pts)
+
+
+@property_test(_cells_strategy, _cells_fallback)
+def test_cells_points_outside_the_finite_extent(script):
+    seed, n, dim = script
+    rng = np.random.default_rng(seed)
+    lo, hi = _random_boxes(rng, n, dim)
+    hi[0, 0] = np.inf
+    far = rng.choice([-1e300, -1e6, -7.0, 7.0, 1e6, 1e300], size=(40, dim))
+    pts = rng.uniform(-6, 6, size=(40, dim))
+    pts[:, 0] = far[:, 0]  # one axis out ...
+    _assert_cells_exact(lo, hi, np.concatenate([pts, far]))  # ... and every axis
+
+
+def test_cells_half_the_boxes_span_the_scene():
+    """500 of 1,000 boxes cover everything: the table shrinks to a few
+    cells, each point meets 500-odd candidates, and the (point,
+    candidate) rows are tested in slices, never all at once."""
+    rng = np.random.default_rng(21)
+    lo, hi = _random_boxes(rng, 1000, 3)
+    lo[::2], hi[::2] = -5.0, 7.0
+    pts = rng.uniform(-6, 8, size=(4000, 3))
+    tree = _assert_cells_exact(lo, hi, pts[:200])
+    tracemalloc.start()
+    try:
+        got = tree.points_hit(pts, point_in_box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two million rows; one at once would hold over 150 MB of gathers.
+    assert peak < 32 * 2**20
+    ref = np.concatenate([points_hit_boxes(lo, hi, pts[i:i + 500]) for i in range(0, 4000, 500)])
+    np.testing.assert_array_equal(got, ref)
+
+
 # -- tree structure ---------------------------------------------------------
 
 
@@ -505,9 +655,10 @@ class TestBuildInvariants:
 
 
 class TestLevelSynchronous:
-    """A deterministic perf guard: counts, not times.  Build and traversal
-    make O(depth) array passes whatever the batch visits; a per-node loop
-    (one evaluation per leaf reached — hundreds) fails these."""
+    """A deterministic perf guard: counts, not times.  Build and segment
+    traversal make O(depth) array passes whatever the batch visits, a point
+    batch makes one; a per-node loop (one evaluation per leaf reached —
+    hundreds) fails these."""
 
     @staticmethod
     def _counting(fn):
@@ -519,15 +670,25 @@ class TestLevelSynchronous:
 
         return wrapped, calls
 
-    def test_points_hit_evaluates_once_per_level(self, warehouse_20k):
+    def test_points_hit_evaluates_once_per_call(self, warehouse_20k):
+        """One box test over every point's cell entries, and a uniform point
+        meets at most 2 candidates across the warehouse."""
         env, tree = warehouse_20k
-        pts = np.random.default_rng(15).uniform(env.bounds.lo, env.bounds.hi, size=(157, 3))
-        test, calls = self._counting(point_in_box)
+        pts = np.random.default_rng(15).uniform(env.bounds.lo, env.bounds.hi, size=(1000, 3))
+        rows = []
+
+        def test(lo, hi, p):
+            rows.append(p)
+            return point_in_box(lo, hi, p)
+
         got = tree.points_hit(pts, test)
-        np.testing.assert_array_equal(got, tree.points_hit(pts, point_in_box))
-        # One evaluation per level for the node boxes, one more on each
-        # level that holds leaves — median-by-count leaves at most two.
-        assert _depth(tree) <= len(calls) <= _depth(tree) + 2
+        assert len(rows) == 1
+        _, per_point = np.unique(rows[0], axis=0, return_counts=True)
+        assert per_point.max() <= 2
+        ref = np.concatenate([
+            points_hit_boxes(env._obs_lo, env._obs_hi, pts[i:i + 250]) for i in range(0, 1000, 250)
+        ])
+        np.testing.assert_array_equal(got, ref)
         assert got.any() and not got.all()
 
     def test_segments_hit_evaluates_once_per_level(self, warehouse_20k):

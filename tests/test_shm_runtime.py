@@ -9,16 +9,23 @@ chunk policy, plane, cull and worker count against the serial run.
 """
 
 import os
+import subprocess
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import _RegionTask, plan
+from repro import api
+from repro.api import _publish_plan, _region_planner, _region_weights, _RegionTask, plan
 from repro.core import PRMRegionPlanner
+from repro.geometry.bvh import _ARRAYS, BVH
 from repro.geometry.environment import Environment
 from repro.geometry.primitives import AABB
+from repro.geometry.scenarios import shelf_warehouse
+from repro.kernels.bvh_backend import _CACHE_ATTR
 from repro.obs.tracer import Tracer
 from repro.planners import PRMSegment, Roadmap
 from repro.runtime import shm as shm_mod
@@ -30,7 +37,7 @@ from repro.runtime.chunking import (
 )
 from repro.runtime.faults import Fault, FaultInjector
 from repro.runtime.local_pool import resolve_workers, run_tasks_parallel
-from repro.spec import ExecutionPolicy, WorkloadSpec
+from repro.spec import ExecutionPolicy, FaultPolicy, WorkloadSpec
 
 from .oracle import assert_same, digest
 
@@ -91,6 +98,24 @@ class TestChunking:
         assert resolve_chunks(tasks, "weighted", 4, None) == resolve_chunks(
             tasks, "guided", 4
         )
+
+    @pytest.mark.parametrize("environment", ["med-cube", "warehouse-2000"])
+    def test_region_weights_equal_the_per_region_loop(self, environment):
+        """The "weighted" policy's one pass over every region counts, per
+        region, the obstacles its sample box touches — as a loop over the
+        regions' own boxes does."""
+        if environment == "warehouse-2000":
+            environment = shelf_warehouse(2000, seed=4)
+        spec = WorkloadSpec(environment, "prm", num_regions=216, seed=2)
+        regions = _region_planner(spec.resolve_cspace(), spec)
+        data = regions.cspace.env.kernel_data()
+        loop = {}
+        for rid in regions.region_ids:
+            box = regions.decomposition.region_of(rid).sample_bounds
+            overlap = np.all((data.box_lo <= box.hi) & (data.box_hi >= box.lo), axis=1)
+            loop[rid] = 1.0 + float(np.count_nonzero(overlap))
+        weights = _region_weights(regions)
+        assert weights == loop and len(set(weights.values())) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +449,6 @@ class TestPlanes:
         )
         ex = ExecutionPolicy(mode="local", workers=2, backend="process",
                              data_plane="shm")
-        from repro.spec import FaultPolicy
-
         fa = FaultPolicy(
             injector=FaultInjector([Fault("crash", task=1, attempt=0)]),
             policy="retry", max_retries=2,
@@ -444,8 +467,6 @@ class TestPlanes:
         )
         ex = ExecutionPolicy(mode="local", workers=2, backend="process",
                              data_plane="shm")
-        from repro.spec import FaultPolicy
-
         fa = FaultPolicy(
             injector=FaultInjector(
                 [Fault("raise", task=1, attempt=a) for a in range(3)]
@@ -454,4 +475,114 @@ class TestPlanes:
         )
         rep = plan(wl, execution=ex, faults=fa)
         assert rep.pool.abandoned == [1]
+        assert shm_mod.leaked_segments() == []
+
+
+# ---------------------------------------------------------------------------
+# the collision tree shipped on the shm plane
+# ---------------------------------------------------------------------------
+
+WAREHOUSE = WorkloadSpec(
+    shelf_warehouse(500, seed=3), "prm", num_regions=16, samples_per_region=8, seed=11,
+)
+SHIPPED = ExecutionPolicy(
+    mode="local", workers=2, backend="process", kernel_backend="bvh", chunksize=4,
+)
+#: the serial in-process run every shipped-tree plan must equal.
+INLINE = replace(SHIPPED, workers=1, backend="thread", chunksize=1)
+
+SPAWNED = """
+import multiprocessing
+
+from repro.api import plan
+from repro.runtime import shm
+from tests.oracle import assert_same, digest
+from tests.test_shm_runtime import INLINE, SHIPPED, WAREHOUSE
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    report = plan(WAREHOUSE, execution=SHIPPED)
+    assert report.dispatch.shm_segments == 1 and report.dispatch.shm_attaches >= 1
+    assert_same(digest(report), digest(plan(WAREHOUSE, execution=INLINE)))
+    assert shm.leaked_segments() == []
+    print("spawned workers planned the inline digest")
+"""
+
+
+class _TreeProbe:
+    """Runs in a pool worker: how the tree of the planner the shm task
+    rebuilt there sits in memory, per array."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def __call__(self, tid):
+        env = self.task.regions.cspace.env
+        tree = getattr(env.kernel_data(), _CACHE_ATTR)
+        views = shm_mod.attach_arrays(self.task.ctx.manifest)
+        return os.getpid(), {
+            name: (getattr(tree, name).flags.writeable,
+                   np.shares_memory(getattr(tree, name), views["bvh." + name]))
+            for name in _ARRAYS
+        }
+
+
+class TestShippedTree:
+    """A ``bvh`` plan on the shm plane builds its tree once, in the
+    parent; workers adopt the segment's arrays and plan the same bits."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return digest(plan(WAREHOUSE, execution=INLINE))
+
+    def test_no_worker_builds_a_tree(self, oracle, tmp_path, monkeypatch):
+        log = tmp_path / "builds"
+        init = BVH.__init__
+
+        def logged(self, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BVH, "__init__", logged)
+        monkeypatch.setattr(api, "_SHM_TREE_CACHE", {})
+        for _ in range(2):
+            report = plan(WAREHOUSE, execution=SHIPPED)
+            assert_same(digest(report), oracle)
+            assert report.dispatch.shm_attaches >= 1
+        assert log.read_text().split() == [str(os.getpid())]
+        assert shm_mod.leaked_segments() == []
+
+    def test_worker_trees_are_read_only_views_of_the_segment(self):
+        manifest, task = _publish_plan(WAREHOUSE.environment, WAREHOUSE, None)
+        try:
+            pool = run_tasks_parallel(_TreeProbe(task), [0, 1], workers=2, backend="process")
+        finally:
+            shm_mod.release(manifest)
+        for pid, arrays in pool.results.values():
+            assert pid != os.getpid()
+            assert arrays == {name: (False, True) for name in _ARRAYS}
+        assert shm_mod.leaked_segments() == []
+
+    def test_spawned_workers_plan_the_inline_digest(self):
+        """No fork inheritance: spawned workers get the tree from the segment."""
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SPAWNED], cwd=repo, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert "inline digest" in proc.stdout
+
+    def test_a_worker_crash_retries_to_the_same_digest(self, oracle):
+        """A worker dies holding the segment's tree; its chunk is retried on a
+        fresh worker that attaches again, and nothing is left in /dev/shm."""
+        faults = FaultPolicy(
+            injector=FaultInjector([Fault("crash", task=1, attempt=0)]),
+            policy="retry", max_retries=2,
+        )
+        report = plan(WAREHOUSE, execution=SHIPPED, faults=faults)
+        assert report.pool.worker_deaths >= 1 and report.pool.retries >= 1
+        assert_same(digest(report), oracle)
         assert shm_mod.leaked_segments() == []

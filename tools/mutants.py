@@ -41,6 +41,7 @@ LAZY = "tests/test_roadmap.py::TestLazyForest"
 RECOUNT = "tests/test_api_faults.py::test_trace_recounts_the_reports_failures"
 SERVED = ("tests/test_service.py::TestObservabilityIntegration"
           "::test_trace_recounts_cache_and_service_stats")
+SHIPPED = "tests/test_shm_runtime.py::TestShippedTree"
 
 
 class Mutant(NamedTuple):
@@ -232,6 +233,29 @@ MUTANTS = [
         "ni = np.concatenate((left, left))",
         ("tests/test_bvh.py::test_random_worlds_bit_exact", f"{MATRIX}[prm-block-box-bvh]",
          f"{CELL}[thread-inline-bvh-1]"),
+    ),
+    Mutant(
+        "a box is binned one cell short on its upper corner",
+        "repro/geometry/bvh.py",
+        "c_hi = _cell_coords(hi, ext_lo, ext_hi, scale, shape)",
+        "c_hi = _cell_coords(hi, ext_lo, ext_hi, scale, shape) - 1",
+        ("tests/test_bvh.py::test_cells_box_faces_on_cell_boundaries",
+         "tests/test_bvh.py::test_cells_points_on_cell_boundaries"),
+    ),
+    Mutant(
+        "a point query tests only the first entry of its cell",
+        "repro/geometry/bvh.py",
+        "count = self.cell_start[cell + 1] - start",
+        "count = np.minimum(self.cell_start[cell + 1] - start, 1)",
+        ("tests/test_bvh.py::TestDifferentialParity",
+         "tests/test_bvh.py::test_random_worlds_bit_exact"),
+    ),
+    Mutant(
+        "shm workers ignore the shipped tree and build their own",
+        "repro/api.py",
+        "                setattr(env.kernel_data(), _CACHE_ATTR, BVH.from_packed(tree))\n",
+        "                pass\n",
+        (f"{SHIPPED}::test_no_worker_builds_a_tree",),
     ),
     Mutant(
         "shm workers rebuild the region planner from another seed",
