@@ -109,14 +109,20 @@ class CollisionCounters:
 class Environment:
     """A ``d``-dimensional bounded workspace with axis-aligned box obstacles.
 
+    The obstacles are stored once, as two ``(n, d)`` arrays of lower and
+    upper corners, whichever constructor built the environment; the
+    :attr:`obstacles` list of :class:`AABB` is built from them only when
+    asked for.
+
     Parameters
     ----------
     bounds:
         The workspace bounding box.
     obstacles:
-        A list of :class:`AABB` obstacles.  Obstacles may overlap each other
-        and may extend beyond ``bounds`` (only the part inside the bounds
-        matters for free-volume computations).
+        A list of :class:`AABB` obstacles, stacked into the arrays.
+        Obstacles may overlap each other and may extend beyond ``bounds``
+        (only the part inside the bounds matters for free-volume
+        computations).
     name:
         Human-readable identifier used in benchmark output.
     kernel_backend:
@@ -132,22 +138,13 @@ class Environment:
         name: str = "env",
         kernel_backend: str = "reference",
     ):
-        self.bounds = bounds
-        self._obstacles: "list[AABB] | None" = list(obstacles or [])
-        self.name = name
-        self.counters = CollisionCounters()
-        self._kernels = get_backend(kernel_backend)
-        self._kernel_data: "EnvKernelData | None" = None
-        d = bounds.dim
-        for obs in self._obstacles:
-            if obs.dim != d:
-                raise ValueError(f"obstacle dim {obs.dim} != workspace dim {d}")
-        if self._obstacles:
-            self._obs_lo = np.stack([o.lo for o in self._obstacles])
-            self._obs_hi = np.stack([o.hi for o in self._obstacles])
+        obstacles = list(obstacles or [])
+        if obstacles:
+            lo = np.stack([o.lo for o in obstacles])
+            hi = np.stack([o.hi for o in obstacles])
         else:
-            self._obs_lo = np.empty((0, d))
-            self._obs_hi = np.empty((0, d))
+            lo = hi = np.empty((0, bounds.dim))
+        self._init(bounds, lo, hi, name, kernel_backend)
 
     @classmethod
     def from_arrays(
@@ -160,14 +157,22 @@ class Environment:
     ) -> "Environment":
         """Build an environment directly from stacked obstacle arrays.
 
-        The zero-copy constructor behind the shared-memory data plane:
         ``obs_lo`` / ``obs_hi`` (shape ``(n, d)``) are adopted as the
-        collision arrays without materialising ``n`` Python :class:`AABB`
-        objects or re-stacking them — for 10k+ obstacle scenes that is
-        the dominant context-deserialisation cost.  The ``obstacles``
-        list is built lazily on first access (collision queries never
-        need it).  Arrays may be read-only views (e.g. shared-memory
+        obstacle arrays, without making ``n`` :class:`AABB` objects: the
+        constructor of the procedural scenarios and of the shared-memory
+        data plane, where 10k+ obstacle scenes make per-box objects the
+        dominant cost.  Arrays may be read-only views (e.g. shared-memory
         attachments); they are never written to.
+        """
+        env = cls.__new__(cls)
+        env._init(bounds, obs_lo, obs_hi, name, kernel_backend)
+        return env
+
+    def _init(self, bounds, obs_lo, obs_hi, name, kernel_backend) -> None:
+        """The one initialiser: adopt and validate the obstacle arrays.
+
+        ``lo <= hi`` is checked over all boxes at once — the check each
+        :class:`AABB` makes, with the same answer for NaN (accepted).
         """
         obs_lo = np.ascontiguousarray(np.asarray(obs_lo, dtype=float))
         obs_hi = np.ascontiguousarray(np.asarray(obs_hi, dtype=float))
@@ -180,21 +185,23 @@ class Environment:
             raise ValueError(
                 f"obstacle dim {obs_lo.shape[1]} != workspace dim {bounds.dim}"
             )
-        env = cls.__new__(cls)
-        env.bounds = bounds
-        env._obstacles = None  # materialised lazily from the arrays
-        env.name = name
-        env.counters = CollisionCounters()
-        env._kernels = get_backend(kernel_backend)
-        env._kernel_data = None
-        env._obs_lo = obs_lo
-        env._obs_hi = obs_hi
-        return env
+        bad = np.any(obs_lo > obs_hi, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"obstacle {i} has lo > hi: lo={obs_lo[i]}, hi={obs_hi[i]}")
+        self.bounds = bounds
+        self._obstacles: "list[AABB] | None" = None  # built on first access
+        self.name = name
+        self.counters = CollisionCounters()
+        self._kernels = get_backend(kernel_backend)
+        self._kernel_data: "EnvKernelData | None" = None
+        self._obs_lo = obs_lo
+        self._obs_hi = obs_hi
 
     @property
     def obstacles(self) -> "list[AABB]":
-        """The obstacle list; materialised from the arrays on demand for
-        environments built via :meth:`from_arrays`."""
+        """The obstacles as :class:`AABB` objects, one per array row;
+        built from the arrays on first access and cached."""
         if self._obstacles is None:
             self._obstacles = [
                 AABB(lo, hi) for lo, hi in zip(self._obs_lo, self._obs_hi)
@@ -215,9 +222,9 @@ class Environment:
         """The SoA obstacle snapshot, built on first use and cached.
 
         Repeated collision calls in batched PRM/RRT replay share this one
-        snapshot instead of re-walking the Python obstacle list — also
-        across threads that find it cold together (checked again under the
-        lock), so whatever a backend caches on the snapshot exists once.
+        snapshot — also across threads that find it cold together (checked
+        again under the lock), so whatever a backend caches on the
+        snapshot exists once.
         """
         data = self._kernel_data
         if data is None:
@@ -242,8 +249,7 @@ class Environment:
 
     @property
     def num_obstacles(self) -> int:
-        # From the arrays, not the list: lazy ``from_arrays`` environments
-        # must not materialise obstacles just to be counted.
+        # From the arrays: counting must not build the obstacle list.
         return int(self._obs_lo.shape[0])
 
     def obstacle_volume(self, within: AABB | None = None) -> float:

@@ -31,18 +31,16 @@ __all__ = ["shelf_warehouse", "fingerprint"]
 HALF_EXTENT = 10.0
 
 
-def _boxes_to_env(lo: np.ndarray, hi: np.ndarray, name: str, half: float) -> Environment:
-    bounds = AABB(-half * np.ones(lo.shape[1]), half * np.ones(lo.shape[1]))
-    return Environment(bounds, [AABB(a, b) for a, b in zip(lo, hi)], name=name)
-
-
 def shelf_warehouse(n_obstacles: int = 1000, seed: int = 0, half: float = HALF_EXTENT) -> Environment:
     """A 3-D warehouse: rows of racks, each rack a column of stacked bays.
 
     Racks are laid out on a regular grid of aisles in the x/y plane;
     every bay is one box obstacle with a small seeded jitter in extent
     (cargo of varying size).  Exactly ``n_obstacles`` bays are produced,
-    filled rack by rack, level by level.
+    filled rack by rack, level by level: bay ``i`` is level ``i % 4`` of
+    rack ``i // 4``, and rack ``k`` stands in grid row ``k // cols``,
+    column ``k % cols``.  All bays are computed in one array pass and
+    adopted by :meth:`Environment.from_arrays`; no per-bay object is made.
     """
     if n_obstacles < 1:
         raise ValueError("n_obstacles must be >= 1")
@@ -59,29 +57,22 @@ def shelf_warehouse(n_obstacles: int = 1000, seed: int = 0, half: float = HALF_E
     foot_x = 0.45 * pitch_x
     foot_y = 0.60 * pitch_y
     level_h = 2.0 * half / (levels + 1)
-    lo = np.empty((n_obstacles, 3))
-    hi = np.empty((n_obstacles, 3))
-    i = 0
-    for r in range(rows):
-        for c in range(cols):
-            if i >= n_obstacles:
-                break
-            cx = -half + (c + 0.5) * pitch_x
-            cy = -half + (r + 0.5) * pitch_y
-            for z in range(levels):
-                if i >= n_obstacles:
-                    break
-                # Cargo jitter: each bay shrinks by up to 30% per axis.
-                shrink = rng.uniform(0.7, 1.0, size=3)
-                ex = 0.5 * foot_x * shrink[0]
-                ey = 0.5 * foot_y * shrink[1]
-                z_lo = -half + (z + 0.5) * level_h
-                ez = 0.5 * level_h * 0.8 * shrink[2]
-                z_c = z_lo + 0.5 * level_h * 0.8
-                lo[i] = (cx - ex, cy - ey, z_c - ez)
-                hi[i] = (cx + ex, cy + ey, z_c + ez)
-                i += 1
-    return _boxes_to_env(lo, hi, f"warehouse-{n_obstacles}", half)
+    rack, z = np.divmod(np.arange(n_obstacles), levels)
+    r, c = np.divmod(rack, cols)
+    cx = -half + (c + 0.5) * pitch_x
+    cy = -half + (r + 0.5) * pitch_y
+    # Cargo jitter: each bay shrinks by up to 30% per axis (one row of
+    # three draws per bay, in bay order).
+    shrink = rng.uniform(0.7, 1.0, size=(n_obstacles, 3))
+    ex = 0.5 * foot_x * shrink[:, 0]
+    ey = 0.5 * foot_y * shrink[:, 1]
+    z_lo = -half + (z + 0.5) * level_h
+    ez = 0.5 * level_h * 0.8 * shrink[:, 2]
+    z_c = z_lo + 0.5 * level_h * 0.8
+    lo = np.stack([cx - ex, cy - ey, z_c - ez], axis=1)
+    hi = np.stack([cx + ex, cy + ey, z_c + ez], axis=1)
+    bounds = AABB(-half * np.ones(3), half * np.ones(3))
+    return Environment.from_arrays(bounds, lo, hi, name=f"warehouse-{n_obstacles}")
 
 
 def fingerprint(obj) -> str:

@@ -39,6 +39,8 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from .core.parallel_prm import PRMWorkload, build_prm_workload
 from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
@@ -71,20 +73,22 @@ def _environment_fingerprint(env: "str | object") -> bytes:
     Catalog names hash by name; :class:`~repro.geometry.environment
     .Environment` instances hash by their exact bounds and obstacle
     arrays (content-addressed — two structurally identical environments
-    share a key); anything else falls back to ``repr``, which is stable
-    within a process.
+    share a key, whichever constructor built them); anything else falls
+    back to ``repr``, which is stable within a process.
+
+    The obstacles are read from the arrays, never from the
+    ``obstacles`` list: the rows of ``[box_lo | box_hi]`` are the byte
+    stream of hashing each obstacle's ``lo`` then ``hi`` in turn.
     """
     if isinstance(env, str):
         return b"name:" + env.encode()
-    bounds = getattr(env, "bounds", None)
-    obstacles = getattr(env, "obstacles", None)
-    if bounds is not None and obstacles is not None:
+    kernel_data = getattr(env, "kernel_data", None)
+    if kernel_data is not None:
+        data = kernel_data()
         h = hashlib.sha256()
-        h.update(bounds.lo.tobytes())
-        h.update(bounds.hi.tobytes())
-        for obs in obstacles:
-            h.update(obs.lo.tobytes())
-            h.update(obs.hi.tobytes())
+        h.update(data.bounds_lo.tobytes())
+        h.update(data.bounds_hi.tobytes())
+        h.update(np.concatenate([data.box_lo, data.box_hi], axis=1).tobytes())
         return b"env:" + h.digest()
     return b"repr:" + repr(env).encode()
 

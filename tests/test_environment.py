@@ -14,6 +14,10 @@ class TestEnvironmentBasics:
         with pytest.raises(ValueError):
             Environment(AABB([0, 0], [1, 1]), [AABB([0, 0, 0], [1, 1, 1])])
 
+    def test_mixed_obstacle_dims_rejected(self):
+        with pytest.raises(ValueError):
+            Environment(AABB([0, 0, 0], [9, 9, 9]), [AABB([1] * 3, [2] * 3), AABB([1] * 2, [2] * 2)])
+
     def test_blocked_fraction(self):
         env = Environment(AABB([0, 0], [10, 10]), [AABB([0, 0], [5, 5])])
         assert env.blocked_fraction() == pytest.approx(0.25)
@@ -35,6 +39,53 @@ class TestEnvironmentBasics:
         )
         # 16 + 16 - 4 overlap = 28.
         assert env.obstacle_volume() == pytest.approx(28.0)
+
+
+def _build(how, bounds, lo, hi):
+    """One environment over the boxes ``lo[i]..hi[i]``, by either constructor."""
+    if how == "list":
+        return Environment(bounds, [AABB(a, b) for a, b in zip(lo, hi)])
+    return Environment.from_arrays(bounds, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+
+@pytest.mark.parametrize("how", ["list", "arrays"])
+class TestObstacleValidation:
+    """Both constructors share one initialiser and refuse what a single
+    :class:`AABB` refuses."""
+
+    BOUNDS = AABB([0.0, 0.0, 0.0], [10.0, 10.0, 10.0])
+
+    def test_lo_above_hi_rejected(self, how):
+        lo = [[1.0, 1.0, 1.0], [2.0, 5.0, 2.0]]
+        hi = [[2.0, 2.0, 2.0], [3.0, 4.0, 3.0]]
+        with pytest.raises(ValueError, match="lo > hi"):
+            _build(how, self.BOUNDS, lo, hi)
+
+    def test_obstacle_dim_differs_from_bounds(self, how):
+        with pytest.raises(ValueError, match="dim"):
+            _build(how, self.BOUNDS, [[1.0, 1.0]], [[2.0, 2.0]])
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_row_treated_as_a_single_box_treats_it(self, how, row):
+        lo = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        hi = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]]
+        (lo if row == 0 else hi)[1][1] = np.nan
+        try:
+            AABB(lo[1], hi[1])
+        except ValueError:
+            with pytest.raises(ValueError):
+                _build(how, self.BOUNDS, lo, hi)
+        else:
+            data = _build(how, self.BOUNDS, lo, hi).kernel_data()
+            assert data.num_boxes == 2
+            assert np.isnan((data.box_lo, data.box_hi)[row][1, 1])
+
+    def test_valid_boxes_accepted_and_listed_on_request(self, how):
+        lo = [[1.0, 1.0, 1.0], [4.0, 4.0, 4.0]]
+        hi = [[2.0, 2.0, 2.0], [4.0, 6.0, 5.0]]
+        env = _build(how, self.BOUNDS, lo, hi)
+        assert env._obstacles is None
+        assert [(o.lo.tolist(), o.hi.tolist()) for o in env.obstacles] == list(zip(lo, hi))
 
 
 class TestPointCollision:

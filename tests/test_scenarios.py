@@ -11,9 +11,10 @@ dtype) fails loudly.
 import numpy as np
 import pytest
 
-from repro.geometry import Environment
-from repro.geometry.scenarios import fingerprint, shelf_warehouse
+from repro.geometry import AABB, Environment
+from repro.geometry.scenarios import HALF_EXTENT, fingerprint, shelf_warehouse
 from repro.kernels import EnvKernelData
+from repro.spec import WorkloadSpec
 
 #: The generators under test, by the name their test ids carry.
 SCENARIOS = {"warehouse": shelf_warehouse}
@@ -26,6 +27,44 @@ GOLDEN = {
     ("warehouse", 1000, 42): "acf53e585e5d0ac99050468d7e5eddc46c50b270264a01f34af44efa962e6b5f",
     ("warehouse", 100, 7): "bebbb895cc86c78464e30f88975940b415862b7faa9fb183edbb1d314f7e1c9c",
 }
+
+
+def reference_warehouse(n_obstacles: int, seed: int, half: float = HALF_EXTENT) -> Environment:
+    """The per-bay loop :func:`shelf_warehouse` replaced: one ``rng.uniform``
+    call and one :class:`AABB` per bay, stacked by the list constructor."""
+    rng = np.random.default_rng(seed)
+    levels = 4
+    racks = -(-n_obstacles // levels)
+    cols = max(1, int(np.ceil(np.sqrt(racks))))
+    rows = -(-racks // cols)
+    pitch_x = 2.0 * half / cols
+    pitch_y = 2.0 * half / rows
+    foot_x = 0.45 * pitch_x
+    foot_y = 0.60 * pitch_y
+    level_h = 2.0 * half / (levels + 1)
+    lo = np.empty((n_obstacles, 3))
+    hi = np.empty((n_obstacles, 3))
+    i = 0
+    for r in range(rows):
+        for c in range(cols):
+            if i >= n_obstacles:
+                break
+            cx = -half + (c + 0.5) * pitch_x
+            cy = -half + (r + 0.5) * pitch_y
+            for z in range(levels):
+                if i >= n_obstacles:
+                    break
+                shrink = rng.uniform(0.7, 1.0, size=3)
+                ex = 0.5 * foot_x * shrink[0]
+                ey = 0.5 * foot_y * shrink[1]
+                z_lo = -half + (z + 0.5) * level_h
+                ez = 0.5 * level_h * 0.8 * shrink[2]
+                z_c = z_lo + 0.5 * level_h * 0.8
+                lo[i] = (cx - ex, cy - ey, z_c - ez)
+                hi[i] = (cx + ex, cy + ey, z_c + ez)
+                i += 1
+    bounds = AABB(-half * np.ones(3), half * np.ones(3))
+    return Environment(bounds, [AABB(a, b) for a, b in zip(lo, hi)], name=f"warehouse-{n_obstacles}")
 
 
 class TestGoldenSeeds:
@@ -104,3 +143,43 @@ class TestFingerprint:
             box_hi=data.box_hi,
         )
         assert fingerprint(perturbed) != before
+
+
+class TestArraysEqualTheBayLoop:
+    """The one-pass generator against the per-bay loop it replaced: same
+    bytes for counts that fill, and that leave part of, the last rack
+    and the last grid row."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 50, 101, 1000, 1001, 20000])
+    def test_fingerprint_equals_the_loop(self, n, seed):
+        assert fingerprint(shelf_warehouse(n, seed)) == fingerprint(reference_warehouse(n, seed))
+
+    def test_name_and_bounds_equal_the_loop(self):
+        env, ref = shelf_warehouse(33, 2), reference_warehouse(33, 2)
+        assert env.name == ref.name
+        assert np.array_equal(env.bounds.lo, ref.bounds.lo)
+        assert np.array_equal(env.bounds.hi, ref.bounds.hi)
+
+
+class TestNoPerBoxObjects:
+    def test_build_snapshot_and_key_make_no_box_objects(self, monkeypatch):
+        made = []
+        post_init = AABB.__post_init__
+
+        def counting(self):
+            made.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(AABB, "__post_init__", counting)
+        env = shelf_warehouse(20000)
+        env.kernel_data()
+        WorkloadSpec(env, "prm", num_regions=64).cache_key()
+        assert len(made) <= 1  # the workspace bounds
+        monkeypatch.undo()
+
+        obs = env.obstacles
+        data = env.kernel_data()
+        assert len(obs) == env.num_obstacles == 20000
+        assert np.array_equal(np.stack([o.lo for o in obs]), data.box_lo)
+        assert np.array_equal(np.stack([o.hi for o in obs]), data.box_hi)

@@ -1,5 +1,6 @@
 """Tests for the layered request API (repro.spec)."""
 
+import hashlib
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -14,7 +15,9 @@ from repro import (
     WorkloadSpec,
     plan,
 )
-from repro.geometry import environments
+from repro.geometry import AABB, Environment, environments
+from repro.geometry.scenarios import shelf_warehouse
+from repro.runtime import shm as shm_mod
 from repro.spec import _environment_fingerprint
 
 
@@ -105,6 +108,67 @@ class TestCacheKey:
             environment=environments.by_name("med-cube")
         ).cache_key()
         assert by_name != by_inst
+
+
+def loop_fingerprint(env) -> bytes:
+    """The per-obstacle digest the array fingerprint replaced: bounds,
+    then each obstacle's ``lo`` and ``hi`` in turn."""
+    h = hashlib.sha256()
+    h.update(env.bounds.lo.tobytes())
+    h.update(env.bounds.hi.tobytes())
+    for obs in env.obstacles:
+        h.update(obs.lo.tobytes())
+        h.update(obs.hi.tobytes())
+    return b"env:" + h.digest()
+
+
+class TestArrayFingerprintEqualsTheLoop:
+    """Cache keys read the obstacle arrays; every key must stay the one
+    the per-obstacle loop gave."""
+
+    def test_list_built(self):
+        env = environments.by_name("mixed")
+        assert env.num_obstacles > 1
+        assert _environment_fingerprint(env) == loop_fingerprint(env)
+
+    def test_array_built(self):
+        env = shelf_warehouse(500, seed=3)
+        assert _environment_fingerprint(env) == loop_fingerprint(env)
+
+    def test_no_obstacles(self):
+        env = Environment(AABB([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]))
+        assert _environment_fingerprint(env) == loop_fingerprint(env)
+
+    def test_two_dimensional(self):
+        env = Environment(
+            AABB([0.0, 0.0], [10.0, 10.0]),
+            [AABB([1.0, 2.0], [3.0, 4.0]), AABB([-0.0, 5.0], [0.5, 9.0]), AABB([6.0, 6.0], [6.0, 7.5])],
+        )
+        assert _environment_fingerprint(env) == loop_fingerprint(env)
+
+    def test_adopted_from_read_only_shm_views(self):
+        src = shelf_warehouse(300, seed=5).kernel_data()
+        manifest = shm_mod.publish_arrays(
+            {"bounds_lo": src.bounds_lo, "bounds_hi": src.bounds_hi,
+             "obs_lo": src.box_lo, "obs_hi": src.box_hi}, label="fingerprint")
+        try:
+            views = shm_mod.attach_arrays(manifest)
+            assert not views["obs_lo"].flags.writeable
+            env = Environment.from_arrays(
+                AABB(views["bounds_lo"], views["bounds_hi"]), views["obs_lo"], views["obs_hi"])
+            assert _environment_fingerprint(env) == loop_fingerprint(env)
+        finally:
+            shm_mod.release(manifest)
+
+    def test_list_and_array_twins_share_a_key(self):
+        listed = environments.by_name("mixed")
+        twin = Environment.from_arrays(
+            listed.bounds,
+            np.stack([o.lo for o in listed.obstacles]),
+            np.stack([o.hi for o in listed.obstacles]),
+        )
+        assert (WorkloadSpec(environment=listed).cache_key()
+                == WorkloadSpec(environment=twin).cache_key())
 
 
 class TestPlanRequestAggregate:

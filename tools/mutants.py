@@ -78,6 +78,27 @@ MUTANTS = [
         ("tests/test_subdivision_uniform.py::TestArraysEqualTheCellLoop", GOLDEN),
     ),
     Mutant(
+        "the warehouse's shrink block is drawn transposed",
+        "repro/geometry/scenarios.py",
+        "shrink = rng.uniform(0.7, 1.0, size=(n_obstacles, 3))",
+        "shrink = rng.uniform(0.7, 1.0, size=(3, n_obstacles)).T",
+        ("tests/test_scenarios.py::TestGoldenSeeds::test_fingerprint_matches_golden",),
+    ),
+    Mutant(
+        "an environment's cache key hashes every lo row before every hi row",
+        "repro/spec.py",
+        "np.concatenate([data.box_lo, data.box_hi], axis=1)",
+        "np.concatenate([data.box_lo, data.box_hi], axis=0)",
+        ("tests/test_spec.py::TestArrayFingerprintEqualsTheLoop",),
+    ),
+    Mutant(
+        "an environment accepts an obstacle with lo > hi",
+        "repro/geometry/environment.py",
+        "        if bad.any():\n",
+        "        if False:\n",
+        ("tests/test_environment.py::TestObstacleValidation",),
+    ),
+    Mutant(
         "a box inside an obstacle counts as boundary",
         "repro/geometry/environment.py",
         "return touches & ~inside",
