@@ -30,15 +30,28 @@ event per victim fires in:
   ``>= now`` (every delay is non-negative), so it sorts after the
   remaining victims — where it sorted when each was its own event.
 
-Neither step depends on the latencies' values: the rule holds when
+The failed replies of one request bundle travel the same way: one
+``_EMPTY_REPLIES`` event carries a mutable count cell.  It is pushed at
+the bundle's first failure, so it takes the ``seq`` that reply would
+have taken; each later failure that lands at the same time increments
+the cell instead of pushing; any other push (a transfer reply) closes
+it, so a failure after a transfer opens a new event and a transfer that
+lands at the same instant keeps its place between the two.  The merged
+replies would have taken consecutive ``seq`` values, and what the thief
+schedules on the last one sorts after them, by the two steps above, so
+the thief's handler — ``pending -= count``, then the per-message logic
+for the last reply — replays them exactly.  Replies sent as a task ends
+go to distinct thieves (a thief has at most one request per victim in
+flight) and stay one event each.
+
+Neither rule depends on the latencies' values: they hold when
 ``latency_local == 0`` (replies land at ``now``) and when
 ``latency_local == latency_remote`` (the whole round is one event).
-Every per-message path — a request queued or served (transfer or
-failure), an empty reply, a retry — runs inline in
-:meth:`WorkStealingSimulator.run`'s loop on per-PE state held in Python
-lists (scalar reads are NumPy's slow path), and a zero-payload message
-reads its latency from the topology's node table; only the fault paths
-are methods.
+Every per-message path — a request queued or served, a failure, an
+empty reply, a retry — runs inline in :meth:`WorkStealingSimulator.run`'s
+loop on per-PE state held in Python lists (scalar reads are NumPy's slow
+path), and a zero-payload message reads its latency from the topology's
+node table; the rare transfer and the fault paths are methods.
 
 Protocol summary
 ----------------
@@ -80,7 +93,16 @@ from .topology import ClusterTopology
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
-__all__ = ["StealPolicy", "WorkStealingSimulator", "run_static_phase"]
+__all__ = ["StealPolicy", "WorkStealingSimulator", "run_static_phase", "validate_steal_chunk"]
+
+
+def validate_steal_chunk(steal_chunk: "str | int") -> None:
+    """Raise ``ValueError`` unless ``steal_chunk`` is ``"half"`` or an
+    int >= 1 (a bool is refused, not read as 0 or 1)."""
+    if isinstance(steal_chunk, str) and steal_chunk == "half":
+        return
+    if isinstance(steal_chunk, bool) or not isinstance(steal_chunk, int) or steal_chunk < 1:
+        raise ValueError(f'steal_chunk must be "half" or an int >= 1, got {steal_chunk!r}')
 
 
 class StealPolicy(Protocol):
@@ -100,8 +122,11 @@ class StealPolicy(Protocol):
         ...
 
 
-# Event kinds: positions in the handler table ``run`` dispatches through.
-_TASK_DONE, _TASK_FAILED, _REDISPATCH, _STEAL_REQUEST, _STEAL_REPLY, _RETRY = range(6)
+# Event kinds.  The task ends index ``run``'s handler table; a
+# ``_STEAL_REPLY`` carries stolen tasks, an ``_EMPTY_REPLIES`` the count
+# cell of a bundle's failed replies.
+(_TASK_DONE, _TASK_FAILED, _REDISPATCH, _STEAL_REQUEST, _STEAL_REPLY, _RETRY,
+ _EMPTY_REPLIES) = range(7)
 
 
 class WorkStealingSimulator:
@@ -124,9 +149,9 @@ class WorkStealingSimulator:
     transfer_cost:
         Extra latency per transferred task (ownership-transfer overhead).
     max_idle_rounds:
-        Backoff cap; a thief never stops retrying before global
-        exhaustion, but waits at most ``backoff_base * 2**cap`` between
-        rounds.
+        Backoff cap, an int >= 0; a thief never stops retrying before
+        global exhaustion, but waits at most ``backoff_base * 2**cap``
+        between rounds.
     offload_service:
         When True, steal requests are serviced the instant they arrive
         (an RDMA-style communication thread).  The default (False) is the
@@ -173,8 +198,13 @@ class WorkStealingSimulator:
         fault_injector: "FaultInjector | None" = None,
         max_retries: int = 2,
     ):
-        if isinstance(steal_chunk, int) and steal_chunk < 1:
-            raise ValueError("integer steal_chunk must be >= 1")
+        validate_steal_chunk(steal_chunk)
+        if (
+            isinstance(max_idle_rounds, bool)
+            or not isinstance(max_idle_rounds, int)
+            or max_idle_rounds < 0
+        ):
+            raise ValueError(f"max_idle_rounds must be an int >= 0, got {max_idle_rounds!r}")
         if min_keep < 0:
             raise ValueError("min_keep must be >= 0")
         if transfer_cost < 0 or backoff_base < 0:
@@ -219,6 +249,10 @@ class WorkStealingSimulator:
         self._pending_replies = [0] * P
         self._round_found = [False] * P
         self._idle_rounds = [0] * P
+        #: retry wait after ``k`` failed rounds, ``k`` capped at the last row.
+        self._waits = [
+            self.backoff_base * 2.0 ** k for k in range(self.max_idle_rounds + 1)
+        ]
         #: the heap of ``(time, seq, kind, pe, payload)`` events; ``_push``
         #: takes one such tuple, ``_seq()`` hands out the next tie-breaker.
         self._events: "list[tuple[float, int, int, int, object]]" = []
@@ -239,34 +273,70 @@ class WorkStealingSimulator:
         stats, deques, busy, dead = self._stats, self._deques, self._busy, self._dead
         queues, pending, found = self._queued_requests, self._pending_replies, self._round_found
         idle_rounds = self._idle_rounds
-        topo, tr, activate = self.topology, self._tr, self._activate
+        tr, activate, hand_over = self._tr, self._activate, self._hand_over
+        topo = self.topology
         node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
-        min_keep, offload, chunk = self.min_keep, self.offload_service, self.steal_chunk
+        min_keep, offload = self.min_keep, self.offload_service
         ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
         end_time = 0.0
         while events:
             now, _seq, kind, pe, payload = pop(events)
             if now > end_time:
                 end_time = now
+            if kind == _EMPTY_REPLIES:
+                # ``payload[0]`` failed replies to thief ``pe``, back to back.
+                count = payload[0]
+                pending[pe] -= count
+                if tr is not None:
+                    for _ in range(count):
+                        tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=0)
+                if pending[pe] == 0 and not found[pe] and not dead[pe]:
+                    # Whole round failed: back off and retry while work remains.
+                    idle_rounds[pe] += 1
+                    self._schedule_retry(pe, now)
+                continue
+            if kind == _STEAL_REQUEST:
+                # Thief ``pe``'s requests to every victim in ``payload``; its
+                # failed replies gather in the open count cell ``fails``.
+                here, fails, fails_at = node[pe], None, 0.0
+                for victim in payload:
+                    vst = stats[victim]
+                    vst.steal_requests_received += 1
+                    if busy[victim] and not offload:
+                        queues[victim].append(pe)  # non-preemptive service
+                        continue
+                    stealable = len(deques[victim]) - min_keep
+                    if stealable > 0 and not dead[victim]:  # dead PEs answer at once
+                        hand_over(victim, pe, stealable, now)
+                        fails = None  # the transfer's push closes the open event
+                        continue
+                    vst.steals_failed += 1
+                    if tr is not None:
+                        tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=pe)
+                    # One time per bundle, unless the near and far arrival
+                    # times rounded to one float and merged the two bundles.
+                    at = now + (local if node[victim] == here else remote)
+                    if fails is not None and at == fails_at:
+                        fails[0] += 1
+                    else:
+                        fails, fails_at = [1], at
+                        push((at, seq(), _EMPTY_REPLIES, pe, fails))
+                continue
             if kind == _STEAL_REPLY:
+                # A transfer: the thief owns ``payload`` now.
                 pending[pe] -= 1
                 if tr is not None:
                     tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=len(payload))
                 if dead[pe]:
                     # The thief died while its request was in flight; the
                     # runtime reclaims the transfer instead of stranding it.
-                    if payload:
-                        self._redispatch_tasks(payload, pe, now)
-                elif payload:
+                    self._redispatch_tasks(payload, pe, now)
+                else:
                     found[pe] = True
                     idle_rounds[pe] = 0
                     self._stolen_marks.update(payload)
                     deques[pe].extend(payload)
                     activate(pe, now)
-                elif pending[pe] == 0 and not found[pe]:
-                    # Whole round failed: back off and retry while work remains.
-                    idle_rounds[pe] += 1
-                    self._schedule_retry(pe, now)
                 continue
             if kind == _RETRY:
                 if busy[pe] or deques[pe]:
@@ -277,44 +347,26 @@ class WorkStealingSimulator:
             if kind == _REDISPATCH:
                 self._on_redispatch(pe, now, payload)
                 continue
-            arriving = kind == _STEAL_REQUEST
-            if arriving:
-                # Thief ``pe``'s requests to every victim in ``payload``.
-                victims, thieves = payload, itertools.repeat(pe)
-            else:
-                # A task ended: ``pe`` is free, and answers the thieves that
-                # knocked while it worked, in arrival order.
-                ends[kind](pe, now, payload)
-                busy[pe] = False
-                victims, thieves = itertools.repeat(pe), queues[pe]
-                if thieves:
-                    queues[pe] = []
-            for victim, thief in zip(victims, thieves):
-                if arriving:
-                    stats[victim].steal_requests_received += 1
-                    if busy[victim] and not offload:
-                        queues[victim].append(thief)  # non-preemptive service
+            # A task ended: ``pe`` is free, and answers the thieves that
+            # knocked while it worked, in arrival order.  It is alive (a PE
+            # dies only when idle) and each thief is a distinct PE.
+            ends[kind](pe, now, payload)
+            busy[pe] = False
+            thieves = queues[pe]
+            if thieves:
+                queues[pe] = []
+                here = node[pe]
+                for thief in thieves:
+                    stealable = len(deques[pe]) - min_keep
+                    if stealable > 0:
+                        hand_over(pe, thief, stealable, now)
                         continue
-                dq = deques[victim]
-                stealable = len(dq) - min_keep
-                if stealable <= 0 or dead[victim]:  # dead PEs answer at once
-                    stats[victim].steals_failed += 1
+                    stats[pe].steals_failed += 1
                     if tr is not None:
-                        tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=thief)
-                    delay = local if node[victim] == node[thief] else remote
-                    push((now + delay, seq(), _STEAL_REPLY, thief, ()))
-                    continue
-                n = max(stealable // 2, 1) if chunk == "half" else min(int(chunk), stealable)
-                tasks = [dq.pop() for _ in range(n)]  # steal from the back
-                vst = stats[victim]
-                vst.steals_serviced += 1
-                vst.tasks_lost += n
-                if tr is not None:
-                    tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
-                delay = topo.latency(victim, thief, payload=n) + self.transfer_cost * n
-                push((now + delay, seq(), _STEAL_REPLY, thief, tasks))
-            if not arriving:
-                activate(pe, now)
+                        tr.point(EV_STEAL_FAIL, ts=now, pe=pe, thief=thief)
+                    at = now + (local if node[thief] == here else remote)
+                    push((at, seq(), _EMPTY_REPLIES, thief, [1]))
+            activate(pe, now)
 
         for st in stats:
             sent = st.steal_requests_sent + st.steals_serviced + st.steals_failed
@@ -474,6 +526,21 @@ class WorkStealingSimulator:
                 reason=reason,
             )
 
+    def _hand_over(self, victim: int, thief: int, stealable: int, now: float) -> None:
+        """``victim`` serves ``thief`` from the back of its deque: one
+        transfer reply carrying the stolen tasks."""
+        chunk = self.steal_chunk
+        n = max(stealable // 2, 1) if chunk == "half" else min(chunk, stealable)
+        dq = self._deques[victim]
+        tasks = [dq.pop() for _ in range(n)]
+        vst = self._stats[victim]
+        vst.steals_serviced += 1
+        vst.tasks_lost += n
+        if self._tr is not None:
+            self._tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
+        delay = self.topology.latency(victim, thief, payload=n) + self.transfer_cost * n
+        self._push((now + delay, self._seq(), _STEAL_REPLY, thief, tasks))
+
     def _start_steal_round(self, pe: int, now: float) -> None:
         victims = self.steal_policy.select_victims(
             pe, self._idle_rounds[pe], self.topology, self.rng
@@ -482,30 +549,39 @@ class WorkStealingSimulator:
         if not victims:
             self._schedule_retry(pe, now)
             return
-        # The node table below refuses a PE past the machine; a negative
-        # one would wrap, so it is refused here.
-        if min(victims) < 0:
-            raise IndexError(f"PE {min(victims)} out of range [0, {self.topology.num_pes})")
+        topo = self.topology
+        # A negative PE would wrap in the per-PE lists, so both ends are
+        # refused here, before any request is counted.
+        lo, hi = min(victims), max(victims)
+        if lo < 0 or hi >= topo.num_pes:
+            raise IndexError(f"PE {lo if lo < 0 else hi} out of range [0, {topo.num_pes})")
         self._round_found[pe] = False
         self._pending_replies[pe] = len(victims)
         self._stats[pe].steal_requests_sent += len(victims)
         if self._tr is not None:
             for v in victims:
                 self._tr.point(EV_STEAL_REQUEST, ts=now, pe=pe, victim=v)
-        # One event per arrival time, members in policy order (module docstring).
-        topo = self.topology
-        node, here = topo.pe_node, topo.pe_node[pe]
-        near, far = now + topo.latency_local, now + topo.latency_remote
-        bundles: "dict[float, list[int]]" = {}
-        for v in victims:
-            bundles.setdefault(near if node[v] == here else far, []).append(v)
-        for t, bundle in bundles.items():
-            self._push((t, self._seq(), _STEAL_REQUEST, pe, bundle))
+        # One event per arrival time, members in policy order, bundles in
+        # order of first appearance (module docstring).
+        at, far_at = now + topo.latency_local, now + topo.latency_remote
+        if at != far_at:
+            node, here = topo.pe_node, topo.pe_node[pe]
+            near = [v for v in victims if node[v] == here]
+            if not near:
+                at = far_at
+            elif len(near) < len(victims):
+                far = [v for v in victims if node[v] != here]
+                bundles = ((at, near), (far_at, far))
+                for t, bundle in bundles if near[0] == victims[0] else bundles[::-1]:
+                    self._push((t, self._seq(), _STEAL_REQUEST, pe, bundle))
+                return
+        self._push((at, self._seq(), _STEAL_REQUEST, pe, victims))
 
     def _schedule_retry(self, pe: int, now: float) -> None:
         if self._remaining <= 0:
             return
-        wait = self.backoff_base * (2.0 ** min(self._idle_rounds[pe], self.max_idle_rounds))
+        k, waits = self._idle_rounds[pe], self._waits
+        wait = waits[k] if k < len(waits) else waits[-1]
         self._push((now + wait, self._seq(), _RETRY, pe, None))
 
 

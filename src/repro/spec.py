@@ -46,6 +46,7 @@ from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry import environments
 from .runtime.local_pool import FAILURE_POLICIES, resolve_workers
+from .runtime.simulator import validate_steal_chunk
 
 if TYPE_CHECKING:
     from .obs.tracer import Tracer
@@ -199,6 +200,8 @@ class ExecutionPolicy:
     #: simulated machine size.
     num_pes: int = 16
     topology: "ClusterTopology | None" = None
+    #: tasks a victim hands over per steal: "half" of its stealable
+    #: deque, or at most an int >= 1.
     steal_chunk: "str | int" = "half"
     #: local pool size (also QueryEngine batch dispatch width); ``None``
     #: resolves to ``os.cpu_count()`` at dispatch time.
@@ -237,6 +240,7 @@ class ExecutionPolicy:
         if isinstance(pes, bool) or not isinstance(pes, int) or pes < 1:
             raise ValueError(f"num_pes must be an int >= 1, got {pes!r}")
         resolve_workers(self.workers)
+        validate_steal_chunk(self.steal_chunk)
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         from .runtime.chunking import validate_chunksize

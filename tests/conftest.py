@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment, med_cube
+
+#: Every property draws the same examples on every run, and no deadline
+#: turns a slow run into a failure: ``pytest --hypothesis-profile=derandomized``
+#: (``tools/mutants.py`` runs under it, so a verdict cannot depend on the draw).
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture

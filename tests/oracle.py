@@ -8,7 +8,9 @@ sequential loop leaves.  :func:`digest` names every field of that, and
 :func:`region_loop` is the one switch from the block passes to the
 per-region loop they replay.  :func:`assert_trace_matches_pool` is the
 completeness invariant on a local pool run: its trace alone recounts the
-``PoolResult``.
+``PoolResult``.  :class:`PerMessageSimulator` is the virtual machine with
+one heap event per failed steal reply, which the bundled replies of
+``WorkStealingSimulator`` replay.
 
 This is the only test module that knows how a ``Roadmap`` stores its
 graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
@@ -16,14 +18,26 @@ graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
 of representation edits :func:`digest` and nothing else.
 """
 
+import functools
 import hashlib
+import heapq
+import itertools
+from collections import deque
 from dataclasses import asdict, astuple
 from unittest import mock
 
 import numpy as np
 
 from repro.obs import EV_TASK_END, summarize_events
+from repro.obs.events import EV_STEAL_FAIL, EV_STEAL_REPLY, EV_STEAL_REQUEST, EV_STEAL_TRANSFER
 from repro.planners import PRM, Roadmap
+from repro.runtime import PEStats, SimResult, WorkStealingSimulator
+from repro.runtime.simulator import (
+    _REDISPATCH,
+    _RETRY,
+    _STEAL_REPLY,
+    _STEAL_REQUEST,
+)
 
 
 def digest(run, env=None, rng=None) -> dict:
@@ -204,3 +218,183 @@ def grid_loop(bounds, num_regions, overlap=0.1, shape=None):
                 nbr[d] += 1
                 graph.add_adjacency(flat, index_to_id(tuple(nbr)))
     return graph
+
+
+class PerMessageSimulator(WorkStealingSimulator):
+    """The simulator with one heap event per failed steal reply: the loop
+    that bundled failed replies replay bit for bit.
+
+    ``run``, ``_start_steal_round`` and ``_schedule_retry`` are the
+    per-message versions (a failed reply is a ``_STEAL_REPLY`` with an
+    empty payload, a round's bundles are grouped through a dict keyed by
+    arrival time, the retry wait is computed each time); every other
+    method is the simulator's own.
+    """
+
+    def run(self, assignment: "dict[int, int]") -> SimResult:
+        P = self.topology.num_pes
+        self._deques: "list[deque[int]]" = [deque() for _ in range(P)]
+        # Stable initial order: sorted task ids per PE.
+        for task in sorted(assignment):
+            pe = assignment[task]
+            if not 0 <= pe < P:
+                raise ValueError(f"task {task} assigned to invalid PE {pe}")
+            self._deques[pe].append(task)
+
+        self._stats = [PEStats(pe=p) for p in range(P)]
+        self._busy = [False] * P
+        self._dead = [False] * P
+        self._stolen_marks: "set[int]" = set()
+        self._executed_by: "dict[int, int]" = {}
+        self._task_costs: "dict[int, float]" = {}
+        self._remaining = len(assignment)
+        self._queued_requests: "list[list[int]]" = [[] for _ in range(P)]
+        self._pending_replies = [0] * P
+        self._round_found = [False] * P
+        self._idle_rounds = [0] * P
+        #: the heap of ``(time, seq, kind, pe, payload)`` events; ``_push``
+        #: takes one such tuple, ``_seq()`` hands out the next tie-breaker.
+        self._events: "list[tuple[float, int, int, int, object]]" = []
+        self._push = functools.partial(heapq.heappush, self._events)
+        self._seq = itertools.count(1).__next__
+        self._makespan = 0.0
+        #: redispatch messages; steal traffic is tallied from the per-PE
+        #: request / transfer / failure counters once the run is over.
+        self._messages = 0
+        self._deaths = 0
+        self._attempts: "dict[int, int]" = {}
+        self._abandoned: "list[int]" = []
+
+        for p in range(P):
+            self._activate(p, 0.0)
+
+        events, pop, push, seq = self._events, heapq.heappop, self._push, self._seq
+        stats, deques, busy, dead = self._stats, self._deques, self._busy, self._dead
+        queues, pending, found = self._queued_requests, self._pending_replies, self._round_found
+        idle_rounds = self._idle_rounds
+        topo, tr, activate = self.topology, self._tr, self._activate
+        node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
+        min_keep, offload, chunk = self.min_keep, self.offload_service, self.steal_chunk
+        ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
+        end_time = 0.0
+        while events:
+            now, _seq, kind, pe, payload = pop(events)
+            if now > end_time:
+                end_time = now
+            if kind == _STEAL_REPLY:
+                pending[pe] -= 1
+                if tr is not None:
+                    tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=len(payload))
+                if dead[pe]:
+                    # The thief died while its request was in flight; the
+                    # runtime reclaims the transfer instead of stranding it.
+                    if payload:
+                        self._redispatch_tasks(payload, pe, now)
+                elif payload:
+                    found[pe] = True
+                    idle_rounds[pe] = 0
+                    self._stolen_marks.update(payload)
+                    deques[pe].extend(payload)
+                    activate(pe, now)
+                elif pending[pe] == 0 and not found[pe]:
+                    # Whole round failed: back off and retry while work remains.
+                    idle_rounds[pe] += 1
+                    self._schedule_retry(pe, now)
+                continue
+            if kind == _RETRY:
+                if busy[pe] or deques[pe]:
+                    activate(pe, now)
+                elif self._remaining > 0 and pending[pe] == 0:
+                    self._start_steal_round(pe, now)
+                continue
+            if kind == _REDISPATCH:
+                self._on_redispatch(pe, now, payload)
+                continue
+            arriving = kind == _STEAL_REQUEST
+            if arriving:
+                # Thief ``pe``'s requests to every victim in ``payload``.
+                victims, thieves = payload, itertools.repeat(pe)
+            else:
+                # A task ended: ``pe`` is free, and answers the thieves that
+                # knocked while it worked, in arrival order.
+                ends[kind](pe, now, payload)
+                busy[pe] = False
+                victims, thieves = itertools.repeat(pe), queues[pe]
+                if thieves:
+                    queues[pe] = []
+            for victim, thief in zip(victims, thieves):
+                if arriving:
+                    stats[victim].steal_requests_received += 1
+                    if busy[victim] and not offload:
+                        queues[victim].append(thief)  # non-preemptive service
+                        continue
+                dq = deques[victim]
+                stealable = len(dq) - min_keep
+                if stealable <= 0 or dead[victim]:  # dead PEs answer at once
+                    stats[victim].steals_failed += 1
+                    if tr is not None:
+                        tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=thief)
+                    delay = local if node[victim] == node[thief] else remote
+                    push((now + delay, seq(), _STEAL_REPLY, thief, ()))
+                    continue
+                n = max(stealable // 2, 1) if chunk == "half" else min(int(chunk), stealable)
+                tasks = [dq.pop() for _ in range(n)]  # steal from the back
+                vst = stats[victim]
+                vst.steals_serviced += 1
+                vst.tasks_lost += n
+                if tr is not None:
+                    tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
+                delay = topo.latency(victim, thief, payload=n) + self.transfer_cost * n
+                push((now + delay, seq(), _STEAL_REPLY, thief, tasks))
+            if not arriving:
+                activate(pe, now)
+
+        for st in stats:
+            sent = st.steal_requests_sent + st.steals_serviced + st.steals_failed
+            st.messages_sent += sent
+            self._messages += sent
+        return SimResult(
+            pe_stats=stats,
+            executed_by=self._executed_by,
+            task_costs=self._task_costs,
+            makespan=self._makespan,
+            end_time=end_time,
+            total_messages=self._messages,
+            task_attempts=self._attempts,
+            abandoned=sorted(self._abandoned),
+            worker_deaths=self._deaths,
+        )
+
+    def _start_steal_round(self, pe: int, now: float) -> None:
+        victims = self.steal_policy.select_victims(
+            pe, self._idle_rounds[pe], self.topology, self.rng
+        )
+        victims = [v for v in victims if v != pe]
+        if not victims:
+            self._schedule_retry(pe, now)
+            return
+        # The node table below refuses a PE past the machine; a negative
+        # one would wrap, so it is refused here.
+        if min(victims) < 0:
+            raise IndexError(f"PE {min(victims)} out of range [0, {self.topology.num_pes})")
+        self._round_found[pe] = False
+        self._pending_replies[pe] = len(victims)
+        self._stats[pe].steal_requests_sent += len(victims)
+        if self._tr is not None:
+            for v in victims:
+                self._tr.point(EV_STEAL_REQUEST, ts=now, pe=pe, victim=v)
+        # One event per arrival time, members in policy order (simulator docstring).
+        topo = self.topology
+        node, here = topo.pe_node, topo.pe_node[pe]
+        near, far = now + topo.latency_local, now + topo.latency_remote
+        bundles: "dict[float, list[int]]" = {}
+        for v in victims:
+            bundles.setdefault(near if node[v] == here else far, []).append(v)
+        for t, bundle in bundles.items():
+            self._push((t, self._seq(), _STEAL_REQUEST, pe, bundle))
+
+    def _schedule_retry(self, pe: int, now: float) -> None:
+        if self._remaining <= 0:
+            return
+        wait = self.backoff_base * (2.0 ** min(self._idle_rounds[pe], self.max_idle_rounds))
+        self._push((now + wait, self._seq(), _RETRY, pe, None))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DiffusivePolicy, HybridPolicy, RandKPolicy
+from repro.obs import EV_STEAL_REQUEST, MemorySink, Tracer
 from repro.runtime import ClusterTopology, WorkStealingSimulator, run_static_phase
 
 
@@ -140,6 +141,37 @@ class TestWorkStealing:
             WorkStealingSimulator(topo, _uniform_executor(), transfer_cost=-1.0)
         with pytest.raises(ValueError):
             WorkStealingSimulator(topo, _uniform_executor(), backoff_base=-1.0)
+
+
+class TestStealOptionValidation:
+    """Steal options are refused at construction, before any task runs —
+    by the check ``ExecutionPolicy.validate`` shares."""
+
+    @pytest.mark.parametrize("chunk", ["third", "", True, False, 0, -2, 2.0, None])
+    def test_bad_steal_chunk_is_refused(self, chunk):
+        with pytest.raises(ValueError, match="steal_chunk"):
+            WorkStealingSimulator(
+                ClusterTopology(2), _uniform_executor(), steal_policy=RandKPolicy(1),
+                steal_chunk=chunk,
+            )
+
+    @pytest.mark.parametrize("rounds", [-3, -1, True, 1.5, "6"])
+    def test_bad_max_idle_rounds_is_refused(self, rounds):
+        with pytest.raises(ValueError, match="max_idle_rounds"):
+            WorkStealingSimulator(ClusterTopology(2), _uniform_executor(), max_idle_rounds=rounds)
+
+    def test_no_backoff_waits_backoff_base(self):
+        # max_idle_rounds=0: every retry waits backoff_base, never less.
+        sink = MemorySink()
+        WorkStealingSimulator(
+            ClusterTopology(2), _uniform_executor(), steal_policy=RandKPolicy(1),
+            min_keep=8, offload_service=True, backoff_base=3.0, max_idle_rounds=0,
+            tracer=Tracer(sinks=[sink]),
+        ).run({t: 0 for t in range(8)})
+        sent = [e.ts for e in sink.events if e.name == EV_STEAL_REQUEST]
+        assert len(sent) > 2
+        # PE 1 asks at 0, the failure lands at 2 (1 + 1), it retries at 5.
+        assert all(b - a == pytest.approx(5.0) for a, b in zip(sent, sent[1:]))
 
 
 class _FixedVictims:

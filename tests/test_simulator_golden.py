@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -37,6 +37,8 @@ from repro.cspace import EuclideanCSpace
 from repro.geometry import med_cube, mixed_30_env
 from repro.obs import MemorySink, Tracer
 from repro.runtime import ClusterTopology, Fault, FaultInjector, WorkStealingSimulator
+
+from .oracle import PerMessageSimulator
 
 PES = (16, 48)
 PRM_STRATEGIES = ("none", "repartition", "rand-8", "diffusive", "hybrid")
@@ -331,6 +333,80 @@ def test_traced_equals_untraced_property(
     assert sim_digest(traced) == sim_digest(plain)
     assert sorted(plain.executed_by) == list(range(n_tasks))
     assert sum(s.tasks_executed for s in plain.pe_stats) == n_tasks
+
+
+_fault = st.tuples(
+    st.sampled_from(["crash", "hang", "raise"]), st.integers(0, 59), st.integers(0, 2)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_pes=st.integers(2, 12),
+    cores_per_node=st.integers(1, 4),
+    latency_local=st.sampled_from([0.0, 1.0]),
+    latency_remote=st.sampled_from([1.0, 10.0]),
+    bandwidth_cost=st.sampled_from([0.0, 0.5]),
+    transfer_cost=st.sampled_from([0.0, 2.0]),
+    min_keep=st.integers(0, 2),
+    steal_chunk=st.sampled_from(["half", 1, 3]),
+    offload_service=st.booleans(),
+    policy=st.sampled_from(["rand-k", "diffusive", "hybrid"]),
+    k=st.integers(1, 8),
+    n_tasks=st.integers(1, 60),
+    whole_costs=st.booleans(),
+    faults=st.lists(_fault, max_size=4),
+)
+# Free transfers on one-core nodes: a transfer lands between two failed
+# replies of its bundle at the same instant, whatever the draw.
+@example(seed=10, num_pes=5, cores_per_node=1, latency_local=1.0, latency_remote=10.0,
+         bandwidth_cost=0.0, transfer_cost=0.0, min_keep=1, steal_chunk=1,
+         offload_service=True, policy="rand-k", k=3, n_tasks=20, whole_costs=True, faults=[])
+def test_bundled_replies_equal_one_event_per_reply(
+    seed, num_pes, cores_per_node, latency_local, latency_remote, bandwidth_cost,
+    transfer_cost, min_keep, steal_chunk, offload_service, policy, k, n_tasks, whole_costs,
+    faults,
+):
+    """A bundle's failed replies as one count-carrying event replay the
+    per-message loop bit for bit: results, every ``PEStats`` field and
+    the traced event stream.  Zero costs let a transfer land at the same
+    instant as the failures around it; whole-number task costs make the
+    ties between PEs common."""
+    rng = np.random.default_rng(seed)
+    if whole_costs:
+        costs = rng.integers(1, 6, n_tasks).astype(float)
+    else:
+        costs = rng.uniform(1, 20, n_tasks)
+    assignment = {t: int(rng.integers(0, num_pes)) for t in range(n_tasks)}
+    topology = ClusterTopology(
+        num_pes, cores_per_node, latency_local=latency_local,
+        latency_remote=latency_remote, bandwidth_cost=bandwidth_cost,
+    )
+
+    def run(cls, tracer):
+        plan = [Fault(kind, task=task, attempt=attempt, hang=3.0)
+                for kind, task, attempt in faults]
+        return cls(
+            topology,
+            lambda task, pe: float(costs[task]),
+            steal_policy=policy_by_name(policy, k),
+            steal_chunk=steal_chunk,
+            min_keep=min_keep,
+            transfer_cost=transfer_cost,
+            offload_service=offload_service,
+            rng=np.random.default_rng(seed + 1),
+            tracer=tracer,
+            fault_injector=FaultInjector(plan) if plan else None,
+        ).run(assignment)
+
+    oracle_sink, sink = MemorySink(), MemorySink()
+    want = run(PerMessageSimulator, Tracer(sinks=[oracle_sink]))
+    got = run(WorkStealingSimulator, Tracer(sinks=[sink]))
+    assert sim_digest(got) == sim_digest(want)
+    assert got.pe_stats == want.pe_stats
+    assert trace_digest(sink.events) == trace_digest(oracle_sink.events)
+    assert sim_digest(run(WorkStealingSimulator, None)) == sim_digest(want)
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration aid

@@ -54,6 +54,21 @@ class TestSpecObjects:
         with pytest.raises(ValueError, match=field):
             plan(WorkloadSpec(num_regions=8), execution=ExecutionPolicy(**{field: value}))
 
+    @pytest.mark.parametrize("chunk", ["third", True, 0, -1, 2.0])
+    def test_steal_chunk_is_half_or_an_int(self, chunk, monkeypatch):
+        """The simulator's own check: refused by ``validate()``, so
+        ``plan()`` rejects it before it builds anything."""
+        with pytest.raises(ValueError, match="steal_chunk"):
+            ExecutionPolicy(steal_chunk=chunk).validate()
+        monkeypatch.setattr(WorkloadSpec, "build_workload", lambda *a: pytest.fail("built"))
+        with pytest.raises(ValueError, match="steal_chunk"):
+            plan(WorkloadSpec(num_regions=8),
+                 execution=ExecutionPolicy(strategy="rand-8", steal_chunk=chunk))
+
+    @pytest.mark.parametrize("chunk", ["half", 1, 4])
+    def test_good_steal_chunks_validate(self, chunk):
+        ExecutionPolicy(steal_chunk=chunk).validate()
+
     def test_fault_policy_pool_kwargs_round_trip(self):
         fp = FaultPolicy(policy="retry", max_retries=5, task_timeout=1.5)
         kw = fp.pool_kwargs(retry_seed=7)

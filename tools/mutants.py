@@ -6,7 +6,10 @@ Every entry of :data:`MUTANTS` is ``(name, file, old, new, tests)``: a
 source edit under ``src/`` and the tests that must fail on it.  For each
 one this script copies ``src/``, checks that ``old`` occurs exactly once
 in ``file``, replaces it with ``new`` and runs ``tests`` against the copy
-(the repository's own ``tests/``, with the copy first on ``PYTHONPATH``).
+(the repository's own ``tests/``, with the copy first on ``PYTHONPATH``)
+under the derandomized hypothesis profile of ``tests/conftest.py``, so a
+property draws the same examples on every run and a verdict cannot
+depend on the draw.
 
 * **killed** — pytest exited 1: tests ran and failed.
 * **survived** — the tests passed on the mutant.
@@ -42,6 +45,10 @@ RECOUNT = "tests/test_api_faults.py::test_trace_recounts_the_reports_failures"
 SERVED = ("tests/test_service.py::TestObservabilityIntegration"
           "::test_trace_recounts_cache_and_service_stats")
 SHIPPED = "tests/test_shm_runtime.py::TestShippedTree"
+BUNDLED = f"{GOLDEN}::test_bundled_replies_equal_one_event_per_reply"
+#: the hypothesis profile ``tests/conftest.py`` registers: every property
+#: draws the same examples, so a verdict never depends on the draw.
+PROFILE = "derandomized"
 
 
 class Mutant(NamedTuple):
@@ -288,17 +295,32 @@ MUTANTS = [
     Mutant(
         "a steal round travels as one bundle at its first victim's arrival time",
         "repro/runtime/simulator.py",
-        "bundles.setdefault(near if node[v] == here else far, []).append(v)",
-        "bundles.setdefault(near if node[victims[0]] == here else far, []).append(v)",
+        "near = [v for v in victims if node[v] == here]",
+        "near = victims if node[victims[0]] == here else []",
         (f"{GOLDEN}::test_simulate_prm_golden[48-rand-8]",
          f"{GOLDEN}::test_multi_node_rounds_golden[96-hybrid]"),
     ),
     Mutant(
         "a bundle's victims are served in reverse order",
         "repro/runtime/simulator.py",
-        "victims, thieves = payload, itertools.repeat(pe)",
-        "victims, thieves = payload[::-1], itertools.repeat(pe)",
+        "                for victim in payload:\n",
+        "                for victim in payload[::-1]:\n",
         (f"{GOLDEN}::test_traced_run_golden", f"{GOLDEN}::test_multi_node_traced_run_golden"),
+    ),
+    Mutant(
+        "the open failed-reply event is not closed by an intervening transfer",
+        "repro/runtime/simulator.py",
+        "                        fails = None  # the transfer's push closes the open event\n",
+        "",
+        (BUNDLED,),
+    ),
+    Mutant(
+        "the reply handler decrements pending by one, not by the count",
+        "repro/runtime/simulator.py",
+        "pending[pe] -= count",
+        "pending[pe] -= 1",
+        (f"{GOLDEN}::test_simulate_prm_golden[16-rand-8]",
+         f"{GOLDEN}::test_multi_node_rounds_golden[96-hybrid]"),
     ),
     Mutant(
         "an aggregated remote access pays no bandwidth for its payload",
@@ -387,7 +409,8 @@ MUTANTS = [
 def _pytest(src: Path, tests) -> "tuple[int, str]":
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         f"--hypothesis-profile={PROFILE}", *tests],
         cwd=REPO, env=env, capture_output=True, text=True,
     )
     return proc.returncode, proc.stdout + proc.stderr
