@@ -360,9 +360,9 @@ class _RegionTask:
 
     The chunk a worker receives is the block it plans: ``run_block`` is the
     pool's offer of a whole chunk of fresh regions (see
-    :func:`repro.runtime.run_tasks_parallel`), taken when the planner
-    ``runs_blocks`` and answered with one :class:`PRMSegment` per region in
-    place of its ``Roadmap``.
+    :func:`repro.runtime.run_tasks_parallel`), taken when the region
+    planner has a ``plan_block`` (a PRM's) and answered with one
+    :class:`PRMSegment` per region in place of its ``Roadmap``.
     """
 
     def __init__(self, regions: "PRMRegionPlanner | RRTRegionPlanner"):
@@ -379,7 +379,7 @@ class _RegionTask:
         ``i``'s collision-checked points — the share of the measured time
         the pool charges it, and exactly its share of a block's counters."""
         regions = self.regions
-        if not getattr(regions.planner, "runs_blocks", False):
+        if not hasattr(regions, "plan_block"):
             return None
         values, work = [], []
         for block_rids in regions.blocks(rids):

@@ -42,9 +42,10 @@ function of geometry alone, every distance, interpolation and box test is
 elementwise, and each region keeps its own ``region_rng(seed, rid)``
 stream — so batch composition cannot change a bit of the roadmap, the
 ledgers or the collision counters.  The
-one-region, one-adjacency loop, taken when the planner does not
-``PRM.runs_blocks``, is the oracle the block passes replay
-(``tests/test_parallel_prm.py`` compares the two field for field).
+one-region, one-adjacency loop is the oracle the block passes replay
+(``tests/oracle.py::region_loop`` swaps it in for
+:func:`_plan_in_blocks` and :func:`_connect_in_blocks`;
+``tests/test_parallel_prm.py`` compares the two field for field).
 """
 
 from __future__ import annotations
@@ -320,7 +321,6 @@ class PRMRegionPlanner:
         test come from the decomposition's arrays, not per-region objects.
         The boost pass continues the same per-region generators; an
         unboosted region asks it for zero samples, which draws nothing.
-        Needs ``planner.runs_blocks``.
         """
         grid, rows = self.decomposition, np.asarray(rids, dtype=np.int64)
         rngs = [region_rng(self.seed, rid) for rid in rids]
@@ -394,6 +394,19 @@ def _boundary_sets(
     return rows.ids[row[order[_ranks(found) < cap]]], np.minimum(found, cap)
 
 
+def _plan_in_blocks(
+    regions: PRMRegionPlanner, rids: "list[int]", roadmap: Roadmap
+) -> "dict[int, PlannerStats]":
+    """Every region of ``rids`` planned block by block and merged into
+    ``roadmap``: per region its ledger."""
+    region_stats: "dict[int, PlannerStats]" = {}
+    for block_rids in regions.blocks(rids):
+        block = regions.plan_block(block_rids)
+        region_stats.update(zip(block_rids, block.stats))
+        roadmap.merge(block)
+    return region_stats
+
+
 def _connect_in_blocks(
     regions: PRMRegionPlanner, roadmap: Roadmap, rows: _RegionRows,
     adjacencies: "list[tuple[int, int]]", k_inter: int, reach: float, cap: int, step: int,
@@ -419,33 +432,6 @@ def _connect_in_blocks(
             (st if alive else None, reads)
             for st, alive, reads in zip(ledgers, live.tolist(), na.tolist())
         )
-    return out
-
-
-def _connect_one_by_one(
-    regions: PRMRegionPlanner, roadmap: Roadmap, rows: _RegionRows,
-    adjacencies: "list[tuple[int, int]]", k_inter: int, reach: float, cap: int,
-) -> "list[tuple[PlannerStats | None, int]]":
-    """Region connection one adjacency at a time — the oracle
-    :func:`_connect_in_blocks` replays."""
-    index_of = {rid: i for i, rid in enumerate(rows.rids)}
-    out: "list[tuple[PlannerStats | None, int]]" = []
-    for a, b in adjacencies:
-        near = []
-        for own, other in ((a, b), (b, a)):
-            i = index_of[own]
-            mine = slice(rows.start[i], rows.start[i] + rows.count[i])
-            dist = regions.decomposition.region_of(other).bounds.distance(rows.positions[mine])
-            ids = rows.ids[mine][dist <= reach]
-            if ids.size > cap:
-                ids = ids[np.argsort(dist[dist <= reach], kind="stable")[:cap]]
-            near.append(ids)
-        near_b, near_a = near
-        if near_b.size == 0 or near_a.size == 0:
-            out.append((None, 0))
-            continue
-        st = regions.planner.connect_roadmaps(roadmap, near_b, near_a, k=k_inter)
-        out.append((st, int(near_a.size)))
     return out
 
 
@@ -478,9 +464,8 @@ def build_prm_workload(
 
     Regions are independent subproblems, so the build executes *blocks*
     of regions and of adjacencies as array passes — see the module
-    docstring.  When the planner does not ``PRM.runs_blocks`` it runs one
-    region and one adjacency at a time; that loop is the oracle the block
-    passes replay, and both produce the same workload bit for bit.
+    docstring; the one-region, one-adjacency loop is their oracle, and
+    both produce the same workload bit for bit.
     """
     work_model = work_model if work_model is not None else WorkModel()
     regions = PRMRegionPlanner(
@@ -490,19 +475,7 @@ def build_prm_workload(
     subdivision, rids = regions.decomposition, regions.region_ids
 
     roadmap = Roadmap(cspace.dim)
-    region_stats: "dict[int, PlannerStats]" = {}
-    if regions.planner.runs_blocks:
-        for block_rids in regions.blocks(rids):
-            block = regions.plan_block(block_rids)
-            region_stats.update(zip(block_rids, block.stats))
-            roadmap.merge(block)
-    else:
-        for rid in rids:
-            # Each regional roadmap is built independently (the whole point
-            # of uniform subdivision) and merged afterwards.
-            result = regions(rid)
-            region_stats[rid] = result.stats
-            roadmap.merge(result.roadmap)
+    region_stats = _plan_in_blocks(regions, rids, roadmap)
 
     def connect_cost(st: PlannerStats) -> float:
         return (
@@ -531,16 +504,10 @@ def build_prm_workload(
     # connection stays the minor phase it is in the paper (Fig. 7a).
     max_boundary_vertices = 2 * samples_per_region
     adjacencies = sorted(subdivision.graph.edges())
-    if regions.planner.runs_blocks:
-        links = _connect_in_blocks(
-            regions, roadmap, rows, adjacencies, k_inter, boundary_reach,
-            max_boundary_vertices,
-            _block_size(max_boundary_vertices * k_inter * regions.pair_points),
-        )
-    else:
-        links = _connect_one_by_one(
-            regions, roadmap, rows, adjacencies, k_inter, boundary_reach, max_boundary_vertices
-        )
+    links = _connect_in_blocks(
+        regions, roadmap, rows, adjacencies, k_inter, boundary_reach, max_boundary_vertices,
+        _block_size(max_boundary_vertices * k_inter * regions.pair_points),
+    )
     # Each NN structure build + LP endpoint read touches b's vertices.
     adjacency_work = [
         AdjacencyWork(a, b, 0.0, 0, 0) if st is None

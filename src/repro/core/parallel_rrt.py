@@ -221,7 +221,7 @@ class RRTRegionPlanner:
         self, cspace: ConfigurationSpace, root: np.ndarray, num_regions: int,
         nodes_per_region: int, seed: int = 0, radius: float | None = None, k_adjacent: int = 3,
         overlap_angle: float = 0.1, step_size: float = 0.6, goal_bias: float = 0.3,
-        iteration_factor: int = 40, lp_resolution: float = 0.5, batched: bool = True,
+        iteration_factor: int = 40, lp_resolution: float = 0.5,
     ):
         root = np.asarray(root, dtype=float)
         if not cspace.valid_single(root):
@@ -240,7 +240,7 @@ class RRTRegionPlanner:
         )
         self.planner = RRT(
             cspace, step_size=step_size, goal_bias=goal_bias,
-            local_planner=StraightLinePlanner(resolution=lp_resolution), batched=batched,
+            local_planner=StraightLinePlanner(resolution=lp_resolution),
         )
 
     @property
@@ -254,10 +254,9 @@ class RRTRegionPlanner:
             self.nodes_per_region,
             region_rng(self.seed, rid),
             bias_target=region.target,
-            region_predicate=region.contains,
+            region_predicate=region.contains_many,
             max_iterations=self.max_iterations,
             id_base=rid << ID_SHIFT,
-            region_predicate_batch=region.contains_many,
             within=region,
         )
 
@@ -278,23 +277,19 @@ def build_rrt_workload(
     seed: int = 0,
     work_model: WorkModel | None = None,
     lp_resolution: float = 0.5,
-    batched: bool = True,
 ) -> RRTWorkload:
     """Grow every conical branch once against the real geometry, each
     drawing its samples from its own cone (:class:`RRTRegionPlanner`).
 
     ``radius`` defaults to the largest sphere around the root's position
-    that fits the workspace bounds.  ``batched`` selects the vectorised
-    predict-validate-replay growth path (identical trees and stats; see
-    :class:`repro.planners.rrt.RRT`); False forces the one-extension-at-a-
-    time reference loop.
+    that fits the workspace bounds.
     """
     work_model = work_model if work_model is not None else WorkModel()
     regions = RRTRegionPlanner(
         cspace, root, num_regions, nodes_per_region, seed=seed, radius=radius,
         k_adjacent=k_adjacent, overlap_angle=overlap_angle, step_size=step_size,
         goal_bias=goal_bias, iteration_factor=iteration_factor,
-        lp_resolution=lp_resolution, batched=batched,
+        lp_resolution=lp_resolution,
     )
     radial, planner, root = regions.decomposition, regions.planner, regions.root
 

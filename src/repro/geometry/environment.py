@@ -272,29 +272,11 @@ class Environment:
                 total -= oi.intersection_volume(self.obstacles[j])
         return max(total, 0.0)
 
-    def box_obstacle_relation(self, box: AABB) -> str:
-        """Classify ``box`` against the obstacle set.
-
-        Returns ``"free"`` (touches no obstacle), ``"blocked"`` (entirely
-        inside one obstacle), or ``"boundary"`` (straddles at least one
-        obstacle surface).  Used to identify narrow-passage regions.
-        """
-        inside_any = False
-        touches_any = False
-        for obs in self.obstacles:
-            if obs.intersects(box):
-                touches_any = True
-                if np.all(obs.lo <= box.lo) and np.all(box.hi <= obs.hi):
-                    inside_any = True
-                    break
-        if inside_any:
-            return "blocked"
-        return "boundary" if touches_any else "free"
-
     def boxes_on_boundary(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """:meth:`box_obstacle_relation` ``== "boundary"`` for every box
-        ``lo[i]..hi[i]`` at once: True where the box touches an obstacle
-        and lies inside none.  Obstacles are scanned in slices of at most
+        """Whether each box ``lo[i]..hi[i]`` straddles an obstacle surface
+        (a narrow-passage region): True where the box touches an obstacle
+        and lies inside none (``tests/oracle.py::box_obstacle_relation``
+        is the per-box oracle).  Obstacles are scanned in slices of at most
         ``_BOX_PAIRS`` box-obstacle pairs, so the temporaries grow with the
         number of boxes, never with boxes x obstacles."""
         lo, hi = np.atleast_2d(lo)[:, None], np.atleast_2d(hi)[:, None]

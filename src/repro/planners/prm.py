@@ -15,10 +15,10 @@ decision therefore depends on an earlier outcome, so the batched planner
 array passes over a *block* of independent segments — many regions, many
 adjacencies — with sampling, k-NN and local planning each run once over
 the block (:class:`PRMBlock`).  One region or one adjacency is the block
-of one.  The one-vertex-at-a-time loop (``batched=False``) is the oracle:
-``PlannerStats`` and the environment's ``CollisionCounters`` are field for
-field the loop's, and the roadmap is the loop's to the last place of its
-edge weights.
+of one.  The one-vertex-at-a-time loop is the oracle
+(``tests/oracle.py::SequentialPRM``): ``PlannerStats`` and the
+environment's ``CollisionCounters`` are field for field the loop's, and
+the roadmap is the loop's to the last place of its edge weights.
 """
 
 from __future__ import annotations
@@ -114,11 +114,6 @@ class PRM:
         resolution 0.25).
     k:
         Number of nearest-neighbour connection attempts per node.
-    batched:
-        Validate candidate pairs in vectorised batches (default True).
-        Operation counts are identical either way; False forces the
-        one-edge-at-a-time reference loop (the oracle tests assert parity
-        against).
     """
 
     def __init__(
@@ -126,7 +121,6 @@ class PRM:
         cspace: ConfigurationSpace,
         local_planner=None,
         k: int = 6,
-        batched: bool = True,
     ):
         self.cspace = cspace
         self.sampler = UniformSampler()
@@ -137,15 +131,6 @@ class PRM:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.batched = batched
-
-    @property
-    def runs_blocks(self) -> bool:
-        """Whether :meth:`build` / :meth:`connect_roadmaps` accept a block
-        of segments: when batched.  The switch the region loop's oracle
-        turns off (``tests/oracle.py::region_loop``); a one-region build
-        or one-adjacency connect still runs as the block of one."""
-        return self.batched
 
     def build(
         self,
@@ -168,47 +153,20 @@ class PRM:
         a :class:`PRMBlock`; ``roadmap`` is then an earlier
         block over the same segments to extend.  Sampling, growing k-NN
         and local planning each run once over the whole block — see
-        :meth:`_build_segments`, which a batched one-generator build runs
-        as the block of one.  Needs :attr:`batched`.
+        :meth:`_build_segments`, which a one-generator build runs as the
+        block of one.
         """
         if not isinstance(rng, np.random.Generator):
             return self._build_segments(n_samples, list(rng), within, roadmap, id_base)
         rmap = roadmap if roadmap is not None else Roadmap(self.cspace.dim)
         ids, cfgs = rmap.configs_array()
-        if self.batched:
-            # The block of one, seeded with the roadmap's vertices.
-            none = np.empty(0, dtype=np.int64)
-            seed = PRMBlock(ids, cfgs, np.array([0, ids.size]), (none, none, np.empty(0)), [])
-            block = self._build_segments(n_samples, [rng], within, seed, id_base)
-            rmap.add_vertices(block.ids[ids.size:], block.configs[ids.size:])
-            rmap.add_edges(*block.edges)
-            return PRMResult(rmap, block.stats[0])
-
-        # The one-vertex-at-a-time loop: the oracle of the block passes.
-        stats = PlannerStats()
-        batch = self.sampler(self.cspace, rng, n_samples, within=within)
-        stats.sample_attempts += batch.attempts
-        stats.samples_accepted += len(batch)
-        nn = BruteForceNN(self.cspace.dim)
-        if ids.size:
-            nn.add_batch(ids, cfgs)
-        next_local = rmap.num_vertices
-        for cfg in batch.configs:
-            vid = id_base + next_local
-            next_local += 1
-            rmap.add_vertex(cfg, vid)
-            stats.nn_queries += 1
-            for nbr_id, _dist in nn.knn(cfg, self.k):
-                result = self.local_planner(self.cspace, cfg, rmap.config(nbr_id))
-                stats.lp_calls += 1
-                stats.lp_checks += result.checks
-                if result.valid:
-                    stats.lp_successes += 1
-                    if rmap.add_edge(vid, nbr_id, result.length):
-                        stats.edges_added += 1
-            nn.add(vid, cfg)
-        stats.nn_distance_evals += nn.stats.distance_evals
-        return PRMResult(rmap, stats)
+        # The block of one, seeded with the roadmap's vertices.
+        none = np.empty(0, dtype=np.int64)
+        seed = PRMBlock(ids, cfgs, np.array([0, ids.size]), (none, none, np.empty(0)), [])
+        block = self._build_segments(n_samples, [rng], within, seed, id_base)
+        rmap.add_vertices(block.ids[ids.size:], block.configs[ids.size:])
+        rmap.add_edges(*block.edges)
+        return PRMResult(rmap, block.stats[0])
 
     def _build_segments(
         self, n_samples, rngs: list, within, block: "PRMBlock | None", id_base
@@ -226,10 +184,6 @@ class PRM:
         elementwise, so batch composition changes no bit; ledgers are
         per-segment ``bincount`` s and the k-NN charge in closed form.
         """
-        # Not ``runs_blocks``: the region-loop oracle switches that off and
-        # still builds each region as a block of one.
-        if not self.batched:
-            raise ValueError("an unbatched PRM builds one region at a time")
         g, dim = len(rngs), self.cspace.dim
         if block is None:
             none = np.empty(0, dtype=np.int64)
@@ -302,44 +256,18 @@ class PRM:
         no decision depends on an earlier outcome, so the block is one
         segmented k-NN, one ``batch_pairs_counted`` and one bulk edge
         insertion in (adjacency, vertex, candidate) order — the order the
-        loop inserts in.  Without ``segments`` a batched planner connects
-        the block of one; ``batched=False`` runs the one-pair-at-a-time
-        loop, the oracle.
+        loop inserts in.  Without ``segments`` it connects the block of
+        one; the one-pair-at-a-time loop is the oracle
+        (``tests/oracle.py::SequentialPRM``).
         """
         if segments is not None:
             return self._connect_segments(rmap, ids_a, ids_b, k, segments)
-        if self.batched:
-            whole = ([0, len(ids_a)], [0, len(ids_b)])
-            return self._connect_segments(rmap, ids_a, ids_b, k, whole)[0]
-        stats = PlannerStats()
-        k = k if k is not None else self.k
-        ids_b = np.asarray(ids_b, dtype=np.int64)
-        if ids_b.size == 0 or len(ids_a) == 0:
-            return stats
-        nn = BruteForceNN(self.cspace.dim)
-        nn.add_batch(ids_b, rmap.configs_of(int(i) for i in ids_b))
-        for u in np.asarray(ids_a, dtype=np.int64):
-            u = int(u)
-            cfg = rmap.config(u)
-            stats.nn_queries += 1
-            for v, _dist in nn.knn(cfg, k):
-                result = self.local_planner(self.cspace, cfg, rmap.config(v))
-                stats.lp_calls += 1
-                stats.lp_checks += result.checks
-                if result.valid:
-                    stats.lp_successes += 1
-                    if rmap.add_edge(u, v, result.length):
-                        stats.edges_added += 1
-        stats.nn_distance_evals += nn.stats.distance_evals
-        return stats
+        whole = ([0, len(ids_a)], [0, len(ids_b)])
+        return self._connect_segments(rmap, ids_a, ids_b, k, whole)[0]
 
     def _connect_segments(
         self, rmap: Roadmap, ids_a, ids_b, k: "int | None", segments
     ) -> "list[PlannerStats]":
-        # Not ``runs_blocks``: the region-loop oracle switches that off and
-        # still connects each adjacency as a block of one.
-        if not self.batched:
-            raise ValueError("an unbatched PRM connects one adjacency at a time")
         ids_a = np.asarray(ids_a, dtype=np.int64)
         ids_b = np.asarray(ids_b, dtype=np.int64)
         oa, ob = (np.asarray(o, dtype=np.int64) for o in segments)

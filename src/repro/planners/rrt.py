@@ -6,18 +6,17 @@ per-call arguments of :meth:`RRT.grow`: ``within`` — the domain ``q_rand``
 is drawn from (the region itself, so no collision check or neighbour scan
 is spent on a sample that cannot extend this branch); ``bias_target`` —
 the point ``goal_bias`` of the draws go to (the paper's "region candidate
-defined by the random ray"); and ``region_predicate`` — the membership
-guard every valid ``q_new`` still has to pass.  All three travel with the
-call, never on the planner: one ``RRT`` serves every region of a
-decomposition, from several threads at once.
+defined by the random ray"); and ``region_predicate`` — the vectorised
+membership guard every valid ``q_new`` still has to pass.  All three
+travel with the call, never on the planner: one ``RRT`` serves every
+region of a decomposition, from several threads at once.
 
-Growth — the RRT hot path — has two implementations.  The one-extension-
-at-a-time loop in :meth:`RRT._grow_sequential`, over a
-:class:`~repro.knn.brute.BruteForceNN`, is the semantic oracle.  The
-default batched path (:meth:`RRT._grow_batched`, which inlines that
-finder's scan) replays the oracle exactly while vectorising the
-per-iteration array work in blocks, mirroring the predict-validate-replay
-strategy of :class:`repro.planners.prm.PRM`:
+Growth — the RRT hot path — is :meth:`RRT._grow_batched`.  Its semantic
+oracle, ``tests/oracle.py::SequentialRRT``, is the one-extension-at-a-
+time loop over a :class:`~repro.knn.brute.BruteForceNN`; the batched path
+inlines that finder's scan and replays the oracle exactly while
+vectorising the per-iteration array work in blocks, mirroring the
+predict-validate-replay strategy of :class:`repro.planners.prm.PRM`:
 
 1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
    oracle's stream double for double: the oracle takes one ``random()``
@@ -55,7 +54,8 @@ speculative charge to the replayed one at the end of the call — the
 charge per evaluated point is a constant factor, so the correction is
 exact integer arithmetic (same argument as the PRM build).  Tree
 topology, ``PlannerStats``, and counters are asserted field-for-field
-identical to the sequential oracle in ``tests/test_rrt_batched.py``.
+identical to the sequential oracle in ``tests/test_rrt_batched.py`` and
+the oracle matrix.
 """
 
 from __future__ import annotations
@@ -117,12 +117,6 @@ class RRT:
         resolution 0.25).
     goal_bias:
         Probability of sampling the bias target instead of uniformly.
-    batched:
-        Use the vectorised predict-validate-replay growth loop (default
-        True).
-        Results — tree, parents, ``PlannerStats``, collision counters —
-        are identical either way; False forces the one-extension-at-a-
-        time reference path (the oracle tests assert parity against).
     """
 
     def __init__(
@@ -131,7 +125,6 @@ class RRT:
         step_size: float = 0.5,
         local_planner=None,
         goal_bias: float = 0.05,
-        batched: bool = True,
     ):
         if step_size <= 0:
             raise ValueError("step_size must be positive")
@@ -144,7 +137,6 @@ class RRT:
             else StraightLinePlanner(resolution=0.25)
         )
         self.goal_bias = goal_bias
-        self.batched = batched
 
     def grow(
         self,
@@ -152,10 +144,9 @@ class RRT:
         n_nodes: int,
         rng: np.random.Generator,
         bias_target: np.ndarray | None = None,
-        region_predicate: "Callable[[np.ndarray], bool] | None" = None,
+        region_predicate: "Callable[[np.ndarray], np.ndarray] | None" = None,
         max_iterations: int | None = None,
         id_base: int = 0,
-        region_predicate_batch: "Callable[[np.ndarray], np.ndarray] | None" = None,
         within=None,
     ) -> RRTResult:
         """Grow a fresh tree of up to ``n_nodes`` nodes rooted at ``root``
@@ -169,17 +160,13 @@ class RRT:
         ``ConeRegion``); None draws from the whole space.  It narrows the
         *proposal* only — ``region_predicate`` still decides what may
         join the tree.
-        ``region_predicate`` restricts accepted nodes to a region (the
-        radial subdivision cones); ``bias_target`` is the configuration
-        toward which ``goal_bias`` of the samples are drawn.
-        ``region_predicate_batch``, if given, is a vectorised
-        ``(m, dim) -> (m,) bool`` twin of ``region_predicate`` used by the
-        batched path (it must agree with the scalar predicate
-        point-for-point); without it the batched path evaluates the scalar
-        predicate per candidate, which is still correct, just slower.
+        ``region_predicate``, a vectorised ``(m, dim) -> (m,) bool``
+        membership test, restricts accepted nodes to a region (the radial
+        subdivision cones); ``bias_target`` is the configuration toward
+        which ``goal_bias`` of the samples are drawn.
 
-        Either path leaves ``rng`` in the same state, so consecutive
-        ``grow`` calls on one generator stay identical too.
+        ``rng`` is left where the one-extension-at-a-time oracle leaves it,
+        so consecutive ``grow`` calls on one generator stay identical too.
         """
         stats = PlannerStats()
         root = np.asarray(root, dtype=float)
@@ -191,78 +178,12 @@ class RRT:
         parents = {id_base: id_base}
 
         max_iterations = max_iterations if max_iterations is not None else 20 * n_nodes
-        if self.batched:
-            self._grow_batched(
-                tree, parents, n_nodes, rng, bias_target, region_predicate,
-                region_predicate_batch, max_iterations, id_base, stats, within,
-            )
-        else:
-            self._grow_sequential(
-                tree, parents, n_nodes, rng, bias_target, region_predicate,
-                max_iterations, id_base, stats, within,
-            )
+        self._grow_batched(
+            tree, parents, n_nodes, rng, bias_target, region_predicate,
+            max_iterations, id_base, stats, within,
+        )
         return RRTResult(tree, parents, id_base, stats)
 
-    # -- reference implementation -----------------------------------------
-    def _grow_sequential(
-        self,
-        tree: Roadmap,
-        parents: "dict[int, int]",
-        n_nodes: int,
-        rng: np.random.Generator,
-        bias_target: np.ndarray | None,
-        region_predicate,
-        max_iterations: int,
-        id_base: int,
-        stats: PlannerStats,
-        within,
-    ) -> None:
-        """One-extension-at-a-time growth loop: the semantic oracle."""
-        nn = BruteForceNN(self.cspace.dim)
-        nn.add(id_base, tree.config(id_base))
-        next_local = 1
-
-        added = 0
-        for _ in range(max_iterations):
-            if added >= n_nodes:
-                break
-            # -- sample q_rand ------------------------------------------------
-            if bias_target is not None and rng.random() < self.goal_bias:
-                q_rand = np.asarray(bias_target, dtype=float)
-            else:
-                q_rand = self.cspace.sample(rng, within=within)
-            # -- find q_near ---------------------------------------------------
-            stats.nn_queries += 1
-            near_id, dist = nn.knn(q_rand, 1)[0]
-            q_near = tree.config(near_id)
-            if dist == 0.0:
-                continue
-            # -- extend toward q_rand by at most step_size --------------------
-            t = min(self.step_size / dist, 1.0)
-            q_new = self.cspace.interpolate(q_near, q_rand, t)
-            stats.sample_attempts += 1
-            if not self.cspace.valid_single(q_new):
-                continue
-            if region_predicate is not None and not region_predicate(q_new):
-                continue
-            result = self.local_planner(self.cspace, q_near, q_new)
-            stats.lp_calls += 1
-            stats.lp_checks += result.checks
-            if not result.valid:
-                continue
-            stats.lp_successes += 1
-            vid = id_base + next_local
-            next_local += 1
-            tree.add_vertex(q_new, vid)
-            tree.add_edge(near_id, vid, result.length)
-            stats.edges_added += 1
-            parents[vid] = near_id
-            nn.add(vid, q_new)
-            added += 1
-        stats.nn_distance_evals += nn.stats.distance_evals
-        stats.samples_accepted += added
-
-    # -- batched implementation --------------------------------------------
     def _grow_batched(
         self,
         tree: Roadmap,
@@ -271,7 +192,6 @@ class RRT:
         rng: np.random.Generator,
         bias_target: np.ndarray | None,
         region_predicate,
-        region_predicate_batch,
         max_iterations: int,
         id_base: int,
         stats: PlannerStats,
@@ -428,13 +348,8 @@ class RRT:
                     spec_points += len(need)
                     region_ok = np.ones(len(need), dtype=bool)
                     passed = np.nonzero(ok_pts)[0]
-                    if passed.size and region_predicate_batch is not None:
-                        region_ok[passed] = np.atleast_1d(
-                            region_predicate_batch(q_news[passed])
-                        )
-                    elif region_predicate is not None:
-                        for j in passed:
-                            region_ok[j] = bool(region_predicate(q_news[j]))
+                    if passed.size and region_predicate is not None:
+                        region_ok[passed] = np.atleast_1d(region_predicate(q_news[passed]))
                     lp_sel = np.nonzero(ok_pts & region_ok)[0]
                     lp_ok = np.zeros(len(need), dtype=bool)
                     lp_checks = np.zeros(len(need), dtype=np.int64)

@@ -119,12 +119,13 @@ class WorkloadSpec:
         """Raise ``ValueError`` on any out-of-range or unknown field."""
         if self.planner not in _PLANNERS:
             raise ValueError(f"planner must be one of {_PLANNERS}, got {self.planner!r}")
-        if self.num_regions < 1:
-            raise ValueError("num_regions must be >= 1")
-        if self.samples_per_region < 1:
-            raise ValueError("samples_per_region must be >= 1")
-        if self.nodes_per_region < 1:
-            raise ValueError("nodes_per_region must be >= 1")
+        # ``ExecutionPolicy.num_pes``'s rule: an int, never a bool or a
+        # float, so equal workloads have one spelling and one cache key.
+        for name, least in (("num_regions", 1), ("samples_per_region", 1),
+                            ("nodes_per_region", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
     def resolve_cspace(self, kernel_backend: "str | None" = None) -> ConfigurationSpace:
         """Materialise the configuration space (looking the environment up

@@ -104,10 +104,9 @@ class ConeRegion(Region):
     def contains_many(self, configs: np.ndarray) -> np.ndarray:
         """Vectorised membership: boolean mask for ``(m, dim)`` positions.
 
-        :meth:`contains` delegates here, so the scalar predicate used by
-        the sequential RRT oracle and the batch predicate used by the
-        vectorised growth path share one arithmetic path — their verdicts
-        cannot diverge, even for configurations on the cone boundary.
+        The RRT region guard (``RRT.grow``'s ``region_predicate``), and
+        :meth:`contains`, which delegates here, so a point's verdict does
+        not depend on the batch it is tested in, even on the cone boundary.
         """
         pts = np.atleast_2d(np.asarray(configs, dtype=float))[:, : self.root.shape[0]]
         v = pts - self.root

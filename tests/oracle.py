@@ -5,8 +5,11 @@ and block ``PRM`` builds, pool chunks planned as blocks, the shm plane,
 the ``bvh`` cull — is trusted because it leaves exactly what its
 sequential loop leaves.  :func:`digest` names every field of that, and
 :func:`assert_same` names the first field two runs differ in.
-:func:`region_loop` is the one switch from the block passes to the
-per-region loop they replay.  :func:`assert_trace_matches_pool` is the
+
+Each loop a fast path replays lives here, over the production object:
+:class:`SequentialPRM`, :class:`SequentialRRT`, :func:`region_loop`
+(with :func:`rrt_loop`, the drivers' per-region loops) and
+:func:`box_obstacle_relation`.  :func:`assert_trace_matches_pool` is the
 completeness invariant on a local pool run: its trace alone recounts the
 ``PoolResult``.  :class:`PerMessageSimulator` is the virtual machine with
 one heap event per failed steal reply, which the bundled replies of
@@ -18,6 +21,7 @@ graph (the edge log ``_uv`` / ``_w`` / ``_live`` / ``_m``, ``_index``,
 of representation edits :func:`digest` and nothing else.
 """
 
+import contextlib
 import functools
 import hashlib
 import heapq
@@ -28,9 +32,13 @@ from unittest import mock
 
 import numpy as np
 
+from repro.api import _RegionTask
+from repro.core import parallel_prm, parallel_rrt
+from repro.knn import BruteForceNN
 from repro.obs import EV_TASK_END, summarize_events
 from repro.obs.events import EV_STEAL_FAIL, EV_STEAL_REPLY, EV_STEAL_REQUEST, EV_STEAL_TRANSFER
-from repro.planners import PRM, Roadmap
+from repro.planners import PRM, RRT, PlannerStats, Roadmap
+from repro.planners.prm import PRMResult
 from repro.runtime import PEStats, SimResult, WorkStealingSimulator
 from repro.runtime.simulator import (
     _REDISPATCH,
@@ -117,14 +125,142 @@ def assert_agree(run) -> dict:
     return want
 
 
+class SequentialPRM(PRM):
+    """``PRM`` with the one-vertex build and one-pair connect loops, the
+    oracle of the block of one (scalar edge weights: one ulp apart)."""
+
+    def build(self, n_samples, rng, within=None, roadmap=None, id_base=0):
+        rmap = roadmap if roadmap is not None else Roadmap(self.cspace.dim)
+        batch = self.sampler(self.cspace, rng, n_samples, within=within)
+        stats = PlannerStats(sample_attempts=batch.attempts, samples_accepted=len(batch))
+        nn = BruteForceNN(self.cspace.dim)
+        nn.add_batch(*rmap.configs_array())
+        for vid, cfg in enumerate(batch.configs, start=id_base + rmap.num_vertices):
+            rmap.add_vertex(cfg, vid)
+            self._link(rmap, vid, nn.knn(cfg, self.k), stats)
+            nn.add(vid, cfg)
+        stats.nn_distance_evals += nn.stats.distance_evals
+        return PRMResult(rmap, stats)
+
+    def connect_roadmaps(self, rmap, ids_a, ids_b, k=None):
+        stats, nn = PlannerStats(), BruteForceNN(self.cspace.dim)
+        k = k if k is not None else self.k
+        if len(ids_a) and len(ids_b):
+            nn.add_batch(np.asarray(ids_b, dtype=np.int64), rmap.configs_of(map(int, ids_b)))
+            for u in map(int, ids_a):
+                self._link(rmap, u, nn.knn(rmap.config(u), k), stats)
+        stats.nn_distance_evals += nn.stats.distance_evals
+        return stats
+
+    def _link(self, rmap, u, candidates, stats):
+        stats.nn_queries += 1
+        for v, _dist in candidates:
+            result = self.local_planner(self.cspace, rmap.config(u), rmap.config(v))
+            stats.lp_calls += 1
+            stats.lp_checks += result.checks
+            if result.valid:
+                stats.lp_successes += 1
+                stats.edges_added += rmap.add_edge(u, v, result.length)
+
+
+class SequentialRRT(RRT):
+    """``RRT`` growing by the one-extension-at-a-time loop over a
+    ``BruteForceNN``: the oracle ``RRT._grow_batched`` replays."""
+
+    def _grow_batched(self, tree, parents, n_nodes, rng, bias_target, region_predicate,
+                      max_iterations, id_base, stats, within):
+        nn = BruteForceNN(self.cspace.dim)
+        nn.add(id_base, tree.config(id_base))
+        added = 0
+        for _ in range(max_iterations):
+            if added >= n_nodes:
+                break
+            if bias_target is not None and rng.random() < self.goal_bias:
+                q_rand = np.asarray(bias_target, dtype=float)
+            else:
+                q_rand = self.cspace.sample(rng, within=within)
+            stats.nn_queries += 1
+            near_id, dist = nn.knn(q_rand, 1)[0]
+            q_near = tree.config(near_id)
+            if dist == 0.0:
+                continue
+            q_new = self.cspace.interpolate(q_near, q_rand, min(self.step_size / dist, 1.0))
+            stats.sample_attempts += 1
+            if not self.cspace.valid_single(q_new) or (
+                    region_predicate is not None and not region_predicate(q_new[None])[0]):
+                continue
+            result = self.local_planner(self.cspace, q_near, q_new)
+            stats.lp_calls += 1
+            stats.lp_checks += result.checks
+            if result.valid:
+                stats.lp_successes += 1
+                stats.edges_added += 1
+                added += 1
+                tree.add_vertex(q_new, id_base + added)
+                tree.add_edge(near_id, id_base + added, result.length)
+                parents[id_base + added] = near_id
+                nn.add(id_base + added, q_new)
+        stats.nn_distance_evals += nn.stats.distance_evals
+        stats.samples_accepted += added
+
+
+def plan_one_by_one(regions, rids, roadmap):
+    """``_plan_in_blocks``'s oracle: each region's own call, merged in turn."""
+    region_stats = {}
+    for rid in rids:
+        result = regions(rid)
+        region_stats[rid] = result.stats
+        roadmap.merge(result.roadmap)
+    return region_stats
+
+
+def connect_one_by_one(regions, roadmap, rows, adjacencies, k_inter, reach, cap, _step):
+    """``_connect_in_blocks``'s oracle: per adjacency, boundary sets from
+    the regions' ``AABB`` s and one ``connect_roadmaps`` call."""
+    index_of = {rid: i for i, rid in enumerate(rows.rids)}
+    out = []
+    for a, b in adjacencies:
+        near = []
+        for own, other in ((a, b), (b, a)):
+            i = index_of[own]
+            mine = slice(rows.start[i], rows.start[i] + rows.count[i])
+            dist = regions.decomposition.region_of(other).bounds.distance(rows.positions[mine])
+            ids = rows.ids[mine][dist <= reach]
+            if ids.size > cap:
+                ids = ids[np.argsort(dist[dist <= reach], kind="stable")[:cap]]
+            near.append(ids)
+        if near[0].size == 0 or near[1].size == 0:
+            out.append((None, 0))
+        else:
+            st = regions.planner.connect_roadmaps(roadmap, *near, k=k_inter)
+            out.append((st, int(near[1].size)))
+    return out
+
+
+@contextlib.contextmanager
 def region_loop():
-    """The switch to the block passes' oracle: inside ``with
-    region_loop():`` no ``PRM`` ``runs_blocks``, so ``build_prm_workload``
-    plans one region and connects one adjacency at a time and local-mode
-    chunks take the per-task loop.  Each region still runs the batched
-    one-region build, whose edge weights the block passes share to the last
-    place; ``batched=False`` would not (they may differ by one ulp)."""
-    return mock.patch.object(PRM, "runs_blocks", property(lambda _self: False))
+    """Inside ``with region_loop():`` ``build_prm_workload`` plans one
+    region and connects one adjacency at a time, and ``_RegionTask.run_block``
+    declines, so local-mode chunks take the per-task loop.  Each region
+    still runs the production one-region build."""
+    with mock.patch.multiple(parallel_prm, _plan_in_blocks=plan_one_by_one,
+                             _connect_in_blocks=connect_one_by_one), \
+            mock.patch.object(_RegionTask, "run_block", lambda _self, _rids: None):
+        yield
+
+
+def rrt_loop():
+    """Every ``RRTRegionPlanner`` built inside grows with :class:`SequentialRRT`."""
+    return mock.patch.object(parallel_rrt, "RRT", SequentialRRT)
+
+
+def box_obstacle_relation(env, box) -> str:
+    """``"free"``, ``"blocked"`` (inside an obstacle) or ``"boundary"``:
+    one box, the oracle of ``Environment.boxes_on_boundary``."""
+    touching = [obs for obs in env.obstacles if obs.intersects(box)]
+    if any(np.all(o.lo <= box.lo) and np.all(box.hi <= o.hi) for o in touching):
+        return "blocked"
+    return "boundary" if touching else "free"
 
 
 def roadmap_fingerprint(rmap) -> str:

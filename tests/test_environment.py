@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.geometry import AABB, Environment, by_name
 from repro.geometry import environments as envs
 
+from .oracle import box_obstacle_relation
+
 
 class TestEnvironmentBasics:
     def test_dim_mismatch_rejected(self):
@@ -166,13 +168,13 @@ class TestRays:
 
 class TestBoxObstacleRelation:
     def test_free(self, box_env):
-        assert box_env.box_obstacle_relation(AABB([-4, -4], [-3, -3])) == "free"
+        assert box_obstacle_relation(box_env, AABB([-4, -4], [-3, -3])) == "free"
 
     def test_blocked(self, box_env):
-        assert box_env.box_obstacle_relation(AABB([-0.5, -0.5], [0.5, 0.5])) == "blocked"
+        assert box_obstacle_relation(box_env, AABB([-0.5, -0.5], [0.5, 0.5])) == "blocked"
 
     def test_boundary(self, box_env):
-        assert box_env.box_obstacle_relation(AABB([0.5, 0.5], [1.5, 1.5])) == "boundary"
+        assert box_obstacle_relation(box_env, AABB([0.5, 0.5], [1.5, 1.5])) == "boundary"
 
 
 class TestBenchmarkEnvironments:

@@ -1,6 +1,6 @@
 """Source-hygiene gates: keep known footgun patterns out of src/repro.
 
-Three patterns have bitten this codebase before and are cheap to ban
+Four patterns have bitten this codebase before and are cheap to ban
 mechanically (two more gates, at the bottom, keep the rest of ``src/``
 and the tests off the roadmap's storage and the names the e2e harness
 wraps resolvable):
@@ -17,6 +17,9 @@ wraps resolvable):
   one leaf owner, or an ``nn_backend`` anywhere.  Nine modules once
   forwarded the same name to each other; with one owner a measured
   ``auto`` selection is a one-place change.
+* **A switch between a fast path and its oracle** — a ``batched``
+  parameter or a ``runs_blocks`` attribute.  ``src/`` holds one path per
+  planner operation; the loops it replays live in ``tests/oracle.py``.
 
 The checks are AST-based, not grep-based, so comments/strings can't
 false-positive and formatting can't false-negative.
@@ -24,6 +27,7 @@ false-positive and formatting can't false-negative.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -142,6 +146,29 @@ def test_backend_choice_is_not_forwarded(path):
         if name in banned
     ]
     assert not offenders, f"{path}: backend choice forwarded:\n" + "\n".join(offenders)
+
+
+def test_no_switch_between_a_fast_path_and_its_oracle():
+    """No public callable of ``repro.planners`` / ``repro.core`` /
+    ``repro.api`` (classes, their public methods and ``__init__``) takes a
+    ``batched`` flag or a second region predicate, and no class has a
+    ``runs_blocks`` switch: each operation has one path in ``src/``."""
+    found = {}
+    for modname in ("repro.planners", "repro.core", "repro.api"):
+        for name, obj in vars(importlib.import_module(modname)).items():
+            if name[0] == "_" or not getattr(obj, "__module__", "").startswith("repro"):
+                continue
+            found[f"{modname}.{name}"] = obj
+            if isinstance(obj, type):
+                found.update((f"{modname}.{name}.{attr}", member)
+                             for attr, member in inspect.getmembers(obj, callable)
+                             if attr[0] != "_" or attr == "__init__")
+    assert {"repro.planners.RRT.grow", "repro.core.build_rrt_workload"} <= set(found)
+    offenders = [f"{name}({param}=)" for name, obj in found.items() if callable(obj)
+                 for param in inspect.signature(obj).parameters
+                 if param in ("batched", "region_predicate_batch")]
+    offenders += [name for name, obj in found.items() if hasattr(obj, "runs_blocks")]
+    assert not offenders, f"a fast path and its oracle share src/: {offenders}"
 
 
 def test_detector_catches_known_bad_code():

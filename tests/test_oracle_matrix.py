@@ -28,7 +28,7 @@ from repro.runtime import run_tasks_parallel
 from repro.spec import WorkloadSpec
 from repro.subdivision.radial import ConeRegion
 
-from .oracle import assert_same, digest, region_loop
+from .oracle import SequentialPRM, SequentialRRT, assert_same, digest, region_loop, rrt_loop
 
 
 def _space(env, cull):
@@ -52,9 +52,9 @@ class _LastPlace(tuple):
     """Edge weights that compare to the last place.
 
     The batched ``PRM`` weighs an edge with ``batch_pairs_counted``'s
-    vectorised norm, its oracle with the scalar ``cspace.distance``; the
-    two may differ by one ulp (``StraightLinePlanner.batch_pairs_exact``
-    says so).  The adjacency itself compares exactly."""
+    vectorised norm, :class:`tests.oracle.SequentialPRM` with the scalar
+    ``cspace.distance``; the two may differ by one ulp
+    (``StraightLinePlanner.batch_pairs_exact`` says so).  The adjacency itself compares exactly."""
 
     __hash__ = tuple.__hash__
 
@@ -74,7 +74,7 @@ def _prm_batched_space(cull, fast):
     loop: a fresh build, then an extension build of that roadmap under
     another id base."""
     cs, rng = _space(None, cull), np.random.default_rng(7)
-    planner = PRM(cs, k=5, batched=fast)
+    planner = (PRM if fast else SequentialPRM)(cs, k=5)
     first = planner.build(120, rng)
     fresh = _prm_digest(first, cs.env, rng)
     extended = planner.build(60, rng, roadmap=first.roadmap, id_base=1 << 20)
@@ -85,7 +85,7 @@ def _prm_batched_box(cull, fast):
     """Two regional roadmaps sampled in boxes, merged, then
     ``connect_roadmaps`` between them: the inter-region connection phase."""
     cs, rng = _space("med-cube", cull), np.random.default_rng(3)
-    planner = PRM(cs, k=5, batched=fast)
+    planner = (PRM if fast else SequentialPRM)(cs, k=5)
     left = planner.build(40, rng, within=AABB([-10, -10, -10], [-2, 10, 10])).roadmap
     right = planner.build(40, rng, within=AABB([2, -10, -10], [10, 10, 10]), id_base=1 << 20)
     left.merge(right.roadmap)
@@ -131,27 +131,31 @@ def _prm_chunk_box(cull, fast):
     return _per_region(values, task.regions.cspace.dim)
 
 
-def _grow_twice(within, cull, fast):
+def _grow_twice(within, cull, fast, guard=None):
     """Two ``grow`` calls on one generator, the second under another id
-    base, with the bias gate in play."""
+    base, with the bias gate in play and ``guard`` as the region predicate."""
     cs, rng = _space(None, cull), np.random.default_rng(4)
-    rrt = RRT(cs, step_size=0.5, goal_bias=0.2, batched=fast)
-    gate = {"bias_target": np.array([4.0, 4.0]), "within": within}
+    rrt = (RRT if fast else SequentialRRT)(cs, step_size=0.5, goal_bias=0.2)
+    gate = {"bias_target": np.array([4.0, 4.0]), "within": within, "region_predicate": guard}
     first = rrt.grow(np.array([-4.0, -4.0]), 60, rng, **gate)
     second = rrt.grow(np.array([-4.0, -4.0]), 60, rng, id_base=1 << 20, **gate)
     return _prefixed(first=digest(first), second=digest(second, cs.env, rng))
 
 
 def _rrt_batched_cone(cull, fast):
-    cone = ConeRegion(id=0, root=np.full(2, -4.0), target=np.full(2, 4.0), half_angle=0.8,
-                      overlap=0.1, radius=8.0 * np.sqrt(2.0))
-    return _grow_twice(cone, cull, fast)
+    """Draws from a cone, guarded by a narrower one: the guard rejects
+    valid extensions, which a convex cone's own guard hardly ever does."""
+    def cone(half_angle):
+        return ConeRegion(id=0, root=np.full(2, -4.0), target=np.full(2, 4.0),
+                          half_angle=half_angle, overlap=0.1, radius=8.0 * np.sqrt(2.0))
+    return _grow_twice(cone(0.8), cull, fast, guard=cone(0.4).contains_many)
 
 
 def _rrt_block_cone(cull, fast):
     """A radial workload's branches grown batched or by the oracle loop."""
-    return digest(build_rrt_workload(_space("mixed-30", cull), np.full(3, -9.0), 8,
-                                     nodes_per_region=12, seed=7, batched=fast))
+    with contextlib.nullcontext() if fast else rrt_loop():
+        return digest(build_rrt_workload(_space("mixed-30", cull), np.full(3, -9.0), 8,
+                                         nodes_per_region=12, seed=7))
 
 
 def _rrt_chunk_cone(cull, fast):

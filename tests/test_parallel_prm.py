@@ -18,7 +18,7 @@ from repro.knn import BruteForceNN
 from repro.planners import Roadmap, RoadmapQuery
 from repro.runtime import run_tasks_parallel
 
-from .oracle import assert_same, digest, region_loop
+from .oracle import assert_same, box_obstacle_relation, digest, region_loop
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +53,8 @@ def _probe_boxes(env, rng, n=20):
 
 class TestBoostMask:
     """The narrow-passage test is one ``Environment.boxes_on_boundary``
-    classification per block; ``box_obstacle_relation(box) == "boundary"``
-    per region is its oracle."""
+    classification per block; :func:`tests.oracle.box_obstacle_relation`
+    ``== "boundary"`` per region is its oracle."""
 
     @pytest.mark.parametrize("scene, num_regions", [
         ("med-cube", 1000), ("mixed-30", 343), ("warehouse-2000", 64),
@@ -66,7 +66,7 @@ class TestBoostMask:
         cores = [regions.decomposition.region_of(rid).bounds for rid in rids]
         lo, hi = _probe_boxes(env, np.random.default_rng(num_regions))
         boxes = cores + [AABB(a, b) for a, b in zip(lo, hi)]
-        want = [env.box_obstacle_relation(box) for box in boxes]
+        want = [box_obstacle_relation(env, box) for box in boxes]
         assert {"free", "blocked", "boundary"} <= set(want)
         boundary = [rel == "boundary" for rel in want]
         got = env.boxes_on_boundary(np.array([b.lo for b in boxes]),
@@ -113,7 +113,7 @@ class TestWorkloadConstruction:
         env = wl.cspace.env
         boundary_costs, free_costs = [], []
         for rid, work in wl.region_work.items():
-            rel = env.box_obstacle_relation(wl.subdivision.region_of(rid).bounds)
+            rel = box_obstacle_relation(env, wl.subdivision.region_of(rid).bounds)
             if rel == "boundary":
                 boundary_costs.append(work.connect_cost)
             elif rel == "free":
@@ -284,29 +284,6 @@ class TestBlocksEqualLoop:
         stats = wl.region_work[13].stats
         assert (stats.sample_attempts, stats.samples_accepted) == (12, 0)
         assert stats.nn_queries == stats.lp_calls == 0
-
-    def test_other_samplers_take_the_loop(self, monkeypatch):
-        """Only the configuration the block passes replay runs as blocks:
-        uniform sampling into a batched PRM.  A region planner whose PRM is
-        unbatched plans each region alone."""
-        calls = []
-        original = PRMRegionPlanner.plan_block
-        monkeypatch.setattr(
-            PRMRegionPlanner, "plan_block",
-            lambda self, rids: calls.append(len(rids)) or original(self, rids),
-        )
-        cs = EuclideanCSpace(by_name("med-cube"))
-        assert type(PRMRegionPlanner(cs, 27, 4, seed=1).planner.sampler) is UniformSampler
-        init = PRMRegionPlanner.__init__
-
-        def unbatched(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            self.planner.batched = False
-
-        monkeypatch.setattr(PRMRegionPlanner, "__init__", unbatched)
-        wl = build_prm_workload(cs, 27, samples_per_region=4, seed=1)
-        assert sum(w.stats.samples_accepted for w in wl.region_work.values()) > 0
-        assert not calls
 
     def test_the_loop_switch_plans_no_block(self, monkeypatch):
         """Under :func:`region_loop` nothing is planned as a block — not by

@@ -8,6 +8,8 @@ from repro.cspace import EuclideanCSpace
 from repro.geometry import free_env, mixed_30_env
 from repro.subdivision.radial import ConeRegion
 
+from .oracle import rrt_loop
+
 
 def _mixed_workload(seed):
     cs = EuclideanCSpace(mixed_30_env())
@@ -98,22 +100,23 @@ class TestRegionalGrowth:
         cone test runs once per valid ``q_new``, and what joins the tree
         passed it."""
         cs = EuclideanCSpace(mixed_30_env())
-        regions = RRTRegionPlanner(
-            cs, np.array([0.8, -1.4, -2.8]), 8, 40, seed=3, batched=False
-        )
-        valid_single, contains = cs.valid_single, ConeRegion.contains
+        with rrt_loop():
+            regions = RRTRegionPlanner(cs, np.array([0.8, -1.4, -2.8]), 8, 40, seed=3)
+        valid_single, contains_many = cs.valid_single, ConeRegion.contains_many
         verdicts, guarded = [], []
 
         def recording_valid(q):
             verdicts.append(valid_single(q))
             return verdicts[-1]
 
-        def recording_contains(self, q):
-            guarded.append(contains(self, q))
-            return guarded[-1]
+        def recording_contains(self, qs):
+            assert len(qs) == 1  # the loop asks for one q_new at a time
+            mask = contains_many(self, qs)
+            guarded.extend(mask.tolist())
+            return mask
 
         monkeypatch.setattr(cs, "valid_single", recording_valid)
-        monkeypatch.setattr(ConeRegion, "contains", recording_contains)
+        monkeypatch.setattr(ConeRegion, "contains_many", recording_contains)
         for rid in regions.region_ids:
             verdicts.clear()
             guarded.clear()
@@ -123,7 +126,7 @@ class TestRegionalGrowth:
             assert result.stats.lp_calls == sum(guarded)
             region = regions.decomposition.region_of(rid)
             _ids, cfgs = result.tree.configs_array()
-            assert region.contains_many(cfgs).all()
+            assert contains_many(region, cfgs).all()
 
 
 class TestSimulation:

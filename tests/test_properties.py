@@ -16,6 +16,8 @@ from repro.geometry import AABB, Environment
 from repro.planners import PRM, Roadmap
 from repro.runtime import FaultInjector, run_tasks_parallel
 
+from .oracle import SequentialPRM
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -129,8 +131,9 @@ def test_batched_prm_matches_sequential(case):
     seed, n, k, n_obs = case
     cspace = EuclideanCSpace(_case_env(seed, n_obs))
 
-    def run(batched):
-        return PRM(cspace, k=k, batched=batched).build(n, np.random.default_rng(seed))
+    def run(fast):
+        planner = PRM if fast else SequentialPRM
+        return planner(cspace, k=k).build(n, np.random.default_rng(seed))
 
     a, b = run(True), run(False)
     assert set(a.roadmap.vertices()) == set(b.roadmap.vertices())

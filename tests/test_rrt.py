@@ -38,7 +38,7 @@ class TestRRTGrow:
 
     def test_region_predicate_constrains_growth(self, box_cspace, rng):
         root = np.array([-4.0, -4.0])
-        predicate = lambda q: q[0] <= -2.0  # stay on the left
+        predicate = lambda qs: qs[:, 0] <= -2.0  # stay on the left
         res = RRT(box_cspace, step_size=0.5).grow(
             root, 60, rng, region_predicate=predicate
         )

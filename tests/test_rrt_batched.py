@@ -1,11 +1,14 @@
 """Parity battery for the batched (predict-validate-replay) RRT growth path.
 
-The batched path must leave exactly what the sequential oracle leaves:
-every field of :func:`tests.oracle.digest` — tree, ordered adjacency,
-parents, PlannerStats, CollisionCounters and the generator end state.
+The batched path must leave exactly what the sequential oracle
+(:class:`tests.oracle.SequentialRRT`) leaves: every field of
+:func:`tests.oracle.digest` — tree, ordered adjacency, parents,
+PlannerStats, CollisionCounters and the generator end state.
 The ``...InCone`` classes re-run a battery with ``q_rand`` drawn from a
 cone (``grow(within=...)``), the way a regional branch grows.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.planners.rrt import RRT
 from repro.runtime.faults import Fault, FaultInjector
 from repro.subdivision.radial import ConeRegion, RadialSubdivision
 
-from .oracle import assert_agree, assert_same, digest
+from .oracle import SequentialRRT, assert_agree, assert_same, digest, rrt_loop
 
 
 def _fresh_cspace():
@@ -42,12 +45,12 @@ def _corner_cone(dim, lo=-4.0, hi=4.0):
     )
 
 
-def _grow(batched, seed, n_nodes=60, cspace=None, root=(-4.0, -4.0), rrt=None, **grow_kwargs):
+def _grow(fast, seed, n_nodes=60, cspace=None, root=(-4.0, -4.0), rrt=None, **grow_kwargs):
     """One ``grow`` from fresh state, digested with its generator's end state."""
     cspace = cspace if cspace is not None else _fresh_cspace()
     rng = np.random.default_rng(seed)
     rrt = rrt if rrt is not None else {"step_size": 0.5, "goal_bias": 0.2}
-    planner = RRT(cspace, batched=batched, **rrt)
+    planner = (RRT if fast else SequentialRRT)(cspace, **rrt)
     result = planner.grow(np.asarray(root, dtype=float), n_nodes, rng, **grow_kwargs)
     return digest(result, cspace.env, rng)
 
@@ -83,16 +86,8 @@ class TestGrowParity:
         self._agree(seed, n_nodes=1000, max_iterations=100)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_region_predicate_scalar_only(self, seed):
-        # Without a batch predicate the batched path falls back to the
-        # scalar one per candidate — still exact.
-        self._agree(seed, region_predicate=_corner_cone(2).contains)
-
-    @pytest.mark.parametrize("seed", range(4))
     def test_region_predicate_batch(self, seed):
-        region = _corner_cone(2)
-        self._agree(seed, region_predicate=region.contains,
-                    region_predicate_batch=region.contains_many)
+        self._agree(seed, region_predicate=_corner_cone(2).contains_many)
 
     def test_medcube_3d(self):
         assert_agree(lambda b: _grow(b, 42, 300, cspace=EuclideanCSpace(med_cube()),
@@ -109,14 +104,14 @@ class TestGrowParityInCone(TestGrowParity):
         lambda dim: _corner_cone(dim) if dim == 2 else _corner_cone(dim, -9.0, 9.0)
     )
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_proposals_come_from_the_domain(self, batched):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_proposals_come_from_the_domain(self, fast):
         """Every accepted node extends toward a draw from the cone, so a
         tree grown from the cone's apex never leaves the (convex) cone —
         with no region predicate to keep it there."""
         region = self.domain(2)
         cspace = _fresh_cspace()
-        result = RRT(cspace, step_size=0.5, batched=batched).grow(
+        result = (RRT if fast else SequentialRRT)(cspace, step_size=0.5).grow(
             region.root, 60, np.random.default_rng(0), within=region
         )
         _ids, cfgs = result.tree.configs_array()
@@ -147,9 +142,9 @@ class TestConsecutiveCalls:
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_two_grows_on_one_generator(self, seed, grow_kwargs):
-        def run(batched):
+        def run(fast):
             cspace = _fresh_cspace()
-            rrt = RRT(cspace, step_size=0.5, goal_bias=0.2, batched=batched)
+            rrt = (RRT if fast else SequentialRRT)(cspace, step_size=0.5, goal_bias=0.2)
             rng = np.random.default_rng(seed)
             root, within = np.array([-4.0, -4.0]), self.domain(2)
             first = rrt.grow(root, 20, rng, within=within, **grow_kwargs)
@@ -176,7 +171,7 @@ class TestBlockDraw:
     }
 
     @staticmethod
-    def _counted_grow(monkeypatch, batched, goal_bias, within, grow_kwargs, seed=3):
+    def _counted_grow(monkeypatch, fast, goal_bias, within, grow_kwargs, seed=3):
         calls = []
         sample = ConfigurationSpace.sample
 
@@ -185,7 +180,7 @@ class TestBlockDraw:
             return sample(self, *args, **kwargs)
 
         monkeypatch.setattr(ConfigurationSpace, "sample", counting)
-        out = _grow(batched, seed, rrt={"step_size": 0.5, "goal_bias": goal_bias},
+        out = _grow(fast, seed, rrt={"step_size": 0.5, "goal_bias": goal_bias},
                     within=within, **grow_kwargs)
         monkeypatch.setattr(ConfigurationSpace, "sample", sample)
         return out, calls
@@ -254,9 +249,8 @@ class TestEdgeCases:
     def test_region_never_extends(self):
         """A cone no extension can enter: the branch stays root-only."""
         out = assert_agree(lambda b: _grow(
-            b, 11, 30, rrt={"step_size": 0.5}, region_predicate=lambda q: False,
-            region_predicate_batch=lambda qs: np.zeros(len(np.atleast_2d(qs)), dtype=bool),
-            max_iterations=200,
+            b, 11, 30, rrt={"step_size": 0.5},
+            region_predicate=lambda qs: np.zeros(len(qs), dtype=bool), max_iterations=200,
         ))
         assert out["ids"] == (0,)
         assert out["stats"]["samples_accepted"] == out["stats"]["edges_added"] == 0
@@ -276,8 +270,8 @@ class TestEdgeCases:
                 AABB(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
                 [AABB(np.array([-3.0, -5.0]), np.array([-2.0, 5.0]))],
             )),
-            bias_target=region.target, max_iterations=300, region_predicate=region.contains,
-            region_predicate_batch=region.contains_many, within=region,
+            bias_target=region.target, max_iterations=300,
+            region_predicate=region.contains_many, within=region,
         ))
         assert out["stats"]["nn_queries"] == 300
         assert 0 < out["stats"]["samples_accepted"] < 50
@@ -290,13 +284,6 @@ class TestEdgeCases:
         """High goal bias: long chains of repeated bias draws mid-block."""
         assert_agree(lambda b: _grow(b, 9, rrt={"step_size": 0.5, "goal_bias": 0.8},
                                      bias_target=np.array([4.5, -4.5])))
-
-    def test_batched_flag_off_uses_oracle_path(self):
-        cspace = _fresh_cspace()
-        rrt = RRT(cspace, batched=False)
-        assert rrt.batched is False
-        # And on by default:
-        assert RRT(_fresh_cspace()).batched is True
 
 
 class TestConeRegionVectorised:
@@ -329,21 +316,23 @@ class TestConeRegionVectorised:
 class TestWorkloadParity:
     @pytest.mark.parametrize("env_fn", [med_cube, mixed_30_env])
     def test_build_rrt_workload(self, env_fn):
-        assert_agree(lambda b: digest(build_rrt_workload(
-            EuclideanCSpace(env_fn()), np.full(3, -9.0), 8, nodes_per_region=12, seed=7,
-            batched=b,
-        )))
+        def run(fast):
+            with contextlib.nullcontext() if fast else rrt_loop():
+                return digest(build_rrt_workload(
+                    EuclideanCSpace(env_fn()), np.full(3, -9.0), 8, nodes_per_region=12, seed=7
+                ))
+
+        assert_agree(run)
 
     def test_simulate_parity_under_worker_crash(self):
         """A crashing worker during branch growth: the simulated run over a
         batched-built workload matches the sequential-built one exactly."""
         results = []
-        for batched in (False, True):
-            env = med_cube()
-            cspace = EuclideanCSpace(env)
-            wl = build_rrt_workload(
-                cspace, np.full(3, -9.0), 8, nodes_per_region=10, seed=3, batched=batched
-            )
+        for loop in (rrt_loop(), contextlib.nullcontext()):
+            with loop:
+                wl = build_rrt_workload(
+                    EuclideanCSpace(med_cube()), np.full(3, -9.0), 8, nodes_per_region=10, seed=3
+                )
             injector = FaultInjector([Fault("crash", worker=1, attempt=0)])
             run = simulate_rrt(wl, 4, strategy="rand-8", fault_injector=injector)
             results.append(

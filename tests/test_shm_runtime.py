@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.api import _publish_plan, _region_planner, _region_weights, _RegionTask, plan
-from repro.core import PRMRegionPlanner
+from repro.api import _publish_plan, _region_planner, _region_weights, plan
 from repro.geometry.bvh import _ARRAYS, BVH
 from repro.geometry.environment import Environment
 from repro.geometry.primitives import AABB
@@ -420,20 +419,6 @@ class TestLocalParityMatrix:
         finally:
             sys.setswitchinterval(interval)
         assert shm_mod.leaked_segments() == []
-
-    def test_a_planner_that_cannot_run_blocks_takes_the_loop(self):
-        cspace = self.WL.resolve_cspace()
-        kwargs = dict(seed=5, k=6, lp_resolution=0.25, narrow_passage_boost=0.0)
-        default = PRMRegionPlanner(cspace, 27, 6, **kwargs)
-        rids = default.region_ids
-        other = PRMRegionPlanner(cspace, 27, 6, **kwargs)
-        other.planner.batched = False
-        assert not other.planner.runs_blocks
-        assert _RegionTask(other).run_block(rids) is None
-        pool = run_tasks_parallel(_RegionTask(other), rids, workers=2, chunksize=7)
-        assert {type(part[0]) for part in pool.results.values()} == {Roadmap}
-        blocks = run_tasks_parallel(_RegionTask(default), rids, workers=2, chunksize=7)
-        assert {type(part[0]) for part in blocks.results.values()} == {PRMSegment}
 
 
 class TestPlanes:

@@ -34,6 +34,22 @@ class TestSpecObjects:
         with pytest.raises(ValueError):
             WorkloadSpec(num_regions=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_regions", 64.0), ("num_regions", True), ("samples_per_region", 8.0),
+        ("samples_per_region", True), ("nodes_per_region", 12.0), ("nodes_per_region", True),
+        ("seed", 1.5), ("seed", -1), ("seed", True),
+    ])
+    def test_workload_counts_and_seed_are_ints(self, field, value, monkeypatch):
+        """A count that is not an int >= 1, or a seed that is not an int
+        >= 0, fails ``validate()``, so ``plan()`` rejects it before it
+        builds anything (a float spelling would otherwise key a second
+        cache snapshot of the same roadmap)."""
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(**{field: value}).validate()
+        monkeypatch.setattr(WorkloadSpec, "build_workload", lambda *a: pytest.fail("built"))
+        with pytest.raises(ValueError, match=field):
+            plan(WorkloadSpec(**{"num_regions": 8, field: value}))
+
     def test_execution_validate_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             ExecutionPolicy(mode="cloud").validate()

@@ -113,6 +113,13 @@ MUTANTS = [
         ("tests/test_parallel_prm.py::TestBoostMask",),
     ),
     Mutant(
+        "boxes_on_boundary calls a box inside an obstacle, on its faces, boundary",
+        "repro/geometry/environment.py",
+        "inside |= np.all((obs_lo <= lo) & (hi <= obs_hi), axis=2)",
+        "inside |= np.all((obs_lo < lo) & (hi < obs_hi), axis=2)",
+        ("tests/test_parallel_prm.py::TestBoostMask::test_mask_equals_the_relation",),
+    ),
+    Mutant(
         "the plane scan's lower face is exclusive",
         "repro/kernels/reference.py",
         "np.greater_equal(col, box_lo[:, j], out=plane if j else inside)",
@@ -190,8 +197,8 @@ MUTANTS = [
     Mutant(
         "a single-generator build appends edges older endpoint first",
         "repro/planners/prm.py",
-        "            rmap.add_edges(*block.edges)\n",
-        "            rmap.add_edges(block.edges[1], block.edges[0], block.edges[2])\n",
+        "        rmap.add_edges(*block.edges)\n",
+        "        rmap.add_edges(block.edges[1], block.edges[0], block.edges[2])\n",
         (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[prm-batched-space-bvh]"),
     ),
     Mutant(
@@ -219,18 +226,18 @@ MUTANTS = [
          f"{MATRIX}[prm-block-box-reference]"),
     ),
     Mutant(
-        "build_prm_workload plans blocks whatever runs_blocks says",
+        "_connect_in_blocks skips the last adjacency of a pass",
         "repro/core/parallel_prm.py",
-        "    if regions.planner.runs_blocks:\n        for block_rids in regions.blocks(rids):\n",
-        "    if True:\n        for block_rids in regions.blocks(rids):\n",
-        ("tests/test_parallel_prm.py::TestBlocksEqualLoop::test_the_loop_switch_plans_no_block",),
+        "        live = (nb > 0) & (na > 0)\n",
+        "        live = (nb > 0) & (na > 0)\n        live[-1] = False\n",
+        (f"{MATRIX}[prm-block-box-reference]",),
     ),
     Mutant(
-        "a one-adjacency batched connect takes the sequential loop",
-        "repro/planners/prm.py",
-        "        if self.batched:\n            whole = ",
-        "        if False:\n            whole = ",
-        ("tests/test_parallel_prm.py::TestBlocksEqualLoop",),
+        "_grow_batched accepts a q_new outside the cone",
+        "repro/planners/rrt.py",
+        "region_ok[passed] = np.atleast_1d(region_predicate(q_news[passed]))",
+        "region_ok[passed] = True",
+        (f"{MATRIX}[rrt-batched-cone-reference]",),
     ),
     Mutant(
         "a bias draw does not consume its double",
