@@ -69,7 +69,7 @@ def main(quick: bool = False) -> None:
             [
                 strategy,
                 f"{run.total_time:.0f}",
-                f"{run.phases.branch_growth:.0f}",
+                f"{run.phases.node_connection:.0f}",
                 f"{run.phases.lb_overhead:.0f}",
                 f"{base / run.total_time:.2f}x",
             ]

@@ -46,14 +46,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core.parallel_prm import PRMRegionPlanner, PRMRunResult, PRMWorkload, simulate_prm
-from .core.parallel_rrt import (
-    RRTRegionPlanner,
-    RRTRunResult,
-    RRTWorkload,
-    default_root,
-    simulate_rrt,
-)
+from .core.machine import RunResult
+from .core.parallel_prm import PRMRegionPlanner, PRMWorkload, simulate_prm
+from .core.parallel_rrt import RRTRegionPlanner, RRTWorkload, default_root, simulate_rrt
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry.bvh import BVH
 from .geometry.environment import _BOX_PAIRS, Environment
@@ -92,7 +87,7 @@ class PlanReport:
     #: measured workload (simulate mode; None for local execution).
     workload: "PRMWorkload | RRTWorkload | None"
     #: simulated run (None for local execution).
-    result: "PRMRunResult | RRTRunResult | None"
+    result: "RunResult | None"
     #: local pool accounting (None for simulate mode).
     pool: "PoolResult | None"
     #: merged roadmap / tree across regions.
@@ -105,7 +100,8 @@ class PlanReport:
 
     @property
     def phases(self):
-        """Per-phase breakdown (PhaseBreakdown protocol); simulate only."""
+        """Per-phase breakdown (:class:`~repro.core.machine.PhaseTimes`);
+        simulate only."""
         return self.result.phases if self.result is not None else None
 
     @property
@@ -280,10 +276,8 @@ def plan(
         workload,
         ex.num_pes,
         ex.strategy,
-        topology=ex.topology,
         steal_chunk=ex.steal_chunk,
         tracer=ob.tracer,
-        initial_partitioner=ex.partitioner,
         fault_injector=fa.injector,
         max_retries=fa.max_retries,
     )

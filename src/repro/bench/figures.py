@@ -185,8 +185,8 @@ def fig7a_phase_breakdown(num_pes: int = 192, verbose: bool = True):
     out = []
     for strat in PRM_STRATEGIES:
         r = simulate_prm(wl, num_pes, strat)
-        # Canonical phase names via the PhaseBreakdown protocol: the same
-        # code consumes PRM and RRT results (construct = the LB'd phase,
+        # Canonical phase names of the one PhaseTimes: the same code
+        # consumes PRM and RRT results (construct = the LB'd phase,
         # connect = inter-region connection).
         pd = phases_dict(r.phases)
         out.append(

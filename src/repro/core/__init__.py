@@ -1,10 +1,8 @@
 """The paper's contribution: load-balanced parallel PRM and RRT."""
 
+from .machine import STRATEGIES, PhaseTimes, RunResult, replay
 from .metrics import (
-    PhaseBreakdown,
-    PlannerRunResult,
     coefficient_of_variation,
-    emit_phase_spans,
     ideal_loads,
     max_load_reduction,
     percent_improvement,
@@ -14,7 +12,6 @@ from .metrics import (
 from .model import ModelEnvironmentAnalysis, ModelPoint
 from .parallel_prm import (
     AdjacencyWork,
-    PhaseTimes,
     PRMRegionPlanner,
     PRMRunResult,
     PRMWorkload,
@@ -25,9 +22,7 @@ from .parallel_prm import (
 from .parallel_rrt import (
     BranchAdjacencyWork,
     BranchWork,
-    RRTPhaseTimes,
     RRTRegionPlanner,
-    RRTRunResult,
     RRTWorkload,
     build_rrt_workload,
     default_root,
@@ -49,10 +44,11 @@ from .work_stealing import (
 )
 
 __all__ = [
-    "PhaseBreakdown",
-    "PlannerRunResult",
+    "STRATEGIES",
+    "PhaseTimes",
+    "RunResult",
+    "replay",
     "coefficient_of_variation",
-    "emit_phase_spans",
     "ideal_loads",
     "max_load_reduction",
     "percent_improvement",
@@ -61,7 +57,6 @@ __all__ = [
     "ModelEnvironmentAnalysis",
     "ModelPoint",
     "AdjacencyWork",
-    "PhaseTimes",
     "PRMRegionPlanner",
     "PRMRunResult",
     "PRMWorkload",
@@ -70,9 +65,7 @@ __all__ = [
     "simulate_prm",
     "BranchAdjacencyWork",
     "BranchWork",
-    "RRTPhaseTimes",
     "RRTRegionPlanner",
-    "RRTRunResult",
     "RRTWorkload",
     "build_rrt_workload",
     "default_root",

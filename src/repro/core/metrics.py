@@ -4,30 +4,18 @@ The paper's primary measure is the coefficient of variation of per-PE
 load (σ/µ, Sec. IV-B); improvement percentages compare the most-loaded
 processor before and after balancing (Fig. 4b).
 
-This module also defines the :class:`PhaseBreakdown` protocol: a shared,
-canonically named view of per-phase timings that both planners' phase
-dataclasses (``PhaseTimes`` and ``RRTPhaseTimes``) implement, so the obs
-summariser and the bench figures consume either uniformly.  The canonical
-vocabulary matches the trace span names in :mod:`repro.obs.events`:
-
-========== ============================= ============================
-phase      parallel PRM                  radial RRT
-========== ============================= ============================
-subdivide  region construction           region construction
-generate   node generation               —
-weigh      — (sample counts are free)    k-rays free-space probe
-repartition  partition install overhead  partition install overhead
-construct  node connection (LB'd phase)  branch growth (LB'd phase)
-terminate  termination detection         termination detection
-connect    region connection             branch connection
-========== ============================= ============================
+:func:`phases_dict` reads a :class:`~repro.core.machine.PhaseTimes` under
+the canonical phase names shared by both planners and the trace spans.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .machine import PhaseTimes
 
 __all__ = [
     "coefficient_of_variation",
@@ -35,66 +23,13 @@ __all__ = [
     "speedup",
     "max_load_reduction",
     "ideal_loads",
-    "PhaseBreakdown",
-    "PlannerRunResult",
     "phases_dict",
 ]
 
 
-@runtime_checkable
-class PhaseBreakdown(Protocol):
-    """Per-phase virtual times under the shared canonical phase names."""
-
-    def phase_items(self) -> "list[tuple[str, float]]":
-        """Ordered (canonical phase name, virtual seconds) pairs."""
-        ...
-
-    @property
-    def total(self) -> float: ...
-
-
-@runtime_checkable
-class PlannerRunResult(Protocol):
-    """What any planner's simulated run exposes, uniformly.
-
-    ``PRMRunResult`` and ``RRTRunResult`` both satisfy this: ``sim`` is
-    the load-balanced phase's simulator output and ``loads`` its per-PE
-    virtual work, whatever that phase is called for the planner.
-    """
-
-    strategy: str
-    num_pes: int
-
-    @property
-    def phases(self) -> PhaseBreakdown: ...
-
-    @property
-    def sim(self): ...
-
-    @property
-    def loads(self) -> np.ndarray: ...
-
-    @property
-    def total_time(self) -> float: ...
-
-
-def phases_dict(phases: PhaseBreakdown) -> "dict[str, float]":
-    """Canonical-name -> duration mapping of any phase breakdown."""
+def phases_dict(phases: "PhaseTimes") -> "dict[str, float]":
+    """Canonical-name -> duration mapping of a phase breakdown."""
     return dict(phases.phase_items())
-
-
-def emit_phase_spans(tracer, phases: PhaseBreakdown, t0: float = 0.0) -> None:
-    """Lay a phase breakdown onto a tracer as back-to-back spans.
-
-    Phases are placed consecutively starting at ``t0`` in
-    ``phase_items()`` order, which both planners define as their virtual
-    timeline order; zero-duration phases still get a span so a trace
-    always reproduces the breakdown field-for-field.
-    """
-    t = t0
-    for name, duration in phases.phase_items():
-        tracer.span_at(name, t, t + duration)
-        t += duration
 
 
 def coefficient_of_variation(loads: np.ndarray) -> float:

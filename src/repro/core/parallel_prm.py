@@ -57,28 +57,15 @@ import numpy as np
 
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
-from ..obs.events import (
-    EV_REMOTE_ACCESS,
-    PHASE_CONNECT,
-    PHASE_CONSTRUCT,
-    PHASE_GENERATE,
-    PHASE_REPARTITION,
-    PHASE_SUBDIVIDE,
-    PHASE_TERMINATE,
-    PHASE_WEIGH,
-)
+from ..obs.events import EV_REMOTE_ACCESS, PHASE_CONNECT
 from ..planners.prm import PRM, PRMBlock, PRMResult
 from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
-from ..runtime.pgraph import PGraphView
-from ..runtime.stats import SimResult
 from ..runtime.topology import ClusterTopology
 from ..subdivision.uniform import UniformSubdivision
-from .metrics import emit_phase_spans
-from .repartition import RepartitionResult, initial_assignment, repartition
+from .machine import RunResult, replay
 from .weights import prm_sample_count_weights
-from .work_stealing import run_balanced_phase
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -87,7 +74,6 @@ __all__ = [
     "RegionWork",
     "AdjacencyWork",
     "PRMWorkload",
-    "PhaseTimes",
     "PRMRunResult",
     "PRMRegionPlanner",
     "build_prm_workload",
@@ -155,85 +141,19 @@ class PRMWorkload:
         return prm_sample_count_weights(self.subdivision, self.sample_positions)
 
 
-@dataclass
-class PhaseTimes:
-    """Virtual seconds per phase (the Fig. 7a breakdown).
+@dataclass(kw_only=True)
+class PRMRunResult(RunResult):
+    """A PRM replay plus the tallies only PRM reports (Fig. 5b, Fig. 7b)."""
 
-    Implements the :class:`repro.core.metrics.PhaseBreakdown` protocol:
-    :meth:`phase_items` exposes the same numbers under the canonical
-    cross-planner phase names used by trace spans.
-    """
-
-    region_construction: float = 0.0
-    node_generation: float = 0.0
-    node_connection: float = 0.0
-    region_connection: float = 0.0
-    #: weight-probe time; 0 for PRM (sample counts fall out of generation).
-    weigh: float = 0.0
-    lb_overhead: float = 0.0
-    termination: float = 0.0
-
-    @property
-    def other(self) -> float:
-        return (
-            self.region_construction
-            + self.node_generation
-            + self.weigh
-            + self.lb_overhead
-            + self.termination
-        )
-
-    @property
-    def total(self) -> float:
-        return self.other + self.node_connection + self.region_connection
-
-    def phase_items(self) -> "list[tuple[str, float]]":
-        """Canonical (name, duration) pairs in timeline order."""
-        return [
-            (PHASE_SUBDIVIDE, self.region_construction),
-            (PHASE_GENERATE, self.node_generation),
-            (PHASE_WEIGH, self.weigh),
-            (PHASE_REPARTITION, self.lb_overhead),
-            (PHASE_CONSTRUCT, self.node_connection),
-            (PHASE_TERMINATE, self.termination),
-            (PHASE_CONNECT, self.region_connection),
-        ]
-
-
-@dataclass
-class PRMRunResult:
-    """One (strategy, machine size) execution of parallel PRM."""
-
-    strategy: str
-    num_pes: int
-    phases: PhaseTimes
-    #: per-PE virtual work in the node-connection phase.
-    connection_loads: np.ndarray
-    #: roadmap nodes per PE under the ownership used for connection.
-    nodes_per_pe: np.ndarray
     #: nodes per PE under the *initial* (pre-LB) ownership.
     nodes_per_pe_before: np.ndarray
-    #: region-connection remote access tallies.
+    #: region-graph remote accesses of region connection (counted, free).
     region_graph_remote: int
-    roadmap_graph_remote: int
-    #: simulator output of the node-connection phase (steal stats etc.).
-    connection_sim: SimResult
-    repartition_info: "RepartitionResult | None" = None
 
     @property
-    def total_time(self) -> float:
-        return self.phases.total
-
-    # -- PlannerRunResult protocol (uniform across PRM / RRT) --------------
-    @property
-    def sim(self) -> SimResult:
-        """Simulator output of the load-balanced phase (node connection)."""
-        return self.connection_sim
-
-    @property
-    def loads(self) -> np.ndarray:
-        """Per-PE virtual work in the load-balanced phase."""
-        return self.connection_loads
+    def roadmap_graph_remote(self) -> int:
+        """Roadmap-graph remote accesses of region connection."""
+        return self.remote_reads
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +451,8 @@ def build_prm_workload(
 # Machine simulation (replayed per strategy / PE count)
 # ---------------------------------------------------------------------------
 
-#: Virtual cost of creating one region descriptor (phase 1 is trivially
-#: parallel and tiny; this keeps it visible but small, as in Fig. 7a).
-REGION_CREATE_COST = 0.05
+#: Seed of the steal policy's generator.
+RNG_SEED = 12345
 
 
 def simulate_prm(
@@ -542,127 +461,50 @@ def simulate_prm(
     strategy: str = "none",
     topology: ClusterTopology | None = None,
     steal_chunk: "str | int" = "half",
-    rng_seed: int = 12345,
     tracer: "Tracer | None" = None,
-    initial_partitioner: "str | None" = None,
     fault_injector: "FaultInjector | None" = None,
     max_retries: int = 2,
 ) -> PRMRunResult:
-    """Replay the workload on a virtual machine of ``num_pes`` PEs.
+    """Replay the workload on a virtual machine of ``num_pes`` PEs
+    (:func:`repro.core.machine.replay`): node generation, then node
+    connection as the load-balanced phase, repartitioned by sample counts.
 
-    ``strategy`` is one of ``"none"``, ``"repartition"``, ``"rand-8"``
-    (or ``"rand-k"``), ``"diffusive"``, ``"hybrid"``.
-
-    ``tracer`` (optional) records the run: one span per phase on the
-    run's virtual timeline, the full steal protocol inside the
-    ``construct`` span, and the repartition decision.
-
-    ``initial_partitioner`` overrides the paper's naive block mapping for
-    the *initial* distribution: ``"block"`` (default), ``"greedy"``
-    (unweighted LPT) or ``"rcb"`` (recursive coordinate bisection).
-
-    ``fault_injector`` (optional) injects deterministic failures into the
-    connection phase — see :class:`repro.runtime.faults.FaultInjector`;
-    abandoned regions keep their pre-phase owner for the downstream
-    connection accounting.
+    ``strategy`` is one of :data:`repro.core.machine.STRATEGIES`; the
+    other arguments are :func:`~repro.core.machine.replay`'s.
     """
-    topology = topology if topology is not None else ClusterTopology(num_pes)
-    if topology.num_pes != num_pes:
-        raise ValueError("topology PE count mismatch")
-    phases = PhaseTimes()
-    naive = initial_assignment(workload.subdivision.graph, num_pes, initial_partitioner)
-    region_ids = workload.subdivision.graph.region_ids()
+    graph = workload.subdivision.graph
+    region_ids = graph.region_ids()
     work = [workload.region_work[rid] for rid in region_ids]
-    naive_of = np.array([naive[rid] for rid in region_ids], dtype=int)
-
-    # Per-PE sums below go through ``np.bincount``: it accumulates in
-    # appearance order, exactly like a ``loads[owner] += x`` loop, so every
-    # phase time keeps its bits.
-    # Phase 1: region construction (embarrassingly parallel, tiny).
-    per_pe_regions = np.bincount(naive_of, minlength=num_pes)
-    phases.region_construction = float(per_pe_regions.max()) * REGION_CREATE_COST
-
-    # Phase 2: node generation under the naive distribution.
-    gen_loads = np.bincount(naive_of, weights=[w.gen_cost for w in work], minlength=num_pes)
-    phases.node_generation = float(gen_loads.max())
-
-    # Load balancing decision.  The repartition decision event lands at
-    # the start of the repartition phase on the run's virtual timeline.
-    t_lb = phases.region_construction + phases.node_generation + phases.weigh
-    repart_info: RepartitionResult | None = None
-    connect_assignment = naive
-    if strategy == "repartition":
-        weights = workload.sample_count_weights()
-        repart_info = repartition(
-            workload.subdivision.graph,
-            weights,
-            naive,
-            topology,
-            tracer=tracer.offset(t_lb) if tracer is not None else None,
-        )
-        connect_assignment = repart_info.assignment
-        phases.lb_overhead = repart_info.overhead
-
-    # Phase 3: node connection (the load-balanced phase).  The simulator
-    # runs on a phase-local clock; offsetting its tracer embeds the task
-    # and steal events inside the ``construct`` span.
-    t_construct = t_lb + phases.lb_overhead
-    sim, phases.termination, final_owner = run_balanced_phase(
-        topology,
-        {w.rid: w.connect_cost for w in work},
-        connect_assignment,
+    samples = [w.num_samples for w in work]
+    adjacency = workload.adjacency_work
+    run = replay(
+        graph,
+        [w.connect_cost for w in work],
+        samples,
+        adjacency,
+        num_pes,
         strategy,
-        steal_chunk,
-        rng_seed,
-        tracer=tracer.offset(t_construct) if tracer is not None else None,
+        RNG_SEED,
+        gen_costs=[w.gen_cost for w in work],
+        weights=workload.sample_count_weights() if strategy == "repartition" else None,
+        topology=topology,
+        steal_chunk=steal_chunk,
+        tracer=tracer,
         fault_injector=fault_injector,
         max_retries=max_retries,
     )
-    phases.node_connection = sim.makespan
-
-    # Phase 4: region connection with remote-access accounting.
-    region_view = PGraphView("region graph", topology)
-    roadmap_view = PGraphView("roadmap graph", topology)
-    region_view.set_owners(final_owner)
-    roadmap_view.set_owners(final_owner)
-
-    adjacency = workload.adjacency_work
-    owner_a = np.array([final_owner[adj.a] for adj in adjacency], dtype=int)
-    neighbours = [adj.b for adj in adjacency]
     # Region-graph adjacency metadata is replicated at construction time,
-    # so its remote accesses are counted (Fig. 7b) but free; roadmap
-    # vertex reads ship as one aggregated message per adjacency.
-    region_view.access_many(owner_a, neighbours)
-    latency = roadmap_view.access_many(
-        owner_a, neighbours, [adj.vertex_reads for adj in adjacency], aggregated=True
-    )
-    conn_loads = np.bincount(
-        owner_a, weights=np.array([adj.cost for adj in adjacency]) + latency, minlength=num_pes
-    )
-    phases.region_connection = float(conn_loads.max())
-
-    # Node ownership histograms (Fig. 5b/5c).
-    samples = [w.num_samples for w in work]
-    nodes_before = np.bincount(naive_of, weights=samples, minlength=num_pes)
-    nodes_after = np.bincount(
-        [final_owner[rid] for rid in region_ids], weights=samples, minlength=num_pes
-    )
-
+    # so its remote accesses are counted (Fig. 7b) but free.
+    owner = run.final_owner
+    region_remote = sum(owner[adj.a] != owner[adj.b] for adj in adjacency)
     if tracer is not None:
-        emit_phase_spans(tracer, phases)
-        t_connect = t_construct + phases.node_connection + phases.termination
-        remote = region_view.stats.remote + roadmap_view.stats.remote
-        tracer.point(EV_REMOTE_ACCESS, ts=t_connect, count=remote)
-
+        tracer.point(
+            EV_REMOTE_ACCESS, ts=run.phases.start(PHASE_CONNECT),
+            count=region_remote + run.remote_reads,
+        )
+    initial_of = [run.initial_owner[rid] for rid in region_ids]
     return PRMRunResult(
-        strategy=strategy,
-        num_pes=num_pes,
-        phases=phases,
-        connection_loads=sim.work_times(),
-        nodes_per_pe=nodes_after,
-        nodes_per_pe_before=nodes_before,
-        region_graph_remote=region_view.stats.remote,
-        roadmap_graph_remote=roadmap_view.stats.remote,
-        connection_sim=sim,
-        repartition_info=repart_info,
+        **vars(run),
+        nodes_per_pe_before=np.bincount(initial_of, weights=samples, minlength=num_pes),
+        region_graph_remote=region_remote,
     )

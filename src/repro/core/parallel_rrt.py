@@ -22,7 +22,7 @@ per-strategy machine behaviour is replayed by :func:`simulate_rrt`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,28 +30,16 @@ import numpy as np
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
 from ..knn.brute import BruteForceNN
-from ..obs.events import (
-    EV_REMOTE_ACCESS,
-    PHASE_CONNECT,
-    PHASE_CONSTRUCT,
-    PHASE_REPARTITION,
-    PHASE_SUBDIVIDE,
-    PHASE_TERMINATE,
-    PHASE_WEIGH,
-)
+from ..obs.events import EV_REMOTE_ACCESS, PHASE_CONNECT
 from ..planners.roadmap import Roadmap
 from ..planners.rrt import RRT, RRTResult
 from ..planners.stats import PlannerStats, WorkModel
 from ..runtime.faults import FaultInjector
-from ..runtime.pgraph import PGraphView
-from ..runtime.stats import SimResult
 from ..runtime.topology import ClusterTopology
 from ..subdivision.radial import RadialSubdivision
-from .metrics import emit_phase_spans
-from .parallel_prm import ID_SHIFT, REGION_CREATE_COST, region_rng
-from .repartition import RepartitionResult, initial_assignment, repartition
+from .machine import RunResult, replay
+from .parallel_prm import ID_SHIFT, region_rng
 from .weights import rrt_k_rays_weights
-from .work_stealing import run_balanced_phase
 
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
@@ -60,13 +48,17 @@ __all__ = [
     "BranchWork",
     "BranchAdjacencyWork",
     "RRTWorkload",
-    "RRTPhaseTimes",
-    "RRTRunResult",
     "RRTRegionPlanner",
     "default_root",
     "build_rrt_workload",
     "simulate_rrt",
 ]
+
+
+#: Rays each region casts in the k-rays probe, the paper's ``k = 8``.
+K_RAYS = 8
+#: Seed of the k-rays probe's and the steal policy's generators.
+RNG_SEED = 54321
 
 
 @dataclass
@@ -104,6 +96,7 @@ class RRTWorkload:
     root_config: np.ndarray
     work_model: WorkModel
     seed: int
+    _k_rays: "dict[int, float] | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_regions(self) -> int:
@@ -115,67 +108,16 @@ class RRTWorkload:
         its merged roadmap (lets ``plan()`` report either planner)."""
         return self.tree
 
-
-@dataclass
-class RRTPhaseTimes:
-    """Virtual seconds per phase; implements the shared
-    :class:`repro.core.metrics.PhaseBreakdown` protocol."""
-
-    region_construction: float = 0.0
-    branch_growth: float = 0.0
-    branch_connection: float = 0.0
-    #: k-rays free-space probe time (the costly part of RRT weighing).
-    weigh: float = 0.0
-    lb_overhead: float = 0.0
-    termination: float = 0.0
-
-    @property
-    def other(self) -> float:
-        return (
-            self.region_construction + self.weigh + self.lb_overhead + self.termination
-        )
-
-    @property
-    def total(self) -> float:
-        return self.other + self.branch_growth + self.branch_connection
-
-    def phase_items(self) -> "list[tuple[str, float]]":
-        """Canonical (name, duration) pairs in timeline order; RRT has no
-        ``generate`` phase (branch growth subsumes sampling)."""
-        return [
-            (PHASE_SUBDIVIDE, self.region_construction),
-            (PHASE_WEIGH, self.weigh),
-            (PHASE_REPARTITION, self.lb_overhead),
-            (PHASE_CONSTRUCT, self.branch_growth),
-            (PHASE_TERMINATE, self.termination),
-            (PHASE_CONNECT, self.branch_connection),
-        ]
-
-
-@dataclass
-class RRTRunResult:
-    strategy: str
-    num_pes: int
-    phases: RRTPhaseTimes
-    growth_loads: np.ndarray
-    nodes_per_pe: np.ndarray
-    growth_sim: SimResult
-    repartition_info: "RepartitionResult | None" = None
-
-    @property
-    def total_time(self) -> float:
-        return self.phases.total
-
-    # -- PlannerRunResult protocol (uniform across PRM / RRT) --------------
-    @property
-    def sim(self) -> SimResult:
-        """Simulator output of the load-balanced phase (branch growth)."""
-        return self.growth_sim
-
-    @property
-    def loads(self) -> np.ndarray:
-        """Per-PE virtual work in the load-balanced phase."""
-        return self.growth_loads
+    def k_rays_weights(self) -> "dict[int, float]":
+        """Per-region k-rays free-space weights (Sec. III-B), probed once
+        per workload: with the ray count and seed fixed they depend on
+        the workload alone.  A replay still charges the probe's virtual
+        cost every time it repartitions."""
+        if self._k_rays is None:
+            self._k_rays, _casts = rrt_k_rays_weights(
+                self.radial, self.cspace.env, k_rays=K_RAYS, rng=np.random.default_rng(RNG_SEED)
+            )
+        return self._k_rays
 
 
 # ---------------------------------------------------------------------------
@@ -394,109 +336,38 @@ def simulate_rrt(
     num_pes: int,
     strategy: str = "none",
     topology: ClusterTopology | None = None,
-    k_rays: int = 8,
     steal_chunk: "str | int" = "half",
-    rng_seed: int = 54321,
     tracer: "Tracer | None" = None,
-    initial_partitioner: "str | None" = None,
     fault_injector: "FaultInjector | None" = None,
     max_retries: int = 2,
-) -> RRTRunResult:
-    """Replay the RRT workload on a virtual machine.
+) -> RunResult:
+    """Replay the RRT workload on a virtual machine
+    (:func:`repro.core.machine.replay`): branch growth is the
+    load-balanced phase, and there is no generate phase.
 
-    ``strategy``: ``"none"``, ``"rand-8"``, ``"diffusive"``, ``"hybrid"``,
-    or ``"repartition"`` (k-rays weights; expect it to disappoint, per the
-    paper).
-
-    ``tracer`` and ``initial_partitioner`` behave as in
-    :func:`repro.core.parallel_prm.simulate_prm`.
+    ``"repartition"`` weighs regions with the k-rays probe and pays for it
+    in the ``weigh`` phase; expect it to disappoint, per the paper
+    (Fig. 10b).  The other arguments are :func:`simulate_prm`'s.
     """
-    topology = topology if topology is not None else ClusterTopology(num_pes)
-    if topology.num_pes != num_pes:
-        raise ValueError("topology PE count mismatch")
-    phases = RRTPhaseTimes()
     graph = workload.radial.graph
-    region_ids = graph.region_ids()
-    naive = initial_assignment(graph, num_pes, initial_partitioner)
-
-    # Per-PE sums go through ``np.bincount``, which accumulates in
-    # appearance order like the ``loads[owner] += x`` loop it stands for.
-    work = [workload.branch_work[rid] for rid in region_ids]
-    naive_of = np.array([naive[rid] for rid in region_ids], dtype=int)
-    per_pe_regions = np.bincount(naive_of, minlength=num_pes)
-    phases.region_construction = float(per_pe_regions.max()) * REGION_CREATE_COST
-
-    repart_info: RepartitionResult | None = None
-    grow_assignment = naive
-    if strategy == "repartition":
-        # Probe cost: each PE casts rays for its regions; makespan term is
-        # the per-PE maximum.  This is the "weigh" phase — the part of RRT
-        # load balancing the paper shows can be a net loss (Fig. 10b).
-        weights, casts = rrt_k_rays_weights(
-            workload.radial,
-            workload.cspace.env,
-            k_rays=k_rays,
-            rng=np.random.default_rng(rng_seed),
-        )
-        cost_per_cast = workload.work_model.cost_lp_check * k_rays
-        probe_loads = np.bincount(
-            naive_of, weights=np.full(naive_of.size, cost_per_cast), minlength=num_pes
-        )
-        phases.weigh = float(probe_loads.max())
-        t_lb = phases.region_construction + phases.weigh
-        repart_info = repartition(
-            graph,
-            weights,
-            naive,
-            topology,
-            tracer=tracer.offset(t_lb) if tracer is not None else None,
-        )
-        grow_assignment = repart_info.assignment
-        phases.lb_overhead = repart_info.overhead
-
-    t_construct = phases.region_construction + phases.weigh + phases.lb_overhead
-    sim, phases.termination, final_owner = run_balanced_phase(
-        topology,
-        {w.rid: w.grow_cost for w in work},
-        grow_assignment,
+    work = [workload.branch_work[rid] for rid in graph.region_ids()]
+    run = replay(
+        graph,
+        [w.grow_cost for w in work],
+        [w.num_nodes for w in work],
+        workload.adjacency_work,
+        num_pes,
         strategy,
-        steal_chunk,
-        rng_seed,
-        tracer=tracer.offset(t_construct) if tracer is not None else None,
+        RNG_SEED,
+        weights=workload.k_rays_weights() if strategy == "repartition" else None,
+        # Each region casts ``K_RAYS`` rays.
+        probe_cost=workload.work_model.cost_lp_check * K_RAYS,
+        topology=topology,
+        steal_chunk=steal_chunk,
+        tracer=tracer,
         fault_injector=fault_injector,
         max_retries=max_retries,
     )
-    phases.branch_growth = sim.makespan
-
-    # Branch vertex reads ship as one aggregated message per adjacency.
-    branch_view = PGraphView("branch tree", topology)
-    branch_view.set_owners(final_owner)
-    adjacency = workload.adjacency_work
-    owner_a = np.array([final_owner[adj.a] for adj in adjacency], dtype=int)
-    reads = [adj.vertex_reads for adj in adjacency]
-    latency = branch_view.access_many(
-        owner_a, [adj.b for adj in adjacency], reads, aggregated=True
-    )
-    remote_reads = branch_view.stats.remote
-    conn_loads = np.bincount(
-        owner_a, weights=np.array([adj.cost for adj in adjacency]) + latency, minlength=num_pes
-    )
-    phases.branch_connection = float(conn_loads.max())
-
-    final_of = [final_owner[rid] for rid in region_ids]
-    nodes_per_pe = np.bincount(final_of, weights=[w.num_nodes for w in work], minlength=num_pes)
-
     if tracer is not None:
-        emit_phase_spans(tracer, phases)
-        t_connect = t_construct + phases.branch_growth + phases.termination
-        tracer.point(EV_REMOTE_ACCESS, ts=t_connect, count=remote_reads)
-
-    return RRTRunResult(
-        strategy=strategy,
-        num_pes=num_pes,
-        phases=phases,
-        growth_loads=sim.work_times(),
-        nodes_per_pe=nodes_per_pe,
-        growth_sim=sim,
-        repartition_info=repart_info,
-    )
+        tracer.point(EV_REMOTE_ACCESS, ts=run.phases.start(PHASE_CONNECT), count=run.remote_reads)
+    return run

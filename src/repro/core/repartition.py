@@ -19,9 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs.events import EV_REPARTITION_DECISION
-from ..partition import partition_by_name
 from ..partition.greedy import partition_greedy_lpt
-from ..partition.naive import partition_block
 from ..partition.refine import refine_partition
 from ..runtime.topology import ClusterTopology
 from ..subdivision.region import RegionGraph
@@ -29,19 +27,7 @@ from ..subdivision.region import RegionGraph
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
-__all__ = ["RepartitionResult", "initial_assignment", "repartition"]
-
-
-def initial_assignment(
-    graph: RegionGraph, num_pes: int, partitioner: "str | None"
-) -> "dict[int, int]":
-    """The region -> PE map before any load balancing: balanced contiguous
-    blocks of the row-major region mesh — the paper's naive 1-D mapping ("a
-    balanced number of region columns"), generalised to PE counts exceeding
-    the column count — unless another partitioner is named."""
-    if partitioner in (None, "block"):
-        return partition_block(graph, num_pes)
-    return partition_by_name(graph, num_pes, partitioner)
+__all__ = ["RepartitionResult", "repartition"]
 
 
 @dataclass

@@ -29,14 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.simulator import WorkStealingSimulator, run_static_phase
-from ..runtime.stats import SimResult
-from ..runtime.termination import detection_delay_tree
 from ..runtime.topology import ClusterTopology
 
 __all__ = [
     "POLICY_NAMES",
-    "run_balanced_phase",
     "RandKPolicy",
     "DiffusivePolicy",
     "HybridPolicy",
@@ -127,42 +123,3 @@ def policy_by_name(name: str, k: int = 8):
         return table[name]()
     except KeyError:
         raise KeyError(f"unknown steal policy {name!r}; known: {sorted(table)}") from None
-
-
-def run_balanced_phase(
-    topology: ClusterTopology,
-    costs: "dict[int, float]",
-    assignment: "dict[int, int]",
-    strategy: str,
-    steal_chunk: "str | int",
-    rng_seed: int,
-    **sim_options,
-) -> "tuple[SimResult, float, dict[int, int]]":
-    """Run the load-balanced phase of a simulated planner (PRM node
-    connection, RRT branch growth) over ``assignment``.
-
-    ``"none"`` and ``"repartition"`` execute statically (the assignment
-    already is the balancing decision); any other ``strategy`` names a
-    steal policy and pays termination detection afterwards.  Returns the
-    simulator result, the termination delay and the post-phase ownership:
-    a stolen region lives on its thief, an abandoned one (fault injection)
-    keeps its pre-phase owner.  ``sim_options`` reach the simulator.
-    """
-
-    def executor(task: int, pe: int) -> float:
-        return costs[task]
-
-    if strategy in ("none", "repartition"):
-        sim = run_static_phase(topology, executor, assignment, **sim_options)
-        termination = 0.0
-    else:
-        sim = WorkStealingSimulator(
-            topology,
-            executor,
-            steal_policy=policy_by_name(strategy),
-            steal_chunk=steal_chunk,
-            rng=np.random.default_rng(rng_seed),
-            **sim_options,
-        ).run(assignment)
-        termination = detection_delay_tree(topology)
-    return sim, termination, {**assignment, **sim.executed_by}

@@ -9,7 +9,7 @@ for true-parallel runs — so one summariser serves both worlds.
 
 Canonical names are defined here so emitters and the summariser never
 drift: the phase vocabulary (``subdivide`` … ``connect``) is shared by the
-PRM and RRT drivers (see ``PhaseBreakdown`` in :mod:`repro.core.metrics`),
+PRM and RRT drivers (see ``PhaseTimes`` in :mod:`repro.core.machine`),
 and the point vocabulary covers the work-stealing protocol, task
 execution, and repartition decisions.
 """

@@ -17,25 +17,4 @@ __all__ = [
     "partition_block",
     "refine_partition",
     "partition_rcb",
-    "PARTITIONERS",
-    "partition_by_name",
 ]
-
-#: Initial-distribution partitioners selectable by name (the ``plan()``
-#: facade and ``simulate_*`` drivers route through this).
-PARTITIONERS = {
-    "block": partition_block,
-    "greedy": partition_greedy_lpt,
-    "rcb": partition_rcb,
-}
-
-
-def partition_by_name(graph, num_pes: int, name: str) -> "dict[int, int]":
-    """Run the named partitioner over ``graph`` for ``num_pes`` PEs."""
-    try:
-        fn = PARTITIONERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {name!r}; known: {sorted(PARTITIONERS)}"
-        ) from None
-    return fn(graph, num_pes)

@@ -8,8 +8,8 @@ A request is four composable specs with **one canonical name per knob**:
   canonical content hash the :class:`~repro.service.RoadmapCache` keys
   snapshots by.
 * :class:`ExecutionPolicy` — *where/how to run it*: execution ``mode``,
-  load-balancing strategy, partitioner, PE count, topology and steal
-  granularity for the simulated machine; worker count, backend and chunk
+  load-balancing strategy, PE count and steal granularity for the
+  simulated machine; worker count, backend and chunk
   size for the local pool; and the collision-kernel backend, which
   :meth:`WorkloadSpec.resolve_cspace` hands to the environment — the
   one place a request's backend name is acted on.
@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .core.machine import STRATEGIES
 from .core.parallel_prm import PRMWorkload, build_prm_workload
 from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
@@ -51,7 +52,6 @@ from .runtime.simulator import validate_steal_chunk
 if TYPE_CHECKING:
     from .obs.tracer import Tracer
     from .runtime.faults import FaultInjector
-    from .runtime.topology import ClusterTopology
 
 __all__ = [
     "WorkloadSpec",
@@ -63,7 +63,6 @@ __all__ = [
 
 _PLANNERS = ("prm", "rrt")
 _MODES = ("simulate", "local")
-_STRATEGIES = ("none", "repartition", "rand-8", "rand-k", "diffusive", "hybrid")
 _BACKENDS = ("thread", "process")
 _DATA_PLANES = ("auto", "shm")
 
@@ -193,14 +192,11 @@ class ExecutionPolicy:
     #: "simulate" replays on the virtual machine; "local" runs the
     #: regional planners on this machine's cores.
     mode: str = "simulate"
-    #: load-balancing strategy: "none", "repartition", "rand-8",
-    #: "diffusive" or "hybrid" (simulate mode).
+    #: load-balancing strategy, one of :data:`repro.core.machine.STRATEGIES`:
+    #: "none", "repartition", "rand-8", "diffusive" or "hybrid" (simulate mode).
     strategy: str = "none"
-    #: initial region->PE distribution: "block", "greedy" or "rcb".
-    partitioner: str = "block"
     #: simulated machine size.
     num_pes: int = 16
-    topology: "ClusterTopology | None" = None
     #: tasks a victim hands over per steal: "half" of its stealable
     #: deque, or at most an int >= 1.
     steal_chunk: "str | int" = "half"
@@ -231,10 +227,8 @@ class ExecutionPolicy:
         """Raise ``ValueError`` on any out-of-range or unknown field."""
         if self.mode not in _MODES:
             raise ValueError(f"execution must be one of {_MODES}, got {self.mode!r}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}"
-            )
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         # The pool's rule for ``workers`` (an int >= 1, or None), and the
         # same rule for ``num_pes`` without the None.
         pes = self.num_pes

@@ -18,10 +18,11 @@ from repro import (
 )
 from repro.api import LOCAL_PRM, LOCAL_RRT, _region_planner, _RegionTask
 from repro.core import (
-    PhaseBreakdown,
-    PlannerRunResult,
+    STRATEGIES,
+    PhaseTimes,
     PRMRegionPlanner,
     RRTRegionPlanner,
+    RunResult,
     build_prm_workload,
     build_rrt_workload,
     default_root,
@@ -68,13 +69,22 @@ class TestPlanRequestValidation:
         with pytest.raises(ValueError):
             PlanRequest(**kwargs).validate()
 
-    def test_unknown_partitioner_fails_at_plan_time(self):
-        req = PlanRequest(
-            workload=WorkloadSpec(num_regions=32),
-            execution=ExecutionPolicy(num_pes=4, partitioner="magic"),
-        )
-        with pytest.raises(ValueError, match="partitioner"):
-            plan(req)
+    @pytest.mark.parametrize("name", ["rand-k", "magic"])
+    def test_spec_and_simulators_share_one_strategy_vocabulary(self, name):
+        """A name outside ``STRATEGIES`` fails the spec and both simulators
+        alike, with the same ``ValueError``, before a simulator runs."""
+        assert name not in STRATEGIES
+        with pytest.raises(ValueError) as spec_error:
+            ExecutionPolicy(strategy=name).validate()
+        for planner in ("prm", "rrt"):
+            req = PlanRequest(workload=WorkloadSpec(
+                planner=planner, num_regions=8, samples_per_region=3, nodes_per_region=3,
+            ))
+            workload = req.workload.build_workload(req.resolve_cspace())
+            simulate = simulate_prm if planner == "prm" else simulate_rrt
+            with pytest.raises(ValueError) as sim_error:
+                simulate(workload, 4, name)
+            assert str(sim_error.value) == str(spec_error.value)
 
 
 class TestPlanParity:
@@ -123,19 +133,6 @@ class TestPlanParity:
         assert report.roadmap.num_vertices == workload.roadmap.num_vertices
         assert report.total_time == pytest.approx(legacy.total_time)
         assert phases_dict(report.phases) == pytest.approx(phases_dict(legacy.phases))
-
-    def test_partitioner_changes_distribution(self):
-        wl = WorkloadSpec(num_regions=64, samples_per_region=4, seed=3)
-        block, greedy = (
-            plan(wl, execution=ExecutionPolicy(strategy="none", num_pes=8, partitioner=p))
-            for p in ("block", "greedy")
-        )
-        # Same measured workload either way...
-        assert block.roadmap.num_vertices == greedy.roadmap.num_vertices
-        # ...but a different region->PE distribution actually took effect.
-        assert [p.work_time for p in greedy.sim.pe_stats] != [
-            p.work_time for p in block.sim.pe_stats
-        ]
 
 
 class TestPlanTracing:
@@ -471,8 +468,8 @@ class TestResultProtocols:
             execution=ExecutionPolicy(strategy="none", num_pes=4),
         ))
         for report in (prm, rrt):
-            assert isinstance(report.result, PlannerRunResult)
-            assert isinstance(report.phases, PhaseBreakdown)
+            assert isinstance(report.result, RunResult)
+            assert isinstance(report.phases, PhaseTimes)
             pd = phases_dict(report.phases)
             assert sum(pd.values()) == pytest.approx(report.phases.total)
             assert report.result.sim is not None

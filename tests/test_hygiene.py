@@ -26,6 +26,7 @@ false-positive and formatting can't false-negative.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -252,3 +253,29 @@ def test_every_name_the_e2e_harness_wraps_still_resolves(monkeypatch):
         if not found:
             missing.append(f"{target.owner}.{target.attr} ({target.span})")
     assert not missing, "names pinned by benchmarks/e2e/layers.py are gone:\n" + "\n".join(missing)
+
+
+def test_one_simulated_machine_for_both_planners():
+    """Both planners replay through ``repro.core.machine``: ``repro.core``
+    holds one ``PhaseTimes`` and one ``RunResult`` (PRM's result extends
+    it), no per-planner twins or protocols imitating one, and no
+    simulate-mode knob that no entry point sets."""
+    core = importlib.import_module("repro.core")
+    machine = importlib.import_module("repro.core.machine")
+    modules = [core] + [importlib.import_module(f"repro.core.{p.stem}")
+                        for p in sorted((SRC / "core").glob("*.py")) if p.stem != "__init__"]
+    twins = [f"{m.__name__}.{name}" for m in modules
+             for name in ("RRTPhaseTimes", "RRTRunResult", "PhaseBreakdown", "PlannerRunResult")
+             if hasattr(m, name)]
+    assert not twins, f"a second phase/result type: {twins}"
+    for m in modules:
+        for name in ("PhaseTimes", "RunResult"):
+            assert getattr(m, name, getattr(machine, name)) is getattr(machine, name), m.__name__
+    assert issubclass(core.PRMRunResult, machine.RunResult)
+
+    spec = importlib.import_module("repro.spec")
+    fields = {f.name for f in dataclasses.fields(spec.ExecutionPolicy)}
+    assert not fields & {"partitioner", "topology"}, fields
+    for simulate in (core.simulate_prm, core.simulate_rrt):
+        params = set(inspect.signature(simulate).parameters)
+        assert not params & {"partitioner", "initial_partitioner", "rng_seed", "k_rays"}, params

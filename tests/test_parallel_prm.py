@@ -157,7 +157,7 @@ class TestSimulation:
             assert r.phases.node_connection > 0
 
     def test_unknown_strategy_rejected(self, medcube_workload):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="strategy"):
             simulate_prm(medcube_workload, 8, "magic")
 
     def test_node_conservation_across_strategies(self, medcube_workload):
@@ -190,7 +190,7 @@ class TestSimulation:
 
     def test_stealing_transfers_ownership(self, medcube_workload):
         r = simulate_prm(medcube_workload, 16, "hybrid")
-        stolen = r.connection_sim.stolen_per_pe().sum()
+        stolen = r.sim.stolen_per_pe().sum()
         assert stolen > 0
 
     def test_simulation_deterministic(self, medcube_workload):

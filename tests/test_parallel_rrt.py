@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RRTRegionPlanner, build_rrt_workload, simulate_rrt
+from repro.core import RRTRegionPlanner, build_rrt_workload, rrt_k_rays_weights, simulate_rrt
 from repro.cspace import EuclideanCSpace
 from repro.geometry import free_env, mixed_30_env
 from repro.subdivision.radial import ConeRegion
@@ -147,9 +147,28 @@ class TestSimulation:
         assert ws < base
 
     def test_repartition_charges_probe_cost(self, mixed_workload):
-        r = simulate_rrt(mixed_workload, 8, "repartition", k_rays=8)
+        r = simulate_rrt(mixed_workload, 8, "repartition")
         assert r.phases.lb_overhead > 0
         assert r.repartition_info is not None
+
+    def test_k_rays_probed_once_per_workload(self, monkeypatch):
+        """The probe's weights depend on the workload alone, so replays at
+        every PE count share one probe; each still pays its virtual cost."""
+        from repro.core import parallel_rrt
+
+        calls = []
+
+        def probe(*args, **kwargs):
+            calls.append(kwargs)
+            return rrt_k_rays_weights(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_rrt, "rrt_k_rays_weights", probe)
+        cs = EuclideanCSpace(free_env())
+        wl = build_rrt_workload(cs, np.zeros(3), num_regions=32, nodes_per_region=4, seed=1)
+        runs = [simulate_rrt(wl, p, "repartition") for p in (4, 8, 4)]
+        assert len(calls) == 1
+        assert all(r.phases.weigh > 0 for r in runs)
+        assert runs[0].total_time == runs[2].total_time
 
     def test_free_env_neutral(self, free_workload):
         base = simulate_rrt(free_workload, 8, "none").total_time

@@ -337,11 +337,11 @@ class TestWorkloadParity:
             run = simulate_rrt(wl, 4, strategy="rand-8", fault_injector=injector)
             results.append(
                 (
-                    run.phases.branch_growth,
-                    run.phases.branch_connection,
-                    run.growth_loads.tolist(),
+                    run.phases.node_connection,
+                    run.phases.region_connection,
+                    run.loads.tolist(),
                     run.nodes_per_pe.tolist(),
-                    run.growth_sim.makespan,
+                    run.sim.makespan,
                 )
             )
         assert results[0] == results[1]

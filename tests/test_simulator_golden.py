@@ -32,10 +32,10 @@ from repro.core import (
     simulate_prm,
     simulate_rrt,
 )
-from repro.core.repartition import initial_assignment
 from repro.cspace import EuclideanCSpace
 from repro.geometry import med_cube, mixed_30_env
 from repro.obs import MemorySink, Tracer
+from repro.partition import partition_block
 from repro.runtime import ClusterTopology, Fault, FaultInjector, WorkStealingSimulator
 
 from .oracle import PerMessageSimulator
@@ -147,7 +147,7 @@ def _variant_run(workload, variant, strategy):
         steal_policy=policy_by_name(strategy),
         rng=np.random.default_rng(12345),
         **options,
-    ).run(initial_assignment(workload.subdivision.graph, VARIANT_PES, None))
+    ).run(partition_block(workload.subdivision.graph, VARIANT_PES))
 
 
 def _fault_plan() -> FaultInjector:
@@ -265,6 +265,30 @@ def test_traced_run_golden(prm_workload):
 def test_rrt_traced_equals_untraced(rrt_workload, strategy):
     traced = simulate_rrt(rrt_workload, 48, strategy, tracer=Tracer(sinks=[MemorySink()]))
     assert result_digest(traced) == GOLDEN_RRT[48, strategy]
+
+
+@pytest.mark.parametrize("strategy", ["repartition", "hybrid"])
+@pytest.mark.parametrize("planner", ["prm", "rrt"])
+def test_events_land_on_their_phase(prm_workload, rrt_workload, planner, strategy):
+    """Every event sits where the run's phase spans put it: the decision
+    where ``repartition`` begins, each task event inside ``construct``,
+    the remote-access total where ``connect`` begins."""
+    sink = MemorySink()
+    if planner == "prm":
+        run = simulate_prm(prm_workload, 16, strategy, tracer=Tracer(sinks=[sink]))
+    else:
+        run = simulate_rrt(rrt_workload, 16, strategy, tracer=Tracer(sinks=[sink]))
+    spans = {name: (begin, end) for name, begin, end in run.phases.spans()}
+    assert [e.name for e in sink.events if e.kind == "span_begin"] == list(spans)
+    at = {e.name: e.ts for e in sink.events if e.kind == "point"}
+    assert at["remote_access"] == spans["connect"][0]
+    if strategy == "repartition":
+        assert run.phases.lb_overhead > 0
+        assert at["repartition_decision"] == spans["repartition"][0]
+    tasks = [e.ts for e in sink.events if e.name in ("task_start", "task_end")]
+    assert len(tasks) == 2 * len(run.sim.executed_by)
+    begin, end = spans["construct"]
+    assert begin <= min(tasks) and max(tasks) <= end
 
 
 @pytest.mark.parametrize("strategy", STEALING)

@@ -410,6 +410,49 @@ MUTANTS = [
         "            pass\n",
         (SERVED,),
     ),
+    Mutant(
+        "RRT is charged a generate phase",
+        "repro/core/parallel_rrt.py",
+        "        RNG_SEED,\n        weights=",
+        "        RNG_SEED,\n        gen_costs=[0.0] * len(work),\n        weights=",
+        (f"{GOLDEN}::test_simulate_rrt_golden[16-none]",),
+    ),
+    Mutant(
+        "PRM is charged the k-rays probe cost",
+        "repro/core/parallel_prm.py",
+        "        RNG_SEED,\n        gen_costs=",
+        "        RNG_SEED,\n        probe_cost=workload.work_model.cost_lp_check * 8,\n"
+        "        gen_costs=",
+        (f"{GOLDEN}::test_simulate_prm_golden[16-repartition]",),
+    ),
+    Mutant(
+        "the construct span's events start where repartition starts (lb_overhead omitted)",
+        "repro/core/machine.py",
+        "t_construct = phases.start(PHASE_CONSTRUCT)",
+        "t_construct = phases.start(PHASE_REPARTITION)",
+        (f"{GOLDEN}::test_events_land_on_their_phase[prm-repartition]",),
+    ),
+    Mutant(
+        "PRM's remote-access point drops the region-graph tally",
+        "repro/core/parallel_prm.py",
+        "count=region_remote + run.remote_reads,",
+        "count=run.remote_reads,",
+        (f"{GOLDEN}::test_traced_run_golden",),
+    ),
+    Mutant(
+        "the replay runs a strategy outside the vocabulary",
+        "repro/core/machine.py",
+        "    if strategy not in STRATEGIES:\n",
+        "    if False:\n",
+        ("tests/test_parallel_prm.py::TestSimulation::test_unknown_strategy_rejected",),
+    ),
+    Mutant(
+        "the k-rays weights are probed again on every replay",
+        "repro/core/parallel_rrt.py",
+        "        if self._k_rays is None:\n",
+        "        if True:\n",
+        ("tests/test_parallel_rrt.py::TestSimulation::test_k_rays_probed_once_per_workload",),
+    ),
 ]
 
 
