@@ -6,6 +6,7 @@ locality; refinement recovers locality at small balance cost.
 """
 
 from repro.bench import format_table, prm_workload
+from repro.core.metrics import coefficient_of_variation
 from repro.partition import (
     edge_cut_of,
     evaluate_partition,
@@ -18,18 +19,17 @@ from repro.partition import (
 def run_ablation():
     wl = prm_workload("med-cube", num_regions=3000, samples_per_region=8)
     g = wl.subdivision.graph
-    for rid, w in wl.sample_count_weights().items():
-        g.set_weight(rid, w)
+    w = wl.sample_count_weights()
     P = 192
     rows = []
     partitions = {
-        "lpt": partition_greedy_lpt(g, P),
-        "rcb": partition_rcb(g, P),
+        "lpt": partition_greedy_lpt(g, w, P),
+        "rcb": partition_rcb(g, w, P),
     }
-    partitions["lpt+refine"] = refine_partition(g, partitions["lpt"], P)
+    partitions["lpt+refine"] = refine_partition(g, w, partitions["lpt"], P)
     for name, assign in partitions.items():
-        q = evaluate_partition(g, assign, P)
-        rows.append([name, f"{q.coefficient_of_variation:.3f}", q.edge_cut, f"{q.imbalance:.2f}"])
+        q = evaluate_partition(g, w, assign, P)
+        rows.append([name, f"{coefficient_of_variation(q.loads):.3f}", q.edge_cut, f"{q.imbalance:.2f}"])
     print("\nAblation — partitioner balance vs edge cut (med-cube, P=192)")
     print(format_table(["partitioner", "CoV", "edge cut", "max/mean"], rows))
     return rows

@@ -15,6 +15,7 @@ import numpy as np
 from ..core.metrics import coefficient_of_variation, percent_improvement, phases_dict
 from ..core.model import ModelEnvironmentAnalysis
 from ..core.parallel_prm import simulate_prm
+from ..partition.edge_cut import loads_of
 from .harness import (
     PRM_STRATEGIES,
     RRT_STRATEGIES,
@@ -87,8 +88,8 @@ def fig4b_model_improvement(pe_counts=(16, 32, 64, 128), verbose: bool = True):
         # repartitioned ownership using sample counts as per-region cost.
         naive = analysis.naive_assignment(P)
         best = analysis.best_assignment(analysis.sample_counts, P)
-        loads_naive = analysis._loads(analysis.sample_counts, naive, P)
-        loads_best = analysis._loads(analysis.sample_counts, best, P)
+        loads_naive = loads_of(analysis.subdivision.graph, analysis.sample_counts, naive, P)
+        loads_best = loads_of(analysis.subdivision.graph, analysis.sample_counts, best, P)
         runtime_impr = percent_improvement(float(loads_naive.max()), float(loads_best.max()))
         out.append(
             {

@@ -27,7 +27,7 @@ from ..geometry.environment import Environment
 from ..geometry.environments import model_2d
 from ..partition.edge_cut import loads_of
 from ..partition.greedy import partition_greedy_lpt
-from ..partition.naive import partition_1d_columns, partition_block
+from ..partition.naive import partition_block
 from ..subdivision.uniform import UniformSubdivision
 from .metrics import coefficient_of_variation, max_load_reduction
 from .weights import prm_free_volume_weights, prm_sample_count_weights
@@ -99,25 +99,14 @@ class ModelEnvironmentAnalysis:
         return np.vstack(out)
 
     # -- load distributions ----------------------------------------------------
-    def _loads(self, weights: "dict[int, float]", assignment: "dict[int, int]", num_pes: int) -> np.ndarray:
-        graph = self.subdivision.graph
-        for rid, w in weights.items():
-            graph.set_weight(rid, w)
-        return loads_of(graph, assignment, num_pes)
-
     def naive_assignment(self, num_pes: int) -> "dict[int, int]":
         """The naive 1-D mapping: balanced contiguous spans of the
         row-major region mesh (exactly balanced columns when the PE count
         divides the column count)."""
-        if num_pes <= self.subdivision.shape[0] and self.subdivision.shape[0] % num_pes == 0:
-            return partition_1d_columns(self.subdivision, num_pes)
         return partition_block(self.subdivision.graph, num_pes)
 
     def best_assignment(self, weights: "dict[int, float]", num_pes: int) -> "dict[int, int]":
-        graph = self.subdivision.graph
-        for rid, w in weights.items():
-            graph.set_weight(rid, w)
-        return partition_greedy_lpt(graph, num_pes)
+        return partition_greedy_lpt(self.subdivision.graph, weights, num_pes)
 
     # -- headline quantities ----------------------------------------------------
     def analyze(self, num_pes: int) -> ModelPoint:
@@ -129,10 +118,11 @@ class ModelEnvironmentAnalysis:
         # The experimental repartition uses the measurable weight (samples).
         best_exp = self.best_assignment(self.sample_counts, num_pes)
 
-        loads_naive_model = self._loads(self.free_volumes, naive, num_pes)
-        loads_best_model = self._loads(self.free_volumes, best_model, num_pes)
-        loads_naive_exp = self._loads(self.sample_counts, naive, num_pes)
-        loads_best_exp = self._loads(self.sample_counts, best_exp, num_pes)
+        graph = self.subdivision.graph
+        loads_naive_model = loads_of(graph, self.free_volumes, naive, num_pes)
+        loads_best_model = loads_of(graph, self.free_volumes, best_model, num_pes)
+        loads_naive_exp = loads_of(graph, self.sample_counts, naive, num_pes)
+        loads_best_exp = loads_of(graph, self.sample_counts, best_exp, num_pes)
 
         return ModelPoint(
             num_pes=num_pes,

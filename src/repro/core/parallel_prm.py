@@ -58,6 +58,7 @@ import numpy as np
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
 from ..obs.events import EV_REMOTE_ACCESS, PHASE_CONNECT
+from ..partition.edge_cut import edge_cut_of
 from ..planners.prm import PRM, PRMBlock, PRMResult
 from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
@@ -494,9 +495,9 @@ def simulate_prm(
         max_retries=max_retries,
     )
     # Region-graph adjacency metadata is replicated at construction time,
-    # so its remote accesses are counted (Fig. 7b) but free.
-    owner = run.final_owner
-    region_remote = sum(owner[adj.a] != owner[adj.b] for adj in adjacency)
+    # so its remote accesses are counted (Fig. 7b) but free: one per cut
+    # adjacency (the ledger holds one entry per graph edge).
+    region_remote = edge_cut_of(graph, run.final_owner)
     if tracer is not None:
         tracer.point(
             EV_REMOTE_ACCESS, ts=run.phases.start(PHASE_CONNECT),

@@ -1,10 +1,11 @@
 """Bulk-synchronous repartitioning (Algorithm 4).
 
 Given region weights, computes a new region->PE assignment with a greedy
-global partitioner (optionally followed by edge-cut refinement) and models
-the cost of enforcing it: an all-reduce to agree on the partition plus
-migration of the moved regions (ownership transfer of the region *and its
-roadmap data*, the pGraph redistribution of Sec. IV-A).
+global partitioner followed by edge-cut refinement and models the cost
+of enforcing it: an all-reduce to agree on the partition plus migration
+of the moved regions (ownership transfer of the region *and its roadmap
+data*, the pGraph redistribution of Sec. IV-A).  Nothing is written
+back, so one workload can be repartitioned under any number of weights.
 
 The overhead model is what makes the paper's "at 128 cores there is no
 better distribution possible, so the experimental result only shows the
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs.events import EV_REPARTITION_DECISION
+from ..partition.edge_cut import checked_weights, loads_of
 from ..partition.greedy import partition_greedy_lpt
 from ..partition.refine import refine_partition
 from ..runtime.topology import ClusterTopology
@@ -27,7 +29,18 @@ from ..subdivision.region import RegionGraph
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
-__all__ = ["RepartitionResult", "repartition"]
+__all__ = ["MIN_GAIN", "PAYLOAD_PER_REGION", "PAYLOAD_PER_WEIGHT", "RepartitionResult", "repartition"]
+
+# The overhead model.  A migrated region ships its descriptor
+# (``PAYLOAD_PER_REGION``) plus its roadmap data, proportional to its
+# weight (= sample count for PRM).  A new map that does not cut the
+# predicted maximum load by at least ``MIN_GAIN`` of the old one is not
+# installed: only the (cheap) weight all-reduce is charged — why the paper
+# sees "no significant overhead" from load balancing in its already
+# balanced *free* environment.
+PAYLOAD_PER_REGION = 1.0
+PAYLOAD_PER_WEIGHT = 1.0
+MIN_GAIN = 0.10
 
 
 @dataclass
@@ -51,44 +64,22 @@ def repartition(
     weights: "dict[int, float]",
     old_assignment: "dict[int, int]",
     topology: ClusterTopology,
-    refine: bool = True,
-    balance_tolerance: float = 0.05,
-    payload_per_weight: float = 1.0,
-    payload_per_region: float = 1.0,
-    min_gain: float = 0.10,
     tracer: "Tracer | None" = None,
 ) -> RepartitionResult:
-    """Compute and cost a weight-balanced repartition.
-
-    ``payload_per_region`` and ``payload_per_weight`` convert a migrated
-    region into transfer payload: the region descriptor itself plus its
-    roadmap data, which is proportional to its weight (= sample count for
-    PRM).
-
-    ``min_gain`` guards against useless migration: when the new partition
-    would not reduce the predicted maximum load by at least this fraction,
-    the old assignment is kept and only the (cheap) weight all-reduce is
-    charged — this is why the paper sees "no significant overhead" from
-    load balancing in its already-balanced *free* environment.
+    """Compute and cost a weight-balanced repartition of ``graph`` under
+    ``weights`` (one non-negative weight per region), starting from
+    ``old_assignment``.  Neither the graph nor the inputs are modified.
     """
-    for rid, w in weights.items():
-        graph.set_weight(rid, w)
+    weights = checked_weights(graph, weights)
     num_pes = topology.num_pes
-    new_assignment = partition_greedy_lpt(graph, num_pes)
-    if refine:
-        new_assignment = refine_partition(
-            graph, new_assignment, num_pes, balance_tolerance=balance_tolerance
-        )
+    new_assignment = refine_partition(
+        graph, weights, partition_greedy_lpt(graph, weights, num_pes), num_pes
+    )
 
     allreduce = 2.0 * np.ceil(np.log2(max(num_pes, 2))) * topology.latency_remote
-    old_loads = np.zeros(num_pes)
-    new_loads = np.zeros(num_pes)
-    for rid in graph.region_ids():
-        w = weights.get(rid, 0.0)
-        old_loads[old_assignment[rid]] += w
-        new_loads[new_assignment[rid]] += w
-    old_max, new_max = float(old_loads.max()), float(new_loads.max())
-    if old_max > 0 and new_max >= (1.0 - min_gain) * old_max:
+    old_max = float(loads_of(graph, weights, old_assignment, num_pes).max())
+    new_max = float(loads_of(graph, weights, new_assignment, num_pes).max())
+    if old_max > 0 and new_max >= (1.0 - MIN_GAIN) * old_max:
         if tracer is not None:
             tracer.point(
                 EV_REPARTITION_DECISION,
@@ -114,7 +105,7 @@ def repartition(
         if src == dst:
             continue
         moved += 1
-        size = payload_per_region + payload_per_weight * weights.get(rid, 0.0)
+        size = PAYLOAD_PER_REGION + PAYLOAD_PER_WEIGHT * weights[rid]
         payload[src] += size
         payload[dst] += size
     max_payload = float(payload.max()) if payload.size else 0.0

@@ -11,31 +11,39 @@ lightest bin.  LPT is a 4/3-approximation of optimal makespan.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 
 import numpy as np
 
 from ..subdivision.region import RegionGraph
+from .edge_cut import checked_weights
 
 __all__ = ["partition_greedy_lpt", "partition_weighted_blocks"]
 
 
-def partition_greedy_lpt(graph: RegionGraph, num_pes: int) -> "dict[int, int]":
-    """LPT assignment of weighted regions to ``num_pes`` bins."""
+def partition_greedy_lpt(
+    graph: RegionGraph, weights: "Mapping[int, float]", num_pes: int
+) -> "dict[int, int]":
+    """LPT assignment of the regions of ``graph``, weighted by
+    ``weights``, to ``num_pes`` bins."""
     if num_pes < 1:
         raise ValueError("num_pes must be >= 1")
+    weights = checked_weights(graph, weights)
     # Heaviest first; ties broken by region id for determinism.
-    order = sorted(graph.region_ids(), key=lambda r: (-graph.weights[r], r))
+    order = sorted(weights, key=lambda r: (-weights[r], r))
     heap: "list[tuple[float, int]]" = [(0.0, pe) for pe in range(num_pes)]
     heapq.heapify(heap)
     assignment: "dict[int, int]" = {}
     for rid in order:
         load, pe = heapq.heappop(heap)
         assignment[rid] = pe
-        heapq.heappush(heap, (load + graph.weights[rid], pe))
+        heapq.heappush(heap, (load + weights[rid], pe))
     return assignment
 
 
-def partition_weighted_blocks(graph: RegionGraph, num_pes: int) -> "dict[int, int]":
+def partition_weighted_blocks(
+    graph: RegionGraph, weights: "Mapping[int, float]", num_pes: int
+) -> "dict[int, int]":
     """Contiguous blocks of (id-ordered) regions with near-equal *weight*.
 
     A middle ground between the naive count-based blocks and LPT: keeps
@@ -46,7 +54,7 @@ def partition_weighted_blocks(graph: RegionGraph, num_pes: int) -> "dict[int, in
     if num_pes < 1:
         raise ValueError("num_pes must be >= 1")
     ids = graph.region_ids()
-    weights = np.array([graph.weights[r] for r in ids])
+    weights = np.array(list(checked_weights(graph, weights).values()))
     total = float(weights.sum())
     if total == 0.0:
         # Fall back to balanced counts.

@@ -9,35 +9,40 @@ of RCB's locality while keeping LPT's balance.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 
 from ..subdivision.region import RegionGraph
-from .edge_cut import loads_of
+from .edge_cut import checked_weights, loads_of
 
-__all__ = ["refine_partition"]
+__all__ = ["BALANCE_TOLERANCE", "MAX_PASSES", "refine_partition"]
+
+#: A move may raise its destination PE to at most ``1 + BALANCE_TOLERANCE``
+#: times the mean load.
+BALANCE_TOLERANCE = 0.05
+#: Sweeps over the regions before refinement stops anyway.
+MAX_PASSES = 4
 
 
 def refine_partition(
     graph: RegionGraph,
+    weights: "Mapping[int, float]",
     assignment: "dict[int, int]",
     num_pes: int,
-    balance_tolerance: float = 0.05,
-    max_passes: int = 4,
 ) -> "dict[int, int]":
-    """Greedy boundary-move refinement.
+    """Greedy boundary-move refinement of ``assignment`` under ``weights``.
 
     A region is movable to a neighbouring PE when the move strictly
     decreases edge cut and leaves both PEs within
-    ``(1 + balance_tolerance) * mean`` load.  Passes repeat until no move
-    helps or ``max_passes`` is reached.  The input dict is not mutated.
+    ``(1 + BALANCE_TOLERANCE) * mean`` load.  Passes repeat until no move
+    helps or ``MAX_PASSES`` is reached.  The input dict is not mutated.
     """
-    if balance_tolerance < 0:
-        raise ValueError("balance_tolerance must be non-negative")
+    weights = checked_weights(graph, weights)
     assign = dict(assignment)
-    loads = loads_of(graph, assign, num_pes)
+    loads = loads_of(graph, weights, assign, num_pes)
     mean = loads.mean() if num_pes > 0 else 0.0
-    cap = (1.0 + balance_tolerance) * mean
+    cap = (1.0 + BALANCE_TOLERANCE) * mean
 
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         improved = False
         for rid in graph.region_ids():
             here = assign[rid]
@@ -59,7 +64,7 @@ def refine_partition(
                     best_pe, best_gain = pe, gain
             if best_pe == here:
                 continue
-            w = graph.weights[rid]
+            w = weights[rid]
             if loads[best_pe] + w > cap or w > loads[here]:
                 continue
             assign[rid] = best_pe

@@ -11,9 +11,12 @@ connection regression.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from ..subdivision.region import RegionGraph
+from .edge_cut import checked_weights
 
 __all__ = ["partition_rcb"]
 
@@ -32,12 +35,15 @@ def _region_centers(graph: RegionGraph) -> "tuple[list[int], np.ndarray]":
     return ids, np.stack(centers)
 
 
-def partition_rcb(graph: RegionGraph, num_pes: int) -> "dict[int, int]":
-    """Recursive coordinate bisection into ``num_pes`` weight-balanced parts."""
+def partition_rcb(
+    graph: RegionGraph, weights: "Mapping[int, float]", num_pes: int
+) -> "dict[int, int]":
+    """Recursive coordinate bisection into ``num_pes`` parts balanced
+    under ``weights``."""
     if num_pes < 1:
         raise ValueError("num_pes must be >= 1")
+    weights = np.array(list(checked_weights(graph, weights).values()))
     ids, centers = _region_centers(graph)
-    weights = np.array([graph.weights[r] for r in ids])
     assignment: "dict[int, int]" = {}
 
     def recurse(indices: np.ndarray, pe_lo: int, pe_hi: int) -> None:

@@ -56,10 +56,14 @@ node table; the rare transfer and the fault paths are methods.
 Protocol summary
 ----------------
 * A PE executes tasks from the *front* of its deque.
-* A thief sends one steal request per victim per round; a victim services
-  requests at arrival (communication is offloaded, as in an RDMA-capable
-  runtime) by handing over the *back* half of its deque (configurable),
-  keeping at least ``min_keep`` tasks.
+* A thief sends one steal request per victim per round.  By default
+  (``offload_service=False``, the non-preemptive model every replay and
+  figure uses) a victim busy with a task queues requests and services
+  them between tasks, as a single-threaded SPMD runtime does (an idle
+  victim services them at arrival); ``offload_service=True`` services
+  every request at arrival, busy or not (communication offloaded, as in
+  an RDMA-capable runtime).  Either way a victim hands over the *back* half
+  of its deque (configurable), keeping at least ``min_keep`` tasks.
 * Failed rounds retry with exponential backoff until global work is
   exhausted; retries model the "few processors are able to find work"
   behaviour at scale (Fig. 9b).

@@ -2,10 +2,12 @@
 
 The region graph is the central coordination structure of the paper's
 parallel algorithms: vertices are regions of C-space (the *quanta of
-work*, Sec. III), edges encode region adjacency (used by the
-inter-region connection phase), vertex weights estimate region work (used
-by repartitioning), and the vertex->processor assignment is the
-distribution that the load balancing techniques manipulate.
+work*, Sec. III) and edges encode region adjacency (used by the
+inter-region connection phase).  It holds no load-balancing decision:
+region weights (``ComputeRegionWeight``, Alg. 4) and a region->PE
+assignment are values passed to the partitioners and to
+:func:`repro.core.repartition`, never stored here, so one graph serves
+any number of weightings and mappings side by side.
 """
 
 from __future__ import annotations
@@ -31,39 +33,34 @@ class Region:
 
 
 class RegionGraph:
-    """Undirected graph over regions with weights and a PE assignment.
+    """Undirected graph over regions: the region table and its adjacency.
 
-    The graph is deliberately independent of the distributed runtime: the
-    same object is consumed by the partitioners (as input data), by the
-    simulator (as the task list), and by the metrics module (to evaluate
-    edge cuts before/after repartitioning).
+    The graph is deliberately independent of the distributed runtime and
+    of any one load-balancing decision: the partitioners read it beside a
+    weights mapping, the simulator reads it as the task list, and
+    :mod:`repro.partition.edge_cut` evaluates an assignment against it.
     """
 
     def __init__(self) -> None:
         self._regions: dict[int, Region] = {}
         self._adj: dict[int, set[int]] = {}
-        self.weights: dict[int, float] = {}
-        #: region id -> processor id; filled by a partitioner.
-        self.assignment: dict[int, int] = {}
 
     @classmethod
     def from_regions(cls, regions: "Mapping[int, Region]") -> "RegionGraph":
-        """A graph over a fixed region table, every weight 1 and no
-        adjacencies yet.  ``regions`` maps id -> region and may build its
-        regions on demand (a grid does); it is kept, not copied."""
+        """A graph over a fixed region table with no adjacencies yet.
+        ``regions`` maps id -> region and may build its regions on demand
+        (a grid does); it is kept, not copied."""
         graph = cls()
         graph._regions = regions  # type: ignore[assignment]
         graph._adj = {rid: set() for rid in regions}
-        graph.weights = dict.fromkeys(regions, 1.0)
         return graph
 
     # -- construction ------------------------------------------------------
-    def add_region(self, region: Region, weight: float = 1.0) -> None:
+    def add_region(self, region: Region) -> None:
         if region.id in self._regions:
             raise KeyError(f"region {region.id} already present")
         self._regions[region.id] = region
         self._adj[region.id] = set()
-        self.weights[region.id] = float(weight)
 
     def add_adjacency(self, a: int, b: int) -> None:
         if a == b:
@@ -100,36 +97,3 @@ class RegionGraph:
             for b in nbrs:
                 if a < b:
                     yield a, b
-
-    # -- weights ---------------------------------------------------------------
-    def set_weight(self, rid: int, weight: float) -> None:
-        if rid not in self._regions:
-            raise KeyError(f"region {rid} missing")
-        if weight < 0:
-            raise ValueError("region weight must be non-negative")
-        self.weights[rid] = float(weight)
-
-    # -- assignment --------------------------------------------------------------
-    def assign(self, rid: int, pe: int) -> None:
-        if rid not in self._regions:
-            raise KeyError(f"region {rid} missing")
-        self.assignment[rid] = pe
-
-    def set_assignment(self, assignment: "dict[int, int]") -> None:
-        missing = set(self._regions) - set(assignment)
-        if missing:
-            raise ValueError(f"assignment misses regions {sorted(missing)[:5]}...")
-        self.assignment = dict(assignment)
-
-    def pe_loads(self, num_pes: int) -> np.ndarray:
-        """Per-PE total region weight under the current assignment."""
-        loads = np.zeros(num_pes)
-        for rid, pe in self.assignment.items():
-            loads[pe] += self.weights[rid]
-        return loads
-
-    def edge_cut(self) -> int:
-        """Number of adjacencies whose endpoints live on different PEs."""
-        if not self.assignment:
-            return 0
-        return sum(1 for a, b in self.edges() if self.assignment[a] != self.assignment[b])

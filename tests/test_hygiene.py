@@ -1,9 +1,10 @@
 """Source-hygiene gates: keep known footgun patterns out of src/repro.
 
 Four patterns have bitten this codebase before and are cheap to ban
-mechanically (two more gates, at the bottom, keep the rest of ``src/``
-and the tests off the roadmap's storage and the names the e2e harness
-wraps resolvable):
+mechanically (the gates at the bottom keep the rest of ``src/`` and the
+tests off the roadmap's storage, the names the e2e harness wraps
+resolvable, one simulated machine for both planners, and region weights
+out of the region graph):
 
 * **Falsy-default assignment** — ``x = x or default()``.  Replaces every
   falsy-but-valid argument (``0``, ``""``, empty containers, and any
@@ -279,3 +280,22 @@ def test_one_simulated_machine_for_both_planners():
     for simulate in (core.simulate_prm, core.simulate_rrt):
         params = set(inspect.signature(simulate).parameters)
         assert not params & {"partitioner", "initial_partitioner", "rng_seed", "k_rays"}, params
+
+
+def test_region_weights_are_arguments_not_graph_state():
+    """The region graph holds regions and adjacency only: weights and an
+    assignment are arguments of the partitioners and of ``repartition``,
+    whose single-value knobs are module constants."""
+    region_graph = importlib.import_module("repro.subdivision.region").RegionGraph()
+    state = {"weights", "assignment", "set_weight", "assign", "set_assignment",
+             "pe_loads", "edge_cut"}
+    assert not state & set(dir(region_graph)), state & set(dir(region_graph))
+    assert "weight" not in inspect.signature(region_graph.add_region).parameters
+    repartition = importlib.import_module("repro.core.repartition").repartition
+    params = set(inspect.signature(repartition).parameters)
+    knobs = {"refine", "balance_tolerance", "payload_per_weight", "payload_per_region", "min_gain"}
+    assert not params & knobs, params & knobs
+    refine = importlib.import_module("repro.partition.refine").refine_partition
+    assert not set(inspect.signature(refine).parameters) & {"balance_tolerance", "max_passes"}
+    quality = importlib.import_module("repro.partition.edge_cut").PartitionQuality
+    assert not hasattr(quality, "coefficient_of_variation")

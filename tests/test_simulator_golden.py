@@ -16,6 +16,7 @@ Regenerate (only when a change is *meant* to move virtual time) with
 every set below.
 """
 
+import copy
 import hashlib
 import numbers
 from dataclasses import fields
@@ -32,10 +33,16 @@ from repro.core import (
     simulate_prm,
     simulate_rrt,
 )
+from repro.core.machine import STRATEGIES
 from repro.cspace import EuclideanCSpace
 from repro.geometry import med_cube, mixed_30_env
 from repro.obs import MemorySink, Tracer
-from repro.partition import partition_block
+from repro.partition import (
+    partition_block,
+    partition_greedy_lpt,
+    partition_rcb,
+    partition_weighted_blocks,
+)
 from repro.runtime import ClusterTopology, Fault, FaultInjector, WorkStealingSimulator
 
 from .oracle import PerMessageSimulator
@@ -289,6 +296,36 @@ def test_events_land_on_their_phase(prm_workload, rrt_workload, planner, strateg
     assert len(tasks) == 2 * len(run.sim.executed_by)
     begin, end = spans["construct"]
     assert begin <= min(tasks) and max(tasks) <= end
+
+
+def _workload_state(planner, workload):
+    """Everything a replay reads from a workload, copied: the region
+    graph's own fields, the per-region and per-adjacency ledgers, the
+    repartition weights and the maps three partitioners draw from them."""
+    if planner == "prm":
+        graph, ledger, weights = (workload.subdivision.graph, workload.region_work,
+                                  workload.sample_count_weights())
+    else:
+        graph, ledger, weights = (workload.radial.graph, workload.branch_work,
+                                  workload.k_rays_weights())
+    fields_ = {k: v for k, v in vars(graph).items() if k != "_regions"}
+    maps = [f(graph, weights, 16)
+            for f in (partition_greedy_lpt, partition_rcb, partition_weighted_blocks)]
+    return copy.deepcopy((fields_, graph.region_ids(), ledger, workload.adjacency_work,
+                          weights, maps))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("planner", ["prm", "rrt"])
+def test_a_replay_leaves_its_workload_untouched(prm_workload, rrt_workload, planner, strategy):
+    """A replay is a pure function of its workload: the repartition
+    weights are an argument of the decision, never written back, so a
+    second weighting of the same workload sees what the first one saw."""
+    workload = prm_workload if planner == "prm" else rrt_workload
+    simulate = simulate_prm if planner == "prm" else simulate_rrt
+    before = _workload_state(planner, workload)
+    simulate(workload, 16, strategy)
+    assert _workload_state(planner, workload) == before
 
 
 @pytest.mark.parametrize("strategy", STEALING)

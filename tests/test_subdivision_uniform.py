@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import AABB
+from repro.partition import edge_cut_of, evaluate_partition, loads_of, partition_greedy_lpt
 from repro.subdivision import RegionGraph, UniformSubdivision, grid_shape_for
 from repro.subdivision.uniform import BoxRegion
 
@@ -174,25 +175,23 @@ class TestRegionGraph:
         g = RegionGraph()
         for i in range(4):
             g.add_region(
-                BoxRegion(id=i, bounds=AABB([i, 0], [i + 1, 1]), sample_bounds=AABB([i, 0], [i + 1, 1])),
-                weight=float(i),
+                BoxRegion(id=i, bounds=AABB([i, 0], [i + 1, 1]), sample_bounds=AABB([i, 0], [i + 1, 1]))
             )
-        g.set_assignment({0: 0, 1: 0, 2: 1, 3: 1})
-        loads = g.pe_loads(2)
+        loads = loads_of(g, {i: float(i) for i in range(4)}, {0: 0, 1: 0, 2: 1, 3: 1}, 2)
         assert loads.tolist() == [1.0, 5.0]
 
     def test_negative_weight_rejected(self):
         g = RegionGraph()
         g.add_region(BoxRegion(id=0, bounds=AABB([0, 0], [1, 1]), sample_bounds=AABB([0, 0], [1, 1])))
         with pytest.raises(ValueError):
-            g.set_weight(0, -1.0)
+            partition_greedy_lpt(g, {0: -1.0}, 1)
 
     def test_incomplete_assignment_rejected(self):
         g = RegionGraph()
         for i in range(2):
             g.add_region(BoxRegion(id=i, bounds=AABB([i, 0], [i + 1, 1]), sample_bounds=AABB([i, 0], [i + 1, 1])))
         with pytest.raises(ValueError):
-            g.set_assignment({0: 0})
+            evaluate_partition(g, {0: 1.0, 1: 1.0}, {0: 0}, 1)
 
     def test_edge_cut(self):
         g = RegionGraph()
@@ -200,8 +199,7 @@ class TestRegionGraph:
             g.add_region(BoxRegion(id=i, bounds=AABB([i, 0], [i + 1, 1]), sample_bounds=AABB([i, 0], [i + 1, 1])))
         g.add_adjacency(0, 1)
         g.add_adjacency(1, 2)
-        g.set_assignment({0: 0, 1: 0, 2: 1})
-        assert g.edge_cut() == 1
+        assert edge_cut_of(g, {0: 0, 1: 0, 2: 1}) == 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -447,6 +447,42 @@ MUTANTS = [
         ("tests/test_parallel_prm.py::TestSimulation::test_unknown_strategy_rejected",),
     ),
     Mutant(
+        "LPT breaks weight ties by descending id",
+        "repro/partition/greedy.py",
+        "order = sorted(weights, key=lambda r: (-weights[r], r))",
+        "order = sorted(weights, key=lambda r: (-weights[r], -r))",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "refine ignores the balance cap",
+        "repro/partition/refine.py",
+        "if loads[best_pe] + w > cap or w > loads[here]:",
+        "if w > loads[here]:",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "repartition installs a map below the min-gain threshold",
+        "repro/core/repartition.py",
+        "if old_max > 0 and new_max >= (1.0 - MIN_GAIN) * old_max:",
+        "if False:",
+        ("tests/test_repartition.py::TestRepartition::test_skips_when_balanced", GOLDEN),
+    ),
+    Mutant(
+        "repartition keeps its weights on the region graph",
+        "repro/core/repartition.py",
+        "    weights = checked_weights(graph, weights)\n",
+        "    weights = graph.weights = checked_weights(graph, weights)\n",
+        (f"{GOLDEN}::test_a_replay_leaves_its_workload_untouched",),
+    ),
+    Mutant(
+        "a partitioner reads a missing weight as zero",
+        "repro/partition/edge_cut.py",
+        "    if missing:\n        raise ValueError(f\"weights miss regions {missing[:5]}\")\n",
+        "    if False:\n        raise ValueError(f\"weights miss regions {missing[:5]}\")\n"
+        "    weights = {**dict.fromkeys(missing, 0.0), **weights}\n",
+        ("tests/test_partition.py::TestWeightsAreArguments",),
+    ),
+    Mutant(
         "the k-rays weights are probed again on every replay",
         "repro/core/parallel_rrt.py",
         "        if self._k_rays is None:\n",
@@ -499,7 +535,7 @@ def main() -> int:
             print(out[-3000:])
             print(f"mutants: the listed tests fail on unmutated src/ (pytest exit {code})")
             return 1
-        print(f"baseline: {len(listed)} listed tests pass on unmutated src/")
+        print(f"baseline: {len(listed)} listed tests pass on unmutated src/", flush=True)
         verdicts = []
         for mutant in MUTANTS:
             src = _copy_src(root)
@@ -516,6 +552,7 @@ def main() -> int:
                 print(f"          {test}")
             if reason:
                 print(f"          {reason}")
+            sys.stdout.flush()
     killed = verdicts.count("killed")
     print(f"mutants: {killed}/{len(MUTANTS)} killed")
     return 0 if killed == len(MUTANTS) else 1
