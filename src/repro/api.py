@@ -202,10 +202,7 @@ class PlanReport:
         work = getattr(self.workload, "region_work", None)
         if work is None:
             work = self.workload.branch_work
-        total = PlannerStats()
-        for w in work.values():
-            total += w.stats
-        return total
+        return PlannerStats.total(w.stats for w in work.values())
 
     def summary(self) -> str:
         """Human-readable report of the run."""
@@ -424,13 +421,20 @@ _SHM_TREE_CACHE: "dict[bytes, BVH]" = {}
 #: Prefix of the tree's arrays in the published segment.
 _TREE_PREFIX = "bvh."
 
+#: Where a snapshot keeps its obstacles' content key once hashed (a
+#: snapshot's arrays never change), so a repeat plan does not hash again.
+_KEY_ATTR = "_shipped_key"
+
 
 def _shipped_tree(data: EnvKernelData) -> BVH:
     """The box tree over ``data``'s obstacles, from the one-entry cache."""
-    h = hashlib.sha256(repr(data.box_lo.shape).encode())
-    h.update(data.box_lo)
-    h.update(data.box_hi)
-    key = h.digest()
+    key = getattr(data, _KEY_ATTR, None)
+    if key is None:
+        h = hashlib.sha256(repr(data.box_lo.shape).encode())
+        h.update(data.box_lo)
+        h.update(data.box_hi)
+        key = h.digest()
+        setattr(data, _KEY_ATTR, key)
     tree = _SHM_TREE_CACHE.get(key)
     if tree is None:
         tree = BVH(data.box_lo, data.box_hi)
@@ -576,27 +580,23 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     # Under "degrade" abandoned regions are simply absent from the merge:
     # regional roadmaps are independent subproblems, so the survivors
     # stitch into a valid (if sparser) roadmap.
+    results = [pool.results[rid] for rid in sorted(pool.results)]
+    # A block's segments arrive together or not at all (one that raised
+    # was re-run region by region) and stand side by side in region
+    # order, so the block goes in whole where its first segment stands.
     merged = Roadmap(cspace.dim)
-    stats = PlannerStats()
-    point_checks = segment_checks = 0
-    for rid in sorted(pool.results):
-        part, task_stats, (pc, sc) = pool.results[rid]
-        # A block's segments arrive together or not at all (one that raised
-        # was re-run region by region) and stand side by side in region
-        # order, so the block goes in whole where its first segment stands.
-        if isinstance(part, Roadmap):
-            merged.merge(part)
-        elif part.index == 0:
-            merged.merge(part.block)
-        stats += task_stats
-        point_checks += pc
-        segment_checks += sc
+    merged.merge(*(
+        part if isinstance(part, Roadmap) else part.block
+        for part, _stats, _checks in results
+        if isinstance(part, Roadmap) or part.index == 0
+    ))
     return PlanReport(
         request=request,
         workload=None,
         result=None,
         pool=pool,
         roadmap=merged,
-        local_stats=stats,
-        local_counters=(point_checks, segment_checks),
+        local_stats=PlannerStats.total(stats for _part, stats, _checks in results),
+        local_counters=(sum(pc for *_, (pc, _sc) in results),
+                        sum(sc for *_, (_pc, sc) in results)),
     )

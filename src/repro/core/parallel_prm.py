@@ -252,7 +252,7 @@ class PRMRegionPlanner:
         if boost.any():
             first = block.stats
             block = self.planner.build(boost, rngs, within=within, roadmap=block, id_base=id_base)
-            block.stats = [a.merge(b) for a, b in zip(first, block.stats)]
+            block.stats = list(map(PlannerStats.total, zip(first, block.stats)))
         return block
 
     def blocks(self, rids: "list[int]") -> "list[list[int]]":
@@ -318,13 +318,14 @@ def _boundary_sets(
 def _plan_in_blocks(
     regions: PRMRegionPlanner, rids: "list[int]", roadmap: Roadmap
 ) -> "dict[int, PlannerStats]":
-    """Every region of ``rids`` planned block by block and merged into
-    ``roadmap``: per region its ledger."""
+    """Every region of ``rids`` planned block by block, the blocks merged
+    into ``roadmap`` in one union: per region its ledger."""
     region_stats: "dict[int, PlannerStats]" = {}
+    blocks = []
     for block_rids in regions.blocks(rids):
-        block = regions.plan_block(block_rids)
-        region_stats.update(zip(block_rids, block.stats))
-        roadmap.merge(block)
+        blocks.append(regions.plan_block(block_rids))
+        region_stats.update(zip(block_rids, blocks[-1].stats))
+    roadmap.merge(*blocks)
     return region_stats
 
 

@@ -235,20 +235,21 @@ def build_rrt_workload(
     )
     radial, planner, root = regions.decomposition, regions.planner, regions.root
 
-    tree = Roadmap(cspace.dim)
     parents: "dict[int, int]" = {}
     branch_work: "dict[int, BranchWork]" = {}
     branch_nodes: "dict[int, np.ndarray]" = {}
-
+    branches: "list[Roadmap]" = []
     for rid in regions.region_ids:
         result = regions(rid)
         st = result.stats
         cost = work_model.time_of(st)
         branch_work[rid] = BranchWork(rid, cost, result.tree.num_vertices, st)
-        tree.merge(result.tree)
+        branches.append(result.tree)
         parents.update(result.parents)
         ids, _cfgs = result.tree.configs_array()
         branch_nodes[rid] = ids
+    tree = Roadmap(cspace.dim)
+    tree.merge(*branches)
 
     # Identify the duplicated per-branch roots: path costs to the shared
     # root treat every branch root as cost 0.

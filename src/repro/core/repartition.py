@@ -54,10 +54,6 @@ class RepartitionResult:
     #: virtual time charged: allreduce + migration.
     overhead: float
 
-    @property
-    def moved_fraction(self) -> float:
-        return self.moved_regions / max(len(self.assignment), 1)
-
 
 def repartition(
     graph: RegionGraph,

@@ -352,10 +352,9 @@ class Environment:
         # Exit parameter through the workspace bounds.
         t_exit = _ray_box_exit(origin, u, self.bounds.lo, self.bounds.hi)
         best = min(max_dist, t_exit)
-        for lo, hi in zip(self._obs_lo, self._obs_hi):
-            t_enter = _ray_box_enter(origin, u, lo, hi)
-            if t_enter is not None and 0.0 <= t_enter < best:
-                best = t_enter
+        t_enter = _ray_boxes_enter(origin, u, self._obs_lo, self._obs_hi)
+        if t_enter.size:
+            best = min(best, float(t_enter.min()))
         return max(best, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -371,25 +370,23 @@ class Environment:
         )
 
 
-def _ray_box_enter(origin, u, lo, hi):
-    """Parameter t >= 0 where ray origin+t*u first enters [lo,hi]; None if it misses."""
-    t0, t1 = -np.inf, np.inf
-    for i in range(origin.shape[0]):
-        if u[i] == 0.0:
-            if origin[i] < lo[i] or origin[i] > hi[i]:
-                return None
-        else:
-            ta = (lo[i] - origin[i]) / u[i]
-            tb = (hi[i] - origin[i]) / u[i]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1:
-                return None
-    if t1 < 0.0:
-        return None
-    return max(t0, 0.0)
+def _ray_boxes_enter(origin, u, lo, hi) -> np.ndarray:
+    """Parameter ``t >= 0`` where the ray ``origin + t * u`` first enters
+    each box ``[lo[i], hi[i]]`` it hits — one slab test over every box;
+    the boxes it misses are left out.  An axis the ray does not move along
+    admits the boxes whose slab holds the origin and bounds nothing."""
+    moving = u != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (lo - origin) / u
+        tb = (hi - origin) / u
+    swap = ta > tb
+    near = np.where(moving, np.where(swap, tb, ta), -np.inf)
+    far = np.where(moving, np.where(swap, ta, tb), np.inf)
+    t0 = near.max(axis=1, initial=-np.inf)
+    t1 = far.min(axis=1, initial=np.inf)
+    inside = np.all(moving | ((lo <= origin) & (origin <= hi)), axis=1)
+    hit = inside & (t0 <= t1) & (t1 >= 0.0)
+    return np.maximum(t0[hit], 0.0)
 
 
 def _ray_box_exit(origin, u, lo, hi) -> float:

@@ -56,6 +56,10 @@ def _segment_ledgers(
     return calls.tolist(), per_checks.tolist(), wins.tolist()
 
 
+#: The edges of a block without any: ``(uv, length)``.
+_NO_EDGES = (np.empty((0, 2), dtype=np.int64), np.empty(0))
+
+
 @dataclass
 class PRMResult:
     """Roadmap plus the work ledger for the invocation."""
@@ -70,15 +74,16 @@ class PRMBlock:
 
     What a block-mode :meth:`PRM.build` returns (and extends): segment
     ``s`` owns vertex rows ``[offsets[s], offsets[s + 1])`` in insertion
-    order; ``edges`` are ``(u, v, length)`` columns in the order the
-    one-region build would have inserted them, ``u`` the newer endpoint;
-    ``stats[s]`` is segment ``s``'s ledger for the invocation.
+    order; ``edges`` are ``(uv, length)`` — ``(k, 2)`` vertex rows, column
+    0 the newer endpoint, and weights — in the order the one-region build
+    would have inserted them; ``stats[s]`` is segment ``s``'s ledger for
+    the invocation.
     """
 
     ids: np.ndarray
     configs: np.ndarray
     offsets: np.ndarray
-    edges: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+    edges: "tuple[np.ndarray, np.ndarray]"
     stats: "list[PlannerStats]"
 
     def configs_array(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -87,8 +92,7 @@ class PRMBlock:
 
     def edge_rows(self) -> "tuple[np.ndarray, np.ndarray]":
         """Edges as vertex rows and weights, as :meth:`Roadmap.edge_rows`."""
-        u, v, w = self.edges
-        return _rows_of(self.ids, np.stack((u, v), axis=1)), w
+        return self.edges
 
 
 @dataclass(frozen=True)
@@ -161,11 +165,11 @@ class PRM:
         rmap = roadmap if roadmap is not None else Roadmap(self.cspace.dim)
         ids, cfgs = rmap.configs_array()
         # The block of one, seeded with the roadmap's vertices.
-        none = np.empty(0, dtype=np.int64)
-        seed = PRMBlock(ids, cfgs, np.array([0, ids.size]), (none, none, np.empty(0)), [])
+        seed = PRMBlock(ids, cfgs, np.array([0, ids.size]), _NO_EDGES, [])
         block = self._build_segments(n_samples, [rng], within, seed, id_base)
         rmap.add_vertices(block.ids[ids.size:], block.configs[ids.size:])
-        rmap.add_edges(*block.edges)
+        uv, w = block.edges
+        rmap.add_edges(block.ids[uv[:, 0]], block.ids[uv[:, 1]], w)
         return PRMResult(rmap, block.stats[0])
 
     def _build_segments(
@@ -186,10 +190,9 @@ class PRM:
         """
         g, dim = len(rngs), self.cspace.dim
         if block is None:
-            none = np.empty(0, dtype=np.int64)
             block = PRMBlock(
-                none, np.empty((0, dim)), np.zeros(g + 1, dtype=np.int64),
-                (none, none, np.empty(0)), [],
+                np.empty(0, dtype=np.int64), np.empty((0, dim)), np.zeros(g + 1, dtype=np.int64),
+                _NO_EDGES, [],
             )
         elif not isinstance(block, PRMBlock) or block.offsets.size != g + 1:
             raise ValueError("a block build extends a PRMBlock over the same segments")
@@ -213,11 +216,14 @@ class PRM:
         order = np.argsort(np.concatenate((np.repeat(segments, n0), seg_new)), kind="stable")
         ids = np.concatenate((block.ids, new_ids))[order]
         configs = np.concatenate((block.configs, new_cfgs))[order]
+        place = np.empty_like(order)  # the row every earlier, then new vertex lands on
+        place[order] = np.arange(order.size)
 
         row, pos = np.nonzero(nbrs >= 0)
         cand = nbrs[row, pos]
+        cand_rows = _rows_of(ids, cand)
         ok, checks, lengths = self.local_planner.batch_pairs_counted(
-            self.cspace, new_cfgs[row], configs[_rows_of(ids, cand)]
+            self.cspace, new_cfgs[row], configs[cand_rows]
         )
         calls, per_checks, wins = _segment_ledgers(seg_new[row], g, ok, checks)
         stats = [
@@ -229,10 +235,9 @@ class PRM:
             )
             for s, (ms, n0s) in enumerate(zip(m.tolist(), n0.tolist()))
         ]
-        edges = tuple(
-            np.concatenate(pair)
-            for pair in zip(block.edges, (new_ids[row][ok], cand[ok], lengths[ok]))
-        )
+        uv = np.stack((place[block.ids.size + row[ok]], cand_rows[ok]), axis=1)
+        edges = (np.concatenate((place[block.edges[0]], uv)),
+                 np.concatenate((block.edges[1], lengths[ok])))
         return PRMBlock(ids, configs, block.offsets + new_offsets, edges, stats)
 
     def connect_roadmaps(

@@ -29,7 +29,22 @@ _INITIAL_CAPACITY = 64
 
 def _keys_of(uv: np.ndarray) -> np.ndarray:
     """Packed undirected keys ``min_row << 32 | max_row`` of ``(k, 2)`` row pairs."""
-    return (uv.min(axis=1) << 32) | uv.max(axis=1)
+    u, v = uv[:, 0], uv[:, 1]
+    keys = np.minimum(u, v)
+    keys <<= 32
+    keys |= np.maximum(u, v)
+    return keys
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of every key; one plain sort settles
+    the usual batch, whose keys are all distinct."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return np.ones(keys.size, dtype=bool)
+    first = np.zeros(keys.size, dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    return first
 
 
 def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -102,26 +117,27 @@ class Roadmap:
         the state an :meth:`add_vertex` loop over the rows would.  A
         duplicate id raises ``KeyError`` before anything is inserted."""
         cfgs = np.asarray(configs, dtype=float)
-        vids = np.asarray(ids, dtype=np.int64).tolist()
-        if cfgs.shape != (len(vids), self.dim):
+        vids = np.asarray(ids, dtype=np.int64)
+        if cfgs.shape != (vids.size, self.dim):
             raise ValueError(
-                f"configs must have shape ({len(vids)}, {self.dim}), got {cfgs.shape}"
+                f"configs must have shape ({vids.size}, {self.dim}), got {cfgs.shape}"
             )
-        if len(set(vids)) != len(vids) or not self._index.keys().isdisjoint(vids):
+        listed = vids.tolist()
+        if len(set(listed)) != len(listed) or not self._index.keys().isdisjoint(listed):
             raise KeyError("vertex ids must be new and distinct")
         self._append(vids, cfgs)
 
-    def _append(self, vids: "list[int]", cfgs: np.ndarray) -> int:
-        """Rows for the new, distinct ids ``vids``; returns the first."""
-        lo, k = self._n, len(vids)
+    def _append(self, vids: np.ndarray, cfgs: np.ndarray) -> None:
+        """Rows for the new, distinct ids ``vids``."""
+        lo, k = self._n, vids.size
         self._reserve(k, 0)
         self._ids[lo : lo + k] = vids
         self._cfgs[lo : lo + k] = cfgs
         self._deg[lo : lo + k] = 0
-        self._index.update(zip(vids, range(lo, lo + k)))
-        self._next_id = max(self._next_id, max(vids, default=-1) + 1)
+        self._index.update(zip(vids.tolist(), range(lo, lo + k)))
+        if k:
+            self._next_id = max(self._next_id, int(vids.max()) + 1)
         self._n, self._csr = lo + k, None
-        return lo
 
     def config(self, vid: int) -> np.ndarray:
         """The configuration of ``vid`` (a read-view into shared storage)."""
@@ -216,23 +232,42 @@ class Roadmap:
 
     def _insert(self, uv: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Append the row pairs ``uv`` (weights ``w``) to the log in order
-        but for those already edges or repeated in the batch — one
-        membership test; returns the mask."""
-        keys = _keys_of(uv)
-        self._fold()
-        fresh = np.zeros(keys.size, dtype=bool)
-        fresh[np.unique(keys, return_index=True)[1]] = True
-        for run, _pos in self._runs:
-            if run.size:
-                fresh &= run[np.minimum(run.searchsorted(keys), run.size - 1)] != keys
-        uv, w = uv[fresh], w[fresh]
-        m, k = self._m, w.size
+        but for those already edges or repeated in the batch; returns the
+        mask."""
+        k, m = w.size, self._m
         self._reserve(0, k)
         self._uv[m : m + k] = uv
         self._w[m : m + k] = w
+        return self._commit(k)
+
+    def _commit(self, k: int) -> np.ndarray:
+        """Enter the ``k`` row pairs staged (with their weights) just past
+        the end of the log, in order but for those already edges or
+        repeated among them, which are compacted away; returns the mask of
+        those entered.  Only a pair of rows that both have edges can
+        already be an edge, so only those ask the duplicate index (caught
+        up first)."""
+        m = self._m
+        uv, w = self._uv[m : m + k], self._w[m : m + k]
+        keys = _keys_of(uv)
+        fresh = _first_occurrences(keys)
+        deg = self._deg
+        asks = np.flatnonzero(fresh & (deg[uv[:, 0]] > 0) & (deg[uv[:, 1]] > 0))
+        if asks.size:
+            self._fold()
+            probe = keys[asks]
+            for run, _pos in self._runs:
+                if run.size:
+                    found = run[np.minimum(run.searchsorted(probe), run.size - 1)] == probe
+                    fresh[asks[found]] = False
+        del keys
+        if not fresh.all():
+            kept = np.flatnonzero(fresh)
+            k = kept.size
+            uv[:k], w[:k] = uv[kept], w[kept]
         self._live[m : m + k] = True
         self._m = m + k
-        np.add.at(self._deg, uv.ravel(), 1)
+        deg[: self._n] += np.bincount(uv[:k].ravel(), minlength=self._n)
         self.num_edges += k
         self._csr = None
         return fresh
@@ -244,12 +279,14 @@ class Roadmap:
         if lo == m:
             return
         pos = lo + np.flatnonzero(self._live[lo:m])
-        keys = _keys_of(self._uv[pos])
+        keys = _keys_of(self._uv[lo:m] if pos.size == m - lo else self._uv[pos])
         while self._runs and self._runs[-1][0].size <= 2 * keys.size:
             run, at = self._runs.pop()
             keys, pos = np.concatenate((run, keys)), np.concatenate((at, pos))
+            del run, at  # not held through the sort
         order = np.argsort(keys)
-        self._runs.append((keys[order], pos[order]))
+        keys = keys[order]
+        self._runs.append((keys, pos[order]))
         self._indexed = m
 
     def _find(self, a: int, b: int) -> int:
@@ -342,31 +379,91 @@ class Roadmap:
         return comps
 
     # -- merging (used to stitch regional roadmaps into one) -------------------
-    def merge(self, other: "Roadmap | PRMBlock") -> None:
-        """Graph union of ``other`` (a roadmap, or a
+    def merge(self, *parts: "Roadmap | PRMBlock") -> None:
+        """Graph union of every part — a roadmap, or a
         :class:`~repro.planners.prm.PRMBlock` of regional roadmaps side by
-        side, id ranges ascending) into self; vertex ids must be disjoint or
-        refer to identical configurations.  Leaves the state of appending
-        the missing vertices in ``other``'s row order, then an
-        :meth:`add_edge` loop over ``other``'s edges in :meth:`edges` order
-        (lower id first) — in one membership test."""
-        ids, cfgs = other.configs_array()
-        if cfgs.shape[1] != self.dim:
+        side — into self, in one pass: one vertex append, one edge append.
+
+        Leaves exactly the state of merging the parts one after the other
+        (``tests/oracle.py::merge_one_by_one``): per part, its missing
+        vertices appended in its row order, then an :meth:`add_edge` loop
+        over its edges in :meth:`edges` order (lower id first).  An id held
+        by self or by an earlier part is adopted when its configuration is
+        the same to the last bit.  A clash in *any* part raises
+        ``ValueError`` before anything is inserted — stricter than merging
+        part by part, which would keep the parts before the clashing one.
+        """
+        arrays = [part.configs_array() for part in parts]
+        if any(cfgs.shape[1] != self.dim for _ids, cfgs in arrays):
             raise ValueError("cannot merge roadmaps of different dimension")
-        vids = ids.tolist()
-        rows = np.fromiter(map(self._index.get, vids, repeat(-1)), dtype=np.int64, count=len(vids))
-        shared = np.flatnonzero(rows >= 0)
-        held = self._cfgs[rows[shared]].view(np.int64)
-        clash = (held != np.asarray(cfgs[shared], dtype=float).view(np.int64)).any(axis=1)
+        if not arrays:
+            return
+        ids = np.concatenate([vids for vids, _cfgs in arrays]).astype(np.int64, copy=False)
+        rows = self._adopt(ids, np.concatenate([cfgs for _ids, cfgs in arrays]))
+        self._commit(self._stage(ids, rows, [vids.size for vids, _cfgs in arrays], parts))
+
+    def _stage(self, ids: np.ndarray, rows: np.ndarray, sizes: "list[int]", parts) -> int:
+        """Stage every part's edges just past the end of the log, as rows
+        and weights in the order merging the parts one by one appends
+        them; returns how many.  ``ids`` / ``rows`` are the parts' vertices
+        side by side (``sizes`` per part) and the rows they landed on.
+
+        Each edge is taken as (lower id, higher id) batch positions and
+        ordered by the lower endpoint's position, log order within: part
+        after part, each in its :meth:`edges` order.  With the position in
+        the high bits and the edge's index in the low ones, a plain sort
+        is that stable sort.  The log's own storage holds the batch, so the
+        temporaries are a few columns."""
+        edge_parts = [part.edge_rows() for part in parts]
+        counts = [pw.size for _uv, pw in edge_parts]
+        k, m = sum(counts), self._m
+        self._reserve(0, k)
+        uv, w = self._uv[m : m + k], self._w[m : m + k]
+        np.concatenate([puv for puv, _w in edge_parts], out=uv)
+        np.concatenate([pw for _uv, pw in edge_parts], out=w)
+        uv += np.repeat(np.cumsum([0] + sizes[:-1]), counts)[:, None]
+        u, v = uv[:, 0], uv[:, 1]
+        lo = np.where(ids[u] > ids[v], v, u)
+        v += u
+        v -= lo  # the higher-id endpoint
+        order = lo << 32
+        order |= np.arange(k)
+        order.sort()
+        order &= 0xFFFFFFFF
+        u[:] = rows[lo[order]]
+        del lo
+        v[:] = rows[v[order]]
+        w[:] = w[order]
+        return k
+
+    def _adopt(self, ids: np.ndarray, cfgs: np.ndarray) -> np.ndarray:
+        """Every batch vertex's row: the one self holds, else the row its
+        first occurrence is appended at, appending in batch order.  Every
+        other occurrence must carry the bits its row holds, or
+        ``ValueError`` is raised before anything is appended."""
+        cfgs = cfgs.astype(float, copy=False)
+        uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        if self._n:
+            held = np.fromiter(map(self._index.get, uniq.tolist(), repeat(-1)),
+                               dtype=np.int64, count=uniq.size)
+        else:
+            held = np.full(uniq.size, -1, dtype=np.int64)
+        new = held < 0
+        appends = np.zeros(ids.size, dtype=bool)
+        appends[first[new]] = True
+        held[new] = self._n + (np.cumsum(appends) - 1)[first[new]]
+        rows = held[inverse]
+        again = np.flatnonzero(~appends)
+        want = cfgs[first[inverse[again]]]
+        old = rows[again] < self._n
+        want[old] = self._cfgs[rows[again][old]]
+        clash = (want.view(np.int64) != cfgs[again].view(np.int64)).any(axis=1)
         if clash.any():
-            raise ValueError(f"vertex id clash with different configs: {vids[shared[clash.argmax()]]}")
-        fresh = np.flatnonzero(rows < 0)
-        rows[fresh] = self._append(ids[fresh].tolist(), cfgs[fresh]) + np.arange(fresh.size)
-        uv, w = other.edge_rows()
-        flip = ids[uv[:, 0]] > ids[uv[:, 1]]
-        uv[flip] = uv[flip, ::-1]
-        order = np.argsort(uv[:, 0], kind="stable")
-        self._insert(rows[uv[order]], w[order])
+            vid = ids[again[clash.argmax()]]
+            raise ValueError(f"vertex id clash with different configs: {vid}")
+        appended = np.flatnonzero(appends)
+        self._append(ids[appended], cfgs[appended])
+        return rows
 
     # -- temporary vertices ----------------------------------------------------
     @contextmanager

@@ -10,6 +10,8 @@ seconds by :class:`WorkModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import add, attrgetter
+from typing import Iterable
 
 __all__ = ["PlannerStats", "WorkModel"]
 
@@ -34,15 +36,22 @@ class PlannerStats:
     nn_evals_saved: int = 0
 
     def merge(self, other: "PlannerStats") -> "PlannerStats":
-        return PlannerStats(**{
-            f.name: getattr(self, f.name) + getattr(other, f.name)
-            for f in fields(self)
-        })
+        return PlannerStats(*map(add, _counts(self), _counts(other)))
 
     def __iadd__(self, other: "PlannerStats") -> "PlannerStats":
-        merged = self.merge(other)
-        self.__dict__.update(merged.__dict__)
+        for name, total in zip(_NAMES, map(add, _counts(self), _counts(other))):
+            setattr(self, name, total)
         return self
+
+    @classmethod
+    def total(cls, ledgers: "Iterable[PlannerStats]") -> "PlannerStats":
+        """The field-wise sum of ``ledgers`` (zeros for none), in one pass."""
+        return cls(*map(sum, zip(*map(_counts, ledgers))))
+
+
+#: The ledger's fields in declaration order, and a getter of all their values.
+_NAMES = tuple(f.name for f in fields(PlannerStats))
+_counts = attrgetter(*_NAMES)
 
 
 @dataclass(frozen=True)

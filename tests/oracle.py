@@ -8,8 +8,10 @@ sequential loop leaves.  :func:`digest` names every field of that, and
 
 Each loop a fast path replays lives here, over the production object:
 :class:`SequentialPRM`, :class:`SequentialRRT`, :func:`region_loop`
-(with :func:`rrt_loop`, the drivers' per-region loops) and
-:func:`box_obstacle_relation`.  :func:`assert_trace_matches_pool` is the
+(with :func:`rrt_loop`, the drivers' per-region loops),
+:func:`merge_one_by_one` (the one-pass union of regional results),
+:func:`box_obstacle_relation` and :func:`ray_free_distance_per_box` (the
+k-rays probe box by box).  :func:`assert_trace_matches_pool` is the
 completeness invariant on a local pool run: its trace alone recounts the
 ``PoolResult``.  :class:`PerMessageSimulator` is the virtual machine with
 one heap event per failed steal reply, which the bundled replies of
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro.api import _RegionTask
 from repro.core import parallel_prm, parallel_rrt
+from repro.geometry import environment
 from repro.knn import BruteForceNN
 from repro.obs import EV_TASK_END, summarize_events
 from repro.obs.events import EV_STEAL_FAIL, EV_STEAL_REPLY, EV_STEAL_REQUEST, EV_STEAL_TRANSFER
@@ -204,6 +207,26 @@ class SequentialRRT(RRT):
         stats.samples_accepted += added
 
 
+def merge_one_by_one(roadmap, *parts) -> None:
+    """``Roadmap.merge``'s oracle: the parts one after the other, each as
+    the loop a one-part merge replaces — its missing vertices by
+    ``add_vertex`` in row order (a held id must hold the same bits), then
+    ``add_edge`` (lower id first) over its live edges, ordered by the row
+    of that lower-id endpoint, log order within."""
+    for part in parts:
+        ids, cfgs = part.configs_array()
+        for vid, cfg in zip(ids.tolist(), np.asarray(cfgs, dtype=float)):
+            if not roadmap.has_vertex(vid):
+                roadmap.add_vertex(cfg, vid)
+            elif roadmap.config(vid).tobytes() != cfg.tobytes():
+                raise ValueError(f"vertex id clash with different configs: {vid}")
+        uv, w = part.edge_rows()
+        ends = [(a, b) if ids[a] < ids[b] else (b, a) for a, b in uv.tolist()]
+        for e in sorted(range(len(ends)), key=lambda e: ends[e][0]):
+            a, b = ends[e]
+            roadmap.add_edge(int(ids[a]), int(ids[b]), float(w[e]))
+
+
 def plan_one_by_one(regions, rids, roadmap):
     """``_plan_in_blocks``'s oracle: each region's own call, merged in turn."""
     region_stats = {}
@@ -261,6 +284,46 @@ def box_obstacle_relation(env, box) -> str:
     if any(np.all(o.lo <= box.lo) and np.all(box.hi <= o.hi) for o in touching):
         return "blocked"
     return "boundary" if touching else "free"
+
+
+def ray_box_enter(origin, u, lo, hi):
+    """Parameter t >= 0 where ray origin+t*u first enters [lo,hi]; None if it misses."""
+    t0, t1 = -np.inf, np.inf
+    for i in range(origin.shape[0]):
+        if u[i] == 0.0:
+            if origin[i] < lo[i] or origin[i] > hi[i]:
+                return None
+        else:
+            ta = (lo[i] - origin[i]) / u[i]
+            tb = (hi[i] - origin[i]) / u[i]
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 > t1:
+                return None
+    if t1 < 0.0:
+        return None
+    return max(t0, 0.0)
+
+
+def ray_free_distance_per_box(env, origin, direction, max_dist):
+    """``Environment.ray_free_distance``'s oracle: the slab test box by
+    box (:func:`ray_box_enter`), charging the counters as it does."""
+    origin = np.asarray(origin, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        raise ValueError("ray direction must be non-zero")
+    u = direction / norm
+    env.counters.charge(segments=max(1, env.num_obstacles))
+    best = min(max_dist, environment._ray_box_exit(origin, u, env.bounds.lo, env.bounds.hi))
+    lo, hi = env.kernel_data().box_lo, env.kernel_data().box_hi
+    for box_lo, box_hi in zip(lo, hi):
+        t_enter = ray_box_enter(origin, u, box_lo, box_hi)
+        if t_enter is not None and 0.0 <= t_enter < best:
+            best = t_enter
+    return max(best, 0.0)
 
 
 def roadmap_fingerprint(rmap) -> str:

@@ -5,6 +5,7 @@ hand-made numbers; nothing here runs the benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,31 @@ def test_a_failed_operation_on_either_side_stops_the_comparison(monkeypatch, cap
     with pytest.raises(SystemExit, match="change: w seed 5 reports 1 failed of 9"):
         bench_pairs.run_pairs(trees, "w", pairs=2, seed=5)
     assert "parent" in capsys.readouterr().out  # the parent's run was printed, no table
+
+
+def test_a_record_line_per_workload_and_metric(tmp_path):
+    """``--record``'s schema: one JSON line per (workload, metric) holding
+    the tree ids, seeds, pair count, quartiles, wins, verdict and box."""
+    runs = {"parent": {"wall_s": PARENT, "peak_rss_mb": [100.0] * 10},
+            "change": {"wall_s": shifted(-0.7), "peak_rss_mb": [100.0] * 10}}
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    rows = bench_pairs.records("w", runs, metrics, {"parent": "a1", "change": "b2"},
+                               seed=601, nproc=2)
+    path = tmp_path / "history.jsonl"
+    bench_pairs.append_records(path, rows[:1])
+    bench_pairs.append_records(path, rows[1:])  # appends, never rewrites
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines == rows and [r["metric"] for r in lines] == ["wall_s", "peak_rss_mb"]
+    wall = lines[0]
+    assert set(wall) == {
+        "workload", "metric", "better", "bound", "parent_tree", "change_tree", "seeds",
+        "pairs", "parent_quartiles", "change_quartiles", "wins", "verdict", "nproc",
+        "underprovisioned",
+    }
+    assert (wall["parent_tree"], wall["change_tree"]) == ("a1", "b2")
+    assert wall["seeds"] == list(range(601, 611)) and wall["pairs"] == 10
+    assert wall["parent_quartiles"] == pytest.approx([1.465, 1.50, 1.535])
+    assert wall["wins"] == 10 and wall["verdict"] == "gain"
+    assert wall["nproc"] == 2 and wall["underprovisioned"] is True
+    assert lines[1]["verdict"] == "unresolved" and lines[1]["wins"] == 0

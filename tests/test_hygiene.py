@@ -299,3 +299,40 @@ def test_region_weights_are_arguments_not_graph_state():
     assert not set(inspect.signature(refine).parameters) & {"balance_tolerance", "max_passes"}
     quality = importlib.import_module("repro.partition.edge_cut").PartitionQuality
     assert not hasattr(quality, "coefficient_of_variation")
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _merges_in_loops(tree: ast.AST):
+    """Yield the line of every ``<x>.merge(...)`` call inside a loop body or
+    a comprehension (its iterable aside)."""
+    for loop in ast.walk(tree):
+        if not isinstance(loop, _LOOPS):
+            continue
+        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            parts = loop.body + loop.orelse
+        else:
+            parts = [getattr(loop, "elt", None) or loop.key, getattr(loop, "value", None)]
+            parts += [cond for gen in loop.generators for cond in gen.ifs]
+        for part in filter(None, parts):
+            for node in ast.walk(part):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "merge"):
+                    yield node.lineno
+
+
+def test_regional_results_enter_the_roadmap_in_one_union():
+    """No loop in ``src/`` calls ``merge``: ``Roadmap.merge(*parts)`` takes
+    every part at once, and a sum of ledgers is ``PlannerStats.total``.
+    The part-by-part loop is ``tests/oracle.py::merge_one_by_one``."""
+    bad = ast.parse("for b in blocks:\n    rm.merge(b)\n[a.merge(b) for a, b in pairs]\n")
+    assert list(_merges_in_loops(bad)) == [2, 3]
+    assert not list(_merges_in_loops(ast.parse("rm.merge(*[b for b in blocks])\n")))
+    offenders = [
+        f"  {path.relative_to(ROOT)}:{ln}"
+        for path in _python_sources()
+        for ln in sorted(set(_merges_in_loops(ast.parse(path.read_text()))))
+    ]
+    assert not offenders, "merge called in a loop:\n" + "\n".join(offenders)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from unittest import mock
+
 from repro.core import RRTRegionPlanner, build_rrt_workload, rrt_k_rays_weights, simulate_rrt
 from repro.cspace import EuclideanCSpace
-from repro.geometry import free_env, mixed_30_env
-from repro.subdivision.radial import ConeRegion
+from repro.geometry import Environment, free_env, mixed_30_env
+from repro.subdivision.radial import ConeRegion, RadialSubdivision
 
-from .oracle import rrt_loop
+from .oracle import ray_free_distance_per_box, rrt_loop
 
 
 def _mixed_workload(seed):
@@ -180,3 +182,36 @@ class TestSimulation:
         a = simulate_rrt(mixed_workload, 8, "rand-8")
         b = simulate_rrt(mixed_workload, 8, "rand-8")
         assert a.total_time == b.total_time
+
+
+class TestKRaysProbe:
+    """``Environment.ray_free_distance`` runs one slab test over every box;
+    the box-by-box loop is its oracle."""
+
+    def test_weights_and_casts_equal_the_per_box_loop(self):
+        env = mixed_30_env()
+        root = np.array([0.25, -0.5, 0.75])
+        radial = RadialSubdivision(root, 6.0, 1024, rng=np.random.default_rng(3))
+        got = rrt_k_rays_weights(radial, env, k_rays=8, rng=np.random.default_rng(7))
+        charged = env.counters.segment_checks
+        with mock.patch.object(Environment, "ray_free_distance", ray_free_distance_per_box):
+            want = rrt_k_rays_weights(radial, env, k_rays=8, rng=np.random.default_rng(7))
+        assert got == want and got[1] == 1024 * 8
+        assert env.counters.segment_checks == 2 * charged
+
+    def test_axis_parallel_rays_and_faces(self):
+        """Rays along an axis (zero components) and origins on box faces."""
+        env = mixed_30_env()
+        lo, hi = env.kernel_data().box_lo, env.kernel_data().box_hi
+        rng = np.random.default_rng(11)
+        for i in range(400):
+            origin = rng.uniform(-4.0, 4.0, 3)
+            if i % 2:
+                box = int(rng.integers(lo.shape[0]))
+                axis = int(rng.integers(3))
+                origin[axis] = (lo if i % 4 == 1 else hi)[box, axis]
+            direction = rng.normal(size=3) * (rng.random(3) < 0.6)
+            if not direction.any():
+                direction[int(rng.integers(3))] = rng.choice([-1.0, 1.0])
+            want = ray_free_distance_per_box(env, origin, direction, 5.0)
+            assert env.ray_free_distance(origin, direction, 5.0) == want

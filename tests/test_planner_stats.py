@@ -1,5 +1,7 @@
 """Tests for the planner work ledger and virtual-time model."""
 
+from dataclasses import asdict, fields
+
 import pytest
 
 from repro.planners import PlannerStats, WorkModel
@@ -18,6 +20,19 @@ class TestPlannerStats:
         a = PlannerStats(lp_calls=1)
         a += PlannerStats(lp_calls=4)
         assert a.lp_calls == 5
+
+    def test_every_sum_covers_every_field(self):
+        """``merge``, ``+=`` and ``total`` add each field, the last included."""
+        names = [f.name for f in fields(PlannerStats)]
+        a = PlannerStats(*range(1, len(names) + 1))
+        b = PlannerStats(*range(100, 100 + len(names)))
+        want = {name: asdict(a)[name] + asdict(b)[name] for name in names}
+        assert asdict(a.merge(b)) == want
+        assert asdict(PlannerStats.total([a, b])) == want
+        assert PlannerStats.total([]) == PlannerStats()
+        c = PlannerStats(**asdict(a))
+        c += b
+        assert asdict(c) == want and asdict(a) != want
 
 
 class TestWorkModel:

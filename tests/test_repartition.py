@@ -75,11 +75,6 @@ class TestRepartition:
             with pytest.raises(ValueError):
                 repartition(g, bad, old, topo)
 
-    def test_moved_fraction(self):
-        g, w, old, topo = _setup(skew=True)
-        res = repartition(g, w, old, topo)
-        assert 0.0 < res.moved_fraction <= 1.0
-
     def test_migration_payload_scales_with_weight(self, monkeypatch):
         g, w, old, topo = _setup(skew=True)
         monkeypatch.setattr(repartition_module, "PAYLOAD_PER_WEIGHT", 0.0)

@@ -11,7 +11,7 @@ from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
 from repro.planners import PRMBlock, Roadmap, RoadmapQuery
 
-from .oracle import assert_same, digest
+from .oracle import assert_same, digest, merge_one_by_one
 
 
 class TestRoadmap:
@@ -312,8 +312,7 @@ def _play(rm, script, eager, inside=False):
                 other.add_vertices(ids, cfgs)
                 other.add_edges(u, v, rng.uniform(0.1, 2.0, len(u)))
             else:
-                other = PRMBlock(np.array(ids), cfgs, np.array([0, len(ids)]),
-                                 (np.array(u), np.array(v), rng.uniform(0.1, 2.0, len(u))), [])
+                other = _block(ids, cfgs, u, v, rng.uniform(0.1, 2.0, len(u)))
             rm.merge(other)
         elif op == "remove" and edges:
             a, b = edges[int(rng.integers(len(edges)))]
@@ -458,15 +457,15 @@ class TestBulkInsertion:
         assert rm.add_edges([], [], []).shape == (0,)
 
 
-def _replay(into, other):
-    """What ``into.merge(other)`` means, spelled as the loop it replaces:
-    ``other``'s new vertices in row order, then ``add_edge`` over
-    ``other.edges()``."""
-    for vid, cfg in zip(*other.configs_array()):
-        if not into.has_vertex(int(vid)):
-            into.add_vertex(cfg, int(vid))
-    for u, v, w in other.edges():
-        into.add_edge(u, v, w)
+def _block(ids, cfgs, u, v, w, offsets=None) -> PRMBlock:
+    """A :class:`PRMBlock` over ``ids`` (one segment unless ``offsets``
+    says otherwise) whose edges ``u[i] - v[i]`` are named by endpoint id."""
+    ids = np.asarray(ids, dtype=np.int64)
+    row = {vid: i for i, vid in enumerate(ids.tolist())}
+    uv = np.array([[row[a], row[b]] for a, b in zip(u, v)], dtype=np.int64).reshape(-1, 2)
+    offsets = np.array([0, ids.size]) if offsets is None else offsets
+    return PRMBlock(ids, np.asarray(cfgs, dtype=float), offsets,
+                    (uv, np.asarray(w, dtype=float)), [])
 
 
 class TestMergeRoadmap:
@@ -487,7 +486,7 @@ class TestMergeRoadmap:
         for rm in (loop, bulk):
             rm.add_vertices(held, cfgs[::3])
             rm.add_edges(held[1:], held[:-1], np.ones(held.size - 1))
-        _replay(loop, other)
+        merge_one_by_one(loop, other)
         bulk.merge(other)
         assert_same(digest(bulk), digest(loop))
 
@@ -540,28 +539,146 @@ class TestMergeBlock:
         ]
         counts = [rm.num_vertices for rm, _passes in regional]
         edges = [e for p in (0, 1) for _rm, passes in regional for e in passes[p]]
-        block = PRMBlock(
-            ids=np.concatenate([rm.vertices() for rm, _ in regional]),
-            configs=np.concatenate([rm.configs_array()[1] for rm, _ in regional]),
+        block = _block(
+            np.concatenate([rm.vertices() for rm, _ in regional]),
+            np.concatenate([rm.configs_array()[1] for rm, _ in regional]),
+            [u for u, _v, _w in edges], [v for _u, v, _w in edges], [w for _u, _v, w in edges],
             offsets=np.concatenate(([0], np.cumsum(counts))),
-            edges=(
-                np.array([u for u, _v, _w in edges], dtype=np.int64),
-                np.array([v for _u, v, _w in edges], dtype=np.int64),
-                np.array([w for _u, _v, w in edges], dtype=float),
-            ),
-            stats=[],
         )
         loop, bulk = Roadmap(3), Roadmap(3)
         for rm in (loop, bulk):  # merged into a roadmap that already holds something
             rm.add_vertex(np.zeros(3), 1 << 20)
-        for rm, _passes in regional:
-            _replay(loop, rm)
+        merge_one_by_one(loop, *(rm for rm, _passes in regional))
         bulk.merge(block)
         assert_same(digest(bulk), digest(loop))
 
     def test_a_block_of_another_dimension_is_refused(self):
-        none = np.empty(0, dtype=np.int64)
-        block = PRMBlock(none, np.empty((0, 2)), np.zeros(1, dtype=np.int64),
-                         (none, none, np.empty(0)), [])
+        block = _block([], np.empty((0, 2)), [], [], [], offsets=np.zeros(1, dtype=np.int64))
         with pytest.raises(ValueError):
             Roadmap(3).merge(block)
+
+
+#: The ids parts draw from: large, and in no particular order, so rows and
+#: ids sort differently.
+_POOL = np.random.default_rng(0).permutation(40).astype(np.int64) * 7919 + (1 << 33)
+
+
+def _mix(seed, count, clash):
+    """A roadmap factory and ``count`` parts to merge into what it makes.
+
+    The roadmap holds some of :data:`_POOL` and a few edges.  The parts are
+    roadmaps (some with a dead edge) and blocks, some empty, sharing ids
+    with it and with each other — always with the id's one configuration —
+    and repeating edges: its own, an earlier part's, and within a block.
+    With ``clash`` the last part holds a shared id one ulp off."""
+    rng = np.random.default_rng(seed)
+    cfg = rng.normal(size=(_POOL.size, 2))
+    held = rng.choice(_POOL.size, size=8, replace=False)
+    held_edges = [(int(a), int(b)) for a, b in rng.choice(held, size=(6, 2)) if a != b]
+
+    def into():
+        rm = Roadmap(2)
+        rm.add_vertices(_POOL[held], cfg[held])
+        rm.add_edges([_POOL[a] for a, _b in held_edges], [_POOL[b] for _a, b in held_edges],
+                     np.arange(1.0, len(held_edges) + 1.0))
+        return rm
+
+    parts, seen = [], list(held_edges)
+    for i in range(count):
+        size = 0 if rng.random() < 0.2 else int(rng.integers(1, 9))
+        idx = rng.choice(_POOL.size, size=size, replace=False)
+        if clash and i == count - 1:
+            idx = np.union1d(idx, held[:1])
+        mine = set(idx.tolist())
+        pairs = [(int(a), int(b)) for a, b in rng.choice(idx, size=(int(rng.integers(0, 10)), 2))
+                 if a != b] if size > 1 else []
+        pairs += [e for e in seen if set(e) <= mine][:3]  # edges held before, either way round
+        pairs += [(b, a) for a, b in pairs[:1]]
+        seen += pairs
+        u, v = [_POOL[a] for a, _b in pairs], [_POOL[b] for _a, b in pairs]
+        w = rng.uniform(0.1, 2.0, len(pairs))
+        cfgs = cfg[idx].copy()
+        if clash and i == count - 1:
+            row = int(np.flatnonzero(idx == held[0])[0])
+            cfgs[row, 0] = np.nextafter(cfgs[row, 0], np.inf)
+        if rng.random() < 0.5:
+            part = _block(_POOL[idx], cfgs, u, v, w)
+        else:
+            part = Roadmap(2)
+            part.add_vertices(_POOL[idx], cfgs)
+            part.add_edges(u, v, w)
+            if pairs and rng.random() < 0.5:
+                part.remove_edge(*u[:1], *v[:1])
+        parts.append(part)
+    return into, parts
+
+
+def _later_calls(rm, seed):
+    """What a roadmap answers to the calls a merge is followed by."""
+    rng = np.random.default_rng(seed)
+    vids = rm.vertices().tolist()
+    answers = [rm.csr()[k].tolist() for k in range(3)]
+    if len(vids) < 2:
+        return answers
+    for a, b in rng.choice(vids, size=(6, 2)).tolist():
+        answers.append(a != b and rm.has_edge(a, b))
+        if a != b:
+            answers.append(rm.add_edge(b, a, 0.5))
+    live = [(u, v) for u, v, _w in rm.edges()]
+    if live:
+        rm.remove_edge(*live[int(rng.integers(len(live)))])
+        answers.append(rm.has_edge(*live[0]))
+    with rm.transient():
+        vid = rm.add_vertex(np.zeros(2))
+        answers += [rm.add_edge(vid, vids[0], 1.0), rm.has_edge(vids[0], vid)]
+        answers.append([arr.tolist() for arr in rm.csr()])
+    answers.append([arr.tolist() for arr in rm.csr()])
+    return answers
+
+
+class TestMergeParts:
+    """``merge(*parts)`` — one vertex append, one edge append — leaves what
+    merging the parts one by one leaves (``tests/oracle.py``), and every
+    later call answers alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 5), clash=st.booleans())
+    def test_one_pass_equals_one_by_one(self, seed, count, clash):
+        make, parts = _mix(seed, count, clash and count > 0)
+        loop, bulk = make(), make()
+        if clash and count:
+            before = digest(bulk)
+            with pytest.raises(ValueError):
+                bulk.merge(*parts)
+            assert_same(digest(bulk), before)  # the roadmap is as it was
+            with pytest.raises(ValueError):
+                merge_one_by_one(loop, *parts)
+            return
+        merge_one_by_one(loop, *parts)
+        bulk.merge(*parts)
+        assert_same(digest(bulk), digest(loop))
+        assert _later_calls(bulk, seed) == _later_calls(loop, seed)
+        assert_same(digest(bulk), digest(loop))
+
+    def test_a_clash_in_the_last_part_inserts_nothing(self):
+        """Stricter than merging part by part: the first parts are clean,
+        the last names a held id 1e-9 off, and nothing of any part goes in."""
+        rm = Roadmap(2)
+        rm.add_vertices([5, 6], [[0.0, 0.0], [1.0, 0.0]])
+        rm.add_edge(5, 6, 1.0)
+        clean = _block([7, 8], [[2.0, 0.0], [3.0, 0.0]], [7], [8], [1.0])
+        clashing = _block([6, 9], [[1.0, 1e-9], [4.0, 0.0]], [6], [9], [1.0])
+        before = digest(rm)
+        with pytest.raises(ValueError, match="6"):
+            rm.merge(clean, clashing)
+        assert_same(digest(rm), before)
+        assert not rm.has_vertex(7) and not rm.has_vertex(9)
+
+    def test_no_parts_and_empty_parts_change_nothing(self):
+        rm = Roadmap(2)
+        rm.add_vertices([1, 2], np.eye(2))
+        rm.add_edge(1, 2, 1.0)
+        before = digest(rm)
+        rm.merge()
+        rm.merge(Roadmap(2), _block([], np.empty((0, 2)), [], [], []))
+        assert_same(digest(rm), before)

@@ -538,6 +538,27 @@ class TestShippedTree:
         assert log.read_text().split() == [str(os.getpid())]
         assert shm_mod.leaked_segments() == []
 
+    def test_a_repeat_plan_does_not_hash_the_obstacles_again(self, monkeypatch):
+        """The content key is hashed once per snapshot; a second snapshot of
+        the same obstacles hashes once more and gets the same tree, and the
+        caller's snapshot keeps no tree of its own from the parent's."""
+        hashed = []
+        sha256 = api.hashlib.sha256
+
+        def counted(*args):
+            hashed.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(api.hashlib, "sha256", counted)
+        monkeypatch.setattr(api, "_SHM_TREE_CACHE", {})
+        env, scene = WAREHOUSE.environment, WAREHOUSE.environment.kernel_data()
+        data, twin = (Environment.from_arrays(env.bounds, scene.box_lo, scene.box_hi).kernel_data()
+                      for _ in range(2))
+        tree = api._shipped_tree(data)
+        assert api._shipped_tree(data) is tree and len(hashed) == 1
+        assert api._shipped_tree(twin) is tree and len(hashed) == 2
+        assert getattr(data, _CACHE_ATTR, None) is None
+
     def test_worker_trees_are_read_only_views_of_the_segment(self):
         manifest, task = _publish_plan(WAREHOUSE.environment, WAREHOUSE, None)
         try:

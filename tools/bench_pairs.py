@@ -17,8 +17,14 @@ further apart than the parent's own quartiles.
 Stops, with a non-zero exit and no table, as soon as a run on either side
 reports a failed operation or an output that disagrees with its oracle.
 
+``--record FILE`` appends each table row to ``FILE`` as one JSON line
+(:func:`records`): both tree ids, the seeds, the pair count, both sides'
+quartiles, the wins, the verdict, ``nproc`` and the ``underprovisioned``
+flag — the repository keeps its claims in ``BENCH_history.jsonl``.
+
 Run:  python tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-          --workload prm_warehouse_process --pairs 10 --seed 601
+          --workload prm_warehouse_process --pairs 10 --seed 601 \\
+          --record BENCH_history.jsonl
 
 Any tree-ish names a side; for work not yet committed, ``git add -A`` and
 pass ``--change $(git write-tree)``.
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,6 +45,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 #: fewer pairs than this can clear a change of regressing, not claim a gain.
 MIN_PAIRS_FOR_GAIN = 10
+#: a box with fewer cores than this runs the pool rows under-provisioned
+#: (the rule ``benchmarks/e2e/run.py`` records as ``underprovisioned``).
+PROVISIONED_NPROC = 4
 
 
 def quartiles(values: "list[float]") -> "tuple[float, float, float]":
@@ -90,6 +100,14 @@ def verdict(
     if spread >= abs(worse_by) or spread > allowed:
         return "unresolved"
     return "within bound"
+
+
+def tree_id(rev: str) -> str:
+    """The git tree id ``rev`` names: the same content reads the same id."""
+    return subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{tree}}"],
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> None:
@@ -145,19 +163,47 @@ def run_pairs(trees: "dict[str, Path]", workload: str, pairs: int, seed: int) ->
     return runs
 
 
-def report(workload: str, runs: "dict[str, dict]", metrics: "list[dict]") -> None:
+def records(
+    workload: str, runs: "dict[str, dict]", metrics: "list[dict]",
+    trees: "dict[str, str]", seed: int, nproc: int,
+) -> "list[dict]":
+    """One record per declared metric of ``workload``'s pairs, ``trees``
+    the two sides' tree ids: the table's rows, and what ``--record`` appends."""
     n = len(next(iter(runs["parent"].values())))
-    print(f"\n{workload}: {n} pairs; q1 / median / q3 per side")
+    out = []
     for decl in metrics:
-        name, better = decl["name"], decl["better"]
+        name, better, bound = decl["name"], decl["better"], decl["bound"]
         parent, change = runs["parent"][name], runs["change"][name]
-        pq, cq = quartiles(parent), quartiles(change)
+        out.append({
+            "workload": workload, "metric": name, "better": better, "bound": bound,
+            "parent_tree": trees["parent"], "change_tree": trees["change"],
+            "seeds": list(range(seed, seed + n)), "pairs": n,
+            "parent_quartiles": list(quartiles(parent)),
+            "change_quartiles": list(quartiles(change)),
+            "wins": pair_wins(parent, change, better),
+            "verdict": verdict(parent, change, bound, better),
+            "nproc": nproc, "underprovisioned": nproc < PROVISIONED_NPROC,
+        })
+    return out
+
+
+def report(rows: "list[dict]") -> None:
+    print(f"\n{rows[0]['workload']}: {rows[0]['pairs']} pairs; q1 / median / q3 per side")
+    for row in rows:
+        pq, cq = row["parent_quartiles"], row["change_quartiles"]
         print(
-            f"  {name:12s} parent {pq[0]:.4g} / {pq[1]:.4g} / {pq[2]:.4g}   "
+            f"  {row['metric']:12s} parent {pq[0]:.4g} / {pq[1]:.4g} / {pq[2]:.4g}   "
             f"change {cq[0]:.4g} / {cq[1]:.4g} / {cq[2]:.4g}   "
-            f"change/parent {cq[1] / pq[1]:.3f}   wins {pair_wins(parent, change, better)}/{n}   "
-            f"{verdict(parent, change, decl['bound'], better)} (bound {decl['bound']:.0%})"
+            f"change/parent {cq[1] / pq[1]:.3f}   wins {row['wins']}/{row['pairs']}   "
+            f"{row['verdict']} (bound {row['bound']:.0%})"
         )
+
+
+def append_records(path: Path, rows: "list[dict]") -> None:
+    """``rows`` appended to ``path`` as JSON lines."""
+    with open(path, "a") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -172,19 +218,27 @@ def main(argv=None) -> int:
                          "use ones the change was not written against")
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where the two trees are exported (default: a new temporary directory)")
+    ap.add_argument("--record", type=Path, default=None, metavar="FILE",
+                    help="append one JSON line per (workload, metric) to FILE")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
     if args.workdir is not None:
         args.workdir.mkdir(parents=True, exist_ok=True)
+    ids = {side: tree_id(getattr(args, side)) for side in SIDES}
+    nproc = os.cpu_count() or 1
     with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(getattr(args, side), trees[side])
         metrics = declared_metrics(trees["parent"])
         for workload in args.workload:
-            report(workload, run_pairs(trees, workload, args.pairs, args.seed), metrics)
+            runs = run_pairs(trees, workload, args.pairs, args.seed)
+            rows = records(workload, runs, metrics, ids, args.seed, nproc)
+            report(rows)
+            if args.record is not None:
+                append_records(args.record, rows)
     return 0
 
 

@@ -41,6 +41,7 @@ GOLDEN = "tests/test_simulator_golden.py"
 TIES = "tests/test_frozen.py::TestTieCertificate"
 CERT = "tests/test_segment_certificate.py"
 LAZY = "tests/test_roadmap.py::TestLazyForest"
+PARTS = "tests/test_roadmap.py::TestMergeParts"
 RECOUNT = "tests/test_api_faults.py::test_trace_recounts_the_reports_failures"
 SERVED = ("tests/test_service.py::TestObservabilityIntegration"
           "::test_trace_recounts_cache_and_service_stats")
@@ -151,15 +152,15 @@ MUTANTS = [
     Mutant(
         "merge replays edges by the row of their higher-id endpoint",
         "repro/planners/roadmap.py",
-        'order = np.argsort(uv[:, 0], kind="stable")',
-        'order = np.argsort(uv[:, 1], kind="stable")',
+        "        order = lo << 32\n",
+        "        order = v << 32\n",
         ("tests/test_roadmap.py::TestMergeBlock", f"{PINNED}[prm-local-blocks]"),
     ),
     Mutant(
         "merge(Roadmap) appends in log order, not in edges() order",
         "repro/planners/roadmap.py",
-        'order = np.argsort(uv[:, 0], kind="stable")',
-        "order = np.arange(len(w))",
+        "        order.sort()\n",
+        "",
         ("tests/test_roadmap.py::TestMergeRoadmap", f"{PINNED}[prm-simulate]"),
     ),
     Mutant(
@@ -181,10 +182,65 @@ MUTANTS = [
     Mutant(
         "a bulk insert tests membership against a stale index",
         "repro/planners/roadmap.py",
-        "keys = _keys_of(uv)\n        self._fold()\n",
-        "keys = _keys_of(uv)\n",
+        "            self._fold()\n            probe = keys[asks]\n",
+        "            probe = keys[asks]\n",
         ("tests/test_roadmap.py::TestBulkInsertion::test_bulk_equals_loops",
          "tests/test_roadmap.py::TestMergeRoadmap"),
+    ),
+    Mutant(
+        "an edge between two already-present vertices skips the duplicate test",
+        "repro/planners/roadmap.py",
+        "asks = np.flatnonzero(fresh & (deg[uv[:, 0]] > 0) & (deg[uv[:, 1]] > 0))",
+        "asks = np.flatnonzero(fresh & (deg[uv[:, 0]] < 0))",
+        (f"{PARTS}::test_one_pass_equals_one_by_one",
+         "tests/test_roadmap.py::TestBulkInsertion::test_bulk_equals_loops"),
+    ),
+    Mutant(
+        "a batch that repeats an edge keeps both copies",
+        "repro/planners/roadmap.py",
+        "    if not (ordered[1:] == ordered[:-1]).any():\n",
+        "    if True:\n",
+        ("tests/test_roadmap.py::TestBulkInsertion::test_bulk_equals_loops",
+         f"{PARTS}::test_one_pass_equals_one_by_one"),
+    ),
+    Mutant(
+        "a later part's edges enter the log before an earlier part's",
+        "repro/planners/roadmap.py",
+        "        order = lo << 32\n",
+        "        order = rows[lo] << 32\n",
+        (f"{PARTS}::test_one_pass_equals_one_by_one",),
+    ),
+    Mutant(
+        "a clash in the last part is raised after the earlier parts were inserted",
+        "repro/planners/roadmap.py",
+        ("        if clash.any():\n            vid = ",
+         "        self._append(ids[appended], cfgs[appended])\n"),
+        ("        if False:\n            vid = ",
+         "        self._append(ids[appended], cfgs[appended])\n"
+         "        if clash.any():\n            raise ValueError('vertex id clash')\n"),
+        (f"{PARTS}::test_a_clash_in_the_last_part_inserts_nothing",
+         f"{PARTS}::test_one_pass_equals_one_by_one"),
+    ),
+    Mutant(
+        "the ledger sum drops a field",
+        "repro/planners/stats.py",
+        "_counts = attrgetter(*_NAMES)",
+        "_counts = attrgetter(*_NAMES[:-1])",
+        ("tests/test_planner_stats.py::TestPlannerStats::test_every_sum_covers_every_field",),
+    ),
+    Mutant(
+        "the k-rays slab test lets a ray hit a box beside an axis it does not move along",
+        "repro/geometry/environment.py",
+        "hit = inside & (t0 <= t1) & (t1 >= 0.0)",
+        "hit = (t0 <= t1) & (t1 >= 0.0)",
+        ("tests/test_parallel_rrt.py::TestKRaysProbe::test_axis_parallel_rays_and_faces",),
+    ),
+    Mutant(
+        "a repeat plan on one snapshot hashes its obstacles again",
+        "repro/api.py",
+        "        setattr(data, _KEY_ATTR, key)\n",
+        "",
+        (f"{SHIPPED}::test_a_repeat_plan_does_not_hash_the_obstacles_again",),
     ),
     Mutant(
         "_find asks a duplicate index that has not caught up",
@@ -197,8 +253,8 @@ MUTANTS = [
     Mutant(
         "a single-generator build appends edges older endpoint first",
         "repro/planners/prm.py",
-        "        rmap.add_edges(*block.edges)\n",
-        "        rmap.add_edges(block.edges[1], block.edges[0], block.edges[2])\n",
+        "        rmap.add_edges(block.ids[uv[:, 0]], block.ids[uv[:, 1]], w)\n",
+        "        rmap.add_edges(block.ids[uv[:, 1]], block.ids[uv[:, 0]], w)\n",
         (f"{MATRIX}[prm-batched-space-reference]", f"{MATRIX}[prm-batched-space-bvh]"),
     ),
     Mutant(
