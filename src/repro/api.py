@@ -146,9 +146,7 @@ class PlanReport:
         cached, so repeated calls (and :meth:`solve_queries`) reuse the
         same snapshot and index, over a configuration space resolved the
         way :func:`plan` resolved its own — a ``bvh`` plan serves its
-        queries through the ``bvh`` collision kernels too.  For another
-        attachment degree or finder construct
-        ``QueryEngine(report.request.resolve_cspace(), report.roadmap, k=...)``.
+        queries through the ``bvh`` collision kernels too.
         """
         engine = getattr(self, "_engine", None)
         if engine is None:
@@ -327,9 +325,7 @@ def _counted(regions, run):
     work as ``(point_checks, segment_checks)`` (``CollisionCounters``
     windows are per-thread), which also survives the hop back from worker
     processes, where the parent's environment counters never tick."""
-    counters = getattr(getattr(regions.cspace, "env", None), "counters", None)
-    if counters is None:
-        return run(), (0, 0)
+    counters = regions.cspace.env.counters
     before = counters.snapshot()
     out = run()
     delta = counters.delta(before)
@@ -504,22 +500,12 @@ def _publish_plan(
     return manifest, _ShmRegionTask(ctx)
 
 
-def _shm_plan_eligible(cspace: ConfigurationSpace) -> bool:
-    """Whether this plan's context can round-trip through the shm plane."""
-    return type(cspace) is EuclideanCSpace and _shm.shm_available()
-
-
-def _resolve_data_plane(ex: ExecutionPolicy, cspace: ConfigurationSpace) -> str:
+def _resolve_data_plane(ex: ExecutionPolicy) -> str:
     plane = ex.data_plane
     if plane == "auto":
-        if ex.backend == "process" and _shm_plan_eligible(cspace):
-            return "shm"
-        return "inline"
-    if plane == "shm" and not _shm_plan_eligible(cspace):
-        raise ValueError(
-            "data_plane='shm' needs a EuclideanCSpace, with POSIX shared "
-            "memory available"
-        )
+        return "shm" if ex.backend == "process" and _shm.shm_available() else "inline"
+    if plane == "shm" and not _shm.shm_available():
+        raise ValueError("data_plane='shm' needs POSIX shared memory")
     return plane
 
 
@@ -528,8 +514,8 @@ def _region_weights(regions) -> "dict[int, float] | None":
     1 + the number of obstacles overlapping the region's sample box.  One
     pass over every region's sample box, obstacles in slices of at most
     ``_BOX_PAIRS`` region-obstacle pairs."""
-    env = getattr(regions.cspace, "env", None)
-    if not isinstance(regions, PRMRegionPlanner) or env is None or env.num_obstacles == 0:
+    env = regions.cspace.env
+    if not isinstance(regions, PRMRegionPlanner) or env.num_obstacles == 0:
         return None
     data = env.kernel_data()
     grid = regions.decomposition
@@ -556,7 +542,7 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     task = _RegionTask(regions)
     task_weights = _region_weights(regions) if ex.chunksize == "weighted" else None
 
-    plane = _resolve_data_plane(ex, cspace)
+    plane = _resolve_data_plane(ex)
     manifest = None
     try:
         if plane == "shm":

@@ -44,7 +44,6 @@ from ..obs.events import (
 )
 from ..partition.naive import partition_block
 from ..runtime.faults import FaultInjector
-from ..runtime.pgraph import PGraphView
 from ..runtime.simulator import WorkStealingSimulator, run_static_phase
 from ..runtime.stats import SimResult
 from ..runtime.termination import detection_delay_tree
@@ -256,14 +255,15 @@ def replay(
     phases.node_connection = sim.makespan
     final_owner = {**assignment, **sim.executed_by}
 
-    # Connection: vertex reads ship as one aggregated message per adjacency.
-    view = PGraphView("roadmap graph", topology)
-    view.set_owners(final_owner)
+    # Connection: an adjacency's vertex reads, made from ``a``'s owner, go
+    # remote when ``b`` lives on another PE and ship as one aggregated
+    # message (STAPL aggregates asynchronous remote accesses): one base
+    # latency plus bandwidth per read.
     owner_a = np.array([final_owner[adj.a] for adj in adjacency], dtype=int)
-    latency = view.access_many(
-        owner_a, [adj.b for adj in adjacency], [adj.vertex_reads for adj in adjacency],
-        aggregated=True,
-    )
+    owner_b = np.array([final_owner[adj.b] for adj in adjacency], dtype=int)
+    reads = np.array([adj.vertex_reads for adj in adjacency], dtype=int)
+    remote = (owner_a != owner_b) & (reads > 0)
+    latency = np.where(remote, topology.latencies(owner_a, owner_b, reads), 0.0)
     conn_loads = np.bincount(
         owner_a, weights=np.array([adj.cost for adj in adjacency]) + latency, minlength=num_pes
     )
@@ -283,6 +283,6 @@ def replay(
         sim=sim,
         initial_owner=naive,
         final_owner=final_owner,
-        remote_reads=view.stats.remote,
+        remote_reads=int(reads[remote].sum()),
         repartition_info=repart_info,
     )

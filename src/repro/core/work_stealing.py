@@ -14,8 +14,10 @@ Policies plug into
 :class:`~repro.runtime.simulator.WorkStealingSimulator`; the round index
 it passes distinguishes a first attempt from retries after a fully
 failed round, which is what HYBRID keys its fallback on.
-:func:`run_balanced_phase` is the one place a strategy name becomes a
-simulated phase, shared by the PRM and RRT drivers.
+A strategy name becomes a simulated phase in one place,
+:func:`repro.core.machine.replay`, which both planners' drivers call:
+``"none"`` and ``"repartition"`` run :func:`~repro.runtime.simulator.run_static_phase`,
+and a steal policy runs the simulator with :func:`policy_by_name`'s policy.
 
 Policies are fault-oblivious by design: under fault injection the
 simulator lets a thief pick a dead PE as victim and answers with an

@@ -1,7 +1,7 @@
 """Trace sinks: where emitted events go.
 
-Two sinks cover the repo's needs: :class:`MemorySink` (a bounded ring
-buffer for tests and interactive inspection) and :class:`JsonlSink` (one
+Two sinks cover the repo's needs: :class:`MemorySink` (a list of every
+event, for tests and interactive inspection) and :class:`JsonlSink` (one
 JSON object per line, the interchange format of the ``python -m repro.obs
 summarize`` CLI).  Sinks are deliberately dumb — ordering, pairing of
 span begin/end, and aggregation all live in :mod:`repro.obs.summary`.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from pathlib import Path
 from typing import IO, Iterable, Protocol, runtime_checkable
 
@@ -34,12 +33,10 @@ class Sink(Protocol):
 
 
 class MemorySink:
-    """Keep the last ``capacity`` events in memory (all of them if None)."""
+    """Keep every event in memory."""
 
-    def __init__(self, capacity: "int | None" = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self._buf: "deque[Event]" = deque(maxlen=capacity)
+    def __init__(self):
+        self._buf: "list[Event]" = []
 
     @property
     def events(self) -> "list[Event]":
@@ -47,7 +44,7 @@ class MemorySink:
         return list(self._buf)
 
     def emit(self, event: Event) -> None:
-        """Append, evicting the oldest event when at capacity."""
+        """Append one event."""
         self._buf.append(event)
 
     def clear(self) -> None:

@@ -7,7 +7,7 @@ One tracer serves both execution worlds:
   on phase-local clocks, so a driver hands them ``tracer.offset(t0)``,
   a view of the same tracer that shifts every timestamp by ``t0``.
 * **Wall clock** — when ``ts`` is omitted the tracer stamps events with
-  its ``clock`` (default ``time.perf_counter`` relative to creation), and
+  its ``clock`` (``time.perf_counter`` seconds since creation), and
   ``with tracer.span("connect"):`` times real code.
 
 Instrumented code takes ``tracer: Tracer | None = None`` and guards every
@@ -37,16 +37,12 @@ class Tracer:
     sinks:
         Destinations for events; defaults to a single in-memory sink
         (reachable as ``tracer.memory``).
-    clock:
-        Zero-argument callable giving the default timestamp; defaults to
-        seconds since tracer creation (``perf_counter`` based).
+
+    An event emitted without ``ts`` is stamped with ``clock()``: seconds
+    since the tracer was created (``perf_counter`` based).
     """
 
-    def __init__(
-        self,
-        sinks: "Iterable[Sink] | None" = None,
-        clock: "Callable[[], float] | None" = None,
-    ):
+    def __init__(self, sinks: "Iterable[Sink] | None" = None):
         if sinks is None:
             self.memory: "MemorySink | None" = MemorySink()
             self.sinks: "list[Sink]" = [self.memory]
@@ -55,10 +51,8 @@ class Tracer:
             self.memory = next(
                 (s for s in self.sinks if isinstance(s, MemorySink)), None
             )
-        if clock is None:
-            t0 = time.perf_counter()
-            clock = lambda: time.perf_counter() - t0  # noqa: E731
-        self.clock = clock
+        t0 = time.perf_counter()
+        self.clock: "Callable[[], float]" = lambda: time.perf_counter() - t0
 
     # -- emission -----------------------------------------------------------
     def emit(

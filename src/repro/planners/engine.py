@@ -8,8 +8,9 @@ of a built roadmap:
 
 * the roadmap is compiled once into a
   :class:`~repro.planners.frozen.FrozenRoadmap` CSR snapshot;
-* one reusable NN index (kd-tree by default — sublinear per query) is
-  built once over the snapshot's configurations;
+* one reusable :class:`~repro.knn.brute.BruteForceNN` index is built
+  once over the snapshot's configurations (every served roadmap is small
+  enough that its one-matrix batch scan is the fastest finder);
 * searches run over the CSR arrays with *virtual* start/goal endpoints,
   so the roadmap is never mutated and queries are trivially independent;
 * :meth:`QueryEngine.solve_many` batches start/goal validity checks,
@@ -47,7 +48,6 @@ import numpy as np
 from ..cspace.local_planner import StraightLinePlanner
 from ..cspace.space import ConfigurationSpace
 from ..knn.brute import BruteForceNN
-from ..knn.kdtree import KDTreeNN
 from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
 from ..obs.metrics import nearest_rank
 from ..runtime.local_pool import DispatchStats, resolve_workers, run_tasks_parallel
@@ -57,9 +57,9 @@ from .roadmap import Roadmap
 
 __all__ = ["QueryRequest", "BatchQueryResult", "QueryEngine"]
 
-#: Auto backend crossover: below this vertex count the brute-force index's
-#: one-matrix batch scan is faster than per-query kd-tree descents.
-_AUTO_KDTREE_MIN = 8192
+#: Attachment degree of a query's start and goal, matching
+#: ``RoadmapQuery``'s default.
+ATTACH_K = 8
 
 
 @dataclass
@@ -147,44 +147,23 @@ class QueryEngine:
     roadmap:
         A built :class:`~repro.planners.roadmap.Roadmap` (frozen here) or
         an existing :class:`~repro.planners.frozen.FrozenRoadmap`.
-    k:
-        Attachment degree for start/goal connection (default 8, matching
-        ``RoadmapQuery``).
-    nn_factory:
-        ``dim -> NeighborFinder`` for the reusable index.  Default is
-        automatic: the vectorised :class:`~repro.knn.brute.BruteForceNN`
-        batch scan below :data:`_AUTO_KDTREE_MIN` vertices, the sublinear
-        :class:`~repro.knn.kdtree.KDTreeNN` above it.  Every backend
-        shares the canonical (distance, insertion order) tie-break, so
-        the choice never changes an answer, only its latency.
 
-    Attachment edges are validated by the same straight-line planner
+    Start and goal attach to their :data:`ATTACH_K` nearest vertices;
+    attachment edges are validated by the same straight-line planner
     ``RoadmapQuery`` uses.  Collision checks run on whichever
     :mod:`repro.kernels` backend ``cspace``'s environment is configured
     with; the NN index always computes float64 distances.
     """
 
-    def __init__(
-        self,
-        cspace: ConfigurationSpace,
-        roadmap: "Roadmap | FrozenRoadmap",
-        k: int = 8,
-        nn_factory=None,
-    ):
+    def __init__(self, cspace: ConfigurationSpace, roadmap: "Roadmap | FrozenRoadmap"):
         self.cspace = cspace
         if isinstance(roadmap, FrozenRoadmap):
             self.frozen = roadmap
         else:
             self.frozen = FrozenRoadmap.from_roadmap(roadmap)
         self.local_planner = StraightLinePlanner(resolution=0.25)
-        self.k = k
         n = self.frozen.num_vertices
-        if nn_factory is None:
-            # One flat distance matrix beats per-query tree descents until
-            # the O(n) scan rows dominate; results are identical either way.
-            nn_factory = BruteForceNN if n < _AUTO_KDTREE_MIN else KDTreeNN
-        self.nn_factory = nn_factory
-        self._nn = nn_factory(cspace.dim)
+        self._nn = BruteForceNN(cspace.dim)
         if n:
             # Point ids are dense rows: insertion order matches the frozen
             # row order, so canonical tie-breaking equals what a fresh
@@ -216,7 +195,7 @@ class QueryEngine:
         n = self.frozen.num_vertices
         nv = len(valid_idx)
         cand_ids, cand_d = self._nn.knn_batch_arrays(
-            np.vstack([starts[valid_idx], goals[valid_idx]]), self.k
+            np.vstack([starts[valid_idx], goals[valid_idx]]), ATTACH_K
         )
         # Collect every candidate edge of every query into one validation
         # batch; slices[j] records (query, candidate list with rows).
@@ -249,7 +228,7 @@ class QueryEngine:
                 else:
                     hi = mid
             gcand.insert(lo, (d_sg, n))
-            gcand = gcand[: self.k]
+            gcand = gcand[:ATTACH_K]
             for _d, r in scand:
                 pair_starts.append(start)
                 pair_ends.append(configs[r])

@@ -209,9 +209,8 @@ class RRT:
         dim = cspace.dim
         step = self.step_size
         lp = self.local_planner
-        env = getattr(cspace, "env", None)
-        counters = getattr(env, "counters", None)
-        before = counters.snapshot() if counters is not None else None
+        counters = cspace.env.counters
+        before = counters.snapshot()
 
         bias_cfg = np.asarray(bias_target, dtype=float) if bias_target is not None else None
 
@@ -431,7 +430,7 @@ class RRT:
                 rng.bit_generator.state = rng_state
                 rng.random(used)
 
-        if counters is not None and spec_points:
+        if spec_points:
             # Exact rescale of the speculative charge to the replayed one.
             counters.rescale_since(before, seq_points, spec_points)
         stats.nn_distance_evals += nn_evals

@@ -18,7 +18,6 @@ from .local_pool import (
     resolve_workers,
     run_tasks_parallel,
 )
-from .pgraph import AccessStats, PGraphView
 from .shm import (
     ArraySpec,
     SharedArrayManifest,
@@ -59,8 +58,6 @@ __all__ = [
     "publish_arrays",
     "release",
     "shm_available",
-    "AccessStats",
-    "PGraphView",
     "StealPolicy",
     "WorkStealingSimulator",
     "run_static_phase",

@@ -119,12 +119,10 @@ class FaultInjector:
         Explicit :class:`Fault` entries; the first match wins.
     rate:
         Probability in ``[0, 1)`` of a seeded pseudo-random ``"raise"``
-        fault on any ``(task, attempt)`` with ``attempt <= rate_attempts``.
-        The draw is a pure function of ``(seed, task, attempt)`` — no
-        shared RNG state, so outcomes are independent of execution order.
-    rate_attempts:
-        Highest attempt index the Bernoulli faults may hit (default 0:
-        only first attempts fail, so a single retry always recovers).
+        fault on a task's first attempt (attempt 0), so a single retry
+        always recovers.  The draw is a pure function of ``(seed, task)``
+        — no shared RNG state, so outcomes are independent of execution
+        order.
     seed:
         Entropy for the Bernoulli draws.
     """
@@ -133,14 +131,12 @@ class FaultInjector:
         self,
         faults: "Iterable[Fault] | None" = None,
         rate: float = 0.0,
-        rate_attempts: int = 0,
         seed: int = 0,
     ):
         self.faults = tuple(faults or ())
         if not 0.0 <= rate < 1.0:
             raise ValueError("rate must be in [0, 1)")
         self.rate = float(rate)
-        self.rate_attempts = int(rate_attempts)
         self.seed = int(seed)
 
     def poll(
@@ -150,7 +146,7 @@ class FaultInjector:
         for f in self.faults:
             if f.matches(task, attempt, worker):
                 return f
-        if self.rate > 0.0 and attempt <= self.rate_attempts and task is not None:
+        if self.rate > 0.0 and attempt == 0 and task is not None:
             u = np.random.default_rng(
                 np.random.SeedSequence(entropy=self.seed, spawn_key=(task, attempt))
             ).random()

@@ -116,6 +116,13 @@ __all__ = [
 
 FAILURE_POLICIES = ("fail_fast", "retry", "degrade")
 
+#: Retry *n* waits ``BACKOFF_BASE * 2**(n-1) * (1 + BACKOFF_JITTER * u)``
+#: seconds, ``u`` a deterministic per-``(task, attempt)`` uniform draw
+#: seeded by ``retry_seed``: runs with the same seed back off identically
+#: regardless of scheduling order.
+BACKOFF_BASE = 0.05
+BACKOFF_JITTER = 0.5
+
 
 def resolve_workers(workers: "int | None") -> int:
     """Resolve a worker count: ``None`` means every core on this machine.
@@ -321,8 +328,6 @@ def run_tasks_parallel(
     failure_policy: str = "fail_fast",
     max_retries: int = 2,
     task_timeout: "float | None" = None,
-    backoff_base: float = 0.05,
-    backoff_jitter: float = 0.5,
     fault_injector: "FaultInjector | None" = None,
     retry_seed: int = 0,
     task_weights: "dict[int, float] | None" = None,
@@ -376,14 +381,11 @@ def run_tasks_parallel(
         Seconds allowed per task; a submission of *k* tasks expires after
         ``k * task_timeout`` and every unfinished task in it counts one
         failed attempt.  ``None`` (default) disables timeouts.
-    backoff_base, backoff_jitter:
-        Retry *n* waits ``backoff_base * 2**(n-1) * (1 + jitter * u)``
-        where ``u`` is a deterministic per-``(task, attempt)`` uniform
-        draw seeded by ``retry_seed`` — runs with the same seed back off
-        identically regardless of scheduling order.
     fault_injector:
         Optional :class:`~repro.runtime.faults.FaultInjector` for chaos
         testing; ``None`` (default) costs nothing.
+    retry_seed:
+        Seeds the per-``(task, attempt)`` retry jitter (:data:`BACKOFF_BASE`).
     task_weights:
         Optional per-task relative cost estimates (the partitioner's
         region weights) consumed by the ``"weighted"`` chunk policy.
@@ -467,8 +469,8 @@ def run_tasks_parallel(
         nxt = attempt + 1
         if nxt <= allowed_retries:
             retries += 1
-            delay = backoff_base * (2.0 ** (nxt - 1)) * (
-                1.0 + backoff_jitter * _retry_jitter(tid, nxt, retry_seed)
+            delay = BACKOFF_BASE * (2.0 ** (nxt - 1)) * (
+                1.0 + BACKOFF_JITTER * _retry_jitter(tid, nxt, retry_seed)
             )
             heapq.heappush(retry_heap, (now() + delay, next(seq), tid, nxt))
             if tracer is not None:

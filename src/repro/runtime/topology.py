@@ -69,8 +69,8 @@ class ClusterTopology:
         self.mesh_shape = mesh_shape_for(num_pes)
         #: node hosting each PE (an O(P) table): a zero-payload message
         #: between two PEs costs ``latency_local`` when their entries match
-        #: and ``latency_remote`` otherwise — read by :meth:`latency`, and
-        #: directly by the simulator's loop and ``PGraphView.access_many``.
+        #: and ``latency_remote`` otherwise — read by :meth:`latency` and
+        #: :meth:`latencies`, and directly by the simulator's loop.
         self.pe_node = tuple(p // cores_per_node for p in range(num_pes))
         #: per-PE 4-neighbourhoods, built on first use: an O(P) table (at
         #: most four entries a PE), never a P x P one.
@@ -103,6 +103,15 @@ class ClusterTopology:
         node = self.pe_node
         base = self.latency_local if node[src] == node[dst] else self.latency_remote
         return base + self.bandwidth_cost * payload
+
+    def latencies(self, src, dst, payload) -> np.ndarray:
+        """:meth:`latency` entry by entry over arrays of in-range PEs and
+        payloads: the same IEEE operations, so the same bits, and 0.0
+        wherever ``src`` equals ``dst``."""
+        src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+        node = np.asarray(self.pe_node)
+        base = np.where(node[src] == node[dst], self.latency_local, self.latency_remote)
+        return np.where(src == dst, 0.0, base + self.bandwidth_cost * np.asarray(payload))
 
     # -- 2D mesh -----------------------------------------------------------------
     def mesh_coords(self, pe: int) -> "tuple[int, int]":

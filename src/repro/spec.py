@@ -313,60 +313,31 @@ _SPEC_TYPES = {
 }
 
 
+@dataclass(frozen=True)
 class PlanRequest:
     """Everything :func:`repro.api.plan` needs: a frozen aggregate of
     :class:`WorkloadSpec`, :class:`ExecutionPolicy`, :class:`FaultPolicy`
-    and :class:`ObsConfig`.
+    and :class:`ObsConfig` (``None`` takes the spec's defaults); derive a
+    new one with ``dataclasses.replace``.
 
     Spec objects are the only spelling: anything else (a flat knob such
     as ``num_regions=8``, or ``execution="local"``) raises ``TypeError``.
     """
 
-    __slots__ = ("workload", "execution", "faults", "obs")
+    workload: "WorkloadSpec | None" = None
+    execution: "ExecutionPolicy | None" = None
+    faults: "FaultPolicy | None" = None
+    obs: "ObsConfig | None" = None
 
-    def __init__(
-        self,
-        workload: "WorkloadSpec | None" = None,
-        execution: "ExecutionPolicy | None" = None,
-        faults: "FaultPolicy | None" = None,
-        obs: "ObsConfig | None" = None,
-    ):
-        specs = {"workload": workload, "execution": execution, "faults": faults, "obs": obs}
-        for name, value in specs.items():
+    def __post_init__(self):
+        for name, spec_type in _SPEC_TYPES.items():
+            value = getattr(self, name)
             if value is None:
-                value = _SPEC_TYPES[name]()
-            elif not isinstance(value, _SPEC_TYPES[name]):
+                object.__setattr__(self, name, spec_type())
+            elif not isinstance(value, spec_type):
                 raise TypeError(
-                    f"{name} must be a {_SPEC_TYPES[name].__name__}, "
-                    f"got {type(value).__name__}"
+                    f"{name} must be a {spec_type.__name__}, got {type(value).__name__}"
                 )
-            object.__setattr__(self, name, value)
-
-    # -- immutability --------------------------------------------------------
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"PlanRequest is frozen; use replace({name}=...) to derive a new one"
-        )
-
-    def replace(self, **changes) -> "PlanRequest":
-        """A copy with the given spec fields replaced (canonical names)."""
-        unknown = set(changes) - set(_SPEC_TYPES)
-        if unknown:
-            raise TypeError(f"unknown spec field(s): {sorted(unknown)}")
-        kwargs = {name: getattr(self, name) for name in _SPEC_TYPES}
-        kwargs.update(changes)
-        return PlanRequest(**kwargs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlanRequest):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in _SPEC_TYPES)
-
-    def __repr__(self) -> str:
-        return (
-            f"PlanRequest(workload={self.workload!r}, execution={self.execution!r}, "
-            f"faults={self.faults!r}, obs={self.obs!r})"
-        )
 
     # -- protocol ------------------------------------------------------------
     def validate(self) -> None:

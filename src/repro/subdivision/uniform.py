@@ -109,23 +109,12 @@ class UniformSubdivision:
         beyond the exclusive core (paper: "some user-defined overlap").
     """
 
-    def __init__(
-        self,
-        bounds: AABB,
-        num_regions: int,
-        overlap: float = 0.1,
-        shape: "tuple[int, ...] | None" = None,
-    ):
+    def __init__(self, bounds: AABB, num_regions: int, overlap: float = 0.1):
         if overlap < 0:
             raise ValueError("overlap must be non-negative")
         self.bounds = bounds
         self.overlap = overlap
-        self.shape = (
-            shape if shape is not None
-            else grid_shape_for(num_regions, bounds.dim, bounds.extents)
-        )
-        if len(self.shape) != bounds.dim:
-            raise ValueError("shape dimensionality mismatch")
+        self.shape = grid_shape_for(num_regions, bounds.dim, bounds.extents)
         self._cell = bounds.extents / np.asarray(self.shape, dtype=float)
         # Row r is cell r: the grid index is the flat id in mixed radix.
         self.index = np.indices(self.shape).reshape(bounds.dim, -1).T

@@ -14,6 +14,14 @@ settings.register_profile("derandomized", derandomize=True, database=None, deadl
 
 
 @pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries back off from 0.01 s instead of ``BACKOFF_BASE`` (0.05 s),
+    so retry-heavy tests stay fast; the dispatcher reads the constant at
+    each retry, in the parent process on either backend."""
+    monkeypatch.setattr("repro.runtime.local_pool.BACKOFF_BASE", 0.01)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(42)
 

@@ -375,7 +375,7 @@ def assert_trace_matches_pool(events, pool) -> None:
     assert sorted(s.abandoned_tasks) == pool.abandoned
 
 
-def grid_loop(bounds, num_regions, overlap=0.1, shape=None):
+def grid_loop(bounds, num_regions, overlap=0.1):
     """``UniformSubdivision``'s regions and region graph built one cell at
     a time — the oracle its array pass replays: per cell its core and
     sampling ``AABB`` and grid index, then face adjacencies in (region,
@@ -384,7 +384,7 @@ def grid_loop(bounds, num_regions, overlap=0.1, shape=None):
     from repro.subdivision import RegionGraph, grid_shape_for
     from repro.subdivision.uniform import BoxRegion
 
-    shape = shape if shape is not None else grid_shape_for(num_regions, bounds.dim, bounds.extents)
+    shape = grid_shape_for(num_regions, bounds.dim, bounds.extents)
     cell = bounds.extents / np.asarray(shape, dtype=float)
 
     def id_to_index(rid):

@@ -21,6 +21,9 @@ from repro.runtime import (
 from .oracle import assert_trace_matches_pool
 from .test_local_pool import _BlockTask
 
+#: Retries back off from 0.01 s here (see ``conftest.fast_backoff``).
+pytestmark = pytest.mark.usefixtures("fast_backoff")
+
 
 def _square(task_id):
     return task_id * task_id
@@ -99,7 +102,6 @@ class TestRetryPolicy:
             workers=3,
             failure_policy="retry",
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert res.results == {i: i * i for i in range(10)}
         assert res.attempts[4] == 2
@@ -124,7 +126,6 @@ class TestRetryPolicy:
             workers=2,
             failure_policy="retry",
             fault_injector=SlowFirstInjector(),
-            backoff_base=0.01,
         )
         assert res.attempts[2] == 2
         # The recorded duration is the fast successful retry, not the
@@ -141,7 +142,6 @@ class TestRetryPolicy:
                 failure_policy="retry",
                 max_retries=1,
                 fault_injector=inj,
-                backoff_base=0.01,
             )
         assert err.value.task == 1
         assert err.value.attempts == 2
@@ -171,7 +171,7 @@ class TestRetryPolicy:
             return task_id
 
         res = run_tasks_parallel(
-            flaky, list(range(5)), workers=1, failure_policy="retry", backoff_base=0.01
+            flaky, list(range(5)), workers=1, failure_policy="retry"
         )
         assert res.results == {i: i for i in range(5)}
         assert res.attempts[3] == 2
@@ -187,7 +187,6 @@ class TestDegradePolicy:
             failure_policy="degrade",
             max_retries=2,
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert res.abandoned == [3]
         assert 3 not in res.results
@@ -210,7 +209,6 @@ class TestWorkerDeath:
             workers=2,
             failure_policy="retry",
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert res.results == {i: i * i for i in range(8)}
         assert res.worker_deaths == 1
@@ -225,7 +223,6 @@ class TestWorkerDeath:
             backend="process",
             failure_policy="retry",
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert res.results == {i: i * i for i in range(8)}
         assert res.worker_deaths >= 1
@@ -266,7 +263,6 @@ class TestTimeouts:
             failure_policy="retry",
             task_timeout=0.1,
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert res.results == {i: i * i for i in range(5)}
         assert res.attempts[2] >= 2
@@ -300,7 +296,6 @@ class TestChaosParity:
             workers=3,
             failure_policy=policy,
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert chaotic.results == clean.results
         assert chaotic.abandoned == []
@@ -328,7 +323,6 @@ class TestChaosParity:
                 workers=4,
                 failure_policy="retry",
                 fault_injector=FaultInjector(**inj_args),
-                backoff_base=0.01,
             )
             for _ in range(2)
         ]
@@ -366,7 +360,6 @@ class TestEdgeCases:
             chunksize=3,
             failure_policy="retry",
             fault_injector=inj,
-            backoff_base=0.01,
         )
         assert res.results == {i: i * i for i in range(10)}
         # Only the faulty task is retried, not its whole chunk.
@@ -389,7 +382,6 @@ class TestFaultObservability:
             workers=2,
             failure_policy="retry",
             fault_injector=inj,
-            backoff_base=0.01,
             tracer=tr,
         )
         names = [e.name for e in tr.memory.events]
@@ -411,7 +403,6 @@ class TestFaultObservability:
             failure_policy="degrade",
             max_retries=1,
             fault_injector=inj,
-            backoff_base=0.01,
             tracer=tr,
         )
         assert res.abandoned == [0]
@@ -446,7 +437,7 @@ class TestBlockChunks:
     def test_a_block_that_raises_is_rerun_task_by_task(self, backend):
         """Failure accounting stays per task: exactly what ``chunksize=1``
         reports for the same poisoned task."""
-        tasks, kwargs = list(range(8)), dict(workers=2, backend=backend, backoff_base=0.01)
+        tasks, kwargs = list(range(8)), dict(workers=2, backend=backend)
         fn = _BlockTask(poison=5)
         for chunksize in (1, 4):
             res = run_tasks_parallel(

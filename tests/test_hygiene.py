@@ -3,8 +3,9 @@
 Four patterns have bitten this codebase before and are cheap to ban
 mechanically (the gates at the bottom keep the rest of ``src/`` and the
 tests off the roadmap's storage, the names the e2e harness wraps
-resolvable, one simulated machine for both planners, and region weights
-out of the region graph):
+resolvable, one simulated machine for both planners, region weights
+out of the region graph, regional results in one union, and no option
+that only tests set):
 
 * **Falsy-default assignment** — ``x = x or default()``.  Replaces every
   falsy-but-valid argument (``0``, ``""``, empty containers, and any
@@ -336,3 +337,55 @@ def test_regional_results_enter_the_roadmap_in_one_union():
         for ln in sorted(set(_merges_in_loops(ast.parse(path.read_text()))))
     ]
     assert not offenders, "merge called in a loop:\n" + "\n".join(offenders)
+
+
+#: (source file, function, parameter) of every value that only tests ever
+#: set: each is a module constant or a fixed behaviour now.
+_ONE_SIDED = (
+    ("runtime/local_pool.py", "run_tasks_parallel", "backoff_base"),
+    ("runtime/local_pool.py", "run_tasks_parallel", "backoff_jitter"),
+    ("planners/engine.py", "QueryEngine.__init__", "k"),
+    ("planners/engine.py", "QueryEngine.__init__", "nn_factory"),
+    ("obs/tracer.py", "Tracer.__init__", "clock"),
+    ("obs/sinks.py", "MemorySink.__init__", "capacity"),
+    ("runtime/faults.py", "FaultInjector.__init__", "rate_attempts"),
+    ("subdivision/uniform.py", "UniformSubdivision.__init__", "shape"),
+)
+
+
+def _signatures(tree: ast.Module) -> "dict[str, set[str]]":
+    """Parameter names of every module-level function and method, keyed
+    ``name`` / ``Class.name``."""
+    out = {}
+    for node in tree.body:
+        scope = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            scope = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                     if isinstance(fn, ast.FunctionDef)]
+        for name, fn in scope:
+            a = fn.args
+            out[name] = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+    return out
+
+
+def test_no_option_only_tests_set():
+    """The runtime, engine, tracing and subdivision layers take no option
+    that no caller outside the tests sets; the connection phase's remote
+    accounting is array lines in ``core.machine.replay``, not a
+    distributed-graph wrapper; the query engine always builds a
+    ``BruteForceNN``."""
+    offenders = []
+    for path, function, param in _ONE_SIDED:
+        params = _signatures(ast.parse((SRC / path).read_text())).get(function)
+        assert params is not None, f"{path}: no {function}"
+        if param in params:
+            offenders.append(f"{path}: {function}({param}=)")
+    assert not offenders, "an option only tests set:\n" + "\n".join(offenders)
+
+    runtime = importlib.import_module("repro.runtime")
+    assert not {"PGraphView", "AccessStats"} & set(dir(runtime))
+    engine = ast.parse((SRC / "planners/engine.py").read_text())
+    names = {alias.name for node in ast.walk(engine) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.id for node in ast.walk(engine) if isinstance(node, ast.Name)}
+    assert "KDTreeNN" not in names

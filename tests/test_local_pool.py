@@ -172,5 +172,7 @@ class TestBlockChunks:
     def test_one_task_chunks_keep_measured_per_task_times(self, backend):
         res = run_tasks_parallel(_BlockTask(slow=3), list(range(6)), workers=2, backend=backend)
         assert res.results == {tid: ("task", tid) for tid in range(6)}
+        # Only task 3 sleeps (0.05 s): its own measured time shows it, and
+        # it is the slowest whatever load the host adds to the other five.
         assert res.per_task_time[3] >= 0.05
-        assert all(res.per_task_time[tid] < 0.05 for tid in (0, 1, 2, 4, 5))
+        assert max(res.per_task_time[tid] for tid in (0, 1, 2, 4, 5)) < res.per_task_time[3]

@@ -59,16 +59,14 @@ class TestPercentileRange:
 
 
 class TestSinks:
-    def test_memory_ring_buffer(self):
-        sink = MemorySink(capacity=3)
+    def test_memory_sink_keeps_every_event(self):
+        sink = MemorySink()
         for i in range(5):
             sink.emit(Event(ts=float(i), kind="point", name="x"))
-        assert len(sink) == 3
-        assert [e.ts for e in sink.events] == [2.0, 3.0, 4.0]
-
-    def test_memory_capacity_validation(self):
-        with pytest.raises(ValueError):
-            MemorySink(capacity=0)
+        assert len(sink) == 5
+        assert [e.ts for e in sink.events] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        sink.clear()
+        assert len(sink) == 0 and sink.events == []
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -176,6 +176,7 @@ def _pool_case_fallback(r: random.Random):
     )
 
 
+@pytest.mark.usefixtures("fast_backoff")
 @property_test(_pool_case_strategy, _pool_case_fallback, examples=15)
 def test_pool_is_deterministic_under_seeded_faults(case):
     """Same fault seed + retry policy → byte-identical results and attempt
@@ -191,7 +192,6 @@ def test_pool_is_deterministic_under_seeded_faults(case):
             failure_policy="retry",
             max_retries=3,
             fault_injector=FaultInjector(rate=rate, seed=fault_seed),
-            backoff_base=0.001,
         )
 
     a, b = run(), run()
@@ -201,6 +201,7 @@ def test_pool_is_deterministic_under_seeded_faults(case):
     assert a.complete and b.complete
 
 
+@pytest.mark.usefixtures("fast_backoff")
 @property_test(_pool_case_strategy, _pool_case_fallback, examples=10)
 def test_pool_faulty_run_matches_clean_run(case):
     """Chaos parity as a property: retried runs return what a fault-free
@@ -215,7 +216,6 @@ def test_pool_faulty_run_matches_clean_run(case):
         failure_policy="retry",
         max_retries=3,
         fault_injector=FaultInjector(rate=rate, seed=fault_seed),
-        backoff_base=0.001,
     )
     assert chaotic.results == clean.results
 

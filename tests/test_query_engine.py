@@ -8,7 +8,7 @@ from repro.knn import BruteForceNN, IncrementalNN, KDTreeNN
 from repro.obs import EV_QUERY_END, EV_QUERY_START, Tracer, summarize_events
 from repro.obs.summary import format_summary
 from repro.planners import PRM, FrozenRoadmap, QueryEngine, QueryRequest, RoadmapQuery
-from repro.planners.engine import _AUTO_KDTREE_MIN
+from repro.planners import engine as engine_module
 from repro.planners.frozen import LANDMARKS
 from repro.runtime import Fault, FaultInjector
 
@@ -42,7 +42,7 @@ class TestSolveParity:
     def test_matches_roadmap_query(self, built):
         cs, rmap = built
         rq = RoadmapQuery(cs, k=8)
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         solved = 0
         for s, g in _queries(cs, 40):
             ref = rq.solve(rmap, s, g)
@@ -56,10 +56,14 @@ class TestSolveParity:
         [KDTreeNN, IncrementalNN],
         ids=["kdtree", "incremental"],
     )
-    def test_nn_backend_is_drop_in(self, built, factory):
+    def test_nn_backend_is_drop_in(self, built, factory, monkeypatch):
+        """The engine builds a ``BruteForceNN``; every finder shares its
+        canonical tie-break, so another one in its place changes no answer."""
         cs, rmap = built
-        ref_eng = QueryEngine(cs, rmap, k=8, nn_factory=BruteForceNN)
-        alt_eng = QueryEngine(cs, rmap, k=8, nn_factory=factory)
+        ref_eng = QueryEngine(cs, rmap)
+        monkeypatch.setattr(engine_module, "BruteForceNN", factory)
+        alt_eng = QueryEngine(cs, rmap)
+        assert isinstance(alt_eng._nn, factory)
         for s, g in _queries(cs, 25, seed=2):
             assert same_answer(ref_eng.solve(s, g), alt_eng.solve(s, g))
 
@@ -90,20 +94,13 @@ class TestSolveParity:
 class TestAutoBackend:
     def test_small_roadmap_uses_brute_force(self, built):
         cs, rmap = built
-        assert rmap.num_vertices < _AUTO_KDTREE_MIN
-        assert QueryEngine(cs, rmap).nn_factory is BruteForceNN
-
-    def test_explicit_factory_wins(self, built):
-        cs, rmap = built
-        eng = QueryEngine(cs, rmap, nn_factory=KDTreeNN)
-        assert eng.nn_factory is KDTreeNN
-        assert isinstance(eng._nn, KDTreeNN)
+        assert type(QueryEngine(cs, rmap)._nn) is BruteForceNN
 
 
 class TestSolveMany:
     def test_matches_per_query_solve(self, built):
         cs, rmap = built
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         queries = _queries(cs, 30, seed=4)
         batch = eng.solve_many(queries)
         assert batch.num_queries == 30
@@ -139,7 +136,7 @@ class TestSolveMany:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_pool_dispatch_matches_inline(self, built, backend):
         cs, rmap = built
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         queries = _queries(cs, 12, seed=7)
         inline = eng.solve_many(queries)
         pooled = eng.solve_many(
@@ -151,7 +148,7 @@ class TestSolveMany:
 
     def test_degrade_abandons_faulty_query(self, built):
         cs, rmap = built
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         queries = _queries(cs, 8, seed=8)
         inj = FaultInjector([Fault("raise", task=3, attempt=a) for a in range(5)])
         batch = eng.solve_many(
@@ -183,7 +180,7 @@ class TestLandmarkAmortisation:
         """The build starts with the call whose searches bring the settled
         count to ``K n`` — not one call earlier — and publishes the table."""
         cs, rmap = built
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         fz = eng.frozen
         cost = min(LANDMARKS, fz.num_vertices) * fz.num_vertices
         for s, g in _queries(cs, 1000, seed=12):
@@ -201,7 +198,7 @@ class TestLandmarkAmortisation:
     def test_answers_with_the_table_match_roadmap_query(self, built):
         cs, rmap = built
         rq = RoadmapQuery(cs, k=8)
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         eng.frozen.build_landmarks()
         queries = _queries(cs, 40)
         inline = eng.solve_many(queries)
@@ -216,7 +213,7 @@ class TestLandmarkAmortisation:
         import threading
 
         cs, rmap = built
-        eng = QueryEngine(cs, rmap, k=8)
+        eng = QueryEngine(cs, rmap)
         fz = eng.frozen
         fz.settled = fz.num_vertices ** 2
         builds = []

@@ -147,9 +147,10 @@ class TestArraysEqualTheCellLoop:
         )
 
     def test_explicit_shape(self):
-        bounds = AABB([0.0, 0.0], [3.0, 1.0])
-        sub = UniformSubdivision(bounds, 1, overlap=0.3, shape=(7, 2))
-        self._assert_equal(sub, grid_loop(bounds, 1, 0.3, shape=(7, 2)))
+        bounds = AABB([0.0, 0.0], [3.5, 1.0])
+        sub = UniformSubdivision(bounds, 14, overlap=0.3)
+        assert sub.shape == (7, 2)
+        self._assert_equal(sub, grid_loop(bounds, 14, 0.3))
 
     def test_ids_outside_the_grid_raise(self):
         sub = UniformSubdivision(AABB([0, 0], [1, 1]), 4)

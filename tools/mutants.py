@@ -387,11 +387,28 @@ MUTANTS = [
     ),
     Mutant(
         "an aggregated remote access pays no bandwidth for its payload",
-        "repro/runtime/pgraph.py",
-        "base + topo.bandwidth_cost * n if aggregated else n * base",
-        "base if aggregated else n * base",
-        ("tests/test_pgraph.py::TestAccessMany::test_matches_the_scalar_walk",
+        "repro/runtime/topology.py",
+        "np.where(src == dst, 0.0, base + self.bandwidth_cost * np.asarray(payload))",
+        "np.where(src == dst, 0.0, base)",
+        ("tests/test_pgraph.py::TestLatencies::test_equal_the_scalar_latency",
+         "tests/test_pgraph.py::TestConnectionPhase::test_matches_the_scalar_walk",
          f"{GOLDEN}::test_simulate_prm_golden[48-none]"),
+    ),
+    Mutant(
+        "an adjacency with zero reads is charged a message",
+        "repro/core/machine.py",
+        "remote = (owner_a != owner_b) & (reads > 0)",
+        "remote = owner_a != owner_b",
+        ("tests/test_pgraph.py::TestAccessAccounting::test_bulk_zero_count_free",
+         f"{GOLDEN}::test_simulate_prm_golden[16-repartition]"),
+    ),
+    Mutant(
+        "PlanRequest accepts a non-spec value",
+        "repro/spec.py",
+        "            elif not isinstance(value, spec_type):\n",
+        "            elif False:\n",
+        ("tests/test_spec.py::TestPlanRequestAggregate::test_wrong_spec_type_raises",
+         "tests/test_spec.py::TestFlatShim::test_flat_kwargs_and_execution_string_raise_type_error"),
     ),
     Mutant(
         "the tie certificate ignores a tie still in the heap (check a)",
