@@ -55,13 +55,10 @@ STEALING = ("rand-8", "diffusive", "hybrid")
 WIDE_PES = (96, 192)
 VARIANT_PES = 96
 #: Protocol corners the tables miss, as (topology latencies, simulator
-#: options): every arrival of a round tied, free intra-node messages,
-#: requests served at arrival, and victims that may hand over everything.
+#: options): every arrival of a round tied, and free intra-node messages.
 VARIANTS = {
     "tied-latency": ({"latency_local": 10.0, "latency_remote": 10.0}, {}),
     "free-local": ({"latency_local": 0.0}, {}),
-    "offload": ({}, {"offload_service": True}),
-    "keep-none": ({}, {"min_keep": 0, "steal_chunk": 3}),
 }
 
 
@@ -217,12 +214,6 @@ GOLDEN_VARIANTS = {
     ("free-local", "rand-8"): "ce069a6f7a27169e3a0322b0e636c10639f9991da98f55e6d6bb0a94434ac910",
     ("free-local", "diffusive"): "173b07ae4f9a6f8dfac4a5e80ef527a499aacf4a2443049100ad0a19f5051429",
     ("free-local", "hybrid"): "dff734d3d87238647010b83a0981124e09b3a69834c1ef6d6579bb5a67ec7d78",
-    ("offload", "rand-8"): "c5b7fadcef3794604869ccaf4ef901faa3175be8f52a9d6b08fd245f2abaa10f",
-    ("offload", "diffusive"): "b9cddd292dcdcfe43a390b7c71268e42ace3cd92dc8c6cd32d8b224efd578137",
-    ("offload", "hybrid"): "9d810a10e48f9ede44fac1ff911d11c5401e96fa33613a5e2b01c1a2281af157",
-    ("keep-none", "rand-8"): "5af9794e1012c7e197c7a030cd09f742becf22d75fff9a65ec15aba023dc043c",
-    ("keep-none", "diffusive"): "53827ead77d481ff03af6a20191007b8d3607201d5fe432352a712fa33102e03",
-    ("keep-none", "hybrid"): "436a496900261e68764bc971a3ea408fa6e7744052437dfcedd721a70411da93",
 }
 GOLDEN_WIDE_TRACE_EVENTS = "0925cbb8cba8b6db68f30e7a966c671bfe838efcff048bd6261f9d06eb281db2"
 
