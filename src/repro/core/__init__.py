@@ -36,7 +36,6 @@ from .weights import (
     uniform_weights,
 )
 from .work_stealing import (
-    POLICY_NAMES,
     DiffusivePolicy,
     HybridPolicy,
     RandKPolicy,
@@ -79,6 +78,5 @@ __all__ = [
     "DiffusivePolicy",
     "HybridPolicy",
     "RandKPolicy",
-    "POLICY_NAMES",
     "policy_by_name",
 ]

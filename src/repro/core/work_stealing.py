@@ -24,7 +24,9 @@ simulator lets a thief pick a dead PE as victim and answers with an
 immediate failure reply (death detection), so selection statistics stay
 comparable between healthy and degraded machines — DIFFUSIVE pays for a
 dead mesh neighbour every round, while RAND-K merely wastes one of its
-``k`` probes, which is exactly the policy difference worth studying.
+``K`` probes, which is exactly the policy difference worth studying.
+
+The steal strategy names are ``repro.core.machine.STRATEGIES[2:]``.
 """
 
 from __future__ import annotations
@@ -34,34 +36,30 @@ import numpy as np
 from ..runtime.topology import ClusterTopology
 
 __all__ = [
-    "POLICY_NAMES",
+    "K",
     "RandKPolicy",
     "DiffusivePolicy",
     "HybridPolicy",
     "policy_by_name",
 ]
 
-#: Canonical strategy names accepted by :func:`policy_by_name`, in the
-#: paper's order — the iteration set for policy-comparison studies.
-POLICY_NAMES = ("rand-k", "rand-8", "diffusive", "hybrid")
+#: The paper's RAND-K victim count.
+K = 8
 
 
 class RandKPolicy:
-    """Steal from ``k`` uniformly random distinct victims each round.
+    """Steal from ``K`` uniformly random distinct victims each round.
 
-    Stream contract: a round draws ``rng.choice(P - 1, k, replace=False)``
-    and shifts the indices at or past the thief up by one.  That consumes
-    the generator exactly as choosing from the explicit array of the other
-    ``P - 1`` PEs does, so victim sequences — and every virtual time
-    downstream of them — are a function of the seed alone, not of how the
-    candidate set is spelt.
+    Stream contract: a round draws
+    ``rng.choice(P - 1, min(K, P - 1), replace=False)`` and shifts the
+    indices at or past the thief up by one.  That consumes the generator
+    exactly as choosing from the explicit array of the other ``P - 1``
+    PEs does, so victim sequences — and every virtual time downstream of
+    them — are a function of the seed alone, not of how the candidate set
+    is spelt.
     """
 
-    def __init__(self, k: int = 8):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.name = f"rand-{k}"
+    name = f"rand-{K}"
 
     def select_victims(
         self,
@@ -73,7 +71,7 @@ class RandKPolicy:
         P = topology.num_pes
         if P <= 1:
             return []
-        picks = rng.choice(P - 1, size=min(self.k, P - 1), replace=False).tolist()
+        picks = rng.choice(P - 1, size=min(K, P - 1), replace=False).tolist()
         return [v + 1 if v >= thief else v for v in picks]
 
 
@@ -95,11 +93,9 @@ class DiffusivePolicy:
 class HybridPolicy:
     """Diffusive first; random fallback once a whole round fails."""
 
-    def __init__(self, k: int = 8):
-        self.k = k
-        self.name = f"hybrid(rand-{k})"
-        self._diffusive = DiffusivePolicy()
-        self._random = RandKPolicy(k)
+    name = f"hybrid(rand-{K})"
+    _diffusive = DiffusivePolicy()
+    _random = RandKPolicy()
 
     def select_victims(
         self,
@@ -113,14 +109,10 @@ class HybridPolicy:
         return self._random.select_victims(thief, round_index, topology, rng)
 
 
-def policy_by_name(name: str, k: int = 8):
-    """Factory used by the benchmark drivers; names follow the paper."""
-    table = {
-        "rand-k": lambda: RandKPolicy(k),
-        "rand-8": lambda: RandKPolicy(8),
-        "diffusive": DiffusivePolicy,
-        "hybrid": lambda: HybridPolicy(k),
-    }
+def policy_by_name(name: str):
+    """The steal policy of a strategy name (``STRATEGIES[2:]`` of
+    :mod:`repro.core.machine`); names follow the paper."""
+    table = {"rand-8": RandKPolicy, "diffusive": DiffusivePolicy, "hybrid": HybridPolicy}
     try:
         return table[name]()
     except KeyError:

@@ -34,39 +34,50 @@ The failed replies of one request bundle travel the same way: one
 ``_EMPTY_REPLIES`` event carries a mutable count cell.  It is pushed at
 the bundle's first failure, so it takes the ``seq`` that reply would
 have taken; each later failure that lands at the same time increments
-the cell instead of pushing; any other push (a transfer reply) closes
-it, so a failure after a transfer opens a new event and a transfer that
-lands at the same instant keeps its place between the two.  The merged
+the cell instead of pushing.  Serving a bundle pushes nothing else (a
+request never causes a transfer, by the invariant below), so the merged
 replies would have taken consecutive ``seq`` values, and what the thief
-schedules on the last one sorts after them, by the two steps above, so
-the thief's handler — ``pending -= count``, then the per-message logic
-for the last reply — replays them exactly.  Replies sent as a task ends
-go to distinct thieves (a thief has at most one request per victim in
+schedules on the last one sorts after them, by the two steps above: the
+thief's handler — ``pending -= count``, then the per-message logic for
+the last reply — replays them exactly.  Replies sent as a task ends go
+to distinct thieves (a thief has at most one request per victim in
 flight) and stay one event each.
 
 Neither rule depends on the latencies' values: they hold when
 ``latency_local == 0`` (replies land at ``now``) and when
 ``latency_local == latency_remote`` (the whole round is one event).
-Every per-message path — a request queued or served, a failure, an
-empty reply, a retry — runs inline in :meth:`WorkStealingSimulator.run`'s
-loop on per-PE state held in Python lists (scalar reads are NumPy's slow
-path), and a zero-payload message reads its latency from the topology's
-node table; the rare transfer and the fault paths are methods.
+Every per-message path — a request queued or failed, an empty reply, a
+retry — runs inline in :meth:`WorkStealingSimulator.run`'s loop on
+per-PE state held in Python lists (scalar reads are NumPy's slow path),
+and a zero-payload message reads its latency from the topology's node
+table; the rare transfer and the fault paths are methods.
 
 Protocol summary
 ----------------
-* A PE executes tasks from the *front* of its deque.
-* A thief sends one steal request per victim per round.  By default
-  (``offload_service=False``, the non-preemptive model every replay and
-  figure uses) a victim busy with a task queues requests and services
-  them between tasks, as a single-threaded SPMD runtime does (an idle
-  victim services them at arrival); ``offload_service=True`` services
-  every request at arrival, busy or not (communication offloaded, as in
-  an RDMA-capable runtime).  Either way a victim hands over the *back* half
-  of its deque (configurable), keeping at least ``min_keep`` tasks.
-* Failed rounds retry with exponential backoff until global work is
-  exhausted; retries model the "few processors are able to find work"
-  behaviour at scale (Fig. 9b).
+One protocol, the paper's (Alg. 3, Sec. III-A), with fixed constants:
+
+* A PE executes tasks from the *front* of its deque, one at a time and
+  without preemption.
+* A thief sends one steal request per victim per round.  A victim busy
+  with a task queues the requests and answers them in arrival order as
+  the task ends, as a single-threaded SPMD runtime does: it hands over
+  the *back* half of its deque (``steal_chunk``), keeping at least
+  ``MIN_KEEP`` tasks, or replies with a failure.  A transfer pays
+  ``TRANSFER_COST`` per task on top of the message latency.
+* A victim that is not busy — idle or dead — fails a request at arrival.
+* Failed rounds retry with exponential backoff, ``BACKOFF_BASE * 2**k``
+  after ``k`` failed rounds with ``k`` capped at ``MAX_IDLE_ROUNDS``,
+  until global work is exhausted; retries model the "few processors are
+  able to find work" behaviour at scale (Fig. 9b).
+
+**Invariant: a PE that is not busy has an empty deque.**  It holds at
+every event boundary, for live and dead PEs alike: ``_activate`` sets
+``busy`` whenever it pops a task; every path that fills a live PE's
+deque — the start of a run, a steal reply, a redispatch, the requeue of
+a failed attempt at its task's end — calls ``_activate`` before the next
+event is popped; and ``_kill_pe`` empties the deque.  So a request that
+meets a victim which is not busy finds nothing to steal, and tasks leave
+a victim in one place only: as its task ends.
 """
 
 from __future__ import annotations
@@ -98,6 +109,18 @@ if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
 __all__ = ["StealPolicy", "WorkStealingSimulator", "run_static_phase", "validate_steal_chunk"]
+
+#: A victim never gives away its last ``MIN_KEEP`` queued tasks.
+MIN_KEEP = 1
+#: Extra latency per transferred task (ownership-transfer overhead).
+TRANSFER_COST = 2.0
+#: A thief waits ``BACKOFF_BASE * 2**k`` after ``k`` failed rounds, with
+#: ``k`` capped at ``MAX_IDLE_ROUNDS``: 1, 2, 4, ..., 64 virtual seconds.
+#: It never stops retrying before global exhaustion.
+BACKOFF_BASE = 1.0
+MAX_IDLE_ROUNDS = 6
+#: ``_WAITS[k]`` is the wait after ``k`` failed rounds.
+_WAITS = tuple(BACKOFF_BASE * 2.0 ** k for k in range(MAX_IDLE_ROUNDS + 1))
 
 
 def validate_steal_chunk(steal_chunk: "str | int") -> None:
@@ -136,6 +159,10 @@ class StealPolicy(Protocol):
 class WorkStealingSimulator:
     """Simulate one bulk phase of task execution with optional stealing.
 
+    It runs the module's one protocol: ``MIN_KEEP``, ``TRANSFER_COST``,
+    ``BACKOFF_BASE`` and ``MAX_IDLE_ROUNDS`` are module constants, and a
+    PE that is not busy has an empty deque at every event boundary.
+
     Parameters
     ----------
     topology:
@@ -146,21 +173,9 @@ class WorkStealingSimulator:
     steal_policy:
         ``None`` disables stealing (static execution).
     steal_chunk:
-        ``"half"`` (default) transfers half the victim's stealable deque;
-        an int transfers at most that many tasks.
-    min_keep:
-        Victim never gives away its last ``min_keep`` queued tasks.
-    transfer_cost:
-        Extra latency per transferred task (ownership-transfer overhead).
-    max_idle_rounds:
-        Backoff cap, an int >= 0; a thief never stops retrying before
-        global exhaustion, but waits at most ``backoff_base * 2**cap``
-        between rounds.
-    offload_service:
-        When True, steal requests are serviced the instant they arrive
-        (an RDMA-style communication thread).  The default (False) is the
-        non-preemptive model: a busy victim replies only between tasks,
-        which is how a single-threaded SPMD runtime behaves.
+        ``"half"`` (default) transfers half the victim's stealable deque
+        (all but its last ``MIN_KEEP`` tasks); an int transfers at most
+        that many tasks.
     tracer:
         Optional :class:`repro.obs.Tracer`.  Emits ``task_start`` /
         ``task_end`` and the steal protocol (``steal_request`` /
@@ -192,36 +207,16 @@ class WorkStealingSimulator:
         executor: Callable[[int, int], float],
         steal_policy: "StealPolicy | None" = None,
         steal_chunk: "str | int" = "half",
-        min_keep: int = 1,
-        transfer_cost: float = 2.0,
-        backoff_base: float = 1.0,
-        max_idle_rounds: int = 6,
-        offload_service: bool = False,
         rng: np.random.Generator | None = None,
         tracer: "Tracer | None" = None,
         fault_injector: "FaultInjector | None" = None,
         max_retries: int = 2,
     ):
         validate_steal_chunk(steal_chunk)
-        if (
-            isinstance(max_idle_rounds, bool)
-            or not isinstance(max_idle_rounds, int)
-            or max_idle_rounds < 0
-        ):
-            raise ValueError(f"max_idle_rounds must be an int >= 0, got {max_idle_rounds!r}")
-        if min_keep < 0:
-            raise ValueError("min_keep must be >= 0")
-        if transfer_cost < 0 or backoff_base < 0:
-            raise ValueError("transfer_cost and backoff_base must be >= 0")
         self.topology = topology
         self.executor = executor
         self.steal_policy = steal_policy
         self.steal_chunk = steal_chunk
-        self.min_keep = min_keep
-        self.transfer_cost = transfer_cost
-        self.backoff_base = backoff_base
-        self.max_idle_rounds = max_idle_rounds
-        self.offload_service = offload_service
         self.rng = rng if rng is not None else np.random.default_rng(0)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -253,10 +248,6 @@ class WorkStealingSimulator:
         self._pending_replies = [0] * P
         self._round_found = [False] * P
         self._idle_rounds = [0] * P
-        #: retry wait after ``k`` failed rounds, ``k`` capped at the last row.
-        self._waits = [
-            self.backoff_base * 2.0 ** k for k in range(self.max_idle_rounds + 1)
-        ]
         #: the heap of ``(time, seq, kind, pe, payload)`` events; ``_push``
         #: takes one such tuple, ``_seq()`` hands out the next tie-breaker.
         self._events: "list[tuple[float, int, int, int, object]]" = []
@@ -280,7 +271,6 @@ class WorkStealingSimulator:
         tr, activate, hand_over = self._tr, self._activate, self._hand_over
         topo = self.topology
         node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
-        min_keep, offload = self.min_keep, self.offload_service
         ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
         end_time = 0.0
         while events:
@@ -300,19 +290,16 @@ class WorkStealingSimulator:
                     self._schedule_retry(pe, now)
                 continue
             if kind == _STEAL_REQUEST:
-                # Thief ``pe``'s requests to every victim in ``payload``; its
-                # failed replies gather in the open count cell ``fails``.
+                # Thief ``pe``'s requests to every victim in ``payload``.  A
+                # busy victim queues one; any other has an empty deque (the
+                # invariant), so it fails the request at once, dead or alive.
+                # The failed replies gather in the open count cell ``fails``.
                 here, fails, fails_at = node[pe], None, 0.0
                 for victim in payload:
                     vst = stats[victim]
                     vst.steal_requests_received += 1
-                    if busy[victim] and not offload:
+                    if busy[victim]:
                         queues[victim].append(pe)  # non-preemptive service
-                        continue
-                    stealable = len(deques[victim]) - min_keep
-                    if stealable > 0 and not dead[victim]:  # dead PEs answer at once
-                        hand_over(victim, pe, stealable, now)
-                        fails = None  # the transfer's push closes the open event
                         continue
                     vst.steals_failed += 1
                     if tr is not None:
@@ -361,7 +348,7 @@ class WorkStealingSimulator:
                 queues[pe] = []
                 here = node[pe]
                 for thief in thieves:
-                    stealable = len(deques[pe]) - min_keep
+                    stealable = len(deques[pe]) - MIN_KEEP
                     if stealable > 0:
                         hand_over(pe, thief, stealable, now)
                         continue
@@ -494,7 +481,7 @@ class WorkStealingSimulator:
         for i, t in enumerate(tasks):
             target = survivors[i % len(survivors)]
             self._messages += 1
-            delay = self.topology.latency(from_pe, target, payload=1) + self.transfer_cost
+            delay = self.topology.latency(from_pe, target, payload=1) + TRANSFER_COST
             self._push((now + delay, self._seq(), _REDISPATCH, target, t))
 
     def _on_redispatch(self, pe: int, now: float, task: int) -> None:
@@ -542,7 +529,7 @@ class WorkStealingSimulator:
         vst.tasks_lost += n
         if self._tr is not None:
             self._tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
-        delay = self.topology.latency(victim, thief, payload=n) + self.transfer_cost * n
+        delay = self.topology.latency(victim, thief, payload=n) + TRANSFER_COST * n
         self._push((now + delay, self._seq(), _STEAL_REPLY, thief, tasks))
 
     def _start_steal_round(self, pe: int, now: float) -> None:
@@ -584,8 +571,7 @@ class WorkStealingSimulator:
     def _schedule_retry(self, pe: int, now: float) -> None:
         if self._remaining <= 0:
             return
-        k, waits = self._idle_rounds[pe], self._waits
-        wait = waits[k] if k < len(waits) else waits[-1]
+        wait = _WAITS[min(self._idle_rounds[pe], MAX_IDLE_ROUNDS)]
         self._push((now + wait, self._seq(), _RETRY, pe, None))
 
 

@@ -45,7 +45,7 @@ from .core.machine import STRATEGIES
 from .core.parallel_prm import PRMWorkload, build_prm_workload
 from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
-from .geometry import environments
+from .geometry import Environment, environments
 from .runtime.local_pool import FAILURE_POLICIES, resolve_workers
 from .runtime.simulator import validate_steal_chunk
 
@@ -67,14 +67,13 @@ _BACKENDS = ("thread", "process")
 _DATA_PLANES = ("auto", "shm")
 
 
-def _environment_fingerprint(env: "str | object") -> bytes:
+def _environment_fingerprint(env: "str | Environment") -> bytes:
     """Stable content identity of an environment for cache keying.
 
     Catalog names hash by name; :class:`~repro.geometry.environment
     .Environment` instances hash by their exact bounds and obstacle
     arrays (content-addressed — two structurally identical environments
-    share a key, whichever constructor built them); anything else falls
-    back to ``repr``, which is stable within a process.
+    share a key, whichever constructor built them).
 
     The obstacles are read from the arrays, never from the
     ``obstacles`` list: the rows of ``[box_lo | box_hi]`` are the byte
@@ -82,15 +81,12 @@ def _environment_fingerprint(env: "str | object") -> bytes:
     """
     if isinstance(env, str):
         return b"name:" + env.encode()
-    kernel_data = getattr(env, "kernel_data", None)
-    if kernel_data is not None:
-        data = kernel_data()
-        h = hashlib.sha256()
-        h.update(data.bounds_lo.tobytes())
-        h.update(data.bounds_hi.tobytes())
-        h.update(np.concatenate([data.box_lo, data.box_hi], axis=1).tobytes())
-        return b"env:" + h.digest()
-    return b"repr:" + repr(env).encode()
+    data = env.kernel_data()
+    h = hashlib.sha256()
+    h.update(data.bounds_lo.tobytes())
+    h.update(data.bounds_hi.tobytes())
+    h.update(np.concatenate([data.box_lo, data.box_hi], axis=1).tobytes())
+    return b"env:" + h.digest()
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,9 @@ class WorkloadSpec:
     """
 
     #: benchmark environment name (see ``repro.geometry.environments``)
-    #: or an Environment instance.
-    environment: "str | object" = "med-cube"
+    #: or an Environment instance.  A name is not checked against the
+    #: catalog here: shm workers rebuild a spec from ``env.name``.
+    environment: "str | Environment" = "med-cube"
     planner: str = "prm"
     num_regions: int = 256
     #: PRM per-region sample budget (the paper's N / Nr).
@@ -116,6 +113,10 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on any out-of-range or unknown field."""
+        if not isinstance(self.environment, (str, Environment)):
+            raise ValueError(
+                f"environment must be a name or an Environment, got {self.environment!r}"
+            )
         if self.planner not in _PLANNERS:
             raise ValueError(f"planner must be one of {_PLANNERS}, got {self.planner!r}")
         # ``ExecutionPolicy.num_pes``'s rule: an int, never a bool or a

@@ -44,10 +44,8 @@ from repro.planners import PRM, RRT, PlannerStats, Roadmap
 from repro.planners.prm import PRMResult
 from repro.runtime import PEStats, SimResult, WorkStealingSimulator
 from repro.runtime.simulator import (
-    _REDISPATCH,
-    _RETRY,
-    _STEAL_REPLY,
-    _STEAL_REQUEST,
+    _REDISPATCH, _RETRY, _STEAL_REPLY, _STEAL_REQUEST, BACKOFF_BASE, MAX_IDLE_ROUNDS, MIN_KEEP,
+    TRANSFER_COST,
 )
 
 
@@ -473,7 +471,7 @@ class PerMessageSimulator(WorkStealingSimulator):
         idle_rounds = self._idle_rounds
         topo, tr, activate = self.topology, self._tr, self._activate
         node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
-        min_keep, offload, chunk = self.min_keep, self.offload_service, self.steal_chunk
+        chunk = self.steal_chunk
         ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
         end_time = 0.0
         while events:
@@ -524,12 +522,13 @@ class PerMessageSimulator(WorkStealingSimulator):
             for victim, thief in zip(victims, thieves):
                 if arriving:
                     stats[victim].steal_requests_received += 1
-                    if busy[victim] and not offload:
+                    if busy[victim]:
                         queues[victim].append(thief)  # non-preemptive service
                         continue
                 dq = deques[victim]
-                stealable = len(dq) - min_keep
-                if stealable <= 0 or dead[victim]:  # dead PEs answer at once
+                assert not (arriving and dq), f"PE {victim} is not busy but holds work"
+                stealable = len(dq) - MIN_KEEP
+                if arriving or stealable <= 0:  # a victim that is not busy fails at once
                     stats[victim].steals_failed += 1
                     if tr is not None:
                         tr.point(EV_STEAL_FAIL, ts=now, pe=victim, thief=thief)
@@ -543,7 +542,7 @@ class PerMessageSimulator(WorkStealingSimulator):
                 vst.tasks_lost += n
                 if tr is not None:
                     tr.point(EV_STEAL_TRANSFER, ts=now, pe=victim, thief=thief, tasks=n)
-                delay = topo.latency(victim, thief, payload=n) + self.transfer_cost * n
+                delay = topo.latency(victim, thief, payload=n) + TRANSFER_COST * n
                 push((now + delay, seq(), _STEAL_REPLY, thief, tasks))
             if not arriving:
                 activate(pe, now)
@@ -595,5 +594,5 @@ class PerMessageSimulator(WorkStealingSimulator):
     def _schedule_retry(self, pe: int, now: float) -> None:
         if self._remaining <= 0:
             return
-        wait = self.backoff_base * (2.0 ** min(self._idle_rounds[pe], self.max_idle_rounds))
+        wait = BACKOFF_BASE * (2.0 ** min(self._idle_rounds[pe], MAX_IDLE_ROUNDS))
         self._push((now + wait, self._seq(), _RETRY, pe, None))

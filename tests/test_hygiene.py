@@ -350,6 +350,8 @@ _ONE_SIDED = (
     ("obs/sinks.py", "MemorySink.__init__", "capacity"),
     ("runtime/faults.py", "FaultInjector.__init__", "rate_attempts"),
     ("subdivision/uniform.py", "UniformSubdivision.__init__", "shape"),
+    *(("runtime/simulator.py", "WorkStealingSimulator.__init__", param) for param in (
+        "offload_service", "min_keep", "transfer_cost", "backoff_base", "max_idle_rounds")),
 )
 
 
@@ -370,17 +372,23 @@ def _signatures(tree: ast.Module) -> "dict[str, set[str]]":
 
 def test_no_option_only_tests_set():
     """The runtime, engine, tracing and subdivision layers take no option
-    that no caller outside the tests sets; the connection phase's remote
-    accounting is array lines in ``core.machine.replay``, not a
-    distributed-graph wrapper; the query engine always builds a
-    ``BruteForceNN``."""
+    that no caller outside the tests sets; the steal policies are the
+    paper's, with ``k = 8``, and their names are ``STRATEGIES[2:]``; the
+    connection phase's remote accounting is array lines in
+    ``core.machine.replay``, not a distributed-graph wrapper; the query
+    engine always builds a ``BruteForceNN``."""
     offenders = []
     for path, function, param in _ONE_SIDED:
         params = _signatures(ast.parse((SRC / path).read_text())).get(function)
         assert params is not None, f"{path}: no {function}"
         if param in params:
             offenders.append(f"{path}: {function}({param}=)")
+    core = importlib.import_module("repro.core")
+    for target in (core.RandKPolicy, core.HybridPolicy, core.policy_by_name):
+        if "k" in inspect.signature(target).parameters:
+            offenders.append(f"core/work_stealing.py: {target.__name__}(k=)")
     assert not offenders, "an option only tests set:\n" + "\n".join(offenders)
+    assert "POLICY_NAMES" not in dir(core)
 
     runtime = importlib.import_module("repro.runtime")
     assert not {"PGraphView", "AccessStats"} & set(dir(runtime))

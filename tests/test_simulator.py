@@ -75,7 +75,7 @@ class TestWorkStealing:
             ClusterTopology(8, cores_per_node=4), _uniform_executor(10.0),
             {t: 0 for t in range(64)},
         )
-        stolen = self._run(RandKPolicy(4))
+        stolen = self._run(RandKPolicy())
         assert stolen.makespan < static.makespan
         # Should be within a small factor of perfect balance (steal
         # latency, transfer cost and non-preemptive service all add up).
@@ -87,7 +87,7 @@ class TestWorkStealing:
         assert sum(s.tasks_executed for s in res.pe_stats) == 64
 
     def test_stolen_marks_consistent(self):
-        res = self._run(RandKPolicy(4))
+        res = self._run(RandKPolicy())
         for st in res.pe_stats:
             assert st.tasks_stolen_executed <= st.tasks_executed
         # Tasks left PE 0:
@@ -101,46 +101,27 @@ class TestWorkStealing:
         assert res.total_work() == pytest.approx(64 * 10.0)
 
     def test_deterministic_given_seed(self):
-        a = self._run(RandKPolicy(4))
-        b = self._run(RandKPolicy(4))
+        a = self._run(RandKPolicy())
+        b = self._run(RandKPolicy())
         assert a.makespan == b.makespan
         assert a.executed_by == b.executed_by
 
     def test_chunk_one_slower_than_half(self):
-        half = self._run(RandKPolicy(4), steal_chunk="half")
-        one = self._run(RandKPolicy(4), steal_chunk=1)
+        half = self._run(RandKPolicy(), steal_chunk="half")
+        one = self._run(RandKPolicy(), steal_chunk=1)
         assert one.total_messages >= half.total_messages
-
-    def test_min_keep_respected(self):
-        res = self._run(RandKPolicy(4), min_keep=8, tasks_on_pe0=16)
-        # Victim must keep at least 8 queued; at most 16-8 stolen overall
-        # in the first service, so PE 0 executes at least 8.
-        assert res.pe_stats[0].tasks_executed >= 8
 
     def test_single_pe_never_steals(self):
         topo = ClusterTopology(1)
-        sim = WorkStealingSimulator(topo, _uniform_executor(), steal_policy=RandKPolicy(4))
+        sim = WorkStealingSimulator(topo, _uniform_executor(), steal_policy=RandKPolicy())
         res = sim.run({t: 0 for t in range(5)})
         assert res.total_messages == 0
         assert res.makespan == pytest.approx(50.0)
-
-    def test_offload_service_at_least_as_fast(self):
-        slow = self._run(RandKPolicy(4), offload_service=False)
-        fast = self._run(RandKPolicy(4), offload_service=True)
-        assert fast.makespan <= slow.makespan + 1e-9
 
     def test_invalid_parameters(self):
         topo = ClusterTopology(2)
         with pytest.raises(ValueError):
             WorkStealingSimulator(topo, _uniform_executor(), steal_chunk=0)
-        with pytest.raises(ValueError):
-            WorkStealingSimulator(topo, _uniform_executor(), min_keep=-1)
-        # A negative delay would schedule into the past, ahead of the rest
-        # of the request bundle being served.
-        with pytest.raises(ValueError):
-            WorkStealingSimulator(topo, _uniform_executor(), transfer_cost=-1.0)
-        with pytest.raises(ValueError):
-            WorkStealingSimulator(topo, _uniform_executor(), backoff_base=-1.0)
 
 
 class TestStealOptionValidation:
@@ -151,27 +132,24 @@ class TestStealOptionValidation:
     def test_bad_steal_chunk_is_refused(self, chunk):
         with pytest.raises(ValueError, match="steal_chunk"):
             WorkStealingSimulator(
-                ClusterTopology(2), _uniform_executor(), steal_policy=RandKPolicy(1),
+                ClusterTopology(2), _uniform_executor(), steal_policy=RandKPolicy(),
                 steal_chunk=chunk,
             )
 
-    @pytest.mark.parametrize("rounds", [-3, -1, True, 1.5, "6"])
-    def test_bad_max_idle_rounds_is_refused(self, rounds):
-        with pytest.raises(ValueError, match="max_idle_rounds"):
-            WorkStealingSimulator(ClusterTopology(2), _uniform_executor(), max_idle_rounds=rounds)
-
-    def test_no_backoff_waits_backoff_base(self):
-        # max_idle_rounds=0: every retry waits backoff_base, never less.
+    def test_backoff_doubles_from_the_base_to_its_cap(self):
+        # PE 2 asks only PE 1, which is idle with nothing queued, while
+        # PE 0 works through one long task: every round fails at once.
+        # Round k + 1 starts 1 + 1 (request and reply latency) plus the
+        # wait after k failed rounds, 2**min(k, 6), after round k.
         sink = MemorySink()
         WorkStealingSimulator(
-            ClusterTopology(2), _uniform_executor(), steal_policy=RandKPolicy(1),
-            min_keep=8, offload_service=True, backoff_base=3.0, max_idle_rounds=0,
+            ClusterTopology(3), _uniform_executor(1000.0), steal_policy=_FixedVictims(1),
             tracer=Tracer(sinks=[sink]),
-        ).run({t: 0 for t in range(8)})
+        ).run({0: 0})
         sent = [e.ts for e in sink.events if e.name == EV_STEAL_REQUEST]
-        assert len(sent) > 2
-        # PE 1 asks at 0, the failure lands at 2 (1 + 1), it retries at 5.
-        assert all(b - a == pytest.approx(5.0) for a, b in zip(sent, sent[1:]))
+        assert len(sent) > 10
+        gaps = [b - a for a, b in zip(sent, sent[1:])]
+        assert gaps == [2.0 + 2.0 ** min(k, 6) for k in range(1, len(sent))]
 
 
 class _FixedVictims:
@@ -258,7 +236,7 @@ def test_simulation_invariants_property(seed, P, n_tasks):
     costs = rng.uniform(1, 20, n_tasks)
     assignment = {t: int(rng.integers(0, P)) for t in range(n_tasks)}
     sim = WorkStealingSimulator(
-        topo, lambda t, p: float(costs[t]), steal_policy=RandKPolicy(3),
+        topo, lambda t, p: float(costs[t]), steal_policy=RandKPolicy(),
         rng=np.random.default_rng(seed + 1),
     )
     res = sim.run(assignment)

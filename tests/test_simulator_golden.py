@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -54,11 +54,11 @@ STEALING = ("rand-8", "diffusive", "hybrid")
 #: Four and eight 24-core nodes: a round's victims arrive at two times.
 WIDE_PES = (96, 192)
 VARIANT_PES = 96
-#: Protocol corners the tables miss, as (topology latencies, simulator
-#: options): every arrival of a round tied, and free intra-node messages.
+#: Protocol corners the tables miss, as topology latencies: every arrival
+#: of a round tied, and free intra-node messages.
 VARIANTS = {
-    "tied-latency": ({"latency_local": 10.0, "latency_remote": 10.0}, {}),
-    "free-local": ({"latency_local": 0.0}, {}),
+    "tied-latency": {"latency_local": 10.0, "latency_remote": 10.0},
+    "free-local": {"latency_local": 0.0},
 }
 
 
@@ -143,14 +143,12 @@ rrt_workload = pytest.fixture(scope="module")(_build_rrt_workload)
 
 def _variant_run(workload, variant, strategy):
     """The PRM connection phase on ``VARIANT_PES`` PEs under one variant."""
-    latencies, options = VARIANTS[variant]
     costs = {rid: w.connect_cost for rid, w in workload.region_work.items()}
     return WorkStealingSimulator(
-        ClusterTopology(VARIANT_PES, **latencies),
+        ClusterTopology(VARIANT_PES, **VARIANTS[variant]),
         lambda task, pe: costs[task],
         steal_policy=policy_by_name(strategy),
         rng=np.random.default_rng(12345),
-        **options,
     ).run(partition_block(workload.subdivision.graph, VARIANT_PES))
 
 
@@ -353,14 +351,11 @@ def test_multi_node_traced_run_golden(prm_workload):
     cores_per_node=st.integers(1, 4),
     latency_local=st.sampled_from([0.0, 1.0]),
     latency_remote=st.sampled_from([1.0, 10.0]),
-    policy=st.sampled_from(["rand-k", "diffusive", "hybrid"]),
-    k=st.integers(1, 8),
-    offload_service=st.booleans(),
+    policy=st.sampled_from(STEALING),
     n_tasks=st.integers(1, 60),
 )
 def test_traced_equals_untraced_property(
-    seed, num_pes, cores_per_node, latency_local, latency_remote, policy, k, offload_service,
-    n_tasks,
+    seed, num_pes, cores_per_node, latency_local, latency_remote, policy, n_tasks,
 ):
     """One protocol serves traced and untraced runs: a tracer never moves
     a result, and every task runs exactly once either way."""
@@ -375,8 +370,7 @@ def test_traced_equals_untraced_property(
         return WorkStealingSimulator(
             topology,
             lambda task, pe: float(costs[task]),
-            steal_policy=policy_by_name(policy, k),
-            offload_service=offload_service,
+            steal_policy=policy_by_name(policy),
             rng=np.random.default_rng(seed + 1),
             tracer=tracer,
         ).run(assignment)
@@ -400,31 +394,21 @@ _fault = st.tuples(
     latency_local=st.sampled_from([0.0, 1.0]),
     latency_remote=st.sampled_from([1.0, 10.0]),
     bandwidth_cost=st.sampled_from([0.0, 0.5]),
-    transfer_cost=st.sampled_from([0.0, 2.0]),
-    min_keep=st.integers(0, 2),
     steal_chunk=st.sampled_from(["half", 1, 3]),
-    offload_service=st.booleans(),
-    policy=st.sampled_from(["rand-k", "diffusive", "hybrid"]),
-    k=st.integers(1, 8),
+    policy=st.sampled_from(STEALING),
     n_tasks=st.integers(1, 60),
     whole_costs=st.booleans(),
     faults=st.lists(_fault, max_size=4),
 )
-# Free transfers on one-core nodes: a transfer lands between two failed
-# replies of its bundle at the same instant, whatever the draw.
-@example(seed=10, num_pes=5, cores_per_node=1, latency_local=1.0, latency_remote=10.0,
-         bandwidth_cost=0.0, transfer_cost=0.0, min_keep=1, steal_chunk=1,
-         offload_service=True, policy="rand-k", k=3, n_tasks=20, whole_costs=True, faults=[])
 def test_bundled_replies_equal_one_event_per_reply(
     seed, num_pes, cores_per_node, latency_local, latency_remote, bandwidth_cost,
-    transfer_cost, min_keep, steal_chunk, offload_service, policy, k, n_tasks, whole_costs,
-    faults,
+    steal_chunk, policy, n_tasks, whole_costs, faults,
 ):
     """A bundle's failed replies as one count-carrying event replay the
     per-message loop bit for bit: results, every ``PEStats`` field and
-    the traced event stream.  Zero costs let a transfer land at the same
-    instant as the failures around it; whole-number task costs make the
-    ties between PEs common."""
+    the traced event stream.  Whole-number task costs make the ties
+    between PEs common.  And no PE goes idle with work queued (the
+    simulator's invariant): every task runs or is abandoned, once."""
     rng = np.random.default_rng(seed)
     if whole_costs:
         costs = rng.integers(1, 6, n_tasks).astype(float)
@@ -442,11 +426,8 @@ def test_bundled_replies_equal_one_event_per_reply(
         return cls(
             topology,
             lambda task, pe: float(costs[task]),
-            steal_policy=policy_by_name(policy, k),
+            steal_policy=policy_by_name(policy),
             steal_chunk=steal_chunk,
-            min_keep=min_keep,
-            transfer_cost=transfer_cost,
-            offload_service=offload_service,
             rng=np.random.default_rng(seed + 1),
             tracer=tracer,
             fault_injector=FaultInjector(plan) if plan else None,
@@ -459,6 +440,8 @@ def test_bundled_replies_equal_one_event_per_reply(
     assert got.pe_stats == want.pe_stats
     assert trace_digest(sink.events) == trace_digest(oracle_sink.events)
     assert sim_digest(run(WorkStealingSimulator, None)) == sim_digest(want)
+    assert sum(s.tasks_executed for s in got.pe_stats) == len(got.executed_by)
+    assert sorted([*got.executed_by, *got.abandoned]) == list(range(n_tasks))
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration aid

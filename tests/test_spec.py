@@ -34,6 +34,20 @@ class TestSpecObjects:
         with pytest.raises(ValueError):
             WorkloadSpec(num_regions=0).validate()
 
+    @pytest.mark.parametrize("environment", [object(), None, 3, b"med-cube"])
+    def test_environment_is_a_name_or_an_environment(self, environment, monkeypatch):
+        """Anything else fails ``validate()``, so ``plan()`` rejects it
+        before it builds anything.  A name is not looked up in the
+        catalog: shm workers rebuild a spec from the environment's own
+        name."""
+        with pytest.raises(ValueError, match="environment"):
+            WorkloadSpec(environment=environment).validate()
+        monkeypatch.setattr(WorkloadSpec, "build_workload", lambda *a: pytest.fail("built"))
+        with pytest.raises(ValueError, match="environment"):
+            plan(WorkloadSpec(environment=environment, num_regions=8))
+        WorkloadSpec(environment="no-such-scene").validate()
+        WorkloadSpec(environment=environments.by_name("med-cube")).validate()
+
     @pytest.mark.parametrize("field, value", [
         ("num_regions", 64.0), ("num_regions", True), ("samples_per_region", 8.0),
         ("samples_per_region", True), ("nodes_per_region", 12.0), ("nodes_per_region", True),

@@ -371,10 +371,19 @@ MUTANTS = [
         (f"{GOLDEN}::test_traced_run_golden", f"{GOLDEN}::test_multi_node_traced_run_golden"),
     ),
     Mutant(
-        "the open failed-reply event is not closed by an intervening transfer",
+        "a busy victim fails a request at arrival instead of queueing it",
         "repro/runtime/simulator.py",
-        "                        fails = None  # the transfer's push closes the open event\n",
+        "                    if busy[victim]:\n"
+        "                        queues[victim].append(pe)  # non-preemptive service\n"
+        "                        continue\n",
         "",
+        (f"{GOLDEN}::test_simulate_prm_golden[16-rand-8]", BUNDLED),
+    ),
+    Mutant(
+        "a redispatched task does not wake its idle survivor",
+        "repro/runtime/simulator.py",
+        "        self._deques[pe].append(task)\n        self._activate(pe, now)\n",
+        "        self._deques[pe].append(task)\n",
         (BUNDLED,),
     ),
     Mutant(
