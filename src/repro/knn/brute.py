@@ -177,7 +177,7 @@ class BruteForceNN(NeighborFinder):
         return ids, dists
 
     def knn_batch_arrays(
-        self, queries: np.ndarray, k: int, segments=None
+        self, queries: np.ndarray, k: int, segments=None, *, out: "np.ndarray | None" = None
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Canonical k-NN for every row of ``queries`` in one distance
         broadcast, returned as padded ``(ids, dists)`` arrays — same
@@ -188,18 +188,27 @@ class BruteForceNN(NeighborFinder):
         ``[qo[s], qo[s+1])`` to stored rows ``[so[s], so[s+1])``: many
         small independent searches (one per region adjacency) as one pass
         over one finder, equal to one finder per segment.
+
+        ``out``, an ``(m, len(self))`` float array, receives the distance
+        block itself (``out[i, j]`` from query ``i`` to the ``j``-th stored
+        point, bit-identical to ``np.linalg.norm``) for a caller that needs
+        more of it than the ``k`` nearest (unsegmented queries only).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if segments is not None:
+            if out is not None:
+                raise ValueError("out= needs unsegmented queries")
             return self._knn_segments(queries, k, segments)
         m = queries.shape[0]
         kk = max(k, 0)
         ids = np.full((m, kk), -1, dtype=np.int64)
         dists = np.full((m, kk), np.inf)
-        if m == 0 or self._n == 0 or kk == 0:
+        if m == 0 or self._n == 0:
             return ids, dists
-        D = np.empty((m, self._n))
+        D = np.empty((m, self._n)) if out is None else out
         pairwise_accumulate_exact(self._points[: self._n], queries, D)
+        if kk == 0:
+            return ids, dists
         self.stats.queries += m
         self.stats.distance_evals += m * self._n
         k_eff = min(kk, self._n)

@@ -14,10 +14,12 @@ of a built roadmap:
 * searches run over the CSR arrays with *virtual* start/goal endpoints,
   so the roadmap is never mutated and queries are trivially independent;
 * :meth:`QueryEngine.solve_many` batches start/goal validity checks,
-  k-NN attachment, and local-planner validation across a whole request
-  batch, then dispatches the per-query searches inline or across the
-  :mod:`repro.runtime.local_pool` backends (inheriting its retry /
-  degrade fault policies), emitting per-query ``EV_QUERY_*`` events;
+  k-NN attachment, local-planner validation and the searches' heuristics
+  (the attachment pass's distance block, one landmark pass) across a
+  whole request batch, then dispatches the per-query searches inline or
+  in one chunk per worker across the :mod:`repro.runtime.local_pool`
+  backends (inheriting its retry / degrade fault policies), emitting
+  per-query ``EV_QUERY_*`` events;
 * once the searches have settled as many vertices as it costs, the
   snapshot's landmark table is built on a background thread (ski
   rental), and later searches run in ALT order under a tie certificate
@@ -128,8 +130,8 @@ def _solve_prepared(frozen: FrozenRoadmap, jobs, sid: int, gid: int, i: int):
     job = jobs[i]
     if job is None:
         return None
-    start, goal, s_links, g_links = job
-    found = frozen.astar_virtual(start, goal, s_links, g_links, sid, gid)
+    start, goal, s_links, g_links, prepared = job
+    found = frozen.astar_virtual(start, goal, s_links, g_links, sid, gid, prepared=prepared)
     if found is None:
         return None
     path, length = found
@@ -177,11 +179,16 @@ class QueryEngine:
     # -- batched preparation -------------------------------------------------
     def _prepare(self, starts: np.ndarray, goals: np.ndarray):
         """Vectorised per-batch setup: endpoint validity, k-NN attachment
-        candidates, and one local-planner batch over every candidate edge.
+        candidates, one local-planner batch over every candidate edge, and
+        the searches' heap heuristics.
 
-        Returns per-query jobs ``(start, goal, start_links, goal_links)``
-        (links as ``(row, weight)`` in candidate order) or None for
-        queries that already failed (invalid endpoints).
+        Returns per-query jobs ``(start, goal, start_links, goal_links,
+        prepared)`` (links as ``(row, weight)`` in candidate order,
+        ``prepared`` the query's :class:`~repro.planners.frozen.Prepared`)
+        or None for queries that already failed (invalid endpoints).  The
+        attachment pass's distance block holds every goal's distance to
+        every row: those rows are the A* heuristics, so
+        :meth:`FrozenRoadmap.prepare` scans nothing again.
         """
         q = starts.shape[0]
         jobs: "list[tuple | None]" = [None] * q
@@ -194,9 +201,12 @@ class QueryEngine:
             return jobs
         n = self.frozen.num_vertices
         nv = len(valid_idx)
+        v_starts, v_goals = starts[valid_idx], goals[valid_idx]
+        dist = np.empty((2 * nv, n))
         cand_ids, cand_d = self._nn.knn_batch_arrays(
-            np.vstack([starts[valid_idx], goals[valid_idx]]), ATTACH_K
+            np.vstack([v_starts, v_goals]), ATTACH_K, out=dist
         )
+        d_sg = np.linalg.norm(v_starts - v_goals, axis=1).tolist()
         # Collect every candidate edge of every query into one validation
         # batch; slices[j] records (query, candidate list with rows).
         pair_starts: "list[np.ndarray]" = []
@@ -219,15 +229,15 @@ class QueryEngine:
             # The per-query path attaches the goal *after* the start was
             # inserted, so the start is a goal candidate too — merge it in
             # at its canonical (distance, insertion order = n) position.
-            d_sg = float(np.linalg.norm((start - goal)[None, :], axis=1)[0])
+            key = (d_sg[p], n)
             lo, hi = 0, len(gcand)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if gcand[mid] < (d_sg, n):
+                if gcand[mid] < key:
                     lo = mid + 1
                 else:
                     hi = mid
-            gcand.insert(lo, (d_sg, n))
+            gcand.insert(lo, key)
             gcand = gcand[:ATTACH_K]
             for _d, r in scand:
                 pair_starts.append(start)
@@ -236,14 +246,11 @@ class QueryEngine:
                 pair_starts.append(goal)
                 pair_ends.append(start if r == n else configs[r])
             slices.append((qi, scand, gcand))
-        if not pair_starts:
-            for qi, _s, _g in slices:
-                jobs[qi] = (starts[qi], goals[qi], [], [])
-            return jobs
         # batch_pairs_exact: bit-identical to scalar local-planner calls.
         valid, _checks, lengths = self.local_planner.batch_pairs_exact(
             self.cspace, np.array(pair_starts), np.array(pair_ends)
         )
+        links = []
         pos = 0
         for qi, scand, gcand in slices:
             s_links = []
@@ -256,7 +263,10 @@ class QueryEngine:
                 if valid[pos]:
                     g_links.append((r, float(lengths[pos])))
                 pos += 1
-            jobs[qi] = (starts[qi], goals[qi], s_links, g_links)
+            links.append((s_links, g_links))
+        prepared = self.frozen.prepare(v_starts, v_goals, links, dist[nv:])
+        for p, qi in enumerate(valid_idx):
+            jobs[qi] = (starts[qi], goals[qi], *links[p], prepared[p])
         return jobs
 
     # -- solving -------------------------------------------------------------
@@ -305,16 +315,21 @@ class QueryEngine:
         """Solve a batch of queries with amortised setup.
 
         ``requests`` is a sequence of :class:`QueryRequest` or
-        ``(start, goal)`` pairs.  Without an ``execution`` the searches
-        run inline.  Given an :class:`~repro.spec.ExecutionPolicy` with
-        ``workers > 1`` the independent per-query searches are dispatched
-        across a :func:`~repro.runtime.local_pool.run_tasks_parallel`
-        pool (its ``workers`` / ``backend`` / ``chunksize``), under the
-        :class:`~repro.spec.FaultPolicy` ``faults`` (default fail-fast),
-        so retry/degrade semantics match regional planning; abandoned
-        queries surface as ``None`` results listed in ``abandoned``, with
-        their consumed attempts in ``attempts`` — the same accounting
-        ``plan()`` surfaces.
+        ``(start, goal)`` pairs.  The batch is prepared in array passes
+        (:meth:`_prepare`): validity, k-NN attachment, one local-planner
+        batch, and the searches' heuristics — the attachment pass's goal
+        rows and one landmark-bound pass for the whole batch.  Without an
+        ``execution`` the searches run inline.  Given an
+        :class:`~repro.spec.ExecutionPolicy` with ``workers > 1`` the
+        independent per-query searches are dispatched across a
+        :func:`~repro.runtime.local_pool.run_tasks_parallel` pool (its
+        ``workers`` / ``backend``; ``chunksize`` is not read: ``q``
+        searches go out ``ceil(q / workers)`` to a chunk, one chunk per
+        worker), under the :class:`~repro.spec.FaultPolicy` ``faults``
+        (default fail-fast), so retry/degrade semantics match regional
+        planning; abandoned queries surface as ``None`` results listed in
+        ``abandoned``, with their consumed attempts in ``attempts`` — the
+        same accounting ``plan()`` surfaces.
 
         With a tracer, the batch runs inside a ``serve`` span and each
         query emits ``EV_QUERY_START`` / ``EV_QUERY_END`` (attrs:
@@ -361,12 +376,15 @@ class QueryEngine:
             if workers > 1 and q > 1:
                 # On the process backend the frozen snapshot ships with
                 # the callable, once per worker (the pool initializer).
+                # One chunk per worker: a search is too small a unit to pay
+                # one submission each (``execution.chunksize`` sizes
+                # ``plan()``'s regional tasks, not these).
                 pool = run_tasks_parallel(
                     partial(_solve_prepared, self.frozen, jobs, self._sid, self._gid),
                     list(range(q)),
                     workers=workers,
                     backend=execution.backend,
-                    chunksize=execution.chunksize,
+                    chunksize=-(-q // workers),
                     tracer=tracer,
                     **fault_kwargs,
                 )

@@ -25,7 +25,9 @@ With it the search runs in ALT order (Goldberg & Harrelson's bound)
 and keeps that answer only when a tie certificate proves it equal to the
 Euclidean order's; otherwise it re-runs the Euclidean order, so the
 table changes how fast a query is answered, never the answer.
-``docs/serving.md`` states the bound and the certificate.
+:meth:`FrozenRoadmap.prepare` computes the heap heuristics — Euclidean
+and landmark bound — of a whole batch of queries in array passes.
+``docs/serving.md`` states the bound, the certificate and the passes.
 
 The snapshot is immutable and does not track its source: a roadmap that
 changes after freezing builds a new CSR and leaves the snapshot's arrays
@@ -36,12 +38,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 
+from ..kernels.reference import pairwise_accumulate_exact
 from .roadmap import Roadmap, _component_labels
 
-__all__ = ["FrozenRoadmap", "LANDMARKS", "ACTIVE_LANDMARKS"]
+__all__ = ["FrozenRoadmap", "Prepared", "LANDMARKS", "ACTIVE_LANDMARKS"]
 
 #: Rows of the landmark table (farthest-point picks in configuration space).
 LANDMARKS = 16
@@ -51,6 +55,18 @@ ACTIVE_LANDMARKS = 4
 #: rounding cannot make it overestimate, and the tie certificate counts two
 #: lengths within ``_TOL`` of the answer's length as tied.
 _TOL = 1e-9
+
+
+class Prepared(NamedTuple):
+    """One query's heap heuristics, as :meth:`FrozenRoadmap.prepare`
+    builds them for a whole batch."""
+
+    #: ``(n,)`` Euclidean distance from the goal to every row.
+    h: np.ndarray
+    #: ``(n,)`` ALT-order bound, or None when the search runs Euclidean.
+    alt: "np.ndarray | None"
+    #: Euclidean start-goal distance, the virtual start's heuristic.
+    d_sg: float
 
 
 class FrozenRoadmap:
@@ -106,9 +122,9 @@ class FrozenRoadmap:
         # inner loop is a single list index plus direct tuple unpacking —
         # no per-pop slicing.  Order is CSR order, i.e. relax order.
         ind, nb, wt = indptr.tolist(), indices.tolist(), weights.tolist()
+        pairs = list(zip(nb, wt))
         self._adj: "list[list[tuple[int, float]]]" = [
-            list(zip(nb[ind[i] : ind[i + 1]], wt[ind[i] : ind[i + 1]]))
-            for i in range(n)
+            pairs[lo:hi] for lo, hi in zip(ind, ind[1:])
         ]
         self._comp_list = _component_labels(ind, nb)
         self.comp = np.array(self._comp_list, dtype=np.int64)
@@ -175,6 +191,30 @@ class FrozenRoadmap:
         return self._comp_list[self._row[u]] == self._comp_list[self._row[v]]
 
     # -- searches -----------------------------------------------------------
+    def prepare(self, starts, goals, links, dist=None) -> "list[Prepared]":
+        """The heap heuristics of a batch of queries, in array passes.
+
+        ``links[i]`` is query ``i``'s ``(start_links, goal_links)`` (as
+        :meth:`astar_virtual` takes them) and ``dist``, when the caller
+        already holds it, the ``(q, n)`` Euclidean distances from each goal
+        to every row (:class:`~repro.knn.brute.BruteForceNN`'s attachment
+        block is): otherwise one
+        :func:`~repro.kernels.reference.pairwise_accumulate_exact` pass
+        computes it, bit-identical to a per-query ``np.linalg.norm``.  The
+        landmark bounds of the whole batch are one pass over the table as
+        it stands now (:func:`_landmark_bounds`).  Returns one
+        :class:`Prepared` per query.
+        """
+        starts = np.asarray(starts, dtype=float)
+        goals = np.asarray(goals, dtype=float)
+        if dist is None:
+            dist = np.empty((goals.shape[0], self.num_vertices))
+            pairwise_accumulate_exact(self.configs, goals, dist)
+        d_sg = np.linalg.norm(starts - goals, axis=1).tolist()
+        table = self.landmark_table
+        alt = [None] * len(links) if table is None else _landmark_bounds(table, dist, links)
+        return [Prepared(*row) for row in zip(dist, alt, d_sg)]
+
     def astar_virtual(
         self,
         start_cfg: np.ndarray,
@@ -185,6 +225,7 @@ class FrozenRoadmap:
         gid: int,
         *,
         landmarks: bool = True,
+        prepared: "Prepared | None" = None,
     ) -> "tuple[list[int], float] | None":
         """A* between two virtual endpoints attached by explicit links.
 
@@ -197,10 +238,12 @@ class FrozenRoadmap:
         then the start link, then the goal link — adjacency append
         order), identical heap tie-breaking, identical floats.
 
-        With a landmark table the search first runs in ALT order and
-        returns that answer only when :meth:`_certified` proves it equal
-        to the Euclidean order's; otherwise, and always with
-        ``landmarks=False`` (the oracle), it runs in Euclidean order.
+        ``prepared`` is this query's entry of a batch's :meth:`prepare`;
+        without it the query is prepared as a batch of one.  With a
+        landmark bound the search first runs in ALT order and returns that
+        answer only when :meth:`_certified` proves it equal to the
+        Euclidean order's; otherwise, and always with ``landmarks=False``
+        (the oracle), it runs in Euclidean order.
         """
         if not start_links or not goal_links:
             return None
@@ -217,22 +260,23 @@ class FrozenRoadmap:
             {comp[r] for r, _w in start_links} & {comp[r] for r in g_back}
         ):
             return None
-        start_cfg = np.asarray(start_cfg, dtype=float)
-        goal_cfg = np.asarray(goal_cfg, dtype=float)
-        h = np.linalg.norm(self.configs - goal_cfg[None, :], axis=1)
-        ends = [float(np.linalg.norm((start_cfg - goal_cfg)[None, :], axis=1)[0]), 0.0]
+        if prepared is None:
+            prepared = self.prepare(
+                np.asarray(start_cfg, dtype=float)[None, :],
+                np.asarray(goal_cfg, dtype=float)[None, :],
+                [(start_links, goal_links)],
+            )[0]
+        ends = [prepared.d_sg, 0.0]
         self.searches += 1
-        table = self.landmark_table if landmarks else None
-        alt = None
-        if table is not None and g_back:
-            alt = _landmark_bound(table, h, start_links, g_back)
-        if alt is not None:
-            state = self._search(alt.tolist() + ends, start_links, sg_w, g_back, sid, gid)
+        if landmarks and prepared.alt is not None:
+            state = self._search(
+                prepared.alt.tolist() + ends, start_links, sg_w, g_back, sid, gid
+            )
             self.settled += state[2].count(1, 0, n)
             if self._certified(state, start_links, sg_w, g_back):
                 return self._answer(state, sid, gid)
             self.fallbacks += 1
-        state = self._search(h.tolist() + ends, start_links, sg_w, g_back, sid, gid)
+        state = self._search(prepared.h.tolist() + ends, start_links, sg_w, g_back, sid, gid)
         self.settled += state[2].count(1, 0, n)
         return self._answer(state, sid, gid)
 
@@ -381,11 +425,12 @@ def _farthest_points(configs: np.ndarray, k: int) -> "list[int]":
     return rows
 
 
-def _landmark_bound(table, h, start_links, g_back) -> "np.ndarray | None":
-    """The ALT-order heap heuristic over roadmap rows:
-    ``max(h, (1 - tol) h_L)``, ``h_L`` the largest landmark bound among the
-    :data:`ACTIVE_LANDMARKS` rows of ``table`` whose bound is largest at
-    the start's links; None when no landmark reaches a goal link.
+def _landmark_bounds(table, h, links) -> "list[np.ndarray | None]":
+    """The ALT-order heap heuristics of a batch over roadmap rows: row
+    ``i`` is ``max(h[i], (1 - tol) h_L)``, ``h_L`` the largest landmark
+    bound among the :data:`ACTIVE_LANDMARKS` rows of ``table`` whose bound
+    is largest at query ``i``'s start links; None when no landmark reaches
+    one of its goal links (or it has no goal link in the roadmap).
 
     Landmark ``L`` sees the goal through its links ``r`` (weight ``w_r``)
     in its own component: ``dG = min (D[L, r] + w_r)`` and
@@ -393,24 +438,55 @@ def _landmark_bound(table, h, start_links, g_back) -> "np.ndarray | None":
     ``h_L(v) = max(dG - D[L, v], D[L, v] - dGmax)`` for ``v`` it reaches.
     ``h_L(r) <= w_r`` on every goal link, so the bound is admissible and
     consistent in the graph the search walks (the virtual start is settled
-    first and never re-entered).  The table's NaNs (unreachable) drop out
-    of every ``fmin`` / ``fmax``, so a vertex no active landmark reaches
-    keeps ``h``.
+    first and never re-entered).  The table's NaNs (unreachable) and the
+    NaN weights that pad the ragged link lists drop out of every ``fmin`` /
+    ``fmax``, so a vertex no active landmark reaches keeps ``h``, and each
+    row is the bits one query alone would get.
     """
-    rows = list(g_back)
-    w = np.fromiter(g_back.values(), dtype=float, count=len(rows))
-    at_goal = table[:, rows]
-    d_goal = np.fmin.reduce(at_goal + w, axis=1)[:, None]
-    d_far = np.fmax.reduce(at_goal - w, axis=1)[:, None]
-    s_rows = [r for r, _w in start_links]
-    s_w = np.fromiter((w for _r, w in start_links), dtype=float, count=len(s_rows))
+    q, n = len(links), table.shape[1]
+    out: "list[np.ndarray | None]" = [None] * q
+    backs = [[(r, w) for r, w in dict(g).items() if r != n] for _s, g in links]
+    todo = [i for i in range(q) if backs[i] and links[i][0]]
+    if not todo:
+        return out
+
+    def padded(lists):
+        rows = np.zeros((len(todo), max(len(x) for x in lists)), dtype=np.int64)
+        w = np.full(rows.shape, np.nan)
+        for j, x in enumerate(lists):
+            rows[j, : len(x)], w[j, : len(x)] = zip(*x)
+        return rows, w
+
+    g_rows, g_w = padded([backs[i] for i in todo])
+    s_rows, s_w = padded([links[i][0] for i in todo])
+    at_goal = table[:, g_rows]
+    d_goal = np.fmin.reduce(at_goal + g_w, axis=2)
+    d_far = np.fmax.reduce(at_goal - g_w, axis=2)
     at_start = table[:, s_rows]
-    score = np.fmin.reduce(np.fmax(d_goal - at_start, at_start - d_far) + s_w, axis=1)
-    pick = np.argsort(-score, kind="stable")[:ACTIVE_LANDMARKS]
-    pick = pick[~np.isnan(d_goal[pick, 0])]
-    if not pick.size:
-        return None
-    dist = table[pick]
-    alt = np.fmax.reduce(np.fmax(d_goal[pick] - dist, dist - d_far[pick]), axis=0)
+    score = np.fmin.reduce(
+        np.fmax(d_goal[:, :, None] - at_start, at_start - d_far[:, :, None]) + s_w, axis=2
+    )
+    # Each column sorts alone: the per-query stable pick.  A picked
+    # landmark that reaches no goal link has NaN dG and dGmax, so its
+    # whole term is NaN and drops out of the fmax below.
+    pick = np.argsort(-score, axis=0, kind="stable")[:ACTIVE_LANDMARKS]
+    cols = np.arange(len(todo))
+    d_goal, d_far = d_goal[pick, cols][:, :, None], d_far[pick, cols][:, :, None]
+    # The fmax.reduce over the picks, one pick at a time in three
+    # (batch, n) buffers.
+    alt, dist, term = (np.empty((len(todo), n)) for _ in range(3))
+    for a in range(pick.shape[0]):
+        np.take(table, pick[a], axis=0, out=dist)
+        np.subtract(d_goal[a], dist, out=term)
+        np.subtract(dist, d_far[a], out=dist)
+        np.fmax(term, dist, out=alt if a == 0 else term)
+        if a:
+            np.fmax(alt, term, out=alt)
     alt *= 1.0 - _TOL
-    return np.fmax(h, alt)
+    np.take(h, todo, axis=0, out=dist)
+    np.fmax(dist, alt, out=alt)
+    reach = ~np.isnan(d_goal[:, :, 0]).all(axis=0)
+    for j, i in enumerate(todo):
+        if reach[j]:
+            out[i] = alt[j]
+    return out

@@ -332,7 +332,8 @@ class WorkStealingSimulator:
             if kind == _RETRY:
                 if busy[pe] or deques[pe]:
                     activate(pe, now)
-                elif self._remaining > 0 and pending[pe] == 0:
+                elif self._remaining > 0 and pending[pe] == 0 and not dead[pe]:
+                    # A PE that died during its backoff steals no more.
                     self._start_steal_round(pe, now)
                 continue
             if kind == _REDISPATCH:

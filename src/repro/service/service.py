@@ -77,8 +77,10 @@ class ServiceConfig:
     cache_bytes: "int | None" = 256 << 20
     #: batches that may execute concurrently (distinct workload keys).
     serve_workers: int = 2
-    #: per-batch execution policy (workers/backend for ``solve_many``);
-    #: its ``kernel_backend`` is the one cached engines are built on.
+    #: per-batch execution policy (workers/backend for ``solve_many``,
+    #: which sends a batch's searches out one chunk per worker and does
+    #: not read ``chunksize``); its ``kernel_backend`` is the one cached
+    #: engines are built on.
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
     #: per-batch fault policy (retry / degrade, forwarded to the pool).
     faults: FaultPolicy = field(default_factory=FaultPolicy)

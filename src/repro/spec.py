@@ -205,10 +205,11 @@ class ExecutionPolicy:
     #: resolves to ``os.cpu_count()`` at dispatch time.
     workers: "int | None" = None
     backend: str = "thread"
-    #: tasks per submission: an int (>1 amortises dispatch for tiny
-    #: regions) or a :mod:`repro.runtime.chunking` policy name —
+    #: tasks per submission in ``plan()``: an int (>1 amortises dispatch
+    #: for tiny regions) or a :mod:`repro.runtime.chunking` policy name —
     #: ``"guided"`` (self-scheduling decay) or ``"weighted"`` (equal
-    #: estimated cost per chunk).
+    #: estimated cost per chunk).  ``QueryEngine.solve_many`` sends one
+    #: chunk per worker instead.
     chunksize: "int | str" = 1
     #: how the planning context crosses the process boundary:
     #: ``"auto"`` (shared memory when the backend is ``"process"`` and

@@ -10,6 +10,8 @@ Each loop a fast path replays lives here, over the production object:
 :class:`SequentialPRM`, :class:`SequentialRRT`, :func:`region_loop`
 (with :func:`rrt_loop`, the drivers' per-region loops),
 :func:`merge_one_by_one` (the one-pass union of regional results),
+:func:`prepared_one` (a query's search heuristics, which a served
+batch prepares in array passes),
 :func:`box_obstacle_relation` and :func:`ray_free_distance_per_box` (the
 k-rays probe box by box).  :func:`assert_trace_matches_pool` is the
 completeness invariant on a local pool run: its trace alone recounts the
@@ -41,6 +43,7 @@ from repro.knn import BruteForceNN
 from repro.obs import EV_TASK_END, summarize_events
 from repro.obs.events import EV_STEAL_FAIL, EV_STEAL_REPLY, EV_STEAL_REQUEST, EV_STEAL_TRANSFER
 from repro.planners import PRM, RRT, PlannerStats, Roadmap
+from repro.planners.frozen import _TOL, ACTIVE_LANDMARKS
 from repro.planners.prm import PRMResult
 from repro.runtime import PEStats, SimResult, WorkStealingSimulator
 from repro.runtime.simulator import (
@@ -373,6 +376,36 @@ def assert_trace_matches_pool(events, pool) -> None:
     assert sorted(s.abandoned_tasks) == pool.abandoned
 
 
+def prepared_one(frozen, start, goal, start_links, goal_links):
+    """One query's heap heuristics computed alone, the way the search did
+    before a batch prepared them: ``(h, alt, d_sg)`` as
+    ``FrozenRoadmap.prepare`` returns them in its array passes."""
+    n = frozen.num_vertices
+    h = np.linalg.norm(frozen.configs - goal[None, :], axis=1)
+    d_sg = float(np.linalg.norm((start - goal)[None, :], axis=1)[0])
+    g_back = {r: w for r, w in goal_links if r != n}
+    table = frozen.landmark_table
+    if table is None or not g_back or not start_links:
+        return h, None, d_sg
+    rows = list(g_back)
+    w = np.fromiter(g_back.values(), dtype=float, count=len(rows))
+    at_goal = table[:, rows]
+    d_goal = np.fmin.reduce(at_goal + w, axis=1)[:, None]
+    d_far = np.fmax.reduce(at_goal - w, axis=1)[:, None]
+    s_rows = [r for r, _w in start_links]
+    s_w = np.fromiter((w for _r, w in start_links), dtype=float, count=len(s_rows))
+    at_start = table[:, s_rows]
+    score = np.fmin.reduce(np.fmax(d_goal - at_start, at_start - d_far) + s_w, axis=1)
+    pick = np.argsort(-score, kind="stable")[:ACTIVE_LANDMARKS]
+    pick = pick[~np.isnan(d_goal[pick, 0])]
+    if not pick.size:
+        return h, None, d_sg
+    dist = table[pick]
+    alt = np.fmax.reduce(np.fmax(d_goal[pick] - dist, dist - d_far[pick]), axis=0)
+    alt *= 1.0 - _TOL
+    return h, np.fmax(h, alt), d_sg
+
+
 def grid_loop(bounds, num_regions, overlap=0.1):
     """``UniformSubdivision``'s regions and region graph built one cell at
     a time — the oracle its array pass replays: per cell its core and
@@ -501,7 +534,8 @@ class PerMessageSimulator(WorkStealingSimulator):
             if kind == _RETRY:
                 if busy[pe] or deques[pe]:
                     activate(pe, now)
-                elif self._remaining > 0 and pending[pe] == 0:
+                elif self._remaining > 0 and pending[pe] == 0 and not dead[pe]:
+                    # A PE that died during its backoff steals no more.
                     self._start_steal_round(pe, now)
                 continue
             if kind == _REDISPATCH:

@@ -72,3 +72,19 @@ def test_interpolation_distance_is_linear_euclidean(seed, t):
     a, b = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
     m = cs.interpolate(a, b, t)
     assert cs.distance(a, m) == pytest.approx(t * cs.distance(a, b), abs=1e-9)
+
+
+_coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.integers(1, 12).flatmap(
+    lambda d: st.tuples(*[st.lists(_coord, min_size=d, max_size=d)] * 2)))
+def test_scalar_distance_is_numpy_norm_to_the_bit(pair):
+    """The 1-D ``distance`` is ``np.linalg.norm`` of the difference, bit
+    for bit: the exact batched local planner's lengths depend on it."""
+    a, b = (np.array(x) for x in pair)
+    cs = EuclideanCSpace(Environment(AABB([-1.0] * a.size, [1.0] * a.size), []))
+    got = cs.distance(a, b)
+    assert type(got) is float
+    assert got == float(np.linalg.norm(b - a))

@@ -327,7 +327,7 @@ class TestTieCertificate:
         for landmarks in (False, True):
             before = fr.settled
             answers[landmarks] = [
-                fr.astar_virtual(*job, fr.max_id + 1, fr.max_id + 2, landmarks=landmarks)
+                fr.astar_virtual(*job[:4], fr.max_id + 1, fr.max_id + 2, landmarks=landmarks)
                 for job in jobs
             ]
             settled[landmarks] = fr.settled - before
@@ -385,3 +385,93 @@ def test_served_search_equals_oracle_on_tie_prone_graphs():
         assert served == oracle
 
     check()
+
+
+# -- a batch's heuristics are prepared in array passes ------------------------
+
+
+def _batch_case(draw):
+    """A multi-component graph (NaN landmark distances) and a batch of
+    queries whose link lists are ragged: some link only the direct
+    start-goal edge on the goal side, some have no start link."""
+    n = draw(st.integers(2, 16))
+    point = st.tuples(st.floats(-4, 4, allow_nan=False), st.floats(-4, 4, allow_nan=False))
+    pts = draw(st.lists(point, min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    rows = st.lists(st.integers(0, n - 1), max_size=6, unique=True)
+    query = st.tuples(point, point, rows, rows, st.booleans())
+    return pts, edges, draw(st.lists(query, min_size=1, max_size=6))
+
+
+if given is not None:
+    _batches = st.composite(_batch_case)
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_prepared_batch_equals_one_query_at_a_time():
+    """``prepare``'s rows are, bit for bit, what each query computes alone
+    (``tests/oracle.py::prepared_one``): the Euclidean row, the start-goal
+    distance and the ALT bound, with and without a landmark table."""
+    from .oracle import prepared_one
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_batches())
+    def check(case):
+        pts, edges, queries = case
+        rm = Roadmap(2)
+        for i, p in enumerate(pts):
+            rm.add_vertex(np.array(p, dtype=float), i)
+        for u, v in edges:
+            if u != v and not rm.has_edge(u, v):
+                rm.add_edge(u, v)
+        fr = FrozenRoadmap.from_roadmap(rm)
+        n = fr.num_vertices
+        starts = np.array([q[0] for q in queries], dtype=float)
+        goals = np.array([q[1] for q in queries], dtype=float)
+        links = []
+        for (_s, _g, s_rows, g_rows, direct), start, goal in zip(queries, starts, goals):
+            g_links = _links(fr, goal, g_rows)
+            if direct:
+                g_links.insert(len(g_links) // 2, (n, float(np.linalg.norm(start - goal))))
+            links.append((_links(fr, start, s_rows), g_links))
+        for build in (False, True):
+            if build:
+                fr.build_landmarks()
+            got = fr.prepare(starts, goals, links)
+            for (s_links, g_links), start, goal, row in zip(links, starts, goals, got):
+                h, alt, d_sg = prepared_one(fr, start, goal, s_links, g_links)
+                assert np.array_equal(row.h, h) and row.d_sg == d_sg
+                assert (row.alt is None) == (alt is None)
+                if alt is not None:
+                    assert np.array_equal(row.alt, alt)
+
+    check()
+
+
+def test_batch_bound_keeps_unreachable_landmarks_out():
+    """Two components, so the table holds NaNs: a query across them, one
+    inside the start's component and one whose only goal link is the
+    direct edge share a batch, and each gets the rows it gets alone."""
+    from .oracle import prepared_one
+
+    rm = _line_graph()
+    rm.remove_edge(2, 3)
+    fr = FrozenRoadmap.from_roadmap(rm)
+    fr.build_landmarks()
+    assert np.isnan(fr.landmark_table).any()
+    start, goal = np.array([-1.0, 0.0]), np.array([5.0, 0.0])
+    links = [
+        ([(0, 1.0)], [(4, 1.0)]),
+        ([(0, 1.0), (1, 2.0)], [(2, 3.0)]),
+        ([(0, 1.0)], [(fr.num_vertices, 6.0)]),
+    ]
+    got = fr.prepare(np.vstack([start] * 3), np.vstack([goal] * 3), links)
+    for row, lk in zip(got, links):
+        h, alt, d_sg = prepared_one(fr, start, goal, *lk)
+        assert np.array_equal(row.h, h) and row.d_sg == d_sg
+        assert (row.alt is None) == (alt is None)
+        if alt is not None:
+            assert np.array_equal(row.alt, alt)
+    assert got[1].alt is not None and got[2].alt is None

@@ -305,6 +305,23 @@ class TestBatchArrays:
             assert np.all(np.isinf(adist[:, 1:]))
             assert np.all(aid[:, 0] == 7) and np.all(np.isfinite(adist[:, 0]))
 
+    def test_brute_force_hands_back_its_distance_block(self, rng):
+        """``out=`` receives every query's distance to every stored point,
+        in insertion order and bit-identical to ``np.linalg.norm``; the
+        neighbours are the same as without it."""
+        pts = rng.uniform(0.0, 10.0, size=(40, 3))
+        queries = rng.uniform(0.0, 10.0, size=(6, 3))
+        nn = BruteForceNN(3)
+        nn.add_batch(np.arange(40, dtype=np.int64), pts)
+        block = np.empty((6, 40))
+        got = nn.knn_batch_arrays(queries, 4, out=block)
+        want = nn.knn_batch_arrays(queries, 4)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for i, q in enumerate(queries):
+            assert np.array_equal(block[i], np.linalg.norm(pts - q[None, :], axis=1))
+        with pytest.raises(ValueError):
+            nn.knn_batch_arrays(queries, 4, segments=([0, 40], [0, 6]), out=block)
+
     def test_empty_store_and_empty_queries(self):
         for nn in _backends(2):
             aid, adist = nn.knn_batch_arrays(np.zeros((2, 2)), 3)

@@ -56,16 +56,20 @@ class TestSolveParity:
         [KDTreeNN, IncrementalNN],
         ids=["kdtree", "incremental"],
     )
-    def test_nn_backend_is_drop_in(self, built, factory, monkeypatch):
-        """The engine builds a ``BruteForceNN``; every finder shares its
-        canonical tie-break, so another one in its place changes no answer."""
+    def test_nn_backend_is_drop_in(self, built, factory):
+        """The engine builds a ``BruteForceNN``, whose attachment pass also
+        hands back the distance block the searches' heuristics come from;
+        every finder shares its canonical tie-break, so another one picks
+        the same attachment candidates for the engine's queries."""
         cs, rmap = built
-        ref_eng = QueryEngine(cs, rmap)
-        monkeypatch.setattr(engine_module, "BruteForceNN", factory)
-        alt_eng = QueryEngine(cs, rmap)
-        assert isinstance(alt_eng._nn, factory)
-        for s, g in _queries(cs, 25, seed=2):
-            assert same_answer(ref_eng.solve(s, g), alt_eng.solve(s, g))
+        eng = QueryEngine(cs, rmap)
+        fz = eng.frozen
+        alt = factory(cs.dim)
+        alt.add_batch(np.arange(fz.num_vertices, dtype=np.int64), fz.configs)
+        ends = np.vstack([np.vstack(pair) for pair in _queries(cs, 25, seed=2)])
+        got = alt.knn_batch_arrays(ends, engine_module.ATTACH_K)
+        want = eng._nn.knn_batch_arrays(ends, engine_module.ATTACH_K)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_invalid_endpoints_return_none(self, built):
         cs, rmap = built
@@ -239,6 +243,99 @@ class TestLandmarkAmortisation:
         eng._landmark_build.join()
         assert len(builds) == 1
         assert fz.landmark_table is not None
+
+
+class TestBatchPasses:
+    """A batch is prepared in array passes — the attachment block's goal
+    rows are the heuristics, one landmark pass bounds every query — and
+    searched in one chunk per pool worker; every answer stays
+    ``RoadmapQuery.solve``'s, however the searches run."""
+
+    @pytest.fixture(scope="class")
+    def truth(self, built):
+        cs, rmap = built
+        queries = [(np.zeros(2), np.array([4.5, -4.5])), *_queries(cs, 23, seed=13)]
+        rq = RoadmapQuery(cs, k=8)
+        return queries, [rq.solve(rmap, s, g) for s, g in queries]
+
+    RUNS = {
+        "inline": lambda: {},
+        "thread": lambda: {"execution": ExecutionPolicy(workers=2)},
+        "process": lambda: {"execution": ExecutionPolicy(workers=2, backend="process")},
+        # An injector sends every chunk through the per-task loop.
+        "injected": lambda: {
+            "execution": ExecutionPolicy(workers=2),
+            "faults": FaultPolicy(policy="retry", max_retries=1, injector=FaultInjector(
+                [Fault("raise", task=1, attempt=0), Fault("raise", task=20, attempt=0)])),
+        },
+    }
+
+    @pytest.mark.parametrize("table", [False, True], ids=["euclidean", "landmarks"])
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_solve_many_equals_roadmap_query(self, built, truth, run, table, fast_backoff):
+        cs, rmap = built
+        queries, want = truth
+        eng = QueryEngine(cs, rmap)
+        if table:
+            eng.frozen.build_landmarks()
+        batch = eng.solve_many(queries, **self.RUNS[run]())
+        assert batch.abandoned == []
+        assert batch.results[0] is None and batch.solved > 10
+        for ref, got in zip(want, batch.results):
+            assert same_answer(ref, got)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_forced_certificate_fallback(self, built, truth, workers, monkeypatch):
+        """Every ALT answer discarded: the Euclidean re-run answers."""
+        cs, rmap = built
+        queries, want = truth
+        eng = QueryEngine(cs, rmap)
+        eng.frozen.build_landmarks()
+        monkeypatch.setattr(FrozenRoadmap, "_certified", lambda *_a: False)
+        batch = eng.solve_many(queries, execution=ExecutionPolicy(workers=workers))
+        for ref, got in zip(want, batch.results):
+            assert same_answer(ref, got)
+        assert eng.frozen.fallbacks == eng.frozen.searches > 10
+
+    def test_prepared_rows_equal_one_query_at_a_time(self, built, truth):
+        """Invalid endpoints get no job; every other job carries the rows
+        its query computes alone (``tests/oracle.py::prepared_one``)."""
+        from .oracle import prepared_one
+
+        cs, rmap = built
+        queries, _want = truth
+        eng = QueryEngine(cs, rmap)
+        eng.frozen.build_landmarks()
+        starts = np.array([s for s, _g in queries])
+        goals = np.array([g for _s, g in queries])
+        valid = cs.valid(starts) & cs.valid(goals)
+        jobs = eng._prepare(starts, goals)
+        assert [j is not None for j in jobs] == valid.tolist()
+        bounded = 0
+        for job in jobs:
+            if job is None:
+                continue
+            start, goal, s_links, g_links, row = job
+            h, alt, d_sg = prepared_one(eng.frozen, start, goal, s_links, g_links)
+            assert np.array_equal(row.h, h) and row.d_sg == d_sg
+            assert (row.alt is None) == (alt is None)
+            if alt is not None:
+                assert np.array_equal(row.alt, alt)
+                bounded += 1
+        assert bounded > 10
+
+    def test_one_chunk_per_worker(self, built, truth):
+        """``q`` searches go out in ``min(q, workers)`` chunks, whatever
+        ``ExecutionPolicy.chunksize`` says (it sizes ``plan()``'s tasks)."""
+        cs, rmap = built
+        queries, _want = truth
+        eng = QueryEngine(cs, rmap)
+        for chunksize in (1, 5, "guided"):
+            batch = eng.solve_many(
+                queries, execution=ExecutionPolicy(workers=2, chunksize=chunksize))
+            assert batch.dispatch.chunks_issued == 2
+        batch = eng.solve_many(queries[:3], execution=ExecutionPolicy(workers=4))
+        assert batch.dispatch.chunks_issued == 3
 
 
 class TestObservability:

@@ -5,9 +5,11 @@ import pytest
 
 from repro.core import STRATEGIES, policy_by_name
 from repro.obs import (
+    EV_STEAL_REQUEST,
     EV_TASK_ABANDONED,
     EV_TASK_RETRY,
     EV_WORKER_DEATH,
+    MemorySink,
     Tracer,
     summarize_events,
 )
@@ -18,6 +20,8 @@ from repro.runtime import (
     WorkStealingSimulator,
     run_static_phase,
 )
+
+from .oracle import PerMessageSimulator
 
 
 def _uniform_executor(cost=10.0):
@@ -111,6 +115,48 @@ class TestWorkerDeath:
         # re-run on the survivor.
         assert res.task_attempts[0] == 2
         assert res.executed_by[0] == 1
+
+
+#: 3-crash plans (4 PEs, 8 tasks, rand-8) in which a PE dies while a
+#: retry of a failed steal round is pending: ``(plan, placement, costs,
+#: cores per node, rng seed)``.  Found by a seeded random search over
+#: plans, placements and costs; the dead PE used to start a round when
+#: that retry fired.
+_DEAD_THIEF_CASES = [
+    ([("crash", None, 0, 1), ("crash", 7, 2, 0), ("crash", None, 0, 1)],
+     [1, 0, 2, 0, 3, 2, 1, 2], [14, 12, 7, 9, 3, 23, 8, 13], 1, 310),
+    ([("crash", None, 2, 1), ("crash", None, 3, 0), ("crash", 6, None, 0)],
+     [0, 3, 0, 1, 3, 2, 0, 1], [14, 3, 12, 3, 8, 16, 14, 25], 2, 529),
+    ([("crash", 4, None, 0), ("crash", 4, None, 0), ("crash", 4, None, 1)],
+     [0, 1, 1, 1, 1, 2, 2, 1], [24, 27, 5, 1, 13, 6, 17, 3], 1, 862),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_DEAD_THIEF_CASES)))
+@pytest.mark.parametrize("sim_cls", [WorkStealingSimulator, PerMessageSimulator],
+                         ids=["bundled", "per-message"])
+def test_a_dead_pe_sends_no_steal_request(sim_cls, case):
+    """No ``steal_request`` follows a PE's ``worker_death``, even when the
+    PE died while the retry of a failed round was pending."""
+    plan, placement, costs, cores, seed = _DEAD_THIEF_CASES[case]
+    sink = MemorySink()
+    res = sim_cls(
+        ClusterTopology(4, cores_per_node=cores),
+        lambda task, pe: float(costs[task]),
+        steal_policy=policy_by_name("rand-8"),
+        rng=np.random.default_rng(seed),
+        fault_injector=FaultInjector([Fault(k, task=t, worker=w, attempt=a)
+                                      for k, t, w, a in plan]),
+        tracer=Tracer(sinks=[sink]),
+    ).run(dict(enumerate(placement)))
+    assert res.worker_deaths >= 1
+    dead = set()
+    for ev in sink.events:
+        if ev.name == EV_WORKER_DEATH:
+            dead.add(ev.pe)
+        elif ev.name == EV_STEAL_REQUEST:
+            assert ev.pe not in dead, f"dead PE {ev.pe} asked for work at t={ev.ts}"
+    assert sorted([*res.executed_by, *res.abandoned]) == list(range(8))
 
 
 class TestFaultsUnderStealing:

@@ -12,11 +12,14 @@ property draws the same examples on every run and a verdict cannot
 depend on the draw.
 
 * **killed** — pytest exited 1: tests ran and failed.
+* **killed (timeout)** — the run outlived :data:`RUN_TIMEOUT` (a mutant
+  that makes a loop never end); its process group is killed.
 * **survived** — the tests passed on the mutant.
 * **broken** — the mutant does not compile, import or collect (any other
   exit status); it proves nothing.
 
-Before any mutant, every listed test must pass on the unmutated copy.
+Before any mutant, every listed test must pass on the unmutated copy,
+within :data:`RUN_TIMEOUT`.
 ``old`` / ``new`` may be tuples of strings for an edit in several places.
 
     python tools/mutants.py
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -47,9 +51,15 @@ SERVED = ("tests/test_service.py::TestObservabilityIntegration"
           "::test_trace_recounts_cache_and_service_stats")
 SHIPPED = "tests/test_shm_runtime.py::TestShippedTree"
 BUNDLED = f"{GOLDEN}::test_bundled_replies_equal_one_event_per_reply"
+PREPARED = "tests/test_frozen.py::test_prepared_batch_equals_one_query_at_a_time"
+BATCH = "tests/test_query_engine.py::TestBatchPasses"
 #: the hypothesis profile ``tests/conftest.py`` registers: every property
 #: draws the same examples, so a verdict never depends on the draw.
 PROFILE = "derandomized"
+#: seconds one pytest run may take.  A mutant whose tests outrun it (a
+#: search or a simulation that no longer ends) is killed by the clock; the
+#: baseline outrunning it is an error.
+RUN_TIMEOUT = 300
 
 
 class Mutant(NamedTuple):
@@ -437,10 +447,38 @@ MUTANTS = [
     Mutant(
         "a landmark sees the goal through its nearest link only (inadmissible)",
         "repro/planners/frozen.py",
-        "d_goal = np.fmin.reduce(at_goal + w, axis=1)[:, None]",
-        "d_goal = at_goal[:, :1] + w[0]",
+        "d_goal = np.fmin.reduce(at_goal + g_w, axis=2)",
+        "d_goal = at_goal[:, :, 0] + g_w[:, 0]",
         (f"{TIES}::test_equal_weight_lattice_falls_back",
          f"{TIES}::test_medcube_pool_needs_no_fallback"),
+    ),
+    Mutant(
+        "the batch's landmark bounds drop the 1 - tol scale",
+        "repro/planners/frozen.py",
+        "    alt *= 1.0 - _TOL\n",
+        "",
+        (PREPARED, f"{BATCH}::test_prepared_rows_equal_one_query_at_a_time"),
+    ),
+    Mutant(
+        "ragged link lists are padded with zero weights, not NaN",
+        "repro/planners/frozen.py",
+        "w = np.full(rows.shape, np.nan)",
+        "w = np.zeros(rows.shape)",
+        (PREPARED,),
+    ),
+    Mutant(
+        "each query searches with the previous query's goal distances",
+        "repro/planners/engine.py",
+        "self.frozen.prepare(v_starts, v_goals, links, dist[nv:])",
+        "self.frozen.prepare(v_starts, v_goals, links, np.roll(dist[nv:], 1, axis=0))",
+        (f"{BATCH}::test_prepared_rows_equal_one_query_at_a_time",),
+    ),
+    Mutant(
+        "a PE that died during its backoff still starts a steal round",
+        "repro/runtime/simulator.py",
+        "elif self._remaining > 0 and pending[pe] == 0 and not dead[pe]:",
+        "elif self._remaining > 0 and pending[pe] == 0:",
+        ("tests/test_simulator_faults.py::test_a_dead_pe_sends_no_steal_request",),
     ),
     Mutant(
         "the segment certificate has no pad",
@@ -574,14 +612,24 @@ MUTANTS = [
 ]
 
 
-def _pytest(src: Path, tests) -> "tuple[int, str]":
+def _pytest(src: Path, tests) -> "tuple[int | None, str]":
+    """pytest's exit status and output; ``None`` when the run outlived
+    :data:`RUN_TIMEOUT` and its whole process group was killed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          f"--hypothesis-profile={PROFILE}", *tests],
-        cwd=REPO, env=env, capture_output=True, text=True,
+        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
     )
-    return proc.returncode, proc.stdout + proc.stderr
+    try:
+        out, _ = proc.communicate(timeout=RUN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        # Pool workers the tests started die with the run.
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        return None, out + f"\ntimed out after {RUN_TIMEOUT} s"
+    return proc.returncode, out
 
 
 def _copy_src(root: Path) -> Path:
@@ -615,7 +663,8 @@ def main() -> int:
         code, out = _pytest(_copy_src(root), listed)
         if code != 0:
             print(out[-3000:])
-            print(f"mutants: the listed tests fail on unmutated src/ (pytest exit {code})")
+            why = "time out" if code is None else f"fail (pytest exit {code})"
+            print(f"mutants: the listed tests {why} on unmutated src/")
             return 1
         print(f"baseline: {len(listed)} listed tests pass on unmutated src/", flush=True)
         verdicts = []
@@ -624,8 +673,9 @@ def main() -> int:
             reason = _apply(src, mutant)
             if reason is None:
                 code, out = _pytest(src, mutant.tests)
-                verdict = {0: "survived", 1: "killed"}.get(code, "broken")
-                reason = "" if code in (0, 1) else f"pytest exit {code}: {out[-500:]}"
+                verdict = {0: "survived", 1: "killed", None: "killed (timeout)"}.get(
+                    code, "broken")
+                reason = "" if code in (0, 1, None) else f"pytest exit {code}: {out[-500:]}"
             else:
                 verdict = "broken"
             verdicts.append(verdict)
@@ -635,7 +685,7 @@ def main() -> int:
             if reason:
                 print(f"          {reason}")
             sys.stdout.flush()
-    killed = verdicts.count("killed")
+    killed = sum(v.startswith("killed") for v in verdicts)
     print(f"mutants: {killed}/{len(MUTANTS)} killed")
     return 0 if killed == len(MUTANTS) else 1
 
