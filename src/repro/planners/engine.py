@@ -208,10 +208,10 @@ class QueryEngine:
         )
         d_sg = np.linalg.norm(v_starts - v_goals, axis=1).tolist()
         # Collect every candidate edge of every query into one validation
-        # batch; slices[j] records (query, candidate list with rows).
+        # batch; slices[p] records valid query p's candidate lists.
         pair_starts: "list[np.ndarray]" = []
         pair_ends: "list[np.ndarray]" = []
-        slices: "list[tuple[int, list[tuple[int, float]], list[tuple[int, float]]]]" = []
+        slices: "list[tuple[list[tuple[float, int]], list[tuple[float, int]]]]" = []
         configs = self.frozen.configs
         for p, qi in enumerate(valid_idx):
             start, goal = starts[qi], goals[qi]
@@ -245,14 +245,14 @@ class QueryEngine:
             for _d, r in gcand:
                 pair_starts.append(goal)
                 pair_ends.append(start if r == n else configs[r])
-            slices.append((qi, scand, gcand))
+            slices.append((scand, gcand))
         # batch_pairs_exact: bit-identical to scalar local-planner calls.
         valid, _checks, lengths = self.local_planner.batch_pairs_exact(
             self.cspace, np.array(pair_starts), np.array(pair_ends)
         )
         links = []
         pos = 0
-        for qi, scand, gcand in slices:
+        for scand, gcand in slices:
             s_links = []
             for _d, r in scand:
                 if valid[pos]:
