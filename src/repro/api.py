@@ -44,14 +44,12 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .core.machine import RunResult
 from .core.parallel_prm import PRMRegionPlanner, PRMWorkload, simulate_prm
 from .core.parallel_rrt import RRTRegionPlanner, RRTWorkload, default_root, simulate_rrt
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry.bvh import BVH
-from .geometry.environment import _BOX_PAIRS, Environment
+from .geometry.environment import Environment
 from .geometry.primitives import AABB
 from .kernels.bvh_backend import _CACHE_ATTR
 from .kernels.data import EnvKernelData
@@ -289,12 +287,14 @@ def plan(
 # Local (true-parallel) execution
 # ---------------------------------------------------------------------------
 # Local mode's regional tasks were written against the constructor defaults
-# of PRM / RRT / RadialSubdivision and the workload builders against their
-# own keyword defaults, so the two plan different problems from one spec
+# of PRM / RRT / RadialSubdivision and the workload builders against the
+# constants of Alg. 1 / Alg. 2 (``repro.core.parallel_prm`` /
+# ``parallel_rrt``), so the two plan different problems from one spec
 # (table in docs/runtime.md).  These records hold local mode's eight values
-# exactly.  Constants, not options: reconciling them with the builders'
-# defaults moves both local benchmark workloads' oracles, so that is a
-# change made together with the benchmark, not here.
+# exactly; they are the only values the region planners' keyword
+# parameters ever receive.  Constants, not options: reconciling them with
+# the builders' constants moves both local benchmark workloads' oracles, so
+# that is a change made together with the benchmark, not here.
 LOCAL_PRM = {"k": 6, "lp_resolution": 0.25, "narrow_passage_boost": 0.0}
 LOCAL_RRT = {
     "step_size": 0.5,
@@ -509,27 +509,6 @@ def _resolve_data_plane(ex: ExecutionPolicy) -> str:
     return plane
 
 
-def _region_weights(regions) -> "dict[int, float] | None":
-    """Predicted relative cost per region for the "weighted" chunk policy:
-    1 + the number of obstacles overlapping the region's sample box.  One
-    pass over every region's sample box, obstacles in slices of at most
-    ``_BOX_PAIRS`` region-obstacle pairs."""
-    env = regions.cspace.env
-    if not isinstance(regions, PRMRegionPlanner) or env.num_obstacles == 0:
-        return None
-    data = env.kernel_data()
-    grid = regions.decomposition
-    lo, hi = grid.sample_lo[:, None], grid.sample_hi[:, None]
-    if lo.shape[2] != data.dim:
-        return None
-    counts = np.zeros(lo.shape[0], dtype=np.int64)
-    step = max(1, _BOX_PAIRS // lo.shape[0])
-    for s in range(0, data.num_boxes, step):
-        obs_lo, obs_hi = data.box_lo[s : s + step], data.box_hi[s : s + step]
-        counts += np.all((obs_lo <= hi) & (obs_hi >= lo), axis=2).sum(axis=1)
-    return {rid: 1.0 + float(counts[rid]) for rid in regions.region_ids}
-
-
 def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     """Run the regional planners for real on the local machine's cores.
 
@@ -540,7 +519,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
     wl, ex, fa, ob = request.workload, request.execution, request.faults, request.obs
     regions = _region_planner(cspace, wl)
     task = _RegionTask(regions)
-    task_weights = _region_weights(regions) if ex.chunksize == "weighted" else None
 
     plane = _resolve_data_plane(ex)
     manifest = None
@@ -554,7 +532,6 @@ def _plan_local(request: PlanRequest, cspace: ConfigurationSpace) -> PlanReport:
             backend=ex.backend,
             chunksize=ex.chunksize,
             tracer=ob.tracer,
-            task_weights=task_weights,
             **fa.pool_kwargs(retry_seed=wl.seed),
         )
     finally:

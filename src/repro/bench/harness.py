@@ -44,10 +44,9 @@ def prm_workload(
     num_regions: int = 6000,
     samples_per_region: int = 8,
     seed: int = 1,
-    **kwargs,
 ) -> PRMWorkload:
     """Build (or fetch from cache) the PRM workload for an environment."""
-    key = ("prm", env_name, num_regions, samples_per_region, seed, tuple(sorted(kwargs.items())))
+    key = ("prm", env_name, num_regions, samples_per_region, seed)
     if key not in _PRM_CACHE:
         env = environments.by_name(env_name)
         cspace = EuclideanCSpace(env)
@@ -56,7 +55,6 @@ def prm_workload(
             num_regions=num_regions,
             samples_per_region=samples_per_region,
             seed=seed,
-            **kwargs,
         )
     return _PRM_CACHE[key]
 
@@ -65,10 +63,9 @@ def rrt_workload(
     env_name: str = "mixed",
     num_regions: int = 1024,
     seed: int = 2,
-    **kwargs,
 ) -> RRTWorkload:
     """Build (or fetch from cache) the radial-RRT workload."""
-    key = ("rrt", env_name, num_regions, seed, tuple(sorted(kwargs.items())))
+    key = ("rrt", env_name, num_regions, seed)
     if key not in _RRT_CACHE:
         env = environments.by_name(env_name)
         cspace = EuclideanCSpace(env)
@@ -76,9 +73,7 @@ def rrt_workload(
         rng = np.random.default_rng(0)
         while not cspace.valid_single(root):
             root = rng.uniform(-0.3 * 10, 0.3 * 10, env.dim)
-        _RRT_CACHE[key] = build_rrt_workload(
-            cspace, root, num_regions=num_regions, seed=seed, **kwargs
-        )
+        _RRT_CACHE[key] = build_rrt_workload(cspace, root, num_regions=num_regions, seed=seed)
     return _RRT_CACHE[key]
 
 

@@ -92,6 +92,20 @@ ID_SHIFT = 20
 #: value at which a build's peak memory stays at the per-region loop's.
 _BLOCK_POINTS = 1 << 16
 
+# Alg. 1's parameters.  A workload build uses these values; local mode's
+# region planner overrides the three ``repro.api.LOCAL_PRM`` names.
+#: Nearest neighbours each sample tries to connect to inside its region.
+K = 4
+#: Nearest neighbours each boundary vertex tries across a region adjacency.
+K_INTER = 2
+#: Sampling overlap of adjacent regions, as a fraction of a grid cell.
+OVERLAP = 0.2
+#: Step of the straight-line local planner.
+LP_RESOLUTION = 0.1
+#: Extra samples, in units of ``samples_per_region``, that a region
+#: straddling an obstacle surface receives.
+NARROW_PASSAGE_BOOST = 3.0
+
 
 @dataclass
 class RegionWork:
@@ -175,21 +189,22 @@ class PRMRegionPlanner:
     region through the call, so every execution mode runs the same
     regions.  It owns the uniform decomposition of the C-space bounds,
     the ``(seed, rid)`` RNG keying, the ``rid << ID_SHIFT`` id block and
-    the narrow-passage boost; the keyword parameters are
-    :func:`build_prm_workload`'s, defaults included.
+    the narrow-passage boost.  Its keyword parameters default to the
+    module constants :func:`build_prm_workload` plans with; only local
+    mode's ``repro.api.LOCAL_PRM`` passes other values.
     """
 
     def __init__(
         self, cspace: ConfigurationSpace, num_regions: int, samples_per_region: int,
-        seed: int = 0, k: int = 4, overlap: float = 0.2, lp_resolution: float = 0.1,
-        narrow_passage_boost: float = 3.0,
+        seed: int = 0, k: int = K, lp_resolution: float = LP_RESOLUTION,
+        narrow_passage_boost: float = NARROW_PASSAGE_BOOST,
     ):
         if narrow_passage_boost < 0:
             raise ValueError("narrow_passage_boost must be non-negative")
         self.cspace = cspace
         self.samples_per_region = samples_per_region
         self.seed = seed
-        self.decomposition = UniformSubdivision(cspace.bounds, num_regions, overlap=overlap)
+        self.decomposition = UniformSubdivision(cspace.bounds, num_regions, overlap=OVERLAP)
         self.planner = PRM(
             cspace, local_planner=StraightLinePlanner(resolution=lp_resolution), k=k
         )
@@ -361,39 +376,34 @@ def build_prm_workload(
     cspace: ConfigurationSpace,
     num_regions: int,
     samples_per_region: int = 8,
-    k: int = 4,
-    k_inter: int = 2,
-    overlap: float = 0.2,
     seed: int = 0,
-    work_model: WorkModel | None = None,
-    lp_resolution: float = 0.1,
-    narrow_passage_boost: float = 3.0,
 ) -> PRMWorkload:
     """Run the real regional planners once and record their work.
 
     ``samples_per_region`` is the per-region sample budget (the paper's
     strong-scaling experiments fix total samples ``N`` and regions ``Nr``,
-    so ``N / Nr`` is this number).
+    so ``N / Nr`` is this number).  The other parameters of Alg. 1 are
+    the module constants (``K``, ``K_INTER``, ``OVERLAP``,
+    ``LP_RESOLUTION``) and the work is costed by the one
+    :class:`WorkModel`.
 
-    ``narrow_passage_boost`` controls adaptive refinement: a region that
+    ``NARROW_PASSAGE_BOOST`` is adaptive refinement: a region that
     straddles an obstacle surface (a potential narrow passage) receives
     ``boost * samples_per_region`` *additional* samples.  This is the
     standard adaptive narrow-passage strategy and reproduces the paper's
     workload heterogeneity — its narrow-passage environments concentrate
     sampling and connection work in the boundary regions, which is
-    precisely the load imbalance the paper's techniques attack.  Set it
-    to 0 for uniform effort.
+    precisely the load imbalance the paper's techniques attack.  A
+    :class:`PRMRegionPlanner` built with ``narrow_passage_boost=0.0``
+    (local mode's) plans with uniform effort.
 
     Regions are independent subproblems, so the build executes *blocks*
     of regions and of adjacencies as array passes — see the module
     docstring; the one-region, one-adjacency loop is their oracle, and
     both produce the same workload bit for bit.
     """
-    work_model = work_model if work_model is not None else WorkModel()
-    regions = PRMRegionPlanner(
-        cspace, num_regions, samples_per_region, seed=seed, k=k, overlap=overlap,
-        lp_resolution=lp_resolution, narrow_passage_boost=narrow_passage_boost,
-    )
+    work_model = WorkModel()
+    regions = PRMRegionPlanner(cspace, num_regions, samples_per_region, seed=seed)
     subdivision, rids = regions.decomposition, regions.region_ids
 
     roadmap = Roadmap(cspace.dim)
@@ -427,8 +437,8 @@ def build_prm_workload(
     max_boundary_vertices = 2 * samples_per_region
     adjacencies = sorted(subdivision.graph.edges())
     links = _connect_in_blocks(
-        regions, roadmap, rows, adjacencies, k_inter, boundary_reach, max_boundary_vertices,
-        _block_size(max_boundary_vertices * k_inter * regions.pair_points),
+        regions, roadmap, rows, adjacencies, K_INTER, boundary_reach, max_boundary_vertices,
+        _block_size(max_boundary_vertices * K_INTER * regions.pair_points),
     )
     # Each NN structure build + LP endpoint read touches b's vertices.
     adjacency_work = [

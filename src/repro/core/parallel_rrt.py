@@ -60,6 +60,27 @@ K_RAYS = 8
 #: Seed of the k-rays probe's and the steal policy's generators.
 RNG_SEED = 54321
 
+# Alg. 2's parameters.  A workload build uses these values; local mode's
+# region planner overrides the five ``repro.api.LOCAL_RRT`` names.  The
+# ball's radius is no parameter: it is the largest ball around the root
+# that fits the bounds.
+#: Regions each conical region is adjacent to.
+K_ADJACENT = 3
+#: Nearest nodes of branch ``b`` each connection source tries.
+K_INTER = 1
+#: Angular overlap of adjacent cones.
+OVERLAP_ANGLE = 0.1
+#: RRT extension step.
+STEP_SIZE = 0.6
+#: Fraction of draws that go to the cone's target.
+GOAL_BIAS = 0.3
+#: Iterations a branch may spend per node of its budget.
+ITERATION_FACTOR = 40
+#: Outermost nodes of branch ``a`` tried as connection sources.
+CONNECT_SOURCES = 3
+#: Step of the straight-line local planner.
+LP_RESOLUTION = 0.5
+
 
 @dataclass
 class BranchWork:
@@ -155,15 +176,17 @@ class RRTRegionPlanner:
     membership test — which convex cones now almost never fail, but
     cones wider than pi/2 (``num_regions <= 3``) can.
     The region travels as arguments of each ``grow`` call: the one
-    :class:`RRT` below is shared by every pool thread.  The keyword
-    parameters are :func:`build_rrt_workload`'s, defaults included.
+    :class:`RRT` below is shared by every pool thread.  Its keyword
+    parameters default to the module constants :func:`build_rrt_workload`
+    plans with; only local mode's ``repro.api.LOCAL_RRT`` passes other
+    values.
     """
 
     def __init__(
         self, cspace: ConfigurationSpace, root: np.ndarray, num_regions: int,
-        nodes_per_region: int, seed: int = 0, radius: float | None = None, k_adjacent: int = 3,
-        overlap_angle: float = 0.1, step_size: float = 0.6, goal_bias: float = 0.3,
-        iteration_factor: int = 40, lp_resolution: float = 0.5,
+        nodes_per_region: int, seed: int = 0, k_adjacent: int = K_ADJACENT,
+        overlap_angle: float = OVERLAP_ANGLE, step_size: float = STEP_SIZE,
+        goal_bias: float = GOAL_BIAS, lp_resolution: float = LP_RESOLUTION,
     ):
         root = np.asarray(root, dtype=float)
         if not cspace.valid_single(root):
@@ -172,10 +195,9 @@ class RRTRegionPlanner:
         self.root = root
         self.nodes_per_region = nodes_per_region
         self.seed = seed
-        self.max_iterations = iteration_factor * nodes_per_region
-        if radius is None:
-            lo, hi = cspace.bounds.lo, cspace.bounds.hi
-            radius = float(min(np.min(root - lo), np.min(hi - root)))
+        self.max_iterations = ITERATION_FACTOR * nodes_per_region
+        lo, hi = cspace.bounds.lo, cspace.bounds.hi
+        radius = float(min(np.min(root - lo), np.min(hi - root)))
         self.decomposition = RadialSubdivision(
             root, radius, num_regions, k=k_adjacent, overlap=overlap_angle,
             rng=np.random.default_rng(seed),
@@ -208,31 +230,17 @@ def build_rrt_workload(
     root: np.ndarray,
     num_regions: int,
     nodes_per_region: int = 12,
-    radius: float | None = None,
-    k_adjacent: int = 3,
-    k_inter: int = 1,
-    overlap_angle: float = 0.1,
-    step_size: float = 0.6,
-    goal_bias: float = 0.3,
-    iteration_factor: int = 40,
-    connect_sources: int = 3,
     seed: int = 0,
-    work_model: WorkModel | None = None,
-    lp_resolution: float = 0.5,
 ) -> RRTWorkload:
     """Grow every conical branch once against the real geometry, each
     drawing its samples from its own cone (:class:`RRTRegionPlanner`).
 
-    ``radius`` defaults to the largest sphere around the root's position
-    that fits the workspace bounds.
+    The ball is the largest sphere around the root's position that fits
+    the workspace bounds; the other parameters of Alg. 2 are the module
+    constants, and the work is costed by the one :class:`WorkModel`.
     """
-    work_model = work_model if work_model is not None else WorkModel()
-    regions = RRTRegionPlanner(
-        cspace, root, num_regions, nodes_per_region, seed=seed, radius=radius,
-        k_adjacent=k_adjacent, overlap_angle=overlap_angle, step_size=step_size,
-        goal_bias=goal_bias, iteration_factor=iteration_factor,
-        lp_resolution=lp_resolution,
-    )
+    work_model = WorkModel()
+    regions = RRTRegionPlanner(cspace, root, num_regions, nodes_per_region, seed=seed)
     radial, planner, root = regions.decomposition, regions.planner, regions.root
 
     parents: "dict[int, int]" = {}
@@ -286,11 +294,11 @@ def build_rrt_workload(
             reads += int(ids_b.size)
             # Use the outermost nodes of a (deepest in the branch) as
             # connection sources: they are the ones near region borders.
-            sources = ids_a[-min(connect_sources, ids_a.size):]
+            sources = ids_a[-min(CONNECT_SOURCES, ids_a.size):]
             for u in sources:
                 u = int(u)
                 st.nn_queries += 1
-                for v, _d in nn.knn(tree.config(u), k_inter, exclude=u):
+                for v, _d in nn.knn(tree.config(u), K_INTER, exclude=u):
                     res = lp(cspace, tree.config(u), tree.config(v))
                     st.lp_calls += 1
                     st.lp_checks += res.checks

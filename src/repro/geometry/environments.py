@@ -20,6 +20,8 @@ whose blocked fraction matches the paper's figure within a small tolerance
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .environment import Environment
@@ -38,15 +40,23 @@ __all__ = [
     "by_name",
 ]
 
-#: Default workspace half-extent used by all builders.
-DEFAULT_HALF_EXTENT = 10.0
+#: Workspace half-extent of every scene.
+HALF_EXTENT = 10.0
+#: Dimension of every scene but model-2d's: the catalogue is 2-D or 3-D.
+DIM = 3
+#: Walls of the walls / walls-45 scenes.
+NUM_WALLS = 3
+#: Width of each wall's gap, as a fraction of the workspace extent.
+GAP_FRACTION = 0.15
+#: Placement seed of the mixed / mixed-30 clutter.
+MIXED_SEED = 7
 
 
-def _unit_workspace(dim: int, half: float = DEFAULT_HALF_EXTENT) -> AABB:
-    return AABB(-half * np.ones(dim), half * np.ones(dim))
+def _workspace(dim: int) -> AABB:
+    return AABB(-HALF_EXTENT * np.ones(dim), HALF_EXTENT * np.ones(dim))
 
 
-def model_2d(obstacle_fraction: float = 0.25, half: float = DEFAULT_HALF_EXTENT) -> Environment:
+def model_2d(obstacle_fraction: float = 0.25) -> Environment:
     """The paper's theoretical model: one square obstacle centred in a 2-D
     square workspace, equidistant from the bounding box.
 
@@ -55,60 +65,57 @@ def model_2d(obstacle_fraction: float = 0.25, half: float = DEFAULT_HALF_EXTENT)
     """
     if not 0.0 <= obstacle_fraction < 1.0:
         raise ValueError(f"obstacle_fraction must be in [0, 1), got {obstacle_fraction}")
-    bounds = _unit_workspace(2, half)
-    side = 2.0 * half * np.sqrt(obstacle_fraction)
+    bounds = _workspace(2)
+    side = 2.0 * HALF_EXTENT * np.sqrt(obstacle_fraction)
     obstacle = AABB(-0.5 * side * np.ones(2), 0.5 * side * np.ones(2))
     obstacles = [obstacle] if obstacle_fraction > 0 else []
     return Environment(bounds, obstacles, name=f"model-2d({obstacle_fraction:.0%})")
 
 
-def cube_env(blocked_fraction: float, dim: int = 3, half: float = DEFAULT_HALF_EXTENT, name: str | None = None) -> Environment:
-    """A d-dimensional workspace with one central cube blocking the given
-    volume fraction; the generalisation behind med-cube/small-cube."""
+def cube_env(blocked_fraction: float, name: str | None = None) -> Environment:
+    """A 3-D workspace with one central cube blocking the given volume
+    fraction; the generalisation behind med-cube/small-cube."""
     if not 0.0 <= blocked_fraction < 1.0:
         raise ValueError(f"blocked_fraction must be in [0, 1), got {blocked_fraction}")
-    bounds = _unit_workspace(dim, half)
+    bounds = _workspace(DIM)
     obstacles = []
     if blocked_fraction > 0:
-        side = 2.0 * half * blocked_fraction ** (1.0 / dim)
-        obstacles.append(AABB(-0.5 * side * np.ones(dim), 0.5 * side * np.ones(dim)))
+        side = 2.0 * HALF_EXTENT * blocked_fraction ** (1.0 / DIM)
+        obstacles.append(AABB(-0.5 * side * np.ones(DIM), 0.5 * side * np.ones(DIM)))
     env = Environment(bounds, obstacles, name=name or f"cube({blocked_fraction:.0%})")
     return env
 
 
-def med_cube(dim: int = 3) -> Environment:
+def med_cube() -> Environment:
     """~24% of the environment blocked by a central cube (paper's med-cube)."""
-    return cube_env(0.24, dim=dim, name="med-cube")
+    return cube_env(0.24, name="med-cube")
 
 
-def small_cube(dim: int = 3) -> Environment:
+def small_cube() -> Environment:
     """~6% of the environment blocked by a central cube (paper's small-cube)."""
-    return cube_env(0.06, dim=dim, name="small-cube")
+    return cube_env(0.06, name="small-cube")
 
 
-def free_env(dim: int = 3) -> Environment:
+def free_env() -> Environment:
     """Completely obstacle-free workspace (paper's free environment)."""
-    return cube_env(0.0, dim=dim, name="free")
+    return cube_env(0.0, name="free")
 
 
-def walls_env(num_walls: int = 3, gap_fraction: float = 0.15, dim: int = 3, half: float = DEFAULT_HALF_EXTENT, angled: bool = False) -> Environment:
-    """Narrow-passage environment: parallel walls spanning the workspace,
-    each pierced by one off-centre gap.
+def walls_env(angled: bool = False) -> Environment:
+    """Narrow-passage environment: ``NUM_WALLS`` parallel walls spanning
+    the workspace, each pierced by one off-centre gap.
 
     With ``angled=True`` the gaps alternate corners, mimicking the
     "walls-45" style of staggered passages that forces long detours.
     """
-    if num_walls < 1:
-        raise ValueError("num_walls must be >= 1")
-    if not 0.0 < gap_fraction < 1.0:
-        raise ValueError("gap_fraction must be in (0, 1)")
-    bounds = _unit_workspace(dim, half)
+    dim, half = DIM, HALF_EXTENT
+    bounds = _workspace(dim)
     thickness = 0.05 * (2 * half)
-    gap = gap_fraction * (2 * half)
+    gap = GAP_FRACTION * (2 * half)
     obstacles: list[AABB] = []
-    for w in range(num_walls):
+    for w in range(NUM_WALLS):
         # Wall position along axis 0, evenly spaced inside the workspace.
-        x = -half + (w + 1) * (2 * half) / (num_walls + 1)
+        x = -half + (w + 1) * (2 * half) / (NUM_WALLS + 1)
         # The gap slides along axis 1: alternate sides for staggering.
         side = (-1) ** w if not angled else (-1) ** (w + (w // 2))
         gap_center = side * (half - gap)
@@ -127,35 +134,27 @@ def walls_env(num_walls: int = 3, gap_fraction: float = 0.15, dim: int = 3, half
         if hi2[1] > lo2[1]:
             obstacles.append(AABB(lo2.copy(), hi2.copy()))
     name = "walls-45" if angled else "walls"
-    return Environment(bounds, obstacles, name=f"{name}({num_walls})")
+    return Environment(bounds, obstacles, name=f"{name}({NUM_WALLS})")
 
 
 def cluttered_env(
     blocked_fraction: float,
-    dim: int = 3,
     cells_per_axis: int = 4,
     seed: int = 0,
-    half: float = DEFAULT_HALF_EXTENT,
     name: str | None = None,
     asymmetry: float = 0.0,
-    max_rounds: int = 0,
-    num_obstacles: int = 0,
-    half_bias: float = 0.0,
 ) -> Environment:
-    """Cluttered workspace with *non-overlapping* box obstacles totalling
-    ``blocked_fraction`` of the volume (exactly, up to jitter).
+    """Cluttered 3-D workspace with *non-overlapping* box obstacles
+    totalling ``blocked_fraction`` of the volume (exactly, up to jitter).
 
     Placement is a jittered grid: the workspace is divided into
-    ``cells_per_axis**dim`` cells and each cell receives one box whose
+    ``cells_per_axis**3`` cells and each cell receives one box whose
     volume is the cell's share of the target.  ``asymmetry`` in [0, 1)
     shifts volume toward the positive-x half: the +x half is filled to
     ``blocked * (1 + asymmetry)`` and the -x half to
     ``blocked * (1 - asymmetry)``, producing the directional workload
     heterogeneity the paper's cluttered RRT environments exhibit.
-    (``max_rounds``/``num_obstacles``/``half_bias`` are accepted for
-    backward compatibility and ignored.)
     """
-    del max_rounds, num_obstacles, half_bias
     if not 0.0 <= blocked_fraction < 0.92:
         raise ValueError("blocked_fraction must be in [0, 0.92)")
     if not 0.0 <= asymmetry < 1.0:
@@ -164,7 +163,8 @@ def cluttered_env(
     fill_minus = blocked_fraction * (1.0 - asymmetry)
     if fill_plus >= 0.95:
         raise ValueError("asymmetric fill exceeds the +x half's capacity")
-    bounds = _unit_workspace(dim, half)
+    dim = DIM
+    bounds = _workspace(dim)
     rng = np.random.default_rng(seed)
     cell = bounds.extents / cells_per_axis
     obstacles: list[AABB] = []
@@ -184,37 +184,38 @@ def cluttered_env(
     return env
 
 
-def mixed_env(dim: int = 3, seed: int = 7) -> Environment:
+def mixed_env() -> Environment:
     """The RRT evaluation's 60%-blocked cluttered environment.
 
     The clutter is strongly one-sided so that conical regions facing it
     are far more expensive than those facing open space — the directional
     heterogeneity the paper's mixed workload exhibits.
     """
-    return cluttered_env(0.60, dim=dim, seed=seed, name="mixed", asymmetry=0.5, cells_per_axis=5)
+    return cluttered_env(0.60, seed=MIXED_SEED, name="mixed", asymmetry=0.5, cells_per_axis=5)
 
 
-def mixed_30_env(dim: int = 3, seed: int = 7) -> Environment:
+def mixed_30_env() -> Environment:
     """The RRT evaluation's 30%-blocked cluttered environment."""
-    return cluttered_env(0.30, dim=dim, seed=seed, name="mixed-30", asymmetry=0.6, cells_per_axis=5)
+    return cluttered_env(0.30, seed=MIXED_SEED, name="mixed-30", asymmetry=0.6, cells_per_axis=5)
 
 
+#: The catalogue: every scene by its paper name.
 _BUILDERS = {
     "model-2d": model_2d,
     "med-cube": med_cube,
     "small-cube": small_cube,
     "free": free_env,
     "walls": walls_env,
-    "walls-45": lambda **kw: walls_env(angled=True, **kw),
+    "walls-45": partial(walls_env, angled=True),
     "mixed": mixed_env,
     "mixed-30": mixed_30_env,
 }
 
 
-def by_name(name: str, **kwargs) -> Environment:
+def by_name(name: str) -> Environment:
     """Build a benchmark environment by its paper name."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown environment {name!r}; known: {sorted(_BUILDERS)}") from None
-    return builder(**kwargs)
+    return builder()

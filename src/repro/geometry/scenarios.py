@@ -22,16 +22,13 @@ import hashlib
 import numpy as np
 
 from .environment import Environment
+from .environments import HALF_EXTENT
 from .primitives import AABB
 
 __all__ = ["shelf_warehouse", "fingerprint"]
 
-#: Workspace half-extent of the generated worlds (matches the paper
-#: environments in ``repro.geometry.environments``).
-HALF_EXTENT = 10.0
 
-
-def shelf_warehouse(n_obstacles: int = 1000, seed: int = 0, half: float = HALF_EXTENT) -> Environment:
+def shelf_warehouse(n_obstacles: int = 1000, seed: int = 0) -> Environment:
     """A 3-D warehouse: rows of racks, each rack a column of stacked bays.
 
     Racks are laid out on a regular grid of aisles in the x/y plane;
@@ -44,6 +41,8 @@ def shelf_warehouse(n_obstacles: int = 1000, seed: int = 0, half: float = HALF_E
     """
     if n_obstacles < 1:
         raise ValueError("n_obstacles must be >= 1")
+    # The workspace of the paper environments (``HALF_EXTENT``).
+    half = HALF_EXTENT
     rng = np.random.default_rng(seed)
     levels = 4
     # Racks needed to hold n bays; lay them out on a near-square grid.

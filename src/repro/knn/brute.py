@@ -28,7 +28,8 @@ class BruteForceNN(NeighborFinder):
 
     The batched distance blocks are
     :func:`repro.kernels.reference.pairwise_accumulate_exact`, bit-exact
-    with the per-query scalar paths.
+    with the per-query scalar paths below 8 dimensions (numpy's reduction
+    keeps eight partial sums from ``d = 8`` up).
     """
 
     def __init__(self, dim: int):
@@ -74,7 +75,9 @@ class BruteForceNN(NeighborFinder):
     def _dist_block(stored: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
         """Write ``||stored[j] - queries[i]||`` into ``out[i, j]`` using
         per-dimension 2-D accumulation (bit-identical to the per-query
-        ``np.linalg.norm`` of :meth:`knn`).
+        ``np.linalg.norm`` of :meth:`knn` below 8 dimensions, where numpy
+        sums the squares left to right; from ``d = 8`` up it keeps eight
+        partial sums, and the two may differ in the last ulp).
 
         Static — the batched RRT calls it directly for its frozen-tree
         distances.
@@ -191,8 +194,10 @@ class BruteForceNN(NeighborFinder):
 
         ``out``, an ``(m, len(self))`` float array, receives the distance
         block itself (``out[i, j]`` from query ``i`` to the ``j``-th stored
-        point, bit-identical to ``np.linalg.norm``) for a caller that needs
-        more of it than the ``k`` nearest (unsegmented queries only).
+        point, bit-identical to ``np.linalg.norm`` below 8 dimensions — see
+        :func:`~repro.kernels.reference.pairwise_accumulate_exact`) for a
+        caller that needs more of it than the ``k`` nearest (unsegmented
+        queries only).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if segments is not None:

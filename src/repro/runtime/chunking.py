@@ -4,19 +4,16 @@
 the caller had to guess: too small and dispatch overhead dominates tiny
 tasks, too large and a slow region clusters with others behind one worker
 — exactly the granularity trade the paper's distributed schedulers make
-with region size.  This module replaces the guess with pluggable
-*policies*, resolved up front into a deterministic chunk list:
+with region size.  This module adds one adaptive policy beside the
+fixed int, both resolved up front into a deterministic chunk list:
 
 * an ``int`` keeps the historical fixed slicing (``"fixed-N"``),
 * ``"guided"`` is OpenMP-style guided self-scheduling: each chunk takes
   ``remaining / (k * workers)`` tasks (``k = 2``), so early chunks are
   large (amortising dispatch) and the tail decays to single tasks (fine
-  load balancing exactly where stragglers hurt),
-* ``"weighted"`` consumes per-task weights (the partitioner's region
-  weights) and packs chunks to roughly equal *weight* rather than equal
-  count, falling back to ``"guided"`` when no weights are supplied.
+  load balancing exactly where stragglers hurt).
 
-Resolution is a pure function of ``(tasks, chunksize, workers, weights)``
+Resolution is a pure function of ``(tasks, chunksize, workers)``
 — the same inputs always produce the same chunk list, so policy runs are
 bit-identical to the ``chunksize=1`` oracle (only grouping changes, never
 task identity or order of first dispatch).
@@ -27,7 +24,7 @@ from __future__ import annotations
 __all__ = ["CHUNK_POLICIES", "policy_label", "resolve_chunks", "validate_chunksize"]
 
 #: Named adaptive policies accepted anywhere a ``chunksize`` int is.
-CHUNK_POLICIES = ("guided", "weighted")
+CHUNK_POLICIES = ("guided",)
 
 #: Guided decay factor ``k``: chunk size is ``remaining // (k * workers)``.
 _GUIDED_K = 2
@@ -70,49 +67,17 @@ def _guided(tasks: "list[int]", workers: int) -> "list[tuple[int, ...]]":
     return chunks
 
 
-def _weighted(
-    tasks: "list[int]",
-    workers: int,
-    weights: "dict[int, float]",
-) -> "list[tuple[int, ...]]":
-    # Guided in *weight* space: each chunk packs tasks (in order) until it
-    # holds ~remaining_weight / (k * workers), never fewer than one task.
-    w = [max(float(weights.get(tid, 1.0)), 0.0) for tid in tasks]
-    total = sum(w)
-    if total <= 0.0:
-        return _guided(tasks, workers)
-    chunks: "list[tuple[int, ...]]" = []
-    i, n = 0, len(tasks)
-    remaining = total
-    while i < n:
-        target = remaining / (_GUIDED_K * workers)
-        j, acc = i, 0.0
-        while j < n and (j == i or acc + w[j] <= target):
-            acc += w[j]
-            j += 1
-        chunks.append(tuple(tasks[i:j]))
-        remaining -= acc
-        i = j
-    return chunks
-
-
 def resolve_chunks(
-    tasks: "list[int]",
-    chunksize: "int | str",
-    workers: int,
-    task_weights: "dict[int, float] | None" = None,
+    tasks: "list[int]", chunksize: "int | str", workers: int
 ) -> "list[tuple[int, ...]]":
     """Resolve a chunksize (int or policy name) into the chunk list.
 
     Deterministic: tasks keep their order, every task appears exactly
     once, and the same inputs always produce the same grouping.
-    ``"weighted"`` without ``task_weights`` degrades to ``"guided"``.
     """
     validate_chunksize(chunksize)
     if not tasks:
         return []
     if isinstance(chunksize, int):
         return _fixed(tasks, chunksize)
-    if chunksize == "weighted" and task_weights:
-        return _weighted(tasks, workers, task_weights)
     return _guided(tasks, workers)

@@ -20,9 +20,8 @@ heavy lifting inside collision checks, threads get real speedups despite
 the GIL.
 
 Dispatch granularity is a pluggable policy (:mod:`repro.runtime.chunking`):
-``chunksize`` accepts the historical fixed int, ``"guided"``
-self-scheduling (chunks decay as ``remaining / (2 * workers)``), or
-``"weighted"`` (equal-*weight* chunks from ``task_weights``).  A chunk is
+``chunksize`` accepts the historical fixed int or ``"guided"``
+self-scheduling (chunks decay as ``remaining / (2 * workers)``).  A chunk is
 also the block its worker may run in one call: a chunk of two or more
 fresh tasks is offered to ``fn.run_block`` when the task callable has one
 and no fault injector is installed (:func:`_run_block`); everything else
@@ -148,7 +147,7 @@ class DispatchStats:
     worker-side attach records piggybacked on chunk results.
     """
 
-    #: effective policy label: ``fixed-N``, ``guided`` or ``weighted``.
+    #: effective policy label: ``fixed-N`` or ``guided``.
     chunk_policy: str = "fixed-1"
     chunks_issued: int = 0
     #: pickled size of the task callable (the shipped context), bytes.
@@ -330,7 +329,6 @@ def run_tasks_parallel(
     task_timeout: "float | None" = None,
     fault_injector: "FaultInjector | None" = None,
     retry_seed: int = 0,
-    task_weights: "dict[int, float] | None" = None,
 ) -> PoolResult:
     """Execute ``fn(task_id)`` for every task with dynamic dispatch.
 
@@ -354,10 +352,9 @@ def run_tasks_parallel(
         Either way at most ``2 * workers`` submissions are in flight, which
         bounds memory for huge task lists.
     chunksize:
-        Tasks per submission: a fixed int (default 1), or a policy name —
+        Tasks per submission: a fixed int (default 1), or the policy
         ``"guided"`` (self-scheduling decay: big chunks early to amortise
-        dispatch, single tasks at the tail for balance) or ``"weighted"``
-        (equal-weight chunks from ``task_weights``).  Larger chunks
+        dispatch, single tasks at the tail for balance).  Larger chunks
         amortise dispatch overhead when individual tasks are tiny, at the
         price of coarser load balancing — the same trade the paper's
         distributed schedulers make with region granularity; the policies
@@ -386,9 +383,6 @@ def run_tasks_parallel(
         testing; ``None`` (default) costs nothing.
     retry_seed:
         Seeds the per-``(task, attempt)`` retry jitter (:data:`BACKOFF_BASE`).
-    task_weights:
-        Optional per-task relative cost estimates (the partitioner's
-        region weights) consumed by the ``"weighted"`` chunk policy.
     """
     workers = resolve_workers(workers)
     validate_chunksize(chunksize)
@@ -424,7 +418,7 @@ def run_tasks_parallel(
     requeue: "list[tuple[int, int]]" = []
     in_flight: "dict[object, _Submission]" = {}
 
-    fresh = iter(resolve_chunks(tasks, chunksize, workers, task_weights))
+    fresh = iter(resolve_chunks(tasks, chunksize, workers))
     dispatch = DispatchStats(chunk_policy=policy_label(chunksize))
 
     process = backend == "process"

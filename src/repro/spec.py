@@ -150,9 +150,10 @@ class WorkloadSpec:
     def build_workload(self, cspace: ConfigurationSpace) -> "PRMWorkload | RRTWorkload":
         """Run this spec's regional planners once over ``cspace`` — the
         one ``planner`` -> ``build_*_workload`` dispatch, shared by
-        :func:`repro.api.plan` and the service's cache builder.  Anything
-        but the defaults of a builder parameter means calling the builder
-        directly, as :mod:`repro.bench.figures` does."""
+        :func:`repro.api.plan` and the service's cache builder.  A builder
+        takes exactly what a spec carries; the rest of Alg. 1 / Alg. 2 is
+        the constants of ``repro.core.parallel_prm`` /
+        ``repro.core.parallel_rrt``."""
         if self.planner == "prm":
             return build_prm_workload(
                 cspace, self.num_regions, self.samples_per_region, seed=self.seed
@@ -206,10 +207,10 @@ class ExecutionPolicy:
     workers: "int | None" = None
     backend: str = "thread"
     #: tasks per submission in ``plan()``: an int (>1 amortises dispatch
-    #: for tiny regions) or a :mod:`repro.runtime.chunking` policy name —
-    #: ``"guided"`` (self-scheduling decay) or ``"weighted"`` (equal
-    #: estimated cost per chunk).  ``QueryEngine.solve_many`` sends one
-    #: chunk per worker instead.
+    #: for tiny regions) or ``"guided"``, the one
+    #: :mod:`repro.runtime.chunking` policy (self-scheduling decay).  A
+    #: chunk of two or more PRM regions is planned as one block.
+    #: ``QueryEngine.solve_many`` sends one chunk per worker instead.
     chunksize: "int | str" = 1
     #: how the planning context crosses the process boundary:
     #: ``"auto"`` (shared memory when the backend is ``"process"`` and

@@ -8,7 +8,8 @@ sequential loop leaves.  :func:`digest` names every field of that, and
 
 Each loop a fast path replays lives here, over the production object:
 :class:`SequentialPRM`, :class:`SequentialRRT`, :func:`region_loop`
-(with :func:`rrt_loop`, the drivers' per-region loops),
+(with :func:`rrt_loop`, the drivers' per-region loops; :func:`region_values`
+hands a driver's region planner other parameter values),
 :func:`merge_one_by_one` (the one-pass union of regional results),
 :func:`prepared_one` (a query's search heuristics, which a served
 batch prepares in array passes),
@@ -276,6 +277,19 @@ def region_loop():
 def rrt_loop():
     """Every ``RRTRegionPlanner`` built inside grows with :class:`SequentialRRT`."""
     return mock.patch.object(parallel_rrt, "RRT", SequentialRRT)
+
+
+def region_values(planner_cls, **values):
+    """Inside ``with region_values(PRMRegionPlanner, k=6):`` the workload
+    builder of ``planner_cls`` (``PRMRegionPlanner`` or
+    ``RRTRegionPlanner``) constructs its region planner with ``values``
+    in place of the module constants its keyword parameters default to:
+    how a test builds a workload with local mode's values
+    (``repro.api.LOCAL_PRM`` / ``LOCAL_RRT``) or any other."""
+    module = parallel_prm if planner_cls is parallel_prm.PRMRegionPlanner else parallel_rrt
+    return mock.patch.object(
+        module, planner_cls.__name__, functools.partial(planner_cls, **values)
+    )
 
 
 def box_obstacle_relation(env, box) -> str:

@@ -1,5 +1,6 @@
 """Tests for the plan() facade (repro.api) and the unified result protocol."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -34,7 +35,13 @@ from repro.core.parallel_prm import ID_SHIFT
 from repro.obs import summarize_events
 from repro.planners.stats import PlannerStats
 
-from .oracle import adjacency_fingerprint, assert_same, digest, roadmap_fingerprint
+from .oracle import (
+    adjacency_fingerprint,
+    assert_same,
+    digest,
+    region_values,
+    roadmap_fingerprint,
+)
 
 
 def _vertices(rmap):
@@ -245,26 +252,26 @@ class TestLocalExecution:
     @pytest.mark.parametrize("planner", ["prm", "rrt"])
     def test_local_regions_equal_builder_regions(self, planner):
         """Local mode and the workload builders run the same regional
-        planner: given local mode's eight parameter values, a builder's
-        regions equal the pool's bit for bit — on the thread backend and
-        through the shm worker's rebuild on the process backend."""
+        planner: with local mode's eight parameter values handed to the
+        builder's region planner, a builder's regions equal the pool's bit
+        for bit — on the thread backend and through the shm worker's
+        rebuild on the process backend."""
         if planner == "prm":
             wl = WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3)
             cspace = wl.resolve_cspace()
-            built = build_prm_workload(
-                cspace, wl.num_regions, wl.samples_per_region, seed=wl.seed,
-                k=6, lp_resolution=0.25, narrow_passage_boost=0.0,
-            )
+            with region_values(PRMRegionPlanner, **LOCAL_PRM):
+                built = build_prm_workload(
+                    cspace, wl.num_regions, wl.samples_per_region, seed=wl.seed
+                )
             work = built.region_work
         else:
             wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3)
             cspace = wl.resolve_cspace()
-            built = build_rrt_workload(
-                cspace, default_root(cspace, wl.seed), wl.num_regions,
-                wl.nodes_per_region, seed=wl.seed,
-                step_size=0.5, goal_bias=0.05, lp_resolution=0.25,
-                k_adjacent=4, overlap_angle=0.0,
-            )
+            with region_values(RRTRegionPlanner, **LOCAL_RRT):
+                built = build_rrt_workload(
+                    cspace, default_root(cspace, wl.seed), wl.num_regions,
+                    wl.nodes_per_region, seed=wl.seed,
+                )
             work = built.branch_work
         stats = PlannerStats()
         for w in work.values():
@@ -301,15 +308,19 @@ class TestLocalExecution:
         ids=["prm", "rrt"],
     )
     def test_region_planner_defaults_are_the_builders(self, planner_cls, builder, local):
-        """The region planner repeats its builder's keyword parameters:
-        the shared ones carry equal defaults, so emptying ``LOCAL_*`` is
+        """A builder takes what a ``WorkloadSpec`` carries and plans with
+        its region planner's defaults, which are the module constants of
+        Alg. 1 / Alg. 2; the planner's other keyword parameters are
+        exactly the ones ``LOCAL_*`` overrides, so emptying ``LOCAL_*`` is
         all it takes to make local mode plan the builders' problem."""
-        of_builder = inspect.signature(builder).parameters
+        module = inspect.getmodule(planner_cls)
+        spec_fields = {f.name for f in dataclasses.fields(WorkloadSpec)}
+        assert set(inspect.signature(builder).parameters) - {"cspace", "root"} <= spec_fields
         of_planner = inspect.signature(planner_cls).parameters
-        shared = [n for n, p in of_planner.items() if p.default is not p.empty]
-        assert set(local) <= set(shared) <= set(of_builder)
-        for name in shared:
-            assert of_planner[name].default == of_builder[name].default, name
+        keywords = {n for n, p in of_planner.items() if p.default is not p.empty} - {"seed"}
+        assert set(local) == keywords
+        for name in keywords:
+            assert of_planner[name].default == getattr(module, name.upper()), name
 
     @pytest.mark.parametrize(
         "wl, digest",

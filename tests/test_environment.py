@@ -205,7 +205,7 @@ class TestBenchmarkEnvironments:
         assert env.blocked_fraction() == pytest.approx(0.25)
 
     def test_walls_leave_a_passage(self):
-        env = envs.walls_env(num_walls=3)
+        env = envs.walls_env()
         # Gaps exist: some x-sweep at the gap heights passes every wall.
         assert env.free_volume() > 0.5 * env.bounds.volume()
 
@@ -214,8 +214,8 @@ class TestBenchmarkEnvironments:
             by_name("no-such-env")
 
     def test_walls45_differs_from_walls(self):
-        a = envs.walls_env(num_walls=3)
-        b = envs.by_name("walls-45", num_walls=3)
+        a = envs.walls_env()
+        b = envs.by_name("walls-45")
         assert a.num_obstacles == b.num_obstacles
         same = all(
             np.allclose(x.lo, y.lo) and np.allclose(x.hi, y.hi)

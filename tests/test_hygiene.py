@@ -352,12 +352,42 @@ _ONE_SIDED = (
     ("subdivision/uniform.py", "UniformSubdivision.__init__", "shape"),
     *(("runtime/simulator.py", "WorkStealingSimulator.__init__", param) for param in (
         "offload_service", "min_keep", "transfer_cost", "backoff_base", "max_idle_rounds")),
+    # Alg. 1 / Alg. 2's parameters are the constants of core/parallel_prm.py
+    # and core/parallel_rrt.py; a builder takes what a WorkloadSpec carries.
+    *(("core/parallel_prm.py", "build_prm_workload", param) for param in (
+        "k", "k_inter", "overlap", "work_model", "lp_resolution", "narrow_passage_boost")),
+    *(("core/parallel_rrt.py", "build_rrt_workload", param) for param in (
+        "radius", "k_adjacent", "k_inter", "overlap_angle", "step_size", "goal_bias",
+        "iteration_factor", "connect_sources", "work_model", "lp_resolution")),
+    ("core/parallel_prm.py", "PRMRegionPlanner.__init__", "overlap"),
+    ("core/parallel_rrt.py", "RRTRegionPlanner.__init__", "radius"),
+    ("core/parallel_rrt.py", "RRTRegionPlanner.__init__", "iteration_factor"),
+    ("bench/harness.py", "prm_workload", "kwargs"),
+    ("bench/harness.py", "rrt_workload", "kwargs"),
+    # The scene catalogue is a table of fixed scenes.
+    *(("geometry/environments.py", function, "dim") for function in (
+        "med_cube", "small_cube", "free_env", "mixed_env", "mixed_30_env", "cube_env",
+        "cluttered_env", "walls_env")),
+    *(("geometry/environments.py", function, "seed") for function in (
+        "mixed_env", "mixed_30_env")),
+    *(("geometry/environments.py", function, "half") for function in (
+        "cube_env", "cluttered_env", "model_2d", "walls_env")),
+    *(("geometry/environments.py", "cluttered_env", param) for param in (
+        "max_rounds", "num_obstacles", "half_bias")),
+    ("geometry/environments.py", "walls_env", "num_walls"),
+    ("geometry/environments.py", "walls_env", "gap_fraction"),
+    ("geometry/environments.py", "by_name", "kwargs"),
+    ("geometry/scenarios.py", "shelf_warehouse", "half"),
+    # The pool's chunks are fixed or guided.
+    ("runtime/local_pool.py", "run_tasks_parallel", "task_weights"),
+    ("runtime/chunking.py", "resolve_chunks", "task_weights"),
 )
 
 
 def _signatures(tree: ast.Module) -> "dict[str, set[str]]":
     """Parameter names of every module-level function and method, keyed
-    ``name`` / ``Class.name``."""
+    ``name`` / ``Class.name`` (``*args`` / ``**kwargs`` by their bare
+    names)."""
     out = {}
     for node in tree.body:
         scope = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
@@ -367,12 +397,14 @@ def _signatures(tree: ast.Module) -> "dict[str, set[str]]":
         for name, fn in scope:
             a = fn.args
             out[name] = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            out[name] |= {arg.arg for arg in (a.vararg, a.kwarg) if arg is not None}
     return out
 
 
 def test_no_option_only_tests_set():
-    """The runtime, engine, tracing and subdivision layers take no option
-    that no caller outside the tests sets; the steal policies are the
+    """The runtime, engine, tracing and subdivision layers, the workload
+    builders, region planners and the scene catalogue take no option that
+    no caller outside the tests sets; the steal policies are the
     paper's, with ``k = 8``, and their names are ``STRATEGIES[2:]``; the
     connection phase's remote accounting is array lines in
     ``core.machine.replay``, not a distributed-graph wrapper; the query
@@ -397,3 +429,22 @@ def test_no_option_only_tests_set():
              for alias in node.names}
     names |= {node.id for node in ast.walk(engine) if isinstance(node, ast.Name)}
     assert "KDTreeNN" not in names
+
+
+def test_chunks_are_fixed_or_guided_and_scenes_and_builders_take_no_kwargs():
+    """One adaptive chunk policy, and no catch-all keyword parameter on the
+    scene lookup or the figure harness's builders: each of those would
+    let a value nobody sets back in without a name."""
+    chunking = importlib.import_module("repro.runtime.chunking")
+    assert chunking.CHUNK_POLICIES == ("guided",)
+    assert not hasattr(chunking, "_weighted")
+    assert not hasattr(importlib.import_module("repro.api"), "_region_weights")
+    harness = importlib.import_module("repro.bench.harness")
+    environments = importlib.import_module("repro.geometry.environments")
+    catalogue = list(environments._BUILDERS.values())
+    for fn in [environments.by_name, harness.prm_workload, harness.rrt_workload, *catalogue]:
+        kinds = {p.kind for p in inspect.signature(fn).parameters.values()}
+        assert inspect.Parameter.VAR_KEYWORD not in kinds, fn
+    for builder in catalogue:
+        params = inspect.signature(builder).parameters.values()
+        assert all(p.default is not p.empty for p in params), builder

@@ -23,6 +23,7 @@ import pytest
 from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
 from repro.kernels import BACKENDS, DEFAULT_BACKEND, get_backend
+from repro.kernels.reference import pairwise_accumulate_exact
 from repro.knn.brute import BruteForceNN
 
 try:
@@ -135,6 +136,24 @@ def test_pairwise_accumulate_close_across_backends(seed):
         out = np.empty((queries.shape[0], stored.shape[0]))
         get_backend(name).pairwise_accumulate(stored, queries, out)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
+
+
+@property_test(_seed_strategy, _seed_fallback, examples=100)
+def test_pairwise_accumulate_exact_is_the_norm_below_eight_dimensions(seed):
+    """Bit for bit ``np.linalg.norm`` for ``d = 1 .. 7``, whose reduction
+    sums the squares left to right there (from ``d = 8`` up numpy keeps
+    eight partial sums).  Coordinates span six decades per axis, so the
+    squares are far apart and any other order of addition would round
+    differently."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 8))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    stored = rng.normal(size=(int(rng.integers(1, 40)), d)) * scale
+    queries = rng.normal(size=(int(rng.integers(1, 16)), d)) * scale
+    out = np.empty((queries.shape[0], stored.shape[0]))
+    pairwise_accumulate_exact(stored, queries, out)
+    expected = np.linalg.norm(queries[:, None, :] - stored[None, :, :], axis=2)
+    np.testing.assert_array_equal(out, expected)
 
 
 @property_test(_seed_strategy, _seed_fallback)

@@ -18,7 +18,7 @@ from repro.knn import BruteForceNN
 from repro.planners import Roadmap, RoadmapQuery
 from repro.runtime import run_tasks_parallel
 
-from .oracle import assert_same, box_obstacle_relation, digest, region_loop
+from .oracle import assert_same, box_obstacle_relation, digest, region_loop, region_values
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +141,13 @@ class TestWorkloadConstruction:
         assert out is not None
 
     def test_zero_boost_flattens_boundary_effect(self):
-        cs = EuclideanCSpace(med_cube())
-        wl = build_prm_workload(
-            cs, num_regions=200, samples_per_region=4, seed=5, narrow_passage_boost=0.0
+        regions = PRMRegionPlanner(
+            EuclideanCSpace(med_cube()), 200, 4, seed=5, narrow_passage_boost=0.0
         )
-        counts = [w.num_samples for w in wl.region_work.values()]
+        counts = [st.samples_accepted for st in regions.plan_block(regions.region_ids).stats]
         assert max(counts) <= 4
+        boosted = PRMRegionPlanner(EuclideanCSpace(med_cube()), 200, 4, seed=5)
+        assert max(st.samples_accepted for st in boosted.plan_block(boosted.region_ids).stats) > 4
 
 
 class TestSimulation:
@@ -213,9 +214,13 @@ class TestSimulation:
 # Regions as segments: the block passes replay the per-region loop exactly
 # ---------------------------------------------------------------------------
 
-def _assert_block_equals_loop(env, num_regions, **kwargs):
+def _assert_block_equals_loop(env, num_regions, samples_per_region, seed, **values):
+    """Block and loop builds agree, their region planner given ``values``."""
     def build():
-        return build_prm_workload(EuclideanCSpace(by_name(env)), num_regions, **kwargs)
+        with region_values(PRMRegionPlanner, **values):
+            return build_prm_workload(
+                EuclideanCSpace(by_name(env)), num_regions, samples_per_region, seed
+            )
 
     block = build()
     with region_loop():
@@ -239,7 +244,7 @@ class TestBlocksEqualLoop:
             ("mixed-30", 125, {}),
             # local mode's values
             ("med-cube", 256, {"k": 6, "lp_resolution": 0.25, "narrow_passage_boost": 0.0}),
-            ("med-cube", 256, {"samples_per_region": 20, "k": 5, "k_inter": 3, "overlap": 0.35}),
+            ("med-cube", 256, {"samples_per_region": 20, "k": 5, "narrow_passage_boost": 1.0}),
             # boost pass of 210 samples per region: a segment wider than PRM's _BLOCK
             ("med-cube", 27, {"samples_per_region": 70}),
             # wide enough for the narrowed k-NN selection
@@ -252,28 +257,23 @@ class TestBlocksEqualLoop:
         _assert_block_equals_loop(env, num_regions, **kwargs)
 
     @settings(max_examples=12, deadline=None)
-    @example(seed=0, env="med-cube", num_regions=27, spr=1, k=1, k_inter=1,
-             overlap=0.0, boost=3, lp_resolution=0.5)
-    @example(seed=5, env="med-cube", num_regions=2, spr=70, k=8, k_inter=4,
-             overlap=0.35, boost=1, lp_resolution=0.25)
+    @example(seed=0, env="med-cube", num_regions=27, spr=1, k=1, boost=3, lp_resolution=0.5)
+    @example(seed=5, env="med-cube", num_regions=2, spr=70, k=8, boost=1, lp_resolution=0.25)
     @given(
         seed=st.integers(0, 2**31 - 1),
         env=st.sampled_from(["free", "med-cube", "small-cube", "walls", "mixed-30"]),
         num_regions=st.sampled_from([1, 2, 27, 64, 125]),
         spr=st.integers(1, 70),
         k=st.integers(1, 8),
-        k_inter=st.integers(1, 4),
-        overlap=st.sampled_from([0.0, 0.2, 0.35]),
         boost=st.sampled_from([0, 1, 3]),
         lp_resolution=st.sampled_from([0.1, 0.25, 0.5]),
     )
-    def test_property(self, seed, env, num_regions, spr, k, k_inter, overlap, boost,
-                      lp_resolution):
+    def test_property(self, seed, env, num_regions, spr, k, boost, lp_resolution):
         # Keep an example's two builds to a second or so.
         assume(num_regions * spr * (1 + boost) <= (600 if env == "mixed-30" else 3000))
         _assert_block_equals_loop(
-            env, num_regions, samples_per_region=spr, k=k, k_inter=k_inter, overlap=overlap,
-            seed=seed, narrow_passage_boost=float(boost), lp_resolution=lp_resolution,
+            env, num_regions, spr, seed,
+            k=k, narrow_passage_boost=float(boost), lp_resolution=lp_resolution,
         )
 
     def test_blocked_region_costs_three_empty_rounds(self):

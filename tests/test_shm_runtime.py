@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.api import _publish_plan, _region_planner, _region_weights, plan
+from repro.api import _publish_plan, plan
 from repro.geometry.bvh import _ARRAYS, BVH
 from repro.geometry.environment import Environment
 from repro.geometry.primitives import AABB
@@ -56,7 +56,7 @@ def _sleepy(tid: int) -> int:
 
 class TestChunking:
     def test_policies_registered(self):
-        assert set(CHUNK_POLICIES) == {"guided", "weighted"}
+        assert CHUNK_POLICIES == ("guided",)
 
     @pytest.mark.parametrize("bad", [0, -3, True, False, "bogus", 1.5, None])
     def test_validate_rejects(self, bad):
@@ -67,13 +67,11 @@ class TestChunking:
         assert policy_label(1) == "fixed-1"
         assert policy_label(16) == "fixed-16"
         assert policy_label("guided") == "guided"
-        assert policy_label("weighted") == "weighted"
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 64, "guided", "weighted"])
+    @pytest.mark.parametrize("chunksize", [1, 3, 64, "guided"])
     def test_chunks_preserve_order(self, chunksize):
         tasks = list(range(37))
-        weights = {t: float(t % 5 + 1) for t in tasks}
-        chunks = resolve_chunks(tasks, chunksize, 4, weights)
+        chunks = resolve_chunks(tasks, chunksize, 4)
         flat = [t for c in chunks for t in c]
         assert flat == tasks
         assert all(len(c) >= 1 for c in chunks)
@@ -83,38 +81,6 @@ class TestChunking:
         assert sizes[0] == 20  # 160 / (2*4)
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[-1] == 1
-
-    def test_weighted_balances_heavy_tasks(self):
-        tasks = list(range(8))
-        weights = {t: (100.0 if t == 0 else 1.0) for t in tasks}
-        chunks = resolve_chunks(tasks, "weighted", 2, weights)
-        # The heavy task gets a chunk of its own rather than dragging
-        # neighbours along with it.
-        assert chunks[0] == (0,)
-
-    def test_weighted_without_weights_falls_back_to_guided(self):
-        tasks = list(range(40))
-        assert resolve_chunks(tasks, "weighted", 4, None) == resolve_chunks(
-            tasks, "guided", 4
-        )
-
-    @pytest.mark.parametrize("environment", ["med-cube", "warehouse-2000"])
-    def test_region_weights_equal_the_per_region_loop(self, environment):
-        """The "weighted" policy's one pass over every region counts, per
-        region, the obstacles its sample box touches — as a loop over the
-        regions' own boxes does."""
-        if environment == "warehouse-2000":
-            environment = shelf_warehouse(2000, seed=4)
-        spec = WorkloadSpec(environment, "prm", num_regions=216, seed=2)
-        regions = _region_planner(spec.resolve_cspace(), spec)
-        data = regions.cspace.env.kernel_data()
-        loop = {}
-        for rid in regions.region_ids:
-            box = regions.decomposition.region_of(rid).sample_bounds
-            overlap = np.all((data.box_lo <= box.hi) & (data.box_hi >= box.lo), axis=1)
-            loop[rid] = 1.0 + float(np.count_nonzero(overlap))
-        weights = _region_weights(regions)
-        assert weights == loop and len(set(weights.values())) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +242,9 @@ class TestSpecSurface:
 
     def test_chunksize_policy_names_accepted(self):
         ExecutionPolicy(mode="local", chunksize="guided").validate()
-        ExecutionPolicy(mode="local", chunksize="weighted").validate()
-        with pytest.raises(ValueError):
-            ExecutionPolicy(mode="local", chunksize="adaptive").validate()
+        for gone in ("weighted", "adaptive"):
+            with pytest.raises(ValueError):
+                ExecutionPolicy(mode="local", chunksize=gone).validate()
 
     def test_workers_none_is_valid(self):
         ExecutionPolicy(mode="local", workers=None).validate()
@@ -367,7 +333,7 @@ class TestLocalParityMatrix:
     WL = WorkloadSpec("mixed-30", "prm", num_regions=27, samples_per_region=6, seed=5)
     RRT = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=20, seed=3)
     #: the (workload, chunksize) rows every cell runs.
-    ROWS = ((WL, 1), (WL, 7), (WL, "guided"), (WL, "weighted"), (RRT, 1), (RRT, 4))
+    ROWS = ((WL, 1), (WL, 7), (WL, "guided"), (RRT, 1), (RRT, 4))
 
     @pytest.fixture(scope="class")
     def oracle(self):
