@@ -15,9 +15,28 @@ only a tuple of integer task ids.  The callable must still be picklable
 (a module-level function or a functools partial of one), but it crosses
 the process boundary once per worker rather than once per task.
 
-For convenience a threads backend is also provided — with NumPy doing the
-heavy lifting inside collision checks, threads get real speedups despite
-the GIL.
+The ``"thread"`` backend runs on exactly one worker thread, whatever
+``workers`` asks for: it ships nothing and dispatches in microseconds, but
+every task this repository gives it — ``plan()`` regions and served
+searches — is Python-bound, so a second thread only trades the
+interpreter lock.  Even the NumPy calls these tasks make (``argsort``, a
+1-D ``dot``, a small ``matmul``, a 2,560-element reduction) run 1.8-2.7x
+slower per call when two threads issue them: each releases the lock, and
+taking it back waits on the other thread.  Through the public API, one
+thread against two (seconds, median of 6 interleaved calls on a 2-vCPU
+box, with two threads still allowed; the burst row is a median of 12):
+
+=============================================  ========  =========  =====
+call                                           1 thread  2 threads  ratio
+=============================================  ========  =========  =====
+med-cube PRM 1024 x 8, ``chunksize=1``         1.188     1.723      0.69x
+med-cube PRM 1024 x 8, ``"guided"``            0.077     0.128      0.60x
+mixed-30 RRT 64 x 100                          1.169     2.085      0.56x
+warehouse (20k boxes) PRM 600 x 16, guided     0.185     0.180      1.02x
+``serve_mixed`` burst, 3 tenants x 84 queries  0.408     0.427      0.96x
+=============================================  ========  =========  =====
+
+Parallel speedup is the ``"process"`` backend's job.
 
 Dispatch granularity is a pluggable policy (:mod:`repro.runtime.chunking`):
 ``chunksize`` accepts the historical fixed int or ``"guided"``
@@ -52,7 +71,11 @@ supports three failure policies:
 
 Per-task timeouts (``task_timeout``) bound hung tasks: an expired
 submission counts as a failed attempt for every unfinished task it
-carried and is re-dispatched under the active policy.  Dead workers are
+carried and is re-dispatched under the active policy.  A deadline runs
+from submission, so with a timeout at most one submission per worker is
+in flight — none waits in the executor's queue — and an expiry retires
+the executor without waiting (its hung worker keeps running; what it
+returns is never read) and carries on with a fresh one.  Dead workers are
 detected (a broken process pool, or a :class:`WorkerCrash` on the thread
 backend); the pool is rebuilt and the in-flight regions re-dispatched to
 surviving workers.  A deterministic
@@ -345,12 +368,15 @@ def run_tasks_parallel(
         (``work`` is each task's share of the call, used to apportion its
         measured time), unless a ``fault_injector`` is installed.
     workers:
-        Pool size; ``None`` (default) resolves to ``os.cpu_count()``.
-        The resolved value is surfaced on ``PoolResult.workers``.
+        Process-pool size; ``None`` (default) resolves to
+        ``os.cpu_count()``.  It is validated on either backend but sets no
+        thread count: the thread backend runs one worker.  The number of
+        workers the pool ran is surfaced on ``PoolResult.workers``.
     backend:
-        ``"thread"`` (default; fine for NumPy-heavy work) or ``"process"``.
-        Either way at most ``2 * workers`` submissions are in flight, which
-        bounds memory for huge task lists.
+        ``"thread"`` (default: one worker thread, nothing shipped) or
+        ``"process"`` (the one with a real parallel speedup).  At most ``2 * workers`` submissions are in
+        flight (``workers`` with a ``task_timeout``), counting the workers
+        the pool runs, which bounds memory for huge task lists.
     chunksize:
         Tasks per submission: a fixed int (default 1), or the policy
         ``"guided"`` (self-scheduling decay: big chunks early to amortise
@@ -376,8 +402,10 @@ def run_tasks_parallel(
         Retry budget per task for ``"retry"`` / ``"degrade"``.
     task_timeout:
         Seconds allowed per task; a submission of *k* tasks expires after
-        ``k * task_timeout`` and every unfinished task in it counts one
-        failed attempt.  ``None`` (default) disables timeouts.
+        ``k * task_timeout`` from its submission, which is when it starts
+        (one submission per worker is in flight), and every unfinished
+        task in it counts one failed attempt.  ``None`` (default) disables
+        timeouts.
     fault_injector:
         Optional :class:`~repro.runtime.faults.FaultInjector` for chaos
         testing; ``None`` (default) costs nothing.
@@ -396,7 +424,11 @@ def run_tasks_parallel(
         raise ValueError("max_retries must be >= 0")
     if task_timeout is not None and task_timeout <= 0:
         raise ValueError("task_timeout must be positive")
-    window = 2 * workers
+    if backend == "thread":
+        workers = 1  # Python-bound tasks: a second thread only trades the GIL
+    # A deadline runs from submission: with a timeout, no submission may
+    # wait in the executor's queue behind another.
+    window = workers if task_timeout is not None else 2 * workers
     tasks = list(task_ids)
     # Plain fail_fast: nothing can retry, time out or be injected, so a
     # task's own exception travels back through its future unwrapped.
@@ -600,14 +632,24 @@ def run_tasks_parallel(
                     handle(fut, sub)
             # Expire overdue submissions: each unfinished task in one
             # counts a failed ("timeout") attempt and re-enters dispatch.
+            # The expired work still holds its worker, so its executor is
+            # retired and the next submission goes to a fresh one.  The
+            # window left every other submission there a worker of its
+            # own: they stay in flight, and are not cancelled.
             if task_timeout is not None:
                 t = now()
-                for fut, sub in list(in_flight.items()):
-                    if sub.deadline is not None and t > sub.deadline:
-                        del in_flight[fut]
-                        fut.cancel()
-                        for tid, attempt in sub.entries:
-                            fail_attempt(tid, attempt, "timeout")
+                expired = [
+                    (fut, sub)
+                    for fut, sub in in_flight.items()
+                    if sub.deadline is not None and t > sub.deadline
+                ]
+                for fut, sub in expired:
+                    del in_flight[fut]
+                    for tid, attempt in sub.entries:
+                        fail_attempt(tid, attempt, "timeout")
+                if expired:
+                    pool.shutdown(wait=False)
+                    pool = make_pool()
     finally:
         # Never block on hung workers; cancel whatever never started.
         pool.shutdown(wait=False, cancel_futures=True)

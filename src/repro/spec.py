@@ -202,8 +202,12 @@ class ExecutionPolicy:
     #: tasks a victim hands over per steal: "half" of its stealable
     #: deque, or at most an int >= 1.
     steal_chunk: "str | int" = "half"
-    #: local pool size (also QueryEngine batch dispatch width); ``None``
-    #: resolves to ``os.cpu_count()`` at dispatch time.
+    #: process-pool size (also the number of chunks a
+    #: ``QueryEngine.solve_many`` batch is cut into); ``None`` resolves
+    #: to ``os.cpu_count()`` at dispatch time.  On the ``"thread"``
+    #: backend it sets no thread count: that pool runs one worker thread,
+    #: since its tasks are Python-bound and a second thread only trades
+    #: the interpreter lock.
     workers: "int | None" = None
     backend: str = "thread"
     #: tasks per submission in ``plan()``: an int (>1 amortises dispatch

@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -365,16 +367,43 @@ class TestLocalExecution:
         assert adjacency_fingerprint(plan(wl, policy).roadmap) == digest
 
     def test_pool_threads_do_not_share_a_sample_domain(self):
-        """One ``RRT`` inside the region planner serves every pool thread,
-        so the cone a branch samples from has to travel with its ``grow``
-        call: kept as planner state, two threads plan some cones with
-        each other's proposal and the merged tree differs from the
-        one-worker run's."""
+        """One ``RRT`` inside the region planner serves every thread that
+        runs the pool's task callable, so the cone a branch samples from
+        has to travel with its ``grow`` call, and a thread's collision
+        count has to be its own.  The thread pool runs one worker, but a
+        thread left behind by an expired submission keeps planning while
+        its replacement starts.  Here two threads run the callable at
+        once on a short switch interval: kept as planner state, the cone
+        of one thread's branch proposes the other's samples, and a
+        shared counter cell charges each region the other's checks."""
         wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3)
-        serial = digest(plan(wl, ExecutionPolicy(mode="local", workers=1)))
+        task = _RegionTask(_region_planner(wl.resolve_cspace(), wl))
+        rids = list(task.regions.region_ids)
+        alone = {rid: task(rid) for rid in rids}
         for _ in range(5):
-            threaded = plan(wl, ExecutionPolicy(mode="local", workers=2, backend="thread"))
-            assert_same(digest(threaded), serial)
+            got = {}
+            gate = threading.Barrier(2)
+
+            def run(mine):
+                gate.wait()
+                for rid in mine:
+                    got[rid] = task(rid)
+
+            threads = [threading.Thread(target=run, args=(rids[i::2],)) for i in range(2)]
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(t.is_alive() for t in threads)
+            for rid in rids:
+                roadmap, stats, checks = got[rid]
+                assert_same(digest(roadmap), digest(alone[rid][0]))
+                assert (stats, checks) == alone[rid][1:]
 
     def test_regional_rrt_samples_in_its_cone(self, monkeypatch):
         """Counts, not seconds, on the benchmark's pinned mixed-30 8 x 400

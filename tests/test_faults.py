@@ -33,6 +33,12 @@ def _none_task(task_id):
     return None
 
 
+def _slow_task_one(task_id):
+    if task_id == 1:
+        time.sleep(0.4)
+    return task_id
+
+
 class TestFault:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -266,6 +272,22 @@ class TestTimeouts:
         )
         assert res.results == {i: i * i for i in range(5)}
         assert res.attempts[2] >= 2
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_queued_submission_is_not_charged_for_waiting(self, backend):
+        # One worker: task 2 must not wait out its deadline queued behind
+        # the hung task 1, on either backend.
+        res = run_tasks_parallel(
+            _slow_task_one,
+            [0, 1, 2],
+            workers=1,
+            backend=backend,
+            failure_policy="degrade",
+            max_retries=0,
+            task_timeout=0.1,
+        )
+        assert res.abandoned == [1]
+        assert res.results == {0: 0, 2: 2}
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the true-parallel local execution backend."""
 
+import threading
 import time
 
 import pytest
@@ -57,14 +58,24 @@ class TestRunTasksParallel:
         with pytest.raises(ValueError):
             run_tasks_parallel(_square, [1], backend="gpu")
 
-    def test_threads_give_wall_clock_overlap(self):
-        def sleepy(task_id):
-            time.sleep(0.05)
+    def test_thread_backend_runs_one_task_at_a_time(self):
+        lock = threading.Lock()
+        running = [0]
+        most = [0]
+
+        def counted(task_id):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
             return task_id
 
-        res = run_tasks_parallel(sleepy, list(range(8)), workers=8)
-        # 8 x 50ms serial would be 400ms; parallel should be well under.
-        assert res.wall_time < 0.3
+        res = run_tasks_parallel(counted, list(range(8)), workers=4, backend="thread")
+        assert res.results == {t: t for t in range(8)}
+        assert most[0] == 1
+        assert res.workers == 1
 
     def test_slowest_task_identified(self):
         def variable(task_id):

@@ -100,7 +100,7 @@ class TestResolveWorkers:
             resolve_workers(bad)
 
     def test_pool_result_surfaces_resolved_workers(self):
-        pool = run_tasks_parallel(_task, [0, 1, 2], workers=None, backend="thread")
+        pool = run_tasks_parallel(_task, [0, 1, 2], workers=None, backend="process")
         assert pool.workers == (os.cpu_count() or 1)
 
 
@@ -205,7 +205,7 @@ class TestDispatchAccounting:
 
     def test_true_start_stamps_overlap_for_parallel_tasks(self):
         tr = Tracer()
-        run_tasks_parallel(_sleepy, [0, 1], workers=2, backend="thread", tracer=tr)
+        run_tasks_parallel(_sleepy, [0, 1], workers=2, backend="process", tracer=tr)
         evs = {e.name: [] for e in tr.memory.events}
         for e in tr.memory.events:
             evs[e.name].append(e)

@@ -53,6 +53,7 @@ SHIPPED = "tests/test_shm_runtime.py::TestShippedTree"
 BUNDLED = f"{GOLDEN}::test_bundled_replies_equal_one_event_per_reply"
 PREPARED = "tests/test_frozen.py::test_prepared_batch_equals_one_query_at_a_time"
 BATCH = "tests/test_query_engine.py::TestBatchPasses"
+TIMEOUTS = "tests/test_faults.py::TestTimeouts"
 #: the hypothesis profile ``tests/conftest.py`` registers: every property
 #: draws the same examples, so a verdict never depends on the draw.
 PROFILE = "derandomized"
@@ -325,7 +326,7 @@ MUTANTS = [
         "repro/geometry/environment.py",
         "        ident = threading.get_ident()\n        cell = self._cells.get(ident)\n",
         "        ident = 0\n        cell = self._cells.get(ident)\n",
-        (f"{CELL}[thread-inline-None-2]", f"{CELL}[thread-shm-bvh-2]"),
+        ("tests/test_api.py::TestLocalExecution::test_pool_threads_do_not_share_a_sample_domain",),
     ),
     Mutant(
         "the BVH walk descends only left children",
@@ -501,6 +502,21 @@ MUTANTS = [
         "local_levels = min(levels, int(np.ceil(np.log2(topology.cores_per_node))))",
         "local_levels = 0",
         ("tests/test_termination.py",),
+    ),
+    Mutant(
+        "an expired submission keeps its executor",
+        "repro/runtime/local_pool.py",
+        "                if expired:\n                    pool.shutdown(wait=False)\n",
+        "                if False:\n                    pool.shutdown(wait=False)\n",
+        (f"{TIMEOUTS}::test_a_queued_submission_is_not_charged_for_waiting",
+         f"{TIMEOUTS}::test_timeout_shorter_than_task_duration"),
+    ),
+    Mutant(
+        "a timeout keeps two submissions per worker in flight",
+        "repro/runtime/local_pool.py",
+        "    window = workers if task_timeout is not None else 2 * workers\n",
+        "    window = 2 * workers\n",
+        (f"{TIMEOUTS}::test_a_queued_submission_is_not_charged_for_waiting",),
     ),
     Mutant(
         "a worker death in the pool emits no worker_death event",
