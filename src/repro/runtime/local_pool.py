@@ -374,9 +374,10 @@ def run_tasks_parallel(
         workers the pool ran is surfaced on ``PoolResult.workers``.
     backend:
         ``"thread"`` (default: one worker thread, nothing shipped) or
-        ``"process"`` (the one with a real parallel speedup).  At most ``2 * workers`` submissions are in
-        flight (``workers`` with a ``task_timeout``), counting the workers
-        the pool runs, which bounds memory for huge task lists.
+        ``"process"`` (the one with a real parallel speedup).  At most
+        ``2 * workers`` submissions are in flight (``workers`` with a
+        ``task_timeout``), counting the workers the pool runs, which
+        bounds memory for huge task lists.
     chunksize:
         Tasks per submission: a fixed int (default 1), or the policy
         ``"guided"`` (self-scheduling decay: big chunks early to amortise
@@ -457,7 +458,7 @@ def run_tasks_parallel(
     pool: "ProcessPoolExecutor | ThreadPoolExecutor"
 
     def make_pool():
-        """Fresh executor of the configured backend (also used on respawn)."""
+        """Fresh executor of the configured backend (also on respawn and expiry)."""
         if process:
             return ProcessPoolExecutor(
                 max_workers=workers,
