@@ -152,17 +152,6 @@ def _variant_run(workload, variant, strategy):
     ).run(partition_block(workload.subdivision.graph, VARIANT_PES))
 
 
-def _fault_plan() -> FaultInjector:
-    """Two crashes (so a redispatched task can land on a PE that dies
-    later) plus a transient raise and a raise that exhausts its budget."""
-    return FaultInjector([
-        Fault("crash", task=5, attempt=0),
-        Fault("crash", task=140, attempt=0),
-        Fault("raise", task=77, attempt=0),
-        *(Fault("raise", task=200, attempt=a) for a in range(4)),
-    ])
-
-
 GOLDEN_PRM = {
     (16, "none"): "4d5c9b581ff407d4e1de7f112d86991b827f702e02febc05c6e3885934fcbcc2",
     (16, "repartition"): "ee56f099b1d07d3cdee2ea4bfa3bd8d5b8b2997acb25334980963438b141e3fe",
@@ -190,8 +179,10 @@ GOLDEN_RRT = {
     (48, "hybrid"): "7f9783880cc82dd3749729c3ed85ce5d6b7b3156331a56ab40ae488dadc0c003",
 }
 
-GOLDEN_FAULTS = "f42b4e9571d3c2551bbde36b6f6d4e55346fda53f2a504d75b2631e476eb6edd"
-GOLDEN_FAULT_EVENTS = "7127ccc8b9db51635053592872e045a31dbd9fbc06281cdf1a8a76d0af3349d6"
+# Recorded on the simulator that still modelled PE faults, before they
+# were deleted: the one run with an integer ``steal_chunk``.
+GOLDEN_CHUNK = "df2a343a185fe800a3e23750579e19cc9fa89489465c9e1ea0634b277ec576c4"
+GOLDEN_CHUNK_EVENTS = "ce530f11e8445f579b1030e86b86e560b8098a8a3ebadcab27e6ca4a49a16790"
 GOLDEN_TRACE_RESULT = GOLDEN_PRM[16, "hybrid"]
 GOLDEN_TRACE_EVENTS = "55bf098b17a9b94aade3935f37f1b8c1c7e738dea9b32becb7b8ba3dc78acb3a"
 
@@ -230,23 +221,19 @@ def test_simulate_rrt_golden(rrt_workload, num_pes, strategy):
     assert result_digest(run) == GOLDEN_RRT[num_pes, strategy]
 
 
-def _faulty_run(workload):
-    """rand-8 with an integer steal chunk under the fault plan, traced, so
-    the kill / redispatch / retry / abandon paths and their events are pinned."""
+def _chunk_run(workload):
+    """rand-8 with an integer steal chunk, traced, so the hand-over's
+    ``min(steal_chunk, stealable)`` branch and its events are pinned."""
     sink = MemorySink()
-    run = simulate_prm(
-        workload, 16, "rand-8", steal_chunk=2,
-        fault_injector=_fault_plan(), tracer=Tracer(sinks=[sink]),
-    )
+    run = simulate_prm(workload, 16, "rand-8", steal_chunk=2, tracer=Tracer(sinks=[sink]))
     return run, sink.events
 
 
-def test_fault_injected_golden(prm_workload):
-    run, events = _faulty_run(prm_workload)
-    assert run.sim.worker_deaths == 2 and run.sim.abandoned == [200]
-    assert run.sim.retries > 0
-    assert result_digest(run) == GOLDEN_FAULTS
-    assert trace_digest(events) == GOLDEN_FAULT_EVENTS
+def test_integer_steal_chunk_golden(prm_workload):
+    run, events = _chunk_run(prm_workload)
+    assert sum(s.steals_serviced for s in run.sim.pe_stats) > 0
+    assert result_digest(run) == GOLDEN_CHUNK
+    assert trace_digest(events) == GOLDEN_CHUNK_EVENTS
 
 
 def test_traced_run_golden(prm_workload):
@@ -455,9 +442,9 @@ if __name__ == "__main__":  # pragma: no cover - regeneration aid
         for s in RRT_STRATEGIES:
             print(f'    ({p}, "{s}"): "{result_digest(simulate_rrt(rrt, p, s))}",')
     print("}\n")
-    faulty, fault_events = _faulty_run(prm)
-    print(f'GOLDEN_FAULTS = "{result_digest(faulty)}"')
-    print(f'GOLDEN_FAULT_EVENTS = "{trace_digest(fault_events)}"')
+    chunked, chunk_events = _chunk_run(prm)
+    print(f'GOLDEN_CHUNK = "{result_digest(chunked)}"')
+    print(f'GOLDEN_CHUNK_EVENTS = "{trace_digest(chunk_events)}"')
     sink = MemorySink()
     simulate_prm(prm, 16, "hybrid", tracer=Tracer(sinks=[sink]))
     print(f'GOLDEN_TRACE_EVENTS = "{trace_digest(sink.events)}"')
