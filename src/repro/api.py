@@ -116,24 +116,19 @@ class PlanReport:
 
     @property
     def retries(self) -> int:
-        """Failed attempts that were rescheduled, either execution mode."""
-        if self.pool is not None:
-            return self.pool.retries
-        return self.sim.retries if self.sim is not None else 0
+        """Failed attempts the local pool rescheduled (0 when simulated)."""
+        return self.pool.retries if self.pool is not None else 0
 
     @property
     def abandoned_regions(self) -> "list[int]":
-        """Regions given up on under the ``"degrade"`` policy (sorted)."""
-        if self.pool is not None:
-            return list(self.pool.abandoned)
-        return list(self.sim.abandoned) if self.sim is not None else []
+        """Regions the local pool gave up on under the ``"degrade"``
+        policy (sorted; empty when simulated)."""
+        return list(self.pool.abandoned) if self.pool is not None else []
 
     @property
     def worker_deaths(self) -> int:
-        """Workers (local pool) or PEs (simulator) that died during the run."""
-        if self.pool is not None:
-            return self.pool.worker_deaths
-        return self.sim.worker_deaths if self.sim is not None else 0
+        """Local pool workers that died during the run (0 when simulated)."""
+        return self.pool.worker_deaths if self.pool is not None else 0
 
     def query_engine(self) -> QueryEngine:
         """The query-serving engine over this report's roadmap.
@@ -259,20 +254,14 @@ def plan(
             "WorkloadSpec; a full PlanRequest already carries them"
         )
     request.validate()
-    wl, ex, fa, ob = request.workload, request.execution, request.faults, request.obs
+    wl, ex = request.workload, request.execution
     cspace = request.resolve_cspace()
     if ex.mode == "local":
         return _plan_local(request, cspace)
     workload = wl.build_workload(cspace)
     simulate = simulate_prm if wl.planner == "prm" else simulate_rrt
     result = simulate(
-        workload,
-        ex.num_pes,
-        ex.strategy,
-        steal_chunk=ex.steal_chunk,
-        tracer=ob.tracer,
-        fault_injector=fa.injector,
-        max_retries=fa.max_retries,
+        workload, ex.num_pes, ex.strategy, steal_chunk=ex.steal_chunk, tracer=request.obs.tracer
     )
     return PlanReport(
         request=request,

@@ -43,7 +43,6 @@ from ..obs.events import (
     PHASE_WEIGH,
 )
 from ..partition.naive import partition_block
-from ..runtime.faults import FaultInjector
 from ..runtime.simulator import WorkStealingSimulator, run_static_phase
 from ..runtime.stats import SimResult
 from ..runtime.termination import detection_delay_tree
@@ -140,7 +139,7 @@ class RunResult:
     #: region -> PE before load balancing (the naive block map).
     initial_owner: "dict[int, int]"
     #: region -> PE after the load-balanced phase: a stolen region lives on
-    #: its thief, an abandoned one (fault injection) on its pre-phase owner.
+    #: its thief.
     final_owner: "dict[int, int]"
     #: connection-phase vertex reads that crossed PEs.
     remote_reads: int
@@ -166,8 +165,6 @@ def replay(
     topology: ClusterTopology | None = None,
     steal_chunk: "str | int" = "half",
     tracer: "Tracer | None" = None,
-    fault_injector: "FaultInjector | None" = None,
-    max_retries: int = 2,
 ) -> RunResult:
     """Replay one workload on a virtual machine of ``num_pes`` PEs.
 
@@ -182,9 +179,7 @@ def replay(
 
     ``tracer`` (optional) records one span per phase on the run's virtual
     timeline, the full steal protocol inside the ``construct`` span and
-    the repartition decision.  ``fault_injector`` (optional) injects
-    deterministic failures into the load-balanced phase — see
-    :class:`repro.runtime.faults.FaultInjector`.
+    the repartition decision.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -235,13 +230,9 @@ def replay(
     def executor(task: int, pe: int) -> float:
         return cost_of[task]
 
-    options = {
-        "tracer": tracer.offset(t_construct) if tracer is not None else None,
-        "fault_injector": fault_injector,
-        "max_retries": max_retries,
-    }
+    phase_tracer = tracer.offset(t_construct) if tracer is not None else None
     if strategy in ("none", "repartition"):
-        sim = run_static_phase(topology, executor, assignment, **options)
+        sim = run_static_phase(topology, executor, assignment, tracer=phase_tracer)
     else:
         sim = WorkStealingSimulator(
             topology,
@@ -249,11 +240,11 @@ def replay(
             steal_policy=policy_by_name(strategy),
             steal_chunk=steal_chunk,
             rng=np.random.default_rng(rng_seed),
-            **options,
+            tracer=phase_tracer,
         ).run(assignment)
         phases.termination = detection_delay_tree(topology)
     phases.node_connection = sim.makespan
-    final_owner = {**assignment, **sim.executed_by}
+    final_owner = sim.executed_by  # every region ran once, where it lives now
 
     # Connection: an adjacency's vertex reads, made from ``a``'s owner, go
     # remote when ``b`` lives on another PE and ship as one aggregated

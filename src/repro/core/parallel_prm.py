@@ -62,7 +62,6 @@ from ..partition.edge_cut import edge_cut_of
 from ..planners.prm import PRM, PRMBlock, PRMResult
 from ..planners.roadmap import Roadmap
 from ..planners.stats import PlannerStats, WorkModel
-from ..runtime.faults import FaultInjector
 from ..runtime.topology import ClusterTopology
 from ..subdivision.uniform import UniformSubdivision
 from .machine import RunResult, replay
@@ -474,8 +473,6 @@ def simulate_prm(
     topology: ClusterTopology | None = None,
     steal_chunk: "str | int" = "half",
     tracer: "Tracer | None" = None,
-    fault_injector: "FaultInjector | None" = None,
-    max_retries: int = 2,
 ) -> PRMRunResult:
     """Replay the workload on a virtual machine of ``num_pes`` PEs
     (:func:`repro.core.machine.replay`): node generation, then node
@@ -502,8 +499,6 @@ def simulate_prm(
         topology=topology,
         steal_chunk=steal_chunk,
         tracer=tracer,
-        fault_injector=fault_injector,
-        max_retries=max_retries,
     )
     # Region-graph adjacency metadata is replicated at construction time,
     # so its remote accesses are counted (Fig. 7b) but free: one per cut

@@ -34,7 +34,6 @@ from ..obs.events import EV_REMOTE_ACCESS, PHASE_CONNECT
 from ..planners.roadmap import Roadmap
 from ..planners.rrt import RRT, RRTResult
 from ..planners.stats import PlannerStats, WorkModel
-from ..runtime.faults import FaultInjector
 from ..runtime.topology import ClusterTopology
 from ..subdivision.radial import RadialSubdivision
 from .machine import RunResult, replay
@@ -347,8 +346,6 @@ def simulate_rrt(
     topology: ClusterTopology | None = None,
     steal_chunk: "str | int" = "half",
     tracer: "Tracer | None" = None,
-    fault_injector: "FaultInjector | None" = None,
-    max_retries: int = 2,
 ) -> RunResult:
     """Replay the RRT workload on a virtual machine
     (:func:`repro.core.machine.replay`): branch growth is the
@@ -374,8 +371,6 @@ def simulate_rrt(
         topology=topology,
         steal_chunk=steal_chunk,
         tracer=tracer,
-        fault_injector=fault_injector,
-        max_retries=max_retries,
     )
     if tracer is not None:
         tracer.point(EV_REMOTE_ACCESS, ts=run.phases.start(PHASE_CONNECT), count=run.remote_reads)

@@ -19,13 +19,6 @@ A strategy name becomes a simulated phase in one place,
 ``"none"`` and ``"repartition"`` run :func:`~repro.runtime.simulator.run_static_phase`,
 and a steal policy runs the simulator with :func:`policy_by_name`'s policy.
 
-Policies are fault-oblivious by design: under fault injection the
-simulator lets a thief pick a dead PE as victim and answers with an
-immediate failure reply (death detection), so selection statistics stay
-comparable between healthy and degraded machines — DIFFUSIVE pays for a
-dead mesh neighbour every round, while RAND-K merely wastes one of its
-``K`` probes, which is exactly the policy difference worth studying.
-
 The steal strategy names are ``repro.core.machine.STRATEGIES[2:]``.
 """
 

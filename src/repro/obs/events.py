@@ -88,7 +88,7 @@ EV_TASK_START = "task_start"
 EV_TASK_END = "task_end"
 EV_TASK_RETRY = "task_retry"          # failed attempt rescheduled (attrs: task, attempt, reason)
 EV_TASK_ABANDONED = "task_abandoned"  # retry budget exhausted under "degrade"
-EV_WORKER_DEATH = "worker_death"      # a worker process / PE died
+EV_WORKER_DEATH = "worker_death"      # a local pool worker died
 EV_STEAL_REQUEST = "steal_request"    # thief -> victim request sent
 EV_STEAL_REPLY = "steal_reply"        # thief received a reply
 EV_STEAL_TRANSFER = "steal_transfer"  # victim handed tasks over

@@ -3,13 +3,13 @@
 The paper's work-stealing protocol already treats regions as transferable
 units of work whose ownership moves between processors; fault tolerance
 is the same idea applied to *involuntary* transfers.  This module defines
-the vocabulary shared by the local pool and the simulator:
+the local pool's fault vocabulary (the simulated machine is the paper's
+reliable one):
 
-* :class:`Fault` — one planned failure, keyed by task id, worker/PE id
-  and attempt number.  Three kinds: ``"raise"`` (the task raises mid-
-  execution, modelling a transient regional-planner failure), ``"hang"``
-  (the task stalls past its timeout), and ``"crash"`` (the worker process
-  / PE dies).
+* :class:`Fault` — one planned failure, keyed by task id and attempt
+  number.  Three kinds: ``"raise"`` (the task raises mid-execution,
+  modelling a transient regional-planner failure), ``"hang"`` (the task
+  stalls past its timeout), and ``"crash"`` (the worker process dies).
 * :class:`FaultInjector` — a deterministic, seedable plan of faults.
   Explicit :class:`Fault` entries fire exactly when their key matches;
   an optional Bernoulli ``rate`` adds seeded pseudo-random transient
@@ -17,7 +17,7 @@ the vocabulary shared by the local pool and the simulator:
   runs with the same injector see identical faults regardless of
   scheduling order.
 
-Both executors take ``fault_injector=None`` and short-circuit every
+The pool takes ``fault_injector=None`` and short-circuits every
 injection site on the default path — the same zero-overhead contract as
 ``repro.obs`` tracers.  Injectors are picklable so the process backend
 can ship them to workers through the pool initializer.
@@ -78,16 +78,14 @@ class TaskFailedError(RuntimeError):
 class Fault:
     """One planned failure.
 
-    ``task`` / ``worker`` of ``None`` act as wildcards; ``attempt`` is
-    exact (0 = first execution), so a transient fault is expressed as
+    ``task`` of ``None`` acts as a wildcard; ``attempt`` is exact (0 =
+    first execution), so a transient fault is expressed as
     ``Fault("raise", task=7, attempt=0)`` — attempt 1 then succeeds.
-    ``hang`` is the stall duration: wall seconds in the local pool,
-    virtual seconds of extra cost in the simulator.
+    ``hang`` is the stall duration in wall seconds.
     """
 
     kind: str
     task: "int | None" = None
-    worker: "int | None" = None
     attempt: int = 0
     hang: float = 0.25
 
@@ -99,19 +97,15 @@ class Fault:
         if self.hang < 0:
             raise ValueError("hang must be >= 0")
 
-    def matches(self, task: "int | None", attempt: int, worker: "int | None") -> bool:
-        """True when this fault targets the given (task, attempt, worker)."""
+    def matches(self, task: "int | None", attempt: int) -> bool:
+        """True when this fault targets the given (task, attempt)."""
         if self.attempt != attempt:
             return False
-        if self.task is not None and self.task != task:
-            return False
-        if self.worker is not None and self.worker != worker:
-            return False
-        return True
+        return self.task is None or self.task == task
 
 
 class FaultInjector:
-    """A deterministic fault plan both executors understand.
+    """A deterministic fault plan for the local pool.
 
     Parameters
     ----------
@@ -139,12 +133,10 @@ class FaultInjector:
         self.rate = float(rate)
         self.seed = int(seed)
 
-    def poll(
-        self, task: "int | None", attempt: int, worker: "int | None" = None
-    ) -> "Fault | None":
+    def poll(self, task: "int | None", attempt: int) -> "Fault | None":
         """The fault (if any) that fires for this execution attempt."""
         for f in self.faults:
-            if f.matches(task, attempt, worker):
+            if f.matches(task, attempt):
                 return f
         if self.rate > 0.0 and attempt == 0 and task is not None:
             u = np.random.default_rng(

@@ -50,7 +50,7 @@ Every per-message path — a request queued or failed, an empty reply, a
 retry — runs inline in :meth:`WorkStealingSimulator.run`'s loop on
 per-PE state held in Python lists (scalar reads are NumPy's slow path),
 and a zero-payload message reads its latency from the topology's node
-table; the rare transfer and the fault paths are methods.
+table; the rare transfer is a method.
 
 Protocol summary
 ----------------
@@ -64,20 +64,21 @@ One protocol, the paper's (Alg. 3, Sec. III-A), with fixed constants:
   the *back* half of its deque (``steal_chunk``), keeping at least
   ``MIN_KEEP`` tasks, or replies with a failure.  A transfer pays
   ``TRANSFER_COST`` per task on top of the message latency.
-* A victim that is not busy — idle or dead — fails a request at arrival.
+* A victim that is not busy fails a request at arrival.
 * Failed rounds retry with exponential backoff, ``BACKOFF_BASE * 2**k``
   after ``k`` failed rounds with ``k`` capped at ``MAX_IDLE_ROUNDS``,
   until global work is exhausted; retries model the "few processors are
   able to find work" behaviour at scale (Fig. 9b).
 
 **Invariant: a PE that is not busy has an empty deque.**  It holds at
-every event boundary, for live and dead PEs alike: ``_activate`` sets
-``busy`` whenever it pops a task; every path that fills a live PE's
-deque — the start of a run, a steal reply, a redispatch, the requeue of
-a failed attempt at its task's end — calls ``_activate`` before the next
-event is popped; and ``_kill_pe`` empties the deque.  So a request that
-meets a victim which is not busy finds nothing to steal, and tasks leave
-a victim in one place only: as its task ends.
+every event boundary: ``_activate`` sets ``busy`` whenever it pops a
+task, and both paths that fill a PE's deque — the start of a run and a
+steal reply — call ``_activate`` before the next event is popped.  So a
+request that meets a victim which is not busy finds nothing to steal,
+and tasks leave a victim in one place only: as its task ends.
+
+The machine is the paper's: it never fails.  Injected faults belong to
+the local pool (:mod:`repro.runtime.local_pool`), which runs real tasks.
 """
 
 from __future__ import annotations
@@ -95,13 +96,9 @@ from ..obs.events import (
     EV_STEAL_REPLY,
     EV_STEAL_REQUEST,
     EV_STEAL_TRANSFER,
-    EV_TASK_ABANDONED,
     EV_TASK_END,
-    EV_TASK_RETRY,
     EV_TASK_START,
-    EV_WORKER_DEATH,
 )
-from .faults import FAULT_CRASH, FAULT_HANG, FaultInjector
 from .stats import PEStats, SimResult
 from .topology import ClusterTopology
 
@@ -149,11 +146,9 @@ class StealPolicy(Protocol):
         ...
 
 
-# Event kinds.  The task ends index ``run``'s handler table; a
-# ``_STEAL_REPLY`` carries stolen tasks, an ``_EMPTY_REPLIES`` the count
-# cell of a bundle's failed replies.
-(_TASK_DONE, _TASK_FAILED, _REDISPATCH, _STEAL_REQUEST, _STEAL_REPLY, _RETRY,
- _EMPTY_REPLIES) = range(7)
+# Event kinds.  A ``_STEAL_REPLY`` carries stolen tasks, an
+# ``_EMPTY_REPLIES`` the count cell of a bundle's failed replies.
+_TASK_DONE, _STEAL_REQUEST, _STEAL_REPLY, _RETRY, _EMPTY_REPLIES = range(5)
 
 
 class WorkStealingSimulator:
@@ -183,22 +178,6 @@ class WorkStealingSimulator:
         events stamped with the simulator's virtual clock; the trace
         summariser recounts every steal, migration and per-PE busy time
         from them.  The default ``None`` emits nothing (zero overhead).
-    fault_injector:
-        Optional :class:`~repro.runtime.faults.FaultInjector`, polled
-        with ``(task, attempt, worker=pe)`` each time a PE starts a task.
-        ``"raise"`` burns the task's cost as ``wasted_time`` and retries
-        it (back of the same deque, so it stays stealable); ``"hang"``
-        adds ``fault.hang`` virtual seconds of cost; ``"crash"`` kills
-        the PE — its queued regions are re-dispatched round-robin to the
-        surviving PEs, paying per-task transfer latency, the exact
-        failure analogue of steal-driven ownership transfer.  Tasks
-        exceeding ``max_retries`` are abandoned (the simulator always
-        degrades — it exists to *study* failures, not to die of them)
-        and reported in ``SimResult.abandoned``.  Dead PEs answer steal
-        requests with an immediate failure reply.  ``None`` (default)
-        costs nothing.
-    max_retries:
-        Per-task retry budget when ``fault_injector`` is set.
     """
 
     def __init__(
@@ -209,8 +188,6 @@ class WorkStealingSimulator:
         steal_chunk: "str | int" = "half",
         rng: np.random.Generator | None = None,
         tracer: "Tracer | None" = None,
-        fault_injector: "FaultInjector | None" = None,
-        max_retries: int = 2,
     ):
         validate_steal_chunk(steal_chunk)
         self.topology = topology
@@ -218,10 +195,6 @@ class WorkStealingSimulator:
         self.steal_policy = steal_policy
         self.steal_chunk = steal_chunk
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        self.fault_injector = fault_injector
-        self.max_retries = max_retries
         #: ``None`` means every emission site is one branch.
         self._tr = tracer
 
@@ -239,7 +212,6 @@ class WorkStealingSimulator:
 
         self._stats = [PEStats(pe=p) for p in range(P)]
         self._busy = [False] * P
-        self._dead = [False] * P
         self._stolen_marks: "set[int]" = set()
         self._executed_by: "dict[int, int]" = {}
         self._task_costs: "dict[int, float]" = {}
@@ -254,24 +226,18 @@ class WorkStealingSimulator:
         self._push = functools.partial(heapq.heappush, self._events)
         self._seq = itertools.count(1).__next__
         self._makespan = 0.0
-        #: redispatch messages; steal traffic is tallied from the per-PE
-        #: request / transfer / failure counters once the run is over.
-        self._messages = 0
-        self._deaths = 0
-        self._attempts: "dict[int, int]" = {}
-        self._abandoned: "list[int]" = []
 
         for p in range(P):
             self._activate(p, 0.0)
 
         events, pop, push, seq = self._events, heapq.heappop, self._push, self._seq
-        stats, deques, busy, dead = self._stats, self._deques, self._busy, self._dead
+        stats, deques, busy = self._stats, self._deques, self._busy
         queues, pending, found = self._queued_requests, self._pending_replies, self._round_found
         idle_rounds = self._idle_rounds
         tr, activate, hand_over = self._tr, self._activate, self._hand_over
+        task_done = self._on_task_done
         topo = self.topology
         node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
-        ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
         end_time = 0.0
         while events:
             now, _seq, kind, pe, payload = pop(events)
@@ -284,7 +250,7 @@ class WorkStealingSimulator:
                 if tr is not None:
                     for _ in range(count):
                         tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=0)
-                if pending[pe] == 0 and not found[pe] and not dead[pe]:
+                if pending[pe] == 0 and not found[pe]:
                     # Whole round failed: back off and retry while work remains.
                     idle_rounds[pe] += 1
                     self._schedule_retry(pe, now)
@@ -292,8 +258,8 @@ class WorkStealingSimulator:
             if kind == _STEAL_REQUEST:
                 # Thief ``pe``'s requests to every victim in ``payload``.  A
                 # busy victim queues one; any other has an empty deque (the
-                # invariant), so it fails the request at once, dead or alive.
-                # The failed replies gather in the open count cell ``fails``.
+                # invariant), so it fails the request at once.  The failed
+                # replies gather in the open count cell ``fails``.
                 here, fails, fails_at = node[pe], None, 0.0
                 for victim in payload:
                     vst = stats[victim]
@@ -318,31 +284,22 @@ class WorkStealingSimulator:
                 pending[pe] -= 1
                 if tr is not None:
                     tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=len(payload))
-                if dead[pe]:
-                    # The thief died while its request was in flight; the
-                    # runtime reclaims the transfer instead of stranding it.
-                    self._redispatch_tasks(payload, pe, now)
-                else:
-                    found[pe] = True
-                    idle_rounds[pe] = 0
-                    self._stolen_marks.update(payload)
-                    deques[pe].extend(payload)
-                    activate(pe, now)
+                found[pe] = True
+                idle_rounds[pe] = 0
+                self._stolen_marks.update(payload)
+                deques[pe].extend(payload)
+                activate(pe, now)
                 continue
             if kind == _RETRY:
                 if busy[pe] or deques[pe]:
                     activate(pe, now)
-                elif self._remaining > 0 and pending[pe] == 0 and not dead[pe]:
-                    # A PE that died during its backoff steals no more.
+                elif self._remaining > 0 and pending[pe] == 0:
                     self._start_steal_round(pe, now)
                 continue
-            if kind == _REDISPATCH:
-                self._on_redispatch(pe, now, payload)
-                continue
             # A task ended: ``pe`` is free, and answers the thieves that
-            # knocked while it worked, in arrival order.  It is alive (a PE
-            # dies only when idle) and each thief is a distinct PE.
-            ends[kind](pe, now, payload)
+            # knocked while it worked, in arrival order; each thief is a
+            # distinct PE.
+            task_done(pe, now, payload)
             busy[pe] = False
             thieves = queues[pe]
             if thieves:
@@ -360,50 +317,35 @@ class WorkStealingSimulator:
                     push((at, seq(), _EMPTY_REPLIES, thief, [1]))
             activate(pe, now)
 
+        # Steal traffic is tallied from the per-PE request / transfer /
+        # failure counters once the run is over.
+        messages = 0
         for st in stats:
             sent = st.steal_requests_sent + st.steals_serviced + st.steals_failed
             st.messages_sent += sent
-            self._messages += sent
+            messages += sent
         return SimResult(
             pe_stats=stats,
             executed_by=self._executed_by,
             task_costs=self._task_costs,
             makespan=self._makespan,
             end_time=end_time,
-            total_messages=self._messages,
-            task_attempts=self._attempts,
-            abandoned=sorted(self._abandoned),
-            worker_deaths=self._deaths,
+            total_messages=messages,
         )
 
     # -- internals ---------------------------------------------------------
     def _activate(self, pe: int, now: float) -> None:
         """Give PE its next unit of work, or start stealing, or go idle."""
-        if self._busy[pe] or self._dead[pe]:
+        if self._busy[pe]:
             return
         dq = self._deques[pe]
         if dq:
             task = dq.popleft()
-            fault = None
-            if self.fault_injector is not None:
-                attempt = self._attempts.get(task, 0)
-                self._attempts[task] = attempt + 1
-                fault = self.fault_injector.poll(task, attempt, worker=pe)
-                if fault is not None and fault.kind == FAULT_CRASH:
-                    self._kill_pe(pe, now, task)
-                    return
             cost = float(self.executor(task, pe))
             if cost < 0:
                 raise ValueError(f"executor returned negative cost for task {task}")
             st = self._stats[pe]
             self._busy[pe] = True
-            if fault is not None and fault.kind == FAULT_HANG:
-                cost += fault.hang
-            elif fault is not None:  # "raise": burn the cost, then fail
-                st.wasted_time += cost
-                st.attempts_failed += 1
-                self._push((now + cost, self._seq(), _TASK_FAILED, pe, task))
-                return
             self._executed_by[task] = pe
             self._task_costs[task] = cost
             st.tasks_executed += 1
@@ -439,83 +381,6 @@ class WorkStealingSimulator:
                 task=task,
                 cost=self._task_costs[task],
                 stolen=task in self._stolen_marks,
-            )
-
-    # -- fault handling -----------------------------------------------------
-    def _on_task_failed(self, pe: int, now: float, task: int) -> None:
-        """A ``"raise"`` fault fired: the attempt burned its cost for
-        nothing.  Retry goes to the *back* of the PE's own deque — natural
-        backoff behind its queued work, and still stealable by others."""
-        if self._may_retry(pe, task, now, "fault", "retries_exhausted"):
-            self._deques[pe].append(task)
-
-    def _kill_pe(self, pe: int, now: float, pending_task: int) -> None:
-        """Crash fault: the PE dies as it picks up ``pending_task``.
-
-        Its queued regions move to the surviving PEs round-robin, paying
-        per-task transfer latency — involuntary ownership transfer, the
-        failure analogue of a steal.  The in-flight task consumed its
-        attempt; queued tasks migrate attempt-intact.  No thief is queued
-        here: a PE queues requests only while busy, answers them as its
-        task ends, and dies only when idle.
-        """
-        self._dead[pe] = True
-        self._deaths += 1
-        st = self._stats[pe]
-        if self._tr is not None:
-            self._tr.point(EV_WORKER_DEATH, ts=now, pe=pe, task=pending_task)
-        lost = list(self._deques[pe])
-        self._deques[pe].clear()
-        if self._may_retry(pe, pending_task, now, "worker_death", "worker_death"):
-            lost.append(pending_task)
-        st.tasks_lost += len(lost)
-        st.messages_sent += len(lost)
-        self._redispatch_tasks(lost, pe, now)
-
-    def _redispatch_tasks(self, tasks: "list[int]", from_pe: int, now: float) -> None:
-        """Round-robin tasks over surviving PEs, paying transfer latency."""
-        survivors = [p for p, dead in enumerate(self._dead) if not dead]
-        if not survivors:
-            for t in tasks:
-                self._abandon(t, now, "no_survivors")
-            return
-        for i, t in enumerate(tasks):
-            target = survivors[i % len(survivors)]
-            self._messages += 1
-            delay = self.topology.latency(from_pe, target, payload=1) + TRANSFER_COST
-            self._push((now + delay, self._seq(), _REDISPATCH, target, t))
-
-    def _on_redispatch(self, pe: int, now: float, task: int) -> None:
-        if self._dead[pe]:
-            # The chosen survivor died in transit; bounce onward.
-            self._redispatch_tasks([task], pe, now)
-            return
-        self._stolen_marks.add(task)
-        self._deques[pe].append(task)
-        self._activate(pe, now)
-
-    def _may_retry(self, pe: int, task: int, now: float, reason: str, if_spent: str) -> bool:
-        """True (and a retry event) while ``task`` has retry budget left;
-        otherwise abandon it for the reason ``if_spent``."""
-        if self._attempts[task] > self.max_retries:
-            self._abandon(task, now, if_spent)
-            return False
-        if self._tr is not None:
-            self._tr.point(
-                EV_TASK_RETRY, ts=now, pe=pe, task=task, attempt=self._attempts[task], reason=reason
-            )
-        return True
-
-    def _abandon(self, task: int, now: float, reason: str) -> None:
-        self._abandoned.append(task)
-        self._remaining -= 1
-        if self._tr is not None:
-            self._tr.point(
-                EV_TASK_ABANDONED,
-                ts=now,
-                task=task,
-                attempts=self._attempts.get(task, 0),
-                reason=reason,
             )
 
     def _hand_over(self, victim: int, thief: int, stealable: int, now: float) -> None:
@@ -581,10 +446,6 @@ def run_static_phase(
     executor: Callable[[int, int], float],
     assignment: "dict[int, int]",
     tracer: "Tracer | None" = None,
-    fault_injector: "FaultInjector | None" = None,
-    max_retries: int = 2,
 ) -> SimResult:
     """Execute a phase with no load balancing (the paper's baseline)."""
-    return WorkStealingSimulator(
-        topology, executor, tracer=tracer, fault_injector=fault_injector, max_retries=max_retries
-    ).run(assignment)
+    return WorkStealingSimulator(topology, executor, tracer=tracer).run(assignment)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,6 @@ class PEStats:
     steals_failed: int = 0
     tasks_lost: int = 0
     messages_sent: int = 0
-    #: virtual time burned by failed task attempts (not useful work).
-    wasted_time: float = 0.0
-    #: task attempts that ended in an injected failure on this PE.
-    attempts_failed: int = 0
 
 
 @dataclass
@@ -45,18 +41,6 @@ class SimResult:
     #: virtual time when the last event (incl. messages) was processed.
     end_time: float
     total_messages: int
-    #: task id -> execution attempts started (absent = never started;
-    #: populated only when a fault injector was attached).
-    task_attempts: "dict[int, int]" = field(default_factory=dict)
-    #: tasks whose retry budget ran out (sorted task ids).
-    abandoned: "list[int]" = field(default_factory=list)
-    #: PEs that died during the phase.
-    worker_deaths: int = 0
-
-    @property
-    def retries(self) -> int:
-        """Failed attempts that were rescheduled (excludes abandonment)."""
-        return sum(a - 1 for a in self.task_attempts.values() if a > 1)
 
     @property
     def num_pes(self) -> int:

@@ -15,20 +15,17 @@ import numpy as np
 __all__ = ["detection_delay_tree"]
 
 
-def detection_delay_tree(topology, rounds: int = 1) -> float:
-    """Virtual-time cost of ``rounds`` sweeps of termination detection.
+def detection_delay_tree(topology) -> float:
+    """Virtual-time cost of termination detection: one sweep.
 
-    A round is an up-and-down sweep of a reduction tree over the PEs,
+    A sweep goes up and down a reduction tree over the PEs,
     ``2 * ceil(log2 P)`` hops.  After real quiescence one clean sweep
-    suffices (``rounds = 1``; tainted rounds overlap the steal traffic
-    that caused them).  The tree's lower ``ceil(log2 cores_per_node)``
-    levels stay inside shared-memory nodes and pay intra-node latency;
-    the levels above pay inter-node latency.
+    suffices (tainted sweeps overlap the steal traffic that caused them).
+    The tree's lower ``ceil(log2 cores_per_node)`` levels stay inside
+    shared-memory nodes and pay intra-node latency; the levels above pay
+    inter-node latency.
     """
     levels = int(np.ceil(np.log2(max(topology.num_pes, 2))))
     local_levels = min(levels, int(np.ceil(np.log2(topology.cores_per_node))))
     remote_levels = levels - local_levels
-    per_round = 2.0 * (
-        local_levels * topology.latency_local + remote_levels * topology.latency_remote
-    )
-    return rounds * per_round
+    return 2.0 * (local_levels * topology.latency_local + remote_levels * topology.latency_remote)

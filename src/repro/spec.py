@@ -14,7 +14,8 @@ A request is four composable specs with **one canonical name per knob**:
   :meth:`WorkloadSpec.resolve_cspace` hands to the environment — the
   one place a request's backend name is acted on.
 * :class:`FaultPolicy` — *what to do when it breaks*: failure ``policy``,
-  retry budget, task timeout, and the deterministic ``injector``.
+  retry budget, task timeout, and the deterministic ``injector``, all for
+  local execution (the simulated machine never fails).
 * :class:`ObsConfig` — *what to record*: the tracer.
 
 :class:`PlanRequest` remains the aggregate the :func:`repro.api.plan`
@@ -264,7 +265,8 @@ class ExecutionPolicy:
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """What to do when tasks fail: policy, budget, timeout, chaos plan."""
+    """What to do when tasks fail: policy, budget, timeout, chaos plan.
+    Local execution only: a simulate-mode request takes the default."""
 
     #: "fail_fast" (default), "retry" (bounded retries with backoff), or
     #: "degrade" (abandon exhausted tasks and return a partial result).
@@ -353,6 +355,12 @@ class PlanRequest:
         self.execution.validate()
         self.faults.validate()
         self.obs.validate()
+        if self.execution.mode == "simulate" and self.faults != FaultPolicy():
+            # The simulated machine is the paper's, which never fails.
+            raise ValueError(
+                "a FaultPolicy applies to local execution only; simulate mode "
+                f"takes the default FaultPolicy(), got {self.faults!r}"
+            )
 
     def resolve_cspace(self) -> ConfigurationSpace:
         """Materialise the workload's configuration space, on the

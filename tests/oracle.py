@@ -48,7 +48,7 @@ from repro.planners.frozen import _TOL, ACTIVE_LANDMARKS
 from repro.planners.prm import PRMResult
 from repro.runtime import PEStats, SimResult, WorkStealingSimulator
 from repro.runtime.simulator import (
-    _REDISPATCH, _RETRY, _STEAL_REPLY, _STEAL_REQUEST, BACKOFF_BASE, MAX_IDLE_ROUNDS, MIN_KEEP,
+    _RETRY, _STEAL_REPLY, _STEAL_REQUEST, BACKOFF_BASE, MAX_IDLE_ROUNDS, MIN_KEEP,
     TRANSFER_COST,
 )
 
@@ -487,7 +487,6 @@ class PerMessageSimulator(WorkStealingSimulator):
 
         self._stats = [PEStats(pe=p) for p in range(P)]
         self._busy = [False] * P
-        self._dead = [False] * P
         self._stolen_marks: "set[int]" = set()
         self._executed_by: "dict[int, int]" = {}
         self._task_costs: "dict[int, float]" = {}
@@ -502,24 +501,17 @@ class PerMessageSimulator(WorkStealingSimulator):
         self._push = functools.partial(heapq.heappush, self._events)
         self._seq = itertools.count(1).__next__
         self._makespan = 0.0
-        #: redispatch messages; steal traffic is tallied from the per-PE
-        #: request / transfer / failure counters once the run is over.
-        self._messages = 0
-        self._deaths = 0
-        self._attempts: "dict[int, int]" = {}
-        self._abandoned: "list[int]" = []
 
         for p in range(P):
             self._activate(p, 0.0)
 
         events, pop, push, seq = self._events, heapq.heappop, self._push, self._seq
-        stats, deques, busy, dead = self._stats, self._deques, self._busy, self._dead
+        stats, deques, busy = self._stats, self._deques, self._busy
         queues, pending, found = self._queued_requests, self._pending_replies, self._round_found
         idle_rounds = self._idle_rounds
         topo, tr, activate = self.topology, self._tr, self._activate
         node, local, remote = topo.pe_node, topo.latency_local, topo.latency_remote
         chunk = self.steal_chunk
-        ends = (self._on_task_done, self._on_task_failed)  # indexed by kind
         end_time = 0.0
         while events:
             now, _seq, kind, pe, payload = pop(events)
@@ -529,12 +521,7 @@ class PerMessageSimulator(WorkStealingSimulator):
                 pending[pe] -= 1
                 if tr is not None:
                     tr.point(EV_STEAL_REPLY, ts=now, pe=pe, tasks=len(payload))
-                if dead[pe]:
-                    # The thief died while its request was in flight; the
-                    # runtime reclaims the transfer instead of stranding it.
-                    if payload:
-                        self._redispatch_tasks(payload, pe, now)
-                elif payload:
+                if payload:
                     found[pe] = True
                     idle_rounds[pe] = 0
                     self._stolen_marks.update(payload)
@@ -548,12 +535,8 @@ class PerMessageSimulator(WorkStealingSimulator):
             if kind == _RETRY:
                 if busy[pe] or deques[pe]:
                     activate(pe, now)
-                elif self._remaining > 0 and pending[pe] == 0 and not dead[pe]:
-                    # A PE that died during its backoff steals no more.
+                elif self._remaining > 0 and pending[pe] == 0:
                     self._start_steal_round(pe, now)
-                continue
-            if kind == _REDISPATCH:
-                self._on_redispatch(pe, now, payload)
                 continue
             arriving = kind == _STEAL_REQUEST
             if arriving:
@@ -562,7 +545,7 @@ class PerMessageSimulator(WorkStealingSimulator):
             else:
                 # A task ended: ``pe`` is free, and answers the thieves that
                 # knocked while it worked, in arrival order.
-                ends[kind](pe, now, payload)
+                self._on_task_done(pe, now, payload)
                 busy[pe] = False
                 victims, thieves = itertools.repeat(pe), queues[pe]
                 if thieves:
@@ -595,20 +578,18 @@ class PerMessageSimulator(WorkStealingSimulator):
             if not arriving:
                 activate(pe, now)
 
+        messages = 0
         for st in stats:
             sent = st.steal_requests_sent + st.steals_serviced + st.steals_failed
             st.messages_sent += sent
-            self._messages += sent
+            messages += sent
         return SimResult(
             pe_stats=stats,
             executed_by=self._executed_by,
             task_costs=self._task_costs,
             makespan=self._makespan,
             end_time=end_time,
-            total_messages=self._messages,
-            task_attempts=self._attempts,
-            abandoned=sorted(self._abandoned),
-            worker_deaths=self._deaths,
+            total_messages=messages,
         )
 
     def _start_steal_round(self, pe: int, now: float) -> None:

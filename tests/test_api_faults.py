@@ -265,31 +265,23 @@ class TestPlanDegrade:
             )
 
 
-class TestSimulateModeFaults:
-    def test_simulate_mode_accepts_injector(self):
-        report = plan(
-            PlanRequest(
-                workload=WorkloadSpec(num_regions=64, samples_per_region=4, seed=3),
-                execution=ExecutionPolicy(strategy="rand-8", num_pes=8),
-                faults=FaultPolicy(injector=FaultInjector(rate=0.1, seed=5)),
-            )
-        )
-        assert report.sim is not None
-        assert report.retries >= 0
-        assert report.worker_deaths == 0  # rate faults are "raise" only
+class TestSimulateModeRefusesFaults:
+    """The simulated machine is the paper's reliable one: a fault policy
+    applies to local execution, and simulate mode refuses any other than
+    the default before it builds anything."""
 
-    def test_simulate_mode_crash_accounted(self):
-        report = plan(
-            PlanRequest(
-                workload=WorkloadSpec(num_regions=32, samples_per_region=4, seed=3),
-                execution=ExecutionPolicy(strategy="rand-8", num_pes=4),
-                faults=FaultPolicy(
-                    injector=FaultInjector([Fault("crash", worker=1, attempt=0)]),
-                ),
-            )
-        )
-        assert report.worker_deaths == 1
-        assert report.abandoned_regions == []
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultPolicy(injector=FaultInjector([Fault("crash", task=1, attempt=0)])),
+            FaultPolicy(policy="retry"),
+        ],
+        ids=["injector", "retry"],
+    )
+    def test_simulate_mode_refuses_a_fault_policy(self, faults):
+        spec = WorkloadSpec(num_regions=16, samples_per_region=4, seed=3)
+        with pytest.raises(ValueError, match="local execution"):
+            plan(spec, faults=faults)
 
 
 class TestRequestValidation:

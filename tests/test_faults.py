@@ -50,21 +50,15 @@ class TestFault:
 
     def test_matching_is_exact_on_attempt(self):
         f = Fault("raise", task=3, attempt=1)
-        assert f.matches(3, 1, None)
-        assert not f.matches(3, 0, None)
-        assert not f.matches(4, 1, None)
+        assert f.matches(3, 1)
+        assert not f.matches(3, 0)
+        assert not f.matches(4, 1)
 
     def test_wildcards(self):
-        f = Fault("raise")  # any task, any worker, attempt 0
-        assert f.matches(0, 0, None)
-        assert f.matches(99, 0, 7)
-        assert not f.matches(99, 1, 7)
-
-    def test_worker_keyed_fault_needs_worker(self):
-        f = Fault("crash", worker=2)
-        assert f.matches(5, 0, 2)
-        assert not f.matches(5, 0, None)
-        assert not f.matches(5, 0, 3)
+        f = Fault("raise")  # any task, attempt 0
+        assert f.matches(0, 0)
+        assert f.matches(99, 0)
+        assert not f.matches(99, 1)
 
 
 class TestFaultInjector:
@@ -120,7 +114,7 @@ class TestRetryPolicy:
             return task_id
 
         class SlowFirstInjector(FaultInjector):
-            def poll(self, task, attempt, worker=None):
+            def poll(self, task, attempt):
                 if task == 2 and attempt == 0:
                     time.sleep(0.3)
                     return Fault("raise", task=2, attempt=0)

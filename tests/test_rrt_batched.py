@@ -19,7 +19,6 @@ from repro.geometry.environment import Environment
 from repro.geometry.environments import med_cube, mixed_30_env
 from repro.geometry.primitives import AABB
 from repro.planners.rrt import RRT
-from repro.runtime.faults import Fault, FaultInjector
 from repro.subdivision.radial import ConeRegion, RadialSubdivision
 
 from .oracle import SequentialRRT, assert_agree, assert_same, digest, rrt_loop
@@ -324,8 +323,8 @@ class TestWorkloadParity:
 
         assert_agree(run)
 
-    def test_simulate_parity_under_worker_crash(self):
-        """A crashing worker during branch growth: the simulated run over a
+    def test_simulate_parity(self):
+        """Branch growth replayed under stealing: the simulated run over a
         batched-built workload matches the sequential-built one exactly."""
         results = []
         for loop in (rrt_loop(), contextlib.nullcontext()):
@@ -333,8 +332,7 @@ class TestWorkloadParity:
                 wl = build_rrt_workload(
                     EuclideanCSpace(med_cube()), np.full(3, -9.0), 8, nodes_per_region=10, seed=3
                 )
-            injector = FaultInjector([Fault("crash", worker=1, attempt=0)])
-            run = simulate_rrt(wl, 4, strategy="rand-8", fault_injector=injector)
+            run = simulate_rrt(wl, 4, strategy="rand-8")
             results.append(
                 (
                     run.phases.node_connection,

@@ -22,11 +22,6 @@ class TestDetectionDelay:
         assert d1024 - d64 == 2.0 * 4 * 10.0
         assert detection_delay_tree(_topo(65)) == detection_delay_tree(_topo(128))
 
-    def test_rounds_scale(self):
-        topo = _topo(16)
-        for rounds in (0, 1, 2, 5):
-            assert detection_delay_tree(topo, rounds=rounds) == rounds * detection_delay_tree(topo)
-
     def test_one_core_per_node_is_all_remote(self):
         """No two PEs share a node, so no level is local."""
         for num_pes in (2, 16, 100):

@@ -391,13 +391,6 @@ MUTANTS = [
         (f"{GOLDEN}::test_simulate_prm_golden[16-rand-8]", BUNDLED),
     ),
     Mutant(
-        "a redispatched task does not wake its idle survivor",
-        "repro/runtime/simulator.py",
-        "        self._deques[pe].append(task)\n        self._activate(pe, now)\n",
-        "        self._deques[pe].append(task)\n",
-        (BUNDLED,),
-    ),
-    Mutant(
         "the reply handler decrements pending by one, not by the count",
         "repro/runtime/simulator.py",
         "pending[pe] -= count",
@@ -429,6 +422,14 @@ MUTANTS = [
         "            elif False:\n",
         ("tests/test_spec.py::TestPlanRequestAggregate::test_wrong_spec_type_raises",
          "tests/test_spec.py::TestFlatShim::test_flat_kwargs_and_execution_string_raise_type_error"),
+    ),
+    Mutant(
+        "simulate mode accepts a fault policy",
+        "repro/spec.py",
+        '        if self.execution.mode == "simulate" and self.faults != FaultPolicy():\n',
+        "        if False:\n",
+        ("tests/test_api_faults.py::TestSimulateModeRefusesFaults"
+         "::test_simulate_mode_refuses_a_fault_policy",),
     ),
     Mutant(
         "the tie certificate ignores a tie still in the heap (check a)",
@@ -473,13 +474,6 @@ MUTANTS = [
         "self.frozen.prepare(v_starts, v_goals, links, dist[nv:])",
         "self.frozen.prepare(v_starts, v_goals, links, np.roll(dist[nv:], 1, axis=0))",
         (f"{BATCH}::test_prepared_rows_equal_one_query_at_a_time",),
-    ),
-    Mutant(
-        "a PE that died during its backoff still starts a steal round",
-        "repro/runtime/simulator.py",
-        "elif self._remaining > 0 and pending[pe] == 0 and not dead[pe]:",
-        "elif self._remaining > 0 and pending[pe] == 0:",
-        ("tests/test_simulator_faults.py::test_a_dead_pe_sends_no_steal_request",),
     ),
     Mutant(
         "the segment certificate has no pad",
