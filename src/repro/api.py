@@ -55,7 +55,7 @@ from .kernels.bvh_backend import _CACHE_ATTR
 from .kernels.data import EnvKernelData
 from .obs.summary import TraceSummary, format_summary, summarize_events
 from .planners.engine import BatchQueryResult, QueryEngine
-from .planners.prm import PRMSegment
+from .planners.prm import PRMBlock, PRMSegment
 from .planners.roadmap import Roadmap
 from .planners.stats import PlannerStats
 from .runtime import shm as _shm
@@ -336,9 +336,10 @@ class _RegionTask:
 
     The chunk a worker receives is the block it plans: ``run_block`` is the
     pool's offer of a whole chunk of fresh regions (see
-    :func:`repro.runtime.run_tasks_parallel`), taken when the region
-    planner has a ``plan_block`` (a PRM's) and answered with one
-    :class:`PRMSegment` per region in place of its ``Roadmap``.
+    :func:`repro.runtime.run_tasks_parallel`), which both planners take
+    through their ``plan_block``.  A PRM answers each region with a
+    :class:`PRMSegment` of its block in place of its ``Roadmap``; an RRT
+    with its branch's own tree.
     """
 
     def __init__(self, regions: "PRMRegionPlanner | RRTRegionPlanner"):
@@ -350,23 +351,23 @@ class _RegionTask:
         return result.roadmap, result.stats, checks
 
     def run_block(self, rids: "list[int]"):
-        """``(values, work)`` for ``rids`` planned as blocks, or ``None``
-        when this planner plans one region at a time.  ``work[i]`` is region
-        ``i``'s collision-checked points — the share of the measured time
-        the pool charges it, and exactly its share of a block's counters."""
+        """``(values, work)`` for ``rids`` planned as blocks.  ``work[i]``
+        is region ``i``'s collision-checked points — the share of the
+        measured time the pool charges it, and exactly its share of a
+        block's counters."""
         regions = self.regions
-        if not hasattr(regions, "plan_block"):
-            return None
         values, work = [], []
         for block_rids in regions.blocks(rids):
             block, checks = _counted(regions, lambda: regions.plan_block(block_rids))
-            points = [st.sample_attempts + st.lp_checks for st in block.stats]
+            if isinstance(block, PRMBlock):
+                parts = [PRMSegment(block, i) for i in range(len(block_rids))]
+                stats = block.stats
+            else:
+                parts, stats = [r.tree for r in block], [r.stats for r in block]
+            points = [st.sample_attempts + st.lp_checks for st in stats]
             upto = list(accumulate(points))
             per_region = zip(*(_shares(c, upto) for c in checks))
-            values += [
-                (PRMSegment(block, i), st, counts)
-                for i, (st, counts) in enumerate(zip(block.stats, per_region))
-            ]
+            values += list(zip(parts, stats, per_region))
             work += points
         return values, work
 

@@ -6,7 +6,9 @@ Phases mirror the parallel PRM driver:
    build the conical region graph (Alg. 2 lines 1-9).
 2. **Branch growth** — grow a biased, cone-constrained sequential RRT per
    region (line 11); each branch draws its samples from its own cone
-   (:class:`RRTRegionPlanner`).  This is the imbalanced phase: cones
+   (:class:`RRTRegionPlanner`), and the branches of a block grow in
+   lockstep rounds (:meth:`RRTRegionPlanner.plan_block`), each exactly
+   what it grows alone.  This is the imbalanced phase: cones
    blocked by obstacles burn iterations on failed extensions while open
    cones grow smoothly.  Work stealing applies here; repartitioning may
    too, but its only available weight — the k-random-rays free-space
@@ -79,6 +81,12 @@ ITERATION_FACTOR = 40
 CONNECT_SOURCES = 3
 #: Step of the straight-line local planner.
 LP_RESOLUTION = 0.5
+
+#: Tree nodes one block's branches may hold together: every branch keeps
+#: its tree and verdicts until the block's last branch stops, so this
+#: bounds a block's memory.  8 branches of 400 nodes or 1,024 of 12 are
+#: one block.
+_BLOCK_NODES = 1 << 15
 
 
 @dataclass
@@ -175,7 +183,9 @@ class RRTRegionPlanner:
     membership test — which convex cones now almost never fail, but
     cones wider than pi/2 (``num_regions <= 3``) can.
     The region travels as arguments of each ``grow`` call: the one
-    :class:`RRT` below is shared by every pool thread.  Its keyword
+    :class:`RRT` below is shared by every pool thread.  A block of
+    regions is one ``grow`` call (:meth:`plan_block`), a lone region the
+    block of one.  Its keyword
     parameters default to the module constants :func:`build_rrt_workload`
     plans with; only local mode's ``repro.api.LOCAL_RRT`` passes other
     values.
@@ -211,17 +221,30 @@ class RRTRegionPlanner:
         return self.decomposition.graph.region_ids()
 
     def __call__(self, rid: int) -> RRTResult:
-        region = self.decomposition.region_of(rid)
+        return self.plan_block([rid])[0]
+
+    def plan_block(self, rids: "list[int]") -> "list[RRTResult]":
+        """The branches of ``rids`` grown as one lockstep block
+        (:meth:`RRT.grow` with one generator per branch): what
+        :meth:`__call__` grows for each of them, node for node and count
+        for count, with every round's validity work done in one call."""
+        cones = [self.decomposition.region_of(rid) for rid in rids]
         return self.planner.grow(
             self.root,
             self.nodes_per_region,
-            region_rng(self.seed, rid),
-            bias_target=region.target,
-            region_predicate=region.contains_many,
+            [region_rng(self.seed, rid) for rid in rids],
+            bias_target=[cone.target for cone in cones],
+            region_predicate=[cone.contains_many for cone in cones],
             max_iterations=self.max_iterations,
-            id_base=rid << ID_SHIFT,
-            within=region,
+            id_base=[rid << ID_SHIFT for rid in rids],
+            within=cones,
         )
+
+    def blocks(self, rids: "list[int]") -> "list[list[int]]":
+        """``rids`` cut into the consecutive runs :meth:`plan_block` takes
+        one at a time, at most ``_BLOCK_NODES`` tree nodes per block."""
+        step = max(1, _BLOCK_NODES // (1 + self.nodes_per_region))
+        return [rids[lo : lo + step] for lo in range(0, len(rids), step)]
 
 
 def build_rrt_workload(
@@ -232,7 +255,8 @@ def build_rrt_workload(
     seed: int = 0,
 ) -> RRTWorkload:
     """Grow every conical branch once against the real geometry, each
-    drawing its samples from its own cone (:class:`RRTRegionPlanner`).
+    drawing its samples from its own cone, a block of branches at a time
+    (:meth:`RRTRegionPlanner.plan_block`).
 
     The ball is the largest sphere around the root's position that fits
     the workspace bounds; the other parameters of Alg. 2 are the module
@@ -246,15 +270,15 @@ def build_rrt_workload(
     branch_work: "dict[int, BranchWork]" = {}
     branch_nodes: "dict[int, np.ndarray]" = {}
     branches: "list[Roadmap]" = []
-    for rid in regions.region_ids:
-        result = regions(rid)
-        st = result.stats
-        cost = work_model.time_of(st)
-        branch_work[rid] = BranchWork(rid, cost, result.tree.num_vertices, st)
-        branches.append(result.tree)
-        parents.update(result.parents)
-        ids, _cfgs = result.tree.configs_array()
-        branch_nodes[rid] = ids
+    for block_rids in regions.blocks(regions.region_ids):
+        for rid, result in zip(block_rids, regions.plan_block(block_rids)):
+            st = result.stats
+            cost = work_model.time_of(st)
+            branch_work[rid] = BranchWork(rid, cost, result.tree.num_vertices, st)
+            branches.append(result.tree)
+            parents.update(result.parents)
+            ids, _cfgs = result.tree.configs_array()
+            branch_nodes[rid] = ids
     tree = Roadmap(cspace.dim)
     tree.merge(*branches)
 

@@ -2,21 +2,24 @@
 
 Also the regional planner of the uniform *radial* subdivision parallel
 RRT (line 11 of Algorithm 2).  "Biased toward its region" is three
-per-call arguments of :meth:`RRT.grow`: ``within`` — the domain ``q_rand``
-is drawn from (the region itself, so no collision check or neighbour scan
-is spent on a sample that cannot extend this branch); ``bias_target`` —
-the point ``goal_bias`` of the draws go to (the paper's "region candidate
-defined by the random ray"); and ``region_predicate`` — the vectorised
-membership guard every valid ``q_new`` still has to pass.  All three
-travel with the call, never on the planner: one ``RRT`` serves every
-region of a decomposition, from several threads at once.
+per-branch arguments of :meth:`RRT.grow`: ``within`` — the domain
+``q_rand`` is drawn from (the region itself, so no collision check or
+neighbour scan is spent on a sample that cannot extend this branch);
+``bias_target`` — the point ``goal_bias`` of the draws go to (the paper's
+"region candidate defined by the random ray"); and ``region_predicate`` —
+the vectorised membership guard every valid ``q_new`` still has to pass.
+All three travel with the call, never on the planner: one ``RRT`` serves
+every region of a decomposition, from several threads at once.
 
-Growth — the RRT hot path — is :meth:`RRT._grow_batched`.  Its semantic
-oracle, ``tests/oracle.py::SequentialRRT``, is the one-extension-at-a-
-time loop over a :class:`~repro.knn.brute.BruteForceNN`; the batched path
-inlines that finder's scan and replays the oracle exactly while
-vectorising the per-iteration array work in blocks, mirroring the
-predict-validate-replay strategy of :class:`repro.planners.prm.PRM`:
+Given a sequence of generators, :meth:`RRT.grow` grows a *block* of
+independent branches, one per generator, in lockstep rounds
+(:meth:`RRT._grow_block`); one branch is the block of one.  The semantic
+oracle, ``tests/oracle.py::SequentialRRT``, grows each branch by the
+one-extension-at-a-time loop over a
+:class:`~repro.knn.brute.BruteForceNN`.  Every branch of a block
+(:meth:`RRT._grow_branch`) inlines that finder's scan and replays the
+oracle exactly while vectorising the per-iteration array work, mirroring
+the predict-validate-replay strategy of :class:`repro.planners.prm.PRM`:
 
 1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
    oracle's stream double for double: the oracle takes one ``random()``
@@ -38,30 +41,41 @@ predict-validate-replay strategy of :class:`repro.planners.prm.PRM`:
    root, so every draw has a nearest node.
 3. **Speculatively validate** the extensions the replay will need —
    steer arithmetic, the ``q_new`` validity point check, the region
-   predicate, and the local-plan segment — in batches.  Verdicts are
-   geometry-only functions of ``(q_near, q_rand)``, so they are cached
-   by ``(nearest vertex, sample identity)``; repeated goal-bias draws
-   share one entry per tree vertex, which makes bias *chains* (each
-   acceptance re-routing the next bias draw through the new node) cost
-   exactly one validation per chain link, the same as the oracle.
+   predicate, and the local-plan segment — in rounds.  Each round, every
+   live branch predicts the verdicts it needs from its own generator,
+   tree and cache, and the block validates all of them at once: one
+   ``interpolate_pairs``, one ``cspace.valid`` and one
+   ``batch_pairs_exact`` call over the concatenated rows, while cone
+   membership stays one ``region_predicate`` call per branch on its own
+   rows.  Each branch reads back its own slice.  Every verdict is an
+   elementwise function of ``(q_near, q_rand)`` and the geometry, so the
+   rows a pair shares a call with change no bit.  Verdicts are cached by
+   ``(nearest node, sample identity)``; repeated goal-bias draws share
+   one entry per tree node, which makes bias *chains* (each acceptance
+   re-routing the next bias draw through the new node) cost exactly one
+   validation per chain link, the same as the oracle.
 4. **Replay** the accept/reject loop in strict order against the verdict
    cache, charging :class:`PlannerStats` per the oracle; a replay that
    needs a verdict the prediction missed (an acceptance moved some later
-   sample's nearest node) pauses and re-predicts from the updated state.
+   sample's nearest node) pauses and re-predicts in the next round.
 
-The environment's ``CollisionCounters`` are rescaled from the
-speculative charge to the replayed one at the end of the call — the
-charge per evaluated point is a constant factor, so the correction is
-exact integer arithmetic (same argument as the PRM build).  Tree
-topology, ``PlannerStats``, and counters are asserted field-for-field
-identical to the sequential oracle in ``tests/test_rrt_batched.py`` and
-the oracle matrix.
+The environment's ``CollisionCounters`` are rescaled once per block from
+the speculative charge to the replayed one — the charge per evaluated
+point is a constant factor, so the correction (replayed points over
+speculated points, each summed over the branches) is exact integer
+arithmetic, the same argument as the PRM build.  A branch's tree is
+written once, when it stops growing: one ``add_vertices`` and one
+``add_edges`` call in acceptance order, which leaves what the oracle's
+``add_vertex`` / ``add_edge`` loop leaves (a node's first neighbour is
+its parent).  Trees, ``PlannerStats``, counters and generator end states
+are asserted identical to the sequential oracle, branch by branch, in
+``tests/test_rrt_batched.py`` and the oracle matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -142,13 +156,13 @@ class RRT:
         self,
         root: np.ndarray,
         n_nodes: int,
-        rng: np.random.Generator,
-        bias_target: np.ndarray | None = None,
-        region_predicate: "Callable[[np.ndarray], np.ndarray] | None" = None,
+        rng: "np.random.Generator | Sequence[np.random.Generator]",
+        bias_target=None,
+        region_predicate=None,
         max_iterations: int | None = None,
-        id_base: int = 0,
+        id_base: "int | Sequence[int]" = 0,
         within=None,
-    ) -> RRTResult:
+    ) -> "RRTResult | list[RRTResult]":
         """Grow a fresh tree of up to ``n_nodes`` nodes rooted at ``root``
         (vertex id ``id_base``), in at most ``max_iterations`` draws
         (default ``20 * n_nodes``): one regional branch of Alg. 2.
@@ -167,71 +181,149 @@ class RRT:
 
         ``rng`` is left where the one-extension-at-a-time oracle leaves it,
         so consecutive ``grow`` calls on one generator stay identical too.
+
+        Given a *sequence* of generators this grows a block of independent
+        branches from the one ``root``, one per generator, and returns
+        their results in order: ``bias_target``, ``region_predicate``,
+        ``id_base`` and ``within`` are then sequences with one entry per
+        branch, as ``PRM.build`` takes its block.  Each branch is what its
+        own one-generator call grows; :meth:`_grow_block` grows them in
+        lockstep rounds.
         """
-        stats = PlannerStats()
+        args = [rng, bias_target, region_predicate, id_base, within]
+        single = isinstance(rng, np.random.Generator)
+        per_branch = zip(*([[arg] for arg in args] if single else args), strict=True)
         root = np.asarray(root, dtype=float)
+        counters = self.cspace.env.counters
+        before = counters.snapshot()
         if not self.cspace.valid_single(root):
             raise ValueError("RRT root configuration is invalid")
-        stats.sample_attempts += 1
-        tree = Roadmap(self.cspace.dim)
-        tree.add_vertex(root, id_base)
-        parents = {id_base: id_base}
-
         max_iterations = max_iterations if max_iterations is not None else 20 * n_nodes
-        self._grow_batched(
-            tree, parents, n_nodes, rng, bias_target, region_predicate,
-            max_iterations, id_base, stats, within,
-        )
-        return RRTResult(tree, parents, id_base, stats)
+        branches = [(*given, PlannerStats(sample_attempts=1)) for given in per_branch]  # root
+        # One check of the shared root, charged once per branch.
+        counters.rescale_since(before, len(branches), 1)
+        results = self._grow_block(root, n_nodes, max_iterations, branches)
+        return results[0] if single else results
 
-    def _grow_batched(
+    def _grow_block(
+        self, root: np.ndarray, n_nodes: int, max_iterations: int, branches: "list[tuple]"
+    ) -> "list[RRTResult]":
+        """Every branch's predict-validate-replay growth, in lockstep rounds.
+
+        ``branches`` holds one ``(rng, bias_target, region_predicate,
+        id_base, within, stats)`` per branch.  Each branch runs as a
+        :meth:`_grow_branch` generator, which yields the extensions its
+        replay needs validated and is sent their verdicts.  A round
+        concatenates every live branch's rows into one
+        ``interpolate_pairs``, one ``cspace.valid`` and one
+        ``batch_pairs_exact`` call, and tests cone membership with one
+        ``region_predicate`` call per branch on its own rows.  A branch
+        that stops growing hands back its result and its point counts;
+        the counters are rescaled once, by the sums over the block.
+        """
+        cspace, lp = self.cspace, self.local_planner
+        counters = cspace.env.counters
+        before = counters.snapshot()
+        growths = [self._grow_branch(root, n_nodes, max_iterations, *b) for b in branches]
+        results: "list[RRTResult | None]" = [None] * len(growths)
+        seq_points = spec_points = 0
+        asks: "dict[int, tuple]" = {}
+
+        def advance(j: int, reply) -> None:
+            """Send branch ``j`` its verdicts; file what it asks next, or
+            its result once it has stopped growing."""
+            nonlocal seq_points, spec_points
+            try:
+                asks[j] = growths[j].send(reply)
+            except StopIteration as stop:
+                results[j], seq, spec = stop.value
+                seq_points += seq
+                spec_points += spec
+
+        for j in range(len(growths)):
+            advance(j, None)
+        while asks:
+            order, rows = list(asks), list(asks.values())
+            asks.clear()
+            q_nears = np.concatenate([r[0] for r in rows])
+            q_rands = np.concatenate([r[1] for r in rows])
+            dists = np.array([d for r in rows for d in r[2]])
+            bounds = np.cumsum([0] + [len(r[2]) for r in rows]).tolist()
+            q_news = cspace.interpolate_pairs(
+                q_nears, q_rands, np.minimum(self.step_size / dists, 1.0)
+            )
+            ok_pts = np.atleast_1d(cspace.valid(q_news))
+            region_ok = np.ones(dists.size, dtype=bool)
+            for j, lo, hi in zip(order, bounds, bounds[1:]):
+                guard = branches[j][2]
+                if guard is not None:
+                    passed = np.nonzero(ok_pts[lo:hi])[0] + lo
+                    if passed.size:
+                        region_ok[passed] = np.atleast_1d(guard(q_news[passed]))
+            lp_sel = np.nonzero(ok_pts & region_ok)[0]
+            lp_ok = np.zeros(dists.size, dtype=bool)
+            lp_checks = np.zeros(dists.size, dtype=np.int64)
+            lp_len = np.zeros(dists.size)
+            if lp_sel.size:
+                lp_ok[lp_sel], lp_checks[lp_sel], lp_len[lp_sel] = lp.batch_pairs_exact(
+                    cspace, q_nears[lp_sel], q_news[lp_sel]
+                )
+            verdicts = (q_news, ok_pts, region_ok, lp_ok, lp_checks, lp_len)
+            for j, lo, hi in zip(order, bounds, bounds[1:]):
+                advance(j, tuple(v[lo:hi] for v in verdicts))
+        if spec_points:
+            # Exact rescale of the speculative charge to the replayed one.
+            counters.rescale_since(before, seq_points, spec_points)
+        return results
+
+    def _grow_branch(
         self,
-        tree: Roadmap,
-        parents: "dict[int, int]",
+        root: np.ndarray,
         n_nodes: int,
+        max_iterations: int,
         rng: np.random.Generator,
         bias_target: np.ndarray | None,
         region_predicate,
-        max_iterations: int,
         id_base: int,
-        stats: PlannerStats,
         within,
-    ) -> None:
-        """Predict-validate-replay growth: identical results, vectorised.
+        stats: PlannerStats,
+    ):
+        """One branch of :meth:`_grow_block`, as a generator.
 
-        See the module docstring for the strategy.  Distances are
-        computed with :meth:`BruteForceNN._dist_block`'s per-dimension
-        accumulation, which is bit-identical to the per-query path the
-        oracle takes, so nearest-neighbour choices and steer parameters
-        match exactly.
+        It yields ``(q_near rows, q_rand rows, distances)`` for the
+        extensions its replay needs validated, is sent their verdicts —
+        ``(q_new, point ok, region ok, local plan ok, local plan checks,
+        local plan length)``, row for row — and returns ``(result,
+        replayed points, speculated points)``.  See the module docstring
+        for the strategy.  Distances are computed with
+        :meth:`BruteForceNN._dist_block`'s per-dimension accumulation,
+        which is bit-identical to the per-query path the oracle takes, so
+        nearest-neighbour choices and steer parameters match exactly.
         """
         cspace = self.cspace
         dim = cspace.dim
-        step = self.step_size
-        lp = self.local_planner
-        counters = cspace.env.counters
-        before = counters.snapshot()
 
         bias_cfg = np.asarray(bias_target, dtype=float) if bias_target is not None else None
 
         # Insertion-order store of every tree configuration — the same
         # layout the oracle's NeighborFinder holds, so the tie-break
         # fallback can replay the reference selection on an identical
-        # array.  The root plus the node budget always fit.
+        # array.  Row ``r`` is vertex ``id_base + r``; the root plus the
+        # node budget always fit.
         cap = 1 + n_nodes
         store = np.empty((cap, dim))
-        store[0] = tree.config(id_base)
-        store_ids = np.empty(cap, dtype=np.int64)
-        store_ids[0] = id_base
+        store[0] = root
+        parent_rows = np.zeros(cap, dtype=np.int64)
+        lengths = np.zeros(cap)
         n_store = 1
 
-        next_local = 1
         added = 0
         nn_evals = 0
         spec_points = 0  # points speculatively evaluated against the env
         seq_points = 0  # points the sequential oracle would evaluate
-        # (near_vid, sample key) -> (point_ok, region_ok, lp_ok, lp_checks,
-        # lp_length, q_new); kept across blocks — geometry never changes.
+        # (near row, sample key) -> (point_ok, region_ok, lp_ok, lp_checks,
+        # lp_length, q_new).  Geometry never changes, but a uniform draw is
+        # drawn once: only bias draws' verdicts outlive their block.
         cache: "dict[tuple[int, object], tuple]" = {}
         it = 0
         block = _BLOCK_MIN
@@ -292,17 +384,19 @@ class RRT:
             frozen_min = D.min(axis=1)
             frozen_arg = D.argmin(axis=1)
             frozen_tie = (D == frozen_min[:, None]).sum(axis=1) > 1
-            # Running minima over nodes accepted inside this block; one
-            # incremental distance column per acceptance.
-            blk_D = np.empty((B, B))
+            # A tie recomputes its distances (the same bits): no branch of
+            # a block holds a matrix while the others run.
+            del D
+            # Running minima over nodes accepted inside this block, updated
+            # by one incremental distance column per acceptance.
             blk_min = np.full(B, np.inf)
             blk_arg = np.full(B, -1)
             blk_tie = np.zeros(B, dtype=bool)
             n_blk = 0
 
-            def nearest(i: int) -> "tuple[int, float, int]":
-                """``(vid, distance, store row)`` of sample ``i``'s nearest
-                tree node under the current block state.  Exact reference
+            def nearest(i: int) -> "tuple[int, float]":
+                """``(store row, distance)`` of sample ``i``'s nearest tree
+                node under the current block state.  Exact reference
                 semantics: a unique strict minimum is resolved directly,
                 anything tied replays the oracle's selection on the
                 composed distance vector."""
@@ -310,62 +404,46 @@ class RRT:
                 bmin = blk_min[i]
                 if bmin < fmin:
                     if not blk_tie[i]:
-                        row = n0 + int(blk_arg[i])
-                        return (int(store_ids[row]), float(bmin), row)
+                        return n0 + int(blk_arg[i]), float(bmin)
                 elif fmin < bmin:
                     if not frozen_tie[i]:
-                        row = int(frozen_arg[i])
-                        return (int(store_ids[row]), float(fmin), row)
-                d = np.concatenate((D[i], blk_D[i, :n_blk])) if n_blk else D[i]
+                        return int(frozen_arg[i]), float(fmin)
+                d = np.empty(n0 + n_blk)
+                BruteForceNN._dist_block(store[:n0], samples[i : i + 1], d[None, :n0])
+                d[n0:] = np.linalg.norm(store[n0 : n0 + n_blk] - samples[i], axis=1)
                 # argmin returns the FIRST minimum, i.e. the earliest
                 # inserted node — the canonical (distance, insertion
                 # order) tie-break every NeighborFinder implements.
                 row = int(np.argmin(d))
-                return (int(store_ids[row]), float(d[row]), row)
+                return row, float(d[row])
 
+            spent: "list[tuple[int, object]]" = []  # this block's uniform keys
             pending = list(range(B))
             while pending and added < n_nodes:
-                # -- predict & batch-validate the verdicts replay needs --
+                # -- predict the verdicts replay needs; the block validates
                 need: "list[tuple[tuple[int, object], int, float, int]]" = []
                 seen: "set[tuple[int, object]]" = set()
                 for i in pending:
-                    vid_near, dist, row = nearest(i)
+                    row, dist = nearest(i)
                     if dist == 0.0:
                         continue
-                    key = (vid_near, skey[i])
+                    key = (row, skey[i])
                     if key in cache or key in seen:
                         continue
                     seen.add(key)
                     need.append((key, row, dist, i))
                 if need:
-                    q_nears = store[[row for _k, row, _d, _i in need]]
-                    q_rands = samples[[i for _k, _r, _d, i in need]]
-                    dists = np.array([d for _k, _r, d, _i in need])
-                    ts = np.minimum(step / dists, 1.0)
-                    q_news = cspace.interpolate_pairs(q_nears, q_rands, ts)
-                    ok_pts = np.atleast_1d(cspace.valid(q_news))
-                    spec_points += len(need)
-                    region_ok = np.ones(len(need), dtype=bool)
-                    passed = np.nonzero(ok_pts)[0]
-                    if passed.size and region_predicate is not None:
-                        region_ok[passed] = np.atleast_1d(region_predicate(q_news[passed]))
-                    lp_sel = np.nonzero(ok_pts & region_ok)[0]
-                    lp_ok = np.zeros(len(need), dtype=bool)
-                    lp_checks = np.zeros(len(need), dtype=np.int64)
-                    lp_len = np.zeros(len(need))
-                    if lp_sel.size:
-                        ok2, per_checks, lens = lp.batch_pairs_exact(
-                            cspace, q_nears[lp_sel], q_news[lp_sel]
-                        )
-                        lp_ok[lp_sel] = ok2
-                        lp_checks[lp_sel] = per_checks
-                        lp_len[lp_sel] = lens
-                        spec_points += int(per_checks.sum())
-                    for j, (key, _row, _d, _i) in enumerate(need):
-                        cache[key] = (
-                            bool(ok_pts[j]), bool(region_ok[j]), bool(lp_ok[j]),
-                            int(lp_checks[j]), float(lp_len[j]), q_news[j],
-                        )
+                    q_news, *flags = yield (
+                        store[[row for _k, row, _d, _i in need]],
+                        samples[[i for _k, _r, _d, i in need]],
+                        [d for _k, _r, d, _i in need],
+                    )
+                    for j, ((key, *_), pt_ok, reg_ok, l_ok, l_checks, l_len) in enumerate(
+                        zip(need, *(f.tolist() for f in flags), strict=True)
+                    ):
+                        cache[key] = (pt_ok, reg_ok, l_ok, l_checks, l_len, q_news[j])
+                        spec_points += 1 + l_checks
+                    spent += [key for key, *_ in need if key[1] != "bias"]
                 # -- strict in-order replay ------------------------------
                 done = 0
                 for i in pending:
@@ -374,11 +452,11 @@ class RRT:
                         break
                     stats.nn_queries += 1
                     nn_evals += n0 + n_blk
-                    vid_near, dist, _row = nearest(i)
+                    row_near, dist = nearest(i)
                     if dist == 0.0:
                         done += 1
                         continue
-                    verdict = cache.get((vid_near, skey[i]))
+                    verdict = cache.get((row_near, skey[i]))
                     if verdict is None:
                         # An acceptance moved this sample's nearest node;
                         # pause and re-predict from the updated state.
@@ -398,20 +476,15 @@ class RRT:
                     if not l_ok:
                         continue
                     stats.lp_successes += 1
-                    vid = id_base + next_local
-                    next_local += 1
-                    tree.add_vertex(q_new, vid)
-                    tree.add_edge(vid_near, vid, l_len)
                     stats.edges_added += 1
-                    parents[vid] = vid_near
                     store[n_store] = q_new
-                    store_ids[n_store] = vid
+                    parent_rows[n_store] = row_near
+                    lengths[n_store] = l_len
                     # Incremental distance column: the new node vs every
                     # block sample — the same row-wise norm the reference
                     # finder computes (bit-identical to the frozen
                     # matrix's per-dimension accumulation).
-                    blk_D[:, n_blk] = np.linalg.norm(samples - q_new, axis=1)
-                    col = blk_D[:, n_blk]
+                    col = np.linalg.norm(samples - q_new, axis=1)
                     better = col < blk_min
                     blk_tie |= col == blk_min
                     blk_tie[better] = False
@@ -429,9 +502,16 @@ class RRT:
                 # rewind and advance by exactly the ones it consumed.
                 rng.bit_generator.state = rng_state
                 rng.random(used)
+            for key in spent:
+                del cache[key]
 
-        if spec_points:
-            # Exact rescale of the speculative charge to the replayed one.
-            counters.rescale_since(before, seq_points, spec_points)
         stats.nn_distance_evals += nn_evals
         stats.samples_accepted += added
+        # The tree, written once in acceptance order.
+        ids = id_base + np.arange(n_store)
+        tree = Roadmap(dim)
+        tree.add_vertices(ids, store[:n_store])
+        tree.add_edges(ids[parent_rows[1:n_store]], ids[1:], lengths[1:n_store])
+        parents = dict(zip(ids.tolist(), ids[parent_rows[:n_store]].tolist()))
+        return RRTResult(tree, parents, id_base, stats), seq_points, spec_points
+

@@ -11,7 +11,9 @@ fixed int, both resolved up front into a deterministic chunk list:
 * ``"guided"`` is OpenMP-style guided self-scheduling: each chunk takes
   ``remaining / (k * workers)`` tasks (``k = 2``), so early chunks are
   large (amortising dispatch) and the tail decays to single tasks (fine
-  load balancing exactly where stragglers hurt).
+  load balancing exactly where stragglers hurt).  On one worker it is
+  one chunk of every task: the tail decays so that workers finish
+  together, and a lone worker has no one to finish with.
 
 Resolution is a pure function of ``(tasks, chunksize, workers)``
 — the same inputs always produce the same chunk list, so policy runs are
@@ -58,6 +60,8 @@ def _fixed(tasks: "list[int]", size: int) -> "list[tuple[int, ...]]":
 
 
 def _guided(tasks: "list[int]", workers: int) -> "list[tuple[int, ...]]":
+    if workers == 1:
+        return [tuple(tasks)]
     chunks: "list[tuple[int, ...]]" = []
     i, n = 0, len(tasks)
     while i < n:

@@ -40,7 +40,10 @@ Parallel speedup is the ``"process"`` backend's job.
 
 Dispatch granularity is a pluggable policy (:mod:`repro.runtime.chunking`):
 ``chunksize`` accepts the historical fixed int or ``"guided"``
-self-scheduling (chunks decay as ``remaining / (2 * workers)``).  A chunk is
+self-scheduling (chunks decay as ``remaining / (2 * workers)``; one
+worker, which the thread backend always is, takes every task in one
+chunk — the decay exists so that workers finish together, and a lone
+worker has no one to finish with).  A chunk is
 also the block its worker may run in one call: a chunk of two or more
 fresh tasks is offered to ``fn.run_block`` when the task callable has one
 and no fault injector is installed (:func:`_run_block`); everything else
@@ -381,7 +384,8 @@ def run_tasks_parallel(
     chunksize:
         Tasks per submission: a fixed int (default 1), or the policy
         ``"guided"`` (self-scheduling decay: big chunks early to amortise
-        dispatch, single tasks at the tail for balance).  Larger chunks
+        dispatch, single tasks at the tail for balance; one chunk of
+        every task when the pool runs one worker).  Larger chunks
         amortise dispatch overhead when individual tasks are tiny, at the
         price of coarser load balancing — the same trade the paper's
         distributed schedulers make with region granularity; the policies

@@ -211,12 +211,13 @@ class ExecutionPolicy:
     #: the interpreter lock.
     workers: "int | None" = None
     backend: str = "thread"
-    #: tasks per submission in ``plan()``: an int (>1 amortises dispatch
-    #: for tiny regions) or ``"guided"``, the one
-    #: :mod:`repro.runtime.chunking` policy (self-scheduling decay).  A
-    #: chunk of two or more PRM regions is planned as one block.
+    #: tasks per submission in ``plan()``: ``"guided"`` (default), the
+    #: :mod:`repro.runtime.chunking` policy — self-scheduling decay on
+    #: several workers, every region in one chunk on one — or a fixed
+    #: int; ``1`` plans each region alone, the per-region oracle.  A
+    #: chunk of two or more regions is planned as one block, PRM or RRT.
     #: ``QueryEngine.solve_many`` sends one chunk per worker instead.
-    chunksize: "int | str" = 1
+    chunksize: "int | str" = "guided"
     #: how the planning context crosses the process boundary:
     #: ``"auto"`` (shared memory when the backend is ``"process"`` and
     #: the platform supports it, else the closure ships inline with each

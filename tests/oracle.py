@@ -46,6 +46,7 @@ from repro.obs.events import EV_STEAL_FAIL, EV_STEAL_REPLY, EV_STEAL_REQUEST, EV
 from repro.planners import PRM, RRT, PlannerStats, Roadmap
 from repro.planners.frozen import _TOL, ACTIVE_LANDMARKS
 from repro.planners.prm import PRMResult
+from repro.planners.rrt import RRTResult
 from repro.runtime import PEStats, SimResult, WorkStealingSimulator
 from repro.runtime.simulator import (
     _RETRY, _STEAL_REPLY, _STEAL_REQUEST, BACKOFF_BASE, MAX_IDLE_ROUNDS, MIN_KEEP,
@@ -169,13 +170,20 @@ class SequentialPRM(PRM):
 
 
 class SequentialRRT(RRT):
-    """``RRT`` growing by the one-extension-at-a-time loop over a
-    ``BruteForceNN``: the oracle ``RRT._grow_batched`` replays."""
+    """``RRT`` growing every branch of a block on its own, by the
+    one-extension-at-a-time loop over a ``BruteForceNN``: the oracle the
+    lockstep ``RRT._grow_block`` replays."""
 
-    def _grow_batched(self, tree, parents, n_nodes, rng, bias_target, region_predicate,
-                      max_iterations, id_base, stats, within):
+    def _grow_block(self, root, n_nodes, max_iterations, branches):
+        return [self._grow_one(root, n_nodes, max_iterations, *branch) for branch in branches]
+
+    def _grow_one(self, root, n_nodes, max_iterations, rng, bias_target, region_predicate,
+                  id_base, within, stats):
+        tree = Roadmap(self.cspace.dim)
+        tree.add_vertex(root, id_base)
+        parents = {id_base: id_base}
         nn = BruteForceNN(self.cspace.dim)
-        nn.add(id_base, tree.config(id_base))
+        nn.add(id_base, root)
         added = 0
         for _ in range(max_iterations):
             if added >= n_nodes:
@@ -207,6 +215,7 @@ class SequentialRRT(RRT):
                 nn.add(id_base + added, q_new)
         stats.nn_distance_evals += nn.stats.distance_evals
         stats.samples_accepted += added
+        return RRTResult(tree, parents, id_base, stats)
 
 
 def merge_one_by_one(roadmap, *parts) -> None:

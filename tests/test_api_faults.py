@@ -46,7 +46,7 @@ def _local_request(faults=None, tracer=None, execution=None, **workload):
     defaults.update(workload)
     return PlanRequest(
         workload=WorkloadSpec(**defaults),
-        execution=execution or ExecutionPolicy(mode="local", workers=3),
+        execution=execution or ExecutionPolicy(mode="local", workers=3, chunksize=1),
         faults=faults,
         obs=ObsConfig(tracer=tracer),
     )
@@ -223,7 +223,7 @@ def test_trace_recounts_the_reports_failures(backend, policy):
         _local_request(
             faults=FaultPolicy(policy=policy, max_retries=1, injector=injector),
             tracer=tracer,
-            execution=ExecutionPolicy(mode="local", workers=2, backend=backend),
+            execution=ExecutionPolicy(mode="local", workers=2, backend=backend, chunksize=1),
         )
     )
     s = summarize_events(tracer.memory.events)

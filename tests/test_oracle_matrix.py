@@ -24,7 +24,6 @@ from repro.cspace import EuclideanCSpace
 from repro.geometry import AABB, Environment
 from repro.geometry.environments import by_name
 from repro.planners import PRM, RRT, Roadmap
-from repro.runtime import run_tasks_parallel
 from repro.spec import WorkloadSpec
 from repro.subdivision.radial import ConeRegion
 
@@ -159,15 +158,11 @@ def _rrt_block_cone(cull, fast):
 
 
 def _rrt_chunk_cone(cull, fast):
-    """Branches in pool chunks of four on two threads, or one by one: a
-    regional RRT declines ``run_block``, so its chunks take the loop."""
+    """A pool chunk of branches grown as one lockstep block (``run_block``)
+    or branch by branch; either way each region comes back as its own tree."""
     task, rids = _regions("rrt", cull)
-    assert task.run_block(rids) is None
-    if fast:
-        results = run_tasks_parallel(task, rids, workers=2, chunksize=4).results
-        values = [results[rid] for rid in rids]
-    else:
-        values = [task(rid) for rid in rids]
+    values = task.run_block(rids)[0] if fast else [task(rid) for rid in rids]
+    assert {type(v[0]).__name__ for v in values} == {"Roadmap"}
     return _per_region(values, task.regions.cspace.dim)
 
 

@@ -12,6 +12,8 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.parallel_rrt import build_rrt_workload, simulate_rrt
 from repro.cspace.space import ConfigurationSpace, EuclideanCSpace
@@ -22,6 +24,10 @@ from repro.planners.rrt import RRT
 from repro.subdivision.radial import ConeRegion, RadialSubdivision
 
 from .oracle import SequentialRRT, assert_agree, assert_same, digest, rrt_loop
+
+#: Where the lockstep property grows its branches from: a free point of
+#: the two-box plane, a radius that keeps every cone inside the bounds.
+_APEX, _REACH = np.array([-2.5, -2.5]), 2.4
 
 
 def _fresh_cspace():
@@ -244,7 +250,110 @@ class TestOneProposalCallPerBlock:
         assert 10 * calls["sample"] < stats.nn_queries
 
 
+class TestBlockEqualsCalls:
+    """A block of ``k`` branches grown in lockstep — one ``grow`` with a
+    generator, cone, target, guard and id base per branch — is ``k``
+    independent ``grow`` calls: trees, ordered adjacency, parents,
+    ``PlannerStats``, every generator's end state and the environment's
+    counters (rescaled once for the whole block)."""
+
+    @staticmethod
+    def _grow(block, seeds, n_nodes, goal_bias, cap, biased, stuck):
+        cspace = _fresh_cspace()
+        cones = RadialSubdivision(_APEX, _REACH, max(len(seeds), 2),
+                                  rng=np.random.default_rng(0))
+        args = [
+            {
+                "rng": np.random.default_rng(seed),
+                "bias_target": cones.region_of(j).target if biased else None,
+                # Branch ``stuck`` guards against every extension: it never grows.
+                "region_predicate": (
+                    (lambda qs: np.zeros(len(qs), dtype=bool)) if j == stuck
+                    else cones.region_of(j).contains_many
+                ),
+                "id_base": j << 20,
+                "within": cones.region_of(j),
+            }
+            for j, seed in enumerate(seeds)
+        ]
+        planner = RRT(cspace, step_size=0.5, goal_bias=goal_bias)
+        if block:
+            results = planner.grow(_APEX, n_nodes, max_iterations=cap, **{
+                name: [a[name] for a in args] for name in args[0]
+            })
+        else:
+            results = [planner.grow(_APEX, n_nodes, max_iterations=cap, **a) for a in args]
+        return {
+            "branches": [digest(r) for r in results],
+            "generators": [a["rng"].bit_generator.state for a in args],
+            "counters": (cspace.env.counters.point_checks, cspace.env.counters.segment_checks),
+        }
+
+    @settings(max_examples=25)
+    @given(
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+        n_nodes=st.integers(0, 40),
+        goal_bias=st.sampled_from([0.0, 0.3, 1.0]),
+        cap=st.one_of(st.none(), st.integers(0, 150)),
+        biased=st.booleans(),
+        stuck=st.one_of(st.none(), st.integers(0, 3)),
+    )
+    # The node budget met mid-block, on every branch and in different rounds.
+    @example(seeds=[1, 2, 3], n_nodes=37, goal_bias=0.3, cap=None, biased=True, stuck=None)
+    # The iteration cap cuts every branch's last draw block short.
+    @example(seeds=[4, 5, 6], n_nodes=1000, goal_bias=0.3, cap=100, biased=True, stuck=None)
+    @example(seeds=[7, 8], n_nodes=0, goal_bias=0.3, cap=None, biased=True, stuck=None)
+    # Every draw uniform, and every draw the bias target.
+    @example(seeds=[9, 10, 11], n_nodes=30, goal_bias=0.0, cap=None, biased=True, stuck=None)
+    @example(seeds=[12, 13, 14], n_nodes=30, goal_bias=1.0, cap=None, biased=True, stuck=None)
+    # A branch that never extends grows beside three that do.
+    @example(seeds=[15, 16, 17, 18], n_nodes=25, goal_bias=0.3, cap=200, biased=True, stuck=1)
+    def test_a_block_equals_one_grow_per_branch(
+        self, seeds, n_nodes, goal_bias, cap, biased, stuck
+    ):
+        case = (seeds, n_nodes, goal_bias, cap, biased, stuck)
+        assert_same(self._grow(True, *case), self._grow(False, *case))
+
+
+class _Lattice:
+    """A sampling domain on the integer points of ``[-4, 4]^2``: an
+    elementwise map of the unit cube whose draws, with a step longer than
+    the plane, make every node a lattice point, so a draw is often as
+    near to two nodes as to one — the tied selections the batched path
+    replays from the composed distance row."""
+
+    dim = 2
+
+    @staticmethod
+    def from_unit_cube(u):
+        return np.floor(9.0 * np.asarray(u, dtype=float)) - 4.0
+
+    def sample(self, rng, n=None):
+        return self.from_unit_cube(rng.random(self.dim if n is None else (n, self.dim)))
+
+
 class TestEdgeCases:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("block", [False, True], ids=["one", "block"])
+    def test_tied_nearest_nodes(self, seed, block):
+        """Equidistant nodes, frozen and grown in the same draw block: the
+        nearest node is the earliest inserted, as the reference scan picks."""
+        def run(fast):
+            cspace = _fresh_cspace()
+            planner = (RRT if fast else SequentialRRT)(cspace, step_size=20.0, goal_bias=0.3)
+            rngs = [np.random.default_rng(seed + 10 * j) for j in range(3 if block else 1)]
+            kwargs = {"bias_target": np.array([4.0, -4.0]), "within": _Lattice()}
+            if block:
+                kwargs = {name: [value] * 3 for name, value in kwargs.items()}
+                kwargs.update(region_predicate=[None] * 3, id_base=[0, 1 << 20, 2 << 20])
+            results = planner.grow(np.array([-4.0, 4.0]), 30, rngs if block else rngs[0],
+                                   max_iterations=200, **kwargs)
+            return {"trees": [digest(r) for r in (results if block else [results])],
+                    "rngs": [r.bit_generator.state for r in rngs],
+                    "counters": (cspace.env.counters.point_checks,)}
+
+        assert_agree(run)
+
     def test_region_never_extends(self):
         """A cone no extension can enter: the branch stays root-only."""
         out = assert_agree(lambda b: _grow(

@@ -82,6 +82,19 @@ class TestChunking:
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[-1] == 1
 
+    def test_guided_on_one_worker_is_one_chunk(self):
+        """The decay lets workers finish together; a lone worker takes
+        every task at once — the thread backend's one thread included,
+        whatever ``workers`` says, and ``plan()``'s default policy."""
+        assert resolve_chunks(list(range(37)), "guided", 1) == [tuple(range(37))]
+        for backend, workers in (("thread", 2), ("process", 1)):
+            pool = run_tasks_parallel(
+                _task, list(range(20)), workers=workers, backend=backend, chunksize="guided"
+            )
+            assert pool.dispatch.chunks_issued == 1
+            assert pool.results == {tid: _task(tid) for tid in range(20)}
+        assert ExecutionPolicy().chunksize == "guided"
+
 
 # ---------------------------------------------------------------------------
 # worker resolution
@@ -337,20 +350,28 @@ class TestLocalParityMatrix:
 
     @pytest.fixture(scope="class")
     def oracle(self):
-        """Per planner: the serial run's digest — roadmap, ordered adjacency
-        (in a tree a vertex's first neighbour is its parent), exact
-        components, ``PlannerStats`` and ``local_counters``."""
+        """Per planner: the serial one-region-at-a-time run's digest —
+        roadmap, ordered adjacency (in a tree a vertex's first neighbour is
+        its parent), exact components, ``PlannerStats`` and
+        ``local_counters``."""
         digests = {}
         for wl in (self.WL, self.RRT):
-            report = plan(wl, execution=ExecutionPolicy(mode="local", workers=1))
+            report = plan(wl, execution=ExecutionPolicy(mode="local", workers=1, chunksize=1))
             assert _parts(report) == {Roadmap} and report.roadmap.num_edges > 150
             digests[wl.planner] = digest(report)
         return digests
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("kernel_backend", [None, "bvh"])
-    @pytest.mark.parametrize("plane", ["inline", "shm"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    #: (backend, plane, kernel_backend, workers): every combination but
+    #: the thread backend at two workers, which runs the one thread its
+    #: ``workers=1`` twin runs.
+    CELLS = [
+        (backend, plane, kernel_backend, workers)
+        for backend in ("thread", "process") for plane in ("inline", "shm")
+        for kernel_backend in (None, "bvh") for workers in (1, 2)
+        if (backend, workers) != ("thread", 2)
+    ]
+
+    @pytest.mark.parametrize("backend,plane,kernel_backend,workers", CELLS)
     def test_every_cell_equals_the_serial_loop(
         self, oracle, backend, plane, kernel_backend, workers, monkeypatch
     ):
@@ -374,11 +395,12 @@ class TestLocalParityMatrix:
                 else:
                     assert (dispatch.shm_segments, dispatch.shm_attaches) == (0, 0)
                 # PRM chunks of two or more regions were planned as blocks
-                # (27 = 7 + 7 + 7 + 6; the policies end in one-region
-                # chunks); every RRT region takes the loop.
+                # (27 = 7 + 7 + 7 + 6; guided on one worker is one chunk, on
+                # two it ends in one-region chunks).  An RRT region comes
+                # back as its branch's own tree, planned alone or in a block.
                 if chunksize == 1 or wl.planner == "rrt":
                     assert _parts(report) == {Roadmap}
-                elif chunksize == 7:
+                elif chunksize == 7 or report.pool.workers == 1:
                     assert _parts(report) == {PRMSegment}
                 else:
                     assert _parts(report) == {Roadmap, PRMSegment}, chunksize

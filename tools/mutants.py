@@ -75,10 +75,10 @@ MUTANTS = [
     Mutant(
         "the sample domain is RRT state, read at every draw",
         "repro/planners/rrt.py",
-        ("        stats = PlannerStats()\n        root = np.asarray(root, dtype=float)\n",
+        ("        cspace = self.cspace\n        dim = cspace.dim\n\n        bias_cfg",
          "cspace.sample(rng, within=within, unit=raw[rows])"),
-        ("        self._within = within\n        stats = PlannerStats()\n"
-         "        root = np.asarray(root, dtype=float)\n",
+        ("        self._within = within\n        cspace = self.cspace\n        dim = cspace.dim\n\n"
+         "        bias_cfg",
          "cspace.sample(rng, within=self._within, unit=raw[rows])"),
         ("tests/test_api.py::TestLocalExecution::test_pool_threads_do_not_share_a_sample_domain",),
     ),
@@ -300,11 +300,43 @@ MUTANTS = [
         (f"{MATRIX}[prm-block-box-reference]",),
     ),
     Mutant(
-        "_grow_batched accepts a q_new outside the cone",
+        "the block accepts a q_new outside the cone",
         "repro/planners/rrt.py",
-        "region_ok[passed] = np.atleast_1d(region_predicate(q_news[passed]))",
+        "region_ok[passed] = np.atleast_1d(guard(q_news[passed]))",
         "region_ok[passed] = True",
         (f"{MATRIX}[rrt-batched-cone-reference]",),
+    ),
+    Mutant(
+        "a branch reads its neighbour's verdict slice",
+        "repro/planners/rrt.py",
+        "            for j, lo, hi in zip(order, bounds, bounds[1:]):\n"
+        "                advance(j,",
+        "            for j, lo, hi in zip(order[1:] + order[:1], bounds, bounds[1:]):\n"
+        "                advance(j,",
+        (f"{MATRIX}[rrt-block-cone-reference]", f"{MATRIX}[rrt-chunk-cone-reference]",
+         "tests/test_rrt_batched.py::TestBlockEqualsCalls"),
+    ),
+    Mutant(
+        "the block rescales counters with one branch's ratio",
+        "repro/planners/rrt.py",
+        "                seq_points += seq\n                spec_points += spec\n",
+        "                seq_points, spec_points = seq, spec\n",
+        (f"{MATRIX}[rrt-chunk-cone-reference]", "tests/test_rrt_batched.py::TestBlockEqualsCalls"),
+    ),
+    Mutant(
+        "a one-worker guided run is cut into several chunks",
+        "repro/runtime/chunking.py",
+        "    if workers == 1:\n",
+        "    if False:\n",
+        ("tests/test_shm_runtime.py::TestChunking::test_guided_on_one_worker_is_one_chunk",
+         f"{CELL}[thread-inline-None-1]"),
+    ),
+    Mutant(
+        "a draw as near to two nodes as to one extends the later one",
+        "repro/planners/rrt.py",
+        "                row = int(np.argmin(d))\n",
+        "                row = d.size - 1 - int(np.argmin(d[::-1]))\n",
+        ("tests/test_rrt_batched.py::TestEdgeCases::test_tied_nearest_nodes",),
     ),
     Mutant(
         "a bias draw does not consume its double",
@@ -318,8 +350,9 @@ MUTANTS = [
         "repro/runtime/local_pool.py",
         "            value = fn(tid)\n",
         "            value = fn(entries[0][0])\n",
-        (f"{MATRIX}[rrt-chunk-cone-reference]", f"{CELL}[thread-inline-None-1]",
-         f"{CELL}[process-inline-None-2]"),
+        ("tests/test_local_pool.py::TestBackendsAndChunking::test_chunksize_preserves_results",
+         "tests/test_api_faults.py::TestChunksPlannedAsBlocks"
+         "::test_an_injector_plan_keeps_the_per_task_loop"),
     ),
     Mutant(
         "pool threads share one collision-counter cell",
@@ -364,7 +397,7 @@ MUTANTS = [
         "repro/api.py",
         "workload=replace(wl, environment=env.name),",
         "workload=replace(wl, environment=env.name, seed=wl.seed + 1),",
-        (f"{CELL}[process-shm-None-1]", f"{CELL}[thread-shm-None-2]"),
+        (f"{CELL}[process-shm-None-1]", f"{CELL}[thread-shm-None-1]"),
     ),
     Mutant(
         "a steal round travels as one bundle at its first victim's arrival time",
