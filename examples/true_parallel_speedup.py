@@ -4,9 +4,9 @@
 The simulator answers "how would this scale to 3,072 cores?"; this example
 shows the other side: ``plan(spec, ExecutionPolicy(mode="local", ...))``
 runs the same regional planner for real on a local pool, and the table
-below times it: one row on the thread backend (always one worker thread)
-and a ``workers`` sweep on the process backend, each against the thread
-row.
+below times it: one row on the inline backend (every region planned in
+the calling process) and a ``workers`` sweep on the process backend, each
+against the inline row.
 
 Run:  python examples/true_parallel_speedup.py [--quick]
 
@@ -30,7 +30,7 @@ def main(quick: bool = False) -> None:
     )
     print(f"{spec.num_regions} regions x {spec.samples_per_region} samples, med-cube\n")
     rows = []
-    runs = [("thread", 1)] + [("process", w) for w in ((1, 2) if quick else (1, 2, 4, 8))]
+    runs = [("inline", 1)] + [("process", w) for w in ((1, 2) if quick else (1, 2, 4, 8))]
     serial_time = None
     for backend, workers in runs:
         report = plan(spec, ExecutionPolicy(mode="local", workers=workers, backend=backend))
@@ -49,7 +49,7 @@ def main(quick: bool = False) -> None:
     print(format_table(["backend", "workers", "wall time", "speedup", "roadmap nodes"], rows))
     print(
         "\n(Every row builds the same roadmap.  Regional planning is mostly "
-        "Python-bound, so the thread\nbackend runs one worker thread: a second "
+        "Python-bound, so the serial\nrow runs inline: a second thread "
         "would only trade the GIL.  The process backend\nis the one that scales "
         "with cores, once the work outweighs starting its workers.)"
     )

@@ -200,9 +200,9 @@ class PlanReport:
         wl, ex = self.request.workload, self.request.execution
         if self.pool is not None:
             # Strategy and PE count are simulate-only; a local run reports
-            # the pool it actually ran on.
-            n = self.pool.workers
-            header = f"{wl.planner.upper()} on {n} {ex.backend} worker{'s' * (n != 1)}"
+            # the pool it actually ran on ("thread" spells "inline").
+            n, backend = self.pool.workers, "process" if ex.backend == "process" else "inline"
+            header = f"{wl.planner.upper()} on {n} {backend} worker{'s' * (n != 1)}"
         else:
             header = f"{wl.planner.upper()} / {ex.strategy} on {ex.num_pes} PEs"
         lines = [

@@ -52,7 +52,7 @@ from ..cspace.space import ConfigurationSpace
 from ..knn.brute import BruteForceNN
 from ..obs.events import EV_QUERY_END, EV_QUERY_START, PHASE_SERVE
 from ..obs.metrics import nearest_rank
-from ..runtime.local_pool import DispatchStats, resolve_workers, run_tasks_parallel
+from ..runtime.local_pool import DispatchStats, check_timeout, resolve_workers, run_tasks_parallel
 from .frozen import LANDMARKS, FrozenRoadmap
 from .query import QueryResult
 from .roadmap import Roadmap
@@ -329,7 +329,8 @@ class QueryEngine:
         (default fail-fast), so retry/degrade semantics match regional
         planning; abandoned queries surface as ``None`` results listed in
         ``abandoned``, with their consumed attempts in ``attempts`` — the
-        same accounting ``plan()`` surfaces.
+        same accounting ``plan()`` surfaces.  A ``task_timeout`` needs
+        ``backend="process"``: inline searches run in the caller.
 
         With a tracer, the batch runs inside a ``serve`` span and each
         query emits ``EV_QUERY_START`` / ``EV_QUERY_END`` (attrs:
@@ -341,6 +342,7 @@ class QueryEngine:
         # No FaultPolicy means the pool's own defaults, which are FaultPolicy()'s.
         fault_kwargs = {"retry_seed": retry_seed}
         if faults is not None:
+            check_timeout(execution.backend if execution else "inline", faults.task_timeout)
             fault_kwargs = faults.pool_kwargs(retry_seed)
         t0 = time.perf_counter()
         starts_l: "list[np.ndarray]" = []

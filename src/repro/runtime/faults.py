@@ -9,7 +9,8 @@ reliable one):
 * :class:`Fault` — one planned failure, keyed by task id and attempt
   number.  Three kinds: ``"raise"`` (the task raises mid-execution,
   modelling a transient regional-planner failure), ``"hang"`` (the task
-  stalls past its timeout), and ``"crash"`` (the worker process dies).
+  stalls, past its timeout on the process backend), and ``"crash"`` (the
+  worker process dies).
 * :class:`FaultInjector` — a deterministic, seedable plan of faults.
   Explicit :class:`Fault` entries fire exactly when their key matches;
   an optional Bernoulli ``rate`` adds seeded pseudo-random transient
@@ -55,8 +56,8 @@ class InjectedFault(RuntimeError):
 class WorkerCrash(RuntimeError):
     """A worker died (or simulated dying) while holding tasks.
 
-    On the thread backend a ``"crash"`` fault raises this instead of
-    killing the process — threads cannot be killed, so the crash is
+    On the inline backend a ``"crash"`` fault raises this instead of
+    killing the process — the worker is the caller, so the crash is
     *modelled*: the dispatcher treats it exactly like a dead worker
     (attempt consumed for every task in the chunk, worker-death counted).
     """

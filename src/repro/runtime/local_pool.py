@@ -15,33 +15,17 @@ only a tuple of integer task ids.  The callable must still be picklable
 (a module-level function or a functools partial of one), but it crosses
 the process boundary once per worker rather than once per task.
 
-The ``"thread"`` backend runs on exactly one worker thread, whatever
-``workers`` asks for: it ships nothing and dispatches in microseconds, but
-every task this repository gives it — ``plan()`` regions and served
-searches — is Python-bound, so a second thread only trades the
-interpreter lock.  Even the NumPy calls these tasks make (``argsort``, a
-1-D ``dot``, a small ``matmul``, a 2,560-element reduction) run 1.8-2.7x
-slower per call when two threads issue them: each releases the lock, and
-taking it back waits on the other thread.  Through the public API, one
-thread against two (seconds, median of 6 interleaved calls on a 2-vCPU
-box, with two threads still allowed; the burst row is a median of 12):
-
-=============================================  ========  =========  =====
-call                                           1 thread  2 threads  ratio
-=============================================  ========  =========  =====
-med-cube PRM 1024 x 8, ``chunksize=1``         1.188     1.723      0.69x
-med-cube PRM 1024 x 8, ``"guided"``            0.077     0.128      0.60x
-mixed-30 RRT 64 x 100                          1.169     2.085      0.56x
-warehouse (20k boxes) PRM 600 x 16, guided     0.185     0.180      1.02x
-``serve_mixed`` burst, 3 tenants x 84 queries  0.408     0.427      0.96x
-=============================================  ========  =========  =====
-
-Parallel speedup is the ``"process"`` backend's job.
+The ``"inline"`` backend (the default; ``"thread"`` is an older
+spelling) runs each submission in the caller, inside the same dispatch
+loop, and ships nothing.  Its tasks are Python-bound, so a second thread
+would only trade the interpreter lock (docs/runtime.md, "Which
+backend"), and the caller cannot be pre-empted, so a ``task_timeout``
+needs the ``"process"`` backend — as does parallel speedup.
 
 Dispatch granularity is a pluggable policy (:mod:`repro.runtime.chunking`):
 ``chunksize`` accepts the historical fixed int or ``"guided"``
 self-scheduling (chunks decay as ``remaining / (2 * workers)``; one
-worker, which the thread backend always is, takes every task in one
+worker, which the inline backend always is, takes every task in one
 chunk — the decay exists so that workers finish together, and a lone
 worker has no one to finish with).  A chunk is
 also the block its worker may run in one call: a chunk of two or more
@@ -79,7 +63,7 @@ from submission, so with a timeout at most one submission per worker is
 in flight — none waits in the executor's queue — and an expiry retires
 the executor without waiting (its hung worker keeps running; what it
 returns is never read) and carries on with a fresh one.  Dead workers are
-detected (a broken process pool, or a :class:`WorkerCrash` on the thread
+detected (a broken process pool, or a :class:`WorkerCrash` on the inline
 backend); the pool is rebuilt and the in-flight regions re-dispatched to
 surviving workers.  A deterministic
 :class:`~repro.runtime.faults.FaultInjector` can inject failures for
@@ -98,8 +82,9 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
+    Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -135,6 +120,7 @@ __all__ = [
     "FAILURE_POLICIES",
     "DispatchStats",
     "PoolResult",
+    "check_timeout",
     "resolve_workers",
     "run_tasks_parallel",
 ]
@@ -169,8 +155,8 @@ class DispatchStats:
     """What one pool run shipped to its workers, and how.
 
     ``context_bytes`` / ``task_bytes`` / ``serde_s`` are measured on the
-    process backend (threads ship nothing).  The shm fields aggregate the
-    worker-side attach records piggybacked on chunk results.
+    process backend (inline runs ship nothing).  The shm fields aggregate
+    the worker-side attach records piggybacked on chunk results.
     """
 
     #: effective policy label: ``fixed-N`` or ``guided``.
@@ -212,7 +198,7 @@ class PoolResult:
     abandoned: "list[int]" = field(default_factory=list)
     #: failed attempts that were rescheduled.
     retries: int = 0
-    #: dead workers detected (process deaths, or modelled thread crashes).
+    #: dead workers detected (process deaths, or modelled inline crashes).
     worker_deaths: int = 0
     #: dispatch accounting: chunk policy, bytes shipped, shm attaches.
     dispatch: DispatchStats = field(default_factory=DispatchStats)
@@ -260,7 +246,7 @@ def _run_attempts(
     exception is raised out of the chunk instead of reported, so the
     dispatcher re-raises it as is (plain ``fail_fast``).  A crash fault
     kills the worker process outright (process backend) or raises
-    :class:`WorkerCrash` out of the chunk (thread backend) — in both
+    :class:`WorkerCrash` out of the chunk (inline backend) — in both
     cases the dispatcher loses the whole chunk, exactly as it would to
     a real worker death.  A chunk of fresh tasks with no injector to poll
     is first offered to :func:`_run_block`.
@@ -334,6 +320,25 @@ def _run_block(
     ]
 
 
+class _InlineExecutor(Executor):
+    """``submit`` runs the call in the caller and returns its settled
+    future; ``Executor.shutdown`` is already the no-op it needs."""
+
+    def submit(self, fn: Callable, /, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # read from the future, as a pool's would be
+            fut.set_exception(exc)
+        return fut
+
+
+def check_timeout(backend: str, task_timeout: "float | None") -> None:
+    """Only a process can be pre-empted: refuse any other backend a timeout."""
+    if task_timeout is not None and backend != "process":
+        raise ValueError(f"task_timeout needs backend='process', not {backend!r}")
+
+
 def _run_attempts_shipped(
     entries: "tuple[tuple[int, int], ...]", propagate: bool
 ) -> "tuple[list[tuple[int, int, bool, object, float, float]], dict | None]":
@@ -347,7 +352,7 @@ def run_tasks_parallel(
     fn: Callable[[int], object],
     task_ids: "list[int]",
     workers: "int | None" = None,
-    backend: str = "thread",
+    backend: str = "inline",
     chunksize: "int | str" = 1,
     tracer: "Tracer | None" = None,
     failure_policy: str = "fail_fast",
@@ -372,15 +377,15 @@ def run_tasks_parallel(
         measured time), unless a ``fault_injector`` is installed.
     workers:
         Process-pool size; ``None`` (default) resolves to
-        ``os.cpu_count()``.  It is validated on either backend but sets no
-        thread count: the thread backend runs one worker.  The number of
-        workers the pool ran is surfaced on ``PoolResult.workers``.
+        ``os.cpu_count()``.  It is validated on either backend; the inline
+        backend's one worker is the caller.  The number of workers the
+        pool ran is surfaced on ``PoolResult.workers``.
     backend:
-        ``"thread"`` (default: one worker thread, nothing shipped) or
-        ``"process"`` (the one with a real parallel speedup).  At most
-        ``2 * workers`` submissions are in flight (``workers`` with a
-        ``task_timeout``), counting the workers the pool runs, which
-        bounds memory for huge task lists.
+        ``"inline"`` (default: each submission runs in the caller and its
+        outcome is read before the next runs) or ``"process"`` (the one
+        with a real parallel speedup: at most ``2 * workers`` submissions
+        in flight, ``workers`` with a ``task_timeout``, which bounds
+        memory for huge task lists).
     chunksize:
         Tasks per submission: a fixed int (default 1), or the policy
         ``"guided"`` (self-scheduling decay: big chunks early to amortise
@@ -410,7 +415,7 @@ def run_tasks_parallel(
         ``k * task_timeout`` from its submission, which is when it starts
         (one submission per worker is in flight), and every unfinished
         task in it counts one failed attempt.  ``None`` (default) disables
-        timeouts.
+        timeouts, and is the only value the inline backend takes.
     fault_injector:
         Optional :class:`~repro.runtime.faults.FaultInjector` for chaos
         testing; ``None`` (default) costs nothing.
@@ -419,8 +424,8 @@ def run_tasks_parallel(
     """
     workers = resolve_workers(workers)
     validate_chunksize(chunksize)
-    if backend not in ("thread", "process"):
-        raise ValueError("backend must be 'thread' or 'process'")
+    if backend not in ("inline", "process", "thread"):
+        raise ValueError("backend must be 'inline' or 'process'")
     if failure_policy not in FAILURE_POLICIES:
         raise ValueError(
             f"failure_policy must be one of {FAILURE_POLICIES}, got {failure_policy!r}"
@@ -429,11 +434,13 @@ def run_tasks_parallel(
         raise ValueError("max_retries must be >= 0")
     if task_timeout is not None and task_timeout <= 0:
         raise ValueError("task_timeout must be positive")
-    if backend == "thread":
-        workers = 1  # Python-bound tasks: a second thread only trades the GIL
+    check_timeout(backend, task_timeout)
+    process = backend == "process"
+    workers = workers if process else 1  # inline, the caller is the one worker
     # A deadline runs from submission: with a timeout, no submission may
-    # wait in the executor's queue behind another.
-    window = workers if task_timeout is not None else 2 * workers
+    # wait in the executor's queue behind another; inline, none may run
+    # before the last one's outcome is read.
+    window = 2 * workers if process and task_timeout is None else workers
     tasks = list(task_ids)
     # Plain fail_fast: nothing can retry, time out or be injected, so a
     # task's own exception travels back through its future unwrapped.
@@ -458,10 +465,7 @@ def run_tasks_parallel(
     fresh = iter(resolve_chunks(tasks, chunksize, workers))
     dispatch = DispatchStats(chunk_policy=policy_label(chunksize))
 
-    process = backend == "process"
-    pool: "ProcessPoolExecutor | ThreadPoolExecutor"
-
-    def make_pool():
+    def make_pool() -> Executor:
         """Fresh executor of the configured backend (also on respawn and expiry)."""
         if process:
             return ProcessPoolExecutor(
@@ -469,7 +473,7 @@ def run_tasks_parallel(
                 initializer=_pool_init,
                 initargs=(fn, fault_injector),
             )
-        return ThreadPoolExecutor(max_workers=workers)
+        return _InlineExecutor()
 
     pool = make_pool()
     if process:
@@ -483,13 +487,18 @@ def run_tasks_parallel(
     def submit(entries: "tuple[tuple[int, int], ...]") -> None:
         """Dispatch (task, attempt) entries to the pool and track them."""
         deadline = None if task_timeout is None else now() + task_timeout * len(entries)
+        sub = _Submission(entries, deadline)
         dispatch.chunks_issued += 1
-        if process:
-            dispatch.task_bytes += _weigh(entries, dispatch)
-            fut = pool.submit(_run_attempts_shipped, entries, propagate)
-        else:
-            fut = pool.submit(_run_attempts, fn, entries, fault_injector, False, propagate)
-        in_flight[fut] = _Submission(entries, deadline)
+        try:
+            if process:
+                dispatch.task_bytes += _weigh(entries, dispatch)
+                fut = pool.submit(_run_attempts_shipped, entries, propagate)
+            else:
+                fut = pool.submit(_run_attempts, fn, entries, fault_injector, False, propagate)
+        except BrokenExecutor:  # a crash broke the pool before its future was read
+            on_worker_death(sub, "process_died")
+            return
+        in_flight[fut] = sub
 
     def fail_attempt(tid: int, attempt: int, reason: object) -> None:
         """One attempt of ``tid`` failed; retry, abandon, or raise."""
@@ -541,15 +550,14 @@ def run_tasks_parallel(
                 in_flight=len(in_flight) + 1,
                 reason=reason,
             )
+        # A dead process breaks the whole executor: every other in-flight
+        # future is lost too (inline, none is).  Rebuild and re-dispatch.
         lost = list(first.entries)
-        if process:
-            # A dead process breaks the whole executor: every other
-            # in-flight future is lost too.  Rebuild and re-dispatch.
-            for sub in in_flight.values():
-                lost.extend(sub.entries)
-            in_flight.clear()
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = make_pool()
+        for sub in in_flight.values():
+            lost.extend(sub.entries)
+        in_flight.clear()
+        pool.shutdown(wait=False, cancel_futures=True)
+        pool = make_pool()
         lost = [(tid, a) for tid, a in lost if tid in unresolved]
         culprits = {
             (tid, a)

@@ -17,7 +17,7 @@ Lifecycle:
 * :func:`publish_arrays` deduplicates by fingerprint and refcounts —
   publishing identical content twice reuses the live segment.
 * :func:`release` decrements; the last release closes and unlinks.  If
-  same-process numpy views still pin the mapping (thread backend), the
+  same-process numpy views still pin the mapping (inline backend), the
   segment is still *unlinked* (nothing left in ``/dev/shm``) and the
   close is retried at interpreter exit — memory is reclaimed when the
   last mapping dies, the name never leaks.
@@ -264,7 +264,7 @@ def release(manifest: SharedArrayManifest) -> None:
     try:
         live.shm.close()
     except BufferError:
-        # Same-process views (thread backend) still pin the mapping:
+        # Same-process views (inline backend) still pin the mapping:
         # unlink now, retry the close at exit.
         _ZOMBIES.append(live.shm)
     try:

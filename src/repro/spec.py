@@ -47,7 +47,7 @@ from .core.parallel_prm import PRMWorkload, build_prm_workload
 from .core.parallel_rrt import RRTWorkload, build_rrt_workload, default_root
 from .cspace.space import ConfigurationSpace, EuclideanCSpace
 from .geometry import Environment, environments
-from .runtime.local_pool import FAILURE_POLICIES, resolve_workers
+from .runtime.local_pool import FAILURE_POLICIES, check_timeout, resolve_workers
 from .runtime.simulator import validate_steal_chunk
 
 if TYPE_CHECKING:
@@ -64,7 +64,7 @@ __all__ = [
 
 _PLANNERS = ("prm", "rrt")
 _MODES = ("simulate", "local")
-_BACKENDS = ("thread", "process")
+_BACKENDS = ("inline", "process")
 _DATA_PLANES = ("auto", "shm")
 
 
@@ -205,12 +205,11 @@ class ExecutionPolicy:
     steal_chunk: "str | int" = "half"
     #: process-pool size (also the number of chunks a
     #: ``QueryEngine.solve_many`` batch is cut into); ``None`` resolves
-    #: to ``os.cpu_count()`` at dispatch time.  On the ``"thread"``
-    #: backend it sets no thread count: that pool runs one worker thread,
-    #: since its tasks are Python-bound and a second thread only trades
-    #: the interpreter lock.
+    #: to ``os.cpu_count()`` at dispatch time.
     workers: "int | None" = None
-    backend: str = "thread"
+    #: ``"inline"`` runs every task in the caller (``"thread"`` is an
+    #: older spelling); ``"process"`` runs them on ``workers`` processes.
+    backend: str = "inline"
     #: tasks per submission in ``plan()``: ``"guided"`` (default), the
     #: :mod:`repro.runtime.chunking` policy — self-scheduling decay on
     #: several workers, every region in one chunk on one — or a fixed
@@ -245,7 +244,7 @@ class ExecutionPolicy:
             raise ValueError(f"num_pes must be an int >= 1, got {pes!r}")
         resolve_workers(self.workers)
         validate_steal_chunk(self.steal_chunk)
-        if self.backend not in _BACKENDS:
+        if self.backend not in (*_BACKENDS, "thread"):
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         from .runtime.chunking import validate_chunksize
 
@@ -274,7 +273,7 @@ class FaultPolicy:
     policy: str = "fail_fast"
     max_retries: int = 2
     #: seconds allowed per task before the attempt counts as failed
-    #: (local execution; None disables timeouts).
+    #: (local execution on the process backend; None disables timeouts).
     task_timeout: "float | None" = None
     #: deterministic chaos plan (see ``repro.runtime.faults``); None
     #: injects nothing and costs nothing.
@@ -362,6 +361,7 @@ class PlanRequest:
                 "a FaultPolicy applies to local execution only; simulate mode "
                 f"takes the default FaultPolicy(), got {self.faults!r}"
             )
+        check_timeout(self.execution.backend, self.faults.task_timeout)
 
     def resolve_cspace(self) -> ConfigurationSpace:
         """Materialise the workload's configuration space, on the

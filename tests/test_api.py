@@ -225,9 +225,9 @@ class TestLocalExecution:
         assert "slowest region" in report.summary()
 
     @pytest.mark.parametrize("workers, backend, header", [
-        (1, "thread", "RRT on 1 thread worker (local)"),
+        (1, "inline", "RRT on 1 inline worker (local)"),
         (2, "process", "RRT on 2 process workers (local)"),
-    ], ids=["thread-1", "process-2"])
+    ], ids=["inline-1", "process-2"])
     def test_summary_header_names_the_pool(self, workers, backend, header):
         """A local run reports the pool it ran on, not the simulate-only
         strategy and PE count its policy still carries."""
@@ -256,7 +256,7 @@ class TestLocalExecution:
         """Local mode and the workload builders run the same regional
         planner: with local mode's eight parameter values handed to the
         builder's region planner, a builder's regions equal the pool's bit
-        for bit — on the thread backend and through the shm worker's
+        for bit — on the inline backend and through the shm worker's
         rebuild on the process backend."""
         if planner == "prm":
             wl = WorkloadSpec("med-cube", "prm", num_regions=64, samples_per_region=8, seed=3)
@@ -278,7 +278,7 @@ class TestLocalExecution:
         stats = PlannerStats()
         for w in work.values():
             stats += w.stats
-        for backend in ("thread", "process"):
+        for backend in ("inline", "process"):
             local = plan(wl, ExecutionPolicy(mode="local", workers=2, backend=backend))
             assert _vertices(local.roadmap) == _vertices(built.roadmap)
             assert local.local_stats == stats
@@ -297,11 +297,11 @@ class TestLocalExecution:
 
         wl = WorkloadSpec(planner=planner, num_regions=6, samples_per_region=4,
                           nodes_per_region=6, seed=4)
-        threaded = plan(wl, ExecutionPolicy(mode="local", workers=1))
+        serial = plan(wl, ExecutionPolicy(mode="local", workers=1))
         monkeypatch.setattr(shm, "shm_available", lambda: False)
         shipped = plan(wl, ExecutionPolicy(mode="local", workers=2, backend="process"))
         assert shipped.dispatch.shm_bytes == 0 and shipped.dispatch.context_bytes > 0
-        assert_same(digest(shipped), digest(threaded))
+        assert_same(digest(shipped), digest(serial))
 
     @pytest.mark.parametrize(
         "planner_cls, builder, local",
@@ -367,15 +367,14 @@ class TestLocalExecution:
         assert adjacency_fingerprint(plan(wl, policy).roadmap) == digest
 
     def test_pool_threads_do_not_share_a_sample_domain(self):
-        """One ``RRT`` inside the region planner serves every thread that
-        runs the pool's task callable, so the cone a branch samples from
-        has to travel with its ``grow`` call, and a thread's collision
-        count has to be its own.  The thread pool runs one worker, but a
-        thread left behind by an expired submission keeps planning while
-        its replacement starts.  Here two threads run the callable at
-        once on a short switch interval: kept as planner state, the cone
-        of one thread's branch proposes the other's samples, and a
-        shared counter cell charges each region the other's checks."""
+        """The pool runs tasks inline, but ``PlanService``'s serving threads
+        and callers' own threads can still share one caller-supplied
+        ``Environment``, so a thread's collision count has to be its own,
+        and the cone a branch samples from travels with its ``grow`` call.
+        Here two threads run one task callable at once on a short switch
+        interval: kept as planner state, one branch's cone proposes the
+        other's samples; a shared counter cell charges each region the
+        other's checks."""
         wl = WorkloadSpec("mixed-30", "rrt", num_regions=8, nodes_per_region=40, seed=3)
         task = _RegionTask(_region_planner(wl.resolve_cspace(), wl))
         rids = list(task.regions.region_ids)

@@ -126,7 +126,7 @@ class TestPlanRetryParity:
         assert chaotic.retries == 1
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 class TestChunksPlannedAsBlocks:
     """``chunksize=4``: every chunk of the 12 regions is a block, unless an
     injector is installed; failures read exactly as at ``chunksize=1``."""
@@ -159,7 +159,7 @@ class TestChunksPlannedAsBlocks:
         ids = sorted(clean.pool.results)
         faults = FaultPolicy(
             policy="retry",
-            task_timeout=5.0,
+            task_timeout=5.0 if backend == "process" else None,  # inline: a slow task
             injector=FaultInjector(
                 [
                     Fault("crash", task=ids[1], attempt=0),
@@ -210,7 +210,7 @@ class TestChunksPlannedAsBlocks:
 
 
 @pytest.mark.parametrize("policy", ["retry", "degrade"])
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_trace_recounts_the_reports_failures(backend, policy):
     """The completeness invariant on a chaotic local run: the trace alone
     gives the report's retries, worker deaths and abandoned regions."""

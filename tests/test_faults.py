@@ -1,9 +1,12 @@
 """Fault injection, retry/backoff and re-dispatch in the local pool."""
 
+import itertools
 import time
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import pytest
 
+from repro import ExecutionPolicy, FaultPolicy, PlanRequest
 from repro.obs import (
     EV_TASK_ABANDONED,
     EV_TASK_RETRY,
@@ -152,6 +155,21 @@ class TestRetryPolicy:
             run_tasks_parallel(_square, list(range(5)), workers=2, fault_injector=inj)
         assert err.value.attempts == 1
 
+    def test_serial_fail_fast_runs_no_later_task(self):
+        """Inline, each outcome is read before the next submission runs."""
+        ran = []
+
+        def recorded(task_id):
+            ran.append(task_id)
+            return 1 // (task_id - 2)
+
+        with pytest.raises(ZeroDivisionError):
+            run_tasks_parallel(recorded, list(range(6)))
+        inj = FaultInjector([Fault("raise", task=0, attempt=0)])
+        with pytest.raises(TaskFailedError):
+            run_tasks_parallel(recorded, list(range(6)), fault_injector=inj)
+        assert ran == [0, 1, 2]
+
     def test_plain_failure_propagates_on_fast_path(self):
         def boom(task_id):
             if task_id == 3:
@@ -228,6 +246,22 @@ class TestWorkerDeath:
         assert res.worker_deaths >= 1
         assert res.attempts[3] >= 2
 
+    def test_a_pool_broken_before_a_submission_is_one_death(self, monkeypatch):
+        """A crash can break the pool before its dead future is read: the
+        next ``submit`` raises, and that is the same one death."""
+        submit, calls = ProcessPoolExecutor.submit, itertools.count()
+
+        def breaking(pool, *args, **kwargs):
+            if next(calls) == 1:
+                raise BrokenProcessPool("a worker died")
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking)
+        res = run_tasks_parallel(
+            _square, list(range(8)), workers=2, backend="process", failure_policy="retry"
+        )
+        assert (res.results, res.worker_deaths) == ({i: i * i for i in range(8)}, 1)
+
     def test_crash_under_fail_fast_raises(self):
         inj = FaultInjector([Fault("crash", task=0, attempt=0)])
         with pytest.raises(TaskFailedError):
@@ -237,16 +271,14 @@ class TestWorkerDeath:
 
 
 class TestTimeouts:
-    def test_timeout_shorter_than_task_duration(self):
-        def slow(task_id):
-            if task_id == 1:
-                time.sleep(0.4)
-            return task_id
+    """Timeouts are the process backend's: the caller cannot be pre-empted."""
 
+    def test_timeout_shorter_than_task_duration(self):
         res = run_tasks_parallel(
-            slow,
+            _slow_task_one,
             [0, 1, 2],
             workers=2,
+            backend="process",
             failure_policy="degrade",
             max_retries=0,
             task_timeout=0.1,
@@ -260,6 +292,7 @@ class TestTimeouts:
             _square,
             list(range(5)),
             workers=2,
+            backend="process",
             failure_policy="retry",
             task_timeout=0.1,
             fault_injector=inj,
@@ -267,15 +300,14 @@ class TestTimeouts:
         assert res.results == {i: i * i for i in range(5)}
         assert res.attempts[2] >= 2
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_a_queued_submission_is_not_charged_for_waiting(self, backend):
+    def test_a_queued_submission_is_not_charged_for_waiting(self):
         # One worker: task 2 must not wait out its deadline queued behind
-        # the hung task 1, on either backend.
+        # the hung task 1.
         res = run_tasks_parallel(
             _slow_task_one,
             [0, 1, 2],
             workers=1,
-            backend=backend,
+            backend="process",
             failure_policy="degrade",
             max_retries=0,
             task_timeout=0.1,
@@ -286,6 +318,13 @@ class TestTimeouts:
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
             run_tasks_parallel(_square, [1], workers=1, task_timeout=0.0)
+        # Only a process can be pre-empted, in the pool and in a request.
+        for backend in ("inline", "thread"):
+            with pytest.raises(ValueError, match="backend='process'"):
+                run_tasks_parallel(_square, [1], backend=backend, task_timeout=1.0)
+            with pytest.raises(ValueError, match="backend='process'"):
+                PlanRequest(execution=ExecutionPolicy(mode="local", backend=backend),
+                            faults=FaultPolicy(task_timeout=1.0)).validate()
         with pytest.raises(ValueError):
             run_tasks_parallel(_square, [1], workers=1, failure_policy="panic")
         with pytest.raises(ValueError):
@@ -449,7 +488,7 @@ class TestBlockChunks:
         )
         assert injected.results == {tid: ("task", tid) for tid in tasks}
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_a_block_that_raises_is_rerun_task_by_task(self, backend):
         """Failure accounting stays per task: exactly what ``chunksize=1``
         reports for the same poisoned task."""

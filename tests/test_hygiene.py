@@ -448,3 +448,10 @@ def test_chunks_are_fixed_or_guided_and_scenes_and_builders_take_no_kwargs():
     for builder in catalogue:
         params = inspect.signature(builder).parameters.values()
         assert all(p.default is not p.empty for p in params), builder
+
+
+def test_serial_runs_inline_and_parallel_runs_processes():
+    """No runtime module starts a thread pool: its tasks would only trade the GIL."""
+    assert importlib.import_module("repro.spec")._BACKENDS == ("inline", "process")
+    runtime = sorted((SRC / "runtime").rglob("*.py"))
+    assert runtime and not [p for p in runtime if "ThreadPoolExecutor" in p.read_text()]

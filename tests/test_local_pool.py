@@ -1,6 +1,5 @@
 """Tests for the true-parallel local execution backend."""
 
-import threading
 import time
 
 import pytest
@@ -58,25 +57,6 @@ class TestRunTasksParallel:
         with pytest.raises(ValueError):
             run_tasks_parallel(_square, [1], backend="gpu")
 
-    def test_thread_backend_runs_one_task_at_a_time(self):
-        lock = threading.Lock()
-        running = [0]
-        most = [0]
-
-        def counted(task_id):
-            with lock:
-                running[0] += 1
-                most[0] = max(most[0], running[0])
-            time.sleep(0.01)
-            with lock:
-                running[0] -= 1
-            return task_id
-
-        res = run_tasks_parallel(counted, list(range(8)), workers=4, backend="thread")
-        assert res.results == {t: t for t in range(8)}
-        assert most[0] == 1
-        assert res.workers == 1
-
     def test_slowest_task_identified(self):
         def variable(task_id):
             time.sleep(0.01 * (task_id == 3))
@@ -98,19 +78,13 @@ class TestRunTasksParallel:
 
 
 class TestBackendsAndChunking:
-    def test_thread_and_process_agree(self):
-        tasks = list(range(12))
-        rt = run_tasks_parallel(_square, tasks, workers=2, backend="thread")
-        rp = run_tasks_parallel(_square, tasks, workers=2, backend="process")
-        assert rt.results == rp.results == {t: t * t for t in tasks}
-        assert set(rp.per_task_time) == set(tasks)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_chunksize_preserves_results(self, backend):
         tasks = list(range(10))
         res = run_tasks_parallel(_square, tasks, workers=2, backend=backend, chunksize=4)
         assert res.results == {t: t * t for t in tasks}
         assert set(res.per_task_time) == set(tasks)
+        assert res.workers == (2 if backend == "process" else 1)
 
     def test_chunksize_validation(self):
         with pytest.raises(ValueError):
@@ -157,7 +131,7 @@ class TestBlockChunks:
         times = [dt for *_row, dt, _t0 in rows]
         assert times == pytest.approx([sum(times) / 4] * 4) and sum(times) >= 0.02
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_every_chunk_sums_to_its_measured_time(self, backend):
         from repro.obs import Tracer
 
@@ -179,7 +153,7 @@ class TestBlockChunks:
             assert measured >= 0.004 * len(chunk)
             assert res.per_task_time[chunk[-1]] > res.per_task_time[chunk[0]]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_one_task_chunks_keep_measured_per_task_times(self, backend):
         res = run_tasks_parallel(_BlockTask(slow=3), list(range(6)), workers=2, backend=backend)
         assert res.results == {tid: ("task", tid) for tid in range(6)}

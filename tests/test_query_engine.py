@@ -137,7 +137,7 @@ class TestSolveMany:
         p50, p99 = batch.latency_percentile(50), batch.latency_percentile(99)
         assert 0 < p50 <= p99 <= max(batch.latencies)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_pool_dispatch_matches_inline(self, built, backend):
         cs, rmap = built
         eng = QueryEngine(cs, rmap)
@@ -149,6 +149,13 @@ class TestSolveMany:
         for a, b in zip(inline.results, pooled.results):
             assert same_answer(a, b)
         assert pooled.abandoned == [] and pooled.retries == 0
+
+    def test_a_timeout_needs_the_process_backend(self, built):
+        cs, rmap = built
+        eng, faults = QueryEngine(cs, rmap), FaultPolicy(task_timeout=1.0)
+        for execution in (None, ExecutionPolicy(workers=2), ExecutionPolicy(backend="thread")):
+            with pytest.raises(ValueError, match="backend='process'"):
+                eng.solve_many(_queries(cs, 4, seed=9), execution=execution, faults=faults)
 
     def test_degrade_abandons_faulty_query(self, built):
         cs, rmap = built
@@ -260,7 +267,8 @@ class TestBatchPasses:
 
     RUNS = {
         "inline": lambda: {},
-        "thread": lambda: {"execution": ExecutionPolicy(workers=2)},
+        # The inline backend: two chunks, one after the other, in the caller.
+        "pooled": lambda: {"execution": ExecutionPolicy(workers=2)},
         "process": lambda: {"execution": ExecutionPolicy(workers=2, backend="process")},
         # An injector sends every chunk through the per-task loop.
         "injected": lambda: {

@@ -84,10 +84,10 @@ class TestChunking:
 
     def test_guided_on_one_worker_is_one_chunk(self):
         """The decay lets workers finish together; a lone worker takes
-        every task at once — the thread backend's one thread included,
+        every task at once — the inline backend's one worker included,
         whatever ``workers`` says, and ``plan()``'s default policy."""
         assert resolve_chunks(list(range(37)), "guided", 1) == [tuple(range(37))]
-        for backend, workers in (("thread", 2), ("process", 1)):
+        for backend, workers in (("inline", 2), ("process", 1)):
             pool = run_tasks_parallel(
                 _task, list(range(20)), workers=workers, backend=backend, chunksize="guided"
             )
@@ -201,9 +201,7 @@ class TestShmLifecycle:
 
 class TestDispatchAccounting:
     def test_policy_label_and_chunks_on_result(self):
-        pool = run_tasks_parallel(
-            _task, list(range(20)), workers=2, backend="thread", chunksize="guided"
-        )
+        pool = run_tasks_parallel(_task, list(range(20)), workers=2, chunksize="guided")
         assert pool.dispatch.chunk_policy == "guided"
         assert 1 <= pool.dispatch.chunks_issued < 20
 
@@ -231,9 +229,7 @@ class TestDispatchAccounting:
 
     def test_serial_chunk_stamps_are_ordered(self):
         tr = Tracer()
-        run_tasks_parallel(
-            _sleepy, [0, 1, 2], workers=1, backend="thread", chunksize=3, tracer=tr
-        )
+        run_tasks_parallel(_sleepy, [0, 1, 2], workers=1, chunksize=3, tracer=tr)
         by_task = {
             e.attrs["task"]: e.ts
             for e in tr.memory.events
@@ -362,13 +358,13 @@ class TestLocalParityMatrix:
         return digests
 
     #: (backend, plane, kernel_backend, workers): every combination but
-    #: the thread backend at two workers, which runs the one thread its
-    #: ``workers=1`` twin runs.
+    #: the inline backend at two workers, which runs in the caller as its
+    #: ``workers=1`` twin does.
     CELLS = [
         (backend, plane, kernel_backend, workers)
-        for backend in ("thread", "process") for plane in ("inline", "shm")
+        for backend in ("inline", "process") for plane in ("inline", "shm")
         for kernel_backend in (None, "bvh") for workers in (1, 2)
-        if (backend, workers) != ("thread", 2)
+        if (backend, workers) != ("inline", 2)
     ]
 
     @pytest.mark.parametrize("backend,plane,kernel_backend,workers", CELLS)
@@ -377,35 +373,30 @@ class TestLocalParityMatrix:
     ):
         if plane == "inline":
             monkeypatch.setattr(shm_mod, "shm_available", lambda: False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # thread workers share one planner
         # "auto" must pick shm by itself on the process backend.
-        data_plane = "shm" if (plane, backend) == ("shm", "thread") else "auto"
-        try:
-            for wl, chunksize in self.ROWS:
-                report = plan(wl, execution=ExecutionPolicy(
-                    mode="local", workers=workers, backend=backend, chunksize=chunksize,
-                    kernel_backend=kernel_backend, data_plane=data_plane,
-                ))
-                assert_same(digest(report), oracle[wl.planner])
-                dispatch = report.dispatch
-                if plane == "shm":
-                    assert dispatch.shm_segments == 1 and dispatch.shm_bytes > 0
-                    assert dispatch.shm_attaches >= 1
-                else:
-                    assert (dispatch.shm_segments, dispatch.shm_attaches) == (0, 0)
-                # PRM chunks of two or more regions were planned as blocks
-                # (27 = 7 + 7 + 7 + 6; guided on one worker is one chunk, on
-                # two it ends in one-region chunks).  An RRT region comes
-                # back as its branch's own tree, planned alone or in a block.
-                if chunksize == 1 or wl.planner == "rrt":
-                    assert _parts(report) == {Roadmap}
-                elif chunksize == 7 or report.pool.workers == 1:
-                    assert _parts(report) == {PRMSegment}
-                else:
-                    assert _parts(report) == {Roadmap, PRMSegment}, chunksize
-        finally:
-            sys.setswitchinterval(interval)
+        data_plane = "shm" if (plane, backend) == ("shm", "inline") else "auto"
+        for wl, chunksize in self.ROWS:
+            report = plan(wl, execution=ExecutionPolicy(
+                mode="local", workers=workers, backend=backend, chunksize=chunksize,
+                kernel_backend=kernel_backend, data_plane=data_plane,
+            ))
+            assert_same(digest(report), oracle[wl.planner])
+            dispatch = report.dispatch
+            if plane == "shm":
+                assert dispatch.shm_segments == 1 and dispatch.shm_bytes > 0
+                assert dispatch.shm_attaches >= 1
+            else:
+                assert (dispatch.shm_segments, dispatch.shm_attaches) == (0, 0)
+            # PRM chunks of two or more regions were planned as blocks
+            # (27 = 7 + 7 + 7 + 6; guided on one worker is one chunk, on
+            # two it ends in one-region chunks).  An RRT region comes
+            # back as its branch's own tree, planned alone or in a block.
+            if chunksize == 1 or wl.planner == "rrt":
+                assert _parts(report) == {Roadmap}
+            elif chunksize == 7 or report.pool.workers == 1:
+                assert _parts(report) == {PRMSegment}
+            else:
+                assert _parts(report) == {Roadmap, PRMSegment}, chunksize
         assert shm_mod.leaked_segments() == []
 
 
@@ -430,7 +421,7 @@ class TestPlanes:
         assert rep.pool.worker_deaths >= 1
         assert rep.pool.retries >= 1
         # Failed attempts charge their checks too: all but the counters agree.
-        assert_same(digest(rep), digest(_small_plan(backend="thread")), ignore=("counters",))
+        assert_same(digest(rep), digest(_small_plan(backend="inline")), ignore=("counters",))
         assert shm_mod.leaked_segments() == []
 
     def test_degrade_abandonment_leaves_no_segments(self):
@@ -462,7 +453,7 @@ SHIPPED = ExecutionPolicy(
     mode="local", workers=2, backend="process", kernel_backend="bvh", chunksize=4,
 )
 #: the serial in-process run every shipped-tree plan must equal.
-INLINE = replace(SHIPPED, workers=1, backend="thread", chunksize=1)
+INLINE = replace(SHIPPED, workers=1, backend="inline", chunksize=1)
 
 SPAWNED = """
 import multiprocessing

@@ -329,7 +329,7 @@ MUTANTS = [
         "    if workers == 1:\n",
         "    if False:\n",
         ("tests/test_shm_runtime.py::TestChunking::test_guided_on_one_worker_is_one_chunk",
-         f"{CELL}[thread-inline-None-1]"),
+         f"{CELL}[inline-inline-None-1]"),
     ),
     Mutant(
         "a draw as near to two nodes as to one extends the later one",
@@ -367,7 +367,7 @@ MUTANTS = [
         "ni = np.concatenate((left, left + 1))",
         "ni = np.concatenate((left, left))",
         ("tests/test_bvh.py::test_random_worlds_bit_exact", f"{MATRIX}[prm-block-box-bvh]",
-         f"{CELL}[thread-inline-bvh-1]"),
+         f"{CELL}[inline-inline-bvh-1]"),
     ),
     Mutant(
         "a box is binned one cell short on its upper corner",
@@ -397,7 +397,7 @@ MUTANTS = [
         "repro/api.py",
         "workload=replace(wl, environment=env.name),",
         "workload=replace(wl, environment=env.name, seed=wl.seed + 1),",
-        (f"{CELL}[process-shm-None-1]", f"{CELL}[thread-shm-None-1]"),
+        (f"{CELL}[process-shm-None-1]", f"{CELL}[inline-shm-None-1]"),
     ),
     Mutant(
         "a steal round travels as one bundle at its first victim's arrival time",
@@ -541,9 +541,32 @@ MUTANTS = [
     Mutant(
         "a timeout keeps two submissions per worker in flight",
         "repro/runtime/local_pool.py",
-        "    window = workers if task_timeout is not None else 2 * workers\n",
-        "    window = 2 * workers\n",
+        "    window = 2 * workers if process and task_timeout is None else workers\n",
+        "    window = 2 * workers if process else workers\n",
         (f"{TIMEOUTS}::test_a_queued_submission_is_not_charged_for_waiting",),
+    ),
+    Mutant(
+        "the serial path submits a second chunk before the first's outcome is read",
+        "repro/runtime/local_pool.py",
+        "    window = 2 * workers if process and task_timeout is None else workers\n",
+        "    window = 2 * workers if task_timeout is None else workers\n",
+        ("tests/test_faults.py::TestRetryPolicy::test_serial_fail_fast_runs_no_later_task",),
+    ),
+    Mutant(
+        "the inline backend takes a task_timeout it cannot enforce",
+        "repro/runtime/local_pool.py",
+        '    if task_timeout is not None and backend != "process":\n',
+        "    if False:\n",
+        (f"{TIMEOUTS}::test_timeout_validation",
+         "tests/test_query_engine.py::TestSolveMany::test_a_timeout_needs_the_process_backend"),
+    ),
+    Mutant(
+        "a submission to a pool a crash has broken escapes the dispatcher",
+        "repro/runtime/local_pool.py",
+        "        except BrokenExecutor:  # a crash broke the pool before its future was read\n",
+        "        except ZeroDivisionError:  # a crash broke the pool before its future was read\n",
+        ("tests/test_faults.py::TestWorkerDeath"
+         "::test_a_pool_broken_before_a_submission_is_one_death",),
     ),
     Mutant(
         "a worker death in the pool emits no worker_death event",
