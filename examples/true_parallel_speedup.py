@@ -49,7 +49,7 @@ def main(quick: bool = False) -> None:
     print(format_table(["backend", "workers", "wall time", "speedup", "roadmap nodes"], rows))
     print(
         "\n(Every row builds the same roadmap.  Regional planning is mostly "
-        "Python-bound, so the serial\nrow runs inline: a second thread "
+        "Python-bound, so the\nserial row runs inline: a second thread "
         "would only trade the GIL.  The process backend\nis the one that scales "
         "with cores, once the work outweighs starting its workers.)"
     )
