@@ -64,16 +64,24 @@ def loads_of(
     graph: RegionGraph, weights: "Mapping[int, float]", assignment: "dict[int, int]", num_pes: int
 ) -> np.ndarray:
     """Per-PE total weight of ``assignment``, summed in ascending region
-    id order."""
-    loads = np.zeros(num_pes)
+    id order (over a list of doubles: each weight is widened to a double
+    first, as adding it into a float64 array does)."""
+    loads = [0.0] * num_pes
     for rid in graph.region_ids():
-        loads[assignment[rid]] += weights[rid]
-    return loads
+        loads[assignment[rid]] += float(weights[rid])
+    return np.array(loads, dtype=float)
 
 
 def edge_cut_of(graph: RegionGraph, assignment: "dict[int, int]") -> int:
-    """Number of adjacencies whose endpoints live on different PEs."""
-    return sum(1 for a, b in graph.edges() if assignment[a] != assignment[b])
+    """Number of adjacencies whose endpoints live on different PEs: each
+    cut adjacency is seen from both ends."""
+    cut = 0
+    for a in graph.region_ids():
+        here = assignment[a]
+        for b in graph.neighbors(a):
+            if assignment[b] != here:
+                cut += 1
+    return cut // 2
 
 
 def evaluate_partition(

@@ -40,37 +40,46 @@ def refine_partition(
     assign = dict(assignment)
     loads = loads_of(graph, weights, assign, num_pes)
     mean = loads.mean() if num_pes > 0 else 0.0
-    cap = (1.0 + BALANCE_TOLERANCE) * mean
+    cap = float((1.0 + BALANCE_TOLERANCE) * mean)
+    # Python lists, built once: a float's IEEE operations are NumPy
+    # scalars', without their per-operation cost.  Region ``i`` of the
+    # lists is ``ids[i]``.
+    loads = loads.tolist()
+    ids = graph.region_ids()
+    pos = {rid: i for i, rid in enumerate(ids)}
+    nbrs = [[pos[nbr] for nbr in graph.neighbors(rid)] for rid in ids]
+    owner = [assign[rid] for rid in ids]
+    region_w = [weights[rid] for rid in ids]
 
     for _ in range(MAX_PASSES):
         improved = False
-        for rid in graph.region_ids():
-            here = assign[rid]
+        for i, adjacent in enumerate(nbrs):
+            here = owner[i]
             nbr_pes: dict[int, int] = {}
             local_ties = 0
-            for nbr in graph.neighbors(rid):
-                pe = assign[nbr]
+            for j in adjacent:
+                pe = owner[j]
                 if pe == here:
                     local_ties += 1
                 else:
                     nbr_pes[pe] = nbr_pes.get(pe, 0) + 1
             if not nbr_pes:
                 continue
-            # Gain of moving rid to pe = (cut edges recovered) - (new cut edges).
-            best_pe, best_gain = here, 0
-            for pe, ties in sorted(nbr_pes.items()):
-                gain = ties - local_ties
-                if gain > best_gain:
-                    best_pe, best_gain = pe, gain
-            if best_pe == here:
+            # Gain of moving a region to pe = (cut edges recovered) - (new
+            # cut edges): the move goes to the lowest-numbered PE among
+            # those holding the most neighbours, when that gain is positive.
+            most = max(nbr_pes.values())
+            if most <= local_ties:
                 continue
-            w = weights[rid]
+            best_pe = min(pe for pe, ties in nbr_pes.items() if ties == most)
+            w = region_w[i]
             if loads[best_pe] + w > cap or w > loads[here]:
                 continue
-            assign[rid] = best_pe
+            owner[i] = best_pe
             loads[here] -= w
             loads[best_pe] += w
             improved = True
         if not improved:
             break
+    assign.update(zip(ids, owner))
     return assign

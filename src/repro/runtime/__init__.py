@@ -28,7 +28,7 @@ from .shm import (
     release,
     shm_available,
 )
-from .simulator import StealPolicy, WorkStealingSimulator, run_static_phase
+from .simulator import StealPolicy, VictimSource, WorkStealingSimulator, run_static_phase
 from .stats import PEStats, SimResult
 from .termination import detection_delay_tree
 from .topology import ClusterTopology, mesh_shape_for
@@ -59,6 +59,7 @@ __all__ = [
     "release",
     "shm_available",
     "StealPolicy",
+    "VictimSource",
     "WorkStealingSimulator",
     "run_static_phase",
     "PEStats",

@@ -52,6 +52,14 @@ per-PE state held in Python lists (scalar reads are NumPy's slow path),
 and a zero-payload message reads its latency from the topology's node
 table; the rare transfer is a method.
 
+**One victim stream per run.**  ``run`` binds the policy's
+:meth:`StealPolicy.victim_source` once and asks it once per round; the
+source, not the policy, holds what the run needs (a neighbour table, a
+drawn block).  RAND-K draws its stream in blocks of rounds — a round's
+victims depend on the seed alone, and the thief only shifts the indices
+— and the run closes the source at its end, which rewinds the generator
+to where one draw per round leaves it.
+
 Protocol summary
 ----------------
 One protocol, the paper's (Alg. 3, Sec. III-A), with fixed constants:
@@ -87,7 +95,7 @@ import functools
 import heapq
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -105,7 +113,13 @@ from .topology import ClusterTopology
 if TYPE_CHECKING:
     from ..obs.tracer import Tracer
 
-__all__ = ["StealPolicy", "WorkStealingSimulator", "run_static_phase", "validate_steal_chunk"]
+__all__ = [
+    "StealPolicy",
+    "VictimSource",
+    "WorkStealingSimulator",
+    "run_static_phase",
+    "validate_steal_chunk",
+]
 
 #: A victim never gives away its last ``MIN_KEEP`` queued tasks.
 MIN_KEEP = 1
@@ -129,20 +143,32 @@ def validate_steal_chunk(steal_chunk: "str | int") -> None:
         raise ValueError(f'steal_chunk must be "half" or an int >= 1, got {steal_chunk!r}')
 
 
+class VictimSource(Protocol):
+    """One run's victim stream, bound once per run by
+    :meth:`StealPolicy.victim_source`; it holds the run's state (tables,
+    drawn blocks), so a policy object holds none."""
+
+    def __call__(self, thief: int, round_index: int) -> "Sequence[int]":
+        """PEs to request work from in this round (may be empty; the
+        simulator drops the thief if it is listed)."""
+        ...
+
+    def close(self) -> None:
+        """End of the run: leave the generator where one draw per round
+        leaves it."""
+        ...
+
+
 class StealPolicy(Protocol):
     """Victim-selection strategy (RAND-K / DIFFUSIVE / HYBRID live in
     :mod:`repro.core.work_stealing`)."""
 
     name: str
 
-    def select_victims(
-        self,
-        thief: int,
-        round_index: int,
-        topology: ClusterTopology,
-        rng: np.random.Generator,
-    ) -> "list[int]":
-        """PEs to request work from in this round (may be empty)."""
+    def victim_source(
+        self, topology: ClusterTopology, rng: np.random.Generator
+    ) -> VictimSource:
+        """A fresh source for one run on ``topology`` drawing from ``rng``."""
         ...
 
 
@@ -226,6 +252,9 @@ class WorkStealingSimulator:
         self._push = functools.partial(heapq.heappush, self._events)
         self._seq = itertools.count(1).__next__
         self._makespan = 0.0
+        policy = self.steal_policy
+        #: the run's one victim stream; ``None`` in a static phase.
+        self._victims = None if policy is None else policy.victim_source(self.topology, self.rng)
 
         for p in range(P):
             self._activate(p, 0.0)
@@ -316,6 +345,8 @@ class WorkStealingSimulator:
                     at = now + (local if node[thief] == here else remote)
                     push((at, seq(), _EMPTY_REPLIES, thief, [1]))
             activate(pe, now)
+        if self._victims is not None:
+            self._victims.close()
 
         # Steal traffic is tallied from the per-PE request / transfer /
         # failure counters once the run is over.
@@ -399,10 +430,9 @@ class WorkStealingSimulator:
         self._push((now + delay, self._seq(), _STEAL_REPLY, thief, tasks))
 
     def _start_steal_round(self, pe: int, now: float) -> None:
-        victims = self.steal_policy.select_victims(
-            pe, self._idle_rounds[pe], self.topology, self.rng
-        )
-        victims = [v for v in victims if v != pe]
+        victims = self._victims(pe, self._idle_rounds[pe])
+        if pe in victims:
+            victims = [v for v in victims if v != pe]
         if not victims:
             self._schedule_retry(pe, now)
             return

@@ -42,10 +42,6 @@ class TestRunTasksParallel:
         assert res.results == {i: i * i for i in range(20)}
         assert set(res.per_task_time) == set(range(20))
 
-    def test_single_worker(self):
-        res = run_tasks_parallel(_square, [1, 2, 3], workers=1)
-        assert res.results == {1: 1, 2: 4, 3: 9}
-
     def test_empty_task_list(self):
         res = run_tasks_parallel(_square, [], workers=2)
         assert res.results == {}

@@ -137,19 +137,6 @@ class TestSolveMany:
         p50, p99 = batch.latency_percentile(50), batch.latency_percentile(99)
         assert 0 < p50 <= p99 <= max(batch.latencies)
 
-    @pytest.mark.parametrize("backend", ["inline", "process"])
-    def test_pool_dispatch_matches_inline(self, built, backend):
-        cs, rmap = built
-        eng = QueryEngine(cs, rmap)
-        queries = _queries(cs, 12, seed=7)
-        inline = eng.solve_many(queries)
-        pooled = eng.solve_many(
-            queries, execution=ExecutionPolicy(workers=2, backend=backend)
-        )
-        for a, b in zip(inline.results, pooled.results):
-            assert same_answer(a, b)
-        assert pooled.abandoned == [] and pooled.retries == 0
-
     def test_a_timeout_needs_the_process_backend(self, built):
         cs, rmap = built
         eng, faults = QueryEngine(cs, rmap), FaultPolicy(task_timeout=1.0)
@@ -288,6 +275,8 @@ class TestBatchPasses:
             eng.frozen.build_landmarks()
         batch = eng.solve_many(queries, **self.RUNS[run]())
         assert batch.abandoned == []
+        if run in ("pooled", "process"):
+            assert batch.retries == 0
         assert batch.results[0] is None and batch.solved > 10
         for ref, got in zip(want, batch.results):
             assert same_answer(ref, got)

@@ -153,15 +153,23 @@ class TestStealOptionValidation:
 
 
 class _FixedVictims:
-    """A custom policy: every thief asks the same PEs, minus itself."""
+    """A custom policy: every thief asks the same PEs, and the simulator
+    drops the thief itself.  It draws nothing and holds no per-run state,
+    so it is its own victim source."""
 
     name = "fixed"
 
     def __init__(self, *victims):
-        self.victims = victims
+        self.victims = list(victims)
 
-    def select_victims(self, thief, round_index, topology, rng):
-        return [v for v in self.victims if v != thief]
+    def victim_source(self, topology, rng):
+        return self
+
+    def __call__(self, thief, round_index):
+        return self.victims
+
+    def close(self):
+        pass
 
 
 class TestCustomPolicies:

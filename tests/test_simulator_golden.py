@@ -456,3 +456,34 @@ if __name__ == "__main__":  # pragma: no cover - regeneration aid
             print(f'    ("{v}", "{s}"): "{sim_digest(_variant_run(prm, v, s))}",')
     print("}")
     print(f'GOLDEN_WIDE_TRACE_EVENTS = "{trace_digest(_wide_traced_run(prm)[1])}"')
+
+
+@pytest.mark.parametrize("policy", STEALING)
+@pytest.mark.parametrize("num_pes", [2, 3, 9, 48, 96, 200])
+def test_a_run_leaves_the_generator_where_per_round_draws_do(num_pes, policy):
+    """The simulator draws RAND-K rounds in blocks and rewinds its
+    generator when the run ends; the per-message loop draws one round at
+    a time.  Both runs end with the same result and the same generator
+    state."""
+    costs = np.random.default_rng(num_pes).uniform(1, 20, 4 * num_pes)
+    # A quarter of the PEs hold the work: the rest steal, round after round.
+    holders = max(1, num_pes // 4)
+    assignment = {t: t % holders for t in range(costs.size)}
+    topology = ClusterTopology(num_pes, cores_per_node=4)
+    rngs = {}
+
+    def run(cls):
+        rng = rngs[cls] = np.random.default_rng([num_pes, 1])
+        return cls(
+            topology,
+            lambda task, pe: float(costs[task]),
+            steal_policy=policy_by_name(policy),
+            rng=rng,
+        ).run(assignment)
+
+    want, got = run(PerMessageSimulator), run(WorkStealingSimulator)
+    assert sim_digest(got) == sim_digest(want)
+    end = rngs[WorkStealingSimulator].bit_generator.state
+    assert end == rngs[PerMessageSimulator].bit_generator.state
+    if policy != "diffusive" and num_pes > 2:  # choice(1, 1) draws nothing
+        assert end != np.random.default_rng([num_pes, 1]).bit_generator.state

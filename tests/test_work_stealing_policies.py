@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DiffusivePolicy, HybridPolicy, RandKPolicy, policy_by_name
-from repro.core.work_stealing import K
+from repro.core.work_stealing import BLOCK_ROUNDS, K
 from repro.runtime import ClusterTopology
 
 
@@ -52,6 +54,52 @@ class TestRandK:
                 assert got == ref.tolist()
                 assert all(type(v) is int for v in got)
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestBlockStream:
+    """A run's victim source draws RAND-K in blocks of rounds; it must
+    give the rows of one ``choice`` call per round and, once closed,
+    leave the generator where those calls leave it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        num_pes=st.integers(2, 600),
+        calls=st.integers(1, 2 * BLOCK_ROUNDS + 5),
+        seed=st.integers(0, 2**32 - 1),
+        policy=st.sampled_from(["rand-8", "hybrid"]),
+    )
+    @example(num_pes=2, calls=3, seed=0, policy="rand-8")
+    @example(num_pes=3, calls=BLOCK_ROUNDS + 1, seed=1, policy="rand-8")
+    @example(num_pes=9, calls=BLOCK_ROUNDS + 1, seed=2, policy="rand-8")
+    @example(num_pes=10, calls=3 * BLOCK_ROUNDS, seed=3, policy="hybrid")
+    @example(num_pes=96, calls=2 * BLOCK_ROUNDS + 1, seed=4, policy="rand-8")
+    @example(num_pes=383, calls=2 * BLOCK_ROUNDS, seed=5, policy="hybrid")
+    @example(num_pes=3072, calls=BLOCK_ROUNDS + 7, seed=6, policy="rand-8")
+    @example(num_pes=10002, calls=BLOCK_ROUNDS + 2, seed=7, policy="hybrid")
+    def test_rows_and_end_state_equal_one_choice_per_round(self, num_pes, calls, seed, policy):
+        topo = ClusterTopology(num_pes)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        # Thieves and round indices as a run would ask: any PE, and round 0
+        # (HYBRID's diffusive round, which draws nothing) a third of the time.
+        asks = np.random.default_rng([seed, 1]).integers(0, [num_pes, 3], size=(calls, 2))
+        source = policy_by_name(policy).victim_source(topo, rng)
+        n, k = num_pes - 1, min(K, num_pes - 1)
+        for thief, round_index in asks.tolist():
+            got = source(thief, round_index)
+            if policy == "hybrid" and round_index == 0:
+                assert list(got) == topo.mesh_neighbors(thief)
+                continue
+            row = ref.choice(n, size=k, replace=False).tolist()
+            assert list(got) == [v + 1 if v >= thief else v for v in row]
+        source.close()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_choice_keeps_floyds_algorithm_at_k(self):
+        """``choice(n, k, replace=False)`` switches to a tail shuffle only
+        when ``n > 10000`` and ``k > n // 50``; with ``k = min(K, n)`` the
+        second test needs ``n < 50 * K``, so it never holds."""
+        assert 50 * K <= 10_000
+        assert not any(n > 10_000 and min(K, n) > n // 50 for n in range(1, 50_000))
 
 
 class TestDiffusive:

@@ -51,6 +51,7 @@ SERVED = ("tests/test_service.py::TestObservabilityIntegration"
           "::test_trace_recounts_cache_and_service_stats")
 SHIPPED = "tests/test_shm_runtime.py::TestShippedTree"
 BUNDLED = f"{GOLDEN}::test_bundled_replies_equal_one_event_per_reply"
+POLICIES = "tests/test_work_stealing_policies.py"
 PREPARED = "tests/test_frozen.py::test_prepared_batch_equals_one_query_at_a_time"
 BATCH = "tests/test_query_engine.py::TestBatchPasses"
 TIMEOUTS = "tests/test_faults.py::TestTimeouts"
@@ -631,6 +632,30 @@ MUTANTS = [
         "    if strategy not in STRATEGIES:\n",
         "    if False:\n",
         ("tests/test_parallel_prm.py::TestSimulation::test_unknown_strategy_rejected",),
+    ),
+    Mutant(
+        "a RAND-K block skips Floyd's collision fix-up",
+        "repro/core/work_stealing.py",
+        "        col[(picks[:, :i] == col[:, None]).any(axis=1)] = n - k + i\n",
+        "        pass\n",
+        (f"{POLICIES}::TestBlockStream",
+         f"{POLICIES}::TestRandK::test_same_generator_stream_as_explicit_candidate_array"),
+    ),
+    Mutant(
+        "a RAND-K block skips the swap pass",
+        "repro/core/work_stealing.py",
+        "        picks[rows, j] = picks[:, i]\n        picks[:, i] = swapped\n",
+        "",
+        (f"{POLICIES}::TestBlockStream", f"{GOLDEN}::test_simulate_prm_golden[16-rand-8]"),
+    ),
+    Mutant(
+        "the generator is not rewound at the end of a run",
+        "repro/core/work_stealing.py",
+        "            self._rng.bit_generator.state = self._start\n"
+        "            draw_rounds(self._rng, self._n, self._k, self._used)\n",
+        "            pass\n",
+        (f"{POLICIES}::TestBlockStream", f"{GOLDEN}::test_a_run_leaves_the_generator_where"
+         "_per_round_draws_do[96-hybrid]"),
     ),
     Mutant(
         "LPT breaks weight ties by descending id",
