@@ -72,8 +72,13 @@ class ConfigurationSpace(ABC):
 
     # -- metric ---------------------------------------------------------------
     def distance(self, a: np.ndarray, b: np.ndarray) -> "float | np.ndarray":
-        """Euclidean distance between configuration ``a`` (1-D) and ``b``
-        (1-D or 2-D)."""
+        """Euclidean distance between configurations ``a`` and ``b``: a
+        float for two 1-D configurations, ``(m,)`` row-wise distances when
+        either is 2-D.  Every row has the bits of the 1-D call: the
+        stacked ``matmul`` reaches the same dot kernel as
+        ``diff.dot(diff)``, where the reduction of
+        ``np.linalg.norm(diff, axis=1)`` is one ulp off on 8-15 % of random
+        rows for d = 2..7 (``distance_pairs`` keeps that norm)."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         diff = b - a
@@ -81,7 +86,7 @@ class ConfigurationSpace(ABC):
             # np.linalg.norm's own 1-D path (one dot, then sqrt) without
             # its dispatch: the same bits at half the cost.
             return math.sqrt(diff.dot(diff))
-        return np.linalg.norm(diff, axis=1)
+        return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
     def interpolate(self, a: np.ndarray, b: np.ndarray, t: "float | np.ndarray") -> np.ndarray:
         """Point(s) on the straight line from ``a`` to ``b`` at parameter ``t``."""

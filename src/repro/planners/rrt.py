@@ -31,14 +31,19 @@ the predict-validate-replay strategy of :class:`repro.planners.prm.PRM`:
    doubles the oracle would have consumed, so every sample — and the
    generator's end state — is bit-identical to the sequential loop's.
 2. **Batch the nearest-neighbour work**: distances from all block samples
-   to the frozen tree are one broadcast; nodes accepted *inside* the
-   block contribute one incremental distance column each, so the nearest
-   node for iteration *i* is an O(1) combine of the frozen row minimum
-   and the running block minimum — never a rebuild.  Ties (including
-   frozen-vs-block ties) fall back to replaying the reference selection
-   on the composed distance vector, so the chosen neighbour is identical
-   even in degenerate geometry.  The tree always holds at least its
-   root, so every draw has a nearest node.
+   to the frozen tree are one broadcast, whose row minima and first
+   argmins are kept as Python lists.  A node accepted *inside* the block
+   updates the running block minimum of each draw still pending, in
+   Python scalars: ``sqrt`` of the squared differences summed left to
+   right, the bits of the reference finder's ``np.linalg.norm`` row
+   below 8 dimensions (where numpy sums left to right too).  The nearest
+   node for iteration *i* is then an O(1) combine of the two minima —
+   never a rebuild.  Ties need no fallback: every frozen node precedes
+   every block node, the frozen argmin is the first minimum and the
+   block minimum moves only on a strictly smaller distance, so "block
+   if strictly nearer, else frozen" is the reference (distance,
+   insertion order) choice.  The tree always holds at least its root,
+   so every draw has a nearest node.
 3. **Speculatively validate** the extensions the replay will need —
    steer arithmetic, the ``q_new`` validity point check, the region
    predicate, and the local-plan segment — in rounds.  Each round, every
@@ -74,6 +79,7 @@ are asserted identical to the sequential oracle, branch by branch, in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -306,10 +312,8 @@ class RRT:
         bias_cfg = np.asarray(bias_target, dtype=float) if bias_target is not None else None
 
         # Insertion-order store of every tree configuration — the same
-        # layout the oracle's NeighborFinder holds, so the tie-break
-        # fallback can replay the reference selection on an identical
-        # array.  Row ``r`` is vertex ``id_base + r``; the root plus the
-        # node budget always fit.
+        # layout the oracle's NeighborFinder holds.  Row ``r`` is vertex
+        # ``id_base + r``; the root plus the node budget always fit.
         cap = 1 + n_nodes
         store = np.empty((cap, dim))
         store[0] = root
@@ -381,41 +385,23 @@ class RRT:
             n0 = n_store
             D = np.empty((B, n0))
             BruteForceNN._dist_block(store[:n0], samples, D)
-            frozen_min = D.min(axis=1)
-            frozen_arg = D.argmin(axis=1)
-            frozen_tie = (D == frozen_min[:, None]).sum(axis=1) > 1
-            # A tie recomputes its distances (the same bits): no branch of
-            # a block holds a matrix while the others run.
-            del D
-            # Running minima over nodes accepted inside this block, updated
-            # by one incremental distance column per acceptance.
-            blk_min = np.full(B, np.inf)
-            blk_arg = np.full(B, -1)
-            blk_tie = np.zeros(B, dtype=bool)
+            frozen_min = D.min(axis=1).tolist()
+            frozen_arg = D.argmin(axis=1).tolist()  # the first minimum
+            del D  # no branch of a block holds a matrix while the others run
+            # Running minima over nodes accepted inside this block.
+            blk_min = [math.inf] * B
+            blk_arg = [0] * B
             n_blk = 0
+            points = samples.tolist()
 
             def nearest(i: int) -> "tuple[int, float]":
                 """``(store row, distance)`` of sample ``i``'s nearest tree
-                node under the current block state.  Exact reference
-                semantics: a unique strict minimum is resolved directly,
-                anything tied replays the oracle's selection on the
-                composed distance vector."""
-                fmin = frozen_min[i]
-                bmin = blk_min[i]
+                node under the current block state: a block node only when
+                strictly nearer, so ties go to the earlier insertion."""
+                fmin, bmin = frozen_min[i], blk_min[i]
                 if bmin < fmin:
-                    if not blk_tie[i]:
-                        return n0 + int(blk_arg[i]), float(bmin)
-                elif fmin < bmin:
-                    if not frozen_tie[i]:
-                        return int(frozen_arg[i]), float(fmin)
-                d = np.empty(n0 + n_blk)
-                BruteForceNN._dist_block(store[:n0], samples[i : i + 1], d[None, :n0])
-                d[n0:] = np.linalg.norm(store[n0 : n0 + n_blk] - samples[i], axis=1)
-                # argmin returns the FIRST minimum, i.e. the earliest
-                # inserted node — the canonical (distance, insertion
-                # order) tie-break every NeighborFinder implements.
-                row = int(np.argmin(d))
-                return row, float(d[row])
+                    return n0 + blk_arg[i], bmin
+                return frozen_arg[i], fmin
 
             spent: "list[tuple[int, object]]" = []  # this block's uniform keys
             pending = list(range(B))
@@ -438,10 +424,10 @@ class RRT:
                         samples[[i for _k, _r, _d, i in need]],
                         [d for _k, _r, d, _i in need],
                     )
-                    for j, ((key, *_), pt_ok, reg_ok, l_ok, l_checks, l_len) in enumerate(
-                        zip(need, *(f.tolist() for f in flags), strict=True)
+                    for (key, *_), pt_ok, reg_ok, l_ok, l_checks, l_len, q_new in zip(
+                        need, *(f.tolist() for f in flags), q_news.tolist(), strict=True
                     ):
-                        cache[key] = (pt_ok, reg_ok, l_ok, l_checks, l_len, q_news[j])
+                        cache[key] = (pt_ok, reg_ok, l_ok, l_checks, l_len, q_new)
                         spec_points += 1 + l_checks
                     spent += [key for key, *_ in need if key[1] != "bias"]
                 # -- strict in-order replay ------------------------------
@@ -480,16 +466,15 @@ class RRT:
                     store[n_store] = q_new
                     parent_rows[n_store] = row_near
                     lengths[n_store] = l_len
-                    # Incremental distance column: the new node vs every
-                    # block sample — the same row-wise norm the reference
-                    # finder computes (bit-identical to the frozen
-                    # matrix's per-dimension accumulation).
-                    col = np.linalg.norm(samples - q_new, axis=1)
-                    better = col < blk_min
-                    blk_tie |= col == blk_min
-                    blk_tie[better] = False
-                    blk_arg[better] = n_blk
-                    np.copyto(blk_min, col, where=better)
+                    # The new node vs every draw still pending, summed left
+                    # to right: the reference finder's row norm.
+                    for k in pending[done:]:
+                        acc = 0.0
+                        for a, b in zip(points[k], q_new):
+                            acc += (a - b) * (a - b)
+                        near = math.sqrt(acc)
+                        if near < blk_min[k]:
+                            blk_min[k], blk_arg[k] = near, n_blk
                     n_store += 1
                     n_blk += 1
                     added += 1

@@ -12,6 +12,7 @@ any number of weightings and mappings side by side.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ class RegionGraph:
     def __init__(self) -> None:
         self._regions: dict[int, Region] = {}
         self._adj: dict[int, set[int]] = {}
+        self._sorted_ids: list[int] = []  # ascending; region_ids() hands out copies
 
     @classmethod
     def from_regions(cls, regions: "Mapping[int, Region]") -> "RegionGraph":
@@ -53,6 +55,7 @@ class RegionGraph:
         graph = cls()
         graph._regions = regions  # type: ignore[assignment]
         graph._adj = {rid: set() for rid in regions}
+        graph._sorted_ids = sorted(graph._adj)
         return graph
 
     # -- construction ------------------------------------------------------
@@ -61,6 +64,7 @@ class RegionGraph:
             raise KeyError(f"region {region.id} already present")
         self._regions[region.id] = region
         self._adj[region.id] = set()
+        insort(self._sorted_ids, region.id)
 
     def add_adjacency(self, a: int, b: int) -> None:
         if a == b:
@@ -78,7 +82,8 @@ class RegionGraph:
         return self._regions.values()
 
     def region_ids(self) -> "list[int]":
-        return sorted(self._regions.keys())
+        """Every region id, ascending (a fresh list the caller may keep)."""
+        return list(self._sorted_ids)
 
     def neighbors(self, rid: int) -> "set[int]":
         return self._adj[rid]

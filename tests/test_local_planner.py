@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cspace import StraightLinePlanner
+from repro.cspace import EuclideanCSpace, StraightLinePlanner
+from repro.geometry import AABB, Environment
 
 
 class TestStraightLinePlanner:
@@ -74,6 +75,33 @@ def test_exact_segment_check_implies_lp_verdict(seed):
     exact_free = not env.segments_in_collision(a[None], b[None])[0]
     if exact_free:
         assert lp(cspace, a, b).valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 7), seed=st.integers(0, 2**31 - 1))
+def test_exact_twin_equals_the_scalar_loop(dim, seed):
+    """Property: ``batch_pairs_exact``'s verdicts, per-segment check counts
+    and lengths are the scalar planner's, bit for bit, below 8 dimensions:
+    on random segments, on segments a whole number of resolution steps
+    long (an RRT extension of ``step_size``, whose computed length sits on
+    a ``ceil`` boundary) and on zero-length ones."""
+    cspace = EuclideanCSpace(Environment(AABB([-5.0] * dim, [5.0] * dim),
+                                         [AABB([-1.0] * dim, [1.0] * dim)]))
+    lp = StraightLinePlanner(resolution=0.25)
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-4.5, 4.5, (48, dim))
+    ends = rng.uniform(-4.5, 4.5, (48, dim))
+    # Rows 16-31 are steered as RRT.grow steers: k resolution steps toward
+    # the draw; rows 32-39 have zero length.
+    for i, k in zip(range(16, 32), rng.integers(1, 9, 16).tolist()):
+        t = min(k * lp.resolution / cspace.distance(starts[i], ends[i]), 1.0)
+        ends[i] = cspace.interpolate(starts[i], ends[i], t)
+    ends[32:40] = starts[32:40]
+    ok, checks, lengths = lp.batch_pairs_exact(cspace, starts, ends)
+    singles = [lp(cspace, a, b) for a, b in zip(starts, ends)]
+    assert ok.tolist() == [s.valid for s in singles]
+    assert checks.tolist() == [s.checks for s in singles]
+    assert lengths.tolist() == [s.length for s in singles]
 
 
 class TestBatchPairsChunked:

@@ -194,6 +194,30 @@ class TestRegionGraph:
         with pytest.raises(ValueError):
             evaluate_partition(g, {0: 1.0, 1: 1.0}, {0: 0}, 1)
 
+    @staticmethod
+    def _box(i):
+        return BoxRegion(id=i, bounds=AABB([i, 0], [i + 1, 1]), sample_bounds=AABB([i, 0], [i + 1, 1]))
+
+    def test_region_added_later_appears_in_order(self):
+        g = RegionGraph()
+        for i in (5, 2):
+            g.add_region(self._box(i))
+        assert g.region_ids() == [2, 5]
+        g.add_region(self._box(3))
+        assert g.region_ids() == [2, 3, 5]
+        grid = UniformSubdivision(AABB([0, 0], [1, 1]), 12).graph
+        assert grid.region_ids() == list(range(grid.num_regions))
+
+    def test_mutating_returned_ids_changes_nothing(self):
+        g = RegionGraph()
+        for i in range(3):
+            g.add_region(self._box(i))
+        ids = g.region_ids()
+        ids.append(7)
+        ids.reverse()
+        assert g.region_ids() == [0, 1, 2]
+        assert g.num_regions == 3
+
     def test_edge_cut(self):
         g = RegionGraph()
         for i in range(3):

@@ -333,10 +333,17 @@ MUTANTS = [
          f"{CELL}[inline-inline-None-1]"),
     ),
     Mutant(
-        "a draw as near to two nodes as to one extends the later one",
+        "a block node tied with a frozen node wins",
         "repro/planners/rrt.py",
-        "                row = int(np.argmin(d))\n",
-        "                row = d.size - 1 - int(np.argmin(d[::-1]))\n",
+        "                if bmin < fmin:\n",
+        "                if bmin <= fmin:\n",
+        ("tests/test_rrt_batched.py::TestEdgeCases::test_tied_nearest_nodes",),
+    ),
+    Mutant(
+        "a later equal block node replaces the earlier",
+        "repro/planners/rrt.py",
+        "                        if near < blk_min[k]:\n",
+        "                        if near <= blk_min[k]:\n",
         ("tests/test_rrt_batched.py::TestEdgeCases::test_tied_nearest_nodes",),
     ),
     Mutant(
@@ -508,6 +515,13 @@ MUTANTS = [
         "self.frozen.prepare(v_starts, v_goals, links, dist[nv:])",
         "self.frozen.prepare(v_starts, v_goals, links, np.roll(dist[nv:], 1, axis=0))",
         (f"{BATCH}::test_prepared_rows_equal_one_query_at_a_time",),
+    ),
+    Mutant(
+        "batch_pairs_exact takes its lengths from the reduction norm",
+        "repro/cspace/local_planner.py",
+        "        lengths = cspace.distance(starts, ends)\n",
+        "        lengths = np.linalg.norm(ends - starts, axis=1)\n",
+        ("tests/test_local_planner.py::test_exact_twin_equals_the_scalar_loop",),
     ),
     Mutant(
         "the segment certificate has no pad",
